@@ -156,28 +156,23 @@ class LintConfig:
 
 
 def default_config() -> LintConfig:
-    """The configuration for *this* repository: every encoder/decoder
-    pair of the HTTP wire schema, both metric catalogs, and the
-    concurrency-sensitive subtrees."""
+    """The configuration for *this* repository: every hand-written
+    encoder/decoder pair of the HTTP wire schema, both metric catalogs,
+    and the concurrency-sensitive subtrees.  The regular request
+    shapes need no WIRE-PARITY rows: their renderers, parsers, encoders
+    and decoders are derived from one field list each
+    (``repro.service.shapes``), so they cannot drift apart."""
     envelope_vk = frozenset({"v", "kind"})
     protocol = "src/repro/server/protocol.py"
     results = "src/repro/client/results.py"
+    wire_py = "src/repro/client/wire.py"
     wire = WireParityConfig(
         dict_pairs=(
             DictPair(protocol, "encode_query_stats", results, "decode_query_stats"),
             DictPair(protocol, "encode_batch_stats", results, "decode_batch_stats"),
-            DictPair(protocol, "encode_journey", results, "decode_journey", envelope_vk),
+            DictPair(protocol, "_legs", results, "_decode_legs"),
             DictPair(protocol, "encode_profile", results, "decode_profile", envelope_vk),
             DictPair(protocol, "encode_batch", results, "decode_batch", envelope_vk),
-            DictPair(
-                protocol, "encode_multicriteria",
-                results, "decode_multicriteria", envelope_vk,
-            ),
-            DictPair(protocol, "encode_via", results, "decode_via", envelope_vk),
-            DictPair(
-                protocol, "encode_min_transfers",
-                results, "decode_min_transfers", envelope_vk,
-            ),
             DictPair(
                 "src/repro/server/registry.py", "describe", results, "decode_info"
             ),
@@ -190,32 +185,10 @@ def default_config() -> LintConfig:
             ),
         ),
         request_pairs=(
+            RequestPair(wire_py, "profile_body", protocol, ("_PROFILE_FIELDS",)),
+            RequestPair(wire_py, "batch_body", protocol, ("_BATCH_FIELDS",)),
             RequestPair(
-                "src/repro/client/wire.py", "profile_body",
-                protocol, ("_PROFILE_FIELDS",),
-            ),
-            RequestPair(
-                "src/repro/client/wire.py", "journey_body",
-                protocol, ("_JOURNEY_FIELDS",),
-            ),
-            RequestPair(
-                "src/repro/client/wire.py", "batch_body",
-                protocol, ("_BATCH_FIELDS",),
-            ),
-            RequestPair(
-                "src/repro/client/wire.py", "multicriteria_body",
-                protocol, ("_MULTICRITERIA_FIELDS",),
-            ),
-            RequestPair(
-                "src/repro/client/wire.py", "via_body",
-                protocol, ("_VIA_FIELDS",),
-            ),
-            RequestPair(
-                "src/repro/client/wire.py", "min_transfers_body",
-                protocol, ("_MIN_TRANSFERS_FIELDS",),
-            ),
-            RequestPair(
-                "src/repro/client/wire.py", "delays_body",
+                wire_py, "delays_body",
                 protocol, ("_DELAY_FIELDS", "_DELAY_ITEM_FIELDS"),
             ),
         ),

@@ -80,6 +80,7 @@ from repro.service import (
     ServiceConfig,
     TransitService,
 )
+from repro.service.model import DEFAULT_MAX_TRANSFERS
 from repro.store import StoreError, describe_store
 from repro.synthetic.workloads import random_station_pairs
 from repro.synthetic import INSTANCE_NAMES, STREAM_SHAPES, make_instance
@@ -1254,8 +1255,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(p_mc, allow_store=True, allow_remote=True)
     _add_shape_flags(p_mc)
     p_mc.add_argument(
-        "--max-transfers", type=int, default=5,
-        help="transfer budget bounding the front (default: 5)",
+        "--max-transfers", type=int, default=DEFAULT_MAX_TRANSFERS,
+        help="transfer budget bounding the front (default: %(default)s)",
     )
     p_mc.set_defaults(func=_cmd_multicriteria)
 
@@ -1278,8 +1279,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_arguments(p_mt, allow_store=True, allow_remote=True)
     _add_shape_flags(p_mt)
     p_mt.add_argument(
-        "--max-transfers", type=int, default=5,
-        help="transfer budget (default: 5)",
+        "--max-transfers", type=int, default=DEFAULT_MAX_TRANSFERS,
+        help="transfer budget (default: %(default)s)",
     )
     p_mt.set_defaults(func=_cmd_min_transfers)
 

@@ -32,10 +32,10 @@ from __future__ import annotations
 import time
 from pathlib import Path
 from threading import Lock
-from typing import Iterator, Protocol, Sequence, runtime_checkable
+from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 from repro.client import wire
-from repro.client.errors import error_from_payload
+from repro.client.errors import TransportError, error_from_payload
 from repro.client.results import (
     BatchAnswer,
     DatasetInfo,
@@ -45,38 +45,33 @@ from repro.client.results import (
     MulticriteriaAnswer,
     ProfileAnswer,
     ViaAnswer,
-    decode_batch,
+    decode_answer,
     decode_info,
-    decode_journey,
-    decode_min_transfers,
-    decode_multicriteria,
-    decode_profile,
-    decode_via,
 )
 from repro.server.protocol import (
     ProtocolError,
-    encode_batch,
-    encode_journey,
-    encode_min_transfers,
-    encode_multicriteria,
-    encode_profile,
-    encode_via,
-    parse_batch_request,
+    open_request,
     parse_delay_request,
-    parse_journey_request,
-    parse_min_transfers_request,
-    parse_multicriteria_request,
-    parse_profile_request,
-    parse_via_request,
 )
 from repro.service.facade import TransitService
 from repro.service.model import (
+    DEFAULT_MAX_TRANSFERS,
     BatchRequest,
     JourneyRequest,
     MinTransfersRequest,
     MulticriteriaRequest,
     ProfileRequest,
     ViaRequest,
+)
+from repro.service.shapes import (
+    BATCH,
+    JOURNEY,
+    MIN_TRANSFERS,
+    MULTICRITERIA,
+    PROFILE,
+    VIA,
+    Shape,
+    as_request,
 )
 from repro.timetable.delays import Delay
 
@@ -88,14 +83,49 @@ class TransitBackend(Protocol):
     Implementations: :class:`LocalBackend` (in-process),
     :class:`~repro.client.http.HttpBackend` (remote).  Pick one with
     :func:`repro.client.connect`.
+
+    The typed query methods live here, once: each normalises its
+    convenience form, renders the wire object, hands it to the
+    transport's single :meth:`_exchange` hook and decodes the wire
+    answer — so both transports share the whole call path but the
+    socket.
     """
+
+    # -- the transport hook ----------------------------------------------
+
+    def _exchange(self, shape: Shape, body: dict) -> dict:
+        """Answer one wire request of ``shape`` with its wire payload
+        (or raise the typed :mod:`repro.client.errors` exception)."""
+        ...
+
+    def _ask(self, shape: Shape, request: Any, *rest: Any, **wire_only: Any) -> Any:
+        """One query: normalise the call form, render it (plus any
+        wire-only field, like ``profile``'s ``targets``), exchange,
+        decode."""
+        typed = as_request(shape, request, *rest)
+        payload = self._exchange(shape, wire.render(shape, typed, **wire_only))
+        try:
+            return decode_answer(shape, payload)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            # A 200 whose body is JSON but not this shape's answer (a
+            # proxy's page, a truncated or foreign payload): surfaced
+            # like any other unreadable response, never as a raw
+            # KeyError from the decoder.
+            raise TransportError(
+                "invalid_response",
+                f"{shape.name} answer does not match the wire schema: "
+                f"{type(exc).__name__}: {exc}",
+            ) from None
+
+    # -- query shapes ----------------------------------------------------
 
     def profile(
         self,
         request: ProfileRequest | int,
         *,
         targets: Sequence[int] | None = None,
-    ) -> ProfileAnswer: ...
+    ) -> ProfileAnswer:
+        return self._ask(PROFILE, request, targets=targets)
 
     def journey(
         self,
@@ -103,15 +133,22 @@ class TransitBackend(Protocol):
         target: int | None = None,
         *,
         departure: int | None = None,
-    ) -> JourneyAnswer: ...
+    ) -> JourneyAnswer:
+        return self._ask(JOURNEY, request, target, departure)
 
     def journey_many(
         self, requests: Sequence[JourneyRequest]
-    ) -> list[JourneyAnswer]: ...
+    ) -> list[JourneyAnswer]:
+        """Many journeys in one engine pass / round trip: one
+        ``batch`` request on every transport, so they share cache
+        behaviour as well as answers."""
+        answer = self.batch(BatchRequest(journeys=tuple(requests)))
+        return list(answer.journeys)
 
     def batch(
         self, request: BatchRequest | Sequence[tuple[int, int]]
-    ) -> BatchAnswer: ...
+    ) -> BatchAnswer:
+        return self._ask(BATCH, request)
 
     def multicriteria(
         self,
@@ -119,8 +156,9 @@ class TransitBackend(Protocol):
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MulticriteriaAnswer: ...
+        max_transfers: int = DEFAULT_MAX_TRANSFERS,
+    ) -> MulticriteriaAnswer:
+        return self._ask(MULTICRITERIA, request, target, departure, max_transfers)
 
     def via(
         self,
@@ -129,7 +167,8 @@ class TransitBackend(Protocol):
         target: int | None = None,
         *,
         departure: int | None = None,
-    ) -> ViaAnswer: ...
+    ) -> ViaAnswer:
+        return self._ask(VIA, request, via, target, departure)
 
     def min_transfers(
         self,
@@ -137,12 +176,25 @@ class TransitBackend(Protocol):
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MinTransfersAnswer: ...
+        max_transfers: int = DEFAULT_MAX_TRANSFERS,
+    ) -> MinTransfersAnswer:
+        return self._ask(MIN_TRANSFERS, request, target, departure, max_transfers)
 
     def iter_batch(
         self, request: BatchRequest | Sequence[tuple[int, int]]
-    ) -> Iterator[JourneyAnswer | ProfileAnswer]: ...
+    ) -> Iterator[JourneyAnswer | ProfileAnswer]:
+        """Stream a batch: one request per item, yielding each answer
+        as it completes instead of materializing a
+        :class:`BatchAnswer` (submission order, journeys before
+        profiles) — constant client memory however large the batch,
+        and the same per-item execution on every transport."""
+        req = as_request(BATCH, request)
+        for journey in req.journeys:
+            yield self.journey(journey)
+        for profile in req.profiles:
+            yield self.profile(profile)
+
+    # -- delays, metadata, lifecycle (per transport) ----------------------
 
     def apply_delays(
         self,
@@ -157,7 +209,7 @@ class TransitBackend(Protocol):
     def close(self) -> None: ...
 
 
-class LocalBackend:
+class LocalBackend(TransitBackend):
     """A backend over one in-process :class:`TransitService`.
 
     Construct it over a live service, or over an artifact-store path —
@@ -227,141 +279,16 @@ class LocalBackend:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- query shapes ----------------------------------------------------
+    # -- the transport hook ----------------------------------------------
 
-    def profile(
-        self,
-        request: ProfileRequest | int,
-        *,
-        targets: Sequence[int] | None = None,
-    ) -> ProfileAnswer:
+    def _exchange(self, shape: Shape, body: dict) -> dict:
+        """The server's own pipeline minus the socket: wire parser →
+        facade → wire encoder."""
         service = self.service
-        body = wire.profile_body(wire.as_profile_request(request), targets)
-        req, wire_targets = self._parse(
-            parse_profile_request, body, service.timetable.num_stations
+        request, encode = self._parse(
+            open_request, shape, body, service.timetable.num_stations
         )
-        result = service.profile(req)
-        return decode_profile(
-            encode_profile(
-                result,
-                num_stations=service.timetable.num_stations,
-                targets=wire_targets,
-            )
-        )
-
-    def journey(
-        self,
-        request: JourneyRequest | int,
-        target: int | None = None,
-        *,
-        departure: int | None = None,
-    ) -> JourneyAnswer:
-        service = self.service
-        body = wire.journey_body(
-            wire.as_journey_request(request, target, departure)
-        )
-        req = self._parse(
-            parse_journey_request, body, service.timetable.num_stations
-        )
-        return decode_journey(encode_journey(service.journey(req)))
-
-    def journey_many(
-        self, requests: Sequence[JourneyRequest]
-    ) -> list[JourneyAnswer]:
-        """Many journeys in one engine pass.  Routed through
-        :meth:`batch` — the same mapping :class:`HttpBackend` uses (one
-        ``/batch`` request) — so both transports share cache behaviour
-        as well as answers."""
-        answer = self.batch(BatchRequest(journeys=tuple(requests)))
-        return list(answer.journeys)
-
-    def batch(
-        self, request: BatchRequest | Sequence[tuple[int, int]]
-    ) -> BatchAnswer:
-        service = self.service
-        body = wire.batch_body(wire.as_batch_request(request))
-        req = self._parse(
-            parse_batch_request, body, service.timetable.num_stations
-        )
-        return decode_batch(
-            encode_batch(
-                service.batch(req),
-                num_stations=service.timetable.num_stations,
-            )
-        )
-
-    def multicriteria(
-        self,
-        request: MulticriteriaRequest | int,
-        target: int | None = None,
-        *,
-        departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MulticriteriaAnswer:
-        service = self.service
-        body = wire.multicriteria_body(
-            wire.as_multicriteria_request(
-                request, target, departure, max_transfers
-            )
-        )
-        req = self._parse(
-            parse_multicriteria_request, body, service.timetable.num_stations
-        )
-        return decode_multicriteria(
-            encode_multicriteria(service.multicriteria(req))
-        )
-
-    def via(
-        self,
-        request: ViaRequest | int,
-        via: int | None = None,
-        target: int | None = None,
-        *,
-        departure: int | None = None,
-    ) -> ViaAnswer:
-        service = self.service
-        body = wire.via_body(
-            wire.as_via_request(request, via, target, departure)
-        )
-        req = self._parse(
-            parse_via_request, body, service.timetable.num_stations
-        )
-        return decode_via(encode_via(service.via(req)))
-
-    def min_transfers(
-        self,
-        request: MinTransfersRequest | int,
-        target: int | None = None,
-        *,
-        departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MinTransfersAnswer:
-        service = self.service
-        body = wire.min_transfers_body(
-            wire.as_min_transfers_request(
-                request, target, departure, max_transfers
-            )
-        )
-        req = self._parse(
-            parse_min_transfers_request, body, service.timetable.num_stations
-        )
-        return decode_min_transfers(
-            encode_min_transfers(service.min_transfers(req))
-        )
-
-    def iter_batch(
-        self, request: BatchRequest | Sequence[tuple[int, int]]
-    ) -> Iterator[JourneyAnswer | ProfileAnswer]:
-        """Stream a batch: yield each answer as it completes instead of
-        materializing a :class:`BatchAnswer`.  Items are answered (and
-        yielded) in submission order, journeys before profiles — the
-        same per-item execution on every transport, so answers match
-        :class:`HttpBackend.iter_batch` item for item."""
-        req = wire.as_batch_request(request)
-        for journey in req.journeys:
-            yield self.journey(journey)
-        for profile in req.profiles:
-            yield self.profile(profile)
+        return encode(getattr(service, shape.name)(request))
 
     # -- delays and metadata ---------------------------------------------
 
@@ -432,11 +359,11 @@ class LocalBackend:
     # -- internals --------------------------------------------------------
 
     @staticmethod
-    def _parse(parser, body: dict, bound: int):
+    def _parse(parser, *args):
         """Run one of the server's wire parsers; a rejection raises the
         same typed exception the HTTP transport would surface."""
         try:
-            return parser(body, bound)
+            return parser(*args)
         except ProtocolError as exc:
             raise error_from_payload(exc.status, exc.payload()) from None
 

@@ -37,10 +37,11 @@ import socket
 import time
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Iterator, Sequence
+from typing import Sequence
 from urllib.parse import urlsplit
 
 from repro.client import wire
+from repro.client.backend import TransitBackend
 from repro.client.errors import (
     BackendTimeoutError,
     OverloadedError,
@@ -48,32 +49,13 @@ from repro.client.errors import (
     error_from_payload,
 )
 from repro.client.results import (
-    BatchAnswer,
     DatasetInfo,
     DelayUpdate,
-    JourneyAnswer,
-    MinTransfersAnswer,
-    MulticriteriaAnswer,
-    ProfileAnswer,
-    ViaAnswer,
-    decode_batch,
     decode_delay_update,
     decode_info,
-    decode_journey,
-    decode_min_transfers,
-    decode_multicriteria,
-    decode_profile,
-    decode_via,
 )
 from repro.server.protocol import PROTOCOL_VERSION
-from repro.service.model import (
-    BatchRequest,
-    JourneyRequest,
-    MinTransfersRequest,
-    MulticriteriaRequest,
-    ProfileRequest,
-    ViaRequest,
-)
+from repro.service.shapes import Shape
 from repro.timetable.delays import Delay
 
 
@@ -159,7 +141,7 @@ class _ConnectionPool:
             conn.close()
 
 
-class HttpBackend:
+class HttpBackend(TransitBackend):
     """A :class:`~repro.client.backend.TransitBackend` over HTTP.
 
     ``base_url`` is ``http(s)://host:port`` with an optional trailing
@@ -236,104 +218,10 @@ class HttpBackend:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- query shapes ----------------------------------------------------
+    # -- the transport hook ----------------------------------------------
 
-    def profile(
-        self,
-        request: ProfileRequest | int,
-        *,
-        targets: Sequence[int] | None = None,
-    ) -> ProfileAnswer:
-        body = wire.profile_body(wire.as_profile_request(request), targets)
-        return decode_profile(
-            self._post(f"/v1/{self.dataset}/profile", body)
-        )
-
-    def journey(
-        self,
-        request: JourneyRequest | int,
-        target: int | None = None,
-        *,
-        departure: int | None = None,
-    ) -> JourneyAnswer:
-        body = wire.journey_body(
-            wire.as_journey_request(request, target, departure)
-        )
-        return decode_journey(self._post(f"/v1/{self.dataset}/journey", body))
-
-    def journey_many(
-        self, requests: Sequence[JourneyRequest]
-    ) -> list[JourneyAnswer]:
-        """Many journeys in one round trip (one ``/batch`` request —
-        the same mapping ``LocalBackend.journey_many`` mirrors)."""
-        answer = self.batch(BatchRequest(journeys=tuple(requests)))
-        return list(answer.journeys)
-
-    def batch(
-        self, request: BatchRequest | Sequence[tuple[int, int]]
-    ) -> BatchAnswer:
-        body = wire.batch_body(wire.as_batch_request(request))
-        return decode_batch(self._post(f"/v1/{self.dataset}/batch", body))
-
-    def multicriteria(
-        self,
-        request: MulticriteriaRequest | int,
-        target: int | None = None,
-        *,
-        departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MulticriteriaAnswer:
-        body = wire.multicriteria_body(
-            wire.as_multicriteria_request(
-                request, target, departure, max_transfers
-            )
-        )
-        return decode_multicriteria(
-            self._post(f"/v1/{self.dataset}/multicriteria", body)
-        )
-
-    def via(
-        self,
-        request: ViaRequest | int,
-        via: int | None = None,
-        target: int | None = None,
-        *,
-        departure: int | None = None,
-    ) -> ViaAnswer:
-        body = wire.via_body(
-            wire.as_via_request(request, via, target, departure)
-        )
-        return decode_via(self._post(f"/v1/{self.dataset}/via", body))
-
-    def min_transfers(
-        self,
-        request: MinTransfersRequest | int,
-        target: int | None = None,
-        *,
-        departure: int | None = None,
-        max_transfers: int = 5,
-    ) -> MinTransfersAnswer:
-        body = wire.min_transfers_body(
-            wire.as_min_transfers_request(
-                request, target, departure, max_transfers
-            )
-        )
-        return decode_min_transfers(
-            self._post(f"/v1/{self.dataset}/min-transfers", body)
-        )
-
-    def iter_batch(
-        self, request: BatchRequest | Sequence[tuple[int, int]]
-    ) -> Iterator[JourneyAnswer | ProfileAnswer]:
-        """Stream a batch: one wire request per item, yielding each
-        answer as it arrives (submission order, journeys before
-        profiles) — constant client memory however large the batch,
-        and first answers arrive before the last query runs."""
-        req = wire.as_batch_request(request)
-        for journey in req.journeys:
-            yield self.journey(journey)
-        for profile in req.profiles:
-            yield self.profile(profile)
+    def _exchange(self, shape: Shape, body: dict) -> dict:
+        return self._post(f"/v1/{self.dataset}/{shape.route}", body)
 
     # -- delays and metadata ---------------------------------------------
 

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from operator import itemgetter
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.functions.piecewise import INF_TIME
 from repro.query.batch import BatchStats
 from repro.service.model import JourneyLeg, ParetoOption, QueryStats
+from repro.service.shapes import DERIVED_SHAPES, Shape
 from repro.timetable.periodic import DAY_MINUTES
 
 
@@ -289,30 +291,6 @@ def decode_batch_stats(raw: dict) -> BatchStats:
     )
 
 
-def decode_journey(payload: dict) -> JourneyAnswer:
-    legs = payload.get("legs")
-    return JourneyAnswer(
-        source=payload["source"],
-        target=payload["target"],
-        reachable=payload["reachable"],
-        profile=_decode_points(payload["profile"]),
-        stats=decode_query_stats(payload["stats"]),
-        departure=payload.get("departure"),
-        arrival=payload.get("arrival"),
-        legs=None
-        if legs is None
-        else tuple(
-            JourneyLeg(
-                from_station=leg["from_station"],
-                to_station=leg["to_station"],
-                departure=leg["departure"],
-                arrival=leg["arrival"],
-            )
-            for leg in legs
-        ),
-    )
-
-
 def decode_profile(payload: dict) -> ProfileAnswer:
     return ProfileAnswer(
         source=payload["source"],
@@ -332,80 +310,82 @@ def decode_batch(payload: dict) -> BatchAnswer:
     )
 
 
-def decode_multicriteria(payload: dict) -> MulticriteriaAnswer:
-    legs = payload["legs"]
-    return MulticriteriaAnswer(
-        source=payload["source"],
-        target=payload["target"],
-        departure=payload["departure"],
-        max_transfers=payload["max_transfers"],
-        reachable=payload["reachable"],
-        options=tuple(
-            ParetoOption(int(k), int(arr)) for k, arr in payload["options"]
-        ),
-        stats=decode_query_stats(payload["stats"]),
-        legs=None
-        if legs is None
-        else tuple(
-            JourneyLeg(
-                from_station=leg["from_station"],
-                to_station=leg["to_station"],
-                departure=leg["departure"],
-                arrival=leg["arrival"],
-            )
-            for leg in legs
-        ),
+def _decode_legs(raw) -> tuple[JourneyLeg, ...] | None:
+    if raw is None:
+        return None
+    return tuple(
+        JourneyLeg(
+            from_station=leg["from_station"],
+            to_station=leg["to_station"],
+            departure=leg["departure"],
+            arrival=leg["arrival"],
+        )
+        for leg in raw
     )
 
 
-def decode_via(payload: dict) -> ViaAnswer:
-    legs = payload["legs"]
-    return ViaAnswer(
-        source=payload["source"],
-        via=payload["via"],
-        target=payload["target"],
-        departure=payload["departure"],
-        via_arrival=payload["via_arrival"],
-        arrival=payload["arrival"],
-        reachable=payload["reachable"],
-        stats=decode_query_stats(payload["stats"]),
-        legs=None
-        if legs is None
-        else tuple(
-            JourneyLeg(
-                from_station=leg["from_station"],
-                to_station=leg["to_station"],
-                departure=leg["departure"],
-                arrival=leg["arrival"],
-            )
-            for leg in legs
-        ),
-    )
+def _decode_options(raw) -> tuple[ParetoOption, ...]:
+    return tuple(ParetoOption(int(k), int(arr)) for k, arr in raw)
 
 
-def decode_min_transfers(payload: dict) -> MinTransfersAnswer:
-    legs = payload["legs"]
-    return MinTransfersAnswer(
-        source=payload["source"],
-        target=payload["target"],
-        departure=payload["departure"],
-        max_transfers=payload["max_transfers"],
-        reachable=payload["reachable"],
-        transfers=payload["transfers"],
-        arrival=payload["arrival"],
-        stats=decode_query_stats(payload["stats"]),
-        legs=None
-        if legs is None
-        else tuple(
-            JourneyLeg(
-                from_station=leg["from_station"],
-                to_station=leg["to_station"],
-                departure=leg["departure"],
-                arrival=leg["arrival"],
-            )
-            for leg in legs
-        ),
+#: How each wire kind of the shape table's ``response`` lists is read
+#: back — the inverse of ``repro.server.protocol._ENCODE_KIND``
+#: (``None``: the value is taken as it is).
+_DECODE_KIND: dict[str, Callable[[Any], Any] | None] = {
+    "plain": None,
+    "int": None,
+    "optional_int": None,
+    "points": _decode_points,
+    "legs": _decode_legs,
+    "options": _decode_options,
+    "stats": decode_query_stats,
+}
+
+
+def _derive_decoder(shape: Shape, answer: type) -> Callable[[dict], Any]:
+    """The answer decoder of one table-declared shape, built from the
+    very ``response`` list its encoder is built from.  Strict: every
+    declared field must be present."""
+    names = tuple(name for name, _ in shape.response)
+    pick = itemgetter(*names)
+    readers = tuple(
+        (name, _DECODE_KIND[wire_kind])
+        for name, wire_kind in shape.response
+        if _DECODE_KIND[wire_kind] is not None
     )
+
+    def decode(payload: dict) -> Any:
+        values = dict(zip(names, pick(payload)))
+        for name, read in readers:
+            values[name] = read(values[name])
+        return answer(**values)
+
+    decode.__name__ = decode.__qualname__ = f"decode_{shape.name}"
+    return decode
+
+
+_DECODERS: dict[str, Callable[[dict], Any]] = {
+    "profile": decode_profile,
+    "batch": decode_batch,
+    **{
+        shape.name: _derive_decoder(shape, globals()[shape.answer])
+        for shape in DERIVED_SHAPES
+    },
+}
+
+decode_journey = _DECODERS["journey"]
+decode_multicriteria = _DECODERS["multicriteria"]
+decode_via = _DECODERS["via"]
+decode_min_transfers = _DECODERS["min_transfers"]
+
+
+def decode_answer(shape: Shape, payload: dict) -> Any:
+    """Decode one ``shape`` answer, checking the envelope's ``kind``."""
+    if payload["kind"] != shape.name:
+        raise ValueError(
+            f"expected a {shape.name!r} answer, got kind {payload['kind']!r}"
+        )
+    return _DECODERS[shape.name](payload)
 
 
 def decode_info(raw: dict) -> DatasetInfo:

@@ -14,108 +14,40 @@ Optional fields are *omitted* rather than sent as ``null``: the wire
 schema's strict validation rejects ``None`` where an integer is
 expected, and omission is the protocol's way of saying "default".
 
-Also here: normalization of the convenience call forms every backend
-accepts (raw station ints, raw (source, target) pairs) into the typed
-requests, shared so the sugar behaves identically across transports.
+The renderers of the regular shapes are derived from the shape table
+(:mod:`repro.service.shapes`) — the same field lists the server's
+parsers are derived from; ``profile`` (the wire-only ``targets``
+field) and ``batch`` (a composite) keep hand-written ones.  The
+convenience call forms every backend accepts (raw station ints, raw
+(source, target) pairs) are normalised by
+:func:`repro.service.shapes.as_request`, shared with the facade.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
-from repro.service.model import (
-    BatchRequest,
-    JourneyRequest,
-    MinTransfersRequest,
-    MulticriteriaRequest,
-    ProfileRequest,
-    ViaRequest,
-)
+from repro.service.model import BatchRequest, ProfileRequest
+from repro.service.shapes import DERIVED_SHAPES, Shape
 from repro.timetable.delays import Delay
 
 
-# ---------------------------------------------------------------------------
-# Normalization of convenience forms
-# ---------------------------------------------------------------------------
+def _derive_renderer(shape: Shape) -> Callable[[object], dict]:
+    """The wire renderer of one table-declared shape: every request
+    field in field order, ``None`` omitted."""
+    names = tuple(f.name for f in shape.fields)
+    read = attrgetter(*names)
 
+    def render(request: object) -> dict:
+        return {
+            name: value
+            for name, value in zip(names, read(request))
+            if value is not None
+        }
 
-def as_profile_request(request: ProfileRequest | int) -> ProfileRequest:
-    if isinstance(request, ProfileRequest):
-        return request
-    return ProfileRequest(request)
-
-
-def as_journey_request(
-    request: JourneyRequest | int,
-    target: int | None = None,
-    departure: int | None = None,
-) -> JourneyRequest:
-    if isinstance(request, JourneyRequest):
-        return request
-    if target is None:
-        raise TypeError("journey(source, target) needs a target")
-    return JourneyRequest(request, target, departure)
-
-
-def as_batch_request(
-    request: BatchRequest | Sequence[tuple[int, int]],
-) -> BatchRequest:
-    if isinstance(request, BatchRequest):
-        return request
-    return BatchRequest.from_pairs(request)
-
-
-def as_multicriteria_request(
-    request: MulticriteriaRequest | int,
-    target: int | None = None,
-    departure: int | None = None,
-    max_transfers: int = 5,
-) -> MulticriteriaRequest:
-    if isinstance(request, MulticriteriaRequest):
-        return request
-    if target is None or departure is None:
-        raise TypeError(
-            "multicriteria(source, target, departure=...) needs a target "
-            "and a departure"
-        )
-    return MulticriteriaRequest(request, target, departure, max_transfers)
-
-
-def as_via_request(
-    request: ViaRequest | int,
-    via: int | None = None,
-    target: int | None = None,
-    departure: int | None = None,
-) -> ViaRequest:
-    if isinstance(request, ViaRequest):
-        return request
-    if via is None or target is None or departure is None:
-        raise TypeError(
-            "via(source, via, target, departure=...) needs a via, a "
-            "target and a departure"
-        )
-    return ViaRequest(request, via, target, departure)
-
-
-def as_min_transfers_request(
-    request: MinTransfersRequest | int,
-    target: int | None = None,
-    departure: int | None = None,
-    max_transfers: int = 5,
-) -> MinTransfersRequest:
-    if isinstance(request, MinTransfersRequest):
-        return request
-    if target is None or departure is None:
-        raise TypeError(
-            "min_transfers(source, target, departure=...) needs a target "
-            "and a departure"
-        )
-    return MinTransfersRequest(request, target, departure, max_transfers)
-
-
-# ---------------------------------------------------------------------------
-# Wire rendering
-# ---------------------------------------------------------------------------
+    render.__name__ = render.__qualname__ = f"{shape.name}_body"
+    return render
 
 
 def profile_body(
@@ -129,13 +61,6 @@ def profile_body(
     return body
 
 
-def journey_body(request: JourneyRequest) -> dict:
-    body: dict = {"source": request.source, "target": request.target}
-    if request.departure is not None:
-        body["departure"] = request.departure
-    return body
-
-
 def batch_body(request: BatchRequest) -> dict:
     body: dict = {}
     if request.journeys:
@@ -145,31 +70,23 @@ def batch_body(request: BatchRequest) -> dict:
     return body
 
 
-def multicriteria_body(request: MulticriteriaRequest) -> dict:
-    return {
-        "source": request.source,
-        "target": request.target,
-        "departure": request.departure,
-        "max_transfers": request.max_transfers,
-    }
+_RENDERERS: dict[str, Callable[..., dict]] = {
+    "profile": profile_body,
+    "batch": batch_body,
+    **{shape.name: _derive_renderer(shape) for shape in DERIVED_SHAPES},
+}
+
+journey_body = _RENDERERS["journey"]
+multicriteria_body = _RENDERERS["multicriteria"]
+via_body = _RENDERERS["via"]
+min_transfers_body = _RENDERERS["min_transfers"]
 
 
-def via_body(request: ViaRequest) -> dict:
-    return {
-        "source": request.source,
-        "via": request.via,
-        "target": request.target,
-        "departure": request.departure,
-    }
-
-
-def min_transfers_body(request: MinTransfersRequest) -> dict:
-    return {
-        "source": request.source,
-        "target": request.target,
-        "departure": request.departure,
-        "max_transfers": request.max_transfers,
-    }
+def render(shape: Shape, request: object, **wire_only: object) -> dict:
+    """The wire object of one typed ``shape`` request; ``wire_only``
+    names fields the wire carries beside it (``profile``'s
+    ``targets``)."""
+    return _RENDERERS[shape.name](request, **wire_only)
 
 
 def delays_body(

@@ -54,17 +54,9 @@ from repro.fleet.metrics import GatewayMetrics
 from repro.fleet.swap import FleetSwapCoordinator
 from repro.server.http_base import BaseAsyncHttpServer
 from repro.server.protocol import PROTOCOL_VERSION
+from repro.service.shapes import BY_ROUTE
 
 __all__ = ["FleetGateway", "WorkerState"]
-
-_QUERY_SHAPES = (
-    "profile",
-    "journey",
-    "batch",
-    "multicriteria",
-    "via",
-    "min-transfers",
-)
 
 #: A forward failure with one of these is a dead/unreachable worker:
 #: eject immediately and fail the query over to a peer.
@@ -283,18 +275,6 @@ class FleetGateway(BaseAsyncHttpServer):
         )
         return status, payload, extra
 
-    def _endpoint_label(self, method: str, path: str) -> str:
-        parts = [p for p in path.split("?")[0].split("/") if p]
-        if parts == ["healthz"] or parts == ["metrics"]:
-            return f"{method} /{parts[0]}"
-        if parts[:2] == ["v1", "datasets"]:
-            if len(parts) == 2:
-                return "GET /v1/datasets"
-            return "POST /v1/datasets/{name}/delays"
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in _QUERY_SHAPES:
-            return f"POST /v1/{{name}}/{parts[2]}"
-        return f"{method} <unmatched>"
-
     async def _route(
         self,
         method: str,
@@ -339,7 +319,7 @@ class FleetGateway(BaseAsyncHttpServer):
                 )
             return await self._handle_delays(parts[2], body, endpoint)
 
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in _QUERY_SHAPES:
+        if len(parts) == 3 and parts[0] == "v1" and parts[2] in BY_ROUTE:
             if method != "POST":
                 return 405, _error(
                     "method_not_allowed", f"use POST, not {method}"
@@ -367,13 +347,6 @@ class FleetGateway(BaseAsyncHttpServer):
                 retriable=True,
             ), self._retry_after_header()
         return None
-
-    def _retry_after_header(self) -> dict:
-        value = self.retry_after
-        rendered = (
-            str(int(value)) if float(value).is_integer() else f"{value:g}"
-        )
-        return {"Retry-After": rendered}
 
     async def _handle_forward(
         self,

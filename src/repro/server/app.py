@@ -54,32 +54,13 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     DelayCommand,
     ProtocolError,
-    encode_batch,
-    encode_journey,
-    encode_min_transfers,
-    encode_multicriteria,
-    encode_profile,
-    encode_via,
-    parse_batch_request,
+    open_request,
     parse_delay_request,
-    parse_journey_request,
-    parse_min_transfers_request,
-    parse_multicriteria_request,
-    parse_profile_request,
-    parse_via_request,
 )
 from repro.server.registry import DatasetRegistry, RegistryError, SwapStateError
+from repro.service.shapes import BY_ROUTE, Shape
 
 __all__ = ["MAX_BODY_BYTES", "TransitServer"]
-
-_QUERY_SHAPES = (
-    "profile",
-    "journey",
-    "batch",
-    "multicriteria",
-    "via",
-    "min-transfers",
-)
 
 
 class TransitServer(BaseAsyncHttpServer):
@@ -183,21 +164,6 @@ class TransitServer(BaseAsyncHttpServer):
         if attempt > 0:
             self.metrics.observe_client_retry()
 
-    def _endpoint_label(self, method: str, path: str) -> str:
-        """Low-cardinality endpoint label for metrics (dataset names
-        are folded out of the label; per-dataset detail lives in the
-        registry section of the snapshot)."""
-        parts = [p for p in path.split("?")[0].split("/") if p]
-        if parts == ["healthz"] or parts == ["metrics"]:
-            return f"{method} /{parts[0]}"
-        if parts[:2] == ["v1", "datasets"]:
-            if len(parts) == 2:
-                return "GET /v1/datasets"
-            return "POST /v1/datasets/{name}/delays"
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in _QUERY_SHAPES:
-            return f"POST /v1/{{name}}/{parts[2]}"
-        return f"{method} <unmatched>"
-
     async def _route(
         self, method: str, path: str, body: bytes, endpoint: str
     ) -> tuple:
@@ -240,9 +206,11 @@ class TransitServer(BaseAsyncHttpServer):
             _require_method(method, "POST")
             return await self._handle_delays(parts[2], body, endpoint)
 
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in _QUERY_SHAPES:
+        if len(parts) == 3 and parts[0] == "v1" and parts[2] in BY_ROUTE:
             _require_method(method, "POST")
-            return await self._handle_query(parts[1], parts[2], body, endpoint)
+            return await self._handle_query(
+                parts[1], BY_ROUTE[parts[2]], body, endpoint
+            )
 
         raise ProtocolError(
             "unknown_route", f"no route for {method} {path}", status=404
@@ -272,16 +240,8 @@ class TransitServer(BaseAsyncHttpServer):
             ), self._retry_after_header()
         return None
 
-    def _retry_after_header(self) -> dict:
-        # RFC 9110 wants integral delta-seconds; emit sub-second
-        # values as-is anyway (our own client parses floats, and a
-        # strict parser falling back to "retry later" is still right).
-        value = self.retry_after
-        rendered = str(int(value)) if float(value).is_integer() else f"{value:g}"
-        return {"Retry-After": rendered}
-
     async def _handle_query(
-        self, name: str, shape: str, body: bytes, endpoint: str
+        self, name: str, shape: Shape, body: bytes, endpoint: str
     ) -> tuple:
         rejection = self._admit(endpoint)
         if rejection is not None:
@@ -290,36 +250,14 @@ class TransitServer(BaseAsyncHttpServer):
         # must not change what this request runs against.
         entry = self.registry.get(name)
         service = entry.service
-        num_stations = service.timetable.num_stations
         self._inflight += 1
         self.metrics.inflight = self._inflight
         try:
-            parsed = _parse_body(body)
-            if shape == "profile":
-                request, targets = parse_profile_request(parsed, num_stations)
-                result = await self.executor.profile(service, request)
-                return 200, encode_profile(
-                    result, num_stations=num_stations, targets=targets
-                )
-            if shape == "journey":
-                request = parse_journey_request(parsed, num_stations)
-                result = await self.executor.journey(service, request)
-                return 200, encode_journey(result)
-            if shape == "multicriteria":
-                request = parse_multicriteria_request(parsed, num_stations)
-                result = await self.executor.multicriteria(service, request)
-                return 200, encode_multicriteria(result)
-            if shape == "via":
-                request = parse_via_request(parsed, num_stations)
-                result = await self.executor.via(service, request)
-                return 200, encode_via(result)
-            if shape == "min-transfers":
-                request = parse_min_transfers_request(parsed, num_stations)
-                result = await self.executor.min_transfers(service, request)
-                return 200, encode_min_transfers(result)
-            request = parse_batch_request(parsed, num_stations)
-            response = await self.executor.batch(service, request)
-            return 200, encode_batch(response, num_stations=num_stations)
+            request, encode = open_request(
+                shape, _parse_body(body), service.timetable.num_stations
+            )
+            result = await self.executor.submit(shape, service, request)
+            return 200, encode(result)
         finally:
             self._inflight -= 1
             self.metrics.inflight = self._inflight

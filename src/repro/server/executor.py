@@ -5,7 +5,8 @@ on the event loop: :class:`QueryExecutor` owns a
 :class:`~concurrent.futures.ThreadPoolExecutor` and funnels all
 service calls through it (:meth:`run`).
 
-Micro-batching (:meth:`journey`): concurrent single-journey requests
+Micro-batching (:meth:`QueryExecutor.submit`, for the shapes the shape
+table flags ``groupable``): concurrent single-journey requests
 against the *same* service instance are not dispatched one worker job
 each.  The first request opens a collection window
 (``batch_window`` seconds); every journey for that service arriving
@@ -42,29 +43,9 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 from repro.service.facade import TransitService
-from repro.service.model import (
-    BatchRequest,
-    BatchResponse,
-    JourneyRequest,
-    JourneyResult,
-    MinTransfersRequest,
-    MinTransfersResult,
-    MulticriteriaRequest,
-    MulticriteriaResult,
-    ProfileRequest,
-    ProfileResult,
-    ViaRequest,
-    ViaResult,
-)
+from repro.service.shapes import Shape
 
 T = TypeVar("T")
-
-#: Shapes eligible for window collection: each maps to a facade method
-#: pair ``<shape>`` / ``<shape>_many`` with positional answers.
-#: Journeys group because the misses run as one engine pass;
-#: multicriteria requests group because every request over one
-#: (source, budget) pair shares a single underlying §6 search.
-_GROUPABLE_SHAPES = ("journey", "multicriteria")
 
 
 class _PendingBatch:
@@ -127,58 +108,24 @@ class QueryExecutor:
 
     # -- query shapes ---------------------------------------------------
 
-    async def profile(
-        self, service: TransitService, request: ProfileRequest
-    ) -> ProfileResult:
-        return await self.run(lambda: service.profile(request))
-
-    async def batch(
-        self, service: TransitService, request: BatchRequest
-    ) -> BatchResponse:
-        return await self.run(lambda: service.batch(request))
-
-    async def journey(
-        self, service: TransitService, request: JourneyRequest
-    ) -> JourneyResult:
-        """Answer one journey, micro-batching it with concurrent
-        journeys against the same service (see module docstring)."""
-        return await self._grouped("journey", service, request)
-
-    async def multicriteria(
-        self, service: TransitService, request: MulticriteriaRequest
-    ) -> MulticriteriaResult:
-        """Answer one Pareto query, micro-batching it with concurrent
-        multicriteria requests against the same service — grouped
-        requests sharing a (source, budget) pair pay one underlying
-        search (:meth:`TransitService.multicriteria_many`)."""
-        return await self._grouped("multicriteria", service, request)
-
-    async def via(
-        self, service: TransitService, request: ViaRequest
-    ) -> ViaResult:
-        """Via journeys chain two dependent legs — nothing to group."""
-        return await self.run(lambda: service.via(request))
-
-    async def min_transfers(
-        self, service: TransitService, request: MinTransfersRequest
-    ) -> MinTransfersResult:
-        return await self.run(lambda: service.min_transfers(request))
-
-    async def _grouped(
-        self, shape: str, service: TransitService, request
-    ):
-        """Collect ``request`` into the open (shape, service) window,
-        opening one if needed (see module docstring)."""
-        if shape not in _GROUPABLE_SHAPES:
-            raise ValueError(f"shape {shape!r} has no grouped dispatch")
-        single = getattr(service, shape)
-        if self.batch_window <= 0 or self.batch_max <= 1:
+    async def submit(self, shape: Shape, service: TransitService, request):
+        """Answer one ``shape`` request with ``service.<shape>``.  A
+        ``groupable`` shape's request is collected into the open
+        (shape, service) window — opening one if needed — and answered
+        through ``service.<shape>_many`` with its window mates (see
+        module docstring); every other shape is one worker job."""
+        single = getattr(service, shape.name)
+        if (
+            not shape.groupable
+            or self.batch_window <= 0
+            or self.batch_max <= 1
+        ):
             return await self.run(lambda: single(request))
         loop = asyncio.get_running_loop()
-        key = (shape, id(service))
+        key = (shape.name, id(service))
         pending = self._pending.get(key)
         if pending is None:
-            pending = _PendingBatch(service, shape)
+            pending = _PendingBatch(service, shape.name)
             self._pending[key] = pending
             pending.timer = loop.call_later(
                 self.batch_window, self._flush, key

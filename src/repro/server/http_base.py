@@ -29,6 +29,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+from repro.service.shapes import BY_ROUTE
+
 #: Request bodies above this are rejected with 413 before parsing.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
@@ -144,6 +146,36 @@ class BaseAsyncHttpServer:
         response headers)``.  ``payload`` may be a JSON-safe dict or
         pre-encoded JSON ``bytes`` (forwarded verbatim)."""
         raise NotImplementedError
+
+    # -- helpers shared by both front ends -------------------------------
+
+    #: Backoff hint (seconds) sent as ``Retry-After`` on every
+    #: retriable 503; set by the subclass constructor.
+    retry_after: float
+
+    def _endpoint_label(self, method: str, path: str) -> str:
+        """Low-cardinality endpoint label for metrics (dataset names
+        are folded out of the label; per-dataset detail lives in the
+        registry section of the snapshot).  The query routes are the
+        shape table's."""
+        parts = [p for p in path.split("?")[0].split("/") if p]
+        if parts == ["healthz"] or parts == ["metrics"]:
+            return f"{method} /{parts[0]}"
+        if parts[:2] == ["v1", "datasets"]:
+            if len(parts) == 2:
+                return "GET /v1/datasets"
+            return "POST /v1/datasets/{name}/delays"
+        if len(parts) == 3 and parts[0] == "v1" and parts[2] in BY_ROUTE:
+            return f"POST /v1/{{name}}/{parts[2]}"
+        return f"{method} <unmatched>"
+
+    def _retry_after_header(self) -> dict:
+        # RFC 9110 wants integral delta-seconds; emit sub-second
+        # values as-is anyway (our own client parses floats, and a
+        # strict parser falling back to "retry later" is still right).
+        value = self.retry_after
+        rendered = str(int(value)) if float(value).is_integer() else f"{value:g}"
+        return {"Retry-After": rendered}
 
     # -- connection handling -------------------------------------------
 

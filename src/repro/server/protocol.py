@@ -4,22 +4,12 @@ Every request and response body is one JSON object carrying the
 protocol version under ``"v"`` (:data:`PROTOCOL_VERSION`; requests may
 omit it and get the current version, an explicit mismatch is
 rejected).  Request objects map one-to-one onto the service layer's
-typed requests:
-
-===============================  =========================================
-wire object                      service request
-===============================  =========================================
-``{"source"}``                   :class:`~repro.service.model.ProfileRequest`
-``{"source", "target"}``         :class:`~repro.service.model.JourneyRequest`
-``{"journeys", "profiles"}``     :class:`~repro.service.model.BatchRequest`
-``{"source", "target",           :class:`~repro.service.model.MulticriteriaRequest`
-"departure"}``
-``{"source", "via", "target",    :class:`~repro.service.model.ViaRequest`
-"departure"}``
-``{"source", "target",           :class:`~repro.service.model.MinTransfersRequest`
-"departure", "max_transfers"}``
-``{"delays"}``                   ``TransitService.apply_delays`` input
-===============================  =========================================
+typed requests; which fields each carries, with which bounds, and
+which fields each answer carries is declared once, in the shape table
+(:data:`repro.service.shapes.SHAPES`).  The parsers and encoders of the
+regular shapes are *derived* from that table here; ``profile``
+(response restricted by ``targets``) and ``batch`` (a composite) keep
+hand-written ones, as does the mode-dependent ``/delays`` endpoint.
 
 Validation is strict: unknown fields, wrong types, and out-of-range
 stations/trains are rejected with a typed :class:`ProtocolError`
@@ -41,38 +31,32 @@ usable by the server, by clients, and by tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from operator import attrgetter
+from typing import Any, Callable, Sequence
 
 from repro.query.batch import BatchStats
 from repro.service.model import (
     BatchRequest,
     BatchResponse,
-    JourneyRequest,
-    JourneyResult,
-    MinTransfersRequest,
-    MinTransfersResult,
-    MulticriteriaRequest,
-    MulticriteriaResult,
     ProfileRequest,
     ProfileResult,
     QueryStats,
-    ViaRequest,
-    ViaResult,
+)
+from repro.service.shapes import (  # the MAX_* caps are re-exported
+    DERIVED_SHAPES,
+    JOURNEY,
+    MAX_MC_TRANSFERS,  # noqa: F401
+    MAX_NUM_THREADS,  # noqa: F401
+    PROFILE,
+    SHAPES,
+    RequestField,
+    Shape,
 )
 from repro.timetable.delays import Delay
 
 #: Bumped on any incompatible change to the wire schema.
 PROTOCOL_VERSION = 1
-
-#: Cap on wire-requested per-query cores: ``num_threads`` sizes the
-#: connection partitioning (allocations scale with it), so an
-#: unauthenticated request must not be able to ask for millions.
-MAX_NUM_THREADS = 64
-
-#: Cap on wire-requested transfer budgets: the multi-criteria label
-#: volume scales linearly with ``max_transfers + 1`` layers, so an
-#: unauthenticated request must not be able to ask for thousands.
-MAX_MC_TRANSFERS = 16
 
 
 class ProtocolError(Exception):
@@ -147,7 +131,6 @@ def _reject_unknown(obj: dict, allowed: frozenset[str], *, where: str) -> None:
 def _int_field(
     obj: dict,
     name: str,
-    *,
     where: str,
     required: bool = False,
     default: int | None = None,
@@ -182,12 +165,44 @@ def _int_field(
     return value
 
 
-def _station_field(
-    obj: dict, name: str, num_stations: int, *, where: str, required: bool = True
-) -> int | None:
-    return _int_field(
-        obj, name, where=where, required=required, lo=0, hi=num_stations
-    )
+def _parse_fields(
+    obj: dict, fields: tuple[RequestField, ...], num_stations: int, *, where: str
+) -> list[int | None]:
+    """Validate ``obj`` against a shape's field table; values in field
+    order (station fields are bounded by ``num_stations``)."""
+    return [
+        _int_field(
+            obj,
+            name,
+            where,
+            required,
+            default,
+            lo,
+            num_stations if kind == "station" else hi,
+        )
+        for name, kind, required, default, lo, hi in fields
+    ]
+
+
+#: Per shape name, the field names a request object may carry.
+_ALLOWED = {
+    shape.name: frozenset(f.name for f in shape.fields) for shape in SHAPES
+}
+
+
+def _derive_parser(shape: Shape) -> Callable[[object, int], Any]:
+    """The strict parser of one table-declared shape."""
+    build, fields, where = shape.request, shape.fields, shape.route
+    allowed, what = _ALLOWED[shape.name] | {"v"}, f"{where} request"
+
+    def parse(body: object, num_stations: int) -> Any:
+        obj = _require_object(body)
+        _check_version(obj)
+        _reject_unknown(obj, allowed, where=what)
+        return build(*_parse_fields(obj, fields, num_stations, where=where))
+
+    parse.__name__ = parse.__qualname__ = f"parse_{shape.name}_request"
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +210,7 @@ def _station_field(
 # ---------------------------------------------------------------------------
 
 _PROFILE_FIELDS = frozenset({"v", "source", "num_threads", "targets"})
-_JOURNEY_FIELDS = frozenset({"v", "source", "target", "departure"})
 _BATCH_FIELDS = frozenset({"v", "journeys", "profiles"})
-_MULTICRITERIA_FIELDS = frozenset(
-    {"v", "source", "target", "departure", "max_transfers"}
-)
-_VIA_FIELDS = frozenset({"v", "source", "via", "target", "departure"})
-_MIN_TRANSFERS_FIELDS = frozenset(
-    {"v", "source", "target", "departure", "max_transfers"}
-)
 _DELAY_FIELDS = frozenset(
     {"v", "delays", "slack_per_leg", "mode", "token", "replan", "generations"}
 )
@@ -237,9 +244,8 @@ def parse_profile_request(
     obj = _require_object(body)
     _check_version(obj)
     _reject_unknown(obj, _PROFILE_FIELDS, where="profile request")
-    source = _station_field(obj, "source", num_stations, where="profile")
-    num_threads = _int_field(
-        obj, "num_threads", where="profile", lo=1, hi=MAX_NUM_THREADS + 1
+    request = ProfileRequest(
+        *_parse_fields(obj, PROFILE.fields, num_stations, where="profile")
     )
     targets: tuple[int, ...] | None = None
     if "targets" in obj:
@@ -267,75 +273,28 @@ def parse_profile_request(
                 )
             checked.append(t)
         targets = tuple(checked)
-    return ProfileRequest(source, num_threads=num_threads), targets
-
-
-def parse_journey_request(body: object, num_stations: int) -> JourneyRequest:
-    obj = _require_object(body)
-    _check_version(obj)
-    _reject_unknown(obj, _JOURNEY_FIELDS, where="journey request")
-    source = _station_field(obj, "source", num_stations, where="journey")
-    target = _station_field(obj, "target", num_stations, where="journey")
-    departure = _int_field(obj, "departure", where="journey", lo=0)
-    return JourneyRequest(source, target, departure)
+    return request, targets
 
 
 def parse_batch_request(body: object, num_stations: int) -> BatchRequest:
     obj = _require_object(body)
     _check_version(obj)
     _reject_unknown(obj, _BATCH_FIELDS, where="batch request")
-    journeys: list[JourneyRequest] = []
-    profiles: list[ProfileRequest] = []
-    for i, item in enumerate(_item_list(obj, "journeys")):
-        sub = _require_object(item, what=f"batch.journeys[{i}]")
-        _reject_unknown(
-            sub,
-            _JOURNEY_FIELDS - {"v"},
-            where=f"batch.journeys[{i}]",
-        )
-        journeys.append(
-            JourneyRequest(
-                _station_field(
-                    sub, "source", num_stations, where=f"batch.journeys[{i}]"
-                ),
-                _station_field(
-                    sub, "target", num_stations, where=f"batch.journeys[{i}]"
-                ),
-                _int_field(
-                    sub, "departure", where=f"batch.journeys[{i}]", lo=0
-                ),
-            )
-        )
-    for i, item in enumerate(_item_list(obj, "profiles")):
-        sub = _require_object(item, what=f"batch.profiles[{i}]")
-        _reject_unknown(
-            sub,
-            frozenset({"source", "num_threads"}),
-            where=f"batch.profiles[{i}]",
-        )
-        profiles.append(
-            ProfileRequest(
-                _station_field(
-                    sub, "source", num_stations, where=f"batch.profiles[{i}]"
-                ),
-                num_threads=_int_field(
-                    sub,
-                    "num_threads",
-                    where=f"batch.profiles[{i}]",
-                    lo=1,
-                    hi=MAX_NUM_THREADS + 1,
-                ),
-            )
-        )
+    journeys = _parse_items(obj, "journeys", JOURNEY, num_stations)
+    profiles = _parse_items(obj, "profiles", PROFILE, num_stations)
     if not journeys and not profiles:
         raise ProtocolError(
             "invalid_request",
             "batch request needs at least one journey or profile",
         )
-    return BatchRequest(journeys=tuple(journeys), profiles=tuple(profiles))
+    return BatchRequest(journeys=journeys, profiles=profiles)
 
 
-def _item_list(obj: dict, name: str) -> list:
+def _parse_items(
+    obj: dict, name: str, shape: Shape, num_stations: int
+) -> tuple:
+    """The ``batch.<name>`` list, each item validated against the
+    same field table a single request of ``shape`` is."""
     raw = obj.get(name, [])
     if not isinstance(raw, list):
         raise ProtocolError(
@@ -343,62 +302,18 @@ def _item_list(obj: dict, name: str) -> list:
             f"batch.{name} must be a list, got {type(raw).__name__}",
             field=name,
         )
-    return raw
-
-
-def parse_multicriteria_request(
-    body: object, num_stations: int
-) -> MulticriteriaRequest:
-    obj = _require_object(body)
-    _check_version(obj)
-    _reject_unknown(obj, _MULTICRITERIA_FIELDS, where="multicriteria request")
-    source = _station_field(obj, "source", num_stations, where="multicriteria")
-    target = _station_field(obj, "target", num_stations, where="multicriteria")
-    departure = _int_field(
-        obj, "departure", where="multicriteria", required=True, lo=0
-    )
-    max_transfers = _int_field(
-        obj,
-        "max_transfers",
-        where="multicriteria",
-        default=5,
-        lo=0,
-        hi=MAX_MC_TRANSFERS + 1,
-    )
-    return MulticriteriaRequest(source, target, departure, max_transfers)
-
-
-def parse_via_request(body: object, num_stations: int) -> ViaRequest:
-    obj = _require_object(body)
-    _check_version(obj)
-    _reject_unknown(obj, _VIA_FIELDS, where="via request")
-    source = _station_field(obj, "source", num_stations, where="via")
-    via = _station_field(obj, "via", num_stations, where="via")
-    target = _station_field(obj, "target", num_stations, where="via")
-    departure = _int_field(obj, "departure", where="via", required=True, lo=0)
-    return ViaRequest(source, via, target, departure)
-
-
-def parse_min_transfers_request(
-    body: object, num_stations: int
-) -> MinTransfersRequest:
-    obj = _require_object(body)
-    _check_version(obj)
-    _reject_unknown(obj, _MIN_TRANSFERS_FIELDS, where="min-transfers request")
-    source = _station_field(obj, "source", num_stations, where="min-transfers")
-    target = _station_field(obj, "target", num_stations, where="min-transfers")
-    departure = _int_field(
-        obj, "departure", where="min-transfers", required=True, lo=0
-    )
-    max_transfers = _int_field(
-        obj,
-        "max_transfers",
-        where="min-transfers",
-        default=5,
-        lo=0,
-        hi=MAX_MC_TRANSFERS + 1,
-    )
-    return MinTransfersRequest(source, target, departure, max_transfers)
+    allowed = _ALLOWED[shape.name]
+    items = []
+    for i, item in enumerate(raw):
+        where = f"batch.{name}[{i}]"
+        sub = _require_object(item, what=where)
+        _reject_unknown(sub, allowed, where=where)
+        items.append(
+            shape.request(
+                *_parse_fields(sub, shape.fields, num_stations, where=where)
+            )
+        )
+    return tuple(items)
 
 
 @dataclass(frozen=True, slots=True)
@@ -549,32 +464,6 @@ def encode_batch_stats(stats: BatchStats) -> dict:
     }
 
 
-def encode_journey(result: JourneyResult) -> dict:
-    legs = None
-    if result.legs is not None:
-        legs = [
-            {
-                "from_station": leg.from_station,
-                "to_station": leg.to_station,
-                "departure": leg.departure,
-                "arrival": leg.arrival,
-            }
-            for leg in result.legs
-        ]
-    return {
-        "v": PROTOCOL_VERSION,
-        "kind": "journey",
-        "source": result.source,
-        "target": result.target,
-        "reachable": result.reachable,
-        "profile": _points(result.profile),
-        "departure": result.departure,
-        "arrival": None if result.arrival is None else int(result.arrival),
-        "legs": legs,
-        "stats": encode_query_stats(result.stats),
-    }
-
-
 def encode_profile(
     result: ProfileResult,
     *,
@@ -611,85 +500,114 @@ def encode_batch(response: BatchResponse, *, num_stations: int) -> dict:
     }
 
 
-def encode_multicriteria(result: MulticriteriaResult) -> dict:
-    legs = None
-    if result.legs is not None:
-        legs = [
-            {
-                "from_station": leg.from_station,
-                "to_station": leg.to_station,
-                "departure": leg.departure,
-                "arrival": leg.arrival,
-            }
-            for leg in result.legs
-        ]
-    return {
-        "v": PROTOCOL_VERSION,
-        "kind": "multicriteria",
-        "source": result.source,
-        "target": result.target,
-        "departure": result.departure,
-        "max_transfers": result.max_transfers,
-        "reachable": result.reachable,
-        "options": [
-            [int(opt.transfers), int(opt.arrival)] for opt in result.options
-        ],
-        "legs": legs,
-        "stats": encode_query_stats(result.stats),
-    }
+def _legs(legs) -> list[dict] | None:
+    if legs is None:
+        return None
+    return [
+        {
+            "from_station": leg.from_station,
+            "to_station": leg.to_station,
+            "departure": leg.departure,
+            "arrival": leg.arrival,
+        }
+        for leg in legs
+    ]
 
 
-def encode_via(result: ViaResult) -> dict:
-    legs = None
-    if result.legs is not None:
-        legs = [
-            {
-                "from_station": leg.from_station,
-                "to_station": leg.to_station,
-                "departure": leg.departure,
-                "arrival": leg.arrival,
-            }
-            for leg in result.legs
-        ]
-    return {
-        "v": PROTOCOL_VERSION,
-        "kind": "via",
-        "source": result.source,
-        "via": result.via,
-        "target": result.target,
-        "departure": result.departure,
-        "via_arrival": int(result.via_arrival),
-        "arrival": int(result.arrival),
-        "reachable": result.reachable,
-        "legs": legs,
-        "stats": encode_query_stats(result.stats),
-    }
+def _options(options) -> list[list[int]]:
+    return [[int(opt.transfers), int(opt.arrival)] for opt in options]
 
 
-def encode_min_transfers(result: MinTransfersResult) -> dict:
-    legs = None
-    if result.legs is not None:
-        legs = [
-            {
-                "from_station": leg.from_station,
-                "to_station": leg.to_station,
-                "departure": leg.departure,
-                "arrival": leg.arrival,
-            }
-            for leg in result.legs
-        ]
-    return {
-        "v": PROTOCOL_VERSION,
-        "kind": "min_transfers",
-        "source": result.source,
-        "target": result.target,
-        "departure": result.departure,
-        "max_transfers": result.max_transfers,
-        "reachable": result.reachable,
-        "transfers": (
-            None if result.transfers is None else int(result.transfers)
-        ),
-        "arrival": int(result.arrival),
-        "legs": legs,
-        "stats": encode_query_stats(result.stats),
-    }
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+#: How each wire kind of the shape table's ``response`` lists is
+#: rendered (``None``: the value travels as it is); the inverse map is
+#: in ``repro.client.results``.
+_ENCODE_KIND: dict[str, Callable[[Any], Any] | None] = {
+    "plain": None,
+    "int": int,
+    "optional_int": _optional_int,
+    "points": _points,
+    "legs": _legs,
+    "options": _options,
+    "stats": encode_query_stats,
+}
+
+
+def _derive_encoder(shape: Shape) -> Callable[[Any], dict]:
+    """The answer encoder of one table-declared shape: the envelope,
+    then every ``response`` field in wire order."""
+    kind = shape.name
+    names = tuple(name for name, _ in shape.response)
+    read = attrgetter(*names)
+    rendered = tuple(
+        (name, _ENCODE_KIND[wire_kind])
+        for name, wire_kind in shape.response
+        if _ENCODE_KIND[wire_kind] is not None
+    )
+
+    def encode(result: Any) -> dict:
+        payload = {"v": PROTOCOL_VERSION, "kind": kind}
+        payload.update(zip(names, read(result)))
+        for name, render in rendered:
+            payload[name] = render(payload[name])
+        return payload
+
+    encode.__name__ = encode.__qualname__ = f"encode_{shape.name}"
+    return encode
+
+
+# ---------------------------------------------------------------------------
+# The per-shape codecs
+# ---------------------------------------------------------------------------
+
+#: Per derived shape name: its (parser, encoder) pair.
+_CODECS = {
+    shape.name: (_derive_parser(shape), _derive_encoder(shape))
+    for shape in DERIVED_SHAPES
+}
+
+parse_journey_request, encode_journey = _CODECS["journey"]
+parse_multicriteria_request, encode_multicriteria = _CODECS["multicriteria"]
+parse_via_request, encode_via = _CODECS["via"]
+parse_min_transfers_request, encode_min_transfers = _CODECS["min_transfers"]
+
+
+def _open_derived(parse, encode):
+    def open_(body: object, num_stations: int):
+        return parse(body, num_stations), encode
+
+    return open_
+
+
+def _open_profile(body: object, num_stations: int):
+    request, targets = parse_profile_request(body, num_stations)
+    return request, partial(
+        encode_profile, num_stations=num_stations, targets=targets
+    )
+
+
+def _open_batch(body: object, num_stations: int):
+    return parse_batch_request(body, num_stations), partial(
+        encode_batch, num_stations=num_stations
+    )
+
+
+_OPENERS = {
+    "profile": _open_profile,
+    "batch": _open_batch,
+    **{name: _open_derived(*codec) for name, codec in _CODECS.items()},
+}
+
+
+def open_request(
+    shape: Shape, body: object, num_stations: int
+) -> tuple[Any, Callable[[Any], dict]]:
+    """Parse one ``shape`` request; returns the typed service request
+    and the encoder for its answer, already bound to whatever the
+    response needs from the request (``profile``'s ``targets``) or the
+    dataset (``num_stations``).  The one entry point the server and
+    the in-process backend share, whatever the shape."""
+    return _OPENERS[shape.name](body, num_stations)

@@ -55,6 +55,7 @@ from repro.service.cache import CacheStats, LRUResultCache
 from repro.service.config import RUNTIME_FIELDS, ServiceConfig
 from repro.service.journeys import reconstruct_legs
 from repro.service.model import (
+    DEFAULT_MAX_TRANSFERS,
     BatchRequest,
     BatchResponse,
     JourneyRequest,
@@ -75,6 +76,15 @@ from repro.service.prepare import (
     PrepareStats,
     prepare_dataset,
     replan_dataset,
+)
+from repro.service.shapes import (
+    BATCH,
+    JOURNEY,
+    MIN_TRANSFERS,
+    MULTICRITERIA,
+    PROFILE,
+    VIA,
+    as_request,
 )
 from repro.timetable.delays import Delay, apply_delays as _delay_timetable
 from repro.timetable.types import Timetable
@@ -260,9 +270,7 @@ class TransitService:
         self, request: ProfileRequest | int, /
     ) -> ProfileResult:
         """Answer a :class:`ProfileRequest` (or a raw source station)."""
-        req = (
-            ProfileRequest(request) if isinstance(request, int) else request
-        )
+        req = as_request(PROFILE, request)
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -306,12 +314,7 @@ class TransitService:
         departure: int | None = None,
     ) -> JourneyResult:
         """Answer a :class:`JourneyRequest` (or raw source/target)."""
-        if isinstance(request, JourneyRequest):
-            req = request
-        else:
-            if target is None:
-                raise TypeError("journey(source, target) needs a target")
-            req = JourneyRequest(request, target, departure)
+        req = as_request(JOURNEY, request, target, departure)
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -360,8 +363,7 @@ class TransitService:
     ) -> BatchResponse:
         """Answer a :class:`BatchRequest` (or raw (source, target)
         pairs) on the configured pool backend."""
-        if not isinstance(request, BatchRequest):
-            request = BatchRequest.from_pairs(request)
+        request = as_request(BATCH, request)
         cached = self._result_cache.get(request)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -416,19 +418,11 @@ class TransitService:
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
+        max_transfers: int = DEFAULT_MAX_TRANSFERS,
     ) -> MulticriteriaResult:
         """Answer a :class:`MulticriteriaRequest` (or raw arguments):
         the Pareto front of (transfers, arrival) trade-offs (§6)."""
-        if isinstance(request, MulticriteriaRequest):
-            req = request
-        else:
-            if target is None or departure is None:
-                raise TypeError(
-                    "multicriteria(source, target, departure=...) needs "
-                    "a target and a departure"
-                )
-            req = MulticriteriaRequest(request, target, departure, max_transfers)
+        req = as_request(MULTICRITERIA, request, target, departure, max_transfers)
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -475,15 +469,7 @@ class TransitService:
         construction those of the two chained station-to-station
         queries the parity oracle runs.
         """
-        if isinstance(request, ViaRequest):
-            req = request
-        else:
-            if via is None or target is None or departure is None:
-                raise TypeError(
-                    "via(source, via, target, departure=...) needs a "
-                    "via, a target and a departure"
-                )
-            req = ViaRequest(request, via, target, departure)
+        req = as_request(VIA, request, via, target, departure)
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -543,20 +529,12 @@ class TransitService:
         target: int | None = None,
         *,
         departure: int | None = None,
-        max_transfers: int = 5,
+        max_transfers: int = DEFAULT_MAX_TRANSFERS,
     ) -> MinTransfersResult:
         """Answer a :class:`MinTransfersRequest` (or raw arguments):
         the fewest-transfers journey within the budget — the first
         entry of the Pareto front."""
-        if isinstance(request, MinTransfersRequest):
-            req = request
-        else:
-            if target is None or departure is None:
-                raise TypeError(
-                    "min_transfers(source, target, departure=...) needs "
-                    "a target and a departure"
-                )
-            req = MinTransfersRequest(request, target, departure, max_transfers)
+        req = as_request(MIN_TRANSFERS, request, target, departure, max_transfers)
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)

@@ -31,6 +31,11 @@ from repro.functions.piecewise import INF_TIME
 from repro.query.batch import BatchStats
 
 
+#: The transfer budget of a multi-criteria family request that names
+#: none — the one default every layer (facade, wire schema, SDK) uses.
+DEFAULT_MAX_TRANSFERS = 5
+
+
 # ---------------------------------------------------------------------------
 # Requests
 # ---------------------------------------------------------------------------
@@ -104,7 +109,7 @@ class MulticriteriaRequest:
     source: int
     target: int
     departure: int
-    max_transfers: int = 5
+    max_transfers: int = DEFAULT_MAX_TRANSFERS
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,7 +136,7 @@ class MinTransfersRequest:
     source: int
     target: int
     departure: int
-    max_transfers: int = 5
+    max_transfers: int = DEFAULT_MAX_TRANSFERS
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 encoder produces (envelope keys are the lint config's business)."""
 
 
-def decode_journey(payload: dict) -> dict:
+def decode_profile(payload: dict) -> dict:
     return {
         "source": payload["source"],
-        "target": payload["target"],
-        "arrival": payload.get("arrival"),
+        "profiles": payload["profiles"],
+        "stats": payload.get("stats"),
     }

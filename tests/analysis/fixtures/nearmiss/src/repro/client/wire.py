@@ -3,8 +3,8 @@
 omitted)."""
 
 
-def journey_body(source: int, target: int) -> dict:
+def profile_body(source: int, num_threads: int) -> dict:
     return {
         "source": source,
-        "target": target,
+        "num_threads": num_threads,
     }

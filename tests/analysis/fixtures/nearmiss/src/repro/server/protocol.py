@@ -1,14 +1,14 @@
 """WIRE-PARITY near-miss: encoder and decoder agree exactly, modulo
 the declared envelope keys (``v``/``kind``)."""
 
-_JOURNEY_FIELDS = {"v", "source", "target", "departure"}
+_PROFILE_FIELDS = {"v", "source", "num_threads", "targets"}
 
 
-def encode_journey(result) -> dict:
+def encode_profile(result) -> dict:
     return {
         "v": 1,
-        "kind": "journey",
+        "kind": "profile",
         "source": result.source,
-        "target": result.target,
-        "arrival": result.arrival,
+        "profiles": result.profiles,
+        "stats": result.stats,
     }

@@ -1,8 +1,8 @@
 """Client decoder half of the seeded WIRE-PARITY violation."""
 
 
-def decode_journey(payload: dict) -> dict:
+def decode_profile(payload: dict) -> dict:
     return {
         "source": payload["source"],
-        "target": payload["target"],
+        "profiles": payload["profiles"],
     }

@@ -2,10 +2,10 @@
 the server's allowed-field set would reject with a 400."""
 
 
-def journey_body(source: int, target: int, departure: int, via: int) -> dict:
+def profile_body(source: int, num_threads: int, targets: list, via: int) -> dict:
     return {
         "source": source,
-        "target": target,
-        "departure": departure,
-        "via": via,  # WIRE-PARITY: not in _JOURNEY_FIELDS
+        "num_threads": num_threads,
+        "targets": targets,
+        "via": via,  # WIRE-PARITY: not in _PROFILE_FIELDS
     }

@@ -1,14 +1,14 @@
 """Seeded WIRE-PARITY violation: the encoder grew a field the client
 decoder never learned to read."""
 
-_JOURNEY_FIELDS = {"v", "source", "target", "departure"}
+_PROFILE_FIELDS = {"v", "source", "num_threads", "targets"}
 
 
-def encode_journey(result) -> dict:
+def encode_profile(result) -> dict:
     return {
         "v": 1,
-        "kind": "journey",
+        "kind": "profile",
         "source": result.source,
-        "target": result.target,
-        "arrival": result.arrival,  # WIRE-PARITY: decoder ignores this
+        "profiles": result.profiles,
+        "stats": result.stats,  # WIRE-PARITY: decoder ignores this
     }

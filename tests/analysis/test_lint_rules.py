@@ -54,8 +54,8 @@ class TestViolationsFixture:
     def test_wire_parity_fires_both_directions(self, findings):
         symbols = {f.symbol for f in findings if f.rule == "WIRE-PARITY"}
         assert symbols == {
-            "encode_journey<->decode_journey:arrival:unread",
-            "journey_body:via:rejected",
+            "encode_profile<->decode_profile:stats:unread",
+            "profile_body:via:rejected",
         }
 
     def test_metric_drift_fires_both_directions(self, findings):

@@ -37,12 +37,14 @@ def test_mypy_allowlist_is_clean():
 
 def test_allowlist_covers_the_required_modules():
     """ISSUE 8 names repro.benchops, repro.store and
-    repro.client.errors as the minimum allowlist — shrinking it is a
-    regression even while mypy itself is absent locally."""
+    repro.client.errors as the minimum allowlist, ISSUE 13 adds the
+    shape table — shrinking it is a regression even while mypy itself
+    is absent locally."""
     config = (REPO_ROOT / "mypy.ini").read_text()
     for required in (
         "src/repro/benchops",
         "src/repro/store",
         "src/repro/client/errors.py",
+        "src/repro/service/shapes.py",
     ):
         assert required in config, f"mypy.ini lost allowlist entry {required}"

@@ -141,6 +141,33 @@ class TestTransportFaults:
         finally:
             server.close()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param({"v": 1, "kind": "journey"}, id="truncated"),
+            pytest.param([1, 2], id="not-an-object"),
+            pytest.param(
+                {**journey_payload(), "kind": "via", "via": 3},
+                id="another-shapes-answer",
+            ),
+            pytest.param(
+                {**journey_payload(), "profile": 7}, id="ill-typed-field"
+            ),
+        ],
+    )
+    def test_malformed_200_is_typed(self, payload):
+        """A well-formed-JSON 200 that is not this shape's answer is
+        the same typed failure as a non-JSON one — never a raw
+        ``KeyError``/``AttributeError`` out of the decoder."""
+        server = FakeServer([("respond", 200, payload, {})])
+        try:
+            backend = backend_for(server)
+            with pytest.raises(TransportError) as excinfo:
+                backend.journey(0, 5)
+            assert excinfo.value.code == "invalid_response"
+        finally:
+            server.close()
+
 
 class TestRetries:
     def test_503_storm_exhausts_retries(self):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.server.executor import QueryExecutor
 from repro.service.model import JourneyRequest
+from repro.service.shapes import JOURNEY
 
 
 def _settled_group(results, num_futures):
@@ -72,10 +73,10 @@ class TestSettleGroupEndToEnd:
             )
             try:
                 a = asyncio.create_task(
-                    executor.journey(service, JourneyRequest(0, 5))
+                    executor.submit(JOURNEY, service, JourneyRequest(0, 5))
                 )
                 b = asyncio.create_task(
-                    executor.journey(service, JourneyRequest(1, 6))
+                    executor.submit(JOURNEY, service, JourneyRequest(1, 6))
                 )
                 results = await asyncio.gather(a, b, return_exceptions=True)
             finally:

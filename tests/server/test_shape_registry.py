@@ -1,0 +1,405 @@
+"""Conformance of every layer to the shape table.
+
+Parametrised over :data:`repro.service.shapes.SHAPES`, not over shape
+names: a future row is covered by every test here without an edit.
+What is pinned, per shape: the wire round trip of requests
+(``render → parse``), every declared bound's typed error, the wire
+round trip of answers (``encode → json → decode`` equals the
+``LocalBackend`` answer), the executor's grouping decision, the
+routes the HTTP edge labels, the public per-shape names, and the
+docs' "Request shapes" matrices.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.client import LocalBackend, TransitBackend, results, wire
+from repro.server import protocol
+from repro.server.executor import QueryExecutor
+from repro.server.http_base import BaseAsyncHttpServer
+from repro.service import ServiceConfig, TransitService
+from repro.service.shapes import (
+    BATCH,
+    DERIVED_SHAPES,
+    JOURNEY,
+    PROFILE,
+    SHAPES,
+    as_request,
+)
+
+from tests.client.test_transport_parity import scrubbed
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+N = 10  # stations in scope for the parsing tests
+
+by_name = pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.name)
+derived_by_name = pytest.mark.parametrize(
+    "shape", DERIVED_SHAPES, ids=lambda s: s.name
+)
+#: The shapes whose requests are flat field lists (all but ``batch``).
+FLAT_SHAPES = [shape for shape in SHAPES if shape.fields]
+FIELD_CASES = [
+    pytest.param(shape, field, id=f"{shape.name}.{field.name}")
+    for shape in FLAT_SHAPES
+    for field in shape.fields
+]
+
+
+def seeded_request(shape, rng: random.Random, num_stations: int, *, full: bool):
+    """A valid request of ``shape`` drawn from its declared bounds;
+    without ``full`` every non-required field is left out."""
+    if shape is BATCH:
+        return BATCH.request(
+            journeys=tuple(
+                seeded_request(JOURNEY, rng, num_stations, full=full)
+                for _ in range(2)
+            ),
+            profiles=(seeded_request(PROFILE, rng, num_stations, full=full),),
+        )
+    values = {}
+    for field in shape.fields:
+        if not (field.required or full):
+            continue
+        lo = field.lo or 0
+        hi = num_stations if field.kind == "station" else field.hi
+        values[field.name] = rng.randrange(lo, hi if hi is not None else lo + 600)
+    return shape.request(**values)
+
+
+def valid_body(shape) -> dict:
+    return wire.render(shape, seeded_request(shape, random.Random(7), N, full=True))
+
+
+def rejection(shape, body) -> protocol.ProtocolError:
+    with pytest.raises(protocol.ProtocolError) as excinfo:
+        protocol.open_request(shape, body, N)
+    return excinfo.value
+
+
+class TestRequestRoundTrip:
+    @by_name
+    @pytest.mark.parametrize("full", [True, False], ids=["full", "minimal"])
+    def test_render_then_parse_is_identity(self, shape, full):
+        rng = random.Random(13)
+        for _ in range(20):
+            request = seeded_request(shape, rng, N, full=full)
+            body = json.loads(json.dumps(wire.render(shape, request)))
+            parsed, _encode = protocol.open_request(shape, body, N)
+            # Omitted fields come back as the declared default.
+            assert parsed == request
+
+    @by_name
+    def test_omitted_optionals_are_not_sent(self, shape):
+        request = seeded_request(shape, random.Random(3), N, full=False)
+        sent = wire.render(shape, request)
+        for field in shape.fields:
+            if not field.required and field.default is None:
+                assert field.name not in sent
+
+    @by_name
+    def test_typed_request_passes_through_as_request(self, shape):
+        request = seeded_request(shape, random.Random(5), N, full=True)
+        assert as_request(shape, request) is request
+
+
+class TestCallSugar:
+    """``as_request`` — the one normaliser of the raw call forms."""
+
+    @pytest.mark.parametrize("shape", FLAT_SHAPES, ids=lambda s: s.name)
+    def test_raw_values_build_the_typed_request(self, shape):
+        request = seeded_request(shape, random.Random(23), N, full=True)
+        first, *rest = (getattr(request, f.name) for f in shape.fields)
+        assert as_request(shape, first, *rest) == request
+        by_keyword = {f.name: v for f, v in zip(shape.fields[1:], rest)}
+        assert as_request(shape, first, **by_keyword) == request
+
+    @pytest.mark.parametrize("shape", FLAT_SHAPES, ids=lambda s: s.name)
+    def test_missing_required_field_names_the_call_form(self, shape):
+        required = [f.name for f in shape.fields[1:] if f.required]
+        if not required:
+            assert as_request(shape, 0) == shape.request(0)
+            return
+        with pytest.raises(TypeError) as excinfo:
+            as_request(shape, 0)
+        message = str(excinfo.value)
+        assert message.startswith(f"{shape.name}(source")
+        assert all(f"a {name}" in message for name in required)
+
+    def test_the_historical_texts_are_unchanged(self):
+        texts = {}
+        for shape in FLAT_SHAPES:
+            try:
+                as_request(shape, 0)
+            except TypeError as exc:
+                texts[shape.name] = str(exc)
+        assert texts == {
+            "journey": "journey(source, target) needs a target",
+            "multicriteria": "multicriteria(source, target, departure=...) "
+            "needs a target and a departure",
+            "via": "via(source, via, target, departure=...) needs a via, "
+            "a target and a departure",
+            "min_transfers": "min_transfers(source, target, departure=...) "
+            "needs a target and a departure",
+        }
+
+    def test_batch_accepts_raw_pairs(self):
+        assert as_request(BATCH, [(0, 1), (2, 3)]) == BATCH.request.from_pairs(
+            [(0, 1), (2, 3)]
+        )
+
+    def test_the_table_imports_nothing_above_the_model(self):
+        import ast
+
+        source = (REPO_ROOT / "src/repro/service/shapes.py").read_text()
+        imported = {
+            node.module
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("repro")
+        }
+        assert imported == {"repro.service.model"}
+
+
+class TestDeclaredBounds:
+    @pytest.mark.parametrize("shape, field", FIELD_CASES)
+    def test_missing_field(self, shape, field):
+        body = valid_body(shape)
+        del body[field.name]
+        if field.required:
+            error = rejection(shape, body)
+            assert (error.code, error.field) == ("missing_field", field.name)
+            assert error.status == 400
+        else:
+            parsed, _ = protocol.open_request(shape, body, N)
+            assert getattr(parsed, field.name) == field.default
+
+    @pytest.mark.parametrize("shape, field", FIELD_CASES)
+    @pytest.mark.parametrize("bad", ["3", 3.0, True, None, [3]])
+    def test_invalid_type(self, shape, field, bad):
+        error = rejection(shape, {**valid_body(shape), field.name: bad})
+        assert (error.code, error.field) == ("invalid_type", field.name)
+
+    @pytest.mark.parametrize("shape, field", FIELD_CASES)
+    def test_out_of_range_at_both_ends(self, shape, field):
+        hi = N if field.kind == "station" else field.hi
+        edges = []
+        if field.lo is not None:
+            edges.append((field.lo - 1, field.lo))
+        if hi is not None:
+            edges.append((hi, hi - 1))
+        assert edges, f"{shape.name}.{field.name} declares no bound at all"
+        for outside, inside in edges:
+            error = rejection(shape, {**valid_body(shape), field.name: outside})
+            assert (error.code, error.field) == ("out_of_range", field.name)
+            protocol.open_request(
+                shape, {**valid_body(shape), field.name: inside}, N
+            )
+
+    @by_name
+    def test_unknown_field(self, shape):
+        error = rejection(shape, {**valid_body(shape), "bogus": 1})
+        assert (error.code, error.field) == ("unknown_field", "bogus")
+
+    @by_name
+    def test_not_an_object_and_version_mismatch(self, shape):
+        assert rejection(shape, [1, 2]).code == "invalid_request"
+        error = rejection(shape, {**valid_body(shape), "v": 99})
+        assert (error.code, error.field) == ("unsupported_version", "v")
+
+
+@pytest.fixture(scope="module")
+def twin_services(oahu_tiny):
+    """Two independent, identically-configured services: equal answers
+    with equal ``cache_hit`` flags for equal call sequences."""
+    config = ServiceConfig(
+        num_threads=2, use_distance_table=True, transfer_fraction=0.25
+    )
+    return TransitService(oahu_tiny, config), TransitService(oahu_tiny, config)
+
+
+class TestAnswerRoundTrip:
+    @by_name
+    def test_encode_json_decode_equals_local_backend(self, shape, twin_services):
+        direct, behind_backend = twin_services
+        backend = LocalBackend(behind_backend)
+        num_stations = direct.timetable.num_stations
+        rng = random.Random(17)
+        for full in (True, False):
+            request = seeded_request(shape, rng, num_stations, full=full)
+            parsed, encode = protocol.open_request(
+                shape, wire.render(shape, request), num_stations
+            )
+            payload = encode(getattr(direct, shape.name)(parsed))
+            assert payload["v"] == protocol.PROTOCOL_VERSION
+            assert payload["kind"] == shape.name
+            decoded = results.decode_answer(
+                shape, json.loads(json.dumps(payload))
+            )
+            answer = getattr(backend, shape.name)(request)
+            assert type(decoded) is type(answer)
+            assert type(answer).__name__ == shape.answer
+            assert scrubbed(decoded) == scrubbed(answer)
+
+    @derived_by_name
+    def test_derived_decoders_are_strict(self, shape, twin_services):
+        """Every declared response field is required — a truncated
+        ``journey`` answer is rejected exactly like a truncated ``via``
+        answer (``decode_journey`` used to read three fields leniently)."""
+        direct, _ = twin_services
+        request = seeded_request(
+            shape, random.Random(19), direct.timetable.num_stations, full=True
+        )
+        payload = protocol.open_request(
+            shape, wire.render(shape, request), direct.timetable.num_stations
+        )[1](getattr(direct, shape.name)(request))
+        assert [key for key in payload if key not in ("v", "kind")] == [
+            name for name, _ in shape.response
+        ]
+        for name, _ in shape.response:
+            truncated = {k: v for k, v in payload.items() if k != name}
+            with pytest.raises(KeyError, match=name):
+                results.decode_answer(shape, truncated)
+
+    @by_name
+    def test_foreign_kind_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected"):
+            results.decode_answer(shape, {"v": 1, "kind": "something-else"})
+
+
+class _RecordingService:
+    """Answers ``<shape>`` and ``<shape>_many`` and records which of
+    the two the executor called."""
+
+    def __init__(self) -> None:
+        self.calls: list[str] = []
+
+    def __getattr__(self, name: str):
+        def method(request):
+            self.calls.append(name)
+            if name.endswith("_many"):
+                return [("answered", item) for item in request]
+            return ("answered", request)
+
+        return method
+
+
+class TestExecutorGrouping:
+    @by_name
+    def test_groups_exactly_the_groupable_shapes(self, shape):
+        service = _RecordingService()
+
+        async def scenario():
+            executor = QueryExecutor(workers=2, batch_window=5.0, batch_max=2)
+            try:
+                return await asyncio.gather(
+                    executor.submit(shape, service, "a"),
+                    executor.submit(shape, service, "b"),
+                )
+            finally:
+                await executor.shutdown()
+
+        answers = asyncio.run(asyncio.wait_for(scenario(), timeout=10))
+        assert answers == [("answered", "a"), ("answered", "b")]
+        if shape.groupable:
+            assert service.calls == [f"{shape.name}_many"]
+            assert hasattr(TransitService, f"{shape.name}_many")
+        else:
+            assert service.calls == [shape.name, shape.name]
+
+    @by_name
+    def test_a_zero_window_never_groups(self, shape):
+        service = _RecordingService()
+
+        async def scenario():
+            executor = QueryExecutor(workers=2, batch_window=0.0)
+            try:
+                await asyncio.gather(
+                    executor.submit(shape, service, "a"),
+                    executor.submit(shape, service, "b"),
+                )
+            finally:
+                await executor.shutdown()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=10))
+        assert service.calls == [shape.name, shape.name]
+
+
+class TestRoutes:
+    @by_name
+    def test_http_edge_labels_the_declared_route(self, shape):
+        edge = BaseAsyncHttpServer()
+        assert (
+            edge._endpoint_label("POST", f"/v1/some-dataset/{shape.route}")
+            == f"POST /v1/{{name}}/{shape.route}"
+        )
+
+    def test_undeclared_route_is_unmatched(self):
+        edge = BaseAsyncHttpServer()
+        assert edge._endpoint_label("POST", "/v1/x/teleport") == "POST <unmatched>"
+
+    def test_names_and_routes_are_unique(self):
+        assert len({shape.name for shape in SHAPES}) == len(SHAPES)
+        assert len({shape.route for shape in SHAPES}) == len(SHAPES)
+
+
+class TestPublicNames:
+    """The per-shape names other code imports keep resolving."""
+
+    @by_name
+    def test_per_shape_callables(self, shape):
+        for module, name in (
+            (protocol, f"parse_{shape.name}_request"),
+            (protocol, f"encode_{shape.name}"),
+            (wire, f"{shape.name}_body"),
+            (results, f"decode_{shape.name}"),
+            (results, shape.answer),
+            (TransitService, shape.name),
+            (TransitBackend, shape.name),
+        ):
+            assert callable(getattr(module, name)), f"{module}.{name}"
+
+    def test_protocol_constants(self):
+        assert protocol.PROTOCOL_VERSION == 1
+        assert protocol.MAX_NUM_THREADS == 64
+        assert protocol.MAX_MC_TRANSFERS == 16
+
+    def test_profile_parser_still_returns_the_targets_restriction(self):
+        request, targets = protocol.parse_profile_request(
+            {"source": 1, "targets": [2, 3]}, N
+        )
+        assert (request, targets) == (PROFILE.request(1), (2, 3))
+
+
+def _shape_matrix(doc: str) -> list[dict[str, str]]:
+    """The rows of the first markdown table under a "Request shapes"
+    heading, as ``{column header: cell}`` dicts."""
+    text = (REPO_ROOT / "docs" / doc).read_text()
+    section = text[re.search(r"^#+ Request shapes.*$", text, re.M).end():]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    header, _rule, *rows = (
+        [cell.strip() for cell in line.strip("|").split("|")] for line in lines
+    )
+    return [dict(zip(header, row)) for row in rows[: len(SHAPES)]]
+
+
+class TestDocsMatrices:
+    @pytest.mark.parametrize("doc", ["SERVER.md", "API.md"])
+    def test_request_shape_matrix_agrees_with_the_table(self, doc):
+        rows = _shape_matrix(doc)
+        assert len(rows) == len(SHAPES)
+        for shape, row in zip(SHAPES, rows):
+            assert row["shape"].strip("`") in (shape.name, shape.route)
+            if "endpoint" in row:
+                assert row["endpoint"] == f"`/v1/{{name}}/{shape.route}`"
+            [batching] = [
+                cell for column, cell in row.items()
+                if column.startswith("micro-batch")
+            ]
+            documented = batching.startswith(("**yes**", "groups"))
+            assert documented == shape.groupable, (doc, shape.name, batching)
