@@ -1,36 +1,40 @@
-"""Closed-loop load test of the query server: micro-batched vs naive.
+"""Closed-loop load test of the query server.
 
 A fleet of closed-loop clients (each waits for its answer before
 sending the next request) hammers one dataset's journey endpoint over
 real TCP with persistent connections — each client is an
 :class:`repro.client.HttpBackend` with a single pooled keep-alive
 connection, i.e. the production SDK path, not a hand-rolled socket
-loop.  The same workload runs against two servers that differ in
-exactly one knob:
-
-* **naive** — ``batch_window=0``: every request is its own worker-pool
-  job (one-query-per-request dispatch);
-* **micro** — concurrent journeys for the same dataset group into one
-  :class:`~repro.query.batch.BatchQueryEngine` pass per collection
-  window (the production default).
+loop.
 
 The workload is the distance-table serving shape: every pair has both
 endpoints in ``S_trans``, so queries classify "table" and answer in
-microseconds (both modes still pay full HTTP/JSON per request, which
-bounds the measurable gap) — which is the paper's production regime (the table
+microseconds — which is the paper's production regime (the table
 exists precisely to make interactive queries sub-millisecond) and the
-regime where per-request dispatch overhead, the thing micro-batching
-removes, is the dominant cost.  Heavy uncached searches shrink the
-*relative* gap toward the GIL-bound compute floor (micro still wins
-there — measurably but by a few percent, too little to assert through
-shared-runner noise).
+regime where the server's own per-request cost is the dominant cost:
+HTTP and JSON, and no executor hand-off, because a table journey takes
+no search and is answered on the event loop (``docs/SERVER.md``,
+"Execution model").
 
-Reported per mode: QPS plus client-side p50/p99 latency.  Asserted
-(the PR's acceptance bar): micro-batched dispatch yields measurably
-higher throughput than naive one-job-per-request dispatch.
+Reported: QPS plus client-side p50/p99 latency at ``CLIENTS`` clients,
+and a **1-client row** — its p50 is the latency a single interactive
+user sees.  The drive is repeated for ``ROUNDS`` rounds and the median
+round (by QPS, by p50 for the 1-client row) is reported: one drive
+lasts a fraction of a second, far shorter than a shared box's slow
+phases.  Asserted: nothing in the server waits on a clock (1-client
+p50 under ``NO_WAIT_P50_MS``; the 2 ms collection window this server
+once had put it near 3 ms).
+
+The ``server_throughput`` records written from this file are **not
+config-comparable** with the trajectory's first entry: that one
+compared a timed 3 ms micro-batch window against one-job-per-request
+dispatch (``micro_*`` / ``naive_*`` metrics).  Grouping is gone from
+the executor (``docs/SERVER.md``, "Execution model"), so there is one
+dispatch left to measure — the gate starts a fresh lineage at the
+first entry with ``loaded_*`` / ``solo_*`` metrics.
 
 Answers are not checked here (the e2e suite pins parity); the result
-cache is disabled so both modes do identical work per request.
+cache is disabled so every request pays its lookup.
 """
 
 from __future__ import annotations
@@ -53,19 +57,19 @@ from tests.server.harness import ServerHarness
 INSTANCE = "oahu"
 #: Closed-loop clients (each holds one keep-alive connection).
 CLIENTS = 8
-#: Requests per client per mode.
+#: Requests per client per round.
 REQUESTS = {"tiny": 40, "small": 60, "medium": 80}
 #: Worker threads per server.
 WORKERS = 8
-#: micro mode's collection window / size cap.
-BATCH_WINDOW = 0.003
-BATCH_MAX = 8
-#: Acceptance floor: micro QPS must exceed naive QPS by this factor.
-MIN_ADVANTAGE = 1.05
+#: Rounds driven; the median round is reported.
+ROUNDS = 5
+#: Ceiling on the 1-client p50 over the table pairs: a lone request
+#: must not wait on anything.
+NO_WAIT_P50_MS = 1.5
 
 #: Distance table over half the stations: the benched pairs all
-#: classify "table".  Result cache off: both modes pay every lookup,
-#: so the measured gap is dispatch, not cache luck.
+#: classify "table".  Result cache off: every request pays its lookup,
+#: so the trajectory tracks serving cost, not cache luck.
 CONFIG = ServiceConfig(
     num_threads=1,
     result_cache_size=0,
@@ -81,7 +85,12 @@ def _journey_call(backend: HttpBackend, item) -> None:
 
 
 def _drive(
-    harness: ServerHarness, pairs, requests_per_client, *, call=_journey_call
+    harness: ServerHarness,
+    pairs,
+    requests_per_client,
+    *,
+    call=_journey_call,
+    clients: int = CLIENTS,
 ) -> dict:
     """Run the closed loop; returns QPS + latency percentiles.
 
@@ -89,8 +98,8 @@ def _drive(
     (default: a journey for a ``(source, target)`` pair); the latency
     sample wraps exactly that one exchange.
     """
-    latencies: list[list[float]] = [[] for _ in range(CLIENTS)]
-    barrier = threading.Barrier(CLIENTS + 1)
+    latencies: list[list[float]] = [[] for _ in range(clients)]
+    barrier = threading.Barrier(clients + 1)
 
     def client(cid: int) -> None:
         # One backend per closed-loop client: a single persistent
@@ -113,7 +122,7 @@ def _drive(
             backend.close()
 
     threads = [
-        threading.Thread(target=client, args=(cid,)) for cid in range(CLIENTS)
+        threading.Thread(target=client, args=(cid,)) for cid in range(clients)
     ]
     for t in threads:
         t.start()
@@ -134,32 +143,21 @@ def _drive(
     }
 
 
-def _bench_mode(service, pairs, requests_per_client, *, batch_window) -> dict:
+def _server(service) -> ServerHarness:
     registry = DatasetRegistry.from_services({"bench": service})
-    harness = ServerHarness(
+    return ServerHarness(
         registry,
         workers=WORKERS,
         max_inflight=CLIENTS * 4,
-        batch_window=batch_window,
-        batch_max=BATCH_MAX,
         metrics=ServerMetrics(),
     )
-    try:
-        # Warm-up: JIT-free Python, but the first requests pay lazy
-        # engine/kernel-mirror setup; keep them out of the measurement.
-        _drive(harness, pairs[:CLIENTS], 2)
-        row = _drive(harness, pairs, requests_per_client)
-        micro = harness.server.metrics.snapshot()["micro_batching"]
-        row["batches"] = micro["batches_total"]
-        row["mean_batch"] = micro["mean_batch_size"] or 1.0
-        return row
-    finally:
-        harness.close()
 
 
-def test_micro_batching_beats_naive_dispatch(report, benchops, scale):
-    import random
+def _median_round(rounds: list[dict], key: str) -> dict:
+    return sorted(rounds, key=lambda row: row[key])[len(rounds) // 2]
 
+
+def test_journey_serving_throughput(report, benchops, scale):
     timetable = make_instance(INSTANCE, scale)
     requests_per_client = REQUESTS[scale]
     service = TransitService(timetable, CONFIG)
@@ -170,68 +168,63 @@ def test_micro_batching_beats_naive_dispatch(report, benchops, scale):
         for _ in range(CLIENTS * requests_per_client)
     ]
 
-    naive = _bench_mode(
-        service, pairs, requests_per_client, batch_window=0.0
-    )
-    micro = _bench_mode(
-        service, pairs, requests_per_client, batch_window=BATCH_WINDOW
-    )
+    harness = _server(service)
+    loaded_rounds: list[dict] = []
+    solo_rounds: list[dict] = []
+    try:
+        # Warm-up: JIT-free Python, but the first requests pay lazy
+        # engine/kernel-mirror setup; keep them out of the measurement.
+        _drive(harness, pairs[:CLIENTS], 2)
+        for _ in range(ROUNDS):
+            loaded_rounds.append(_drive(harness, pairs, requests_per_client))
+            solo_rounds.append(
+                _drive(harness, pairs, requests_per_client * 2, clients=1)
+            )
+    finally:
+        harness.close()
+    loaded = _median_round(loaded_rounds, "qps")
+    solo = _median_round(solo_rounds, "p50_ms")
 
-    rows = [
-        ("naive", naive),
-        (f"micro ({BATCH_WINDOW * 1000:g} ms/{BATCH_MAX})", micro),
-    ]
     table = format_table(
-        ["dispatch", "reqs", "QPS", "p50 [ms]", "p99 [ms]", "mean batch"],
+        ["clients", "reqs", "QPS", "p50 [ms]", "p99 [ms]"],
         [
             [
-                name,
+                str(clients),
                 str(row["requests"]),
                 f"{row['qps']:.0f}",
-                f"{row['p50_ms']:.1f}",
-                f"{row['p99_ms']:.1f}",
-                f"{row.get('mean_batch', 1.0):.2f}",
+                f"{row['p50_ms']:.2f}",
+                f"{row['p99_ms']:.2f}",
             ]
-            for name, row in rows
+            for clients, row in ((CLIENTS, loaded), (1, solo))
         ],
     )
     report.add(
         "server_throughput",
-        f"[scale={scale}, {CLIENTS} closed-loop clients, "
-        f"{WORKERS} workers, {INSTANCE}]\n{table}\n",
+        f"[scale={scale}, closed-loop clients, {WORKERS} workers, "
+        f"{INSTANCE}, median round of {ROUNDS}]\n{table}\n",
     )
     benchops.add(
         "server_throughput",
         {
-            "naive_qps": naive["qps"],
-            "micro_qps": micro["qps"],
-            "micro_advantage_speedup": micro["qps"] / naive["qps"],
-            "naive_p50_ms": naive["p50_ms"],
-            "naive_p99_ms": naive["p99_ms"],
-            "micro_p50_ms": micro["p50_ms"],
-            "micro_p99_ms": micro["p99_ms"],
-            "micro_mean_batch": micro["mean_batch"],
+            "loaded_qps": loaded["qps"],
+            "loaded_p50_ms": loaded["p50_ms"],
+            "loaded_p99_ms": loaded["p99_ms"],
+            "solo_qps": solo["qps"],
+            "solo_p50_ms": solo["p50_ms"],
+            "solo_p99_ms": solo["p99_ms"],
         },
         config={
             "instance": INSTANCE,
             "clients": CLIENTS,
             "requests_per_client": requests_per_client,
             "workers": WORKERS,
-            "batch_window": BATCH_WINDOW,
-            "batch_max": BATCH_MAX,
+            "rounds": ROUNDS,
         },
     )
 
-    # Micro-batching must actually group under this concurrency...
-    assert micro["mean_batch"] > 1.0, (
-        f"no grouping happened (mean batch {micro['mean_batch']:.2f}) — "
-        f"the comparison below would measure nothing"
-    )
-    # ...and grouping must buy throughput over one-job-per-request.
-    assert micro["qps"] > naive["qps"] * MIN_ADVANTAGE, (
-        f"micro-batched dispatch did not beat naive dispatch: "
-        f"{micro['qps']:.0f} vs {naive['qps']:.0f} QPS "
-        f"(need >{MIN_ADVANTAGE:.2f}x)"
+    assert solo["p50_ms"] < NO_WAIT_P50_MS, (
+        f"1-client p50 {solo['p50_ms']:.2f} ms — a lone request must "
+        f"not wait on anything (ceiling {NO_WAIT_P50_MS} ms)"
     )
 
 
@@ -256,8 +249,7 @@ def test_query_zoo_serving_throughput(report, benchops, scale):
     query cost and the recorded per-shape QPS/p99 trajectory gates the
     serving cost of the promoted shapes, not cache luck.  ``mixed``
     interleaves all three shapes per client, the realistic front-door
-    blend (and the shape mix micro-batching must cope with:
-    multicriteria groups, via and min-transfers dispatch singly).
+    blend.
     """
     timetable = make_instance(INSTANCE, scale)
     requests_per_client = ZOO_REQUESTS[scale]
@@ -292,8 +284,6 @@ def test_query_zoo_serving_throughput(report, benchops, scale):
         registry,
         workers=WORKERS,
         max_inflight=CLIENTS * 4,
-        batch_window=BATCH_WINDOW,
-        batch_max=BATCH_MAX,
         metrics=ServerMetrics(),
     )
     rows: dict[str, dict] = {}
@@ -381,7 +371,7 @@ def test_fleet_scaling_near_linear(
     CPython process, so its query compute serializes on the GIL no
     matter how many threads it runs; worker *processes* each bring
     their own interpreter.  The workload is therefore the opposite of
-    the micro-batching bench above: every pair forces a full search
+    the journey bench above: every pair forces a full search
     (at least one endpoint outside ``S_trans``, result cache off), so
     per-request CPU dwarfs the gateway's passthrough cost and the
     measurable ceiling is compute, not HTTP framing.

@@ -4,12 +4,13 @@
 Usage:  client_roundtrip.py http://127.0.0.1:PORT
 
 Run against a `repro-transit serve` started with ``--max-inflight 1``
-and a generous ``--batch-window-ms`` (the CI server-smoke job does):
-the single admission slot plus the journey collection window let the
-script *force* a real 503→retry→success cycle deterministically —
-one thread parks a journey in the batch window (occupying the slot),
-the main thread's journey is rejected 503 `overloaded`, backs off per
-``Retry-After``, and succeeds on retry.
+(the CI server-smoke job does).  Nothing in the server parks a request
+on a clock, so the script *forces* a real 503→retry→success cycle by
+concurrency: a few threads issue uncached journeys at once against the
+single admission slot — whichever arrives while another is in flight
+is rejected 503 `overloaded`, backs off per ``Retry-After``, and
+succeeds on retry.  Bursts repeat (bounded) until the client has
+counted a retry.
 
 Asserted end to end, over real TCP, via :class:`HttpBackend` only:
 
@@ -35,6 +36,48 @@ import threading
 from repro.client import BadRequestError, HttpBackend, RetryPolicy
 from repro.service.model import JourneyRequest
 from repro.timetable.delays import Delay
+
+
+#: Concurrent journeys per burst, and how many bursts to try before
+#: giving up on ever seeing a collision.
+BURST_THREADS = 3
+MAX_BURSTS = 20
+
+
+def force_retry(backend: HttpBackend, stations: int) -> int:
+    """Issue bursts of concurrent journeys (fresh pairs each burst, so
+    all but the few between two transfer stations are real searches
+    that hold the admission slot) until one is rejected 503 and retried;
+    returns the number of bursts it took.  Every journey must still be
+    answered — a retry that runs out of attempts fails the script."""
+    pairs = [(s, t) for s in range(stations) for t in range(stations) if s != t]
+    failures: list[Exception] = []
+
+    def journey(source: int, target: int) -> None:
+        try:
+            assert backend.journey(source, target).reachable is not None
+        except Exception as exc:  # noqa: BLE001 — reported below
+            failures.append(exc)
+
+    for burst in range(MAX_BURSTS):
+        threads = [
+            threading.Thread(
+                target=journey, args=pairs[(burst * BURST_THREADS + k) % len(pairs)]
+            )
+            for k in range(BURST_THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not failures, f"a collided journey never succeeded: {failures}"
+        if backend.stats.retries >= 1:
+            return burst + 1
+    raise AssertionError(
+        f"{MAX_BURSTS} bursts of {BURST_THREADS} concurrent journeys never "
+        f"collided on the admission slot — is the server running with "
+        f"--max-inflight 1? (stats: {backend.stats})"
+    )
 
 
 def main() -> int:
@@ -93,20 +136,10 @@ def main() -> int:
     assert many[0].profile == journey.profile
     print(f"journey_many answered {len(many)} journeys in one request")
 
-    # 4. Force a retry: park one journey in the batch window (it holds
-    # the single admission slot), then collide with it.
-    parked = threading.Thread(
-        target=lambda: backend.journey(1, 6)
-    )
-    parked.start()
-    collided = backend.journey(3, 8)
-    parked.join(timeout=60)
-    assert collided.reachable is not None  # an actual answer arrived
-    assert backend.stats.retries >= 1, (
-        f"expected the collision to force a 503 retry "
-        f"(stats: {backend.stats})"
-    )
-    print(f"forced retry observed client-side: {backend.stats.retries}")
+    # 4. Force a retry by colliding on the single admission slot.
+    bursts = force_retry(backend, info.stations)
+    print(f"forced retry observed client-side: {backend.stats.retries} "
+          f"(after {bursts} burst(s))")
 
     # 5. Hot swap moves the journey and bumps the generation.
     update = backend.apply_delays([Delay(train=0, minutes=45)])

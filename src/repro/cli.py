@@ -698,8 +698,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Warm-loads every ``--store`` (the directory basename names the
     dataset), then serves until SIGINT/SIGTERM, which triggers a
-    graceful drain (stop accepting, finish in-flight requests, flush
-    micro-batch windows) and a clean exit 0.
+    graceful drain (stop accepting, finish in-flight requests) and a
+    clean exit 0.
     """
     # Imported here: the server pulls in asyncio machinery that no
     # other subcommand needs.
@@ -719,8 +719,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             workers=args.workers,
             max_inflight=args.max_inflight,
-            batch_window=args.batch_window_ms / 1000.0,
-            batch_max=args.batch_max,
             drain_grace=args.drain_grace_ms / 1000.0,
         )
         await server.start()
@@ -735,8 +733,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         print(
             f"listening on http://{server.host}:{server.port} "
-            f"(workers={args.workers}, max_inflight={args.max_inflight}, "
-            f"batch_window={args.batch_window_ms:g} ms)",
+            f"(workers={args.workers}, max_inflight={args.max_inflight})",
             flush=True,
         )
         stop = asyncio.Event()
@@ -774,8 +771,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         runtime_dir=args.runtime_dir,
         worker_threads=args.worker_threads,
         max_inflight=args.worker_max_inflight,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
         drain_grace=args.worker_drain_grace_ms / 1000.0,
     )
     print(
@@ -1352,19 +1347,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 64)",
     )
     p_serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch collection window for concurrent journey "
-        "requests, in ms (0 disables micro-batching; default: 2)",
-    )
-    p_serve.add_argument(
-        "--batch-max",
-        type=int,
-        default=8,
-        help="micro-batch size cap (default: 8)",
-    )
-    p_serve.add_argument(
         "--port-file",
         metavar="PATH",
         default=None,
@@ -1431,18 +1413,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="per-worker admission bound (default: 64)",
-    )
-    p_fleet.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="per-worker micro-batch window in ms (default: 2)",
-    )
-    p_fleet.add_argument(
-        "--batch-max",
-        type=int,
-        default=8,
-        help="per-worker micro-batch size cap (default: 8)",
     )
     p_fleet.add_argument(
         "--health-interval-ms",

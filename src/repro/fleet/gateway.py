@@ -772,8 +772,6 @@ def _aggregate(snapshots: list[dict]) -> dict:
     rejected = 0
     retries = 0
     swaps: dict[str, int] = {}
-    micro_batches = 0
-    micro_batched = 0
     for snap in snapshots:
         for endpoint, count in (snap.get("requests_total") or {}).items():
             requests[endpoint] = requests.get(endpoint, 0) + int(count)
@@ -781,19 +779,12 @@ def _aggregate(snapshots: list[dict]) -> dict:
         retries += int(snap.get("retries_observed_total") or 0)
         for name, count in (snap.get("swaps_total") or {}).items():
             swaps[name] = swaps.get(name, 0) + int(count)
-        micro = snap.get("micro_batching") or {}
-        micro_batches += int(micro.get("batches_total") or 0)
-        micro_batched += int(micro.get("batched_queries_total") or 0)
     return {
         "workers_reporting": len(snapshots),
         "requests_total": requests,
         "rejected_total": rejected,
         "retries_observed_total": retries,
         "swaps_total": swaps,
-        "micro_batching": {
-            "batches_total": micro_batches,
-            "batched_queries_total": micro_batched,
-        },
     }
 
 

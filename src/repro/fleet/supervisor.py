@@ -97,8 +97,6 @@ class WorkerSupervisor:
         runtime_dir: str | Path | None = None,
         worker_threads: int = 4,
         max_inflight: int = 64,
-        batch_window_ms: float = 2.0,
-        batch_max: int = 8,
         drain_grace: float = 0.2,
         restart_backoff: float = 0.25,
         backoff_multiplier: float = 2.0,
@@ -117,8 +115,6 @@ class WorkerSupervisor:
         self.host = host
         self.worker_threads = worker_threads
         self.max_inflight = max_inflight
-        self.batch_window_ms = batch_window_ms
-        self.batch_max = batch_max
         self.drain_grace = drain_grace
         self.restart_backoff = restart_backoff
         self.backoff_multiplier = backoff_multiplier
@@ -274,8 +270,6 @@ class WorkerSupervisor:
             "--port-file", str(worker.port_file),
             "--workers", str(self.worker_threads),
             "--max-inflight", str(self.max_inflight),
-            "--batch-window-ms", str(self.batch_window_ms),
-            "--batch-max", str(self.batch_max),
             "--drain-grace-ms", str(self.drain_grace * 1000.0),
         ]
         return cmd

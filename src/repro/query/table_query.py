@@ -267,11 +267,25 @@ class StationToStationEngine:
         #: target (the mask and station graph are fixed per engine).
         self._via_cache: dict[int, ViaInfo] = {}
 
+    def needs_search(self, source: int, target: int) -> bool:
+        """Whether :meth:`query` has to search at all: not for
+        ``"trivial"`` and ``"table"`` queries, which it answers in
+        microseconds from what is already in memory."""
+        return source != target and not self._both_in_table(source, target)
+
+    def _both_in_table(self, source: int, target: int) -> bool:
+        table = self.table
+        return (
+            table is not None
+            and table.contains(source)
+            and table.contains(target)
+        )
+
     def classify(self, source: int, target: int) -> tuple[str, ViaInfo | None]:
         """Classify a query; the via info is reused by the pruner."""
         if source == target:
             return "trivial", None
-        if self.table is not None and self.table.contains(source) and self.table.contains(target):
+        if self._both_in_table(source, target):
             return "table", None
         if self.table is None or not self.table_pruning:
             return "local", None

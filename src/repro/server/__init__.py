@@ -10,9 +10,8 @@ journey-planning *service* the paper frames SPCS as the engine for.
   strict validation and typed error payloads;
 * :mod:`repro.server.registry` — named datasets warm-loaded from
   :mod:`repro.store`, with atomic hot delay swaps;
-* :mod:`repro.server.executor` — worker-pool execution; concurrent
-  journeys micro-batch into one
-  :class:`~repro.query.batch.BatchQueryEngine` pass;
+* :mod:`repro.server.executor` — worker-pool execution, one job per
+  search;
 * :mod:`repro.server.app` — HTTP routing, bounded admission (fast 503
   on overload), graceful drain;
 * :mod:`repro.server.metrics` — request counters, latency histograms,

@@ -18,9 +18,10 @@ Endpoints (all bodies JSON, see :mod:`repro.server.protocol` and
 
 Design:
 
-* **No blocking on the loop** — every service call runs on the
+* **No blocking on the loop** — every search runs on the
   :class:`~repro.server.executor.QueryExecutor` worker pool; the loop
-  only parses, routes, and serializes.  The HTTP mechanics (keep-alive
+  only parses, routes, serializes and gives the answers that take no
+  search (``TransitService.lookup``).  The HTTP mechanics (keep-alive
   loop, request reading, graceful drain) live in
   :class:`~repro.server.http_base.BaseAsyncHttpServer`, shared with
   the fleet gateway.
@@ -37,9 +38,9 @@ Design:
   ``"draining"`` while requests still succeed, so the fleet gateway
   (or any LB) stops routing *before* the hard drain starts
   fast-503ing; :meth:`~BaseAsyncHttpServer.shutdown` then waits out
-  ``drain_grace``, finishes in-flight requests, flushes the executor's
-  micro-batch windows, and stops the pool.  ``repro serve`` wires
-  SIGINT/SIGTERM to exactly this path and exits 0.
+  ``drain_grace``, finishes in-flight requests, and stops the worker
+  pool.  ``repro serve`` wires SIGINT/SIGTERM to exactly this path and
+  exits 0.
 """
 
 from __future__ import annotations
@@ -74,11 +75,8 @@ class TransitServer(BaseAsyncHttpServer):
         port: int = 0,
         workers: int = 4,
         max_inflight: int = 64,
-        batch_window: float = 0.002,
-        batch_max: int = 8,
         retry_after: float = 1.0,
         drain_grace: float = 0.0,
-        executor: QueryExecutor | None = None,
         metrics: ServerMetrics | None = None,
     ) -> None:
         super().__init__(host=host, port=port, drain_grace=drain_grace)
@@ -96,18 +94,7 @@ class TransitServer(BaseAsyncHttpServer):
         #: retriable 503; cooperative clients (repro.client) honor it.
         self.retry_after = retry_after
         self.metrics = metrics if metrics is not None else ServerMetrics()
-        self.executor = (
-            executor
-            if executor is not None
-            else QueryExecutor(
-                workers=workers,
-                batch_window=batch_window,
-                batch_max=batch_max,
-                metrics=self.metrics,
-            )
-        )
-        if self.executor.metrics is None:
-            self.executor.metrics = self.metrics
+        self.executor = QueryExecutor(workers=workers)
 
     async def _post_drain(self) -> None:
         await self.executor.shutdown()

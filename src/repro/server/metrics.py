@@ -104,9 +104,6 @@ class ServerMetrics:
         self.rejected_by_endpoint: dict[str, int] = {}  # guarded-by: loop
         self.retries_observed_total = 0  # guarded-by: loop
         self.inflight = 0  # guarded-by: loop
-        self.micro_batches_total = 0  # guarded-by: loop
-        self.micro_batched_queries_total = 0  # guarded-by: loop
-        self.micro_batch_max_size = 0  # guarded-by: loop
         self.swaps_total: dict[str, int] = {}  # guarded-by: loop
         self.last_swap_seconds: dict[str, float] = {}  # guarded-by: loop
 
@@ -144,11 +141,6 @@ class ServerMetrics:
         retries this way, making retry pressure visible server-side."""
         self.retries_observed_total += 1
 
-    def observe_micro_batch(self, size: int) -> None:
-        self.micro_batches_total += 1
-        self.micro_batched_queries_total += size
-        self.micro_batch_max_size = max(self.micro_batch_max_size, size)
-
     def observe_swap(self, dataset: str, seconds: float) -> None:
         self.swaps_total[dataset] = self.swaps_total.get(dataset, 0) + 1
         self.last_swap_seconds[dataset] = seconds
@@ -161,7 +153,6 @@ class ServerMetrics:
         ``registry``, when given, contributes per-dataset generation
         counters and result-cache hit rates
         (:attr:`TransitService.cache_stats`)."""
-        batches = self.micro_batches_total
         payload: dict = {
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "requests_total": dict(self.requests_total),
@@ -177,16 +168,9 @@ class ServerMetrics:
                 endpoint: hist.snapshot()
                 for endpoint, hist in self.latency.items()
             },
-            "micro_batching": {
-                "batches_total": batches,
-                "batched_queries_total": self.micro_batched_queries_total,
-                "max_batch_size": self.micro_batch_max_size,
-                "mean_batch_size": round(
-                    self.micro_batched_queries_total / batches, 3
-                )
-                if batches
-                else None,
-            },
+            # The executor groups nothing (one job per search); the
+            # key stays, empty, because ``e2ebench/run.py`` indexes it.
+            "micro_batching": {"mean_batch_size": None},
             "swaps_total": dict(self.swaps_total),
             "last_swap_seconds": {
                 name: round(seconds, 6)

@@ -70,6 +70,17 @@ class LRUResultCache:
             self._hits += 1
             return entry
 
+    def peek(self, key: Hashable):
+        """Like :meth:`get`, but a miss is not counted: for a caller
+        that, on ``None``, hands the request to the path whose own
+        :meth:`get` will count it."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+            return entry
+
     def put(self, key: Hashable, value) -> None:
         if self._maxsize == 0:
             return

@@ -84,6 +84,7 @@ from repro.service.shapes import (
     MULTICRITERIA,
     PROFILE,
     VIA,
+    Shape,
     as_request,
 )
 from repro.timetable.delays import Delay, apply_delays as _delay_timetable
@@ -264,6 +265,29 @@ class TransitService:
         """Hit/miss accounting of the per-service result cache."""
         return self._result_cache.stats
 
+    def lookup(self, shape: Shape, request):
+        """The answer to the typed ``request`` if it takes no search,
+        else ``None`` (ask ``self.<shape.name>(request)`` then).
+
+        No search means a result-cache hit — any shape — or a journey
+        without a departure whose endpoints coincide or are both
+        transfer stations: all its best connections are in the
+        distance table (paper §4, Special Cases).  Either way the
+        answer costs microseconds and is the one the shape's method
+        returns; the server gives these on its event loop, where a
+        hand-off to a worker thread would cost many times the answer
+        (``docs/SERVER.md``, "Execution model")."""
+        cached = self._result_cache.peek(request)
+        if cached is not None:
+            return _mark_cache_hit(cached)
+        if (
+            shape is JOURNEY
+            and request.departure is None
+            and not self._engine.needs_search(request.source, request.target)
+        ):
+            return self.journey(request)
+        return None
+
     # -- one-to-all profiles -------------------------------------------
 
     def profile(
@@ -328,15 +352,13 @@ class TransitService:
     ) -> list[JourneyResult]:
         """Answer many journey requests with per-request caching.
 
-        The serving layer's micro-batched dispatch path
-        (:mod:`repro.server.executor`): every request consults the
-        result cache exactly like :meth:`journey` (hits come back
-        marked ``cache_hit``), the misses run as one
-        :class:`BatchQueryEngine` pass, and each fresh answer is
-        cached under its own :class:`JourneyRequest` key — so grouping
-        never disables the cache that repeated single journeys rely
-        on.  Answers are identical to calling :meth:`journey` once per
-        request, in order.
+        Every request consults the result cache exactly like
+        :meth:`journey` (hits come back marked ``cache_hit``), the
+        misses run as one :class:`BatchQueryEngine` pass, and each
+        fresh answer is cached under its own :class:`JourneyRequest`
+        key — so grouping never disables the cache that repeated
+        single journeys rely on.  Answers are identical to calling
+        :meth:`journey` once per request, in order.
         """
         results: list[JourneyResult | None] = [None] * len(requests)
         misses: list[tuple[int, JourneyRequest]] = []
@@ -429,29 +451,6 @@ class TransitService:
         result = self._run_multicriteria(req)
         self._result_cache.put(req, result)
         return result
-
-    def multicriteria_many(
-        self, requests: Sequence[MulticriteriaRequest]
-    ) -> list[MulticriteriaResult]:
-        """Answer many multicriteria requests with per-request caching.
-
-        The serving layer's micro-batched dispatch path for this shape:
-        requests sharing a (source, budget) pair reuse one underlying
-        one-to-all search (the :class:`_McSearchKey` entry), so a
-        grouped window costs one search per distinct source instead of
-        one per request.  Answers are identical to calling
-        :meth:`multicriteria` once per request, in order.
-        """
-        results: list[MulticriteriaResult | None] = [None] * len(requests)
-        for i, req in enumerate(requests):
-            cached = self._result_cache.get(req)
-            if cached is not None:
-                results[i] = _mark_cache_hit(cached)
-            else:
-                result = self._run_multicriteria(req)
-                self._result_cache.put(req, result)
-                results[i] = result
-        return results
 
     def via(
         self,

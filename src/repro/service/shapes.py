@@ -7,10 +7,9 @@ batched workload and the multi-criteria family (§6).  Each row of
 one, and their per-shape code is derived from it: the wire parser and
 encoder (:mod:`repro.server.protocol`), the renderer and the decoder —
 from the *same* response list as the encoder — (:mod:`repro.client.wire`,
-:mod:`repro.client.results`), the executor's grouping decision, and the
-routes of the server and the fleet gateway.  :func:`as_request` is the
-one normaliser of the convenience call forms the facade and every
-backend accept.
+:mod:`repro.client.results`), and the routes of the server and the
+fleet gateway.  :func:`as_request` is the one normaliser of the
+convenience call forms the facade and every backend accept.
 
 ``profile`` (answer restricted by the wire-only ``targets``) and
 ``batch`` (a composite) are irregular: ``response=None``, and their
@@ -77,9 +76,6 @@ class Shape:
     response: tuple[tuple[str, str], ...] | None
     #: Name of the answer dataclass in :mod:`repro.client.results`.
     answer: str
-    #: Whether concurrent requests may be collected into one
-    #: ``<name>_many`` facade call (:mod:`repro.server.executor`).
-    groupable: bool = False
     #: Builds the request from the raw call form, if not ``request``.
     from_raw: Callable[..., Any] | None = None
 
@@ -129,8 +125,6 @@ JOURNEY = Shape(
         *_LEGS_AND_STATS,
     ),
     answer="JourneyAnswer",
-    # The misses of a window run as one batch-engine pass.
-    groupable=True,
 )
 
 BATCH = Shape(
@@ -154,9 +148,6 @@ MULTICRITERIA = Shape(
         *_LEGS_AND_STATS,
     ),
     answer="MulticriteriaAnswer",
-    # Every request of a window over one (source, budget) pair shares
-    # a single underlying §6 search.
-    groupable=True,
 )
 
 VIA = Shape(

@@ -9,8 +9,58 @@ import asyncio
 import http.client
 import json
 import threading
+import time
 
 from repro.server import DatasetRegistry, TransitServer
+
+
+class GatedService:
+    """A service whose ``<shape>`` calls block until :meth:`release` —
+    the tests' lever for keeping requests in flight.  The requests
+    that reached the gate are listed in :attr:`entered`; everything
+    else is the wrapped service's."""
+
+    def __init__(self, service, shape: str = "journey") -> None:
+        self._service = service
+        self._shape = shape
+        self._gate = threading.Event()
+        #: Requests whose ``<shape>`` call has started, in start order.
+        self.entered: list = []
+
+    def release(self) -> None:
+        self._gate.set()
+
+    def lookup(self, shape, request):
+        """Nothing of the gated shape is answered without its
+        ``<shape>`` call — or it would never reach the gate."""
+        if shape.name == self._shape:
+            return None
+        return self._service.lookup(shape, request)
+
+    def __getattr__(self, name: str):
+        target = getattr(self._service, name)
+        if name != self._shape:
+            return target
+
+        def gated(request):
+            self.entered.append(request)
+            if not self._gate.wait(timeout=30):
+                raise TimeoutError("the gate was never released")
+            return target(request)
+
+        return gated
+
+
+def wait_until(condition, *, timeout: float = 10.0, what: str = "condition"):
+    """Poll ``condition()`` until it is truthy; its value is returned."""
+    deadline = time.monotonic() + timeout
+    while True:
+        value = condition()
+        if value:
+            return value
+        if time.monotonic() > deadline:
+            raise AssertionError(f"timed out waiting for {what}")
+        time.sleep(0.005)
 
 
 class ServerHarness:

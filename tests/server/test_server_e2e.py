@@ -9,9 +9,8 @@ The acceptance bars of the serving subsystem:
 * **Hot swap** — a delay swap posted under concurrent traffic
   completes with zero failed in-flight requests, and post-swap answers
   match a cold service built on the delayed timetable.
-* **Micro-batching** — concurrent journeys group into shared
-  :meth:`TransitService.batch` passes (visible in ``/metrics``)
-  without changing any answer.
+* **Concurrency** — concurrent journeys run side by side on the
+  worker pool, one job each, without changing any answer.
 * **Overload** — past ``max_inflight`` the server answers a fast 503
   instead of queueing; **drain** — shutdown finishes in-flight work.
 """
@@ -34,7 +33,7 @@ from repro.server.protocol import (
 from repro.service import BatchRequest, JourneyRequest, ProfileRequest
 from repro.timetable.delays import Delay
 
-from tests.server.harness import ServerHarness
+from tests.server.harness import GatedService, ServerHarness, wait_until
 
 
 def scrubbed(payload):
@@ -126,34 +125,44 @@ class TestParity:
         assert metrics["datasets"]["oahu"]["result_cache"]["hits"] >= 1
 
 
-class TestMicroBatching:
-    def test_concurrent_journeys_group_without_changing_answers(
+def send_concurrently(harness, bodies, path="/v1/oahu/journey"):
+    """Send each of ``bodies`` on its own thread.  Returns the threads
+    and the (filling) ``index → (status, payload)`` map."""
+    results: dict[int, tuple[int, dict]] = {}
+
+    def client(i: int, body: dict) -> None:
+        results[i] = harness.request("POST", path, body)
+
+    threads = [
+        threading.Thread(target=client, args=(i, body))
+        for i, body in enumerate(bodies)
+    ]
+    for thread in threads:
+        thread.start()
+    return threads, results
+
+
+class TestConcurrentJourneys:
+    def test_concurrent_journeys_overlap_without_changing_answers(
         self, make_service
     ):
-        registry = DatasetRegistry.from_services({"oahu": make_service()})
-        harness = ServerHarness(
-            registry, batch_window=0.25, batch_max=6, max_inflight=32
-        )
+        workers = 4
+        gated = GatedService(make_service())
+        registry = DatasetRegistry.from_services({"oahu": gated})
+        harness = ServerHarness(registry, workers=workers, max_inflight=32)
         try:
             direct = make_service()
-            pairs = [(s, s + 6) for s in range(6)]
-            results: dict[int, tuple[int, dict]] = {}
-            barrier = threading.Barrier(len(pairs))
-
-            def client(i: int, source: int, target: int) -> None:
-                barrier.wait()
-                results[i] = harness.request(
-                    "POST",
-                    "/v1/oahu/journey",
-                    {"source": source, "target": target},
-                )
-
-            threads = [
-                threading.Thread(target=client, args=(i, s, t))
-                for i, (s, t) in enumerate(pairs)
-            ]
-            for t in threads:
-                t.start()
+            pairs = [(s, (s + 6) % NUM_STATIONS) for s in range(9)]
+            threads, results = send_concurrently(
+                harness, [{"source": s, "target": t} for s, t in pairs]
+            )
+            # Each request is its own job: the whole pool is inside the
+            # service at once, none waits behind another.
+            wait_until(
+                lambda: len(gated.entered) == workers,
+                what="every worker running a journey",
+            )
+            gated.release()
             for t in threads:
                 t.join(timeout=60)
             assert len(results) == len(pairs)
@@ -162,18 +171,13 @@ class TestMicroBatching:
                 assert status == 200
                 expected = encode_journey(direct.journey(source, target))
                 assert scrubbed(payload) == scrubbed(expected)
+            assert sorted(gated.entered, key=lambda r: r.source) == [
+                JourneyRequest(s, t) for s, t in pairs
+            ]
 
-            micro = harness.request("GET", "/metrics")[1]["micro_batching"]
-            assert micro["batched_queries_total"] == len(pairs)
-            # Grouping must actually have happened: fewer flushes than
-            # requests, and at least one multi-request group.
-            assert micro["batches_total"] < len(pairs)
-            assert micro["max_batch_size"] >= 2
-
-            # Grouped execution must not have bypassed the per-journey
-            # result cache: repeating one of the grouped requests is a
-            # hit.
-            source, target = pairs[0]
+            # Concurrent execution shares the per-journey result cache:
+            # repeating one of the requests is a hit.
+            source, target = pairs[1]
             repeat = harness.request(
                 "POST",
                 "/v1/oahu/journey",
@@ -181,6 +185,83 @@ class TestMicroBatching:
             )[1]
             assert repeat["stats"]["cache_hit"]
         finally:
+            gated.release()
+            harness.close()
+
+
+class TestNoHeadOfLineBlocking:
+    def test_a_cheap_journey_is_answered_during_a_held_profile(
+        self, make_service
+    ):
+        """A long request in flight on a dataset delays no other
+        request for it: with a profile search held inside the service,
+        journeys — first-time and cached — are answered meanwhile."""
+        gated = GatedService(make_service(), "profile")
+        registry = DatasetRegistry.from_services({"oahu": gated})
+        harness = ServerHarness(registry, workers=2)
+        try:
+            threads, results = send_concurrently(
+                harness, [{"source": 4}], path="/v1/oahu/profile"
+            )
+            wait_until(lambda: gated.entered, what="a running profile")
+            body = {"source": 0, "target": 5}
+            first = harness.request("POST", "/v1/oahu/journey", body)
+            again = harness.request("POST", "/v1/oahu/journey", body)
+            assert (first[0], again[0]) == (200, 200)
+            assert again[1]["stats"]["cache_hit"]
+            assert not results, "the held profile must still be in flight"
+            gated.release()
+            for t in threads:
+                t.join(timeout=60)
+            assert results[0][0] == 200
+        finally:
+            gated.release()
+            harness.close()
+
+
+    def test_lookups_are_answered_with_every_worker_busy(self, make_service):
+        """What takes no search takes no worker: with the only worker
+        held inside a profile search, a journey between two transfer
+        stations and a repeated one are answered, as the facade
+        answers them."""
+        service = make_service()
+        a, b = (int(s) for s in service.table.transfer_stations[:2])
+        outside = next(
+            s for s in range(NUM_STATIONS)
+            if not service.table.contains(s)
+        )
+        searched = service.journey(outside, a)  # in the result cache
+        gated = GatedService(service, "profile")
+        registry = DatasetRegistry.from_services({"oahu": gated})
+        harness = ServerHarness(registry, workers=1)
+        try:
+            threads, results = send_concurrently(
+                harness, [{"source": 4}], path="/v1/oahu/profile"
+            )
+            wait_until(lambda: gated.entered, what="a running profile")
+            table = harness.request(
+                "POST", "/v1/oahu/journey", {"source": a, "target": b}
+            )
+            cached = harness.request(
+                "POST", "/v1/oahu/journey", {"source": outside, "target": a}
+            )
+            assert not results, "the held profile must still be in flight"
+            twin = make_service()
+            assert table[0] == 200
+            assert table[1]["stats"]["classification"] == "table"
+            assert scrubbed(table[1]) == scrubbed(
+                encode_journey(twin.journey(a, b))
+            )
+            assert cached[0] == 200 and cached[1]["stats"]["cache_hit"]
+            assert (
+                cached[1]["profile"] == encode_journey(searched)["profile"]
+            )
+            gated.release()
+            for t in threads:
+                t.join(timeout=60)
+            assert results[0][0] == 200
+        finally:
+            gated.release()
             harness.close()
 
 
@@ -383,13 +464,12 @@ class TestHotSwap:
 
 class TestOverloadAndDrain:
     def test_overload_gets_fast_503(self, make_service):
-        registry = DatasetRegistry.from_services({"oahu": make_service()})
-        # One admission slot, and a collection window long enough that
-        # the first journey is guaranteed still in flight when the
-        # second arrives.
-        harness = ServerHarness(
-            registry, max_inflight=1, batch_window=0.5, batch_max=64
-        )
+        # One admission slot, held by a journey blocked inside the
+        # service: the first request is guaranteed still in flight
+        # when the second arrives.
+        gated = GatedService(make_service())
+        registry = DatasetRegistry.from_services({"oahu": gated})
+        harness = ServerHarness(registry, max_inflight=1)
         try:
             first: list[tuple[int, dict]] = []
 
@@ -404,12 +484,13 @@ class TestOverloadAndDrain:
 
             t = threading.Thread(target=slow_request)
             t.start()
-            time.sleep(0.1)  # let it be admitted and parked in the window
+            wait_until(lambda: gated.entered, what="a running journey")
             t0 = time.perf_counter()
             status, headers, payload = harness.request_full(
                 "POST", "/v1/oahu/journey", {"source": 1, "target": 6}
             )
             rejected_in = time.perf_counter() - t0
+            gated.release()
             t.join(timeout=60)
 
             assert status == 503
@@ -420,7 +501,7 @@ class TestOverloadAndDrain:
             assert headers.get("retry-after") == "1"
             assert rejected_in < 0.4, (
                 f"503 took {rejected_in * 1000:.0f} ms — overload "
-                f"rejection must not wait for the batch window"
+                f"rejection must not wait for the request in flight"
             )
             assert first and first[0][0] == 200, (
                 "the admitted request must still complete"
@@ -428,26 +509,37 @@ class TestOverloadAndDrain:
             metrics = harness.request("GET", "/metrics")[1]
             assert metrics["rejected_total"] >= 1
         finally:
+            gated.release()
             harness.close()
 
     def test_shutdown_drains_inflight_requests(self, make_service):
-        registry = DatasetRegistry.from_services({"oahu": make_service()})
-        harness = ServerHarness(registry, batch_window=0.3, batch_max=64)
-        outcome: list[tuple[int, dict]] = []
-
-        def inflight() -> None:
-            outcome.append(
-                harness.request(
-                    "POST", "/v1/oahu/journey", {"source": 0, "target": 5}
-                )
+        """Graceful drain answers every admitted request: those
+        running on the pool *and* those still waiting for a worker."""
+        gated = GatedService(make_service())
+        registry = DatasetRegistry.from_services({"oahu": gated})
+        harness = ServerHarness(registry, workers=2)
+        pairs = [(s, s + 5) for s in range(6)]
+        try:
+            threads, results = send_concurrently(
+                harness, [{"source": s, "target": t} for s, t in pairs]
             )
-
-        t = threading.Thread(target=inflight)
-        t.start()
-        time.sleep(0.1)  # admitted, parked in the batch window
-        harness.close()  # graceful drain must flush and answer it
-        t.join(timeout=60)
-        assert outcome and outcome[0][0] == 200
+            wait_until(
+                lambda: harness.request("GET", "/metrics")[1]["inflight"]
+                == len(pairs),
+                what="every request admitted",
+            )
+            closer = threading.Thread(target=harness.close)
+            closer.start()
+            wait_until(lambda: harness.server._draining, what="hard drain")
+            gated.release()
+        finally:
+            gated.release()
+        closer.join(timeout=60)
+        assert not closer.is_alive(), "shutdown hung on admitted requests"
+        for t in threads:
+            t.join(timeout=60)
+        assert sorted(results) == list(range(len(pairs)))
+        assert {status for status, _ in results.values()} == {200}
 
     def test_begin_drain_flips_readiness_before_rejecting(
         self, make_service
@@ -606,6 +698,12 @@ class TestHttpErrors:
         assert metrics["requests_total"][label] == 1
         assert metrics["responses_total"][label]["200"] == 1
         assert metrics["latency"][label]["count"] == 1
+
+    def test_metrics_keep_the_key_the_benchmark_indexes(self, harness):
+        """``e2ebench/run.py`` reads ``micro_batching.mean_batch_size``
+        unconditionally; nothing is grouped, so it is ``null``."""
+        metrics = harness.request("GET", "/metrics")[1]
+        assert metrics["micro_batching"] == {"mean_batch_size": None}
 
     def test_metrics_count_observed_client_retries(self, harness):
         """Requests that declare themselves retries (X-Retry-Attempt,

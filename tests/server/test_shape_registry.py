@@ -5,8 +5,8 @@ names: a future row is covered by every test here without an edit.
 What is pinned, per shape: the wire round trip of requests
 (``render → parse``), every declared bound's typed error, the wire
 round trip of answers (``encode → json → decode`` equals the
-``LocalBackend`` answer), the executor's grouping decision, the
-routes the HTTP edge labels, the public per-shape names, and the
+``LocalBackend`` answer), the executor's one-job-per-request dispatch,
+the routes the HTTP edge labels, the public per-shape names, and the
 docs' "Request shapes" matrices.
 """
 
@@ -35,6 +35,7 @@ from repro.service.shapes import (
 )
 
 from tests.client.test_transport_parity import scrubbed
+from tests.server.harness import GatedService
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 N = 10  # stations in scope for the parsing tests
@@ -272,62 +273,38 @@ class TestAnswerRoundTrip:
             results.decode_answer(shape, {"v": 1, "kind": "something-else"})
 
 
-class _RecordingService:
-    """Answers ``<shape>`` and ``<shape>_many`` and records which of
-    the two the executor called."""
-
-    def __init__(self) -> None:
-        self.calls: list[str] = []
+class _EchoService:
+    """Answers every ``<shape>`` call by echoing its request."""
 
     def __getattr__(self, name: str):
-        def method(request):
-            self.calls.append(name)
-            if name.endswith("_many"):
-                return [("answered", item) for item in request]
-            return ("answered", request)
-
-        return method
+        return lambda request: (name, request)
 
 
-class TestExecutorGrouping:
+class TestExecutorDispatch:
     @by_name
-    def test_groups_exactly_the_groupable_shapes(self, shape):
-        service = _RecordingService()
+    def test_each_request_is_its_own_facade_call(self, shape):
+        """Three requests are inside ``service.<shape>`` at once — one
+        worker job each, none waiting behind another."""
+        gated = GatedService(_EchoService(), shape.name)
 
         async def scenario():
-            executor = QueryExecutor(workers=2, batch_window=5.0, batch_max=2)
+            executor = QueryExecutor(workers=3)
             try:
-                return await asyncio.gather(
-                    executor.submit(shape, service, "a"),
-                    executor.submit(shape, service, "b"),
-                )
+                tasks = [
+                    asyncio.create_task(executor.submit(shape, gated, request))
+                    for request in "abc"
+                ]
+                while len(gated.entered) < 3:
+                    await asyncio.sleep(0.005)
+                gated.release()
+                return await asyncio.gather(*tasks)
             finally:
+                gated.release()
                 await executor.shutdown()
 
         answers = asyncio.run(asyncio.wait_for(scenario(), timeout=10))
-        assert answers == [("answered", "a"), ("answered", "b")]
-        if shape.groupable:
-            assert service.calls == [f"{shape.name}_many"]
-            assert hasattr(TransitService, f"{shape.name}_many")
-        else:
-            assert service.calls == [shape.name, shape.name]
-
-    @by_name
-    def test_a_zero_window_never_groups(self, shape):
-        service = _RecordingService()
-
-        async def scenario():
-            executor = QueryExecutor(workers=2, batch_window=0.0)
-            try:
-                await asyncio.gather(
-                    executor.submit(shape, service, "a"),
-                    executor.submit(shape, service, "b"),
-                )
-            finally:
-                await executor.shutdown()
-
-        asyncio.run(asyncio.wait_for(scenario(), timeout=10))
-        assert service.calls == [shape.name, shape.name]
+        assert answers == [(shape.name, request) for request in "abc"]
+        assert sorted(gated.entered) == ["a", "b", "c"]
 
 
 class TestRoutes:
@@ -397,9 +374,3 @@ class TestDocsMatrices:
             assert row["shape"].strip("`") in (shape.name, shape.route)
             if "endpoint" in row:
                 assert row["endpoint"] == f"`/v1/{{name}}/{shape.route}`"
-            [batching] = [
-                cell for column, cell in row.items()
-                if column.startswith("micro-batch")
-            ]
-            documented = batching.startswith(("**yes**", "groups"))
-            assert documented == shape.groupable, (doc, shape.name, batching)

@@ -15,6 +15,7 @@ from repro.service import (
     TransitService,
 )
 from repro.service.cache import LRUResultCache
+from repro.service.shapes import BATCH, JOURNEY, PROFILE
 from repro.timetable.delays import Delay, apply_delays
 
 
@@ -37,6 +38,17 @@ class TestLRUResultCache:
         assert "b" not in cache
         assert cache.get("a") == 1
         assert cache.get("c") == 3
+
+    def test_peek_counts_a_hit_but_no_miss(self):
+        cache = LRUResultCache(2)
+        assert cache.peek("a") is None
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.peek("a") == 1  # refreshes a, like get
+        cache.put("c", 3)
+        assert "b" not in cache
+        stats = cache.stats
+        assert (stats.hits, stats.misses) == (1, 0)
 
     def test_zero_size_disables(self):
         cache = LRUResultCache(0)
@@ -128,9 +140,9 @@ class TestServiceResultCache:
         assert stats.misses == 3
 
     def test_journey_many_shares_the_per_request_cache(self, oahu_tiny):
-        """The micro-batched serving path: grouped journeys consult and
-        populate the same per-request entries single journeys use, and
-        answers match one-at-a-time execution exactly."""
+        """Grouped journeys consult and populate the same per-request
+        entries single journeys use, and answers match one-at-a-time
+        execution exactly."""
         service = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
         single = service.journey(0, 5)
 
@@ -252,3 +264,60 @@ class TestServiceResultCache:
             service.with_runtime_overrides(kernel="python")
         with pytest.raises(ValueError, match="not runtime-overridable"):
             service.with_runtime_overrides(use_distance_table=True)
+
+
+class TestLookup:
+    """``TransitService.lookup``: the answer when it takes no search,
+    counted in the cache statistics like the shape's own method."""
+
+    @pytest.fixture
+    def service(self, oahu_tiny):
+        return TransitService(
+            oahu_tiny,
+            ServiceConfig(use_distance_table=True, transfer_fraction=0.3),
+        )
+
+    def test_a_table_journey_is_the_journey_methods_answer(self, service):
+        a, b = (int(s) for s in service.table.transfer_stations[:2])
+        fresh = service.lookup(JOURNEY, JourneyRequest(a, b))
+        assert fresh.stats.classification == "table"
+        assert not fresh.stats.cache_hit
+        hit = service.lookup(JOURNEY, JourneyRequest(a, b))
+        assert hit.stats.cache_hit and hit.profile is fresh.profile
+        assert service.journey(a, b).profile is fresh.profile
+        same = service.lookup(JOURNEY, JourneyRequest(a, a))
+        assert same.stats.classification == "trivial"
+        stats = service.cache_stats
+        assert (stats.hits, stats.misses) == (2, 2)
+
+    def test_what_needs_a_search_is_left_alone(self, service):
+        transfer = {int(s) for s in service.table.transfer_stations}
+        a, b = sorted(transfer)[:2]
+        outside = next(
+            s for s in range(service.timetable.num_stations)
+            if s not in transfer
+        )
+        searches = [
+            (JOURNEY, JourneyRequest(outside, a)),
+            # Legs at a departure time are a search of their own.
+            (JOURNEY, JourneyRequest(a, b, 480)),
+            (PROFILE, ProfileRequest(a)),
+            (BATCH, BatchRequest.from_pairs([(a, b)])),
+        ]
+        for shape, request in searches:
+            assert service.lookup(shape, request) is None
+        assert service.cache_stats.misses == 0
+        # ... until the shape's method has answered it once.
+        for shape, request in searches:
+            answered = getattr(service, shape.name)(request)
+            hit = service.lookup(shape, request)
+            assert hit is not answered
+            if shape is not BATCH:
+                assert hit.stats.cache_hit and not answered.stats.cache_hit
+        stats = service.cache_stats
+        assert (stats.hits, stats.misses) == (len(searches), len(searches))
+
+    def test_without_a_table_every_journey_is_a_search(self, oahu_tiny):
+        service = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
+        assert service.table is None
+        assert service.lookup(JOURNEY, JourneyRequest(0, 5)) is None

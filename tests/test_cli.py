@@ -573,12 +573,11 @@ class TestServeParser:
         args = build_parser().parse_args([
             "serve", "--store", "a", "--store", "b",
             "--port", "0", "--workers", "2", "--max-inflight", "8",
-            "--batch-window-ms", "1.5", "--batch-max", "4",
+            "--drain-grace-ms", "50",
         ])
         assert args.store == ["a", "b"]
         assert args.port == 0
         assert args.workers == 2
         assert args.max_inflight == 8
-        assert args.batch_window_ms == 1.5
-        assert args.batch_max == 4
+        assert args.drain_grace_ms == 50
         assert args.func.__name__ == "_cmd_serve"
