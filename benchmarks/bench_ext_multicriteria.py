@@ -4,7 +4,7 @@
 Measures the cost of adding the transfer criterion relative to the
 single-criterion SPCS, and the effectiveness of the generalized
 per-layer self-pruning rule.  Not a paper artifact — an extension bench
-recorded for completeness (DESIGN.md experiment index, row EXT-mc).
+recorded for completeness.
 """
 
 from __future__ import annotations

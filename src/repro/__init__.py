@@ -71,8 +71,7 @@ The lower-level building blocks remain available for research use::
     engine = StationToStationEngine(graph, table)
     answer = engine.query(source=0, target=5)
 
-See DESIGN.md for the system inventory, docs/API.md for the service
-facade, and EXPERIMENTS.md for the reproduction results.
+See docs/API.md for the service facade and the layers beneath it.
 """
 
 from repro.timetable import (
@@ -98,7 +97,6 @@ from repro.core import (
     spcs_profile_search,
 )
 from repro.query import (
-    BatchQueryEngine,
     DistanceTable,
     StationToStationEngine,
     build_distance_table,
@@ -174,7 +172,6 @@ __all__ = [
     "spcs_profile_search",
     "DistanceTable",
     "StationToStationEngine",
-    "BatchQueryEngine",
     "build_distance_table",
     "compute_via_stations",
     "select_transfer_stations",

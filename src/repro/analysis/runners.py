@@ -9,9 +9,9 @@ accounting follow the paper:
 * *Settled Conns* — queue extractions, summed over all cores; for LC,
   the summed sizes of the function labels taken from the queue.
 * *Time* — for parallel runs, the **simulated-cores** wall clock
-  ``max_t(thread time) + merge time`` (DESIGN.md §3 documents why this
-  substitutes the paper's 8-core Xeon measurements); for LC, plain
-  wall clock.
+  ``max_t(thread time) + merge time`` (:mod:`repro.core.parallel`
+  documents why this substitutes the paper's 8-core Xeon
+  measurements); for LC, plain wall clock.
 * *Speed-up* — time of the 1-core run over the p-core run (Table 1) or
   of the no-table run over the table-pruned run (Table 2).
 """

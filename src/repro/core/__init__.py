@@ -10,9 +10,11 @@ connection-setting profile search (SPCS) and its parallelization.
   profiles, several times faster (``kernel="flat"`` in the drivers).
 * :mod:`repro.core.partition` — partitioning ``conn(S)`` over threads
   (§3.2): equal time-slots, equal #connections, k-means.
-* :mod:`repro.core.parallel` — the parallel driver with ``serial`` /
-  ``threads`` / ``processes`` execution backends and the
+* :mod:`repro.core.parallel` — the parallel driver and the
   simulated-cores accounting used by the benchmarks.
+* :mod:`repro.core.fanout` — the one serial-or-fork-pool dispatch
+  (``serial`` / ``processes``) behind the parallel driver and the
+  service's batches.
 * :mod:`repro.core.merge` — merging per-thread labels and reading off
   reduced profiles.
 """

@@ -1,15 +1,19 @@
 """Parallel SPCS driver (paper §3.2).
 
 Partitions ``conn(S)`` into ``p`` subsets, runs one SPCS instance per
-subset, merges the labels and reduces.  Execution backends:
+subset, merges the labels and reduces.  The subsets are dispatched by
+:func:`repro.core.fanout.fan_out`, on one of its two backends:
 
 * ``serial``   — run subsets one after another in this thread (exact
-  per-thread work/time accounting; the default for experiments);
-* ``threads``  — ``concurrent.futures.ThreadPoolExecutor``.  Functional
-  but GIL-bound in CPython: threads serialize on bytecode, so expect no
-  wall-clock speed-up (the repo's DESIGN.md documents this substitution);
-* ``processes`` — fork-based ``multiprocessing``; real parallelism on
-  multi-core hosts at the cost of forking and result pickling.
+  per-thread work/time accounting; the default, and what the service
+  facade and every experiment use);
+* ``processes`` — one forked worker per subset; real parallelism on
+  multi-core hosts at the cost of forking and result pickling.  Each
+  worker times its own search.
+
+CPython cannot run the paper's shared-memory threads in parallel (the
+searches serialize on the GIL), which is why the experiments report the
+*simulated-cores* time below instead of a threaded wall clock.
 
 Orthogonal to the backend, ``kernel`` selects the per-subset search
 implementation:
@@ -39,9 +43,9 @@ calling it directly is equivalent and remains supported (docs/API.md).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from repro.core.fanout import fan_out
 from repro.core.merge import MergedProfileResult, merge_thread_results
 from repro.core.partition import PARTITION_STRATEGIES
 from repro.core.spcs import SPCSResult
@@ -51,21 +55,6 @@ from repro.graph.td_model import TDGraph
 
 #: Valid ``kernel`` arguments of :func:`parallel_profile_search`.
 KERNELS = ("python", "flat")
-
-# Module-level state for fork-based workers (inherited copy-on-write).
-_FORK_STATE: dict[str, object] = {}
-
-
-def _fork_worker(args: tuple[int, int, list[int], bool, str, str]) -> SPCSResult:
-    source, _thread_id, subset, self_pruning, queue, kernel = args
-    return run_spcs_search(
-        _FORK_STATE["graph"],  # type: ignore[arg-type]
-        _FORK_STATE["arrays"] if kernel == "flat" else None,  # type: ignore[arg-type]
-        source,
-        connection_subset=subset,
-        self_pruning=self_pruning,
-        queue=queue,
-    )
 
 
 @dataclass(slots=True)
@@ -122,7 +111,7 @@ def parallel_profile_search(
     """One-to-all profile search on ``num_threads`` simulated cores.
 
     ``strategy`` is a :data:`~repro.core.partition.PARTITION_STRATEGIES`
-    key; ``backend`` one of ``serial`` / ``threads`` / ``processes``;
+    key; ``backend`` one of :data:`~repro.core.fanout.BACKENDS`;
     ``kernel`` one of :data:`KERNELS` (``queue`` only applies to the
     ``python`` kernel — the flat kernel always uses the lazy C heap).
     ``arrays`` injects a pre-packed :class:`TDGraphArrays` for the
@@ -158,8 +147,11 @@ def parallel_profile_search(
         # mirrors copy-on-write).
         arrays.kernel_adjacency()
 
-    def search(subset: list[int]) -> SPCSResult:
-        return run_spcs_search(
+    def timed_search(subset: list[int]) -> tuple[SPCSResult, float]:
+        # Each search times itself where it runs, so under
+        # ``processes`` a child reports its own subset's wall time.
+        t0 = time.perf_counter()
+        result = run_spcs_search(
             graph,
             arrays,
             source,
@@ -167,70 +159,14 @@ def parallel_profile_search(
             self_pruning=self_pruning,
             queue=queue,
         )
+        return result, time.perf_counter() - t0
 
     start_total = time.perf_counter()
-    thread_results: list[SPCSResult] = []
-    times: list[float] = []
-
-    if backend == "serial":
-        for subset in parts:
-            t0 = time.perf_counter()
-            thread_results.append(search(subset))
-            times.append(time.perf_counter() - t0)
-    elif backend == "threads":
-        def run(subset: list[int]) -> tuple[SPCSResult, float]:
-            t0 = time.perf_counter()
-            result = search(subset)
-            return result, time.perf_counter() - t0
-
-        with ThreadPoolExecutor(max_workers=num_threads) as pool:
-            for result, elapsed in pool.map(run, parts):
-                thread_results.append(result)
-                times.append(elapsed)
-    elif backend == "processes":
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            return parallel_profile_search(
-                graph,
-                source,
-                num_threads,
-                strategy=strategy,
-                backend="threads",
-                self_pruning=self_pruning,
-                queue=queue,
-                kernel=kernel,
-                arrays=arrays,
-            )
-        _FORK_STATE["graph"] = graph
-        _FORK_STATE["arrays"] = arrays
-        args = [
-            (source, t, subset, self_pruning, queue, kernel)
-            for t, subset in enumerate(parts)
-        ]
-        try:
-            with ctx.Pool(processes=num_threads) as pool:
-                t0 = time.perf_counter()
-                thread_results = pool.map(_fork_worker, args)
-                elapsed = time.perf_counter() - t0
-            # Per-thread times are not observable across processes;
-            # attribute wall time proportionally to settled counts.
-            total_settled = sum(
-                r.stats.settled_connections for r in thread_results
-            ) or 1
-            times = [
-                elapsed * r.stats.settled_connections / total_settled
-                for r in thread_results
-            ]
-        finally:
-            _FORK_STATE.pop("graph", None)
-            _FORK_STATE.pop("arrays", None)
-    else:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose serial, threads or processes"
-        )
+    timed = fan_out(
+        timed_search, parts, backend=backend, workers=num_threads
+    ).results
+    thread_results = [result for result, _ in timed]
+    times = [elapsed for _, elapsed in timed]
 
     t_merge = time.perf_counter()
     merged = merge_thread_results(thread_results, len(conns))

@@ -1,9 +1,12 @@
 """Lazy priority queue on top of :mod:`heapq`.
 
 ``decrease-key`` is emulated by pushing a duplicate entry and skipping
-stale ones at ``pop`` time.  Often fastest in CPython because ``heapq``
-is implemented in C — the heap ablation quantifies this against the
-addressable heaps.
+stale ones at ``pop`` time.  Equal keys leave in insertion order (the
+tie-break counter), which costs SPCS its self-pruning: on the heap
+ablation's workload (``benchmarks/bench_ablation_heap.py``) this queue
+settles about twice the connections of the addressable heaps and was
+slower than the binary heap in every run, C-implemented ``heapq``
+notwithstanding.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@
 * :mod:`repro.query.table_query` — the full station-to-station engine:
   stopping criterion + distance-table pruning (Theorem 3) + target
   pruning (Theorem 4) + the ``S, T ∈ S_trans`` shortcut.
-* :mod:`repro.query.batch` — the batched engine: amortizes graph
-  packing and worker-pool startup over many queries (the
-  traffic-serving workload shape).
+* :mod:`repro.query.batch` — the accounting of a batched workload
+  (:class:`BatchStats`); the batch itself is
+  :meth:`repro.service.TransitService.batch`.
 * :mod:`repro.query.transfer_selection` — choosing ``S_trans`` by
   station-graph contraction or by degree.
 * :mod:`repro.query.contraction` — the CH-style contraction routine.
@@ -34,12 +34,7 @@ from repro.query.table_query import (
     StationToStationEngine,
     StationToStationResult,
 )
-from repro.query.batch import (
-    BATCH_BACKENDS,
-    BatchQueryEngine,
-    BatchResult,
-    BatchStats,
-)
+from repro.query.batch import BATCH_BACKENDS, BatchStats
 from repro.query.transfer_selection import (
     select_by_contraction,
     select_by_degree,
@@ -61,8 +56,6 @@ __all__ = [
     "StationToStationEngine",
     "StationToStationResult",
     "BATCH_BACKENDS",
-    "BatchQueryEngine",
-    "BatchResult",
     "BatchStats",
     "select_by_contraction",
     "select_by_degree",

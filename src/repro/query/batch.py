@@ -1,77 +1,24 @@
-"""Batched query engine — the traffic-serving workload shape.
+"""Accounting of a batched workload — the traffic-serving shape.
 
-A deployment answering user journeys does not run one cold query at a
-time: it holds a prepared graph and distance table and answers a
-*stream* of (source, target) requests.  :class:`BatchQueryEngine`
-models that shape.  Construction pays every per-dataset cost exactly
-once — packing the graph into its flat-array form, building the station
-graph, wiring the distance table — and then amortizes it over many
-queries, optionally distributing the queries themselves over a worker
-pool (a different axis than the per-query connection partitioning of
-paper §3.2, which the inner engine still applies).
-
-Semantics contract: the batch engine answers every query with the very
-same code path a one-at-a-time
-:class:`~repro.query.table_query.StationToStationEngine` would use —
-same kernel, same stopping criterion, same distance-table and target
-pruning — so results are bitwise-identical to serial one-at-a-time
-execution regardless of backend.  ``tests/query/test_batch_engine.py``
-enforces this.
-
-Backends for distributing queries:
-
-* ``serial``    — answer in submission order on the calling thread;
-* ``threads``   — thread pool; GIL-bound for the pure-Python kernels
-  but overlaps with any C-level work;
-* ``processes`` — fork pool.  The engine (graph, packed arrays, table)
-  is inherited copy-on-write by the workers, so startup is paid once
-  per batch, not once per query; only the per-query results travel
-  back through pickling.
-
-Batched workloads are usually issued through
-:meth:`repro.service.TransitService.batch`, which owns the prepared
-artifacts and injects them here (``arrays=``/``station_graph=``);
-direct construction stays supported and behaves identically
-(docs/API.md).
+A deployment answering user journeys holds a prepared graph and
+distance table and answers a *stream* of requests.
+:meth:`repro.service.TransitService.batch` is that shape: it fans the
+service's own one-request code out over many requests through
+:func:`repro.core.fanout.fan_out` (a different axis than the per-query
+connection partitioning of paper §3.2, which each request still
+applies), so a batch item is the single-request answer by construction
+— ``tests/query/test_batch_engine.py`` pins it bitwise on every
+backend.  This module holds what such a run reports.
 """
 
 from __future__ import annotations
 
-import itertools
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
-from repro.core.parallel import ParallelProfileResult, parallel_profile_search
-from repro.graph.station_graph import StationGraph
-from repro.graph.td_arrays import TDGraphArrays
-from repro.graph.td_model import TDGraph
-from repro.query.distance_table import DistanceTable
-from repro.query.table_query import StationToStationEngine, StationToStationResult
+from repro.core.fanout import BACKENDS
 
-#: Valid ``backend`` arguments of :class:`BatchQueryEngine`.
-BATCH_BACKENDS = ("serial", "threads", "processes")
-
-# Fork-worker state (inherited copy-on-write; see _run_forked), keyed
-# by a token unique to the issuing engine so concurrent fan-outs from
-# different engines never clobber each other; each work item carries
-# its engine's token, which forked workers resolve against their
-# inherited copy of this dict.
-_BATCH_STATE: dict[int, object] = {}
-_STATE_TOKENS = itertools.count()
-
-
-def _query_worker(payload: tuple[int, int, tuple[int, int]]):
-    token, idx, (source, target) = payload
-    engine: StationToStationEngine = _BATCH_STATE[token]  # type: ignore[assignment]
-    return idx, engine.query(source, target)
-
-
-def _profile_worker(payload: tuple[int, int, tuple[int, int | None]]):
-    token, idx, (source, num_threads) = payload
-    batch: BatchQueryEngine = _BATCH_STATE[token]  # type: ignore[assignment]
-    return idx, batch._one_profile(source, num_threads)
+#: Valid ``ServiceConfig.backend`` / ``repro batch --backend`` values.
+BATCH_BACKENDS = BACKENDS
 
 
 @dataclass(slots=True)
@@ -79,8 +26,8 @@ class BatchStats:
     """Throughput accounting of one batch run.
 
     ``backend``/``num_workers`` record what actually executed — a
-    batch of ≤1 queries short-circuits to serial on the calling
-    thread whatever the engine was configured with.
+    batch of ≤1 requests short-circuits to serial on the calling
+    thread whatever the service was configured with.
     """
 
     num_queries: int
@@ -88,10 +35,10 @@ class BatchStats:
     kernel: str
     #: Workers used to distribute queries (1 for serial).
     num_workers: int
-    #: Seconds spent preparing shared state (packing, pool spin-up is
-    #: included in total_seconds only — fork cost is per batch).
+    #: Seconds spent starting the worker pool, paid once per batch
+    #: (0.0 when serial); included in ``total_seconds``.
     setup_seconds: float
-    #: Wall-clock of the whole batch, excluding engine construction.
+    #: Wall-clock of the whole batch.
     total_seconds: float
 
     @property
@@ -99,219 +46,3 @@ class BatchStats:
         if self.total_seconds <= 0:
             return float("inf")
         return self.num_queries / self.total_seconds
-
-
-@dataclass(slots=True)
-class BatchResult:
-    """Per-query results (in submission order) plus batch accounting."""
-
-    results: list
-    stats: BatchStats
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __getitem__(self, idx: int):
-        return self.results[idx]
-
-
-@dataclass
-class BatchQueryEngine:
-    """Amortize per-dataset setup over many queries (see module doc).
-
-    Parameters mirror :class:`StationToStationEngine` where they share
-    meaning.  ``num_threads`` is the *per-query* connection
-    partitioning (paper §3.2); ``workers`` is how many pool workers
-    distribute whole queries for the ``threads``/``processes``
-    backends (defaults to 4).
-    """
-
-    graph: TDGraph
-    table: DistanceTable | None = None
-    kernel: str = "flat"
-    backend: str = "serial"
-    workers: int = 4
-    num_threads: int = 1
-    strategy: str = "equal-connections"
-    stopping: bool = True
-    table_pruning: bool = True
-    target_pruning: bool = True
-    queue: str = "binary"
-    #: Optional prepared artifacts (injected by the service facade so
-    #: the batch engine shares one pack / station graph with every
-    #: other query path over the same dataset).
-    arrays: TDGraphArrays | None = None
-    station_graph: StationGraph | None = None
-    setup_seconds: float = field(init=False, default=0.0)
-    _engine: StationToStationEngine = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.backend not in BATCH_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; choose from {BATCH_BACKENDS}"
-            )
-        if self.workers < 1:
-            raise ValueError(f"need at least one worker, got {self.workers}")
-        t0 = time.perf_counter()
-        # Constructing the engine packs the graph and warms the
-        # kernel-side mirrors (flat kernel), so fork-based batches
-        # inherit the finished pack instead of rebuilding per worker;
-        # setup_seconds records that one-time cost.
-        self._engine = StationToStationEngine(
-            self.graph,
-            self.table,
-            num_threads=self.num_threads,
-            strategy=self.strategy,
-            stopping=self.stopping,
-            table_pruning=self.table_pruning,
-            target_pruning=self.target_pruning,
-            queue=self.queue,
-            kernel=self.kernel,
-            arrays=self.arrays,
-            station_graph=self.station_graph,
-        )
-        self.setup_seconds = time.perf_counter() - t0
-
-    # -- station-to-station batches ------------------------------------
-
-    def query_many(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> BatchResult:
-        """Answer many (source, target) profile queries.
-
-        Results come back in submission order and are identical to
-        calling :meth:`StationToStationEngine.query` once per pair.
-        """
-        indexed = list(enumerate(pairs))
-        t0 = time.perf_counter()
-        if self.backend == "serial" or len(indexed) <= 1:
-            effective = "serial"
-            results = [self._engine.query(s, t) for _, (s, t) in indexed]
-        elif self.backend == "threads":
-            effective = "threads"
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(
-                    pool.map(lambda it: self._engine.query(*it[1]), indexed)
-                )
-        else:
-            results, effective = self._run_forked(
-                _query_worker, indexed, self._engine
-            )
-        total = time.perf_counter() - t0
-        return BatchResult(
-            results=results,
-            stats=self._stats(len(indexed), total, effective),
-        )
-
-    # -- one-to-all batches --------------------------------------------
-
-    def profile_many(
-        self,
-        sources: Sequence[int],
-        *,
-        num_threads: Sequence[int | None] | None = None,
-    ) -> BatchResult:
-        """Run one-to-all profile searches from many sources.
-
-        Each element is a
-        :class:`~repro.core.parallel.ParallelProfileResult`, identical
-        to a fresh :func:`parallel_profile_search` call with this
-        engine's settings.  ``num_threads``, when given, is a sequence
-        parallel to ``sources`` overriding the per-query connection
-        partitioning for individual searches (``None`` entries fall
-        back to the engine's ``num_threads``).
-        """
-        if num_threads is None:
-            num_threads = [None] * len(sources)
-        if len(num_threads) != len(sources):
-            raise ValueError(
-                f"num_threads must parallel sources: "
-                f"{len(num_threads)} vs {len(sources)}"
-            )
-        indexed = list(enumerate(zip(sources, num_threads)))
-        t0 = time.perf_counter()
-        if self.backend == "serial" or len(indexed) <= 1:
-            effective = "serial"
-            results = [self._one_profile(s, p) for _, (s, p) in indexed]
-        elif self.backend == "threads":
-            effective = "threads"
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                results = list(
-                    pool.map(lambda it: self._one_profile(*it[1]), indexed)
-                )
-        else:
-            results, effective = self._run_forked(
-                _profile_worker, indexed, self
-            )
-        total = time.perf_counter() - t0
-        return BatchResult(
-            results=results,
-            stats=self._stats(len(indexed), total, effective),
-        )
-
-    # -- internals ------------------------------------------------------
-
-    def _one_profile(
-        self, source: int, num_threads: int | None = None
-    ) -> ParallelProfileResult:
-        return parallel_profile_search(
-            self.graph,
-            source,
-            num_threads if num_threads is not None else self.num_threads,
-            strategy=self.strategy,
-            backend="serial",
-            queue=self.queue,
-            kernel=self.kernel,
-            # Reuse the pack the inner engine already owns (one pack
-            # per dataset, however many query paths run over it).
-            arrays=self._engine._arrays,
-        )
-
-    def _run_forked(
-        self, worker, indexed, state_value
-    ) -> tuple[list, str]:
-        """Run ``worker`` over a fork pool; returns the ordered results
-        and the backend that actually executed (``threads`` when the
-        platform has no fork).
-
-        ``state_value`` is registered in :data:`_BATCH_STATE` under a
-        fresh token for the duration of the fan-out, and every work
-        item is tagged with that token — so two engines (or two
-        concurrent batches on one engine) forking at the same time each
-        resolve their own state instead of clobbering a shared key.
-        """
-        import multiprocessing as mp
-
-        token = next(_STATE_TOKENS)
-        payloads = [(token, idx, item) for idx, item in indexed]
-        _BATCH_STATE[token] = state_value
-        try:
-            try:
-                ctx = mp.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                effective = "threads"
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    out = list(pool.map(worker, payloads))
-            else:
-                effective = "processes"
-                with ctx.Pool(processes=self.workers) as pool:
-                    out = pool.map(worker, payloads)
-        finally:
-            _BATCH_STATE.pop(token, None)
-        out.sort(key=lambda pair: pair[0])
-        return [r for _, r in out], effective
-
-    def _stats(self, n: int, total: float, effective_backend: str) -> BatchStats:
-        # Report what actually ran: tiny batches short-circuit to
-        # serial regardless of the configured backend.
-        return BatchStats(
-            num_queries=n,
-            backend=effective_backend,
-            kernel=self.kernel,
-            num_workers=1 if effective_backend == "serial" else self.workers,
-            setup_seconds=self.setup_seconds,
-            total_seconds=total,
-        )

@@ -66,8 +66,10 @@ class ServiceConfig:
     queue
         Priority queue of the ``python`` kernel (ignored by ``flat``).
     backend / workers
-        How batched workloads distribute whole queries over a pool
-        (:data:`~repro.query.batch.BATCH_BACKENDS`).
+        How :meth:`TransitService.batch` distributes whole requests:
+        ``serial`` on the calling thread, or ``processes`` over a fork
+        pool of ``workers`` (:data:`~repro.query.batch.BATCH_BACKENDS`;
+        :func:`repro.core.fanout.fan_out` is the dispatch).
     result_cache_size
         Capacity of the per-service LRU cache over profile / journey /
         batch answers (:mod:`repro.service.cache`); ``0`` disables

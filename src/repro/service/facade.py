@@ -28,10 +28,12 @@ the paper through a typed request/response model:
 
 The facade delegates to the same engines the pre-facade entry points
 used (:func:`~repro.core.parallel.parallel_profile_search`,
-:class:`~repro.query.table_query.StationToStationEngine`,
-:class:`~repro.query.batch.BatchQueryEngine`), injecting the shared
-artifacts — so answers are bitwise-identical to the historical paths
-(``tests/service/test_facade.py`` pins this).
+:class:`~repro.query.table_query.StationToStationEngine`), injecting
+the shared artifacts — so answers are bitwise-identical to the
+historical paths (``tests/service/test_facade.py`` pins this).  A batch
+fans the very same one-request code out over its items
+(:func:`~repro.core.fanout.fan_out`), so a batch item is the single
+answer by construction.
 """
 
 from __future__ import annotations
@@ -39,18 +41,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from threading import Lock
 from typing import Sequence
 
+from repro.core.fanout import fan_out
 from repro.core.multicriteria import mc_profile_search
 from repro.core.parallel import parallel_profile_search
 from repro.functions.piecewise import INF_TIME
-from repro.query.batch import BatchQueryEngine, BatchStats
+from repro.query.batch import BatchStats
 from repro.query.distance_table import DistanceTable
-from repro.query.table_query import (
-    StationToStationEngine,
-    StationToStationResult,
-)
+from repro.query.table_query import StationToStationEngine
 from repro.service.cache import CacheStats, LRUResultCache
 from repro.service.config import RUNTIME_FIELDS, ServiceConfig
 from repro.service.journeys import reconstruct_legs
@@ -143,8 +142,8 @@ class TransitService:
         self.prepared = prepared
         cfg = self.config
         # The one station-to-station engine every journey (single or
-        # batched-serial) goes through; construction is cheap because
-        # all artifacts are injected.
+        # batched) goes through; construction is cheap because all
+        # artifacts are injected.
         self._engine = StationToStationEngine(
             prepared.graph,
             prepared.table,
@@ -158,11 +157,6 @@ class TransitService:
             arrays=prepared.arrays,
             station_graph=prepared.station_graph,
         )
-        self._batch_engine: BatchQueryEngine | None = None
-        # Guards the lazy batch-engine construction: concurrent first
-        # batches (server worker threads) must share one engine, not
-        # race two setups.
-        self._batch_lock = Lock()
         # Per-service LRU over answers; requests are frozen dataclasses
         # and the service is immutable, so entries never go stale.  A
         # delayed service (apply_delays) is a new instance and thus
@@ -298,33 +292,7 @@ class TransitService:
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
-        cfg = self.config
-        prepared = self.prepared
-        num_threads = (
-            req.num_threads if req.num_threads is not None else cfg.num_threads
-        )
-        t0 = time.perf_counter()
-        raw = parallel_profile_search(
-            prepared.graph,
-            req.source,
-            num_threads,
-            strategy=cfg.strategy,
-            backend="serial",
-            self_pruning=cfg.self_pruning,
-            queue=cfg.queue,
-            kernel=cfg.kernel,
-            arrays=prepared.arrays,
-        )
-        total = time.perf_counter() - t0
-        stats = QueryStats(
-            kind="profile",
-            kernel=cfg.kernel,
-            num_threads=num_threads,
-            settled_connections=raw.stats.settled_connections,
-            simulated_seconds=raw.stats.simulated_time,
-            total_seconds=total,
-        )
-        result = ProfileResult(source=req.source, stats=stats, raw=raw)
+        result = self._search_profile(req)
         self._result_cache.put(req, result)
         return result
 
@@ -342,41 +310,9 @@ class TransitService:
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
-        res = self._engine.query(req.source, req.target)
-        result = self._wrap_journey(req, res)
+        result = self._search_journey(req)
         self._result_cache.put(req, result)
         return result
-
-    def journey_many(
-        self, requests: Sequence[JourneyRequest]
-    ) -> list[JourneyResult]:
-        """Answer many journey requests with per-request caching.
-
-        Every request consults the result cache exactly like
-        :meth:`journey` (hits come back marked ``cache_hit``), the
-        misses run as one :class:`BatchQueryEngine` pass, and each
-        fresh answer is cached under its own :class:`JourneyRequest`
-        key — so grouping never disables the cache that repeated
-        single journeys rely on.  Answers are identical to calling
-        :meth:`journey` once per request, in order.
-        """
-        results: list[JourneyResult | None] = [None] * len(requests)
-        misses: list[tuple[int, JourneyRequest]] = []
-        for i, req in enumerate(requests):
-            cached = self._result_cache.get(req)
-            if cached is not None:
-                results[i] = _mark_cache_hit(cached)
-            else:
-                misses.append((i, req))
-        if misses:
-            raw = self._batch().query_many(
-                [(req.source, req.target) for _, req in misses]
-            )
-            for (i, req), res in zip(misses, raw):
-                result = self._wrap_journey(req, res)
-                self._result_cache.put(req, result)
-                results[i] = result
-        return results
 
     # -- batched workloads ---------------------------------------------
 
@@ -389,45 +325,27 @@ class TransitService:
         cached = self._result_cache.get(request)
         if cached is not None:
             return _mark_cache_hit(cached)
-        engine = self._batch()
-        journeys: list[JourneyResult] = []
-        profiles: list[ProfileResult] = []
-        parts: list[BatchStats] = []
-        if request.journeys:
-            raw = engine.query_many(
-                [(j.source, j.target) for j in request.journeys]
-            )
-            journeys = [
-                self._wrap_journey(req, res)
-                for req, res in zip(request.journeys, raw)
-            ]
-            parts.append(raw.stats)
-        if request.profiles:
-            raw = engine.profile_many(
-                [p.source for p in request.profiles],
-                num_threads=[p.num_threads for p in request.profiles],
-            )
-            for req, res in zip(request.profiles, raw):
-                stats = QueryStats(
-                    kind="profile",
-                    kernel=self.config.kernel,
-                    num_threads=(
-                        req.num_threads
-                        if req.num_threads is not None
-                        else self.config.num_threads
-                    ),
-                    settled_connections=res.stats.settled_connections,
-                    simulated_seconds=res.stats.simulated_time,
-                    total_seconds=res.stats.total_time,
-                )
-                profiles.append(
-                    ProfileResult(source=req.source, stats=stats, raw=res)
-                )
-            parts.append(raw.stats)
+        cfg = self.config
+        t0 = time.perf_counter()
+        run = fan_out(
+            self._search,
+            [*request.journeys, *request.profiles],
+            backend=cfg.backend,
+            workers=cfg.workers,
+        )
+        total = time.perf_counter() - t0
+        split = len(request.journeys)
         response = BatchResponse(
-            journeys=journeys,
-            profiles=profiles,
-            stats=self._merge_batch_stats(parts),
+            journeys=run.results[:split],
+            profiles=run.results[split:],
+            stats=BatchStats(
+                num_queries=len(request),
+                backend=run.backend,
+                kernel=cfg.kernel,
+                num_workers=1 if run.backend == "serial" else cfg.workers,
+                setup_seconds=run.spinup_seconds,
+                total_seconds=total,
+            ),
         )
         self._result_cache.put(request, response)
         return response
@@ -633,30 +551,77 @@ class TransitService:
 
     # -- internals ------------------------------------------------------
 
-    def _batch(self) -> BatchQueryEngine:
-        engine = self._batch_engine
-        if engine is None:
-            with self._batch_lock:
-                if self._batch_engine is None:
-                    cfg = self.config
-                    prepared = self.prepared
-                    self._batch_engine = BatchQueryEngine(
-                        prepared.graph,
-                        prepared.table,
-                        kernel=cfg.kernel,
-                        backend=cfg.backend,
-                        workers=cfg.workers,
-                        num_threads=cfg.num_threads,
-                        strategy=cfg.strategy,
-                        stopping=cfg.stopping,
-                        table_pruning=cfg.table_pruning,
-                        target_pruning=cfg.target_pruning,
-                        queue=cfg.queue,
-                        arrays=prepared.arrays,
-                        station_graph=prepared.station_graph,
-                    )
-                engine = self._batch_engine
-        return engine
+    def _search(
+        self, req: JourneyRequest | ProfileRequest
+    ) -> JourneyResult | ProfileResult:
+        """One batch item: the uncached answer :meth:`journey` /
+        :meth:`profile` compute for ``req``.
+
+        It stays clear of the result cache on purpose: under the
+        ``processes`` backend it runs in forked workers, which inherit
+        the cache's lock in whatever state another server thread held
+        it at fork time and whose puts the parent would never see."""
+        if isinstance(req, JourneyRequest):
+            return self._search_journey(req)
+        return self._search_profile(req)
+
+    def _search_profile(self, req: ProfileRequest) -> ProfileResult:
+        cfg = self.config
+        prepared = self.prepared
+        num_threads = (
+            req.num_threads if req.num_threads is not None else cfg.num_threads
+        )
+        t0 = time.perf_counter()
+        raw = parallel_profile_search(
+            prepared.graph,
+            req.source,
+            num_threads,
+            strategy=cfg.strategy,
+            backend="serial",
+            self_pruning=cfg.self_pruning,
+            queue=cfg.queue,
+            kernel=cfg.kernel,
+            arrays=prepared.arrays,
+        )
+        total = time.perf_counter() - t0
+        stats = QueryStats(
+            kind="profile",
+            kernel=cfg.kernel,
+            num_threads=num_threads,
+            settled_connections=raw.stats.settled_connections,
+            simulated_seconds=raw.stats.simulated_time,
+            total_seconds=total,
+        )
+        return ProfileResult(source=req.source, stats=stats, raw=raw)
+
+    def _search_journey(self, req: JourneyRequest) -> JourneyResult:
+        res = self._engine.query(req.source, req.target)
+        stats = QueryStats(
+            kind="journey",
+            kernel=self.config.kernel,
+            num_threads=self.config.num_threads,
+            settled_connections=res.settled_connections,
+            simulated_seconds=res.simulated_time,
+            total_seconds=res.total_time,
+            classification=res.classification,
+            table_prunes=res.table_prunes,
+            connection_stops=res.connection_stops,
+        )
+        legs = None
+        arrival = None
+        if req.departure is not None:
+            legs, arrival = self._recon_legs(
+                req.source, req.target, req.departure
+            )
+        return JourneyResult(
+            source=req.source,
+            target=req.target,
+            profile=res.profile,
+            stats=stats,
+            departure=req.departure,
+            arrival=arrival,
+            legs=legs,
+        )
 
     def _mc_search(self, source: int, max_transfers: int):
         """The shared multi-criteria one-to-all search, memoized in the
@@ -731,64 +696,4 @@ class TransitService:
             target,
             departure,
             queue=self.config.queue,
-        )
-
-    def _wrap_journey(
-        self, req: JourneyRequest, res: StationToStationResult
-    ) -> JourneyResult:
-        stats = QueryStats(
-            kind="journey",
-            kernel=self.config.kernel,
-            num_threads=self.config.num_threads,
-            settled_connections=res.settled_connections,
-            simulated_seconds=res.simulated_time,
-            total_seconds=res.total_time,
-            classification=res.classification,
-            table_prunes=res.table_prunes,
-            connection_stops=res.connection_stops,
-        )
-        legs = None
-        arrival = None
-        if req.departure is not None:
-            legs, arrival = reconstruct_legs(
-                self.prepared.graph,
-                req.source,
-                req.target,
-                req.departure,
-                queue=self.config.queue,
-            )
-        return JourneyResult(
-            source=req.source,
-            target=req.target,
-            profile=res.profile,
-            stats=stats,
-            departure=req.departure,
-            arrival=arrival,
-            legs=legs,
-        )
-
-    def _merge_batch_stats(self, parts: list[BatchStats]) -> BatchStats:
-        engine = self._batch()
-        if not parts:
-            return BatchStats(
-                num_queries=0,
-                backend="serial",
-                kernel=self.config.kernel,
-                num_workers=1,
-                setup_seconds=engine.setup_seconds,
-                total_seconds=0.0,
-            )
-        if len(parts) == 1:
-            return parts[0]
-        # Journeys and profile searches ran as two sequential pool
-        # passes: queries and wall time add up; the backend/worker
-        # fields follow the wider (non-short-circuited) pass.
-        main = max(parts, key=lambda s: s.num_workers)
-        return BatchStats(
-            num_queries=sum(s.num_queries for s in parts),
-            backend=main.backend,
-            kernel=main.kernel,
-            num_workers=main.num_workers,
-            setup_seconds=engine.setup_seconds,
-            total_seconds=sum(s.total_seconds for s in parts),
         )

@@ -13,7 +13,7 @@ request                      engine path
 ===========================  ==============================================
 :class:`ProfileRequest`      :func:`~repro.core.parallel.parallel_profile_search`
 :class:`JourneyRequest`      :meth:`~repro.query.table_query.StationToStationEngine.query`
-:class:`BatchRequest`        :class:`~repro.query.batch.BatchQueryEngine`
+:class:`BatchRequest`        the two paths above, per item (:func:`~repro.core.fanout.fan_out`)
 :class:`MulticriteriaRequest`  :func:`~repro.core.multicriteria.mc_profile_search`
 :class:`ViaRequest`          two chained :meth:`TransitService.journey` legs
 :class:`MinTransfersRequest`   :func:`~repro.core.multicriteria.mc_profile_search`
@@ -72,9 +72,10 @@ class JourneyRequest:
 class BatchRequest:
     """A batched workload: many journeys and/or many profile searches.
 
-    Execution is distributed over the service's configured pool
-    backend; answers come back in submission order and are identical
-    to issuing the requests one at a time.
+    The items are distributed over the service's configured backend
+    (``serial`` or a fork pool); answers come back in submission order
+    and each is the answer — stats included, wall-clock fields aside —
+    of issuing that request on its own.
     """
 
     journeys: tuple[JourneyRequest, ...] = ()

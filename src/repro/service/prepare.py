@@ -85,8 +85,7 @@ class PreparedDataset:
     """Immutable snapshot of every shared artifact of one dataset.
 
     Engines never rebuild any of these: the facade injects them into
-    :class:`~repro.query.table_query.StationToStationEngine`,
-    :class:`~repro.query.batch.BatchQueryEngine` and
+    :class:`~repro.query.table_query.StationToStationEngine` and
     :func:`~repro.core.parallel.parallel_profile_search`, so packing,
     station-graph construction and table building happen at most once
     per service instance (``tests/service/test_facade.py`` pins this

@@ -3,7 +3,7 @@
 The paper evaluates on three GTFS city feeds (Oahu, Los Angeles,
 Washington D.C.) and two HaCon railway timetables (Germany, Europe),
 none of which are redistributable.  These generators emit networks with
-the same *shape* at laptop scale (DESIGN.md §3):
+the same *shape* at laptop scale:
 
 * :mod:`repro.synthetic.schedules` — daily departure patterns with rush
   hours and an operational night break (the cause of the equal

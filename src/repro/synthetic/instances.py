@@ -1,4 +1,4 @@
-"""Named instances mirroring the paper's five inputs (DESIGN.md §3).
+"""Named instances mirroring the paper's five inputs.
 
 Paper inputs and their shapes:
 

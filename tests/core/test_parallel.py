@@ -1,5 +1,8 @@
 """Unit tests for the parallel SPCS driver (paper §3.2)."""
 
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 import pytest
 
 from repro.core.parallel import parallel_profile_search
@@ -36,24 +39,50 @@ class TestCorrectness:
         with pytest.raises(ValueError, match="strategy"):
             parallel_profile_search(toy_graph, 0, 2, strategy="nope")
 
-    def test_rejects_unknown_backend(self, toy_graph):
+    @pytest.mark.parametrize("backend", ["gpu", "threads"])
+    def test_rejects_unknown_backend(self, toy_graph, backend):
         with pytest.raises(ValueError, match="backend"):
-            parallel_profile_search(toy_graph, 0, 2, backend="gpu")
+            parallel_profile_search(toy_graph, 0, 2, backend=backend)
 
 
 class TestBackends:
-    def test_threads_backend_matches_serial(self, toy_graph):
-        serial = parallel_profile_search(toy_graph, 0, 3, backend="serial")
-        threads = parallel_profile_search(toy_graph, 0, 3, backend="threads")
-        for station in range(toy_graph.num_stations):
-            assert threads.profile(station) == serial.profile(station)
-
     @pytest.mark.slow
     def test_processes_backend_matches_serial(self, toy_graph):
         serial = parallel_profile_search(toy_graph, 0, 2, backend="serial")
         procs = parallel_profile_search(toy_graph, 0, 2, backend="processes")
         for station in range(toy_graph.num_stations):
             assert procs.profile(station) == serial.profile(station)
+        # Each forked search reports the wall time it measured itself.
+        assert len(procs.stats.time_per_thread) == 2
+        assert all(t > 0 for t in procs.stats.time_per_thread)
+
+    @pytest.mark.parametrize("kernel", ["python", "flat"])
+    def test_two_graphs_fork_concurrently_without_clobbering(
+        self, oahu_tiny_graph, germany_tiny_graph, kernel
+    ):
+        """Regression: the fork workers used to find their graph under
+        one shared module-global key, so two threads searching different
+        graphs (two datasets, two delay generations) could fork each
+        other's graph, or hit ``KeyError`` after the other's cleanup."""
+        graphs = [oahu_tiny_graph, germany_tiny_graph] * 3
+        expected = [
+            parallel_profile_search(g, 1, 2, kernel=kernel) for g in graphs
+        ]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(
+                pool.map(
+                    lambda g: parallel_profile_search(
+                        g, 1, 2, kernel=kernel, backend="processes"
+                    ),
+                    graphs,
+                )
+            )
+        for exp, res in zip(expected, got):
+            assert np.array_equal(res.merged.labels, exp.merged.labels)
+            assert np.array_equal(res.merged.conn_deps, exp.merged.conn_deps)
+            assert (
+                res.stats.settled_per_thread == exp.stats.settled_per_thread
+            )
 
 
 class TestAccounting:

@@ -1,311 +1,236 @@
-"""Batch engine ≡ one-at-a-time queries, bitwise, on every backend.
+"""``TransitService.batch`` ≡ one-at-a-time requests, bitwise, on every
+backend.
 
-The batched engine's whole contract is amortization without semantic
-drift: for any workload, kernel and backend, ``query_many`` must return
-exactly what a fresh :class:`StationToStationEngine` would answer query
-by query — including the target-stopping path (no table), the
-distance-table pruning paths (local/global classification, Theorems
-3/4) and the trivial/table shortcuts.  "Bitwise" means the profile
-arrays compare equal element for element, not merely as functions.
+A batch's whole contract is distribution without semantic drift: for
+any workload, kernel, backend and pruning configuration, every item of
+``service.batch(...)`` must be exactly what ``service.journey`` /
+``service.profile`` answer for that request on its own — profile
+arrays element for element, legs, arrival and the per-item
+:class:`QueryStats` (wall-clock fields aside) — including the
+target-stopping path (no table), the distance-table pruning paths
+(local/global classification, Theorems 3/4) and the trivial/table
+shortcuts.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.parallel import parallel_profile_search
-from repro.query import (
-    BatchQueryEngine,
-    StationToStationEngine,
-    build_distance_table,
-    select_transfer_stations,
+from repro.service import (
+    BatchRequest,
+    JourneyRequest,
+    ProfileRequest,
+    ServiceConfig,
+    TransitService,
 )
 from repro.synthetic.workloads import random_station_pairs
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 KERNELS = ("python", "flat")
+PRUNING_TOGGLES = (
+    "stopping",
+    "table_pruning",
+    "target_pruning",
+    "self_pruning",
+)
 
 
-@pytest.fixture(scope="module")
-def table(oahu_tiny, oahu_tiny_graph):
-    stations = select_transfer_stations(
-        oahu_tiny, method="contraction", fraction=0.3
+def make_service(graph, **config) -> TransitService:
+    """Distance table on (fraction 0.3) unless the test says otherwise;
+    the result cache is off so every single request really searches."""
+    config.setdefault("use_distance_table", True)
+    return TransitService.from_graph(
+        graph,
+        ServiceConfig(
+            num_threads=2,
+            workers=2,
+            transfer_fraction=0.3,
+            result_cache_size=0,
+            **config,
+        ),
     )
-    return build_distance_table(oahu_tiny_graph, stations, num_threads=2)
 
 
-@pytest.fixture(scope="module")
-def workload(oahu_tiny, table):
-    """Random pairs plus hand-picked ones hitting every classification:
-    trivial (s == t), table (both transfer stations), and the pruned
-    local/global paths."""
-    pairs = random_station_pairs(oahu_tiny, 10, seed=7)
-    transfer = [int(s) for s in table.transfer_stations]
+def workload(service: TransitService) -> BatchRequest:
+    """Random pairs plus hand-picked ones hitting every classification
+    — trivial (s == t), table (both transfer stations), the pruned
+    local/global paths — one journey with legs, and profile searches
+    with and without a per-request core count."""
+    timetable = service.timetable
+    pairs = random_station_pairs(timetable, 10, seed=7)
     pairs.append((3, 3))  # trivial
-    if len(transfer) >= 2:
-        pairs.append((transfer[0], transfer[1]))  # table shortcut
-    if transfer:
+    if service.table is not None:
+        transfer = [int(s) for s in service.table.transfer_stations]
         non_transfer = next(
             s
-            for s in range(oahu_tiny.num_stations)
+            for s in range(timetable.num_stations)
             if s not in set(transfer)
         )
+        pairs.append((transfer[0], transfer[1]))  # table shortcut
         pairs.append((non_transfer, transfer[0]))  # target pruning path
-    return pairs
+    journeys = [JourneyRequest(s, t) for s, t in pairs]
+    journeys.append(JourneyRequest(*pairs[0], departure=7 * 60))
+    return BatchRequest(
+        journeys=tuple(journeys),
+        profiles=(ProfileRequest(0), ProfileRequest(4, num_threads=3)),
+    )
 
 
-def assert_bitwise_equal(expected, got, context):
-    assert got.classification == expected.classification, context
-    assert got.profile.period == expected.profile.period, context
-    assert np.array_equal(got.profile.deps, expected.profile.deps), context
-    assert np.array_equal(got.profile.arrs, expected.profile.arrs), context
+def sans_clock(stats):
+    return replace(stats, simulated_seconds=0.0, total_seconds=0.0)
+
+
+def assert_batch_equals_singles(service, request, context):
+    """Every batch item against the same request asked on its own."""
+    got = service.batch(request)
+    assert len(got.journeys) == len(request.journeys), context
+    assert len(got.profiles) == len(request.profiles), context
+    for req, res in zip(request.journeys, got.journeys):
+        exp = service.journey(req)
+        where = f"{req} {context}"
+        assert (res.source, res.target) == (req.source, req.target), where
+        assert res.profile.period == exp.profile.period, where
+        assert np.array_equal(res.profile.deps, exp.profile.deps), where
+        assert np.array_equal(res.profile.arrs, exp.profile.arrs), where
+        assert (res.departure, res.arrival) == (exp.departure, exp.arrival)
+        assert res.legs == exp.legs, where
+        assert sans_clock(res.stats) == sans_clock(exp.stats), where
+    for req, res in zip(request.profiles, got.profiles):
+        exp = service.profile(req)
+        where = f"{req} {context}"
+        assert res.source == req.source, where
+        assert np.array_equal(res.raw.merged.labels, exp.raw.merged.labels)
+        assert np.array_equal(
+            res.raw.merged.conn_deps, exp.raw.merged.conn_deps
+        ), where
+        assert sans_clock(res.stats) == sans_clock(exp.stats), where
+    return got
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_query_many_with_table_matches_one_at_a_time(
-    oahu_tiny_graph, table, workload, backend, kernel
+@pytest.mark.parametrize("with_table", (False, True), ids=["plain", "table"])
+def test_batch_matches_one_at_a_time(
+    oahu_tiny_graph, backend, kernel, with_table
 ):
-    reference = StationToStationEngine(
-        oahu_tiny_graph, table, num_threads=2, kernel=kernel
-    )
-    expected = [reference.query(s, t) for s, t in workload]
-    classes = {r.classification for r in expected}
-    assert {"trivial", "table"} <= classes, (
-        f"workload misses shortcut paths: {classes}"
-    )
-
-    engine = BatchQueryEngine(
+    service = make_service(
         oahu_tiny_graph,
-        table,
         kernel=kernel,
         backend=backend,
-        workers=2,
-        num_threads=2,
+        use_distance_table=with_table,
     )
-    batch = engine.query_many(workload)
-    assert len(batch) == len(workload)
-    for (s, t), exp, got in zip(workload, expected, batch):
-        assert_bitwise_equal(
-            exp, got, f"{s}->{t} on {backend}/{kernel}"
+    got = assert_batch_equals_singles(
+        service, workload(service), f"on {backend}/{kernel}"
+    )
+    classes = {j.stats.classification for j in got.journeys}
+    if with_table:
+        assert {"trivial", "table"} <= classes, (
+            f"workload misses shortcut paths: {classes}"
         )
+    assert got.journeys[-1].legs, "workload misses the legs path"
+    assert got.stats.backend == backend
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_query_many_without_table_matches_one_at_a_time(
-    oahu_tiny_graph, workload, backend, kernel
+@pytest.mark.parametrize("toggle", PRUNING_TOGGLES)
+def test_batch_items_follow_every_pruning_toggle(
+    oahu_tiny_graph, backend, toggle
 ):
-    """Pure stopping-criterion path (no distance table at all)."""
-    reference = StationToStationEngine(
-        oahu_tiny_graph, None, num_threads=2, kernel=kernel
+    """Regression: batched profile searches used to run through a
+    second engine that never received ``self_pruning``, so with the
+    toggle off a batch item settled half the connections the single
+    request did.  With any toggle off, item stats == single stats."""
+    service = make_service(
+        oahu_tiny_graph, backend=backend, **{toggle: False}
     )
-    expected = [reference.query(s, t) for s, t in workload]
-    engine = BatchQueryEngine(
-        oahu_tiny_graph,
-        None,
-        kernel=kernel,
-        backend=backend,
-        workers=2,
-        num_threads=2,
+    assert_batch_equals_singles(
+        service, workload(service), f"{toggle}=False on {backend}"
     )
-    for (s, t), exp, got in zip(
-        workload, expected, engine.query_many(workload)
-    ):
-        assert_bitwise_equal(exp, got, f"{s}->{t} on {backend}/{kernel}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_profile_many_matches_parallel_search(
-    oahu_tiny_graph, backend
-):
-    sources = [0, 4, 9]
-    expected = [
-        parallel_profile_search(oahu_tiny_graph, s, 2, kernel="flat")
-        for s in sources
-    ]
-    engine = BatchQueryEngine(
-        oahu_tiny_graph,
-        kernel="flat",
-        backend=backend,
-        workers=2,
-        num_threads=2,
-    )
-    batch = engine.profile_many(sources)
-    for s, exp, got in zip(sources, expected, batch):
-        assert np.array_equal(got.merged.labels, exp.merged.labels), (
-            f"source {s} on {backend}"
-        )
-        assert np.array_equal(got.merged.conn_deps, exp.merged.conn_deps)
+def test_batch_profiles_do_the_unpruned_work(oahu_tiny_graph):
+    """The toggle above must actually reach the search: without
+    self-pruning a batched profile settles more than with it."""
+    request = BatchRequest.from_sources([3, 5])
+    pruned = make_service(oahu_tiny_graph).batch(request)
+    unpruned = make_service(oahu_tiny_graph, self_pruning=False).batch(request)
+    for a, b in zip(pruned.profiles, unpruned.profiles):
+        assert b.stats.settled_connections > a.stats.settled_connections
 
 
-def test_results_come_back_in_submission_order(oahu_tiny_graph, table):
+def test_results_come_back_in_submission_order(oahu_tiny_graph):
     pairs = [(9, 2), (0, 5), (7, 1), (2, 9)]
-    engine = BatchQueryEngine(
-        oahu_tiny_graph, table, backend="processes", workers=2, num_threads=1
+    sources = [6, 1]
+    service = make_service(oahu_tiny_graph, backend="processes")
+    got = service.batch(
+        BatchRequest(
+            journeys=tuple(JourneyRequest(s, t) for s, t in pairs),
+            profiles=tuple(ProfileRequest(s) for s in sources),
+        )
     )
-    batch = engine.query_many(pairs)
-    for (s, t), result in zip(pairs, batch):
-        assert (result.source, result.target) == (s, t)
+    assert [(j.source, j.target) for j in got.journeys] == pairs
+    assert [p.source for p in got.profiles] == sources
 
 
 def test_batch_stats_accounting(oahu_tiny_graph):
-    engine = BatchQueryEngine(oahu_tiny_graph, backend="serial", num_threads=1)
-    batch = engine.query_many([(0, 1), (1, 2)])
-    stats = batch.stats
+    request = BatchRequest(
+        journeys=(JourneyRequest(0, 1),), profiles=(ProfileRequest(2),)
+    )
+    stats = make_service(oahu_tiny_graph, backend="serial").batch(request).stats
     assert stats.num_queries == 2
     assert stats.backend == "serial"
     assert stats.kernel == "flat"
     assert stats.num_workers == 1
     assert stats.total_seconds > 0
     assert stats.queries_per_second > 0
-    assert stats.setup_seconds >= 0
+    assert stats.setup_seconds == 0.0
+
+    # One journey and one profile search are one fan-out of two items,
+    # not two short-circuited passes; setup is the pool spin-up.
+    stats = make_service(
+        oahu_tiny_graph, backend="processes"
+    ).batch(request).stats
+    assert stats.num_queries == 2
+    assert stats.backend == "processes"
+    assert stats.num_workers == 2
+    assert 0 < stats.setup_seconds < stats.total_seconds
 
 
-def test_single_query_shortcut_reports_effective_backend(oahu_tiny_graph):
-    """A ≤1-query batch runs serially whatever was configured; the
+@pytest.mark.parametrize("pairs", ([], [(0, 1)]), ids=["empty", "single"])
+def test_tiny_batch_reports_effective_backend(oahu_tiny_graph, pairs):
+    """A ≤1-item batch runs serially whatever was configured; the
     stats must say what actually ran."""
-    engine = BatchQueryEngine(
-        oahu_tiny_graph, backend="processes", workers=4, num_threads=1
-    )
-    stats = engine.query_many([(0, 1)]).stats
+    service = make_service(oahu_tiny_graph, backend="processes")
+    stats = service.batch(pairs).stats
+    assert stats.num_queries == len(pairs)
     assert stats.backend == "serial"
     assert stats.num_workers == 1
+    assert stats.setup_seconds == 0.0
 
 
-def test_invalid_configuration_rejected(oahu_tiny_graph):
-    with pytest.raises(ValueError, match="backend"):
-        BatchQueryEngine(oahu_tiny_graph, backend="gpu")
-    with pytest.raises(ValueError, match="worker"):
-        BatchQueryEngine(oahu_tiny_graph, workers=0)
-    with pytest.raises(ValueError, match="kernel"):
-        BatchQueryEngine(oahu_tiny_graph, kernel="rust")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_transit_service_batch_matches_engine(
-    oahu_tiny, oahu_tiny_graph, table, workload, backend
-):
-    """The TransitService facade's batch path must answer exactly what
-    a directly constructed BatchQueryEngine answers (same workload,
-    same backend, distance table on)."""
-    from repro.service import BatchRequest, ServiceConfig, TransitService
-
-    reference = BatchQueryEngine(
-        oahu_tiny_graph,
-        table,
-        kernel="flat",
-        backend=backend,
-        workers=2,
-        num_threads=2,
-    )
-    expected = reference.query_many(workload)
-
-    service = TransitService(
-        oahu_tiny,
-        ServiceConfig(
-            kernel="flat",
-            backend=backend,
-            workers=2,
-            num_threads=2,
-            use_distance_table=True,
-            transfer_fraction=0.3,
-        ),
-    )
-    got = service.batch(BatchRequest.from_pairs(workload))
-    assert len(got.journeys) == len(workload)
-    for (s, t), exp, res in zip(workload, expected, got.journeys):
-        assert res.stats.classification == exp.classification, (
-            f"{s}->{t} on {backend}"
-        )
-        assert_bitwise_equal(
-            exp,
-            type(exp)(
-                source=s,
-                target=t,
-                profile=res.profile,
-                classification=res.stats.classification,
-                settled_connections=res.stats.settled_connections,
-                time_per_thread=[],
-                merge_time=0.0,
-                total_time=0.0,
-            ),
-            f"{s}->{t} on {backend}",
-        )
-
-
-def test_batch_engine_reuses_injected_pack(oahu_tiny_graph, monkeypatch):
-    """With prepared artifacts injected, constructing batch engines
-    over the same dataset packs nothing (satellite: duplicate-packing
-    fix)."""
-    from repro.graph.td_arrays import packed_arrays
-    from repro.graph.station_graph import build_station_graph
-
-    arrays = packed_arrays(oahu_tiny_graph)
-    arrays.kernel_adjacency()
-    station_graph = build_station_graph(oahu_tiny_graph.timetable)
-
-    def failing_pack(graph):  # pragma: no cover - exercised on failure
-        raise AssertionError("injected pack must be reused, not rebuilt")
-
-    # Patch the engines' own fallback lookups (not just pack_td_graph,
-    # whose memoized per-graph cache is already warm for this fixture):
-    # any code path that ignores the injected arrays trips immediately.
-    monkeypatch.setattr(
-        "repro.query.table_query.packed_arrays", failing_pack
-    )
-    monkeypatch.setattr(
-        "repro.core.parallel.packed_arrays", failing_pack
-    )
-    for _ in range(3):
-        engine = BatchQueryEngine(
-            oahu_tiny_graph,
-            kernel="flat",
-            backend="serial",
-            num_threads=1,
-            arrays=arrays,
-            station_graph=station_graph,
-        )
-        batch = engine.query_many([(0, 5)])
-        assert len(batch) == 1
-        assert engine._engine._arrays is arrays
-        assert engine._engine.station_graph is station_graph
-        profiles = engine.profile_many([0])
-        assert len(profiles) == 1
-
-
-def test_two_engines_fork_concurrently_without_clobbering(
-    oahu_tiny_graph, table
-):
+def test_two_services_fork_concurrently_without_clobbering(oahu_tiny_graph):
     """Regression: fork-worker state used to live under one shared
-    module-global key, so two engines fanning out at the same time
-    clobbered each other's engine reference (one batch silently ran on
-    the other's distance table).  State is now keyed per fan-out and
-    each work item carries its own token."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    engine_plain = BatchQueryEngine(
-        oahu_tiny_graph, None, kernel="flat", backend="processes", workers=2
+    module-global key, so two fan-outs at the same time clobbered each
+    other (one batch silently ran on the other's distance table).
+    State is keyed per fan-out and each work item carries its token."""
+    plain = make_service(
+        oahu_tiny_graph, backend="processes", use_distance_table=False
     )
-    engine_table = BatchQueryEngine(
-        oahu_tiny_graph, table, kernel="flat", backend="processes", workers=2
+    table = make_service(oahu_tiny_graph, backend="processes")
+    request = BatchRequest.from_pairs(
+        random_station_pairs(oahu_tiny_graph.timetable, 6, seed=21)
     )
-    pairs = random_station_pairs(oahu_tiny_graph.timetable, 6, seed=21)
-
-    reference_plain = [
-        engine_plain._engine.query(s, t) for s, t in pairs
-    ]
-    reference_table = [
-        engine_table._engine.query(s, t) for s, t in pairs
-    ]
-
     with ThreadPoolExecutor(max_workers=2) as pool:
-        fut_plain = pool.submit(engine_plain.query_many, pairs)
-        fut_table = pool.submit(engine_table.query_many, pairs)
-        got_plain, got_table = fut_plain.result(), fut_table.result()
-
-    for (s, t), exp, got in zip(pairs, reference_plain, got_plain):
-        assert_bitwise_equal(exp, got, f"plain engine {s}->{t}")
-    for (s, t), exp, got in zip(pairs, reference_table, got_table):
-        assert_bitwise_equal(exp, got, f"table engine {s}->{t}")
+        futures = [
+            pool.submit(assert_batch_equals_singles, service, request, name)
+            for service, name in ((plain, "plain"), (table, "table"))
+        ]
+        got_plain, got_table = (f.result() for f in futures)
+    # The two services really are different engines over this workload.
+    assert [j.stats.classification for j in got_plain.journeys] != [
+        j.stats.classification for j in got_table.journeys
+    ]

@@ -3,8 +3,8 @@
 The server (``repro.server``) answers all traffic for a dataset
 through a single shared :class:`TransitService` on a worker-thread
 pool — so the facade's result cache, the shared
-:class:`StationToStationEngine`, the lazily-built batch engine, and
-the per-target via cache must all tolerate concurrent callers without
+:class:`StationToStationEngine` and the per-target via cache must all
+tolerate concurrent callers without
 changing a single answer.  This suite pins exactly that: N threads
 issuing interleaved profile / journey / batch requests must produce
 answers bitwise-identical to serial execution of the same workload.
@@ -17,7 +17,6 @@ import threading
 
 import numpy as np
 
-from repro.query.batch import BatchQueryEngine
 from repro.service import (
     BatchRequest,
     BatchResponse,
@@ -142,35 +141,3 @@ def test_concurrent_mixed_traffic_matches_serial(oahu_tiny):
     # The duplicated workload must have produced concurrent cache hits
     # (otherwise this test exercised less than the server does).
     assert shared.cache_stats.hits > 0
-
-
-def test_concurrent_first_batches_share_one_engine(oahu_tiny):
-    """The lazily-built batch engine must be constructed exactly once
-    even when the first batch calls race (the server's executor can
-    issue them from several worker threads at once)."""
-    service = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
-    built = []
-    original_init = BatchQueryEngine.__post_init__
-
-    def counting_init(self):
-        built.append(object())
-        return original_init(self)
-
-    BatchQueryEngine.__post_init__ = counting_init
-    try:
-        barrier = threading.Barrier(4)
-
-        def first_batch(offset):
-            barrier.wait()
-            service.batch([(offset, offset + 5)])
-
-        threads = [
-            threading.Thread(target=first_batch, args=(i,)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        BatchQueryEngine.__post_init__ = original_init
-    assert len(built) == 1, f"{len(built)} batch engines built, want 1"

@@ -5,7 +5,8 @@ Two contracts:
 1. **Answer equivalence** — for any dataset and config, the facade's
    profile / journey / batch answers are bitwise-identical to the
    pre-facade entry points (``parallel_profile_search``,
-   ``StationToStationEngine``, ``BatchQueryEngine``) it wraps.
+   ``StationToStationEngine``) it wraps; batch ≡ one request at a
+   time is ``tests/query/test_batch_engine.py``.
 2. **Prepare-once** — the expensive artifacts (graph pack, station
    graph, distance table) are built at most once per service instance,
    asserted via call counters on the underlying constructors.
@@ -21,13 +22,11 @@ from repro.core.parallel import parallel_profile_search
 from repro.graph.station_graph import build_station_graph
 from repro.graph.td_arrays import pack_td_graph
 from repro.graph.td_model import build_td_graph
-from repro.query.batch import BatchQueryEngine
 from repro.query.distance_table import build_distance_table
 from repro.query.table_query import StationToStationEngine
 from repro.query.transfer_selection import select_transfer_stations
 from repro.service import (
     BatchRequest,
-    JourneyRequest,
     ProfileRequest,
     ServiceConfig,
     TransitService,
@@ -106,44 +105,6 @@ def test_journey_matches_station_to_station_engine(
         )
         assert_profiles_bitwise_equal(
             expected.profile, got.profile, f"{s}->{t}"
-        )
-
-
-@pytest.mark.parametrize("backend", ("serial", "threads", "processes"))
-def test_batch_matches_batch_query_engine(oahu_tiny_graph, backend):
-    config = ServiceConfig(
-        kernel="flat", num_threads=2, backend=backend, workers=2
-    )
-    service = TransitService.from_graph(oahu_tiny_graph, config)
-    reference = BatchQueryEngine(
-        oahu_tiny_graph,
-        None,
-        kernel="flat",
-        backend=backend,
-        workers=2,
-        num_threads=2,
-    )
-    pairs = random_station_pairs(oahu_tiny_graph.timetable, 6, seed=3)
-    sources = [0, 5]
-    expected_j = reference.query_many(pairs)
-    expected_p = reference.profile_many(sources)
-    got = service.batch(
-        BatchRequest(
-            journeys=tuple(JourneyRequest(s, t) for s, t in pairs),
-            profiles=tuple(ProfileRequest(s) for s in sources),
-        )
-    )
-    assert len(got.journeys) == len(pairs)
-    assert len(got.profiles) == len(sources)
-    assert got.stats.num_queries == len(pairs) + len(sources)
-    for (s, t), exp, res in zip(pairs, expected_j, got.journeys):
-        assert res.stats.classification == exp.classification
-        assert_profiles_bitwise_equal(
-            exp.profile, res.profile, f"{s}->{t} on {backend}"
-        )
-    for s, exp, res in zip(sources, expected_p, got.profiles):
-        assert np.array_equal(res.raw.merged.labels, exp.merged.labels), (
-            f"source {s} on {backend}"
         )
 
 
@@ -269,9 +230,7 @@ def test_engines_share_the_prepared_pack(oahu_tiny):
     )
     prepared = service.prepared
     assert service._engine._arrays is prepared.arrays
-    batch_engine = service._batch()
-    assert batch_engine._engine._arrays is prepared.arrays
-    assert batch_engine._engine.station_graph is prepared.station_graph
+    assert service._engine.station_graph is prepared.station_graph
 
 
 def test_python_kernel_never_packs(oahu_tiny, monkeypatch):
@@ -297,8 +256,9 @@ def test_python_kernel_never_packs(oahu_tiny, monkeypatch):
 def test_invalid_configs_rejected_eagerly():
     with pytest.raises(ValueError, match="kernel"):
         ServiceConfig(kernel="gpu")
-    with pytest.raises(ValueError, match="backend"):
-        ServiceConfig(backend="mpi")
+    for backend in ("mpi", "threads"):
+        with pytest.raises(ValueError, match="backend"):
+            ServiceConfig(backend=backend)
     with pytest.raises(ValueError, match="strategy"):
         ServiceConfig(strategy="round-robin")
     with pytest.raises(ValueError, match="queue"):

@@ -139,34 +139,6 @@ class TestServiceResultCache:
         assert stats.hits == 3
         assert stats.misses == 3
 
-    def test_journey_many_shares_the_per_request_cache(self, oahu_tiny):
-        """Grouped journeys consult and populate the same per-request
-        entries single journeys use, and answers match one-at-a-time
-        execution exactly."""
-        service = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
-        single = service.journey(0, 5)
-
-        group = service.journey_many(
-            [JourneyRequest(0, 5), JourneyRequest(1, 6, 480)]
-        )
-        # (0, 5) was cached by the single call; (1, 6) is fresh.
-        assert group[0].stats.cache_hit
-        assert group[0].profile is single.profile
-        assert not group[1].stats.cache_hit
-
-        # The fresh answer was cached under its own key...
-        again = service.journey(JourneyRequest(1, 6, 480))
-        assert again.stats.cache_hit
-        assert again.profile is group[1].profile
-        # ...and matches one-at-a-time execution bitwise.
-        direct = TransitService(
-            oahu_tiny, ServiceConfig(num_threads=2)
-        ).journey(1, 6, departure=480)
-        assert np.array_equal(group[1].profile.deps, direct.profile.deps)
-        assert np.array_equal(group[1].profile.arrs, direct.profile.arrs)
-        assert group[1].arrival == direct.arrival
-        assert group[1].legs == direct.legs
-
     def test_hits_never_mutate_the_stored_entry(self, oahu_tiny):
         service = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
         service.journey(0, 5)
@@ -256,7 +228,7 @@ class TestServiceResultCache:
     def test_runtime_overrides_share_prepared_but_not_cache(self, oahu_tiny):
         service = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
         service.journey(0, 5)
-        sibling = service.with_runtime_overrides(workers=2, backend="threads")
+        sibling = service.with_runtime_overrides(workers=2, backend="processes")
         assert sibling.prepared is service.prepared
         assert sibling.config.workers == 2
         assert sibling.cache_stats.size == 0

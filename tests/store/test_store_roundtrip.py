@@ -262,7 +262,7 @@ def test_expected_config_mismatch_rejected(small_store):
     # runtime fields (same artifacts fit both).
     TransitService.load(small_store, config=ServiceConfig(num_threads=2))
     TransitService.load(
-        small_store, config=ServiceConfig(num_threads=7, backend="threads")
+        small_store, config=ServiceConfig(num_threads=7, backend="processes")
     )
 
 
@@ -271,10 +271,18 @@ def test_missing_store_rejected(tmp_path):
         TransitService.load(tmp_path / "nowhere")
 
 
-def test_invalid_manifest_config_rejected(small_store):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("kernel", "gpu"),
+        # A store written before the thread backend was removed.
+        ("backend", "threads"),
+    ],
+)
+def test_invalid_manifest_config_rejected(small_store, field, value):
     manifest_path = small_store / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["config"]["kernel"] = "gpu"
+    manifest["config"][field] = value
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(StoreError, match="invalid"):
         TransitService.load(small_store)
@@ -304,7 +312,7 @@ def test_prepare_config_hash_ignores_runtime_fields():
 
     base = ServiceConfig()
     runtime_twin = ServiceConfig(
-        num_threads=8, backend="threads", workers=2, result_cache_size=0
+        num_threads=8, backend="processes", workers=2, result_cache_size=0
     )
     assert prepare_config_hash(base) == prepare_config_hash(runtime_twin)
     assert prepare_config_hash(base) != prepare_config_hash(
@@ -360,11 +368,11 @@ def test_runtime_overridden_service_saves_its_own_config(
     runtime overrides never change the preparation recipe, the
     pre-override config matches too."""
     base = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
-    tuned = base.with_runtime_overrides(num_threads=8, backend="threads")
+    tuned = base.with_runtime_overrides(num_threads=8, backend="processes")
     tuned.save(tmp_path / "store")
     warm = TransitService.load(tmp_path / "store", config=tuned.config)
     assert warm.config.num_threads == 8
-    assert warm.config.backend == "threads"
+    assert warm.config.backend == "processes"
     TransitService.load(tmp_path / "store", config=base.config)
 
 

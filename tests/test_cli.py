@@ -222,10 +222,10 @@ class TestStoreCommands:
     def test_batch_from_store_runtime_overrides(self, store, capsys):
         assert main([
             "batch", "--from-store", str(store),
-            "--n-queries", "3", "--backend", "threads", "--workers", "2",
+            "--n-queries", "3", "--backend", "processes", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "backend=threads workers=2" in out
+        assert "backend=processes workers=2" in out
 
     def test_query_from_missing_store_fails_loudly(self, tmp_path):
         """A bad store dies with the CLI's clean one-line error, not a
@@ -374,7 +374,7 @@ class TestRemoteFlag:
             (["query", "--remote", url, "--source", "0", "--target", "5",
               "--cores", "2"], "--cores"),
             (["batch", "--remote", url, "--n-queries", "2",
-              "--backend", "threads"], "--backend"),
+              "--backend", "processes"], "--backend"),
             (["batch", "--remote", url, "--n-queries", "2",
               "--workers", "2"], "--workers"),
             (["profile", "--remote", url, "--source", "0",
