@@ -17,6 +17,10 @@ connection-setting profile search (SPCS) and its parallelization.
   service's batches.
 * :mod:`repro.core.merge` — merging per-thread labels and reading off
   reduced profiles.
+* :mod:`repro.core.multicriteria` — the §6 (arrival, transfers) search:
+  result types and the flat-array production kernel;
+  :mod:`repro.core.mc_reference` is its readable object-graph twin
+  (``kernel="python"`` services and the test oracle).
 """
 
 from repro.core.spcs import SPCSResult, spcs_profile_search
@@ -31,8 +35,10 @@ from repro.core.merge import MergedProfileResult, merge_thread_results
 from repro.core.multicriteria import (
     McProfileResult,
     McSPCSStats,
+    mc_kernel_search,
     mc_profile_search,
 )
+from repro.core.mc_reference import mc_reference_search
 from repro.core.parallel import (
     KERNELS,
     ParallelProfileResult,
@@ -54,7 +60,9 @@ __all__ = [
     "merge_thread_results",
     "McProfileResult",
     "McSPCSStats",
+    "mc_kernel_search",
     "mc_profile_search",
+    "mc_reference_search",
     "ParallelProfileResult",
     "ParallelRunStats",
     "parallel_profile_search",

@@ -25,20 +25,49 @@ pair by layering the connection index with a transfer count:
 The result stores, per (node, connection, transfer budget), the final
 arrival; per-station **Pareto profiles** are read off by reducing each
 transfer layer and stacking the fronts.
+
+Two implementations share the result type.  :func:`mc_kernel_search`
+is the production kernel, engineered like
+:mod:`repro.core.spcs_kernel`: it reads a packed
+:class:`~repro.graph.td_arrays.TDGraphArrays`, keeps labels, settled
+flags and ``maxconn`` in flat vectors, inlines travel-time evaluation
+and uses :mod:`heapq` with lazy deletion.
+:func:`repro.core.mc_reference.mc_reference_search` is the same
+algorithm written for reading, over the object graph; it serves
+``kernel="python"`` services and is the test oracle.
+
+Equivalence contract: for every input the kernel's reduced profiles
+(:meth:`McProfileResult.profile_points`), earliest arrivals
+(:meth:`~McProfileResult.arrival`, every budget) and Pareto fronts
+equal the reference's and the layered time-query baseline's
+(:mod:`repro.baselines.mc_time_query`).  Raw ``labels`` may differ on
+exact arrival ties: which of two equal-arrival items settles first —
+and so which one self-prunes the other — depends on the queue's
+tie-break, and reduction collapses either outcome to the same profile.
+``tests/core/test_mc_kernel_equivalence.py`` enforces the contract on
+generated adversarial timetables and pins a minimal tie case.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.functions.piecewise import INF_TIME
 from repro.functions.reduction import reduction_mask
+from repro.graph.td_arrays import TDGraphArrays, packed_arrays
 from repro.graph.td_model import TDGraph
-from repro.pq import QUEUE_FACTORIES
 
-__all__ = ["McProfileResult", "McSPCSStats", "mc_profile_search"]
+__all__ = [
+    "McProfileResult",
+    "McSPCSStats",
+    "mc_kernel_search",
+    "mc_profile_search",
+]
 
 
 @dataclass(slots=True)
@@ -116,84 +145,191 @@ def mc_profile_search(
     self_pruning: bool = True,
     queue: str = "binary",
 ) -> McProfileResult:
-    """Multi-criteria one-to-all profile search from ``source``."""
-    if not graph.is_station_node(source):
+    """Multi-criteria one-to-all profile search from ``source``: the
+    production kernel over the (memoized) packed twin of ``graph``.
+
+    ``queue`` is accepted so callers written against the reference's
+    signature keep working; the kernel always uses the lazy C heap.
+    """
+    del queue
+    return mc_kernel_search(
+        packed_arrays(graph),
+        source,
+        max_transfers=max_transfers,
+        self_pruning=self_pruning,
+    )
+
+
+def mc_kernel_search(
+    arrays: TDGraphArrays,
+    source: int,
+    *,
+    max_transfers: int = 5,
+    self_pruning: bool = True,
+) -> McProfileResult:
+    """Run the flat-array multi-criteria search from station ``source``.
+
+    ``arrays`` is produced by :func:`~repro.graph.td_arrays.pack_td_graph`.
+    Contract (module doc): reduced profiles, arrivals and Pareto fronts
+    are identical to :func:`~repro.core.mc_reference.mc_reference_search`
+    for every input; raw ``labels`` may differ on exact arrival ties.
+    """
+    if not arrays.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
     if max_transfers < 0:
         raise ValueError(f"max_transfers must be ≥ 0, got {max_transfers}")
 
-    timetable = graph.timetable
-    conns = timetable.outgoing_connections(source)
-    num_conns = len(conns)
+    dep_view, start_view = arrays.source_connection_arrays(source)
+    conn_deps = np.array(dep_view, dtype=np.int64)
+    num_conns = int(conn_deps.size)
     layers = max_transfers + 1
-    num_nodes = graph.num_nodes
-    conn_deps = np.asarray([c.dep_time for c in conns], dtype=np.int64)
+    num_nodes = arrays.num_nodes
+    num_stations = arrays.num_stations
+    period = arrays.period
+    per_node = num_conns * layers
+    size = num_nodes * per_node
+    INF = INF_TIME
 
-    labels = np.full((num_nodes, num_conns, layers), INF_TIME, dtype=np.int64)
+    # One label per (node, connection, layer) at
+    # ``(node * C + (C - 1 - i)) * L + k`` — the connection axis is
+    # stored reversed so that item order is pop order (see the heap
+    # below); ``result.labels`` un-reverses it with a negative stride.
+    #
+    # The store is an ``array('q')`` buffer that numpy views zero-copy,
+    # not a Python list as in spcs_kernel: N·C·L boxed ints peak at ~3x
+    # the bytes (tracemalloc, germany/medium: 4.5 vs 1.5 MB per search)
+    # and the result stays alive in the service's cache.  With two
+    # searches in flight a list-backed prototype raised e2ebench
+    # zoo_session ``rss_mb`` 99.7 → 134.0 (bound: 15 %); the buffer
+    # costs what the reference's numpy labels cost, at the same speed.
+    labels = array("q", [INF]) * size
+    view = np.frombuffer(labels, dtype=np.int64).reshape(
+        num_nodes, num_conns, layers
+    )[:, ::-1, :]
     stats = McSPCSStats()
     result = McProfileResult(
         source=source,
         conn_deps=conn_deps,
         max_transfers=max_transfers,
-        labels=labels,
+        labels=view,
         stats=stats,
-        period=timetable.period,
+        period=period,
     )
     if num_conns == 0:
         return result
 
-    # maxconn[v, k]: highest connection index settled at v with ≤ k
-    # transfers (running maximum over layers is maintained on settle).
-    maxconn = np.full((num_nodes, layers), -1, dtype=np.int64)
-    settled = np.zeros((num_nodes, num_conns, layers), dtype=bool)
-    is_station = [graph.is_station_node(u) for u in range(num_nodes)]
-    adjacency = graph.adjacency
-    pq = QUEUE_FACTORIES[queue]()
+    settled = bytearray(size)
+    # maxconn[v * L + k]: highest connection index settled at v with
+    # ≤ k transfers; non-decreasing in k by construction.
+    maxconn = [-1] * (num_nodes * layers)
+    adjacency = arrays.kernel_adjacency()
+    last = num_conns - 1
 
-    def encode(node: int, i: int, k: int) -> int:
-        return (node * num_conns + i) * layers + k
+    # Heap entries are the single int ``key * size + item``, so heapq
+    # compares ints instead of tuples and equal keys pop in ascending
+    # item order: at one node the *later* connection first, then the
+    # *smaller* transfer count.  That order is what makes the layered
+    # self-pruning fire on ties — the later, cheaper item settles and
+    # raises maxconn before the item it dominates pops.  Popping in
+    # ascending (i, k) instead lets the dominated item relax its edges
+    # first: on germany/medium sources that settled 15–69 k items per
+    # search where the reference settles 13–20 k; this order settles
+    # fewer than the reference (12–18 k).
+    # ``tests/core/test_mc_kernel_equivalence.py`` guards both findings.
+    heap: list[int] = []
+    settled_n = pruned = pushes = 0
 
-    for i, c in enumerate(conns):
-        node = graph.source_route_node(c)
-        if c.dep_time < labels[node, i, 0]:
-            labels[node, i, 0] = c.dep_time
-            pq.push(encode(node, i, 0), c.dep_time)
-            stats.queue_pushes += 1
+    for i, (dep, node) in enumerate(zip(conn_deps.tolist(), start_view.tolist())):
+        item = (node * num_conns + last - i) * layers
+        if dep < labels[item]:
+            labels[item] = dep
+            heappush(heap, dep * size + item)
+            pushes += 1
 
-    while pq:
-        item, key = pq.pop()
-        rest, k = divmod(item, layers)
-        node, i = divmod(rest, num_conns)
-        if settled[node, i, k] or key > labels[node, i, k]:
-            continue
-        settled[node, i, k] = True
-        stats.settled += 1
+    while heap:
+        entry = heappop(heap)
+        key = entry // size
+        item = entry - key * size
+        if settled[item] or key > labels[item]:
+            continue  # stale lazy-heap entry
+        settled[item] = 1
+        settled_n += 1
+        node = item // per_node
+        rest = item - node * per_node
+        rev = rest // layers
+        k = rest - rev * layers
 
-        if self_pruning and maxconn[node, k] >= i:
-            # Dominated: a later (or the same) connection reached this
-            # node no later using no more transfers.
-            stats.pruned += 1
-            labels[node, i, k] = INF_TIME
-            continue
         if self_pruning:
-            # This settle dominates every higher transfer budget too.
-            np.maximum(maxconn[node, k:], i, out=maxconn[node, k:])
-        labels[node, i, k] = key
-
-        boarding_from_station = is_station[node]
-        for edge in adjacency[node]:
-            k_next = k + 1 if (edge.ttf is None and boarding_from_station) else k
-            if k_next >= layers:
+            i = last - rev
+            m = node * layers + k
+            if maxconn[m] >= i:
+                # Dominated: a later (or the same) connection reached
+                # this node no later using no more transfers.
+                pruned += 1
+                labels[item] = INF
                 continue
-            t_next = edge.arrival(key)
-            head = edge.target
-            if t_next < labels[head, i, k_next] and not settled[head, i, k_next]:
-                labels[head, i, k_next] = t_next
-                if pq.push(encode(head, i, k_next), t_next):
-                    stats.queue_pushes += 1
+            # This settle dominates every higher transfer budget too.
+            for j in range(m, m - k + layers):
+                if maxconn[j] >= i:
+                    break
+                maxconn[j] = i
+
+        # Boarding edges (constant edges out of a station node) use up
+        # one transfer; at the top layer there is none left.
+        board = 1 if node < num_stations else 0
+        no_board = board and k == max_transfers
+        for head, weight, ttf in adjacency[node]:
+            head_item = item + (head - node) * per_node
+            if ttf is None:
+                if no_board:
+                    continue
+                head_item += board
+                t_next = key + weight
+            else:
+                deps, durs, fifo, n = ttf
+                tau = key % period
+                idx = bisect_left(deps, tau)
+                if fifo:
+                    # Next departure is optimal (arrivals non-decreasing).
+                    if idx < n:
+                        t_next = key + deps[idx] - tau + durs[idx]
+                    elif n:
+                        t_next = key + period + deps[0] - tau + durs[0]
+                    else:
+                        t_next = INF  # zero-point function
+                else:
+                    # Cyclic two-pass scan, cf. TravelTimeFunction.arrival.
+                    best = INF
+                    for j in range(idx, n):
+                        wait = deps[j] - tau
+                        if wait >= best:
+                            break
+                        total = wait + durs[j]
+                        if total < best:
+                            best = total
+                    else:
+                        for j in range(idx):
+                            wait = period + deps[j] - tau
+                            if wait >= best:
+                                break
+                            total = wait + durs[j]
+                            if total < best:
+                                best = total
+                    t_next = key + best if best < INF else INF
+            if t_next < labels[head_item] and not settled[head_item]:
+                labels[head_item] = t_next
+                heappush(heap, t_next * size + head_item)
+                pushes += 1
+
+    stats.settled = settled_n
+    stats.pruned = pruned
+    stats.queue_pushes = pushes
 
     # Fill upward: an arrival achieved with k transfers is achievable
     # with any larger budget (query convenience; dominance-pruned INF
-    # entries inherit the better lower-layer value).
-    np.minimum.accumulate(labels, axis=2, out=labels)
+    # entries inherit the better lower-layer value).  One strided pass
+    # per layer: ``np.minimum.accumulate`` over an axis this short is
+    # ~3x slower.
+    for k in range(1, layers):
+        np.minimum(view[:, :, k], view[:, :, k - 1], out=view[:, :, k])
     return result

@@ -44,7 +44,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.fanout import fan_out
-from repro.core.multicriteria import mc_profile_search
+from repro.core.mc_reference import mc_reference_search
+from repro.core.multicriteria import mc_kernel_search
 from repro.core.parallel import parallel_profile_search
 from repro.functions.piecewise import INF_TIME
 from repro.query.batch import BatchStats
@@ -627,17 +628,29 @@ class TransitService:
         """The shared multi-criteria one-to-all search, memoized in the
         result cache under :class:`_McSearchKey` — so any mix of
         multicriteria / min-transfers requests over one source pays one
-        search."""
+        search.  Like the SPCS paths it runs the flat kernel on the
+        dataset's packed arrays (slice-patched after a delay swap) when
+        ``kernel="flat"`` packed them, else the object-graph reference.
+        """
         key = _McSearchKey(source, max_transfers)
         raw = self._result_cache.get(key)
         if raw is None:
-            raw = mc_profile_search(
-                self.prepared.graph,
-                source,
-                max_transfers=max_transfers,
-                self_pruning=self.config.self_pruning,
-                queue=self.config.queue,
-            )
+            prepared = self.prepared
+            if prepared.arrays is not None:
+                raw = mc_kernel_search(
+                    prepared.arrays,
+                    source,
+                    max_transfers=max_transfers,
+                    self_pruning=self.config.self_pruning,
+                )
+            else:
+                raw = mc_reference_search(
+                    prepared.graph,
+                    source,
+                    max_transfers=max_transfers,
+                    self_pruning=self.config.self_pruning,
+                    queue=self.config.queue,
+                )
             self._result_cache.put(key, raw)
         return raw
 
@@ -677,12 +690,13 @@ class TransitService:
         )
 
     def _mc_stats(self, kind: str, settled: int, total: float) -> QueryStats:
-        # The multi-criteria engine is the sequential §6 search: no
-        # flat-kernel variant, no parallel driver — accounted as one
-        # python thread whatever the service's journey configuration.
+        # The multi-criteria engine is the sequential §6 search: it
+        # follows the service's kernel (the same test as _mc_search)
+        # but has no parallel driver — accounted as one thread whatever
+        # the service's journey configuration.
         return QueryStats(
             kind=kind,
-            kernel="python",
+            kernel="flat" if self.prepared.arrays is not None else "python",
             num_threads=1,
             settled_connections=settled,
             simulated_seconds=total,

@@ -14,10 +14,16 @@ request                      engine path
 :class:`ProfileRequest`      :func:`~repro.core.parallel.parallel_profile_search`
 :class:`JourneyRequest`      :meth:`~repro.query.table_query.StationToStationEngine.query`
 :class:`BatchRequest`        the two paths above, per item (:func:`~repro.core.fanout.fan_out`)
-:class:`MulticriteriaRequest`  :func:`~repro.core.multicriteria.mc_profile_search`
+:class:`MulticriteriaRequest`  the §6 search on the service's kernel (below)
 :class:`ViaRequest`          two chained :meth:`TransitService.journey` legs
-:class:`MinTransfersRequest`   :func:`~repro.core.multicriteria.mc_profile_search`
+:class:`MinTransfersRequest`   the same shared search, head of its front
 ===========================  ==============================================
+
+The §6 search is
+:func:`~repro.core.multicriteria.mc_kernel_search` over the packed
+arrays on a ``kernel="flat"`` service and
+:func:`~repro.core.mc_reference.mc_reference_search` over the object
+graph on a ``"python"`` one.
 """
 
 from __future__ import annotations

@@ -246,6 +246,7 @@ def test_python_kernel_never_packs(oahu_tiny, monkeypatch):
     assert service.prepared.arrays is None
     service.profile(0)
     service.journey(0, 5)
+    service.multicriteria(0, 5, departure=480)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +311,50 @@ def test_query_stats_shapes(oahu_tiny):
     j = service.journey(0, 5)
     assert j.stats.kind == "journey"
     assert j.stats.classification in ("local", "global", "table", "trivial")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_multicriteria_shapes_follow_and_report_the_kernel(
+    oahu_tiny, kernel, monkeypatch
+):
+    """``multicriteria`` / ``min_transfers`` run the flat search over
+    ``prepared.arrays`` on a ``flat`` service and the reference over
+    the object graph on a ``python`` one — and their stats name the
+    kernel that ran (they used to say ``"python"`` unconditionally)."""
+    import repro.service.facade as facade_mod
+
+    calls = []
+    for name in ("mc_kernel_search", "mc_reference_search"):
+        real = getattr(facade_mod, name)
+
+        def spy(data, *args, _name=name, _real=real, **kwargs):
+            calls.append((_name, data))
+            return _real(data, *args, **kwargs)
+
+        monkeypatch.setattr(facade_mod, name, spy)
+
+    service = TransitService(oahu_tiny, ServiceConfig(kernel=kernel))
+    front = service.multicriteria(2, 5, departure=480)
+    fewest = service.min_transfers(2, 9, departure=480)
+    prepared = service.prepared
+    # One shared search, on the service's own artifacts.
+    if kernel == "flat":
+        assert [name for name, _ in calls] == ["mc_kernel_search"]
+        assert calls[0][1] is prepared.arrays
+    else:
+        assert [name for name, _ in calls] == ["mc_reference_search"]
+        assert calls[0][1] is prepared.graph
+    for stats in (front.stats, fewest.stats):
+        assert (stats.kernel, stats.num_threads) == (kernel, 1)
+        assert stats.settled_connections > 0
+
+    other = TransitService(
+        oahu_tiny,
+        ServiceConfig(kernel="python" if kernel == "flat" else "flat"),
+    )
+    assert other.multicriteria(2, 5, departure=480).options == front.options
+    twin = other.min_transfers(2, 9, departure=480)
+    assert (twin.transfers, twin.arrival) == (fewest.transfers, fewest.arrival)
 
 
 def test_profile_request_thread_override(oahu_tiny):

@@ -25,7 +25,7 @@ import threading
 import pytest
 
 from repro.baselines.mc_time_query import mc_time_query
-from repro.core.multicriteria import mc_profile_search
+from repro.core.mc_reference import mc_reference_search
 from repro.functions.piecewise import INF_TIME
 from repro.service import (
     JourneyRequest,
@@ -235,7 +235,7 @@ class TestMinTransfersOracle:
         for service in services(request):
             n = service.timetable.num_stations
             src = source % n
-            raw = mc_profile_search(
+            raw = mc_reference_search(
                 service.prepared.graph,
                 src,
                 max_transfers=5,

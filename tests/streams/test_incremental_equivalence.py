@@ -12,6 +12,12 @@ every graph edge and every distance-table profile of the patched
 dataset must equal a cold service built from scratch on the delayed
 timetable, and so must the answers of all three query shapes (journey,
 one-to-all profile, batch) on both kernels.
+
+The multi-criteria shapes (``multicriteria``, ``min_transfers``) get
+the same treatment after a *sequence* of incremental batches: on a
+``flat`` service their search reads the slice-patched packed arrays,
+so it must answer exactly as a cold rebuild and as the reference
+multi-criteria search on the rebuilt graph.
 """
 
 from __future__ import annotations
@@ -22,7 +28,15 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.service import BatchRequest, ServiceConfig, TransitService
+from repro.core.mc_reference import mc_reference_search
+from repro.functions.piecewise import INF_TIME
+from repro.service import (
+    BatchRequest,
+    MinTransfersRequest,
+    MulticriteriaRequest,
+    ServiceConfig,
+    TransitService,
+)
 from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.delays import Delay, apply_delays
 
@@ -234,6 +248,60 @@ def test_incremental_bitwise_equals_cold_rebuild(name, seed):
         assert_profiles_bitwise_equal(
             c.profile, w.profile, f"{name}-s{seed}: batch {s}->{t}"
         )
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_incremental_sequence_multicriteria_equals_cold_and_reference(
+    name, seed
+):
+    """Three incremental batches in a row, then both multi-criteria
+    shapes: patched service ≡ cold rebuild (answers, legs, work) ≡ the
+    reference search on the rebuilt object graph."""
+    timetable, config, base = _case(name, seed)
+    warm, delayed = base, timetable
+    for step in range(3):
+        delays, slack = _random_batch(timetable, seed + 100 * step)
+        warm = warm.apply_delays(
+            delays, slack_per_leg=slack, mode="incremental"
+        )
+        delayed = apply_delays(delayed, delays, slack_per_leg=slack)
+    cold = TransitService(delayed, config)
+    context = f"{name}-s{seed}"
+    _assert_prepared_bitwise_equal(cold.prepared, warm.prepared, context)
+
+    max_transfers = 3
+    source = random_station_pairs(timetable, 1, seed=seed + 1)[0][0]
+    reference = mc_reference_search(
+        cold.prepared.graph, source, max_transfers=max_transfers
+    )
+    for target in range(timetable.num_stations):
+        for departure in (0, 480, timetable.period - 1):
+            where = f"{context}: {source}->{target}@{departure}"
+            front = (
+                reference.pareto_front(target, departure)
+                if target != source
+                else [(0, departure)]
+            )
+
+            mc = MulticriteriaRequest(source, target, departure, max_transfers)
+            w, c = warm.multicriteria(mc), cold.multicriteria(mc)
+            assert [(o.transfers, o.arrival) for o in w.options] == front, where
+            assert w.options == c.options, where
+            assert w.legs == c.legs, where
+
+            mt = MinTransfersRequest(source, target, departure, max_transfers)
+            w2, c2 = warm.min_transfers(mt), cold.min_transfers(mt)
+            head = front[0] if front else (None, INF_TIME)
+            assert (w2.transfers, w2.arrival) == head, where
+            assert (w2.transfers, w2.arrival, w2.legs) == (
+                c2.transfers, c2.arrival, c2.legs,
+            ), where
+
+            for got, expected in ((w.stats, c.stats), (w2.stats, c2.stats)):
+                assert got.kernel == config.kernel, where
+                assert (
+                    got.settled_connections == expected.settled_connections
+                ), where
 
 
 @pytest.mark.parametrize(
