@@ -7,7 +7,8 @@ connection-setting profile search (SPCS) and its parallelization.
 * :mod:`repro.core.spcs_kernel` — the flat-array kernel: the same
   algorithm over a packed :class:`~repro.graph.td_arrays.TDGraphArrays`
   with preallocated label vectors and a C heap; identical reduced
-  profiles, several times faster (``kernel="flat"`` in the drivers).
+  profiles, several times faster (``kernel="flat"`` in the drivers);
+  the §4 rules the reference asks its hook about are inlined here.
 * :mod:`repro.core.partition` — partitioning ``conn(S)`` over threads
   (§3.2): equal time-slots, equal #connections, k-means.
 * :mod:`repro.core.parallel` — the parallel driver and the

@@ -54,7 +54,8 @@ def merge_thread_results(
     ``num_connections`` is ``|conn(S)|``; each thread contributes the
     columns listed in its ``conn_indices``.  Thread subsets must be
     disjoint; uncovered columns stay ``INF_TIME`` (legal — the driver
-    may run a restricted query).
+    may run a restricted query).  A single run over all of ``conn(S)``
+    is passed through: the merged labels alias that run's labels.
     """
     if not results:
         raise ValueError("merge requires at least one thread result")
@@ -66,6 +67,17 @@ def merge_thread_results(
             raise ValueError("thread results disagree on the source station")
         if r.labels.shape[0] != num_nodes or r.period != period:
             raise ValueError("thread results disagree on the graph")
+
+    if len(results) == 1 and results[0].conn_indices.size == num_connections:
+        # One run over all of conn(S) — strictly ascending in-range
+        # indices, so the identity: its labels *are* the merged labels.
+        only = results[0]
+        return MergedProfileResult(
+            source=source,
+            conn_deps=only.conn_deps,
+            labels=only.labels,
+            period=period,
+        )
 
     labels = np.full((num_nodes, num_connections), INF_TIME, dtype=np.int64)
     conn_deps = np.zeros(num_connections, dtype=np.int64)

@@ -15,8 +15,10 @@ through two optional hooks:
 * ``pruner`` — an object receiving settle events and deciding distance-
   table pruning (Theorems 3/4); see :mod:`repro.query.table_query`.
   Verdicts are the integer codes :data:`PRUNE_NONE` /
-  :data:`PRUNE_NODE` / :data:`PRUNE_CONNECTION`, so any kernel that
-  speaks integers can drive the same hook objects.
+  :data:`PRUNE_NODE` / :data:`PRUNE_CONNECTION`.  Only this kernel
+  calls the hook: the flat kernel reads the same pruner object's state
+  and applies the rules inside its loop, and is tested against this
+  pairing.
 
 This module is the **reference implementation**: object-graph
 adjacency, dataclass results, an addressable queue — optimized for
@@ -28,8 +30,8 @@ and a C heap; ``kernel="flat"`` in
 :func:`~repro.core.parallel.parallel_profile_search` and the query
 engines selects it.  ``tests/core/test_kernel_equivalence.py`` holds
 the two implementations (and the label-correcting baseline) equal on
-randomized instances; ``docs/KERNEL.md`` documents the layout and the
-hook-to-verdict-code mapping.
+randomized instances; ``docs/KERNEL.md`` documents the layout and where
+each §4 rule sits in either kernel.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Same algorithm as :func:`repro.core.spcs.spcs_profile_search` — one
 queue item per (node, connection) pair, connection-setting,
-self-pruning, the stopping criterion and the pruner hook — but engineered
-for interpreter throughput instead of readability:
+self-pruning, the stopping criterion and the §4 distance-table rules —
+but engineered for interpreter throughput instead of readability:
 
 * the graph is a :class:`~repro.graph.td_arrays.TDGraphArrays` pack;
   adjacency, travel-time functions and labels live in flat arrays and
@@ -11,18 +11,20 @@ for interpreter throughput instead of readability:
 * labels, settled flags and ancestry bits are preallocated flat
   vectors indexed by ``node * num_local + k`` — no tuple construction
   or 2-D numpy scalar indexing in the loop;
-* the queue is C-implemented :mod:`heapq` with lazy deletion (stale
-  entries are skipped when their key exceeds the current label);
+* the queue is C-implemented :mod:`heapq` over single-int entries with
+  lazy deletion (stale entries are skipped when their key exceeds the
+  current label);
 * travel-time evaluation is inlined: FIFO legs take the
   next-departure fast path, non-FIFO legs fall back to the cyclic
-  two-pass scan of :meth:`TravelTimeFunction.arrival`.
-
-Hooks keep their integer-verdict protocol: a
-:class:`~repro.core.spcs.SettlePruner` receives the same
-``on_settle(node, conn_index, arrival, ancestry_complete)`` events and
-answers with ``PRUNE_NONE`` / ``PRUNE_NODE`` / ``PRUNE_CONNECTION``, so
-the distance-table machinery of :mod:`repro.query.table_query` runs on
-either implementation unchanged.
+  two-pass scan of :meth:`TravelTimeFunction.arrival`;
+* Theorems 3 and 4 are inlined too.  The reference kernel asks a
+  :class:`~repro.core.spcs.SettlePruner` hook once per settle; this
+  loop reads the *same* per-query state object
+  (:class:`~repro.query.table_query.DistanceTablePruner`) as flat data
+  and evaluates the table profiles with ``bisect`` on their list
+  mirrors, so a search makes no Python call per settle.  The hook is
+  the readable statement of the rules and the oracle for this loop
+  (``tests/query/test_table_kernel_equivalence.py``).
 
 Equivalence contract: for every input the kernel produces the same
 reduced profiles (and therefore the same earliest arrivals) as the
@@ -37,23 +39,20 @@ instances; the pure-Python path stays as the reference implementation.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.spcs import (
-    PRUNE_CONNECTION,
-    PRUNE_NODE,
-    SettlePruner,
-    SPCSResult,
-    SPCSStats,
-    spcs_profile_search,
-)
+from repro.core.spcs import SPCSResult, SPCSStats, spcs_profile_search
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_arrays import TDGraphArrays
 from repro.graph.td_model import TDGraph
+
+if TYPE_CHECKING:
+    from repro.query.table_query import DistanceTablePruner
 
 
 def run_spcs_search(
@@ -64,14 +63,17 @@ def run_spcs_search(
     connection_subset: Sequence[int] | None = None,
     self_pruning: bool = True,
     target: int | None = None,
-    pruner: "SettlePruner | None" = None,
-    transfer_stations: "np.ndarray | None" = None,
+    pruner: "DistanceTablePruner | None" = None,
     queue: str = "binary",
 ) -> SPCSResult:
     """Dispatch one SPCS run: flat kernel when ``arrays`` is given,
     otherwise the reference implementation (``queue`` applies only
     there).  The single dispatch point shared by the parallel driver,
-    its fork workers and the station-to-station engine."""
+    its fork workers and the station-to-station engine.
+
+    ``pruner`` is the query's §4 state.  The reference kernel drives it
+    as a settle hook and tracks ancestry over its station mask; the
+    flat kernel reads the same state as flat data."""
     if arrays is not None:
         return spcs_kernel_search(
             arrays,
@@ -79,8 +81,7 @@ def run_spcs_search(
             connection_subset=connection_subset,
             self_pruning=self_pruning,
             target=target,
-            pruner=pruner,
-            transfer_stations=transfer_stations,
+            table=pruner,
         )
     return spcs_profile_search(
         graph,
@@ -89,7 +90,7 @@ def run_spcs_search(
         self_pruning=self_pruning,
         target=target,
         pruner=pruner,
-        transfer_stations=transfer_stations,
+        transfer_stations=None if pruner is None else pruner.ancestry_mask,
         queue=queue,
     )
 
@@ -101,15 +102,19 @@ def spcs_kernel_search(
     connection_subset: Sequence[int] | None = None,
     self_pruning: bool = True,
     target: int | None = None,
-    pruner: "SettlePruner | None" = None,
-    transfer_stations: "np.ndarray | None" = None,
+    table: "DistanceTablePruner | None" = None,
 ) -> SPCSResult:
     """Run the flat-array SPCS from station ``source``.
 
-    Parameters mirror :func:`~repro.core.spcs.spcs_profile_search`
-    (minus ``queue`` — the kernel always uses the lazy C heap); see
-    there for semantics.  ``arrays`` is produced by
-    :func:`~repro.graph.td_arrays.pack_td_graph`.
+    ``connection_subset``, ``self_pruning`` and ``target`` mean what
+    they mean to :func:`~repro.core.spcs.spcs_profile_search`;
+    ``arrays`` is produced by
+    :func:`~repro.graph.td_arrays.pack_td_graph`.  ``table`` is the
+    query's distance-table state
+    (:class:`~repro.query.table_query.DistanceTablePruner`): the loop
+    reads its fields and applies Theorems 3 and 4 itself, it never
+    calls ``on_settle``.  Several runs over disjoint subsets may share
+    one state — µ, γ and the final arrivals are per connection.
     """
     if not arrays.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
@@ -130,81 +135,106 @@ def spcs_kernel_search(
     num_local = len(subset)
     num_nodes = arrays.num_nodes
     period = arrays.period
-    all_deps = arrays.conn_dep
-    all_starts = arrays.conn_start
+    INF = INF_TIME
+    size = num_nodes * num_local
     conn_indices = np.asarray(subset, dtype=np.int64)
     conn_deps = np.asarray(
-        [all_deps[conn_lo + g] for g in subset], dtype=np.int64
+        arrays.conn_dep[conn_lo + conn_indices], dtype=np.int64
     )
-
     stats = SPCSStats()
     if num_local == 0:
         return SPCSResult(
             source=source,
             conn_indices=conn_indices,
             conn_deps=conn_deps,
-            labels=np.full((num_nodes, 0), INF_TIME, dtype=np.int64),
+            labels=np.full((num_nodes, 0), INF, dtype=np.int64),
             stats=stats,
             period=period,
         )
 
-    INF = INF_TIME
-    size = num_nodes * num_local
-    # Heap entries are ``(key, -item)``: on equal arrival keys the
-    # *later* connection (larger local index) settles first, so
-    # self-pruning can kill the earlier one before it relaxes its edges
-    # — with ascending tie-break Theorem 1 would never fire on ties and
-    # the search visits measurably more pairs.
-    labels = [INF] * size
+    # One label per (node, local connection) at ``node * num_local + k``
+    # in an ``array('q')`` buffer that ``result.labels`` views without a
+    # copy: a one-to-all caller gets the matrix as it stands and a
+    # station-to-station caller reads one row of it.
+    labels = array("q", [INF]) * size
+    result = SPCSResult(
+        source=source,
+        conn_indices=conn_indices,
+        conn_deps=conn_deps,
+        labels=np.frombuffer(labels, dtype=np.int64).reshape(
+            num_nodes, num_local
+        ),
+        stats=stats,
+        period=period,
+    )
+
     settled = bytearray(size)
     maxconn = [-1] * num_nodes
-    globals_of = [int(g) for g in subset]
     adjacency = arrays.kernel_adjacency()
-    heap: list[tuple[int, int]] = []
 
-    settled_n = pruned_self = pruned_stop = pruned_table = 0
-    pushes = relaxed = 0
-
-    for k, g in enumerate(subset):
-        dep = int(all_deps[conn_lo + g])
-        node = int(all_starts[conn_lo + g])
+    # Heap entries are the single int ``key * size + (top - item)``:
+    # heapq compares ints instead of tuples, and on equal arrival keys
+    # the *later* item (larger node, then larger local index) pops
+    # first, so self-pruning can kill the earlier connection before it
+    # relaxes its edges — with ascending tie-break Theorem 1 would never
+    # fire on ties and the search visits measurably more pairs.
+    top = size - 1
+    heap: list[int] = []
+    starts = arrays.conn_start[conn_lo + conn_indices].tolist()
+    for k, (dep, node) in enumerate(zip(conn_deps.tolist(), starts)):
         item = node * num_local + k
         if dep < labels[item]:
             labels[item] = dep
-            heappush(heap, (dep, -item))
-            pushes += 1
+            heappush(heap, dep * size + top - item)
 
-    # Stopping criterion state (Theorem 2) and target-pruned connections
-    # (Theorem 4), exactly as in the reference implementation.
+    pruned_self = pruned_stop = pruned_table = stale = relaxed = 0
+
+    # Stopping criterion state (Theorem 2), as in the reference.
     t_max = -1
-    conn_stopped = bytearray(num_local) if pruner is not None else None
 
-    track_ancestry = pruner is not None and transfer_stations is not None
-    if track_ancestry:
+    # §4 state.  Ancestry (every queue item of a connection has a
+    # contributing transfer station behind it) is the validity condition
+    # of γ, so it is tracked only when Theorem 4 is on.
+    prune_via = stop_at_target = False
+    if table is not None:
+        contributes = table.contributes
+        node_station = table.node_station
+        transfer_time = table.transfer_time
+        via_rows = table.via_rows
+        target_rows = table.target_rows
+        mu_of = table.mu
+        gamma_of = table.gamma
+        final_arrivals = table.final_arrivals
+        table_target = table.target
+        num_via = len(table.via)
+        prune_via = num_via > 0
+        stop_at_target = table.target_pruning
+        mu_updates = stops = 0
+    if stop_at_target:
+        conn_stopped = bytearray(num_local)
         anc = bytearray(size)
         no_anc_in_queue = [1] * num_local
-        station_mask = np.asarray(transfer_stations, dtype=bool)
-        node_is_transfer = station_mask[
-            np.asarray(arrays.node_station, dtype=np.int64)
-        ].tolist()
 
     while heap:
-        key, item = heappop(heap)
-        item = -item
+        entry = heappop(heap)
+        key = entry // size
+        item = top - entry % size
         if settled[item] or key > labels[item]:
-            continue  # stale lazy-heap entry
+            stale += 1  # lazy-heap leftover of an improved label
+            continue
         settled[item] = 1
-        settled_n += 1
-        node, k = divmod(item, num_local)
-        g = globals_of[k]
-        if track_ancestry and not anc[item]:
-            no_anc_in_queue[k] -= 1
+        node = item // num_local
+        k = item % num_local
+        g = subset[k]
+        if stop_at_target:
+            if not anc[item]:
+                no_anc_in_queue[k] -= 1
+            if conn_stopped[k]:
+                pruned_stop += 1
+                labels[item] = INF
+                continue
 
         if target is not None and g <= t_max:
-            pruned_stop += 1
-            labels[item] = INF
-            continue
-        if conn_stopped is not None and conn_stopped[k]:
             pruned_stop += 1
             labels[item] = INF
             continue
@@ -215,27 +245,104 @@ def spcs_kernel_search(
                 labels[item] = INF
                 continue
             maxconn[node] = g
-        labels[item] = key
 
-        if target is not None and node == target and g > t_max:
+        if node == target and g > t_max:
             t_max = g
 
-        if pruner is not None:
-            ancestry_complete = bool(
-                track_ancestry and no_anc_in_queue[k] == 0
-            )
-            verdict = pruner.on_settle(node, g, key, ancestry_complete)
-            if verdict == PRUNE_NODE:
-                pruned_table += 1
-                continue
-            if verdict == PRUNE_CONNECTION:
-                conn_stopped[k] = 1
-                continue
+        if table is not None and contributes[node]:
+            # A settle at a transfer station other than the source:
+            # the rules of ``DistanceTablePruner.on_settle``, in its
+            # order, on the list mirrors of the table profiles.
+            station = node_station[node]
+            transfer_here = transfer_time[station]
 
-        if track_ancestry:
-            push_anc = 1 if (anc[item] or node_is_transfer[node]) else 0
-        for head, weight, ttf in adjacency[node]:
-            relaxed += 1
+            if stop_at_target:
+                # Theorem 4: γ_i, a lower bound on the arrival at T ...
+                if station == table_target:
+                    lower = key
+                else:
+                    deps, arrs, n, tomorrow = (
+                        target_rows[station] or table.target_row(station)
+                    )
+                    if n:
+                        tau = key % period
+                        idx = bisect_left(deps, tau)
+                        if idx < n and arrs[idx] < tomorrow:
+                            lower = key - tau + arrs[idx]
+                        else:
+                            lower = key - tau + tomorrow
+                    else:
+                        lower = INF
+                gamma = gamma_of[g]
+                if lower < gamma:
+                    gamma = gamma_of[g] = lower
+                # ... met by an upper bound once it is valid: stop i.
+                if gamma < INF and not no_anc_in_queue[k]:
+                    if station == table_target:
+                        upper = key
+                    else:
+                        ready = key + transfer_here
+                        tau = ready % period
+                        idx = bisect_left(deps, tau)
+                        if idx < n and arrs[idx] < tomorrow:
+                            upper = ready - tau + arrs[idx]
+                        else:
+                            upper = ready - tau + tomorrow
+                    if upper <= gamma:
+                        if upper < final_arrivals.get(g, INF):
+                            final_arrivals[g] = upper
+                        stops += 1
+                        conn_stopped[k] = 1
+                        continue
+
+            if prune_via:
+                # Theorem 3: lower µ_{i,j} from this settle, and prune
+                # the node unless it can still matter at some via j.
+                mu = mu_of[g]
+                if mu is None:
+                    mu = mu_of[g] = [INF] * num_via
+                ready = key + transfer_here
+                ready_tau = ready % period
+                ready_day = ready - ready_tau
+                key_tau = key % period
+                key_day = key - key_tau
+                prunable = True
+                j = 0
+                for via_transfer, deps, arrs, n, tomorrow in (
+                    via_rows[station] or table.via_row(station)
+                ):
+                    if deps is None:  # this station is via j itself
+                        candidate = key + via_transfer
+                        lower = key
+                    elif n:
+                        idx = bisect_left(deps, ready_tau)
+                        if idx < n and arrs[idx] < tomorrow:
+                            candidate = ready_day + arrs[idx] + via_transfer
+                        else:
+                            candidate = ready_day + tomorrow + via_transfer
+                        if prunable:
+                            idx = bisect_left(deps, key_tau)
+                            if idx < n and arrs[idx] < tomorrow:
+                                lower = key_day + arrs[idx]
+                            else:
+                                lower = key_day + tomorrow
+                    else:  # via j unreachable from here: µ stays
+                        candidate = lower = INF
+                    if candidate < mu[j]:
+                        mu[j] = candidate
+                        mu_updates += 1
+                    if prunable and lower <= mu[j]:
+                        prunable = False
+                    j += 1
+                if prunable:
+                    pruned_table += 1
+                    continue
+
+        edges = adjacency[node]
+        relaxed += len(edges)
+        if stop_at_target:
+            push_anc = 1 if (anc[item] or contributes[node]) else 0
+        for head, weight, ttf in edges:
             if ttf is None:
                 t_next = key + weight
             else:
@@ -275,12 +382,9 @@ def spcs_kernel_search(
                     t_next = key + best if best < INF else INF
             head_item = head * num_local + k
             if t_next < labels[head_item] and not settled[head_item]:
-                was_queued = labels[head_item] < INF
-                labels[head_item] = t_next
-                heappush(heap, (t_next, -head_item))
-                pushes += 1
-                if track_ancestry:
-                    if was_queued:
+                if stop_at_target:
+                    if labels[head_item] < INF:
+                        # Decrease-key may flip the path's ancestry bit.
                         if anc[head_item] != push_anc:
                             no_anc_in_queue[k] += 1 if not push_anc else -1
                             anc[head_item] = push_anc
@@ -288,21 +392,19 @@ def spcs_kernel_search(
                         anc[head_item] = push_anc
                         if not push_anc:
                             no_anc_in_queue[k] += 1
+                labels[head_item] = t_next
+                heappush(heap, t_next * size + top - head_item)
 
-    stats.settled_connections = settled_n
+    # Every push is popped (the heap drains), live or stale; every live
+    # pop set its settled flag.
+    stats.settled_connections = settled.count(1)
+    stats.queue_pushes = stats.settled_connections + stale
     stats.pruned_self = pruned_self
     stats.pruned_stopping = pruned_stop
     stats.pruned_table = pruned_table
-    stats.queue_pushes = pushes
     stats.relaxed_edges = relaxed
-
-    return SPCSResult(
-        source=source,
-        conn_indices=conn_indices,
-        conn_deps=conn_deps,
-        labels=np.asarray(labels, dtype=np.int64).reshape(
-            num_nodes, num_local
-        ),
-        stats=stats,
-        period=period,
-    )
+    if table is not None:
+        table.prunes += pruned_table
+        table.connection_stops += stops
+        table.mu_updates += mu_updates
+    return result

@@ -27,7 +27,7 @@ from repro.timetable.periodic import DAY_MINUTES
 class Profile:
     """A reduced travel-time profile toward a single target station."""
 
-    __slots__ = ("deps", "arrs", "period", "_deps_list", "_arrs_list")
+    __slots__ = ("deps", "arrs", "period", "_mirror")
 
     def __init__(
         self,
@@ -52,11 +52,7 @@ class Profile:
         self.deps = deps_arr
         self.arrs = arrs_arr
         self.period = period
-        # Python-list mirrors for scalar evaluation: bisect on a list is
-        # several times faster than np.searchsorted on a scalar, and the
-        # distance-table pruner evaluates profiles once per settle.
-        self._deps_list: list[int] | None = None
-        self._arrs_list: list[int] | None = None
+        self._mirror: tuple[list[int], list[int], int, int] | None = None
 
     @classmethod
     def from_raw(
@@ -93,6 +89,27 @@ class Profile:
         """True when the target is unreachable for every departure."""
         return self.deps.size == 0
 
+    def mirror(self) -> tuple[list[int], list[int], int, int]:
+        """``(deps, arrs, n, tomorrow)`` as Python lists and ints, for
+        scalar evaluation: ``bisect`` on a list is several times faster
+        than ``np.searchsorted`` on a scalar.  ``tomorrow`` is the first
+        anchor's arrival one period on (``INF_TIME`` when empty).
+
+        Built on first use — mirroring a whole distance table eagerly
+        would cost more than the table — and published in **one**
+        store: searches on other threads evaluate the same table
+        profiles and must never see half a mirror.  The flat kernel
+        (:mod:`repro.core.spcs_kernel`) evaluates these tuples inline,
+        exactly as :meth:`earliest_arrival` does.
+        """
+        mirror = self._mirror
+        if mirror is None:
+            arrs = self.arrs.tolist()
+            tomorrow = self.period + arrs[0] if arrs else INF_TIME
+            mirror = (self.deps.tolist(), arrs, len(arrs), tomorrow)
+            self._mirror = mirror
+        return mirror
+
     def earliest_arrival(self, tau: int) -> int:
         """Earliest absolute arrival when departing at or after time
         point ``tau`` (reduced mod period).  ``INF_TIME`` if empty.
@@ -105,18 +122,13 @@ class Profile:
         same-day connection may lose to waiting past midnight).  The
         returned arrival is expressed relative to ``tau``'s day.
         """
-        if self._deps_list is None:
-            self._deps_list = self.deps.tolist()
-            self._arrs_list = self.arrs.tolist()
-        deps = self._deps_list
-        if not deps:
+        deps, arrs, n, tomorrow = self.mirror()
+        if not n:
             return INF_TIME
-        arrs = self._arrs_list
         tau_mod = tau % self.period
         base = tau - tau_mod
         idx = bisect_left(deps, tau_mod)
-        tomorrow = self.period + arrs[0]
-        if idx < len(deps):
+        if idx < n:
             today = arrs[idx]
             return base + (today if today < tomorrow else tomorrow)
         return base + tomorrow

@@ -18,6 +18,13 @@ subsets, and since all pruning state (``µ_{i,j}``, ``γ_i``, ``Tm``) is
 indexed per connection, sequentially sharing one pruner across thread
 runs is behaviourally identical to per-thread state.
 
+One :class:`DistanceTablePruner` per query holds that state.  The
+reference kernel consults it through the settle-hook protocol of
+:mod:`repro.core.spcs`; the flat kernel reads the same object as flat
+data and applies the rules inside its loop (``docs/KERNEL.md``).  A
+query keeps one row of labels — the target's — per subset, never the
+``nodes × connections`` matrix.
+
 The :class:`~repro.service.TransitService` facade is the usual way to
 reach this engine (``service.journey``): it injects the shared
 prepared artifacts via the ``arrays=``/``station_graph=`` parameters
@@ -33,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.merge import merge_thread_results
 from repro.core.partition import PARTITION_STRATEGIES
 from repro.core.spcs import PRUNE_CONNECTION, PRUNE_NODE, PRUNE_NONE
 from repro.core.parallel import KERNELS
@@ -48,7 +54,22 @@ from repro.query.via import ViaInfo, compute_via_stations
 
 
 class DistanceTablePruner:
-    """Implements Theorems 3 and 4 as an SPCS settle hook."""
+    """Theorems 3 and 4 for one query: the state, and the settle hook.
+
+    One state, two readers.  The reference kernel
+    (:func:`~repro.core.spcs.spcs_profile_search`) calls
+    :meth:`on_settle` once per live settle and acts on the verdict; the
+    flat kernel (:func:`~repro.core.spcs_kernel.spcs_kernel_search`)
+    applies the same rules inside its loop, reading the public fields
+    below directly.  ``on_settle`` is therefore both the readable
+    statement of the rules and the oracle the flat loop is tested
+    against — it evaluates ``D`` through the table, the loop through
+    the list mirrors :meth:`via_row` / :meth:`target_row` hand it.
+
+    ``num_connections`` (``|conn(source)|``), ``transfer_time`` and
+    ``contributes`` are per-source / per-engine constants the engine
+    hoists out of the query; each is derived here when omitted.
+    """
 
     def __init__(
         self,
@@ -59,37 +80,93 @@ class DistanceTablePruner:
         via_stations: tuple[int, ...],
         *,
         target_pruning: bool = True,
+        num_connections: int | None = None,
+        transfer_time: list[int] | None = None,
+        contributes: bytes | None = None,
     ) -> None:
         self._graph = graph
         self._table = table
-        self._source = source
-        self._target = target
-        self._via = via_stations
-        self._transfer_time = [s.transfer_time for s in graph.timetable.stations]
-        self._target_is_transfer = table.contains(target)
-        self._target_pruning = target_pruning and self._target_is_transfer
+        self.source = source
+        self.target = target
+        self.via = via_stations
+        #: Theorem 4 applies only to a transfer-station target.
+        self.target_pruning = target_pruning and table.contains(target)
+        self.node_station = graph.node_station
+        self.transfer_time = (
+            transfer_time
+            if transfer_time is not None
+            else [s.transfer_time for s in graph.timetable.stations]
+        )
+        #: Per node: its station is a transfer station other than the
+        #: source — the settles the rules look at, and the ancestors
+        #: that make γ valid.
+        self.contributes = (
+            contributes
+            if contributes is not None
+            else self.ancestry_mask[graph.node_station].tobytes()
+        )
+        num_conns = (
+            num_connections
+            if num_connections is not None
+            else len(graph.timetable.outgoing_connections(source))
+        )
         #: µ_{i,j}: upper bound on the earliest train catchable at via
         #: station j for connection i, even with a transfer there.
-        self._mu: dict[int, list[int]] = {}
-        #: Per-station cache of the via-station profiles (and target
-        #: profile) so the hot settle path avoids table index lookups.
-        self._via_profiles: dict[int, list] = {}
-        self._target_profiles: dict[int, object] = {}
+        self.mu: list[list[int] | None] = [None] * num_conns
         #: γ_i: tentative lower bound on the arrival at T (Theorem 4).
-        self._gamma: dict[int, int] = {}
+        self.gamma = [INF_TIME] * num_conns
         #: arr(T, i) recorded when target pruning stops connection i.
         self.final_arrivals: dict[int, int] = {}
+        #: Per station, filled on first settle there: the profiles to
+        #: the via stations / to the target as list mirrors.
+        self.via_rows: list[list[tuple] | None] = [None] * graph.num_stations
+        self.target_rows: list[tuple | None] = [None] * graph.num_stations
         #: Diagnostics.
         self.mu_updates = 0
         self.prunes = 0
         self.connection_stops = 0
 
+    @property
+    def ancestry_mask(self) -> np.ndarray:
+        """``S_trans`` without the source, as a station mask.
+
+        Ancestry must not count the source station itself: source
+        settles are skipped below (they have not boarded connection i),
+        so γ's validity condition has to require a *contributing*
+        transfer-station ancestor."""
+        mask = np.zeros(self._graph.num_stations, dtype=bool)
+        mask[self._table.transfer_stations] = True
+        mask[self.source] = False
+        return mask
+
+    def via_row(self, station: int) -> list[tuple]:
+        """``(T(via), deps, arrs, n, tomorrow)`` per via station — the
+        :meth:`Profile.mirror` of ``D(station, via, ·)``, ``deps`` None
+        where ``station`` is the via station itself."""
+        table = self._table
+        row = [
+            (self.transfer_time[via], None, None, 0, 0)
+            if station == via
+            else (
+                self.transfer_time[via],
+                *table.profile_between(station, via).mirror(),
+            )
+            for via in self.via
+        ]
+        self.via_rows[station] = row
+        return row
+
+    def target_row(self, station: int) -> tuple:
+        """The :meth:`Profile.mirror` of ``D(station, target, ·)``."""
+        row = self._table.profile_between(station, self.target).mirror()
+        self.target_rows[station] = row
+        return row
+
     def on_settle(
         self, node: int, conn_index: int, arrival: int, ancestry_complete: bool
     ) -> int:
-        graph = self._graph
-        station = graph.node_station[node]
-        if station == self._source:
+        station = self.node_station[node]
+        if station == self.source:
             # Settles that never left the source (its seed route nodes,
             # the source station node, re-boarding platforms) do not
             # represent paths starting with connection i: letting them
@@ -99,32 +176,23 @@ class DistanceTablePruner:
             # of the day, whose cheaper alternative wraps past midnight
             # to a smaller index that reduction cannot substitute.
             return PRUNE_NONE
-        if not self._table.contains(station):
+        table = self._table
+        if not table.contains(station):
             return PRUNE_NONE
-        transfer_here = self._transfer_time[station]
+        transfer_here = self.transfer_time[station]
+        dist = table.earliest_arrival  # D(a, b, τ); D(a, a, τ) = τ
 
-        if self._target_pruning:
-            target = self._target
-            target_profile = self._target_profiles.get(station)
-            if target_profile is None and station != target:
-                target_profile = self._table.profile_between(station, target)
-                self._target_profiles[station] = target_profile
-            gamma = self._gamma.get(conn_index, INF_TIME)
-            lower = (
-                arrival
-                if station == target
-                else target_profile.earliest_arrival(arrival)
-            )
-            if lower < gamma:
-                gamma = lower
-                self._gamma[conn_index] = gamma
+        if self.target_pruning:
+            target = self.target
+            gamma = min(self.gamma[conn_index], dist(station, target, arrival))
+            self.gamma[conn_index] = gamma
             if ancestry_complete and gamma < INF_TIME:
-                if station == target:
-                    upper = arrival
-                else:
-                    upper = target_profile.earliest_arrival(
-                        arrival + transfer_here
-                    )
+                # No transfer is needed to *be* at the target.
+                upper = dist(
+                    station,
+                    target,
+                    arrival if station == target else arrival + transfer_here,
+                )
                 if upper <= gamma:
                     best = self.final_arrivals.get(conn_index, INF_TIME)
                     if upper < best:
@@ -132,47 +200,27 @@ class DistanceTablePruner:
                     self.connection_stops += 1
                     return PRUNE_CONNECTION
 
-        if not self._via:
+        if not self.via:
             return PRUNE_NONE
 
-        # Per-station cache: (via station, its transfer time, profile or
-        # None when station == via).
-        cached = self._via_profiles.get(station)
-        if cached is None:
-            cached = [
-                (
-                    via,
-                    self._transfer_time[via],
-                    None
-                    if station == via
-                    else self._table.profile_between(station, via),
-                )
-                for via in self._via
-            ]
-            self._via_profiles[station] = cached
-
         # Theorem 3: update µ_{i,j} from this transfer-station settle...
-        mu = self._mu.get(conn_index)
+        mu = self.mu[conn_index]
         if mu is None:
-            mu = [INF_TIME] * len(self._via)
-            self._mu[conn_index] = mu
-        ready = arrival + transfer_here
-        for j, (via, via_transfer, profile) in enumerate(cached):
-            if profile is None:
-                candidate = arrival + via_transfer
-            else:
-                reach = profile.earliest_arrival(ready)
-                if reach >= INF_TIME:
-                    continue
-                candidate = reach + via_transfer
+            mu = self.mu[conn_index] = [INF_TIME] * len(self.via)
+        for j, via in enumerate(self.via):
+            # Already at via j: nothing to ride, no transfer before it.
+            ready = arrival if station == via else arrival + transfer_here
+            reach = dist(station, via, ready)
+            if reach >= INF_TIME:
+                continue
+            candidate = reach + self.transfer_time[via]
             if candidate < mu[j]:
                 mu[j] = candidate
                 self.mu_updates += 1
 
         # ... then prune if v provably cannot matter for any via station.
-        for j, (via, _via_transfer, profile) in enumerate(cached):
-            lower = arrival if profile is None else profile.earliest_arrival(arrival)
-            if lower <= mu[j]:
+        for j, via in enumerate(self.via):
+            if dist(station, via, arrival) <= mu[j]:
                 return PRUNE_NONE
         self.prunes += 1
         return PRUNE_NODE
@@ -209,10 +257,11 @@ class StationToStationEngine:
     ``kernel`` selects the per-subset search implementation: ``python``
     (the reference object-graph SPCS) or ``flat`` (the flat-array
     kernel over a packed :class:`TDGraphArrays`; identical reduced
-    profiles, several times faster).  All pruning hooks — the stopping
-    criterion, Theorem 3 distance-table pruning and Theorem 4 target
-    pruning — run identically on either kernel because the pruner
-    speaks the integer verdict-code protocol.
+    profiles, several times faster).  The stopping criterion,
+    Theorem 3 distance-table pruning and Theorem 4 target pruning give
+    the same verdicts on either kernel: both read one
+    :class:`DistanceTablePruner` state per query, the reference
+    through its settle hook, the flat kernel inline.
     """
 
     def __init__(
@@ -266,6 +315,13 @@ class StationToStationEngine:
         #: Per-target via info, reused across queries to the same
         #: target (the mask and station graph are fixed per engine).
         self._via_cache: dict[int, ViaInfo] = {}
+        # Constants of every pruned search, kept out of the query.
+        self._transfer_time = [
+            s.transfer_time for s in graph.timetable.stations
+        ]
+        #: Per source: the pruner's ``contributes`` node flags, kept
+        #: from the first pruner that derived them.
+        self._contributes: dict[int, bytes] = {}
 
     def needs_search(self, source: int, target: int) -> bool:
         """Whether :meth:`query` has to search at all: not for
@@ -339,28 +395,28 @@ class StationToStationEngine:
                 total_time=time.perf_counter() - start_total,
             )
 
-        timetable = graph.timetable
-        conns = timetable.outgoing_connections(source)
-        conn_deps = [c.dep_time for c in conns]
+        if self._arrays is not None:
+            conn_deps = np.asarray(
+                self._arrays.source_connection_arrays(source)[0],
+                dtype=np.int64,
+            )
+        else:
+            conns = graph.timetable.outgoing_connections(source)
+            conn_deps = np.asarray(
+                [c.dep_time for c in conns], dtype=np.int64
+            )
+        period = graph.timetable.period
         parts = PARTITION_STRATEGIES[self.strategy](
-            conn_deps, self.num_threads, timetable.period
+            conn_deps.tolist(), self.num_threads, period
         )
 
-        use_table = (
-            classification == "global"
-            and self.table is not None
-            and self.table_pruning
-            and via_info is not None
-        )
+        # One pruner for all subsets: µ, γ and the final arrivals are
+        # per connection, so the serially-run subsets share one state.
         pruner: DistanceTablePruner | None = None
-        if use_table:
-            pruner = DistanceTablePruner(
-                graph,
-                self.table,
-                source,
-                target,
-                tuple(sorted(via_info.via_stations)),
-                target_pruning=self.target_pruning,
+        if classification == "global" and via_info is not None:
+            via = tuple(sorted(via_info.via_stations))
+            pruner = self._pruner(
+                source, target, via, self.target_pruning, conn_deps.size
             )
         elif (
             self.table is not None
@@ -368,48 +424,37 @@ class StationToStationEngine:
             and self.table.contains(target)
         ):
             # Local query to a transfer-station target: Theorem 4 only.
-            pruner = DistanceTablePruner(
-                graph, self.table, source, target, (), target_pruning=True
-            )
+            pruner = self._pruner(source, target, (), True, conn_deps.size)
 
-        # Ancestry must not count the source station itself: the pruner
-        # skips source settles (they have not boarded connection i), so
-        # γ's validity condition has to require a *contributing*
-        # transfer-station ancestor.
-        ancestry_mask = None
-        if pruner is not None:
-            ancestry_mask = self._transfer_mask.copy()
-            ancestry_mask[source] = False
-
-        thread_results = []
+        # A station-to-station answer is one row of the label matrix:
+        # read it off each subset's run and merge rows, not matrices.
+        arrivals = np.full(conn_deps.size, INF_TIME, dtype=np.int64)
+        settled = 0
         times: list[float] = []
         for subset in parts:
             t0 = time.perf_counter()
-            thread_results.append(
-                run_spcs_search(
-                    graph,
-                    self._arrays,
-                    source,
-                    connection_subset=subset,
-                    target=target if self.stopping else None,
-                    pruner=pruner,
-                    transfer_stations=ancestry_mask,
-                    queue=self.queue,
-                )
+            run = run_spcs_search(
+                graph,
+                self._arrays,
+                source,
+                connection_subset=subset,
+                target=target if self.stopping else None,
+                pruner=pruner,
+                queue=self.queue,
             )
             times.append(time.perf_counter() - t0)
+            arrivals[run.conn_indices] = run.labels[target]
+            settled += run.stats.settled_connections
 
         t_merge = time.perf_counter()
-        merged = merge_thread_results(thread_results, len(conns))
         # Fold in arrivals recorded by target pruning (Theorem 4).
-        if pruner is not None and pruner.final_arrivals:
+        if pruner is not None:
             for g, arrival in pruner.final_arrivals.items():
-                if arrival < merged.labels[target, g]:
-                    merged.labels[target, g] = arrival
-        profile = merged.profile(target)
+                if arrival < arrivals[g]:
+                    arrivals[g] = arrival
+        profile = Profile.from_raw(conn_deps, arrivals, period)
         merge_time = time.perf_counter() - t_merge
 
-        settled = sum(r.stats.settled_connections for r in thread_results)
         return StationToStationResult(
             source=source,
             target=target,
@@ -422,3 +467,25 @@ class StationToStationEngine:
             table_prunes=pruner.prunes if pruner else 0,
             connection_stops=pruner.connection_stops if pruner else 0,
         )
+
+    def _pruner(
+        self,
+        source: int,
+        target: int,
+        via: tuple[int, ...],
+        target_pruning: bool,
+        num_connections: int,
+    ) -> DistanceTablePruner:
+        pruner = DistanceTablePruner(
+            self.graph,
+            self.table,
+            source,
+            target,
+            via,
+            target_pruning=target_pruning,
+            num_connections=num_connections,
+            transfer_time=self._transfer_time,
+            contributes=self._contributes.get(source),
+        )
+        self._contributes[source] = pruner.contributes
+        return pruner

@@ -40,59 +40,7 @@ from repro.graph.td_model import build_td_graph
 from repro.synthetic.instances import make_instance
 from repro.timetable.builder import TimetableBuilder
 
-# ---------------------------------------------------------------------------
-# Adversarial timetables
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def adversarial_timetables(draw):
-    """A small valid timetable built to hit the kernel's edge cases.
-
-    Each line runs ``stops`` with fixed per-leg durations at every
-    drawn departure.  Departures are drawn *with* repetition (duplicate
-    trains) and biased to the end of a short period (wrap-around); an
-    optional express repeats the first departure one minute later with
-    every leg shortened, overtaking the local.  Transfer times are
-    mostly zero.
-    """
-    period = draw(st.sampled_from([60, 240, 1440]))
-    num_stations = draw(st.integers(3, 6))
-    builder = TimetableBuilder(period=period, name="adversarial")
-    stations = [
-        builder.add_station(
-            f"s{k}", transfer_time=draw(st.sampled_from([0, 0, 1, 4]))
-        )
-        for k in range(num_stations)
-    ]
-    late = st.integers(period - 8, period - 1)  # wraps on the first leg
-    for line in range(draw(st.integers(2, 5))):
-        stops = draw(
-            st.lists(
-                st.sampled_from(stations), min_size=2, max_size=4, unique=True
-            )
-        )
-        legs = draw(
-            st.lists(
-                st.integers(1, 12),
-                min_size=len(stops) - 1,
-                max_size=len(stops) - 1,
-            )
-        )
-        departures = draw(
-            st.lists(
-                st.one_of(st.integers(0, period - 1), late),
-                min_size=1,
-                max_size=4,
-            )
-        )
-        runs = [(dep, legs) for dep in departures]
-        if draw(st.booleans()):
-            runs.append((departures[0] + 1, [max(1, d - 2) for d in legs]))
-        for n, (dep, durations) in enumerate(runs):
-            times = np.cumsum([dep, *durations]).tolist()
-            builder.add_trip(list(zip(stops, times)), name=f"l{line}-{n}")
-    return builder.build(require_fifo=False)
+from tests.strategies import adversarial_timetables
 
 
 def _probe_times(result, period: int) -> list[int]:

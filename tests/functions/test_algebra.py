@@ -1,5 +1,8 @@
 """Unit and property tests for profile functions and their algebra."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -146,3 +149,87 @@ class TestFifo:
     @given(a=reduced_profiles())
     def test_generated_profiles_fifo(self, a):
         assert a.is_fifo()
+
+
+class _StallingFirstTolist(np.ndarray):
+    """An array whose *first* ``tolist()`` parks its caller until
+    released — a deterministic stand-in for a thread switch in the
+    middle of building a profile's list mirror."""
+
+    entered: threading.Event
+    release: threading.Event
+
+    def tolist(self):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(10)
+        return np.asarray(self).tolist()
+
+
+class TestMirrorIsPublishedWhole:
+    def test_second_thread_never_sees_half_a_mirror(self):
+        """Regression: the mirror used to be two attributes filled by
+        two stores; a second executor thread evaluating the same
+        distance-table profile between them read ``_arrs_list is None``
+        and raised ``TypeError`` (a 500 on the served path)."""
+        profile = _profile()
+        stalling = profile.arrs.view(_StallingFirstTolist)
+        stalling.entered = threading.Event()
+        stalling.release = threading.Event()
+        profile.arrs = stalling
+
+        answers: dict[str, object] = {}
+
+        def evaluate(name: str) -> None:
+            try:
+                answers[name] = profile.earliest_arrival(530)
+            except Exception as exc:  # the bug: TypeError
+                answers[name] = exc
+
+        first = threading.Thread(target=evaluate, args=("first",))
+        first.start()
+        assert stalling.entered.wait(10)  # first is mid-build
+        second = threading.Thread(target=evaluate, args=("second",))
+        second.start()
+        second.join(10)
+        stalling.release.set()
+        first.join(10)
+        assert not first.is_alive() and not second.is_alive()
+        assert answers == {"first": 545, "second": 545}
+
+    def test_many_threads_first_evaluating_the_same_profiles(self):
+        """Stress form of the above: more threads than cores race to
+        the first evaluation of the same fresh profiles, with the
+        interpreter switching threads as often as it can."""
+        profiles = [
+            Profile([k, 600 + k], [k + 5, 700 + k]) for k in range(200)
+        ]
+        expected = [700 + k for k in range(200)]
+        failures: list[object] = []
+
+        def evaluate_all() -> None:
+            try:
+                got = [p.earliest_arrival(300) for p in profiles]
+                if got != expected:
+                    failures.append(got)
+            except Exception as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate_all) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+    def test_mirror_matches_arrays(self):
+        deps, arrs, n, tomorrow = _profile().mirror()
+        assert (deps, arrs, n) == ([480, 540, 600], [520, 545, 640], 3)
+        assert tomorrow == 1440 + 520
+        assert Profile([], []).mirror() == ([], [], 0, INF_TIME)
