@@ -1,7 +1,10 @@
 """`HttpBackend` — the stdlib-only remote transport.
 
 Speaks the :mod:`repro.server` wire protocol (see ``docs/SERVER.md``)
-over persistent HTTP/1.1 keep-alive connections:
+over persistent HTTP/1.1 keep-alive connections of its own
+(:class:`_Connection`: a request is one ``sendall``, a response is
+parsed out of one receive buffer — ``docs/CLIENT.md`` lists what HTTP
+it speaks and what it deliberately does not):
 
 * **connection pool** — up to ``pool_size`` idle connections are kept
   and reused across requests (and across threads: the pool is locked,
@@ -31,9 +34,10 @@ to :class:`LocalBackend` over the same prepared dataset
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
 import socket
+import ssl
 import time
 from dataclasses import dataclass, field
 from threading import Lock
@@ -92,41 +96,216 @@ class HttpBackendStats:
     responses_by_status: dict = field(default_factory=dict)
 
 
+#: A response head (status line + header block) that has not ended
+#: within this many bytes is refused.  Also the size of one ``recv``,
+#: so the receive buffer never holds more than twice this.
+MAX_HEAD_BYTES = 64 * 1024
+#: A request target is printable ASCII without a space, or not sent.
+_UNSAFE_IN_PATH = re.compile(r"[^\x21-\x7e]")
+
+
+class _HttpError(ValueError):
+    """The peer's bytes are not an HTTP/1.x response we can frame, or
+    the request could not be put on the wire as asked."""
+
+
+class _NoResponse(EOFError):
+    """EOF before the first response byte."""
+
+
+#: Failures that, on a *reused* connection, mean the server closed it
+#: while idle — before our request bytes were processed.
+_STALE_CONNECTION = (_NoResponse, ConnectionResetError, BrokenPipeError)
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection to one host.
+
+    :meth:`exchange` writes head and body in **one** ``sendall`` (the
+    request reaches the server as one segment, which wakes it once)
+    and frames the response out of one receive buffer: status line and
+    header block in one split, then a ``Content-Length`` body into a
+    buffer sized once, a chunked body decoded, or — neither declared —
+    everything up to the close.  No redirects, no proxies, no
+    ``Expect: 100-continue``; interim 1xx heads are skipped.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        timeout: float,
+        tls: ssl.SSLContext | None = None,
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self._tls = tls
+        name = f"[{host}]" if ":" in host else host
+        if port != (80 if tls is None else 443):
+            name = f"{name}:{port}"
+        self._host_line = f"Host: {name}"
+        self._sock: socket.socket | None = None
+        self._buf = bytearray()  # received, not yet consumed
+
+    def connect(self) -> None:
+        """Open the socket; every later socket operation (the TLS
+        handshake included) is bounded by ``timeout``."""
+        # Owned by close() from here on, also when the handshake fails.
+        self._sock = sock = socket.create_connection(
+            (self.host, self.port), timeout=self.timeout
+        )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self._tls is not None:
+            self._sock = self._tls.wrap_socket(sock, server_hostname=self.host)
+
+    def close(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
+
+    def exchange(
+        self,
+        method: str,
+        path: str,
+        body: bytes | None = None,
+        headers: dict[str, str] | None = None,
+    ) -> tuple[int, dict[str, str], bytes, bool]:
+        """One request, one response: ``(status, lowercased headers,
+        raw body, will_close)``.  ``will_close`` says the connection
+        cannot carry another exchange (``Connection: close``, an
+        HTTP/1.0 answer, or a body delimited by the close)."""
+        lines = [
+            f"{method} {path} HTTP/1.1",
+            self._host_line,
+            "Accept-Encoding: identity",
+        ]
+        if headers:
+            lines += [f"{name}: {value}" for name, value in headers.items()]
+        if body is not None:
+            lines.append(f"Content-Length: {len(body)}")
+        head = "\r\n".join(lines)
+        # One CRLF between lines and not a byte more: nothing a caller
+        # passed may start a header (or a request) of its own.
+        if _UNSAFE_IN_PATH.search(path) or not (
+            head.count("\r") == head.count("\n") == len(lines) - 1
+        ):
+            raise _HttpError(f"unsendable request target or header: {head!r}")
+        data = (head + "\r\n\r\n").encode("latin-1")
+        if self._sock is None:
+            self.connect()
+        self._sock.sendall(data + body if body else data)
+
+        status = 100
+        while 100 <= status < 200 and status != 101:  # skip interim heads
+            version, status, answered = self._read_head()
+        will_close = (
+            version == "HTTP/1.0"
+            or answered.get("connection", "").lower() == "close"
+        )
+        if method == "HEAD" or status < 200 or status in (204, 304):
+            raw = b""
+        elif "chunked" in answered.get("transfer-encoding", "").lower():
+            raw = self._read_chunked()
+        elif "content-length" in answered:
+            raw = self._read_exactly(int(answered["content-length"]))
+        else:  # delimited by the close
+            rest = iter(lambda: self._sock.recv(MAX_HEAD_BYTES), b"")
+            raw, will_close = bytes(self._buf) + b"".join(rest), True
+            self._buf.clear()
+        # Bytes past the body would be read as the next response.
+        return status, answered, raw, will_close or bool(self._buf)
+
+    # -- framing (a malformed number is a ValueError, mapped like
+    # -- _HttpError; EOF inside a response is an EOFError) ---------------
+
+    def _read_until(self, mark: bytes, *, first: bool = False) -> bytes:
+        """Consume the buffer up to and including ``mark``; returns
+        what came before it."""
+        buf = self._buf
+        while (end := buf.find(mark)) < 0:
+            if len(buf) > MAX_HEAD_BYTES:
+                raise _HttpError(
+                    f"no end of the response head in {len(buf)} bytes"
+                )
+            chunk = self._sock.recv(MAX_HEAD_BYTES)
+            if not chunk:
+                raise (_NoResponse if first and not buf else EOFError)(
+                    f"closed after {len(buf)} bytes of a response head"
+                )
+            buf += chunk
+        found = bytes(buf[:end])
+        del buf[: end + len(mark)]
+        return found
+
+    def _read_head(self) -> tuple[str, int, dict[str, str]]:
+        head = self._read_until(b"\r\n\r\n", first=True).decode("latin-1")
+        status_line, *lines = head.split("\r\n")
+        version, _, rest = status_line.partition(" ")
+        if not version.startswith("HTTP/1.") or not rest[:3].isdigit():
+            raise _HttpError(f"bad status line {status_line!r}")
+        answered: dict[str, str] = {}
+        for line in lines:
+            name, _, value = line.partition(":")
+            answered[name.strip().lower()] = value.strip()
+        return version, int(rest[:3]), answered
+
+    def _read_exactly(self, n: int) -> bytes:
+        buf = self._buf
+        body = bytearray(n)  # sized once; an absurd n raises here
+        have = min(n, len(buf))
+        body[:have] = buf[:have]
+        del buf[:have]
+        view = memoryview(body)
+        while have < n:
+            got = self._sock.recv_into(view[have:])
+            if not got:
+                raise EOFError(f"closed after {have} of {n} body bytes")
+            have += got
+        return bytes(body)
+
+    def _read_chunked(self) -> bytes:
+        parts = []
+        while size := int(self._read_until(b"\r\n").split(b";")[0], 16):
+            parts.append(self._read_exactly(size))
+            self._read_until(b"\r\n")
+        while self._read_until(b"\r\n"):
+            pass  # trailer fields
+        return b"".join(parts)
+
+
 class _ConnectionPool:
     """A small stack of reusable keep-alive connections to one host."""
 
     def __init__(
         self, scheme: str, host: str, port: int, *, size: int, timeout: float
     ) -> None:
-        self._factory = (
-            http.client.HTTPSConnection
-            if scheme == "https"
-            else http.client.HTTPConnection
-        )
+        self._tls = ssl.create_default_context() if scheme == "https" else None
         self.host = host
         self.port = port
         self.size = size
         self.timeout = timeout
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         self._lock = Lock()
 
-    def acquire(
-        self, *, fresh: bool = False
-    ) -> tuple[http.client.HTTPConnection, bool]:
+    def acquire(self, *, fresh: bool = False) -> tuple[_Connection, bool]:
         """Borrow a connection; ``True`` means it is reused (and may
         have been closed by the server while idle).  ``fresh`` skips
         the idle stack — for requests that must not race a stale
         keep-alive connection (non-idempotent posts, the re-send after
-        a stale one already failed)."""
+        a stale one already failed).  A new connection connects on its
+        first exchange."""
         if not fresh:
             with self._lock:
                 if self._idle:
                     return self._idle.pop(), True
-        return self._factory(self.host, self.port, timeout=self.timeout), False
+        conn = _Connection(
+            self.host, self.port, timeout=self.timeout, tls=self._tls
+        )
+        return conn, False
 
-    def release(
-        self, conn: http.client.HTTPConnection, *, reusable: bool
-    ) -> None:
+    def release(self, conn: _Connection, *, reusable: bool) -> None:
         if reusable:
             with self._lock:
                 if len(self._idle) < self.size:
@@ -388,12 +567,13 @@ class HttpBackend(TransitBackend):
         for i, force_fresh in enumerate(passes):
             conn, reused = self._pool.acquire(fresh=force_fresh)
             try:
-                conn.request(method, path, body=data, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
+                status, answered, raw, will_close = conn.exchange(
+                    method, path, data, headers
+                )
             except Exception as exc:  # noqa: BLE001 — mapped below
                 conn.close()
-                if reused and _is_stale_connection(exc) and i + 1 < len(passes):
+                stale = reused and isinstance(exc, _STALE_CONNECTION)
+                if stale and i + 1 < len(passes):
                     # Keep-alive race: the server closed the idle
                     # connection before our bytes arrived.  Nothing
                     # ran; re-send on a fresh connection.
@@ -401,19 +581,12 @@ class HttpBackend(TransitBackend):
                         self.stats.reconnects += 1
                     continue
                 raise _map_transport_error(exc, self._pool) from exc
-            status = response.status
             with self._stats_lock:
                 self.stats.requests += 1
                 by_status = self.stats.responses_by_status
                 by_status[status] = by_status.get(status, 0) + 1
-            self._pool.release(
-                conn, reusable=not response.will_close
-            )
-            return (
-                status,
-                {k.lower(): v for k, v in response.headers.items()},
-                raw,
-            )
+            self._pool.release(conn, reusable=not will_close)
+            return status, answered, raw
         raise AssertionError("unreachable: the final pass raises or returns")
 
 
@@ -425,20 +598,6 @@ def _parse_retry_after(value: str | None) -> float | None:
     except ValueError:
         return None
     return parsed if parsed >= 0 else None
-
-
-def _is_stale_connection(exc: Exception) -> bool:
-    """Failures that, on a *reused* connection, mean the server closed
-    it while idle — before our request bytes were processed."""
-    return isinstance(
-        exc,
-        (
-            http.client.RemoteDisconnected,
-            ConnectionResetError,
-            BrokenPipeError,
-            http.client.CannotSendRequest,
-        ),
-    )
 
 
 def _map_transport_error(
@@ -454,21 +613,12 @@ def _map_transport_error(
         return TransportError(
             "connection_refused", f"nothing is listening on {where}"
         )
-    if isinstance(
-        exc,
-        (
-            http.client.RemoteDisconnected,
-            http.client.IncompleteRead,
-            ConnectionResetError,
-            BrokenPipeError,
-            EOFError,
-        ),
-    ):
+    if isinstance(exc, (ConnectionResetError, BrokenPipeError, EOFError)):
         return TransportError(
             "disconnected",
             f"{where} closed the connection mid-exchange: {exc}",
         )
-    if isinstance(exc, (http.client.HTTPException, OSError)):
+    if isinstance(exc, (ValueError, OverflowError, MemoryError, OSError)):
         return TransportError(
             "transport", f"HTTP exchange with {where} failed: {exc}"
         )

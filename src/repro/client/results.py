@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping
 
@@ -260,9 +261,14 @@ class DelayUpdate:
 
 
 def _decode_points(raw) -> ConnectionProfile:
-    return ConnectionProfile(
-        points=tuple((int(dep), int(dur)) for dep, dur in raw)
-    )
+    points = tuple(map(tuple, raw))
+    # Checked by whole-sequence passes, not one Python call per point.
+    if not (
+        set(map(len, points)) <= {2}
+        and set(map(type, chain.from_iterable(points))) <= {int}
+    ):
+        raise ValueError("profile points are not [departure, duration] ints")
+    return ConnectionProfile(points=points)
 
 
 def decode_query_stats(raw: dict) -> QueryStats:

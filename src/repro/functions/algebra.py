@@ -139,9 +139,11 @@ class Profile:
         return arrival - tau if arrival < INF_TIME else INF_TIME
 
     def connection_points(self) -> list[tuple[int, int]]:
-        """``P(dist(S,T,·))`` as (departure anchor, duration) pairs."""
+        """``P(dist(S,T,·))`` as (departure anchor, duration) pairs of
+        Python ints (``tolist`` first: iterating the arrays would box
+        one numpy scalar per element)."""
         return [
-            (int(d), int(a - d)) for d, a in zip(self.deps, self.arrs)
+            (d, a - d) for d, a in zip(self.deps.tolist(), self.arrs.tolist())
         ]
 
     def minimum(self, other: "Profile") -> "Profile":

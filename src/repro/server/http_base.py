@@ -34,21 +34,36 @@ from repro.service.shapes import BY_ROUTE
 #: Request bodies above this are rejected with 413 before parsing.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
-#: Sentinel: the request declared a Content-Length over the cap and
-#: its body was never read off the socket.
-_BODY_TOO_LARGE = object()
+#: Request heads (request line + header block) above this end in a
+#: quiet close: it is the stream's buffer limit.
+MAX_HEAD_BYTES = 64 * 1024
 
 _STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
+    200: b"OK",
+    400: b"Bad Request",
+    404: b"Not Found",
+    405: b"Method Not Allowed",
+    409: b"Conflict",
+    413: b"Payload Too Large",
+    500: b"Internal Server Error",
+    501: b"Not Implemented",
+    502: b"Bad Gateway",
+    503: b"Service Unavailable",
 }
+
+#: The response head up to the extra headers: status, reason, body
+#: length, ``keep-alive`` or ``close``.
+_HEAD = (
+    b"HTTP/1.1 %d %s\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\nConnection: %s\r\n"
+)
+
+
+class _Refused(Exception):
+    """``(status, code, message)``: the request's framing is refused
+    before its body is read.  The answer goes out ``Connection: close``
+    and nothing further is read from the connection — whatever follows
+    the head is not a request."""
 
 
 class BaseAsyncHttpServer:
@@ -87,7 +102,7 @@ class BaseAsyncHttpServer:
         """Bind and start accepting; ``self.port`` holds the bound
         port afterwards (pass ``port=0`` for an ephemeral one)."""
         self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+            self._on_connection, self.host, self.port, limit=MAX_HEAD_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -189,49 +204,27 @@ class BaseAsyncHttpServer:
                 self._idle_connections.add(writer)
                 try:
                     request = await self._read_request(reader)
+                except _Refused as refusal:
+                    status, code, message = refusal.args
+                    await self._respond(
+                        writer, status, _base_error(code, message), {}, False
+                    )
+                    break
                 finally:
                     self._idle_connections.discard(writer)
                 if request is None:
                     break
-                method, path, headers, body = request
-                if body is _BODY_TOO_LARGE:
-                    status, payload, extra = 413, _base_error(
-                        "payload_too_large",
-                        f"request body exceeds {MAX_BODY_BYTES} bytes",
-                    ), {}
-                    # The oversized body was never read off the socket,
-                    # so the connection cannot be reused.
-                    keep_alive = False
-                else:
-                    status, payload, extra = await self._dispatch(
-                        method, path, headers, body
-                    )
-                    keep_alive = (
-                        headers.get("connection", "").lower() != "close"
-                        and not self._draining
-                    )
-                data = (
-                    payload
-                    if isinstance(payload, bytes)
-                    else json.dumps(payload).encode("utf-8")
+                method, path, headers, body, keep_alive = request
+                status, payload, extra = await self._dispatch(
+                    method, path, headers, body
                 )
-                extra_lines = "".join(
-                    f"{name}: {value}\r\n" for name, value in extra.items()
-                )
-                head = (
-                    f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-                    f"{extra_lines}"
-                    f"\r\n"
-                ).encode("latin-1")
-                writer.write(head + data)
-                await writer.drain()
+                keep_alive = keep_alive and not self._draining
+                await self._respond(writer, status, payload, extra, keep_alive)
                 if not keep_alive:
                     break
         except (
             asyncio.IncompleteReadError,
+            asyncio.LimitOverrunError,  # head over MAX_HEAD_BYTES
             ConnectionResetError,
             BrokenPipeError,
             ValueError,  # malformed request line / headers
@@ -245,31 +238,77 @@ class BaseAsyncHttpServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    @staticmethod
+    async def _respond(
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: dict | bytes,
+        extra: dict,
+        keep_alive: bool,
+    ) -> None:
+        data = (
+            payload
+            if isinstance(payload, bytes)
+            else json.dumps(payload).encode("utf-8")
+        )
+        reason = _STATUS_TEXT.get(status, b"OK")
+        connection = b"keep-alive" if keep_alive else b"close"
+        extra_lines = "".join(
+            f"{name}: {value}\r\n" for name, value in extra.items()
+        ).encode("latin-1")
+        writer.write(
+            _HEAD % (status, reason, len(data), connection)
+            + extra_lines
+            + b"\r\n"
+            + data
+        )
+        await writer.drain()
+
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        """Parse one HTTP/1.1 request; ``None`` on a clean EOF.  An
-        oversized body is left unread and signalled with the
-        :data:`_BODY_TOO_LARGE` sentinel (answered 413 upstream)."""
-        line = await reader.readline()
-        if not line:
+    ) -> tuple[str, str, dict[str, str], bytes, bool] | None:
+        """Read one HTTP/1.x request in two stream awaits — the head up
+        to its blank line, then the ``Content-Length`` body — and
+        return ``(method, path, headers, body, keep_alive)``; ``None``
+        on a clean EOF between requests.  ``keep_alive`` is what the
+        client asked for: HTTP/1.1 unless ``Connection: close``,
+        HTTP/1.0 only with ``Connection: keep-alive``.  A body over the
+        cap or one framed by ``Transfer-Encoding`` is left unread and
+        raises :class:`_Refused`."""
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as exc:
+            if exc.partial:
+                raise
             return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise asyncio.IncompleteReadError(line, None)
-        method, path, _version = parts
+        lines = head[:-4].decode("latin-1").split("\r\n")
+        method, path, version = lines[0].split()  # ValueError: garbage
         headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
+        if "transfer-encoding" in headers:
+            raise _Refused(
+                501,
+                "unsupported_transfer_encoding",
+                "request bodies are framed by Content-Length only, "
+                f"not Transfer-Encoding: {headers['transfer-encoding']}",
+            )
         length = int(headers.get("content-length", "0") or "0")
         if length > MAX_BODY_BYTES:
-            return method, path, headers, _BODY_TOO_LARGE
+            raise _Refused(
+                413,
+                "payload_too_large",
+                f"request body exceeds {MAX_BODY_BYTES} bytes",
+            )
+        connection = headers.get("connection", "").lower()
+        keep_alive = (
+            connection == "keep-alive"
+            if version == "HTTP/1.0"
+            else connection != "close"
+        )
         body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+        return method, path, headers, body, keep_alive
 
 
 def _base_error(code: str, message: str) -> dict:

@@ -435,7 +435,7 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
 
 
 def _points(profile) -> list[list[int]]:
-    return [[int(dep), int(dur)] for dep, dur in profile.connection_points()]
+    return list(map(list, profile.connection_points()))
 
 
 def encode_query_stats(stats: QueryStats) -> dict:

@@ -297,8 +297,9 @@ class TestKeepAlivePool:
         """A pooled connection the server closed while idle must be
         replaced by a *fresh* connection (never a second pooled one)
         and the query re-sent transparently."""
-        import http.client as http_client
         import socket as socket_mod
+
+        from repro.client.http import _Connection
 
         # A throwaway listener that accepts and instantly closes gives
         # us genuinely stale (server-side-closed) connections to seed
@@ -309,7 +310,7 @@ class TestKeepAlivePool:
         closer_port = closer.getsockname()[1]
 
         def make_stale():
-            conn = http_client.HTTPConnection("127.0.0.1", closer_port)
+            conn = _Connection("127.0.0.1", closer_port, timeout=5.0)
             conn.connect()
             victim, _ = closer.accept()
             victim.close()
@@ -333,15 +334,16 @@ class TestKeepAlivePool:
         """The delays endpoint is not idempotent: it must bypass the
         idle stack entirely, so a stale pooled connection can never
         force a silent re-send (= delays applied twice)."""
-        import http.client as http_client
         import socket as socket_mod
+
+        from repro.client.http import _Connection
 
         closer = socket_mod.socket()
         closer.bind(("127.0.0.1", 0))
         closer.listen(1)
 
-        stale = http_client.HTTPConnection(
-            "127.0.0.1", closer.getsockname()[1]
+        stale = _Connection(
+            "127.0.0.1", closer.getsockname()[1], timeout=5.0
         )
         stale.connect()
         victim, _ = closer.accept()

@@ -105,6 +105,10 @@ class ServerHarness:
         headers: dict | None = None,
     ) -> tuple[int, dict, dict]:
         """Like :meth:`request`, with lowercased response headers."""
+        # ``http.client`` on purpose, not the SDK: now that the SDK
+        # frames HTTP itself, this keeps an independent client on the
+        # server suite — and one that sends head and body in separate
+        # segments, which the SDK never does.
         conn = http.client.HTTPConnection(
             "127.0.0.1", self.port, timeout=timeout
         )
