@@ -4,8 +4,11 @@
 For each instance: the stopping-criterion-only baseline (0.0 %), a sweep
 of contraction-selected transfer-station fractions, and the ``deg > 2``
 rule.  Reported per row: number of transfer stations, preprocessing
-time, table size, mean settled connections, mean simulated query time,
-and the speed-up over the 0.0 % row — the paper's Table 2 columns.
+time and the number of processes it was measured on (the paper's is "on
+8 cores"; ours is whatever the build observed — see
+``repro.query.distance_table``), table size, mean settled connections,
+mean simulated query time, and the speed-up over the 0.0 % row — the
+paper's Table 2 columns.
 
 Expected shape (paper): the stopping criterion alone ≈ 20 % faster than
 plain one-to-all; tables pay off up to ≈ 5 % transfer stations, then
@@ -57,8 +60,8 @@ def _run_row(graph, selection, pairs):
     if selection != "0.0%" and table is None:
         return None  # fraction too small for this scaled-down instance
 
-    prepro, mib = (0.0, 0.0) if table is None else (
-        table.build_seconds, table.size_mib()
+    prepro, procs, mib = (0.0, 0, 0.0) if table is None else (
+        table.build_seconds, table.build_workers, table.size_mib()
     )
     settled, times = [], []
     for s, t in pairs:
@@ -69,6 +72,7 @@ def _run_row(graph, selection, pairs):
         "selection": selection,
         "num_transfer": service.prepare_stats.num_transfer_stations,
         "prepro": prepro,
+        "procs": procs,
         "mib": mib,
         "settled": fmean(settled),
         "time": fmean(times),
@@ -96,6 +100,7 @@ def _emit(report, benchops, instance):
             r["selection"],
             r["num_transfer"],
             f"{r['prepro']:.1f}",
+            r["procs"],
             f"{r['mib']:.2f}",
             f"{r['settled']:,.0f}",
             f"{r['time'] * 1000:.1f}",
@@ -108,6 +113,7 @@ def _emit(report, benchops, instance):
             "selection",
             "|S_trans|",
             "prepro [s]",
+            "procs",
             "space [MiB]",
             "settled conns",
             "time [ms]",

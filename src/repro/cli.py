@@ -658,6 +658,8 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
         f"pack {stats.pack_seconds * 1000:.1f} ms, "
         f"station graph {stats.station_graph_seconds * 1000:.1f} ms, "
         f"table {stats.table_seconds * 1000:.1f} ms "
+        f"on {stats.table_workers} process"
+        f"{'' if stats.table_workers == 1 else 'es'} "
         f"(total {stats.total_seconds * 1000:.1f} ms)\n"
         f"store written to {args.store}: "
         f"{info['total_bytes'] / 1024:.1f} KiB "
@@ -1173,7 +1175,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="artifact-store directory to write (created if missing)",
     )
-    p_prepare.add_argument("--cores", type=int, default=4)
+    p_prepare.add_argument(
+        "--cores", type=int, default=4,
+        help="connection partitions per search (§3.2), stored as the "
+        "service's num_threads; how many processes build the table is "
+        "decided by the build, from the CPUs it may use",
+    )
     p_prepare.add_argument("--kernel", choices=KERNELS, default="flat")
     p_prepare.add_argument(
         "--transfer-fraction",

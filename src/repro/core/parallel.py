@@ -6,10 +6,17 @@ subset, merges the labels and reduces.  The subsets are dispatched by
 
 * ``serial``   — run subsets one after another in this thread (exact
   per-thread work/time accounting; the default, and what the service
-  facade and every experiment use);
+  facade and every experiment use *for the partitions inside one
+  search*);
 * ``processes`` — one forked worker per subset; real parallelism on
   multi-core hosts at the cost of forking and result pickling.  Each
   worker times its own search.
+
+The cores a machine has are used one level up instead, *across
+sources*: the distance-table build runs many whole searches, each
+``serial`` inside, on one fork pool per build
+(:func:`repro.query.distance_table.patch_distance_table`) — a pool per
+search costs more than a short search takes, a pool per build does not.
 
 CPython cannot run the paper's shared-memory threads in parallel (the
 searches serialize on the GIL), which is why the experiments report the

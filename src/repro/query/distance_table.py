@@ -10,6 +10,16 @@ Precomputation runs the parallel one-to-all algorithm from every
 transfer station (paper §5.2), which is exactly the semantics required:
 profile searches start at route nodes (no source transfer) and read
 arrivals off station nodes (no target transfer).
+
+Two kinds of parallelism meet here and stay apart.  ``num_threads`` is
+the number of ``conn(S)`` *partitions inside one search* (paper §3.2);
+it changes the work done (self-pruning cannot cross partitions), not
+the processes used.  *Across sources* the rows of ``D`` are independent
+searches, so :func:`patch_distance_table` hands them to
+:func:`repro.core.fanout.fan_out` — one fork pool per build, sized to
+the cores this process may use, and only when the build is long enough
+to repay it (:data:`POOL_MIN_SECONDS`).  The stored profiles do not
+depend on either.
 """
 
 from __future__ import annotations
@@ -19,10 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.fanout import fan_out, usable_cores
 from repro.core.parallel import parallel_profile_search
 from repro.functions.algebra import Profile
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import TDGraph
+
+#: Fork a pool for the rows after the first only when they are
+#: predicted — their count × the first row's measured time — to take
+#: longer than this many seconds on the calling thread.  Pool spin-up
+#: measured 11–24 ms on the 2-core reference VM and every row is
+#: pickled back, so at 0.25 s two workers save ≈ 0.1 s; below it a fork
+#: buys milliseconds at best (tiny test tables, one-row delay patches).
+POOL_MIN_SECONDS = 0.25
 
 
 @dataclass(slots=True)
@@ -41,6 +60,10 @@ class DistanceTable:
     build_seconds: float
     #: Total settled connections during precomputation.
     build_settled: int
+    #: Processes that built the rows: 1 for a serial build, the pool
+    #: size otherwise.  A statistic of the run like ``build_seconds``,
+    #: not stored — a table loaded from a store reads 1.
+    build_workers: int = 1
 
     @property
     def num_transfer_stations(self) -> int:
@@ -95,43 +118,30 @@ def build_distance_table(
     as in :func:`~repro.core.parallel.parallel_profile_search`; both
     kernels produce identical reduced profiles, so the stored table is
     the same whichever builds it (the ``flat`` kernel is just faster).
+
+    A cold build is :func:`patch_distance_table` with every source
+    affected, over a table that has no rows yet.
     """
     stations = np.asarray(sorted(set(int(s) for s in transfer_stations)), dtype=np.int64)
     for s in stations:
         if not graph.is_station_node(int(s)):
             raise ValueError(f"transfer station {s} is not a station node")
-    index_of = {int(s): i for i, s in enumerate(stations)}
-    n = stations.size
-    period = graph.timetable.period
-
-    empty = Profile(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), period)
-    profiles: list[list[Profile]] = [[empty] * n for _ in range(n)]
-
-    t0 = time.perf_counter()
-    settled = 0
-    for a, origin in enumerate(stations):
-        result = parallel_profile_search(
-            graph,
-            int(origin),
-            num_threads,
-            strategy=strategy,
-            kernel=kernel,
-            arrays=arrays,
-        )
-        settled += result.stats.settled_connections
-        for b, dest in enumerate(stations):
-            if a == b:
-                continue
-            profiles[a][b] = result.profile(int(dest))
-    build_seconds = time.perf_counter() - t0
-
-    return DistanceTable(
+    blank = DistanceTable(
         transfer_stations=stations,
-        index_of=index_of,
-        profiles=profiles,
-        period=period,
-        build_seconds=build_seconds,
-        build_settled=settled,
+        index_of={int(s): i for i, s in enumerate(stations)},
+        profiles=[[] for _ in stations],
+        period=graph.timetable.period,
+        build_seconds=0.0,
+        build_settled=0,
+    )
+    return patch_distance_table(
+        blank,
+        graph,
+        np.ones(graph.num_stations, dtype=bool),
+        num_threads=num_threads,
+        strategy=strategy,
+        kernel=kernel,
+        arrays=arrays,
     )
 
 
@@ -157,37 +167,55 @@ def patch_distance_table(
     graph would produce; those row lists are shared by reference (rows
     are never mutated after construction).
 
-    ``build_seconds``/``build_settled`` report *this patch's* work, not
-    cumulative totals — they are diagnostics of the latest (re)build,
-    which is what the replan accounting wants.
+    The first affected row is built on the calling thread and timed;
+    the others follow it there, or go to one fork pool when this
+    process may use more than one core and they are predicted to take
+    longer than :data:`POOL_MIN_SECONDS`.  Pool workers inherit
+    ``graph``, ``arrays`` and the kernel mirrors copy-on-write (the
+    first row has filled every lazy cache by then); station indices
+    travel in, finished rows and their settled counts travel back.
+
+    ``build_seconds``/``build_settled``/``build_workers`` report *this
+    patch's* work, not cumulative totals — they are diagnostics of the
+    latest (re)build, which is what the replan accounting wants.
     """
     stations = table.transfer_stations
-    n = int(stations.size)
-    period = table.period
     mask = np.asarray(affected_sources, dtype=bool)
+    sources = [a for a, origin in enumerate(stations) if mask[int(origin)]]
+    empty = Profile(
+        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), table.period
+    )
 
-    empty = Profile(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), period)
-    profiles: list[list[Profile]] = list(table.profiles)
-
-    t0 = time.perf_counter()
-    settled = 0
-    for a, origin in enumerate(stations):
-        if not mask[int(origin)]:
-            continue
+    def build_row(a: int) -> tuple[list[Profile], int]:
         result = parallel_profile_search(
             graph,
-            int(origin),
+            int(stations[a]),
             num_threads,
             strategy=strategy,
             kernel=kernel,
             arrays=arrays,
         )
-        settled += result.stats.settled_connections
-        row: list[Profile] = [empty] * n
-        for b, dest in enumerate(stations):
-            if a == b:
-                continue
-            row[b] = result.profile(int(dest))
+        row = [
+            empty if b == a else result.profile(int(dest))
+            for b, dest in enumerate(stations)
+        ]
+        return row, result.stats.settled_connections
+
+    t0 = time.perf_counter()
+    built = [build_row(a) for a in sources[:1]]
+    probe_seconds = time.perf_counter() - t0
+    rest = sources[1:]
+    workers = min(usable_cores(), len(rest))
+    pooled = workers > 1 and len(rest) * probe_seconds > POOL_MIN_SECONDS
+    run = fan_out(
+        build_row,
+        rest,
+        backend="processes" if pooled else "serial",
+        workers=workers,
+    )
+    built += run.results
+    profiles = list(table.profiles)
+    for a, (row, _) in zip(sources, built):
         profiles[a] = row
     build_seconds = time.perf_counter() - t0
 
@@ -195,7 +223,8 @@ def patch_distance_table(
         transfer_stations=stations,
         index_of=table.index_of,
         profiles=profiles,
-        period=period,
+        period=table.period,
         build_seconds=build_seconds,
-        build_settled=settled,
+        build_settled=sum(settled for _, settled in built),
+        build_workers=workers if run.backend == "processes" else 1,
     )

@@ -29,8 +29,8 @@ SELECTION_METHODS = ("contraction", "degree")
 #: other field changes what preparation produces (kernel packs arrays,
 #: the transfer knobs pick ``S_trans``, …) and requires a fresh
 #: prepare — and hence a fresh artifact store.  ``num_threads`` and
-#: ``strategy`` also steer the distance-table *build*, but only its
-#: parallelism/partitioning, never the stored profiles.
+#: ``strategy`` also steer the distance-table *build*, but only how
+#: each of its searches is partitioned, never the stored profiles.
 RUNTIME_FIELDS = frozenset(
     {
         "num_threads",
@@ -58,8 +58,12 @@ class ServiceConfig:
         :data:`~repro.core.parallel.KERNELS` (``flat`` is the
         production default: identical answers, several times faster).
     num_threads
-        Per-query connection partitioning (paper §3.2 simulated cores).
-        Also the core count used to build the distance table.
+        Per-query connection partitioning (paper §3.2 simulated cores):
+        how many subsets of ``conn(S)`` one search is split into —
+        including each one-to-all search of the distance-table build.
+        Not a process count: how many processes build the table is
+        decided by the build itself, from the cores it may use
+        (:mod:`repro.query.distance_table`).
     strategy
         Partition strategy, a
         :data:`~repro.core.partition.PARTITION_STRATEGIES` key.

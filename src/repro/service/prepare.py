@@ -78,6 +78,11 @@ class PrepareStats:
     rebuilt_legs: int = 0
     #: Distance-table rows recomputed (incremental replans only).
     patched_table_rows: int = 0
+    #: Processes that built (or patched) the distance table: 1 for a
+    #: serial build, the fork pool's size otherwise — ``table_seconds``
+    #: means little without it.  0 when no table was built (table off,
+    #: or loaded from a store).
+    table_workers: int = 1
 
 
 @dataclass
@@ -192,6 +197,7 @@ def prepare_dataset(
         ),
         table_mib=table_mib,
         shared_station_graph=shared_station_graph,
+        table_workers=0 if table is None else table.build_workers,
     )
     return PreparedDataset(
         timetable=timetable,
@@ -284,6 +290,7 @@ def replan_dataset(
         incremental=True,
         rebuilt_legs=patch.rebuilt_legs,
         patched_table_rows=patched_rows,
+        table_workers=0 if table is None else table.build_workers,
     )
     return PreparedDataset(
         timetable=delayed,

@@ -389,6 +389,7 @@ def load_dataset(
         table_mib=table_mib,
         shared_station_graph=False,
         loaded_from_store=True,
+        table_workers=0,
     )
     return PreparedDataset(
         timetable=timetable,

@@ -3,7 +3,16 @@ implementations used by property-based tests."""
 
 from __future__ import annotations
 
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
+import pytest
 
 from repro.timetable.builder import TimetableBuilder
 from repro.timetable.types import Timetable
@@ -104,3 +113,54 @@ def brute_force_arrivals(
         for station in range(graph.num_stations):
             arrivals[station].append(result.arrival_at_station(station))
     return arrivals
+
+
+def run_in_own_group(script, *args, send=None, timeout=120.0):
+    """Run ``script`` (``python -c``, ``repro`` importable) as the
+    leader of a new process group and fail unless the whole group is
+    gone ``timeout`` seconds later; whatever happens, nothing of it
+    survives the call.
+
+    With ``send`` — a signal number for the leader, or a callable
+    taking the group id — the script must print ``ready`` first; the
+    signal follows half a second later (so whatever the script started
+    next is under way) and ``timeout`` runs from the signal.  Returns
+    ``(returncode, stdout, stderr)``.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        f"{src}{os.pathsep}{env['PYTHONPATH']}"
+        if env.get("PYTHONPATH")
+        else str(src)
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(script), *map(str, args)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        if send is not None:
+            assert proc.stdout.readline().strip() == "ready", proc.stderr.read()
+            time.sleep(0.5)
+            if callable(send):
+                send(proc.pid)
+            else:
+                os.kill(proc.pid, send)
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"still running after {timeout} s")
+        # The group id is the leader's pid; nothing may still carry it.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        return proc.returncode, stdout, stderr
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()

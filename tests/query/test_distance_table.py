@@ -1,12 +1,22 @@
-"""Unit tests for the profile distance table D (paper §4)."""
+"""Unit tests for the profile distance table D (paper §4), and for the
+rule that decides whether its rows are built on a fork pool (§5.2)."""
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.core import fanout
 from repro.core.spcs import spcs_profile_search
 from repro.functions.piecewise import INF_TIME
+from repro.query import distance_table
 from repro.query.distance_table import build_distance_table
 from repro.query.transfer_selection import select_transfer_stations
+from repro.service import ServiceConfig, TransitService
+from repro.timetable.delays import Delay, apply_delays
+
+from tests.helpers import run_in_own_group
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +89,203 @@ class TestBuildDistanceTable:
     def test_duplicate_stations_deduplicated(self, oahu_tiny_graph):
         table = build_distance_table(oahu_tiny_graph, [0, 0, 1], num_threads=2)
         assert table.num_transfer_stations == 2
+
+
+# ---------------------------------------------------------------------------
+# Rows on a fork pool: same table to the bit, and only when it pays
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Every build with two or more rows after the probe forks a
+    2-worker pool, however small the table and whatever the box."""
+    monkeypatch.setattr(distance_table, "POOL_MIN_SECONDS", 0.0)
+    monkeypatch.setattr(distance_table, "usable_cores", lambda: 2)
+
+
+def _never_pool(monkeypatch):
+    monkeypatch.setattr(distance_table, "POOL_MIN_SECONDS", float("inf"))
+
+
+def _forbid_pools(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("this build must not create a pool")
+
+    monkeypatch.setattr(fanout.mp, "get_context", no_pool)
+
+
+def assert_tables_bitwise_equal(serial, pooled):
+    assert pooled.index_of == serial.index_of
+    assert np.array_equal(pooled.transfer_stations, serial.transfer_stations)
+    assert pooled.period == serial.period
+    for a, serial_row in enumerate(serial.profiles):
+        assert len(pooled.profiles[a]) == len(serial_row)
+        for b, expected in enumerate(serial_row):
+            got = pooled.profiles[a][b]
+            assert got.period == expected.period, (a, b)
+            assert got.deps.dtype == expected.deps.dtype, (a, b)
+            assert got.deps.tobytes() == expected.deps.tobytes(), (a, b)
+            assert got.arrs.tobytes() == expected.arrs.tobytes(), (a, b)
+
+
+MATRIX = [
+    pytest.param(instance, kernel, num_threads, id=f"{instance}-{kernel}-p{num_threads}")
+    for instance in ("oahu_tiny", "germany_tiny")
+    for kernel in ("flat", "python")
+    for num_threads in (1, 3)
+]
+
+
+@pytest.mark.parametrize("instance,kernel,num_threads", MATRIX)
+def test_pooled_build_equals_serial_build(
+    request, monkeypatch, force_pool, instance, kernel, num_threads
+):
+    graph = request.getfixturevalue(f"{instance}_graph")
+    stations = select_transfer_stations(
+        graph.timetable, method="contraction", fraction=0.3
+    )
+    kwargs = dict(num_threads=num_threads, kernel=kernel)
+    pooled = build_distance_table(graph, stations, **kwargs)
+    assert pooled.build_workers == 2
+    _never_pool(monkeypatch)
+    _forbid_pools(monkeypatch)
+    serial = build_distance_table(graph, stations, **kwargs)
+    assert serial.build_workers == 1
+    assert_tables_bitwise_equal(serial, pooled)
+    assert pooled.build_settled == serial.build_settled
+
+
+@pytest.mark.parametrize("instance,kernel,num_threads", MATRIX)
+def test_pooled_patch_equals_serial_full_rebuild(
+    request, monkeypatch, force_pool, instance, kernel, num_threads
+):
+    """The incremental swap's row rebuild goes through the same pool
+    rule: same rows and same work as the serial patch, same table as
+    the oracle — a cold service on the delayed timetable."""
+    timetable = request.getfixturevalue(instance)
+    config = ServiceConfig(
+        kernel=kernel,
+        num_threads=num_threads,
+        use_distance_table=True,
+        transfer_fraction=0.3,
+    )
+    delays = [Delay(train=timetable.connections[0].train, minutes=25)]
+    base = TransitService(timetable, config)
+    pooled = base.apply_delays(delays, mode="incremental")
+    assert pooled.prepare_stats.patched_table_rows >= 3
+    assert pooled.prepare_stats.table_workers == 2
+    _never_pool(monkeypatch)
+    _forbid_pools(monkeypatch)
+    serial = base.apply_delays(delays, mode="incremental")
+    assert serial.prepare_stats.table_workers == 1
+    assert_tables_bitwise_equal(serial.table, pooled.table)
+    assert pooled.table.build_settled == serial.table.build_settled
+    cold = TransitService(apply_delays(timetable, delays), config)
+    assert_tables_bitwise_equal(cold.table, pooled.table)
+
+
+def test_small_build_forks_nothing(oahu_tiny_graph, monkeypatch):
+    """Under the shipped constant a tier-1-sized table (three rows of a
+    few ms after the probe) is not worth a pool, even on many cores."""
+    monkeypatch.setattr(distance_table, "usable_cores", lambda: 8)
+    _forbid_pools(monkeypatch)
+    table = build_distance_table(
+        oahu_tiny_graph, [0, 1, 2, 3], num_threads=1, kernel="flat"
+    )
+    assert table.build_workers == 1
+    assert all(len(row) == 4 for row in table.profiles)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here"
+)
+def test_one_usable_cpu_builds_serially():
+    """The worker count is the affinity mask, not the machine: pinned
+    to one CPU the build forks nothing even when the size rule says a
+    pool would pay."""
+    returncode, stdout, stderr = run_in_own_group(
+        """
+        import os
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        import multiprocessing as mp
+        import repro.query.distance_table as distance_table
+        from repro.service import ServiceConfig, TransitService
+        from repro.synthetic.instances import make_instance
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("forked a pool on one usable CPU")
+
+        mp.get_context = no_pool
+        distance_table.POOL_MIN_SECONDS = 0.0
+        service = TransitService(
+            make_instance("oahu", "tiny"),
+            ServiceConfig(use_distance_table=True, transfer_fraction=0.3),
+        )
+        print(
+            service.prepare_stats.table_workers,
+            service.table.num_transfer_stations,
+        )
+        """
+    )
+    assert returncode == 0, stderr
+    assert stdout.split() == ["1", "4"]
+
+
+def test_build_inside_a_pool_worker_falls_back_to_serial(
+    oahu_tiny_graph, force_pool
+):
+    """A pool worker is daemonic and may not have children: a build
+    that lands in one (a batch item, a fleet job) must run its rows
+    itself instead of dying in ``Pool()``."""
+
+    def build(_):
+        table = build_distance_table(
+            oahu_tiny_graph, [0, 1, 2, 3], num_threads=1, kernel="flat"
+        )
+        return os.getpid(), table.build_workers, table.build_settled
+
+    here, workers_here, settled = build(None)
+    assert workers_here == 2
+    run = fanout.fan_out(build, [0, 1], backend="processes", workers=2)
+    for pid, workers, settled_there in run.results:
+        assert pid != here
+        assert (workers, settled_there) == (1, settled)
+
+
+def test_a_row_failing_in_a_worker_raises_in_the_caller(
+    oahu_tiny_graph, force_pool, monkeypatch
+):
+    parent = os.getpid()
+    real = distance_table.parallel_profile_search
+
+    def failing(graph, source, *args, **kwargs):
+        if source == 3:
+            assert os.getpid() != parent, "row 3 was meant for the pool"
+            raise RuntimeError("row 3 failed")
+        return real(graph, source, *args, **kwargs)
+
+    monkeypatch.setattr(distance_table, "parallel_profile_search", failing)
+    with pytest.raises(RuntimeError, match="row 3 failed"):
+        build_distance_table(oahu_tiny_graph, [0, 1, 2, 3], kernel="flat")
+    assert fanout._FORK_FNS == {}
+
+
+def test_concurrent_pooled_prepares_build_their_own_tables(
+    oahu_tiny, germany_tiny, force_pool, monkeypatch
+):
+    """Two datasets prepared from two threads at once, each forking its
+    own pool: neither may build rows from the other's graph."""
+    config = ServiceConfig(use_distance_table=True, transfer_fraction=0.3)
+    timetables = [oahu_tiny, germany_tiny] * 2
+    with ThreadPoolExecutor(max_workers=len(timetables)) as pool:
+        services = list(
+            pool.map(lambda tt: TransitService(tt, config), timetables)
+        )
+    assert [s.prepare_stats.table_workers for s in services] == [2] * 4
+    _never_pool(monkeypatch)
+    for timetable, service in zip(timetables, services):
+        serial = TransitService(timetable, config).table
+        assert_tables_bitwise_equal(serial, service.table)
+        assert service.table.build_settled == serial.build_settled
+    assert fanout._FORK_FNS == {}

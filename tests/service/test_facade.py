@@ -295,10 +295,14 @@ def test_prepare_stats_accounting(oahu_tiny):
     assert stats.packed_bytes > 0
     assert stats.num_transfer_stations > 0
     assert stats.table_mib > 0
+    # A table this small is built on the calling thread, whatever the box.
+    assert stats.table_workers == 1
     assert stats.total_seconds >= (
         stats.graph_seconds + stats.pack_seconds
     )
     assert not stats.shared_station_graph
+    # No table built, no process built it.
+    assert TransitService(oahu_tiny).prepare_stats.table_workers == 0
 
 
 def test_query_stats_shapes(oahu_tiny):

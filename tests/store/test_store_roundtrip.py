@@ -19,6 +19,7 @@ Three contracts:
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from repro.store import (
 )
 from repro.synthetic.workloads import random_station_pairs
 
-from tests.helpers import random_line_timetable
+from tests.helpers import random_line_timetable, run_in_own_group
 
 KERNELS = ("python", "flat")
 
@@ -195,6 +196,7 @@ def test_load_and_query_run_no_builder(tmp_path, oahu_tiny, monkeypatch):
     assert warm.prepare_stats.station_graph_seconds == 0.0
     assert warm.prepare_stats.pack_seconds == 0.0
     assert warm.prepare_stats.table_seconds == 0.0
+    assert warm.prepare_stats.table_workers == 0
     # All three query shapes work on the warm service.
     warm.profile(0)
     warm.journey(0, 5)
@@ -400,14 +402,8 @@ def test_sigterm_mid_save_leaves_no_partial_manifest(tmp_path):
     mid-save (here: right before dataset.bin is written) must unwind
     the CLI cleanly — exit 130, an 'interrupted' notice, and a store
     directory with *no* manifest, which therefore refuses to load."""
-    import os
-    import subprocess
-    import sys
-    import textwrap
-    from pathlib import Path
-
     store = tmp_path / "store"
-    script = textwrap.dedent(
+    returncode, _stdout, stderr = run_in_own_group(
         """
         import os, signal, sys
         import repro.store.store as store_mod
@@ -431,24 +427,11 @@ def test_sigterm_mid_save_leaves_no_partial_manifest(tmp_path):
                 ]
             )
         )
-        """
+        """,
+        store,
     )
-    src = Path(__file__).resolve().parents[2] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = (
-        f"{src}{os.pathsep}{env['PYTHONPATH']}"
-        if env.get("PYTHONPATH")
-        else str(src)
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(store)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
-    assert proc.returncode == 130, proc.stderr
-    assert "interrupted" in proc.stderr
+    assert returncode == 130, stderr
+    assert "interrupted" in stderr
     # The save got underway (artifacts exist) but never reached the
     # manifest — and without one, the store refuses to load.
     assert store.exists()
@@ -456,6 +439,69 @@ def test_sigterm_mid_save_leaves_no_partial_manifest(tmp_path):
     assert not (store / "manifest.json.tmp").exists()
     with pytest.raises(StoreError, match="manifest"):
         load_dataset(store)
+
+
+@pytest.mark.parametrize("how", ["SIGTERM-to-parent", "SIGINT-to-group"])
+def test_signal_mid_pooled_table_build_unwinds_prepare(tmp_path, how):
+    """The same contract one stage earlier, where ``prepare`` has forked
+    a pool for the table rows: the first pool worker to finish a search
+    interrupts the prepare while it is itself still mid-row.  The
+    workers were forked under the CLI's *raising* handler; unless the
+    fan-out resets it in them, ``Pool.terminate()``'s SIGTERM becomes a
+    task error, the workers live on and ``prepare`` hangs.  Exit 130
+    within 5 s, an 'interrupted' notice, no manifest, nothing left
+    running."""
+    store = tmp_path / "store"
+    stamp = tmp_path / "signalled"
+    returncode, _stdout, stderr = run_in_own_group(
+        """
+        import os, signal, sys, time
+        import repro.query.distance_table as distance_table
+
+        store, stamp, how = sys.argv[1:]
+        # oahu/tiny becomes "large enough to pool", on any box.
+        distance_table.POOL_MIN_SECONDS = 0.0
+        distance_table.usable_cores = lambda: 2
+        parent = os.getpid()
+        real = distance_table.parallel_profile_search
+
+        def search_then_signal(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if os.getpid() != parent:
+                try:  # one signal, from whichever worker gets here first
+                    fd = os.open(stamp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    return result
+                os.write(fd, repr(time.time()).encode())
+                os.close(fd)
+                if how == "SIGTERM-to-parent":
+                    os.kill(parent, signal.SIGTERM)
+                else:
+                    os.killpg(os.getpgid(0), signal.SIGINT)
+            return result
+
+        distance_table.parallel_profile_search = search_then_signal
+        from repro.cli import main
+
+        sys.exit(
+            main(
+                [
+                    "prepare", "--instance", "oahu", "--scale", "tiny",
+                    "--transfer-fraction", "0.5", "--store", store,
+                ]
+            )
+        )
+        """,
+        store,
+        stamp,
+        how,
+        timeout=30.0,
+    )
+    assert returncode == 130, stderr
+    assert "interrupted" in stderr
+    assert "Traceback" not in stderr
+    assert time.time() - float(stamp.read_text()) < 5.0
+    assert not (store / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -172,6 +174,8 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert "store written to" in out
         assert "--from-store" in out
+        # Table time is never quoted without what it was measured on.
+        assert re.search(r"table \d+\.\d ms on 1 process \(total", out)
         return path
 
     def test_prepare_writes_a_loadable_store(self, store):
