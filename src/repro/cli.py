@@ -64,6 +64,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import signal
 import sys
 import threading
@@ -1667,12 +1668,21 @@ def _package_version() -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
     except BackendError as exc:
         # Typed client/transport failures (connection refused, retry
         # budget exhausted, server-side rejection) are user errors or
         # operational conditions, not tracebacks.
         raise SystemExit(f"error: {exc}") from None
+    except BrokenPipeError:
+        # The reader went away (``repro query … | head``): end quietly.
+        # Python flushes stdout once more at exit, so point it at
+        # devnull first (the ``signal`` module's note on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

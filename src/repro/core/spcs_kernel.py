@@ -1,9 +1,17 @@
 """Flat-array SPCS kernel (paper §3.1/§4, HPC form).
 
-Same algorithm as :func:`repro.core.spcs.spcs_profile_search` — one
-queue item per (node, connection) pair, connection-setting,
-self-pruning, the stopping criterion and the §4 distance-table rules —
-but engineered for interpreter throughput instead of readability:
+A one-to-all run is the same algorithm as
+:func:`repro.core.spcs.spcs_profile_search` — one queue item per
+(node, connection) pair, connection-setting, self-pruning — settling
+the same pairs.  A *targeted* run (``target=``: the stopping criterion
+and the §4 distance-table rules) returns the same reduced profile at
+the target from fewer settles in a different pop order: it is
+goal-directed.  The queue is keyed by arrival + ``π_T(node)``, a
+consistent lower bound on what is left of the way
+(:meth:`~repro.graph.td_arrays.TDGraphArrays.lower_bounds_to`), and
+Theorem 4 is read per queue item so that it survives that order
+(``docs/KERNEL.md``, "Goal direction").  Both are engineered for
+interpreter throughput instead of readability:
 
 * the graph is a :class:`~repro.graph.td_arrays.TDGraphArrays` pack;
   adjacency, travel-time functions and labels live in flat arrays and
@@ -23,15 +31,18 @@ but engineered for interpreter throughput instead of readability:
   (:class:`~repro.query.table_query.DistanceTablePruner`) as flat data
   and evaluates the table profiles with ``bisect`` on their list
   mirrors, so a search makes no Python call per settle.  The hook is
-  the readable statement of the rules and the oracle for this loop
+  the readable statement of the paper's rules and, with the reference
+  kernel, the oracle for this loop's answers
   (``tests/query/test_table_kernel_equivalence.py``).
 
 Equivalence contract: for every input the kernel produces the same
 reduced profiles (and therefore the same earliest arrivals) as the
-object-graph SPCS.  Raw labels may differ on exact arrival-time ties —
-the two queues break ties differently, and which of two equal-arrival
-connections self-prunes the other is order-dependent — but reduction
-collapses both variants to the identical profile.
+object-graph SPCS — of every station for a one-to-all run, of the
+target for a targeted one.  Raw labels may differ on exact
+arrival-time ties — the two queues break ties differently, and which
+of two equal-arrival connections self-prunes the other is
+order-dependent — but reduction collapses both variants to the
+identical profile.
 ``tests/core/test_kernel_equivalence.py`` enforces this against the
 pure-Python SPCS and the label-correcting oracle on randomized
 instances; the pure-Python path stays as the reference implementation.
@@ -64,6 +75,7 @@ def run_spcs_search(
     self_pruning: bool = True,
     target: int | None = None,
     pruner: "DistanceTablePruner | None" = None,
+    potential: Sequence[int] | None = None,
     queue: str = "binary",
 ) -> SPCSResult:
     """Dispatch one SPCS run: flat kernel when ``arrays`` is given,
@@ -73,7 +85,9 @@ def run_spcs_search(
 
     ``pruner`` is the query's §4 state.  The reference kernel drives it
     as a settle hook and tracks ancestry over its station mask; the
-    flat kernel reads the same state as flat data."""
+    flat kernel reads the same state as flat data.  ``potential`` is the
+    query's ``arrays.lower_bounds_to(target)``, which only the flat
+    kernel's goal direction reads."""
     if arrays is not None:
         return spcs_kernel_search(
             arrays,
@@ -82,6 +96,7 @@ def run_spcs_search(
             self_pruning=self_pruning,
             target=target,
             table=pruner,
+            potential=potential,
         )
     return spcs_profile_search(
         graph,
@@ -103,16 +118,21 @@ def spcs_kernel_search(
     self_pruning: bool = True,
     target: int | None = None,
     table: "DistanceTablePruner | None" = None,
+    potential: Sequence[int] | None = None,
 ) -> SPCSResult:
     """Run the flat-array SPCS from station ``source``.
 
-    ``connection_subset``, ``self_pruning`` and ``target`` mean what
-    they mean to :func:`~repro.core.spcs.spcs_profile_search`;
-    ``arrays`` is produced by
-    :func:`~repro.graph.td_arrays.pack_td_graph`.  ``table`` is the
-    query's distance-table state
-    (:class:`~repro.query.table_query.DistanceTablePruner`): the loop
-    reads its fields and applies Theorems 3 and 4 itself, it never
+    ``connection_subset`` and ``self_pruning`` mean what they mean to
+    :func:`~repro.core.spcs.spcs_profile_search`; ``arrays`` is
+    produced by :func:`~repro.graph.td_arrays.pack_td_graph`.
+    ``target`` switches on the stopping criterion, as there, *and* goal
+    direction: the queue is keyed by arrival + ``potential[node]``, where
+    ``potential`` is ``arrays.lower_bounds_to(target)`` — computed here
+    when the caller (who may share one vector between several subsets'
+    runs) does not pass it.  Only ``labels[target]`` is meaningful
+    after a targeted run.  ``table`` is the query's distance-table
+    state (:class:`~repro.query.table_query.DistanceTablePruner`): the
+    loop reads its fields and applies Theorems 3 and 4 itself, it never
     calls ``on_settle``.  Several runs over disjoint subsets may share
     one state — µ, γ and the final arrivals are per connection.
     """
@@ -172,29 +192,51 @@ def spcs_kernel_search(
     maxconn = [-1] * num_nodes
     adjacency = arrays.kernel_adjacency()
 
+    # Goal direction: a targeted run keys its queue by arrival +
+    # π_T(node), a lower bound on the arrival at the target through
+    # that item.  π_T is consistent, so every (node, connection) is
+    # still settled once with its final label; all items of one node
+    # share one π_T, so they still pop in arrival order and Theorem 1
+    # reads as before; π_T(target) = 0, so everything popped after
+    # connection ``t_max`` settled the target has a bound no better
+    # than that arrival and Theorem 2 reads as before too.  A node that
+    # cannot reach the target at all (π_T = INF) is never pushed.
+    goal = target is not None
+    if goal and potential is None:
+        potential = arrays.lower_bounds_to(target)
+
     # Heap entries are the single int ``key * size + (top - item)``:
-    # heapq compares ints instead of tuples, and on equal arrival keys
-    # the *later* item (larger node, then larger local index) pops
-    # first, so self-pruning can kill the earlier connection before it
-    # relaxes its edges — with ascending tie-break Theorem 1 would never
-    # fire on ties and the search visits measurably more pairs.
+    # heapq compares ints instead of tuples, and on equal keys the
+    # *later* item (larger node, then larger local index) pops first,
+    # so self-pruning can kill the earlier connection before it relaxes
+    # its edges — with ascending tie-break Theorem 1 would never fire
+    # on ties and the search visits measurably more pairs.
     top = size - 1
     heap: list[int] = []
     starts = arrays.conn_start[conn_lo + conn_indices].tolist()
     for k, (dep, node) in enumerate(zip(conn_deps.tolist(), starts)):
         item = node * num_local + k
-        if dep < labels[item]:
+        priority = dep + potential[node] if goal else dep
+        if priority < INF:
             labels[item] = dep
-            heappush(heap, dep * size + top - item)
+            heappush(heap, priority * size + top - item)
 
     pruned_self = pruned_stop = pruned_table = stale = relaxed = 0
 
     # Stopping criterion state (Theorem 2), as in the reference.
     t_max = -1
 
-    # §4 state.  Ancestry (every queue item of a connection has a
-    # contributing transfer station behind it) is the validity condition
-    # of γ, so it is tracked only when Theorem 4 is on.
+    # §4 state.  Theorem 4 is read per queue item, which is what it
+    # takes to survive goal direction: the paper stops connection i once
+    # its bounds meet *and every* queue item has a contributing transfer
+    # station behind it, but a goal-directed queue holds the items that
+    # lead away from the target back to the very end, so that condition
+    # starves.  Per item: one with such an ancestor reaches T no sooner
+    # than γ_i, and any item no sooner than arrival + π_T(node); it is
+    # dropped once that is no better than ``upper_of``, the earliest
+    # arrival at T a settled transfer station has offered connection i
+    # through the table (the query folds it into the answer).  With no
+    # ancestor-less item left both readings drop the same items.
     prune_via = stop_at_target = False
     if table is not None:
         contributes = table.contributes
@@ -211,30 +253,38 @@ def spcs_kernel_search(
         stop_at_target = table.target_pruning
         mu_updates = stops = 0
     if stop_at_target:
-        conn_stopped = bytearray(num_local)
         anc = bytearray(size)
-        no_anc_in_queue = [1] * num_local
+        upper_of = [INF] * num_local
+        if potential is None:
+            potential = [0] * num_nodes
 
     while heap:
-        entry = heappop(heap)
-        key = entry // size
-        item = top - entry % size
-        if settled[item] or key > labels[item]:
+        item = top - heappop(heap) % size
+        if settled[item]:
             stale += 1  # lazy-heap leftover of an improved label
             continue
         settled[item] = 1
+        # An item's entries share one π_T and differ in arrival, so the
+        # first to pop carries the current label: the arrival time.
+        key = labels[item]
         node = item // num_local
         k = item % num_local
         g = subset[k]
         if stop_at_target:
-            if not anc[item]:
-                no_anc_in_queue[k] -= 1
-            if conn_stopped[k]:
-                pruned_stop += 1
-                labels[item] = INF
-                continue
+            upper = upper_of[k]
+            if upper < INF:
+                if key + potential[node] >= upper:
+                    if g > t_max:
+                        t_max = g
+                    pruned_stop += 1
+                    labels[item] = INF
+                    continue
+                if anc[item] and upper <= gamma_of[g]:
+                    pruned_stop += 1
+                    labels[item] = INF
+                    continue
 
-        if target is not None and g <= t_max:
+        if goal and g <= t_max:
             pruned_stop += 1
             labels[item] = INF
             continue
@@ -259,7 +309,7 @@ def spcs_kernel_search(
             if stop_at_target:
                 # Theorem 4: γ_i, a lower bound on the arrival at T ...
                 if station == table_target:
-                    lower = key
+                    lower = upper = key
                 else:
                     deps, arrs, n, tomorrow = (
                         target_rows[station] or table.target_row(station)
@@ -271,16 +321,6 @@ def spcs_kernel_search(
                             lower = key - tau + arrs[idx]
                         else:
                             lower = key - tau + tomorrow
-                    else:
-                        lower = INF
-                gamma = gamma_of[g]
-                if lower < gamma:
-                    gamma = gamma_of[g] = lower
-                # ... met by an upper bound once it is valid: stop i.
-                if gamma < INF and not no_anc_in_queue[k]:
-                    if station == table_target:
-                        upper = key
-                    else:
                         ready = key + transfer_here
                         tau = ready % period
                         idx = bisect_left(deps, tau)
@@ -288,12 +328,19 @@ def spcs_kernel_search(
                             upper = ready - tau + arrs[idx]
                         else:
                             upper = ready - tau + tomorrow
-                    if upper <= gamma:
-                        if upper < final_arrivals.get(g, INF):
-                            final_arrivals[g] = upper
-                        stops += 1
-                        conn_stopped[k] = 1
-                        continue
+                    else:
+                        lower = upper = INF
+                gamma = gamma_of[g]
+                if lower < gamma:
+                    gamma = gamma_of[g] = lower
+                if upper < upper_of[k]:
+                    upper_of[k] = upper
+                else:
+                    upper = upper_of[k]
+                # ... met by an upper bound: nothing through a settled
+                # transfer station, this one included, can do better.
+                if upper <= gamma and upper < INF:
+                    continue
 
             if prune_via:
                 # Theorem 3: lower µ_{i,j} from this settle, and prune
@@ -382,18 +429,16 @@ def spcs_kernel_search(
                     t_next = key + best if best < INF else INF
             head_item = head * num_local + k
             if t_next < labels[head_item] and not settled[head_item]:
+                if goal:
+                    priority = t_next + potential[head]
+                    if priority >= INF:
+                        continue  # no way from ``head`` to the target
+                else:
+                    priority = t_next
                 if stop_at_target:
-                    if labels[head_item] < INF:
-                        # Decrease-key may flip the path's ancestry bit.
-                        if anc[head_item] != push_anc:
-                            no_anc_in_queue[k] += 1 if not push_anc else -1
-                            anc[head_item] = push_anc
-                    else:
-                        anc[head_item] = push_anc
-                        if not push_anc:
-                            no_anc_in_queue[k] += 1
+                    anc[head_item] = push_anc
                 labels[head_item] = t_next
-                heappush(heap, t_next * size + top - head_item)
+                heappush(heap, priority * size + top - head_item)
 
     # Every push is popped (the heap drains), live or stale; every live
     # pop set its settled flag.
@@ -403,6 +448,13 @@ def spcs_kernel_search(
     stats.pruned_stopping = pruned_stop
     stats.pruned_table = pruned_table
     stats.relaxed_edges = relaxed
+    if stop_at_target:
+        for g, upper in zip(subset, upper_of):
+            if upper < INF:
+                if upper < final_arrivals.get(g, INF):
+                    final_arrivals[g] = upper
+                if upper <= gamma_of[g]:
+                    stops += 1  # connection g ended with its bounds met
     if table is not None:
         table.prunes += pruned_table
         table.connection_stops += stops

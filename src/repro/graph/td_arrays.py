@@ -15,7 +15,15 @@ wants Python-``list`` mirrors of the hot arrays: CPython list indexing
 is several times faster than scalar numpy indexing, which dominates an
 interpreter-bound inner loop.  :meth:`TDGraphArrays.kernel_adjacency`
 builds those mirrors lazily and caches them; the cache is dropped on
-pickling (workers rebuild their own).
+pickling (workers rebuild their own).  Beside it sits a second lazy
+mirror, :meth:`TDGraphArrays.reverse_min_adjacency` — the same edges
+turned around, each at its cheapest over the period — from which
+:meth:`TDGraphArrays.lower_bounds_to` computes the per-target
+potentials a goal-directed search keys its queue by
+(``docs/KERNEL.md``, "Goal direction").  Both mirrors belong to one
+pack: a patched pack (:func:`~repro.graph.td_patch.patch_td_arrays`)
+never inherits the reverse one, because a delay batch can make an edge
+cheaper than it ever was.
 
 Layout summary (``N`` nodes, ``E`` edges, ``F`` ttfs, ``P`` ttf points,
 ``S`` stations, ``C`` connections):
@@ -43,9 +51,11 @@ array                shape       meaning
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
+from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import TDGraph
 
 
@@ -69,8 +79,11 @@ class TDGraphArrays:
     conn_dep: np.ndarray
     conn_start: np.ndarray
     transfer_time: np.ndarray
-    #: Lazy kernel-side cache; never pickled (workers rebuild their own).
+    #: Lazy kernel-side caches; never pickled (workers rebuild their own).
     _adjacency_cache: list | None = field(
+        default=None, repr=False, compare=False
+    )
+    _reverse_cache: list | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -136,9 +149,77 @@ class TDGraphArrays:
         self._adjacency_cache = adjacency
         return adjacency
 
+    def reverse_min_adjacency(self) -> list:
+        """The static lower-bound graph, reversed, for the kernel.
+
+        ``reverse[v]`` lists ``(u, cost)`` for every edge ``u → v``,
+        ``cost`` being the least the edge can ever cost: a constant
+        edge's weight, a travel-time function's smallest duration
+        (waiting costs at least nothing), ``INF_TIME`` for a function
+        without points.  Built once per pack and cached.
+        """
+        if self._reverse_cache is not None:
+            return self._reverse_cache
+
+        cost = self.edge_weight
+        if self.ttf_fifo.size:
+            ttf_min = np.full(self.ttf_fifo.size, INF_TIME, dtype=np.int64)
+            starts = self.ttf_indptr[:-1]
+            nonempty = starts < self.ttf_indptr[1:]
+            # Consecutive non-empty rows tile the pool, so their starts
+            # are reduceat's segment boundaries.
+            ttf_min[nonempty] = np.minimum.reduceat(
+                self.ttf_dur, starts[nonempty]
+            )
+            cost = np.where(self.edge_ttf < 0, cost, ttf_min[self.edge_ttf])
+        tails = np.repeat(
+            np.arange(self.num_nodes), np.diff(self.edge_indptr)
+        )
+        by_head = np.argsort(self.edge_target, kind="stable")
+        pairs = list(zip(tails[by_head].tolist(), cost[by_head].tolist()))
+        ends = np.cumsum(
+            np.bincount(self.edge_target, minlength=self.num_nodes)
+        ).tolist()
+        reverse = []
+        lo = 0
+        for hi in ends:
+            reverse.append(pairs[lo:hi])
+            lo = hi
+        self._reverse_cache = reverse
+        return reverse
+
+    def lower_bounds_to(self, target: int) -> list[int]:
+        """``π_T``: per node, the exact distance to ``target`` in the
+        static lower-bound graph — no journey from that node, at any
+        time of day, reaches ``target`` sooner; ``INF_TIME`` where none
+        reaches it at all.  One reverse Dijkstra per call.
+
+        The bounds are *consistent* (``π_T(u) ≤ cost(u, v) + π_T(v)``
+        on every edge, being shortest distances), which is what lets a
+        connection-setting search key its queue by arrival + ``π_T``.
+        """
+        reverse = self.reverse_min_adjacency()
+        num_nodes = self.num_nodes
+        bounds = [INF_TIME] * num_nodes
+        bounds[target] = 0
+        heap = [target]  # entries are ``distance * num_nodes + node``
+        while heap:
+            entry = heappop(heap)
+            dist = entry // num_nodes
+            node = entry % num_nodes
+            if dist > bounds[node]:
+                continue
+            for tail, cost in reverse[node]:
+                through = dist + cost
+                if through < bounds[tail]:
+                    bounds[tail] = through
+                    heappush(heap, through * num_nodes + tail)
+        return bounds
+
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_adjacency_cache"] = None
+        state["_reverse_cache"] = None
         return state
 
     def nbytes(self) -> int:

@@ -206,7 +206,11 @@ def patch_td_arrays(
     patches the changed slices in place.  The kernel-side adjacency
     mirror, if already built, is patched per-node instead of being
     rebuilt from scratch (an O(E) Python rebuild would eat most of the
-    incremental win on large graphs).
+    incremental win on large graphs).  The reverse min-cost mirror is
+    deliberately *not* carried over: a re-timed edge may be cheaper
+    than it ever was, and a lower bound that overestimates makes the
+    goal-directed search wrong, not slow.  The new pack builds its own
+    on first use (numpy up to one list per node).
     """
     delayed = patched_graph.timetable
 

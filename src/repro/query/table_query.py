@@ -25,6 +25,12 @@ data and applies the rules inside its loop (``docs/KERNEL.md``).  A
 query keeps one row of labels — the target's — per subset, never the
 ``nodes × connections`` matrix.
 
+With the stopping criterion on, the flat kernel's search is also
+*goal-directed*: the engine computes one vector of lower bounds to the
+target per query (:meth:`TDGraphArrays.lower_bounds_to`) and every
+subset's run keys its queue by arrival + bound — table or no table.
+The reference kernel stays the paper's algorithm to the letter.
+
 The :class:`~repro.service.TransitService` facade is the usual way to
 reach this engine (``service.journey``): it injects the shared
 prepared artifacts via the ``arrays=``/``station_graph=`` parameters
@@ -60,11 +66,14 @@ class DistanceTablePruner:
     (:func:`~repro.core.spcs.spcs_profile_search`) calls
     :meth:`on_settle` once per live settle and acts on the verdict; the
     flat kernel (:func:`~repro.core.spcs_kernel.spcs_kernel_search`)
-    applies the same rules inside its loop, reading the public fields
-    below directly.  ``on_settle`` is therefore both the readable
-    statement of the rules and the oracle the flat loop is tested
-    against — it evaluates ``D`` through the table, the loop through
-    the list mirrors :meth:`via_row` / :meth:`target_row` hand it.
+    applies the rules inside its loop, reading the public fields below
+    directly — Theorem 3 as written here, Theorem 4 per queue item so
+    that it survives goal direction (``docs/KERNEL.md``).
+    ``on_settle`` is therefore both the readable statement of the
+    paper's rules and, with the reference kernel, the oracle the flat
+    loop's answers are tested against — it evaluates ``D`` through the
+    table, the loop through the list mirrors :meth:`via_row` /
+    :meth:`target_row` hand it.
 
     ``num_connections`` (``|conn(source)|``), ``transfer_time`` and
     ``contributes`` are per-source / per-engine constants the engine
@@ -115,7 +124,10 @@ class DistanceTablePruner:
         self.mu: list[list[int] | None] = [None] * num_conns
         #: γ_i: tentative lower bound on the arrival at T (Theorem 4).
         self.gamma = [INF_TIME] * num_conns
-        #: arr(T, i) recorded when target pruning stops connection i.
+        #: Arrivals at T that target pruning found through the table
+        #: and dropped queue items against: the hook records one when
+        #: it stops connection i, the flat loop the best any settled
+        #: transfer station offered i.  The query folds them in.
         self.final_arrivals: dict[int, int] = {}
         #: Per station, filled on first settle there: the profiles to
         #: the via stations / to the target as list mirrors.
@@ -257,11 +269,12 @@ class StationToStationEngine:
     ``kernel`` selects the per-subset search implementation: ``python``
     (the reference object-graph SPCS) or ``flat`` (the flat-array
     kernel over a packed :class:`TDGraphArrays`; identical reduced
-    profiles, several times faster).  The stopping criterion,
-    Theorem 3 distance-table pruning and Theorem 4 target pruning give
-    the same verdicts on either kernel: both read one
+    profiles, several times faster).  Both read one
     :class:`DistanceTablePruner` state per query, the reference
-    through its settle hook, the flat kernel inline.
+    through its settle hook, the flat kernel inline; ``stopping``
+    gives either kernel its target, which on the flat kernel also
+    makes the search goal-directed (fewer settled connections, the
+    same profile).
     """
 
     def __init__(
@@ -298,9 +311,10 @@ class StationToStationEngine:
         # pack cache and a fresh station graph.
         if kernel == "flat":
             self._arrays = arrays if arrays is not None else packed_arrays(graph)
-            # Pay the kernel-side mirror build at engine construction,
+            # Pay the kernel-side mirror builds at engine construction,
             # not inside the first query's timed search loop.
             self._arrays.kernel_adjacency()
+            self._arrays.reverse_min_adjacency()
         else:
             self._arrays = None
         self.station_graph: StationGraph = (
@@ -426,6 +440,11 @@ class StationToStationEngine:
             # Local query to a transfer-station target: Theorem 4 only.
             pruner = self._pruner(source, target, (), True, conn_deps.size)
 
+        # Goal direction (flat kernel): one π_T for all subsets' runs.
+        potential = None
+        if self.stopping and self._arrays is not None:
+            potential = self._arrays.lower_bounds_to(target)
+
         # A station-to-station answer is one row of the label matrix:
         # read it off each subset's run and merge rows, not matrices.
         arrivals = np.full(conn_deps.size, INF_TIME, dtype=np.int64)
@@ -440,6 +459,7 @@ class StationToStationEngine:
                 connection_subset=subset,
                 target=target if self.stopping else None,
                 pruner=pruner,
+                potential=potential,
                 queue=self.queue,
             )
             times.append(time.perf_counter() - t0)

@@ -103,12 +103,15 @@ class TestKernelAdjacency:
 
 class TestPickling:
     def test_roundtrip_drops_cache_and_preserves_arrays(self, packed):
-        packed.kernel_adjacency()  # warm the cache
+        packed.kernel_adjacency()  # warm the caches
+        packed.reverse_min_adjacency()
         clone = pickle.loads(pickle.dumps(packed))
         assert clone._adjacency_cache is None
+        assert clone._reverse_cache is None
         assert np.array_equal(clone.edge_target, packed.edge_target)
         assert np.array_equal(clone.conn_dep, packed.conn_dep)
         assert clone.kernel_adjacency() == packed.kernel_adjacency()
+        assert clone.reverse_min_adjacency() == packed.reverse_min_adjacency()
 
 
 class TestPackedArraysCache:

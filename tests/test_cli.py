@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -329,6 +332,34 @@ class TestStoreCommands:
     def test_info_from_missing_store_fails_loudly(self, tmp_path):
         with pytest.raises(SystemExit, match="error:"):
             main(["info", "--from-store", str(tmp_path / "nope")])
+
+
+class TestClosedStdout:
+    def test_reader_that_stops_reading_gets_no_traceback(self):
+        """``repro … | head``: the command prints twice what a pipe
+        holds, the reader takes one line and closes."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "profile",
+                "--instance", "losangeles", "--scale", "small",
+                "--source", "0", "--max-points", "100000",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            status = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert first.startswith(b"one-to-all from station 0")
+        assert stderr == ""
+        assert status == 1
 
 
 class TestVersionFlag:
