@@ -1,0 +1,300 @@
+#!/usr/bin/env python3
+"""The CI steps that drive a query sub-command, as functions.
+
+Usage:  PYTHONPATH=src python scripts/ci.py JOB
+
+Each job runs ``python -m repro.cli`` as a child process, exactly as a
+shell step would, keeps its files in a temporary directory and exits
+non-zero on the first failed assertion.  ``.github/workflows/ci.yml``
+calls one job per step; every job also runs locally as is.
+
+``transcripts`` asserts nothing about the answers: it prints the
+invocation matrix (:func:`transcripts`) with run-dependent figures
+masked, so that two checkouts can be compared with ``diff`` —
+``PYTHONPATH=<checkout>/src python scripts/ci.py transcripts``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+#: Children import the package the caller's PYTHONPATH names, else this
+#: checkout's.
+ENV = {**os.environ, "PYTHONPATH": os.environ.get("PYTHONPATH", str(REPO / "src"))}
+sys.path[:0] = ENV["PYTHONPATH"].split(os.pathsep)
+
+OAHU = ("--instance", "oahu", "--scale", "tiny")
+
+
+def cli(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run one ``repro-transit`` command to completion."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    if check and proc.returncode != 0:
+        raise SystemExit(
+            f"repro-transit {' '.join(argv)} exited {proc.returncode}:\n"
+            f"{proc.stdout}{proc.stderr}"
+        )
+    return proc
+
+
+@contextlib.contextmanager
+def serving(command: str, tmp: Path, *argv: str):
+    """A background ``serve`` / ``serve-fleet`` on an ephemeral port:
+    yields its URL once the port file appears; on exit sends SIGTERM,
+    asserts a clean drain (exit 0) and prints the server's log."""
+    port_file = tmp / f"{command}.port"
+    log = open(tmp / f"{command}.log", "w+")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", command, *argv,
+            "--port", "0", "--port-file", str(port_file),
+        ],
+        env=ENV,
+        stdout=log,
+        stderr=subprocess.STDOUT,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not port_file.exists() or not port_file.read_text().strip():
+            assert proc.poll() is None, f"{command} exited {proc.returncode}"
+            assert time.monotonic() < deadline, f"{command} published no port"
+            time.sleep(0.1)
+        yield f"http://127.0.0.1:{int(port_file.read_text())}"
+        proc.send_signal(signal.SIGTERM)
+        status = proc.wait(timeout=60)
+        log.seek(0)
+        text = log.read()
+        print(text, end="")
+        assert "drained" in text, f"{command} log shows no drain"
+        assert status == 0, f"{command} exited {status} after SIGTERM"
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        log.close()
+
+
+def batch_backends(tmp: Path) -> None:
+    """The one backend that forks, against the serial loop: same
+    workload, same work, same classifications."""
+    serial, forked = (
+        json.loads(
+            cli(
+                "batch", *OAHU, "--n-queries", "8", "--seed", "1", "--json",
+                *backend,
+            ).stdout
+        )
+        for backend in (
+            ("--backend", "serial"),
+            ("--backend", "processes", "--workers", "2"),
+        )
+    )
+    assert serial["backend"] == "serial", serial
+    assert forked["backend"] == "processes", forked
+    for key in ("num_queries", "settled_connections", "classifications"):
+        assert serial[key] == forked[key], (key, serial[key], forked[key])
+    print(
+        f"{serial['queries_per_second']} queries/s serial, "
+        f"{forked['queries_per_second']} queries/s on 2 processes"
+    )
+
+
+def global_queries(tmp: Path) -> None:
+    """The fused flat loop (Theorems 3/4 inside the kernel) against the
+    hook-driven reference kernel, at the CLI boundary: a global,
+    table-pruned query prints the same connections whichever kernel
+    runs it, over one connection subset or four.  0 → 2 has a
+    non-transfer target (Theorem 3), 5 → 4 a transfer-station target
+    (Theorem 4 as well); 0 → 2 without a table is a local query, where
+    goal direction is the only thing the flat kernel adds to the
+    stopping criterion — it must settle no more than the reference."""
+    table = ("--transfer-fraction", "0.2")
+    for label, source, target, kind, flags in (
+        ("table-0-2", "0", "2", "global", table),
+        ("table-5-4", "5", "4", "global", table),
+        ("plain-0-2", "0", "2", "local", ()),
+    ):
+        runs = {
+            (kernel, cores): cli(
+                "query", *OAHU, *flags, "--source", source, "--target", target,
+                "--kernel", kernel, "--cores", str(cores),
+            ).stdout
+            for kernel in ("flat", "python")
+            for cores in (1, 4)
+        }
+        profiles = {
+            key: [line for line in out.splitlines() if "depart" in line]
+            for key, out in runs.items()
+        }
+        first = profiles["flat", 1]
+        assert first, f"{label}: no connections printed"
+        for key, out in runs.items():
+            assert f"{source} → {target} ({kind})" in out, (label, key, out)
+            assert profiles[key] == first, f"{label}: {key} differs from ('flat', 1)"
+        print(f"{label}: {len(first)} identical profile lines, 2 kernels x 2 core counts")
+        if not flags:
+            settled = {
+                key: int(re.search(r"(\d+) settled", out).group(1))
+                for key, out in runs.items()
+            }
+            for cores in (1, 4):
+                flat, python = settled["flat", cores], settled["python", cores]
+                assert flat <= python, f"{label}: {settled}"
+                print(f"{label}: {cores} core(s), flat settled {flat} <= python {python}")
+
+
+def serve_fleet(tmp: Path) -> None:
+    """serve-fleet at the CLI boundary: the gateway publishes its
+    ephemeral port via --port-file, answers SDK queries, and SIGTERM
+    drains the whole process tree to exit 0."""
+    from repro.client import connect
+
+    store = str(tmp / "oahu")
+    cli("prepare", *OAHU, "--store", store, "--transfer-fraction", "0.25")
+    with serving("serve-fleet", tmp, "--store", store, "--workers", "2") as url:
+        with connect(url) as backend:
+            answer = backend.journey(2, 5)
+        assert answer.profile, "no connections through the gateway"
+        print(f"gateway at {url} answered a journey")
+
+
+def stream_replay(tmp: Path) -> None:
+    """The CLI surface of the delay-stream loop: generate a committed
+    scenario file, serve a store, replay the file against it."""
+    store, stream = str(tmp / "oahu"), str(tmp / "stream.json")
+    cli("prepare", *OAHU, "--store", store, "--transfer-fraction", "0.25")
+    cli(
+        "delay-stream", *OAHU, "--output", stream,
+        "--events", "5", "--duration", "1", "--stream-seed", "3",
+    )
+    with serving("serve", tmp, "--store", store) as url:
+        report = json.loads(
+            cli(
+                "replay", "--stream", stream, "--remote", url,
+                "--replan", "incremental", "--query-threads", "2", "--speed", "4",
+            ).stdout
+        )
+    assert report["ok"] and report["failed_requests"] == 0, report
+    assert report["metrics"]["last_generation"] == report["num_events"] == 5
+    print(f"CLI replay committed {report['num_events']} batches, 0 failed")
+
+
+#: ``batch --json`` keys that are wall-clock measurements.
+_TIMED_KEYS = (
+    "total_seconds", "queries_per_second", "setup_seconds",
+    "prepare_seconds", "mean_simulated_seconds",
+)
+
+
+def _mask(text: str, tmp: Path, url: str) -> str:
+    text = text.replace(url, "$URL").replace(str(tmp), "$TMP")
+    text = re.sub(r"[\d.]+ (ms|queries/s)", r"# \1", text)
+    text = re.sub(r"built in [\d.]+ s", "built in # s", text)
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("{"):
+            summary = json.loads(line)
+            summary.update(
+                (key, "#") for key in _TIMED_KEYS if summary[key] is not None
+            )
+            line = json.dumps(summary, sort_keys=True)
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _show(*argv: str) -> None:
+    """One transcript entry: the command, its exit status, its stdout
+    and — when it failed — the last line of its stderr."""
+    proc = cli(*argv, check=False)
+    print(f"$ repro-transit {' '.join(argv)}\nexit {proc.returncode}")
+    print(proc.stdout, end="")
+    if proc.returncode != 0:
+        print(f"stderr: {proc.stderr.splitlines()[-1]}")
+    print()
+
+
+def transcripts(tmp: Path) -> None:
+    """The invocation matrix: the dataset commands, the six query
+    commands over ``--instance`` / ``--from-store`` / ``--remote``
+    (text, and ``batch --json``), and the invalid values and
+    combinations that must end in ``error: …`` rather than a traceback
+    or a silently ignored flag."""
+    store, feed = str(tmp / "store"), str(tmp / "feed")
+    table = ("--transfer-fraction", "0.25")
+    pair = ("--source", "2", "--target", "5", "--departure", "480")
+    queries = {
+        "profile": ("--source", "0", "--target", "3"),
+        "query": ("--source", "0", "--target", "5"),
+        "batch": ("--n-queries", "4", "--seed", "1"),
+        "multicriteria": pair,
+        "via": (*pair, "--via", "7"),
+        "min-transfers": pair,
+    }
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _show("generate", *OAHU, "--output", feed)
+        _show("info", *OAHU)
+        _show("info", "--gtfs", feed)
+        _show("prepare", *OAHU, "--store", store, *table)
+        _show("info", "--from-store", store)
+        with serving("serve", tmp, "--store", store) as url:
+            remote = ("--remote", f"{url}/store")
+            for command, flags in queries.items():
+                local = OAHU if command == "profile" else (*OAHU, *table)
+                for source in (local, ("--from-store", store), remote):
+                    _show(command, *source, *flags)
+                    if command == "batch":
+                        _show(command, *source, *flags, "--json")
+            _show("query", *remote, *queries["query"], "--cores", "2")
+        _show("profile", *OAHU, "--source", "0", "--cores", "0")
+        _show("profile", "--from-store", store, "--source", "0", "--cores", "0")
+        _show("batch", *OAHU, "--workers", "0")
+        for command in ("query", "multicriteria", "via", "min-transfers"):
+            _show(command, *OAHU, *queries[command], "--transfer-fraction", "2")
+        _show("prepare", *OAHU, "--store", str(tmp / "bad"), "--cores", "0")
+        _show("table1", *OAHU, "--queries", "0")
+        _show("table2", *OAHU, "--queries", "0")
+        _show("query", "--from-store", store, *queries["query"], "--kernel", "python")
+        _show("info", "--from-store", store, "--scale", "tiny")
+        _show("query", "--from-store", str(tmp / "nope"), *queries["query"])
+    print(_mask(out.getvalue(), tmp, url))
+
+
+JOBS = {
+    "batch-backends": batch_backends,
+    "global-queries": global_queries,
+    "serve-fleet": serve_fleet,
+    "stream-replay": stream_replay,
+    "transcripts": transcripts,
+}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("job", choices=sorted(JOBS))
+    job = JOBS[parser.parse_args().job]
+    with tempfile.TemporaryDirectory(prefix="repro-ci-") as tmp:
+        job(Path(tmp))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
