@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The CI steps that drive a query sub-command, as functions.
+"""The CI steps that drive a sub-command or a store, as functions.
 
 Usage:  PYTHONPATH=src python scripts/ci.py JOB
 
@@ -38,10 +38,13 @@ sys.path[:0] = ENV["PYTHONPATH"].split(os.pathsep)
 OAHU = ("--instance", "oahu", "--scale", "tiny")
 
 
-def cli(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
-    """Run one ``repro-transit`` command to completion."""
+def cli(
+    *argv: str, check: bool = True, prefix: tuple[str, ...] = ()
+) -> subprocess.CompletedProcess:
+    """Run one ``repro-transit`` command to completion (``prefix``:
+    a launcher such as ``taskset -c 0`` to run it under)."""
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *argv],
+        [*prefix, sys.executable, "-m", "repro.cli", *argv],
         env=ENV,
         capture_output=True,
         text=True,
@@ -197,6 +200,88 @@ def stream_replay(tmp: Path) -> None:
     print(f"CLI replay committed {report['num_events']} batches, 0 failed")
 
 
+def warm_start(tmp: Path) -> None:
+    """A loaded service must never rebuild: loading with every builder
+    poisoned and answering all six query shapes proves the store
+    carried everything — the pack included, which the loaded graph
+    owns, so the multi-criteria shapes re-pack nothing either."""
+    import repro.graph.td_arrays as arrays_mod
+    import repro.service.prepare as prepare_mod
+    from repro import TransitService
+
+    store = str(tmp / "store")
+    cli("prepare", *OAHU, "--store", store, "--transfer-fraction", "0.2")
+
+    def forbid(name):
+        def _raise(*args, **kwargs):
+            raise AssertionError(f"warm start called {name}")
+
+        return _raise
+
+    for mod, attr in (
+        (prepare_mod, "build_td_graph"),
+        (prepare_mod, "build_station_graph"),
+        (prepare_mod, "build_distance_table"),
+        (prepare_mod, "select_transfer_stations"),
+        (prepare_mod, "packed_arrays"),
+        (arrays_mod, "pack_td_graph"),
+    ):
+        setattr(mod, attr, forbid(attr))
+
+    service = TransitService.load(store)
+    assert service.prepare_stats.loaded_from_store
+    service.profile(0)
+    service.journey(0, 5)
+    service.batch([(0, 5), (1, 6)])
+    service.multicriteria(0, 5, departure=8 * 60)
+    service.via(0, 3, 5, departure=8 * 60)
+    service.min_transfers(0, 5, departure=8 * 60)
+    assert service.timetable._conn_by_dep_station is None
+    print(
+        "all six query shapes answered with builders poisoned "
+        "and the timetable never indexed"
+    )
+
+
+def table_build(tmp: Path) -> None:
+    """The table build forks one pool for its rows when this process
+    may use more than one core and the rows are long enough to repay it
+    (docs/KERNEL.md, "Preprocessing"); pinned to one CPU it is the
+    serial build.  The stored table is the same to the bit either way.
+    (The oahu/tiny prepare steps elsewhere stay serial by the size rule
+    and double as the "small builds fork nothing" smoke.)"""
+    import numpy as np
+
+    from repro import TransitService
+
+    def prepare(label: str, *prefix: str):
+        store = str(tmp / label)
+        out = cli(
+            "prepare", "--instance", "washington", "--scale", "small",
+            "--transfer-fraction", "0.5", "--store", store, prefix=prefix,
+        ).stdout
+        ms, procs = re.search(r"table ([\d.]+) ms on (\d+) process", out).groups()
+        return float(ms), int(procs), TransitService.load(store).table
+
+    nproc = len(os.sched_getaffinity(0))
+    free_ms, free_procs, free = prepare("free")
+    pinned_ms, pinned_procs, pinned = prepare("pinned", "taskset", "-c", "0")
+    rows = free.num_transfer_stations
+    assert np.array_equal(free.transfer_stations, pinned.transfer_stations)
+    for a in range(rows):
+        for b in range(rows):
+            p, q = free.profiles[a][b], pinned.profiles[a][b]
+            assert p.deps.tobytes() == q.deps.tobytes(), (a, b)
+            assert p.arrs.tobytes() == q.arrs.tobytes(), (a, b)
+    assert pinned_procs == 1, pinned_procs
+    # The first row is the caller's timed probe; the pool gets the rest.
+    assert free_procs == (min(nproc, rows - 1) if nproc >= 2 else 1), free_procs
+    print(
+        f"{rows} rows: {free_ms:.0f} ms on {free_procs} process(es), "
+        f"{pinned_ms:.0f} ms pinned to one CPU; tables bitwise equal"
+    )
+
+
 #: ``batch --json`` keys that are wall-clock measurements.
 _TIMED_KEYS = (
     "total_seconds", "queries_per_second", "setup_seconds",
@@ -283,7 +368,9 @@ JOBS = {
     "global-queries": global_queries,
     "serve-fleet": serve_fleet,
     "stream-replay": stream_replay,
+    "table-build": table_build,
     "transcripts": transcripts,
+    "warm-start": warm_start,
 }
 
 

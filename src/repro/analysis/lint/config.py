@@ -174,7 +174,11 @@ def default_config() -> LintConfig:
             DictPair(protocol, "encode_profile", results, "decode_profile", envelope_vk),
             DictPair(protocol, "encode_batch", results, "decode_batch", envelope_vk),
             DictPair(
-                "src/repro/server/registry.py", "describe", results, "decode_info"
+                "src/repro/service/facade.py",
+                "describe",
+                results,
+                "decode_info",
+                frozenset({"name", "source", "generation"}),
             ),
             DictPair(
                 "src/repro/server/app.py",

@@ -338,21 +338,14 @@ class LocalBackend(TransitBackend):
         )
 
     def info(self) -> DatasetInfo:
-        """The dataset summary, in the exact ``/v1/datasets`` entry
-        shape (:meth:`repro.server.registry.DatasetEntry.describe`)."""
-        service = self.service
-        timetable = service.timetable
+        """The dataset summary: a ``/v1/datasets`` entry built as
+        :meth:`repro.server.registry.DatasetEntry.describe` builds it."""
         return decode_info(
             {
                 "name": self.name,
                 "source": self.source,
                 "generation": self._generation,
-                "timetable": timetable.name,
-                "stations": timetable.num_stations,
-                "trains": timetable.num_trains,
-                "connections": timetable.num_connections,
-                "kernel": service.config.kernel,
-                "has_distance_table": service.table is not None,
+                **self.service.describe(),
             }
         )
 

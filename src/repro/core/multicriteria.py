@@ -146,7 +146,7 @@ def mc_profile_search(
     queue: str = "binary",
 ) -> McProfileResult:
     """Multi-criteria one-to-all profile search from ``source``: the
-    production kernel over the (memoized) packed twin of ``graph``.
+    production kernel over ``graph``'s own pack (:func:`packed_arrays`).
 
     ``queue`` is accepted so callers written against the reference's
     signature keep working; the kernel always uses the lazy C heap.

@@ -123,7 +123,8 @@ def parallel_profile_search(
     ``python`` kernel — the flat kernel always uses the lazy C heap).
     ``arrays`` injects a pre-packed :class:`TDGraphArrays` for the
     ``flat`` kernel (the service facade owns one shared pack); when
-    omitted the memoized :func:`packed_arrays` cache is used.
+    omitted the graph's own pack (:func:`packed_arrays`) is used.  The
+    flat kernel reads ``conn(S)`` from the pack, not the timetable.
     """
     if num_threads < 1:
         raise ValueError(f"need at least one thread, got {num_threads}")
@@ -137,22 +138,20 @@ def parallel_profile_search(
             f"choose from {sorted(PARTITION_STRATEGIES)}"
         ) from None
 
-    timetable = graph.timetable
-    conns = timetable.outgoing_connections(source)
-    conn_deps = [c.dep_time for c in conns]
-    parts = partition_fn(conn_deps, num_threads, timetable.period)
+    if not graph.is_station_node(source):
+        raise ValueError(f"source must be a station node, got {source}")
 
+    timetable = graph.timetable
     if kernel == "flat":
         if arrays is None:
             arrays = packed_arrays(graph)
+        conn_deps = arrays.source_connection_arrays(source)[0].tolist()
     else:
         arrays = None
-    if arrays is not None:
-        # Build the kernel-side list mirrors here, outside the timed
-        # region: the searches below must measure search work, not a
-        # one-time cache fill (and forked workers inherit the finished
-        # mirrors copy-on-write).
-        arrays.kernel_adjacency()
+        conn_deps = [
+            c.dep_time for c in timetable.outgoing_connections(source)
+        ]
+    parts = partition_fn(conn_deps, num_threads, timetable.period)
 
     def timed_search(subset: list[int]) -> tuple[SPCSResult, float]:
         # Each search times itself where it runs, so under
@@ -176,7 +175,7 @@ def parallel_profile_search(
     times = [elapsed for _, elapsed in timed]
 
     t_merge = time.perf_counter()
-    merged = merge_thread_results(thread_results, len(conns))
+    merged = merge_thread_results(thread_results, len(conn_deps))
     merge_time = time.perf_counter() - t_merge
     total_time = time.perf_counter() - start_total
 

@@ -14,16 +14,17 @@ The flat-array SPCS kernel (:mod:`repro.core.spcs_kernel`) additionally
 wants Python-``list`` mirrors of the hot arrays: CPython list indexing
 is several times faster than scalar numpy indexing, which dominates an
 interpreter-bound inner loop.  :meth:`TDGraphArrays.kernel_adjacency`
-builds those mirrors lazily and caches them; the cache is dropped on
-pickling (workers rebuild their own).  Beside it sits a second lazy
-mirror, :meth:`TDGraphArrays.reverse_min_adjacency` — the same edges
-turned around, each at its cheapest over the period — from which
+is that mirror; beside it sits a second one,
+:meth:`TDGraphArrays.reverse_min_adjacency` — the same edges turned
+around, each at its cheapest over the period — from which
 :meth:`TDGraphArrays.lower_bounds_to` computes the per-target
 potentials a goal-directed search keys its queue by
-(``docs/KERNEL.md``, "Goal direction").  Both mirrors belong to one
-pack: a patched pack (:func:`~repro.graph.td_patch.patch_td_arrays`)
-never inherits the reverse one, because a delay batch can make an edge
-cheaper than it ever was.
+(``docs/KERNEL.md``, "Goal direction").  Both are built in the pack's
+constructor, so no search fills one in; only a copy that came through
+pickle, which drops them, builds its own on first use.  Both belong to
+one pack: a patched pack (:func:`~repro.graph.td_patch.patch_td_arrays`)
+is handed its parent's forward mirror, patched, and never the reverse
+one, because a delay batch can make an edge cheaper than it ever was.
 
 Layout summary (``N`` nodes, ``E`` edges, ``F`` ttfs, ``P`` ttf points,
 ``S`` stations, ``C`` connections):
@@ -79,13 +80,19 @@ class TDGraphArrays:
     conn_dep: np.ndarray
     conn_start: np.ndarray
     transfer_time: np.ndarray
-    #: Lazy kernel-side caches; never pickled (workers rebuild their own).
+    #: The kernel-side mirrors; never pickled (workers rebuild their own).
     _adjacency_cache: list | None = field(
         default=None, repr=False, compare=False
     )
     _reverse_cache: list | None = field(
         default=None, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # The one build step of both mirrors, whoever constructs the
+        # pack (pack, patch, store load).
+        self.kernel_adjacency()
+        self.reverse_min_adjacency()
 
     @property
     def num_edges(self) -> int:
@@ -115,7 +122,7 @@ class TDGraphArrays:
         ``adjacency[u]`` is a list of ``(target, weight, ttf)`` triples
         where ``ttf`` is ``None`` for constant edges, else a
         ``(deps_list, durs_list, fifo, n)`` tuple shared across edges
-        referencing the same function.  Built once and cached.
+        referencing the same function.  Built with the pack.
         """
         if self._adjacency_cache is not None:
             return self._adjacency_cache
@@ -156,7 +163,7 @@ class TDGraphArrays:
         ``cost`` being the least the edge can ever cost: a constant
         edge's weight, a travel-time function's smallest duration
         (waiting costs at least nothing), ``INF_TIME`` for a function
-        without points.  Built once per pack and cached.
+        without points.  Built with the pack, never inherited.
         """
         if self._reverse_cache is not None:
             return self._reverse_cache
@@ -319,21 +326,11 @@ def pack_td_graph(graph: TDGraph) -> TDGraphArrays:
     )
 
 
-# Packing a large graph is not free; queries and benchmarks pack each
-# graph once and reuse it.  Entries hold the graph strongly so ``id``
-# reuse cannot alias a dead graph to a live cache entry.
-_PACK_CACHE: dict[int, tuple[TDGraph, TDGraphArrays]] = {}
-_PACK_CACHE_MAX = 8
-
-
 def packed_arrays(graph: TDGraph) -> TDGraphArrays:
-    """Cached :func:`pack_td_graph` (bounded, insertion-evicted cache)."""
-    key = id(graph)
-    hit = _PACK_CACHE.get(key)
-    if hit is not None and hit[0] is graph:
-        return hit[1]
-    arrays = pack_td_graph(graph)
-    if len(_PACK_CACHE) >= _PACK_CACHE_MAX:
-        _PACK_CACHE.pop(next(iter(_PACK_CACHE)))
-    _PACK_CACHE[key] = (graph, arrays)
-    return arrays
+    """The pack of ``graph``: :func:`pack_td_graph` on the first call,
+    the same object ever after — it lives in the graph and dies with
+    it (``prepare``, ``replan`` and ``load`` attach the pack they made).
+    """
+    if graph._arrays is None:
+        graph._arrays = pack_td_graph(graph)
+    return graph._arrays

@@ -19,12 +19,15 @@ boarding cost applies only to actual transfers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.functions.piecewise import TravelTimeFunction
 from repro.timetable.routes import connections_by_route_leg, partition_routes
 from repro.timetable.types import Connection, Route, Timetable
+
+if TYPE_CHECKING:  # pragma: no cover — import cycle guard
+    from repro.graph.td_arrays import TDGraphArrays
 
 
 class Edge(NamedTuple):
@@ -61,6 +64,11 @@ class TDGraph:
     #: (train, dep_time) — unique because a train departs each of its
     #: stops at a strictly later time.
     conn_start_node: dict[tuple[int, int], int]
+    #: The packed twin (:func:`repro.graph.td_arrays.packed_arrays`),
+    #: owned by the graph it was packed from and freed with it.
+    _arrays: TDGraphArrays | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def num_nodes(self) -> int:

@@ -204,13 +204,13 @@ def patch_td_arrays(
     maps) with the old pack; copies only the value pools that can move
     (``ttf_dep``/``ttf_dur``/``ttf_fifo`` and the ``conn`` rows) and
     patches the changed slices in place.  The kernel-side adjacency
-    mirror, if already built, is patched per-node instead of being
-    rebuilt from scratch (an O(E) Python rebuild would eat most of the
-    incremental win on large graphs).  The reverse min-cost mirror is
-    deliberately *not* carried over: a re-timed edge may be cheaper
-    than it ever was, and a lower bound that overestimates makes the
-    goal-directed search wrong, not slow.  The new pack builds its own
-    on first use (numpy up to one list per node).
+    mirror is patched per-node instead of being rebuilt from scratch
+    (an O(E) Python rebuild would eat most of the incremental win on
+    large graphs).  The reverse min-cost mirror is deliberately *not*
+    carried over: a re-timed edge may be cheaper than it ever was, and
+    a lower bound that overestimates makes the goal-directed search
+    wrong, not slow.  The new pack builds its own as it is constructed
+    (numpy up to one list per node).
     """
     delayed = patched_graph.timetable
 
@@ -220,7 +220,7 @@ def patch_td_arrays(
     edge_indptr = arrays.edge_indptr
     ttf_indptr = arrays.ttf_indptr
 
-    patched_fids: dict[int, TravelTimeFunction] = {}
+    adjacency = list(arrays.kernel_adjacency())
     for node, slot, ttf in patch.changed_edges:
         e = int(edge_indptr[node]) + slot
         fid = int(arrays.edge_ttf[e])
@@ -234,7 +234,14 @@ def patch_td_arrays(
         ttf_dep[lo:hi] = ttf.deps
         ttf_dur[lo:hi] = ttf.durs
         ttf_fifo[fid] = ttf.is_fifo()
-        patched_fids[fid] = ttf
+        row = list(adjacency[node])
+        target, weight, _old = row[slot]
+        row[slot] = (
+            target,
+            weight,
+            (list(ttf.deps), list(ttf.durs), ttf.is_fifo(), len(ttf)),
+        )
+        adjacency[node] = row
 
     conn_dep = arrays.conn_dep.copy()
     conn_start = arrays.conn_start.copy()
@@ -264,22 +271,6 @@ def patch_td_arrays(
             patched_graph.source_route_node(c) for c in conns
         ]
 
-    cache = arrays._adjacency_cache
-    new_cache = None
-    if cache is not None:
-        new_tuples = {
-            fid: (list(ttf.deps), list(ttf.durs), ttf.is_fifo(), len(ttf))
-            for fid, ttf in patched_fids.items()
-        }
-        new_cache = list(cache)
-        for node, slot, _ttf in patch.changed_edges:
-            e = int(edge_indptr[node]) + slot
-            fid = int(arrays.edge_ttf[e])
-            row = list(new_cache[node])
-            target, weight, _old = row[slot]
-            row[slot] = (target, weight, new_tuples[fid])
-            new_cache[node] = row
-
     return TDGraphArrays(
         num_nodes=arrays.num_nodes,
         num_stations=arrays.num_stations,
@@ -297,7 +288,7 @@ def patch_td_arrays(
         conn_dep=conn_dep,
         conn_start=conn_start,
         transfer_time=arrays.transfer_time,
-        _adjacency_cache=new_cache,
+        _adjacency_cache=adjacency,
     )
 
 

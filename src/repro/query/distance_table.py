@@ -171,8 +171,9 @@ def patch_distance_table(
     the others follow it there, or go to one fork pool when this
     process may use more than one core and they are predicted to take
     longer than :data:`POOL_MIN_SECONDS`.  Pool workers inherit
-    ``graph``, ``arrays`` and the kernel mirrors copy-on-write (the
-    first row has filled every lazy cache by then); station indices
+    ``graph``, ``arrays`` and the kernel mirrors copy-on-write (a pack
+    is constructed with its mirrors, and the first row has packed
+    ``graph`` where the caller passed no ``arrays``); station indices
     travel in, finished rows and their settled counts travel back.
 
     ``build_seconds``/``build_settled``/``build_workers`` report *this

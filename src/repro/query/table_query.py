@@ -36,7 +36,9 @@ reach this engine (``service.journey``): it injects the shared
 prepared artifacts via the ``arrays=``/``station_graph=`` parameters
 so repeated engine construction over one dataset re-packs nothing
 (docs/API.md).  Direct construction stays supported and behaves
-identically.
+identically.  An engine is stateless after its constructor: whatever a
+query derives (via stations, the pruner, ``π_T``) lives and dies with
+that query.
 """
 
 from __future__ import annotations
@@ -76,8 +78,8 @@ class DistanceTablePruner:
     :meth:`target_row` hand it.
 
     ``num_connections`` (``|conn(source)|``), ``transfer_time`` and
-    ``contributes`` are per-source / per-engine constants the engine
-    hoists out of the query; each is derived here when omitted.
+    ``contributes`` are what the engine already knows or derives from
+    its own constants; each is derived here when omitted.
     """
 
     def __init__(
@@ -307,14 +309,10 @@ class StationToStationEngine:
         self.kernel = kernel
         # Shared prepared artifacts (the service facade injects both so
         # every engine over one dataset reuses one pack / one station
-        # graph); standalone construction falls back to the memoized
-        # pack cache and a fresh station graph.
+        # graph); standalone construction falls back to the graph's
+        # own pack and a fresh station graph.
         if kernel == "flat":
             self._arrays = arrays if arrays is not None else packed_arrays(graph)
-            # Pay the kernel-side mirror builds at engine construction,
-            # not inside the first query's timed search loop.
-            self._arrays.kernel_adjacency()
-            self._arrays.reverse_min_adjacency()
         else:
             self._arrays = None
         self.station_graph: StationGraph = (
@@ -326,16 +324,13 @@ class StationToStationEngine:
         self._transfer_mask = np.zeros(num_stations, dtype=bool)
         if table is not None:
             self._transfer_mask[table.transfer_stations] = True
-        #: Per-target via info, reused across queries to the same
-        #: target (the mask and station graph are fixed per engine).
-        self._via_cache: dict[int, ViaInfo] = {}
-        # Constants of every pruned search, kept out of the query.
+        # Constants of every pruned search, kept out of the query.  The
+        # engine holds nothing else: after this constructor no query
+        # assigns to it.
         self._transfer_time = [
             s.transfer_time for s in graph.timetable.stations
         ]
-        #: Per source: the pruner's ``contributes`` node flags, kept
-        #: from the first pruner that derived them.
-        self._contributes: dict[int, bytes] = {}
+        self._node_station = np.asarray(graph.node_station, dtype=np.int64)
 
     def needs_search(self, source: int, target: int) -> bool:
         """Whether :meth:`query` has to search at all: not for
@@ -359,12 +354,9 @@ class StationToStationEngine:
             return "table", None
         if self.table is None or not self.table_pruning:
             return "local", None
-        via_info = self._via_cache.get(target)
-        if via_info is None:
-            via_info = compute_via_stations(
-                self.station_graph, target, self._transfer_mask
-            )
-            self._via_cache[target] = via_info
+        via_info = compute_via_stations(
+            self.station_graph, target, self._transfer_mask
+        )
         return via_info.classify(source), via_info
 
     def query(self, source: int, target: int) -> StationToStationResult:
@@ -496,7 +488,9 @@ class StationToStationEngine:
         target_pruning: bool,
         num_connections: int,
     ) -> DistanceTablePruner:
-        pruner = DistanceTablePruner(
+        mask = self._transfer_mask.copy()
+        mask[source] = False  # as DistanceTablePruner.ancestry_mask
+        return DistanceTablePruner(
             self.graph,
             self.table,
             source,
@@ -505,7 +499,5 @@ class StationToStationEngine:
             target_pruning=target_pruning,
             num_connections=num_connections,
             transfer_time=self._transfer_time,
-            contributes=self._contributes.get(source),
+            contributes=mask[self._node_station].tobytes(),
         )
-        self._contributes[source] = pruner.contributes
-        return pruner

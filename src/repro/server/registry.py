@@ -90,19 +90,13 @@ class DatasetEntry:
         self._next_token = 0  # guarded-by: _swap_lock
 
     def describe(self) -> dict:
-        """JSON-safe summary for ``/v1/datasets`` (no packed buffers
-        are touched)."""
-        timetable = self.service.timetable
+        """JSON-safe summary for ``/v1/datasets``: the serving side's
+        three fields, then :meth:`TransitService.describe`."""
         return {
             "name": self.name,
             "source": self.source,
             "generation": self.generation,
-            "timetable": timetable.name,
-            "stations": timetable.num_stations,
-            "trains": timetable.num_trains,
-            "connections": timetable.num_connections,
-            "kernel": self.service.config.kernel,
-            "has_distance_table": self.service.table is not None,
+            **self.service.describe(),
         }
 
 

@@ -260,6 +260,20 @@ class TransitService:
         """Hit/miss accounting of the per-service result cache."""
         return self._result_cache.stats
 
+    def describe(self) -> dict:
+        """The generation-derived fields of a ``/v1/datasets`` entry,
+        JSON-safe; whoever serves the generation adds ``name``,
+        ``source`` and ``generation`` (no packed buffer is touched)."""
+        timetable = self.timetable
+        return {
+            "timetable": timetable.name,
+            "stations": timetable.num_stations,
+            "trains": timetable.num_trains,
+            "connections": timetable.num_connections,
+            "kernel": self.config.kernel,
+            "has_distance_table": self.table is not None,
+        }
+
     def lookup(self, shape: Shape, request):
         """The answer to the typed ``request`` if it takes no search,
         else ``None`` (ask ``self.<shape.name>(request)`` then).

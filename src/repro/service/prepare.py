@@ -94,7 +94,9 @@ class PreparedDataset:
     :func:`~repro.core.parallel.parallel_profile_search`, so packing,
     station-graph construction and table building happen at most once
     per service instance (``tests/service/test_facade.py`` pins this
-    with call counters).
+    with call counters).  Under the flat kernel no query assigns to any
+    of them either, a table profile's list mirror excepted
+    (``docs/KERNEL.md``, "What a generation owns").
     """
 
     timetable: Timetable
@@ -144,9 +146,6 @@ def prepare_dataset(
     if config.kernel == "flat":
         t0 = time.perf_counter()
         arrays = packed_arrays(graph)
-        # Build the kernel-side list mirrors here so every later query
-        # measures search work, not a one-time cache fill.
-        arrays.kernel_adjacency()
         pack_seconds = time.perf_counter() - t0
         packed_bytes = arrays.nbytes()
 
@@ -243,7 +242,7 @@ def replan_dataset(
     if prepared.arrays is not None:
         t0 = time.perf_counter()
         arrays = patch_td_arrays(prepared.arrays, graph, patch)
-        arrays.kernel_adjacency()
+        graph._arrays = arrays
         pack_seconds = time.perf_counter() - t0
         packed_bytes = arrays.nbytes()
 

@@ -523,7 +523,9 @@ def _hydrate_td_graph(
     (with the FIFO flags precomputed), and the route/connection
     side-tables.  The result is structurally identical to
     ``build_td_graph(timetable)``, which the round-trip tests pin by
-    comparing python-kernel answers bitwise.
+    comparing python-kernel answers bitwise, and it owns ``arrays`` as
+    its pack (``packed_arrays(graph) is arrays``): nothing packs it a
+    second time.
     """
     period = timetable.period
 
@@ -588,6 +590,7 @@ def _hydrate_td_graph(
         node_station=arrays.node_station.tolist(),
         route_node_ids=route_node_ids,
         conn_start_node=conn_start_node,
+        _arrays=arrays,
     )
 
 

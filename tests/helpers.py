@@ -115,6 +115,30 @@ def brute_force_arrivals(
     return arrivals
 
 
+def ask_every_shape(service, source: int, via: int, target: int) -> list:
+    """One request of each row of ``SHAPES`` against ``service``, built
+    from the shape's own field list (so a seventh shape is asked too);
+    journeys carry a departure, so legs are reconstructed as well."""
+    from repro.service.shapes import BATCH, SHAPES, as_request
+
+    values = {
+        "source": source,
+        "via": via,
+        "target": target,
+        "departure": 8 * 60,
+        "num_threads": 2,
+    }
+    answers = []
+    for shape in SHAPES:
+        if shape is BATCH:
+            request = as_request(BATCH, [(source, target), (via, target)])
+        else:
+            first, *rest = (values.get(f.name) for f in shape.fields)
+            request = as_request(shape, first, *rest)
+        answers.append(getattr(service, shape.name)(request))
+    return answers
+
+
 def run_in_own_group(script, *args, send=None, timeout=120.0):
     """Run ``script`` (``python -c``, ``repro`` importable) as the
     leader of a new process group and fail unless the whole group is

@@ -2,9 +2,8 @@
 
 The server (``repro.server``) answers all traffic for a dataset
 through a single shared :class:`TransitService` on a worker-thread
-pool — so the facade's result cache, the shared
-:class:`StationToStationEngine` and the per-target via cache must all
-tolerate concurrent callers without
+pool — so the facade's result cache and the shared (stateless)
+:class:`StationToStationEngine` must tolerate concurrent callers without
 changing a single answer.  This suite pins exactly that: N threads
 issuing interleaved profile / journey / batch requests must produce
 answers bitwise-identical to serial execution of the same workload.
@@ -26,8 +25,8 @@ from repro.service import (
     TransitService,
 )
 
-#: Distance table on: concurrent queries exercise classification, the
-#: via cache and both pruning theorems, not just plain searches.
+#: Distance table on: concurrent queries exercise classification, via
+#: stations and both pruning theorems, not just plain searches.
 CONFIG = ServiceConfig(
     num_threads=2,
     use_distance_table=True,

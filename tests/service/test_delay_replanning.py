@@ -12,15 +12,18 @@ table, on at least two synthetic instances.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.graph.td_model import TDGraph
 from repro.service import BatchRequest, ServiceConfig, TransitService
 from repro.synthetic.instances import make_instance
 from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import random_line_timetable
+from tests.helpers import ask_every_shape, random_line_timetable
 
 
 def assert_profiles_bitwise_equal(expected, got, context=""):
@@ -130,3 +133,73 @@ def test_apply_delays_batch_parity():
     cold_batch = cold.batch(BatchRequest.from_pairs(pairs))
     for w, c in zip(warm_batch.journeys, cold_batch.journeys):
         assert_profiles_bitwise_equal(c.profile, w.profile)
+
+
+# ---------------------------------------------------------------------------
+# A swapped-out generation is garbage, and a swap sorts no timetable
+# ---------------------------------------------------------------------------
+
+
+def _live_graphs():
+    """Every live ``TDGraph``.  The class is slotted (no ``weakref``),
+    so the collector's object list is the census."""
+    gc.collect()
+    return [obj for obj in gc.get_objects() if type(obj) is TDGraph]
+
+
+@pytest.mark.parametrize("mode", ("full", "incremental"))
+def test_swapped_out_generations_are_not_pinned(mode):
+    """Ten delay batches leave one graph alive per live service: the
+    pack belongs to its graph, so nothing module-global can hold a
+    generation nobody serves from any more."""
+    others = len(_live_graphs())  # session fixtures of other tests
+    service = TransitService(
+        make_instance("oahu", scale="tiny"), ServiceConfig(kernel="flat")
+    )
+    for train in range(10):
+        service = service.apply_delays(
+            [Delay(train=train, minutes=5)], mode=mode
+        )
+    assert len(_live_graphs()) - others == 1
+    del service
+    assert len(_live_graphs()) - others == 0
+
+
+def _flat_config(with_table):
+    return ServiceConfig(
+        kernel="flat",
+        num_threads=2,
+        use_distance_table=with_table,
+        transfer_fraction=0.3,
+    )
+
+
+@pytest.mark.parametrize("with_table", (False, True), ids=["plain", "table"])
+def test_no_timetable_sort_after_a_swap_or_a_load(tmp_path, with_table):
+    """``Timetable.outgoing_connections`` sorts the whole timetable on
+    first use.  The flat kernel reads ``conn(S)`` from the pack, so
+    neither an incremental swap (its table rows included) nor any of
+    the six shapes on a swapped or loaded generation pays that sort."""
+    service = TransitService(
+        make_instance("oahu", scale="tiny"), _flat_config(with_table)
+    )
+    swapped = service.apply_delays(
+        [Delay(train=0, minutes=25)], mode="incremental"
+    )
+    if with_table:
+        assert swapped.prepare_stats.patched_table_rows > 0
+    assert swapped.timetable._conn_by_dep_station is None  # the swap itself
+    service.save(tmp_path / "store")
+    for generation in (swapped, TransitService.load(tmp_path / "store")):
+        ask_every_shape(generation, 0, 3, 7)
+        assert generation.timetable._conn_by_dep_station is None
+
+
+def test_python_kernel_may_index_the_timetable():
+    """The oracle walks ``Timetable.outgoing_connections``; only the
+    flat kernel is held to the rule above."""
+    service = TransitService(
+        make_instance("oahu", scale="tiny"), ServiceConfig(kernel="python")
+    ).apply_delays([Delay(train=0, minutes=25)], mode="incremental")
+    ask_every_shape(service, 0, 3, 7)
+    assert service.timetable._conn_by_dep_station is not None
