@@ -33,7 +33,7 @@ REPO = Path(__file__).resolve().parents[1]
 #: Children import the package the caller's PYTHONPATH names, else this
 #: checkout's.
 ENV = {**os.environ, "PYTHONPATH": os.environ.get("PYTHONPATH", str(REPO / "src"))}
-sys.path[:0] = ENV["PYTHONPATH"].split(os.pathsep)
+sys.path[:0] = [*ENV["PYTHONPATH"].split(os.pathsep), str(REPO)]
 
 OAHU = ("--instance", "oahu", "--scale", "tiny")
 
@@ -58,11 +58,31 @@ def cli(
     return proc
 
 
+def process_tree(root: int) -> list[int]:
+    """``root`` and its live descendants (zombies are not alive)."""
+    parent_of = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                state, ppid = (
+                    (entry / "stat").read_text().rpartition(")")[2].split()[:2]
+                )
+            except OSError:  # gone between the listing and the read
+                continue
+            if state != "Z":
+                parent_of[int(entry.name)] = int(ppid)
+    tree = [root] if root in parent_of else []
+    for pid in tree:
+        tree.extend(child for child, ppid in parent_of.items() if ppid == pid)
+    return tree
+
+
 @contextlib.contextmanager
 def serving(command: str, tmp: Path, *argv: str):
     """A background ``serve`` / ``serve-fleet`` on an ephemeral port:
-    yields its URL once the port file appears; on exit sends SIGTERM,
-    asserts a clean drain (exit 0) and prints the server's log."""
+    yields its URL and process id once the port file appears; on exit
+    sends SIGTERM, asserts a clean drain (exit 0) that leaves no
+    descendant of the server alive, and prints the server's log."""
     port_file = tmp / f"{command}.port"
     log = open(tmp / f"{command}.log", "w+")
     proc = subprocess.Popen(
@@ -80,7 +100,8 @@ def serving(command: str, tmp: Path, *argv: str):
             assert proc.poll() is None, f"{command} exited {proc.returncode}"
             assert time.monotonic() < deadline, f"{command} published no port"
             time.sleep(0.1)
-        yield f"http://127.0.0.1:{int(port_file.read_text())}"
+        yield f"http://127.0.0.1:{int(port_file.read_text())}", proc.pid
+        descendants = process_tree(proc.pid)[1:]
         proc.send_signal(signal.SIGTERM)
         status = proc.wait(timeout=60)
         log.seek(0)
@@ -88,6 +109,8 @@ def serving(command: str, tmp: Path, *argv: str):
         print(text, end="")
         assert "drained" in text, f"{command} log shows no drain"
         assert status == 0, f"{command} exited {status} after SIGTERM"
+        orphans = [p for p in descendants if process_tree(p)]
+        assert not orphans, f"{command} left {orphans} of {descendants} behind"
     finally:
         if proc.poll() is None:
             proc.kill()
@@ -172,7 +195,9 @@ def serve_fleet(tmp: Path) -> None:
 
     store = str(tmp / "oahu")
     cli("prepare", *OAHU, "--store", store, "--transfer-fraction", "0.25")
-    with serving("serve-fleet", tmp, "--store", store, "--workers", "2") as url:
+    with serving(
+        "serve-fleet", tmp, "--store", store, "--workers", "2"
+    ) as (url, _):
         with connect(url) as backend:
             answer = backend.journey(2, 5)
         assert answer.profile, "no connections through the gateway"
@@ -188,7 +213,7 @@ def stream_replay(tmp: Path) -> None:
         "delay-stream", *OAHU, "--output", stream,
         "--events", "5", "--duration", "1", "--stream-seed", "3",
     )
-    with serving("serve", tmp, "--store", store) as url:
+    with serving("serve", tmp, "--store", store) as (url, _):
         report = json.loads(
             cli(
                 "replay", "--stream", stream, "--remote", url,
@@ -282,6 +307,131 @@ def table_build(tmp: Path) -> None:
     )
 
 
+def _tree_cpu_seconds(pids: list[int]) -> float:
+    """Scheduler run time of every thread of ``pids`` (``schedstat``,
+    as ``e2ebench/harness.py`` reads it for the server alone)."""
+    return sum(
+        int((task / "schedstat").read_text().split()[0])
+        for pid in pids
+        for task in Path(f"/proc/{pid}/task").iterdir()
+    ) / 1e9
+
+
+def _proc_mb(pid: int, file: str, field: str) -> float:
+    """A kB field of ``/proc/<pid>/<file>`` (``status``: ``VmRSS``,
+    ``VmHWM``; ``smaps_rollup``: ``Pss``), in MB."""
+    for line in Path(f"/proc/{pid}/{file}").read_text().splitlines():
+        if line.startswith(field + ":"):
+            return int(line.split()[1]) / 1024
+    raise KeyError(field)
+
+
+def served_pool(tmp: Path) -> None:
+    """The served path on the cores, and what it costs in whole.
+
+    ``serve`` over washington/small (table on, result cache off — the
+    ``cold_search`` store of ``e2ebench``), everything else as shipped.
+    First that workload's own 264-pair script from two clients, with
+    the accounting ``e2ebench/harness.py`` cannot do — it reads
+    ``schedstat`` and ``VmHWM`` of the ``serve`` process alone, and the
+    searches now run in its children: CPU per operation and memory over
+    the server's process *tree*, beside the parent-only values.  Then
+    the paper's scalability figure through HTTP: one client, one-to-all
+    profiles from 12 seeded sources, three rounds, split over p = 1 and
+    p = 2 connection subsets — answers equal to in-process ones, p = 2
+    faster than p = 1 by more than 1.3x where there are two cores to
+    run them on (the numbers are printed either way, the assertion
+    comes last)."""
+    import random
+    import statistics
+    import threading
+
+    from e2ebench.workloads import WORKLOADS, build_script, requests_of
+    from repro import ServiceConfig, TransitService
+    from repro.client import LocalBackend, connect
+    from repro.service.model import ProfileRequest
+    from repro.synthetic.instances import make_instance
+
+    store = tmp / "washington"
+    TransitService(
+        make_instance("washington", scale="small"),
+        ServiceConfig(**WORKLOADS["cold_search"].config),
+    ).save(store)
+    service = TransitService.load(store)
+    script = build_script(WORKLOADS["cold_search"], 0, 10, service)
+    local = LocalBackend(store)
+    with serving("serve", tmp, "--store", str(store)) as (base, server):
+        url = f"{base}/washington"
+        tree = process_tree(server)
+
+        def client(ops: list) -> None:
+            with connect(url) as backend:
+                for op in ops:
+                    for shape, request in requests_of(op):
+                        getattr(backend, shape)(request)
+
+        client(script.warmup)
+        cpu0 = _tree_cpu_seconds(tree), _tree_cpu_seconds(tree[:1])
+        t0 = time.perf_counter()
+        threads = [
+            threading.Thread(target=client, args=(script.timed[k::2],))
+            for k in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        wall = time.perf_counter() - t0
+        ops = len(script.timed)
+        assert process_tree(server) == tree, "the process tree changed"
+        print(
+            f"cold_search script: {ops} ops from 2 clients in {wall:.2f} s "
+            f"({ops / wall:.1f}/s), server tree of {len(tree)} process(es)"
+        )
+        print(
+            f"  CPU per op: tree "
+            f"{(_tree_cpu_seconds(tree) - cpu0[0]) * 1000 / ops:.2f} ms, "
+            f"serve process alone "
+            f"{(_tree_cpu_seconds(tree[:1]) - cpu0[1]) * 1000 / ops:.2f} ms"
+        )
+        rss = [_proc_mb(pid, "status", "VmRSS") for pid in tree]
+        pss = [_proc_mb(pid, "smaps_rollup", "Pss") for pid in tree]
+        print(
+            f"  memory: tree Pss {sum(pss):.1f} MB "
+            f"(Rss {' + '.join(f'{mb:.1f}' for mb in rss)} MB), "
+            f"serve process alone Pss {pss[0]:.1f} MB, "
+            f"VmHWM {_proc_mb(server, 'status', 'VmHWM'):.1f} MB"
+        )
+
+        sources = random.Random("served-pool").sample(
+            range(service.timetable.num_stations), 12
+        )
+        target = [s for s in range(3) if s not in sources][:1]
+        times: dict[int, list[float]] = {1: [], 2: []}
+        with connect(url) as backend:
+            for _ in range(3):
+                for source in sources:
+                    for p in (1, 2):
+                        request = ProfileRequest(source, num_threads=p)
+                        t0 = time.perf_counter()
+                        answer = backend.profile(request, targets=target)
+                        times[p].append(time.perf_counter() - t0)
+                        expected = local.profile(request, targets=target)
+                        assert answer.profiles == expected.profiles, (source, p)
+                        assert (
+                            answer.stats.settled_connections
+                            == expected.stats.settled_connections
+                        ), (source, p)
+    one, two = (statistics.median(times[p]) * 1000 for p in (1, 2))
+    cores = len(os.sched_getaffinity(0))
+    print(
+        f"served profile, 12 sources x 3, one client, {cores} core(s): "
+        f"p=1 {one:.1f} ms, p=2 {two:.1f} ms, speed-up {one / two:.2f}x"
+    )
+    if cores >= 2:
+        assert one / two > 1.3, f"p=2 is only {one / two:.2f}x p=1"
+
+
 #: ``batch --json`` keys that are wall-clock measurements.
 _TIMED_KEYS = (
     "total_seconds", "queries_per_second", "setup_seconds",
@@ -340,7 +490,7 @@ def transcripts(tmp: Path) -> None:
         _show("info", "--gtfs", feed)
         _show("prepare", *OAHU, "--store", store, *table)
         _show("info", "--from-store", store)
-        with serving("serve", tmp, "--store", store) as url:
+        with serving("serve", tmp, "--store", store) as (url, _):
             remote = ("--remote", f"{url}/store")
             for command, flags in queries.items():
                 local = OAHU if command == "profile" else (*OAHU, *table)
@@ -367,6 +517,7 @@ JOBS = {
     "batch-backends": batch_backends,
     "global-queries": global_queries,
     "serve-fleet": serve_fleet,
+    "served-pool": served_pool,
     "stream-replay": stream_replay,
     "table-build": table_build,
     "transcripts": transcripts,

@@ -84,6 +84,15 @@ FLAGS = {
 }
 
 
+def positive_int(text: str) -> int:
+    """``type=`` of a flag that counts something there must be one of:
+    refused by the parser, before anything is loaded or built."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
 

@@ -11,6 +11,7 @@ import signal
 import tempfile
 from typing import Any, Awaitable, Callable
 
+from repro.cli.datasets import positive_int
 from repro.server import DatasetRegistry, TransitServer
 from repro.store import StoreError
 
@@ -179,6 +180,13 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grace_ms(text: str) -> float:
+    value = float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value:g}")
+    return value
+
+
 def _add_listen_flags(parser: argparse.ArgumentParser) -> None:
     """What ``serve`` and ``serve-fleet`` both take; the fleet moves
     the defaults it needs to (``set_defaults``)."""
@@ -208,7 +216,7 @@ def _add_listen_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-inflight",
-        type=int,
+        type=positive_int,
         default=64,
         help="admission bound: further query requests get a fast 503 "
         "(default: %(default)s)",
@@ -223,13 +231,15 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
     _add_listen_flags(p_serve)
     p_serve.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=4,
-        help="query worker threads (default: 4)",
+        help="searches that may run at once: one waiting thread each, "
+        "and per dataset one search process for each of them that has "
+        "a core to run on (default: 4)",
     )
     p_serve.add_argument(
         "--drain-grace-ms",
-        type=float,
+        type=_grace_ms,
         default=0.0,
         help="on shutdown, report 'draining' on /healthz for this long "
         "while still serving, before rejecting anything — gives load "
@@ -245,19 +255,19 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
     _add_listen_flags(p_fleet)
     p_fleet.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         default=2,
-        help="worker *processes* to spawn (default: 2)",
+        help="`serve` worker processes to spawn (default: 2)",
     )
     p_fleet.add_argument(
         "--worker-threads",
-        type=int,
+        type=positive_int,
         default=4,
-        help="query threads per worker process (default: 4)",
+        help="each worker's `serve --workers` (default: 4)",
     )
     p_fleet.add_argument(
         "--worker-max-inflight",
-        type=int,
+        type=positive_int,
         default=64,
         help="per-worker admission bound (default: 64)",
     )
@@ -276,7 +286,7 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
     )
     p_fleet.add_argument(
         "--worker-drain-grace-ms",
-        type=float,
+        type=_grace_ms,
         default=200.0,
         help="workers' readiness grace on shutdown (default: 200)",
     )

@@ -6,14 +6,7 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis import render_table1, render_table2, run_table1, run_table2
-from repro.cli.datasets import add_input_flags
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+from repro.cli.datasets import add_input_flags, positive_int
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -32,5 +25,5 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
         p_tab = sub.add_parser(name, help=f"regenerate {name} for an instance")
         add_input_flags(p_tab, gtfs=False)
         # Each row is a mean over the queries; none would divide by zero.
-        p_tab.add_argument("--queries", type=_positive_int, default=5)
+        p_tab.add_argument("--queries", type=positive_int, default=5)
         p_tab.set_defaults(func=_cmd_table, run=run, render=render)

@@ -5,22 +5,29 @@ subset, merges the labels and reduces.  The subsets are dispatched by
 :func:`repro.core.fanout.fan_out`, on one of its two backends:
 
 * ``serial``   — run subsets one after another in this thread (exact
-  per-thread work/time accounting; the default, and what the service
-  facade and every experiment use *for the partitions inside one
-  search*);
+  per-thread work/time accounting; the default, and what every
+  experiment uses);
 * ``processes`` — one forked worker per subset; real parallelism on
   multi-core hosts at the cost of forking and result pickling.  Each
   worker times its own search.
 
-The cores a machine has are used one level up instead, *across
-sources*: the distance-table build runs many whole searches, each
-``serial`` inside, on one fork pool per build
-(:func:`repro.query.distance_table.patch_distance_table`) — a pool per
-search costs more than a short search takes, a pool per build does not.
+A pool *per search* costs more than a short search takes (``germany`` /
+medium at p = 2: 19.0 ms ``serial``, 32.6 ms ``processes``), so the
+paths that run many searches keep their processes longer than one of
+them.  The distance-table build forks one pool per build and runs
+whole searches in it, each ``serial`` inside
+(:func:`repro.query.distance_table.patch_distance_table`).  A served
+generation forks its search workers once
+(:class:`repro.core.fanout.ForkPool`) and hands this driver a
+``dispatch`` that runs each subset in one of them: the paper's master /
+worker scheme with processes for threads — the master partitions and
+merges, the workers search — measured at 1.71–1.80× for p = 2 on two
+cores, through HTTP (``docs/SERVER.md``, "Execution model").
 
-CPython cannot run the paper's shared-memory threads in parallel (the
-searches serialize on the GIL), which is why the experiments report the
-*simulated-cores* time below instead of a threaded wall clock.
+CPython threads cannot run the searches in parallel (they serialize on
+the GIL), which is why the paper's shared-memory threads are processes
+here, and why the experiments also report the *simulated-cores* time
+below, which needs no second core to be measured.
 
 Orthogonal to the backend, ``kernel`` selects the per-subset search
 implementation:
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.core.fanout import fan_out
 from repro.core.merge import MergedProfileResult, merge_thread_results
@@ -103,6 +111,29 @@ class ParallelProfileResult:
         return self.merged.profile(station)
 
 
+def timed_subset_search(
+    graph: TDGraph,
+    arrays: "TDGraphArrays | None",
+    source: int,
+    subset: Sequence[int],
+    *,
+    self_pruning: bool,
+    queue: str,
+) -> tuple[SPCSResult, float]:
+    """One subset's SPCS run and its wall time, measured where it runs
+    — in a worker process, that worker's own clock."""
+    t0 = time.perf_counter()
+    result = run_spcs_search(
+        graph,
+        arrays,
+        source,
+        connection_subset=subset,
+        self_pruning=self_pruning,
+        queue=queue,
+    )
+    return result, time.perf_counter() - t0
+
+
 def parallel_profile_search(
     graph: TDGraph,
     source: int,
@@ -114,6 +145,7 @@ def parallel_profile_search(
     queue: str = "binary",
     kernel: str = "python",
     arrays: "TDGraphArrays | None" = None,
+    dispatch: "Callable[[list[list[int]]], list[tuple[SPCSResult, float]]] | None" = None,
 ) -> ParallelProfileResult:
     """One-to-all profile search on ``num_threads`` simulated cores.
 
@@ -125,6 +157,10 @@ def parallel_profile_search(
     ``flat`` kernel (the service facade owns one shared pack); when
     omitted the graph's own pack (:func:`packed_arrays`) is used.  The
     flat kernel reads ``conn(S)`` from the pack, not the timetable.
+
+    ``dispatch``, when given, runs the subsets in place of ``backend``:
+    it takes the partition and returns one :func:`timed_subset_search`
+    outcome per subset, in order (a served generation's search workers).
     """
     if num_threads < 1:
         raise ValueError(f"need at least one thread, got {num_threads}")
@@ -154,23 +190,18 @@ def parallel_profile_search(
     parts = partition_fn(conn_deps, num_threads, timetable.period)
 
     def timed_search(subset: list[int]) -> tuple[SPCSResult, float]:
-        # Each search times itself where it runs, so under
-        # ``processes`` a child reports its own subset's wall time.
-        t0 = time.perf_counter()
-        result = run_spcs_search(
-            graph,
-            arrays,
-            source,
-            connection_subset=subset,
-            self_pruning=self_pruning,
-            queue=queue,
+        return timed_subset_search(
+            graph, arrays, source, subset,
+            self_pruning=self_pruning, queue=queue,
         )
-        return result, time.perf_counter() - t0
 
     start_total = time.perf_counter()
-    timed = fan_out(
-        timed_search, parts, backend=backend, workers=num_threads
-    ).results
+    if dispatch is not None:
+        timed = dispatch(parts)
+    else:
+        timed = fan_out(
+            timed_search, parts, backend=backend, workers=num_threads
+        ).results
     thread_results = [result for result, _ in timed]
     times = [elapsed for _, elapsed in timed]
 

@@ -18,11 +18,15 @@ Endpoints (all bodies JSON, see :mod:`repro.server.protocol` and
 
 Design:
 
-* **No blocking on the loop** — every search runs on the
-  :class:`~repro.server.executor.QueryExecutor` worker pool; the loop
+* **No blocking on the loop, no search under its GIL** — the loop
   only parses, routes, serializes and gives the answers that take no
-  search (``TransitService.lookup``).  The HTTP mechanics (keep-alive
-  loop, request reading, graceful drain) live in
+  search (``TransitService.lookup``).  Every other request is a job of
+  the :class:`~repro.server.executor.QueryExecutor` thread pool, and
+  the search it needs runs in one of the dataset generation's *search
+  workers*: processes forked from the generation when :meth:`start`
+  begins serving it (``TransitService.start_workers``), as many as
+  there are executor threads and usable cores.  The HTTP mechanics
+  (keep-alive loop, request reading, graceful drain) live in
   :class:`~repro.server.http_base.BaseAsyncHttpServer`, shared with
   the fleet gateway.
 * **Bounded admission** — at most ``max_inflight`` query requests (and
@@ -38,9 +42,9 @@ Design:
   ``"draining"`` while requests still succeed, so the fleet gateway
   (or any LB) stops routing *before* the hard drain starts
   fast-503ing; :meth:`~BaseAsyncHttpServer.shutdown` then waits out
-  ``drain_grace``, finishes in-flight requests, and stops the worker
-  pool.  ``repro serve`` wires SIGINT/SIGTERM to exactly this path and
-  exits 0.
+  ``drain_grace``, finishes in-flight requests, and stops the thread
+  pool and the search workers.  ``repro serve`` wires SIGINT/SIGTERM
+  to exactly this path and exits 0.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from __future__ import annotations
 import json
 import time
 
+from repro.core.fanout import WorkerLost, usable_cores
 from repro.server.executor import QueryExecutor
 from repro.server.http_base import MAX_BODY_BYTES, BaseAsyncHttpServer
 from repro.server.metrics import ServerMetrics
@@ -96,8 +101,20 @@ class TransitServer(BaseAsyncHttpServer):
         self.metrics = metrics if metrics is not None else ServerMetrics()
         self.executor = QueryExecutor(workers=workers)
 
+    async def start(self) -> None:
+        """Give every dataset generation its search workers — one per
+        executor thread, up to the cores this process may use — then
+        bind and accept.  (Generations that delay swaps build later
+        bring their own: ``TransitService.apply_delays``.)"""
+        processes = min(self.executor.workers, usable_cores())
+        for entry in self.registry.entries():
+            entry.service.start_workers(processes)
+        await super().start()
+
     async def _post_drain(self) -> None:
         await self.executor.shutdown()
+        for entry in self.registry.entries():
+            entry.service.stop_workers()
 
     # -- routing --------------------------------------------------------
 
@@ -124,6 +141,12 @@ class TransitServer(BaseAsyncHttpServer):
             status, payload = 404, _error("unknown_dataset", str(exc))
         except SwapStateError as exc:
             status, payload = 409, _error("swap_conflict", str(exc))
+        except WorkerLost as exc:
+            # The search worker died under this request, and only this
+            # one; its replacement is already there for the retry.
+            status, payload, extra = 503, _error(
+                "worker_lost", str(exc), retriable=True
+            ), self._retry_after_header()
         except ValueError as exc:
             # Domain validation the protocol layer cannot see (e.g.
             # Delay.from_stop past the train's run).

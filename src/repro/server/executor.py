@@ -1,12 +1,20 @@
 """Worker-pool query execution: one job per search.
 
-Every search the server runs is CPU-bound Python, so none may run on
-the event loop: :class:`QueryExecutor` owns a
+No search may run on the event loop, and since the searches are pure
+Python none runs under its GIL either: :class:`QueryExecutor` owns a
 :class:`~concurrent.futures.ThreadPoolExecutor` and funnels service
-calls through it (:meth:`run`).  A request of any shape is one
-``service.<shape>`` job (:meth:`submit`), handed to the pool the moment
-it is admitted — nothing waits on a clock or behind another request,
-and concurrent requests run on separate workers.
+calls through it (:meth:`run`), and the service a server hands it has
+*search workers* — processes forked from the dataset generation
+(``TransitService.start_workers``).  A request of any shape is one
+``service.<shape>`` job (:meth:`submit`), handed to a thread the moment
+it is admitted — nothing waits on a clock or behind another request.
+The thread looks the request up in the result cache, ships the search
+to a worker, waits on that worker's pipe with the GIL released, stores
+the answer and returns it; a profile's thread also partitions and
+merges (paper §3.2).  So ``workers`` threads mean up to ``workers``
+searches in flight, on as many cores as the generation has processes
+for; delay replans (:meth:`run`) are the one CPU-heavy thing that still
+runs here.
 
 The one thing that is not a job is an answer that takes no search
 (``service.lookup``: a result-cache hit, a distance-table journey).
@@ -18,8 +26,8 @@ spot (``docs/SERVER.md``, "Execution model", has the numbers).
 There is deliberately no request grouping: no scheme measured so far
 beat this dispatch on a benchmark workload.  A request runs against
 the service it was admitted under, so a delay hot swap drains
-naturally — the old generation is referenced only by its in-flight
-jobs.
+naturally — the old generation, search workers included, is referenced
+only by its in-flight jobs.
 """
 
 from __future__ import annotations
@@ -35,7 +43,8 @@ T = TypeVar("T")
 
 
 class QueryExecutor:
-    """Run service calls on a pool of ``workers`` threads."""
+    """Run service calls on a pool of ``workers`` threads: how many
+    searches may be in flight at once."""
 
     def __init__(self, *, workers: int = 4) -> None:
         if workers < 1:

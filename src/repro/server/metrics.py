@@ -152,7 +152,9 @@ class ServerMetrics:
 
         ``registry``, when given, contributes per-dataset generation
         counters and result-cache hit rates
-        (:attr:`TransitService.cache_stats`)."""
+        (:attr:`TransitService.cache_stats`), and the search workers
+        of the serving generations
+        (:attr:`TransitService.worker_stats`)."""
         payload: dict = {
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "requests_total": dict(self.requests_total),
@@ -179,7 +181,13 @@ class ServerMetrics:
         }
         if registry is not None:
             datasets: dict[str, dict] = {}
+            # Over the generations now serving: a swap starts new
+            # workers, and their count of replacements, afresh.
+            workers = {"processes": 0, "replaced_total": 0}
             for entry in registry.entries():
+                alive, replaced = entry.service.worker_stats
+                workers["processes"] += alive
+                workers["replaced_total"] += replaced
                 cache = entry.service.cache_stats
                 datasets[entry.name] = {
                     "generation": entry.generation,
@@ -191,5 +199,6 @@ class ServerMetrics:
                         "hit_rate": round(cache.hit_rate, 4),
                     },
                 }
+            payload["search_workers"] = workers
             payload["datasets"] = datasets
         return payload

@@ -43,10 +43,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.fanout import fan_out
+from repro.core.fanout import ForkPool, fan_out
 from repro.core.mc_reference import mc_reference_search
 from repro.core.multicriteria import mc_kernel_search
-from repro.core.parallel import parallel_profile_search
+from repro.core.parallel import parallel_profile_search, timed_subset_search
 from repro.functions.piecewise import INF_TIME
 from repro.query.batch import BatchStats
 from repro.query.distance_table import DistanceTable
@@ -163,6 +163,10 @@ class TransitService:
         # delayed service (apply_delays) is a new instance and thus
         # starts cold — the invalidation the dynamic scenario needs.
         self._result_cache = LRUResultCache(cfg.result_cache_size)
+        #: The generation's search workers, once a server started them
+        #: (:meth:`start_workers`); ``None``: every search runs on the
+        #: thread that asked.
+        self._workers: ForkPool | None = None
 
     @classmethod
     def from_graph(
@@ -294,22 +298,86 @@ class TransitService:
             and request.departure is None
             and not self._engine.needs_search(request.source, request.target)
         ):
-            return self.journey(request)
+            return self._answer(request, "_search_journey", here=True)
         return None
+
+    # -- search workers ------------------------------------------------
+
+    def start_workers(self, processes: int) -> None:
+        """Fork ``processes`` search workers from this generation
+        (:class:`~repro.core.fanout.ForkPool`): from now on every
+        search a query method needs runs in one of them, on the sealed
+        graph, pack, mirrors and table they inherited copy-on-write —
+        only the typed request travels in and the typed answer back.
+        The result cache and its accounting stay here, with the caller.
+
+        Whoever serves the generation calls this, once, before any
+        query (``TransitServer.start``); :meth:`apply_delays` then
+        passes workers on to the generation it returns.  They stop with
+        :meth:`stop_workers` or when the service is collected: a
+        swapped-out generation keeps its workers exactly as long as its
+        last in-flight request keeps the service.
+        """
+        if self._workers is None:
+            self._workers = ForkPool(
+                self, processes, initializer=TransitService._enter_worker
+            )
+
+    def stop_workers(self) -> None:
+        """Stop and reap the search workers, if any (idempotent);
+        queries from now on search on the calling thread again."""
+        if self._workers is not None:
+            self._workers.close()
+
+    @property
+    def worker_stats(self) -> tuple[int, int]:
+        """``(live search workers, workers replaced after dying)``."""
+        if self._workers is None:
+            return 0, 0
+        return self._workers.processes, self._workers.replaced_total
+
+    def _enter_worker(self) -> None:
+        # A worker's first act.  The parent's cache comes with a lock
+        # some other thread may have held during the fork, and nothing
+        # put here would ever be seen there: the worker gets a cache of
+        # its own — where the multi-criteria search that multicriteria
+        # and min-transfers share lives, and a via's two journeys.
+        self._result_cache = LRUResultCache(self.config.result_cache_size)
+
+    def _answer(self, req, compute: str, *, here: bool = False):
+        """The one dispatch point of the query methods: the cached
+        answer to ``req``, else ``self.<compute>(req)`` — in a search
+        worker when the generation has them, unless ``here`` keeps it
+        on the calling thread — stored for the next asker."""
+        cached = self._result_cache.get(req)
+        if cached is not None:
+            return _mark_cache_hit(cached)
+        if here or self._workers is None:
+            result = getattr(self, compute)(req)
+        else:
+            # For choice in the worker that last searched from this
+            # source: a traveller's multicriteria and min-transfers
+            # requests share one search there.
+            result = self._workers.call(
+                compute, req, affinity=getattr(req, "source", None)
+            )
+        self._result_cache.put(req, result)
+        return result
 
     # -- one-to-all profiles -------------------------------------------
 
     def profile(
         self, request: ProfileRequest | int, /
     ) -> ProfileResult:
-        """Answer a :class:`ProfileRequest` (or a raw source station)."""
-        req = as_request(PROFILE, request)
-        cached = self._result_cache.get(req)
-        if cached is not None:
-            return _mark_cache_hit(cached)
-        result = self._search_profile(req)
-        self._result_cache.put(req, result)
-        return result
+        """Answer a :class:`ProfileRequest` (or a raw source station).
+
+        The search is composed here, the paper's master (§3.2): the
+        partition of ``conn(S)`` and the merge run on the calling
+        thread, each subset's search in a search worker when there are
+        any (:meth:`_search_profile`)."""
+        return self._answer(
+            as_request(PROFILE, request), "_search_profile", here=True
+        )
 
     # -- station-to-station journeys -----------------------------------
 
@@ -321,13 +389,9 @@ class TransitService:
         departure: int | None = None,
     ) -> JourneyResult:
         """Answer a :class:`JourneyRequest` (or raw source/target)."""
-        req = as_request(JOURNEY, request, target, departure)
-        cached = self._result_cache.get(req)
-        if cached is not None:
-            return _mark_cache_hit(cached)
-        result = self._search_journey(req)
-        self._result_cache.put(req, result)
-        return result
+        return self._answer(
+            as_request(JOURNEY, request, target, departure), "_search_journey"
+        )
 
     # -- batched workloads ---------------------------------------------
 
@@ -336,34 +400,7 @@ class TransitService:
     ) -> BatchResponse:
         """Answer a :class:`BatchRequest` (or raw (source, target)
         pairs) on the configured pool backend."""
-        request = as_request(BATCH, request)
-        cached = self._result_cache.get(request)
-        if cached is not None:
-            return _mark_cache_hit(cached)
-        cfg = self.config
-        t0 = time.perf_counter()
-        run = fan_out(
-            self._search,
-            [*request.journeys, *request.profiles],
-            backend=cfg.backend,
-            workers=cfg.workers,
-        )
-        total = time.perf_counter() - t0
-        split = len(request.journeys)
-        response = BatchResponse(
-            journeys=run.results[:split],
-            profiles=run.results[split:],
-            stats=BatchStats(
-                num_queries=len(request),
-                backend=run.backend,
-                kernel=cfg.kernel,
-                num_workers=1 if run.backend == "serial" else cfg.workers,
-                setup_seconds=run.spinup_seconds,
-                total_seconds=total,
-            ),
-        )
-        self._result_cache.put(request, response)
-        return response
+        return self._answer(as_request(BATCH, request), "_run_batch")
 
     # -- the query zoo: multicriteria / via / min-transfers ------------
 
@@ -378,12 +415,7 @@ class TransitService:
         """Answer a :class:`MulticriteriaRequest` (or raw arguments):
         the Pareto front of (transfers, arrival) trade-offs (§6)."""
         req = as_request(MULTICRITERIA, request, target, departure, max_transfers)
-        cached = self._result_cache.get(req)
-        if cached is not None:
-            return _mark_cache_hit(cached)
-        result = self._run_multicriteria(req)
-        self._result_cache.put(req, result)
-        return result
+        return self._answer(req, "_run_multicriteria")
 
     def via(
         self,
@@ -401,59 +433,9 @@ class TransitService:
         construction those of the two chained station-to-station
         queries the parity oracle runs.
         """
-        req = as_request(VIA, request, via, target, departure)
-        cached = self._result_cache.get(req)
-        if cached is not None:
-            return _mark_cache_hit(cached)
-        t0 = time.perf_counter()
-        parts: list[QueryStats] = []
-        if req.source == req.via:
-            legs_first: tuple | None = ()
-            via_arrival = req.departure
-        else:
-            first = self.journey(JourneyRequest(req.source, req.via, req.departure))
-            parts.append(first.stats)
-            legs_first = first.legs
-            via_arrival = first.arrival if first.arrival is not None else INF_TIME
-        if via_arrival >= INF_TIME:
-            arrival = INF_TIME
-            legs = None
-        elif req.via == req.target:
-            arrival = via_arrival
-            legs = legs_first
-        else:
-            second = self.journey(
-                JourneyRequest(req.via, req.target, via_arrival)
-            )
-            parts.append(second.stats)
-            arrival = second.arrival if second.arrival is not None else INF_TIME
-            if legs_first is None or second.legs is None:
-                legs = None
-            else:
-                legs = tuple(legs_first) + tuple(second.legs)
-        total = time.perf_counter() - t0
-        stats = QueryStats(
-            kind="via",
-            kernel=self.config.kernel,
-            num_threads=self.config.num_threads,
-            settled_connections=sum(p.settled_connections for p in parts),
-            simulated_seconds=sum(p.simulated_seconds for p in parts),
-            total_seconds=total,
-            table_prunes=sum(p.table_prunes for p in parts),
-            connection_stops=sum(p.connection_stops for p in parts),
+        return self._answer(
+            as_request(VIA, request, via, target, departure), "_run_via"
         )
-        result = ViaResult(
-            source=req.source,
-            via=req.via,
-            target=req.target,
-            departure=req.departure,
-            via_arrival=via_arrival,
-            arrival=arrival,
-            stats=stats,
-            legs=legs,
-        )
-        self._result_cache.put(req, result)
-        return result
 
     def min_transfers(
         self,
@@ -467,46 +449,7 @@ class TransitService:
         the fewest-transfers journey within the budget — the first
         entry of the Pareto front."""
         req = as_request(MIN_TRANSFERS, request, target, departure, max_transfers)
-        cached = self._result_cache.get(req)
-        if cached is not None:
-            return _mark_cache_hit(cached)
-        t0 = time.perf_counter()
-        if req.source == req.target:
-            transfers: int | None = 0
-            arrival = req.departure
-            legs: tuple | None = ()
-            settled = 0
-        else:
-            raw = self._mc_search(req.source, req.max_transfers)
-            settled = raw.stats.settled
-            front = raw.pareto_front(req.target, req.departure)
-            if not front:
-                transfers, arrival, legs = None, INF_TIME, None
-            else:
-                transfers, arrival = front[0]
-                recon, recon_arrival = self._recon_legs(
-                    req.source, req.target, req.departure
-                )
-                legs = (
-                    recon
-                    if recon
-                    and recon_arrival == arrival
-                    and len(recon) - 1 == transfers
-                    else None
-                )
-        total = time.perf_counter() - t0
-        result = MinTransfersResult(
-            source=req.source,
-            target=req.target,
-            departure=req.departure,
-            max_transfers=req.max_transfers,
-            transfers=transfers,
-            arrival=arrival,
-            stats=self._mc_stats("min_transfers", settled, total),
-            legs=legs,
-        )
-        self._result_cache.put(req, result)
-        return result
+        return self._answer(req, "_run_min_transfers")
 
     # -- delay replanning ----------------------------------------------
 
@@ -541,7 +484,10 @@ class TransitService:
         answers cached before the delays can never be served for the
         delayed timetable (``tests/service/test_result_cache.py``).
         This service and its cache stay valid for the original
-        timetable.
+        timetable.  If this service has search workers
+        (:meth:`start_workers`) the returned one has as many, forked
+        here, by the thread that built it — whoever publishes it
+        publishes a generation that is ready to search.
         """
         if mode not in ("full", "incremental"):
             raise ValueError(
@@ -562,7 +508,10 @@ class TransitService:
                 station_graph=self.prepared.station_graph,
                 transfer_stations=self.prepared.transfer_stations,
             )
-        return TransitService(delayed, self.config, prepared=prepared)
+        replanned = TransitService(delayed, self.config, prepared=prepared)
+        if self._workers is not None:
+            replanned.start_workers(self._workers.processes)
+        return replanned
 
     # -- internals ------------------------------------------------------
 
@@ -580,9 +529,46 @@ class TransitService:
             return self._search_journey(req)
         return self._search_profile(req)
 
+    def _run_batch(self, request: BatchRequest) -> BatchResponse:
+        cfg = self.config
+        t0 = time.perf_counter()
+        run = fan_out(
+            self._search,
+            [*request.journeys, *request.profiles],
+            backend=cfg.backend,
+            workers=cfg.workers,
+        )
+        total = time.perf_counter() - t0
+        split = len(request.journeys)
+        return BatchResponse(
+            journeys=run.results[:split],
+            profiles=run.results[split:],
+            stats=BatchStats(
+                num_queries=len(request),
+                backend=run.backend,
+                kernel=cfg.kernel,
+                num_workers=1 if run.backend == "serial" else cfg.workers,
+                setup_seconds=run.spinup_seconds,
+                total_seconds=total,
+            ),
+        )
+
+    def _search_subset(self, source: int, subset: list[int]):
+        """One §3.2 job of a search worker: the SPCS run over one
+        subset of ``conn(source)``, timed where it ran."""
+        return timed_subset_search(
+            self.prepared.graph,
+            self.prepared.arrays,
+            source,
+            subset,
+            self_pruning=self.config.self_pruning,
+            queue=self.config.queue,
+        )
+
     def _search_profile(self, req: ProfileRequest) -> ProfileResult:
         cfg = self.config
         prepared = self.prepared
+        workers = self._workers
         num_threads = (
             req.num_threads if req.num_threads is not None else cfg.num_threads
         )
@@ -592,11 +578,17 @@ class TransitService:
             req.source,
             num_threads,
             strategy=cfg.strategy,
-            backend="serial",
             self_pruning=cfg.self_pruning,
             queue=cfg.queue,
             kernel=cfg.kernel,
             arrays=prepared.arrays,
+            # Without workers (and inside one) the subsets run here,
+            # one after the other.
+            dispatch=None
+            if workers is None
+            else lambda parts: workers.map(
+                "_search_subset", [(req.source, part) for part in parts]
+            ),
         )
         total = time.perf_counter() - t0
         stats = QueryStats(
@@ -700,6 +692,92 @@ class TransitService:
             max_transfers=req.max_transfers,
             options=options,
             stats=self._mc_stats("multicriteria", settled, total),
+            legs=legs,
+        )
+
+    def _run_min_transfers(self, req: MinTransfersRequest) -> MinTransfersResult:
+        t0 = time.perf_counter()
+        if req.source == req.target:
+            transfers: int | None = 0
+            arrival = req.departure
+            legs: tuple | None = ()
+            settled = 0
+        else:
+            raw = self._mc_search(req.source, req.max_transfers)
+            settled = raw.stats.settled
+            front = raw.pareto_front(req.target, req.departure)
+            if not front:
+                transfers, arrival, legs = None, INF_TIME, None
+            else:
+                transfers, arrival = front[0]
+                recon, recon_arrival = self._recon_legs(
+                    req.source, req.target, req.departure
+                )
+                legs = (
+                    recon
+                    if recon
+                    and recon_arrival == arrival
+                    and len(recon) - 1 == transfers
+                    else None
+                )
+        total = time.perf_counter() - t0
+        return MinTransfersResult(
+            source=req.source,
+            target=req.target,
+            departure=req.departure,
+            max_transfers=req.max_transfers,
+            transfers=transfers,
+            arrival=arrival,
+            stats=self._mc_stats("min_transfers", settled, total),
+            legs=legs,
+        )
+
+    def _run_via(self, req: ViaRequest) -> ViaResult:
+        t0 = time.perf_counter()
+        parts: list[QueryStats] = []
+        if req.source == req.via:
+            legs_first: tuple | None = ()
+            via_arrival = req.departure
+        else:
+            first = self.journey(JourneyRequest(req.source, req.via, req.departure))
+            parts.append(first.stats)
+            legs_first = first.legs
+            via_arrival = first.arrival if first.arrival is not None else INF_TIME
+        if via_arrival >= INF_TIME:
+            arrival = INF_TIME
+            legs = None
+        elif req.via == req.target:
+            arrival = via_arrival
+            legs = legs_first
+        else:
+            second = self.journey(
+                JourneyRequest(req.via, req.target, via_arrival)
+            )
+            parts.append(second.stats)
+            arrival = second.arrival if second.arrival is not None else INF_TIME
+            if legs_first is None or second.legs is None:
+                legs = None
+            else:
+                legs = tuple(legs_first) + tuple(second.legs)
+        total = time.perf_counter() - t0
+        stats = QueryStats(
+            kind="via",
+            kernel=self.config.kernel,
+            num_threads=self.config.num_threads,
+            settled_connections=sum(p.settled_connections for p in parts),
+            simulated_seconds=sum(p.simulated_seconds for p in parts),
+            total_seconds=total,
+            table_prunes=sum(p.table_prunes for p in parts),
+            connection_stops=sum(p.connection_stops for p in parts),
+        )
+        return ViaResult(
+            source=req.source,
+            via=req.via,
+            target=req.target,
+            departure=req.departure,
+            via_arrival=via_arrival,
+            arrival=arrival,
+            stats=stats,
             legs=legs,
         )
 

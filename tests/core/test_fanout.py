@@ -1,15 +1,20 @@
-"""The one serial-or-fork-pool dispatch (:mod:`repro.core.fanout`)."""
+"""The one serial-or-fork-pool dispatch (:mod:`repro.core.fanout`),
+per call (``fan_out``) and kept (``ForkPool``)."""
 
 import os
 import signal
+import subprocess
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core import fanout
-from repro.core.fanout import BACKENDS, fan_out
+from repro.core.fanout import BACKENDS, ForkPool, WorkerLost, fan_out
 
-from tests.helpers import run_in_own_group
+from tests.helpers import child_alive, run_in_own_group
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -182,3 +187,427 @@ def test_pools_under_an_event_loops_signal_handlers_return_quietly():
     )
     assert (returncode, stderr) == (0, "")
     assert stdout.strip() == "[]"
+
+
+# -- the persistent pool ----------------------------------------------------
+
+
+class Fussy(Exception):
+    """Pickles, but cannot be rebuilt from its pickle."""
+
+    def __init__(self, *, detail):
+        super().__init__(detail)
+
+
+class Target:
+    """What the pool tests fork from: state a child must inherit, and
+    methods that say where and how they ran."""
+
+    def __init__(self, offset=0):
+        self.offset = offset
+
+    def add(self, x):
+        return x + self.offset
+
+    def where(self):
+        return os.getpid()
+
+    def boom(self, text):
+        raise KeyError(text)
+
+    def fuss(self):
+        raise Fussy(detail="about nothing")
+
+    def nap(self, seconds):
+        time.sleep(seconds)
+        return os.getpid()
+
+    def die(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    def fds(self):
+        """The descriptors this process holds (the one the listing
+        itself opens aside)."""
+        held = []
+        for name in os.listdir("/proc/self/fd"):
+            try:
+                os.fstat(int(name))
+            except OSError:
+                continue
+            held.append(int(name))
+        return sorted(held)
+
+
+@pytest.fixture()
+def pool():
+    target = Target(offset=100)
+    pool = ForkPool(target, 2)
+    yield pool
+    pool.close()
+
+
+def test_pool_answers_in_order_like_the_calling_thread(pool):
+    """More jobs than children: each child is reused, the answers come
+    back in job order and equal those of a pool without children, which
+    runs on the calling thread."""
+    jobs = [(x,) for x in range(11)]
+    twin = Target(offset=100)  # a pool holds its target weakly
+    inline = ForkPool(twin, 0)
+    assert inline.processes == 0
+    assert pool.map("add", jobs) == inline.map("add", jobs)
+    assert pool.map("add", jobs) == [x + 100 for x in range(11)]
+    assert pool.map("add", []) == []
+    assert pool.call("add", 1) == 101
+    assert inline.call("where") == os.getpid()
+    pids = set(pool.map("where", [()] * 8))
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    assert (pool.processes, pool.replaced_total) == (2, 0)
+
+
+def test_jobs_about_the_same_thing_meet_the_same_child(pool):
+    """``affinity`` says what a job is about; the idle child whose last
+    such job was about the same gets it, and with it whatever that
+    child has cached — a traveller's multi-criteria search, for one
+    (``docs/SERVER.md`` has the measured rates).  Jobs that say nothing,
+    or something new, go to the child idle longest and leave the
+    others' affinities alone."""
+    first = pool.call("where", affinity="a")
+    assert {pool.call("where", affinity="a") for _ in range(3)} == {first}
+    second = pool.call("where", affinity="b")
+    assert first != second  # "b" is new: the child idle longest
+    for _ in range(2):
+        assert len(set(pool.map("where", [()] * 2))) == 2  # both, unmarked
+        for about, child in (("b", second), ("b", second), ("a", first)) * 2:
+            assert pool.call("where", affinity=about) == child
+    # Without a match the children take turns.
+    turns = [pool.call("where") for _ in range(4)]
+    assert turns[0] != turns[1] and turns[:2] == turns[2:]
+    # Busy is busy: the job takes the child that is idle.
+    held = threading.Thread(target=pool.call, args=("nap", 0.5), kwargs={"affinity": "a"})
+    held.start()
+    time.sleep(0.2)
+    assert pool.call("where", affinity="a") == second
+    held.join(timeout=10)
+
+
+def test_pool_child_exception_raises_here_with_its_type(pool):
+    with pytest.raises(KeyError, match="boom"):
+        pool.call("boom", "boom")
+    # The first failure in job order; the other jobs ran, no child is
+    # lost over it.
+    with pytest.raises(KeyError, match="second"):
+        pool.map("boom", [("second",), ("third",)])
+    # An exception that would not survive the trip comes as its text.
+    with pytest.raises(RuntimeError, match="Fussy: about nothing"):
+        pool.call("fuss")
+    assert pool.call("add", 1) == 101
+    assert (pool.processes, pool.replaced_total) == (2, 0)
+
+
+def test_pool_child_holds_nothing_of_its_parent_but_its_pipe(tmp_path):
+    """Listening socket, client connection, an open file, the first
+    child's pipe: the server's descriptors at fork time.  A child that
+    kept them would hold a closed client connection half-open, keep the
+    port bound after the server died — and a sibling's pipe end would
+    keep that sibling from ever reading EOF."""
+    import socket
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    client = socket.create_connection(listener.getsockname())
+    accepted, _ = listener.accept()
+    target = Target()
+    with open(tmp_path / "log", "w"), listener, client, accepted:
+        pool = ForkPool(target, 2)
+        try:
+            held = pool.map("fds", [()] * 6)
+        finally:
+            pool.close()
+    for fds in held:
+        assert [fd for fd in fds if fd <= 2] == [0, 1, 2]
+        assert len(fds) == 4, fds  # stdio and the child's own pipe
+
+
+def test_killed_child_fails_its_call_and_is_replaced():
+    target = Target(offset=1)
+    pool = ForkPool(target, 1)
+    try:
+        victim = pool.call("where")
+        with pytest.raises(WorkerLost, match=str(victim)):
+            pool.call("die")
+        assert not child_alive(victim)
+        # The next call is answered, by a child forked from the target.
+        successor = pool.call("where")
+        assert successor not in (victim, os.getpid())
+        assert pool.call("add", 1) == 2
+        assert (pool.processes, pool.replaced_total) == (1, 1)
+        # Only the job of the child that died is lost to a map.
+        with pytest.raises(WorkerLost):
+            pool.map("die", [()])
+        assert pool.map("add", [(1,), (2,)]) == [2, 3]
+        assert (pool.processes, pool.replaced_total) == (1, 2)
+    finally:
+        pool.close()
+
+
+def test_two_maps_that_each_want_the_whole_pool_both_finish(pool):
+    """Two threads, two jobs each, two children — and each thread has
+    sent its first job before either asks for a second child (the
+    barrier inside the job list).  A map that waited for a *further*
+    child while its own held an unread answer would wait for ever."""
+    barrier = threading.Barrier(2)
+    results = {}
+
+    def jobs():
+        yield (0.05,)
+        barrier.wait(timeout=10)
+        yield (0.05,)
+
+    def run(tag):
+        results[tag] = pool.map("nap", jobs())
+
+    threads = [
+        threading.Thread(target=run, args=(tag,), daemon=True) for tag in "ab"
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    # Each thread ran both its jobs on the child it already held.
+    assert len(set(results["a"])) == len(set(results["b"])) == 1
+    assert set(results["a"]) != set(results["b"])
+
+
+def test_close_reaps_every_child_and_later_calls_run_here():
+    target = Target(offset=5)
+    pool = ForkPool(target, 2)
+    pids = set(pool.map("where", [()] * 4)) | {c.pid for c in pool._children}
+    assert len(pids) == 2
+    pool.close()
+    assert not any(map(child_alive, pids))
+    assert pool.processes == 0
+    assert pool.call("where") == os.getpid()
+    assert pool.call("add", 1) == 6
+    pool.close()  # idempotent
+
+
+def test_collected_pool_takes_its_children_with_it():
+    """Nobody closes a swapped-out generation's pool: it goes when the
+    last reference to it does."""
+    target = Target()
+    pool = ForkPool(target, 2)
+    pids = [child.pid for child in pool._children]
+    del pool
+    assert not any(map(child_alive, pids))
+
+
+def test_pool_inside_a_pool_child_runs_on_that_child():
+    """A replacement is forked from a target that already owns the
+    pool, so it inherits a copy of it — one without children: a call
+    the target makes through it there is made on the spot."""
+
+    class Owner(Target):
+        workers = None
+
+        def ask(self):
+            return self.workers.call("where")
+
+    target = Owner()
+    target.workers = ForkPool(target, 2)
+    try:
+        originals = {child.pid for child in target.workers._children}
+        for _ in originals:
+            with pytest.raises(WorkerLost):
+                target.workers.call("die")
+        # Each replacement inherited the pool with the other child in
+        # it, idle — and must not take it for a child of its own.
+        replacements = {child.pid for child in target.workers._children}
+        assert len(replacements) == 2 and not replacements & originals
+        assert set(target.workers.map("ask", [()] * 2)) == replacements
+        assert set(target.workers.map("where", [()] * 2)) == replacements
+        assert target.workers.replaced_total == 2
+    finally:
+        target.workers.close()
+
+
+def _survivors(pids, timeout=5.0):
+    """Those of ``pids`` still running ``timeout`` seconds from now (a
+    zombie nobody reaps is not running)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = []
+        for pid in pids:
+            try:
+                with open(f"/proc/{pid}/stat") as stat:
+                    state = stat.read().rpartition(")")[2].split()[0]
+            except OSError:
+                continue
+            if state != "Z":
+                alive.append(pid)
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.02)
+
+
+def test_children_do_not_outlive_a_killed_parent():
+    """SIGKILL gives the parent no chance to stop anything: an idle
+    child reads EOF on its pipe and leaves at once, a busy one when its
+    job is done.  For that EOF to come, no sibling may hold a copy of
+    the parent's end of the pipe — the child forked second, kept busy
+    here, inherited the first one's."""
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-c",
+            "import os, signal, threading, time\n"
+            "from repro.core.fanout import ForkPool\n"
+            "class T:\n"
+            "    def nap(self, seconds): time.sleep(seconds)\n"
+            "target = T()\n"
+            "pool = ForkPool(target, 2)\n"
+            "pool.call('nap', 0)  # the first child's turn; the next is\n"
+            "threading.Thread(target=pool.call, args=('nap', 2)).start()\n"
+            "time.sleep(0.3)\n"
+            "(idle,) = pool._idle\n"
+            "(busy,) = set(pool._children) - {idle}\n"
+            "print(idle.pid, busy.pid, flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n",
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    idle, busy = (int(pid) for pid in proc.stdout.readline().split())
+    assert proc.wait(timeout=30) == -signal.SIGKILL
+    try:
+        assert idle < busy  # the busy child is the one forked second
+        assert _survivors([idle], timeout=1.0) == []
+        assert _survivors([busy], timeout=10.0) == []
+    finally:
+        for pid in (idle, busy):
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+_RAISING_HANDLER = """
+    import os, signal, sys, time
+    from repro.core.fanout import ForkPool
+
+    class Interrupted(Exception):
+        pass
+
+    def handler(signum, frame):
+        raise Interrupted(signum)
+
+    class T:
+        def nap(self, seconds):
+            time.sleep(seconds)
+        def where(self):
+            return os.getpid()
+
+    signal.signal(signal.SIGTERM, handler)
+    signal.signal(signal.SIGINT, handler)
+    target = T()
+    pool = ForkPool(target, 2)
+    before = set(pool.map("where", [()] * 2))
+    print("ready", flush=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "send",
+    [
+        pytest.param(signal.SIGTERM, id="SIGTERM-to-parent"),
+        pytest.param(
+            lambda group: os.killpg(group, signal.SIGINT), id="SIGINT-to-group"
+        ),
+    ],
+)
+def test_raising_signal_handler_unwinds_through_busy_pool_children(send):
+    """``repro prepare``'s shape of handler: it raises, here inside
+    ``map``, past two answers that will not come for a minute.  The
+    children that owe them are killed on the way out — left busy, they
+    would hold up ``close()``, and the exit, for that minute."""
+    returncode, stdout, stderr = run_in_own_group(
+        _RAISING_HANDLER
+        + """
+    try:
+        pool.map("nap", [(60,), (60,)])
+    except Interrupted:
+        pool.close()
+        sys.exit(130)
+    sys.exit("the naps ended before the signal")
+        """,
+        send=send,
+        timeout=5.0,
+    )
+    assert (returncode, stdout, stderr) == (130, "", "")
+
+
+def test_sigint_to_the_group_is_the_parents_to_handle():
+    """Ctrl-C reaches every process of the group.  Idle children that
+    still had the parent's raising handler would die of it, traceback
+    and all; they ignore SIGINT, and the parent, which handles it, finds
+    its pool as it was."""
+    returncode, stdout, stderr = run_in_own_group(
+        _RAISING_HANDLER
+        + """
+    try:
+        time.sleep(30)
+    except Interrupted:
+        after = set(pool.map("where", [()] * 2))
+        print(after == before, pool.processes, pool.replaced_total)
+        pool.close()
+        sys.exit(130)
+    sys.exit("no signal came")
+        """,
+        send=lambda group: os.killpg(group, signal.SIGINT),
+        timeout=5.0,
+    )
+    assert (returncode, stdout.strip(), stderr) == (130, "True 2 0", "")
+
+
+def test_pool_child_under_an_event_loops_handlers_dies_of_sigterm_alone():
+    """``repro serve``'s shape: the loop owns SIGTERM through a wake-up
+    fd, and a swap forks the next generation's workers from an executor
+    thread.  A child that kept the loop's handler and wake-up fd would
+    answer SIGTERM by running the *server's* stop callback through the
+    shared fd, and live on."""
+    returncode, stdout, stderr = run_in_own_group(
+        """
+        import asyncio, os, signal
+        from repro.core.fanout import ForkPool, WorkerLost
+
+        class T:
+            def where(self):
+                return os.getpid()
+            def stop_self(self):
+                os.kill(os.getpid(), signal.SIGTERM)
+                import time; time.sleep(30)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            stops = []
+            loop.add_signal_handler(signal.SIGTERM, stops.append, "TERM")
+            target = T()
+            pool = await loop.run_in_executor(None, ForkPool, target, 2)
+            for _ in range(4):
+                try:
+                    await loop.run_in_executor(None, pool.call, "stop_self")
+                except WorkerLost:
+                    pass
+                else:
+                    raise SystemExit("the child outlived its SIGTERM")
+                await asyncio.sleep(0.05)
+            pid = await loop.run_in_executor(None, pool.call, "where")
+            assert pid != os.getpid()
+            print(stops, pool.processes, pool.replaced_total)
+            pool.close()
+
+        asyncio.run(main())
+        """,
+        timeout=20.0,
+    )
+    assert (returncode, stderr) == (0, "")
+    assert stdout.strip() == "[] 2 4"

@@ -139,6 +139,17 @@ def ask_every_shape(service, source: int, via: int, target: int) -> list:
     return answers
 
 
+def child_alive(pid: int) -> bool:
+    """``pid`` is a child of this process that has not been reaped —
+    running, or a zombie.  (No ``waitpid``: probing must not reap a
+    child behind its owner's back.)"""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def run_in_own_group(script, *args, send=None, timeout=120.0):
     """Run ``script`` (``python -c``, ``repro`` importable) as the
     leader of a new process group and fail unless the whole group is

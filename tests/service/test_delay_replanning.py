@@ -13,6 +13,9 @@ table, on at least two synthetic instances.
 from __future__ import annotations
 
 import gc
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from repro.synthetic.instances import make_instance
 from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import ask_every_shape, random_line_timetable
+from tests.helpers import ask_every_shape, child_alive, random_line_timetable
 
 
 def assert_profiles_bitwise_equal(expected, got, context=""):
@@ -163,6 +166,62 @@ def test_swapped_out_generations_are_not_pinned(mode):
     assert len(_live_graphs()) - others == 1
     del service
     assert len(_live_graphs()) - others == 0
+
+
+def test_swapped_out_generations_take_their_workers_with_them():
+    """The same ten batches over a generation that has search workers:
+    each swap hands the next generation workers of its own, and a
+    generation nobody holds any more is collected, workers and all —
+    the pool knows its service only weakly, so no cycle keeps either."""
+    others = len(_live_graphs())
+    service = TransitService(
+        make_instance("oahu", scale="tiny"), ServiceConfig(kernel="flat")
+    )
+    service.start_workers(2)
+    seen: list[int] = []
+    for train in range(10):
+        seen += [child.pid for child in service._workers._children]
+        service = service.apply_delays(
+            [Delay(train=train, minutes=5)], mode="incremental"
+        )
+        assert service.worker_stats == (2, 0)
+    assert len(_live_graphs()) - others == 1
+    last = [child.pid for child in service._workers._children]
+    assert len(set(seen + last)) == 22
+    assert not any(map(child_alive, seen))  # reaped, every one
+    assert service.journey(0, 5).profile is not None
+    del service
+    assert len(_live_graphs()) - others == 0
+    assert not any(map(child_alive, last))
+
+
+def test_search_workers_get_a_result_cache_of_their_own():
+    """The fork may happen while another thread of the server holds the
+    cache's lock (here: this one does).  A worker that kept the
+    inherited cache would wait for that lock for ever the first time a
+    ``via`` looked up one of its journeys."""
+    service = TransitService(
+        make_instance("oahu", scale="tiny"), ServiceConfig(kernel="flat")
+    )
+    with service._result_cache._lock:
+        service.start_workers(1)
+    answers: list = []
+    ask = threading.Thread(
+        target=lambda: answers.append(service.via(2, 5, 7, departure=480)),
+        daemon=True,
+    )
+    ask.start()
+    ask.join(timeout=20)
+    try:
+        assert not ask.is_alive(), "the worker is stuck on an inherited lock"
+        twin = TransitService(service.timetable, service.config)
+        assert answers[0].arrival == twin.via(2, 5, 7, departure=480).arrival
+        assert service.cache_stats.misses == 1  # the via; its journeys are not ours
+    finally:
+        if ask.is_alive():
+            for child in service._workers._children:
+                os.kill(child.pid, signal.SIGKILL)
+        service.stop_workers()
 
 
 def _flat_config(with_table):

@@ -221,6 +221,45 @@ def test_tables_reject_an_empty_query_set_in_the_parser(table, capsys):
     assert "--queries: must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("command", "flag", "value", "message"),
+    [
+        ("serve", "--workers", "0", "must be at least 1, got 0"),
+        ("serve", "--max-inflight", "0", "must be at least 1, got 0"),
+        ("serve", "--drain-grace-ms", "-1", "must not be negative, got -1"),
+        ("serve-fleet", "--workers", "0", "must be at least 1, got 0"),
+        ("serve-fleet", "--worker-threads", "0", "must be at least 1, got 0"),
+        ("serve-fleet", "--worker-max-inflight", "-3", "must be at least 1, got -3"),
+        ("serve-fleet", "--max-inflight", "0", "must be at least 1, got 0"),
+        ("serve-fleet", "--worker-drain-grace-ms", "-1", "must not be negative"),
+    ],
+)
+def test_serving_flags_are_refused_in_the_parser(
+    command, flag, value, message, store_and_url, capsys, monkeypatch
+):
+    """They used to pass the parser, load every store and die inside
+    ``asyncio.run`` with a ``ValueError`` traceback (``serve``), or
+    after spawning the fleet (``serve-fleet``).  Refused now before
+    anything is loaded: the store is a real one, and is never opened."""
+    store, _ = store_and_url
+    monkeypatch.setattr(
+        "repro.server.DatasetRegistry.from_stores",
+        lambda *a, **k: pytest.fail("a store was loaded"),
+    )
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--store", store, flag, value])
+    assert excinfo.value.code == 2
+    assert f"{flag}: {message}" in capsys.readouterr().err
+
+
+def test_serve_workers_help_says_what_it_sizes():
+    workers = next(
+        a for a in subparsers()["serve"]._actions if a.dest == "workers"
+    )
+    assert "searches that may run at once" in workers.help
+    assert "process" in workers.help and "thread" in workers.help
+
+
 def test_help_lists_every_subcommand_and_every_rejected_flag():
     """The top-level help is generated: the sub-command list from the
     parser, the ``--from-store`` / ``--remote`` prose from the flag
