@@ -341,7 +341,11 @@ def served_pool(tmp: Path) -> None:
     p = 2 connection subsets — answers equal to in-process ones, p = 2
     faster than p = 1 by more than 1.3x where there are two cores to
     run them on (the numbers are printed either way, the assertion
-    comes last)."""
+    comes last).  Last a delay swap whose table patch is long enough to
+    fork a pool for its rows *inside* ``serve`` (``fan_out``: the same
+    ``ForkPool``, for the call): row workers come and go, the answers
+    after it are those of an in-process service that applied the same
+    batch, and ``serving()``'s "no descendant survives" covers them."""
     import random
     import statistics
     import threading
@@ -351,7 +355,9 @@ def served_pool(tmp: Path) -> None:
     from repro.client import LocalBackend, connect
     from repro.service.model import ProfileRequest
     from repro.synthetic.instances import make_instance
+    from repro.timetable.delays import Delay
 
+    cores = len(os.sched_getaffinity(0))
     store = tmp / "washington"
     TransitService(
         make_instance("washington", scale="small"),
@@ -422,8 +428,39 @@ def served_pool(tmp: Path) -> None:
                             answer.stats.settled_connections
                             == expected.stats.settled_connections
                         ), (source, p)
+
+        delays = [Delay(train=train, minutes=20) for train in (0, 1, 2)]
+        before, seen, swapped = set(process_tree(server)), set(), threading.Event()
+
+        def watch() -> None:
+            while not swapped.is_set():
+                seen.update(process_tree(server))
+                time.sleep(0.01)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        with connect(url) as backend:
+            update = backend.apply_delays(delays, replan="incremental")
+            swapped.set()
+            watcher.join()
+            row_workers = seen - before - set(process_tree(server))
+            local.apply_delays(delays, replan="incremental")
+            stats = local.service.prepare_stats
+            for source in sources:
+                request = ProfileRequest(source, num_threads=1)
+                answer = backend.profile(request, targets=target)
+                expected = local.profile(request, targets=target)
+                assert answer.profiles == expected.profiles, source
+                journey = backend.journey(source, target[0])
+                assert journey.profile == local.journey(source, target[0]).profile
+        print(
+            f"delay swap, table on: {stats.patched_table_rows} rows patched in "
+            f"{update.swap_seconds * 1000:.0f} ms by {len(row_workers)} row "
+            f"worker(s) inside serve ({stats.table_workers} process(es) "
+            f"in-process); answers after it equal the in-process service's"
+        )
+        assert len(row_workers) == (stats.table_workers if cores >= 2 else 0)
     one, two = (statistics.median(times[p]) * 1000 for p in (1, 2))
-    cores = len(os.sched_getaffinity(0))
     print(
         f"served profile, 12 sources x 3, one client, {cores} core(s): "
         f"p=1 {one:.1f} ms, p=2 {two:.1f} ms, speed-up {one / two:.2f}x"

@@ -1,5 +1,5 @@
-"""The one fan-out: run a function over many items, serially or on a
-fork pool.
+"""The one fan-out: run a function over many items, serially or in
+forked children.
 
 Every level of parallelism in this repo is the same dispatch — "call
 ``fn`` on each of these items and hand back the results in order":
@@ -9,36 +9,36 @@ Every level of parallelism in this repo is the same dispatch — "call
 * *across* queries, :meth:`repro.service.TransitService.batch` answers
   one request per item;
 * *across* sources, :func:`repro.query.distance_table.build_distance_table`
-  builds one row of ``D`` per item (paper §5.2);
-* *across requests*, a server keeps one :class:`ForkPool` per dataset
-  generation: the same dispatch with the fork taken out of it.  The
-  children are forked once, when the generation starts being served,
-  and answer calls until it is retired — so a served search, or one
-  §3.2 partition of a served profile, runs on a core of its own for
-  the price of a pipe round trip (``docs/SERVER.md``, "Execution
-  model").
+  builds one row of ``D`` per item (paper §5.2).
 
-Backends of :func:`fan_out` (:data:`BACKENDS`):
+There is one way onto another core, :class:`ForkPool`, and it has two
+lifetimes.  *Per call*: :func:`fan_out` under ``backend="processes"``
+forks a pool from ``fn``, maps the items over it and reaps it before it
+returns — the table build, an in-process batch, direct callers.  *Per
+generation*: a server keeps one pool per dataset generation
+(:meth:`repro.service.TransitService.start_workers`), forked once, so a
+served search, or one §3.2 partition of a served profile, costs a pipe
+round trip and no fork (``docs/SERVER.md``, "Execution model").  Either
+way the children inherit what they are forked from — ``fn`` and all it
+closes over, a whole service — copy-on-write: only items and results
+are pickled.  A forked child inherits every lock as the parent's other
+threads held it at fork time, so what runs there must take no lock the
+forking process shares between threads.  And a pool child never forks:
+a pool made inside one runs on the calling thread, so there is one
+level of processes however the layers nest (a batch in a search worker,
+a table build in a batch item).  What a child does about signals,
+descriptors and a parent that dies is said at :class:`ForkPool`.
 
-* ``serial``    — a plain loop on the calling thread;
-* ``processes`` — a fork pool.  ``fn`` and everything it closes over
-  (graph, packed arrays, distance table) is inherited copy-on-write by
-  the workers, so nothing but the items travels in and nothing but the
-  results travels back through pickling.  A forked worker inherits
-  every lock as its other threads held it at fork time, so ``fn`` must
-  take no lock the forking process shares between threads.
-
-There is no thread backend: the searches are pure Python, so threads
-serialize on the GIL and measured slower than ``serial`` on every
-workload tried (``docs/KERNEL.md``, "Batch vs single queries", has the
-numbers).
+Backends of :func:`fan_out` (:data:`BACKENDS`): ``serial``, a plain
+loop on the calling thread, and ``processes``.  There is no thread
+backend: the searches are pure Python, so threads serialize on the GIL
+and measured slower than ``serial`` on every workload tried
+(``docs/KERNEL.md``, "Batch vs single queries", has the numbers).
 """
 
 from __future__ import annotations
 
 import gc
-import itertools
-import multiprocessing as mp
 import os
 import pickle
 import signal
@@ -46,49 +46,32 @@ import threading
 import time
 import traceback
 import weakref
-from collections import deque
-from multiprocessing.connection import Connection
+from multiprocessing.connection import Connection, Pipe, wait
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 #: Valid ``backend`` arguments of :func:`fan_out`.
 BACKENDS = ("serial", "processes")
 
-# What the fork workers call, inherited copy-on-write.  Keyed by a
-# token unique to one fan_out call, which every work item carries, so
-# concurrent fan-outs from different threads (two datasets, two delay
-# generations, a batch next to a profile search) each resolve their own
-# function instead of clobbering a shared key.
-_FORK_FNS: dict[int, Callable] = {}
-_TOKENS = itertools.count()
-
-
-def _fork_call(payload):
-    token, item = payload
-    return _FORK_FNS[token](item)
-
-
-# Forked with these blocked, unblocked by the initializer below.
+# Forked with these blocked, unblocked by _worker_signals below.
 _WORKER_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
+# True in a pool child, for good: the one place that forks looks here.
+_in_pool_child = False
 
 
 def _worker_signals() -> None:
-    """Pool initializer: a worker dies of SIGTERM and ignores SIGINT.
+    """A pool child dies of SIGTERM and ignores SIGINT.
 
-    A fork inherits the parent's Python-level handlers, and
-    ``Pool.terminate()`` — every ``with Pool(...)`` exit — stops its
-    workers with SIGTERM.  Under a handler that *raises* (``repro
-    prepare``) that SIGTERM becomes an exception inside the worker's
-    task, is reported back as a task error, the worker lives on and the
-    pool never joins.  Under an event loop's no-op handler (``repro
-    serve``) the worker swallows it — same hang — or writes it to the
-    wake-up fd it shares with the parent, whose loop then runs its own
-    SIGTERM callback and stops serving.  SIGINT to the process group is
-    the parent's to handle: it terminates the pool while unwinding.
-
-    :func:`fan_out` forks the workers with both signals blocked, so a
-    short fan-out that is over before a worker got this far cannot
-    reach the inherited handler either: the signal stays pending until
-    the last line here.
+    A fork inherits the parent's Python-level handlers.  Under a
+    handler that *raises* (``repro prepare``) a SIGTERM becomes an
+    exception inside the child's job, is reported back as that job's
+    error, and the child lives on.  Under an event loop's no-op handler
+    (``repro serve``) the child swallows it, or writes it to the wake-up
+    fd it shares with the parent, whose loop then runs its own SIGTERM
+    callback and stops serving.  SIGINT to the process group is the
+    parent's to handle: it stops its children while unwinding.  Both
+    are blocked across the fork, so one that arrives before a child got
+    this far stays pending until the last line here.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -109,11 +92,19 @@ class FanOut(NamedTuple):
 
     results: list
     #: The backend that actually executed: ``serial`` for ≤1 item, on
-    #: platforms without ``fork`` and inside a pool worker (daemonic
-    #: processes may not have children), whatever was asked for.
+    #: platforms without ``fork`` and inside a pool child (which never
+    #: forks), whatever was asked for.
     backend: str
-    #: Seconds spent starting the pool (0.0 when serial).
+    #: Seconds spent forking the pool (0.0 when serial).
     spinup_seconds: float
+
+
+class _Apply:
+    """What :func:`fan_out`'s pool is forked from: ``fn``, as the
+    attribute its jobs name."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
 
 
 def fan_out(
@@ -122,51 +113,35 @@ def fan_out(
     """``[fn(item) for item in items]``, on ``backend``.
 
     Under ``processes`` the items and the results must pickle; ``fn``
-    need not (closures and bound methods are fine — the workers inherit
-    it).  Results are identical whatever the backend as long as ``fn``
-    is a function of its item.
+    need not (closures and bound methods are fine — the children
+    inherit it).  Results are identical whatever the backend as long as
+    ``fn`` is a function of its item.  The first item that raised, in
+    item order, raises here with its type — as a ``RuntimeError``
+    naming it if the exception does not survive pickling — and a child
+    that died fails the call with :class:`WorkerLost`.
     """
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKENDS}"
         )
-    if (
-        backend == "serial"
-        or len(items) <= 1
-        or "fork" not in mp.get_all_start_methods()
-        or mp.current_process().daemon
-    ):
-        return FanOut([fn(item) for item in items], "serial", 0.0)
-    token = next(_TOKENS)
-    _FORK_FNS[token] = fn
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
-    try:
+    if backend == "processes" and len(items) > 1:
+        target = _Apply(fn)  # kept here: a pool holds its target weakly
         t0 = time.perf_counter()
-        with mp.get_context("fork").Pool(
-            processes=workers, initializer=_worker_signals
-        ) as pool:
-            # Unblocked inside the ``with``: a signal that arrived while
-            # the workers were being forked is raised here, where
-            # unwinding terminates them.
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            spinup = time.perf_counter() - t0
-            # chunksize stays pool.map's own (6 for 43 rows on 2
-            # workers): chunksize=1 on the 44-row washington/small
-            # table build, 35 alternating pairs in three sessions, read
-            # medians 1.39 / 1.61 / 2.10 s against 1.49 / 1.50 / 2.07 s
-            # and won 10 of the last 20 pairs.  (CI's 8-item batch on 2
-            # workers is chunked by 1 either way.)
-            results = pool.map(_fork_call, [(token, item) for item in items])
-    finally:
-        del _FORK_FNS[token]
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    return FanOut(results, "processes", spinup)
+        pool = ForkPool(target, min(workers, len(items)))
+        try:
+            if pool.processes:
+                spinup = time.perf_counter() - t0
+                results = pool.map("fn", [(item,) for item in items])
+                return FanOut(results, "processes", spinup)
+        finally:
+            pool.close()
+    return FanOut([fn(item) for item in items], "serial", 0.0)
 
 
 class WorkerLost(RuntimeError):
-    """The :class:`ForkPool` child running a call died before it
-    answered.  That call is lost — the caller may simply ask again, a
-    replacement child is already forked — and no other call is."""
+    """The :class:`ForkPool` child running a job died before it
+    answered.  That job is lost — the caller may simply ask again, a
+    replacement child is already forked — and no other job is."""
 
 
 class _Child(NamedTuple):
@@ -209,9 +184,10 @@ def _stop_children(children: list[_Child], idle: list[_Child]) -> None:
     idle.clear()
     for child in children:
         try:
-            # Said, not only implied by the EOF that follows: a process
-            # someone else forked meanwhile (a table build's pool) may
-            # hold a copy of this end of the pipe.
+            # Said, not only implied by the EOF that follows: that comes
+            # when the *last* copy of this end is closed, and a process
+            # the embedding application forked by other means than this
+            # module holds one for as long as it lives.
             child.conn.send_bytes(_dumps(None))
         except OSError:
             pass
@@ -226,27 +202,29 @@ def _stop_children(children: list[_Child], idle: list[_Child]) -> None:
 
 class ForkPool:
     """``processes`` children forked once from ``target``, answering
-    ``getattr(target, name)(*args)`` until the pool is closed.
+    ``getattr(target, name)(*args)`` until the pool is closed — at the
+    end of one :func:`fan_out`, or of a served generation.
 
-    The persistent sibling of :func:`fan_out`: each child inherits
-    ``target`` and everything it references copy-on-write, so only
-    ``(name, args)`` is pickled in and the result out, over the child's
-    one pipe.  :meth:`call` and :meth:`map` are thread-safe and block
-    while every child is busy.  Without children — ``processes=0``, a
-    platform without ``fork``, a closed pool, or the copy of the pool a
-    child inherited — they run on the calling thread.
+    Each child inherits ``target`` and everything it references
+    copy-on-write, so only ``(name, args)`` is pickled in and the
+    result out, over the child's one pipe.  :meth:`call` and
+    :meth:`map` are thread-safe and block while every child is busy.
+    Without children — ``processes=0``, a platform without ``fork``, a
+    closed pool, a pool constructed inside a pool child or the copy of
+    its own pool a child inherited — they run on the calling thread.
 
-    Children are forked with SIGTERM / SIGINT blocked and reset them
-    like :func:`fan_out`'s workers (:func:`_worker_signals`); they
-    close every descriptor they inherited but stdio and their pipe, run
-    ``initializer(target)`` — the place to replace whatever state of
-    ``target`` is guarded by a lock that another thread of the parent
-    may have held during the fork — and exit when told to, or on EOF:
-    a parent that died leaves no orphan.  A child that dies fails the
-    one call it was running with :class:`WorkerLost` and is replaced
-    from the live ``target``.  The pool holds ``target`` weakly (the
-    target owns the pool, not the other way round — so no bound method
-    of it for an ``initializer`` either) and stops its children when it
+    Children are forked with SIGTERM / SIGINT blocked and, before their
+    first job, close every descriptor they inherited but stdio and
+    their pipe, run ``initializer(target)`` — the place to replace
+    whatever state of ``target`` is guarded by a lock that another
+    thread of the parent may have held during the fork — and reset the
+    two signals (:func:`_worker_signals`).  They exit when told to, or
+    on EOF: a parent that died leaves no orphan.  A child that dies
+    fails the one job it was running with :class:`WorkerLost` and is
+    replaced from the live ``target``.  The pool holds ``target``
+    weakly (the target owns the pool, not the other way round — so no
+    bound method of it for an ``initializer`` either; :func:`fan_out`
+    keeps its own for the call) and stops its children when it
     is closed or collected, whichever comes first.
     """
 
@@ -273,7 +251,7 @@ class ForkPool:
         self._stop = weakref.finalize(
             self, _stop_children, self._children, self._idle
         )
-        if "fork" in mp.get_all_start_methods():
+        if hasattr(os, "fork") and not _in_pool_child:
             for _ in range(processes):
                 self._children.append(self._fork(target))
         self._idle.extend(self._children)
@@ -304,17 +282,18 @@ class ForkPool:
         never one that has to be waited for while another is idle.
 
         A caller never waits for a *further* child while one of its own
-        holds an answer it has not read — it reads that answer and
-        reuses the child — so callers that each want the whole pool
-        take turns instead of starving one another.  The first job that
-        raised, in job order, raises here."""
+        holds an answer it has not read — it reads the first answer
+        any of them gives and reuses that child — so callers that each
+        want the whole pool take turns instead of starving one another,
+        and a long map keeps every child it holds busy.  The first job
+        that raised, in job order, raises here."""
         outcomes: list = []
-        #: Jobs sent and not yet read, oldest first.
-        held: deque[tuple[int, _Child]] = deque()
+        #: The children running a job of this map, and which job.
+        held: dict[_Child, int] = {}
         try:
             for index, args in enumerate(jobs):
                 outcomes.append(None)
-                child = self._acquire(affinity, wait=not held)
+                child = self._acquire(affinity, block=not held)
                 if child is None and held:
                     child = self._collect(held, outcomes)
                 if child is None:
@@ -323,7 +302,7 @@ class ForkPool:
                         True, getattr(self._target(), name)(*args)
                     )
                     continue
-                held.append((index, child))
+                held[child] = index
                 try:
                     child.conn.send_bytes(_dumps((name, args)))
                 except OSError:
@@ -333,7 +312,7 @@ class ForkPool:
         except BaseException:
             # Unwinding past unread answers (an interrupt, a job that
             # does not pickle): those children cannot be used again.
-            for _, child in held:
+            for child in held:
                 self._release(self._replace(child))
             raise
         for ok, value in outcomes:
@@ -343,10 +322,10 @@ class ForkPool:
 
     # -- children ---------------------------------------------------------
 
-    def _acquire(self, affinity: object, *, wait: bool) -> _Child | None:
+    def _acquire(self, affinity: object, *, block: bool) -> _Child | None:
         with self._freed:
             while not self._idle:
-                if not wait or not self._children:
+                if not block or not self._children:
                     return None
                 self._freed.wait()
             if affinity is None:
@@ -369,20 +348,26 @@ class ForkPool:
                 self._idle.append(child)
             self._freed.notify_all()
 
-    def _collect(self, held: deque, outcomes: list) -> _Child | None:
-        """Read the oldest held job's answer into ``outcomes``; the
-        child to use next is the one that gave it, or its replacement
-        if it died instead."""
-        index, child = held[0]
+    def _collect(
+        self, held: dict[_Child, int], outcomes: list
+    ) -> _Child | None:
+        """Read one held job's answer into ``outcomes`` — that of the
+        child that answers (or dies) first; the child to use next is
+        that one, or its replacement if it died.  A lone held job,
+        every :meth:`call`, reads its pipe without asking a selector."""
+        child = next(iter(held))
         try:
-            outcomes[index] = pickle.loads(child.conn.recv_bytes())
-        except (EOFError, OSError):
-            outcomes[index] = False, WorkerLost(
-                f"search worker {child.pid} died; the call it was "
+            if len(held) > 1:
+                ready = wait([c.conn for c in held])
+                child = next(c for c in held if c.conn in ready)
+            outcome = pickle.loads(child.conn.recv_bytes())
+        except (EOFError, OSError):  # dead, or the pool closed meanwhile
+            outcomes[held.pop(child)] = False, WorkerLost(
+                f"pool worker {child.pid} died; the job it was "
                 f"running is lost, a replacement is running"
             )
-            child = self._replace(child)
-        held.popleft()
+            return self._replace(child)
+        outcomes[held.pop(child)] = outcome
         return child
 
     def _replace(self, child: _Child) -> _Child | None:
@@ -409,7 +394,7 @@ class ForkPool:
             return successor
 
     def _fork(self, target: object) -> _Child:
-        ours, theirs = mp.Pipe()
+        ours, theirs = Pipe()
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
         try:
             pid = os.fork()
@@ -422,10 +407,13 @@ class ForkPool:
 
     def _serve(self, target: object, conn: Connection) -> None:
         """The child: answer calls until told to stop; never returns."""
+        global _in_pool_child
         status = 1
         try:
-            # This copy of the pool has no children: what the target
-            # asks of it runs here.  Its lock may have been held.
+            # One level of processes: a pool made here forks nothing,
+            # and this copy of the pool has no children — what the
+            # target asks of it runs here.  Its lock may have been held.
+            _in_pool_child = True
             self._children.clear()
             self._idle.clear()
             self._freed = threading.Condition()

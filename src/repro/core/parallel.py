@@ -7,18 +7,20 @@ subset, merges the labels and reduces.  The subsets are dispatched by
 * ``serial``   — run subsets one after another in this thread (exact
   per-thread work/time accounting; the default, and what every
   experiment uses);
-* ``processes`` — one forked worker per subset; real parallelism on
-  multi-core hosts at the cost of forking and result pickling.  Each
-  worker times its own search.
+* ``processes`` — one forked child per subset, in a
+  :class:`~repro.core.fanout.ForkPool` that lives for the call; real
+  parallelism on multi-core hosts at the cost of forking and result
+  pickling.  Each child times its own search.
 
-A pool *per search* costs more than a short search takes (``germany`` /
-medium at p = 2: 19.0 ms ``serial``, 32.6 ms ``processes``), so the
-paths that run many searches keep their processes longer than one of
-them.  The distance-table build forks one pool per build and runs
-whole searches in it, each ``serial`` inside
+A pool *per search* repays its fork only where the search is long (flat
+kernel, p = 2 on two cores, means of 18 searches: ``germany`` / medium
+11.7–12.0 ms ``serial``, 12.5–12.9 ms ``processes``; ``washington`` /
+small 43.6–44.6 against 33.4–35.9 ms), so the paths that run many
+searches keep their processes longer than one of them.  The
+distance-table build forks one pool per build and runs whole searches
+in it, each ``serial`` inside
 (:func:`repro.query.distance_table.patch_distance_table`).  A served
-generation forks its search workers once
-(:class:`repro.core.fanout.ForkPool`) and hands this driver a
+generation forks its search workers once and hands this driver a
 ``dispatch`` that runs each subset in one of them: the paper's master /
 worker scheme with processes for threads — the master partitions and
 merges, the workers search — measured at 1.71–1.80× for p = 2 on two

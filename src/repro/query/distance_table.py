@@ -16,10 +16,10 @@ the number of ``conn(S)`` *partitions inside one search* (paper §3.2);
 it changes the work done (self-pruning cannot cross partitions), not
 the processes used.  *Across sources* the rows of ``D`` are independent
 searches, so :func:`patch_distance_table` hands them to
-:func:`repro.core.fanout.fan_out` — one fork pool per build, sized to
-the cores this process may use, and only when the build is long enough
-to repay it (:data:`POOL_MIN_SECONDS`).  The stored profiles do not
-depend on either.
+:func:`repro.core.fanout.fan_out` — one ``ForkPool`` per build, sized
+to the cores this process may use, and only when the build is long
+enough to repay it (:data:`POOL_MIN_SECONDS`).  The stored profiles do
+not depend on either.
 """
 
 from __future__ import annotations
@@ -37,10 +37,13 @@ from repro.graph.td_model import TDGraph
 
 #: Fork a pool for the rows after the first only when they are
 #: predicted — their count × the first row's measured time — to take
-#: longer than this many seconds on the calling thread.  Pool spin-up
-#: measured 11–24 ms on the 2-core reference VM and every row is
-#: pickled back, so at 0.25 s two workers save ≈ 0.1 s; below it a fork
-#: buys milliseconds at best (tiny test tables, one-row delay patches).
+#: longer than this many seconds on the calling thread.  Two children
+#: fork in 2–5 ms on the 2-core reference VM and every row is pickled
+#: back; medians of 7 alternating builds: 23–25 ms of rows take 11–13
+#: ms *longer* on a pool, 82 ms save 24, 213 ms save 79, 248 ms save
+#: 103.  A pool breaks even near 50 ms; the constant sits where two
+#: workers save ≈ 0.1 s, because below it a fork — out of a threaded
+#: server, for a delay patch — buys tens of milliseconds at best.
 POOL_MIN_SECONDS = 0.25
 
 
@@ -168,13 +171,15 @@ def patch_distance_table(
     are never mutated after construction).
 
     The first affected row is built on the calling thread and timed;
-    the others follow it there, or go to one fork pool when this
-    process may use more than one core and they are predicted to take
-    longer than :data:`POOL_MIN_SECONDS`.  Pool workers inherit
-    ``graph``, ``arrays`` and the kernel mirrors copy-on-write (a pack
+    the others follow it there, or go to one
+    :class:`~repro.core.fanout.ForkPool` when this process may use more
+    than one core and they are predicted to take longer than
+    :data:`POOL_MIN_SECONDS`.  Its children inherit ``graph``,
+    ``arrays`` and the kernel mirrors copy-on-write (a pack
     is constructed with its mirrors, and the first row has packed
     ``graph`` where the caller passed no ``arrays``); station indices
-    travel in, finished rows and their settled counts travel back.
+    travel in, finished rows and their settled counts travel back; a
+    child killed under its row fails the patch (``WorkerLost``).
 
     ``build_seconds``/``build_settled``/``build_workers`` report *this
     patch's* work, not cumulative totals — they are diagnostics of the

@@ -70,10 +70,11 @@ class ServiceConfig:
     queue
         Priority queue of the ``python`` kernel (ignored by ``flat``).
     backend / workers
-        How :meth:`TransitService.batch` distributes whole requests:
-        ``serial`` on the calling thread, or ``processes`` over a fork
-        pool of ``workers`` (:data:`~repro.query.batch.BATCH_BACKENDS`;
-        :func:`repro.core.fanout.fan_out` is the dispatch).
+        How an in-process :meth:`TransitService.batch` distributes
+        whole requests: ``serial`` on the calling thread, or
+        ``processes`` over ``workers`` forked children
+        (:func:`repro.core.fanout.fan_out` is the dispatch).  A served
+        batch runs in one of its generation's search workers instead.
     result_cache_size
         Capacity of the per-service LRU cache over profile / journey /
         batch answers (:mod:`repro.service.cache`); ``0`` disables

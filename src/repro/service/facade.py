@@ -522,14 +522,17 @@ class TransitService:
         :meth:`profile` compute for ``req``.
 
         It stays clear of the result cache on purpose: under the
-        ``processes`` backend it runs in forked workers, which inherit
-        the cache's lock in whatever state another server thread held
-        it at fork time and whose puts the parent would never see."""
+        ``processes`` backend it runs in a ``ForkPool``'s children,
+        which inherit the cache's lock in whatever state another thread
+        held it at fork time and whose puts the parent would never see."""
         if isinstance(req, JourneyRequest):
             return self._search_journey(req)
         return self._search_profile(req)
 
     def _run_batch(self, request: BatchRequest) -> BatchResponse:
+        """The items over :func:`fan_out` as configured — or, in a search
+        worker, on its one thread: a pool child never forks, and the
+        stats say what ran."""
         cfg = self.config
         t0 = time.perf_counter()
         run = fan_out(

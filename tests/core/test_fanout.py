@@ -1,20 +1,32 @@
-"""The one serial-or-fork-pool dispatch (:mod:`repro.core.fanout`),
-per call (``fan_out``) and kept (``ForkPool``)."""
+"""The one serial-or-forked-children dispatch (:mod:`repro.core.fanout`).
+One mechanism, ``ForkPool``, with two lifetimes — forked for one call
+(``fan_out``) or kept (a served generation): what the two share is
+tested once, over both (``LIFETIMES``)."""
 
 import os
+import re
 import signal
+import socket
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
 from repro.core import fanout
 from repro.core.fanout import BACKENDS, ForkPool, WorkerLost, fan_out
 
-from tests.helpers import child_alive, run_in_own_group
+from tests.helpers import (
+    child_alive,
+    children_of,
+    process_state,
+    run_in_own_group,
+)
+from tests.server.harness import wait_until
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -57,10 +69,13 @@ def test_a_failing_item_raises_and_leaves_no_state():
             raise KeyError("boom")
         return x
 
+    children = children_of(os.getpid())
     for backend in BACKENDS:
-        with pytest.raises(KeyError, match="boom"):
+        with pytest.raises(KeyError, match="boom") as caught:
             fan_out(fn, [1, 2, 3], backend=backend, workers=2)
-    assert fanout._FORK_FNS == {}
+        # ``caught`` holds the traceback and with it fan_out's frame:
+        # the pool was closed there, not left to the collector.
+        assert children_of(os.getpid()) == children
 
 
 def test_concurrent_fan_outs_each_call_their_own_function():
@@ -72,25 +87,6 @@ def test_concurrent_fan_outs_each_call_their_own_function():
     with ThreadPoolExecutor(max_workers=4) as pool:
         got = list(pool.map(one, range(8)))
     assert got == [[(tag, x) for x in range(8)] for tag in range(8)]
-    assert fanout._FORK_FNS == {}
-
-
-def test_fan_out_inside_a_pool_worker_runs_serially():
-    """Pool workers are daemonic and may not fork: a fan-out that lands
-    in one falls back to the loop instead of dying in ``Pool()``."""
-
-    def nested(x):
-        inner = fan_out(
-            lambda y: (os.getpid(), x + y), [1, 2, 3], backend="processes",
-            workers=2,
-        )
-        return os.getpid(), inner.backend, inner.results
-
-    run = fan_out(nested, [10, 20], backend="processes", workers=2)
-    for x, (pid, backend, results) in zip([10, 20], run.results):
-        assert pid != os.getpid()
-        assert backend == "serial"
-        assert results == [(pid, x + y) for y in (1, 2, 3)]
 
 
 @pytest.mark.skipif(
@@ -106,90 +102,7 @@ def test_usable_cores_is_the_affinity_mask():
         os.sched_setaffinity(0, allowed)
 
 
-@pytest.mark.parametrize(
-    "send",
-    [
-        pytest.param(signal.SIGTERM, id="SIGTERM-to-parent"),
-        pytest.param(
-            lambda group: os.killpg(group, signal.SIGINT), id="SIGINT-to-group"
-        ),
-    ],
-)
-def test_raising_signal_handler_unwinds_through_a_live_pool(send):
-    """``repro prepare``'s shape: the parent's SIGINT/SIGTERM handler
-    raises.  Forked workers inherit it, so without the pool initializer
-    ``Pool.terminate()``'s SIGTERM is raised *inside the worker's task*,
-    reported as a task error, the worker lives on and the ``with Pool``
-    never returns."""
-    returncode, stdout, stderr = run_in_own_group(
-        """
-        import multiprocessing as mp, signal, sys, time
-        from repro.core import fanout
-
-        class Interrupted(Exception):
-            pass
-
-        def handler(signum, frame):
-            raise Interrupted(signum)
-
-        signal.signal(signal.SIGTERM, handler)
-        signal.signal(signal.SIGINT, handler)
-        print("ready", flush=True)
-        try:
-            fanout.fan_out(
-                lambda x: time.sleep(0.05), list(range(2000)),
-                backend="processes", workers=2,
-            )
-        except Interrupted:
-            print(len(fanout._FORK_FNS), len(mp.active_children()))
-            sys.exit(130)
-        sys.exit("the fan-out finished before the signal")
-        """,
-        send=send,
-        timeout=5.0,
-    )
-    assert returncode == 130, stderr
-    assert stdout.split() == ["0", "0"]
-    assert stderr == ""
-
-
-def test_pools_under_an_event_loops_signal_handlers_return_quietly():
-    """``repro serve``'s shape: the loop owns SIGTERM (a no-op Python
-    handler plus a wake-up fd) and a batch forks from an executor
-    thread.  Workers that inherit both either swallow
-    ``Pool.terminate()``'s SIGTERM — the fan-out never returns — or
-    write it to the wake-up fd they share with the parent, whose loop
-    then runs its own "stop serving" callback.  Which one is a race,
-    hence several rounds."""
-    returncode, stdout, stderr = run_in_own_group(
-        """
-        import asyncio, signal
-        from repro.core import fanout
-
-        async def main():
-            loop = asyncio.get_running_loop()
-            stops = []
-            loop.add_signal_handler(signal.SIGTERM, stops.append, "TERM")
-            for _ in range(8):
-                run = await loop.run_in_executor(
-                    None,
-                    lambda: fanout.fan_out(
-                        abs, [-1, -2, -3, -4], backend="processes", workers=2
-                    ),
-                )
-                assert run == ([1, 2, 3, 4], "processes", run.spinup_seconds)
-                await asyncio.sleep(0.05)
-            print(stops)
-
-        asyncio.run(main())
-        """,
-        timeout=20.0,
-    )
-    assert (returncode, stderr) == (0, "")
-    assert stdout.strip() == "[]"
-
-
-# -- the persistent pool ----------------------------------------------------
+# -- the pool, whatever its lifetime ----------------------------------------
 
 
 class Fussy(Exception):
@@ -225,6 +138,25 @@ class Target:
     def die(self):
         os.kill(os.getpid(), signal.SIGKILL)
 
+    def spare(self, x, victim):
+        """``x`` — from every process but the one handed the victim."""
+        if x == victim:
+            self.die()
+        return x
+
+    def nest(self, x):
+        """What a job gets that asks for processes of its own, as a
+        pool and as a fan-out."""
+        inner = ForkPool(self, 2)
+        run = fan_out(
+            lambda y: (os.getpid(), x + y), [1, 2, 3], backend="processes",
+            workers=2,
+        )
+        return (
+            os.getpid(), inner.processes, inner.call("where"),
+            run.backend, run.results,
+        )
+
     def fds(self):
         """The descriptors this process holds (the one the listing
         itself opens aside)."""
@@ -236,6 +168,28 @@ class Target:
                 continue
             held.append(int(name))
         return sorted(held)
+
+
+#: How long a pool lives: for one ``fan_out``, or until it is closed.
+LIFETIMES = ("call", "generation")
+
+
+@contextmanager
+def two_children(target, lifetime):
+    """``run(name, jobs)``: ``ForkPool.map`` over two children forked
+    from ``target`` — on entry and kept (``generation``), or by each
+    run for that run (``call``: a ``fan_out`` of the same jobs)."""
+    if lifetime == "call":
+        yield lambda name, jobs: fan_out(
+            lambda args: getattr(target, name)(*args), jobs,
+            backend="processes", workers=2,
+        ).results
+        return
+    pool = ForkPool(target, 2)
+    try:
+        yield pool.map
+    finally:
+        pool.close()
 
 
 @pytest.fixture()
@@ -290,38 +244,43 @@ def test_jobs_about_the_same_thing_meet_the_same_child(pool):
     held.join(timeout=10)
 
 
-def test_pool_child_exception_raises_here_with_its_type(pool):
+@pytest.mark.parametrize("lifetime", LIFETIMES)
+def test_child_exception_raises_here_with_its_type(lifetime):
+    target = Target(offset=100)
+    with two_children(target, lifetime) as run:
+        # The first failure in job order; the other jobs ran, no child
+        # is lost over it.
+        with pytest.raises(KeyError, match="second"):
+            run("boom", [("second",), ("third",)])
+        # An exception that would not survive the trip comes as its text.
+        with pytest.raises(RuntimeError, match="Fussy: about nothing"):
+            run("fuss", [(), ()])
+        assert run("add", [(1,), (2,)]) == [101, 102]
+
+
+def test_pool_child_exception_costs_no_child(pool):
     with pytest.raises(KeyError, match="boom"):
         pool.call("boom", "boom")
-    # The first failure in job order; the other jobs ran, no child is
-    # lost over it.
-    with pytest.raises(KeyError, match="second"):
-        pool.map("boom", [("second",), ("third",)])
-    # An exception that would not survive the trip comes as its text.
     with pytest.raises(RuntimeError, match="Fussy: about nothing"):
         pool.call("fuss")
     assert pool.call("add", 1) == 101
     assert (pool.processes, pool.replaced_total) == (2, 0)
 
 
-def test_pool_child_holds_nothing_of_its_parent_but_its_pipe(tmp_path):
+@pytest.mark.parametrize("lifetime", LIFETIMES)
+def test_child_holds_nothing_of_its_parent_but_its_pipe(tmp_path, lifetime):
     """Listening socket, client connection, an open file, the first
     child's pipe: the server's descriptors at fork time.  A child that
     kept them would hold a closed client connection half-open, keep the
     port bound after the server died — and a sibling's pipe end would
     keep that sibling from ever reading EOF."""
-    import socket
-
     listener = socket.create_server(("127.0.0.1", 0))
     client = socket.create_connection(listener.getsockname())
     accepted, _ = listener.accept()
     target = Target()
     with open(tmp_path / "log", "w"), listener, client, accepted:
-        pool = ForkPool(target, 2)
-        try:
-            held = pool.map("fds", [()] * 6)
-        finally:
-            pool.close()
+        with two_children(target, lifetime) as run:
+            held = run("fds", [()] * 6)
     for fds in held:
         assert [fd for fd in fds if fd <= 2] == [0, 1, 2]
         assert len(fds) == 4, fds  # stdio and the child's own pipe
@@ -347,6 +306,33 @@ def test_killed_child_fails_its_call_and_is_replaced():
         assert (pool.processes, pool.replaced_total) == (1, 2)
     finally:
         pool.close()
+
+
+@pytest.mark.parametrize("lifetime", LIFETIMES)
+def test_a_killed_child_fails_the_map_instead_of_hanging_it(lifetime):
+    """Job 3 of 8 SIGKILLs the process it runs in — the OOM killer's
+    way.  ``multiprocessing.Pool.map``, what ``fan_out`` used to be,
+    lost such a task and never returned (hence the thread and its
+    bounded join); a table build under a delay swap would have held the
+    dataset's swap lock for ever."""
+    target = Target()
+    outcome = []
+
+    def run_map():
+        with two_children(target, lifetime) as run:
+            try:
+                outcome.append(run("spare", [(x, 3) for x in range(8)]))
+            except WorkerLost as lost:
+                outcome.append(lost)
+
+    thread = threading.Thread(target=run_map, daemon=True)
+    thread.start()
+    thread.join(timeout=6)
+    assert not thread.is_alive(), "the map has not returned"
+    (lost,) = outcome
+    assert isinstance(lost, WorkerLost), lost
+    victim = int(re.search(r"pool worker (\d+) died", str(lost))[1])
+    assert victim != os.getpid() and not child_alive(victim)
 
 
 def test_two_maps_that_each_want_the_whole_pool_both_finish(pool):
@@ -378,6 +364,19 @@ def test_two_maps_that_each_want_the_whole_pool_both_finish(pool):
     assert set(results["a"]) != set(results["b"])
 
 
+def test_map_hands_the_next_job_to_the_child_that_answers_first(pool):
+    """One slow job, two fast ones, two children: the child that got
+    the first fast job gets the second too, and the map takes the slow
+    job's time.  Reading the oldest held answer first would leave that
+    child idle until the slow job was over, and run the last job after
+    it (a table build's rows are not equally long either)."""
+    t0 = time.perf_counter()
+    slow, fast, also_fast = pool.map("nap", [(0.8,), (0.2,), (0.2,)])
+    elapsed = time.perf_counter() - t0
+    assert fast == also_fast != slow
+    assert elapsed < 0.95
+
+
 def test_close_reaps_every_child_and_later_calls_run_here():
     target = Target(offset=5)
     pool = ForkPool(target, 2)
@@ -391,6 +390,32 @@ def test_close_reaps_every_child_and_later_calls_run_here():
     pool.close()  # idempotent
 
 
+def test_close_does_not_wait_for_a_stranger_that_holds_the_pipe():
+    """EOF reaches a child when the *last* copy of the parent's end of
+    its pipe is closed, and a process forked by other code than the
+    pool's — an embedding application's own worker; here a bare fork —
+    holds one for as long as it lives.  So ``close()`` tells the
+    children to stop; hanging up alone would wait for the stranger."""
+    target = Target()
+    pool = ForkPool(target, 2)
+    pids = [child.pid for child in pool._children]
+    stranger = os.fork()
+    if stranger == 0:
+        try:
+            time.sleep(30)
+        finally:
+            os._exit(0)
+    try:
+        closing = threading.Thread(target=pool.close, daemon=True)
+        closing.start()
+        closing.join(timeout=5)
+        assert not closing.is_alive()
+        assert not any(map(child_alive, pids))
+    finally:
+        os.kill(stranger, signal.SIGKILL)
+        os.waitpid(stranger, 0)
+
+
 def test_collected_pool_takes_its_children_with_it():
     """Nobody closes a swapped-out generation's pool: it goes when the
     last reference to it does."""
@@ -399,6 +424,22 @@ def test_collected_pool_takes_its_children_with_it():
     pids = [child.pid for child in pool._children]
     del pool
     assert not any(map(child_alive, pids))
+
+
+@pytest.mark.parametrize("lifetime", LIFETIMES)
+def test_a_pool_child_never_forks(lifetime):
+    """One level of processes, however the layers nest — a batch inside
+    a search worker, a table build inside a batch item: a job that asks
+    for processes of its own, as a pool or as a ``fan_out``, gets none
+    and runs on its own thread."""
+    target = Target()
+    with two_children(target, lifetime) as run:
+        nested = run("nest", [(10,), (20,)])
+    for x, (pid, processes, where, backend, results) in zip([10, 20], nested):
+        assert pid != os.getpid()
+        assert (processes, where) == (0, pid)
+        assert backend == "serial"
+        assert results == [(pid, x + y) for y in (1, 2, 3)]
 
 
 def test_pool_inside_a_pool_child_runs_on_that_child():
@@ -435,64 +476,90 @@ def _survivors(pids, timeout=5.0):
     zombie nobody reaps is not running)."""
     deadline = time.monotonic() + timeout
     while True:
-        alive = []
-        for pid in pids:
-            try:
-                with open(f"/proc/{pid}/stat") as stat:
-                    state = stat.read().rpartition(")")[2].split()[0]
-            except OSError:
-                continue
-            if state != "Z":
-                alive.append(pid)
+        alive = [pid for pid in pids if process_state(pid) not in (None, "Z")]
         if not alive or time.monotonic() > deadline:
             return alive
         time.sleep(0.02)
 
 
-def test_children_do_not_outlive_a_killed_parent():
+#: A parent with a listening socket and two children, one line on
+#: stdout when they are at work: the port, then — where the parent can
+#: know them — the children, the idle one first.
+_DOOMED_PARENT = {
+    "generation": """
+        import os, socket, threading, time
+        from repro.core.fanout import ForkPool
+        class T:
+            def nap(self, seconds): time.sleep(seconds)
+        listener = socket.create_server(("127.0.0.1", 0))
+        target = T()
+        pool = ForkPool(target, 2)
+        pool.call('nap', 0)  # the first child's turn; the next is
+        threading.Thread(target=pool.call, args=('nap', 2)).start()
+        time.sleep(0.3)
+        (idle,) = pool._idle
+        (busy,) = set(pool._children) - {idle}
+        print(listener.getsockname()[1], idle.pid, busy.pid, flush=True)
+        time.sleep(60)
+    """,
+    "call": """
+        import socket, time
+        from repro.core.fanout import fan_out
+        listener = socket.create_server(("127.0.0.1", 0))
+        print(listener.getsockname()[1], flush=True)
+        fan_out(time.sleep, [0.3] * 200, backend="processes", workers=2)
+    """,
+}
+
+
+@pytest.mark.parametrize("lifetime", LIFETIMES)
+def test_children_do_not_outlive_a_killed_parent(lifetime):
     """SIGKILL gives the parent no chance to stop anything: an idle
     child reads EOF on its pipe and leaves at once, a busy one when its
-    job is done.  For that EOF to come, no sibling may hold a copy of
-    the parent's end of the pipe — the child forked second, kept busy
-    here, inherited the first one's."""
+    job is done — quietly, and neither ever held the parent's listening
+    socket, so the port is free the moment the parent is gone.  For
+    that EOF to come, no sibling may hold a copy of the parent's end of
+    the pipe — the child forked second inherited the first one's."""
     proc = subprocess.Popen(
-        [
-            sys.executable, "-c",
-            "import os, signal, threading, time\n"
-            "from repro.core.fanout import ForkPool\n"
-            "class T:\n"
-            "    def nap(self, seconds): time.sleep(seconds)\n"
-            "target = T()\n"
-            "pool = ForkPool(target, 2)\n"
-            "pool.call('nap', 0)  # the first child's turn; the next is\n"
-            "threading.Thread(target=pool.call, args=('nap', 2)).start()\n"
-            "time.sleep(0.3)\n"
-            "(idle,) = pool._idle\n"
-            "(busy,) = set(pool._children) - {idle}\n"
-            "print(idle.pid, busy.pid, flush=True)\n"
-            "os.kill(os.getpid(), signal.SIGKILL)\n",
-        ],
+        [sys.executable, "-c", textwrap.dedent(_DOOMED_PARENT[lifetime])],
         stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    idle, busy = (int(pid) for pid in proc.stdout.readline().split())
-    assert proc.wait(timeout=30) == -signal.SIGKILL
+    port, *children = (int(word) for word in proc.stdout.readline().split())
+    # Per call both children are busy, with jobs of 0.3 s; of the kept
+    # pool's the second naps for 2 s and the first is idle.
+    job_seconds = 2.0 if lifetime == "generation" else 0.3
     try:
-        assert idle < busy  # the busy child is the one forked second
-        assert _survivors([idle], timeout=1.0) == []
-        assert _survivors([busy], timeout=10.0) == []
+        if not children:
+            children = wait_until(
+                lambda: len(found := children_of(proc.pid)) == 2 and found,
+                what="the fan-out's two children",
+            )
+        proc.kill()
+        assert proc.wait(timeout=30) == -signal.SIGKILL
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
+        if lifetime == "generation":
+            idle, busy = children
+            assert idle < busy  # the busy child is the one forked second
+            assert _survivors([idle], timeout=1.0) == []
+        assert _survivors(children, timeout=job_seconds + 1.0) == []
+        assert proc.stderr.read() == ""
     finally:
-        for pid in (idle, busy):
+        proc.kill()
+        for pid in children:
             try:
                 os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 pass
 
 
+#: ``repro prepare``'s shape of handler: it raises.
 _RAISING_HANDLER = """
     import os, signal, sys, time
-    from repro.core.fanout import ForkPool
+    from repro.core.fanout import ForkPool, fan_out
 
     class Interrupted(Exception):
         pass
@@ -509,12 +576,29 @@ _RAISING_HANDLER = """
     signal.signal(signal.SIGTERM, handler)
     signal.signal(signal.SIGINT, handler)
     target = T()
-    pool = ForkPool(target, 2)
-    before = set(pool.map("where", [()] * 2))
-    print("ready", flush=True)
 """
 
+_NAPS_OF_A_MINUTE = {
+    "generation": """
+    pool = ForkPool(target, 2)
+    print("ready", flush=True)
+    try:
+        pool.map("nap", [(60,), (60,)])
+    except Interrupted:
+        pool.close()
+        sys.exit(130)
+    """,
+    "call": """
+    print("ready", flush=True)
+    try:
+        fan_out(target.nap, [60, 60], backend="processes", workers=2)
+    except Interrupted:
+        sys.exit(130)
+    """,
+}
 
+
+@pytest.mark.parametrize("lifetime", LIFETIMES)
 @pytest.mark.parametrize(
     "send",
     [
@@ -524,19 +608,18 @@ _RAISING_HANDLER = """
         ),
     ],
 )
-def test_raising_signal_handler_unwinds_through_busy_pool_children(send):
-    """``repro prepare``'s shape of handler: it raises, here inside
-    ``map``, past two answers that will not come for a minute.  The
-    children that owe them are killed on the way out — left busy, they
-    would hold up ``close()``, and the exit, for that minute."""
+def test_raising_signal_handler_unwinds_through_busy_pool_children(
+    send, lifetime
+):
+    """The handler raises inside ``map``, past two answers that will
+    not come for a minute.  The children that owe them are killed on
+    the way out — left busy, they would hold up ``close()``, and the
+    exit, for that minute.  Nothing of the process group is left
+    (``run_in_own_group``) and nothing is said on the way."""
     returncode, stdout, stderr = run_in_own_group(
         _RAISING_HANDLER
+        + _NAPS_OF_A_MINUTE[lifetime]
         + """
-    try:
-        pool.map("nap", [(60,), (60,)])
-    except Interrupted:
-        pool.close()
-        sys.exit(130)
     sys.exit("the naps ended before the signal")
         """,
         send=send,
@@ -553,6 +636,9 @@ def test_sigint_to_the_group_is_the_parents_to_handle():
     returncode, stdout, stderr = run_in_own_group(
         _RAISING_HANDLER
         + """
+    pool = ForkPool(target, 2)
+    before = set(pool.map("where", [()] * 2))
+    print("ready", flush=True)
     try:
         time.sleep(30)
     except Interrupted:
@@ -568,16 +654,20 @@ def test_sigint_to_the_group_is_the_parents_to_handle():
     assert (returncode, stdout.strip(), stderr) == (130, "True 2 0", "")
 
 
-def test_pool_child_under_an_event_loops_handlers_dies_of_sigterm_alone():
+@pytest.mark.parametrize("lifetime", LIFETIMES)
+def test_pool_child_under_an_event_loops_handlers_dies_of_sigterm_alone(
+    lifetime,
+):
     """``repro serve``'s shape: the loop owns SIGTERM through a wake-up
-    fd, and a swap forks the next generation's workers from an executor
-    thread.  A child that kept the loop's handler and wake-up fd would
-    answer SIGTERM by running the *server's* stop callback through the
-    shared fd, and live on."""
+    fd, and executor threads fork — a swap the next generation's
+    workers, a table patch or a batch a pool for the call.  A child
+    that kept the loop's handler and wake-up fd would answer SIGTERM by
+    running the *server's* stop callback through the shared fd, and
+    live on."""
     returncode, stdout, stderr = run_in_own_group(
         """
-        import asyncio, os, signal
-        from repro.core.fanout import ForkPool, WorkerLost
+        import asyncio, os, signal, sys
+        from repro.core.fanout import ForkPool, WorkerLost, fan_out
 
         class T:
             def where(self):
@@ -586,28 +676,41 @@ def test_pool_child_under_an_event_loops_handlers_dies_of_sigterm_alone():
                 os.kill(os.getpid(), signal.SIGTERM)
                 import time; time.sleep(30)
 
+        def per_call(method):
+            return fan_out(
+                lambda _: method(), [0, 1], backend="processes", workers=2
+            ).results[0]
+
         async def main():
             loop = asyncio.get_running_loop()
             stops = []
             loop.add_signal_handler(signal.SIGTERM, stops.append, "TERM")
             target = T()
-            pool = await loop.run_in_executor(None, ForkPool, target, 2)
+            if sys.argv[1] == "generation":
+                pool = await loop.run_in_executor(None, ForkPool, target, 2)
+                ask = pool.call
+            else:
+                ask = lambda name: per_call(getattr(target, name))
             for _ in range(4):
                 try:
-                    await loop.run_in_executor(None, pool.call, "stop_self")
+                    await loop.run_in_executor(None, ask, "stop_self")
                 except WorkerLost:
                     pass
                 else:
                     raise SystemExit("the child outlived its SIGTERM")
                 await asyncio.sleep(0.05)
-            pid = await loop.run_in_executor(None, pool.call, "where")
+            pid = await loop.run_in_executor(None, ask, "where")
             assert pid != os.getpid()
-            print(stops, pool.processes, pool.replaced_total)
-            pool.close()
+            if sys.argv[1] == "generation":
+                print(stops, pool.processes, pool.replaced_total)
+                pool.close()
+            else:
+                print(stops)
 
         asyncio.run(main())
         """,
+        lifetime,
         timeout=20.0,
     )
     assert (returncode, stderr) == (0, "")
-    assert stdout.strip() == "[] 2 4"
+    assert stdout.strip() == ("[] 2 4" if lifetime == "generation" else "[]")

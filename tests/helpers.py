@@ -150,6 +150,34 @@ def child_alive(pid: int) -> bool:
     return True
 
 
+def _proc_stat(pid: int | str) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the command name — state, parent,
+    … — or ``None`` once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+
+
+def process_state(pid: int) -> str | None:
+    """``pid``'s one-letter state (``T``: stopped, ``Z``: a zombie
+    nobody has reaped), ``None`` once it is gone."""
+    fields = _proc_stat(pid)
+    return fields and fields[0]
+
+
+def children_of(parent: int) -> list[int]:
+    """The processes whose parent is ``parent``, zombies included."""
+    return sorted(
+        int(entry)
+        for entry in os.listdir("/proc")
+        if entry.isdigit()
+        and (fields := _proc_stat(entry))
+        and int(fields[1]) == parent
+    )
+
+
 def run_in_own_group(script, *args, send=None, timeout=120.0):
     """Run ``script`` (``python -c``, ``repro`` importable) as the
     leader of a new process group and fail unless the whole group is

@@ -2,6 +2,8 @@
 rule that decides whether its rows are built on a fork pool (§5.2)."""
 
 import os
+import signal
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -110,9 +112,9 @@ def _never_pool(monkeypatch):
 
 def _forbid_pools(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("this build must not create a pool")
+        raise AssertionError("this build must not fork")
 
-    monkeypatch.setattr(fanout.mp, "get_context", no_pool)
+    monkeypatch.setattr(fanout.ForkPool, "_fork", no_pool)
 
 
 def assert_tables_bitwise_equal(serial, pooled):
@@ -208,15 +210,15 @@ def test_one_usable_cpu_builds_serially():
         """
         import os
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-        import multiprocessing as mp
         import repro.query.distance_table as distance_table
+        from repro.core.fanout import ForkPool
         from repro.service import ServiceConfig, TransitService
         from repro.synthetic.instances import make_instance
 
         def no_pool(*args, **kwargs):
             raise AssertionError("forked a pool on one usable CPU")
 
-        mp.get_context = no_pool
+        ForkPool._fork = no_pool
         distance_table.POOL_MIN_SECONDS = 0.0
         service = TransitService(
             make_instance("oahu", "tiny"),
@@ -235,9 +237,8 @@ def test_one_usable_cpu_builds_serially():
 def test_build_inside_a_pool_worker_falls_back_to_serial(
     oahu_tiny_graph, force_pool
 ):
-    """A pool worker is daemonic and may not have children: a build
-    that lands in one (a batch item, a fleet job) must run its rows
-    itself instead of dying in ``Pool()``."""
+    """A pool child never forks: a build that lands in one (a batch
+    item, a served request) runs its rows itself."""
 
     def build(_):
         table = build_distance_table(
@@ -253,22 +254,50 @@ def test_build_inside_a_pool_worker_falls_back_to_serial(
         assert (workers, settled_there) == (1, settled)
 
 
+@pytest.mark.parametrize(
+    "fate,error",
+    [
+        pytest.param("raises", (RuntimeError, "row 3 failed"), id="raises"),
+        pytest.param(
+            "killed", (fanout.WorkerLost, r"pool worker \d+ died"), id="killed"
+        ),
+    ],
+)
 def test_a_row_failing_in_a_worker_raises_in_the_caller(
-    oahu_tiny_graph, force_pool, monkeypatch
+    oahu_tiny_graph, force_pool, monkeypatch, fate, error
 ):
+    """Whether the row's search raises or its process is killed under
+    it (the OOM killer): the build fails, within the rows' own time — a
+    ``multiprocessing.Pool`` lost a killed worker's task and never
+    returned, hence the thread and its bounded join."""
     parent = os.getpid()
     real = distance_table.parallel_profile_search
 
     def failing(graph, source, *args, **kwargs):
         if source == 3:
             assert os.getpid() != parent, "row 3 was meant for the pool"
+            if fate == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
             raise RuntimeError("row 3 failed")
         return real(graph, source, *args, **kwargs)
 
     monkeypatch.setattr(distance_table, "parallel_profile_search", failing)
-    with pytest.raises(RuntimeError, match="row 3 failed"):
-        build_distance_table(oahu_tiny_graph, [0, 1, 2, 3], kernel="flat")
-    assert fanout._FORK_FNS == {}
+    outcome = []
+
+    def build():
+        try:
+            outcome.append(
+                build_distance_table(oahu_tiny_graph, [0, 1, 2, 3], kernel="flat")
+            )
+        except Exception as exc:  # noqa: BLE001 — judged below
+            outcome.append(exc)
+
+    thread = threading.Thread(target=build, daemon=True)
+    thread.start()
+    thread.join(timeout=6)
+    assert not thread.is_alive(), "the build has not returned"
+    with pytest.raises(error[0], match=error[1]):
+        raise outcome[0]
 
 
 def test_concurrent_pooled_prepares_build_their_own_tables(
@@ -288,4 +317,3 @@ def test_concurrent_pooled_prepares_build_their_own_tables(
         serial = TransitService(timetable, config).table
         assert_tables_bitwise_equal(serial, service.table)
         assert service.table.build_settled == serial.build_settled
-    assert fanout._FORK_FNS == {}

@@ -14,10 +14,13 @@ Two contracts:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 import repro.service.prepare as prepare_mod
+from repro.core.fanout import ForkPool
 from repro.core.parallel import parallel_profile_search
 from repro.graph.station_graph import build_station_graph
 from repro.graph.td_arrays import pack_td_graph
@@ -114,6 +117,51 @@ def test_batch_accepts_raw_pairs(oahu_tiny):
     assert len(result.journeys) == 2
     assert result.journeys[0].source == 0
     assert result.journeys[0].target == 5
+
+
+def test_a_batch_inside_a_search_worker_forks_nothing(oahu_tiny, monkeypatch):
+    """Under search workers the generation's workers *are* the
+    processes: ``backend`` / ``workers`` size an in-process batch only.
+    A served batch used to fork its own pool inside the worker, per
+    request — 2 workers x 4 grandchildren on a 2-core box, behind
+    admission control's back; now it runs there on the one thread, says
+    so (``BatchStats``: what actually executed), and answers the same."""
+    config = ServiceConfig(num_threads=1, backend="processes", workers=4)
+    pairs = [(0, 5), (2, 7), (1, 6), (3, 9), (4, 11), (7, 2)]
+    in_process = TransitService(oahu_tiny, config).batch(pairs)
+    assert in_process.stats.backend == "processes"
+    assert in_process.stats.num_workers == 4
+    assert in_process.stats.setup_seconds > 0
+
+    here = os.getpid()
+    fork = ForkPool._fork
+
+    def fork_here_only(pool, target):
+        assert os.getpid() == here, "a search worker forked"
+        return fork(pool, target)
+
+    monkeypatch.setattr(ForkPool, "_fork", fork_here_only)
+    service = TransitService(oahu_tiny, config)
+    service.start_workers(2)
+    try:
+        served = service.batch(pairs)
+    finally:
+        service.stop_workers()
+    stats = served.stats
+    assert (stats.backend, stats.num_workers, stats.setup_seconds) == (
+        "serial", 1, 0.0,
+    )
+    for (s, t), got, expected in zip(
+        pairs, served.journeys, in_process.journeys
+    ):
+        assert (got.source, got.target) == (s, t)
+        assert (
+            got.stats.settled_connections
+            == expected.stats.settled_connections
+        )
+        assert_profiles_bitwise_equal(
+            expected.profile, got.profile, f"{s}->{t}"
+        )
 
 
 def test_facade_equivalence_on_random_instances():
