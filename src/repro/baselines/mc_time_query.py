@@ -5,42 +5,19 @@ A time-dependent Dijkstra on the *layered* graph ``(node, transfers
 used)``: boarding edges move one layer up, all other edges stay in
 layer.  ``arrival[u][k]`` is the earliest arrival at ``u`` using at most
 ``k`` transfers.  Exponential in nothing, just ``K+1`` layers — used by
-tests to validate the multi-criteria SPCS Pareto fronts.
+tests to validate the multi-criteria SPCS Pareto fronts, as the oracle
+of its flat twin :func:`repro.core.multicriteria.mc_time_search`, and
+run by ``kernel="python"`` services for the departure-time shapes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.core.multicriteria import McTimeQueryResult
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import TDGraph
 from repro.pq import LazyHeap
 
-
-@dataclass(slots=True)
-class McTimeQueryResult:
-    """Earliest arrivals per (node, transfer budget)."""
-
-    source: int
-    departure: int
-    max_transfers: int
-    #: arrival[u][k] — earliest arrival at u with ≤ k transfers.
-    arrival: list[list[int]]
-
-    def arrival_at_station(self, station: int, max_transfers: int) -> int:
-        k = min(max_transfers, self.max_transfers)
-        return self.arrival[station][k]
-
-    def pareto_front(self, station: int) -> list[tuple[int, int]]:
-        """Non-dominated (transfers, arrival) pairs at a station."""
-        front: list[tuple[int, int]] = []
-        best = INF_TIME
-        for k in range(self.max_transfers + 1):
-            arrival = self.arrival[station][k]
-            if arrival < best:
-                front.append((k, arrival))
-                best = arrival
-        return front
+__all__ = ["McTimeQueryResult", "mc_time_query"]
 
 
 def mc_time_query(
@@ -61,6 +38,7 @@ def mc_time_query(
     arrival = [[INF_TIME] * layers for _ in range(num_nodes)]
     adjacency = graph.adjacency
     pq = LazyHeap()
+    settled = 0
 
     arrival[source] = [departure] * layers
     # Initial boarding is free of both transfer time and transfer count.
@@ -73,6 +51,7 @@ def mc_time_query(
         (node, k), key = pq.pop()
         if key > arrival[node][k]:
             continue
+        settled += 1
         for edge in adjacency[node]:
             t_next = edge.arrival(key)
             is_boarding = edge.ttf is None and graph.is_station_node(node)
@@ -93,4 +72,5 @@ def mc_time_query(
         departure=departure,
         max_transfers=max_transfers,
         arrival=arrival,
+        settled=settled,
     )

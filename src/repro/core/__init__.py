@@ -19,9 +19,10 @@ connection-setting profile search (SPCS) and its parallelization.
 * :mod:`repro.core.merge` — merging per-thread labels and reading off
   reduced profiles.
 * :mod:`repro.core.multicriteria` — the §6 (arrival, transfers) search:
-  result types and the flat-array production kernel;
-  :mod:`repro.core.mc_reference` is its readable object-graph twin
-  (``kernel="python"`` services and the test oracle).
+  result types, the flat-array whole-day kernel and the fixed-departure
+  loop the served shapes run (``mc_time_search``);
+  :mod:`repro.core.mc_reference` is the kernel's readable object-graph
+  twin and test oracle.
 """
 
 from repro.core.spcs import SPCSResult, spcs_profile_search
@@ -36,8 +37,10 @@ from repro.core.merge import MergedProfileResult, merge_thread_results
 from repro.core.multicriteria import (
     McProfileResult,
     McSPCSStats,
+    McTimeQueryResult,
     mc_kernel_search,
     mc_profile_search,
+    mc_time_search,
 )
 from repro.core.mc_reference import mc_reference_search
 from repro.core.parallel import (
@@ -61,9 +64,11 @@ __all__ = [
     "merge_thread_results",
     "McProfileResult",
     "McSPCSStats",
+    "McTimeQueryResult",
     "mc_kernel_search",
     "mc_profile_search",
     "mc_reference_search",
+    "mc_time_search",
     "ParallelProfileResult",
     "ParallelRunStats",
     "parallel_profile_search",

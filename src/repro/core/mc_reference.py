@@ -5,10 +5,9 @@ The algorithm of :mod:`repro.core.multicriteria` — queue items
 stepping the layer, the layered ``maxconn(v, k) ≥ i`` self-pruning rule
 — written over the object :class:`~repro.graph.td_model.TDGraph` with
 3-D numpy labels and a :mod:`repro.pq` addressable heap, one line per
-step of the description.  It is what ``kernel="python"`` services run
-and the oracle the flat kernel is pinned against
-(``tests/core/test_mc_kernel_equivalence.py``); production searches go
-through :func:`repro.core.multicriteria.mc_kernel_search`.
+step of the description.  It is the oracle the flat kernel is pinned
+against (``tests/core/test_mc_kernel_equivalence.py``); whole-day
+searches go through :func:`repro.core.multicriteria.mc_kernel_search`.
 """
 
 from __future__ import annotations

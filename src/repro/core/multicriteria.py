@@ -26,15 +26,24 @@ The result stores, per (node, connection, transfer budget), the final
 arrival; per-station **Pareto profiles** are read off by reducing each
 transfer layer and stacking the fronts.
 
-Two implementations share the result type.  :func:`mc_kernel_search`
+A request that names its departure needs one column of that, not the
+day: :func:`mc_time_search` is the paper's §2 time query at one
+departure, layered by transfer count — one label per (node, k), the
+same loop engineering, a few hundred settled items where the profile
+search settles tens of thousands (``docs/KERNEL.md``, "Fixed-departure
+searches").  The served ``multicriteria`` and ``min_transfers`` shapes
+run it; its oracle is :func:`repro.baselines.mc_time_query.mc_time_query`,
+whose result type (:class:`McTimeQueryResult`) it shares.
+
+Two implementations share the profile result type.  :func:`mc_kernel_search`
 is the production kernel, engineered like
 :mod:`repro.core.spcs_kernel`: it reads a packed
 :class:`~repro.graph.td_arrays.TDGraphArrays`, keeps labels, settled
 flags and ``maxconn`` in flat vectors, inlines travel-time evaluation
 and uses :mod:`heapq` with lazy deletion.
 :func:`repro.core.mc_reference.mc_reference_search` is the same
-algorithm written for reading, over the object graph; it serves
-``kernel="python"`` services and is the test oracle.
+algorithm written for reading, over the object graph, and is the test
+oracle.
 
 Equivalence contract: for every input the kernel's reduced profiles
 (:meth:`McProfileResult.profile_points`), earliest arrivals
@@ -53,7 +62,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -65,8 +74,10 @@ from repro.graph.td_model import TDGraph
 __all__ = [
     "McProfileResult",
     "McSPCSStats",
+    "McTimeQueryResult",
     "mc_kernel_search",
     "mc_profile_search",
+    "mc_time_search",
 ]
 
 
@@ -135,6 +146,34 @@ class McProfileResult:
             for dep, arr, keep in zip(self.conn_deps, arrivals, mask)
             if keep
         ]
+
+
+@dataclass(slots=True)
+class McTimeQueryResult:
+    """Earliest arrivals per (node, transfer budget) for one departure."""
+
+    source: int
+    departure: int
+    max_transfers: int
+    #: arrival[u][k] — earliest arrival at u with ≤ k transfers.
+    arrival: list[list[int]]
+    #: Queue extractions that were not stale (the work measure).
+    settled: int
+
+    def arrival_at_station(self, station: int, max_transfers: int) -> int:
+        k = min(max_transfers, self.max_transfers)
+        return self.arrival[station][k]
+
+    def pareto_front(self, station: int) -> list[tuple[int, int]]:
+        """Non-dominated (transfers, arrival) pairs at a station."""
+        front: list[tuple[int, int]] = []
+        best = INF_TIME
+        for k in range(self.max_transfers + 1):
+            arrival = self.arrival[station][k]
+            if arrival < best:
+                front.append((k, arrival))
+                best = arrival
+        return front
 
 
 def mc_profile_search(
@@ -333,3 +372,117 @@ def mc_kernel_search(
     for k in range(1, layers):
         np.minimum(view[:, :, k], view[:, :, k - 1], out=view[:, :, k])
     return result
+
+
+def mc_time_search(
+    arrays: TDGraphArrays,
+    source: int,
+    departure: int,
+    *,
+    max_transfers: int = 5,
+) -> McTimeQueryResult:
+    """Earliest arrival per (node, k ≤ ``max_transfers`` transfers) when
+    leaving station ``source`` at ``departure``: the flat-array twin of
+    :func:`~repro.baselines.mc_time_query.mc_time_query`, whose arrivals
+    it equals for every input.
+
+    ``departure`` is absolute (any day).  The first boarding at the
+    source is free of transfer time and count, as in every search here.
+    """
+    if not arrays.is_station_node(source):
+        raise ValueError(f"source must be a station node, got {source}")
+    if max_transfers < 0:
+        raise ValueError(f"max_transfers must be ≥ 0, got {max_transfers}")
+
+    layers = max_transfers + 1
+    num_stations = arrays.num_stations
+    period = arrays.period
+    size = arrays.num_nodes * layers
+    INF = INF_TIME
+    adjacency = arrays.kernel_adjacency()
+
+    # labels[u * L + k]: earliest arrival at u with ≤ k transfers —
+    # non-increasing in k, because every write fills the budgets above
+    # it (which is why the fill below may stop at the first label it
+    # does not improve).  Heap entries are the one int
+    # ``key * size + item``.
+    labels = [INF] * size
+    seed = [departure] * layers
+    labels[source * layers : (source + 1) * layers] = seed
+    heap: list[int] = []
+    for head, _, _ in adjacency[source]:
+        item = head * layers
+        if labels[item] > departure:  # once, however many edges lead there
+            labels[item : item + layers] = seed
+            heap.append(departure * size + item)
+    heapify(heap)
+
+    settled = 0
+    while heap:
+        entry = heappop(heap)
+        key = entry // size
+        item = entry - key * size
+        if key > labels[item]:
+            continue  # stale: improved since, here or from a lower layer
+        settled += 1
+        node = item // layers
+        # Boarding edges (constant edges out of a station node) use up
+        # one transfer; at the top layer there is none left.
+        board = node < num_stations
+        no_board = board and item - node * layers == max_transfers
+        for head, weight, ttf in adjacency[node]:
+            head_item = item + (head - node) * layers
+            if ttf is None:
+                if board:
+                    if no_board:
+                        continue
+                    head_item += 1
+                t_next = key + weight
+            else:
+                deps, durs, fifo, n = ttf
+                tau = key % period
+                idx = bisect_left(deps, tau)
+                if fifo:
+                    if idx < n:
+                        t_next = key + deps[idx] - tau + durs[idx]
+                    elif n:
+                        t_next = key + period + deps[0] - tau + durs[0]
+                    else:
+                        continue  # zero-point function
+                else:
+                    best = INF
+                    for j in range(idx, n):
+                        wait = deps[j] - tau
+                        if wait >= best:
+                            break
+                        total = wait + durs[j]
+                        if total < best:
+                            best = total
+                    else:
+                        for j in range(idx):
+                            wait = period + deps[j] - tau
+                            if wait >= best:
+                                break
+                            total = wait + durs[j]
+                            if total < best:
+                                best = total
+                    if best >= INF:
+                        continue
+                    t_next = key + best
+            if t_next < labels[head_item]:
+                labels[head_item] = t_next
+                heappush(heap, t_next * size + head_item)
+                # What k transfers reach, any larger budget reaches.
+                top = head_item - head_item % layers + layers
+                head_item += 1
+                while head_item < top and t_next < labels[head_item]:
+                    labels[head_item] = t_next
+                    head_item += 1
+
+    return McTimeQueryResult(
+        source=source,
+        departure=departure,
+        max_transfers=max_transfers,
+        arrival=[labels[u : u + layers] for u in range(0, size, layers)],
+        settled=settled,
+    )

@@ -96,7 +96,10 @@ class ServiceConfig:
     ---------------
     ``stopping`` (Theorem 2), ``table_pruning`` (Theorem 3),
     ``target_pruning`` (Theorem 4), ``self_pruning`` (§3.1) — on by
-    default, exposed for ablations.
+    default, exposed for ablations.  They govern the connection-setting
+    searches (``profile``, ``journey``, ``batch``) only: the departure-time
+    shapes (``multicriteria``, ``min_transfers``, ``via``) run time
+    queries, which have no connections to set or prune.
     """
 
     kernel: str = "flat"

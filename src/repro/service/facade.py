@@ -43,9 +43,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+from repro.baselines.mc_time_query import mc_time_query
 from repro.core.fanout import ForkPool, fan_out
-from repro.core.mc_reference import mc_reference_search
-from repro.core.multicriteria import mc_kernel_search
+from repro.core.multicriteria import mc_time_search
 from repro.core.parallel import parallel_profile_search, timed_subset_search
 from repro.functions.piecewise import INF_TIME
 from repro.query.batch import BatchStats
@@ -93,13 +93,14 @@ from repro.timetable.types import Timetable
 
 @dataclass(frozen=True, slots=True)
 class _McSearchKey:
-    """Internal result-cache key for one shared multi-criteria
-    one-to-all search: every multicriteria / min-transfers request for
-    the same (source, budget) — whatever its target or departure —
-    reads the same :class:`~repro.core.multicriteria.McProfileResult`.
+    """Internal result-cache key for one shared fixed-departure
+    multi-criteria search: every multicriteria / min-transfers request
+    for the same (source, departure, budget) — whatever its target —
+    reads the same :class:`~repro.core.multicriteria.McTimeQueryResult`.
     """
 
     source: int
+    departure: int
     max_transfers: int
 
 
@@ -341,7 +342,7 @@ class TransitService:
         # some other thread may have held during the fork, and nothing
         # put here would ever be seen there: the worker gets a cache of
         # its own — where the multi-criteria search that multicriteria
-        # and min-transfers share lives, and a via's two journeys.
+        # and min-transfers share lives.
         self._result_cache = LRUResultCache(self.config.result_cache_size)
 
     def _answer(self, req, compute: str, *, here: bool = False):
@@ -428,10 +429,11 @@ class TransitService:
         """Answer a :class:`ViaRequest` (or raw arguments): two chained
         earliest-arrival journeys, source → via → target.
 
-        The legs reuse :meth:`journey` wholesale (each hop is cached
-        under its own :class:`JourneyRequest` key), so answers are by
-        construction those of the two chained station-to-station
-        queries the parity oracle runs.
+        Each hop is the time query a dated :meth:`journey` runs for its
+        legs (:func:`~repro.service.journeys.reconstruct_legs`), so
+        arrivals and legs are by construction those of the two chained
+        station-to-station queries the parity oracle runs — without the
+        whole-day profile searches such a journey also makes.
         """
         return self._answer(
             as_request(VIA, request, via, target, departure), "_run_via"
@@ -620,7 +622,7 @@ class TransitService:
         legs = None
         arrival = None
         if req.departure is not None:
-            legs, arrival = self._recon_legs(
+            legs, arrival, _ = self._recon_legs(
                 req.source, req.target, req.departure
             )
         return JourneyResult(
@@ -633,32 +635,31 @@ class TransitService:
             legs=legs,
         )
 
-    def _mc_search(self, source: int, max_transfers: int):
-        """The shared multi-criteria one-to-all search, memoized in the
-        result cache under :class:`_McSearchKey` — so any mix of
-        multicriteria / min-transfers requests over one source pays one
-        search.  Like the SPCS paths it runs the flat kernel on the
-        dataset's packed arrays (slice-patched after a delay swap) when
-        ``kernel="flat"`` packed them, else the object-graph reference.
+    def _mc_search(self, source: int, departure: int, max_transfers: int):
+        """The shared fixed-departure multi-criteria search, memoized in
+        the result cache under :class:`_McSearchKey` — so a traveller's
+        multicriteria and min-transfers requests pay one search.  Like
+        the SPCS paths it runs the flat loop on the dataset's packed
+        arrays (slice-patched after a delay swap) when ``kernel="flat"``
+        packed them, else its object-graph twin.
         """
-        key = _McSearchKey(source, max_transfers)
+        key = _McSearchKey(source, departure, max_transfers)
         raw = self._result_cache.get(key)
         if raw is None:
             prepared = self.prepared
             if prepared.arrays is not None:
-                raw = mc_kernel_search(
+                raw = mc_time_search(
                     prepared.arrays,
                     source,
+                    departure,
                     max_transfers=max_transfers,
-                    self_pruning=self.config.self_pruning,
                 )
             else:
-                raw = mc_reference_search(
+                raw = mc_time_query(
                     prepared.graph,
                     source,
+                    departure,
                     max_transfers=max_transfers,
-                    self_pruning=self.config.self_pruning,
-                    queue=self.config.queue,
                 )
             self._result_cache.put(key, raw)
         return raw
@@ -670,15 +671,14 @@ class TransitService:
             legs: tuple | None = ()
             settled = 0
         else:
-            raw = self._mc_search(req.source, req.max_transfers)
-            settled = raw.stats.settled
+            raw = self._mc_search(req.source, req.departure, req.max_transfers)
+            settled = raw.settled
             options = tuple(
-                ParetoOption(k, arr)
-                for k, arr in raw.pareto_front(req.target, req.departure)
+                ParetoOption(k, arr) for k, arr in raw.pareto_front(req.target)
             )
             legs = None
             if options:
-                recon, recon_arrival = self._recon_legs(
+                recon, recon_arrival, _ = self._recon_legs(
                     req.source, req.target, req.departure
                 )
                 if (
@@ -706,14 +706,14 @@ class TransitService:
             legs: tuple | None = ()
             settled = 0
         else:
-            raw = self._mc_search(req.source, req.max_transfers)
-            settled = raw.stats.settled
-            front = raw.pareto_front(req.target, req.departure)
+            raw = self._mc_search(req.source, req.departure, req.max_transfers)
+            settled = raw.settled
+            front = raw.pareto_front(req.target)
             if not front:
                 transfers, arrival, legs = None, INF_TIME, None
             else:
                 transfers, arrival = front[0]
-                recon, recon_arrival = self._recon_legs(
+                recon, recon_arrival, _ = self._recon_legs(
                     req.source, req.target, req.departure
                 )
                 legs = (
@@ -737,41 +737,27 @@ class TransitService:
 
     def _run_via(self, req: ViaRequest) -> ViaResult:
         t0 = time.perf_counter()
-        parts: list[QueryStats] = []
-        if req.source == req.via:
-            legs_first: tuple | None = ()
-            via_arrival = req.departure
-        else:
-            first = self.journey(JourneyRequest(req.source, req.via, req.departure))
-            parts.append(first.stats)
-            legs_first = first.legs
-            via_arrival = first.arrival if first.arrival is not None else INF_TIME
+        legs_first, via_arrival, settled = self._recon_legs(
+            req.source, req.via, req.departure
+        )
         if via_arrival >= INF_TIME:
             arrival = INF_TIME
             legs = None
-        elif req.via == req.target:
-            arrival = via_arrival
-            legs = legs_first
         else:
-            second = self.journey(
-                JourneyRequest(req.via, req.target, via_arrival)
+            legs_second, arrival, more = self._recon_legs(
+                req.via, req.target, via_arrival
             )
-            parts.append(second.stats)
-            arrival = second.arrival if second.arrival is not None else INF_TIME
-            if legs_first is None or second.legs is None:
-                legs = None
-            else:
-                legs = tuple(legs_first) + tuple(second.legs)
+            settled += more
+            legs = None if legs_second is None else legs_first + legs_second
         total = time.perf_counter() - t0
+        # Two §2 time queries over the object graph, one after the other.
         stats = QueryStats(
             kind="via",
-            kernel=self.config.kernel,
-            num_threads=self.config.num_threads,
-            settled_connections=sum(p.settled_connections for p in parts),
-            simulated_seconds=sum(p.simulated_seconds for p in parts),
+            kernel="python",
+            num_threads=1,
+            settled_connections=settled,
+            simulated_seconds=total,
             total_seconds=total,
-            table_prunes=sum(p.table_prunes for p in parts),
-            connection_stops=sum(p.connection_stops for p in parts),
         )
         return ViaResult(
             source=req.source,
@@ -785,10 +771,10 @@ class TransitService:
         )
 
     def _mc_stats(self, kind: str, settled: int, total: float) -> QueryStats:
-        # The multi-criteria engine is the sequential §6 search: it
-        # follows the service's kernel (the same test as _mc_search)
-        # but has no parallel driver — accounted as one thread whatever
-        # the service's journey configuration.
+        # The multi-criteria engine is the sequential fixed-departure
+        # search: it follows the service's kernel (the same test as
+        # _mc_search) but has no parallel driver — accounted as one
+        # thread whatever the service's journey configuration.
         return QueryStats(
             kind=kind,
             kernel="flat" if self.prepared.arrays is not None else "python",

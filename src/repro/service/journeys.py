@@ -31,15 +31,16 @@ def reconstruct_legs(
     departure: int,
     *,
     queue: str = "binary",
-) -> tuple[tuple[JourneyLeg, ...] | None, int]:
-    """Return ``(legs, arrival)`` for the earliest journey.
+) -> tuple[tuple[JourneyLeg, ...] | None, int, int]:
+    """Return ``(legs, arrival, settled)`` for the earliest journey;
+    ``settled`` is the time query's work (0 when nothing ran).
 
     ``legs`` is ``None`` when the target is unreachable (``arrival``
     is then :data:`INF_TIME`); an empty tuple when ``source ==
     target``.
     """
     if source == target:
-        return (), departure
+        return (), departure, 0
 
     result = time_query(
         graph,
@@ -50,7 +51,7 @@ def reconstruct_legs(
         track_parents=True,
     )
     if result.arrival[target] >= INF_TIME:
-        return None, INF_TIME
+        return None, INF_TIME, result.settled
 
     # Collapse the node path at station nodes: one leg per alighting.
     path = result.path_to(target)
@@ -68,4 +69,4 @@ def reconstruct_legs(
                 )
             )
             leg_start_node = node
-    return tuple(legs), arrival[target]
+    return tuple(legs), arrival[target], result.settled

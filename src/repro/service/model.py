@@ -14,15 +14,15 @@ request                      engine path
 :class:`ProfileRequest`      :func:`~repro.core.parallel.parallel_profile_search`
 :class:`JourneyRequest`      :meth:`~repro.query.table_query.StationToStationEngine.query`
 :class:`BatchRequest`        the two paths above, per item (:func:`~repro.core.fanout.fan_out`)
-:class:`MulticriteriaRequest`  the §6 search on the service's kernel (below)
-:class:`ViaRequest`          two chained :meth:`TransitService.journey` legs
+:class:`MulticriteriaRequest`  a transfer-layered time query at the departure (below)
+:class:`ViaRequest`          two chained §2 time queries (:func:`~repro.service.journeys.reconstruct_legs`)
 :class:`MinTransfersRequest`   the same shared search, head of its front
 ===========================  ==============================================
 
-The §6 search is
-:func:`~repro.core.multicriteria.mc_kernel_search` over the packed
+The transfer-layered time query is
+:func:`~repro.core.multicriteria.mc_time_search` over the packed
 arrays on a ``kernel="flat"`` service and
-:func:`~repro.core.mc_reference.mc_reference_search` over the object
+:func:`~repro.baselines.mc_time_query.mc_time_query` over the object
 graph on a ``"python"`` one.
 """
 

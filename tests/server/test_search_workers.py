@@ -97,7 +97,8 @@ def test_every_search_of_every_shape_runs_in_a_worker(
             raise AssertionError("a search ran in the server process")
 
         monkeypatch.setattr("repro.core.spcs_kernel.spcs_kernel_search", poisoned)
-        monkeypatch.setattr("repro.service.facade.mc_kernel_search", poisoned)
+        monkeypatch.setattr("repro.service.facade.mc_time_search", poisoned)
+        monkeypatch.setattr("repro.service.facade.mc_time_query", poisoned)
         monkeypatch.setattr("repro.service.facade.reconstruct_legs", poisoned)
         with pytest.raises(AssertionError, match="in the server process"):
             TransitService(oahu_tiny, config).journey(0, 5)  # it is live
@@ -116,8 +117,8 @@ def test_every_search_of_every_shape_runs_in_a_worker(
 def test_result_cache_counts_one_hit_or_miss_per_request(harness):
     """The searches left the process, the accounting did not: every
     answered query is one hit or one miss of its dataset's cache —
-    what a worker looks up in its own cache on the way (a via's two
-    journeys, the shared multi-criteria search) is not the server's."""
+    what a worker looks up in its own cache on the way (the shared
+    multi-criteria search) is not the server's."""
     script = [
         ("profile", {"source": 3}),
         ("journey", {"source": 0, "target": 5}),

@@ -199,7 +199,7 @@ def test_search_workers_get_a_result_cache_of_their_own():
     """The fork may happen while another thread of the server holds the
     cache's lock (here: this one does).  A worker that kept the
     inherited cache would wait for that lock for ever the first time a
-    ``via`` looked up one of its journeys."""
+    ``multicriteria`` looked up its shared search."""
     service = TransitService(
         make_instance("oahu", scale="tiny"), ServiceConfig(kernel="flat")
     )
@@ -207,7 +207,9 @@ def test_search_workers_get_a_result_cache_of_their_own():
         service.start_workers(1)
     answers: list = []
     ask = threading.Thread(
-        target=lambda: answers.append(service.via(2, 5, 7, departure=480)),
+        target=lambda: answers.append(
+            service.multicriteria(2, 5, departure=480)
+        ),
         daemon=True,
     )
     ask.start()
@@ -215,8 +217,11 @@ def test_search_workers_get_a_result_cache_of_their_own():
     try:
         assert not ask.is_alive(), "the worker is stuck on an inherited lock"
         twin = TransitService(service.timetable, service.config)
-        assert answers[0].arrival == twin.via(2, 5, 7, departure=480).arrival
-        assert service.cache_stats.misses == 1  # the via; its journeys are not ours
+        assert (
+            answers[0].options
+            == twin.multicriteria(2, 5, departure=480).options
+        )
+        assert service.cache_stats.misses == 1  # its search is not ours
     finally:
         if ask.is_alive():
             for child in service._workers._children:

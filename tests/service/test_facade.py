@@ -369,18 +369,19 @@ def test_query_stats_shapes(oahu_tiny):
 def test_multicriteria_shapes_follow_and_report_the_kernel(
     oahu_tiny, kernel, monkeypatch
 ):
-    """``multicriteria`` / ``min_transfers`` run the flat search over
-    ``prepared.arrays`` on a ``flat`` service and the reference over
-    the object graph on a ``python`` one — and their stats name the
-    kernel that ran (they used to say ``"python"`` unconditionally)."""
+    """``multicriteria`` / ``min_transfers`` run the fixed-departure
+    search — the flat loop over ``prepared.arrays`` on a ``flat``
+    service, its object-graph twin on a ``python`` one — once per
+    (source, departure, budget), and their stats name the kernel that
+    ran (they used to say ``"python"`` unconditionally)."""
     import repro.service.facade as facade_mod
 
     calls = []
-    for name in ("mc_kernel_search", "mc_reference_search"):
+    for name in ("mc_time_search", "mc_time_query"):
         real = getattr(facade_mod, name)
 
         def spy(data, *args, _name=name, _real=real, **kwargs):
-            calls.append((_name, data))
+            calls.append((_name, data, args))
             return _real(data, *args, **kwargs)
 
         monkeypatch.setattr(facade_mod, name, spy)
@@ -389,16 +390,20 @@ def test_multicriteria_shapes_follow_and_report_the_kernel(
     front = service.multicriteria(2, 5, departure=480)
     fewest = service.min_transfers(2, 9, departure=480)
     prepared = service.prepared
+    name, data = (
+        ("mc_time_search", prepared.arrays)
+        if kernel == "flat"
+        else ("mc_time_query", prepared.graph)
+    )
     # One shared search, on the service's own artifacts.
-    if kernel == "flat":
-        assert [name for name, _ in calls] == ["mc_kernel_search"]
-        assert calls[0][1] is prepared.arrays
-    else:
-        assert [name for name, _ in calls] == ["mc_reference_search"]
-        assert calls[0][1] is prepared.graph
+    assert calls == [(name, data, (2, 480))]
     for stats in (front.stats, fewest.stats):
         assert (stats.kernel, stats.num_threads) == (kernel, 1)
         assert stats.settled_connections > 0
+    # Another departure is another search.
+    later = service.min_transfers(2, 9, departure=481)
+    assert calls[1:] == [(name, data, (2, 481))]
+    assert later.stats.settled_connections > 0
 
     other = TransitService(
         oahu_tiny,
@@ -407,6 +412,29 @@ def test_multicriteria_shapes_follow_and_report_the_kernel(
     assert other.multicriteria(2, 5, departure=480).options == front.options
     twin = other.min_transfers(2, 9, departure=480)
     assert (twin.transfers, twin.arrival) == (fewest.transfers, fewest.arrival)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_departure_time_shapes_count_the_searches_they_ran(oahu_tiny, kernel):
+    """``multicriteria`` / ``min_transfers`` count the labels their
+    fixed-departure search settled; ``via`` counts its two §2 time
+    queries — and, with no profile search left, no table rule fires."""
+    service = TransitService(
+        oahu_tiny,
+        ServiceConfig(
+            kernel=kernel, use_distance_table=True, transfer_fraction=0.3
+        ),
+    )
+    front = service.multicriteria(2, 5, departure=480)
+    fewest = service.min_transfers(2, 5, departure=480)
+    via = service.via(2, 5, 7, departure=480)
+    assert front.reachable and fewest.reachable and via.reachable
+    assert front.stats.settled_connections > 0
+    assert fewest.stats.settled_connections == front.stats.settled_connections
+    first = service.via(2, 5, 5, departure=480)
+    assert 0 < first.stats.settled_connections < via.stats.settled_connections
+    assert (via.stats.kernel, via.stats.num_threads) == ("python", 1)
+    assert (via.stats.table_prunes, via.stats.connection_stops) == (0, 0)
 
 
 def test_profile_request_thread_override(oahu_tiny):
