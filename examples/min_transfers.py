@@ -7,9 +7,10 @@ multi-criteria connections, e.g., minimizing the number of transfers
 criteria for self-pruning") and shows the resulting Pareto fronts on a
 rail network, where transfer-count trade-offs actually occur.
 
-The scan/report logic lives in :mod:`repro.query.min_transfers` (the
-same helpers the served ``min-transfers`` request shape uses); this
-example only prints.
+The scan/report logic lives in :mod:`repro.query.min_transfers`, over
+the whole-day search (``mc_profile_search``); this example only prints.
+The served ``min-transfers`` request shape answers one departure with
+a search at that departure instead (``service.min_transfers``).
 
 Run:  python examples/min_transfers.py
 """

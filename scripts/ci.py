@@ -307,6 +307,36 @@ def table_build(tmp: Path) -> None:
     )
 
 
+def table1_kernels(tmp: Path) -> None:
+    """The Table 1 bench at tiny scale on oahu (both SPCS kernels and
+    label-correcting), then its table: the flat kernel's one-to-all
+    search at p = 1 beats the reference's by more than 1.5x.  Locally
+    it is ≈ 3.5–4x; the margin absorbs one-sample noise on a shared
+    runner without letting "no faster than the reference" through."""
+    subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q",
+            "benchmarks/bench_table1_one_to_all.py", "-k", "oahu",
+        ],
+        cwd=REPO,
+        env={**ENV, "REPRO_BENCH_SCALE": "tiny"},
+        check=True,
+        timeout=600,
+    )
+    table = (REPO / "benchmarks/results/table1_one_to_all.txt").read_text()
+
+    def time_of(kernel: str) -> float:
+        row = re.search(rf"CS\[{kernel}\]\s+1\s+[\d,]+\s+([\d.]+)", table)
+        assert row, f"missing CS[{kernel}] p=1 row in:\n{table}"
+        return float(row.group(1))
+
+    py, flat = time_of("python"), time_of("flat")
+    print(f"CS[python] {py:.1f} ms vs CS[flat] {flat:.1f} ms -> {py / flat:.2f}x")
+    assert flat * 1.5 < py, (
+        f"flat kernel regressed: {flat:.1f} ms vs reference {py:.1f} ms"
+    )
+
+
 def _tree_cpu_seconds(pids: list[int]) -> float:
     """Scheduler run time of every thread of ``pids`` (``schedstat``,
     as ``e2ebench/harness.py`` reads it for the server alone)."""
@@ -557,6 +587,7 @@ JOBS = {
     "served-pool": served_pool,
     "stream-replay": stream_replay,
     "table-build": table_build,
+    "table1-kernels": table1_kernels,
     "transcripts": transcripts,
     "warm-start": warm_start,
 }

@@ -4,10 +4,12 @@ extension (paper §6, future work).
 A time-dependent Dijkstra on the *layered* graph ``(node, transfers
 used)``: boarding edges move one layer up, all other edges stay in
 layer.  ``arrival[u][k]`` is the earliest arrival at ``u`` using at most
-``k`` transfers.  Exponential in nothing, just ``K+1`` layers — used by
-tests to validate the multi-criteria SPCS Pareto fronts, as the oracle
-of its flat twin :func:`repro.core.multicriteria.mc_time_search`, and
-run by ``kernel="python"`` services for the departure-time shapes.
+``k`` transfers, and every label keeps the label it was relaxed from,
+so :meth:`~repro.core.multicriteria.McTimeQueryResult.path_to` walks
+the journey behind it.  Exponential in nothing, just ``K+1`` layers —
+used by tests to validate the multi-criteria SPCS Pareto fronts, as the
+oracle of its flat twin :func:`repro.core.multicriteria.mc_time_search`,
+and run by ``kernel="python"`` services for the departure-time shapes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ def mc_time_query(
     layers = max_transfers + 1
     num_nodes = graph.num_nodes
     arrival = [[INF_TIME] * layers for _ in range(num_nodes)]
+    # parent[u * layers + k]: the label (v, j), as v * layers + j, whose
+    # relaxation last wrote arrival[u][k] (-1: the source, or never).
+    parent = [-1] * (num_nodes * layers)
     adjacency = graph.adjacency
     pq = LazyHeap()
     settled = 0
@@ -45,6 +50,7 @@ def mc_time_query(
     for edge in adjacency[source]:
         for k in range(layers):
             arrival[edge.target][k] = departure
+            parent[edge.target * layers + k] = source * layers + k
         pq.push((edge.target, 0), departure)
 
     while pq:
@@ -65,6 +71,7 @@ def mc_time_query(
                 for kk in range(k_next, layers):
                     if t_next < arrival[head][kk]:
                         arrival[head][kk] = t_next
+                        parent[head * layers + kk] = node * layers + k
                 pq.push((head, k_next), t_next)
 
     return McTimeQueryResult(
@@ -73,4 +80,5 @@ def mc_time_query(
         max_transfers=max_transfers,
         arrival=arrival,
         settled=settled,
+        parent=parent,
     )

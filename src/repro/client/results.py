@@ -177,8 +177,8 @@ class MulticriteriaAnswer:
     """A Pareto query answered by a backend (either transport).
 
     ``options`` is the (transfers, arrival) front in increasing
-    transfer order; ``legs`` the fastest option's itinerary when it is
-    reconstructible within the budget.
+    transfer order; ``legs`` the fastest option's itinerary (``None``
+    exactly when the front is empty).
     """
 
     source: int

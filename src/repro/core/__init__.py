@@ -18,11 +18,11 @@ connection-setting profile search (SPCS) and its parallelization.
   service's batches.
 * :mod:`repro.core.merge` — merging per-thread labels and reading off
   reduced profiles.
-* :mod:`repro.core.multicriteria` — the §6 (arrival, transfers) search:
-  result types, the flat-array whole-day kernel and the fixed-departure
-  loop the served shapes run (``mc_time_search``);
-  :mod:`repro.core.mc_reference` is the kernel's readable object-graph
-  twin and test oracle.
+* :mod:`repro.core.multicriteria` — the §6 (arrival, transfers)
+  searches: the fixed-departure loop the served shapes run
+  (``mc_time_search``), whose labels carry their parents, and the
+  whole-day ``mc_profile_search`` — the readable object-graph search of
+  :mod:`repro.core.mc_reference`, the only one.
 """
 
 from repro.core.spcs import SPCSResult, spcs_profile_search
@@ -38,7 +38,6 @@ from repro.core.multicriteria import (
     McProfileResult,
     McSPCSStats,
     McTimeQueryResult,
-    mc_kernel_search,
     mc_profile_search,
     mc_time_search,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "McProfileResult",
     "McSPCSStats",
     "McTimeQueryResult",
-    "mc_kernel_search",
     "mc_profile_search",
     "mc_reference_search",
     "mc_time_search",

@@ -1,25 +1,104 @@
-"""Readable reference for the multi-criteria SPCS (paper §6).
+"""The whole-day multi-criteria SPCS (paper §6), written for reading.
 
-The algorithm of :mod:`repro.core.multicriteria` — queue items
-``(node, connection i, transfers k)`` keyed by arrival, boarding edges
-stepping the layer, the layered ``maxconn(v, k) ≥ i`` self-pruning rule
-— written over the object :class:`~repro.graph.td_model.TDGraph` with
-3-D numpy labels and a :mod:`repro.pq` addressable heap, one line per
-step of the description.  It is the oracle the flat kernel is pinned
-against (``tests/core/test_mc_kernel_equivalence.py``); whole-day
-searches go through :func:`repro.core.multicriteria.mc_kernel_search`.
+The algorithm of the §6 outlook for (arrival time, #transfers), as
+:mod:`repro.core.multicriteria` describes it — queue items ``(node,
+connection i, transfers k)`` keyed by arrival, boarding edges stepping
+the layer, the layered ``maxconn(v, k) ≥ i`` self-pruning rule — over
+the object :class:`~repro.graph.td_model.TDGraph` with 3-D numpy labels
+and a :mod:`repro.pq` addressable heap, one line per step of the
+description.
+
+It is the only whole-day multi-criteria search
+(:func:`repro.core.multicriteria.mc_profile_search` is this function),
+and nothing served runs it: a request names its departure and gets the
+fixed-departure search instead.  Its callers are offline — the
+:mod:`repro.query.min_transfers` scans, ``examples/min_transfers.py``,
+``benchmarks/bench_ext_multicriteria.py`` — and the tests, which pin it
+against the layered-Dijkstra baseline at every departure anchor
+(``tests/core/test_mc_reference.py``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.core.multicriteria import McProfileResult, McSPCSStats
 from repro.functions.piecewise import INF_TIME
+from repro.functions.reduction import reduction_mask
 from repro.graph.td_model import TDGraph
 from repro.pq import QUEUE_FACTORIES
 
-__all__ = ["mc_reference_search"]
+__all__ = ["McProfileResult", "McSPCSStats", "mc_reference_search"]
+
+
+@dataclass(slots=True)
+class McSPCSStats:
+    settled: int = 0
+    pruned: int = 0
+    queue_pushes: int = 0
+
+
+@dataclass(slots=True)
+class McProfileResult:
+    """Labels of a multi-criteria one-to-all profile search.
+
+    ``labels[u, i, k]`` — earliest arrival at node ``u`` starting with
+    the ``i``-th outgoing connection and using at most ``k`` transfers
+    (``INF_TIME`` if impossible or pruned as dominated).  Per-station
+    **Pareto profiles** are read off by reducing each transfer layer
+    and stacking the fronts.
+    """
+
+    source: int
+    conn_deps: np.ndarray
+    max_transfers: int
+    labels: np.ndarray
+    stats: McSPCSStats
+    period: int
+
+    def arrival(self, station: int, tau: int, max_transfers: int) -> int:
+        """Earliest arrival at ``station`` departing at/after ``tau``
+        with at most ``max_transfers`` transfers."""
+        k = min(max_transfers, self.max_transfers)
+        deps = self.conn_deps
+        if deps.size == 0:
+            return INF_TIME
+        layer = np.minimum.accumulate(
+            self.labels[station, :, k][::-1]
+        )[::-1]  # suffix minima: best arrival over anchors ≥ index
+        tau_mod = tau % self.period
+        base = tau - tau_mod
+        idx = int(np.searchsorted(deps, tau_mod, side="left"))
+        tomorrow = self.period + int(layer[0]) if layer[0] < INF_TIME else INF_TIME
+        today = int(layer[idx]) if idx < deps.size else INF_TIME
+        best = min(today, tomorrow)
+        return base + best if best < INF_TIME else INF_TIME
+
+    def pareto_front(self, station: int, tau: int) -> list[tuple[int, int]]:
+        """Non-dominated (transfers, arrival) pairs for departing at or
+        after ``tau``."""
+        front: list[tuple[int, int]] = []
+        best = INF_TIME
+        for k in range(self.max_transfers + 1):
+            arrival = self.arrival(station, tau, k)
+            if arrival < best:
+                front.append((k, arrival))
+                best = arrival
+        return front
+
+    def profile_points(
+        self, station: int, max_transfers: int
+    ) -> list[tuple[int, int]]:
+        """Reduced connection points of ``dist_{≤k}(S, station, ·)``."""
+        k = min(max_transfers, self.max_transfers)
+        arrivals = self.labels[station, :, k]
+        mask = reduction_mask(arrivals)
+        return [
+            (int(dep), int(arr - dep))
+            for dep, arr, keep in zip(self.conn_deps, arrivals, mask)
+            if keep
+        ]
 
 
 def mc_reference_search(
@@ -31,7 +110,7 @@ def mc_reference_search(
     queue: str = "binary",
 ) -> McProfileResult:
     """Multi-criteria one-to-all profile search from ``source`` on the
-    object graph (reference implementation; see module doc)."""
+    object graph (see module doc)."""
     if not graph.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
     if max_transfers < 0:

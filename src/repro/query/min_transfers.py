@@ -1,20 +1,23 @@
 """Transfer-minimizing queries over multi-criteria profile searches.
 
-The §6 search (:func:`repro.core.multicriteria.mc_profile_search`)
+The whole-day §6 search (:func:`repro.core.multicriteria.mc_profile_search`,
+the readable :func:`repro.core.mc_reference.mc_reference_search`)
 labels every (node, connection, transfer budget) triple; this module
 holds the read-off logic that turns those labels into whole-day
 reports — the fewest-transfers option of a Pareto front at any
 departure, scanning a network for relations with genuine
 speed-vs-convenience trade-offs, and counting optimal connections per
-transfer budget.  ``examples/min_transfers.py`` is a thin caller.
+transfer budget.  It is offline code: ``examples/min_transfers.py`` is
+a thin caller.
 
 The served ``min-transfers`` request shape
 (:class:`repro.service.model.MinTransfersRequest`) asks about one
 departure, so it does not build a day's profile to read one minute of
-it: it takes the head of the front of the transfer-layered time query
-at that departure (:func:`repro.core.multicriteria.mc_time_search`) —
-the same answer as :func:`min_transfer_option` on the profile search,
-which ``tests/service/test_shapes.py`` checks.
+it, and uses nothing here: it takes the head of the front of the
+transfer-layered time query at that departure
+(:func:`repro.core.multicriteria.mc_time_search`) and that search's
+parents for its legs — the same answer as :func:`min_transfer_option`
+on the profile search, which ``tests/service/test_shapes.py`` checks.
 """
 
 from __future__ import annotations

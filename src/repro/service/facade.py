@@ -53,7 +53,7 @@ from repro.query.distance_table import DistanceTable
 from repro.query.table_query import StationToStationEngine
 from repro.service.cache import CacheStats, LRUResultCache
 from repro.service.config import RUNTIME_FIELDS, ServiceConfig
-from repro.service.journeys import reconstruct_legs
+from repro.service.journeys import legs_along, reconstruct_legs
 from repro.service.model import (
     DEFAULT_MAX_TRANSFERS,
     BatchRequest,
@@ -676,17 +676,15 @@ class TransitService:
             options = tuple(
                 ParetoOption(k, arr) for k, arr in raw.pareto_front(req.target)
             )
-            legs = None
-            if options:
-                recon, recon_arrival, _ = self._recon_legs(
-                    req.source, req.target, req.departure
+            # The fastest option's journey, off the search's own parents.
+            legs = (
+                legs_along(
+                    self.prepared.graph,
+                    raw.path_to(req.target, options[-1].transfers),
                 )
-                if (
-                    recon
-                    and recon_arrival == options[-1].arrival
-                    and len(recon) - 1 <= req.max_transfers
-                ):
-                    legs = recon
+                if options
+                else None
+            )
         total = time.perf_counter() - t0
         return MulticriteriaResult(
             source=req.source,
@@ -713,15 +711,8 @@ class TransitService:
                 transfers, arrival, legs = None, INF_TIME, None
             else:
                 transfers, arrival = front[0]
-                recon, recon_arrival, _ = self._recon_legs(
-                    req.source, req.target, req.departure
-                )
-                legs = (
-                    recon
-                    if recon
-                    and recon_arrival == arrival
-                    and len(recon) - 1 == transfers
-                    else None
+                legs = legs_along(
+                    self.prepared.graph, raw.path_to(req.target, transfers)
                 )
         total = time.perf_counter() - t0
         return MinTransfersResult(

@@ -1,13 +1,16 @@
-"""Journey-leg reconstruction for :class:`JourneyRequest` answers.
+"""Journey legs: a node path collapsed into station-level legs.
 
 Profile searches return travel-time *functions*, not itineraries: the
 label matrices hold arrival times, no parent pointers.  For an actual
 journey at a concrete departure time the facade runs the paper's §2
 time-query (:func:`repro.baselines.time_query.time_query` — the
 implementation every profile search is verified against at each
-departure anchor) with parent tracking, then collapses the node path —
-station and route nodes of the realistic model — into station-level
-legs.
+departure anchor) with parent tracking (:func:`reconstruct_legs`).  The
+transfer-layered time queries of ``multicriteria`` / ``min_transfers``
+record parents themselves
+(:meth:`~repro.core.multicriteria.McTimeQueryResult.path_to`).  Either
+node path — station and route nodes of the realistic model — becomes
+legs in :func:`legs_along`.
 
 Leg semantics: ``leg.departure`` is the moment you are at
 ``from_station`` ready to travel (arrival there for later legs, the
@@ -53,20 +56,27 @@ def reconstruct_legs(
     if result.arrival[target] >= INF_TIME:
         return None, INF_TIME, result.settled
 
-    # Collapse the node path at station nodes: one leg per alighting.
-    path = result.path_to(target)
     arrival = result.arrival
+    path = [(node, arrival[node]) for node in result.path_to(target)]
+    return legs_along(graph, path), arrival[target], result.settled
+
+
+def legs_along(
+    graph: TDGraph, path: list[tuple[int, int]]
+) -> tuple[JourneyLeg, ...]:
+    """The legs of a ``(node, arrival)`` path that starts at a station:
+    cut at station nodes, one leg per alighting."""
     legs: list[JourneyLeg] = []
-    leg_start_node = source
-    for node in path[1:]:
+    start, start_time = path[0]
+    for node, time in path[1:]:
         if graph.is_station_node(node):
             legs.append(
                 JourneyLeg(
-                    from_station=graph.station_of(leg_start_node),
+                    from_station=graph.station_of(start),
                     to_station=graph.station_of(node),
-                    departure=arrival[leg_start_node],
-                    arrival=arrival[node],
+                    departure=start_time,
+                    arrival=time,
                 )
             )
-            leg_start_node = node
-    return tuple(legs), arrival[target], result.settled
+            start, start_time = node, time
+    return tuple(legs)

@@ -266,8 +266,9 @@ class MulticriteriaResult:
     count and strictly decreasing arrival (every extra transfer buys a
     strictly earlier arrival); empty when ``target`` is unreachable
     within the transfer budget.  ``legs`` is the itinerary of the
-    fastest option when the unconstrained reconstruction achieves its
-    arrival within the budget, else ``None``.
+    fastest option, ``options[-1]`` — ``len(legs) - 1`` is its transfer
+    count — read off the search that found the front; ``None`` exactly
+    when the front is empty.
     """
 
     source: int
@@ -320,8 +321,8 @@ class MinTransfersResult:
     ``transfers`` is the minimum transfer count of any journey within
     the budget (``None`` when unreachable); ``arrival`` the earliest
     arrival achievable with exactly that many transfers.  ``legs`` is
-    the reconstructed itinerary when the unconstrained earliest-arrival
-    journey already uses the minimum transfer count, else ``None``.
+    that journey's itinerary (``len(legs) - 1 == transfers``), read off
+    the search that found it; ``None`` exactly when unreachable.
     """
 
     source: int

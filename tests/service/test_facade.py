@@ -372,19 +372,26 @@ def test_multicriteria_shapes_follow_and_report_the_kernel(
     """``multicriteria`` / ``min_transfers`` run the fixed-departure
     search — the flat loop over ``prepared.arrays`` on a ``flat``
     service, its object-graph twin on a ``python`` one — once per
-    (source, departure, budget), and their stats name the kernel that
-    ran (they used to say ``"python"`` unconditionally)."""
+    (source, departure, budget) and nothing else: their legs come from
+    that search's parents, not from a time query of their own.  Their
+    stats name the kernel that ran."""
     import repro.service.facade as facade_mod
+    import repro.service.journeys as journeys_mod
 
     calls = []
-    for name in ("mc_time_search", "mc_time_query"):
-        real = getattr(facade_mod, name)
+    for module, name in (
+        (facade_mod, "mc_time_search"),
+        (facade_mod, "mc_time_query"),
+        (facade_mod, "reconstruct_legs"),
+        (journeys_mod, "time_query"),
+    ):
+        real = getattr(module, name)
 
         def spy(data, *args, _name=name, _real=real, **kwargs):
             calls.append((_name, data, args))
             return _real(data, *args, **kwargs)
 
-        monkeypatch.setattr(facade_mod, name, spy)
+        monkeypatch.setattr(module, name, spy)
 
     service = TransitService(oahu_tiny, ServiceConfig(kernel=kernel))
     front = service.multicriteria(2, 5, departure=480)
@@ -397,6 +404,7 @@ def test_multicriteria_shapes_follow_and_report_the_kernel(
     )
     # One shared search, on the service's own artifacts.
     assert calls == [(name, data, (2, 480))]
+    assert front.legs and fewest.legs
     for stats in (front.stats, fewest.stats):
         assert (stats.kernel, stats.num_threads) == (kernel, 1)
         assert stats.settled_connections > 0

@@ -11,7 +11,8 @@ implementations it wraps:
   tie and domination edge cases the Pareto merge must get right;
 * ``via`` against two chained earliest-arrival journeys through the
   facade's own ``journey`` path;
-* ``min_transfers`` against the head of the §6 search's Pareto front.
+* ``min_transfers`` against the head of the §6 search's Pareto front;
+* the legs of both against the option they belong to.
 
 Plus the dynamic half: after a hot ``apply_delays`` swap, every shape
 must answer exactly like a *cold* service built over the delayed
@@ -139,14 +140,15 @@ class TestMulticriteriaOracle:
             MulticriteriaRequest(2, 5, 480)
         )
         assert result.reachable
-        if result.legs:
-            assert result.legs[0].from_station == 2
-            assert result.legs[-1].to_station == 5
-            assert result.legs[-1].arrival == result.best_arrival
-            assert len(result.legs) - 1 <= result.max_transfers
-            for prev, nxt in zip(result.legs, result.legs[1:]):
-                assert prev.to_station == nxt.from_station
-                assert prev.arrival <= nxt.departure
+        assert result.legs
+        assert result.legs[0].from_station == 2
+        assert result.legs[0].departure == 480
+        assert result.legs[-1].to_station == 5
+        assert result.legs[-1].arrival == result.best_arrival
+        assert len(result.legs) - 1 == result.options[-1].transfers
+        for prev, nxt in zip(result.legs, result.legs[1:]):
+            assert prev.to_station == nxt.from_station
+            assert prev.arrival == nxt.departure
 
     def test_tight_budget_shrinks_or_empties_the_front(
         self, oahu_service
@@ -260,9 +262,27 @@ class TestMinTransfersOracle:
             MinTransfersRequest(2, 5, 480)
         )
         assert result.reachable
-        if result.legs is not None:
-            assert len(result.legs) - 1 == result.transfers
-            assert result.legs[-1].arrival == result.arrival
+        assert result.legs
+        assert len(result.legs) - 1 == result.transfers
+        assert result.legs[-1].arrival == result.arrival
+
+    @pytest.mark.parametrize("kernel", ["flat", "python"])
+    def test_direct_train_has_its_leg(self, toy, kernel):
+        """The toy network's direct train 0 → 3 (08:00 → 09:30) is the
+        fewest-transfers journey, but not the fastest (one transfer
+        arrives 09:10): legs read off an unconstrained earliest-arrival
+        search never realise it, the search's own parents do."""
+        service = TransitService(toy, ServiceConfig(kernel=kernel))
+        result = service.min_transfers(MinTransfersRequest(0, 3, 480))
+        assert (result.transfers, result.arrival) == (0, 570)
+        assert result.legs is not None and len(result.legs) == 1
+        assert result.legs[0].arrival == 570
+        front = service.multicriteria(MulticriteriaRequest(0, 3, 480))
+        assert [(o.transfers, o.arrival) for o in front.options] == [
+            (0, 570),
+            (1, 550),
+        ]
+        assert len(front.legs) == 2 and front.legs[-1].arrival == 550
 
     def test_shares_the_search_with_multicriteria(self, oahu_tiny):
         """One (source, budget) search serves both shapes: the second
