@@ -118,29 +118,82 @@ def serving(command: str, tmp: Path, *argv: str):
         log.close()
 
 
-def batch_backends(tmp: Path) -> None:
-    """The one backend that forks, against the serial loop: same
-    workload, same work, same classifications."""
-    serial, forked = (
+def batch_workers(tmp: Path) -> None:
+    """A batch over two search workers against one on the calling
+    thread: same workload, same work, same classifications, and the
+    summary counts the workers it forked — one per usable core at
+    most."""
+    plain, pooled = (
         json.loads(
             cli(
                 "batch", *OAHU, "--n-queries", "8", "--seed", "1", "--json",
-                *backend,
+                *workers,
             ).stdout
         )
-        for backend in (
-            ("--backend", "serial"),
-            ("--backend", "processes", "--workers", "2"),
-        )
+        for workers in ((), ("--workers", "2"))
     )
-    assert serial["backend"] == "serial", serial
-    assert forked["backend"] == "processes", forked
+    assert plain["workers"] == 0, plain
+    assert pooled["workers"] == min(2, len(os.sched_getaffinity(0))), pooled
     for key in ("num_queries", "settled_connections", "classifications"):
-        assert serial[key] == forked[key], (key, serial[key], forked[key])
+        assert plain[key] == pooled[key], (key, plain[key], pooled[key])
     print(
-        f"{serial['queries_per_second']} queries/s serial, "
-        f"{forked['queries_per_second']} queries/s on 2 processes"
+        f"{plain['queries_per_second']} queries/s on the calling thread, "
+        f"{pooled['queries_per_second']} queries/s on "
+        f"{pooled['workers']} search worker(s)"
     )
+
+
+def foreign_clients(tmp: Path) -> None:
+    """Ask a live ``serve`` through clients that share no code with it:
+    stdlib ``http.client`` (head and body leave in separate segments,
+    which the SDK never does) must get the journey the SDK gets, and an
+    HTTP/1.0 probe on a raw socket must get its 200 *and* its EOF —
+    within a second, not at the probe's own timeout."""
+    import http.client
+    import socket
+
+    from repro.client import HttpBackend
+
+    store = str(tmp / "oahu")
+    cli("prepare", *OAHU, "--store", store, "--transfer-fraction", "0.25")
+    with serving("serve", tmp, "--store", store) as (url, _):
+        port = int(url.rpartition(":")[2])
+        with HttpBackend(url, timeout=30) as sdk:
+            mine = sdk.journey(3, 8, departure=480)
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        conn.request(
+            "POST",
+            f"/v1/{sdk.dataset}/journey",
+            body=json.dumps({"source": 3, "target": 8, "departure": 480}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        theirs = json.loads(response.read())
+        conn.close()
+        assert response.status == 200, (response.status, theirs)
+        assert theirs["profile"] == [list(p) for p in mine.profile.points]
+        assert theirs["arrival"] == mine.arrival
+        assert [tuple(leg.values()) for leg in theirs["legs"]] == [
+            (leg.from_station, leg.to_station, leg.departure, leg.arrival)
+            for leg in mine.legs
+        ]
+        print(
+            f"http.client and the SDK agree: arrival {mine.arrival}, "
+            f"{len(mine.profile)} connection points, {len(mine.legs)} leg(s)"
+        )
+
+        t0 = time.perf_counter()
+        with socket.create_connection(("127.0.0.1", port), timeout=1.0) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+            answer = b""
+            while chunk := sock.recv(4096):  # a hang raises TimeoutError
+                answer += chunk
+        elapsed = time.perf_counter() - t0
+        assert answer.startswith(b"HTTP/1.1 200 OK\r\n"), answer[:80]
+        assert b"\r\nConnection: close\r\n" in answer, answer
+        assert json.loads(answer.partition(b"\r\n\r\n")[2])["status"] == "ok"
+        assert elapsed < 1.0, elapsed
+        print(f"HTTP/1.0 probe: 200 and EOF in {elapsed * 1000:.1f} ms")
 
 
 def global_queries(tmp: Path) -> None:
@@ -337,6 +390,80 @@ def table1_kernels(tmp: Path) -> None:
     )
 
 
+def bench_gate(tmp: Path) -> None:
+    """The perf-trajectory gate, both ways.  Two back-to-back tiny runs
+    of the two ablation benches, each indexed into a scratch trajectory
+    root (the committed ``BENCH_*.json`` stay untouched), pass it —
+    ``ablation_selfpruning``'s metrics are settled-connection counts
+    from fixed seeds, bit-identical across runs, so its band is tight;
+    ``ablation_heap`` is wall-clock and gets a wide one.  The latest
+    record degraded (times x10, speed-ups x0.2) fails it: a
+    higher-is-better metric can lose at most 100 %, so that check needs
+    a band below 1.0."""
+    records, root = tmp / "records", tmp / "perf"
+    root.mkdir()
+    for _ in range(2):
+        subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-q",
+                "benchmarks/bench_ablation_selfpruning.py",
+                "benchmarks/bench_ablation_heap.py",
+            ],
+            cwd=REPO,
+            env={
+                **ENV,
+                "REPRO_BENCH_SCALE": "tiny",
+                "REPRO_BENCH_RECORDS_DIR": str(records),
+            },
+            check=True,
+            timeout=600,
+        )
+        cli("bench", "index", "--records", str(records), "--root", str(root))
+    print(cli("bench", "show", "--root", str(root)).stdout, end="")
+    for name, band in (("ablation_selfpruning", "0.05"), ("ablation_heap", "2.0")):
+        cli("bench", "compare", "--root", str(root), "--name", name, "--band", band)
+    doc = json.loads((root / "BENCH_ablation_selfpruning.json").read_text())
+    entry = doc["entries"][-1]
+    for name, value in entry["metrics"].items():
+        if name.endswith(("_ms", "_seconds")):
+            entry["metrics"][name] = value * 10
+        elif name.endswith(("_qps", "_speedup", "_per_second", "_hit_rate")):
+            entry["metrics"][name] = value * 0.2
+    degraded = tmp / "degraded.json"
+    degraded.write_text(json.dumps(entry))
+    gate = cli(
+        "bench", "compare", "--root", str(root),
+        "--candidate", str(degraded), "--band", "0.05", check=False,
+    )
+    assert gate.returncode != 0, f"the gate passed a degraded record:\n{gate.stdout}"
+    print("identical runs passed the gate, the degraded record failed it")
+
+
+def lint_fixtures(tmp: Path) -> None:
+    """The lint gate has teeth and no false alarms: against the
+    seeded-violation fixture repo ``repro lint`` exits 1 with every one
+    of the five rules among its findings — a rule gone silent fails
+    here, not in production — and the near-miss fixture repo lints
+    clean."""
+    fixtures = REPO / "tests/analysis/fixtures"
+    seeded = cli(
+        "lint", "--root", str(fixtures / "violations"), "--format", "json",
+        check=False,
+    )
+    assert seeded.returncode == 1, f"expected exit 1, got {seeded.returncode}"
+    fired = {finding["rule"] for finding in json.loads(seeded.stdout)["findings"]}
+    expected = {
+        "ASYNC-BLOCK", "LOCK-GUARD", "WIRE-PARITY", "METRIC-DRIFT", "EXPORT-SANITY",
+    }
+    missing = expected - fired
+    assert not missing, f"rules failed to fire on seeded violations: {missing}"
+    cli("lint", "--root", str(fixtures / "nearmiss"))
+    print(
+        f"all {len(expected)} rules fired on the seeded violations; "
+        f"the near misses lint clean"
+    )
+
+
 def _tree_cpu_seconds(pids: list[int]) -> float:
     """Scheduler run time of every thread of ``pids`` (``schedstat``,
     as ``e2ebench/harness.py`` reads it for the server alone)."""
@@ -501,8 +628,8 @@ def served_pool(tmp: Path) -> None:
 
 #: ``batch --json`` keys that are wall-clock measurements.
 _TIMED_KEYS = (
-    "total_seconds", "queries_per_second", "setup_seconds",
-    "prepare_seconds", "mean_simulated_seconds",
+    "total_seconds", "queries_per_second", "prepare_seconds",
+    "mean_simulated_seconds",
 )
 
 
@@ -581,8 +708,11 @@ def transcripts(tmp: Path) -> None:
 
 
 JOBS = {
-    "batch-backends": batch_backends,
+    "batch-workers": batch_workers,
+    "bench-gate": bench_gate,
+    "foreign-clients": foreign_clients,
     "global-queries": global_queries,
+    "lint-fixtures": lint_fixtures,
     "serve-fleet": serve_fleet,
     "served-pool": served_pool,
     "stream-replay": stream_replay,

@@ -56,7 +56,8 @@ def _epilog() -> str:
     return textwrap.fill(
         f"Beside --from-store, {', '.join(store)} are rejected (they "
         f"shape the prepared dataset; re-run `prepare` to change them) "
-        f"and {', '.join(runtime)} override the stored values.  Beside "
+        f"and {', '.join(runtime)} stay (they set how the command runs, "
+        f"not what was prepared).  Beside "
         f"--remote all of {', '.join(remote)} are rejected (set them on "
         f"`repro-transit serve`).  A flag that is part of the request "
         f"itself passes either way: {', '.join(request)}.",

@@ -16,7 +16,6 @@ from typing import Any, Collection, NamedTuple
 from repro.client import LocalBackend, TransitBackend, connect
 from repro.core import KERNELS
 from repro.graph import build_td_graph
-from repro.query import BATCH_BACKENDS
 from repro.service import ServiceConfig, TransitService
 from repro.service.config import RUNTIME_FIELDS
 from repro.store import StoreError, describe_store
@@ -26,8 +25,9 @@ from repro.timetable.types import Timetable
 
 
 class Flag(NamedTuple):
-    #: The :class:`ServiceConfig` field the flag sets, or ``"dataset"``
-    #: when it shapes the generated instance instead.
+    #: The :class:`ServiceConfig` field the flag sets, ``"dataset"``
+    #: when it shapes the generated instance instead, or ``"process"``
+    #: when it sizes the command's own process (its search workers).
     target: str
     #: ``type=`` / ``choices=`` for ``add_argument``.
     kind: dict[str, Any]
@@ -36,6 +36,15 @@ class Flag(NamedTuple):
     #: ``generate``, the tables); the query commands declare ``None``
     #: and resolve it only where nothing else governs.
     default: Any = None
+
+
+def positive_int(text: str) -> int:
+    """``type=`` of a flag that counts something there must be one of:
+    refused by the parser, before anything is loaded or built."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 #: The flag table.  Both rejection rules (:func:`rejected_beside`) and
@@ -73,24 +82,18 @@ FLAGS = {
         "is decided by the build, from the CPUs it may use",
         4,
     ),
-    "--backend": Flag(
-        "backend",
-        {"choices": BATCH_BACKENDS},
-        "how a batch distributes its queries (default: serial)",
-    ),
     "--workers": Flag(
-        "workers", {"type": int}, "pool workers distributing queries (default: 4)"
+        "process",
+        {"type": positive_int},
+        "search worker processes that run the batch's items, at most one "
+        "per usable core, as `serve --workers` (default: none, the items "
+        "run one after another)",
     ),
 }
 
-
-def positive_int(text: str) -> int:
-    """``type=`` of a flag that counts something there must be one of:
-    refused by the parser, before anything is loaded or built."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+#: What a store leaves to the command: the runtime config fields, and
+#: the size of its own process.
+_NOT_STORED = RUNTIME_FIELDS | {"process"}
 
 
 def dest(flag: str) -> str:
@@ -108,7 +111,7 @@ def add_flags(
     ``--remote`` can be rejected instead of silently ignored."""
     for flag in flags:
         row = FLAGS[flag]
-        bound = explicit and row.target not in RUNTIME_FIELDS
+        bound = explicit and row.target not in _NOT_STORED
         parser.add_argument(
             flag,
             **row.kind,
@@ -175,12 +178,12 @@ _GOVERNS = {
 
 def rejected_beside(source: str) -> list[str]:
     """The :data:`FLAGS` that ``--from-store`` / ``--remote`` refuse: a
-    store fixes everything that is not a runtime field, a server
-    everything."""
+    store fixes everything that is not a runtime field or the command's
+    own process, a server everything."""
     return [
         flag
         for flag, row in FLAGS.items()
-        if source == "--remote" or row.target not in RUNTIME_FIELDS
+        if source == "--remote" or row.target not in _NOT_STORED
     ]
 
 
@@ -203,7 +206,7 @@ def _config_fields(args: argparse.Namespace) -> dict[str, Any]:
     return {
         row.target: value
         for flag, row in FLAGS.items()
-        if row.target != "dataset"
+        if row.target not in ("dataset", "process")
         and (value := getattr(args, dest(flag), None)) is not None
     }
 
@@ -376,7 +379,6 @@ def _info_from_store(args: argparse.Namespace, store: str) -> int:
     print(
         f"  config: kernel={config['kernel']} "
         f"num_threads={config['num_threads']} "
-        f"backend={config['backend']} workers={config['workers']} "
         f"use_distance_table={config['use_distance_table']} "
         f"transfer_fraction={config['transfer_fraction']}"
     )

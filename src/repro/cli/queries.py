@@ -28,6 +28,7 @@ from repro.cli.datasets import (
     open_backend,
 )
 from repro.client import LocalBackend, TransitBackend
+from repro.core.fanout import pool_size
 from repro.service.shapes import (
     BATCH,
     PROFILE,
@@ -100,8 +101,24 @@ def _run(args: argparse.Namespace) -> int:
         if shape is PROFILE
         else {}
     )
-    answer = getattr(backend, shape.name)(as_request(shape, *raw), **wire_only)
-    QUERIES[shape.name].printer(args, answer, backend)
+    # --workers is refused beside --remote: given, the service is local.
+    workers = getattr(args, "workers", None)
+    if workers is not None:
+        backend.service.start_workers(pool_size(workers))
+    try:
+        answer = getattr(backend, shape.name)(as_request(shape, *raw), **wire_only)
+        QUERIES[shape.name].printer(args, answer, backend)
+    finally:
+        if workers is not None:
+            backend.service.stop_workers()
+    return 0
+
+
+def _search_workers(backend: TransitBackend) -> int:
+    """The search workers the command forked: none for a remote
+    backend, whose server's are its own."""
+    if isinstance(backend, LocalBackend):
+        return backend.service.worker_stats[0]
     return 0
 
 
@@ -205,10 +222,9 @@ def _print_batch(args, batch, backend) -> None:
         return
     print(
         f"{stats.num_queries} queries on kernel={stats.kernel} "
-        f"backend={stats.backend} workers={stats.num_workers}: "
+        f"workers={_search_workers(backend)}: "
         f"{stats.total_seconds * 1000:.1f} ms total "
         f"({stats.queries_per_second:.1f} queries/s, "
-        f"setup {stats.setup_seconds * 1000:.1f} ms, "
         f"{settled} settled connections)"
     )
     for result in batch.journeys:
@@ -243,13 +259,11 @@ def _batch_summary(args, batch, backend, settled: int) -> dict:
     return {
         "num_queries": stats.num_queries,
         "kernel": stats.kernel,
-        "backend": stats.backend,
-        "workers": stats.num_workers,
+        "workers": _search_workers(backend),
         "seed": args.seed or 0,
         "transport": "local" if prepare is not None else "http",
         "total_seconds": round(stats.total_seconds, 6),
         "queries_per_second": round(qps, 2) if math.isfinite(qps) else 0.0,
-        "setup_seconds": round(stats.setup_seconds, 6),
         "prepare_seconds": (
             None if prepare is None else round(prepare.total_seconds, 6)
         ),
@@ -286,7 +300,7 @@ QUERIES = {
     ),
     "batch": Query(
         "batched random query workload (throughput check)",
-        ("--cores", "--workers", "--backend", *_TABLE_FLAGS),
+        ("--cores", "--workers", *_TABLE_FLAGS),
         _print_batch,
     ),
     "multicriteria": Query(

@@ -289,10 +289,7 @@ def decode_query_stats(raw: dict) -> QueryStats:
 def decode_batch_stats(raw: dict) -> BatchStats:
     return BatchStats(
         num_queries=raw["num_queries"],
-        backend=raw["backend"],
         kernel=raw["kernel"],
-        num_workers=raw["num_workers"],
-        setup_seconds=raw["setup_seconds"],
         total_seconds=raw["total_seconds"],
     )
 

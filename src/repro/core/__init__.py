@@ -13,9 +13,9 @@ connection-setting profile search (SPCS) and its parallelization.
   (§3.2): equal time-slots, equal #connections, k-means.
 * :mod:`repro.core.parallel` — the parallel driver and the
   simulated-cores accounting used by the benchmarks.
-* :mod:`repro.core.fanout` — the one serial-or-fork-pool dispatch
-  (``serial`` / ``processes``) behind the parallel driver and the
-  service's batches.
+* :mod:`repro.core.fanout` — the one way onto another core: a fork
+  pool per call (the parallel driver, the table build) or per service
+  generation (its search workers).
 * :mod:`repro.core.merge` — merging per-thread labels and reading off
   reduced profiles.
 * :mod:`repro.core.multicriteria` — the §6 (arrival, transfers)

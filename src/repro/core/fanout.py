@@ -14,19 +14,20 @@ Every level of parallelism in this repo is the same dispatch — "call
 There is one way onto another core, :class:`ForkPool`, and it has two
 lifetimes.  *Per call*: :func:`fan_out` under ``backend="processes"``
 forks a pool from ``fn``, maps the items over it and reaps it before it
-returns — the table build, an in-process batch, direct callers.  *Per
-generation*: a server keeps one pool per dataset generation
-(:meth:`repro.service.TransitService.start_workers`), forked once, so a
-served search, or one §3.2 partition of a served profile, costs a pipe
-round trip and no fork (``docs/SERVER.md``, "Execution model").  Either
-way the children inherit what they are forked from — ``fn`` and all it
-closes over, a whole service — copy-on-write: only items and results
-are pickled.  A forked child inherits every lock as the parent's other
-threads held it at fork time, so what runs there must take no lock the
-forking process shares between threads.  And a pool child never forks:
-a pool made inside one runs on the calling thread, so there is one
-level of processes however the layers nest (a batch in a search worker,
-a table build in a batch item).  What a child does about signals,
+returns — the table build, direct callers.  *Per generation*: a service
+keeps one pool (:meth:`repro.service.TransitService.start_workers`),
+forked once, so a search, one §3.2 partition of a profile or one item
+of a batch costs a pipe round trip and no fork (``docs/SERVER.md``,
+"Execution model").  Either way the children inherit what they are
+forked from — ``fn`` and all it closes over, a whole service —
+copy-on-write: only items and results are pickled.  A forked child
+inherits every lock as the parent's other threads held it at fork time,
+so what runs there must take no lock the forking process shares between
+threads.  And a pool child never forks: a pool made inside one runs on
+the calling thread, so there is one level of processes however the
+layers nest (a profile that is one item of a batch runs its partitions
+in the worker that has it).  How many children a pool asked for ``n``
+should fork is :func:`pool_size`.  What a child does about signals,
 descriptors and a parent that dies is said at :class:`ForkPool`.
 
 Backends of :func:`fan_out` (:data:`BACKENDS`): ``serial``, a plain
@@ -43,7 +44,6 @@ import os
 import pickle
 import signal
 import threading
-import time
 import traceback
 import weakref
 from multiprocessing.connection import Connection, Pipe, wait
@@ -87,6 +87,13 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def pool_size(requested: int) -> int:
+    """The search workers to fork when ``requested`` searches may run
+    at once: one per such search that has a usable core — a process
+    more than the cores would only take turns with another."""
+    return min(requested, usable_cores())
+
+
 class FanOut(NamedTuple):
     """Results of one :func:`fan_out`, in item order, plus what ran."""
 
@@ -95,8 +102,6 @@ class FanOut(NamedTuple):
     #: platforms without ``fork`` and inside a pool child (which never
     #: forks), whatever was asked for.
     backend: str
-    #: Seconds spent forking the pool (0.0 when serial).
-    spinup_seconds: float
 
 
 class _Apply:
@@ -126,16 +131,14 @@ def fan_out(
         )
     if backend == "processes" and len(items) > 1:
         target = _Apply(fn)  # kept here: a pool holds its target weakly
-        t0 = time.perf_counter()
         pool = ForkPool(target, min(workers, len(items)))
         try:
             if pool.processes:
-                spinup = time.perf_counter() - t0
                 results = pool.map("fn", [(item,) for item in items])
-                return FanOut(results, "processes", spinup)
+                return FanOut(results, "processes")
         finally:
             pool.close()
-    return FanOut([fn(item) for item in items], "serial", 0.0)
+    return FanOut([fn(item) for item in items], "serial")
 
 
 class WorkerLost(RuntimeError):

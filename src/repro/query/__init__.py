@@ -34,7 +34,7 @@ from repro.query.table_query import (
     StationToStationEngine,
     StationToStationResult,
 )
-from repro.query.batch import BATCH_BACKENDS, BatchStats
+from repro.query.batch import BatchStats
 from repro.query.transfer_selection import (
     select_by_contraction,
     select_by_degree,
@@ -55,7 +55,6 @@ __all__ = [
     "DistanceTablePruner",
     "StationToStationEngine",
     "StationToStationResult",
-    "BATCH_BACKENDS",
     "BatchStats",
     "select_by_contraction",
     "select_by_degree",

@@ -52,7 +52,7 @@ from __future__ import annotations
 import json
 import time
 
-from repro.core.fanout import WorkerLost, usable_cores
+from repro.core.fanout import WorkerLost, pool_size
 from repro.server.executor import QueryExecutor
 from repro.server.http_base import MAX_BODY_BYTES, BaseAsyncHttpServer
 from repro.server.metrics import ServerMetrics
@@ -106,7 +106,7 @@ class TransitServer(BaseAsyncHttpServer):
         executor thread, up to the cores this process may use — then
         bind and accept.  (Generations that delay swaps build later
         bring their own: ``TransitService.apply_delays``.)"""
-        processes = min(self.executor.workers, usable_cores())
+        processes = pool_size(self.executor.workers)
         for entry in self.registry.entries():
             entry.service.start_workers(processes)
         await super().start()

@@ -15,7 +15,7 @@ Validation is strict: unknown fields, wrong types, and out-of-range
 stations/trains are rejected with a typed :class:`ProtocolError`
 before any search runs.  Errors serialize to a uniform payload::
 
-    {"v": 1, "error": {"code": "...", "message": "...", "field": ...}}
+    {"v": 2, "error": {"code": "...", "message": "...", "field": ...}}
 
 and carry the HTTP status the server should answer with.  Encoding is
 deterministic — all payload numbers are plain ints (minutes since
@@ -55,8 +55,9 @@ from repro.service.shapes import (  # the MAX_* caps are re-exported
 )
 from repro.timetable.delays import Delay
 
-#: Bumped on any incompatible change to the wire schema.
-PROTOCOL_VERSION = 1
+#: Bumped on any incompatible change to the wire schema (2: a batch's
+#: stats no longer say where it ran).
+PROTOCOL_VERSION = 2
 
 
 class ProtocolError(Exception):
@@ -456,10 +457,7 @@ def encode_query_stats(stats: QueryStats) -> dict:
 def encode_batch_stats(stats: BatchStats) -> dict:
     return {
         "num_queries": stats.num_queries,
-        "backend": stats.backend,
         "kernel": stats.kernel,
-        "num_workers": stats.num_workers,
-        "setup_seconds": stats.setup_seconds,
         "total_seconds": stats.total_seconds,
     }
 

@@ -44,8 +44,8 @@ class LRUResultCache:
     """Bounded least-recently-used result cache.
 
     ``maxsize=0`` disables caching entirely (every ``get`` misses,
-    ``put`` is a no-op).  Thread-safe: batch fan-outs may issue
-    queries from pool threads.
+    ``put`` is a no-op).  Thread-safe: a server's executor threads
+    share one.
     """
 
     __slots__ = ("_maxsize", "_entries", "_lock", "_hits", "_misses")

@@ -1,10 +1,13 @@
 """Typed configuration of a :class:`~repro.service.TransitService`.
 
 One :class:`ServiceConfig` fixes *everything* that shapes prepared
-artifacts and query execution — kernel, batch backend, per-query core
-count, partition strategy, transfer-station selection, distance table
-on/off — so that a service instance is reproducible from ``(timetable,
-config)`` alone and two services with equal configs answer identically.
+artifacts and answers — kernel, per-query core count, partition
+strategy, transfer-station selection, distance table on/off — so that a
+service instance is reproducible from ``(timetable, config)`` alone and
+two services with equal configs answer identically.  Where the searches
+run is not configuration: a service searches on the calling thread
+until whoever runs it gives it search workers
+(:meth:`~repro.service.TransitService.start_workers`).
 
 All fields are validated eagerly at construction; an invalid
 combination fails before any preparation work starts.
@@ -17,7 +20,6 @@ from dataclasses import dataclass, replace
 from repro.core.parallel import KERNELS
 from repro.core.partition import PARTITION_STRATEGIES
 from repro.pq import QUEUE_FACTORIES
-from repro.query.batch import BATCH_BACKENDS
 
 #: Valid ``transfer_selection`` values (see
 #: :func:`repro.query.transfer_selection.select_transfer_stations`).
@@ -36,8 +38,6 @@ RUNTIME_FIELDS = frozenset(
         "num_threads",
         "strategy",
         "queue",
-        "backend",
-        "workers",
         "result_cache_size",
         "stopping",
         "table_pruning",
@@ -69,12 +69,6 @@ class ServiceConfig:
         :data:`~repro.core.partition.PARTITION_STRATEGIES` key.
     queue
         Priority queue of the ``python`` kernel (ignored by ``flat``).
-    backend / workers
-        How an in-process :meth:`TransitService.batch` distributes
-        whole requests: ``serial`` on the calling thread, or
-        ``processes`` over ``workers`` forked children
-        (:func:`repro.core.fanout.fan_out` is the dispatch).  A served
-        batch runs in one of its generation's search workers instead.
     result_cache_size
         Capacity of the per-service LRU cache over profile / journey /
         batch answers (:mod:`repro.service.cache`); ``0`` disables
@@ -106,8 +100,6 @@ class ServiceConfig:
     num_threads: int = 1
     strategy: str = "equal-connections"
     queue: str = "binary"
-    backend: str = "serial"
-    workers: int = 4
     result_cache_size: int = 128
     use_distance_table: bool = False
     transfer_selection: str = "contraction"
@@ -122,11 +114,6 @@ class ServiceConfig:
         if self.kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; choose from {KERNELS}"
-            )
-        if self.backend not in BATCH_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; "
-                f"choose from {BATCH_BACKENDS}"
             )
         if self.strategy not in PARTITION_STRATEGIES:
             raise ValueError(
@@ -146,10 +133,6 @@ class ServiceConfig:
         if self.num_threads < 1:
             raise ValueError(
                 f"need at least one thread, got {self.num_threads}"
-            )
-        if self.workers < 1:
-            raise ValueError(
-                f"need at least one worker, got {self.workers}"
             )
         if self.result_cache_size < 0:
             raise ValueError(

@@ -9,8 +9,8 @@ the paper through a typed request/response model:
 * :meth:`TransitService.journey` — station-to-station query with
   stopping criterion and distance-table pruning (§4), optionally with
   concrete journey legs at a departure time;
-* :meth:`TransitService.batch` — batched workloads distributed over a
-  worker pool (the traffic-serving shape);
+* :meth:`TransitService.batch` — batched workloads, one item per
+  search worker job (the traffic-serving shape);
 * :meth:`TransitService.multicriteria` — the Pareto front of
   (transfers, arrival) trade-offs (§6);
 * :meth:`TransitService.via` — source → via → target journeys as two
@@ -30,9 +30,14 @@ The facade delegates to the same engines the pre-facade entry points
 used (:func:`~repro.core.parallel.parallel_profile_search`,
 :class:`~repro.query.table_query.StationToStationEngine`), injecting
 the shared artifacts — so answers are bitwise-identical to the
-historical paths (``tests/service/test_facade.py`` pins this).  A batch
-fans the very same one-request code out over its items
-(:func:`~repro.core.fanout.fan_out`), so a batch item is the single
+historical paths (``tests/service/test_facade.py`` pins this).
+
+A ``profile`` and a ``batch`` are composed on the calling thread, the
+paper's master (§3.2): it splits the work — a profile into partitions
+of ``conn(S)``, a batch into its items — and gathers the answers, and
+the generation's search workers (:meth:`TransitService.start_workers`),
+when it has any, run one piece each.  A batch item runs the very same
+one-request code as ``journey`` / ``profile``, so it is the single
 answer by construction.
 """
 
@@ -44,7 +49,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.baselines.mc_time_query import mc_time_query
-from repro.core.fanout import ForkPool, fan_out
+from repro.core.fanout import ForkPool
 from repro.core.multicriteria import mc_time_search
 from repro.core.parallel import parallel_profile_search, timed_subset_search
 from repro.functions.piecewise import INF_TIME
@@ -223,7 +228,7 @@ class TransitService:
     def with_runtime_overrides(self, **changes) -> "TransitService":
         """A sibling service over the *same* prepared artifacts with
         runtime-only config changes (:data:`RUNTIME_FIELDS`: thread
-        count, pool backend/workers, pruning toggles, cache size, …).
+        count, pruning toggles, cache size, …).
 
         Nothing is rebuilt — the new service shares this one's
         :class:`PreparedDataset` — so fields that shape preparation
@@ -400,8 +405,12 @@ class TransitService:
         self, request: BatchRequest | Sequence[tuple[int, int]], /
     ) -> BatchResponse:
         """Answer a :class:`BatchRequest` (or raw (source, target)
-        pairs) on the configured pool backend."""
-        return self._answer(as_request(BATCH, request), "_run_batch")
+        pairs).
+
+        Composed here like :meth:`profile`: the items are split off and
+        gathered on the calling thread, each one searched in a search
+        worker when there are any (:meth:`_run_batch`)."""
+        return self._answer(as_request(BATCH, request), "_run_batch", here=True)
 
     # -- the query zoo: multicriteria / via / min-transfers ------------
 
@@ -520,40 +529,36 @@ class TransitService:
     def _search(
         self, req: JourneyRequest | ProfileRequest
     ) -> JourneyResult | ProfileResult:
-        """One batch item: the uncached answer :meth:`journey` /
-        :meth:`profile` compute for ``req``.
+        """One batch item, a search worker's job: the uncached answer
+        :meth:`journey` / :meth:`profile` compute for ``req``.  A profile
+        item runs its partitions where it runs — in a worker one after
+        another, since a pool child never forks.
 
-        It stays clear of the result cache on purpose: under the
-        ``processes`` backend it runs in a ``ForkPool``'s children,
-        which inherit the cache's lock in whatever state another thread
-        held it at fork time and whose puts the parent would never see."""
+        It stays clear of the result cache on purpose: the batch is the
+        one entry its caller keeps, and what a worker put in its own
+        cache the caller would never see."""
         if isinstance(req, JourneyRequest):
             return self._search_journey(req)
         return self._search_profile(req)
 
     def _run_batch(self, request: BatchRequest) -> BatchResponse:
-        """The items over :func:`fan_out` as configured — or, in a search
-        worker, on its one thread: a pool child never forks, and the
-        stats say what ran."""
-        cfg = self.config
+        """One :meth:`_search` job per item over the search workers, in
+        submission order — or, without workers, one item after another
+        on the calling thread."""
+        items = [*request.journeys, *request.profiles]
         t0 = time.perf_counter()
-        run = fan_out(
-            self._search,
-            [*request.journeys, *request.profiles],
-            backend=cfg.backend,
-            workers=cfg.workers,
-        )
+        if self._workers is None:
+            results = [self._search(item) for item in items]
+        else:
+            results = self._workers.map("_search", [(item,) for item in items])
         total = time.perf_counter() - t0
         split = len(request.journeys)
         return BatchResponse(
-            journeys=run.results[:split],
-            profiles=run.results[split:],
+            journeys=results[:split],
+            profiles=results[split:],
             stats=BatchStats(
                 num_queries=len(request),
-                backend=run.backend,
-                kernel=cfg.kernel,
-                num_workers=1 if run.backend == "serial" else cfg.workers,
-                setup_seconds=run.spinup_seconds,
+                kernel=self.config.kernel,
                 total_seconds=total,
             ),
         )

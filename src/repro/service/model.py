@@ -13,7 +13,7 @@ request                      engine path
 ===========================  ==============================================
 :class:`ProfileRequest`      :func:`~repro.core.parallel.parallel_profile_search`
 :class:`JourneyRequest`      :meth:`~repro.query.table_query.StationToStationEngine.query`
-:class:`BatchRequest`        the two paths above, per item (:func:`~repro.core.fanout.fan_out`)
+:class:`BatchRequest`        the two paths above, per item (one search worker job each)
 :class:`MulticriteriaRequest`  a transfer-layered time query at the departure (below)
 :class:`ViaRequest`          two chained §2 time queries (:func:`~repro.service.journeys.reconstruct_legs`)
 :class:`MinTransfersRequest`   the same shared search, head of its front
@@ -78,10 +78,10 @@ class JourneyRequest:
 class BatchRequest:
     """A batched workload: many journeys and/or many profile searches.
 
-    The items are distributed over the service's configured backend
-    (``serial`` or a fork pool); answers come back in submission order
-    and each is the answer — stats included, wall-clock fields aside —
-    of issuing that request on its own.
+    Each item is one job of the service's search workers, or runs on
+    the calling thread when it has none; answers come back in
+    submission order and each is the answer — stats included,
+    wall-clock fields aside — of issuing that request on its own.
     """
 
     journeys: tuple[JourneyRequest, ...] = ()

@@ -54,8 +54,9 @@ from repro.service.prepare import PreparedDataset, PrepareStats
 from repro.store.codec import CodecError, read_record, write_record
 from repro.timetable.types import Connection, Route, Station, Timetable, Train
 
-#: Bumped on any incompatible change to the store layout.
-FORMAT_VERSION = 1
+#: Bumped on any incompatible change to the store layout (2: the stored
+#: config has no ``backend`` / ``workers``).
+FORMAT_VERSION = 2
 
 _MANIFEST_FORMAT = "repro-artifact-store"
 
@@ -110,7 +111,7 @@ def prepare_config_hash(config: ServiceConfig) -> str:
     """SHA-256 over the *preparation-shaping* fields only.
 
     Runtime-only fields (:data:`~repro.service.config.RUNTIME_FIELDS`:
-    thread count, pool backend/workers, pruning toggles, cache size)
+    thread count, queue, pruning toggles, cache size)
     never change what preparation produces, so two configs differing
     only there share the same prepared artifacts — and hash equal here.
     This is the comparison :func:`load_dataset` applies to

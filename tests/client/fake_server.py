@@ -87,7 +87,7 @@ class FakeServer:
             )
         elif kind == "partial":
             full = _http_response(
-                200, {"v": 1, "kind": "journey", "pad": "x" * 256}
+                200, {"v": 2, "kind": "journey", "pad": "x" * 256}
             )
             head, _, body = full.partition(b"\r\n\r\n")
             conn.sendall(head + b"\r\n\r\n" + body[: action[1]])

@@ -36,14 +36,14 @@ from tests.client.fake_server import FakeServer
 FAST_RETRY = RetryPolicy(retries=3, backoff=0.01, max_backoff=0.05)
 
 OVERLOADED = {
-    "v": 1,
+    "v": 2,
     "error": {"code": "overloaded", "message": "busy", "retriable": True},
 }
 
 
 def journey_payload() -> dict:
     return {
-        "v": 1,
+        "v": 2,
         "kind": "journey",
         "source": 0,
         "target": 5,
@@ -144,7 +144,7 @@ class TestTransportFaults:
     @pytest.mark.parametrize(
         "payload",
         [
-            pytest.param({"v": 1, "kind": "journey"}, id="truncated"),
+            pytest.param({"v": 2, "kind": "journey"}, id="truncated"),
             pytest.param([1, 2], id="not-an-object"),
             pytest.param(
                 {**journey_payload(), "kind": "via", "via": 3},
@@ -257,7 +257,7 @@ class TestRetries:
                     "respond",
                     400,
                     {
-                        "v": 1,
+                        "v": 2,
                         "error": {"code": "out_of_range", "message": "no"},
                     },
                 ),
@@ -355,7 +355,7 @@ class TestKeepAlivePool:
                     "respond",
                     200,
                     {
-                        "v": 1,
+                        "v": 2,
                         "dataset": "oahu",
                         "generation": 1,
                         "num_delays": 1,
@@ -394,7 +394,7 @@ class TestKeepAlivePool:
             "has_distance_table": True,
         }
         server = FakeServer(
-            [("respond", 200, {"v": 1, "datasets": [entry]})]
+            [("respond", 200, {"v": 2, "datasets": [entry]})]
         )
         try:
             backend = HttpBackend(f"http://127.0.0.1:{server.port}")

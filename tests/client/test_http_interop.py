@@ -131,7 +131,7 @@ class TestAgainstStdlibHttpServer:
         # The standard library parsed our request line, headers, body.
         _, path, body = stdlib_server.seen[0]
         assert path == "/v1/oahu/journey"
-        assert json.loads(body) == {"v": 1, "source": 0, "target": 5}
+        assert json.loads(body) == {"v": 2, "source": 0, "target": 5}
 
     @pytest.mark.parametrize(
         "mode", ["connection_close", "http10_close_delimited"]

@@ -39,7 +39,6 @@ def test_results_in_item_order_from_a_closure(backend):
     )
     assert run.results == [x * x + offset for x in range(20)]
     assert run.backend == backend
-    assert (run.spinup_seconds > 0) == (backend == "processes")
 
 
 def test_processes_runs_in_forked_children():
@@ -54,7 +53,7 @@ def test_at_most_one_item_runs_serially(items):
     run = fan_out(
         lambda x: (x, os.getpid()), items, backend="processes", workers=4
     )
-    assert run == ([(x, os.getpid()) for x in items], "serial", 0.0)
+    assert run == ([(x, os.getpid()) for x in items], "serial")
 
 
 @pytest.mark.parametrize("backend", ["threads", "gpu"])
@@ -100,6 +99,11 @@ def test_usable_cores_is_the_affinity_mask():
         assert fanout.usable_cores() == 1
     finally:
         os.sched_setaffinity(0, allowed)
+
+
+def test_pool_size_is_one_worker_per_usable_core_at_most(monkeypatch):
+    monkeypatch.setattr(fanout, "usable_cores", lambda: 2)
+    assert [fanout.pool_size(n) for n in (1, 2, 3, 8)] == [1, 2, 2, 2]
 
 
 # -- the pool, whatever its lifetime ----------------------------------------

@@ -1,25 +1,28 @@
-"""``TransitService.batch`` ≡ one-at-a-time requests, bitwise, on every
-backend.
+"""``TransitService.batch`` ≡ one-at-a-time requests, bitwise, with and
+without search workers.
 
 A batch's whole contract is distribution without semantic drift: for
-any workload, kernel, backend and pruning configuration, every item of
-``service.batch(...)`` must be exactly what ``service.journey`` /
-``service.profile`` answer for that request on its own — profile
-arrays element for element, legs, arrival and the per-item
-:class:`QueryStats` (wall-clock fields aside) — including the
+any workload, kernel, pruning configuration and number of search
+workers, every item of ``service.batch(...)`` must be exactly what
+``service.journey`` / ``service.profile`` answer for that request on
+its own — profile arrays element for element, legs, arrival and the
+per-item :class:`QueryStats` (wall-clock fields aside) — including the
 target-stopping path (no table), the distance-table pruning paths
 (local/global classification, Theorems 3/4) and the trivial/table
-shortcuts.
+shortcuts.  With workers each item is one ``_search`` job of the
+generation's pool, like a profile's partitions; without, the items run
+one after another on the calling thread.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from repro.core.fanout import ForkPool
 from repro.service import (
     BatchRequest,
     JourneyRequest,
@@ -29,7 +32,9 @@ from repro.service import (
 )
 from repro.synthetic.workloads import random_station_pairs
 
-BACKENDS = ("serial", "processes")
+#: Search workers the batching service has: none, or two.
+WORKERS = (0, 2)
+WORKER_IDS = ["no-workers", "2-workers"]
 KERNELS = ("python", "flat")
 PRUNING_TOGGLES = (
     "stopping",
@@ -39,20 +44,33 @@ PRUNING_TOGGLES = (
 )
 
 
-def make_service(graph, **config) -> TransitService:
-    """Distance table on (fraction 0.3) unless the test says otherwise;
-    the result cache is off so every single request really searches."""
-    config.setdefault("use_distance_table", True)
-    return TransitService.from_graph(
-        graph,
-        ServiceConfig(
-            num_threads=2,
-            workers=2,
-            transfer_fraction=0.3,
-            result_cache_size=0,
-            **config,
-        ),
-    )
+@pytest.fixture()
+def make_service(oahu_tiny_graph):
+    """``make_service(workers, **config)``: distance table on (fraction
+    0.3) unless the test says otherwise, the result cache off so every
+    single request really searches, and ``workers`` search workers
+    (stopped when the test ends)."""
+    services: list[TransitService] = []
+
+    def make(workers: int = 0, **config) -> TransitService:
+        config.setdefault("use_distance_table", True)
+        service = TransitService.from_graph(
+            oahu_tiny_graph,
+            ServiceConfig(
+                num_threads=2,
+                transfer_fraction=0.3,
+                result_cache_size=0,
+                **config,
+            ),
+        )
+        if workers:
+            service.start_workers(workers)
+        services.append(service)
+        return service
+
+    yield make
+    for service in services:
+        service.stop_workers()
 
 
 def workload(service: TransitService) -> BatchRequest:
@@ -111,20 +129,15 @@ def assert_batch_equals_singles(service, request, context):
     return got
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("with_table", (False, True), ids=["plain", "table"])
-def test_batch_matches_one_at_a_time(
-    oahu_tiny_graph, backend, kernel, with_table
-):
+def test_batch_matches_one_at_a_time(make_service, workers, kernel, with_table):
     service = make_service(
-        oahu_tiny_graph,
-        kernel=kernel,
-        backend=backend,
-        use_distance_table=with_table,
+        workers, kernel=kernel, use_distance_table=with_table
     )
     got = assert_batch_equals_singles(
-        service, workload(service), f"on {backend}/{kernel}"
+        service, workload(service), f"on {workers} workers/{kernel}"
     )
     classes = {j.stats.classification for j in got.journeys}
     if with_table:
@@ -132,41 +145,36 @@ def test_batch_matches_one_at_a_time(
             f"workload misses shortcut paths: {classes}"
         )
     assert got.journeys[-1].legs, "workload misses the legs path"
-    assert got.stats.backend == backend
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
 @pytest.mark.parametrize("toggle", PRUNING_TOGGLES)
-def test_batch_items_follow_every_pruning_toggle(
-    oahu_tiny_graph, backend, toggle
-):
+def test_batch_items_follow_every_pruning_toggle(make_service, workers, toggle):
     """Regression: batched profile searches used to run through a
     second engine that never received ``self_pruning``, so with the
     toggle off a batch item settled half the connections the single
     request did.  With any toggle off, item stats == single stats."""
-    service = make_service(
-        oahu_tiny_graph, backend=backend, **{toggle: False}
-    )
+    service = make_service(workers, **{toggle: False})
     assert_batch_equals_singles(
-        service, workload(service), f"{toggle}=False on {backend}"
+        service, workload(service), f"{toggle}=False on {workers} workers"
     )
 
 
-def test_batch_profiles_do_the_unpruned_work(oahu_tiny_graph):
+def test_batch_profiles_do_the_unpruned_work(make_service):
     """The toggle above must actually reach the search: without
     self-pruning a batched profile settles more than with it."""
     request = BatchRequest.from_sources([3, 5])
-    pruned = make_service(oahu_tiny_graph).batch(request)
-    unpruned = make_service(oahu_tiny_graph, self_pruning=False).batch(request)
+    pruned = make_service().batch(request)
+    unpruned = make_service(self_pruning=False).batch(request)
     for a, b in zip(pruned.profiles, unpruned.profiles):
         assert b.stats.settled_connections > a.stats.settled_connections
 
 
-def test_results_come_back_in_submission_order(oahu_tiny_graph):
+@pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
+def test_results_come_back_in_submission_order(make_service, workers):
     pairs = [(9, 2), (0, 5), (7, 1), (2, 9)]
     sources = [6, 1]
-    service = make_service(oahu_tiny_graph, backend="processes")
-    got = service.batch(
+    got = make_service(workers).batch(
         BatchRequest(
             journeys=tuple(JourneyRequest(s, t) for s, t in pairs),
             profiles=tuple(ProfileRequest(s) for s in sources),
@@ -176,51 +184,64 @@ def test_results_come_back_in_submission_order(oahu_tiny_graph):
     assert [p.source for p in got.profiles] == sources
 
 
-def test_batch_stats_accounting(oahu_tiny_graph):
+@pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
+def test_each_item_is_one_search_job(make_service, monkeypatch, workers):
+    """With workers the batch is composed here and searched there: one
+    ``_search`` job per item, journeys then profiles as submitted, in
+    one ``ForkPool.map`` — not the whole batch as one job, and not on
+    this thread.  Without workers there is no pool to ask."""
+    service = make_service(workers)
+    request = workload(service)
+    maps = []
+    real_map = ForkPool.map
+
+    def spy(pool, name, jobs, **kwargs):
+        jobs = list(jobs)
+        maps.append((name, jobs))
+        return real_map(pool, name, jobs, **kwargs)
+
+    monkeypatch.setattr(ForkPool, "map", spy)
+    service.batch(request)
+    items = [*request.journeys, *request.profiles]
+    assert maps == ([("_search", [(item,) for item in items])] if workers else [])
+
+
+@pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
+def test_batch_stats_accounting(make_service, workers):
+    """What a batch reports is what it did, never where: the stats of
+    the same batch with and without workers agree, clock aside."""
     request = BatchRequest(
         journeys=(JourneyRequest(0, 1),), profiles=(ProfileRequest(2),)
     )
-    stats = make_service(oahu_tiny_graph, backend="serial").batch(request).stats
-    assert stats.num_queries == 2
-    assert stats.backend == "serial"
-    assert stats.kernel == "flat"
-    assert stats.num_workers == 1
+    stats = make_service(workers).batch(request).stats
+    assert asdict(stats) == {
+        "num_queries": 2, "kernel": "flat", "total_seconds": stats.total_seconds,
+    }
     assert stats.total_seconds > 0
     assert stats.queries_per_second > 0
-    assert stats.setup_seconds == 0.0
-
-    # One journey and one profile search are one fan-out of two items,
-    # not two short-circuited passes; setup is the pool spin-up.
-    stats = make_service(
-        oahu_tiny_graph, backend="processes"
-    ).batch(request).stats
-    assert stats.num_queries == 2
-    assert stats.backend == "processes"
-    assert stats.num_workers == 2
-    assert 0 < stats.setup_seconds < stats.total_seconds
 
 
+@pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
 @pytest.mark.parametrize("pairs", ([], [(0, 1)]), ids=["empty", "single"])
-def test_tiny_batch_reports_effective_backend(oahu_tiny_graph, pairs):
-    """A ≤1-item batch runs serially whatever was configured; the
-    stats must say what actually ran."""
-    service = make_service(oahu_tiny_graph, backend="processes")
-    stats = service.batch(pairs).stats
-    assert stats.num_queries == len(pairs)
-    assert stats.backend == "serial"
-    assert stats.num_workers == 1
-    assert stats.setup_seconds == 0.0
+def test_tiny_batches(make_service, workers, pairs):
+    """An empty batch and a one-item batch are answered like any other
+    — by the calling thread or by one job."""
+    service = make_service(workers)
+    got = service.batch(pairs)
+    assert got.stats.num_queries == len(pairs)
+    assert [(j.source, j.target) for j in got.journeys] == pairs
 
 
-def test_two_services_fork_concurrently_without_clobbering(oahu_tiny_graph):
+@pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
+def test_two_services_batch_concurrently_without_clobbering(
+    make_service, oahu_tiny_graph, workers
+):
     """Regression: fork-worker state used to live under one shared
     module-global key, so two fan-outs at the same time clobbered each
-    other (one batch silently ran on the other's distance table).
-    State is keyed per fan-out and each work item carries its token."""
-    plain = make_service(
-        oahu_tiny_graph, backend="processes", use_distance_table=False
-    )
-    table = make_service(oahu_tiny_graph, backend="processes")
+    other (one batch silently ran on the other's distance table).  Each
+    service's items go to its own workers, or run on its own thread."""
+    plain = make_service(workers, use_distance_table=False)
+    table = make_service(workers)
     request = BatchRequest.from_pairs(
         random_station_pairs(oahu_tiny_graph.timetable, 6, seed=21)
     )

@@ -43,7 +43,7 @@ class TestParseProfile:
 
     def test_full(self):
         request, targets = parse_profile_request(
-            {"v": 1, "source": 3, "num_threads": 2, "targets": [0, 9]}, N
+            {"v": 2, "source": 3, "num_threads": 2, "targets": [0, 9]}, N
         )
         assert request == ProfileRequest(3, num_threads=2)
         assert targets == (0, 9)
@@ -108,7 +108,8 @@ class TestParseProfile:
         )
 
     def test_version_gate(self):
-        exc = err(parse_profile_request, {"v": 2, "source": 0}, N)
+        # A version-1 client (its batch stats had three more keys).
+        exc = err(parse_profile_request, {"v": 1, "source": 0}, N)
         assert exc.code == "unsupported_version"
         assert exc.status == 400
         # Omitted version means the current one.

@@ -22,7 +22,7 @@ import pytest
 from repro.client import HttpBackend, LocalBackend, RetryPolicy
 from repro.core.fanout import usable_cores
 from repro.server import DatasetRegistry
-from repro.server.protocol import encode_journey
+from repro.server.protocol import encode_batch, encode_journey
 from repro.service import ProfileRequest, ServiceConfig, TransitService
 from repro.timetable.delays import Delay
 
@@ -292,28 +292,46 @@ class TestRetirement:
 
 
 class TestWorkerLoss:
-    def test_a_dead_worker_costs_one_retriable_503(self, make_service):
-        """The one worker is stopped, so the journey sent next is in it
-        when it is killed.  That request — no other — is answered 503
-        ``worker_lost`` with a retry hint; the retry meets the
-        replacement, forked from the live generation."""
+    @pytest.mark.parametrize(
+        ("route", "body", "direct"),
+        [
+            (
+                "journey",
+                {"source": 0, "target": 5},
+                lambda s: encode_journey(s.journey(0, 5)),
+            ),
+            (
+                "batch",
+                {"journeys": [{"source": 0, "target": 5}, {"source": 7, "target": 2}]},
+                lambda s: encode_batch(s.batch([(0, 5), (7, 2)]), num_stations=12),
+            ),
+        ],
+        ids=["journey", "batch"],
+    )
+    def test_a_dead_worker_costs_one_retriable_503(
+        self, make_service, route, body, direct
+    ):
+        """The one worker is stopped, so the journey sent next — or the
+        first item of the batch — is in it when it is killed.  That
+        request — no other — is answered 503 ``worker_lost`` with a
+        retry hint; the retry meets the replacement, forked from the
+        live generation."""
         service = make_service()
         harness = ServerHarness(
             DatasetRegistry.from_services({"oahu": service}), workers=1
         )
-        body = {"source": 0, "target": 5}
         try:
             (victim,) = worker_pids(service)
             os.kill(victim, signal.SIGSTOP)
             results: list = []
             lost = threading.Thread(
                 target=lambda: results.append(
-                    harness.request_full("POST", "/v1/oahu/journey", body)
+                    harness.request_full("POST", f"/v1/oahu/{route}", body)
                 )
             )
             lost.start()
             wait_until(
-                lambda: harness.server.metrics.inflight, what="the journey"
+                lambda: harness.server.metrics.inflight, what=f"the {route}"
             )
             os.kill(victim, signal.SIGKILL)
             lost.join(timeout=30)
@@ -324,10 +342,12 @@ class TestWorkerLoss:
             assert float(headers["retry-after"]) >= 0
             assert str(victim) in payload["error"]["message"]
 
-            retry = harness.request("POST", "/v1/oahu/journey", body)
-            assert retry[0] == 200 and not retry[1]["stats"]["cache_hit"]
+            # Searched again, not cached: the in-process answer says
+            # cache_hit false wherever the shape has the flag.
+            retry = harness.request("POST", f"/v1/oahu/{route}", body)
+            assert retry[0] == 200
             assert scrubbed_payload(retry[1]) == scrubbed_payload(
-                encode_journey(make_service().journey(0, 5))
+                direct(make_service())
             )
             (replacement,) = worker_pids(service)
             assert replacement != victim and child_alive(replacement)

@@ -753,7 +753,7 @@ class TestHttpErrors:
         status, health = harness.request("GET", "/healthz")
         assert status == 200
         assert health == {
-            "v": 1,
+            "v": 2,
             "status": "ok",
             "ready": True,
             "datasets": ["oahu"],

@@ -270,7 +270,7 @@ class TestAnswerRoundTrip:
     @by_name
     def test_foreign_kind_is_rejected(self, shape):
         with pytest.raises(ValueError, match="expected"):
-            results.decode_answer(shape, {"v": 1, "kind": "something-else"})
+            results.decode_answer(shape, {"v": 2, "kind": "something-else"})
 
 
 class _EchoService:
@@ -342,7 +342,7 @@ class TestPublicNames:
             assert callable(getattr(module, name)), f"{module}.{name}"
 
     def test_protocol_constants(self):
-        assert protocol.PROTOCOL_VERSION == 1
+        assert protocol.PROTOCOL_VERSION == 2
         assert protocol.MAX_NUM_THREADS == 64
         assert protocol.MAX_MC_TRANSFERS == 16
 

@@ -15,12 +15,13 @@ Two contracts:
 from __future__ import annotations
 
 import os
+import signal
 
 import numpy as np
 import pytest
 
 import repro.service.prepare as prepare_mod
-from repro.core.fanout import ForkPool
+from repro.core.fanout import ForkPool, WorkerLost
 from repro.core.parallel import parallel_profile_search
 from repro.graph.station_graph import build_station_graph
 from repro.graph.td_arrays import pack_td_graph
@@ -119,19 +120,24 @@ def test_batch_accepts_raw_pairs(oahu_tiny):
     assert result.journeys[0].target == 5
 
 
-def test_a_batch_inside_a_search_worker_forks_nothing(oahu_tiny, monkeypatch):
-    """Under search workers the generation's workers *are* the
-    processes: ``backend`` / ``workers`` size an in-process batch only.
-    A served batch used to fork its own pool inside the worker, per
-    request — 2 workers x 4 grandchildren on a 2-core box, behind
-    admission control's back; now it runs there on the one thread, says
-    so (``BatchStats``: what actually executed), and answers the same."""
-    config = ServiceConfig(num_threads=1, backend="processes", workers=4)
-    pairs = [(0, 5), (2, 7), (1, 6), (3, 9), (4, 11), (7, 2)]
-    in_process = TransitService(oahu_tiny, config).batch(pairs)
-    assert in_process.stats.backend == "processes"
-    assert in_process.stats.num_workers == 4
-    assert in_process.stats.setup_seconds > 0
+def test_a_batchs_items_run_in_the_workers_which_fork_nothing(
+    oahu_tiny, monkeypatch
+):
+    """The generation's search workers *are* the processes: a batch's
+    items are their jobs, and a worker runs its item — a profile's two
+    partitions included — on its one thread.  A served batch used to
+    fork a pool of its own inside a worker, per request — 2 workers x 4
+    grandchildren on a 2-core box, behind admission control's back.
+    Here the search is poisoned in this process once the workers are
+    up, so every answer below came from them."""
+    config = ServiceConfig(num_threads=2)
+    request = BatchRequest(
+        journeys=BatchRequest.from_pairs(
+            [(0, 5), (2, 7), (1, 6), (3, 9), (4, 11), (7, 2)]
+        ).journeys,
+        profiles=(ProfileRequest(3),),
+    )
+    in_process = TransitService(oahu_tiny, config).batch(request)
 
     here = os.getpid()
     fork = ForkPool._fork
@@ -140,28 +146,73 @@ def test_a_batch_inside_a_search_worker_forks_nothing(oahu_tiny, monkeypatch):
         assert os.getpid() == here, "a search worker forked"
         return fork(pool, target)
 
+    def poisoned(*args, **kwargs):
+        raise AssertionError("a search ran in this process")
+
     monkeypatch.setattr(ForkPool, "_fork", fork_here_only)
     service = TransitService(oahu_tiny, config)
     service.start_workers(2)
+    monkeypatch.setattr("repro.core.spcs_kernel.spcs_kernel_search", poisoned)
+    with pytest.raises(AssertionError, match="in this process"):
+        TransitService(oahu_tiny, config).batch(request)  # it is live
     try:
-        served = service.batch(pairs)
+        served = service.batch(request)
     finally:
         service.stop_workers()
-    stats = served.stats
-    assert (stats.backend, stats.num_workers, stats.setup_seconds) == (
-        "serial", 1, 0.0,
-    )
-    for (s, t), got, expected in zip(
-        pairs, served.journeys, in_process.journeys
-    ):
-        assert (got.source, got.target) == (s, t)
+    for got, expected in zip(served.journeys, in_process.journeys):
+        assert (got.source, got.target) == (expected.source, expected.target)
         assert (
             got.stats.settled_connections
             == expected.stats.settled_connections
         )
         assert_profiles_bitwise_equal(
-            expected.profile, got.profile, f"{s}->{t}"
+            expected.profile, got.profile, f"{got.source}->{got.target}"
         )
+    (got,), (expected,) = served.profiles, in_process.profiles
+    assert np.array_equal(got.raw.merged.labels, expected.raw.merged.labels)
+    assert got.stats.settled_connections == expected.stats.settled_connections
+
+
+def test_a_worker_lost_under_a_batch_fails_that_batch_only(
+    oahu_tiny, monkeypatch
+):
+    """The worker running one of a batch's items dies: the batch raises
+    ``WorkerLost`` naming it (and nothing is cached), the pool forks a
+    replacement from the live service, and the next batch is answered
+    there — as a service without workers answers it."""
+    here = os.getpid()
+    search = TransitService._search
+
+    def mortal(self, req):
+        if os.getpid() != here and req.source == 7:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return search(self, req)
+
+    monkeypatch.setattr(TransitService, "_search", mortal)
+    config = ServiceConfig(num_threads=1)
+    service = TransitService(oahu_tiny, config)
+    service.start_workers(1)
+    try:
+        (victim,) = (child.pid for child in service._workers._children)
+        with pytest.raises(WorkerLost, match=f"worker {victim} died"):
+            service.batch([(0, 5), (7, 2), (4, 11)])
+        assert service.worker_stats == (1, 1)
+        assert service.cache_stats.size == 0
+        served = service.batch([(0, 5), (4, 11)])
+        (replacement,) = (child.pid for child in service._workers._children)
+        assert replacement != victim
+    finally:
+        service.stop_workers()
+    expected = TransitService(oahu_tiny, config).batch([(0, 5), (4, 11)])
+    for got, want in zip(served.journeys, expected.journeys):
+        assert got.stats.settled_connections == want.stats.settled_connections
+        assert_profiles_bitwise_equal(want.profile, got.profile)
+
+
+def test_where_searches_run_is_not_configuration():
+    for knob in ({"backend": "processes"}, {"workers": 2}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ServiceConfig(**knob)
 
 
 def test_facade_equivalence_on_random_instances():
@@ -305,9 +356,6 @@ def test_python_kernel_never_packs(oahu_tiny, monkeypatch):
 def test_invalid_configs_rejected_eagerly():
     with pytest.raises(ValueError, match="kernel"):
         ServiceConfig(kernel="gpu")
-    for backend in ("mpi", "threads"):
-        with pytest.raises(ValueError, match="backend"):
-            ServiceConfig(backend=backend)
     with pytest.raises(ValueError, match="strategy"):
         ServiceConfig(strategy="round-robin")
     with pytest.raises(ValueError, match="queue"):
@@ -316,8 +364,6 @@ def test_invalid_configs_rejected_eagerly():
         ServiceConfig(transfer_selection="random")
     with pytest.raises(ValueError, match="thread"):
         ServiceConfig(num_threads=0)
-    with pytest.raises(ValueError, match="worker"):
-        ServiceConfig(workers=0)
     with pytest.raises(ValueError, match="fraction"):
         ServiceConfig(transfer_fraction=1.5)
 

@@ -239,6 +239,23 @@ def test_format_version_mismatch_rejected(small_store):
         TransitService.load(small_store)
 
 
+def test_a_version_1_store_is_refused_for_its_version(small_store):
+    """A version-1 manifest stores a config with ``backend`` /
+    ``workers``, fields a config no longer has: the store is refused
+    for its format version — re-run prepare — before that config could
+    fail to build."""
+    manifest_path = small_store / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = 1
+    manifest["config"].update(backend="processes", workers=4)
+    manifest_path.write_text(json.dumps(manifest))
+    refused = r"format version 1 is not supported .*re-run prepare"
+    with pytest.raises(StoreError, match=refused):
+        TransitService.load(small_store)
+    with pytest.raises(StoreError, match=refused):
+        describe_store(small_store)
+
+
 def test_config_hash_mismatch_rejected(small_store):
     """Editing the manifest's config without its hash is tampering."""
     manifest_path = small_store / "manifest.json"
@@ -264,7 +281,7 @@ def test_expected_config_mismatch_rejected(small_store):
     # runtime fields (same artifacts fit both).
     TransitService.load(small_store, config=ServiceConfig(num_threads=2))
     TransitService.load(
-        small_store, config=ServiceConfig(num_threads=7, backend="processes")
+        small_store, config=ServiceConfig(num_threads=7, stopping=False)
     )
 
 
@@ -314,7 +331,7 @@ def test_prepare_config_hash_ignores_runtime_fields():
 
     base = ServiceConfig()
     runtime_twin = ServiceConfig(
-        num_threads=8, backend="processes", workers=2, result_cache_size=0
+        num_threads=8, queue="lazy", self_pruning=False, result_cache_size=0
     )
     assert prepare_config_hash(base) == prepare_config_hash(runtime_twin)
     assert prepare_config_hash(base) != prepare_config_hash(
@@ -370,11 +387,11 @@ def test_runtime_overridden_service_saves_its_own_config(
     runtime overrides never change the preparation recipe, the
     pre-override config matches too."""
     base = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
-    tuned = base.with_runtime_overrides(num_threads=8, backend="processes")
+    tuned = base.with_runtime_overrides(num_threads=8, table_pruning=False)
     tuned.save(tmp_path / "store")
     warm = TransitService.load(tmp_path / "store", config=tuned.config)
     assert warm.config.num_threads == 8
-    assert warm.config.backend == "processes"
+    assert warm.config.table_pruning is False
     TransitService.load(tmp_path / "store", config=base.config)
 
 

@@ -65,10 +65,10 @@ class TestBatchCommand:
     def test_batch_serial_flat(self, capsys):
         assert main([
             "batch", "--instance", "oahu", "--scale", "tiny",
-            "--n-queries", "5", "--kernel", "flat", "--backend", "serial",
+            "--n-queries", "5", "--kernel", "flat",
         ]) == 0
         out = capsys.readouterr().out
-        assert "5 queries on kernel=flat backend=serial" in out
+        assert "5 queries on kernel=flat workers=0" in out
         assert "queries/s" in out
         assert out.count("→") == 5
 
@@ -165,6 +165,48 @@ class TestBatchJson:
         ]
         assert pairs[0] != pairs[1]
 
+    @pytest.mark.parametrize("cores", (1, 2))
+    def test_workers_fork_search_workers_for_the_same_work(
+        self, capsys, monkeypatch, cores
+    ):
+        """``--workers N`` forks ``min(N, usable cores)`` search workers
+        for the command's service — as ``serve`` does — and reports
+        them; the work and the answers are plain ``batch``'s.  (It used
+        to be ignored unless a second flag chose a forking backend.)"""
+        import json
+
+        from tests.helpers import children_of
+
+        monkeypatch.setattr("repro.core.fanout.usable_cores", lambda: cores)
+        argv = [
+            "batch", "--instance", "oahu", "--scale", "tiny",
+            "--n-queries", "8", "--seed", "3", "--transfer-fraction", "0.3",
+            "--json",
+        ]
+        before = children_of(os.getpid())
+        summaries = []
+        for extra in ([], ["--workers", "2"]):
+            assert main([*argv, *extra]) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+        plain, pooled = summaries
+        assert (plain["workers"], pooled["workers"]) == (0, min(2, cores))
+        for key in ("num_queries", "settled_connections", "classifications"):
+            assert pooled[key] == plain[key], key
+        assert sorted(pooled) == [
+            "classifications", "kernel", "mean_simulated_seconds",
+            "num_queries", "prepare_seconds", "queries_per_second", "seed",
+            "settled_connections", "table_mib", "total_seconds",
+            "transfer_stations", "transport", "workers",
+        ]
+        assert children_of(os.getpid()) == before  # stopped on the way out
+
+    def test_workers_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--instance", "oahu", "--scale", "tiny",
+                  "--workers", "0"])
+        assert excinfo.value.code == 2
+        assert "--workers: must be at least 1, got 0" in capsys.readouterr().err
+
 
 class TestStoreCommands:
     @pytest.fixture()
@@ -226,13 +268,15 @@ class TestStoreCommands:
         assert summary["num_queries"] == 4
         assert summary["transfer_stations"] > 0
 
-    def test_batch_from_store_runtime_overrides(self, store, capsys):
+    def test_batch_from_store_takes_workers(self, store, capsys):
+        from repro.core.fanout import pool_size
+
         assert main([
             "batch", "--from-store", str(store),
-            "--n-queries", "3", "--backend", "processes", "--workers", "2",
+            "--n-queries", "3", "--cores", "2", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "backend=processes workers=2" in out
+        assert f"workers={pool_size(2)}:" in out
 
     def test_query_from_missing_store_fails_loudly(self, tmp_path):
         """A bad store dies with the CLI's clean one-line error, not a
@@ -318,7 +362,8 @@ class TestStoreCommands:
 
         assert main(["info", "--from-store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "format v1" in out
+        assert "format v2" in out
+        assert "backend=" not in out and "workers=" not in out
         assert "12 stations" in out
         assert "transfer stations" in out
         assert "kernel=flat" in out
@@ -408,8 +453,6 @@ class TestRemoteFlag:
               "--seed", "3"], "--seed"),
             (["query", "--remote", url, "--source", "0", "--target", "5",
               "--cores", "2"], "--cores"),
-            (["batch", "--remote", url, "--n-queries", "2",
-              "--backend", "processes"], "--backend"),
             (["batch", "--remote", url, "--n-queries", "2",
               "--workers", "2"], "--workers"),
             (["profile", "--remote", url, "--source", "0",

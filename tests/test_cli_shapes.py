@@ -24,8 +24,7 @@ OAHU = ["--instance", "oahu", "--scale", "tiny"]
 #: One legal value per row of the flag table.
 VALUES = {
     "--scale": "tiny", "--seed": "3", "--kernel": "flat",
-    "--transfer-fraction": "0.1", "--cores": "2", "--backend": "serial",
-    "--workers": "2",
+    "--transfer-fraction": "0.1", "--cores": "2", "--workers": "2",
 }
 
 
@@ -114,12 +113,16 @@ def test_rejection_matrix_follows_the_flag_table(shape, source, tmp_path):
 def test_rejection_rules_are_read_off_the_flag_table():
     assert rejected_beside("--remote") == list(FLAGS)
     assert rejected_beside("--from-store") == [
-        flag for flag, row in FLAGS.items() if row.target not in RUNTIME_FIELDS
+        flag
+        for flag, row in FLAGS.items()
+        if row.target not in RUNTIME_FIELDS | {"process"}
     ]
-    # What stays legal beside a store really is runtime-overridable.
-    assert {"--cores", "--backend", "--workers"} == set(FLAGS) - set(
+    # What stays legal beside a store really is runtime-overridable, or
+    # sizes the command's own process.
+    assert {"--cores", "--workers"} == set(FLAGS) - set(
         rejected_beside("--from-store")
     )
+    assert FLAGS["--workers"].target == "process"
     exempt = {
         (command_name(s), flag)
         for s in SHAPES
@@ -185,7 +188,6 @@ def test_local_store_and_remote_print_the_same(
     [
         (["profile", *OAHU, "--source", "0", "--cores", "0"],
          "need at least one thread"),
-        (["batch", *OAHU, "--workers", "0"], "need at least one worker"),
         (["query", *OAHU, "--source", "0", "--target", "5",
           "--transfer-fraction", "2"], "transfer_fraction must be within"),
         (["multicriteria", *OAHU, "--source", "0", "--target", "5",
