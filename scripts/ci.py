@@ -359,6 +359,24 @@ def table_build(tmp: Path) -> None:
         f"{pinned_ms:.0f} ms pinned to one CPU; tables bitwise equal"
     )
 
+    # The kernel's pop order at scale: a one-to-all search's settled
+    # count moves with any change in which of two equal keys pops
+    # first, and a table build sums 44 resp. 65 of them.
+    from repro.service import ServiceConfig
+    from repro.synthetic.instances import make_instance
+
+    config = ServiceConfig(use_distance_table=True, transfer_fraction=0.5)
+    for instance, scale, settled in (
+        ("washington", "small", 1_955_079),
+        ("germany", "medium", 701_825),
+    ):
+        table = TransitService(make_instance(instance, scale=scale), config).table
+        assert table.build_settled == settled, (instance, table.build_settled)
+        print(
+            f"{instance}/{scale}: {table.num_transfer_stations} rows "
+            f"settle {table.build_settled} connections, as recorded"
+        )
+
 
 def table1_kernels(tmp: Path) -> None:
     """The Table 1 bench at tiny scale on oahu (both SPCS kernels and

@@ -6,7 +6,7 @@ connection-setting profile search (SPCS) and its parallelization.
   hooks (used by the distance-table machinery in :mod:`repro.query`).
 * :mod:`repro.core.spcs_kernel` — the flat-array kernel: the same
   algorithm over a packed :class:`~repro.graph.td_arrays.TDGraphArrays`
-  with preallocated label vectors and a C heap; identical reduced
+  with preallocated label vectors and a bucket queue; identical reduced
   profiles, several times faster (``kernel="flat"`` in the drivers);
   the §4 rules the reference asks its hook about are inlined here.
 * :mod:`repro.core.partition` — partitioning ``conn(S)`` over threads

@@ -4,7 +4,14 @@ After the ``p`` threads finish, a master thread merges the per-thread
 labels ``arr_t(v, ·)`` into a common label ``arr(v, ·)`` in global
 connection order.  The merged label is *not* necessarily FIFO — threads
 cannot self-prune each other's connections — so profiles are obtained
-through connection reduction (§3.1).
+through connection reduction (§3.1): per station
+(:meth:`MergedProfileResult.profile`), or for many stations in one
+numpy pass (:meth:`MergedProfileResult.connection_points`).
+
+The driver (:func:`~repro.core.parallel.timed_subset_search`) hands
+this module station rows only, so a merged one-to-all result holds
+``num_stations × |conn(S)|`` labels whatever ran it; the merge itself
+takes any row count its inputs agree on.
 """
 
 from __future__ import annotations
@@ -17,15 +24,16 @@ import numpy as np
 from repro.core.spcs import SPCSResult
 from repro.functions.algebra import Profile
 from repro.functions.piecewise import INF_TIME
+from repro.functions.reduction import reduced_points_per_row
 
 
 @dataclass(slots=True)
 class MergedProfileResult:
     """Common labels of a full (parallel) one-to-all profile search.
 
-    ``labels[u, i]`` — arrival at node ``u`` starting with the ``i``-th
-    outgoing connection (global order); ``INF_TIME`` where pruned or
-    unreachable.
+    ``labels[u, i]`` — arrival at station ``u`` (at node ``u`` where the
+    inputs kept every node's row) starting with the ``i``-th outgoing
+    connection (global order); ``INF_TIME`` where pruned or unreachable.
     """
 
     source: int
@@ -36,6 +44,12 @@ class MergedProfileResult:
     def profile(self, station: int) -> Profile:
         """Reduced profile ``dist(S, station, ·)``."""
         return Profile.from_raw(self.conn_deps, self.labels[station], self.period)
+
+    def connection_points(self, stations: Sequence[int]) -> list[list[list[int]]]:
+        """Per station of ``stations``, ``P(dist(S, station, ·))`` as
+        ``[departure, duration]`` lists — what ``profile(station).
+        connection_points()`` gives, for all of them in one reduction."""
+        return reduced_points_per_row(self.conn_deps, self.labels[list(stations)])
 
     def earliest_arrival(self, station: int, tau: int) -> int:
         """Convenience: evaluate the reduced profile at time ``tau``."""

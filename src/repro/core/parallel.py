@@ -42,6 +42,10 @@ implementation:
   :class:`~repro.graph.td_arrays.TDGraphArrays`; several times faster,
   identical reduced profiles.
 
+Whatever the backend, every subset's result keeps its station rows
+only (:func:`timed_subset_search`), so the merged result — and a
+cached profile answer — holds ``num_stations × |conn(S)|`` labels.
+
 Whatever the backend, the result carries *simulated-cores* accounting:
 ``simulated_time = max_t(thread_time_t) + merge_time`` — the wall-clock
 a p-core machine would see, because the master must wait for the
@@ -123,7 +127,13 @@ def timed_subset_search(
     queue: str,
 ) -> tuple[SPCSResult, float]:
     """One subset's SPCS run and its wall time, measured where it runs
-    — in a worker process, that worker's own clock."""
+    — in a worker process, that worker's own clock.
+
+    The result keeps the station rows only, as a contiguous copy of
+    ``labels[:num_stations]``: a profile reads nothing else, and this is
+    what travels back through a worker's pipe, is merged and is cached.
+    Every caller of the §3.2 driver — served, in process, a table row,
+    an empty subset — gets this one shape."""
     t0 = time.perf_counter()
     result = run_spcs_search(
         graph,
@@ -133,6 +143,7 @@ def timed_subset_search(
         self_pruning=self_pruning,
         queue=queue,
     )
+    result.labels = result.labels[: graph.num_stations].copy()
     return result, time.perf_counter() - t0
 
 
@@ -154,7 +165,7 @@ def parallel_profile_search(
     ``strategy`` is a :data:`~repro.core.partition.PARTITION_STRATEGIES`
     key; ``backend`` one of :data:`~repro.core.fanout.BACKENDS`;
     ``kernel`` one of :data:`KERNELS` (``queue`` only applies to the
-    ``python`` kernel — the flat kernel always uses the lazy C heap).
+    ``python`` kernel — the flat kernel always uses its bucket queue).
     ``arrays`` injects a pre-packed :class:`TDGraphArrays` for the
     ``flat`` kernel (the service facade owns one shared pack); when
     omitted the graph's own pack (:func:`packed_arrays`) is used.  The

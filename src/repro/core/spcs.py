@@ -26,7 +26,7 @@ clarity and for being obviously equal to the paper's pseudocode.  The
 performance twin is :mod:`repro.core.spcs_kernel`, which runs the same
 algorithm over the packed flat-array graph
 (:mod:`repro.graph.td_arrays`) with preallocated int64 label vectors
-and a C heap; ``kernel="flat"`` in
+and a bucket queue; ``kernel="flat"`` in
 :func:`~repro.core.parallel.parallel_profile_search` and the query
 engines selects it.  ``tests/core/test_kernel_equivalence.py`` holds
 the two implementations (and the label-correcting baseline) equal on

@@ -19,9 +19,16 @@ interpreter throughput instead of readability:
 * labels, settled flags and ancestry bits are preallocated flat
   vectors indexed by ``node * num_local + k`` — no tuple construction
   or 2-D numpy scalar indexing in the loop;
-* the queue is C-implemented :mod:`heapq` over single-int entries with
-  lazy deletion (stale entries are skipped when their key exceeds the
-  current label);
+* the queue is a bucket per whole-minute key (Dial, CACM 1969): a dict
+  of item lists and a :mod:`heapq` of the distinct pending keys, with
+  lazy deletion (an improved label pushes again, the stale entry is
+  skipped when it pops).  A bucket is sorted when it is reached and
+  popped from the end, so items pop in exactly the order of a binary
+  heap over ``(key, -item)`` — ``tests/core/test_kernel_pop_order.py``
+  pins the work of runs recorded with one;
+* one ``targeted`` flag keeps a one-to-all run (no target, no table)
+  off the stopping criterion, goal direction and the §4 rules, at pop
+  and at push;
 * travel-time evaluation is inlined: FIFO legs take the
   next-departure fast path, non-FIFO legs fall back to the cyclic
   two-pass scan of :meth:`TravelTimeFunction.arrival`;
@@ -51,7 +58,7 @@ instances; the pure-Python path stays as the reference implementation.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Sequence
 
@@ -174,8 +181,9 @@ def spcs_kernel_search(
 
     # One label per (node, local connection) at ``node * num_local + k``
     # in an ``array('q')`` buffer that ``result.labels`` views without a
-    # copy: a one-to-all caller gets the matrix as it stands and a
-    # station-to-station caller reads one row of it.
+    # copy: a one-to-all caller gets the matrix as it stands (the §3.2
+    # driver keeps a copy of its station rows) and a station-to-station
+    # caller reads one row of it.
     labels = array("q", [INF]) * size
     result = SPCSResult(
         source=source,
@@ -189,6 +197,8 @@ def spcs_kernel_search(
     )
 
     settled = bytearray(size)
+    # maxconn(v) as a *local* index: the subset is strictly ascending,
+    # so comparing k compares the global indices.
     maxconn = [-1] * num_nodes
     adjacency = arrays.kernel_adjacency()
 
@@ -204,22 +214,40 @@ def spcs_kernel_search(
     goal = target is not None
     if goal and potential is None:
         potential = arrays.lower_bounds_to(target)
+    # Everything a one-to-all run skips: the stopping criterion, goal
+    # direction and the §4 rules, at pop and at push.
+    targeted = goal or table is not None
 
-    # Heap entries are the single int ``key * size + (top - item)``:
-    # heapq compares ints instead of tuples, and on equal keys the
-    # *later* item (larger node, then larger local index) pops first,
-    # so self-pruning can kill the earlier connection before it relaxes
-    # its edges — with ascending tie-break Theorem 1 would never fire
-    # on ties and the search visits measurably more pairs.
-    top = size - 1
-    heap: list[int] = []
+    # The queue is a bucket per whole-minute key (Dial, CACM 1969):
+    # ``buckets`` maps a pending key to its items, ``keys`` is a heap of
+    # the distinct pending keys — a key is pushed there once, when its
+    # bucket is created, so the cost follows the number of distinct
+    # keys, never the range of times between them.  The bucket of the
+    # key being drained is sorted once and popped from the end: on
+    # equal keys the *larger* item (larger node, then larger local
+    # index) pops first, so self-pruning can kill the earlier
+    # connection before it relaxes its edges — with ascending tie-break
+    # Theorem 1 would never fire on ties and the search visits
+    # measurably more pairs.  A push never goes below the key being
+    # drained (travel times are non-negative and π_T is consistent); a
+    # push *at* it — a zero-duration ride, a zero transfer time, zero
+    # reduced cost under π_T — is ``insort``-ed into the draining
+    # bucket.  Pops therefore come in exactly the order of a binary
+    # heap over the entries ``(key, -item)``, stale ones included.
+    buckets: dict[int, list[int]] = {}
+    keys: list[int] = []
     starts = arrays.conn_start[conn_lo + conn_indices].tolist()
     for k, (dep, node) in enumerate(zip(conn_deps.tolist(), starts)):
         item = node * num_local + k
         priority = dep + potential[node] if goal else dep
         if priority < INF:
             labels[item] = dep
-            heappush(heap, priority * size + top - item)
+            bucket = buckets.get(priority)
+            if bucket is None:
+                buckets[priority] = [item]
+                heappush(keys, priority)
+            else:
+                bucket.append(item)
 
     pruned_self = pruned_stop = pruned_table = stale = relaxed = 0
 
@@ -258,189 +286,215 @@ def spcs_kernel_search(
         if potential is None:
             potential = [0] * num_nodes
 
-    while heap:
-        item = top - heappop(heap) % size
-        if settled[item]:
-            stale += 1  # lazy-heap leftover of an improved label
-            continue
-        settled[item] = 1
-        # An item's entries share one π_T and differ in arrival, so the
-        # first to pop carries the current label: the arrival time.
-        key = labels[item]
-        node = item // num_local
-        k = item % num_local
-        g = subset[k]
-        if stop_at_target:
-            upper = upper_of[k]
-            if upper < INF:
-                if key + potential[node] >= upper:
-                    if g > t_max:
-                        t_max = g
-                    pruned_stop += 1
-                    labels[item] = INF
-                    continue
-                if anc[item] and upper <= gamma_of[g]:
-                    pruned_stop += 1
-                    labels[item] = INF
-                    continue
-
-        if goal and g <= t_max:
-            pruned_stop += 1
-            labels[item] = INF
-            continue
-
-        if self_pruning:
-            if g <= maxconn[node]:
-                pruned_self += 1
-                labels[item] = INF
+    while keys:
+        current = heappop(keys)
+        bucket = buckets.pop(current)
+        bucket.sort()
+        while bucket:
+            item = bucket.pop()
+            if settled[item]:
+                stale += 1  # left behind when the item's label improved
                 continue
-            maxconn[node] = g
-
-        if node == target and g > t_max:
-            t_max = g
-
-        if table is not None and contributes[node]:
-            # A settle at a transfer station other than the source:
-            # the rules of ``DistanceTablePruner.on_settle``, in its
-            # order, on the list mirrors of the table profiles.
-            station = node_station[node]
-            transfer_here = transfer_time[station]
-
-            if stop_at_target:
-                # Theorem 4: γ_i, a lower bound on the arrival at T ...
-                if station == table_target:
-                    lower = upper = key
-                else:
-                    deps, arrs, n, tomorrow = (
-                        target_rows[station] or table.target_row(station)
-                    )
-                    if n:
-                        tau = key % period
-                        idx = bisect_left(deps, tau)
-                        if idx < n and arrs[idx] < tomorrow:
-                            lower = key - tau + arrs[idx]
-                        else:
-                            lower = key - tau + tomorrow
-                        ready = key + transfer_here
-                        tau = ready % period
-                        idx = bisect_left(deps, tau)
-                        if idx < n and arrs[idx] < tomorrow:
-                            upper = ready - tau + arrs[idx]
-                        else:
-                            upper = ready - tau + tomorrow
-                    else:
-                        lower = upper = INF
-                gamma = gamma_of[g]
-                if lower < gamma:
-                    gamma = gamma_of[g] = lower
-                if upper < upper_of[k]:
-                    upper_of[k] = upper
-                else:
+            settled[item] = 1
+            # An item's entries share one π_T and differ in arrival, so
+            # the first to pop carries the current label: the arrival.
+            key = labels[item]
+            node = item // num_local
+            k = item - node * num_local
+            if targeted:
+                g = subset[k]
+                if stop_at_target:
                     upper = upper_of[k]
-                # ... met by an upper bound: nothing through a settled
-                # transfer station, this one included, can do better.
-                if upper <= gamma and upper < INF:
+                    if upper < INF:
+                        if key + potential[node] >= upper:
+                            if g > t_max:
+                                t_max = g
+                            pruned_stop += 1
+                            labels[item] = INF
+                            continue
+                        if anc[item] and upper <= gamma_of[g]:
+                            pruned_stop += 1
+                            labels[item] = INF
+                            continue
+
+                if goal and g <= t_max:
+                    pruned_stop += 1
+                    labels[item] = INF
                     continue
 
-            if prune_via:
-                # Theorem 3: lower µ_{i,j} from this settle, and prune
-                # the node unless it can still matter at some via j.
-                mu = mu_of[g]
-                if mu is None:
-                    mu = mu_of[g] = [INF] * num_via
-                ready = key + transfer_here
-                ready_tau = ready % period
-                ready_day = ready - ready_tau
-                key_tau = key % period
-                key_day = key - key_tau
-                prunable = True
-                j = 0
-                for via_transfer, deps, arrs, n, tomorrow in (
-                    via_rows[station] or table.via_row(station)
-                ):
-                    if deps is None:  # this station is via j itself
-                        candidate = key + via_transfer
-                        lower = key
-                    elif n:
-                        idx = bisect_left(deps, ready_tau)
-                        if idx < n and arrs[idx] < tomorrow:
-                            candidate = ready_day + arrs[idx] + via_transfer
+            if self_pruning:
+                if k <= maxconn[node]:
+                    pruned_self += 1
+                    labels[item] = INF
+                    continue
+                maxconn[node] = k
+
+            if targeted:
+                if node == target and g > t_max:
+                    t_max = g
+
+                if table is not None and contributes[node]:
+                    # A settle at a transfer station other than the
+                    # source: the rules of ``DistanceTablePruner.
+                    # on_settle``, in its order, on the list mirrors of
+                    # the table profiles.
+                    station = node_station[node]
+                    transfer_here = transfer_time[station]
+
+                    if stop_at_target:
+                        # Theorem 4: γ_i, a lower bound on the arrival
+                        # at T ...
+                        if station == table_target:
+                            lower = upper = key
                         else:
-                            candidate = ready_day + tomorrow + via_transfer
-                        if prunable:
-                            idx = bisect_left(deps, key_tau)
-                            if idx < n and arrs[idx] < tomorrow:
-                                lower = key_day + arrs[idx]
+                            deps, arrs, n, tomorrow = (
+                                target_rows[station] or table.target_row(station)
+                            )
+                            if n:
+                                tau = key % period
+                                idx = bisect_left(deps, tau)
+                                if idx < n and arrs[idx] < tomorrow:
+                                    lower = key - tau + arrs[idx]
+                                else:
+                                    lower = key - tau + tomorrow
+                                ready = key + transfer_here
+                                tau = ready % period
+                                idx = bisect_left(deps, tau)
+                                if idx < n and arrs[idx] < tomorrow:
+                                    upper = ready - tau + arrs[idx]
+                                else:
+                                    upper = ready - tau + tomorrow
                             else:
-                                lower = key_day + tomorrow
-                    else:  # via j unreachable from here: µ stays
-                        candidate = lower = INF
-                    if candidate < mu[j]:
-                        mu[j] = candidate
-                        mu_updates += 1
-                    if prunable and lower <= mu[j]:
-                        prunable = False
-                    j += 1
-                if prunable:
-                    pruned_table += 1
-                    continue
+                                lower = upper = INF
+                        gamma = gamma_of[g]
+                        if lower < gamma:
+                            gamma = gamma_of[g] = lower
+                        if upper < upper_of[k]:
+                            upper_of[k] = upper
+                        else:
+                            upper = upper_of[k]
+                        # ... met by an upper bound: nothing through a
+                        # settled transfer station, this one included,
+                        # can do better.
+                        if upper <= gamma and upper < INF:
+                            continue
 
-        edges = adjacency[node]
-        relaxed += len(edges)
-        if stop_at_target:
-            push_anc = 1 if (anc[item] or contributes[node]) else 0
-        for head, weight, ttf in edges:
-            if ttf is None:
-                t_next = key + weight
-            else:
-                deps, durs, fifo, n = ttf
-                tau = key % period
-                idx = bisect_left(deps, tau)
-                if fifo:
-                    # Next departure is optimal (arrivals non-decreasing).
-                    if idx < n:
-                        t_next = key + deps[idx] - tau + durs[idx]
-                    elif n:
-                        t_next = key + period + deps[0] - tau + durs[0]
-                    else:
-                        # Zero-point function: unreachable via
-                        # build_td_graph (empty legs get no edge) but
-                        # legal for TravelTimeFunction, and is_fifo()
-                        # is True for it — match arrival()'s INF_TIME.
-                        t_next = INF
+                    if prune_via:
+                        # Theorem 3: lower µ_{i,j} from this settle, and
+                        # prune the node unless it can still matter at
+                        # some via j.
+                        mu = mu_of[g]
+                        if mu is None:
+                            mu = mu_of[g] = [INF] * num_via
+                        ready = key + transfer_here
+                        ready_tau = ready % period
+                        ready_day = ready - ready_tau
+                        key_tau = key % period
+                        key_day = key - key_tau
+                        prunable = True
+                        j = 0
+                        for via_transfer, deps, arrs, n, tomorrow in (
+                            via_rows[station] or table.via_row(station)
+                        ):
+                            if deps is None:  # this station is via j itself
+                                candidate = key + via_transfer
+                                lower = key
+                            elif n:
+                                idx = bisect_left(deps, ready_tau)
+                                if idx < n and arrs[idx] < tomorrow:
+                                    candidate = (
+                                        ready_day + arrs[idx] + via_transfer
+                                    )
+                                else:
+                                    candidate = (
+                                        ready_day + tomorrow + via_transfer
+                                    )
+                                if prunable:
+                                    idx = bisect_left(deps, key_tau)
+                                    if idx < n and arrs[idx] < tomorrow:
+                                        lower = key_day + arrs[idx]
+                                    else:
+                                        lower = key_day + tomorrow
+                            else:  # via j unreachable from here: µ stays
+                                candidate = lower = INF
+                            if candidate < mu[j]:
+                                mu[j] = candidate
+                                mu_updates += 1
+                            if prunable and lower <= mu[j]:
+                                prunable = False
+                            j += 1
+                        if prunable:
+                            pruned_table += 1
+                            continue
+
+                if stop_at_target:
+                    push_anc = 1 if (anc[item] or contributes[node]) else 0
+
+            edges = adjacency[node]
+            relaxed += len(edges)
+            for head, weight, ttf in edges:
+                if ttf is None:
+                    t_next = key + weight
                 else:
-                    # Cyclic two-pass scan, cf. TravelTimeFunction.arrival.
-                    best = INF
-                    for j in range(idx, n):
-                        wait = deps[j] - tau
-                        if wait >= best:
-                            break
-                        total = wait + durs[j]
-                        if total < best:
-                            best = total
+                    deps, durs, fifo, n = ttf
+                    tau = key % period
+                    idx = bisect_left(deps, tau)
+                    if fifo:
+                        # Next departure is optimal (arrivals
+                        # non-decreasing).
+                        if idx < n:
+                            t_next = key + deps[idx] - tau + durs[idx]
+                        elif n:
+                            t_next = key + period + deps[0] - tau + durs[0]
+                        else:
+                            # Zero-point function: unreachable via
+                            # build_td_graph (empty legs get no edge)
+                            # but legal for TravelTimeFunction, and
+                            # is_fifo() is True for it — match
+                            # arrival()'s INF_TIME.
+                            t_next = INF
                     else:
-                        for j in range(idx):
-                            wait = period + deps[j] - tau
+                        # Cyclic two-pass scan, cf.
+                        # TravelTimeFunction.arrival.
+                        best = INF
+                        for j in range(idx, n):
+                            wait = deps[j] - tau
                             if wait >= best:
                                 break
                             total = wait + durs[j]
                             if total < best:
                                 best = total
-                    t_next = key + best if best < INF else INF
-            head_item = head * num_local + k
-            if t_next < labels[head_item] and not settled[head_item]:
-                if goal:
-                    priority = t_next + potential[head]
-                    if priority >= INF:
-                        continue  # no way from ``head`` to the target
-                else:
+                        else:
+                            for j in range(idx):
+                                wait = period + deps[j] - tau
+                                if wait >= best:
+                                    break
+                                total = wait + durs[j]
+                                if total < best:
+                                    best = total
+                        t_next = key + best if best < INF else INF
+                head_item = head * num_local + k
+                if t_next < labels[head_item] and not settled[head_item]:
                     priority = t_next
-                if stop_at_target:
-                    anc[head_item] = push_anc
-                labels[head_item] = t_next
-                heappush(heap, priority * size + top - head_item)
+                    if targeted:
+                        if goal:
+                            priority += potential[head]
+                            if priority >= INF:
+                                continue  # no way from ``head`` to the target
+                        if stop_at_target:
+                            anc[head_item] = push_anc
+                    labels[head_item] = t_next
+                    if priority == current:
+                        insort(bucket, head_item)
+                    else:
+                        pending = buckets.get(priority)
+                        if pending is None:
+                            buckets[priority] = [head_item]
+                            heappush(keys, priority)
+                        else:
+                            pending.append(head_item)
 
-    # Every push is popped (the heap drains), live or stale; every live
+    # Every push is popped (the queue drains), live or stale; every live
     # pop set its settled flag.
     stats.settled_connections = settled.count(1)
     stats.queue_pushes = stats.settled_connections + stale

@@ -67,6 +67,40 @@ def reduce_connection_points(
     return deps[mask], arr[mask]
 
 
+def reduced_points_per_row(
+    dep_times: Sequence[int] | np.ndarray, rows: np.ndarray
+) -> list[list[list[int]]]:
+    """Connection reduction of many label rows in one numpy pass.
+
+    ``rows`` is an ``(m, K)`` matrix of raw arrivals (one row per
+    station, columns parallel to ``dep_times``).  Returns, per row, its
+    surviving points as ``[departure, duration]`` lists of Python ints —
+    for every row exactly the points ``reduce_connection_points`` keeps,
+    in the same order: the exclusive suffix minimum along the
+    connection axis, the keep-mask, one ``nonzero`` and one ``tolist``
+    for all rows together instead of a reduction per row.
+    """
+    deps = np.asarray(dep_times, dtype=np.int64)
+    arr = np.asarray(rows, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != deps.shape[0]:
+        raise ValueError(
+            f"expected an (m, {deps.shape[0]}) label matrix, got {arr.shape}"
+        )
+    m, n = arr.shape
+    if n == 0:
+        return [[] for _ in range(m)]
+    # Suffix minimum over arrivals *after* each column (exclusive); the
+    # last column is compared with INF_TIME, which also drops INF rows.
+    after = np.empty_like(arr)
+    after[:, -1] = INF_TIME
+    np.minimum.accumulate(arr[:, :0:-1], axis=1, out=after[:, -2::-1])
+    row_of, col = np.nonzero(arr < after)
+    kept = deps[col]
+    points = np.stack((kept, arr[row_of, col] - kept), axis=1).tolist()
+    ends = np.cumsum(np.bincount(row_of, minlength=m)).tolist()
+    return [points[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
 def is_reduced(arrivals: Sequence[int] | np.ndarray) -> bool:
     """True iff the arrival vector is already reduced (strictly
     increasing and free of ``INF_TIME``)."""

@@ -469,13 +469,17 @@ def encode_profile(
     targets: Sequence[int] | None = None,
 ) -> dict:
     """Encode a one-to-all answer; ``targets`` (from the request)
-    restricts which stations' profiles travel over the wire."""
-    stations = range(num_stations) if targets is None else targets
-    profiles = {
-        str(t): _points(result.profile(t))
-        for t in stations
+    restricts which stations' profiles travel over the wire.  All of
+    them are reduced in one pass over their label rows
+    (:meth:`ProfileResult.connection_points`)."""
+    stations = [
+        t
+        for t in (range(num_stations) if targets is None else targets)
         if t != result.source
-    }
+    ]
+    profiles = dict(
+        zip(map(str, stations), result.connection_points(stations))
+    )
     return {
         "v": PROTOCOL_VERSION,
         "kind": "profile",

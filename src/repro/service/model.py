@@ -244,6 +244,11 @@ class ProfileResult:
         """Reduced profile ``dist(source, station, ·)``."""
         return self.raw.profile(station)
 
+    def connection_points(self, stations: Sequence[int]) -> list[list[list[int]]]:
+        """``[departure, duration]`` points of every station's reduced
+        profile in ``stations``, from one reduction over their rows."""
+        return self.raw.merged.connection_points(stations)
+
     def earliest_arrival(self, station: int, tau: int) -> int:
         if station == self.source:
             return tau

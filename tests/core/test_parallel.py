@@ -5,8 +5,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core.parallel import parallel_profile_search
+from repro.core.merge import merge_thread_results
+from repro.core.parallel import parallel_profile_search, timed_subset_search
 from repro.core.spcs import spcs_profile_search
+from repro.core.spcs_kernel import run_spcs_search
+from repro.graph.td_arrays import packed_arrays
 
 
 class TestCorrectness:
@@ -115,3 +118,51 @@ class TestAccounting:
         # Tie-breaking noise can shave individual settles; the count must
         # never *drop* noticeably.
         assert multi.stats.settled_connections >= 0.95 * single.stats.settled_connections
+
+
+class TestStationRows:
+    """The driver keeps the station rows of every subset's labels — a
+    profile reads nothing else — whichever kernel ran it, however many
+    subsets there are, empty ones included."""
+
+    @pytest.mark.parametrize("kernel", ["python", "flat"])
+    def test_a_subset_search_returns_its_station_rows(self, oahu_tiny_graph, kernel):
+        graph = oahu_tiny_graph
+        arrays = packed_arrays(graph) if kernel == "flat" else None
+        n = graph.num_stations
+        num_conns = len(graph.timetable.outgoing_connections(0))
+        for subset in ([], list(range(1, num_conns, 2)), list(range(num_conns))):
+            result, _ = timed_subset_search(
+                graph, arrays, 0, subset, self_pruning=True, queue="binary"
+            )
+            assert result.labels.shape == (n, len(subset))
+            # A copy of its own: the run's node rows are not kept alive.
+            assert result.labels.base is None
+            assert result.labels.flags.c_contiguous
+            whole = run_spcs_search(graph, arrays, 0, connection_subset=subset)
+            assert whole.labels.shape[0] == graph.num_nodes > n
+            assert np.array_equal(result.labels, whole.labels[:n])
+
+    @pytest.mark.parametrize("kernel", ["python", "flat"])
+    def test_every_profile_result_has_one_shape(self, oahu_tiny_graph, kernel):
+        graph = oahu_tiny_graph
+        n = graph.num_stations
+        num_conns = len(graph.timetable.outgoing_connections(0))
+        single = spcs_profile_search(graph, 0)
+        for p in (1, 2, num_conns + 3):  # the last has empty subsets
+            result = parallel_profile_search(graph, 0, p, kernel=kernel)
+            assert result.merged.labels.shape == (n, num_conns)
+            assert [r.labels.shape[0] for r in result.thread_results] == [n] * p
+            for station in range(n):
+                assert result.profile(station) == single.profile(station)
+
+    def test_the_merge_refuses_mixed_row_counts(self, oahu_tiny_graph):
+        graph = oahu_tiny_graph
+        arrays = packed_arrays(graph)
+        trimmed, _ = timed_subset_search(
+            graph, arrays, 0, [0], self_pruning=True, queue="binary"
+        )
+        whole = run_spcs_search(graph, arrays, 0, connection_subset=[1])
+        num_conns = len(graph.timetable.outgoing_connections(0))
+        with pytest.raises(ValueError, match="disagree on the graph"):
+            merge_thread_results([trimmed, whole], num_conns)

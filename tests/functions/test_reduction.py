@@ -9,6 +9,7 @@ from repro.functions.piecewise import INF_TIME
 from repro.functions.reduction import (
     is_reduced,
     reduce_connection_points,
+    reduced_points_per_row,
     reduction_mask,
 )
 
@@ -120,3 +121,59 @@ class TestIsReduced:
         deps = list(range(len(arrivals)))
         _deps, arrs = reduce_connection_points(deps, np.maximum(arrivals, deps))
         assert is_reduced(arrs)
+
+
+@st.composite
+def label_matrices(draw):
+    """``(deps, rows)``: non-decreasing departures with ties, and rows of
+    arrivals drawn from a narrow range (ties again) or ``INF_TIME`` —
+    all-INF rows, K = 0 and K = 1 included."""
+    k = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 5))
+    deps = sorted(draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)))
+    arrival = st.integers(0, 12) | st.just(INF_TIME)
+    rows = draw(
+        st.lists(
+            st.lists(arrival, min_size=k, max_size=k)
+            | st.just([INF_TIME] * k),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    return deps, np.asarray(rows, dtype=np.int64).reshape(m, k)
+
+
+class TestReducedPointsPerRow:
+    @given(label_matrices())
+    def test_every_row_reduces_as_on_its_own(self, matrix):
+        deps, rows = matrix
+        expected = []
+        for row in rows:
+            kept_deps, kept_arrs = reduce_connection_points(deps, row)
+            expected.append(
+                [[d, a - d] for d, a in zip(kept_deps.tolist(), kept_arrs.tolist())]
+            )
+        got = reduced_points_per_row(deps, rows)
+        assert got == expected
+        assert all(type(x) is int for row in got for point in row for x in point)
+
+    def test_ties_and_infinity(self):
+        rows = np.array(
+            [[100, 100, 90], [INF_TIME] * 3, [50, INF_TIME, 60]], dtype=np.int64
+        )
+        assert reduced_points_per_row([10, 20, 20], rows) == [
+            [[20, 70]],
+            [],
+            [[10, 40], [20, 40]],
+        ]
+
+    def test_no_connections(self):
+        assert reduced_points_per_row([], np.zeros((3, 0), dtype=np.int64)) == [
+            [],
+            [],
+            [],
+        ]
+
+    def test_rejects_non_parallel_matrix(self):
+        with pytest.raises(ValueError, match="label matrix"):
+            reduced_points_per_row([1, 2], np.zeros((2, 3), dtype=np.int64))

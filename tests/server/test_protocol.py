@@ -10,14 +10,18 @@ import pytest
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
+    encode_batch,
+    encode_batch_stats,
     encode_journey,
     encode_profile,
+    encode_query_stats,
     parse_batch_request,
     parse_delay_request,
     parse_journey_request,
     parse_profile_request,
 )
 from repro.service import (
+    BatchRequest,
     JourneyRequest,
     ProfileRequest,
     ServiceConfig,
@@ -295,3 +299,63 @@ class TestEncoding:
         part = encode_profile(result, num_stations=12, targets=(5,))
         assert list(part["profiles"]) == ["5"]
         assert part["profiles"]["5"] == full["profiles"]["5"]
+
+
+def _per_station_profile(result, num_stations, targets=None) -> dict:
+    """A profile answer rendered one reduced ``Profile`` per station —
+    the oracle of ``encode_profile``'s one-pass reduction."""
+    stations = range(num_stations) if targets is None else targets
+    return {
+        "v": PROTOCOL_VERSION,
+        "kind": "profile",
+        "source": result.source,
+        "profiles": {
+            str(t): [list(point) for point in result.profile(t).connection_points()]
+            for t in stations
+            if t != result.source
+        },
+        "stats": encode_query_stats(result.stats),
+    }
+
+
+class TestProfileEncodingBytes:
+    """The wire bytes of a profile answer are those of the per-station
+    rendering, for every station and for any ``targets`` list."""
+
+    @pytest.fixture(scope="class")
+    def service(self, oahu_tiny):
+        return TransitService(oahu_tiny, ServiceConfig())
+
+    @pytest.mark.parametrize("num_threads", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "targets",
+        [None, (0, 5, 3), (3, 3, 9, 3), (11, 2, 7, 0, 1), ()],
+        ids=["all", "with-source", "repeats", "unsorted", "none"],
+    )
+    def test_profile(self, service, targets, num_threads):
+        n = service.timetable.num_stations
+        for source in (0, 3, 7):
+            result = service.profile(ProfileRequest(source, num_threads))
+            got = encode_profile(result, num_stations=n, targets=targets)
+            want = _per_station_profile(result, n, targets)
+            assert json.dumps(got) == json.dumps(want)
+
+    def test_batch_profile_items(self, service):
+        n = service.timetable.num_stations
+        response = service.batch(
+            BatchRequest(
+                journeys=(JourneyRequest(0, 5),),
+                profiles=(ProfileRequest(3), ProfileRequest(8, num_threads=2)),
+            )
+        )
+        want = {
+            "v": PROTOCOL_VERSION,
+            "kind": "batch",
+            "journeys": [encode_journey(j) for j in response.journeys],
+            "profiles": [
+                _per_station_profile(p, n) for p in response.profiles
+            ],
+            "stats": encode_batch_stats(response.stats),
+        }
+        got = encode_batch(response, num_stations=n)
+        assert json.dumps(got) == json.dumps(want)

@@ -13,17 +13,24 @@ them, what a dead one costs, and what ``/metrics`` still counts.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import threading
 
+import numpy as np
 import pytest
 
 from repro.client import HttpBackend, LocalBackend, RetryPolicy
 from repro.core.fanout import usable_cores
 from repro.server import DatasetRegistry
-from repro.server.protocol import encode_batch, encode_journey
-from repro.service import ProfileRequest, ServiceConfig, TransitService
+from repro.server.protocol import encode_batch, encode_journey, encode_profile
+from repro.service import (
+    BatchRequest,
+    ProfileRequest,
+    ServiceConfig,
+    TransitService,
+)
 from repro.timetable.delays import Delay
 
 from tests.client.test_transport_parity import scrubbed
@@ -112,6 +119,39 @@ def test_every_search_of_every_shape_runs_in_a_worker(
         assert served.cache_stats.misses == len(CALLS)
     finally:
         harness.close()
+
+
+def test_a_profile_crosses_the_pipe_as_station_rows(oahu_tiny):
+    """Each subset's search sends back its station rows only, so a
+    profile from the search workers — asked alone or as a batch item —
+    is the in-process answer label for label and byte for byte on the
+    wire, and what the result cache keeps is ``num_stations ×
+    |conn(S)|``."""
+    config = ServiceConfig(num_threads=2)
+    local = TransitService(oahu_tiny, config)
+    served = TransitService(oahu_tiny, config)
+    served.start_workers(2)
+    n = oahu_tiny.num_stations
+    try:
+        for source in (0, 3, 8):
+            request = ProfileRequest(source, num_threads=2)
+            want = local.profile(request)
+            got = served.profile(request)
+            (item,) = served.batch(BatchRequest(profiles=(request,))).profiles
+            shape = (n, want.raw.merged.conn_deps.size)
+            for result in (want, got, item, served._result_cache.peek(request)):
+                assert result.raw.merged.labels.shape == shape
+                assert np.array_equal(
+                    result.raw.merged.labels, want.raw.merged.labels
+                )
+                assert result.stats.settled_connections == (
+                    want.stats.settled_connections
+                )
+                assert json.dumps(
+                    encode_profile(result, num_stations=n)["profiles"]
+                ) == json.dumps(encode_profile(want, num_stations=n)["profiles"])
+    finally:
+        served.stop_workers()
 
 
 def test_result_cache_counts_one_hit_or_miss_per_request(harness):
