@@ -7,9 +7,10 @@ layer.  ``arrival[u][k]`` is the earliest arrival at ``u`` using at most
 ``k`` transfers, and every label keeps the label it was relaxed from,
 so :meth:`~repro.core.multicriteria.McTimeQueryResult.path_to` walks
 the journey behind it.  Exponential in nothing, just ``K+1`` layers —
-used by tests to validate the multi-criteria SPCS Pareto fronts, as the
-oracle of its flat twin :func:`repro.core.multicriteria.mc_time_search`,
-and run by ``kernel="python"`` services for the departure-time shapes.
+one, and no bound, for ``max_transfers=None`` — used by tests to
+validate the multi-criteria SPCS Pareto fronts, as the oracle of its
+flat twin :func:`repro.core.multicriteria.mc_time_search`, and run by
+``kernel="python"`` services for every departure-time shape.
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ def mc_time_query(
     source: int,
     departure: int,
     *,
-    max_transfers: int = 5,
+    max_transfers: int | None = 5,
 ) -> McTimeQueryResult:
-    """Run the layered transfer-bounded time-query."""
+    """Run the layered transfer-bounded time-query; with
+    ``max_transfers=None``, the unbounded one in a single layer."""
     if not graph.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
-    if max_transfers < 0:
+    if max_transfers is not None and max_transfers < 0:
         raise ValueError(f"max_transfers must be ≥ 0, got {max_transfers}")
 
-    layers = max_transfers + 1
+    bounded = max_transfers is not None
+    layers = max_transfers + 1 if bounded else 1
     num_nodes = graph.num_nodes
     arrival = [[INF_TIME] * layers for _ in range(num_nodes)]
     # parent[u * layers + k]: the label (v, j), as v * layers + j, whose
@@ -60,7 +63,9 @@ def mc_time_query(
         settled += 1
         for edge in adjacency[node]:
             t_next = edge.arrival(key)
-            is_boarding = edge.ttf is None and graph.is_station_node(node)
+            is_boarding = (
+                bounded and edge.ttf is None and graph.is_station_node(node)
+            )
             k_next = k + 1 if is_boarding else k
             if k_next >= layers:
                 continue

@@ -7,7 +7,9 @@ are absolute arrival times.
 Used (a) as the ground truth profile searches are verified against at
 every departure anchor, and (b) as the degenerate endpoint of the
 parallelization argument (§3.2: with one thread per connection, SPCS
-becomes |conn(S)| independent time-queries).
+becomes |conn(S)| independent time-queries).  No served shape runs it:
+their dated answers and legs come from the transfer-layered time query
+(:func:`repro.core.multicriteria.mc_time_search`).
 
 Departure semantics match SPCS: the journey starts at station ``S`` at
 time ``τ`` and may board any connection departing at or after ``τ``
@@ -36,30 +38,10 @@ class TimeQueryResult:
     departure: int
     arrival: list[int]
     settled: int
-    #: Predecessor node per node (``-1`` = unreached or the source);
-    #: populated only when the query ran with ``track_parents=True``.
-    parent: list[int] | None = None
 
     def arrival_at_station(self, station: int) -> int:
         """Earliest arrival at a station node."""
         return self.arrival[station]
-
-    def path_to(self, node: int) -> list[int]:
-        """Node path source → ``node`` (needs ``track_parents=True``).
-
-        Valid for any settled node — in particular for the ``target``
-        of a targeted query.  Raises if parents were not tracked or the
-        node is unreachable.
-        """
-        if self.parent is None:
-            raise ValueError("time_query ran without track_parents=True")
-        if self.arrival[node] >= INF_TIME:
-            raise ValueError(f"node {node} is unreachable")
-        path = [node]
-        while path[-1] != self.source:
-            path.append(self.parent[path[-1]])
-        path.reverse()
-        return path
 
     def travel_time(self, station: int) -> int:
         arrival = self.arrival[station]
@@ -73,16 +55,12 @@ def time_query(
     *,
     target: int | None = None,
     queue: str = "binary",
-    track_parents: bool = False,
 ) -> TimeQueryResult:
     """Run a time-query from station ``source`` at time ``departure``.
 
     ``target``: optional station for early termination (stop once the
     target station node is settled).  ``queue`` selects the priority
-    queue implementation (see :mod:`repro.pq`).  ``track_parents``
-    records the predecessor of each node's best tentative label so the
-    shortest-path *tree* can be walked afterwards (used by the service
-    layer's journey-leg reconstruction, :mod:`repro.service.journeys`).
+    queue implementation (see :mod:`repro.pq`).
     """
     if not graph.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
@@ -93,15 +71,6 @@ def time_query(
     adjacency = graph.adjacency
     pq = QUEUE_FACTORIES[queue]()
     settled = 0
-    # Parent pointers follow the best *tentative* label; every node on
-    # a backtracked path settled before its successor, so the chain is
-    # final wherever arrival[] is.
-    parent: list[int] | None = None
-    tentative: list[int] | None = None
-    if track_parents:
-        parent = [-1] * graph.num_nodes
-        tentative = [INF_TIME] * graph.num_nodes
-        tentative[source] = departure
 
     # Seed: we are physically at the source at `departure`; boarding the
     # first train costs no transfer time, so seed the departing route
@@ -110,9 +79,6 @@ def time_query(
     for edge in adjacency[source]:
         # Source boarding edges lead to route nodes; skip the T(S) cost.
         pq.push(edge.target, departure)
-        if parent is not None and departure < tentative[edge.target]:
-            tentative[edge.target] = departure
-            parent[edge.target] = source
 
     while pq:
         node, key = pq.pop()
@@ -126,14 +92,10 @@ def time_query(
             t_next = edge.arrival(key)
             if t_next < arrival[edge.target]:
                 pq.push(edge.target, t_next)
-                if parent is not None and t_next < tentative[edge.target]:
-                    tentative[edge.target] = t_next
-                    parent[edge.target] = node
 
     return TimeQueryResult(
         source=source,
         departure=departure,
         arrival=arrival,
         settled=settled,
-        parent=parent,
     )

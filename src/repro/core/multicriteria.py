@@ -38,7 +38,9 @@ the label it was relaxed from, so :meth:`McTimeQueryResult.path_to`
 reads off the journey behind any (station, k) arrival — as RAPTOR reads
 a journey off the round that found it (Delling, Pajor & Werneck,
 ALENEX 2012) — and a served answer takes its legs from the search it
-already ran.
+already ran.  With ``max_transfers=None`` either search has one layer
+that boarding edges stay in: the single-criterion §2 time query, which
+the dated ``journey`` and both hops of ``via`` read.
 """
 
 from __future__ import annotations
@@ -75,19 +77,25 @@ class McTimeQueryResult:
 
     source: int
     departure: int
-    max_transfers: int
+    #: The transfer budget; ``None``: unbounded, one layer (k = 0 holds
+    #: the earliest arrival whatever the transfers).
+    max_transfers: int | None
     #: arrival[u][k] — earliest arrival at u with ≤ k transfers.
     arrival: list[list[int]]
     #: Queue extractions that were not stale (the work measure).
     settled: int
-    #: parent[u * L + k] (L = max_transfers + 1): the label ``(v, j)``
-    #: as ``v * L + j`` whose relaxation wrote ``arrival[u][k]``; ``-1``
-    #: for the source's labels and for labels never written.
+    #: parent[u * L + k] (L layers): the label ``(v, j)`` as ``v * L +
+    #: j`` whose relaxation wrote ``arrival[u][k]``; ``-1`` for the
+    #: source's labels and for labels never written.
     parent: list[int]
 
+    @property
+    def top_layer(self) -> int:
+        """The highest layer: the budget, 0 for an unbounded search."""
+        return 0 if self.max_transfers is None else self.max_transfers
+
     def arrival_at_station(self, station: int, max_transfers: int) -> int:
-        k = min(max_transfers, self.max_transfers)
-        return self.arrival[station][k]
+        return self.arrival[station][min(max_transfers, self.top_layer)]
 
     def pareto_front(self, station: int) -> list[tuple[int, int]]:
         """Non-dominated (transfers, arrival) pairs at a station."""
@@ -105,8 +113,8 @@ class McTimeQueryResult:
         search's budget) as ``(node, arrival)`` pairs, from ``(source,
         departure)`` on: the chain of parent labels.  Raises if ``node``
         is unreachable with that many transfers."""
-        layers = self.max_transfers + 1
-        k = min(max_transfers, self.max_transfers)
+        layers = self.top_layer + 1
+        k = min(max_transfers, self.top_layer)
         if self.arrival[node][k] >= INF_TIME:
             raise ValueError(f"node {node} is unreachable with ≤ {k} transfers")
         path = []
@@ -124,23 +132,26 @@ def mc_time_search(
     source: int,
     departure: int,
     *,
-    max_transfers: int = 5,
+    max_transfers: int | None = 5,
 ) -> McTimeQueryResult:
     """Earliest arrival per (node, k ≤ ``max_transfers`` transfers) when
     leaving station ``source`` at ``departure``: the flat-array twin of
     :func:`~repro.baselines.mc_time_query.mc_time_query`, whose arrivals
-    it equals for every input.
+    it equals for every input.  ``max_transfers=None`` is one layer and
+    no bound: the earliest arrival per node.
 
     ``departure`` is absolute (any day).  The first boarding at the
     source is free of transfer time and count, as in every search here.
     """
     if not arrays.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
-    if max_transfers < 0:
+    if max_transfers is not None and max_transfers < 0:
         raise ValueError(f"max_transfers must be ≥ 0, got {max_transfers}")
 
-    layers = max_transfers + 1
-    num_stations = arrays.num_stations
+    layers = 1 if max_transfers is None else max_transfers + 1
+    # Boarding edges leave the station nodes, ids below num_stations;
+    # unbounded, they stay in the one layer like every other edge.
+    num_stations = 0 if max_transfers is None else arrays.num_stations
     period = arrays.period
     size = arrays.num_nodes * layers
     INF = INF_TIME

@@ -11,8 +11,8 @@ star — the seam every scaling feature plugs into).
   :class:`BatchRequest`) and responses (:class:`ProfileResult`,
   :class:`JourneyResult`, :class:`BatchResponse`, :class:`QueryStats`,
   :class:`JourneyLeg`).
-* :mod:`repro.service.journeys` — leg reconstruction for concrete
-  departure times.
+* :mod:`repro.service.journeys` — a searched node path cut into
+  journey legs.
 * :mod:`repro.service.cache` — the per-service LRU result cache
   (:class:`LRUResultCache`, :class:`CacheStats`).
 * :mod:`repro.service.facade` — :class:`TransitService` itself,
@@ -28,7 +28,6 @@ from repro.service.config import (
     ServiceConfig,
 )
 from repro.service.facade import TransitService
-from repro.service.journeys import reconstruct_legs
 from repro.service.model import (
     BatchRequest,
     BatchResponse,
@@ -59,7 +58,6 @@ __all__ = [
     "CacheStats",
     "LRUResultCache",
     "TransitService",
-    "reconstruct_legs",
     "BatchRequest",
     "BatchResponse",
     "JourneyLeg",

@@ -58,7 +58,7 @@ from repro.query.distance_table import DistanceTable
 from repro.query.table_query import StationToStationEngine
 from repro.service.cache import CacheStats, LRUResultCache
 from repro.service.config import RUNTIME_FIELDS, ServiceConfig
-from repro.service.journeys import legs_along, reconstruct_legs
+from repro.service.journeys import legs_along
 from repro.service.model import (
     DEFAULT_MAX_TRANSFERS,
     BatchRequest,
@@ -99,14 +99,15 @@ from repro.timetable.types import Timetable
 @dataclass(frozen=True, slots=True)
 class _McSearchKey:
     """Internal result-cache key for one shared fixed-departure
-    multi-criteria search: every multicriteria / min-transfers request
-    for the same (source, departure, budget) — whatever its target —
-    reads the same :class:`~repro.core.multicriteria.McTimeQueryResult`.
+    search: every multicriteria / min-transfers request for the same
+    (source, departure, budget) — whatever its target — reads the same
+    :class:`~repro.core.multicriteria.McTimeQueryResult`, and so does
+    every dated journey and via hop (budget ``None``).
     """
 
     source: int
     departure: int
-    max_transfers: int
+    max_transfers: int | None
 
 
 def _mark_cache_hit(result):
@@ -346,8 +347,8 @@ class TransitService:
         # A worker's first act.  The parent's cache comes with a lock
         # some other thread may have held during the fork, and nothing
         # put here would ever be seen there: the worker gets a cache of
-        # its own — where the multi-criteria search that multicriteria
-        # and min-transfers share lives.
+        # its own — where the fixed-departure searches the dated shapes
+        # share live.
         self._result_cache = LRUResultCache(self.config.result_cache_size)
 
     def _answer(self, req, compute: str, *, here: bool = False):
@@ -438,10 +439,10 @@ class TransitService:
         """Answer a :class:`ViaRequest` (or raw arguments): two chained
         earliest-arrival journeys, source → via → target.
 
-        Each hop is the time query a dated :meth:`journey` runs for its
-        legs (:func:`~repro.service.journeys.reconstruct_legs`), so
-        arrivals and legs are by construction those of the two chained
-        station-to-station queries the parity oracle runs — without the
+        Each hop reads the search a dated :meth:`journey` reads for its
+        legs — the time query at one layer, shared through the same
+        memo — so arrivals are by construction those of the two chained
+        station-to-station queries the parity oracle runs, without the
         whole-day profile searches such a journey also makes.
         """
         return self._answer(
@@ -627,7 +628,7 @@ class TransitService:
         legs = None
         arrival = None
         if req.departure is not None:
-            legs, arrival, _ = self._recon_legs(
+            legs, arrival, _ = self._earliest(
                 req.source, req.target, req.departure
             )
         return JourneyResult(
@@ -640,13 +641,18 @@ class TransitService:
             legs=legs,
         )
 
-    def _mc_search(self, source: int, departure: int, max_transfers: int):
-        """The shared fixed-departure multi-criteria search, memoized in
-        the result cache under :class:`_McSearchKey` — so a traveller's
-        multicriteria and min-transfers requests pay one search.  Like
-        the SPCS paths it runs the flat loop on the dataset's packed
-        arrays (slice-patched after a delay swap) when ``kernel="flat"``
-        packed them, else its object-graph twin.
+    def _mc_search(
+        self, source: int, departure: int, max_transfers: int | None
+    ):
+        """The shared fixed-departure search, memoized in the result
+        cache under :class:`_McSearchKey` — so a traveller's
+        multicriteria and min-transfers requests pay one search, and
+        dated journeys and via hops (``max_transfers=None``: one layer)
+        from the same source and departure another.  Like the SPCS
+        paths it runs the flat loop on the dataset's packed arrays
+        (slice-patched after a delay swap) when ``kernel="flat"`` packed
+        them, else its object-graph twin.  One-to-all, so the memo
+        serves every target.
         """
         key = _McSearchKey(source, departure, max_transfers)
         raw = self._result_cache.get(key)
@@ -733,28 +739,19 @@ class TransitService:
 
     def _run_via(self, req: ViaRequest) -> ViaResult:
         t0 = time.perf_counter()
-        legs_first, via_arrival, settled = self._recon_legs(
+        legs_first, via_arrival, settled = self._earliest(
             req.source, req.via, req.departure
         )
         if via_arrival >= INF_TIME:
             arrival = INF_TIME
             legs = None
         else:
-            legs_second, arrival, more = self._recon_legs(
+            legs_second, arrival, more = self._earliest(
                 req.via, req.target, via_arrival
             )
             settled += more
             legs = None if legs_second is None else legs_first + legs_second
         total = time.perf_counter() - t0
-        # Two §2 time queries over the object graph, one after the other.
-        stats = QueryStats(
-            kind="via",
-            kernel="python",
-            num_threads=1,
-            settled_connections=settled,
-            simulated_seconds=total,
-            total_seconds=total,
-        )
         return ViaResult(
             source=req.source,
             via=req.via,
@@ -762,12 +759,12 @@ class TransitService:
             departure=req.departure,
             via_arrival=via_arrival,
             arrival=arrival,
-            stats=stats,
+            stats=self._mc_stats("via", settled, total),
             legs=legs,
         )
 
     def _mc_stats(self, kind: str, settled: int, total: float) -> QueryStats:
-        # The multi-criteria engine is the sequential fixed-departure
+        # The departure-time shapes read the sequential fixed-departure
         # search: it follows the service's kernel (the same test as
         # _mc_search) but has no parallel driver — accounted as one
         # thread whatever the service's journey configuration.
@@ -780,11 +777,17 @@ class TransitService:
             total_seconds=total,
         )
 
-    def _recon_legs(self, source: int, target: int, departure: int):
-        return reconstruct_legs(
-            self.prepared.graph,
-            source,
-            target,
-            departure,
-            queue=self.config.queue,
-        )
+    def _earliest(self, source: int, target: int, departure: int):
+        """``(legs, arrival, settled)`` of the earliest journey, read off
+        the shared search at one layer; ``settled`` is that search's
+        work, memo hit or not (0 when nothing ran).  ``legs`` is
+        ``None`` when the target is unreachable (``arrival`` is then
+        :data:`INF_TIME`), an empty tuple when ``source == target``."""
+        if source == target:
+            return (), departure, 0
+        raw = self._mc_search(source, departure, None)
+        arrival = raw.arrival[target][0]
+        if arrival >= INF_TIME:
+            return None, INF_TIME, raw.settled
+        legs = legs_along(self.prepared.graph, raw.path_to(target, 0))
+        return legs, arrival, raw.settled

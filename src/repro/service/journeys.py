@@ -1,14 +1,13 @@
 """Journey legs: a node path collapsed into station-level legs.
 
 Profile searches return travel-time *functions*, not itineraries: the
-label matrices hold arrival times, no parent pointers.  For an actual
-journey at a concrete departure time the facade runs the paper's §2
-time-query (:func:`repro.baselines.time_query.time_query` — the
-implementation every profile search is verified against at each
-departure anchor) with parent tracking (:func:`reconstruct_legs`).  The
-transfer-layered time queries of ``multicriteria`` / ``min_transfers``
-record parents themselves
-(:meth:`~repro.core.multicriteria.McTimeQueryResult.path_to`).  Either
+label matrices hold arrival times, no parent pointers.  Every answer
+with a concrete departure time — a dated ``journey``, each hop of
+``via``, ``multicriteria`` and ``min_transfers`` — is read off the
+transfer-layered §2 time query the facade runs at that departure
+(:func:`repro.core.multicriteria.mc_time_search`, or its oracle on a
+``python`` service), which records a parent per label
+(:meth:`~repro.core.multicriteria.McTimeQueryResult.path_to`).  That
 node path — station and route nodes of the realistic model — becomes
 legs in :func:`legs_along`.
 
@@ -21,44 +20,8 @@ transfer time are part of the leg and consecutive legs chain:
 
 from __future__ import annotations
 
-from repro.baselines.time_query import time_query
-from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import TDGraph
 from repro.service.model import JourneyLeg
-
-
-def reconstruct_legs(
-    graph: TDGraph,
-    source: int,
-    target: int,
-    departure: int,
-    *,
-    queue: str = "binary",
-) -> tuple[tuple[JourneyLeg, ...] | None, int, int]:
-    """Return ``(legs, arrival, settled)`` for the earliest journey;
-    ``settled`` is the time query's work (0 when nothing ran).
-
-    ``legs`` is ``None`` when the target is unreachable (``arrival``
-    is then :data:`INF_TIME`); an empty tuple when ``source ==
-    target``.
-    """
-    if source == target:
-        return (), departure, 0
-
-    result = time_query(
-        graph,
-        source,
-        departure,
-        target=target,
-        queue=queue,
-        track_parents=True,
-    )
-    if result.arrival[target] >= INF_TIME:
-        return None, INF_TIME, result.settled
-
-    arrival = result.arrival
-    path = [(node, arrival[node]) for node in result.path_to(target)]
-    return legs_along(graph, path), arrival[target], result.settled
 
 
 def legs_along(

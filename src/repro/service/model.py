@@ -12,10 +12,10 @@ The correspondence with the underlying engines:
 request                      engine path
 ===========================  ==============================================
 :class:`ProfileRequest`      :func:`~repro.core.parallel.parallel_profile_search`
-:class:`JourneyRequest`      :meth:`~repro.query.table_query.StationToStationEngine.query`
+:class:`JourneyRequest`      :meth:`~repro.query.table_query.StationToStationEngine.query`; with a departure, legs from the time query (below) at one layer
 :class:`BatchRequest`        the two paths above, per item (one search worker job each)
 :class:`MulticriteriaRequest`  a transfer-layered time query at the departure (below)
-:class:`ViaRequest`          two chained §2 time queries (:func:`~repro.service.journeys.reconstruct_legs`)
+:class:`ViaRequest`          two chained time queries at one layer, as a dated journey's legs
 :class:`MinTransfersRequest`   the same shared search, head of its front
 ===========================  ==============================================
 
@@ -23,7 +23,8 @@ The transfer-layered time query is
 :func:`~repro.core.multicriteria.mc_time_search` over the packed
 arrays on a ``kernel="flat"`` service and
 :func:`~repro.baselines.mc_time_query.mc_time_query` over the object
-graph on a ``"python"`` one.
+graph on a ``"python"`` one; with no transfer bound it has one layer
+and is the single-criterion §2 time query.
 """
 
 from __future__ import annotations

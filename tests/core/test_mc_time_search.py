@@ -18,6 +18,11 @@ one: a path of graph edges from the source at the departure whose
 times are those edges' arrivals, and whose legs chain, end at the
 label's arrival and use at most ``k`` transfers.
 
+With no budget (``max_transfers=None``, the search a dated ``journey``
+and ``via`` read) both loops must be the single-criterion time query
+:func:`repro.baselines.time_query.time_query`, node for node, and their
+parent walks journeys all the same.
+
 Inputs are the adversarial timetables of ``tests.strategies`` (wrap,
 zero transfer times, duplicate and overtaking trains), departures on
 both sides of the period boundary and every budget from 0 to 5.
@@ -30,6 +35,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.mc_time_query import mc_time_query
+from repro.baselines.time_query import time_query
 from repro.core.multicriteria import mc_profile_search, mc_time_search
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_arrays import pack_td_graph
@@ -82,10 +88,11 @@ def test_matches_layered_dijkstra_and_the_profile_search(
 
 def _assert_walks_are_journeys(graph, result) -> None:
     """Every finite (station, k) label's parent walk is a journey that
-    realises it (module doc)."""
+    realises it (module doc); an unbounded search's one layer bounds no
+    transfers."""
     source, departure = result.source, result.departure
     for station in range(graph.num_stations):
-        for k in range(result.max_transfers + 1):
+        for k in range(result.top_layer + 1):
             arrival = result.arrival[station][k]
             if arrival >= INF_TIME:
                 continue
@@ -115,7 +122,8 @@ def _assert_walks_are_journeys(graph, result) -> None:
                 (u, t) for u, t in path[1:] if graph.is_station_node(u)
             ] == [(leg.to_station, leg.arrival) for leg in legs]
             assert legs[-1].arrival == arrival
-            assert len(legs) - 1 <= k, (station, k, legs)
+            if result.max_transfers is not None:
+                assert len(legs) - 1 <= k, (station, k, legs)
 
 
 @settings(
@@ -143,6 +151,63 @@ def test_parent_walks_are_journeys(timetable, max_transfers, flat, data):
                 graph, source, departure, max_transfers=max_transfers
             )
         _assert_walks_are_journeys(graph, result)
+
+
+@settings(
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(timetable=adversarial_timetables(), data=st.data())
+def test_unbounded_is_the_time_query(timetable, data):
+    """``max_transfers=None`` — what a dated journey and each via hop
+    read — is one layer in which a boarding edge stays: both loops give
+    the single-criterion §2 time query's arrival at every node, and
+    every finite label walks back along a journey that realises it."""
+    graph = build_td_graph(timetable)
+    arrays = pack_td_graph(graph)
+    source = data.draw(st.integers(0, graph.num_stations - 1))
+    for departure in _departures(timetable.period):
+        truth = time_query(graph, source, departure).arrival
+        for result in (
+            mc_time_search(arrays, source, departure, max_transfers=None),
+            mc_time_query(graph, source, departure, max_transfers=None),
+        ):
+            assert result.top_layer == 0
+            assert [labels[0] for labels in result.arrival] == truth, (
+                source, departure,
+            )
+            assert [
+                result.arrival_at_station(station, 3)
+                for station in range(graph.num_stations)
+            ] == truth[: graph.num_stations]
+            _assert_walks_are_journeys(graph, result)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda graph, budget: mc_time_search(
+            pack_td_graph(graph), 0, 480, max_transfers=budget
+        ),
+        lambda graph, budget: mc_time_query(
+            graph, 0, 480, max_transfers=budget
+        ),
+    ],
+    ids=["flat", "oracle"],
+)
+def test_unbounded_toy_takes_the_earliest_journey(toy_graph, search):
+    """On the toy network the one-transfer journey via C (09:10) beats
+    the direct train (09:30) with no budget to stop it, and its legs
+    are read off layer 0 whatever budget is asked."""
+    result = search(toy_graph, None)
+    assert result.arrival_at_station(3, 0) == 550
+    assert [
+        (u, t) for u, t in result.path_to(3, 5)
+        if toy_graph.is_station_node(u)
+    ] == [(0, 480), (2, 510), (3, 550)]
+    with pytest.raises(ValueError, match="max_transfers"):
+        search(toy_graph, -1)
 
 
 @pytest.mark.parametrize(

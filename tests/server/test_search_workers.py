@@ -87,8 +87,9 @@ CALLS = (
 def test_every_search_of_every_shape_runs_in_a_worker(
     oahu_tiny, monkeypatch, with_table
 ):
-    """Once the server is up, every kernel and the leg reconstruction
-    are poisoned *in this process*: the workers, forked before, still
+    """Once the server is up, every search — the SPCS kernel and the
+    fixed-departure search every dated answer and its legs come from —
+    is poisoned *in this process*: the workers, forked before, still
     have them.  All six shapes are answered, and as an in-process
     backend answered them before the poison."""
     config = ServiceConfig(
@@ -106,7 +107,6 @@ def test_every_search_of_every_shape_runs_in_a_worker(
         monkeypatch.setattr("repro.core.spcs_kernel.spcs_kernel_search", poisoned)
         monkeypatch.setattr("repro.service.facade.mc_time_search", poisoned)
         monkeypatch.setattr("repro.service.facade.mc_time_query", poisoned)
-        monkeypatch.setattr("repro.service.facade.reconstruct_legs", poisoned)
         with pytest.raises(AssertionError, match="in the server process"):
             TransitService(oahu_tiny, config).journey(0, 5)  # it is live
         with HttpBackend(

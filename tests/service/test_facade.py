@@ -21,11 +21,16 @@ import numpy as np
 import pytest
 
 import repro.service.prepare as prepare_mod
+from repro.baselines.mc_time_query import mc_time_query
+from repro.baselines.time_query import time_query
+from repro.client import LocalBackend
 from repro.core.fanout import ForkPool, WorkerLost
+from repro.core.multicriteria import mc_time_search
 from repro.core.parallel import parallel_profile_search
 from repro.graph.station_graph import build_station_graph
 from repro.graph.td_arrays import pack_td_graph
 from repro.graph.td_model import build_td_graph
+from repro.pq import QUEUE_FACTORIES
 from repro.query.distance_table import build_distance_table
 from repro.query.table_query import StationToStationEngine
 from repro.query.transfer_selection import select_transfer_stations
@@ -37,7 +42,9 @@ from repro.service import (
 )
 from repro.synthetic.workloads import random_station_pairs
 
+from tests.client.test_transport_parity import scrubbed
 from tests.helpers import random_line_timetable
+from tests.server.test_search_workers import CALLS
 
 KERNELS = ("python", "flat")
 
@@ -419,25 +426,20 @@ def test_multicriteria_shapes_follow_and_report_the_kernel(
     search — the flat loop over ``prepared.arrays`` on a ``flat``
     service, its object-graph twin on a ``python`` one — once per
     (source, departure, budget) and nothing else: their legs come from
-    that search's parents, not from a time query of their own.  Their
-    stats name the kernel that ran."""
+    that search's parents, not from a time query of their own.  A dated
+    journey and a via read the same search with no budget, one layer,
+    shared the same way.  Their stats name the kernel that ran."""
     import repro.service.facade as facade_mod
-    import repro.service.journeys as journeys_mod
 
     calls = []
-    for module, name in (
-        (facade_mod, "mc_time_search"),
-        (facade_mod, "mc_time_query"),
-        (facade_mod, "reconstruct_legs"),
-        (journeys_mod, "time_query"),
-    ):
-        real = getattr(module, name)
+    for name in ("mc_time_search", "mc_time_query"):
+        real = getattr(facade_mod, name)
 
         def spy(data, *args, _name=name, _real=real, **kwargs):
-            calls.append((_name, data, args))
+            calls.append((_name, data, args, kwargs["max_transfers"]))
             return _real(data, *args, **kwargs)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(facade_mod, name, spy)
 
     service = TransitService(oahu_tiny, ServiceConfig(kernel=kernel))
     front = service.multicriteria(2, 5, departure=480)
@@ -449,15 +451,25 @@ def test_multicriteria_shapes_follow_and_report_the_kernel(
         else ("mc_time_query", prepared.graph)
     )
     # One shared search, on the service's own artifacts.
-    assert calls == [(name, data, (2, 480))]
+    assert calls == [(name, data, (2, 480), 5)]
     assert front.legs and fewest.legs
     for stats in (front.stats, fewest.stats):
         assert (stats.kernel, stats.num_threads) == (kernel, 1)
         assert stats.settled_connections > 0
     # Another departure is another search.
     later = service.min_transfers(2, 9, departure=481)
-    assert calls[1:] == [(name, data, (2, 481))]
+    assert calls[1:] == [(name, data, (2, 481), 5)]
     assert later.stats.settled_connections > 0
+    # A dated journey and a via from 2 at 480 share one unbounded
+    # search; the via's second hop leaves the via station.
+    dated = service.journey(2, 9, departure=480)
+    via = service.via(2, 9, 5, departure=480)
+    assert calls[2:] == [
+        (name, data, (2, 480), None),
+        (name, data, (9, via.via_arrival), None),
+    ]
+    assert dated.legs and via.legs and via.via_arrival == dated.arrival
+    assert (via.stats.kernel, via.stats.num_threads) == (kernel, 1)
 
     other = TransitService(
         oahu_tiny,
@@ -471,8 +483,9 @@ def test_multicriteria_shapes_follow_and_report_the_kernel(
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_departure_time_shapes_count_the_searches_they_ran(oahu_tiny, kernel):
     """``multicriteria`` / ``min_transfers`` count the labels their
-    fixed-departure search settled; ``via`` counts its two §2 time
-    queries — and, with no profile search left, no table rule fires."""
+    fixed-departure search settled; ``via`` counts those of the two
+    one-layer searches it read, a memo hit as the search it reads —
+    and, with no profile search left, no table rule fires."""
     service = TransitService(
         oahu_tiny,
         ServiceConfig(
@@ -485,10 +498,47 @@ def test_departure_time_shapes_count_the_searches_they_ran(oahu_tiny, kernel):
     assert front.reachable and fewest.reachable and via.reachable
     assert front.stats.settled_connections > 0
     assert fewest.stats.settled_connections == front.stats.settled_connections
+    # Its first hop again (a memo hit), and a second hop that is none.
     first = service.via(2, 5, 5, departure=480)
-    assert 0 < first.stats.settled_connections < via.stats.settled_connections
-    assert (via.stats.kernel, via.stats.num_threads) == ("python", 1)
+    unbounded = (
+        mc_time_search(service.prepared.arrays, 2, 480, max_transfers=None)
+        if kernel == "flat"
+        else mc_time_query(service.graph, 2, 480, max_transfers=None)
+    )
+    assert first.stats.settled_connections == unbounded.settled > 0
+    assert first.stats.settled_connections < via.stats.settled_connections
+    assert (via.stats.kernel, via.stats.num_threads) == (kernel, 1)
     assert (via.stats.table_prunes, via.stats.connection_stops) == (0, 0)
+
+
+@pytest.mark.parametrize("with_table", (True, False), ids=["table", "plain"])
+def test_a_flat_service_builds_no_oracle_queue(
+    oahu_tiny, monkeypatch, with_table
+):
+    """A ``flat`` service answers every shape on its packed arrays, the
+    legs of a dated journey and of a via included: with every
+    ``repro.pq`` queue poisoned — each object-graph oracle builds one,
+    ``baselines.time_query`` among them — all six shapes answer as
+    before.  ``ServiceConfig.queue`` is ignored by ``flat``."""
+    config = ServiceConfig(
+        kernel="flat",
+        num_threads=2,
+        use_distance_table=with_table,
+        transfer_fraction=0.25,
+    )
+    local = LocalBackend(TransitService(oahu_tiny, config))
+    expected = [scrubbed(call(local)) for call in CALLS]
+    service = TransitService(oahu_tiny, config)
+
+    def poisoned():
+        raise AssertionError("a repro.pq queue was built")
+
+    for name in QUEUE_FACTORIES:
+        monkeypatch.setitem(QUEUE_FACTORIES, name, poisoned)
+    with pytest.raises(AssertionError, match="queue was built"):
+        time_query(service.graph, 0, 480)  # the poison is live
+    backend = LocalBackend(service)
+    assert [scrubbed(call(backend)) for call in CALLS] == expected
 
 
 def test_profile_request_thread_override(oahu_tiny):

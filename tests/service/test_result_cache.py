@@ -155,7 +155,9 @@ class TestServiceResultCache:
         service.journey(0, 6)
         service.journey(0, 5, departure=480)  # departure is part of the key
         assert service.cache_stats.hits == 0
-        assert service.cache_stats.misses == 3
+        # Without search workers the dated journey's legs consult the
+        # memo of the fixed-departure search here: one more miss.
+        assert service.cache_stats.misses == 4
 
     def test_profile_thread_override_is_part_of_the_key(self, oahu_tiny):
         service = TransitService(oahu_tiny, ServiceConfig(num_threads=1))
@@ -287,7 +289,9 @@ class TestLookup:
             if shape is not BATCH:
                 assert hit.stats.cache_hit and not answered.stats.cache_hit
         stats = service.cache_stats
-        assert (stats.hits, stats.misses) == (len(searches), len(searches))
+        # Without search workers the dated journey's legs consult the
+        # memo of the fixed-departure search here: one more miss.
+        assert (stats.hits, stats.misses) == (len(searches), len(searches) + 1)
 
     def test_without_a_table_every_journey_is_a_search(self, oahu_tiny):
         service = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
