@@ -204,7 +204,9 @@ def global_queries(tmp: Path) -> None:
     non-transfer target (Theorem 3), 5 → 4 a transfer-station target
     (Theorem 4 as well); 0 → 2 without a table is a local query, where
     goal direction is the only thing the flat kernel adds to the
-    stopping criterion — it must settle no more than the reference."""
+    stopping criterion — it must settle no more than the reference.
+    Then the flat loop's work on 100 seeded global queries each on
+    ``washington``/small and ``germany``/medium, summed, as recorded."""
     table = ("--transfer-fraction", "0.2")
     for label, source, target, kind, flags in (
         ("table-0-2", "0", "2", "global", table),
@@ -238,6 +240,48 @@ def global_queries(tmp: Path) -> None:
                 flat, python = settled["flat", cores], settled["python", cores]
                 assert flat <= python, f"{label}: {settled}"
                 print(f"{label}: {cores} core(s), flat settled {flat} <= python {python}")
+
+    # The work of targeted searches at scale, as ``table-build`` pins
+    # that of one-to-all ones: which settles happen, and what each does
+    # with the table, moves these sums long before it moves an answer.
+    import random
+
+    from repro.query.table_query import StationToStationEngine
+    from repro.service import ServiceConfig
+    from repro.service.prepare import prepare_dataset
+    from repro.synthetic.instances import make_instance
+
+    config = ServiceConfig(use_distance_table=True, transfer_fraction=0.5)
+    for instance, scale, recorded in (
+        ("washington", "small", (817_500, 53_712, 4_667, 35_883)),
+        ("germany", "medium", (199_846, 9_276, 1_424, 10_205)),
+    ):
+        prepared = prepare_dataset(make_instance(instance, scale), config)
+        engine = StationToStationEngine(
+            prepared.graph, prepared.table, num_threads=1, kernel="flat",
+            arrays=prepared.arrays, station_graph=prepared.station_graph,
+        )
+        rng = random.Random(f"global-queries:{instance}")
+        stations = range(prepared.graph.num_stations)
+        work, queries = [0, 0, 0, 0], 0
+        while queries < 100:
+            source, target = rng.sample(stations, 2)
+            if engine.classify(source, target)[0] != "global":
+                continue
+            result = engine.query(source, target)
+            work = [
+                total + count
+                for total, count in zip(work, (
+                    result.settled_connections, result.table_prunes,
+                    result.connection_stops, result.mu_updates,
+                ))
+            ]
+            queries += 1
+        assert tuple(work) == recorded, (instance, work)
+        print(
+            f"{instance}/{scale}: 100 global queries settle {work[0]}, "
+            f"prune {work[1]}, stop {work[2]}, lower µ {work[3]} times, as recorded"
+        )
 
 
 def serve_fleet(tmp: Path) -> None:

@@ -45,7 +45,6 @@ the dated ``journey`` and both hops of ``via`` read.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -142,6 +141,8 @@ def mc_time_search(
 
     ``departure`` is absolute (any day).  The first boarding at the
     source is free of transfer time and count, as in every search here.
+    A route edge is relaxed with one index into its function's row of
+    the pack's mirror (:meth:`TDGraphArrays.kernel_adjacency`).
     """
     if not arrays.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
@@ -189,45 +190,18 @@ def mc_time_search(
         # one transfer; at the top layer there is none left.
         board = node < num_stations
         no_board = board and item - node * layers == max_transfers
-        for head, weight, ttf in adjacency[node]:
+        for head, weight, row in adjacency[node]:
             head_item = item + (head - node) * layers
-            if ttf is None:
+            if row is None:
                 if board:
                     if no_board:
                         continue
                     head_item += 1
                 t_next = key + weight
             else:
-                deps, durs, fifo, n = ttf
-                tau = key % period
-                idx = bisect_left(deps, tau)
-                if fifo:
-                    if idx < n:
-                        t_next = key + deps[idx] - tau + durs[idx]
-                    elif n:
-                        t_next = key + period + deps[0] - tau + durs[0]
-                    else:
-                        continue  # zero-point function
-                else:
-                    best = INF
-                    for j in range(idx, n):
-                        wait = deps[j] - tau
-                        if wait >= best:
-                            break
-                        total = wait + durs[j]
-                        if total < best:
-                            best = total
-                    else:
-                        for j in range(idx):
-                            wait = period + deps[j] - tau
-                            if wait >= best:
-                                break
-                            total = wait + durs[j]
-                            if total < best:
-                                best = total
-                    if best >= INF:
-                        continue
-                    t_next = key + best
+                # One index: a function without points holds INF_TIME,
+                # which improves no label.
+                t_next = key + row[key % period]
             if t_next < labels[head_item]:
                 labels[head_item] = t_next
                 parent[head_item] = item

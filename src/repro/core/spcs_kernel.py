@@ -29,17 +29,21 @@ interpreter throughput instead of readability:
 * one ``targeted`` flag keeps a one-to-all run (no target, no table)
   off the stopping criterion, goal direction and the §4 rules, at pop
   and at push;
-* travel-time evaluation is inlined: FIFO legs take the
-  next-departure fast path, non-FIFO legs fall back to the cyclic
-  two-pass scan of :meth:`TravelTimeFunction.arrival`;
+* travel-time evaluation is one index: the mirror holds each function
+  as its least wait plus ride from every minute of the period
+  (:func:`~repro.graph.td_arrays.travel_time_rows`), so a route edge
+  relaxes to ``key + row[key % period]``, FIFO or overtaking;
 * Theorems 3 and 4 are inlined too.  The reference kernel asks a
   :class:`~repro.core.spcs.SettlePruner` hook once per settle; this
   loop reads the *same* per-query state object
   (:class:`~repro.query.table_query.DistanceTablePruner`) as flat data
   and evaluates the table profiles with ``bisect`` on their list
-  mirrors, so a search makes no Python call per settle.  The hook is
-  the readable statement of the paper's rules and, with the reference
-  kernel, the oracle for this loop's answers
+  mirrors, so a search makes no Python call per settle.  It updates
+  the bounds only at settles that can lower one — where the station
+  node holds no label yet as early as the settle's arrival — and runs
+  just the tests elsewhere (the argument is at the loop's §4 block).
+  The hook is the readable statement of the paper's rules and, with
+  the reference kernel, the oracle for this loop's answers
   (``tests/query/test_table_kernel_equivalence.py``).
 
 Equivalence contract: for every input the kernel produces the same
@@ -337,93 +341,109 @@ def spcs_kernel_search(
                     # A settle at a transfer station other than the
                     # source: the rules of ``DistanceTablePruner.
                     # on_settle``, in its order, on the list mirrors of
-                    # the table profiles.
+                    # the table profiles — its updates only where they
+                    # can lower a bound.  Only alighting edges lead into
+                    # a station node, each from a route node of the
+                    # same station; a route node relaxes its edges only
+                    # after this whole block ran at its own arrival; and
+                    # D(station, ·, τ) does not decrease as τ grows.  So
+                    # once the station node holds a label no later than
+                    # ``key`` — always so when it is the node settling —
+                    # γ_i, U_i and every µ_{i,j} are already at most
+                    # what this settle would offer, and only the tests
+                    # are left to run.
                     station = node_station[node]
+                    updates = labels[station * num_local + k] > key
                     transfer_here = transfer_time[station]
+                    key_tau = key % period
+                    key_day = key - key_tau
 
                     if stop_at_target:
                         # Theorem 4: γ_i, a lower bound on the arrival
                         # at T ...
-                        if station == table_target:
-                            lower = upper = key
-                        else:
-                            deps, arrs, n, tomorrow = (
-                                target_rows[station] or table.target_row(station)
-                            )
-                            if n:
-                                tau = key % period
-                                idx = bisect_left(deps, tau)
-                                if idx < n and arrs[idx] < tomorrow:
-                                    lower = key - tau + arrs[idx]
-                                else:
-                                    lower = key - tau + tomorrow
-                                ready = key + transfer_here
-                                tau = ready % period
-                                idx = bisect_left(deps, tau)
-                                if idx < n and arrs[idx] < tomorrow:
-                                    upper = ready - tau + arrs[idx]
-                                else:
-                                    upper = ready - tau + tomorrow
+                        if updates:
+                            if station == table_target:
+                                lower = upper = key
                             else:
-                                lower = upper = INF
-                        gamma = gamma_of[g]
-                        if lower < gamma:
-                            gamma = gamma_of[g] = lower
-                        if upper < upper_of[k]:
-                            upper_of[k] = upper
-                        else:
-                            upper = upper_of[k]
-                        # ... met by an upper bound: nothing through a
-                        # settled transfer station, this one included,
-                        # can do better.
-                        if upper <= gamma and upper < INF:
-                            continue
-
-                    if prune_via:
-                        # Theorem 3: lower µ_{i,j} from this settle, and
-                        # prune the node unless it can still matter at
-                        # some via j.
-                        mu = mu_of[g]
-                        if mu is None:
-                            mu = mu_of[g] = [INF] * num_via
-                        ready = key + transfer_here
-                        ready_tau = ready % period
-                        ready_day = ready - ready_tau
-                        key_tau = key % period
-                        key_day = key - key_tau
-                        prunable = True
-                        j = 0
-                        for via_transfer, deps, arrs, n, tomorrow in (
-                            via_rows[station] or table.via_row(station)
-                        ):
-                            if deps is None:  # this station is via j itself
-                                candidate = key + via_transfer
-                                lower = key
-                            elif n:
-                                idx = bisect_left(deps, ready_tau)
-                                if idx < n and arrs[idx] < tomorrow:
-                                    candidate = (
-                                        ready_day + arrs[idx] + via_transfer
-                                    )
-                                else:
-                                    candidate = (
-                                        ready_day + tomorrow + via_transfer
-                                    )
-                                if prunable:
+                                deps, arrs, n, tomorrow = (
+                                    target_rows[station]
+                                    or table.target_row(station)
+                                )
+                                if n:
                                     idx = bisect_left(deps, key_tau)
                                     if idx < n and arrs[idx] < tomorrow:
                                         lower = key_day + arrs[idx]
                                     else:
                                         lower = key_day + tomorrow
-                            else:  # via j unreachable from here: µ stays
-                                candidate = lower = INF
-                            if candidate < mu[j]:
-                                mu[j] = candidate
-                                mu_updates += 1
-                            if prunable and lower <= mu[j]:
-                                prunable = False
+                                    ready = key + transfer_here
+                                    tau = ready % period
+                                    idx = bisect_left(deps, tau)
+                                    if idx < n and arrs[idx] < tomorrow:
+                                        upper = ready - tau + arrs[idx]
+                                    else:
+                                        upper = ready - tau + tomorrow
+                                else:
+                                    lower = upper = INF
+                            if lower < gamma_of[g]:
+                                gamma_of[g] = lower
+                            if upper < upper_of[k]:
+                                upper_of[k] = upper
+                        # ... met by an upper bound: nothing through a
+                        # settled transfer station, this one included,
+                        # can do better.
+                        upper = upper_of[k]
+                        if upper <= gamma_of[g] and upper < INF:
+                            continue
+
+                    if prune_via:
+                        # Theorem 3: lower µ_{i,j} from this settle ...
+                        vias = via_rows[station] or table.via_row(station)
+                        mu = mu_of[g]
+                        if updates:
+                            if mu is None:
+                                mu = mu_of[g] = [INF] * num_via
+                            ready = key + transfer_here
+                            ready_tau = ready % period
+                            ready_day = ready - ready_tau
+                            j = 0
+                            for via_transfer, deps, arrs, n, tomorrow in vias:
+                                if deps is None:  # this station is via j
+                                    candidate = key + via_transfer
+                                elif n:
+                                    idx = bisect_left(deps, ready_tau)
+                                    if idx < n and arrs[idx] < tomorrow:
+                                        candidate = (
+                                            ready_day + arrs[idx] + via_transfer
+                                        )
+                                    else:
+                                        candidate = (
+                                            ready_day + tomorrow + via_transfer
+                                        )
+                                else:  # via j unreachable from here
+                                    candidate = INF
+                                if candidate < mu[j]:
+                                    mu[j] = candidate
+                                    mu_updates += 1
+                                j += 1
+                        # ... and prune the node unless it can still
+                        # matter at some via j: one evaluation per via
+                        # station, up to the first that keeps it.
+                        j = 0
+                        for _, deps, arrs, n, tomorrow in vias:
+                            if deps is None:
+                                lower = key
+                            elif n:
+                                idx = bisect_left(deps, key_tau)
+                                if idx < n and arrs[idx] < tomorrow:
+                                    lower = key_day + arrs[idx]
+                                else:
+                                    lower = key_day + tomorrow
+                            else:
+                                lower = INF
+                            if lower <= mu[j]:
+                                break
                             j += 1
-                        if prunable:
+                        else:
                             pruned_table += 1
                             continue
 
@@ -432,47 +452,11 @@ def spcs_kernel_search(
 
             edges = adjacency[node]
             relaxed += len(edges)
-            for head, weight, ttf in edges:
-                if ttf is None:
-                    t_next = key + weight
-                else:
-                    deps, durs, fifo, n = ttf
-                    tau = key % period
-                    idx = bisect_left(deps, tau)
-                    if fifo:
-                        # Next departure is optimal (arrivals
-                        # non-decreasing).
-                        if idx < n:
-                            t_next = key + deps[idx] - tau + durs[idx]
-                        elif n:
-                            t_next = key + period + deps[0] - tau + durs[0]
-                        else:
-                            # Zero-point function: unreachable via
-                            # build_td_graph (empty legs get no edge)
-                            # but legal for TravelTimeFunction, and
-                            # is_fifo() is True for it — match
-                            # arrival()'s INF_TIME.
-                            t_next = INF
-                    else:
-                        # Cyclic two-pass scan, cf.
-                        # TravelTimeFunction.arrival.
-                        best = INF
-                        for j in range(idx, n):
-                            wait = deps[j] - tau
-                            if wait >= best:
-                                break
-                            total = wait + durs[j]
-                            if total < best:
-                                best = total
-                        else:
-                            for j in range(idx):
-                                wait = period + deps[j] - tau
-                                if wait >= best:
-                                    break
-                                total = wait + durs[j]
-                                if total < best:
-                                    best = total
-                        t_next = key + best if best < INF else INF
+            for head, weight, row in edges:
+                # A route edge's row: the least wait plus ride from each
+                # minute; INF_TIME for a function without points, which
+                # improves no label.
+                t_next = key + (weight if row is None else row[key % period])
                 head_item = head * num_local + k
                 if t_next < labels[head_item] and not settled[head_item]:
                     priority = t_next

@@ -11,10 +11,13 @@ cheap to ship to worker processes — and indexes without touching a
 single Python object.
 
 The flat-array SPCS kernel (:mod:`repro.core.spcs_kernel`) additionally
-wants Python-``list`` mirrors of the hot arrays: CPython list indexing
-is several times faster than scalar numpy indexing, which dominates an
-interpreter-bound inner loop.  :meth:`TDGraphArrays.kernel_adjacency`
-is that mirror; beside it sits a second one,
+wants Python-object mirrors of the hot arrays: CPython list and
+``array`` indexing is several times faster than scalar numpy indexing,
+which dominates an interpreter-bound inner loop.
+:meth:`TDGraphArrays.kernel_adjacency` is that mirror, and in it a
+travel-time function is no longer its points but one value per minute
+of the period (:func:`travel_time_rows`), so that evaluating it is one
+index; beside it sits a second one,
 :meth:`TDGraphArrays.reverse_min_adjacency` — the same edges turned
 around, each at its cheapest over the period — from which
 :meth:`TDGraphArrays.lower_bounds_to` computes the per-target
@@ -41,6 +44,8 @@ array                shape       meaning
 ``ttf_dep``          ``P``       departure time points, per ttf ascending
 ``ttf_dur``          ``P``       durations, parallel to ``ttf_dep``
 ``ttf_fifo``         ``F``       next-departure-is-optimal flag per ttf
+                                 (the store's and patches'; no search
+                                 reads it)
 ``conn_indptr``      ``S + 1``   row pointers into the connection arrays
 ``conn_dep``         ``C``       departure time per connection, ``conn(S)``
                                  order (matches ``outgoing_connections``)
@@ -51,6 +56,7 @@ array                shape       meaning
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -58,6 +64,70 @@ import numpy as np
 
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import TDGraph
+
+#: ``array`` typecodes from the narrowest up, each with the bound its
+#: values stay below; numpy reads the same codes as the same types.
+_ROW_TYPECODES = (("B", 1 << 8), ("H", 1 << 16), ("I", 1 << 32), ("q", 1 << 63))
+#: Row entries built per numpy pass: what bounds a build's transient
+#: memory (a few int64 buffers this long), whatever the pool's size.
+_ROW_BLOCK = 1 << 13
+
+
+def travel_time_rows(
+    ttf_indptr: np.ndarray, ttf_dep: np.ndarray, ttf_dur: np.ndarray, period: int
+) -> list[array]:
+    """Per travel-time function of the pool ``(ttf_indptr, ttf_dep,
+    ttf_dur)``, its least wait plus ride from every minute of the
+    period: ``row[τ] = ttf.arrival(τ) − τ`` for τ in ``[0, period)``,
+    ``INF_TIME`` throughout for a function without points.  Each row is
+    an ``array`` of the narrowest typecode that holds its values.
+
+    :meth:`~repro.functions.piecewise.TravelTimeFunction.arrival` scans
+    the points cyclically from the first departure at or after τ; the
+    best it finds is the least arrival among the departures at or after
+    τ today, or else the least arrival of all shifted one period on —
+    a train of tomorrow never beats the same train today.  So a
+    segmented suffix minimum of the arrivals ``dep + dur``, read at the
+    first departure at or after each τ (a prefix count of departures),
+    gives the rows, FIFO or not, a block of functions per pass.
+    """
+    num_ttfs = ttf_indptr.size - 1
+    minutes = np.arange(period, dtype=np.int64)
+    rows = []
+    step = max(1, _ROW_BLOCK // period)
+    for first in range(0, num_ttfs, step):
+        last = min(first + step, num_ttfs)
+        lo, hi = ttf_indptr[first], ttf_indptr[last]
+        starts = ttf_indptr[first : last + 1] - lo
+        counts = np.diff(starts)
+        owner = np.repeat(np.arange(last - first, dtype=np.int64), counts)
+        deps = ttf_dep[lo:hi]
+        arrs = deps + ttf_dur[lo:hi]
+        # Suffix minimum per function, in one pass over the reversed
+        # block: offset by ``owner · span`` every later function's
+        # arrivals lie above all of this one's, so no minimum carries
+        # across a boundary.  The appended INF_TIME: no departure.
+        span = int(arrs.max(initial=0)) + 1
+        suffix = np.append(
+            np.minimum.accumulate((arrs + owner * span)[::-1])[::-1]
+            - owner * span,
+            INF_TIME,
+        )
+        # The first departure at or after τ: the block's points that
+        # depart before τ, counted on one time line, function after
+        # function — unless that is the function's end.
+        before = np.bincount(
+            owner * period + deps, minlength=(last - first) * period
+        )
+        idx = (np.cumsum(before) - before).reshape(last - first, period)
+        idx[idx >= starts[1:, None]] = arrs.size
+        tomorrow = np.where(counts > 0, period + suffix[starts[:-1]], INF_TIME)
+        best = np.minimum(suffix[idx], tomorrow[:, None])
+        values = np.where(best < INF_TIME, best - minutes, INF_TIME)
+        for value, top in zip(values, values.max(axis=1).tolist()):
+            code = next(code for code, bound in _ROW_TYPECODES if top < bound)
+            rows.append(array(code, value.astype(code).tobytes()))
+    return rows
 
 
 @dataclass
@@ -119,23 +189,18 @@ class TDGraphArrays:
     def kernel_adjacency(self) -> list:
         """Per-node adjacency as plain Python objects for the kernel.
 
-        ``adjacency[u]`` is a list of ``(target, weight, ttf)`` triples
-        where ``ttf`` is ``None`` for constant edges, else a
-        ``(deps_list, durs_list, fifo, n)`` tuple shared across edges
-        referencing the same function.  Built with the pack.
+        ``adjacency[u]`` is a list of ``(target, weight, row)`` triples
+        where ``row`` is ``None`` for constant edges, else the function's
+        :func:`travel_time_rows` entry, shared across edges referencing
+        the same function: leaving at absolute time ``t``, the edge
+        arrives at ``t + row[t % period]``.  Built with the pack.
         """
         if self._adjacency_cache is not None:
             return self._adjacency_cache
 
-        ttfs = []
-        dep_pool = self.ttf_dep.tolist()
-        dur_pool = self.ttf_dur.tolist()
-        indptr = self.ttf_indptr.tolist()
-        fifo = self.ttf_fifo.tolist()
-        for f in range(len(fifo)):
-            lo, hi = indptr[f], indptr[f + 1]
-            ttfs.append((dep_pool[lo:hi], dur_pool[lo:hi], bool(fifo[f]), hi - lo))
-
+        rows = travel_time_rows(
+            self.ttf_indptr, self.ttf_dep, self.ttf_dur, self.period
+        )
         edge_indptr = self.edge_indptr.tolist()
         edge_target = self.edge_target.tolist()
         edge_weight = self.edge_weight.tolist()
@@ -148,7 +213,7 @@ class TDGraphArrays:
                     (
                         edge_target[e],
                         edge_weight[e],
-                        None if edge_ttf[e] < 0 else ttfs[edge_ttf[e]],
+                        None if edge_ttf[e] < 0 else rows[edge_ttf[e]],
                     )
                     for e in range(lo, hi)
                 ]

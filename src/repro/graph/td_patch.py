@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.functions.piecewise import TravelTimeFunction
-from repro.graph.td_arrays import TDGraphArrays
+from repro.graph.td_arrays import TDGraphArrays, travel_time_rows
 from repro.graph.td_model import Edge, TDGraph
 from repro.timetable.types import Connection, Timetable
 
@@ -206,7 +206,9 @@ def patch_td_arrays(
     patches the changed slices in place.  The kernel-side adjacency
     mirror is patched per-node instead of being rebuilt from scratch
     (an O(E) Python rebuild would eat most of the incremental win on
-    large graphs).  The reverse min-cost mirror is deliberately *not*
+    large graphs): only the changed functions get new
+    :func:`~repro.graph.td_arrays.travel_time_rows`, in one call over
+    their points.  The reverse min-cost mirror is deliberately *not*
     carried over: a re-timed edge may be cheaper than it ever was, and
     a lower bound that overestimates makes the goal-directed search
     wrong, not slow.  The new pack builds its own as it is constructed
@@ -220,7 +222,7 @@ def patch_td_arrays(
     edge_indptr = arrays.edge_indptr
     ttf_indptr = arrays.ttf_indptr
 
-    adjacency = list(arrays.kernel_adjacency())
+    changed = []  # (node, slot, ttf id) per changed edge
     for node, slot, ttf in patch.changed_edges:
         e = int(edge_indptr[node]) + slot
         fid = int(arrays.edge_ttf[e])
@@ -234,14 +236,25 @@ def patch_td_arrays(
         ttf_dep[lo:hi] = ttf.deps
         ttf_dur[lo:hi] = ttf.durs
         ttf_fifo[fid] = ttf.is_fifo()
-        row = list(adjacency[node])
-        target, weight, _old = row[slot]
-        row[slot] = (
-            target,
-            weight,
-            (list(ttf.deps), list(ttf.durs), ttf.is_fifo(), len(ttf)),
-        )
-        adjacency[node] = row
+        changed.append((node, slot, fid))
+
+    # The changed functions' points as a pool of their own, one row each.
+    fids = sorted({fid for _, _, fid in changed})
+    spans = [np.arange(ttf_indptr[f], ttf_indptr[f + 1]) for f in fids]
+    points = np.concatenate(spans) if spans else np.zeros(0, dtype=np.int64)
+    rows = travel_time_rows(
+        np.cumsum([0, *map(len, spans)]),
+        ttf_dep[points],
+        ttf_dur[points],
+        arrays.period,
+    )
+    row_of = dict(zip(fids, rows))
+    adjacency = list(arrays.kernel_adjacency())
+    for node, slot, fid in changed:
+        edges = list(adjacency[node])
+        target, weight, _old = edges[slot]
+        edges[slot] = (target, weight, row_of[fid])
+        adjacency[node] = edges
 
     conn_dep = arrays.conn_dep.copy()
     conn_start = arrays.conn_start.copy()

@@ -255,6 +255,8 @@ class StationToStationResult:
     total_time: float
     table_prunes: int = 0
     connection_stops: int = 0
+    #: µ_{i,j} bounds lowered (Theorem 3): the §4 block's update work.
+    mu_updates: int = 0
 
     @property
     def simulated_time(self) -> float:
@@ -478,6 +480,7 @@ class StationToStationEngine:
             total_time=time.perf_counter() - start_total,
             table_prunes=pruner.prunes if pruner else 0,
             connection_stops=pruner.connection_stops if pruner else 0,
+            mu_updates=pruner.mu_updates if pruner else 0,
         )
 
     def _pruner(

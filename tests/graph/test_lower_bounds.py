@@ -28,38 +28,10 @@ from repro.graph.td_patch import patch_td_arrays, patch_td_graph
 from repro.service import ServiceConfig, TransitService
 from repro.service.prepare import replan_dataset
 from repro.timetable.builder import TimetableBuilder
-from repro.timetable.types import Connection, Timetable
+from repro.timetable.types import Timetable
 
-from tests.strategies import adversarial_timetables
-
-
-def _retimed(timetable: Timetable, changes: dict[int, tuple[int, int]]) -> Timetable:
-    """``timetable`` with every connection of train ``t`` in ``changes``
-    departing ``shift`` minutes later and riding ``stretch`` minutes
-    longer (shorter if negative, never under a minute) — what a delay
-    batch does to a timetable, plus the one thing
-    :func:`~repro.timetable.delays.apply_delays` never does: change how
-    long a ride takes."""
-    connections = []
-    for c in timetable.connections:
-        if c.train in changes:
-            shift, stretch = changes[c.train]
-            dep = (c.dep_time + shift) % timetable.period
-            c = Connection(
-                train=c.train,
-                dep_station=c.dep_station,
-                arr_station=c.arr_station,
-                dep_time=dep,
-                arr_time=dep + max(1, c.duration + stretch),
-            )
-        connections.append(c)
-    return Timetable(
-        stations=list(timetable.stations),
-        trains=list(timetable.trains),
-        connections=connections,
-        period=timetable.period,
-        name=timetable.name,
-    )
+from tests.helpers import retimed
+from tests.strategies import adversarial_timetables, retimings
 
 
 def _bound_from_station(arrays, bounds, station: int, target: int) -> int:
@@ -103,8 +75,8 @@ class TestGeneratedTimetables:
 
             # Consistent: π(u) ≤ min-cost(u, v) + π(v) on every edge.
             for u, edges in enumerate(arrays.kernel_adjacency()):
-                for head, weight, ttf in edges:
-                    cost = weight if ttf is None else min(ttf[1], default=INF_TIME)
+                for head, weight, row in edges:
+                    cost = weight if row is None else min(row)
                     assert bounds[u] <= cost + bounds[head], (target, u, head)
 
             # Admissible against the time query, and ∞ exactly where
@@ -128,24 +100,10 @@ class TestGeneratedTimetables:
         arrays = pack_td_graph(graph)
         arrays.kernel_adjacency()
         arrays.reverse_min_adjacency()  # the mirror a patch must not inherit
-        trains = data.draw(
-            st.lists(
-                st.integers(0, timetable.num_trains - 1),
-                min_size=1,
-                max_size=3,
-                unique=True,
-            ),
-            label="trains",
+        changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
+        patched_graph, patch = patch_td_graph(
+            graph, retimed(timetable, changes), set(changes)
         )
-        changes = {
-            train: data.draw(
-                st.tuples(st.integers(0, 20), st.integers(-6, 6)),
-                label=f"train {train}: (shift, stretch)",
-            )
-            for train in trains
-        }
-        retimed = _retimed(timetable, changes)
-        patched_graph, patch = patch_td_graph(graph, retimed, set(trains))
         patched = patch_td_arrays(arrays, patched_graph, patch)
         fresh = pack_td_graph(patched_graph)
         for target in range(graph.num_stations):
@@ -189,7 +147,7 @@ class TestBoundsOutliveNoGeneration:
 
         # Every ride of the train gets 90 minutes shorter, none under a
         # minute: S 0 → X 1, X 10 → T 20.
-        recovered = _retimed(timetable, {slow: (0, -90)})
+        recovered = retimed(timetable, {slow: (0, -90)})
         incremental = TransitService(
             recovered,
             config,

@@ -6,10 +6,16 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.functions.piecewise import INF_TIME
+from repro.functions.piecewise import INF_TIME, TravelTimeFunction
 from repro.graph.td_arrays import pack_td_graph, packed_arrays
-from repro.graph.td_model import build_td_graph
+from repro.graph.td_model import Edge, build_td_graph
+from repro.graph.td_patch import patch_td_arrays, patch_td_graph
+
+from tests.helpers import retimed
+from tests.strategies import adversarial_timetables, retimings
 
 
 @pytest.fixture(scope="module")
@@ -87,18 +93,90 @@ class TestKernelAdjacency:
         assert len(by_id) == packed.ttf_fifo.size
 
     def test_constant_and_ttf_arithmetic(self, toy_graph, packed):
-        """Spot-check one ttf mirror against the object evaluation."""
+        """Every edge of the mirror against the object evaluation, and
+        a row's least cost is the function's least duration."""
         adjacency = packed.kernel_adjacency()
+        period = packed.period
         for u, edges in enumerate(toy_graph.adjacency):
-            for edge, (tgt, w, ttf) in zip(edges, adjacency[u]):
+            for edge, (tgt, w, row) in zip(edges, adjacency[u]):
                 assert tgt == edge.target
-                if edge.ttf is None:
-                    assert edge.arrival(600) == 600 + w
-                else:
-                    deps, durs, fifo, n = ttf
-                    assert n == len(deps) == len(durs)
-                    arrival = edge.arrival(600)
-                    assert arrival >= 600 or arrival == INF_TIME
+                for t in (0, 600, period - 1, period + 600):
+                    if edge.ttf is None:
+                        assert row is None and edge.arrival(t) == t + w
+                    else:
+                        assert edge.arrival(t) == t + row[t % period]
+                if row is not None:
+                    assert len(row) == period
+                    assert min(row) == edge.ttf.min_duration()
+
+
+#: The bound below which each row typecode holds its values.
+BOUNDS = {"B": 1 << 8, "H": 1 << 16, "I": 1 << 32, "q": 1 << 63}
+
+
+def _function_rows(graph, arrays):
+    """``(ttf, row)`` per route edge, the row from the kernel mirror."""
+    for edges, mirrored in zip(graph.adjacency, arrays.kernel_adjacency()):
+        for edge, (_, _, row) in zip(edges, mirrored):
+            if edge.ttf is not None:
+                yield edge.ttf, row
+
+
+class TestTravelTimeRows:
+    """The mirror's one-index travel-time functions against
+    :meth:`TravelTimeFunction.arrival`, on the adversarial timetables
+    of the kernel suites: overtaking (non-FIFO) legs, period wrap,
+    zero transfer times, duplicate trains."""
+
+    @settings(
+        deadline=None,
+        max_examples=80,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(timetable=adversarial_timetables())
+    def test_a_row_is_its_function_at_every_minute(self, timetable):
+        graph = build_td_graph(timetable)
+        period = timetable.period
+        for ttf, row in _function_rows(graph, pack_td_graph(graph)):
+            assert list(row) == [
+                ttf.arrival(tau) - tau for tau in range(period)
+            ]
+            # The narrowest typecode that holds the row.
+            codes = [code for code, bound in BOUNDS.items() if max(row) < bound]
+            assert row.typecode == codes[0]
+            assert min(row) == ttf.min_duration()
+
+    @settings(
+        deadline=None,
+        max_examples=80,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(timetable=adversarial_timetables(), data=st.data())
+    def test_a_patched_pack_has_the_rows_of_a_fresh_one(self, timetable, data):
+        graph = build_td_graph(timetable)
+        arrays = pack_td_graph(graph)
+        changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
+        patched_graph, patch = patch_td_graph(
+            graph, retimed(timetable, changes), set(changes)
+        )
+        patched = patch_td_arrays(arrays, patched_graph, patch)
+        fresh = pack_td_graph(patched_graph)
+        assert patched.kernel_adjacency() == fresh.kernel_adjacency()
+        assert [
+            row.typecode for _, row in _function_rows(patched_graph, patched)
+        ] == [row.typecode for _, row in _function_rows(patched_graph, fresh)]
+
+    def test_a_function_without_points_is_never_taken(self, toy):
+        graph = build_td_graph(toy)
+        graph.adjacency[0].append(
+            Edge(graph.num_stations, 0, TravelTimeFunction([], []))
+        )
+        ((_, row),) = [
+            (ttf, row)
+            for ttf, row in _function_rows(graph, pack_td_graph(graph))
+            if not len(ttf)
+        ]
+        assert row.typecode == "q" and set(row) == {INF_TIME}
 
 
 class TestPickling:

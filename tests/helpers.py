@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.timetable.builder import TimetableBuilder
-from repro.timetable.types import Timetable
+from repro.timetable.types import Connection, Timetable
 
 
 def toy_timetable() -> Timetable:
@@ -94,6 +94,35 @@ def random_line_timetable(
                     trip.append((seq[len(trip)], t))
                 builder.add_trip(trip)
     return builder.build()
+
+
+def retimed(timetable: Timetable, changes: dict[int, tuple[int, int]]) -> Timetable:
+    """``timetable`` with every connection of train ``t`` in ``changes``
+    departing ``shift`` minutes later and riding ``stretch`` minutes
+    longer (shorter if negative, never under a minute) — what a delay
+    batch does to a timetable, plus the one thing
+    :func:`~repro.timetable.delays.apply_delays` never does: change how
+    long a ride takes."""
+    connections = []
+    for c in timetable.connections:
+        if c.train in changes:
+            shift, stretch = changes[c.train]
+            dep = (c.dep_time + shift) % timetable.period
+            c = Connection(
+                train=c.train,
+                dep_station=c.dep_station,
+                arr_station=c.arr_station,
+                dep_time=dep,
+                arr_time=dep + max(1, c.duration + stretch),
+            )
+        connections.append(c)
+    return Timetable(
+        stations=list(timetable.stations),
+        trains=list(timetable.trains),
+        connections=connections,
+        period=timetable.period,
+        name=timetable.name,
+    )
 
 
 def brute_force_arrivals(

@@ -24,20 +24,23 @@ Python per settle.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.label_correcting import label_correcting_profile
+from repro.functions.piecewise import INF_TIME
 from repro.core.spcs import spcs_profile_search
 from repro.graph.td_arrays import pack_td_graph
 from repro.graph.td_model import build_td_graph
 from repro.query.distance_table import build_distance_table
 from repro.query.table_query import StationToStationEngine
 from repro.query.transfer_selection import select_transfer_stations
-from repro.synthetic.instances import make_instance
+from repro.synthetic.instances import INSTANCE_NAMES, make_instance
 
 from tests.strategies import adversarial_timetables
 
@@ -105,6 +108,87 @@ class TestGeneratedTimetables:
                     kernel, threads, stopping, table_pruning,
                     target_pruning, source, target, result.classification,
                 )
+
+
+# ---------------------------------------------------------------------------
+# What the flat loop's §4 update skip rests on
+# ---------------------------------------------------------------------------
+#
+# At a settle of connection i at transfer station S, the flat loop lowers
+# γ_i, U_i and µ_{i,·} only if S's station node holds no label no later
+# than the settle's arrival (``docs/KERNEL.md``, "Where the §4 rules
+# sit").  That is exact because of the two facts below: such a label
+# was relaxed from a route node of S that had been through the whole
+# update block at an arrival no later, and what the block reads of the
+# table cannot have been lower there.
+
+
+def _edges_into_station_nodes_leave_their_station(timetable) -> None:
+    arrays = pack_td_graph(build_td_graph(timetable))
+    tails = np.repeat(np.arange(arrays.num_nodes), np.diff(arrays.edge_indptr))
+    into = arrays.edge_target < arrays.num_stations
+    assert into.any()
+    assert (tails[into] >= arrays.num_stations).all()  # from route nodes
+    assert (arrays.node_station[tails[into]] == arrays.edge_target[into]).all()
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_an_instance_enters_a_station_node_from_its_own_station(name):
+    _edges_into_station_nodes_leave_their_station(make_instance(name, "tiny"))
+
+
+@settings(deadline=None, max_examples=100)
+@given(timetable=adversarial_timetables(max_stations=12, max_lines=12))
+def test_a_generated_timetable_enters_a_station_node_from_its_own_station(
+    timetable,
+):
+    _edges_into_station_nodes_leave_their_station(timetable)
+
+
+def _through_mirror(mirror, period: int, t: int) -> int:
+    """``D(·, ·, t)`` as the flat loop evaluates it on a profile mirror."""
+    deps, arrs, n, tomorrow = mirror
+    if not n:
+        return INF_TIME
+    tau = t % period
+    idx = bisect_left(deps, tau)
+    if idx < n and arrs[idx] < tomorrow:
+        return t - tau + arrs[idx]
+    return t - tau + tomorrow
+
+
+@settings(
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    timetable=adversarial_timetables(max_stations=12, max_lines=12),
+    data=st.data(),
+)
+def test_a_table_profile_never_arrives_earlier_for_leaving_later(
+    timetable, data
+):
+    """Over two whole periods of absolute departure times, wrap included."""
+    graph = build_td_graph(timetable)
+    period = timetable.period
+    transfer = data.draw(
+        st.lists(
+            st.integers(0, graph.num_stations - 1),
+            min_size=1,
+            max_size=graph.num_stations,
+            unique=True,
+        ),
+        label="S_trans",
+    )
+    table = build_distance_table(graph, transfer, num_threads=1)
+    for row in table.profiles:
+        for profile in row:
+            mirror = profile.mirror()
+            arrivals = [
+                _through_mirror(mirror, period, t) for t in range(2 * period + 1)
+            ]
+            assert arrivals == sorted(arrivals)
 
 
 # ---------------------------------------------------------------------------

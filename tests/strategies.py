@@ -56,3 +56,22 @@ def adversarial_timetables(draw, max_stations: int = 6, max_lines: int = 5):
             times = np.cumsum([dep, *durations]).tolist()
             builder.add_trip(list(zip(stops, times)), name=f"l{line}-{n}")
     return builder.build(require_fifo=False)
+
+
+@st.composite
+def retimings(draw, timetable):
+    """One to three of ``timetable``'s trains, each to depart 0–20
+    minutes later and ride −6…6 minutes longer: the ``changes`` of
+    :func:`tests.helpers.retimed`."""
+    trains = draw(
+        st.lists(
+            st.integers(0, timetable.num_trains - 1),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    return {
+        train: draw(st.tuples(st.integers(0, 20), st.integers(-6, 6)))
+        for train in trains
+    }
