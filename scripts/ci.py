@@ -241,9 +241,9 @@ def global_queries(tmp: Path) -> None:
                 assert flat <= python, f"{label}: {settled}"
                 print(f"{label}: {cores} core(s), flat settled {flat} <= python {python}")
 
-    # The work of targeted searches at scale, as ``table-build`` pins
-    # that of one-to-all ones: which settles happen, and what each does
-    # with the table, moves these sums long before it moves an answer.
+    # The work of targeted searches at scale: which settles happen, and
+    # what each does with the table, moves these sums long before it
+    # moves an answer.
     import random
 
     from repro.query.table_query import StationToStationEngine
@@ -366,60 +366,54 @@ def warm_start(tmp: Path) -> None:
 
 
 def table_build(tmp: Path) -> None:
-    """The table build forks one pool for its rows when this process
-    may use more than one core and the rows are long enough to repay it
-    (docs/KERNEL.md, "Preprocessing"); pinned to one CPU it is the
-    serial build.  The stored table is the same to the bit either way.
-    (The oahu/tiny prepare steps elsewhere stay serial by the size rule
-    and double as the "small builds fork nothing" smoke.)"""
+    """The distance table is one backward scan over the route edges'
+    points (docs/KERNEL.md, "Preprocessing: one backward scan"), and it
+    is the paper's table to the byte: ``repro prepare`` stores
+    washington/small's, and that table — and germany/medium's, built in
+    process — equals the SPCS rows (one one-to-all search per transfer
+    station, §5.2).  The scan's deterministic work, points × passes, is
+    as recorded."""
     import numpy as np
 
     from repro import TransitService
-
-    def prepare(label: str, *prefix: str):
-        store = str(tmp / label)
-        out = cli(
-            "prepare", "--instance", "washington", "--scale", "small",
-            "--transfer-fraction", "0.5", "--store", store, prefix=prefix,
-        ).stdout
-        ms, procs = re.search(r"table ([\d.]+) ms on (\d+) process", out).groups()
-        return float(ms), int(procs), TransitService.load(store).table
-
-    nproc = len(os.sched_getaffinity(0))
-    free_ms, free_procs, free = prepare("free")
-    pinned_ms, pinned_procs, pinned = prepare("pinned", "taskset", "-c", "0")
-    rows = free.num_transfer_stations
-    assert np.array_equal(free.transfer_stations, pinned.transfer_stations)
-    for a in range(rows):
-        for b in range(rows):
-            p, q = free.profiles[a][b], pinned.profiles[a][b]
-            assert p.deps.tobytes() == q.deps.tobytes(), (a, b)
-            assert p.arrs.tobytes() == q.arrs.tobytes(), (a, b)
-    assert pinned_procs == 1, pinned_procs
-    # The first row is the caller's timed probe; the pool gets the rest.
-    assert free_procs == (min(nproc, rows - 1) if nproc >= 2 else 1), free_procs
-    print(
-        f"{rows} rows: {free_ms:.0f} ms on {free_procs} process(es), "
-        f"{pinned_ms:.0f} ms pinned to one CPU; tables bitwise equal"
-    )
-
-    # The kernel's pop order at scale: a one-to-all search's settled
-    # count moves with any change in which of two equal keys pops
-    # first, and a table build sums 44 resp. 65 of them.
+    from repro.graph.td_model import build_td_graph
+    from repro.query.distance_table import route_points
     from repro.service import ServiceConfig
     from repro.synthetic.instances import make_instance
+    from tests.helpers import assert_rows_bitwise_equal, spcs_table_rows
 
+    store = str(tmp / "washington")
+    out = cli(
+        "prepare", "--instance", "washington", "--scale", "small",
+        "--transfer-fraction", "0.5", "--store", store,
+    ).stdout
+    ms = float(re.search(r"table ([\d.]+) ms", out).group(1))
+    stored = TransitService.load(store).table
     config = ServiceConfig(use_distance_table=True, transfer_fraction=0.5)
-    for instance, scale, settled in (
-        ("washington", "small", 1_955_079),
-        ("germany", "medium", 701_825),
+    for instance, scale, points, passes in (
+        ("washington", "small", 29_283, 2),
+        ("germany", "medium", 7_769, 2),
     ):
-        table = TransitService(make_instance(instance, scale=scale), config).table
-        assert table.build_settled == settled, (instance, table.build_settled)
-        print(
-            f"{instance}/{scale}: {table.num_transfer_stations} rows "
-            f"settle {table.build_settled} connections, as recorded"
+        service = TransitService(make_instance(instance, scale=scale), config)
+        table = service.table
+        work = (route_points(service.prepared.arrays)[0].size, table.build_passes)
+        assert work == (points, passes), (instance, work)
+        t0 = time.perf_counter()
+        expected = spcs_table_rows(
+            build_td_graph(service.timetable), table.transfer_stations
         )
+        oracle_s = time.perf_counter() - t0
+        assert_rows_bitwise_equal(expected, table.profiles)
+        if instance == "washington":
+            assert np.array_equal(stored.transfer_stations, table.transfer_stations)
+            assert_rows_bitwise_equal(expected, stored.profiles)
+        print(
+            f"{instance}/{scale}: {table.num_transfer_stations} rows from "
+            f"{points} points x {passes} passes in "
+            f"{table.build_seconds * 1000:.0f} ms; SPCS rows in "
+            f"{oracle_s * 1000:.0f} ms; bitwise equal"
+        )
+    print(f"repro prepare, washington/small: table {ms:.0f} ms; stored table equal")
 
 
 def table1_kernels(tmp: Path) -> None:
@@ -560,11 +554,11 @@ def served_pool(tmp: Path) -> None:
     p = 2 connection subsets — answers equal to in-process ones, p = 2
     faster than p = 1 by more than 1.3x where there are two cores to
     run them on (the numbers are printed either way, the assertion
-    comes last).  Last a delay swap whose table patch is long enough to
-    fork a pool for its rows *inside* ``serve`` (``fan_out``: the same
-    ``ForkPool``, for the call): row workers come and go, the answers
-    after it are those of an in-process service that applied the same
-    batch, and ``serving()``'s "no descendant survives" covers them."""
+    comes last).  Last a delay swap with the table on: its rows are
+    patched by the scan on the executor thread, so nothing but the new
+    generation's search workers forks, the answers after it are those
+    of an in-process service that applied the same batch, and the swap
+    time is printed for comparison across commits."""
     import random
     import statistics
     import threading
@@ -662,7 +656,7 @@ def served_pool(tmp: Path) -> None:
             update = backend.apply_delays(delays, replan="incremental")
             swapped.set()
             watcher.join()
-            row_workers = seen - before - set(process_tree(server))
+            transient = seen - before - set(process_tree(server))
             local.apply_delays(delays, replan="incremental")
             stats = local.service.prepare_stats
             for source in sources:
@@ -673,12 +667,13 @@ def served_pool(tmp: Path) -> None:
                 journey = backend.journey(source, target[0])
                 assert journey.profile == local.journey(source, target[0]).profile
         print(
-            f"delay swap, table on: {stats.patched_table_rows} rows patched in "
-            f"{update.swap_seconds * 1000:.0f} ms by {len(row_workers)} row "
-            f"worker(s) inside serve ({stats.table_workers} process(es) "
-            f"in-process); answers after it equal the in-process service's"
+            f"delay swap, table on: {stats.patched_table_rows} rows patched, "
+            f"swap {update.swap_seconds * 1000:.0f} ms "
+            f"(table {stats.table_seconds * 1000:.0f} ms in process), "
+            f"{len(transient)} short-lived process(es) inside serve; "
+            f"answers after it equal the in-process service's"
         )
-        assert len(row_workers) == (stats.table_workers if cores >= 2 else 0)
+        assert not transient, f"the swap forked row workers: {transient}"
     one, two = (statistics.median(times[p]) * 1000 for p in (1, 2))
     print(
         f"served profile, 12 sources x 3, one client, {cores} core(s): "

@@ -78,8 +78,7 @@ FLAGS = {
         {"type": int},
         "connection partitions per search (§3.2), the service's "
         "num_threads (default: 4; batch, which spreads whole queries "
-        "over --workers, 1); how many processes build a distance table "
-        "is decided by the build, from the CPUs it may use",
+        "over --workers, 1)",
         4,
     ),
     "--workers": Flag(
@@ -413,8 +412,6 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
         f"pack {stats.pack_seconds * 1000:.1f} ms, "
         f"station graph {stats.station_graph_seconds * 1000:.1f} ms, "
         f"table {stats.table_seconds * 1000:.1f} ms "
-        f"on {stats.table_workers} process"
-        f"{'' if stats.table_workers == 1 else 'es'} "
         f"(total {stats.total_seconds * 1000:.1f} ms)\n"
         f"store written to {args.store}: "
         f"{info['total_bytes'] / 1024:.1f} KiB "

@@ -14,7 +14,7 @@ connection-setting profile search (SPCS) and its parallelization.
 * :mod:`repro.core.parallel` — the parallel driver and the
   simulated-cores accounting used by the benchmarks.
 * :mod:`repro.core.fanout` — the one way onto another core: a fork
-  pool per call (the parallel driver, the table build) or per service
+  pool per call (the parallel driver) or per service
   generation (its search workers).
 * :mod:`repro.core.merge` — merging per-thread labels and reading off
   reduced profiles.

@@ -7,14 +7,13 @@ Every level of parallelism in this repo is the same dispatch — "call
 * *inside* one query, :func:`~repro.core.parallel.parallel_profile_search`
   runs one SPCS search per subset of ``conn(S)`` (paper §3.2);
 * *across* queries, :meth:`repro.service.TransitService.batch` answers
-  one request per item;
-* *across* sources, :func:`repro.query.distance_table.build_distance_table`
-  builds one row of ``D`` per item (paper §5.2).
+  one request per item.
 
 There is one way onto another core, :class:`ForkPool`, and it has two
 lifetimes.  *Per call*: :func:`fan_out` under ``backend="processes"``
 forks a pool from ``fn``, maps the items over it and reaps it before it
-returns — the table build, direct callers.  *Per generation*: a service
+returns — ``parallel_profile_search(backend="processes")``, direct
+callers.  *Per generation*: a service
 keeps one pool (:meth:`repro.service.TransitService.start_workers`),
 forked once, so a search, one §3.2 partition of a profile or one item
 of a batch costs a pipe round trip and no fork (``docs/SERVER.md``,

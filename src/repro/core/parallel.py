@@ -16,10 +16,7 @@ A pool *per search* repays its fork only where the search is long (flat
 kernel, p = 2 on two cores, means of 18 searches: ``germany`` / medium
 11.7–12.0 ms ``serial``, 12.5–12.9 ms ``processes``; ``washington`` /
 small 43.6–44.6 against 33.4–35.9 ms), so the paths that run many
-searches keep their processes longer than one of them.  The
-distance-table build forks one pool per build and runs whole searches
-in it, each ``serial`` inside
-(:func:`repro.query.distance_table.patch_distance_table`).  A served
+searches keep their processes longer than one of them.  A served
 generation forks its search workers once and hands this driver a
 ``dispatch`` that runs each subset in one of them: the paper's master /
 worker scheme with processes for threads — the master partitions and
@@ -132,8 +129,8 @@ def timed_subset_search(
     The result keeps the station rows only, as a contiguous copy of
     ``labels[:num_stations]``: a profile reads nothing else, and this is
     what travels back through a worker's pipe, is merged and is cached.
-    Every caller of the §3.2 driver — served, in process, a table row,
-    an empty subset — gets this one shape."""
+    Every caller of the §3.2 driver — served, in process, an empty
+    subset — gets this one shape."""
     t0 = time.perf_counter()
     result = run_spcs_search(
         graph,

@@ -6,20 +6,18 @@ given time — *without* transfer times at either endpoint (the pruning
 rules add those explicitly).  Stored as one reduced
 :class:`~repro.functions.algebra.Profile` per ordered pair.
 
-Precomputation runs the parallel one-to-all algorithm from every
-transfer station (paper §5.2), which is exactly the semantics required:
-profile searches start at route nodes (no source transfer) and read
-arrivals off station nodes (no target transfer).
-
-Two kinds of parallelism meet here and stay apart.  ``num_threads`` is
-the number of ``conn(S)`` *partitions inside one search* (paper §3.2);
-it changes the work done (self-pruning cannot cross partitions), not
-the processes used.  *Across sources* the rows of ``D`` are independent
-searches, so :func:`patch_distance_table` hands them to
-:func:`repro.core.fanout.fan_out` — one ``ForkPool`` per build, sized
-to the cores this process may use, and only when the build is long
-enough to repay it (:data:`POOL_MIN_SECONDS`).  The stored profiles do
-not depend on either.
+The paper computes ``D`` by one parallel one-to-all profile search per
+transfer station (§5.2).  Here every row comes out of **one backward
+scan** over the points of the route edges' travel-time functions — the
+profile variant of connection scanning (Dibbelt, Pajor, Strasser &
+Wagner, ACM JEA 2018) — carrying, per point, one vector of earliest
+arrivals at the station nodes of ``S_trans``.  The state is the graph's
+(:mod:`repro.graph.td_model`): a rider at a route node may take any
+later train of that route without paying ``T(S)``, changing routes pays
+``T(S)`` through the station node, and the first boarding is free.  The
+SPCS rows (:func:`repro.core.parallel.parallel_profile_search` per
+source) are the scan's test oracle, to the byte; ``docs/KERNEL.md``,
+"Preprocessing: one backward scan", states the recurrence.
 """
 
 from __future__ import annotations
@@ -29,22 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.fanout import fan_out, usable_cores
-from repro.core.parallel import parallel_profile_search
 from repro.functions.algebra import Profile
-from repro.functions.piecewise import INF_TIME
+from repro.graph.td_arrays import TDGraphArrays, packed_arrays
 from repro.graph.td_model import TDGraph
 
-#: Fork a pool for the rows after the first only when they are
-#: predicted — their count × the first row's measured time — to take
-#: longer than this many seconds on the calling thread.  Two children
-#: fork in 2–5 ms on the 2-core reference VM and every row is pickled
-#: back; medians of 7 alternating builds: 23–25 ms of rows take 11–13
-#: ms *longer* on a pool, 82 ms save 24, 213 ms save 79, 248 ms save
-#: 103.  A pool breaks even near 50 ms; the constant sits where two
-#: workers save ≈ 0.1 s, because below it a fork — out of a threaded
-#: server, for a delay patch — buys tens of milliseconds at best.
-POOL_MIN_SECONDS = 0.25
+#: The scan's "unreachable": an int32 that stays one after a few
+#: periods are added to it, so the state never needs int64.
+_INF32 = 1 << 30
+#: Bytes of scan state — one int32 per slot and target column — held at
+#: once; a table whose targets need more is scanned a block of columns
+#: at a time (the columns are independent).
+_STATE_BYTES = 1 << 24
 
 
 @dataclass(slots=True)
@@ -61,12 +54,10 @@ class DistanceTable:
     period: int
     #: Wall-clock seconds the precomputation took (Table 2, Prepro Time).
     build_seconds: float
-    #: Total settled connections during precomputation.
-    build_settled: int
-    #: Processes that built the rows: 1 for a serial build, the pool
-    #: size otherwise.  A statistic of the run like ``build_seconds``,
-    #: not stored — a table loaded from a store reads 1.
-    build_workers: int = 1
+    #: Passes the scan made over the points (the most any block of
+    #: columns needed): a statistic of the run like ``build_seconds``,
+    #: not stored — a table loaded from a store reads 0.
+    build_passes: int = 0
 
     @property
     def num_transfer_stations(self) -> int:
@@ -107,20 +98,10 @@ def build_distance_table(
     graph: TDGraph,
     transfer_stations: np.ndarray | list[int],
     *,
-    num_threads: int = 8,
-    strategy: str = "equal-connections",
-    kernel: str = "python",
-    arrays=None,
+    arrays: TDGraphArrays | None = None,
 ) -> DistanceTable:
-    """Precompute ``D`` by one parallel one-to-all run per transfer
-    station (paper §5.2: "distance tables are computed by running our
-    parallel one-to-all algorithm on 8 cores from every transfer
-    station").
-
-    ``kernel``/``arrays`` select the per-search implementation exactly
-    as in :func:`~repro.core.parallel.parallel_profile_search`; both
-    kernels produce identical reduced profiles, so the stored table is
-    the same whichever builds it (the ``flat`` kernel is just faster).
+    """Precompute ``D`` over ``transfer_stations`` by one backward scan
+    of ``arrays`` (the graph's own pack when omitted).
 
     A cold build is :func:`patch_distance_table` with every source
     affected, over a table that has no rows yet.
@@ -135,16 +116,9 @@ def build_distance_table(
         profiles=[[] for _ in stations],
         period=graph.timetable.period,
         build_seconds=0.0,
-        build_settled=0,
     )
     return patch_distance_table(
-        blank,
-        graph,
-        np.ones(graph.num_stations, dtype=bool),
-        num_threads=num_threads,
-        strategy=strategy,
-        kernel=kernel,
-        arrays=arrays,
+        blank, graph, np.ones(graph.num_stations, dtype=bool), arrays=arrays
     )
 
 
@@ -153,84 +127,357 @@ def patch_distance_table(
     graph: TDGraph,
     affected_sources,
     *,
-    num_threads: int = 8,
-    strategy: str = "equal-connections",
-    kernel: str = "python",
-    arrays=None,
+    arrays: TDGraphArrays | None = None,
 ) -> DistanceTable:
-    """Rebuild only the rows of ``D`` whose one-to-all search can have
+    """Rebuild the rows of ``D`` whose one-to-all search can have
     changed, against an incrementally patched ``graph``.
 
     ``affected_sources`` is a boolean mask over stations (see
     :func:`repro.graph.td_patch.stations_reaching`): stations that can
-    reach a delay-trigger station.  A profile search seeded at a source
-    outside the mask never relaxes a changed route edge nor seeds from
-    a changed ``conn(S)`` row, so its reduced profiles — and therefore
-    the whole table row — are exactly what a cold build on the delayed
-    graph would produce; those row lists are shared by reference (rows
-    are never mutated after construction).
+    reach a delay-trigger station.  A source outside the mask reaches
+    no changed route edge and seeds from no changed ``conn(S)`` row, so
+    its row is exactly what a cold build on the delayed graph gives; the
+    parent's row list is kept by reference (rows are never mutated
+    after construction), and with it its profiles' mirrors.  The scan
+    itself computes every column for the affected rows together.
 
-    The first affected row is built on the calling thread and timed;
-    the others follow it there, or go to one
-    :class:`~repro.core.fanout.ForkPool` when this process may use more
-    than one core and they are predicted to take longer than
-    :data:`POOL_MIN_SECONDS`.  Its children inherit ``graph``,
-    ``arrays`` and the kernel mirrors copy-on-write (a pack
-    is constructed with its mirrors, and the first row has packed
-    ``graph`` where the caller passed no ``arrays``); station indices
-    travel in, finished rows and their settled counts travel back; a
-    child killed under its row fails the patch (``WorkerLost``).
-
-    ``build_seconds``/``build_settled``/``build_workers`` report *this
-    patch's* work, not cumulative totals — they are diagnostics of the
-    latest (re)build, which is what the replan accounting wants.
+    ``build_seconds`` / ``build_passes`` report *this patch's* work, not
+    cumulative totals — diagnostics of the latest (re)build, which is
+    what the replan accounting wants.
     """
+    t0 = time.perf_counter()
     stations = table.transfer_stations
     mask = np.asarray(affected_sources, dtype=bool)
     sources = [a for a, origin in enumerate(stations) if mask[int(origin)]]
-    empty = Profile(
-        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), table.period
-    )
-
-    def build_row(a: int) -> tuple[list[Profile], int]:
-        result = parallel_profile_search(
-            graph,
-            int(stations[a]),
-            num_threads,
-            strategy=strategy,
-            kernel=kernel,
-            arrays=arrays,
-        )
-        row = [
-            empty if b == a else result.profile(int(dest))
-            for b, dest in enumerate(stations)
-        ]
-        return row, result.stats.settled_connections
-
-    t0 = time.perf_counter()
-    built = [build_row(a) for a in sources[:1]]
-    probe_seconds = time.perf_counter() - t0
-    rest = sources[1:]
-    workers = min(usable_cores(), len(rest))
-    pooled = workers > 1 and len(rest) * probe_seconds > POOL_MIN_SECONDS
-    run = fan_out(
-        build_row,
-        rest,
-        backend="processes" if pooled else "serial",
-        workers=workers,
-    )
-    built += run.results
     profiles = list(table.profiles)
-    for a, (row, _) in zip(sources, built):
-        profiles[a] = row
-    build_seconds = time.perf_counter() - t0
-
+    passes = 0
+    if sources:
+        if arrays is None:
+            arrays = packed_arrays(graph)
+        rows, passes = scan_rows(arrays, stations, sources)
+        for a, row in zip(sources, rows):
+            profiles[a] = row
     return DistanceTable(
         transfer_stations=stations,
         index_of=table.index_of,
         profiles=profiles,
         period=table.period,
-        build_seconds=build_seconds,
-        build_settled=sum(settled for _, settled in built),
-        build_workers=workers if run.backend == "processes" else 1,
+        build_seconds=time.perf_counter() - t0,
+        build_passes=passes,
     )
+
+
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``lo[0] … lo[0] + counts[0] − 1``, then the next range, …"""
+    return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
+
+
+def _edge_tails(arrays: TDGraphArrays) -> np.ndarray:
+    return np.repeat(
+        np.arange(arrays.num_nodes, dtype=np.int64), np.diff(arrays.edge_indptr)
+    )
+
+
+def route_points(arrays: TDGraphArrays) -> tuple[np.ndarray, ...]:
+    """Every point of every route edge's travel-time function as
+    parallel vectors ``(tail, head, dep, arr)``: one ride from route
+    node ``tail`` departing ``dep`` to route node ``head``, arriving
+    ``arr = dep + dur`` (``dur ≥ 1``).  What the scan scans."""
+    route = np.flatnonzero(arrays.edge_ttf >= 0)
+    ttf = arrays.edge_ttf[route]
+    lo = arrays.ttf_indptr[ttf]
+    counts = arrays.ttf_indptr[ttf + 1] - lo
+    index = _ranges(lo, counts)
+    dep = arrays.ttf_dep[index]
+    return (
+        np.repeat(_edge_tails(arrays)[route], counts),
+        np.repeat(arrays.edge_target[route], counts),
+        dep,
+        dep + arrays.ttf_dur[index],
+    )
+
+
+class _Suffix:
+    """The suffix minima of one kind of owner — a route node (``R``) or
+    a station (``B``) — over its points, one *slot* per distinct
+    ``(owner, departure minute)``, sorted: slot ``j`` holds the least
+    arrival vector over the owner's points departing at or after its
+    minute, on any later day too.
+
+    Reads are resolved once, before any pass, to rows of one state
+    array: a slot of this pass (a read on the same day, which the scan
+    has already written), a *carry* row — a slot of the previous pass
+    shifted some periods on — or the ``INF`` row (an owner without
+    points)."""
+
+    def __init__(self, owner: np.ndarray, dep: np.ndarray, period: int) -> None:
+        self.period = period
+        self.keys = np.unique(owner * period + dep)
+        self.size = int(self.keys.size)
+
+    def slot(self, owner: np.ndarray, dep: np.ndarray) -> np.ndarray:
+        """The slots of ``(owner, dep)`` pairs that have one."""
+        return np.searchsorted(self.keys, owner * self.period + dep)
+
+    def resolve(self, owner: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(slot, days)`` of a read of ``owner``'s suffix at time
+        ``t``: the first slot at or after ``t``'s minute on ``t``'s day,
+        else the owner's first slot one day on; slot −1: no points."""
+        days, minute = np.divmod(t, self.period)
+        if not self.size:
+            return np.full(t.shape, -1, dtype=np.int64), days
+        base = owner * self.period
+        last = self.size - 1
+        pos = np.searchsorted(self.keys, base + minute)
+        found = (pos <= last) & (self.keys[np.minimum(pos, last)] < base + self.period)
+        first = np.searchsorted(self.keys, base)
+        has = (first <= last) & (self.keys[np.minimum(first, last)] < base + self.period)
+        slot = np.where(found, pos, np.where(has, first, -1))
+        return slot, np.where(found, days, days + 1)
+
+    def next_slots(self, slot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(slot, days)`` that each of ``slot``'s suffixes continues
+        with: the owner's next slot, or after its last one its first, a
+        day on."""
+        owner = self.keys // self.period
+        same = np.append(owner[1:] == owner[:-1], False)[slot]
+        first = np.searchsorted(self.keys, owner[slot] * self.period)
+        return np.where(same, slot + 1, first), (~same).astype(np.int64)
+
+    def index(self, *reads: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+        """The state rows of every read a pass makes, numbering one
+        carry row per distinct ``(slot, days > 0)`` among them."""
+        slot = np.concatenate([s for s, _ in reads])
+        days = np.concatenate([d for _, d in reads])
+        cross = (slot >= 0) & (days > 0)
+        width = int(days.max(initial=0)) + 1
+        codes, carry = np.unique(
+            slot[cross] * width + days[cross], return_inverse=True
+        )
+        self.carry_slot = codes // width
+        self.carry_shift = ((codes % width) * self.period).astype(np.int32)
+        self.inf_row = self.size + int(codes.size)
+        rows = np.where(slot < 0, self.inf_row, slot)
+        rows[cross] = self.size + carry
+        return np.split(rows, np.cumsum([s.size for s, _ in reads])[:-1])
+
+    def state(self, columns: int) -> np.ndarray:
+        """This pass's slots, then the carry rows, then ``INF``."""
+        return np.full((self.inf_row + 1, columns), _INF32, dtype=np.int32)
+
+    def carry(self, state: np.ndarray) -> bool:
+        """Refresh the carry rows from this pass's slots; False when
+        they did not change (the next pass would repeat this one)."""
+        fresh = state[self.carry_slot] + self.carry_shift[:, None]
+        np.minimum(fresh, _INF32, out=fresh)
+        held = state[self.size : self.inf_row]
+        if np.array_equal(fresh, held):
+            return False
+        held[...] = fresh
+        return True
+
+    def read(self, state: np.ndarray, slot: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """A read against a finished scan: every slot final."""
+        values = state[np.where(slot < 0, self.inf_row, slot)]
+        values += (days * self.period).astype(np.int32)[:, None]
+        return np.minimum(values, _INF32, out=values)
+
+
+def _station_edges(arrays: TDGraphArrays) -> tuple[np.ndarray, np.ndarray]:
+    """``(alights, boardable)`` over nodes: route nodes with an edge to
+    their station node, and route nodes their station node boards."""
+    const = np.flatnonzero(arrays.edge_ttf < 0)
+    tail = _edge_tails(arrays)[const]
+    head = arrays.edge_target[const]
+    alights = np.zeros(arrays.num_nodes, dtype=bool)
+    alights[tail[head < arrays.num_stations]] = True
+    boardable = np.zeros(arrays.num_nodes, dtype=bool)
+    boardable[head[tail < arrays.num_stations]] = True
+    return alights, boardable
+
+
+class _Scan:
+    """Everything a pass reads, resolved from the pack before the first
+    (see :func:`scan_rows`), one entry per point in scan order: latest
+    minute first, and within a minute by route node."""
+
+    def __init__(
+        self, arrays: TDGraphArrays, stations: np.ndarray, sources: list[int]
+    ) -> None:
+        period = arrays.period
+        node_station = arrays.node_station
+        transfer = arrays.transfer_time
+        alights, boardable = _station_edges(arrays)
+        tail, head, dep, arr = route_points(arrays)
+
+        R = self.R = _Suffix(tail, dep, period)
+        r_slot = R.slot(tail, dep)
+        order = np.lexsort((r_slot, -dep))
+        tail, head, dep, arr, r_slot = (x[order] for x in (tail, head, dep, arr, r_slot))
+        board = boardable[tail]
+        B = self.B = _Suffix(node_station[tail[board]], dep[board], period)
+
+        # A point's reads: on at its head, or off there and on again.
+        lands = alights[head]
+        at = node_station[head]
+        b_slot, b_days = B.resolve(at, arr + transfer[at])
+        b_slot[~lands] = -1
+        column_of = np.full(arrays.num_stations, -1, dtype=np.int64)
+        column_of[stations] = np.arange(stations.size)
+        self.target_col = np.where(lands, column_of[at], -1)
+        self.arr = arr.astype(np.int32)
+
+        # One R group per slot (ties at a route node reduce together),
+        # the boardable ones regrouped by B slot within their minute.
+        starts = np.flatnonzero(np.append(True, r_slot[1:] != r_slot[:-1]))
+        self.group_slot = r_slot[starts]
+        group_tail = tail[starts]
+        g_board = np.flatnonzero(boardable[group_tail])
+        g_bslot = B.slot(node_station[group_tail[g_board]], dep[starts][g_board])
+        point_off = np.append(np.flatnonzero(np.append(True, dep[1:] != dep[:-1])), dep.size)
+        group_off = np.searchsorted(starts, point_off)
+        board_off = np.searchsorted(g_board, group_off)
+        minute = np.repeat(np.arange(point_off.size - 1), np.diff(board_off))
+        perm = np.lexsort((g_bslot, minute))
+        self.b_perm = g_board[perm] - group_off[minute]
+        b_sorted = g_bslot[perm]
+        b_starts = np.flatnonzero(np.append(True, b_sorted[1:] != b_sorted[:-1]))
+        self.b_group_slot = b_sorted[b_starts]
+        bgroup_off = np.searchsorted(b_starts, board_off)
+        self.rel_starts = starts - np.repeat(point_off[:-1], np.diff(group_off))
+        self.rel_bstarts = b_starts - board_off[minute[b_starts]]
+
+        # The seeds: every connection of every source, both reads.
+        lo = arrays.conn_indptr[stations[sources]]
+        counts = arrays.conn_indptr[stations[sources] + 1] - lo
+        seeds = _ranges(lo, counts)
+        self.seed_bounds = np.append(0, np.cumsum(counts)).tolist()
+        seed_node = arrays.conn_start[seeds]
+        self.seed_dep = arrays.conn_dep[seeds]
+        seed_station = node_station[seed_node]
+        self.seed_r = R.resolve(seed_node, self.seed_dep)
+        self.seed_b = B.resolve(seed_station, self.seed_dep + transfer[seed_station])
+        self.seed_b[0][~alights[seed_node]] = -1
+
+        self.r_read, self.r_next = R.index(
+            R.resolve(head, arr), R.next_slots(self.group_slot)
+        )
+        self.b_read, self.b_next = B.index(
+            (b_slot, b_days), B.next_slots(self.b_group_slot)
+        )
+        self.point_off, self.group_off, self.board_off, self.bgroup_off = (
+            x.tolist() for x in (point_off, group_off, board_off, bgroup_off)
+        )
+
+    def columns(self, c0: int, c1: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """The finished ``R`` and ``B`` states of target columns
+        ``[c0, c1)``, and the passes they took."""
+        R, B = self.R, self.B
+        point_off, group_off = self.point_off, self.group_off
+        board_off, bgroup_off = self.board_off, self.bgroup_off
+        r_read, b_read, r_next, b_next = self.r_read, self.b_read, self.r_next, self.b_next
+        rel_starts, rel_bstarts = self.rel_starts, self.rel_bstarts
+        group_slot, b_perm, b_group_slot = self.group_slot, self.b_perm, self.b_group_slot
+        hit = np.flatnonzero((self.target_col >= c0) & (self.target_col < c1))
+        hit_off = np.searchsorted(hit, point_off).tolist()
+        hit_col = self.target_col[hit] - c0
+        hit_arr = self.arr[hit]
+        SR = R.state(c1 - c0)
+        SB = B.state(c1 - c0)
+        passes = 0
+        moved = True
+        while moved:
+            passes += 1
+            for m in range(len(point_off) - 1):
+                lo, hi = point_off[m], point_off[m + 1]
+                vec = np.minimum(SR[r_read[lo:hi]], SB[b_read[lo:hi]])
+                h0, h1 = hit_off[m], hit_off[m + 1]
+                if h1 > h0:
+                    rows, cols = hit[h0:h1] - lo, hit_col[h0:h1]
+                    vec[rows, cols] = np.minimum(vec[rows, cols], hit_arr[h0:h1])
+                g0, g1 = group_off[m], group_off[m + 1]
+                if g1 - g0 < hi - lo:
+                    vec = np.minimum.reduceat(vec, rel_starts[g0:g1], axis=0)
+                np.minimum(vec, SR[r_next[g0:g1]], out=vec)
+                SR[group_slot[g0:g1]] = vec
+                p0, p1 = board_off[m], board_off[m + 1]
+                if p1 > p0:
+                    k0, k1 = bgroup_off[m], bgroup_off[m + 1]
+                    bvec = vec[b_perm[p0:p1]]
+                    if k1 - k0 < p1 - p0:
+                        bvec = np.minimum.reduceat(bvec, rel_bstarts[k0:k1], axis=0)
+                    np.minimum(bvec, SB[b_next[k0:k1]], out=bvec)
+                    SB[b_group_slot[k0:k1]] = bvec
+            moved = R.carry(SR)
+            moved = B.carry(SB) or moved
+        return SR, SB, passes
+
+    def labels(self, SR: np.ndarray, SB: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Source ``k``'s seed labels — one row per connection of its
+        ``conn(S)`` — and their departures."""
+        lo, hi = self.seed_bounds[k], self.seed_bounds[k + 1]
+        labels = np.minimum(
+            self.R.read(SR, self.seed_r[0][lo:hi], self.seed_r[1][lo:hi]),
+            self.B.read(SB, self.seed_b[0][lo:hi], self.seed_b[1][lo:hi]),
+        )
+        return labels, self.seed_dep[lo:hi]
+
+
+def scan_rows(
+    arrays: TDGraphArrays,
+    stations: np.ndarray,
+    sources: list[int],
+) -> tuple[list[list[Profile]], int]:
+    """The rows ``sources`` (indices into ``stations``, the sorted
+    ``S_trans``) of ``D`` over the pack ``arrays``, and the most passes
+    a block of columns needed.
+
+    Points are scanned one departure minute at a time, latest first.  A
+    point ``c`` from route node ``u`` to ``v``, arriving ``arr``, gets
+    ``vec(c) = min(R_v(arr), B_st(v)(arr + T(st(v))))``, and ``arr`` in
+    ``st(v)``'s own column when that is a target (alighting costs
+    nothing); ``R_u`` and ``B_s`` are the suffix minima of ``vec`` over
+    the points of route node ``u`` and over every point departing
+    station ``s``.  ``dur ≥ 1``, so every read of this day hits a minute
+    already final; a read on a later day takes the previous pass's
+    value plus the periods between, and passes repeat until those
+    values stop changing.  Connection ``i`` of ``conn(S)``, seed route
+    node ``u_i`` departing ``d_i``, is then labelled ``min(R_u_i(d_i),
+    B_S(d_i + T(S)))`` — the second term where ``u_i`` may alight — and
+    each row is those labels reduced as the one-to-all search's are.
+    """
+    scan = _Scan(arrays, stations, sources)
+    num_targets = int(stations.size)
+    block = max(1, _STATE_BYTES // (4 * (scan.R.inf_row + scan.B.inf_row + 2)))
+    empty = np.zeros(0, dtype=np.int64)
+    rows: list[list[Profile]] = [[None] * num_targets for _ in sources]
+    most_passes = 0
+    for c0 in range(0, num_targets, block):
+        c1 = min(c0 + block, num_targets)
+        SR, SB, passes = scan.columns(c0, c1)
+        most_passes = max(most_passes, passes)
+        for k, (row, a) in enumerate(zip(rows, sources)):
+            row[c0:c1] = _reduced_columns(*scan.labels(SR, SB, k), arrays.period)
+            if c0 <= a < c1:
+                row[a] = Profile(empty, empty, arrays.period)
+    return rows, most_passes
+
+
+def _reduced_columns(labels: np.ndarray, deps: np.ndarray, period: int) -> list[Profile]:
+    """One profile per column of ``labels`` (one row per connection of
+    ``conn(S)``, departing ``deps``), reduced as
+    :func:`~repro.functions.reduction.reduce_connection_points` reduces
+    a one-to-all search's labels: a point survives where its arrival is
+    finite and below every later connection's."""
+    after = np.full_like(labels, _INF32)
+    np.minimum.accumulate(labels[:0:-1], axis=0, out=after[-2::-1])
+    col, kept = np.nonzero((labels < after).T)
+    kept_deps = deps[kept]
+    kept_arrs = labels[kept, col].astype(np.int64)
+    ends = np.cumsum(np.bincount(col, minlength=labels.shape[1])).tolist()
+    return [
+        Profile(kept_deps[start:end], kept_arrs[start:end], period)
+        for start, end in zip([0, *ends], ends)
+    ]

@@ -142,8 +142,8 @@ class TransitServer(BaseAsyncHttpServer):
         except SwapStateError as exc:
             status, payload = 409, _error("swap_conflict", str(exc))
         except WorkerLost as exc:
-            # A pool worker — a search's, a swap's table row — died
-            # under this request, and only this one: ask again.
+            # A search worker died under this request, and only this
+            # one: ask again.
             status, payload, extra = 503, _error(
                 "worker_lost", str(exc), retriable=True
             ), self._retry_after_header()

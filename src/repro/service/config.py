@@ -59,11 +59,8 @@ class ServiceConfig:
         production default: identical answers, several times faster).
     num_threads
         Per-query connection partitioning (paper §3.2 simulated cores):
-        how many subsets of ``conn(S)`` one search is split into —
-        including each one-to-all search of the distance-table build.
-        Not a process count: how many processes build the table is
-        decided by the build itself, from the cores it may use
-        (:mod:`repro.query.distance_table`).
+        how many subsets of ``conn(S)`` one search is split into.  Not
+        a process count.
     strategy
         Partition strategy, a
         :data:`~repro.core.partition.PARTITION_STRATEGIES` key.

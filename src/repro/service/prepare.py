@@ -78,11 +78,6 @@ class PrepareStats:
     rebuilt_legs: int = 0
     #: Distance-table rows recomputed (incremental replans only).
     patched_table_rows: int = 0
-    #: Processes that built (or patched) the distance table: 1 for a
-    #: serial build, the fork pool's size otherwise — ``table_seconds``
-    #: means little without it.  0 when no table was built (table off,
-    #: or loaded from a store).
-    table_workers: int = 1
 
 
 @dataclass
@@ -166,14 +161,7 @@ def prepare_dataset(
         selection_seconds = time.perf_counter() - t0
         if transfer_stations.size:
             t0 = time.perf_counter()
-            table = build_distance_table(
-                graph,
-                transfer_stations,
-                num_threads=config.num_threads,
-                strategy=config.strategy,
-                kernel=config.kernel,
-                arrays=arrays,
-            )
+            table = build_distance_table(graph, transfer_stations, arrays=arrays)
             table_seconds = time.perf_counter() - t0
             table_mib = table.size_mib()
     else:
@@ -196,7 +184,6 @@ def prepare_dataset(
         ),
         table_mib=table_mib,
         shared_station_graph=shared_station_graph,
-        table_workers=0 if table is None else table.build_workers,
     )
     return PreparedDataset(
         timetable=timetable,
@@ -256,15 +243,7 @@ def replan_dataset(
             prepared.station_graph,
             patch.trigger_stations | patch.changed_stations,
         )
-        table = patch_distance_table(
-            prepared.table,
-            graph,
-            affected,
-            num_threads=config.num_threads,
-            strategy=config.strategy,
-            kernel=config.kernel,
-            arrays=arrays,
-        )
+        table = patch_distance_table(prepared.table, graph, affected, arrays=arrays)
         patched_rows = sum(
             1 for s in table.transfer_stations if affected[int(s)]
         )
@@ -289,7 +268,6 @@ def replan_dataset(
         incremental=True,
         rebuilt_legs=patch.rebuilt_legs,
         patched_table_rows=patched_rows,
-        table_workers=0 if table is None else table.build_workers,
     )
     return PreparedDataset(
         timetable=delayed,

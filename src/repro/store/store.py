@@ -55,8 +55,9 @@ from repro.store.codec import CodecError, read_record, write_record
 from repro.timetable.types import Connection, Route, Station, Timetable, Train
 
 #: Bumped on any incompatible change to the store layout (2: the stored
-#: config has no ``backend`` / ``workers``).
-FORMAT_VERSION = 2
+#: config has no ``backend`` / ``workers``; 3: the table file has no
+#: ``build_settled``).
+FORMAT_VERSION = 3
 
 _MANIFEST_FORMAT = "repro-artifact-store"
 
@@ -308,7 +309,6 @@ def _save_table(path: Path, table: DistanceTable) -> None:
         point_dep=np.concatenate(deps) if deps else empty,
         point_arr=np.concatenate(arrs) if arrs else empty,
         build_seconds=np.asarray([table.build_seconds], dtype=np.float64),
-        build_settled=np.asarray([table.build_settled], dtype=np.int64),
     )
 
 
@@ -390,7 +390,6 @@ def load_dataset(
         table_mib=table_mib,
         shared_station_graph=False,
         loaded_from_store=True,
-        table_workers=0,
     )
     return PreparedDataset(
         timetable=timetable,
@@ -607,7 +606,6 @@ def _load_table(path: Path, period: int) -> DistanceTable:
             point_dep = data["point_dep"]
             point_arr = data["point_arr"]
             build_seconds = float(data["build_seconds"][0])
-            build_settled = int(data["build_settled"][0])
     except Exception as exc:  # zipfile/format errors vary by corruption
         raise StoreError(f"{path}: corrupt table: {exc}") from None
     n = int(transfer_stations.size)
@@ -624,7 +622,6 @@ def _load_table(path: Path, period: int) -> DistanceTable:
         profiles=profiles,
         period=period,
         build_seconds=build_seconds,
-        build_settled=build_settled,
     )
 
 

@@ -24,6 +24,9 @@ def validate_timetable(timetable: Timetable, *, require_fifo: bool = True) -> No
     * station/train ids are dense and match list positions;
     * connection endpoints reference existing stations and trains;
     * departure times lie in ``Π``; durations are positive and < period;
+    * no train departs twice at one time point of ``Π`` (a run spanning
+      a period or more): the graph finds a connection's route node by
+      its (train, departure), :attr:`TDGraph.conn_start_node`;
     * each train's connections form a simple chain in time;
     * (optionally) every route edge fulfils the FIFO property: a later
       departure on the same leg never arrives strictly earlier.
@@ -44,6 +47,7 @@ def validate_timetable(timetable: Timetable, *, require_fifo: bool = True) -> No
 
     num_stations = timetable.num_stations
     num_trains = timetable.num_trains
+    departures: set[tuple[int, int]] = set()
     for c in timetable.connections:
         if not (0 <= c.dep_station < num_stations):
             raise TimetableError(f"connection departs unknown station: {c}")
@@ -61,6 +65,12 @@ def validate_timetable(timetable: Timetable, *, require_fifo: bool = True) -> No
             raise TimetableError(
                 f"duration {c.duration} ≥ period {timetable.period}: {c}"
             )
+        if (c.train, c.dep_time) in departures:
+            raise TimetableError(
+                f"train {c.train} departs twice at {c.dep_time}: its run "
+                f"spans the period {timetable.period}: {c}"
+            )
+        departures.add((c.train, c.dep_time))
 
     # Chainability (raises ValueError with a precise message on failure).
     try:

@@ -144,6 +144,48 @@ def brute_force_arrivals(
     return arrivals
 
 
+def spcs_table_rows(graph, stations, *, num_threads: int = 1, kernel: str = "flat"):
+    """The distance table's rows the paper's way (§5.2): one
+    ``parallel_profile_search`` per transfer station, each row read off
+    its reduced profiles; the diagonal is empty.  The oracle of
+    :func:`repro.query.distance_table.build_distance_table`'s scan."""
+    import numpy as np
+
+    from repro.core.parallel import parallel_profile_search
+    from repro.functions.algebra import Profile
+
+    stations = sorted({int(s) for s in stations})
+    empty = np.zeros(0, dtype=np.int64)
+    rows = []
+    for a, origin in enumerate(stations):
+        result = parallel_profile_search(graph, origin, num_threads, kernel=kernel)
+        rows.append(
+            [
+                Profile(empty, empty, graph.timetable.period)
+                if b == a
+                else result.profile(dest)
+                for b, dest in enumerate(stations)
+            ]
+        )
+    return rows
+
+
+def assert_rows_bitwise_equal(expected, profiles, rows=None):
+    """``profiles`` (a table's rows) equal ``expected`` to the byte:
+    same dtypes, same departure and arrival bytes, same period — every
+    row, or those listed in ``rows``."""
+    assert len(profiles) == len(expected)
+    for a in range(len(expected)) if rows is None else rows:
+        assert len(profiles[a]) == len(expected[a]), a
+        for b, want in enumerate(expected[a]):
+            got = profiles[a][b]
+            assert got.period == want.period, (a, b)
+            assert got.deps.dtype == want.deps.dtype, (a, b)
+            assert got.arrs.dtype == want.arrs.dtype, (a, b)
+            assert got.deps.tobytes() == want.deps.tobytes(), (a, b)
+            assert got.arrs.tobytes() == want.arrs.tobytes(), (a, b)
+
+
 def ask_every_shape(service, source: int, via: int, target: int) -> list:
     """One request of each row of ``SHAPES`` against ``service``, built
     from the shape's own field list (so a seventh shape is asked too);

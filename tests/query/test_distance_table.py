@@ -1,24 +1,31 @@
-"""Unit tests for the profile distance table D (paper §4), and for the
-rule that decides whether its rows are built on a fork pool (§5.2)."""
+"""Unit tests for the profile distance table D (paper §4): the backward
+scan that builds it, against the paper's build — one one-to-all SPCS
+search per transfer station — to the byte, and against hand-computed
+values of the route model both read."""
 
 import os
-import signal
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import fanout
 from repro.core.spcs import spcs_profile_search
-from repro.functions.piecewise import INF_TIME
-from repro.query import distance_table
-from repro.query.distance_table import build_distance_table
+from repro.graph.station_graph import build_station_graph
+from repro.graph.td_arrays import pack_td_graph
+from repro.graph.td_model import build_td_graph
+from repro.graph.td_patch import patch_td_arrays, patch_td_graph, stations_reaching
+from repro.query.distance_table import build_distance_table, patch_distance_table
 from repro.query.transfer_selection import select_transfer_stations
 from repro.service import ServiceConfig, TransitService
+from repro.synthetic.instances import make_instance
+from repro.timetable.builder import TimetableBuilder
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import run_in_own_group
+from tests.helpers import assert_rows_bitwise_equal, retimed, spcs_table_rows
+from tests.strategies import adversarial_timetables, retimings
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +34,7 @@ def table_setup(request):
     stations = select_transfer_stations(
         oahu_graph.timetable, method="contraction", fraction=0.3
     )
-    table = build_distance_table(oahu_graph, stations, num_threads=4)
+    table = build_distance_table(oahu_graph, stations)
     return oahu_graph, stations, table
 
 
@@ -80,7 +87,7 @@ class TestBuildDistanceTable:
         _graph, stations, table = table_setup
         assert table.num_transfer_stations == stations.size
         assert table.build_seconds > 0
-        assert table.build_settled > 0
+        assert table.build_passes >= 1
 
     def test_rejects_route_node(self, oahu_tiny_graph):
         with pytest.raises(ValueError, match="station"):
@@ -89,46 +96,201 @@ class TestBuildDistanceTable:
             )
 
     def test_duplicate_stations_deduplicated(self, oahu_tiny_graph):
-        table = build_distance_table(oahu_tiny_graph, [0, 0, 1], num_threads=2)
+        table = build_distance_table(oahu_tiny_graph, [0, 0, 1])
         assert table.num_transfer_stations == 2
 
 
 # ---------------------------------------------------------------------------
-# Rows on a fork pool: same table to the bit, and only when it pays
+# The route model, by hand
+# ---------------------------------------------------------------------------
+
+A, B, C, D = range(4)
+
+
+def route_model_toy():
+    """Four stations, three routes, every D value computed by hand
+    below.  Route X (A→B→C): x2 leaves A first but x1 overtakes it to
+    B, and x2 is the fast one on to C.  Route Y (C→D): y1 leaves C one
+    minute before a rider off route X may board it.  Route Z (D→A)
+    runs overnight."""
+    builder = TimetableBuilder(name="route-model")
+    for name, transfer in zip("ABCD", (5, 6, 2, 4)):
+        builder.add_station(name, transfer_time=transfer)
+    builder.add_trip([(A, 480), (B, 490), (C, 530)], name="x1")
+    builder.add_trip([(A, 470), (B, 495), (C, 505)], name="x2")
+    builder.add_trip([(C, 506), (D, 520)], name="y1")
+    builder.add_trip([(C, 510), (D, 530)], name="y2")
+    builder.add_trip([(D, 1430), (A, 1455)], name="z1")
+    return builder.build(require_fifo=False)
+
+
+#: ``D(a, b)`` as ``(departure, arrival)`` points.
+ROUTE_MODEL_D = {
+    # x1 to B at 490 and on with x2 at 495 at B's route node, without
+    # T(B) = 6: C at 505 (one train per ride, changing at B, is 530).
+    (A, B): [(480, 490)],
+    (A, C): [(480, 505)],
+    # A change of route pays T(C) = 2: y1 at 506 is gone by 507.
+    (A, D): [(480, 530)],
+    (B, A): [(495, 1455)],
+    (B, C): [(495, 505)],
+    (B, D): [(495, 530)],
+    (C, A): [(510, 1455)],
+    (C, B): [(510, 1930)],
+    # The first boarding is free: y1 straight from C at 506.
+    (C, D): [(506, 520), (510, 530)],
+    # Overnight: A at 1455, then route X a day on, at 470 + T(A).
+    (D, A): [(1430, 1455)],
+    (D, B): [(1430, 1930)],
+    (D, C): [(1430, 1945)],
+}
+
+
+def test_the_route_model_by_hand():
+    """The scan, the SPCS oracle and the hand values agree on a toy
+    that has a ride on at a route node, a change of route, a free first
+    boarding, and journeys a day on that the scan's second pass finds."""
+    graph = build_td_graph(route_model_toy())
+    table = build_distance_table(graph, [A, B, C, D])
+    for (a, b), points in ROUTE_MODEL_D.items():
+        profile = table.profiles[a][b]
+        assert list(zip(profile.deps.tolist(), profile.arrs.tolist())) == points
+    assert all(len(table.profiles[a][a]) == 0 for a in range(4))
+    assert_rows_bitwise_equal(spcs_table_rows(graph, [A, B, C, D]), table.profiles)
+    # Pass one leaves every journey that crosses midnight and then
+    # rides on unknown; pass two finds them, but what it carries over
+    # a day still moves (x1 then D → A overnight reaches B two days
+    # on), so pass three runs and changes nothing.
+    assert table.build_passes == 3
+
+
+# ---------------------------------------------------------------------------
+# The scan against SPCS, to the byte
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def force_pool(monkeypatch):
-    """Every build with two or more rows after the probe forks a
-    2-worker pool, however small the table and whatever the box."""
-    monkeypatch.setattr(distance_table, "POOL_MIN_SECONDS", 0.0)
-    monkeypatch.setattr(distance_table, "usable_cores", lambda: 2)
+@settings(
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(timetable=adversarial_timetables(), data=st.data())
+def test_scan_equals_spcs_rows_on_adversarial_timetables(timetable, data):
+    """Wrap-heavy periods of 60 / 240 / 1 440, overtaking, duplicate
+    trains, zero transfer times and — in random ``S_trans`` subsets —
+    stations without departures."""
+    graph = build_td_graph(timetable)
+    stations = data.draw(
+        st.lists(
+            st.integers(0, timetable.num_stations - 1), min_size=1, unique=True
+        ),
+        label="S_trans",
+    )
+    num_threads = data.draw(st.sampled_from([1, 3]), label="p")
+    table = build_distance_table(graph, stations)
+    expected = spcs_table_rows(graph, stations, num_threads=num_threads)
+    assert_rows_bitwise_equal(expected, table.profiles)
 
 
-def _never_pool(monkeypatch):
-    monkeypatch.setattr(distance_table, "POOL_MIN_SECONDS", float("inf"))
+def test_a_station_without_departures_gets_an_empty_row(toy_graph):
+    """Station D of the toy network has no departures."""
+    (silent,) = [
+        s
+        for s in range(toy_graph.num_stations)
+        if not toy_graph.timetable.outgoing_connections(s)
+    ]
+    table = build_distance_table(toy_graph, range(toy_graph.num_stations))
+    assert all(len(profile) == 0 for profile in table.profiles[silent])
+    assert_rows_bitwise_equal(
+        spcs_table_rows(toy_graph, range(toy_graph.num_stations)), table.profiles
+    )
 
 
-def _forbid_pools(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("this build must not fork")
+@pytest.mark.parametrize("num_threads", [1, 3], ids=lambda p: f"p{p}")
+@pytest.mark.parametrize("instance", ["oahu", "germany", "losangeles", "washington"])
+def test_scan_equals_spcs_rows_on_the_instances(instance, num_threads):
+    """The oracle on one simulated core and on three: SPCS's rows do
+    not depend on its thread count, so the scan equals both."""
+    timetable = make_instance(instance, scale="tiny")
+    graph = build_td_graph(timetable)
+    stations = select_transfer_stations(
+        timetable, method="contraction", fraction=0.3
+    )
+    table = build_distance_table(graph, stations)
+    assert_rows_bitwise_equal(
+        spcs_table_rows(graph, stations, num_threads=num_threads), table.profiles
+    )
 
-    monkeypatch.setattr(fanout.ForkPool, "_fork", no_pool)
+
+def test_the_reference_kernel_agrees(germany_tiny_graph):
+    stations = select_transfer_stations(
+        germany_tiny_graph.timetable, method="contraction", fraction=0.3
+    )
+    table = build_distance_table(germany_tiny_graph, stations)
+    assert_rows_bitwise_equal(
+        spcs_table_rows(germany_tiny_graph, stations, num_threads=3, kernel="python"),
+        table.profiles,
+    )
 
 
-def assert_tables_bitwise_equal(serial, pooled):
-    assert pooled.index_of == serial.index_of
-    assert np.array_equal(pooled.transfer_stations, serial.transfer_stations)
-    assert pooled.period == serial.period
-    for a, serial_row in enumerate(serial.profiles):
-        assert len(pooled.profiles[a]) == len(serial_row)
-        for b, expected in enumerate(serial_row):
-            got = pooled.profiles[a][b]
-            assert got.period == expected.period, (a, b)
-            assert got.deps.dtype == expected.deps.dtype, (a, b)
-            assert got.deps.tobytes() == expected.deps.tobytes(), (a, b)
-            assert got.arrs.tobytes() == expected.arrs.tobytes(), (a, b)
+def test_column_blocks_change_nothing(germany_tiny_graph, monkeypatch):
+    """A state budget of a few columns scans the targets block by
+    block: the same table."""
+    from repro.query import distance_table
+
+    stations = select_transfer_stations(
+        germany_tiny_graph.timetable, method="contraction", fraction=0.5
+    )
+    whole = build_distance_table(germany_tiny_graph, stations)
+    monkeypatch.setattr(distance_table, "_STATE_BYTES", 1)
+    blocked = build_distance_table(germany_tiny_graph, stations)
+    assert_rows_bitwise_equal(whole.profiles, blocked.profiles)
+
+
+# ---------------------------------------------------------------------------
+# Patches
+# ---------------------------------------------------------------------------
+
+
+@settings(
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(timetable=adversarial_timetables(), data=st.data())
+def test_a_patched_table_equals_the_oracle_on_the_delayed_graph(timetable, data):
+    """Trains re-timed — later, and riding longer or *shorter* — then
+    the table patched on the patched pack: the affected rows equal the
+    SPCS rows of a cold graph of the delayed timetable, the others are
+    the parent's row lists themselves; and patching every row gives
+    the oracle too."""
+    graph = build_td_graph(timetable)
+    arrays = pack_td_graph(graph)
+    stations = data.draw(
+        st.lists(
+            st.integers(0, timetable.num_stations - 1), min_size=1, unique=True
+        ),
+        label="S_trans",
+    )
+    table = build_distance_table(graph, stations, arrays=arrays)
+    changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
+    delayed = retimed(timetable, changes)
+    patched_graph, patch = patch_td_graph(graph, delayed, set(changes))
+    patched_arrays = patch_td_arrays(arrays, patched_graph, patch)
+    affected = stations_reaching(
+        build_station_graph(timetable),
+        patch.trigger_stations | patch.changed_stations,
+    )
+    expected = spcs_table_rows(build_td_graph(delayed), stations)
+
+    patched = patch_distance_table(table, patched_graph, affected, arrays=patched_arrays)
+    assert_rows_bitwise_equal(expected, patched.profiles)
+    for a, source in enumerate(table.transfer_stations.tolist()):
+        assert (patched.profiles[a] is table.profiles[a]) == (not affected[source])
+
+    everything = np.ones(timetable.num_stations, dtype=bool)
+    rebuilt = patch_distance_table(table, patched_graph, everything, arrays=patched_arrays)
+    assert_rows_bitwise_equal(expected, rebuilt.profiles)
 
 
 MATRIX = [
@@ -140,31 +302,13 @@ MATRIX = [
 
 
 @pytest.mark.parametrize("instance,kernel,num_threads", MATRIX)
-def test_pooled_build_equals_serial_build(
-    request, monkeypatch, force_pool, instance, kernel, num_threads
+def test_a_delay_swap_patches_the_table_to_the_oracle(
+    request, instance, kernel, num_threads
 ):
-    graph = request.getfixturevalue(f"{instance}_graph")
-    stations = select_transfer_stations(
-        graph.timetable, method="contraction", fraction=0.3
-    )
-    kwargs = dict(num_threads=num_threads, kernel=kernel)
-    pooled = build_distance_table(graph, stations, **kwargs)
-    assert pooled.build_workers == 2
-    _never_pool(monkeypatch)
-    _forbid_pools(monkeypatch)
-    serial = build_distance_table(graph, stations, **kwargs)
-    assert serial.build_workers == 1
-    assert_tables_bitwise_equal(serial, pooled)
-    assert pooled.build_settled == serial.build_settled
-
-
-@pytest.mark.parametrize("instance,kernel,num_threads", MATRIX)
-def test_pooled_patch_equals_serial_full_rebuild(
-    request, monkeypatch, force_pool, instance, kernel, num_threads
-):
-    """The incremental swap's row rebuild goes through the same pool
-    rule: same rows and same work as the serial patch, same table as
-    the oracle — a cold service on the delayed timetable."""
+    """Through the service: an incremental delay swap's table equals
+    the SPCS rows of the delayed timetable and the table of a cold
+    service on it, on either kernel (a ``python`` service packs its
+    graph for the scan) and whatever the service's thread count."""
     timetable = request.getfixturevalue(instance)
     config = ServiceConfig(
         kernel=kernel,
@@ -173,147 +317,54 @@ def test_pooled_patch_equals_serial_full_rebuild(
         transfer_fraction=0.3,
     )
     delays = [Delay(train=timetable.connections[0].train, minutes=25)]
-    base = TransitService(timetable, config)
-    pooled = base.apply_delays(delays, mode="incremental")
-    assert pooled.prepare_stats.patched_table_rows >= 3
-    assert pooled.prepare_stats.table_workers == 2
-    _never_pool(monkeypatch)
-    _forbid_pools(monkeypatch)
-    serial = base.apply_delays(delays, mode="incremental")
-    assert serial.prepare_stats.table_workers == 1
-    assert_tables_bitwise_equal(serial.table, pooled.table)
-    assert pooled.table.build_settled == serial.table.build_settled
-    cold = TransitService(apply_delays(timetable, delays), config)
-    assert_tables_bitwise_equal(cold.table, pooled.table)
-
-
-def test_small_build_forks_nothing(oahu_tiny_graph, monkeypatch):
-    """Under the shipped constant a tier-1-sized table (three rows of a
-    few ms after the probe) is not worth a pool, even on many cores."""
-    monkeypatch.setattr(distance_table, "usable_cores", lambda: 8)
-    _forbid_pools(monkeypatch)
-    table = build_distance_table(
-        oahu_tiny_graph, [0, 1, 2, 3], num_threads=1, kernel="flat"
+    swapped = TransitService(timetable, config).apply_delays(
+        delays, mode="incremental"
     )
-    assert table.build_workers == 1
-    assert all(len(row) == 4 for row in table.profiles)
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here"
-)
-def test_one_usable_cpu_builds_serially():
-    """The worker count is the affinity mask, not the machine: pinned
-    to one CPU the build forks nothing even when the size rule says a
-    pool would pay."""
-    returncode, stdout, stderr = run_in_own_group(
-        """
-        import os
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-        import repro.query.distance_table as distance_table
-        from repro.core.fanout import ForkPool
-        from repro.service import ServiceConfig, TransitService
-        from repro.synthetic.instances import make_instance
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("forked a pool on one usable CPU")
-
-        ForkPool._fork = no_pool
-        distance_table.POOL_MIN_SECONDS = 0.0
-        service = TransitService(
-            make_instance("oahu", "tiny"),
-            ServiceConfig(use_distance_table=True, transfer_fraction=0.3),
-        )
-        print(
-            service.prepare_stats.table_workers,
-            service.table.num_transfer_stations,
-        )
-        """
+    assert swapped.prepare_stats.patched_table_rows >= 3
+    delayed = apply_delays(timetable, delays)
+    expected = spcs_table_rows(
+        build_td_graph(delayed),
+        swapped.table.transfer_stations,
+        num_threads=num_threads,
+        kernel=kernel,
     )
-    assert returncode == 0, stderr
-    assert stdout.split() == ["1", "4"]
+    assert_rows_bitwise_equal(expected, swapped.table.profiles)
+    cold = TransitService(delayed, config).table
+    assert np.array_equal(cold.transfer_stations, swapped.table.transfer_stations)
+    assert_rows_bitwise_equal(cold.profiles, swapped.table.profiles)
 
 
-def test_build_inside_a_pool_worker_falls_back_to_serial(
-    oahu_tiny_graph, force_pool
-):
-    """A pool child never forks: a build that lands in one (a batch
-    item, a served request) runs its rows itself."""
-
-    def build(_):
-        table = build_distance_table(
-            oahu_tiny_graph, [0, 1, 2, 3], num_threads=1, kernel="flat"
-        )
-        return os.getpid(), table.build_workers, table.build_settled
-
-    here, workers_here, settled = build(None)
-    assert workers_here == 2
-    run = fanout.fan_out(build, [0, 1], backend="processes", workers=2)
-    for pid, workers, settled_there in run.results:
-        assert pid != here
-        assert (workers, settled_there) == (1, settled)
+# ---------------------------------------------------------------------------
+# One process, any thread
+# ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "fate,error",
-    [
-        pytest.param("raises", (RuntimeError, "row 3 failed"), id="raises"),
-        pytest.param(
-            "killed", (fanout.WorkerLost, r"pool worker \d+ died"), id="killed"
-        ),
-    ],
-)
-def test_a_row_failing_in_a_worker_raises_in_the_caller(
-    oahu_tiny_graph, force_pool, monkeypatch, fate, error
-):
-    """Whether the row's search raises or its process is killed under
-    it (the OOM killer): the build fails, within the rows' own time — a
-    ``multiprocessing.Pool`` lost a killed worker's task and never
-    returned, hence the thread and its bounded join."""
-    parent = os.getpid()
-    real = distance_table.parallel_profile_search
+def test_neither_build_nor_swap_forks(oahu_tiny, monkeypatch):
+    """The scan runs in the calling process: preparing a table-on
+    service and swapping delays into it fork nothing, on any box."""
 
-    def failing(graph, source, *args, **kwargs):
-        if source == 3:
-            assert os.getpid() != parent, "row 3 was meant for the pool"
-            if fate == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("row 3 failed")
-        return real(graph, source, *args, **kwargs)
+    def no_fork(*args, **kwargs):
+        raise AssertionError("the table forked")
 
-    monkeypatch.setattr(distance_table, "parallel_profile_search", failing)
-    outcome = []
-
-    def build():
-        try:
-            outcome.append(
-                build_distance_table(oahu_tiny_graph, [0, 1, 2, 3], kernel="flat")
-            )
-        except Exception as exc:  # noqa: BLE001 — judged below
-            outcome.append(exc)
-
-    thread = threading.Thread(target=build, daemon=True)
-    thread.start()
-    thread.join(timeout=6)
-    assert not thread.is_alive(), "the build has not returned"
-    with pytest.raises(error[0], match=error[1]):
-        raise outcome[0]
+    monkeypatch.setattr(fanout.ForkPool, "_fork", no_fork)
+    monkeypatch.setattr(os, "fork", no_fork)
+    config = ServiceConfig(use_distance_table=True, transfer_fraction=0.3)
+    service = TransitService(oahu_tiny, config)
+    delays = [Delay(train=oahu_tiny.connections[0].train, minutes=25)]
+    swapped = service.apply_delays(delays, mode="incremental")
+    assert swapped.prepare_stats.patched_table_rows >= 1
+    assert service.table.num_transfer_stations == swapped.table.num_transfer_stations
 
 
-def test_concurrent_pooled_prepares_build_their_own_tables(
-    oahu_tiny, germany_tiny, force_pool, monkeypatch
-):
-    """Two datasets prepared from two threads at once, each forking its
-    own pool: neither may build rows from the other's graph."""
+def test_concurrent_prepares_build_their_own_tables(oahu_tiny, germany_tiny):
+    """Two datasets prepared from four threads at once: no scan may
+    read another's state, so each table equals its dataset's serial
+    build to the byte."""
     config = ServiceConfig(use_distance_table=True, transfer_fraction=0.3)
     timetables = [oahu_tiny, germany_tiny] * 2
     with ThreadPoolExecutor(max_workers=len(timetables)) as pool:
-        services = list(
-            pool.map(lambda tt: TransitService(tt, config), timetables)
-        )
-    assert [s.prepare_stats.table_workers for s in services] == [2] * 4
-    _never_pool(monkeypatch)
+        services = list(pool.map(lambda tt: TransitService(tt, config), timetables))
     for timetable, service in zip(timetables, services):
         serial = TransitService(timetable, config).table
-        assert_tables_bitwise_equal(serial, service.table)
-        assert service.table.build_settled == serial.build_settled
+        assert np.array_equal(serial.transfer_stations, service.table.transfer_stations)
+        assert_rows_bitwise_equal(serial.profiles, service.table.profiles)

@@ -17,7 +17,7 @@ def setup(request):
     stations = select_transfer_stations(
         graph.timetable, method="contraction", fraction=0.3
     )
-    table = build_distance_table(graph, stations, num_threads=2)
+    table = build_distance_table(graph, stations)
     return graph, table, stations
 
 

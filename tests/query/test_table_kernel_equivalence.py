@@ -75,7 +75,7 @@ class TestGeneratedTimetables:
         )
         # Any station: S_trans or not, with departures or without.
         source = data.draw(st.integers(0, num_stations - 1), label="source")
-        table = build_distance_table(graph, transfer, num_threads=2)
+        table = build_distance_table(graph, transfer)
 
         unpruned = spcs_profile_search(graph, source)
         baseline = label_correcting_profile(graph, source)
@@ -181,7 +181,7 @@ def test_a_table_profile_never_arrives_earlier_for_leaving_later(
         ),
         label="S_trans",
     )
-    table = build_distance_table(graph, transfer, num_threads=1)
+    table = build_distance_table(graph, transfer)
     for row in table.profiles:
         for profile in row:
             mirror = profile.mirror()
@@ -255,9 +255,7 @@ def small_instance(request):
     stations = select_transfer_stations(
         graph.timetable, method="contraction", fraction=0.2
     )
-    table = build_distance_table(
-        graph, stations, num_threads=1, kernel="flat", arrays=arrays
-    )
+    table = build_distance_table(graph, stations, arrays=arrays)
     return request.param, graph, arrays, table
 
 

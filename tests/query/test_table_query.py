@@ -25,7 +25,7 @@ def oahu_engines(request):
     stations = select_transfer_stations(
         graph.timetable, method="contraction", fraction=0.3
     )
-    table = build_distance_table(graph, stations, num_threads=4)
+    table = build_distance_table(graph, stations)
     return {
         "graph": graph,
         "table": table,
@@ -130,7 +130,7 @@ class TestPropertyRandomNetworks:
             graph.timetable, method="contraction", fraction=0.3
         )
         table = (
-            build_distance_table(graph, stations, num_threads=2)
+            build_distance_table(graph, stations)
             if stations.size
             else None
         )
@@ -156,7 +156,7 @@ class TestPropertyRandomNetworks:
         )
         if stations.size == 0:
             return
-        table = build_distance_table(graph, stations, num_threads=2)
+        table = build_distance_table(graph, stations)
         engine = StationToStationEngine(graph, table, num_threads=2)
         non_transfer = [
             s for s in range(graph.num_stations) if not table.contains(s)

@@ -19,14 +19,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
-import signal
 import threading
 import time
 
 import pytest
 
-from repro.query import distance_table
 from repro.server import DatasetRegistry
 from repro.server.protocol import (
     encode_batch,
@@ -36,7 +33,6 @@ from repro.server.protocol import (
 from repro.service import BatchRequest, JourneyRequest, ProfileRequest
 from repro.timetable.delays import Delay
 
-from tests.helpers import process_state
 from tests.server.harness import GatedService, ServerHarness, wait_until
 
 
@@ -344,75 +340,6 @@ class TestHotSwap:
         assert listed[0]["generation"] == 1
         metrics = harness.request("GET", "/metrics")[1]
         assert metrics["swaps_total"] == {"oahu": 1}
-
-    def test_a_killed_table_row_worker_fails_the_swap_not_the_dataset(
-        self, harness, make_service, monkeypatch, tmp_path
-    ):
-        """The swap's table rebuild forks a pool for its rows, and the
-        worker building the last row is killed under it (stopped first,
-        so that it is surely inside the row).  That delay post is
-        answered 503 ``worker_lost`` with a retry hint and changes
-        nothing; the next one swaps — the dataset's swap lock was
-        released.  (A ``multiprocessing.Pool`` lost the row and never
-        returned: lock, executor thread and client held for ever.)"""
-        monkeypatch.setattr(distance_table, "POOL_MIN_SECONDS", 0.0)
-        monkeypatch.setattr(distance_table, "usable_cores", lambda: 2)
-        server = os.getpid()
-        search = distance_table.parallel_profile_search
-        last_row = int(make_service().table.transfer_stations[-1])
-        flag = tmp_path / "victim"
-
-        def stopping_once(graph, source, *args, **kwargs):
-            if source == last_row and os.getpid() != server and not flag.exists():
-                flag.write_text(str(os.getpid()))
-                os.kill(os.getpid(), signal.SIGSTOP)
-            return search(graph, source, *args, **kwargs)
-
-        monkeypatch.setattr(
-            distance_table, "parallel_profile_search", stopping_once
-        )
-        pair = {"source": 2, "target": 5}
-        before = harness.request("POST", "/v1/oahu/journey", pair)[1]
-        results: list = []
-        post = threading.Thread(
-            target=lambda: results.append(
-                harness.request_full(
-                    "POST", "/v1/datasets/oahu/delays", self.DELAYS, timeout=10
-                )
-            ),
-            daemon=True,
-        )
-        post.start()
-        victim = int(
-            wait_until(
-                lambda: flag.exists() and flag.read_text(), what="the row worker"
-            )
-        )
-        wait_until(lambda: process_state(victim) == "T", what="it to stop")
-        os.kill(victim, signal.SIGKILL)
-        post.join(timeout=15)
-        (status, headers, payload), = results
-        assert status == 503
-        assert payload["error"]["code"] == "worker_lost"
-        assert payload["error"]["retriable"] is True
-        assert float(headers["retry-after"]) >= 0
-        assert str(victim) in payload["error"]["message"]
-        health = harness.request("GET", "/healthz")[1]
-        assert health["generations"] == {"oahu": 0}
-        again = harness.request("POST", "/v1/oahu/journey", pair)[1]
-        assert scrubbed(again["profile"]) == scrubbed(before["profile"])
-        fresh = harness.request(
-            "POST", "/v1/oahu/journey", {"source": 0, "target": 5}
-        )
-        assert fresh[0] == 200 and not fresh[1]["stats"]["cache_hit"]
-
-        status, swap = harness.request(
-            "POST", "/v1/datasets/oahu/delays", self.DELAYS
-        )
-        assert status == 200 and swap["generation"] == 1
-        after = harness.request("POST", "/v1/oahu/journey", pair)[1]
-        cold = make_service().apply_delays([Delay(train=0, minutes=45)])
-        assert scrubbed(after) == scrubbed(encode_journey(cold.journey(2, 5)))
 
     def test_two_phase_prepare_then_commit(self, harness, make_service):
         """The fleet gateway's worker-facing protocol: ``prepare``

@@ -196,7 +196,6 @@ def test_load_and_query_run_no_builder(tmp_path, oahu_tiny, monkeypatch):
     assert warm.prepare_stats.station_graph_seconds == 0.0
     assert warm.prepare_stats.pack_seconds == 0.0
     assert warm.prepare_stats.table_seconds == 0.0
-    assert warm.prepare_stats.table_workers == 0
     # All three query shapes work on the warm service.
     warm.profile(0)
     warm.journey(0, 5)
@@ -459,15 +458,11 @@ def test_sigterm_mid_save_leaves_no_partial_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("how", ["SIGTERM-to-parent", "SIGINT-to-group"])
-def test_signal_mid_pooled_table_build_unwinds_prepare(tmp_path, how):
-    """The same contract one stage earlier, where ``prepare`` has forked
-    a pool for the table rows: the first pool worker to finish a search
-    interrupts the prepare while it is itself still mid-row.  The
-    workers were forked under the CLI's *raising* handler; unless the
-    fan-out resets it in them, ``Pool.terminate()``'s SIGTERM becomes a
-    task error, the workers live on and ``prepare`` hangs.  Exit 130
-    within 5 s, an 'interrupted' notice, no manifest, nothing left
-    running."""
+def test_signal_mid_table_scan_unwinds_prepare(tmp_path, how):
+    """The same contract one stage earlier, while ``prepare`` is inside
+    the distance table's backward scan: the signal arrives at the end
+    of the scan's first pass.  Exit 130 within 5 s, an 'interrupted'
+    notice, no manifest, nothing left running."""
     store = tmp_path / "store"
     stamp = tmp_path / "signalled"
     returncode, _stdout, stderr = run_in_own_group(
@@ -476,28 +471,19 @@ def test_signal_mid_pooled_table_build_unwinds_prepare(tmp_path, how):
         import repro.query.distance_table as distance_table
 
         store, stamp, how = sys.argv[1:]
-        # oahu/tiny becomes "large enough to pool", on any box.
-        distance_table.POOL_MIN_SECONDS = 0.0
-        distance_table.usable_cores = lambda: 2
-        parent = os.getpid()
-        real = distance_table.parallel_profile_search
+        real = distance_table._Suffix.carry
 
-        def search_then_signal(*args, **kwargs):
-            result = real(*args, **kwargs)
-            if os.getpid() != parent:
-                try:  # one signal, from whichever worker gets here first
-                    fd = os.open(stamp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                except FileExistsError:
-                    return result
-                os.write(fd, repr(time.time()).encode())
-                os.close(fd)
+        def carry_then_signal(self, state):
+            if not os.path.exists(stamp):
+                with open(stamp, "w") as out:
+                    out.write(repr(time.time()))
                 if how == "SIGTERM-to-parent":
-                    os.kill(parent, signal.SIGTERM)
+                    os.kill(os.getpid(), signal.SIGTERM)
                 else:
                     os.killpg(os.getpgid(0), signal.SIGINT)
-            return result
+            return real(self, state)
 
-        distance_table.parallel_profile_search = search_then_signal
+        distance_table._Suffix.carry = carry_then_signal
         from repro.cli import main
 
         sys.exit(

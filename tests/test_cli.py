@@ -219,8 +219,7 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert "store written to" in out
         assert "--from-store" in out
-        # Table time is never quoted without what it was measured on.
-        assert re.search(r"table \d+\.\d ms on 1 process \(total", out)
+        assert re.search(r"table \d+\.\d ms \(total", out)
         return path
 
     def test_prepare_writes_a_loadable_store(self, store):
@@ -362,7 +361,7 @@ class TestStoreCommands:
 
         assert main(["info", "--from-store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "format v2" in out
+        assert "format v3" in out
         assert "backend=" not in out and "workers=" not in out
         assert "12 stations" in out
         assert "transfer stations" in out

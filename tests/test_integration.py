@@ -50,7 +50,7 @@ def test_full_pipeline(instance_fixture, tmp_path, request):
     stations = select_transfer_stations(
         timetable, method="contraction", fraction=0.25
     )
-    table = build_distance_table(graph, stations, num_threads=4)
+    table = build_distance_table(graph, stations)
     engine = StationToStationEngine(graph, table, num_threads=4)
     rng = np.random.default_rng(0)
     for _ in range(8):

@@ -68,6 +68,16 @@ class TestValidateTimetable:
         with pytest.raises(TimetableError, match="duration"):
             validate_timetable(tt)
 
+    def test_a_run_spanning_the_period_is_refused(self):
+        """Departing s0 at 0 and s2 at 7 ≡ 0 (period 7): the graph would
+        seed s0's connection at s2's route node — one-to-all searches
+        from s0 reached s2 at time 0 — so the timetable is refused."""
+        builder = TimetableBuilder(period=7, name="long run")
+        s0, s1, s2, s3 = (builder.add_station(f"s{k}") for k in range(4))
+        builder.add_trip([(s0, 0), (s1, 1), (s2, 7), (s3, 8)])
+        with pytest.raises(TimetableError, match="departs twice at 0"):
+            builder.build()
+
     def test_fifo_violation_detected(self):
         builder = TimetableBuilder(name="nonfifo")
         a, b = builder.add_station("a"), builder.add_station("b")
