@@ -2,9 +2,9 @@
 
 An AST-based framework with a rule registry, per-rule configuration,
 ``file:line`` findings with line-independent fingerprints, inline
-suppressions, and committed-baseline support.  The five built-in rules
-(ASYNC-BLOCK, LOCK-GUARD, WIRE-PARITY, METRIC-DRIFT, EXPORT-SANITY)
-machine-check the concurrency and wire-schema invariants the runtime
+suppressions, and committed-baseline support.  The four built-in rules
+(ASYNC-BLOCK, LOCK-GUARD, METRIC-DRIFT, EXPORT-SANITY) machine-check
+the concurrency, metric-catalog and export invariants the runtime
 modules state informally — see docs/ANALYSIS.md for the catalog.
 
 Programmatic use::

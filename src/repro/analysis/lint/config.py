@@ -68,39 +68,6 @@ class LockGuardConfig:
 
 
 @dataclass(frozen=True)
-class DictPair:
-    """One encoder/decoder pair whose dict keys must agree exactly,
-    modulo the ``envelope`` keys (version/kind markers the decoder
-    never surfaces)."""
-
-    encoder_path: str
-    encoder_func: str
-    decoder_path: str
-    decoder_func: str
-    envelope: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class RequestPair:
-    """One request renderer whose produced keys must be a subset of
-    the allowed-field constants the server validates against."""
-
-    renderer_path: str
-    renderer_func: str
-    schema_path: str
-    schema_consts: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class WireParityConfig:
-    """WIRE-PARITY: the response encoder/decoder pairs and request
-    renderer/validator pairs that define the wire schema."""
-
-    dict_pairs: tuple[DictPair, ...] = ()
-    request_pairs: tuple[RequestPair, ...] = ()
-
-
-@dataclass(frozen=True)
 class MetricDocPair:
     """One doc file whose marked metric catalog must mirror the
     ``snapshot()`` keys of the listed metrics modules."""
@@ -148,7 +115,6 @@ class LintConfig:
 
     async_block: AsyncBlockConfig = field(default_factory=AsyncBlockConfig)
     lock_guard: LockGuardConfig = field(default_factory=LockGuardConfig)
-    wire_parity: WireParityConfig = field(default_factory=WireParityConfig)
     metric_drift: MetricDriftConfig = field(default_factory=MetricDriftConfig)
     export_sanity: ExportSanityConfig = field(
         default_factory=ExportSanityConfig
@@ -156,47 +122,10 @@ class LintConfig:
 
 
 def default_config() -> LintConfig:
-    """The configuration for *this* repository: every hand-written
-    encoder/decoder pair of the HTTP wire schema, both metric catalogs,
-    and the concurrency-sensitive subtrees.  The regular request
-    shapes need no WIRE-PARITY rows: their renderers, parsers, encoders
-    and decoders are derived from one field list each
-    (``repro.service.shapes``), so they cannot drift apart."""
-    envelope_vk = frozenset({"v", "kind"})
-    protocol = "src/repro/server/protocol.py"
-    results = "src/repro/client/results.py"
-    wire_py = "src/repro/client/wire.py"
-    wire = WireParityConfig(
-        dict_pairs=(
-            DictPair(protocol, "encode_query_stats", results, "decode_query_stats"),
-            DictPair(protocol, "encode_batch_stats", results, "decode_batch_stats"),
-            DictPair(protocol, "_legs", results, "_decode_legs"),
-            DictPair(protocol, "encode_profile", results, "decode_profile", envelope_vk),
-            DictPair(protocol, "encode_batch", results, "decode_batch", envelope_vk),
-            DictPair(
-                "src/repro/service/facade.py",
-                "describe",
-                results,
-                "decode_info",
-                frozenset({"name", "source", "generation"}),
-            ),
-            DictPair(
-                "src/repro/server/app.py",
-                "_swap_apply",
-                results,
-                "decode_delay_update",
-                frozenset({"v", "mode"}),
-            ),
-        ),
-        request_pairs=(
-            RequestPair(wire_py, "profile_body", protocol, ("_PROFILE_FIELDS",)),
-            RequestPair(wire_py, "batch_body", protocol, ("_BATCH_FIELDS",)),
-            RequestPair(
-                wire_py, "delays_body",
-                protocol, ("_DELAY_FIELDS", "_DELAY_ITEM_FIELDS"),
-            ),
-        ),
-    )
+    """The configuration for *this* repository: the metric catalogs
+    and the concurrency-sensitive subtrees.  The wire schema needs no
+    rule: every payload is declared once (``repro.service.shapes``) and
+    both of its ends are derived from that declaration."""
     metrics = MetricDriftConfig(
         pairs=(
             MetricDocPair("docs/SERVER.md", ("src/repro/server/metrics.py",)),
@@ -204,4 +133,4 @@ def default_config() -> LintConfig:
             MetricDocPair("docs/STREAMS.md", ("src/repro/streams/metrics.py",)),
         )
     )
-    return LintConfig(wire_parity=wire, metric_drift=metrics)
+    return LintConfig(metric_drift=metrics)

@@ -11,7 +11,6 @@ from repro.analysis.lint.rules import (  # noqa: F401
     export_sanity,
     lock_guard,
     metric_drift,
-    wire_parity,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "export_sanity",
     "lock_guard",
     "metric_drift",
-    "wire_parity",
 ]

@@ -90,17 +90,6 @@ def module_functions(
     return functions
 
 
-def find_function(
-    tree: ast.Module, name: str
-) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    """First function or method named ``name`` anywhere in the module."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name == name:
-                return node
-    return None
-
-
 def literal_dict_keys(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
 ) -> dict[str, int]:
@@ -130,60 +119,3 @@ def literal_dict_keys(
                 ):
                     keys.setdefault(target.slice.value, target.lineno)
     return keys
-
-
-def read_dict_keys(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> dict[str, int]:
-    """String keys ``func`` reads: ``obj["k"]`` subscript loads and
-    ``obj.get("k", …)`` calls, mapped to first line of use."""
-    keys: dict[str, int] = {}
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.ctx, ast.Load)
-            and isinstance(node.slice, ast.Constant)
-            and isinstance(node.slice.value, str)
-        ):
-            keys.setdefault(node.slice.value, node.lineno)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "get"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
-        ):
-            keys.setdefault(node.args[0].value, node.lineno)
-    return keys
-
-
-def set_constant(tree: ast.Module, name: str) -> tuple[set[str], int] | None:
-    """Value of a module-level ``NAME = {"a", "b"}`` / ``frozenset({…})``
-    string-set constant, plus its line — ``None`` if absent or not a
-    literal string set."""
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        if not any(
-            isinstance(t, ast.Name) and t.id == name for t in node.targets
-        ):
-            continue
-        value = node.value
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "frozenset"
-            and len(value.args) == 1
-        ):
-            value = value.args[0]
-        if isinstance(value, ast.Set):
-            items = set()
-            for elt in value.elts:
-                if not (
-                    isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-                ):
-                    return None
-                items.add(elt.value)
-            return items, node.lineno
-    return None

@@ -47,10 +47,10 @@ from repro.client.results import (
     DatasetInfo,
     DelayUpdate,
     JourneyAnswer,
-    MinTransfersAnswer,
-    MulticriteriaAnswer,
+    MinTransfersResult,
+    MulticriteriaResult,
     ProfileAnswer,
-    ViaAnswer,
+    ViaResult,
 )
 
 __all__ = [
@@ -71,9 +71,9 @@ __all__ = [
     "JourneyAnswer",
     "ProfileAnswer",
     "BatchAnswer",
-    "MulticriteriaAnswer",
-    "ViaAnswer",
-    "MinTransfersAnswer",
+    "MulticriteriaResult",
+    "ViaResult",
+    "MinTransfersResult",
     "DatasetInfo",
     "DelayUpdate",
 ]

@@ -20,8 +20,8 @@ The parity is structural, not coincidental: :class:`LocalBackend`
 pushes every request through the *server's own wire layer* in-process
 — :mod:`repro.client.wire` renders the typed request as the wire
 object, :mod:`repro.server.protocol`'s parsers validate it (same typed
-errors, same codes), the facade answers, ``encode_*`` renders the
-answer, and :mod:`repro.client.results` decodes it — exactly the
+errors, same codes), the facade answers, the declared payload's encoder
+renders the answer, and :mod:`repro.client.results` decodes it — exactly the
 pipeline a remote request traverses, minus the socket.  What the
 transports can differ in is latency and transport-level failures,
 never content.
@@ -41,12 +41,12 @@ from repro.client.results import (
     DatasetInfo,
     DelayUpdate,
     JourneyAnswer,
-    MinTransfersAnswer,
-    MulticriteriaAnswer,
+    MinTransfersResult,
+    MulticriteriaResult,
     ProfileAnswer,
-    ViaAnswer,
+    ViaResult,
+    decode,
     decode_answer,
-    decode_info,
 )
 from repro.server.protocol import (
     ProtocolError,
@@ -64,7 +64,9 @@ from repro.service.model import (
     ViaRequest,
 )
 from repro.service.shapes import (
+    APPLY_REPLY,
     BATCH,
+    DATASET,
     JOURNEY,
     MIN_TRANSFERS,
     MULTICRITERIA,
@@ -72,6 +74,7 @@ from repro.service.shapes import (
     VIA,
     Shape,
     as_request,
+    error_payload,
 )
 from repro.timetable.delays import Delay
 
@@ -157,7 +160,7 @@ class TransitBackend(Protocol):
         *,
         departure: int | None = None,
         max_transfers: int = DEFAULT_MAX_TRANSFERS,
-    ) -> MulticriteriaAnswer:
+    ) -> MulticriteriaResult:
         return self._ask(MULTICRITERIA, request, target, departure, max_transfers)
 
     def via(
@@ -167,7 +170,7 @@ class TransitBackend(Protocol):
         target: int | None = None,
         *,
         departure: int | None = None,
-    ) -> ViaAnswer:
+    ) -> ViaResult:
         return self._ask(VIA, request, via, target, departure)
 
     def min_transfers(
@@ -177,7 +180,7 @@ class TransitBackend(Protocol):
         *,
         departure: int | None = None,
         max_transfers: int = DEFAULT_MAX_TRANSFERS,
-    ) -> MinTransfersAnswer:
+    ) -> MinTransfersResult:
         return self._ask(MIN_TRANSFERS, request, target, departure, max_transfers)
 
     def iter_batch(
@@ -317,36 +320,30 @@ class LocalBackend(TransitBackend):
                 # validation the wire layer cannot see (e.g. from_stop
                 # past the train's run): a typed 400.
                 raise error_from_payload(
-                    400,
-                    {
-                        "error": {
-                            "code": "invalid_request",
-                            "message": str(exc),
-                        }
-                    },
+                    400, error_payload("invalid_request", str(exc))
                 ) from None
             elapsed = time.perf_counter() - t0
             self._service = new
             self._generation += 1
             generation = self._generation
-        return DelayUpdate(
-            dataset=self.name,
-            generation=generation,
-            num_delays=len(parsed),
-            slack_per_leg=slack,
-            swap_seconds=round(elapsed, 6),
+        return decode(
+            APPLY_REPLY,
+            APPLY_REPLY.write(self.name, generation, len(parsed), slack, elapsed),
         )
 
     def info(self) -> DatasetInfo:
-        """The dataset summary: a ``/v1/datasets`` entry built as
-        :meth:`repro.server.registry.DatasetEntry.describe` builds it."""
-        return decode_info(
-            {
-                "name": self.name,
-                "source": self.source,
-                "generation": self._generation,
-                **self.service.describe(),
-            }
+        """The dataset summary: a ``/v1/datasets`` entry, rendered as
+        :meth:`repro.server.registry.DatasetEntry.describe` renders it."""
+        return decode(
+            DATASET,
+            DATASET.fill(
+                {
+                    "name": self.name,
+                    "source": self.source,
+                    "generation": self._generation,
+                    **self.service.describe(),
+                }
+            ),
         )
 
     # -- internals --------------------------------------------------------
@@ -392,10 +389,10 @@ __all__ = [
     "DelayUpdate",
     "JourneyAnswer",
     "LocalBackend",
-    "MinTransfersAnswer",
-    "MulticriteriaAnswer",
+    "MinTransfersResult",
+    "MulticriteriaResult",
     "ProfileAnswer",
     "TransitBackend",
-    "ViaAnswer",
+    "ViaResult",
     "connect",
 ]

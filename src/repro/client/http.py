@@ -52,14 +52,14 @@ from repro.client.errors import (
     TransportError,
     error_from_payload,
 )
-from repro.client.results import (
-    DatasetInfo,
-    DelayUpdate,
-    decode_delay_update,
-    decode_info,
+from repro.client.results import DatasetInfo, DelayUpdate, decode
+from repro.service.shapes import (
+    APPLY_REPLY,
+    DATASETS,
+    Shape,
+    error_payload,
+    with_version,
 )
-from repro.server.protocol import PROTOCOL_VERSION
-from repro.service.shapes import Shape
 from repro.timetable.delays import Delay
 
 
@@ -416,7 +416,8 @@ class HttpBackend(TransitBackend):
         # connection failures (503 rejections happen *before* any
         # replan and stay safely retriable).
         body = wire.delays_body(delays, slack_per_leg, replan=replan)
-        return decode_delay_update(
+        return decode(
+            APPLY_REPLY,
             self._post(
                 f"/v1/datasets/{self.dataset}/delays",
                 body,
@@ -435,13 +436,10 @@ class HttpBackend(TransitBackend):
                 return entry
         raise error_from_payload(
             404,
-            {
-                "error": {
-                    "code": "unknown_dataset",
-                    "message": f"dataset {self.dataset!r} is not served "
-                    f"by {self.base_url}",
-                }
-            },
+            error_payload(
+                "unknown_dataset",
+                f"dataset {self.dataset!r} is not served by {self.base_url}",
+            ),
         )
 
     def server_metrics(self) -> dict:
@@ -486,16 +484,13 @@ class HttpBackend(TransitBackend):
 
     def _list_datasets(self) -> list[DatasetInfo]:
         payload = self._request("GET", "/v1/datasets")
-        return [decode_info(raw) for raw in payload.get("datasets", [])]
+        return list(decode(DATASETS, payload)["datasets"])
 
     def _post(
         self, path: str, body: dict, *, idempotent: bool = True
     ) -> dict:
         return self._request(
-            "POST",
-            path,
-            {"v": PROTOCOL_VERSION, **body},
-            idempotent=idempotent,
+            "POST", path, with_version(body), idempotent=idempotent
         )
 
     def _request(

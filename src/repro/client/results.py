@@ -1,21 +1,27 @@
 """Transport-neutral answers and the wire → object decoders.
 
 Every :class:`~repro.client.backend.TransitBackend` answer is decoded
-from the *canonical wire encoding* (:mod:`repro.server.protocol`'s
-``encode_*`` output) by the functions here — the HTTP backend decodes
-what arrived over TCP, the local backend decodes what it encoded
-in-process — so a program sees structurally identical objects from
-both transports, down to the last integer.  That is the other half of
-the bitwise-parity guarantee (requests are unified by
+from the *canonical wire encoding* by the decoders here — the HTTP
+backend decodes what arrived over TCP, the local backend decodes what
+it encoded in-process — so a program sees structurally identical
+objects from both transports, down to the last integer.  That is the
+other half of the bitwise-parity guarantee (requests are unified by
 :mod:`repro.client.wire`).
 
-The per-query accounting reuses the service layer's own types
-(:class:`~repro.service.model.QueryStats`,
+Each decoder is derived from the payload's one declaration in
+:mod:`repro.service.shapes`, the declaration the server's encoder is
+derived from; every declared field must be present.  Where the
+service layer's own type says what the wire says, the client decodes
+into it (:class:`~repro.service.model.QueryStats`,
 :class:`~repro.service.model.JourneyLeg`,
-:class:`~repro.query.batch.BatchStats`) — only the *profile payloads*
-need a client-side representation, because a wire profile is the
-reduced connection-point list, not the packed
-:class:`~repro.functions.algebra.Profile` object the facade holds.
+:class:`~repro.query.batch.BatchStats`, and the multi-criteria
+family's :class:`~repro.service.model.MulticriteriaResult`,
+:class:`~repro.service.model.ViaResult` and
+:class:`~repro.service.model.MinTransfersResult`, whose ``reachable``
+is a property the wire spells out).  The answers that hold a profile
+need a client-side class, because a wire profile is the reduced
+connection-point list, not the packed
+:class:`~repro.functions.algebra.Profile` the facade holds:
 :class:`ConnectionProfile` carries those points with the same
 evaluation semantics (``earliest_arrival`` follows the paper's cyclic
 two-candidate rule exactly — ``tests/client/test_backend_local.py``
@@ -25,15 +31,31 @@ pins it against :class:`Profile` point-for-point).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.functions.piecewise import INF_TIME
 from repro.query.batch import BatchStats
-from repro.service.model import JourneyLeg, ParetoOption, QueryStats
-from repro.service.shapes import DERIVED_SHAPES, Shape
+from repro.service.model import (
+    JourneyLeg,
+    MinTransfersResult,
+    MulticriteriaResult,
+    ParetoOption,
+    QueryStats,
+    ViaResult,
+)
+from repro.service.shapes import (
+    ANSWERS,
+    BATCH_STATS,
+    DATASET,
+    LEG,
+    PAYLOADS,
+    QUERY_STATS,
+    Payload,
+    Shape,
+)
 from repro.timetable.periodic import DAY_MINUTES
 
 
@@ -173,63 +195,6 @@ class BatchAnswer:
 
 
 @dataclass(frozen=True, slots=True)
-class MulticriteriaAnswer:
-    """A Pareto query answered by a backend (either transport).
-
-    ``options`` is the (transfers, arrival) front in increasing
-    transfer order; ``legs`` the fastest option's itinerary (``None``
-    exactly when the front is empty).
-    """
-
-    source: int
-    target: int
-    departure: int
-    max_transfers: int
-    reachable: bool
-    options: tuple[ParetoOption, ...]
-    stats: QueryStats
-    legs: tuple[JourneyLeg, ...] | None = None
-
-    @property
-    def best_arrival(self) -> int:
-        """Earliest arrival over the whole front (INF when empty)."""
-        return self.options[-1].arrival if self.options else INF_TIME
-
-
-@dataclass(frozen=True, slots=True)
-class ViaAnswer:
-    """A via-constrained journey answered by a backend: earliest
-    arrival at ``via``, then onward to ``target``."""
-
-    source: int
-    via: int
-    target: int
-    departure: int
-    via_arrival: int
-    arrival: int
-    reachable: bool
-    stats: QueryStats
-    legs: tuple[JourneyLeg, ...] | None = None
-
-
-@dataclass(frozen=True, slots=True)
-class MinTransfersAnswer:
-    """A transfer-minimizing journey answered by a backend:
-    ``transfers`` is ``None`` when the target is unreachable within
-    the budget (``arrival`` is then INF)."""
-
-    source: int
-    target: int
-    departure: int
-    max_transfers: int
-    reachable: bool
-    transfers: int | None
-    arrival: int
-    stats: QueryStats
-    legs: tuple[JourneyLeg, ...] | None = None
-
-
-@dataclass(frozen=True, slots=True)
 class DatasetInfo:
     """What a backend serves: the ``/v1/datasets`` entry shape."""
 
@@ -256,7 +221,7 @@ class DelayUpdate:
 
 
 # ---------------------------------------------------------------------------
-# Decoders (inverse of repro.server.protocol's encode_*)
+# Decoders (derived from the payloads the server encodes)
 # ---------------------------------------------------------------------------
 
 
@@ -271,145 +236,90 @@ def _decode_points(raw) -> ConnectionProfile:
     return ConnectionProfile(points=points)
 
 
-def decode_query_stats(raw: dict) -> QueryStats:
-    return QueryStats(
-        kind=raw["kind"],
-        kernel=raw["kernel"],
-        num_threads=raw["num_threads"],
-        settled_connections=raw["settled_connections"],
-        simulated_seconds=raw["simulated_seconds"],
-        total_seconds=raw["total_seconds"],
-        classification=raw.get("classification"),
-        table_prunes=raw.get("table_prunes", 0),
-        connection_stops=raw.get("connection_stops", 0),
-        cache_hit=raw.get("cache_hit", False),
-    )
-
-
-def decode_batch_stats(raw: dict) -> BatchStats:
-    return BatchStats(
-        num_queries=raw["num_queries"],
-        kernel=raw["kernel"],
-        total_seconds=raw["total_seconds"],
-    )
-
-
-def decode_profile(payload: dict) -> ProfileAnswer:
-    return ProfileAnswer(
-        source=payload["source"],
-        profiles={
-            int(station): _decode_points(points)
-            for station, points in payload["profiles"].items()
-        },
-        stats=decode_query_stats(payload["stats"]),
-    )
-
-
-def decode_batch(payload: dict) -> BatchAnswer:
-    return BatchAnswer(
-        journeys=tuple(decode_journey(j) for j in payload["journeys"]),
-        profiles=tuple(decode_profile(p) for p in payload["profiles"]),
-        stats=decode_batch_stats(payload["stats"]),
-    )
-
-
-def _decode_legs(raw) -> tuple[JourneyLeg, ...] | None:
-    if raw is None:
-        return None
-    return tuple(
-        JourneyLeg(
-            from_station=leg["from_station"],
-            to_station=leg["to_station"],
-            departure=leg["departure"],
-            arrival=leg["arrival"],
-        )
-        for leg in raw
-    )
-
-
-def _decode_options(raw) -> tuple[ParetoOption, ...]:
-    return tuple(ParetoOption(int(k), int(arr)) for k, arr in raw)
-
-
-#: How each wire kind of the shape table's ``response`` lists is read
-#: back — the inverse of ``repro.server.protocol._ENCODE_KIND``
-#: (``None``: the value is taken as it is).
+#: How each wire kind of a payload's fields is read back — the inverse
+#: of ``repro.service.shapes._ENCODE_KIND`` (``None``: the value is
+#: taken as it is; ``const`` fields are checked and dropped).  Nested
+#: payloads are looked up at call time: :data:`DECODERS` comes last.
 _DECODE_KIND: dict[str, Callable[[Any], Any] | None] = {
     "plain": None,
+    "const": None,
     "int": None,
     "optional_int": None,
+    "seconds": None,
     "points": _decode_points,
-    "legs": _decode_legs,
-    "options": _decode_options,
-    "stats": decode_query_stats,
+    "options": lambda raw: tuple(ParetoOption(int(k), int(a)) for k, a in raw),
+    "legs": lambda raw: None if raw is None else tuple(map(DECODERS[LEG], raw)),
+    "stats": lambda raw: DECODERS[QUERY_STATS](raw),
+    "batch_stats": lambda raw: DECODERS[BATCH_STATS](raw),
+    "journeys": lambda raw: tuple(map(DECODERS[ANSWERS["journey"]], raw)),
+    "profiles": lambda raw: {
+        int(station): _decode_points(points) for station, points in raw.items()
+    },
+    "profile_answers": lambda raw: tuple(map(DECODERS[ANSWERS["profile"]], raw)),
+    "datasets": lambda raw: tuple(map(DECODERS[DATASET], raw)),
 }
 
 
-def _derive_decoder(shape: Shape, answer: type) -> Callable[[dict], Any]:
-    """The answer decoder of one table-declared shape, built from the
-    very ``response`` list its encoder is built from.  Strict: every
-    declared field must be present."""
-    names = tuple(name for name, _ in shape.response)
-    pick = itemgetter(*names)
-    readers = tuple(
-        (name, _DECODE_KIND[wire_kind])
-        for name, wire_kind in shape.response
-        if _DECODE_KIND[wire_kind] is not None
+def _derive_decoder(payload: Payload) -> Callable[[dict], Any]:
+    """The decoder of one declared payload.  Strict: every declared
+    field must be present, every constant must match.  A declared
+    field the decoded class computes itself (a property — the
+    multi-criteria family's ``reachable``) is checked present and not
+    passed on."""
+    decoded = globals()[payload.decoded] if payload.decoded else dict
+    constants = tuple(payload.constants.items())
+    names = payload.names
+    pick = itemgetter(*names) if len(names) > 1 else lambda raw: (raw[names[0]],)
+    accepted = (
+        [f.name for f in fields(decoded)] if is_dataclass(decoded) else list(names)
     )
+    dropped = tuple(name for name in names if name not in accepted)
+    readers = tuple(
+        (name, _DECODE_KIND[kind])
+        for name, kind in payload.fields
+        if name in accepted and _DECODE_KIND[kind] is not None
+    )
+    if decoded is not dict and accepted == list(names) and not (constants or readers):
+        # A flat payload whose class lists its fields in wire order.
+        return lambda raw: decoded(*pick(raw))
 
-    def decode(payload: dict) -> Any:
-        values = dict(zip(names, pick(payload)))
+    def decode(raw: dict) -> Any:
+        for name, expected in constants:
+            if raw[name] != expected:
+                raise ValueError(
+                    f"expected a {payload.name!r} payload ({name} "
+                    f"{expected!r}), got {name} {raw[name]!r}"
+                )
+        values = dict(zip(names, pick(raw)))
+        for name in dropped:
+            del values[name]
         for name, read in readers:
             values[name] = read(values[name])
-        return answer(**values)
+        return decoded(**values)
 
-    decode.__name__ = decode.__qualname__ = f"decode_{shape.name}"
+    decode.__name__ = decode.__qualname__ = f"decode_{payload.name}"
     return decode
 
 
-_DECODERS: dict[str, Callable[[dict], Any]] = {
-    "profile": decode_profile,
-    "batch": decode_batch,
-    **{
-        shape.name: _derive_decoder(shape, globals()[shape.answer])
-        for shape in DERIVED_SHAPES
-    },
+#: Per declared payload, its decoder.
+DECODERS: dict[Payload, Callable[[dict], Any]] = {
+    payload: _derive_decoder(payload) for payload in PAYLOADS
 }
 
-decode_journey = _DECODERS["journey"]
-decode_multicriteria = _DECODERS["multicriteria"]
-decode_via = _DECODERS["via"]
-decode_min_transfers = _DECODERS["min_transfers"]
+# The per-shape names stay importable: ``e2ebench/trace.py`` binds them.
+decode_profile = DECODERS[ANSWERS["profile"]]
+decode_journey = DECODERS[ANSWERS["journey"]]
+decode_batch = DECODERS[ANSWERS["batch"]]
+decode_multicriteria = DECODERS[ANSWERS["multicriteria"]]
+decode_via = DECODERS[ANSWERS["via"]]
+decode_min_transfers = DECODERS[ANSWERS["min_transfers"]]
 
 
 def decode_answer(shape: Shape, payload: dict) -> Any:
-    """Decode one ``shape`` answer, checking the envelope's ``kind``."""
-    if payload["kind"] != shape.name:
-        raise ValueError(
-            f"expected a {shape.name!r} answer, got kind {payload['kind']!r}"
-        )
-    return _DECODERS[shape.name](payload)
+    """Decode one ``shape`` answer (its ``kind`` is checked first)."""
+    return DECODERS[ANSWERS[shape.name]](payload)
 
 
-def decode_info(raw: dict) -> DatasetInfo:
-    return DatasetInfo(
-        name=raw["name"],
-        source=raw["source"],
-        generation=raw["generation"],
-        timetable=raw["timetable"],
-        stations=raw["stations"],
-        trains=raw["trains"],
-        connections=raw["connections"],
-        kernel=raw["kernel"],
-        has_distance_table=raw["has_distance_table"],
-    )
-
-
-def decode_delay_update(payload: dict) -> DelayUpdate:
-    return DelayUpdate(
-        dataset=payload["dataset"],
-        generation=payload["generation"],
-        num_delays=payload["num_delays"],
-        slack_per_leg=payload["slack_per_leg"],
-        swap_seconds=payload["swap_seconds"],
-    )
+def decode(payload: Payload, raw: dict) -> Any:
+    """Decode ``raw`` as the declared ``payload``."""
+    return DECODERS[payload](raw)

@@ -14,13 +14,13 @@ Optional fields are *omitted* rather than sent as ``null``: the wire
 schema's strict validation rejects ``None`` where an integer is
 expected, and omission is the protocol's way of saying "default".
 
-The renderers of the regular shapes are derived from the shape table
+Every renderer is derived from the wire table
 (:mod:`repro.service.shapes`) — the same field lists the server's
-parsers are derived from; ``profile`` (the wire-only ``targets``
-field) and ``batch`` (a composite) keep hand-written ones.  The
-convenience call forms every backend accepts (raw station ints, raw
-(source, target) pairs) are normalised by
-:func:`repro.service.shapes.as_request`, shared with the facade.
+parsers are derived from; ``profile`` adds its wire-only ``targets``
+and ``batch`` renders its declared item lists.  The convenience call
+forms every backend accepts (raw station ints, raw (source, target)
+pairs) are normalised by :func:`repro.service.shapes.as_request`,
+shared with the facade.
 """
 
 from __future__ import annotations
@@ -29,7 +29,15 @@ from operator import attrgetter
 from typing import Callable, Sequence
 
 from repro.service.model import BatchRequest, ProfileRequest
-from repro.service.shapes import DERIVED_SHAPES, Shape
+from repro.service.shapes import (
+    BATCH,
+    DELAY_ITEM,
+    DELAY_REQUEST,
+    DERIVED_SHAPES,
+    PROFILE,
+    RequestField,
+    Shape,
+)
 from repro.timetable.delays import Delay
 
 
@@ -50,24 +58,24 @@ def _derive_renderer(shape: Shape) -> Callable[[object], dict]:
     return render
 
 
+_profile_fields = _derive_renderer(PROFILE)
+
+
 def profile_body(
     request: ProfileRequest, targets: Sequence[int] | None = None
 ) -> dict:
-    body: dict = {"source": request.source}
-    if request.num_threads is not None:
-        body["num_threads"] = request.num_threads
+    body = _profile_fields(request)
     if targets is not None:
         body["targets"] = [int(t) for t in targets]
     return body
 
 
 def batch_body(request: BatchRequest) -> dict:
-    body: dict = {}
-    if request.journeys:
-        body["journeys"] = [journey_body(j) for j in request.journeys]
-    if request.profiles:
-        body["profiles"] = [profile_body(p) for p in request.profiles]
-    return body
+    return {
+        name: [render(shape, item) for item in getattr(request, name)]
+        for name, shape in BATCH.items
+        if getattr(request, name)
+    }
 
 
 _RENDERERS: dict[str, Callable[..., dict]] = {
@@ -76,6 +84,7 @@ _RENDERERS: dict[str, Callable[..., dict]] = {
     **{shape.name: _derive_renderer(shape) for shape in DERIVED_SHAPES},
 }
 
+# The per-shape names stay importable: ``e2ebench/trace.py`` binds them.
 journey_body = _RENDERERS["journey"]
 multicriteria_body = _RENDERERS["multicriteria"]
 via_body = _RENDERERS["via"]
@@ -89,20 +98,26 @@ def render(shape: Shape, request: object, **wire_only: object) -> dict:
     return _RENDERERS[shape.name](request, **wire_only)
 
 
+def _without_defaults(fields: tuple[RequestField, ...], values: dict) -> dict:
+    """``values`` in field order, each field equal to its declared
+    default left out."""
+    return {
+        f.name: values[f.name]
+        for f in fields
+        if f.name in values and (f.required or values[f.name] != f.default)
+    }
+
+
 def delays_body(
     delays: Sequence[Delay],
     slack_per_leg: int = 0,
     replan: str = "full",
 ) -> dict:
-    items = []
-    for delay in delays:
-        item: dict = {"train": delay.train, "minutes": delay.minutes}
-        if delay.from_stop:
-            item["from_stop"] = delay.from_stop
-        items.append(item)
-    body: dict = {"delays": items}
-    if slack_per_leg:
-        body["slack_per_leg"] = slack_per_leg
-    if replan != "full":
-        body["replan"] = replan
-    return body
+    items = [
+        _without_defaults(DELAY_ITEM, {f.name: getattr(d, f.name) for f in DELAY_ITEM})
+        for d in delays
+    ]
+    return _without_defaults(
+        DELAY_REQUEST,
+        {"delays": items, "slack_per_leg": slack_per_leg, "replan": replan},
+    )

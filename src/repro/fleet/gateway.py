@@ -53,8 +53,8 @@ from repro.fleet.catchup import coalesce_delay_log
 from repro.fleet.metrics import GatewayMetrics
 from repro.fleet.swap import FleetSwapCoordinator
 from repro.server.http_base import BaseAsyncHttpServer
-from repro.server.protocol import PROTOCOL_VERSION
-from repro.service.shapes import BY_ROUTE
+from repro.service.shapes import BY_ROUTE, PROTOCOL_VERSION
+from repro.service.shapes import error_payload as _error
 
 __all__ = ["FleetGateway", "WorkerState"]
 
@@ -786,13 +786,3 @@ def _aggregate(snapshots: list[dict]) -> dict:
         "retries_observed_total": retries,
         "swaps_total": swaps,
     }
-
-
-def _error(code: str, message: str, *, retriable: bool = False) -> dict:
-    payload: dict = {
-        "v": PROTOCOL_VERSION,
-        "error": {"code": code, "message": message},
-    }
-    if retriable:
-        payload["error"]["retriable"] = True
-    return payload

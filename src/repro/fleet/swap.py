@@ -43,7 +43,8 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.client.errors import BackendError
-from repro.server.protocol import PROTOCOL_VERSION
+from repro.service.shapes import FLEET_APPLY_REPLY, FLEET_SWAP
+from repro.service.shapes import error_payload as _error
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
     from repro.fleet.gateway import FleetGateway, WorkerState
@@ -60,9 +61,10 @@ class FleetSwapCoordinator:
     async def coordinate(self, dataset: str, body: dict) -> tuple:
         """Apply one ``mode=apply`` delay body fleet-wide; returns the
         gateway's ``(status, payload, extra headers)`` response.  The
-        response is shape-compatible with a single worker's apply
-        acknowledgement (``decode_delay_update`` reads it unchanged)
-        plus a ``fleet`` section describing the coordination."""
+        response is a single worker's apply acknowledgement plus a
+        ``fleet`` section describing the coordination
+        (:data:`~repro.service.shapes.FLEET_APPLY_REPLY`): the SDK
+        decodes it as the worker's."""
         gw = self._gw
         path = f"/v1/datasets/{dataset}/delays"
         async with gw._swap_lock:
@@ -155,25 +157,20 @@ class FleetSwapCoordinator:
                 pause_seconds,
                 incremental=body.get("replan") == "incremental",
             )
-            delays = body.get("delays") or []
-            return 200, {
-                "v": PROTOCOL_VERSION,
-                "dataset": dataset,
-                "mode": "apply",
-                "generation": generation,
-                "num_delays": len(delays),
-                "slack_per_leg": body.get("slack_per_leg", 0),
-                "swap_seconds": round(swap_seconds, 6),
-                "fleet": {
-                    "workers_committed": sorted(
-                        st.name for st, _ in committed
-                    ),
-                    "workers_failed": sorted(st.name for st, _ in failed),
-                    "replan_seconds": round(replan_seconds, 6),
-                    "pause_seconds": round(pause_seconds, 6),
-                    "total_seconds": round(total, 6),
-                },
-            }
+            return 200, FLEET_APPLY_REPLY.write(
+                dataset,
+                generation,
+                len(body.get("delays") or []),
+                body.get("slack_per_leg", 0),
+                swap_seconds,
+                FLEET_SWAP.write(
+                    sorted(st.name for st, _ in committed),
+                    sorted(st.name for st, _ in failed),
+                    replan_seconds,
+                    pause_seconds,
+                    total,
+                ),
+            )
 
     # -- phases ----------------------------------------------------------
 
@@ -324,13 +321,3 @@ class FleetSwapCoordinator:
         if retry_after is not None:
             extra["Retry-After"] = retry_after
         return status, raw, extra
-
-
-def _error(code: str, message: str, *, retriable: bool = False) -> dict:
-    payload: dict = {
-        "v": PROTOCOL_VERSION,
-        "error": {"code": code, "message": message},
-    }
-    if retriable:
-        payload["error"]["retriable"] = True
-    return payload

@@ -64,7 +64,16 @@ from repro.server.protocol import (
     parse_delay_request,
 )
 from repro.server.registry import DatasetRegistry, RegistryError, SwapStateError
-from repro.service.shapes import BY_ROUTE, Shape
+from repro.service.shapes import (
+    ABORT_REPLY,
+    APPLY_REPLY,
+    BY_ROUTE,
+    COMMIT_REPLY,
+    DATASETS,
+    PREPARE_REPLY,
+    Shape,
+    error_payload as _error,
+)
 
 __all__ = ["MAX_BODY_BYTES", "TransitServer"]
 
@@ -201,12 +210,9 @@ class TransitServer(BaseAsyncHttpServer):
 
         if parts == ["v1", "datasets"]:
             _require_method(method, "GET")
-            return 200, {
-                "v": PROTOCOL_VERSION,
-                "datasets": [
-                    entry.describe() for entry in self.registry.entries()
-                ],
-            }
+            return 200, DATASETS.write(
+                [entry.describe() for entry in self.registry.entries()]
+            )
 
         if (
             len(parts) == 4
@@ -309,15 +315,13 @@ class TransitServer(BaseAsyncHttpServer):
             run=self.executor.run,
         )
         self.metrics.observe_swap(name, entry.last_swap_seconds)
-        return {
-            "v": PROTOCOL_VERSION,
-            "dataset": name,
-            "mode": "apply",
-            "generation": entry.generation,
-            "num_delays": len(command.delays),
-            "slack_per_leg": command.slack_per_leg,
-            "swap_seconds": round(entry.last_swap_seconds, 6),
-        }
+        return APPLY_REPLY.write(
+            name,
+            entry.generation,
+            len(command.delays),
+            command.slack_per_leg,
+            entry.last_swap_seconds,
+        )
 
     async def _swap_prepare(self, name: str, command: DelayCommand) -> dict:
         token, seconds = await self.registry.prepare_delays(
@@ -327,39 +331,25 @@ class TransitServer(BaseAsyncHttpServer):
             replan=command.replan,
             run=self.executor.run,
         )
-        entry = self.registry.get(name)
-        return {
-            "v": PROTOCOL_VERSION,
-            "dataset": name,
-            "mode": "prepare",
-            "token": token,
-            "base_generation": entry.generation,
-            "num_delays": len(command.delays),
-            "slack_per_leg": command.slack_per_leg,
-            "replan_seconds": round(seconds, 6),
-        }
+        return PREPARE_REPLY.write(
+            name,
+            token,
+            self.registry.get(name).generation,
+            len(command.delays),
+            command.slack_per_leg,
+            seconds,
+        )
 
     async def _swap_commit(self, name: str, command: DelayCommand) -> dict:
         entry = await self.registry.commit_prepared(name, command.token)
         self.metrics.observe_swap(name, entry.last_swap_seconds)
-        return {
-            "v": PROTOCOL_VERSION,
-            "dataset": name,
-            "mode": "commit",
-            "token": command.token,
-            "generation": entry.generation,
-            "swap_seconds": round(entry.last_swap_seconds, 6),
-        }
+        return COMMIT_REPLY.write(
+            name, command.token, entry.generation, entry.last_swap_seconds
+        )
 
     async def _swap_abort(self, name: str, command: DelayCommand) -> dict:
         discarded = await self.registry.abort_prepared(name, command.token)
-        return {
-            "v": PROTOCOL_VERSION,
-            "dataset": name,
-            "mode": "abort",
-            "token": command.token,
-            "discarded": discarded,
-        }
+        return ABORT_REPLY.write(name, command.token, discarded)
 
 
 def _parse_body(body: bytes) -> object:
@@ -380,10 +370,3 @@ def _require_method(method: str, expected: str) -> None:
             f"use {expected} for this endpoint, not {method}",
             status=405,
         )
-
-
-def _error(code: str, message: str, *, retriable: bool = False) -> dict:
-    payload = ProtocolError(code, message).payload()
-    if retriable:
-        payload["error"]["retriable"] = True
-    return payload

@@ -29,7 +29,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.service.shapes import BY_ROUTE
+from repro.service.shapes import BY_ROUTE, error_payload
 
 #: Request bodies above this are rejected with 413 before parsing.
 MAX_BODY_BYTES = 4 * 1024 * 1024
@@ -207,7 +207,7 @@ class BaseAsyncHttpServer:
                 except _Refused as refusal:
                     status, code, message = refusal.args
                     await self._respond(
-                        writer, status, _base_error(code, message), {}, False
+                        writer, status, error_payload(code, message), {}, False
                     )
                     break
                 finally:
@@ -309,14 +309,6 @@ class BaseAsyncHttpServer:
         )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body, keep_alive
-
-
-def _base_error(code: str, message: str) -> dict:
-    # Local renderer: http_base must not import the protocol module
-    # (the gateway reuses this loop without the worker's schema).
-    from repro.server.protocol import PROTOCOL_VERSION
-
-    return {"v": PROTOCOL_VERSION, "error": {"code": code, "message": message}}
 
 
 __all__ = ["BaseAsyncHttpServer", "MAX_BODY_BYTES"]

@@ -5,24 +5,21 @@ protocol version under ``"v"`` (:data:`PROTOCOL_VERSION`; requests may
 omit it and get the current version, an explicit mismatch is
 rejected).  Request objects map one-to-one onto the service layer's
 typed requests; which fields each carries, with which bounds, and
-which fields each answer carries is declared once, in the shape table
-(:data:`repro.service.shapes.SHAPES`).  The parsers and encoders of the
-regular shapes are *derived* from that table here; ``profile``
-(response restricted by ``targets``) and ``batch`` (a composite) keep
-hand-written ones, as does the mode-dependent ``/delays`` endpoint.
+which fields each answer carries is declared once, in the wire table
+(:mod:`repro.service.shapes`).  The parsers are derived from that
+table here, and the encoders there; ``profile`` (response restricted
+by ``targets``) and ``batch`` (a composite) add hand-written parts, as
+does the mode-dependent ``/delays`` endpoint.
 
 Validation is strict: unknown fields, wrong types, and out-of-range
 stations/trains are rejected with a typed :class:`ProtocolError`
-before any search runs.  Errors serialize to a uniform payload::
-
-    {"v": 2, "error": {"code": "...", "message": "...", "field": ...}}
-
-and carry the HTTP status the server should answer with.  Encoding is
-deterministic — all payload numbers are plain ints (minutes since
-midnight for times, :data:`~repro.functions.piecewise.INF_TIME` for
-unreachable) — which is what lets the end-to-end tests pin server
-answers bitwise-identical to direct :class:`TransitService` calls
-(``tests/server/test_server_e2e.py``).
+before any search runs.  Errors serialize to the uniform payload of
+:func:`~repro.service.shapes.error_payload` and carry the HTTP status
+the server should answer with.  Encoding is deterministic — all
+payload numbers are plain ints (minutes since midnight for times,
+:data:`~repro.functions.piecewise.INF_TIME` for unreachable) — which is
+what lets the end-to-end tests pin server answers bitwise-identical to
+direct :class:`TransitService` calls (``tests/server/test_server_e2e.py``).
 
 Everything here is pure: no I/O, no asyncio — the module is equally
 usable by the server, by clients, and by tests.
@@ -32,32 +29,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import Any, Callable, Sequence
 
-from repro.query.batch import BatchStats
 from repro.service.model import (
     BatchRequest,
     BatchResponse,
     ProfileRequest,
     ProfileResult,
-    QueryStats,
 )
-from repro.service.shapes import (  # the MAX_* caps are re-exported
+from repro.service.shapes import (  # the caps and the version are re-exported
+    ANSWERS,
+    BATCH,
+    DELAY_ITEM,
+    DELAY_REQUEST,
     DERIVED_SHAPES,
-    JOURNEY,
     MAX_MC_TRANSFERS,  # noqa: F401
     MAX_NUM_THREADS,  # noqa: F401
     PROFILE,
+    PROTOCOL_VERSION,
     SHAPES,
     RequestField,
     Shape,
+    error_payload,
 )
 from repro.timetable.delays import Delay
-
-#: Bumped on any incompatible change to the wire schema (2: a batch's
-#: stats no longer say where it ran).
-PROTOCOL_VERSION = 2
 
 
 class ProtocolError(Exception):
@@ -83,10 +78,7 @@ class ProtocolError(Exception):
         self.status = status
 
     def payload(self) -> dict:
-        error: dict = {"code": self.code, "message": self.message}
-        if self.field is not None:
-            error["field"] = self.field
-        return {"v": PROTOCOL_VERSION, "error": error}
+        return error_payload(self.code, self.message, field=self.field)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +159,11 @@ def _int_field(
 
 
 def _parse_fields(
-    obj: dict, fields: tuple[RequestField, ...], num_stations: int, *, where: str
+    obj: dict, fields: tuple[RequestField, ...], bound: int, *, where: str
 ) -> list[int | None]:
-    """Validate ``obj`` against a shape's field table; values in field
-    order (station fields are bounded by ``num_stations``)."""
+    """Validate ``obj`` against a field table; values in field order
+    (station and train fields are bounded by ``bound``, the dataset's
+    station or train count)."""
     return [
         _int_field(
             obj,
@@ -179,15 +172,21 @@ def _parse_fields(
             required,
             default,
             lo,
-            num_stations if kind == "station" else hi,
+            bound if kind in ("station", "train") else hi,
         )
         for name, kind, required, default, lo, hi in fields
     ]
 
 
-#: Per shape name, the field names a request object may carry.
+def _names(fields: tuple[RequestField, ...]) -> frozenset[str]:
+    return frozenset(f.name for f in fields)
+
+
+#: Per shape name, the field names a request object may carry
+#: (besides ``"v"`` and the shape's wire-only fields).
 _ALLOWED = {
-    shape.name: frozenset(f.name for f in shape.fields) for shape in SHAPES
+    shape.name: _names(shape.fields) | {name for name, _ in shape.items}
+    for shape in SHAPES
 }
 
 
@@ -210,13 +209,6 @@ def _derive_parser(shape: Shape) -> Callable[[object, int], Any]:
 # Request parsing
 # ---------------------------------------------------------------------------
 
-_PROFILE_FIELDS = frozenset({"v", "source", "num_threads", "targets"})
-_BATCH_FIELDS = frozenset({"v", "journeys", "profiles"})
-_DELAY_FIELDS = frozenset(
-    {"v", "delays", "slack_per_leg", "mode", "token", "replan", "generations"}
-)
-_DELAY_ITEM_FIELDS = frozenset({"train", "minutes", "from_stop"})
-
 #: Hot-swap phases on ``POST /v1/datasets/{name}/delays``.  ``apply``
 #: (the default, and the whole protocol before two-phase swaps)
 #: replans and swaps in one request.  ``prepare`` replans but keeps
@@ -234,6 +226,8 @@ DELAY_MODES = ("apply", "prepare", "commit", "abort")
 #: answers, much cheaper for small batches (``docs/STREAMS.md``).
 DELAY_REPLAN_MODES = ("full", "incremental")
 
+_DELAY = {f.name: f for f in DELAY_REQUEST}
+
 
 def parse_profile_request(
     body: object, num_stations: int
@@ -244,7 +238,11 @@ def parse_profile_request(
     always one-to-all)."""
     obj = _require_object(body)
     _check_version(obj)
-    _reject_unknown(obj, _PROFILE_FIELDS, where="profile request")
+    _reject_unknown(
+        obj,
+        _ALLOWED["profile"] | {"v", *PROFILE.wire_only},
+        where="profile request",
+    )
     request = ProfileRequest(
         *_parse_fields(obj, PROFILE.fields, num_stations, where="profile")
     )
@@ -280,15 +278,17 @@ def parse_profile_request(
 def parse_batch_request(body: object, num_stations: int) -> BatchRequest:
     obj = _require_object(body)
     _check_version(obj)
-    _reject_unknown(obj, _BATCH_FIELDS, where="batch request")
-    journeys = _parse_items(obj, "journeys", JOURNEY, num_stations)
-    profiles = _parse_items(obj, "profiles", PROFILE, num_stations)
-    if not journeys and not profiles:
+    _reject_unknown(obj, _ALLOWED["batch"] | {"v"}, where="batch request")
+    items = {
+        name: _parse_items(obj, name, shape, num_stations)
+        for name, shape in BATCH.items
+    }
+    if not any(items.values()):
         raise ProtocolError(
             "invalid_request",
             "batch request needs at least one journey or profile",
         )
-    return BatchRequest(journeys=journeys, profiles=profiles)
+    return BatchRequest(**items)
 
 
 def _parse_items(
@@ -340,6 +340,25 @@ class DelayCommand:
     advance: int = 1
 
 
+def _choice(obj: dict, name: str, choices: tuple[str, ...]) -> str:
+    value = obj.get(name, _DELAY[name].default)
+    if value not in choices:
+        raise ProtocolError(
+            "invalid_request",
+            f"delay request {name} must be one of {list(choices)}, "
+            f"got {value!r}",
+            field=name,
+        )
+    return value
+
+
+def _delay_int(obj: dict, name: str, where: str, **override) -> int | None:
+    _, _, required, default, lo, hi = _DELAY[name]
+    return _int_field(
+        obj, name, where, override.get("required", required), default, lo, hi
+    )
+
+
 def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
     """Parse a hot-swap request into a :class:`DelayCommand`.
 
@@ -348,15 +367,8 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
     as a 400, so a bad ``from_stop`` is still a typed client error."""
     obj = _require_object(body)
     _check_version(obj)
-    _reject_unknown(obj, _DELAY_FIELDS, where="delay request")
-    mode = obj.get("mode", "apply")
-    if mode not in DELAY_MODES:
-        raise ProtocolError(
-            "invalid_request",
-            f"delay request mode must be one of {list(DELAY_MODES)}, "
-            f"got {mode!r}",
-            field="mode",
-        )
+    _reject_unknown(obj, _names(DELAY_REQUEST) | {"v"}, where="delay request")
+    mode = _choice(obj, "mode", DELAY_MODES)
     if mode in ("commit", "abort"):
         for name in ("delays", "slack_per_leg", "replan", "generations"):
             if name in obj:
@@ -366,9 +378,7 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
                     f"(the prepared replan already holds them)",
                     field=name,
                 )
-        token = _int_field(
-            obj, "token", where=f"{mode} request", required=True, lo=0
-        )
+        token = _delay_int(obj, "token", f"{mode} request", required=True)
         return DelayCommand(mode=mode, delays=(), slack_per_leg=0, token=token)
     if "token" in obj:
         raise ProtocolError(
@@ -377,14 +387,7 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
             f"(tokens are answered by prepare)",
             field="token",
         )
-    replan = obj.get("replan", "full")
-    if replan not in DELAY_REPLAN_MODES:
-        raise ProtocolError(
-            "invalid_request",
-            f"delay request replan must be one of {list(DELAY_REPLAN_MODES)}, "
-            f"got {replan!r}",
-            field="replan",
-        )
+    replan = _choice(obj, "replan", DELAY_REPLAN_MODES)
     if mode == "prepare" and "generations" in obj:
         raise ProtocolError(
             "invalid_request",
@@ -392,9 +395,7 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
             "(coalesced catch-up is apply-only)",
             field="generations",
         )
-    advance = _int_field(
-        obj, "generations", where="delay request", default=1, lo=1
-    )
+    advance = _delay_int(obj, "generations", "delay request")
     raw = obj.get("delays")
     if not isinstance(raw, list) or not raw:
         raise ProtocolError(
@@ -402,24 +403,16 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
             "delay request needs a non-empty 'delays' list",
             field="delays",
         )
-    slack = _int_field(
-        obj, "slack_per_leg", where="delay request", default=0, lo=0
-    )
+    slack = _delay_int(obj, "slack_per_leg", "delay request")
+    allowed = _names(DELAY_ITEM)
     delays: list[Delay] = []
     for i, item in enumerate(raw):
-        sub = _require_object(item, what=f"delays[{i}]")
-        _reject_unknown(sub, _DELAY_ITEM_FIELDS, where=f"delays[{i}]")
-        train = _int_field(
-            sub, "train", where=f"delays[{i}]", required=True,
-            lo=0, hi=num_trains,
+        where = f"delays[{i}]"
+        sub = _require_object(item, what=where)
+        _reject_unknown(sub, allowed, where=where)
+        delays.append(
+            Delay(*_parse_fields(sub, DELAY_ITEM, num_trains, where=where))
         )
-        minutes = _int_field(
-            sub, "minutes", where=f"delays[{i}]", required=True, lo=0
-        )
-        from_stop = _int_field(
-            sub, "from_stop", where=f"delays[{i}]", default=0, lo=0
-        )
-        delays.append(Delay(train=train, minutes=minutes, from_stop=from_stop))
     return DelayCommand(
         mode=mode,
         delays=tuple(delays),
@@ -433,33 +426,6 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
 # ---------------------------------------------------------------------------
 # Response encoding
 # ---------------------------------------------------------------------------
-
-
-def _points(profile) -> list[list[int]]:
-    return list(map(list, profile.connection_points()))
-
-
-def encode_query_stats(stats: QueryStats) -> dict:
-    return {
-        "kind": stats.kind,
-        "kernel": stats.kernel,
-        "num_threads": stats.num_threads,
-        "settled_connections": stats.settled_connections,
-        "simulated_seconds": stats.simulated_seconds,
-        "total_seconds": stats.total_seconds,
-        "classification": stats.classification,
-        "table_prunes": stats.table_prunes,
-        "connection_stops": stats.connection_stops,
-        "cache_hit": stats.cache_hit,
-    }
-
-
-def encode_batch_stats(stats: BatchStats) -> dict:
-    return {
-        "num_queries": stats.num_queries,
-        "kernel": stats.kernel,
-        "total_seconds": stats.total_seconds,
-    }
 
 
 def encode_profile(
@@ -480,85 +446,15 @@ def encode_profile(
     profiles = dict(
         zip(map(str, stations), result.connection_points(stations))
     )
-    return {
-        "v": PROTOCOL_VERSION,
-        "kind": "profile",
-        "source": result.source,
-        "profiles": profiles,
-        "stats": encode_query_stats(result.stats),
-    }
+    return ANSWERS["profile"].write(result.source, profiles, result.stats)
 
 
 def encode_batch(response: BatchResponse, *, num_stations: int) -> dict:
-    return {
-        "v": PROTOCOL_VERSION,
-        "kind": "batch",
-        "journeys": [encode_journey(j) for j in response.journeys],
-        "profiles": [
-            encode_profile(p, num_stations=num_stations)
-            for p in response.profiles
-        ],
-        "stats": encode_batch_stats(response.stats),
-    }
-
-
-def _legs(legs) -> list[dict] | None:
-    if legs is None:
-        return None
-    return [
-        {
-            "from_station": leg.from_station,
-            "to_station": leg.to_station,
-            "departure": leg.departure,
-            "arrival": leg.arrival,
-        }
-        for leg in legs
-    ]
-
-
-def _options(options) -> list[list[int]]:
-    return [[int(opt.transfers), int(opt.arrival)] for opt in options]
-
-
-def _optional_int(value) -> int | None:
-    return None if value is None else int(value)
-
-
-#: How each wire kind of the shape table's ``response`` lists is
-#: rendered (``None``: the value travels as it is); the inverse map is
-#: in ``repro.client.results``.
-_ENCODE_KIND: dict[str, Callable[[Any], Any] | None] = {
-    "plain": None,
-    "int": int,
-    "optional_int": _optional_int,
-    "points": _points,
-    "legs": _legs,
-    "options": _options,
-    "stats": encode_query_stats,
-}
-
-
-def _derive_encoder(shape: Shape) -> Callable[[Any], dict]:
-    """The answer encoder of one table-declared shape: the envelope,
-    then every ``response`` field in wire order."""
-    kind = shape.name
-    names = tuple(name for name, _ in shape.response)
-    read = attrgetter(*names)
-    rendered = tuple(
-        (name, _ENCODE_KIND[wire_kind])
-        for name, wire_kind in shape.response
-        if _ENCODE_KIND[wire_kind] is not None
+    return ANSWERS["batch"].write(
+        response.journeys,
+        [encode_profile(p, num_stations=num_stations) for p in response.profiles],
+        response.stats,
     )
-
-    def encode(result: Any) -> dict:
-        payload = {"v": PROTOCOL_VERSION, "kind": kind}
-        payload.update(zip(names, read(result)))
-        for name, render in rendered:
-            payload[name] = render(payload[name])
-        return payload
-
-    encode.__name__ = encode.__qualname__ = f"encode_{shape.name}"
-    return encode
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +463,11 @@ def _derive_encoder(shape: Shape) -> Callable[[Any], dict]:
 
 #: Per derived shape name: its (parser, encoder) pair.
 _CODECS = {
-    shape.name: (_derive_parser(shape), _derive_encoder(shape))
+    shape.name: (_derive_parser(shape), ANSWERS[shape.name].encode)
     for shape in DERIVED_SHAPES
 }
 
+# The per-shape names stay importable: ``e2ebench/trace.py`` binds them.
 parse_journey_request, encode_journey = _CODECS["journey"]
 parse_multicriteria_request, encode_multicriteria = _CODECS["multicriteria"]
 parse_via_request, encode_via = _CODECS["via"]

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Awaitable, Callable, Iterable, Mapping, Sequence
 
 from repro.service.facade import TransitService
+from repro.service.shapes import DATASET
 from repro.timetable.delays import Delay
 
 
@@ -90,14 +91,17 @@ class DatasetEntry:
         self._next_token = 0  # guarded-by: _swap_lock
 
     def describe(self) -> dict:
-        """JSON-safe summary for ``/v1/datasets``: the serving side's
-        three fields, then :meth:`TransitService.describe`."""
-        return {
-            "name": self.name,
-            "source": self.source,
-            "generation": self.generation,
-            **self.service.describe(),
-        }
+        """The ``/v1/datasets`` entry (:data:`~repro.service.shapes.
+        DATASET`): the serving side's three fields, then
+        :meth:`TransitService.describe`."""
+        return DATASET.fill(
+            {
+                "name": self.name,
+                "source": self.source,
+                "generation": self.generation,
+                **self.service.describe(),
+            }
+        )
 
 
 class DatasetRegistry:

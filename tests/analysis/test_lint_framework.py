@@ -106,7 +106,6 @@ class TestCli:
         assert {f["rule"] for f in payload["findings"]} == {
             "ASYNC-BLOCK",
             "LOCK-GUARD",
-            "WIRE-PARITY",
             "METRIC-DRIFT",
             "EXPORT-SANITY",
         }
@@ -166,6 +165,6 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("ASYNC-BLOCK", "LOCK-GUARD", "WIRE-PARITY",
-                     "METRIC-DRIFT", "EXPORT-SANITY"):
+        for rule in ("ASYNC-BLOCK", "LOCK-GUARD", "METRIC-DRIFT",
+                     "EXPORT-SANITY"):
             assert rule in out

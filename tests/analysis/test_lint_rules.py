@@ -21,7 +21,6 @@ NEARMISS = FIXTURES / "nearmiss"
 ALL_RULES = {
     "ASYNC-BLOCK",
     "LOCK-GUARD",
-    "WIRE-PARITY",
     "METRIC-DRIFT",
     "EXPORT-SANITY",
 }
@@ -50,13 +49,6 @@ class TestViolationsFixture:
     ):
         symbols = {f.symbol for f in findings if f.rule == "LOCK-GUARD"}
         assert symbols == {"_entries@size", "requests_total@defer"}
-
-    def test_wire_parity_fires_both_directions(self, findings):
-        symbols = {f.symbol for f in findings if f.rule == "WIRE-PARITY"}
-        assert symbols == {
-            "encode_profile<->decode_profile:stats:unread",
-            "profile_body:via:rejected",
-        }
 
     def test_metric_drift_fires_both_directions(self, findings):
         symbols = {f.symbol for f in findings if f.rule == "METRIC-DRIFT"}

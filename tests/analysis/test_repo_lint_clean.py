@@ -24,12 +24,11 @@ def test_repo_has_no_findings():
     assert report.findings == [], f"repo lint regressed:\n{rendered}"
 
 
-def test_all_five_rules_actually_ran():
+def test_all_four_rules_actually_ran():
     report = run_lint(Project(REPO_ROOT), default_config())
     assert set(report.rules_run) == {
         "ASYNC-BLOCK",
         "LOCK-GUARD",
-        "WIRE-PARITY",
         "METRIC-DRIFT",
         "EXPORT-SANITY",
     }

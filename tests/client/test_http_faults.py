@@ -357,6 +357,7 @@ class TestKeepAlivePool:
                     {
                         "v": 2,
                         "dataset": "oahu",
+                        "mode": "apply",
                         "generation": 1,
                         "num_delays": 1,
                         "slack_per_leg": 0,

@@ -11,10 +11,8 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     encode_batch,
-    encode_batch_stats,
     encode_journey,
     encode_profile,
-    encode_query_stats,
     parse_batch_request,
     parse_delay_request,
     parse_journey_request,
@@ -27,6 +25,7 @@ from repro.service import (
     ServiceConfig,
     TransitService,
 )
+from repro.service.shapes import BATCH_STATS, QUERY_STATS
 from repro.timetable.delays import Delay
 
 N = 10  # stations in scope for parsing tests
@@ -314,7 +313,7 @@ def _per_station_profile(result, num_stations, targets=None) -> dict:
             for t in stations
             if t != result.source
         },
-        "stats": encode_query_stats(result.stats),
+        "stats": QUERY_STATS.encode(result.stats),
     }
 
 
@@ -355,7 +354,7 @@ class TestProfileEncodingBytes:
             "profiles": [
                 _per_station_profile(p, n) for p in response.profiles
             ],
-            "stats": encode_batch_stats(response.stats),
+            "stats": BATCH_STATS.encode(response.stats),
         }
         got = encode_batch(response, num_stations=n)
         assert json.dumps(got) == json.dumps(want)

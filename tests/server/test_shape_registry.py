@@ -25,10 +25,13 @@ from repro.server import protocol
 from repro.server.executor import QueryExecutor
 from repro.server.http_base import BaseAsyncHttpServer
 from repro.service import ServiceConfig, TransitService
+from repro.service import shapes
+from repro.service.model import BatchRequest, JourneyRequest, ProfileRequest
 from repro.service.shapes import (
+    ANSWERS,
     BATCH,
-    DERIVED_SHAPES,
     JOURNEY,
+    PAYLOADS,
     PROFILE,
     SHAPES,
     as_request,
@@ -41,9 +44,6 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 N = 10  # stations in scope for the parsing tests
 
 by_name = pytest.mark.parametrize("shape", SHAPES, ids=lambda s: s.name)
-derived_by_name = pytest.mark.parametrize(
-    "shape", DERIVED_SHAPES, ids=lambda s: s.name
-)
 #: The shapes whose requests are flat field lists (all but ``batch``).
 FLAT_SHAPES = [shape for shape in SHAPES if shape.fields]
 FIELD_CASES = [
@@ -224,6 +224,61 @@ def twin_services(oahu_tiny):
     return TransitService(oahu_tiny, config), TransitService(oahu_tiny, config)
 
 
+#: Test ids of the declared payloads: their names in the table module.
+_PAYLOAD_IDS = {
+    id(value): name
+    for name, value in vars(shapes).items()
+    if isinstance(value, shapes.Payload)
+}
+_PAYLOAD_IDS.update(
+    {id(payload): f"ANSWERS[{name}]" for name, payload in ANSWERS.items()}
+)
+
+
+@pytest.fixture(scope="module")
+def encoded_samples(twin_services):
+    """One encoded instance of every declared payload, keyed by the
+    declaration's ``id``: answers from real searches, the rest from
+    the objects and values the server renders them from."""
+    direct, _ = twin_services
+    n = direct.timetable.num_stations
+    rng = random.Random(19)
+    samples = {}
+    for shape in SHAPES:
+        request = seeded_request(shape, rng, n, full=True)
+        _, encode = protocol.open_request(shape, wire.render(shape, request), n)
+        samples[id(ANSWERS[shape.name])] = encode(getattr(direct, shape.name)(request))
+    journey = direct.journey(JourneyRequest(2, 9, 480))
+    batch = direct.batch(
+        BatchRequest(journeys=(JourneyRequest(0, 5),), profiles=(ProfileRequest(1),))
+    )
+    dataset = shapes.DATASET.fill(
+        {"name": "oahu", "source": "memory", "generation": 0, **direct.describe()}
+    )
+    fleet = shapes.FLEET_SWAP.write(["w0"], [], 0.25, 0.001, 0.3)
+    samples.update(
+        {
+            id(shapes.QUERY_STATS): shapes.QUERY_STATS.encode(journey.stats),
+            id(shapes.LEG): shapes.LEG.encode(journey.legs[0]),
+            id(shapes.BATCH_STATS): shapes.BATCH_STATS.encode(batch.stats),
+            id(shapes.DATASET): dataset,
+            id(shapes.DATASETS): shapes.DATASETS.write([dataset]),
+            id(shapes.APPLY_REPLY): shapes.APPLY_REPLY.write("oahu", 1, 2, 0, 0.5),
+            id(shapes.PREPARE_REPLY): shapes.PREPARE_REPLY.write(
+                "oahu", 3, 1, 2, 0, 0.5
+            ),
+            id(shapes.COMMIT_REPLY): shapes.COMMIT_REPLY.write("oahu", 3, 2, 0.1),
+            id(shapes.ABORT_REPLY): shapes.ABORT_REPLY.write("oahu", 3, True),
+            id(shapes.FLEET_SWAP): fleet,
+            id(shapes.FLEET_APPLY_REPLY): shapes.FLEET_APPLY_REPLY.write(
+                "oahu", 1, 2, 0, 0.5, fleet
+            ),
+        }
+    )
+    assert set(samples) == {id(p) for p in PAYLOADS}
+    return samples
+
+
 class TestAnswerRoundTrip:
     @by_name
     def test_encode_json_decode_equals_local_backend(self, shape, twin_services):
@@ -247,25 +302,23 @@ class TestAnswerRoundTrip:
             assert type(answer).__name__ == shape.answer
             assert scrubbed(decoded) == scrubbed(answer)
 
-    @derived_by_name
-    def test_derived_decoders_are_strict(self, shape, twin_services):
-        """Every declared response field is required — a truncated
-        ``journey`` answer is rejected exactly like a truncated ``via``
-        answer (``decode_journey`` used to read three fields leniently)."""
-        direct, _ = twin_services
-        request = seeded_request(
-            shape, random.Random(19), direct.timetable.num_stations, full=True
-        )
-        payload = protocol.open_request(
-            shape, wire.render(shape, request), direct.timetable.num_stations
-        )[1](getattr(direct, shape.name)(request))
-        assert [key for key in payload if key not in ("v", "kind")] == [
-            name for name, _ in shape.response
-        ]
-        for name, _ in shape.response:
+    @pytest.mark.parametrize(
+        "declared", PAYLOADS, ids=lambda p: _PAYLOAD_IDS[id(p)]
+    )
+    def test_derived_decoders_are_strict(self, declared, encoded_samples):
+        """Every declared field of every payload is required — a
+        truncated answer, ``stats`` block, leg, dataset entry or swap
+        reply is rejected, none defaulted — and the encoder writes
+        exactly the declared keys in wire order."""
+        payload = encoded_samples[id(declared)]
+        names = [name for name, _ in declared.fields]
+        assert list(payload) == ["v"] * declared.versioned + names
+        assert payload.get("v", protocol.PROTOCOL_VERSION) == protocol.PROTOCOL_VERSION
+        results.decode(declared, payload)
+        for name in names:
             truncated = {k: v for k, v in payload.items() if k != name}
             with pytest.raises(KeyError, match=name):
-                results.decode_answer(shape, truncated)
+                results.decode(declared, truncated)
 
     @by_name
     def test_foreign_kind_is_rejected(self, shape):
