@@ -498,7 +498,7 @@ def bench_gate(tmp: Path) -> None:
 def lint_fixtures(tmp: Path) -> None:
     """The lint gate has teeth and no false alarms: against the
     seeded-violation fixture repo ``repro lint`` exits 1 with every one
-    of the four rules among its findings — a rule gone silent fails
+    of the three rules among its findings — a rule gone silent fails
     here, not in production — and the near-miss fixture repo lints
     clean."""
     fixtures = REPO / "tests/analysis/fixtures"
@@ -508,7 +508,7 @@ def lint_fixtures(tmp: Path) -> None:
     )
     assert seeded.returncode == 1, f"expected exit 1, got {seeded.returncode}"
     fired = {finding["rule"] for finding in json.loads(seeded.stdout)["findings"]}
-    expected = {"ASYNC-BLOCK", "LOCK-GUARD", "METRIC-DRIFT", "EXPORT-SANITY"}
+    expected = {"ASYNC-BLOCK", "LOCK-GUARD", "EXPORT-SANITY"}
     missing = expected - fired
     assert not missing, f"rules failed to fire on seeded violations: {missing}"
     cli("lint", "--root", str(fixtures / "nearmiss"))

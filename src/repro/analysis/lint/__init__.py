@@ -2,10 +2,10 @@
 
 An AST-based framework with a rule registry, per-rule configuration,
 ``file:line`` findings with line-independent fingerprints, inline
-suppressions, and committed-baseline support.  The four built-in rules
-(ASYNC-BLOCK, LOCK-GUARD, METRIC-DRIFT, EXPORT-SANITY) machine-check
-the concurrency, metric-catalog and export invariants the runtime
-modules state informally — see docs/ANALYSIS.md for the catalog.
+suppressions, and committed-baseline support.  The three built-in
+rules (ASYNC-BLOCK, LOCK-GUARD, EXPORT-SANITY) machine-check the
+concurrency and export invariants the runtime modules state
+informally — see docs/ANALYSIS.md for the catalog.
 
 Programmatic use::
 

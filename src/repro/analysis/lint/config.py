@@ -68,40 +68,6 @@ class LockGuardConfig:
 
 
 @dataclass(frozen=True)
-class MetricDocPair:
-    """One doc file whose marked metric catalog must mirror the
-    ``snapshot()`` keys of the listed metrics modules."""
-
-    doc_path: str
-    module_paths: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class MetricDriftConfig:
-    """METRIC-DRIFT: docs↔code metric-name parity.
-
-    Only names inside ``<!-- lint:metrics -->`` … ``<!-- /lint:metrics -->``
-    regions are treated as the doc-side catalog; prose elsewhere can
-    mention response fields freely without tripping the rule.
-    """
-
-    pairs: tuple[MetricDocPair, ...] = ()
-    #: Suffixes that make an identifier a metric name.
-    suffixes: tuple[str, ...] = (
-        "_total",
-        "_seconds",
-        "_ms",
-        "_ms_le",
-        "_count",
-        "_rate",
-        "_size",
-        "_by_endpoint",
-    )
-    #: Exact names with no conventional suffix.
-    exact_names: frozenset[str] = frozenset({"inflight"})
-
-
-@dataclass(frozen=True)
 class ExportSanityConfig:
     """EXPORT-SANITY: subtrees whose ``__all__`` declarations are
     checked for unbound names, duplicates, and missed public defs."""
@@ -115,22 +81,15 @@ class LintConfig:
 
     async_block: AsyncBlockConfig = field(default_factory=AsyncBlockConfig)
     lock_guard: LockGuardConfig = field(default_factory=LockGuardConfig)
-    metric_drift: MetricDriftConfig = field(default_factory=MetricDriftConfig)
     export_sanity: ExportSanityConfig = field(
         default_factory=ExportSanityConfig
     )
 
 
 def default_config() -> LintConfig:
-    """The configuration for *this* repository: the metric catalogs
-    and the concurrency-sensitive subtrees.  The wire schema needs no
-    rule: every payload is declared once (``repro.service.shapes``) and
-    both of its ends are derived from that declaration."""
-    metrics = MetricDriftConfig(
-        pairs=(
-            MetricDocPair("docs/SERVER.md", ("src/repro/server/metrics.py",)),
-            MetricDocPair("docs/FLEET.md", ("src/repro/fleet/metrics.py",)),
-            MetricDocPair("docs/STREAMS.md", ("src/repro/streams/metrics.py",)),
-        )
-    )
-    return LintConfig(metric_drift=metrics)
+    """The configuration for *this* repository: the concurrency-
+    sensitive subtrees.  The wire schema and the metric catalogs need
+    no rule: every payload (``repro.service.shapes``) and every metrics
+    document (``repro.server.metrics``) is declared once, and what is
+    written from it is derived from that declaration."""
+    return LintConfig()

@@ -10,12 +10,10 @@ from repro.analysis.lint.rules import (  # noqa: F401
     async_block,
     export_sanity,
     lock_guard,
-    metric_drift,
 )
 
 __all__ = [
     "async_block",
     "export_sanity",
     "lock_guard",
-    "metric_drift",
 ]

@@ -89,33 +89,3 @@ def module_functions(
             functions[node.name] = node
     return functions
 
-
-def literal_dict_keys(
-    func: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> dict[str, int]:
-    """String keys produced by ``func``: dict-literal keys, ``dict(k=…)``
-    keywords, and ``obj["k"] = …`` subscript assignments — each mapped
-    to the line it first appears on."""
-    keys: dict[str, int] = {}
-    for node in ast.walk(func):
-        if isinstance(node, ast.Dict):
-            for key in node.keys:
-                if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                    keys.setdefault(key.value, key.lineno)
-        elif isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) and node.func.id == "dict":
-                for kw in node.keywords:
-                    if kw.arg is not None:
-                        keys.setdefault(kw.arg, node.lineno)
-        elif isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.slice, ast.Constant)
-                    and isinstance(target.slice.value, str)
-                ):
-                    keys.setdefault(target.slice.value, target.lineno)
-    return keys

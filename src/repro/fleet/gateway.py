@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 
@@ -52,8 +51,9 @@ from repro.client.http import HttpBackend, RetryPolicy
 from repro.fleet.catchup import coalesce_delay_log
 from repro.fleet.metrics import GatewayMetrics
 from repro.fleet.swap import FleetSwapCoordinator
-from repro.server.http_base import BaseAsyncHttpServer
-from repro.service.shapes import BY_ROUTE, PROTOCOL_VERSION
+from repro.server.http_base import BaseAsyncHttpServer, Request
+from repro.server.protocol import parse_body
+from repro.service.shapes import PROTOCOL_VERSION, Shape
 from repro.service.shapes import error_payload as _error
 
 __all__ = ["FleetGateway", "WorkerState"]
@@ -140,6 +140,8 @@ class FleetGateway(BaseAsyncHttpServer):
     is exactly that callable, which is how restarts propagate.
     """
 
+    ROLE = "gateway"
+
     def __init__(
         self,
         workers: Mapping[str, str]
@@ -159,20 +161,22 @@ class FleetGateway(BaseAsyncHttpServer):
         swap_drain_timeout: float = 60.0,
         metrics: GatewayMetrics | None = None,
     ) -> None:
-        super().__init__(host=host, port=port, drain_grace=drain_grace)
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        super().__init__(
+            host=host,
+            port=port,
+            max_inflight=max_inflight,
+            retry_after=retry_after,
+            drain_grace=drain_grace,
+            metrics=metrics if metrics is not None else GatewayMetrics(),
+        )
         if eject_after < 1:
             raise ValueError(f"eject_after must be >= 1, got {eject_after}")
         self._provider = _as_provider(workers)
-        self.max_inflight = max_inflight
         self.health_interval = health_interval
         self.health_timeout = health_timeout
         self.eject_after = eject_after
         self.worker_timeout = worker_timeout
-        self.retry_after = retry_after
         self.swap_drain_timeout = swap_drain_timeout
-        self.metrics = metrics if metrics is not None else GatewayMetrics()
         self._workers: dict[str, WorkerState] = {}
         #: Names that were ever routed to: a later admission of the
         #: same name is a *readmission* even across process restarts
@@ -251,157 +255,55 @@ class FleetGateway(BaseAsyncHttpServer):
         for st in self._workers.values():
             st.close()
 
-    # -- routing --------------------------------------------------------
+    # -- handlers -------------------------------------------------------
 
-    async def _dispatch(
-        self, method: str, path: str, headers: dict[str, str], body: bytes
-    ) -> tuple[int, dict | bytes, dict]:
-        endpoint = self._endpoint_label(method, path)
-        self.metrics.observe_request(endpoint)
-        t0 = time.perf_counter()
-        extra: dict = {}
-        try:
-            answer = await self._route(method, path, headers, body, endpoint)
-            if len(answer) == 3:
-                status, payload, extra = answer
-            else:
-                status, payload = answer
-        except Exception as exc:  # noqa: BLE001 — last-resort 500
-            status, payload = 500, _error(
-                "internal", f"{type(exc).__name__}: {exc}"
-            )
-        self.metrics.observe_response(
-            endpoint, status, time.perf_counter() - t0
+    async def _datasets(self, request: Request) -> tuple:
+        # A server answers this on its loop; the gateway forwards it,
+        # so it is admitted like a query.
+        return await self._admitted(request, self._proxy, None)
+
+    async def _query(
+        self, request: Request, dataset: str, shape: Shape
+    ) -> tuple:
+        gate = self._gates.get(dataset)
+        if gate is not None and not gate.is_set():
+            # A coordinated swap is committing: park until the fleet
+            # is uniformly on the new generation.
+            await gate.wait()
+        self._dataset_inflight[dataset] = (
+            self._dataset_inflight.get(dataset, 0) + 1
         )
-        return status, payload, extra
-
-    async def _route(
-        self,
-        method: str,
-        path: str,
-        headers: dict[str, str],
-        body: bytes,
-        endpoint: str,
-    ) -> tuple:
-        parts = [p for p in path.split("?")[0].split("/") if p]
-
-        if parts == ["healthz"]:
-            if method != "GET":
-                return 405, _error(
-                    "method_not_allowed", f"use GET, not {method}"
-                )
-            return 200, self._healthz_payload()
-
-        if parts == ["metrics"]:
-            if method != "GET":
-                return 405, _error(
-                    "method_not_allowed", f"use GET, not {method}"
-                )
-            return 200, await self._metrics_payload()
-
-        if parts == ["v1", "datasets"]:
-            if method != "GET":
-                return 405, _error(
-                    "method_not_allowed", f"use GET, not {method}"
-                )
-            return await self._handle_forward(
-                None, "GET", path, None, endpoint, headers
-            )
-
-        if (
-            len(parts) == 4
-            and parts[:2] == ["v1", "datasets"]
-            and parts[3] == "delays"
-        ):
-            if method != "POST":
-                return 405, _error(
-                    "method_not_allowed", f"use POST, not {method}"
-                )
-            return await self._handle_delays(parts[2], body, endpoint)
-
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in BY_ROUTE:
-            if method != "POST":
-                return 405, _error(
-                    "method_not_allowed", f"use POST, not {method}"
-                )
-            return await self._handle_forward(
-                parts[1], "POST", path, body, endpoint, headers
-            )
-
-        return 404, _error("unknown_route", f"no route for {method} {path}")
-
-    # -- admission and forwarding ---------------------------------------
-
-    def _admit(self, endpoint: str) -> tuple[int, dict, dict] | None:
-        if self._draining:
-            self.metrics.observe_reject(endpoint)
-            return 503, _error(
-                "draining", "gateway is shutting down", retriable=True
-            ), self._retry_after_header()
-        if self._inflight >= self.max_inflight:
-            self.metrics.observe_reject(endpoint)
-            return 503, _error(
-                "overloaded",
-                f"{self._inflight} requests in flight "
-                f"(max_inflight={self.max_inflight}); retry",
-                retriable=True,
-            ), self._retry_after_header()
-        return None
-
-    async def _handle_forward(
-        self,
-        dataset: str | None,
-        method: str,
-        path: str,
-        body: bytes | None,
-        endpoint: str,
-        headers: dict[str, str],
-    ) -> tuple:
-        rejection = self._admit(endpoint)
-        if rejection is not None:
-            return rejection
-        self._inflight += 1
-        self.metrics.inflight = self._inflight
         try:
-            if dataset is not None:
-                gate = self._gates.get(dataset)
-                if gate is not None and not gate.is_set():
-                    # A coordinated swap is committing: park until the
-                    # fleet is uniformly on the new generation.
-                    await gate.wait()
-                self._dataset_inflight[dataset] = (
-                    self._dataset_inflight.get(dataset, 0) + 1
-                )
-            try:
-                return await self._proxy(
-                    dataset, method, path, body, endpoint, headers
-                )
-            finally:
-                if dataset is not None:
-                    self._dataset_inflight[dataset] -= 1
+            return await self._proxy(request, dataset)
         finally:
-            self._inflight -= 1
-            self.metrics.inflight = self._inflight
+            self._dataset_inflight[dataset] -= 1
 
-    async def _proxy(
-        self,
-        dataset: str | None,
-        method: str,
-        path: str,
-        body: bytes | None,
-        endpoint: str,
-        headers: dict[str, str],
-    ) -> tuple:
+    async def _delays(self, request: Request, dataset: str) -> tuple:
+        parsed = parse_body(request.body)
+        mode = parsed.get("mode", "apply")
+        if mode != "apply":
+            return 400, _error(
+                "invalid_request",
+                f"mode {mode!r} is not accepted by the gateway: it "
+                f"coordinates the two-phase swap itself — POST "
+                f"mode=apply (or omit mode)",
+            )
+        return await self._swap.coordinate(dataset, parsed)
+
+    # -- forwarding ----------------------------------------------------
+
+    async def _proxy(self, request: Request, dataset: str | None) -> tuple:
         forward_headers = None
-        attempt_header = headers.get("x-retry-attempt")
+        attempt_header = request.headers.get("x-retry-attempt")
         if attempt_header is not None:
             forward_headers = {"X-Retry-Attempt": attempt_header}
+        body = request.body if request.method == "POST" else None
         tried: set[str] = set()
         for attempt in (0, 1):
             st = self._pick(dataset, tried)
             if st is None:
                 self.metrics.no_worker_total += 1
-                self.metrics.observe_reject(endpoint)
+                self.metrics.observe_reject(request.endpoint)
                 return 503, _error(
                     "no_healthy_workers",
                     "no healthy worker available"
@@ -411,7 +313,8 @@ class FleetGateway(BaseAsyncHttpServer):
             tried.add(st.name)
             try:
                 status, resp_headers, raw = await self._forward(
-                    st, method, path, body, headers=forward_headers
+                    st, request.method, request.path, body,
+                    headers=forward_headers,
                 )
             except _FORWARD_FAILURES as exc:
                 # The worker died under us (killed, crashed, hung).
@@ -501,42 +404,6 @@ class FleetGateway(BaseAsyncHttpServer):
             gate.set()
         return gate
 
-    # -- delays (coordinated swap) --------------------------------------
-
-    async def _handle_delays(
-        self, dataset: str, body: bytes, endpoint: str
-    ) -> tuple:
-        rejection = self._admit(endpoint)
-        if rejection is not None:
-            return rejection
-        self._inflight += 1
-        self.metrics.inflight = self._inflight
-        try:
-            if not body:
-                return 400, _error("invalid_request", "request body is empty")
-            try:
-                parsed = json.loads(body)
-            except json.JSONDecodeError as exc:
-                return 400, _error(
-                    "invalid_json", f"request body is not valid JSON: {exc}"
-                )
-            if not isinstance(parsed, dict):
-                return 400, _error(
-                    "invalid_request", "request body must be a JSON object"
-                )
-            mode = parsed.get("mode", "apply")
-            if mode != "apply":
-                return 400, _error(
-                    "invalid_request",
-                    f"mode {mode!r} is not accepted by the gateway: it "
-                    f"coordinates the two-phase swap itself — POST "
-                    f"mode=apply (or omit mode)",
-                )
-            return await self._swap.coordinate(dataset, parsed)
-        finally:
-            self._inflight -= 1
-            self.metrics.inflight = self._inflight
-
     # -- health, ejection, readmission ----------------------------------
 
     async def _health_loop(self) -> None:
@@ -607,8 +474,10 @@ class FleetGateway(BaseAsyncHttpServer):
         st.failures = 0
         st.last_error = None
         st.datasets = set(result.get("datasets", ()))
+        # A worker's generations only grow; a probe answered before a
+        # catch-up replay or a swap commit finished reports older ones.
         st.generations = {
-            name: int(gen)
+            name: max(int(gen), st.generations.get(name, 0))
             for name, gen in (result.get("generations") or {}).items()
         }
         if result.get("status") != "ok":
@@ -691,21 +560,21 @@ class FleetGateway(BaseAsyncHttpServer):
         if was_routed:
             self.metrics.observe_ejection(st.name)
 
-    # -- introspection payloads -----------------------------------------
+    # -- introspection handlers -----------------------------------------
 
-    def _healthz_payload(self) -> dict:
+    async def _healthz(self, request: Request) -> tuple:
         datasets: set[str] = set()
         for st in self._workers.values():
             if st.state == "healthy":
                 datasets.update(st.datasets)
-        return {
+        return 200, {
             "v": PROTOCOL_VERSION,
             "status": self.health_status,
             "ready": self.health_status == "ok",
             "role": "gateway",
             "datasets": sorted(datasets),
             "generations": {
-                # Safe lock-free read: this sync method runs on the event
+                # Safe lock-free read: this handler runs on the event
                 # loop with no await point, and _swap_lock holders mutate
                 # the log only from coroutines on this same loop.
                 # lint: disable=LOCK-GUARD — loop-confined sync read
@@ -717,7 +586,7 @@ class FleetGateway(BaseAsyncHttpServer):
             },
         }
 
-    async def _metrics_payload(self) -> dict:
+    async def _metrics(self, request: Request) -> tuple:
         """Gateway counters + per-worker snapshots + a fleet aggregate
         (best-effort: an unreachable worker renders as ``null``)."""
         states = [
@@ -733,7 +602,7 @@ class FleetGateway(BaseAsyncHttpServer):
         fleet = _aggregate(
             [snap for snap in workers.values() if snap is not None]
         )
-        return {
+        return 200, {
             "v": PROTOCOL_VERSION,
             "gateway": self.metrics.snapshot(),
             "workers": dict(sorted(workers.items())),

@@ -6,87 +6,91 @@ gateway's event-loop thread only (forward results are observed after
 ``run_in_executor`` returns), so — like
 :class:`~repro.server.metrics.ServerMetrics` — no locking is needed.
 
-The gateway's request counters deliberately reuse the worker's
-endpoint labels, so a dashboard can overlay "requests the fleet
-received" (gateway) with "requests each worker served" (worker
-``/metrics``, aggregated in the gateway snapshot's ``fleet`` section)
-and attribute the difference to failovers and rejections.  What is
-*new* here is the routing story: per-worker forward counts, failovers
-(a query re-sent to a peer after its first worker died mid-request),
+The request accounting is the servers' own
+(:class:`~repro.server.metrics.HttpMetrics`, with the same endpoint
+labels), so a dashboard can overlay "requests the fleet received"
+(gateway) with "requests each worker served" (worker ``/metrics``,
+aggregated in the gateway snapshot's ``fleet`` section) and attribute
+the difference to failovers and rejections.  What is *new* here is
+the routing story: per-worker forward counts, failovers (a query
+re-sent to a peer after its first worker died mid-request),
 ejections/readmissions, delay-log catch-up replays, and the duration
 of the routing pause each coordinated swap holds.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.server.metrics import LatencyHistogram
+from repro.server.metrics import HttpMetrics, Metric
 
 __all__ = ["GatewayMetrics"]
 
 
-class GatewayMetrics:
+class GatewayMetrics(HttpMetrics):
     """Routing/forwarding accounting of one gateway (loop-only)."""
 
+    CATALOG = HttpMetrics.CATALOG + (
+        Metric(
+            "forwards_total", "forwards that returned (any status), per worker"
+        ),
+        Metric(
+            "failovers_total",
+            "queries re-sent to a peer after a worker failed (transport "
+            "error or retriable 503)",
+        ),
+        Metric(
+            "no_worker_total", "503s answered with no healthy worker available"
+        ),
+        Metric("ejections_total", "workers taken out of rotation, per worker"),
+        Metric(
+            "readmissions_total", "workers returned to rotation, per worker"
+        ),
+        Metric(
+            "catch_up_batches_total",
+            "delay-log replay posts sent to restarted workers before "
+            "readmission",
+        ),
+        Metric(
+            "catch_up_coalesced_total",
+            "logged delay batches those posts stood for (consecutive "
+            "slack-free batches are merged into one post)",
+        ),
+        Metric(
+            "swaps_total", "fleet-coordinated swaps committed, per dataset"
+        ),
+        Metric(
+            "incremental_swaps_total",
+            "coordinated swaps that asked for the incremental delta replan "
+            "(`replan: incremental`), per dataset",
+        ),
+        Metric(
+            "last_swap_seconds", "duration of the latest swap, per dataset"
+        ),
+        Metric(
+            "last_swap_pause_seconds",
+            "how long the latest swap held the dataset's routing gate closed "
+            "(drain + fleet-wide commit), per dataset",
+        ),
+        Metric(
+            "health_sweep_errors_total", "health sweeps that raised an error"
+        ),
+    )
+
     def __init__(self) -> None:
-        self._started = time.monotonic()
-        self.requests_total: dict[str, int] = {}  # guarded-by: loop
-        self.responses_total: dict[str, dict[str, int]] = {}  # guarded-by: loop
-        self.latency: dict[str, LatencyHistogram] = {}  # guarded-by: loop
-        self.rejected_total = 0  # guarded-by: loop
-        self.rejected_by_endpoint: dict[str, int] = {}  # guarded-by: loop
-        self.inflight = 0  # guarded-by: loop
-        #: Forwards that returned (any status), per worker name.
+        super().__init__()
         self.forwards_total: dict[str, int] = {}  # guarded-by: loop
-        #: Queries re-sent to a peer after the first worker failed
-        #: (transport error or retriable 503).
         self.failovers_total = 0  # guarded-by: loop
-        #: 503s answered because no healthy worker was available.
         self.no_worker_total = 0  # guarded-by: loop
         self.ejections_total: dict[str, int] = {}  # guarded-by: loop
         self.readmissions_total: dict[str, int] = {}  # guarded-by: loop
-        #: Catch-up replay POSTs sent to restarted workers before
-        #: readmission (the catch-up protocol, ``docs/FLEET.md``).
         self.catch_up_batches_total = 0  # guarded-by: loop
-        #: Logged delay batches those posts *represented* — coalescing
-        #: merges consecutive slack-free batches, so this counts the
-        #: batches caught up, not the posts sent.
         self.catch_up_coalesced_total = 0  # guarded-by: loop
-        #: Coordinated swaps that requested the incremental delta
-        #: replan (``replan: incremental``), per dataset.
-        self.incremental_swaps_total: dict[str, int] = {}  # guarded-by: loop
-        #: Gateway-coordinated swaps committed, per dataset.
         self.swaps_total: dict[str, int] = {}  # guarded-by: loop
+        self.incremental_swaps_total: dict[str, int] = {}  # guarded-by: loop
         self.last_swap_seconds: dict[str, float] = {}  # guarded-by: loop
-        #: How long the last swap held the dataset's routing gate
-        #: closed (drain + fleet-wide commit), in seconds.
         self.last_swap_pause_seconds: dict[str, float] = {}  # guarded-by: loop
         self.health_sweep_errors_total = 0  # guarded-by: loop
 
     # -- observation hooks ---------------------------------------------
-
-    def observe_request(self, endpoint: str) -> None:
-        self.requests_total[endpoint] = (
-            self.requests_total.get(endpoint, 0) + 1
-        )
-
-    def observe_response(
-        self, endpoint: str, status: int, seconds: float
-    ) -> None:
-        per_status = self.responses_total.setdefault(endpoint, {})
-        key = str(status)
-        per_status[key] = per_status.get(key, 0) + 1
-        hist = self.latency.get(endpoint)
-        if hist is None:
-            hist = self.latency[endpoint] = LatencyHistogram()
-        hist.observe(seconds)
-
-    def observe_reject(self, endpoint: str) -> None:
-        self.rejected_total += 1
-        self.rejected_by_endpoint[endpoint] = (
-            self.rejected_by_endpoint.get(endpoint, 0) + 1
-        )
 
     def observe_forward(self, worker: str) -> None:
         self.forwards_total[worker] = self.forwards_total.get(worker, 0) + 1
@@ -116,41 +120,3 @@ class GatewayMetrics:
             self.incremental_swaps_total[dataset] = (
                 self.incremental_swaps_total.get(dataset, 0) + 1
             )
-
-    # -- rendering ------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-safe gateway section of the fleet ``/metrics``."""
-        return {
-            "uptime_seconds": round(time.monotonic() - self._started, 3),
-            "requests_total": dict(self.requests_total),
-            "responses_total": {
-                endpoint: dict(statuses)
-                for endpoint, statuses in self.responses_total.items()
-            },
-            "rejected_total": self.rejected_total,
-            "rejected_by_endpoint": dict(self.rejected_by_endpoint),
-            "inflight": self.inflight,
-            "latency": {
-                endpoint: hist.snapshot()
-                for endpoint, hist in self.latency.items()
-            },
-            "forwards_total": dict(self.forwards_total),
-            "failovers_total": self.failovers_total,
-            "no_worker_total": self.no_worker_total,
-            "ejections_total": dict(self.ejections_total),
-            "readmissions_total": dict(self.readmissions_total),
-            "catch_up_batches_total": self.catch_up_batches_total,
-            "catch_up_coalesced_total": self.catch_up_coalesced_total,
-            "swaps_total": dict(self.swaps_total),
-            "incremental_swaps_total": dict(self.incremental_swaps_total),
-            "last_swap_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in self.last_swap_seconds.items()
-            },
-            "last_swap_pause_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in self.last_swap_pause_seconds.items()
-            },
-            "health_sweep_errors_total": self.health_sweep_errors_total,
-        }

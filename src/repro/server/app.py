@@ -26,9 +26,10 @@ Design:
   workers*: processes forked from the generation when :meth:`start`
   begins serving it (``TransitService.start_workers``), as many as
   there are executor threads and usable cores.  The HTTP mechanics
-  (keep-alive loop, request reading, graceful drain) live in
-  :class:`~repro.server.http_base.BaseAsyncHttpServer`, shared with
-  the fleet gateway.
+  (keep-alive loop, request reading, graceful drain) and the request
+  path (routing, the method check, request accounting, admission) live
+  in :class:`~repro.server.http_base.BaseAsyncHttpServer`, shared with
+  the fleet gateway; this class holds the handlers.
 * **Bounded admission** — at most ``max_inflight`` query requests (and
   delay swaps, which are worker-pool jobs like any query) are in
   flight; the next one is answered ``503 overloaded`` immediately
@@ -49,25 +50,21 @@ Design:
 
 from __future__ import annotations
 
-import json
-import time
-
 from repro.core.fanout import WorkerLost, pool_size
 from repro.server.executor import QueryExecutor
-from repro.server.http_base import MAX_BODY_BYTES, BaseAsyncHttpServer
+from repro.server.http_base import MAX_BODY_BYTES, BaseAsyncHttpServer, Request
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     PROTOCOL_VERSION,
     DelayCommand,
-    ProtocolError,
     open_request,
+    parse_body,
     parse_delay_request,
 )
 from repro.server.registry import DatasetRegistry, RegistryError, SwapStateError
 from repro.service.shapes import (
     ABORT_REPLY,
     APPLY_REPLY,
-    BY_ROUTE,
     COMMIT_REPLY,
     DATASETS,
     PREPARE_REPLY,
@@ -93,21 +90,15 @@ class TransitServer(BaseAsyncHttpServer):
         drain_grace: float = 0.0,
         metrics: ServerMetrics | None = None,
     ) -> None:
-        super().__init__(host=host, port=port, drain_grace=drain_grace)
-        if max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1, got {max_inflight}"
-            )
-        if retry_after < 0:
-            raise ValueError(
-                f"retry_after must be non-negative, got {retry_after}"
-            )
+        super().__init__(
+            host=host,
+            port=port,
+            max_inflight=max_inflight,
+            retry_after=retry_after,
+            drain_grace=drain_grace,
+            metrics=metrics if metrics is not None else ServerMetrics(),
+        )
         self.registry = registry
-        self.max_inflight = max_inflight
-        #: Backoff hint (seconds) sent as ``Retry-After`` on every
-        #: retriable 503; cooperative clients (repro.client) honor it.
-        self.retry_after = retry_after
-        self.metrics = metrics if metrics is not None else ServerMetrics()
         self.executor = QueryExecutor(workers=workers)
 
     async def start(self) -> None:
@@ -125,185 +116,72 @@ class TransitServer(BaseAsyncHttpServer):
         for entry in self.registry.entries():
             entry.service.stop_workers()
 
-    # -- routing --------------------------------------------------------
-
-    async def _dispatch(
-        self, method: str, path: str, headers: dict[str, str], body: bytes
-    ) -> tuple[int, dict, dict]:
-        """Route one request; returns ``(status, payload, extra
-        response headers)``.  Handlers return 2-tuples unless they have
-        headers to add (the 503 rejections carry ``Retry-After``)."""
-        endpoint = self._endpoint_label(method, path)
-        self.metrics.observe_request(endpoint)
-        self._observe_client_retry(headers)
-        t0 = time.perf_counter()
-        extra: dict = {}
-        try:
-            answer = await self._route(method, path, body, endpoint)
-            if len(answer) == 3:
-                status, payload, extra = answer
-            else:
-                status, payload = answer
-        except ProtocolError as exc:
-            status, payload = exc.status, exc.payload()
-        except RegistryError as exc:
-            status, payload = 404, _error("unknown_dataset", str(exc))
-        except SwapStateError as exc:
-            status, payload = 409, _error("swap_conflict", str(exc))
-        except WorkerLost as exc:
+    def _failure(self, exc: Exception) -> tuple[int, dict, dict]:
+        if isinstance(exc, RegistryError):
+            return 404, _error("unknown_dataset", str(exc)), {}
+        if isinstance(exc, SwapStateError):
+            return 409, _error("swap_conflict", str(exc)), {}
+        if isinstance(exc, WorkerLost):
             # A search worker died under this request, and only this
             # one: ask again.
-            status, payload, extra = 503, _error(
+            return 503, _error(
                 "worker_lost", str(exc), retriable=True
             ), self._retry_after_header()
-        except ValueError as exc:
+        if isinstance(exc, ValueError):
             # Domain validation the protocol layer cannot see (e.g.
             # Delay.from_stop past the train's run).
-            status, payload = 400, _error("invalid_request", str(exc))
-        except Exception as exc:  # noqa: BLE001 — last-resort 500
-            status, payload = 500, _error(
-                "internal", f"{type(exc).__name__}: {exc}"
-            )
-        self.metrics.observe_response(
-            endpoint, status, time.perf_counter() - t0
-        )
-        return status, payload, extra
-
-    def _observe_client_retry(self, headers: dict[str, str]) -> None:
-        """Count requests that declare themselves retries (the
-        ``X-Retry-Attempt`` header repro.client sends with its 503
-        backoff retries) in ``retries_observed_total``."""
-        raw = headers.get("x-retry-attempt")
-        if raw is None:
-            return
-        try:
-            attempt = int(raw)
-        except ValueError:
-            return
-        if attempt > 0:
-            self.metrics.observe_client_retry()
-
-    async def _route(
-        self, method: str, path: str, body: bytes, endpoint: str
-    ) -> tuple:
-        parts = [p for p in path.split("?")[0].split("/") if p]
-
-        if parts == ["healthz"]:
-            _require_method(method, "GET")
-            return 200, {
-                "v": PROTOCOL_VERSION,
-                "status": self.health_status,
-                "ready": self.health_status == "ok",
-                "datasets": self.registry.names(),
-                "generations": {
-                    entry.name: entry.generation
-                    for entry in self.registry.entries()
-                },
-            }
-
-        if parts == ["metrics"]:
-            _require_method(method, "GET")
-            return 200, {
-                "v": PROTOCOL_VERSION,
-                **self.metrics.snapshot(self.registry),
-            }
-
-        if parts == ["v1", "datasets"]:
-            _require_method(method, "GET")
-            return 200, DATASETS.write(
-                [entry.describe() for entry in self.registry.entries()]
-            )
-
-        if (
-            len(parts) == 4
-            and parts[:2] == ["v1", "datasets"]
-            and parts[3] == "delays"
-        ):
-            _require_method(method, "POST")
-            return await self._handle_delays(parts[2], body, endpoint)
-
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in BY_ROUTE:
-            _require_method(method, "POST")
-            return await self._handle_query(
-                parts[1], BY_ROUTE[parts[2]], body, endpoint
-            )
-
-        raise ProtocolError(
-            "unknown_route", f"no route for {method} {path}", status=404
-        )
+            return 400, _error("invalid_request", str(exc)), {}
+        return super()._failure(exc)
 
     # -- handlers -------------------------------------------------------
 
-    def _admit(self, endpoint: str) -> tuple[int, dict, dict] | None:
-        """Admission control: fast 503 instead of an unbounded queue.
-        Returns the rejection response (with its ``Retry-After``
-        backoff hint), or ``None`` when admitted.  Note unreadiness
-        (``begin_drain``) does *not* reject — the grace window exists
-        precisely so requests still in flight from a router that has
-        not yet noticed keep succeeding."""
-        if self._draining:
-            self.metrics.observe_reject(endpoint)
-            return 503, _error(
-                "draining", "server is shutting down", retriable=True
-            ), self._retry_after_header()
-        if self._inflight >= self.max_inflight:
-            self.metrics.observe_reject(endpoint)
-            return 503, _error(
-                "overloaded",
-                f"{self._inflight} requests in flight "
-                f"(max_inflight={self.max_inflight}); retry",
-                retriable=True,
-            ), self._retry_after_header()
-        return None
+    async def _healthz(self, request: Request) -> tuple:
+        return 200, {
+            "v": PROTOCOL_VERSION,
+            "status": self.health_status,
+            "ready": self.health_status == "ok",
+            "datasets": self.registry.names(),
+            "generations": {
+                entry.name: entry.generation
+                for entry in self.registry.entries()
+            },
+        }
 
-    async def _handle_query(
-        self, name: str, shape: Shape, body: bytes, endpoint: str
-    ) -> tuple:
-        rejection = self._admit(endpoint)
-        if rejection is not None:
-            return rejection
+    async def _metrics(self, request: Request) -> tuple:
+        return 200, {
+            "v": PROTOCOL_VERSION,
+            **self.metrics.snapshot(self.registry),
+        }
+
+    async def _datasets(self, request: Request) -> tuple:
+        return 200, DATASETS.write(
+            [entry.describe() for entry in self.registry.entries()]
+        )
+
+    async def _query(self, request: Request, name: str, shape: Shape) -> tuple:
         # Pin the service *before* any await: a hot swap mid-request
         # must not change what this request runs against.
-        entry = self.registry.get(name)
-        service = entry.service
-        self._inflight += 1
-        self.metrics.inflight = self._inflight
-        try:
-            request, encode = open_request(
-                shape, _parse_body(body), service.timetable.num_stations
-            )
-            result = await self.executor.submit(shape, service, request)
-            return 200, encode(result)
-        finally:
-            self._inflight -= 1
-            self.metrics.inflight = self._inflight
+        service = self.registry.get(name).service
+        query, encode = open_request(
+            shape, parse_body(request.body), service.timetable.num_stations
+        )
+        return 200, encode(await self.executor.submit(shape, service, query))
 
-    async def _handle_delays(
-        self, name: str, body: bytes, endpoint: str
-    ) -> tuple:
+    async def _delays(self, request: Request, name: str) -> tuple:
         # Replans are CPU-heavy worker-pool jobs like any query: they
         # obey the same admission bound (a swap storm must not starve
         # queries) and a draining server starts no new ones.
-        rejection = self._admit(endpoint)
-        if rejection is not None:
-            return rejection
-        self._inflight += 1
-        self.metrics.inflight = self._inflight
-        try:
-            entry = self.registry.get(name)
-            command = parse_delay_request(
-                _parse_body(body), entry.service.timetable.num_trains
-            )
-            if command.mode == "apply":
-                return 200, await self._swap_apply(name, command)
-            if command.mode == "prepare":
-                return 200, await self._swap_prepare(name, command)
-            if command.mode == "commit":
-                return 200, await self._swap_commit(name, command)
-            return 200, await self._swap_abort(name, command)
-        finally:
-            self._inflight -= 1
-            self.metrics.inflight = self._inflight
+        entry = self.registry.get(name)
+        command = parse_delay_request(
+            parse_body(request.body), entry.service.timetable.num_trains
+        )
+        if command.mode == "apply":
+            return 200, await self._swap_apply(name, command)
+        if command.mode == "prepare":
+            return 200, await self._swap_prepare(name, command)
+        if command.mode == "commit":
+            return 200, await self._swap_commit(name, command)
+        return 200, await self._swap_abort(name, command)
 
     async def _swap_apply(self, name: str, command: DelayCommand) -> dict:
         entry = await self.registry.apply_delays(
@@ -350,23 +228,3 @@ class TransitServer(BaseAsyncHttpServer):
     async def _swap_abort(self, name: str, command: DelayCommand) -> dict:
         discarded = await self.registry.abort_prepared(name, command.token)
         return ABORT_REPLY.write(name, command.token, discarded)
-
-
-def _parse_body(body: bytes) -> object:
-    if not body:
-        raise ProtocolError("invalid_request", "request body is empty")
-    try:
-        return json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(
-            "invalid_json", f"request body is not valid JSON: {exc}"
-        ) from None
-
-
-def _require_method(method: str, expected: str) -> None:
-    if method != expected:
-        raise ProtocolError(
-            "method_not_allowed",
-            f"use {expected} for this endpoint, not {method}",
-            status=405,
-        )

@@ -4,11 +4,27 @@
 a query worker (:class:`~repro.server.app.TransitServer`) and the
 fleet routing gateway (:class:`~repro.fleet.gateway.FleetGateway`):
 the keep-alive connection loop, strict request reading with an
-oversized-body fast path, response writing, and the two-stage graceful
-drain.  Subclasses implement exactly one hook —
-:meth:`BaseAsyncHttpServer._dispatch` — and may return either a JSON
-payload dict (serialized here) or pre-encoded ``bytes`` (written
-verbatim; the gateway forwards worker answers byte-for-byte this way).
+oversized-body fast path, response writing, the two-stage graceful
+drain — and the request path.  Each request's path is parsed once
+into an endpoint label and a route (:func:`parse_path`); the method
+is checked (405), the request is counted in the front end's
+:class:`~repro.server.metrics.HttpMetrics` (with ``X-Retry-Attempt``
+and the response's status and latency), and the query and delay
+routes pass admission — a fast ``503`` with ``Retry-After`` when
+draining or at ``max_inflight`` — and are counted in flight around
+their handler.
+
+Subclasses implement the handlers — ``_healthz``, ``_metrics``,
+``_datasets``, ``_delays`` and ``_query``, each given the
+:class:`Request` and the route's arguments — and may map their own
+exceptions to an answer in :meth:`BaseAsyncHttpServer._failure`.  A
+handler returns ``(status, payload)`` or ``(status, payload, extra
+headers)``; ``payload`` is a JSON payload dict (serialized here) or
+pre-encoded ``bytes`` (written verbatim; the gateway forwards worker
+answers byte-for-byte this way).  Where the two front ends differ on
+purpose, the handler says so: the gateway admits its ``/v1/datasets``
+forward (:meth:`BaseAsyncHttpServer._admitted`), a server answers it
+on the loop.
 
 Drain is split into **readiness** and **liveness**:
 
@@ -28,7 +44,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
+from typing import NamedTuple
 
+from repro.server.metrics import HttpMetrics
+from repro.server.protocol import ProtocolError
 from repro.service.shapes import BY_ROUTE, error_payload
 
 #: Request bodies above this are rejected with 413 before parsing.
@@ -59,6 +79,59 @@ _HEAD = (
 )
 
 
+#: Every route: its method, and whether it is admitted — passes the
+#: ``max_inflight`` bound and is counted in flight around its handler.
+_ROUTES = {
+    "healthz": ("GET", False),
+    "metrics": ("GET", False),
+    "datasets": ("GET", False),
+    "delays": ("POST", True),
+    "query": ("POST", True),
+}
+
+_DELAYS_LABEL = "POST /v1/datasets/{name}/delays"
+
+
+def parse_path(method: str, path: str) -> tuple[str, str | None, tuple]:
+    """``(endpoint label, route, route arguments)`` of a request path.
+
+    The label is low-cardinality, for metrics: dataset names are folded
+    out (per-dataset detail lives in the registry section of the
+    snapshot), and the query routes are the shape table's.  The routes
+    are ``healthz``, ``metrics``, ``datasets``, ``delays`` (of a dataset
+    name) and ``query`` (of a dataset name and a
+    :class:`~repro.service.shapes.Shape`);
+    ``None`` is no route."""
+    parts = [p for p in path.split("?")[0].split("/") if p]
+    if parts == ["healthz"] or parts == ["metrics"]:
+        return f"{method} /{parts[0]}", parts[0], ()
+    if parts[:2] == ["v1", "datasets"]:
+        # Every path below /v1/datasets/ is labelled as the delay route,
+        # a query on a dataset named "datasets" too.
+        if len(parts) == 2:
+            return "GET /v1/datasets", "datasets", ()
+        if len(parts) == 4 and parts[3] == "delays":
+            return _DELAYS_LABEL, "delays", (parts[2],)
+        if len(parts) == 3 and parts[2] in BY_ROUTE:
+            return _DELAYS_LABEL, "query", (parts[1], BY_ROUTE[parts[2]])
+        return _DELAYS_LABEL, None, ()
+    if len(parts) == 3 and parts[0] == "v1" and parts[2] in BY_ROUTE:
+        label = f"POST /v1/{{name}}/{parts[2]}"
+        return label, "query", (parts[1], BY_ROUTE[parts[2]])
+    return f"{method} <unmatched>", None, ()
+
+
+class Request(NamedTuple):
+    """One request as a handler sees it."""
+
+    method: str
+    path: str
+    headers: dict[str, str]
+    body: bytes
+    #: The metrics label of :func:`parse_path`.
+    endpoint: str
+
+
 class _Refused(Exception):
     """``(status, code, message)``: the request's framing is refused
     before its body is read.  The answer goes out ``Connection: close``
@@ -67,24 +140,42 @@ class _Refused(Exception):
 
 
 class BaseAsyncHttpServer:
-    """One listening socket; subclasses route via :meth:`_dispatch`."""
+    """One listening socket; subclasses answer through the handlers."""
+
+    #: What the ``503 draining`` message calls this front end.
+    ROLE = "server"
 
     def __init__(
         self,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
+        max_inflight: int = 64,
+        retry_after: float = 1.0,
         drain_grace: float = 0.0,
+        metrics: HttpMetrics | None = None,
     ) -> None:
         if drain_grace < 0:
             raise ValueError(
                 f"drain_grace must be non-negative, got {drain_grace}"
             )
+        if max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+        if retry_after < 0:
+            raise ValueError(
+                f"retry_after must be non-negative, got {retry_after}"
+            )
         self.host = host
         self.port = port  # replaced by the bound port after start()
+        self.max_inflight = max_inflight
+        #: Backoff hint (seconds) sent as ``Retry-After`` on every
+        #: retriable 503; cooperative clients (repro.client) honor it.
+        self.retry_after = retry_after
         self.drain_grace = drain_grace
+        #: The request accounting; its ``inflight`` is the admission
+        #: count itself.
+        self.metrics = metrics if metrics is not None else HttpMetrics()
         self._server: asyncio.base_events.Server | None = None
-        self._inflight = 0
         #: Readiness: cleared by :meth:`begin_drain`; ``/healthz``
         #: reports ``"draining"`` while requests still succeed.
         self._ready = True
@@ -140,7 +231,7 @@ class BaseAsyncHttpServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-        while self._inflight > 0:
+        while self.metrics.inflight > 0:
             await asyncio.sleep(0.005)
         for writer in list(self._idle_connections):
             writer.close()
@@ -152,37 +243,92 @@ class BaseAsyncHttpServer:
         """Subclass cleanup after the last request drained (worker
         pools, health loops, downstream connections)."""
 
-    # -- the routing hook ----------------------------------------------
+    # -- the request path ----------------------------------------------
 
-    async def _dispatch(
+    async def _serve(
         self, method: str, path: str, headers: dict[str, str], body: bytes
     ) -> tuple[int, dict | bytes, dict]:
-        """Route one request; returns ``(status, payload, extra
-        response headers)``.  ``payload`` may be a JSON-safe dict or
-        pre-encoded JSON ``bytes`` (forwarded verbatim)."""
-        raise NotImplementedError
+        """Answer one request: route, check the method, count it, and
+        admit it if its route is admitted; returns ``(status, payload,
+        extra response headers)``."""
+        endpoint, route, args = parse_path(method, path)
+        metrics = self.metrics
+        metrics.observe_request(endpoint)
+        if _declares_retry(headers.get("x-retry-attempt")):
+            metrics.observe_client_retry()
+        t0 = time.perf_counter()
+        extra: dict = {}
+        try:
+            if route is None:
+                raise ProtocolError(
+                    "unknown_route",
+                    f"no route for {method} {path}",
+                    status=404,
+                )
+            expected, admitted = _ROUTES[route]
+            if method != expected:
+                raise ProtocolError(
+                    "method_not_allowed",
+                    f"use {expected} for this endpoint, not {method}",
+                    status=405,
+                )
+            handler = getattr(self, f"_{route}")
+            request = Request(method, path, headers, body, endpoint)
+            if admitted:
+                answer = await self._admitted(request, handler, *args)
+            else:
+                answer = await handler(request, *args)
+            if len(answer) == 3:
+                status, payload, extra = answer
+            else:
+                status, payload = answer
+        except Exception as exc:  # noqa: BLE001 — every failure is an answer
+            status, payload, extra = self._failure(exc)
+        metrics.observe_response(endpoint, status, time.perf_counter() - t0)
+        return status, payload, extra
+
+    async def _admitted(self, request: Request, handler, *args) -> tuple:
+        """``handler(request, *args)`` as one admitted request: a fast
+        503 with its ``Retry-After`` backoff hint instead of an
+        unbounded queue, else counted in flight until it answers.
+        Unreadiness (``begin_drain``) does *not* reject — the grace
+        window exists precisely so requests still in flight from a
+        router that has not yet noticed keep succeeding."""
+        metrics = self.metrics
+        if self._draining:
+            metrics.observe_reject(request.endpoint)
+            return 503, error_payload(
+                "draining", f"{self.ROLE} is shutting down", retriable=True
+            ), self._retry_after_header()
+        if metrics.inflight >= self.max_inflight:
+            metrics.observe_reject(request.endpoint)
+            return 503, error_payload(
+                "overloaded",
+                f"{metrics.inflight} requests in flight "
+                f"(max_inflight={self.max_inflight}); retry",
+                retriable=True,
+            ), self._retry_after_header()
+        metrics.inflight += 1
+        try:
+            return await handler(request, *args)
+        finally:
+            metrics.inflight -= 1
+
+    def _failure(self, exc: Exception) -> tuple[int, dict, dict]:
+        """The answer to a request whose handler raised ``exc``: the
+        protocol's own error, else a last-resort 500.  Subclasses map
+        their own exceptions first."""
+        if isinstance(exc, ProtocolError):
+            return exc.status, exc.payload(), {}
+        return 500, error_payload(
+            "internal", f"{type(exc).__name__}: {exc}"
+        ), {}
 
     # -- helpers shared by both front ends -------------------------------
 
-    #: Backoff hint (seconds) sent as ``Retry-After`` on every
-    #: retriable 503; set by the subclass constructor.
-    retry_after: float
-
     def _endpoint_label(self, method: str, path: str) -> str:
-        """Low-cardinality endpoint label for metrics (dataset names
-        are folded out of the label; per-dataset detail lives in the
-        registry section of the snapshot).  The query routes are the
-        shape table's."""
-        parts = [p for p in path.split("?")[0].split("/") if p]
-        if parts == ["healthz"] or parts == ["metrics"]:
-            return f"{method} /{parts[0]}"
-        if parts[:2] == ["v1", "datasets"]:
-            if len(parts) == 2:
-                return "GET /v1/datasets"
-            return "POST /v1/datasets/{name}/delays"
-        if len(parts) == 3 and parts[0] == "v1" and parts[2] in BY_ROUTE:
-            return f"POST /v1/{{name}}/{parts[2]}"
-        return f"{method} <unmatched>"
+        """The metrics label of a request (:func:`parse_path`)."""
+        return parse_path(method, path)[0]
 
     def _retry_after_header(self) -> dict:
         # RFC 9110 wants integral delta-seconds; emit sub-second
@@ -215,7 +361,7 @@ class BaseAsyncHttpServer:
                 if request is None:
                     break
                 method, path, headers, body, keep_alive = request
-                status, payload, extra = await self._dispatch(
+                status, payload, extra = await self._serve(
                     method, path, headers, body
                 )
                 keep_alive = keep_alive and not self._draining
@@ -311,4 +457,15 @@ class BaseAsyncHttpServer:
         return method, path, headers, body, keep_alive
 
 
-__all__ = ["BaseAsyncHttpServer", "MAX_BODY_BYTES"]
+def _declares_retry(attempt: str | None) -> bool:
+    """Whether an ``X-Retry-Attempt`` header marks a retry (> 0): what
+    repro.client sends with its 503 backoff retries."""
+    if attempt is None:
+        return False
+    try:
+        return int(attempt) > 0
+    except ValueError:
+        return False
+
+
+__all__ = ["BaseAsyncHttpServer", "MAX_BODY_BYTES", "Request", "parse_path"]

@@ -1,12 +1,24 @@
-"""Server-side observability: counters and latency histograms.
+"""Server-side observability: the metric catalogs and their renderer.
 
-One :class:`ServerMetrics` belongs to one
-:class:`~repro.server.app.TransitServer`.  All mutation happens on the
-event-loop thread (the request handlers observe after the worker-pool
-call returns), so no locking is needed; :meth:`ServerMetrics.snapshot`
-renders a JSON-safe dict for the ``/metrics`` endpoint, folding in the
-per-dataset :class:`~repro.service.cache.CacheStats` so cache hit
-rates are visible next to the request counters they explain.
+Every metrics document — a server's ``/metrics``, the gateway section
+of the fleet's, a stream replay's summary — is declared once, as a
+catalog: a tuple of :class:`Metric` (name, help) in document order.
+:func:`render` builds the document from it (each value is the metrics
+object's attribute of that name, made JSON-safe), and
+:func:`catalog_table` renders the same catalog as the markdown table
+the docs carry between ``<!-- lint:metrics -->`` markers
+(``tests/test_metrics_catalog.py`` compares the two).  The observation
+hooks stay plain attribute and dict increments: nothing generic runs
+on the request path.
+
+:class:`HttpMetrics` is the request accounting both front ends share
+(:class:`~repro.server.http_base.BaseAsyncHttpServer` observes every
+request into it); :class:`ServerMetrics` adds what a query server
+reports, folding in the per-dataset
+:class:`~repro.service.cache.CacheStats` so cache hit rates are
+visible next to the request counters they explain.  All mutation
+happens on the event-loop thread (the request handlers observe after
+the worker-pool call returns), so no locking is needed.
 
 Latencies are recorded in fixed log-spaced buckets
 (:data:`LATENCY_BUCKETS_MS`); p50/p99 are bucket-upper-bound estimates
@@ -20,12 +32,47 @@ finite bound).
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
+from typing import NamedTuple
 
 #: Upper bucket bounds in milliseconds (an implicit +inf bucket
 #: follows the last bound).
 LATENCY_BUCKETS_MS: tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0,
 )
+
+
+class Metric(NamedTuple):
+    """One key of a metrics document and the line the docs give it."""
+
+    name: str
+    help: str
+
+
+def render(metrics: object, catalog: tuple[Metric, ...]) -> dict:
+    """The JSON-safe document of ``catalog``, in catalog order: each
+    value is ``metrics``' attribute of the metric's name, maps copied,
+    histograms as their snapshot and seconds rounded to microseconds."""
+    return {
+        metric.name: _plain(getattr(metrics, metric.name))
+        for metric in catalog
+    }
+
+
+def _plain(value):
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, LatencyHistogram):
+        return value.snapshot()
+    return value
+
+
+def catalog_table(catalog: tuple[Metric, ...]) -> str:
+    """``catalog`` as the docs' markdown table, one row per metric."""
+    rows = [f"| `{metric.name}` | {metric.help} |" for metric in catalog]
+    return "\n".join(["| metric | meaning |", "| --- | --- |", *rows])
 
 
 class LatencyHistogram:
@@ -42,11 +89,9 @@ class LatencyHistogram:
         ms = seconds * 1000.0
         self._sum_ms += ms
         self._count += 1
-        for i, bound in enumerate(LATENCY_BUCKETS_MS):
-            if ms <= bound:
-                self._counts[i] += 1
-                return
-        self._counts[-1] += 1
+        # A value equal to a bound lands in that bound's bucket; past
+        # the last bound, in the +inf bucket at the end.
+        self._counts[bisect_left(LATENCY_BUCKETS_MS, ms)] += 1
 
     def percentile(self, q: float) -> float | None:
         """Upper bound of the bucket holding the q-quantile.
@@ -92,8 +137,43 @@ class LatencyHistogram:
         }
 
 
-class ServerMetrics:
-    """Request/response accounting of one server (event-loop-only)."""
+class HttpMetrics:
+    """The request accounting of one front end (event-loop-only):
+    what :class:`~repro.server.http_base.BaseAsyncHttpServer` observes
+    of every request, whichever server it is."""
+
+    CATALOG: tuple[Metric, ...] = (
+        Metric("uptime_seconds", "seconds since the metrics were created"),
+        Metric("requests_total", "requests received, by endpoint label"),
+        Metric(
+            "responses_total", "responses, by endpoint label and status code"
+        ),
+        Metric(
+            "rejected_total",
+            "503 rejections (overloaded, draining, and at a gateway no "
+            "healthy worker), total",
+        ),
+        Metric(
+            "rejected_by_endpoint", "the same rejections, attributed per route"
+        ),
+        Metric(
+            "retries_observed_total",
+            "requests that declared `X-Retry-Attempt` > 0",
+        ),
+        Metric(
+            "inflight",
+            "admitted requests not yet answered: queries and delay swaps, "
+            "and at a gateway `/v1/datasets` forwards",
+        ),
+        Metric(
+            "latency",
+            "per endpoint label, a histogram of response times: `count`, "
+            "`sum_ms`, `mean_ms`, `p50_ms_le` / `p99_ms_le` (upper bound of "
+            "the bucket holding the median / p99, `null` in the overflow "
+            "bucket), `overflow_count` (observations beyond the last finite "
+            "bound) and `buckets_ms` (upper bound → count)",
+        ),
+    )
 
     def __init__(self) -> None:
         self._started = time.monotonic()
@@ -103,9 +183,13 @@ class ServerMetrics:
         self.rejected_total = 0  # guarded-by: loop
         self.rejected_by_endpoint: dict[str, int] = {}  # guarded-by: loop
         self.retries_observed_total = 0  # guarded-by: loop
+        #: The front end's admission count itself: it raises and lowers
+        #: this around every admitted request.
         self.inflight = 0  # guarded-by: loop
-        self.swaps_total: dict[str, int] = {}  # guarded-by: loop
-        self.last_swap_seconds: dict[str, float] = {}  # guarded-by: loop
+
+    @property
+    def uptime_seconds(self) -> float:
+        return round(time.monotonic() - self._started, 3)
 
     # -- observation hooks ---------------------------------------------
 
@@ -141,64 +225,104 @@ class ServerMetrics:
         retries this way, making retry pressure visible server-side."""
         self.retries_observed_total += 1
 
+    # -- rendering ------------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """JSON-safe metrics document, in :attr:`CATALOG` order."""
+        return render(self, self.CATALOG)
+
+
+class ServerMetrics(HttpMetrics):
+    """The request accounting of one query server, its delay swaps
+    and — given the registry — its datasets."""
+
+    CATALOG = HttpMetrics.CATALOG + (
+        Metric(
+            "micro_batching",
+            "always `{\"mean_batch_size\": null}`: the executor groups "
+            "nothing; the key remains only because `e2ebench/run.py` "
+            "indexes it",
+        ),
+        Metric("swaps_total", "committed delay swaps, per dataset"),
+        Metric(
+            "last_swap_seconds", "duration of the latest swap, per dataset"
+        ),
+    )
+
+    #: What :meth:`snapshot` adds when given the registry.
+    SERVED: tuple[Metric, ...] = (
+        Metric(
+            "search_workers",
+            "`processes` (search workers alive, over all datasets) and "
+            "`replaced_total`: workers forked to replace one that died, "
+            "counted over the generations now serving — a swap starts new "
+            "workers and a new count; anything but 0 means searches are "
+            "crashing their process",
+        ),
+        Metric(
+            "datasets",
+            "per dataset, its `generation` and its `result_cache`: `hits`, "
+            "`misses`, `size`, `maxsize` and `hit_rate`",
+        ),
+    )
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.swaps_total: dict[str, int] = {}  # guarded-by: loop
+        self.last_swap_seconds: dict[str, float] = {}  # guarded-by: loop
+
+    @property
+    def micro_batching(self) -> dict:
+        return {"mean_batch_size": None}
+
     def observe_swap(self, dataset: str, seconds: float) -> None:
         self.swaps_total[dataset] = self.swaps_total.get(dataset, 0) + 1
         self.last_swap_seconds[dataset] = seconds
 
-    # -- rendering ------------------------------------------------------
-
     def snapshot(self, registry=None) -> dict:
         """JSON-safe metrics document (the ``/metrics`` payload).
 
-        ``registry``, when given, contributes per-dataset generation
-        counters and result-cache hit rates
-        (:attr:`TransitService.cache_stats`), and the search workers
-        of the serving generations
-        (:attr:`TransitService.worker_stats`)."""
-        payload: dict = {
-            "uptime_seconds": round(time.monotonic() - self._started, 3),
-            "requests_total": dict(self.requests_total),
-            "responses_total": {
-                endpoint: dict(statuses)
-                for endpoint, statuses in self.responses_total.items()
-            },
-            "rejected_total": self.rejected_total,
-            "rejected_by_endpoint": dict(self.rejected_by_endpoint),
-            "retries_observed_total": self.retries_observed_total,
-            "inflight": self.inflight,
-            "latency": {
-                endpoint: hist.snapshot()
-                for endpoint, hist in self.latency.items()
-            },
-            # The executor groups nothing (one job per search); the
-            # key stays, empty, because ``e2ebench/run.py`` indexes it.
-            "micro_batching": {"mean_batch_size": None},
-            "swaps_total": dict(self.swaps_total),
-            "last_swap_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in self.last_swap_seconds.items()
-            },
-        }
+        ``registry``, when given, contributes :attr:`SERVED`: the
+        search workers of the serving generations
+        (:attr:`TransitService.worker_stats`), and per dataset its
+        generation and result-cache hit rate
+        (:attr:`TransitService.cache_stats`)."""
+        payload = render(self, self.CATALOG)
         if registry is not None:
-            datasets: dict[str, dict] = {}
-            # Over the generations now serving: a swap starts new
-            # workers, and their count of replacements, afresh.
-            workers = {"processes": 0, "replaced_total": 0}
-            for entry in registry.entries():
-                alive, replaced = entry.service.worker_stats
-                workers["processes"] += alive
-                workers["replaced_total"] += replaced
-                cache = entry.service.cache_stats
-                datasets[entry.name] = {
-                    "generation": entry.generation,
-                    "result_cache": {
-                        "hits": cache.hits,
-                        "misses": cache.misses,
-                        "size": cache.size,
-                        "maxsize": cache.maxsize,
-                        "hit_rate": round(cache.hit_rate, 4),
-                    },
-                }
-            payload["search_workers"] = workers
-            payload["datasets"] = datasets
+            payload.update(render(_Served(registry), self.SERVED))
         return payload
+
+
+class _Served:
+    """:attr:`ServerMetrics.SERVED`, read off a registry."""
+
+    def __init__(self, registry) -> None:
+        self.entries = registry.entries()
+
+    @property
+    def search_workers(self) -> dict:
+        # Over the generations now serving: a swap starts new workers,
+        # and their count of replacements, afresh.
+        workers = {"processes": 0, "replaced_total": 0}
+        for entry in self.entries:
+            alive, replaced = entry.service.worker_stats
+            workers["processes"] += alive
+            workers["replaced_total"] += replaced
+        return workers
+
+    @property
+    def datasets(self) -> dict:
+        datasets: dict[str, dict] = {}
+        for entry in self.entries:
+            cache = entry.service.cache_stats
+            datasets[entry.name] = {
+                "generation": entry.generation,
+                "result_cache": {
+                    "hits": cache.hits,
+                    "misses": cache.misses,
+                    "size": cache.size,
+                    "maxsize": cache.maxsize,
+                    "hit_rate": round(cache.hit_rate, 4),
+                },
+            }
+        return datasets

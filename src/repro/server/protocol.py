@@ -27,6 +27,7 @@ usable by the server, by clients, and by tests.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -84,6 +85,20 @@ class ProtocolError(Exception):
 # ---------------------------------------------------------------------------
 # Validation primitives
 # ---------------------------------------------------------------------------
+
+
+def parse_body(body: bytes) -> dict:
+    """A request body's JSON object; a :class:`ProtocolError` when it
+    is empty, not JSON, or not an object."""
+    if not body:
+        raise ProtocolError("invalid_request", "request body is empty")
+    try:
+        parsed = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(
+            "invalid_json", f"request body is not valid JSON: {exc}"
+        ) from None
+    return _require_object(parsed)
 
 
 def _require_object(body: object, *, what: str = "request body") -> dict:

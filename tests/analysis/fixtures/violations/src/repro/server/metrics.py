@@ -1,4 +1,4 @@
-"""Seeded METRIC-DRIFT and LOCK-GUARD(loop) violations."""
+"""Seeded LOCK-GUARD(loop) violation."""
 
 
 class Metrics:
@@ -11,7 +11,4 @@ class Metrics:
         executor.submit(lambda: self.requests_total + 1)
 
     def snapshot(self) -> dict:
-        return {
-            "requests_total": self.requests_total,
-            "secret_total": 2,  # METRIC-DRIFT: not in docs/SERVER.md
-        }
+        return {"requests_total": self.requests_total}

@@ -106,7 +106,6 @@ class TestCli:
         assert {f["rule"] for f in payload["findings"]} == {
             "ASYNC-BLOCK",
             "LOCK-GUARD",
-            "METRIC-DRIFT",
             "EXPORT-SANITY",
         }
         for finding in payload["findings"]:
@@ -165,6 +164,5 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("ASYNC-BLOCK", "LOCK-GUARD", "METRIC-DRIFT",
-                     "EXPORT-SANITY"):
+        for rule in ("ASYNC-BLOCK", "LOCK-GUARD", "EXPORT-SANITY"):
             assert rule in out

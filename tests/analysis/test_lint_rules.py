@@ -21,7 +21,6 @@ NEARMISS = FIXTURES / "nearmiss"
 ALL_RULES = {
     "ASYNC-BLOCK",
     "LOCK-GUARD",
-    "METRIC-DRIFT",
     "EXPORT-SANITY",
 }
 
@@ -49,10 +48,6 @@ class TestViolationsFixture:
     ):
         symbols = {f.symbol for f in findings if f.rule == "LOCK-GUARD"}
         assert symbols == {"_entries@size", "requests_total@defer"}
-
-    def test_metric_drift_fires_both_directions(self, findings):
-        symbols = {f.symbol for f in findings if f.rule == "METRIC-DRIFT"}
-        assert symbols == {"secret_total:undocumented", "ghost_total:unknown"}
 
     def test_export_sanity_fires_on_unbound_export(self, findings):
         [f] = [f for f in findings if f.rule == "EXPORT-SANITY"]

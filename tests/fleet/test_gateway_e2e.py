@@ -4,11 +4,13 @@ processes."""
 
 from __future__ import annotations
 
+import http.client
 import json
 
 import pytest
 
 from repro.client import LocalBackend, connect
+from repro.service.shapes import SHAPES
 from tests.client.test_transport_parity import scrubbed
 from tests.fleet.harness import FleetHarness, http_json
 
@@ -107,6 +109,29 @@ class TestProtocolParity:
         assert status == 404
         assert payload["error"]["code"] == "unknown_route"
 
+    def test_malformed_requests_answer_like_a_worker(self, fleet):
+        """Every error the gateway answers itself is the bytes a worker
+        answers: a wrong method on each route, an empty, invalid or
+        non-object delay body, an unknown route."""
+        delays = "/v1/datasets/oahu/delays"
+        table = [
+            ("POST", "/healthz", None),
+            ("POST", "/metrics", None),
+            ("POST", "/v1/datasets", None),
+            ("GET", delays, None),
+            *(("GET", f"/v1/oahu/{shape.route}", None) for shape in SHAPES),
+            ("POST", delays, b""),
+            ("POST", delays, b"{"),
+            ("POST", delays, b"[1]"),
+            ("GET", "/nope", None),
+            ("POST", "/v1/oahu/teleport", b"{}"),
+        ]
+        worker = fleet.worker_ports()["w0"]
+        for method, path, body in table:
+            assert _raw(fleet.port, method, path, body) == _raw(
+                worker, method, path, body
+            ), (method, path, body)
+
     def test_delay_body_validation_at_gateway(self, fleet):
         status, payload = fleet.request(
             "POST", "/v1/datasets/oahu/delays", None
@@ -200,3 +225,14 @@ class TestBitwisePassthrough:
             )
         finally:
             fleet.close()
+
+
+def _raw(port: int, method: str, path: str, body: bytes | None):
+    """``(status, raw body)`` of one request on a fresh connection."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()

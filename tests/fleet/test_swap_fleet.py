@@ -12,6 +12,7 @@ import threading
 import time
 
 from repro.client import LocalBackend, connect
+from repro.fleet import FleetGateway, WorkerState
 from repro.timetable.delays import Delay
 
 from tests.client.test_transport_parity import scrubbed
@@ -200,3 +201,24 @@ class TestCoordinatedSwap:
         assert second.generation == 2
         _, health = fleet.request("GET", "/healthz")
         assert health["generations"] == {"oahu": 2}
+
+    def test_a_stale_probe_cannot_lower_a_worker_generation(self):
+        """A probe answered while a catch-up replay (or a commit) ran
+        reports the generation before it; noted after the catch-up, it
+        must not put the worker back — the gateway's ``/healthz`` would
+        show a caught-up worker at the old generation until the next
+        probe."""
+        url = "http://127.0.0.1:9"
+        gateway = FleetGateway({"w1": url})
+        st = WorkerState("w1", url, timeout=1, health_timeout=1, pool_size=1)
+        try:
+            st.state = "healthy"
+            st.generations = {"oahu": 1}
+            stale = {"status": "ok", "datasets": ["oahu"]}
+            gateway._note_probe(st, {**stale, "generations": {"oahu": 0}})
+            assert st.generations == {"oahu": 1}
+            assert st.state == "healthy"
+        finally:
+            st.close()
+            gateway._forward_pool.shutdown()
+            gateway._control_pool.shutdown()

@@ -4,6 +4,8 @@ per-endpoint reject attribution (the /metrics e2e payload is pinned in
 
 from __future__ import annotations
 
+import pytest
+
 from repro.server.metrics import (
     LATENCY_BUCKETS_MS,
     LatencyHistogram,
@@ -64,6 +66,17 @@ class TestLatencyHistogram:
         hist.observe(LATENCY_BUCKETS_MS[-1] / 1000.0)  # exactly 2500 ms
         assert hist.percentile(0.99) == LATENCY_BUCKETS_MS[-1]
         assert hist.snapshot()["overflow_count"] == 0
+
+
+    @pytest.mark.parametrize(
+        "ms, bucket", [(1.0, "1.0"), (2500.0, "2500.0"), (2500.001, "inf")]
+    )
+    def test_a_value_on_a_bound_lands_in_that_bound(self, ms, bucket):
+        hist = LatencyHistogram()
+        hist.observe(ms / 1000.0)
+        buckets = hist.snapshot()["buckets_ms"]
+        assert buckets[bucket] == 1
+        assert sum(buckets.values()) == 1
 
 
 class TestRejectAttribution:
