@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis.formatting import format_table
 from repro.core.parallel import KERNELS
-from repro.service import ServiceConfig, TransitService
+from repro.query.table_query import StationToStationEngine
 from repro.synthetic.workloads import random_station_pairs
 
 NUM_QUERIES = 5
@@ -34,21 +34,19 @@ _cells: dict[tuple[str, str, bool], dict[str, float]] = {}
 def test_stopping_criterion(
     benchmark, graphs, report, benchops, instance, kernel, stopping
 ):
-    service = TransitService.from_graph(
-        graphs.graph(instance),
-        ServiceConfig(
-            kernel=kernel, num_threads=NUM_CORES, stopping=stopping
-        ),
+    graph = graphs.graph(instance)
+    engine = StationToStationEngine(
+        graph, num_threads=NUM_CORES, stopping=stopping, kernel=kernel
     )
-    pairs = random_station_pairs(service.timetable, NUM_QUERIES, seed=7)
+    pairs = random_station_pairs(graph.timetable, NUM_QUERIES, seed=7)
 
     def run():
-        return [service.journey(s, t) for s, t in pairs]
+        return [engine.query(s, t) for s, t in pairs]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     _cells[(instance, kernel, stopping)] = {
-        "settled": fmean(r.stats.settled_connections for r in results),
-        "time": fmean(r.stats.simulated_seconds for r in results),
+        "settled": fmean(r.settled_connections for r in results),
+        "time": fmean(r.simulated_time for r in results),
     }
     if len(_cells) < len(INSTANCES) * len(KERNELS) * 2:
         return

@@ -57,7 +57,7 @@ SERVER_WORKERS = 4
 #: Acceptance floor: median full/incremental replan time ratio.
 MIN_REPLAN_SPEEDUP = 3.0
 
-CONFIG = ServiceConfig(kernel="flat", num_threads=4)
+CONFIG = ServiceConfig(num_threads=4)
 
 
 def _time_replans(service, stream):

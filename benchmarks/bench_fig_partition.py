@@ -15,7 +15,7 @@ from statistics import fmean
 import pytest
 
 from repro.analysis.formatting import format_table
-from repro.service import ProfileRequest, ServiceConfig, TransitService
+from repro.core.parallel import parallel_profile_search
 from repro.synthetic.workloads import random_sources
 
 NUM_QUERIES = 3
@@ -24,24 +24,20 @@ STRATEGIES = ("equal-time-slots", "equal-connections", "kmeans")
 INSTANCE = "losangeles"
 
 _rows: dict[str, dict] = {}
-_services: dict[str, TransitService] = {}
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_partition_strategy(benchmark, graphs, report, benchops, strategy):
-    service = _services.get(strategy)
-    if service is None:
-        service = TransitService.from_graph(
-            graphs.graph(INSTANCE),
-            ServiceConfig(
-                kernel="python", strategy=strategy, num_threads=NUM_CORES
-            ),
-        )
-        _services[strategy] = service
-    sources = random_sources(service.timetable, NUM_QUERIES, seed=4)
+    graph = graphs.graph(INSTANCE)
+    sources = random_sources(graph.timetable, NUM_QUERIES, seed=4)
 
     def run():
-        return [service.profile(ProfileRequest(s)) for s in sources]
+        return [
+            parallel_profile_search(
+                graph, s, NUM_CORES, strategy=strategy, kernel="python"
+            )
+            for s in sources
+        ]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
 
@@ -51,8 +47,8 @@ def test_partition_strategy(benchmark, graphs, report, benchops, strategy):
         return max(per_thread) / mean if mean else 1.0
 
     _rows[strategy] = {
-        "imbalance": fmean(work_imbalance(r.raw.stats) for r in results),
-        "time": fmean(r.stats.simulated_seconds for r in results),
+        "imbalance": fmean(work_imbalance(r.stats) for r in results),
+        "time": fmean(r.stats.simulated_time for r in results),
         "settled": fmean(r.stats.settled_connections for r in results),
     }
     if len(_rows) == len(STRATEGIES):

@@ -16,7 +16,7 @@ from statistics import fmean
 import pytest
 
 from repro.analysis.formatting import format_table
-from repro.service import ProfileRequest, ServiceConfig, TransitService
+from repro.core.parallel import parallel_profile_search
 from repro.synthetic.workloads import random_sources
 
 NUM_QUERIES = 3
@@ -24,32 +24,26 @@ SERIES_INSTANCES = ("losangeles", "europe")
 SERIES_CORES = tuple(range(1, 9))
 
 _points: dict[str, dict[int, dict]] = {}
-_services: dict[str, TransitService] = {}
 
 
 @pytest.mark.parametrize("instance", SERIES_INSTANCES)
 @pytest.mark.parametrize("cores", SERIES_CORES)
 def test_scalability_point(benchmark, graphs, report, benchops, instance, cores):
-    service = _services.get(instance)
-    if service is None:
-        # python kernel: the series reproduces the paper's
-        # reference-implementation scaling claims.
-        service = TransitService.from_graph(
-            graphs.graph(instance), ServiceConfig(kernel="python")
-        )
-        _services[instance] = service
-    sources = random_sources(service.timetable, NUM_QUERIES, seed=3)
+    graph = graphs.graph(instance)
+    sources = random_sources(graph.timetable, NUM_QUERIES, seed=3)
 
     def run():
+        # python kernel: the series reproduces the paper's
+        # reference-implementation scaling claims.
         return [
-            service.profile(ProfileRequest(s, num_threads=cores))
+            parallel_profile_search(graph, s, cores, kernel="python")
             for s in sources
         ]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     _points.setdefault(instance, {})[cores] = {
         "settled": fmean(r.stats.settled_connections for r in results),
-        "time": fmean(r.stats.simulated_seconds for r in results),
+        "time": fmean(r.stats.simulated_time for r in results),
     }
     if len(_points[instance]) == len(SERIES_CORES):
         _emit(report, benchops, instance)

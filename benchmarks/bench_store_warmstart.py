@@ -39,7 +39,6 @@ INSTANCES = ("oahu", "losangeles", "germany")
 LARGEST = "losangeles"
 
 CONFIG = ServiceConfig(
-    kernel="flat",
     num_threads=4,
     use_distance_table=True,
     transfer_fraction=0.05,

@@ -27,8 +27,8 @@ import pytest
 
 from repro.analysis.formatting import format_table
 from repro.baselines.label_correcting import label_correcting_profile
-from repro.core.parallel import KERNELS
-from repro.service import ProfileRequest, ServiceConfig, TransitService
+from repro.core.parallel import KERNELS, parallel_profile_search
+from repro.graph.td_arrays import packed_arrays
 from repro.synthetic.workloads import random_sources
 
 from benchmarks.conftest import ALL_INSTANCES, CORE_COUNTS
@@ -36,21 +36,6 @@ from benchmarks.conftest import ALL_INSTANCES, CORE_COUNTS
 NUM_QUERIES = 3
 
 _cells: dict[tuple[str, object, object], dict] = {}
-
-# One prepared TransitService per (instance, kernel): packing and
-# graph build are paid once outside the timed region, as in production.
-_services: dict[tuple[str, str], TransitService] = {}
-
-
-def _service(graphs, instance: str, kernel: str) -> TransitService:
-    key = (instance, kernel)
-    service = _services.get(key)
-    if service is None:
-        service = TransitService.from_graph(
-            graphs.graph(instance), ServiceConfig(kernel=kernel)
-        )
-        _services[key] = service
-    return service
 
 
 def _sources(graph):
@@ -61,18 +46,21 @@ def _sources(graph):
 @pytest.mark.parametrize("cores", CORE_COUNTS)
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_cs_one_to_all(benchmark, graphs, report, benchops, instance, cores, kernel):
-    service = _service(graphs, instance, kernel)
-    sources = _sources(service.graph)
+    graph = graphs.graph(instance)
+    # Graph build and packing are paid once, outside the timed region,
+    # as in production.
+    arrays = packed_arrays(graph) if kernel == "flat" else None
+    sources = _sources(graph)
 
     def run():
         return [
-            service.profile(ProfileRequest(s, num_threads=cores))
+            parallel_profile_search(graph, s, cores, kernel=kernel, arrays=arrays)
             for s in sources
         ]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     settled = fmean(r.stats.settled_connections for r in results)
-    simulated = fmean(r.stats.simulated_seconds for r in results)
+    simulated = fmean(r.stats.simulated_time for r in results)
     _cells[(instance, kernel, cores)] = {"settled": settled, "time": simulated}
     _maybe_emit(report, benchops, instance)
 

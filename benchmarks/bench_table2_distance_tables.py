@@ -28,7 +28,9 @@ import pytest
 
 from repro.analysis.formatting import format_table
 from repro.core.parallel import parallel_profile_search
-from repro.service import ServiceConfig, TransitService
+from repro.query.table_query import StationToStationEngine
+from repro.service import ServiceConfig
+from repro.service.prepare import prepare_dataset
 from repro.synthetic.workloads import random_station_pairs
 
 from benchmarks.conftest import ALL_INSTANCES
@@ -42,7 +44,7 @@ _SELECTIONS = [f"{f * 100:.1f}%" for f in FRACTIONS] + ["deg > 2"]
 
 
 def _run_row(graph, selection, pairs):
-    base = ServiceConfig(num_threads=NUM_CORES, kernel="python")
+    base = ServiceConfig(num_threads=NUM_CORES)
     if selection == "0.0%":
         config = base
     elif selection == "deg > 2":
@@ -57,8 +59,8 @@ def _run_row(graph, selection, pairs):
             transfer_selection="contraction",
             transfer_fraction=float(selection.rstrip("%")) / 100.0,
         )
-    service = TransitService.from_graph(graph, config)
-    table = service.table
+    prepared = prepare_dataset(graph.timetable, config, graph=graph)
+    table = prepared.table
 
     if selection != "0.0%" and table is None:
         return None  # fraction too small for this scaled-down instance
@@ -73,14 +75,22 @@ def _run_row(graph, selection, pairs):
         ),
         table.size_mib(),
     )
+    # The paper's queries: the reference kernel, on the prepared table.
+    engine = StationToStationEngine(
+        graph,
+        table,
+        num_threads=NUM_CORES,
+        kernel="python",
+        station_graph=prepared.station_graph,
+    )
     settled, times = [], []
     for s, t in pairs:
-        result = service.journey(s, t)
-        settled.append(result.stats.settled_connections)
-        times.append(result.stats.simulated_seconds)
+        result = engine.query(s, t)
+        settled.append(result.settled_connections)
+        times.append(result.simulated_time)
     return {
         "selection": selection,
-        "num_transfer": service.prepare_stats.num_transfer_stations,
+        "num_transfer": prepared.stats.num_transfer_stations,
         "prepro": prepro,
         "spcs": spcs,
         "mib": mib,

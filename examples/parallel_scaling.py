@@ -12,15 +12,17 @@ Run:  python examples/parallel_scaling.py
 
 from statistics import fmean
 
-from repro import ProfileRequest, ServiceConfig, TransitService, make_instance
+from repro import make_instance
+from repro.core.parallel import parallel_profile_search
+from repro.graph import build_td_graph
 from repro.synthetic.workloads import random_sources
 
 
 def study(instance: str) -> None:
     timetable = make_instance(instance, scale="tiny")
-    # Prepare once; the p-sweep issues requests with per-request
-    # thread-count overrides against the same service.
-    service = TransitService(timetable, ServiceConfig(kernel="python"))
+    # Build the graph once; the p-sweep runs the reference SPCS (the
+    # paper's algorithm) on it with p connection subsets.
+    graph = build_td_graph(timetable)
     sources = random_sources(timetable, 3, seed=0)
     print(f"\n== {instance}: {timetable.summary()} ==")
     print("  p   settled   growth   time [ms]   speed-up   balance")
@@ -28,14 +30,14 @@ def study(instance: str) -> None:
     base_time = base_settled = None
     for p in range(1, 9):
         runs = [
-            service.profile(ProfileRequest(s, num_threads=p))
+            parallel_profile_search(graph, s, p, kernel="python")
             for s in sources
         ]
         settled = fmean(r.stats.settled_connections for r in runs)
-        elapsed = fmean(r.stats.simulated_seconds for r in runs)
+        elapsed = fmean(r.stats.simulated_time for r in runs)
         imbalance = fmean(
-            max(r.raw.stats.settled_per_thread)
-            / (fmean(r.raw.stats.settled_per_thread) or 1)
+            max(r.stats.settled_per_thread)
+            / (fmean(r.stats.settled_per_thread) or 1)
             for r in runs
         )
         if base_time is None:

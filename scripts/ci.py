@@ -198,58 +198,68 @@ def foreign_clients(tmp: Path) -> None:
 
 def global_queries(tmp: Path) -> None:
     """The fused flat loop (Theorems 3/4 inside the kernel) against the
-    hook-driven reference kernel, at the CLI boundary: a global,
-    table-pruned query prints the same connections whichever kernel
-    runs it, over one connection subset or four.  0 → 2 has a
-    non-transfer target (Theorem 3), 5 → 4 a transfer-station target
-    (Theorem 4 as well); 0 → 2 without a table is a local query, where
-    goal direction is the only thing the flat kernel adds to the
-    stopping criterion — it must settle no more than the reference.
-    Then the flat loop's work on 100 seeded global queries each on
-    ``washington``/small and ``germany``/medium, summed, as recorded."""
-    table = ("--transfer-fraction", "0.2")
-    for label, source, target, kind, flags in (
-        ("table-0-2", "0", "2", "global", table),
-        ("table-5-4", "5", "4", "global", table),
-        ("plain-0-2", "0", "2", "local", ()),
+    hook-driven reference kernel: a global, table-pruned query prints,
+    at the CLI boundary, the connections the reference engine finds in
+    process on the same instance and table, over one connection subset
+    or four.  0 → 2 has a non-transfer target (Theorem 3), 5 → 4 a
+    transfer-station target (Theorem 4 as well); 0 → 2 without a table
+    is a local query, where goal direction is the only thing the flat
+    kernel adds to the stopping criterion — it must settle no more than
+    the reference.  Then the flat loop's work on 100 seeded global
+    queries each on ``washington``/small and ``germany``/medium,
+    summed, as recorded."""
+    from repro.query.table_query import StationToStationEngine
+    from repro.service import ServiceConfig
+    from repro.service.prepare import prepare_dataset
+    from repro.synthetic.instances import make_instance
+    from repro.timetable.periodic import format_time
+
+    oahu = make_instance("oahu", "tiny")
+    for label, source, target, kind, fraction in (
+        ("table-0-2", 0, 2, "global", 0.2),
+        ("table-5-4", 5, 4, "global", 0.2),
+        ("plain-0-2", 0, 2, "local", 0.0),
     ):
-        runs = {
-            (kernel, cores): cli(
-                "query", *OAHU, *flags, "--source", source, "--target", target,
-                "--kernel", kernel, "--cores", str(cores),
+        flags = ("--transfer-fraction", str(fraction)) if fraction else ()
+        config = ServiceConfig(
+            use_distance_table=bool(fraction), transfer_fraction=fraction
+        )
+        prepared = prepare_dataset(oahu, config)
+        lines = []
+        for cores in (1, 4):
+            out = cli(
+                "query", *OAHU, *flags, "--source", str(source),
+                "--target", str(target), "--cores", str(cores),
             ).stdout
-            for kernel in ("flat", "python")
-            for cores in (1, 4)
-        }
-        profiles = {
-            key: [line for line in out.splitlines() if "depart" in line]
-            for key, out in runs.items()
-        }
-        first = profiles["flat", 1]
-        assert first, f"{label}: no connections printed"
-        for key, out in runs.items():
-            assert f"{source} → {target} ({kind})" in out, (label, key, out)
-            assert profiles[key] == first, f"{label}: {key} differs from ('flat', 1)"
-        print(f"{label}: {len(first)} identical profile lines, 2 kernels x 2 core counts")
-        if not flags:
-            settled = {
-                key: int(re.search(r"(\d+) settled", out).group(1))
-                for key, out in runs.items()
-            }
-            for cores in (1, 4):
-                flat, python = settled["flat", cores], settled["python", cores]
-                assert flat <= python, f"{label}: {settled}"
+            assert f"{source} → {target} ({kind})" in out, (label, cores, out)
+            printed = [line for line in out.splitlines() if "depart" in line]
+            assert printed, f"{label}: no connections printed"
+            reference = StationToStationEngine(
+                prepared.graph, prepared.table, num_threads=cores,
+                kernel="python", station_graph=prepared.station_graph,
+            ).query(source, target)
+            expected = [
+                f"  depart {format_time(dep)}  arrive "
+                f"{format_time(dep + dur)}  ({dur} min)"
+                for dep, dur in reference.profile.connection_points()
+            ]
+            assert printed == expected, f"{label}: {cores} core(s) differ from the reference"
+            lines.append(printed)
+            assert printed == lines[0], f"{label}: {cores} core(s) differ from 1"
+            print(
+                f"{label}: {cores} core(s), {len(printed)} profile lines "
+                f"identical to the reference kernel's"
+            )
+            if not fraction:
+                flat = int(re.search(r"(\d+) settled", out).group(1))
+                python = reference.settled_connections
+                assert flat <= python, f"{label}: {cores} core(s), {flat} > {python}"
                 print(f"{label}: {cores} core(s), flat settled {flat} <= python {python}")
 
     # The work of targeted searches at scale: which settles happen, and
     # what each does with the table, moves these sums long before it
     # moves an answer.
     import random
-
-    from repro.query.table_query import StationToStationEngine
-    from repro.service import ServiceConfig
-    from repro.service.prepare import prepare_dataset
-    from repro.synthetic.instances import make_instance
 
     config = ServiceConfig(use_distance_table=True, transfer_fraction=0.5)
     for instance, scale, recorded in (
@@ -756,7 +766,7 @@ def transcripts(tmp: Path) -> None:
         _show("prepare", *OAHU, "--store", str(tmp / "bad"), "--cores", "0")
         _show("table1", *OAHU, "--queries", "0")
         _show("table2", *OAHU, "--queries", "0")
-        _show("query", "--from-store", store, *queries["query"], "--kernel", "python")
+        _show("query", "--from-store", store, *queries["query"], "--transfer-fraction", "0.5")
         _show("info", "--from-store", store, "--scale", "tiny")
         _show("query", "--from-store", str(tmp / "nope"), *queries["query"])
     print(_mask(out.getvalue(), tmp, url))

@@ -1,10 +1,9 @@
 """Experiment runners for the paper's evaluation artifacts (§5).
 
-All measured query paths run through the
-:class:`~repro.service.TransitService` facade — one prepared dataset
-per configuration, queried many times — so the numbers reported here
-are the numbers the production entry point produces.  Work and time
-accounting follow the paper:
+Each dataset is prepared once per configuration and queried many times
+through the engines the service wraps, with the experiment's
+``kernel`` (by default ``python``, the paper's reference SPCS).  Work
+and time accounting follow the paper:
 
 * *Settled Conns* — queue extractions, summed over all cores; for LC,
   the summed sizes of the function labels taken from the queue.
@@ -23,8 +22,11 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from repro.baselines.label_correcting import label_correcting_profile
+from repro.core.parallel import parallel_profile_search
 from repro.graph.td_model import TDGraph, build_td_graph
-from repro.service import ProfileRequest, ServiceConfig, TransitService
+from repro.query.table_query import StationToStationEngine
+from repro.service import ServiceConfig
+from repro.service.prepare import prepare_dataset
 from repro.synthetic.instances import make_instance
 from repro.synthetic.workloads import random_sources, random_station_pairs
 
@@ -74,15 +76,12 @@ def run_table1(
 ) -> Table1Result:
     """One-to-all profile queries, CS on each core count vs LC.
 
-    One :class:`TransitService` is prepared for the instance; the core
-    sweep issues :class:`ProfileRequest`\\ s with per-request thread
-    overrides against it (prepare once, query many).
+    The graph is built (and, for ``flat``, packed) once; the core sweep
+    runs :func:`parallel_profile_search` on it per source and core
+    count (prepare once, query many).
     """
     if graph is None:
         graph = _prepare(instance, scale, seed)
-    service = TransitService.from_graph(
-        graph, ServiceConfig(kernel=kernel, strategy=strategy)
-    )
     sources = random_sources(graph.timetable, num_queries, seed=seed + 1)
 
     cells: list[OneToAllCell] = []
@@ -91,9 +90,11 @@ def run_table1(
         settled: list[int] = []
         times: list[float] = []
         for source in sources:
-            result = service.profile(ProfileRequest(source, num_threads=p))
+            result = parallel_profile_search(
+                graph, source, p, strategy=strategy, kernel=kernel
+            )
             settled.append(result.stats.settled_connections)
-            times.append(result.stats.simulated_seconds)
+            times.append(result.stats.simulated_time)
         mean_time = fmean(times)
         if base_time is None:
             base_time = mean_time
@@ -158,9 +159,9 @@ def run_table2(
     """Station-to-station queries with distance-table pruning, sweeping
     the transfer-station fraction (plus the ``deg > k`` rule).
 
-    Each selection is one :class:`TransitService` configuration over
-    the same prebuilt graph; preprocessing time and table size come
-    from the facade's prepared artifacts."""
+    Each selection is one :class:`ServiceConfig` prepared over the same
+    prebuilt graph (preprocessing time, table size) and queried through
+    one :class:`StationToStationEngine` over it."""
     if graph is None:
         graph = _prepare(instance, scale, seed)
     pairs = random_station_pairs(graph.timetable, num_queries, seed=seed + 2)
@@ -171,7 +172,7 @@ def run_table2(
     if include_degree_rule:
         selections.append((f"deg > {min_degree}", "degree"))
 
-    base_config = ServiceConfig(kernel=kernel, num_threads=num_cores)
+    base_config = ServiceConfig(num_threads=num_cores)
     rows: list[Table2Row] = []
     base_time: float | None = None
     for label, spec in selections:
@@ -189,9 +190,17 @@ def run_table2(
                 transfer_selection="contraction",
                 transfer_fraction=float(spec),
             )
-        service = TransitService.from_graph(graph, config)
-        table = service.table
-        num_transfer = service.prepare_stats.num_transfer_stations
+        prepared = prepare_dataset(graph.timetable, config, graph=graph)
+        table = prepared.table
+        num_transfer = prepared.stats.num_transfer_stations
+        engine = StationToStationEngine(
+            graph,
+            table,
+            num_threads=num_cores,
+            kernel=kernel,
+            arrays=prepared.arrays,
+            station_graph=prepared.station_graph,
+        )
         if table is None:
             prepro, mib, num_transfer = 0.0, 0.0, 0
         else:
@@ -200,9 +209,9 @@ def run_table2(
         settled: list[int] = []
         times: list[float] = []
         for s, t in pairs:
-            result = service.journey(s, t)
-            settled.append(result.stats.settled_connections)
-            times.append(result.stats.simulated_seconds)
+            result = engine.query(s, t)
+            settled.append(result.settled_connections)
+            times.append(result.simulated_time)
         mean_time = fmean(times)
         if base_time is None:
             base_time = mean_time

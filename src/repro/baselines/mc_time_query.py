@@ -10,7 +10,7 @@ the journey behind it.  Exponential in nothing, just ``K+1`` layers —
 one, and no bound, for ``max_transfers=None`` — used by tests to
 validate the multi-criteria SPCS Pareto fronts, as the oracle of its
 flat twin :func:`repro.core.multicriteria.mc_time_search`, and run by
-``kernel="python"`` services for every departure-time shape.
+the tests' reference service for every departure-time shape.
 """
 
 from __future__ import annotations

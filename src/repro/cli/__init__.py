@@ -7,11 +7,12 @@ The query commands — one per request shape of
 ``--remote http://host:port[/dataset]`` — an
 :class:`~repro.client.HttpBackend` against a running ``repro-transit
 serve`` fleet, with byte-identical output either way (the client SDK's
-parity guarantee, ``docs/CLIENT.md``).  Where a command takes
-``--kernel {python,flat}``, ``python`` is the reference object-graph
-SPCS and ``flat`` the packed flat-array kernel (identical results,
-several times faster).  ``batch --json`` emits a one-line JSON
-throughput summary for scriptable perf tracking.
+parity guarantee, ``docs/CLIENT.md``).  Every search runs the
+packed flat-array kernel; the reference object-graph SPCS it is
+checked against is reached from the tests and the ``table1`` /
+``table2`` experiments, never from a query command.  ``batch --json``
+emits a one-line JSON throughput summary for scriptable perf
+tracking.
 
 Timetables are read from a GTFS-like directory (``--gtfs DIR``),
 generated on the fly (``--instance NAME [--scale SCALE]``), or — for

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from typing import Any, Collection, NamedTuple
 
 from repro.client import LocalBackend, TransitBackend, connect
-from repro.core import KERNELS
 from repro.graph import build_td_graph
 from repro.service import ServiceConfig, TransitService
 from repro.service.config import RUNTIME_FIELDS
@@ -62,9 +61,6 @@ FLAGS = {
         "seed for synthetic-instance generation (and, for batch, the "
         "random query workload; default: 0)",
         0,
-    ),
-    "--kernel": Flag(
-        "kernel", {"choices": KERNELS}, "search kernel (default: flat)", "flat"
     ),
     "--transfer-fraction": Flag(
         "transfer_fraction",
@@ -376,8 +372,7 @@ def _info_from_store(args: argparse.Namespace, store: str) -> int:
     )
     print(f"  artifacts: {table_note}")
     print(
-        f"  config: kernel={config['kernel']} "
-        f"num_threads={config['num_threads']} "
+        f"  config: num_threads={config['num_threads']} "
         f"use_distance_table={config['use_distance_table']} "
         f"transfer_fraction={config['transfer_fraction']}"
     )
@@ -447,5 +442,5 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
         metavar="DIR",
         help="artifact-store directory to write (created if missing)",
     )
-    add_flags(p_prepare, ("--cores", "--kernel", "--transfer-fraction"))
+    add_flags(p_prepare, ("--cores", "--transfer-fraction"))
     p_prepare.set_defaults(func=_cmd_prepare)

@@ -288,12 +288,12 @@ class Query(NamedTuple):
     printer: Callable[[argparse.Namespace, Any, TransitBackend], None]
 
 
-_TABLE_FLAGS = ("--kernel", "--transfer-fraction")
+_TABLE_FLAGS = ("--transfer-fraction",)
 
 #: Keyed by shape name; a shape without a row fails the parser build.
 QUERIES = {
     "profile": Query(
-        "one-to-all profile query", ("--cores", "--kernel"), _print_profile
+        "one-to-all profile query", ("--cores",), _print_profile
     ),
     "journey": Query(
         "station-to-station query", ("--cores", *_TABLE_FLAGS), _print_journey

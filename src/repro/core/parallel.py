@@ -37,7 +37,10 @@ implementation:
 * ``flat``   — the flat-array kernel
   (:func:`~repro.core.spcs_kernel.spcs_kernel_search`) over a packed
   :class:`~repro.graph.td_arrays.TDGraphArrays`; several times faster,
-  identical reduced profiles.
+  identical reduced profiles, and the only kernel a
+  :class:`~repro.service.TransitService` runs.  ``python`` is reached
+  by passing ``kernel=`` here: the paper's experiments
+  (:mod:`repro.analysis.runners`) and the tests do.
 
 Whatever the backend, every subset's result keeps its station rows
 only (:func:`timed_subset_search`), so the merged result — and a
@@ -53,8 +56,9 @@ with p.
 
 Most callers reach this function through the
 :class:`~repro.service.TransitService` facade (``service.profile``),
-which prepares the packed arrays once and passes them via ``arrays=``;
-calling it directly is equivalent and remains supported (docs/API.md).
+which prepares the packed arrays once, passes them via ``arrays=`` and
+runs every subset through its own ``dispatch``; calling it directly is
+equivalent and remains supported (docs/API.md).
 """
 
 from __future__ import annotations
@@ -121,7 +125,7 @@ def timed_subset_search(
     subset: Sequence[int],
     *,
     self_pruning: bool,
-    queue: str,
+    queue: str = "binary",
 ) -> tuple[SPCSResult, float]:
     """One subset's SPCS run and its wall time, measured where it runs
     — in a worker process, that worker's own clock.

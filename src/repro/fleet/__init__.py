@@ -1,15 +1,17 @@
-"""The serve fleet: sharded multi-process serving behind one gateway.
+"""The serve fleet: N ``serve`` processes behind one gateway.
 
-PR 4 built a single-process asyncio server
-(:class:`~repro.server.app.TransitServer`); its throughput ceiling is
-the GIL — profile searches are pure-Python compute, so one process
-saturates one core no matter how many worker threads it runs.  This
-package scales the serving layer *across processes*:
+One :class:`~repro.server.app.TransitServer` already runs its searches
+in search worker processes forked from each dataset generation, so one
+``serve`` uses the cores of its box.  The fleet is for what one process
+tree cannot give: a worker that can crash, hang or be restarted
+without the service going down, and delay swaps coordinated across
+workers.  Whether a fleet on one box serves more queries than one
+pooled ``serve`` is an open measurement (``docs/FLEET.md``):
 
 * :mod:`repro.fleet.supervisor` — spawn N ``repro-transit serve``
   worker processes over the same artifact stores (the store's
-  ``.npy`` buffers mmap to shared physical pages, so N workers cost
-  one copy of the data), discover their ephemeral ports through
+  ``.npy`` buffers are memory-mapped read-only, so the page cache can
+  share them), discover their ephemeral ports through
   atomically-written port files, and auto-restart crashes with capped
   backoff;
 * :mod:`repro.fleet.gateway` — an asyncio front process speaking the

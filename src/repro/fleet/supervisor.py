@@ -2,11 +2,11 @@
 
 A :class:`WorkerSupervisor` spawns N ``repro-transit serve`` worker
 *processes* over the same artifact-store directories and keeps them
-alive.  Multiple processes are the whole point of the fleet: one
-asyncio server is GIL-bound on compute-heavy profile queries, while N
-workers over the same mmap-cold stores share the page cache and scale
-query throughput with cores (``benchmarks/bench_server_throughput.py
---fleet``).
+alive: a crashed or hung worker is restarted while its peers keep
+answering, and the gateway coordinates delay swaps across them.  Each
+worker runs its searches in search workers of its own, as one
+``serve`` does; what N workers add to in-box query throughput is an
+open measurement (``docs/FLEET.md``, "Scaling").
 
 Design points:
 

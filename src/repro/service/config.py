@@ -1,13 +1,14 @@
 """Typed configuration of a :class:`~repro.service.TransitService`.
 
 One :class:`ServiceConfig` fixes *everything* that shapes prepared
-artifacts and answers — kernel, per-query core count, partition
-strategy, transfer-station selection, distance table on/off — so that a
+artifacts and answers — per-query core count, partition strategy,
+transfer-station selection, distance table on/off — so that a
 service instance is reproducible from ``(timetable, config)`` alone and
 two services with equal configs answer identically.  Where the searches
 run is not configuration: a service searches on the calling thread
 until whoever runs it gives it search workers
-(:meth:`~repro.service.TransitService.start_workers`).
+(:meth:`~repro.service.TransitService.start_workers`).  Nor is the
+kernel: a service always runs the flat one (``docs/KERNEL.md``).
 
 All fields are validated eagerly at construction; an invalid
 combination fails before any preparation work starts.
@@ -16,14 +17,18 @@ combination fails before any preparation work starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
-from repro.core.parallel import KERNELS
 from repro.core.partition import PARTITION_STRATEGIES
-from repro.pq import QUEUE_FACTORIES
 
 #: Valid ``transfer_selection`` values (see
 #: :func:`repro.query.transfer_selection.select_transfer_stations`).
 SELECTION_METHODS = ("contraction", "degree")
+
+#: The kernel every service runs, and the ``kernel`` that query and
+#: batch stats and a ``/v1/datasets`` entry report until the protocol
+#: drops the key.
+SERVED_KERNEL = "flat"
 
 #: Config fields that shape query *execution* only, never the prepared
 #: artifacts: changing one over an existing :class:`PreparedDataset`
@@ -37,7 +42,6 @@ RUNTIME_FIELDS = frozenset(
     {
         "num_threads",
         "strategy",
-        "queue",
         "result_cache_size",
         "stopping",
         "table_pruning",
@@ -53,10 +57,6 @@ class ServiceConfig:
 
     Query execution
     ---------------
-    kernel
-        Per-subset search implementation, one of
-        :data:`~repro.core.parallel.KERNELS` (``flat`` is the
-        production default: identical answers, several times faster).
     num_threads
         Per-query connection partitioning (paper §3.2 simulated cores):
         how many subsets of ``conn(S)`` one search is split into.  Not
@@ -64,8 +64,6 @@ class ServiceConfig:
     strategy
         Partition strategy, a
         :data:`~repro.core.partition.PARTITION_STRATEGIES` key.
-    queue
-        Priority queue of the ``python`` kernel (ignored by ``flat``).
     result_cache_size
         Capacity of the per-service LRU cache over profile / journey /
         batch answers (:mod:`repro.service.cache`); ``0`` disables
@@ -91,12 +89,17 @@ class ServiceConfig:
     searches (``profile``, ``journey``, ``batch``) only: the departure-time
     shapes (``multicriteria``, ``min_transfers``, ``via``) run time
     queries, which have no connections to set or prune.
+
+    ``kernel`` and ``queue`` are read-only class constants for callers
+    that still read them off a config, not fields:
+    ``ServiceConfig(kernel=…)`` is a ``TypeError``.
     """
 
-    kernel: str = "flat"
+    kernel: ClassVar[str] = SERVED_KERNEL
+    queue: ClassVar[str] = "binary"
+
     num_threads: int = 1
     strategy: str = "equal-connections"
-    queue: str = "binary"
     result_cache_size: int = 128
     use_distance_table: bool = False
     transfer_selection: str = "contraction"
@@ -108,19 +111,10 @@ class ServiceConfig:
     self_pruning: bool = True
 
     def __post_init__(self) -> None:
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; choose from {KERNELS}"
-            )
         if self.strategy not in PARTITION_STRATEGIES:
             raise ValueError(
                 f"unknown partition strategy {self.strategy!r}; "
                 f"choose from {sorted(PARTITION_STRATEGIES)}"
-            )
-        if self.queue not in QUEUE_FACTORIES:
-            raise ValueError(
-                f"unknown queue {self.queue!r}; "
-                f"choose from {sorted(QUEUE_FACTORIES)}"
             )
         if self.transfer_selection not in SELECTION_METHODS:
             raise ValueError(

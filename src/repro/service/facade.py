@@ -48,7 +48,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from repro.baselines.mc_time_query import mc_time_query
 from repro.core.fanout import ForkPool
 from repro.core.multicriteria import mc_time_search
 from repro.core.parallel import parallel_profile_search, timed_subset_search
@@ -57,7 +56,7 @@ from repro.query.batch import BatchStats
 from repro.query.distance_table import DistanceTable
 from repro.query.table_query import StationToStationEngine
 from repro.service.cache import CacheStats, LRUResultCache
-from repro.service.config import RUNTIME_FIELDS, ServiceConfig
+from repro.service.config import RUNTIME_FIELDS, SERVED_KERNEL, ServiceConfig
 from repro.service.journeys import legs_along
 from repro.service.model import (
     DEFAULT_MAX_TRANSFERS,
@@ -160,8 +159,7 @@ class TransitService:
             stopping=cfg.stopping,
             table_pruning=cfg.table_pruning,
             target_pruning=cfg.target_pruning,
-            queue=cfg.queue,
-            kernel=cfg.kernel,
+            kernel="flat",
             arrays=prepared.arrays,
             station_graph=prepared.station_graph,
         )
@@ -233,8 +231,8 @@ class TransitService:
 
         Nothing is rebuilt — the new service shares this one's
         :class:`PreparedDataset` — so fields that shape preparation
-        (``kernel``, the distance-table knobs) are rejected with
-        ``ValueError``: those need a fresh prepare, not an override.
+        (the distance-table knobs) are rejected with ``ValueError``:
+        those need a fresh prepare, not an override.
         """
         illegal = set(changes) - RUNTIME_FIELDS
         if illegal:
@@ -243,9 +241,7 @@ class TransitService:
                 f"(allowed: {sorted(RUNTIME_FIELDS)})"
             )
         config = self.config.with_overrides(**changes)
-        return TransitService(
-            self.timetable, config, prepared=self.prepared
-        )
+        return type(self)(self.timetable, config, prepared=self.prepared)
 
     # -- convenient read-only views ------------------------------------
 
@@ -281,7 +277,7 @@ class TransitService:
             "stations": timetable.num_stations,
             "trains": timetable.num_trains,
             "connections": timetable.num_connections,
-            "kernel": self.config.kernel,
+            "kernel": SERVED_KERNEL,
             "has_distance_table": self.table is not None,
         }
 
@@ -520,7 +516,7 @@ class TransitService:
                 station_graph=self.prepared.station_graph,
                 transfer_stations=self.prepared.transfer_stations,
             )
-        replanned = TransitService(delayed, self.config, prepared=prepared)
+        replanned = type(self)(delayed, self.config, prepared=prepared)
         if self._workers is not None:
             replanned.start_workers(self._workers.processes)
         return replanned
@@ -559,21 +555,21 @@ class TransitService:
             profiles=results[split:],
             stats=BatchStats(
                 num_queries=len(request),
-                kernel=self.config.kernel,
+                kernel=SERVED_KERNEL,
                 total_seconds=total,
             ),
         )
 
     def _search_subset(self, source: int, subset: list[int]):
-        """One §3.2 job of a search worker: the SPCS run over one
-        subset of ``conn(source)``, timed where it ran."""
+        """One §3.2 job: the SPCS run over one subset of
+        ``conn(source)``, timed where it ran — a search worker, or the
+        calling thread when there are none."""
         return timed_subset_search(
             self.prepared.graph,
             self.prepared.arrays,
             source,
             subset,
             self_pruning=self.config.self_pruning,
-            queue=self.config.queue,
         )
 
     def _search_profile(self, req: ProfileRequest) -> ProfileResult:
@@ -590,21 +586,22 @@ class TransitService:
             num_threads,
             strategy=cfg.strategy,
             self_pruning=cfg.self_pruning,
-            queue=cfg.queue,
-            kernel=cfg.kernel,
+            kernel="flat",
             arrays=prepared.arrays,
             # Without workers (and inside one) the subsets run here,
             # one after the other.
-            dispatch=None
-            if workers is None
-            else lambda parts: workers.map(
-                "_search_subset", [(req.source, part) for part in parts]
+            dispatch=lambda parts: (
+                [self._search_subset(req.source, part) for part in parts]
+                if workers is None
+                else workers.map(
+                    "_search_subset", [(req.source, part) for part in parts]
+                )
             ),
         )
         total = time.perf_counter() - t0
         stats = QueryStats(
             kind="profile",
-            kernel=cfg.kernel,
+            kernel=SERVED_KERNEL,
             num_threads=num_threads,
             settled_connections=raw.stats.settled_connections,
             simulated_seconds=raw.stats.simulated_time,
@@ -616,7 +613,7 @@ class TransitService:
         res = self._engine.query(req.source, req.target)
         stats = QueryStats(
             kind="journey",
-            kernel=self.config.kernel,
+            kernel=SERVED_KERNEL,
             num_threads=self.config.num_threads,
             settled_connections=res.settled_connections,
             simulated_seconds=res.simulated_time,
@@ -650,28 +647,18 @@ class TransitService:
         dated journeys and via hops (``max_transfers=None``: one layer)
         from the same source and departure another.  Like the SPCS
         paths it runs the flat loop on the dataset's packed arrays
-        (slice-patched after a delay swap) when ``kernel="flat"`` packed
-        them, else its object-graph twin.  One-to-all, so the memo
+        (slice-patched after a delay swap).  One-to-all, so the memo
         serves every target.
         """
         key = _McSearchKey(source, departure, max_transfers)
         raw = self._result_cache.get(key)
         if raw is None:
-            prepared = self.prepared
-            if prepared.arrays is not None:
-                raw = mc_time_search(
-                    prepared.arrays,
-                    source,
-                    departure,
-                    max_transfers=max_transfers,
-                )
-            else:
-                raw = mc_time_query(
-                    prepared.graph,
-                    source,
-                    departure,
-                    max_transfers=max_transfers,
-                )
+            raw = mc_time_search(
+                self.prepared.arrays,
+                source,
+                departure,
+                max_transfers=max_transfers,
+            )
             self._result_cache.put(key, raw)
         return raw
 
@@ -765,12 +752,11 @@ class TransitService:
 
     def _mc_stats(self, kind: str, settled: int, total: float) -> QueryStats:
         # The departure-time shapes read the sequential fixed-departure
-        # search: it follows the service's kernel (the same test as
-        # _mc_search) but has no parallel driver — accounted as one
+        # search, which has no parallel driver — accounted as one
         # thread whatever the service's journey configuration.
         return QueryStats(
             kind=kind,
-            kernel="flat" if self.prepared.arrays is not None else "python",
+            kernel=SERVED_KERNEL,
             num_threads=1,
             settled_connections=settled,
             simulated_seconds=total,

@@ -21,10 +21,10 @@ request                      engine path
 
 The transfer-layered time query is
 :func:`~repro.core.multicriteria.mc_time_search` over the packed
-arrays on a ``kernel="flat"`` service and
-:func:`~repro.baselines.mc_time_query.mc_time_query` over the object
-graph on a ``"python"`` one; with no transfer bound it has one layer
-and is the single-criterion §2 time query.
+arrays (its object-graph twin,
+:func:`~repro.baselines.mc_time_query.mc_time_query`, is the tests'
+oracle); with no transfer bound it has one layer and is the
+single-criterion §2 time query.
 """
 
 from __future__ import annotations

@@ -44,8 +44,8 @@ from repro.timetable.types import Timetable
 class PrepareStats:
     """Wall-clock and size accounting of one preparation run.
 
-    All times in seconds.  ``pack_seconds`` and ``packed_bytes`` are
-    zero for the ``python`` kernel (nothing is packed);
+    All times in seconds.  ``packed_bytes`` is the size of the packed
+    arrays every dataset carries (built, patched or loaded);
     ``selection_seconds``/``table_seconds``/``table_mib`` are zero
     when the distance table is off.  ``shared_station_graph`` records
     whether the station graph (and transfer selection) were inherited
@@ -89,8 +89,8 @@ class PreparedDataset:
     :func:`~repro.core.parallel.parallel_profile_search`, so packing,
     station-graph construction and table building happen at most once
     per service instance (``tests/service/test_facade.py`` pins this
-    with call counters).  Under the flat kernel no query assigns to any
-    of them either, a table profile's list mirror excepted
+    with call counters).  No query assigns to any of them either, a
+    table profile's list mirror excepted
     (``docs/KERNEL.md``, "What a generation owns").
     """
 
@@ -98,9 +98,8 @@ class PreparedDataset:
     config: ServiceConfig
     graph: TDGraph
     station_graph: StationGraph
-    #: Packed flat-array twin of ``graph``; ``None`` for the ``python``
-    #: kernel, which walks the object graph directly.
-    arrays: TDGraphArrays | None
+    #: Packed flat-array twin of ``graph``: what every served search reads.
+    arrays: TDGraphArrays
     #: Sorted transfer-station ids (``None`` when the table is off).
     transfer_stations: np.ndarray | None
     table: DistanceTable | None
@@ -135,14 +134,9 @@ def prepare_dataset(
         station_graph = build_station_graph(timetable)
     station_graph_seconds = time.perf_counter() - t0
 
-    arrays: TDGraphArrays | None = None
-    pack_seconds = 0.0
-    packed_bytes = 0
-    if config.kernel == "flat":
-        t0 = time.perf_counter()
-        arrays = packed_arrays(graph)
-        pack_seconds = time.perf_counter() - t0
-        packed_bytes = arrays.nbytes()
+    t0 = time.perf_counter()
+    arrays = packed_arrays(graph)
+    pack_seconds = time.perf_counter() - t0
 
     selection_seconds = 0.0
     table_seconds = 0.0
@@ -178,7 +172,7 @@ def prepare_dataset(
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
         num_connections=len(timetable.connections),
-        packed_bytes=packed_bytes,
+        packed_bytes=arrays.nbytes(),
         num_transfer_stations=(
             0 if transfer_stations is None else int(transfer_stations.size)
         ),
@@ -223,15 +217,10 @@ def replan_dataset(
     graph, patch = patch_td_graph(prepared.graph, delayed, touched_trains)
     graph_seconds = time.perf_counter() - t0
 
-    arrays: TDGraphArrays | None = None
-    pack_seconds = 0.0
-    packed_bytes = 0
-    if prepared.arrays is not None:
-        t0 = time.perf_counter()
-        arrays = patch_td_arrays(prepared.arrays, graph, patch)
-        graph._arrays = arrays
-        pack_seconds = time.perf_counter() - t0
-        packed_bytes = arrays.nbytes()
+    t0 = time.perf_counter()
+    arrays = patch_td_arrays(prepared.arrays, graph, patch)
+    graph._arrays = arrays
+    pack_seconds = time.perf_counter() - t0
 
     table: DistanceTable | None = None
     table_seconds = 0.0
@@ -261,7 +250,7 @@ def replan_dataset(
         num_nodes=graph.num_nodes,
         num_edges=graph.num_edges,
         num_connections=len(delayed.connections),
-        packed_bytes=packed_bytes,
+        packed_bytes=arrays.nbytes(),
         num_transfer_stations=prepared.stats.num_transfer_stations,
         table_mib=table_mib,
         shared_station_graph=True,

@@ -46,7 +46,7 @@ import numpy as np
 from repro.functions.algebra import Profile
 from repro.functions.piecewise import TravelTimeFunction
 from repro.graph.station_graph import StationGraph
-from repro.graph.td_arrays import TDGraphArrays, pack_td_graph
+from repro.graph.td_arrays import TDGraphArrays
 from repro.graph.td_model import Edge, TDGraph
 from repro.query.distance_table import DistanceTable
 from repro.service.config import RUNTIME_FIELDS, ServiceConfig
@@ -56,8 +56,9 @@ from repro.timetable.types import Connection, Route, Station, Timetable, Train
 
 #: Bumped on any incompatible change to the store layout (2: the stored
 #: config has no ``backend`` / ``workers``; 3: the table file has no
-#: ``build_settled``).
-FORMAT_VERSION = 3
+#: ``build_settled``; 4: the stored config has no ``kernel`` /
+#: ``queue`` — every store is loaded with its pack).
+FORMAT_VERSION = 4
 
 _MANIFEST_FORMAT = "repro-artifact-store"
 
@@ -112,7 +113,7 @@ def prepare_config_hash(config: ServiceConfig) -> str:
     """SHA-256 over the *preparation-shaping* fields only.
 
     Runtime-only fields (:data:`~repro.service.config.RUNTIME_FIELDS`:
-    thread count, queue, pruning toggles, cache size)
+    thread count, pruning toggles, cache size)
     never change what preparation produces, so two configs differing
     only there share the same prepared artifacts — and hash equal here.
     This is the comparison :func:`load_dataset` applies to
@@ -162,14 +163,9 @@ def save_dataset(
     if config is None:
         config = prepared.config
 
-    # The packed arrays double as the graph's serialized adjacency, so
-    # a python-kernel dataset (arrays=None) packs here at save time —
-    # load hydrates from the buffers either way and never re-packs.
-    arrays = (
-        prepared.arrays
-        if prepared.arrays is not None
-        else pack_td_graph(prepared.graph)
-    )
+    # The packed arrays double as the graph's serialized adjacency:
+    # load hydrates the graph from the buffers and never re-packs.
+    arrays = prepared.arrays
 
     arrays_dir = root / "arrays"
     arrays_dir.mkdir(exist_ok=True)
@@ -383,7 +379,7 @@ def load_dataset(
         num_nodes=arrays.num_nodes,
         num_edges=arrays.num_edges,
         num_connections=timetable.num_connections,
-        packed_bytes=arrays.nbytes() if config.kernel == "flat" else 0,
+        packed_bytes=arrays.nbytes(),
         num_transfer_stations=(
             0 if transfer_stations is None else int(transfer_stations.size)
         ),
@@ -396,7 +392,7 @@ def load_dataset(
         config=config,
         graph=graph,
         station_graph=station_graph,
-        arrays=arrays if config.kernel == "flat" else None,
+        arrays=arrays,
         transfer_stations=transfer_stations,
         table=table,
         stats=stats,
@@ -523,9 +519,9 @@ def _hydrate_td_graph(
     (with the FIFO flags precomputed), and the route/connection
     side-tables.  The result is structurally identical to
     ``build_td_graph(timetable)``, which the round-trip tests pin by
-    comparing python-kernel answers bitwise, and it owns ``arrays`` as
-    its pack (``packed_arrays(graph) is arrays``): nothing packs it a
-    second time.
+    comparing the reference kernel's answers over it bitwise, and it
+    owns ``arrays`` as its pack (``packed_arrays(graph) is arrays``):
+    nothing packs it a second time.
     """
     period = timetable.period
 

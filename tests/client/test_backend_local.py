@@ -182,11 +182,9 @@ class TestAnswerSemantics:
         assert local_backend.journey(3, 8).stats.cache_hit
 
     def test_info_reflects_config(self, oahu_tiny):
-        service = TransitService(
-            oahu_tiny, ServiceConfig(kernel="python", num_threads=1)
-        )
+        service = TransitService(oahu_tiny, ServiceConfig(num_threads=1))
         info = LocalBackend(service, name="x").info()
-        assert info.kernel == "python"
+        assert info.kernel == "flat"
         assert info.has_distance_table is False
         assert info.stations == 12
 

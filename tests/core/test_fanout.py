@@ -161,6 +161,11 @@ class Target:
             run.backend, run.results,
         )
 
+    def wakeup_fd(self):
+        """The descriptor this process's signal handlers wake, ``-1``
+        for none (``set_wakeup_fd`` returns it)."""
+        return signal.set_wakeup_fd(-1)
+
     def fds(self):
         """The descriptors this process holds (the one the listing
         itself opens aside)."""
@@ -288,6 +293,27 @@ def test_child_holds_nothing_of_its_parent_but_its_pipe(tmp_path, lifetime):
     for fds in held:
         assert [fd for fd in fds if fd <= 2] == [0, 1, 2]
         assert len(fds) == 4, fds  # stdio and the child's own pipe
+
+
+def test_a_child_wakes_no_descriptor_of_its_parent():
+    """An event loop in the parent (``serve``) has its signals wake a
+    non-blocking descriptor.  A child keeps the number but not the
+    descriptor — or, once something else reuses the number, the wrong
+    one — so it resets the wake-up descriptor before its first job."""
+    ours, loops = socket.socketpair()
+    loops.setblocking(False)
+    previous = signal.set_wakeup_fd(loops.fileno())
+    target = Target()
+    try:
+        pool = ForkPool(target, 1)
+        try:
+            assert pool.call("wakeup_fd") == -1
+        finally:
+            pool.close()
+    finally:
+        signal.set_wakeup_fd(previous)
+        ours.close()
+        loops.close()
 
 
 def test_killed_child_fails_its_call_and_is_replaced():

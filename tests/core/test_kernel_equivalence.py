@@ -212,14 +212,12 @@ def test_transit_service_matches_oracle_paths(name, seed):
     profile answers must equal both direct kernel runs and the Python
     reference, for either configured kernel (the facade adds routing
     and artifact sharing, never semantics)."""
-    from repro.service import ServiceConfig, TransitService
+    from tests.helpers import SERVICE_OF_KERNEL
 
     graph, arrays = _case(name, seed)
     python = spcs_profile_search(graph, 0)
     for kernel in ("python", "flat"):
-        service = TransitService.from_graph(
-            graph, ServiceConfig(kernel=kernel)
-        )
+        service = SERVICE_OF_KERNEL[kernel].from_graph(graph)
         result = service.profile(0)
         for station in range(graph.num_stations):
             assert result.profile(station) == python.profile(station), (

@@ -15,8 +15,6 @@ departures).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +28,7 @@ from repro.service.prepare import replan_dataset
 from repro.timetable.builder import TimetableBuilder
 from repro.timetable.types import Timetable
 
-from tests.helpers import retimed
+from tests.helpers import ReferenceService, retimed
 from tests.strategies import adversarial_timetables, retimings
 
 
@@ -140,7 +138,7 @@ class TestBoundsOutliveNoGeneration:
 
     def test_a_ride_faster_than_ever_before_is_found_after_a_patch(self):
         timetable, s, t, slow = self._timetable()
-        config = ServiceConfig(use_distance_table=False, kernel="flat")
+        config = ServiceConfig(use_distance_table=False)
         base = TransitService(timetable, config)
         before = base.journey(s, t).profile
         assert (before.deps.tolist(), before.arrs.tolist()) == ([5], [55])
@@ -154,7 +152,7 @@ class TestBoundsOutliveNoGeneration:
             prepared=replan_dataset(base.prepared, recovered, {slow}),
         )
         rebuilt = TransitService(recovered, config)
-        reference = TransitService(recovered, replace(config, kernel="python"))
+        reference = ReferenceService(recovered, config)
 
         after = incremental.journey(s, t).profile
         assert (after.deps.tolist(), after.arrs.tolist()) == ([0, 5], [20, 55])

@@ -32,6 +32,8 @@ from repro.service import (
 )
 from repro.synthetic.workloads import random_station_pairs
 
+from tests.helpers import SERVICE_OF_KERNEL
+
 #: Search workers the batching service has: none, or two.
 WORKERS = (0, 2)
 WORKER_IDS = ["no-workers", "2-workers"]
@@ -52,9 +54,9 @@ def make_service(oahu_tiny_graph):
     (stopped when the test ends)."""
     services: list[TransitService] = []
 
-    def make(workers: int = 0, **config) -> TransitService:
+    def make(workers: int = 0, kernel: str = "flat", **config) -> TransitService:
         config.setdefault("use_distance_table", True)
-        service = TransitService.from_graph(
+        service = SERVICE_OF_KERNEL[kernel].from_graph(
             oahu_tiny_graph,
             ServiceConfig(
                 num_threads=2,

@@ -306,12 +306,11 @@ def test_a_delay_swap_patches_the_table_to_the_oracle(
     request, instance, kernel, num_threads
 ):
     """Through the service: an incremental delay swap's table equals
-    the SPCS rows of the delayed timetable and the table of a cold
-    service on it, on either kernel (a ``python`` service packs its
-    graph for the scan) and whatever the service's thread count."""
+    the SPCS rows of the delayed timetable, on either kernel, and the
+    table of a cold service on it, whatever the service's thread
+    count."""
     timetable = request.getfixturevalue(instance)
     config = ServiceConfig(
-        kernel=kernel,
         num_threads=num_threads,
         use_distance_table=True,
         transfer_fraction=0.3,

@@ -106,7 +106,6 @@ def test_every_search_of_every_shape_runs_in_a_worker(
 
         monkeypatch.setattr("repro.core.spcs_kernel.spcs_kernel_search", poisoned)
         monkeypatch.setattr("repro.service.facade.mc_time_search", poisoned)
-        monkeypatch.setattr("repro.service.facade.mc_time_query", poisoned)
         with pytest.raises(AssertionError, match="in the server process"):
             TransitService(oahu_tiny, config).journey(0, 5)  # it is live
         with HttpBackend(

@@ -65,7 +65,6 @@ def _delays_for(timetable):
 @pytest.mark.parametrize("with_table", (False, True), ids=["plain", "table"])
 def test_apply_delays_matches_cold_service(name, timetable, with_table):
     config = ServiceConfig(
-        kernel="flat",
         num_threads=2,
         use_distance_table=with_table,
         transfer_fraction=0.3,
@@ -103,7 +102,7 @@ def test_apply_delays_matches_cold_service(name, timetable, with_table):
 def test_apply_delays_shares_topology_artifacts():
     timetable = make_instance("oahu", scale="tiny")
     config = ServiceConfig(
-        kernel="flat", use_distance_table=True, transfer_fraction=0.3
+        use_distance_table=True, transfer_fraction=0.3
     )
     service = TransitService(timetable, config)
     delayed = service.apply_delays([Delay(train=1, minutes=15)])
@@ -127,7 +126,7 @@ def test_apply_delays_shares_topology_artifacts():
 
 def test_apply_delays_batch_parity():
     timetable = random_line_timetable(7, num_stations=9, num_lines=5)
-    config = ServiceConfig(kernel="flat", num_threads=2)
+    config = ServiceConfig(num_threads=2)
     delays = _delays_for(timetable)
     warm = TransitService(timetable, config).apply_delays(delays)
     cold = TransitService(apply_delays(timetable, delays), config)
@@ -157,7 +156,7 @@ def test_swapped_out_generations_are_not_pinned(mode):
     generation nobody serves from any more."""
     others = len(_live_graphs())  # session fixtures of other tests
     service = TransitService(
-        make_instance("oahu", scale="tiny"), ServiceConfig(kernel="flat")
+        make_instance("oahu", scale="tiny"), ServiceConfig()
     )
     for train in range(10):
         service = service.apply_delays(
@@ -175,7 +174,7 @@ def test_swapped_out_generations_take_their_workers_with_them():
     the pool knows its service only weakly, so no cycle keeps either."""
     others = len(_live_graphs())
     service = TransitService(
-        make_instance("oahu", scale="tiny"), ServiceConfig(kernel="flat")
+        make_instance("oahu", scale="tiny"), ServiceConfig()
     )
     service.start_workers(2)
     seen: list[int] = []
@@ -201,7 +200,7 @@ def test_search_workers_get_a_result_cache_of_their_own():
     inherited cache would wait for that lock for ever the first time a
     ``multicriteria`` looked up its shared search."""
     service = TransitService(
-        make_instance("oahu", scale="tiny"), ServiceConfig(kernel="flat")
+        make_instance("oahu", scale="tiny"), ServiceConfig()
     )
     with service._result_cache._lock:
         service.start_workers(1)
@@ -229,9 +228,8 @@ def test_search_workers_get_a_result_cache_of_their_own():
         service.stop_workers()
 
 
-def _flat_config(with_table):
+def _config(with_table):
     return ServiceConfig(
-        kernel="flat",
         num_threads=2,
         use_distance_table=with_table,
         transfer_fraction=0.3,
@@ -245,7 +243,7 @@ def test_no_timetable_sort_after_a_swap_or_a_load(tmp_path, with_table):
     neither an incremental swap (its table rows included) nor any of
     the six shapes on a swapped or loaded generation pays that sort."""
     service = TransitService(
-        make_instance("oahu", scale="tiny"), _flat_config(with_table)
+        make_instance("oahu", scale="tiny"), _config(with_table)
     )
     swapped = service.apply_delays(
         [Delay(train=0, minutes=25)], mode="incremental"
@@ -257,13 +255,3 @@ def test_no_timetable_sort_after_a_swap_or_a_load(tmp_path, with_table):
     for generation in (swapped, TransitService.load(tmp_path / "store")):
         ask_every_shape(generation, 0, 3, 7)
         assert generation.timetable._conn_by_dep_station is None
-
-
-def test_python_kernel_may_index_the_timetable():
-    """The oracle walks ``Timetable.outgoing_connections``; only the
-    flat kernel is held to the rule above."""
-    service = TransitService(
-        make_instance("oahu", scale="tiny"), ServiceConfig(kernel="python")
-    ).apply_delays([Delay(train=0, minutes=25)], mode="incremental")
-    ask_every_shape(service, 0, 3, 7)
-    assert service.timetable._conn_by_dep_station is not None

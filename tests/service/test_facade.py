@@ -16,17 +16,20 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 
 import numpy as np
 import pytest
 
 import repro.service.prepare as prepare_mod
+from repro.baselines.label_correcting import label_correcting_profile
 from repro.baselines.mc_time_query import mc_time_query
 from repro.baselines.time_query import time_query
 from repro.client import LocalBackend
 from repro.core.fanout import ForkPool, WorkerLost
 from repro.core.multicriteria import mc_time_search
 from repro.core.parallel import parallel_profile_search
+from repro.core.spcs import spcs_profile_search
 from repro.graph.station_graph import build_station_graph
 from repro.graph.td_arrays import pack_td_graph
 from repro.graph.td_model import build_td_graph
@@ -43,7 +46,11 @@ from repro.service import (
 from repro.synthetic.workloads import random_station_pairs
 
 from tests.client.test_transport_parity import scrubbed
-from tests.helpers import random_line_timetable
+from tests.helpers import (
+    SERVICE_OF_KERNEL,
+    ReferenceService,
+    random_line_timetable,
+)
 from tests.server.test_search_workers import CALLS
 
 KERNELS = ("python", "flat")
@@ -62,9 +69,7 @@ def assert_profiles_bitwise_equal(expected, got, context=""):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_profile_matches_parallel_profile_search(oahu_tiny, kernel):
-    service = TransitService(
-        oahu_tiny, ServiceConfig(kernel=kernel, num_threads=2)
-    )
+    service = SERVICE_OF_KERNEL[kernel](oahu_tiny, ServiceConfig(num_threads=2))
     graph = build_td_graph(oahu_tiny)
     for source in (0, 4, 9):
         expected = parallel_profile_search(
@@ -89,12 +94,11 @@ def test_journey_matches_station_to_station_engine(
     oahu_tiny, oahu_tiny_graph, kernel, with_table
 ):
     config = ServiceConfig(
-        kernel=kernel,
         num_threads=2,
         use_distance_table=with_table,
         transfer_fraction=0.3,
     )
-    service = TransitService.from_graph(oahu_tiny_graph, config)
+    service = SERVICE_OF_KERNEL[kernel].from_graph(oahu_tiny_graph, config)
     table = None
     if with_table:
         stations = select_transfer_stations(
@@ -230,7 +234,7 @@ def test_facade_equivalence_on_random_instances():
         graph = build_td_graph(timetable)
         engine = StationToStationEngine(graph, None, num_threads=2)
         service = TransitService.from_graph(
-            graph, ServiceConfig(kernel="flat", num_threads=2)
+            graph, ServiceConfig(num_threads=2)
         )
         for s, t in random_station_pairs(timetable, 5, seed=seed):
             assert_profiles_bitwise_equal(
@@ -309,7 +313,6 @@ def test_artifacts_built_at_most_once(oahu_tiny, monkeypatch):
     service = TransitService(
         oahu_tiny,
         ServiceConfig(
-            kernel="flat",
             num_threads=2,
             use_distance_table=True,
             transfer_fraction=0.3,
@@ -329,28 +332,10 @@ def test_artifacts_built_at_most_once(oahu_tiny, monkeypatch):
 
 
 def test_engines_share_the_prepared_pack(oahu_tiny):
-    service = TransitService(
-        oahu_tiny, ServiceConfig(kernel="flat", num_threads=1)
-    )
+    service = TransitService(oahu_tiny, ServiceConfig(num_threads=1))
     prepared = service.prepared
     assert service._engine._arrays is prepared.arrays
     assert service._engine.station_graph is prepared.station_graph
-
-
-def test_python_kernel_never_packs(oahu_tiny, monkeypatch):
-    def failing_pack(graph):  # pragma: no cover - exercised on failure
-        raise AssertionError("python kernel must not pack")
-
-    monkeypatch.setattr(
-        "repro.graph.td_arrays.pack_td_graph", failing_pack
-    )
-    service = TransitService(
-        oahu_tiny, ServiceConfig(kernel="python", num_threads=1)
-    )
-    assert service.prepared.arrays is None
-    service.profile(0)
-    service.journey(0, 5)
-    service.multicriteria(0, 5, departure=480)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +344,8 @@ def test_python_kernel_never_packs(oahu_tiny, monkeypatch):
 
 
 def test_invalid_configs_rejected_eagerly():
-    with pytest.raises(ValueError, match="kernel"):
-        ServiceConfig(kernel="gpu")
     with pytest.raises(ValueError, match="strategy"):
         ServiceConfig(strategy="round-robin")
-    with pytest.raises(ValueError, match="queue"):
-        ServiceConfig(queue="fib")
     with pytest.raises(ValueError, match="selection"):
         ServiceConfig(transfer_selection="random")
     with pytest.raises(ValueError, match="thread"):
@@ -376,16 +357,26 @@ def test_invalid_configs_rejected_eagerly():
 def test_with_overrides_revalidates():
     config = ServiceConfig()
     assert config.with_overrides(num_threads=4).num_threads == 4
-    with pytest.raises(ValueError, match="kernel"):
-        config.with_overrides(kernel="gpu")
+    with pytest.raises(ValueError, match="strategy"):
+        config.with_overrides(strategy="round-robin")
+
+
+def test_the_kernel_is_not_configuration():
+    """Every service runs the flat kernel: ``kernel`` and ``queue`` are
+    read-only class constants, so naming either is a ``TypeError``
+    wherever a config is made — as for ``backend`` and ``workers``."""
+    assert (ServiceConfig.kernel, ServiceConfig.queue) == ("flat", "binary")
+    for knob in ({"kernel": "flat"}, {"queue": "binary"}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ServiceConfig(**knob)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ServiceConfig().with_overrides(**knob)
 
 
 def test_prepare_stats_accounting(oahu_tiny):
     service = TransitService(
         oahu_tiny,
-        ServiceConfig(
-            kernel="flat", use_distance_table=True, transfer_fraction=0.3
-        ),
+        ServiceConfig(use_distance_table=True, transfer_fraction=0.3),
     )
     stats = service.prepare_stats
     assert stats.num_stations == oahu_tiny.num_stations
@@ -412,66 +403,57 @@ def test_query_stats_shapes(oahu_tiny):
     assert j.stats.classification in ("local", "global", "table", "trivial")
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_multicriteria_shapes_follow_and_report_the_kernel(
-    oahu_tiny, kernel, monkeypatch
+def test_multicriteria_shapes_share_one_search_on_the_pack(
+    oahu_tiny, monkeypatch
 ):
     """``multicriteria`` / ``min_transfers`` run the fixed-departure
-    search — the flat loop over ``prepared.arrays`` on a ``flat``
-    service, its object-graph twin on a ``python`` one — once per
-    (source, departure, budget) and nothing else: their legs come from
-    that search's parents, not from a time query of their own.  A dated
+    search — the flat loop over ``prepared.arrays`` — once per (source,
+    departure, budget) and nothing else: their legs come from that
+    search's parents, not from a time query of their own.  A dated
     journey and a via read the same search with no budget, one layer,
-    shared the same way.  Their stats name the kernel that ran."""
+    shared the same way.  The reference search over the same prepared
+    dataset gives the same fronts."""
     import repro.service.facade as facade_mod
 
     calls = []
-    for name in ("mc_time_search", "mc_time_query"):
-        real = getattr(facade_mod, name)
+    real = facade_mod.mc_time_search
 
-        def spy(data, *args, _name=name, _real=real, **kwargs):
-            calls.append((_name, data, args, kwargs["max_transfers"]))
-            return _real(data, *args, **kwargs)
+    def spy(data, *args, **kwargs):
+        calls.append((data, args, kwargs["max_transfers"]))
+        return real(data, *args, **kwargs)
 
-        monkeypatch.setattr(facade_mod, name, spy)
+    monkeypatch.setattr(facade_mod, "mc_time_search", spy)
 
-    service = TransitService(oahu_tiny, ServiceConfig(kernel=kernel))
+    service = TransitService(oahu_tiny)
     front = service.multicriteria(2, 5, departure=480)
     fewest = service.min_transfers(2, 9, departure=480)
-    prepared = service.prepared
-    name, data = (
-        ("mc_time_search", prepared.arrays)
-        if kernel == "flat"
-        else ("mc_time_query", prepared.graph)
-    )
-    # One shared search, on the service's own artifacts.
-    assert calls == [(name, data, (2, 480), 5)]
+    data = service.prepared.arrays
+    # One shared search, on the service's own pack.
+    assert calls == [(data, (2, 480), 5)]
     assert front.legs and fewest.legs
     for stats in (front.stats, fewest.stats):
-        assert (stats.kernel, stats.num_threads) == (kernel, 1)
+        assert (stats.kernel, stats.num_threads) == ("flat", 1)
         assert stats.settled_connections > 0
     # Another departure is another search.
     later = service.min_transfers(2, 9, departure=481)
-    assert calls[1:] == [(name, data, (2, 481), 5)]
+    assert calls[1:] == [(data, (2, 481), 5)]
     assert later.stats.settled_connections > 0
     # A dated journey and a via from 2 at 480 share one unbounded
     # search; the via's second hop leaves the via station.
     dated = service.journey(2, 9, departure=480)
     via = service.via(2, 9, 5, departure=480)
     assert calls[2:] == [
-        (name, data, (2, 480), None),
-        (name, data, (9, via.via_arrival), None),
+        (data, (2, 480), None),
+        (data, (9, via.via_arrival), None),
     ]
     assert dated.legs and via.legs and via.via_arrival == dated.arrival
-    assert (via.stats.kernel, via.stats.num_threads) == (kernel, 1)
+    assert (via.stats.kernel, via.stats.num_threads) == ("flat", 1)
 
-    other = TransitService(
-        oahu_tiny,
-        ServiceConfig(kernel="python" if kernel == "flat" else "flat"),
-    )
-    assert other.multicriteria(2, 5, departure=480).options == front.options
-    twin = other.min_transfers(2, 9, departure=480)
+    oracle = ReferenceService.beside(service)
+    assert oracle.multicriteria(2, 5, departure=480).options == front.options
+    twin = oracle.min_transfers(2, 9, departure=480)
     assert (twin.transfers, twin.arrival) == (fewest.transfers, fewest.arrival)
+    assert len(calls) == 4, "the oracle ran the served search"
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -480,11 +462,9 @@ def test_departure_time_shapes_count_the_searches_they_ran(oahu_tiny, kernel):
     fixed-departure search settled; ``via`` counts those of the two
     one-layer searches it read, a memo hit as the search it reads —
     and, with no profile search left, no table rule fires."""
-    service = TransitService(
+    service = SERVICE_OF_KERNEL[kernel](
         oahu_tiny,
-        ServiceConfig(
-            kernel=kernel, use_distance_table=True, transfer_fraction=0.3
-        ),
+        ServiceConfig(use_distance_table=True, transfer_fraction=0.3),
     )
     front = service.multicriteria(2, 5, departure=480)
     fewest = service.min_transfers(2, 5, departure=480)
@@ -501,7 +481,7 @@ def test_departure_time_shapes_count_the_searches_they_ran(oahu_tiny, kernel):
     )
     assert first.stats.settled_connections == unbounded.settled > 0
     assert first.stats.settled_connections < via.stats.settled_connections
-    assert (via.stats.kernel, via.stats.num_threads) == (kernel, 1)
+    assert via.stats.num_threads == 1
     assert (via.stats.table_prunes, via.stats.connection_stops) == (0, 0)
 
 
@@ -509,13 +489,12 @@ def test_departure_time_shapes_count_the_searches_they_ran(oahu_tiny, kernel):
 def test_a_flat_service_builds_no_oracle_queue(
     oahu_tiny, monkeypatch, with_table
 ):
-    """A ``flat`` service answers every shape on its packed arrays, the
-    legs of a dated journey and of a via included: with every
-    ``repro.pq`` queue poisoned — each object-graph oracle builds one,
+    """A service answers every shape on its packed arrays, the legs of
+    a dated journey and of a via included: with every ``repro.pq``
+    queue poisoned — each object-graph oracle builds one,
     ``baselines.time_query`` among them — all six shapes answer as
-    before.  ``ServiceConfig.queue`` is ignored by ``flat``."""
+    before."""
     config = ServiceConfig(
-        kernel="flat",
         num_threads=2,
         use_distance_table=with_table,
         transfer_fraction=0.25,
@@ -533,6 +512,65 @@ def test_a_flat_service_builds_no_oracle_queue(
         time_query(service.graph, 0, 480)  # the poison is live
     backend = LocalBackend(service)
     assert [scrubbed(call(backend)) for call in CALLS] == expected
+
+
+#: Every reference search there is: the object-graph SPCS, the two
+#: object-graph time searches and the label-correcting baseline.
+ORACLES = (
+    spcs_profile_search,
+    mc_time_query,
+    time_query,
+    label_correcting_profile,
+)
+
+
+@pytest.mark.parametrize("workers", (0, 2), ids=["inline", "workers"])
+def test_served_code_never_reaches_an_oracle(oahu_tiny, monkeypatch, workers):
+    """Served code runs the flat engines only: with every reference
+    search replaced, wherever a module bound it, by one that raises —
+    before any search worker forks, so they inherit the poison — all
+    six shapes are answered with the table on, as before, in process
+    and through search workers.  The reference service over the same
+    prepared dataset proves the poison is live."""
+    config = ServiceConfig(
+        num_threads=2, use_distance_table=True, transfer_fraction=0.25
+    )
+    expected = [
+        scrubbed(call(LocalBackend(TransitService(oahu_tiny, config))))
+        for call in CALLS
+    ]
+    service = TransitService(oahu_tiny, config)
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("served code reached an oracle")
+
+    bound = [
+        (module, attr)
+        for name, module in list(sys.modules.items())
+        if name.partition(".")[0] in ("repro", "tests")
+        for attr, value in vars(module).items()
+        if any(value is oracle for oracle in ORACLES)
+    ]
+    for module, attr in bound:
+        monkeypatch.setattr(module, attr, poisoned)
+    oracle = ReferenceService.beside(service)
+    baselines = sys.modules["repro.baselines"]
+    for ask in (
+        lambda: oracle.profile(0),
+        lambda: oracle.journey(0, 5),
+        lambda: oracle.multicriteria(2, 5, departure=480),
+        lambda: baselines.time_query(service.graph, 0, 480),
+        lambda: baselines.label_correcting_profile(service.graph, 0),
+    ):
+        with pytest.raises(AssertionError, match="reached an oracle"):
+            ask()
+    if workers:
+        service.start_workers(workers)
+    try:
+        backend = LocalBackend(service)
+        assert [scrubbed(call(backend)) for call in CALLS] == expected
+    finally:
+        service.stop_workers()
 
 
 def test_profile_request_thread_override(oahu_tiny):

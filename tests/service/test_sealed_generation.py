@@ -136,7 +136,6 @@ def _swapped(timetable, config, tmp_path):
 
 def _generation(provenance, with_table, tmp_path):
     config = ServiceConfig(
-        kernel="flat",
         num_threads=2,
         use_distance_table=with_table,
         transfer_fraction=0.3,

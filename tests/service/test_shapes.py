@@ -38,6 +38,8 @@ from repro.service import (
 )
 from repro.timetable.delays import Delay, apply_delays
 
+from tests.helpers import SERVICE_OF_KERNEL
+
 CONFIG = ServiceConfig(
     num_threads=2, use_distance_table=True, transfer_fraction=0.25
 )
@@ -242,7 +244,6 @@ class TestMinTransfersOracle:
                 src,
                 max_transfers=5,
                 self_pruning=service.config.self_pruning,
-                queue=service.config.queue,
             )
             for target in range(n):
                 if target == src:
@@ -272,7 +273,7 @@ class TestMinTransfersOracle:
         fewest-transfers journey, but not the fastest (one transfer
         arrives 09:10): legs read off an unconstrained earliest-arrival
         search never realise it, the search's own parents do."""
-        service = TransitService(toy, ServiceConfig(kernel=kernel))
+        service = SERVICE_OF_KERNEL[kernel](toy, ServiceConfig())
         result = service.min_transfers(MinTransfersRequest(0, 3, 480))
         assert (result.transfers, result.arrival) == (0, 570)
         assert result.legs is not None and len(result.legs) == 1

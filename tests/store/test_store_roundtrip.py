@@ -45,7 +45,11 @@ from repro.store import (
 )
 from repro.synthetic.workloads import random_station_pairs
 
-from tests.helpers import random_line_timetable, run_in_own_group
+from tests.helpers import (
+    SERVICE_OF_KERNEL,
+    random_line_timetable,
+    run_in_own_group,
+)
 
 KERNELS = ("python", "flat")
 
@@ -93,14 +97,13 @@ def _assert_same_answers(cold: TransitService, warm: TransitService, seed=13):
 @pytest.mark.parametrize("with_table", (False, True), ids=["plain", "table"])
 def test_roundtrip_bitwise_identical(tmp_path, oahu_tiny, kernel, with_table):
     config = ServiceConfig(
-        kernel=kernel,
         num_threads=2,
         use_distance_table=with_table,
         transfer_fraction=0.3,
     )
-    cold = TransitService(oahu_tiny, config)
+    cold = SERVICE_OF_KERNEL[kernel](oahu_tiny, config)
     cold.save(tmp_path / "store")
-    warm = TransitService.load(tmp_path / "store")
+    warm = SERVICE_OF_KERNEL[kernel].load(tmp_path / "store")
     assert warm.prepare_stats.loaded_from_store
     assert warm.config == config
     assert (warm.table is None) == (cold.table is None)
@@ -113,10 +116,10 @@ def test_roundtrip_on_rail_and_random_instances(tmp_path, germany_tiny, kernel):
         ("germany", germany_tiny),
         ("random", random_line_timetable(77, num_stations=8, num_lines=5)),
     ):
-        config = ServiceConfig(kernel=kernel, num_threads=2)
-        cold = TransitService(timetable, config)
+        config = ServiceConfig(num_threads=2)
+        cold = SERVICE_OF_KERNEL[kernel](timetable, config)
         cold.save(tmp_path / name)
-        warm = TransitService.load(tmp_path / name)
+        warm = SERVICE_OF_KERNEL[kernel].load(tmp_path / name)
         _assert_same_answers(cold, warm, seed=5)
 
 
@@ -138,7 +141,7 @@ def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny):
     from repro.timetable.delays import Delay, apply_delays
 
     config = ServiceConfig(
-        kernel="flat", use_distance_table=True, transfer_fraction=0.3
+        use_distance_table=True, transfer_fraction=0.3
     )
     TransitService(oahu_tiny, config).save(tmp_path / "store")
     warm = TransitService.load(tmp_path / "store")
@@ -161,7 +164,6 @@ def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny):
 
 def test_load_and_query_run_no_builder(tmp_path, oahu_tiny, monkeypatch):
     config = ServiceConfig(
-        kernel="flat",
         num_threads=2,
         use_distance_table=True,
         transfer_fraction=0.3,
@@ -184,7 +186,6 @@ def test_load_and_query_run_no_builder(tmp_path, oahu_tiny, monkeypatch):
         "repro.service.prepare.select_transfer_stations",
         "repro.service.prepare.packed_arrays",
         "repro.graph.td_arrays.pack_td_graph",
-        "repro.store.store.pack_td_graph",
         "repro.query.table_query.build_station_graph",
         "repro.query.table_query.packed_arrays",
         "repro.core.parallel.packed_arrays",
@@ -202,19 +203,6 @@ def test_load_and_query_run_no_builder(tmp_path, oahu_tiny, monkeypatch):
     warm.journey(2, 7, departure=8 * 60)
     warm.batch([(0, 5), (1, 6)])
     warm.batch(BatchRequest.from_sources([0, 3]))
-
-
-def test_python_kernel_load_keeps_arrays_off(tmp_path, oahu_tiny):
-    """A python-kernel store hydrates the object graph from the packed
-    buffers but the loaded dataset exposes arrays=None, exactly like a
-    cold python-kernel prepare."""
-    TransitService(oahu_tiny, ServiceConfig(kernel="python")).save(
-        tmp_path / "store"
-    )
-    warm = TransitService.load(tmp_path / "store")
-    assert warm.prepared.arrays is None
-    assert warm.prepare_stats.packed_bytes == 0
-    warm.journey(0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +243,20 @@ def test_a_version_1_store_is_refused_for_its_version(small_store):
         describe_store(small_store)
 
 
+def test_a_version_3_store_is_refused_for_its_version(small_store):
+    """A version-3 manifest stores a config with ``kernel`` / ``queue``
+    — every store is loaded with its pack since version 4 — and is
+    refused for its format version, as version 1 is."""
+    manifest_path = small_store / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = 3
+    manifest["config"].update(kernel="python", queue="binary")
+    manifest_path.write_text(json.dumps(manifest))
+    refused = r"format version 3 is not supported .*re-run prepare"
+    with pytest.raises(StoreError, match=refused):
+        TransitService.load(small_store)
+
+
 def test_config_hash_mismatch_rejected(small_store):
     """Editing the manifest's config without its hash is tampering."""
     manifest_path = small_store / "manifest.json"
@@ -274,8 +276,6 @@ def test_expected_config_mismatch_rejected(small_store):
                 use_distance_table=True, transfer_fraction=0.3
             ),
         )
-    with pytest.raises(StoreError, match="different config"):
-        TransitService.load(small_store, config=ServiceConfig(kernel="python"))
     # ... the stored config is accepted, as is one differing only in
     # runtime fields (same artifacts fit both).
     TransitService.load(small_store, config=ServiceConfig(num_threads=2))
@@ -330,14 +330,11 @@ def test_prepare_config_hash_ignores_runtime_fields():
 
     base = ServiceConfig()
     runtime_twin = ServiceConfig(
-        num_threads=8, queue="lazy", self_pruning=False, result_cache_size=0
+        num_threads=8, self_pruning=False, result_cache_size=0
     )
     assert prepare_config_hash(base) == prepare_config_hash(runtime_twin)
     assert prepare_config_hash(base) != prepare_config_hash(
         ServiceConfig(use_distance_table=True)
-    )
-    assert prepare_config_hash(base) != prepare_config_hash(
-        ServiceConfig(kernel="python")
     )
 
 

@@ -35,12 +35,11 @@ from repro.service import (
     MinTransfersRequest,
     MulticriteriaRequest,
     ServiceConfig,
-    TransitService,
 )
 from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import random_line_timetable
+from tests.helpers import SERVICE_OF_KERNEL, random_line_timetable
 
 #: Instance sweep: shape/time-structure configs × per-config seeds ⇒
 #: ≥50 randomized instances.  ``kernel``/``table`` vary across configs
@@ -122,12 +121,12 @@ def _case(name: str, seed: int):
     config = CONFIGS[name]
     timetable = random_line_timetable(1000 * seed + 17, **config["shape"])
     service_config = ServiceConfig(
-        kernel=config["kernel"],
         num_threads=2,
         use_distance_table=config["table"],
         transfer_fraction=0.3,
     )
-    return timetable, service_config, TransitService(timetable, service_config)
+    service = SERVICE_OF_KERNEL[config["kernel"]](timetable, service_config)
+    return timetable, service_config, service
 
 
 def _random_batch(timetable, seed: int) -> tuple[list[Delay], int]:
@@ -214,7 +213,7 @@ def test_incremental_bitwise_equals_cold_rebuild(name, seed):
     delays, slack = _random_batch(timetable, seed)
 
     warm = base.apply_delays(delays, slack_per_leg=slack, mode="incremental")
-    cold = TransitService(
+    cold = type(base)(
         apply_delays(timetable, delays, slack_per_leg=slack), config
     )
 
@@ -265,7 +264,7 @@ def test_incremental_sequence_multicriteria_equals_cold_and_reference(
             delays, slack_per_leg=slack, mode="incremental"
         )
         delayed = apply_delays(delayed, delays, slack_per_leg=slack)
-    cold = TransitService(delayed, config)
+    cold = type(base)(delayed, config)
     context = f"{name}-s{seed}"
     _assert_prepared_bitwise_equal(cold.prepared, warm.prepared, context)
 
@@ -298,7 +297,7 @@ def test_incremental_sequence_multicriteria_equals_cold_and_reference(
             ), where
 
             for got, expected in ((w.stats, c.stats), (w2.stats, c2.stats)):
-                assert got.kernel == config.kernel, where
+                assert got.kernel == expected.kernel, where
                 assert (
                     got.settled_connections == expected.settled_connections
                 ), where

@@ -26,7 +26,7 @@ from repro.synthetic.instances import make_instance
 def target():
     timetable = make_instance("oahu", scale="tiny")
     service = TransitService(
-        timetable, ServiceConfig(kernel="flat", num_threads=2)
+        timetable, ServiceConfig(num_threads=2)
     )
     return timetable, LocalBackend(service, name="oahu-tiny")
 

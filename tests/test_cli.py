@@ -8,6 +8,12 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.client import LocalBackend
+from repro.service import ServiceConfig
+from repro.synthetic import make_instance
+from repro.synthetic.workloads import random_station_pairs
+
+from tests.helpers import ReferenceService
 
 
 class TestGenerateAndInfo:
@@ -65,34 +71,57 @@ class TestBatchCommand:
     def test_batch_serial_flat(self, capsys):
         assert main([
             "batch", "--instance", "oahu", "--scale", "tiny",
-            "--n-queries", "5", "--kernel", "flat",
+            "--n-queries", "5",
         ]) == 0
         out = capsys.readouterr().out
         assert "5 queries on kernel=flat workers=0" in out
         assert "queries/s" in out
         assert out.count("→") == 5
 
-    def test_batch_python_kernel_with_table(self, capsys):
+    def test_batch_with_table(self, capsys):
         assert main([
             "batch", "--instance", "oahu", "--scale", "tiny",
-            "--n-queries", "3", "--kernel", "python",
-            "--transfer-fraction", "0.3",
+            "--n-queries", "3", "--transfer-fraction", "0.3",
         ]) == 0
         out = capsys.readouterr().out
-        assert "kernel=python" in out
+        assert "3 queries on kernel=flat" in out
 
-    def test_kernels_answer_identically(self, capsys):
-        answers = {}
-        for kernel in ("python", "flat"):
-            assert main([
-                "batch", "--instance", "germany", "--scale", "tiny",
-                "--n-queries", "4", "--kernel", kernel, "--seed", "2",
-            ]) == 0
-            out = capsys.readouterr().out
-            answers[kernel] = [
-                line for line in out.splitlines() if "→" in line
-            ]
-        assert answers["python"] == answers["flat"]
+    def test_batch_answers_as_the_reference_kernel(self, capsys):
+        """The command's items, printed, are those the reference kernel
+        finds on the same seeded instance and workload."""
+        assert main([
+            "batch", "--instance", "germany", "--scale", "tiny",
+            "--n-queries", "4", "--seed", "2",
+        ]) == 0
+        printed = [
+            line for line in capsys.readouterr().out.splitlines() if "→" in line
+        ]
+        timetable = make_instance("germany", "tiny", 2)
+        oracle = LocalBackend(
+            ReferenceService(timetable, ServiceConfig(num_threads=1))
+        )
+        expected = []
+        for result in oracle.batch(random_station_pairs(timetable, 4, seed=2)).journeys:
+            best = (
+                "unreachable"
+                if result.profile.is_empty()
+                else f"{len(result.profile)} profile points"
+            )
+            expected.append(
+                f"  {result.source:4d} → {result.target:4d} "
+                f"({result.stats.classification}): {best}"
+            )
+        assert printed == expected
+
+    def test_there_is_no_kernel_flag(self, capsys):
+        """Every command searches with the one kernel a service runs."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "query", "--instance", "oahu", "--scale", "tiny",
+                "--source", "0", "--target", "5", "--kernel", "flat",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernel flat" in capsys.readouterr().err
 
 
 class TestTableCommands:
@@ -287,13 +316,8 @@ class TestStoreCommands:
             ])
 
     def test_from_store_rejects_preparation_flags(self, store):
-        """--kernel / --transfer-fraction shape preparation; silently
-        ignoring them next to --from-store would misreport what ran."""
-        with pytest.raises(SystemExit, match="--kernel"):
-            main([
-                "query", "--from-store", str(store),
-                "--source", "0", "--target", "5", "--kernel", "python",
-            ])
+        """--transfer-fraction shapes preparation; silently ignoring it
+        next to --from-store would misreport what ran."""
         with pytest.raises(SystemExit, match="--transfer-fraction"):
             main([
                 "batch", "--from-store", str(store),
@@ -361,11 +385,11 @@ class TestStoreCommands:
 
         assert main(["info", "--from-store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "format v3" in out
+        assert "format v4" in out
         assert "backend=" not in out and "workers=" not in out
         assert "12 stations" in out
         assert "transfer stations" in out
-        assert "kernel=flat" in out
+        assert "kernel=" not in out and "num_threads=" in out
         assert "KiB" in out
 
     def test_info_from_store_rejects_instance_flags(self, store, capsys):
@@ -443,8 +467,6 @@ class TestRemoteFlag:
         url = "http://127.0.0.1:9/oahu"
         cases = [
             (["query", "--remote", url, "--source", "0", "--target", "5",
-              "--kernel", "python"], "--kernel"),
-            (["query", "--remote", url, "--source", "0", "--target", "5",
               "--transfer-fraction", "0.1"], "--transfer-fraction"),
             (["query", "--remote", url, "--source", "0", "--target", "5",
               "--scale", "tiny"], "--scale"),
@@ -454,8 +476,6 @@ class TestRemoteFlag:
               "--cores", "2"], "--cores"),
             (["batch", "--remote", url, "--n-queries", "2",
               "--workers", "2"], "--workers"),
-            (["profile", "--remote", url, "--source", "0",
-              "--kernel", "flat"], "--kernel"),
         ]
         for argv, flag in cases:
             with pytest.raises(SystemExit, match=f"{flag}.*--remote"):
@@ -630,7 +650,7 @@ class TestShapeCommands:
         cases = [
             (["multicriteria", "--remote", url, "--source", "0",
               "--target", "5", "--departure", "480",
-              "--kernel", "python"], "--kernel"),
+              "--seed", "3"], "--seed"),
             (["via", "--remote", url, "--source", "0", "--via", "2",
               "--target", "5", "--departure", "480",
               "--transfer-fraction", "0.1"], "--transfer-fraction"),

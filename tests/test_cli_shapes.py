@@ -23,7 +23,7 @@ SHAPE_IDS = [shape.name for shape in SHAPES]
 OAHU = ["--instance", "oahu", "--scale", "tiny"]
 #: One legal value per row of the flag table.
 VALUES = {
-    "--scale": "tiny", "--seed": "3", "--kernel": "flat",
+    "--scale": "tiny", "--seed": "3",
     "--transfer-fraction": "0.1", "--cores": "2", "--workers": "2",
 }
 
