@@ -462,7 +462,8 @@ def bench_gate(tmp: Path) -> None:
     root (the committed ``BENCH_*.json`` stay untouched), pass it —
     ``ablation_selfpruning``'s metrics are settled-connection counts
     from fixed seeds, bit-identical across runs, so its band is tight;
-    ``ablation_heap`` is wall-clock and gets a wide one.  The latest
+    ``ablation_stopping`` records wall-clock times and speed-ups beside
+    its settled counts and gets a wide one.  The latest
     record degraded (times x10, speed-ups x0.2) fails it: a
     higher-is-better metric can lose at most 100 %, so that check needs
     a band below 1.0."""
@@ -473,7 +474,7 @@ def bench_gate(tmp: Path) -> None:
             [
                 sys.executable, "-m", "pytest", "-q",
                 "benchmarks/bench_ablation_selfpruning.py",
-                "benchmarks/bench_ablation_heap.py",
+                "benchmarks/bench_ablation_stopping.py",
             ],
             cwd=REPO,
             env={
@@ -486,7 +487,9 @@ def bench_gate(tmp: Path) -> None:
         )
         cli("bench", "index", "--records", str(records), "--root", str(root))
     print(cli("bench", "show", "--root", str(root)).stdout, end="")
-    for name, band in (("ablation_selfpruning", "0.05"), ("ablation_heap", "2.0")):
+    for name, band in (
+        ("ablation_selfpruning", "0.05"), ("ablation_stopping", "2.0"),
+    ):
         cli("bench", "compare", "--root", str(root), "--name", name, "--band", band)
     doc = json.loads((root / "BENCH_ablation_selfpruning.json").read_text())
     entry = doc["entries"][-1]

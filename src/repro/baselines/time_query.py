@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import TDGraph
-from repro.pq import QUEUE_FACTORIES
+from repro.pq import AddressableHeap
 
 
 @dataclass(slots=True)
@@ -54,13 +54,12 @@ def time_query(
     departure: int,
     *,
     target: int | None = None,
-    queue: str = "binary",
 ) -> TimeQueryResult:
     """Run a time-query from station ``source`` at time ``departure``.
 
     ``target``: optional station for early termination (stop once the
-    target station node is settled).  ``queue`` selects the priority
-    queue implementation (see :mod:`repro.pq`).
+    target station node is settled).  The queue is the paper's binary
+    heap (:class:`repro.pq.AddressableHeap`).
     """
     if not graph.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
@@ -69,7 +68,7 @@ def time_query(
 
     arrival = [INF_TIME] * graph.num_nodes
     adjacency = graph.adjacency
-    pq = QUEUE_FACTORIES[queue]()
+    pq = AddressableHeap()
     settled = 0
 
     # Seed: we are physically at the source at `departure`; boarding the
@@ -83,7 +82,7 @@ def time_query(
     while pq:
         node, key = pq.pop()
         if key >= arrival[node]:
-            continue  # stale duplicate (lazy queues) or already settled
+            continue  # already settled
         arrival[node] = key
         settled += 1
         if target is not None and node == target:

@@ -5,8 +5,8 @@ The algorithm of the §6 outlook for (arrival time, #transfers), as
 connection i, transfers k)`` keyed by arrival, boarding edges stepping
 the layer, the layered ``maxconn(v, k) ≥ i`` self-pruning rule — over
 the object :class:`~repro.graph.td_model.TDGraph` with 3-D numpy labels
-and a :mod:`repro.pq` addressable heap, one line per step of the
-description.
+and the paper's binary heap (:class:`repro.pq.AddressableHeap`), one
+line per step of the description.
 
 It is the only whole-day multi-criteria search
 (:func:`repro.core.multicriteria.mc_profile_search` is this function),
@@ -27,7 +27,7 @@ import numpy as np
 from repro.functions.piecewise import INF_TIME
 from repro.functions.reduction import reduction_mask
 from repro.graph.td_model import TDGraph
-from repro.pq import QUEUE_FACTORIES
+from repro.pq import AddressableHeap
 
 __all__ = ["McProfileResult", "McSPCSStats", "mc_reference_search"]
 
@@ -110,7 +110,12 @@ def mc_reference_search(
     queue: str = "binary",
 ) -> McProfileResult:
     """Multi-criteria one-to-all profile search from ``source`` on the
-    object graph (see module doc)."""
+    object graph (see module doc).  ``queue`` is accepted for callers
+    that still name one, and must be ``"binary"``."""
+    if queue != "binary":
+        raise ValueError(
+            f"unknown queue {queue!r}; the only queue is 'binary'"
+        )
     if not graph.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
     if max_transfers < 0:
@@ -142,7 +147,7 @@ def mc_reference_search(
     settled = np.zeros((num_nodes, num_conns, layers), dtype=bool)
     is_station = [graph.is_station_node(u) for u in range(num_nodes)]
     adjacency = graph.adjacency
-    pq = QUEUE_FACTORIES[queue]()
+    pq = AddressableHeap()
 
     def encode(node: int, i: int, k: int) -> int:
         return (node * num_conns + i) * layers + k

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 #: The whole-day search: ``(graph, source, *, max_transfers,
-#: self_pruning, queue) -> McProfileResult``.
+#: self_pruning) -> McProfileResult``.
 mc_profile_search = mc_reference_search
 
 

@@ -125,7 +125,6 @@ def timed_subset_search(
     subset: Sequence[int],
     *,
     self_pruning: bool,
-    queue: str = "binary",
 ) -> tuple[SPCSResult, float]:
     """One subset's SPCS run and its wall time, measured where it runs
     — in a worker process, that worker's own clock.
@@ -142,7 +141,6 @@ def timed_subset_search(
         source,
         connection_subset=subset,
         self_pruning=self_pruning,
-        queue=queue,
     )
     result.labels = result.labels[: graph.num_stations].copy()
     return result, time.perf_counter() - t0
@@ -165,8 +163,10 @@ def parallel_profile_search(
 
     ``strategy`` is a :data:`~repro.core.partition.PARTITION_STRATEGIES`
     key; ``backend`` one of :data:`~repro.core.fanout.BACKENDS`;
-    ``kernel`` one of :data:`KERNELS` (``queue`` only applies to the
-    ``python`` kernel — the flat kernel always uses its bucket queue).
+    ``kernel`` one of :data:`KERNELS`: the reference runs on the
+    paper's binary heap, the flat kernel on its bucket queue.  ``queue``
+    is accepted for callers that still name one, and must be
+    ``"binary"`` on either kernel.
     ``arrays`` injects a pre-packed :class:`TDGraphArrays` for the
     ``flat`` kernel (the service facade owns one shared pack); when
     omitted the graph's own pack (:func:`packed_arrays`) is used.  The
@@ -180,6 +180,10 @@ def parallel_profile_search(
         raise ValueError(f"need at least one thread, got {num_threads}")
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
+    if queue != "binary":
+        raise ValueError(
+            f"unknown queue {queue!r}; the only queue is 'binary'"
+        )
     try:
         partition_fn = PARTITION_STRATEGIES[strategy]
     except KeyError:
@@ -205,8 +209,7 @@ def parallel_profile_search(
 
     def timed_search(subset: list[int]) -> tuple[SPCSResult, float]:
         return timed_subset_search(
-            graph, arrays, source, subset,
-            self_pruning=self_pruning, queue=queue,
+            graph, arrays, source, subset, self_pruning=self_pruning
         )
 
     start_total = time.perf_counter()

@@ -44,7 +44,7 @@ import numpy as np
 from repro.functions.algebra import Profile
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import TDGraph
-from repro.pq import QUEUE_FACTORIES
+from repro.pq import AddressableHeap
 
 
 #: Pruner verdicts (see :class:`SettlePruner`).
@@ -117,7 +117,6 @@ def spcs_profile_search(
     target: int | None = None,
     pruner: "SettlePruner | None" = None,
     transfer_stations: "np.ndarray | None" = None,
-    queue: str = "binary",
 ) -> SPCSResult:
     """Run SPCS from station ``source``.
 
@@ -137,8 +136,6 @@ def spcs_profile_search(
         Boolean mask over stations (``S_trans``).  When given together
         with ``pruner``, transfer-station ancestry is tracked per queue
         item so the pruner can apply target pruning (Theorem 4).
-    queue:
-        Priority-queue implementation name (see :mod:`repro.pq`).
     """
     if not graph.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
@@ -181,11 +178,11 @@ def spcs_profile_search(
     # maxconn(v): highest *global* connection index settled at v so far.
     maxconn = np.full(num_nodes, -1, dtype=np.int64)
     settled = np.zeros((num_nodes, num_local), dtype=bool)
-    pq = QUEUE_FACTORIES[queue]()
+    pq = AddressableHeap()
     adjacency = graph.adjacency
 
-    # Queue items encode (node, local index) as node * num_local + k so
-    # keys stay plain ints for every queue implementation.
+    # Queue items encode (node, local index) as one int,
+    # node * num_local + k.
     for k, g in enumerate(subset):
         c = all_conns[g]
         node = graph.source_route_node(c)
@@ -217,7 +214,7 @@ def spcs_profile_search(
         item, key = pq.pop()
         node, k = divmod(item, num_local)
         if settled[node, k] or key > labels[node, k]:
-            continue  # stale entry (lazy queues only)
+            continue  # already settled, or superseded by a better label
         settled[node, k] = True
         stats.settled_connections += 1
         g = int(conn_indices[k])

@@ -87,12 +87,11 @@ def run_spcs_search(
     target: int | None = None,
     pruner: "DistanceTablePruner | None" = None,
     potential: Sequence[int] | None = None,
-    queue: str = "binary",
 ) -> SPCSResult:
     """Dispatch one SPCS run: flat kernel when ``arrays`` is given,
-    otherwise the reference implementation (``queue`` applies only
-    there).  The single dispatch point shared by the parallel driver,
-    its fork workers and the station-to-station engine.
+    otherwise the reference implementation.  The single dispatch point
+    shared by the parallel driver, its fork workers and the
+    station-to-station engine.
 
     ``pruner`` is the query's §4 state.  The reference kernel drives it
     as a settle hook and tracks ancestry over its station mask; the
@@ -117,7 +116,6 @@ def run_spcs_search(
         target=target,
         pruner=pruner,
         transfer_stations=None if pruner is None else pruner.ancestry_mask,
-        queue=queue,
     )
 
 

@@ -278,7 +278,8 @@ class StationToStationEngine:
     through its settle hook, the flat kernel inline; ``stopping``
     gives either kernel its target, which on the flat kernel also
     makes the search goal-directed (fewer settled connections, the
-    same profile).
+    same profile).  ``queue`` is accepted for callers that still name
+    one, and must be ``"binary"`` on either kernel.
     """
 
     def __init__(
@@ -300,6 +301,10 @@ class StationToStationEngine:
             raise ValueError(
                 f"unknown kernel {kernel!r}; choose from {KERNELS}"
             )
+        if queue != "binary":
+            raise ValueError(
+                f"unknown queue {queue!r}; the only queue is 'binary'"
+            )
         self.graph = graph
         self.table = table
         self.num_threads = num_threads
@@ -307,7 +312,6 @@ class StationToStationEngine:
         self.stopping = stopping
         self.table_pruning = table_pruning and table is not None
         self.target_pruning = target_pruning and table is not None
-        self.queue = queue
         self.kernel = kernel
         # Shared prepared artifacts (the service facade injects both so
         # every engine over one dataset reuses one pack / one station
@@ -454,7 +458,6 @@ class StationToStationEngine:
                 target=target if self.stopping else None,
                 pruner=pruner,
                 potential=potential,
-                queue=self.queue,
             )
             times.append(time.perf_counter() - t0)
             arrivals[run.conn_indices] = run.labels[target]

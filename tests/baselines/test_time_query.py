@@ -70,15 +70,6 @@ class TestOptions:
         assert stopped.arrival_at_station(1) == full.arrival_at_station(1)
         assert stopped.settled <= full.settled
 
-    def test_queue_variants_agree(self, toy_graph):
-        results = {
-            q: time_query(toy_graph, 0, 480, queue=q).arrival
-            for q in ("binary", "4-ary", "lazy")
-        }
-        base = results["binary"]
-        assert results["4-ary"] == base
-        assert results["lazy"] == base
-
     def test_rejects_non_station_source(self, toy_graph):
         with pytest.raises(ValueError, match="station"):
             time_query(toy_graph, toy_graph.num_nodes - 1, 0)

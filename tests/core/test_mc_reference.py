@@ -166,14 +166,8 @@ def test_duplicate_trains_tie():
 
 
 def test_public_entry_point_runs_the_reference(germany_tiny_graph):
-    """``mc_profile_search(graph, …)`` is the reference search; every
-    ``queue`` gives the same answers."""
+    """``mc_profile_search(graph, …)`` is the reference search."""
     direct = mc_reference_search(germany_tiny_graph, 3, max_transfers=2)
-    for queue in ("binary", "4-ary", "lazy"):
-        public = mc_profile_search(
-            germany_tiny_graph, 3, max_transfers=2, queue=queue
-        )
-        _assert_same_answers(public, direct, germany_tiny_graph, 2)
     assert np.array_equal(
         mc_profile_search(germany_tiny_graph, 3, max_transfers=2).labels,
         direct.labels,

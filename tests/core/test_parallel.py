@@ -133,7 +133,7 @@ class TestStationRows:
         num_conns = len(graph.timetable.outgoing_connections(0))
         for subset in ([], list(range(1, num_conns, 2)), list(range(num_conns))):
             result, _ = timed_subset_search(
-                graph, arrays, 0, subset, self_pruning=True, queue="binary"
+                graph, arrays, 0, subset, self_pruning=True
             )
             assert result.labels.shape == (n, len(subset))
             # A copy of its own: the run's node rows are not kept alive.
@@ -160,7 +160,7 @@ class TestStationRows:
         graph = oahu_tiny_graph
         arrays = packed_arrays(graph)
         trimmed, _ = timed_subset_search(
-            graph, arrays, 0, [0], self_pruning=True, queue="binary"
+            graph, arrays, 0, [0], self_pruning=True
         )
         whole = run_spcs_search(graph, arrays, 0, connection_subset=[1])
         num_conns = len(graph.timetable.outgoing_connections(0))

@@ -114,12 +114,3 @@ class TestStoppingCriterion:
         for target in range(1, min(6, oahu_tiny_graph.num_stations)):
             stopped = spcs_profile_search(oahu_tiny_graph, 0, target=target)
             assert stopped.profile(target) == full.profile(target), target
-
-
-class TestQueueVariants:
-    def test_all_queues_same_profiles(self, toy_graph):
-        base = spcs_profile_search(toy_graph, 0, queue="binary")
-        for queue in ("4-ary", "lazy"):
-            other = spcs_profile_search(toy_graph, 0, queue=queue)
-            for station in range(toy_graph.num_stations):
-                assert other.profile(station) == base.profile(station)

@@ -1,4 +1,4 @@
-"""Unit and property tests for all priority-queue implementations."""
+"""Unit and property tests for the two priority queues."""
 
 import random
 
@@ -6,30 +6,31 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.pq import QUEUE_FACTORIES, AddressableHeap, DaryHeap, LazyHeap
+from repro.pq import AddressableHeap, LazyHeap
 
-ALL_QUEUES = sorted(QUEUE_FACTORIES)
+QUEUES = (AddressableHeap, LazyHeap)
 
 
-@pytest.fixture(params=ALL_QUEUES)
+@pytest.fixture(params=QUEUES, ids=lambda cls: cls.__name__)
 def queue(request):
-    return QUEUE_FACTORIES[request.param]()
+    return request.param()
 
 
 class TestBasicProtocol:
+    def test_the_protocol_is_push_pop_and_size(self, queue):
+        public = {name for name in dir(queue) if not name.startswith("_")}
+        assert public == {"push", "pop"}
+
     def test_empty(self, queue):
         assert len(queue) == 0
         assert not queue
         with pytest.raises(IndexError):
             queue.pop()
-        with pytest.raises(IndexError):
-            queue.peek()
 
     def test_push_pop_single(self, queue):
         assert queue.push("a", 5)
         assert len(queue) == 1
-        assert "a" in queue
-        assert queue.peek() == ("a", 5)
+        assert queue
         assert queue.pop() == ("a", 5)
         assert len(queue) == 0
 
@@ -42,31 +43,15 @@ class TestBasicProtocol:
         queue.push("a", 50)
         queue.push("b", 20)
         assert queue.push("a", 10)  # decrease
+        assert len(queue) == 2
         assert queue.pop() == ("a", 10)
 
     def test_key_increase_ignored(self, queue):
         queue.push("a", 10)
         assert not queue.push("a", 99)
-        assert queue.key_of("a") == 10
-
-    def test_key_of(self, queue):
-        queue.push("x", 7)
-        assert queue.key_of("x") == 7
-
-    def test_discard(self, queue):
-        queue.push("a", 1)
-        queue.push("b", 2)
-        assert queue.discard("a")
-        assert not queue.discard("a")
-        assert queue.pop() == ("b", 2)
-
-    def test_counters(self, queue):
-        queue.push("a", 5)
-        queue.push("a", 3)
-        queue.pop()
-        assert queue.pushes == 1
-        assert queue.decrease_keys == 1
-        assert queue.pops == 1
+        assert not queue.push("a", 10)
+        assert queue.pop() == ("a", 10)
+        assert not queue
 
     def test_tuple_items(self, queue):
         queue.push((3, 1), 9)
@@ -80,40 +65,36 @@ class TestAgainstReferenceModel:
         num_ops=st.integers(min_value=1, max_value=300),
     )
     def test_random_operations(self, seed, num_ops):
-        """All queues must agree with a naive dict-scan reference.
+        """Both queues must agree with a naive dict-scan reference.
 
         Keys are made unique (base key · N + op counter) so that the
-        minimum item is unambiguous and every implementation must pop
-        exactly the same (item, key) sequence.
+        minimum item is unambiguous and both queues must pop exactly
+        the same (item, key) sequence.
         """
         rng = random.Random(seed)
-        queues = {name: QUEUE_FACTORIES[name]() for name in ALL_QUEUES}
+        queues = [cls() for cls in QUEUES]
         reference: dict[int, int] = {}
         for op_index in range(num_ops):
-            op = rng.random()
-            if op < 0.55 or not reference:
+            if rng.random() < 0.65 or not reference:
                 item = rng.randrange(40)
                 key = rng.randrange(1000) * 1000 + op_index  # unique
                 current = reference.get(item)
-                if current is None or key < current:
+                changed = current is None or key < current
+                if changed:
                     reference[item] = key
-                for q in queues.values():
-                    q.push(item, key)
-            elif op < 0.85:
+                for q in queues:
+                    assert q.push(item, key) == changed
+            else:
                 expected_item, expected_key = min(
                     reference.items(), key=lambda kv: kv[1]
                 )
-                for q in queues.values():
+                for q in queues:
                     assert q.pop() == (expected_item, expected_key)
                 del reference[expected_item]
-            else:
-                item = rng.randrange(40)
-                expected = item in reference
-                results = {q.discard(item) for q in queues.values()}
-                assert results == {expected}
-                reference.pop(item, None)
+            for q in queues:
+                assert len(q) == len(reference)
         drain_expected = sorted(reference.items(), key=lambda kv: kv[1])
-        for q in queues.values():
+        for q in queues:
             drained = []
             while q:
                 drained.append(q.pop())
@@ -121,21 +102,17 @@ class TestAgainstReferenceModel:
 
 
 class TestHeapSpecifics:
-    def test_dary_arity_validation(self):
-        with pytest.raises(ValueError, match="arity"):
-            DaryHeap(arity=1)
-
-    def test_dary_arity_property(self):
-        assert DaryHeap(arity=4).arity == 4
-
     def test_lazy_heap_stale_entries_skipped(self):
         heap = LazyHeap()
         heap.push("a", 50)
         heap.push("a", 10)  # stale (50) entry remains internally
         heap.push("b", 20)
+        assert len(heap) == 2
         assert heap.pop() == ("a", 10)
         assert heap.pop() == ("b", 20)
         assert not heap
+        with pytest.raises(IndexError):
+            heap.pop()  # only the stale entry is left
 
     def test_addressable_heap_internal_consistency(self):
         heap = AddressableHeap()

@@ -27,13 +27,13 @@ from repro.baselines.mc_time_query import mc_time_query
 from repro.baselines.time_query import time_query
 from repro.client import LocalBackend
 from repro.core.fanout import ForkPool, WorkerLost
-from repro.core.multicriteria import mc_time_search
+from repro.core.multicriteria import mc_profile_search, mc_time_search
 from repro.core.parallel import parallel_profile_search
 from repro.core.spcs import spcs_profile_search
 from repro.graph.station_graph import build_station_graph
 from repro.graph.td_arrays import pack_td_graph
 from repro.graph.td_model import build_td_graph
-from repro.pq import QUEUE_FACTORIES
+from repro.pq import AddressableHeap, LazyHeap
 from repro.query.distance_table import build_distance_table
 from repro.query.table_query import StationToStationEngine
 from repro.query.transfer_selection import select_transfer_stations
@@ -485,15 +485,27 @@ def test_departure_time_shapes_count_the_searches_they_ran(oahu_tiny, kernel):
     assert (via.stats.table_prunes, via.stats.connection_stops) == (0, 0)
 
 
+#: Every heap-driven search, each building a ``repro.pq`` queue: the
+#: object-graph SPCS, the whole-day multi-criteria search, the two
+#: object-graph time searches and the label-correcting baseline.
+HEAP_USERS = (
+    lambda graph: spcs_profile_search(graph, 0),
+    lambda graph: mc_profile_search(graph, 0, max_transfers=1),
+    lambda graph: time_query(graph, 0, 480),
+    lambda graph: mc_time_query(graph, 0, 480, max_transfers=1),
+    lambda graph: label_correcting_profile(graph, 0),
+)
+
+
 @pytest.mark.parametrize("with_table", (True, False), ids=["table", "plain"])
 def test_a_flat_service_builds_no_oracle_queue(
     oahu_tiny, monkeypatch, with_table
 ):
     """A service answers every shape on its packed arrays, the legs of
-    a dated journey and of a via included: with every ``repro.pq``
-    queue poisoned — each object-graph oracle builds one,
-    ``baselines.time_query`` among them — all six shapes answer as
-    before."""
+    a dated journey and of a via included: with both ``repro.pq``
+    queues poisoned wherever a module bound them — each of the five
+    heap-driven searches builds one, as the poison proves — all six
+    shapes answer as before."""
     config = ServiceConfig(
         num_threads=2,
         use_distance_table=with_table,
@@ -506,10 +518,18 @@ def test_a_flat_service_builds_no_oracle_queue(
     def poisoned():
         raise AssertionError("a repro.pq queue was built")
 
-    for name in QUEUE_FACTORIES:
-        monkeypatch.setitem(QUEUE_FACTORIES, name, poisoned)
-    with pytest.raises(AssertionError, match="queue was built"):
-        time_query(service.graph, 0, 480)  # the poison is live
+    bound = [
+        (module, attr)
+        for name, module in list(sys.modules.items())
+        if name.partition(".")[0] in ("repro", "tests")
+        for attr, value in vars(module).items()
+        if value is AddressableHeap or value is LazyHeap
+    ]
+    for module, attr in bound:
+        monkeypatch.setattr(module, attr, poisoned)
+    for search in HEAP_USERS:
+        with pytest.raises(AssertionError, match="queue was built"):
+            search(service.graph)  # the poison is live
     backend = LocalBackend(service)
     assert [scrubbed(call(backend)) for call in CALLS] == expected
 
