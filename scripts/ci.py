@@ -508,29 +508,6 @@ def bench_gate(tmp: Path) -> None:
     print("identical runs passed the gate, the degraded record failed it")
 
 
-def lint_fixtures(tmp: Path) -> None:
-    """The lint gate has teeth and no false alarms: against the
-    seeded-violation fixture repo ``repro lint`` exits 1 with every one
-    of the three rules among its findings — a rule gone silent fails
-    here, not in production — and the near-miss fixture repo lints
-    clean."""
-    fixtures = REPO / "tests/analysis/fixtures"
-    seeded = cli(
-        "lint", "--root", str(fixtures / "violations"), "--format", "json",
-        check=False,
-    )
-    assert seeded.returncode == 1, f"expected exit 1, got {seeded.returncode}"
-    fired = {finding["rule"] for finding in json.loads(seeded.stdout)["findings"]}
-    expected = {"ASYNC-BLOCK", "LOCK-GUARD", "EXPORT-SANITY"}
-    missing = expected - fired
-    assert not missing, f"rules failed to fire on seeded violations: {missing}"
-    cli("lint", "--root", str(fixtures / "nearmiss"))
-    print(
-        f"all {len(expected)} rules fired on the seeded violations; "
-        f"the near misses lint clean"
-    )
-
-
 def _tree_cpu_seconds(pids: list[int]) -> float:
     """Scheduler run time of every thread of ``pids`` (``schedstat``,
     as ``e2ebench/harness.py`` reads it for the server alone)."""
@@ -780,7 +757,6 @@ JOBS = {
     "bench-gate": bench_gate,
     "foreign-clients": foreign_clients,
     "global-queries": global_queries,
-    "lint-fixtures": lint_fixtures,
     "serve-fleet": serve_fleet,
     "served-pool": served_pool,
     "stream-replay": stream_replay,

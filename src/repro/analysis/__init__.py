@@ -1,15 +1,10 @@
-"""Analysis tooling: the experiment harness and the static-analysis
-suite.
+"""Analysis tooling: the experiment harness.
 
-The *experiment harness* (:mod:`repro.analysis.runners`,
-:mod:`repro.analysis.formatting`) regenerates every table/figure of
-the paper's evaluation (§5); the runners return plain dataclasses so
-benchmarks, the CLI and the EXPERIMENTS.md generator share one
-implementation.
-
-The *static-analysis suite* (:mod:`repro.analysis.lint`, CLI
-``repro lint``) machine-checks the repo's concurrency, wire-schema and
-export invariants — see docs/ANALYSIS.md.
+:mod:`repro.analysis.runners` and :mod:`repro.analysis.formatting`
+regenerate the tables and the figure of the paper's evaluation (§5):
+the runners return plain dataclasses that the ``table1`` / ``table2``
+commands render, and the benchmarks print through the same
+:func:`format_table`.
 """
 
 from repro.analysis.runners import (
@@ -21,14 +16,6 @@ from repro.analysis.runners import (
     run_table2,
 )
 from repro.analysis.formatting import format_table, render_table1, render_table2
-from repro.analysis.lint import (
-    Finding,
-    LintConfig,
-    LintReport,
-    Project,
-    default_config,
-    run_lint,
-)
 
 __all__ = [
     "OneToAllCell",
@@ -40,10 +27,4 @@ __all__ = [
     "format_table",
     "render_table1",
     "render_table2",
-    "Finding",
-    "LintConfig",
-    "LintReport",
-    "Project",
-    "default_config",
-    "run_lint",
 ]

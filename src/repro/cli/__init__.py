@@ -37,7 +37,7 @@ import sys
 import textwrap
 
 from repro import __version__
-from repro.cli import bench, datasets, lint, queries, serve, streams, tables
+from repro.cli import bench, datasets, queries, serve, streams, tables
 from repro.cli.datasets import FLAGS, rejected_beside
 from repro.client import BackendError
 from repro.service.shapes import SHAPES
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the package version and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for family in (datasets, queries, serve, streams, tables, bench, lint):
+    for family in (datasets, queries, serve, streams, tables, bench):
         family.add_parsers(sub)
     return parser
 

@@ -1,4 +1,4 @@
-"""Pinning regression tests for the true positives `repro lint`
+"""Pinning regression tests for the true positives LOCK-GUARD
 surfaced in PR 8.
 
 LOCK-GUARD flagged two `WorkerSupervisor` methods touching

@@ -149,6 +149,13 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit):
             main(["info", "--instance", "narnia"])
 
+    def test_there_is_no_lint_command(self, capsys):
+        """The static checks are tier-1 tests (tests/analysis/lint.py)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["lint"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
 
 class TestBatchJson:
     def test_json_summary_is_single_json_line(self, capsys):
