@@ -124,7 +124,7 @@ def timed_subset_search(
     source: int,
     subset: Sequence[int],
     *,
-    self_pruning: bool,
+    self_pruning: bool = True,
 ) -> tuple[SPCSResult, float]:
     """One subset's SPCS run and its wall time, measured where it runs
     — in a worker process, that worker's own clock.

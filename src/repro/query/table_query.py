@@ -305,6 +305,13 @@ class StationToStationEngine:
             raise ValueError(
                 f"unknown queue {queue!r}; the only queue is 'binary'"
             )
+        if num_threads < 1:
+            raise ValueError(f"need at least one thread, got {num_threads}")
+        if strategy not in PARTITION_STRATEGIES:
+            raise ValueError(
+                f"unknown partition strategy {strategy!r}; "
+                f"choose from {sorted(PARTITION_STRATEGIES)}"
+            )
         self.graph = graph
         self.table = table
         self.num_threads = num_threads

@@ -1,14 +1,19 @@
 """Typed configuration of a :class:`~repro.service.TransitService`.
 
 One :class:`ServiceConfig` fixes *everything* that shapes prepared
-artifacts and answers — per-query core count, partition strategy,
-transfer-station selection, distance table on/off — so that a
-service instance is reproducible from ``(timetable, config)`` alone and
-two services with equal configs answer identically.  Where the searches
-run is not configuration: a service searches on the calling thread
-until whoever runs it gives it search workers
+artifacts and answers — per-query core count, transfer-station
+selection, distance table on/off — so that a service instance is
+reproducible from ``(timetable, config)`` alone and two services with
+equal configs answer identically.  Where the searches run is not
+configuration: a service searches on the calling thread until whoever
+runs it gives it search workers
 (:meth:`~repro.service.TransitService.start_workers`).  Nor is the
-kernel: a service always runs the flat one (``docs/KERNEL.md``).
+algorithm: a service always runs the flat kernel (``docs/KERNEL.md``)
+and the paper's full search — the §3.2 equal-connections partition,
+self-pruning, the stopping criterion and both distance-table rules.
+Their ablation switches are arguments of the engines
+(:class:`~repro.query.table_query.StationToStationEngine`,
+:func:`~repro.core.parallel.parallel_profile_search`), not fields.
 
 All fields are validated eagerly at construction; an invalid
 combination fails before any preparation work starts.
@@ -18,8 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import ClassVar
-
-from repro.core.partition import PARTITION_STRATEGIES
 
 #: Valid ``transfer_selection`` values (see
 #: :func:`repro.query.transfer_selection.select_transfer_stations`).
@@ -33,22 +36,10 @@ SERVED_KERNEL = "flat"
 #: Config fields that shape query *execution* only, never the prepared
 #: artifacts: changing one over an existing :class:`PreparedDataset`
 #: (``TransitService.with_runtime_overrides``) is always sound.  Every
-#: other field changes what preparation produces (kernel packs arrays,
-#: the transfer knobs pick ``S_trans``, …) and requires a fresh
-#: prepare — and hence a fresh artifact store.  ``num_threads`` and
-#: ``strategy`` also steer the distance-table *build*, but only how
-#: each of its searches is partitioned, never the stored profiles.
-RUNTIME_FIELDS = frozenset(
-    {
-        "num_threads",
-        "strategy",
-        "result_cache_size",
-        "stopping",
-        "table_pruning",
-        "target_pruning",
-        "self_pruning",
-    }
-)
+#: other field changes what preparation produces (the transfer knobs
+#: pick ``S_trans``, the table is built or not) and requires a fresh
+#: prepare — and hence a fresh artifact store.
+RUNTIME_FIELDS = frozenset({"num_threads", "result_cache_size"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,9 +52,6 @@ class ServiceConfig:
         Per-query connection partitioning (paper §3.2 simulated cores):
         how many subsets of ``conn(S)`` one search is split into.  Not
         a process count.
-    strategy
-        Partition strategy, a
-        :data:`~repro.core.partition.PARTITION_STRATEGIES` key.
     result_cache_size
         Capacity of the per-service LRU cache over profile / journey /
         batch answers (:mod:`repro.service.cache`); ``0`` disables
@@ -81,41 +69,29 @@ class ServiceConfig:
         station-graph contraction longest, ``degree`` keeps stations of
         degree > ``min_degree``.
 
-    Pruning toggles
-    ---------------
-    ``stopping`` (Theorem 2), ``table_pruning`` (Theorem 3),
-    ``target_pruning`` (Theorem 4), ``self_pruning`` (§3.1) — on by
-    default, exposed for ablations.  They govern the connection-setting
-    searches (``profile``, ``journey``, ``batch``) only: the departure-time
-    shapes (``multicriteria``, ``min_transfers``, ``via``) run time
-    queries, which have no connections to set or prune.
-
-    ``kernel`` and ``queue`` are read-only class constants for callers
-    that still read them off a config, not fields:
-    ``ServiceConfig(kernel=…)`` is a ``TypeError``.
+    ``kernel``, ``queue``, ``strategy`` and the four pruning switches
+    (``stopping``, ``table_pruning``, ``target_pruning``,
+    ``self_pruning``) are read-only class constants for callers that
+    still read them off a config, not fields: ``ServiceConfig(kernel=…)``
+    is a ``TypeError``.
     """
 
     kernel: ClassVar[str] = SERVED_KERNEL
     queue: ClassVar[str] = "binary"
+    strategy: ClassVar[str] = "equal-connections"
+    stopping: ClassVar[bool] = True
+    table_pruning: ClassVar[bool] = True
+    target_pruning: ClassVar[bool] = True
+    self_pruning: ClassVar[bool] = True
 
     num_threads: int = 1
-    strategy: str = "equal-connections"
     result_cache_size: int = 128
     use_distance_table: bool = False
     transfer_selection: str = "contraction"
     transfer_fraction: float = 0.05
     min_degree: int = 2
-    stopping: bool = True
-    table_pruning: bool = True
-    target_pruning: bool = True
-    self_pruning: bool = True
 
     def __post_init__(self) -> None:
-        if self.strategy not in PARTITION_STRATEGIES:
-            raise ValueError(
-                f"unknown partition strategy {self.strategy!r}; "
-                f"choose from {sorted(PARTITION_STRATEGIES)}"
-            )
         if self.transfer_selection not in SELECTION_METHODS:
             raise ValueError(
                 f"unknown transfer selection {self.transfer_selection!r}; "

@@ -155,10 +155,6 @@ class TransitService:
             prepared.graph,
             prepared.table,
             num_threads=cfg.num_threads,
-            strategy=cfg.strategy,
-            stopping=cfg.stopping,
-            table_pruning=cfg.table_pruning,
-            target_pruning=cfg.target_pruning,
             kernel="flat",
             arrays=prepared.arrays,
             station_graph=prepared.station_graph,
@@ -226,8 +222,8 @@ class TransitService:
 
     def with_runtime_overrides(self, **changes) -> "TransitService":
         """A sibling service over the *same* prepared artifacts with
-        runtime-only config changes (:data:`RUNTIME_FIELDS`: thread
-        count, pruning toggles, cache size, …).
+        runtime-only config changes (:data:`RUNTIME_FIELDS`: the
+        per-query thread count and the result-cache size).
 
         Nothing is rebuilt — the new service shares this one's
         :class:`PreparedDataset` — so fields that shape preparation
@@ -565,11 +561,7 @@ class TransitService:
         ``conn(source)``, timed where it ran — a search worker, or the
         calling thread when there are none."""
         return timed_subset_search(
-            self.prepared.graph,
-            self.prepared.arrays,
-            source,
-            subset,
-            self_pruning=self.config.self_pruning,
+            self.prepared.graph, self.prepared.arrays, source, subset
         )
 
     def _search_profile(self, req: ProfileRequest) -> ProfileResult:
@@ -584,8 +576,6 @@ class TransitService:
             prepared.graph,
             req.source,
             num_threads,
-            strategy=cfg.strategy,
-            self_pruning=cfg.self_pruning,
             kernel="flat",
             arrays=prepared.arrays,
             # Without workers (and inside one) the subsets run here,

@@ -57,8 +57,9 @@ from repro.timetable.types import Connection, Route, Station, Timetable, Train
 #: Bumped on any incompatible change to the store layout (2: the stored
 #: config has no ``backend`` / ``workers``; 3: the table file has no
 #: ``build_settled``; 4: the stored config has no ``kernel`` /
-#: ``queue`` — every store is loaded with its pack).
-FORMAT_VERSION = 4
+#: ``queue`` — every store is loaded with its pack; 5: nor ``strategy``
+#: and the four pruning switches — a service runs the full algorithm).
+FORMAT_VERSION = 5
 
 _MANIFEST_FORMAT = "repro-artifact-store"
 
@@ -113,9 +114,9 @@ def prepare_config_hash(config: ServiceConfig) -> str:
     """SHA-256 over the *preparation-shaping* fields only.
 
     Runtime-only fields (:data:`~repro.service.config.RUNTIME_FIELDS`:
-    thread count, pruning toggles, cache size)
-    never change what preparation produces, so two configs differing
-    only there share the same prepared artifacts — and hash equal here.
+    thread count, cache size) never change what preparation produces,
+    so two configs differing only there share the same prepared
+    artifacts — and hash equal here.
     This is the comparison :func:`load_dataset` applies to
     ``expected_config``.
     """

@@ -43,10 +43,6 @@ class ReferenceService(TransitService):
             prepared.graph,
             prepared.table,
             num_threads=cfg.num_threads,
-            strategy=cfg.strategy,
-            stopping=cfg.stopping,
-            table_pruning=cfg.table_pruning,
-            target_pruning=cfg.target_pruning,
             kernel="python",
             station_graph=prepared.station_graph,
         )
@@ -57,13 +53,7 @@ class ReferenceService(TransitService):
         return cls(service.timetable, service.config, prepared=service.prepared)
 
     def _search_subset(self, source, subset):
-        return timed_subset_search(
-            self.prepared.graph,
-            None,
-            source,
-            subset,
-            self_pruning=self.config.self_pruning,
-        )
+        return timed_subset_search(self.prepared.graph, None, source, subset)
 
     def _mc_search(self, source, departure, max_transfers):
         return mc_time_query(

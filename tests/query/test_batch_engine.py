@@ -2,7 +2,7 @@
 without search workers.
 
 A batch's whole contract is distribution without semantic drift: for
-any workload, kernel, pruning configuration and number of search
+any workload, kernel, distance table on or off and number of search
 workers, every item of ``service.batch(...)`` must be exactly what
 ``service.journey`` / ``service.profile`` answer for that request on
 its own — profile arrays element for element, legs, arrival and the
@@ -38,12 +38,6 @@ from tests.helpers import SERVICE_OF_KERNEL
 WORKERS = (0, 2)
 WORKER_IDS = ["no-workers", "2-workers"]
 KERNELS = ("python", "flat")
-PRUNING_TOGGLES = (
-    "stopping",
-    "table_pruning",
-    "target_pruning",
-    "self_pruning",
-)
 
 
 @pytest.fixture()
@@ -147,29 +141,6 @@ def test_batch_matches_one_at_a_time(make_service, workers, kernel, with_table):
             f"workload misses shortcut paths: {classes}"
         )
     assert got.journeys[-1].legs, "workload misses the legs path"
-
-
-@pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
-@pytest.mark.parametrize("toggle", PRUNING_TOGGLES)
-def test_batch_items_follow_every_pruning_toggle(make_service, workers, toggle):
-    """Regression: batched profile searches used to run through a
-    second engine that never received ``self_pruning``, so with the
-    toggle off a batch item settled half the connections the single
-    request did.  With any toggle off, item stats == single stats."""
-    service = make_service(workers, **{toggle: False})
-    assert_batch_equals_singles(
-        service, workload(service), f"{toggle}=False on {workers} workers"
-    )
-
-
-def test_batch_profiles_do_the_unpruned_work(make_service):
-    """The toggle above must actually reach the search: without
-    self-pruning a batched profile settles more than with it."""
-    request = BatchRequest.from_sources([3, 5])
-    pruned = make_service().batch(request)
-    unpruned = make_service(self_pruning=False).batch(request)
-    for a, b in zip(pruned.profiles, unpruned.profiles):
-        assert b.stats.settled_connections > a.stats.settled_connections
 
 
 @pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)

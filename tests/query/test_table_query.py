@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.parallel import parallel_profile_search
+from repro.core.parallel import KERNELS, parallel_profile_search
 from repro.graph.td_model import build_td_graph
 from repro.query.distance_table import build_distance_table
 from repro.query.table_query import StationToStationEngine
@@ -64,6 +64,20 @@ class TestCorrectnessOnInstance:
         graph = oahu_engines["graph"]
         with pytest.raises(ValueError, match="station"):
             oahu_engines["full"].query(0, graph.num_nodes - 1)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rejects_a_bad_partition_when_constructed(
+        self, oahu_engines, kernel
+    ):
+        """An unknown strategy or no thread is refused before any
+        query, naming the choices, as ``parallel_profile_search`` does
+        — not a ``KeyError`` at the first search."""
+        graph = oahu_engines["graph"]
+        choices = r"partition strategy 'nope'; choose from .*equal-time-slots"
+        with pytest.raises(ValueError, match=choices):
+            StationToStationEngine(graph, strategy="nope", kernel=kernel)
+        with pytest.raises(ValueError, match="at least one thread"):
+            StationToStationEngine(graph, num_threads=0, kernel=kernel)
 
     def test_pruning_reduces_work_for_global_queries(self, oahu_engines):
         graph = oahu_engines["graph"]

@@ -14,6 +14,7 @@ Two contracts:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 import sys
@@ -38,6 +39,7 @@ from repro.query.distance_table import build_distance_table
 from repro.query.table_query import StationToStationEngine
 from repro.query.transfer_selection import select_transfer_stations
 from repro.service import (
+    RUNTIME_FIELDS,
     BatchRequest,
     ProfileRequest,
     ServiceConfig,
@@ -344,8 +346,6 @@ def test_engines_share_the_prepared_pack(oahu_tiny):
 
 
 def test_invalid_configs_rejected_eagerly():
-    with pytest.raises(ValueError, match="strategy"):
-        ServiceConfig(strategy="round-robin")
     with pytest.raises(ValueError, match="selection"):
         ServiceConfig(transfer_selection="random")
     with pytest.raises(ValueError, match="thread"):
@@ -357,20 +357,53 @@ def test_invalid_configs_rejected_eagerly():
 def test_with_overrides_revalidates():
     config = ServiceConfig()
     assert config.with_overrides(num_threads=4).num_threads == 4
-    with pytest.raises(ValueError, match="strategy"):
-        config.with_overrides(strategy="round-robin")
+    with pytest.raises(ValueError, match="thread"):
+        config.with_overrides(num_threads=0)
 
 
-def test_the_kernel_is_not_configuration():
-    """Every service runs the flat kernel: ``kernel`` and ``queue`` are
-    read-only class constants, so naming either is a ``TypeError``
-    wherever a config is made — as for ``backend`` and ``workers``."""
-    assert (ServiceConfig.kernel, ServiceConfig.queue) == ("flat", "binary")
-    for knob in ({"kernel": "flat"}, {"queue": "binary"}):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ServiceConfig(**knob)
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            ServiceConfig().with_overrides(**knob)
+def test_a_config_is_what_shapes_a_service():
+    """Six fields; two of them runtime-only."""
+    assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+        "num_threads",
+        "result_cache_size",
+        "use_distance_table",
+        "transfer_selection",
+        "transfer_fraction",
+        "min_degree",
+    ]
+    assert RUNTIME_FIELDS == {"num_threads", "result_cache_size"}
+
+
+#: The read-only class constants of every config: the served kernel
+#: and its queue, and the paper's full algorithm — the §3.2 partition,
+#: the stopping criterion, Theorems 3 / 4 and self-pruning.  The
+#: ablation switches are the engines' arguments.
+CLASS_CONSTANTS = {
+    "kernel": "flat",
+    "queue": "binary",
+    "strategy": "equal-connections",
+    "stopping": True,
+    "table_pruning": True,
+    "target_pruning": True,
+    "self_pruning": True,
+}
+
+
+@pytest.mark.parametrize("name", CLASS_CONSTANTS)
+def test_the_kernel_is_not_configuration(oahu_tiny, name):
+    """Every service runs the flat kernel and the full algorithm: each
+    of these is a read-only class constant, so naming one is a
+    ``TypeError`` wherever a config is made — as for ``backend`` and
+    ``workers`` — and no service overrides it."""
+    assert getattr(ServiceConfig, name) == CLASS_CONSTANTS[name]
+    knob = {name: CLASS_CONSTANTS[name]}
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        ServiceConfig(**knob)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        ServiceConfig().with_overrides(**knob)
+    service = TransitService(oahu_tiny, ServiceConfig())
+    with pytest.raises(ValueError, match="not runtime-overridable"):
+        service.with_runtime_overrides(**knob)
 
 
 def test_prepare_stats_accounting(oahu_tiny):

@@ -230,9 +230,12 @@ class TestServiceResultCache:
     def test_runtime_overrides_share_prepared_but_not_cache(self, oahu_tiny):
         service = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
         service.journey(0, 5)
-        sibling = service.with_runtime_overrides(num_threads=3, stopping=False)
+        sibling = service.with_runtime_overrides(
+            num_threads=3, result_cache_size=64
+        )
         assert sibling.prepared is service.prepared
         assert sibling.config.num_threads == 3
+        assert sibling.config.result_cache_size == 64
         assert sibling.cache_stats.size == 0
         with pytest.raises(ValueError, match="not runtime-overridable"):
             service.with_runtime_overrides(use_distance_table=True)

@@ -240,10 +240,7 @@ class TestMinTransfersOracle:
             n = service.timetable.num_stations
             src = source % n
             raw = mc_reference_search(
-                service.prepared.graph,
-                src,
-                max_transfers=5,
-                self_pruning=service.config.self_pruning,
+                service.prepared.graph, src, max_transfers=5
             )
             for target in range(n):
                 if target == src:

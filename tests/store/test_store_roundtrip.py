@@ -226,35 +226,39 @@ def test_format_version_mismatch_rejected(small_store):
         TransitService.load(small_store)
 
 
-def test_a_version_1_store_is_refused_for_its_version(small_store):
-    """A version-1 manifest stores a config with ``backend`` /
-    ``workers``, fields a config no longer has: the store is refused
-    for its format version — re-run prepare — before that config could
-    fail to build."""
+#: What an older format's manifest config carried that a config no
+#: longer has: ``backend`` / ``workers`` (version 1), ``kernel`` /
+#: ``queue`` (version 3, before every store was loaded with its pack),
+#: the partition strategy and the four pruning switches (version 4,
+#: before a service always ran the paper's full algorithm).
+OLD_FORMAT_CONFIG = {
+    1: {"backend": "processes", "workers": 4},
+    3: {"kernel": "python", "queue": "binary"},
+    4: {
+        "strategy": "equal-connections",
+        "stopping": True,
+        "table_pruning": True,
+        "target_pruning": True,
+        "self_pruning": True,
+    },
+}
+
+
+@pytest.mark.parametrize("version", sorted(OLD_FORMAT_CONFIG))
+def test_an_old_store_is_refused_for_its_version(small_store, version):
+    """An older manifest stores a config with fields a config no longer
+    has: the store is refused for its format version — re-run prepare
+    — before that config could fail to build."""
     manifest_path = small_store / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 1
-    manifest["config"].update(backend="processes", workers=4)
+    manifest["format_version"] = version
+    manifest["config"].update(OLD_FORMAT_CONFIG[version])
     manifest_path.write_text(json.dumps(manifest))
-    refused = r"format version 1 is not supported .*re-run prepare"
+    refused = rf"format version {version} is not supported .*re-run prepare"
     with pytest.raises(StoreError, match=refused):
         TransitService.load(small_store)
     with pytest.raises(StoreError, match=refused):
         describe_store(small_store)
-
-
-def test_a_version_3_store_is_refused_for_its_version(small_store):
-    """A version-3 manifest stores a config with ``kernel`` / ``queue``
-    — every store is loaded with its pack since version 4 — and is
-    refused for its format version, as version 1 is."""
-    manifest_path = small_store / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 3
-    manifest["config"].update(kernel="python", queue="binary")
-    manifest_path.write_text(json.dumps(manifest))
-    refused = r"format version 3 is not supported .*re-run prepare"
-    with pytest.raises(StoreError, match=refused):
-        TransitService.load(small_store)
 
 
 def test_config_hash_mismatch_rejected(small_store):
@@ -280,7 +284,7 @@ def test_expected_config_mismatch_rejected(small_store):
     # runtime fields (same artifacts fit both).
     TransitService.load(small_store, config=ServiceConfig(num_threads=2))
     TransitService.load(
-        small_store, config=ServiceConfig(num_threads=7, stopping=False)
+        small_store, config=ServiceConfig(num_threads=7, result_cache_size=0)
     )
 
 
@@ -295,6 +299,8 @@ def test_missing_store_rejected(tmp_path):
         ("kernel", "gpu"),
         # A store written before the thread backend was removed.
         ("backend", "threads"),
+        # A pruning switch is an engine argument, not configuration.
+        ("stopping", False),
     ],
 )
 def test_invalid_manifest_config_rejected(small_store, field, value):
@@ -302,7 +308,7 @@ def test_invalid_manifest_config_rejected(small_store, field, value):
     manifest = json.loads(manifest_path.read_text())
     manifest["config"][field] = value
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(StoreError, match="invalid"):
+    with pytest.raises(StoreError, match="manifest config is invalid"):
         TransitService.load(small_store)
 
 
@@ -329,9 +335,7 @@ def test_prepare_config_hash_ignores_runtime_fields():
     from repro.store import prepare_config_hash
 
     base = ServiceConfig()
-    runtime_twin = ServiceConfig(
-        num_threads=8, self_pruning=False, result_cache_size=0
-    )
+    runtime_twin = ServiceConfig(num_threads=8, result_cache_size=0)
     assert prepare_config_hash(base) == prepare_config_hash(runtime_twin)
     assert prepare_config_hash(base) != prepare_config_hash(
         ServiceConfig(use_distance_table=True)
@@ -383,11 +387,11 @@ def test_runtime_overridden_service_saves_its_own_config(
     runtime overrides never change the preparation recipe, the
     pre-override config matches too."""
     base = TransitService(oahu_tiny, ServiceConfig(num_threads=2))
-    tuned = base.with_runtime_overrides(num_threads=8, table_pruning=False)
+    tuned = base.with_runtime_overrides(num_threads=8, result_cache_size=0)
     tuned.save(tmp_path / "store")
     warm = TransitService.load(tmp_path / "store", config=tuned.config)
     assert warm.config.num_threads == 8
-    assert warm.config.table_pruning is False
+    assert warm.config.result_cache_size == 0
     TransitService.load(tmp_path / "store", config=base.config)
 
 
