@@ -335,10 +335,13 @@ def stream_replay(tmp: Path) -> None:
 def warm_start(tmp: Path) -> None:
     """A loaded service must never rebuild: loading with every builder
     poisoned and answering all six query shapes proves the store
-    carried everything — the pack included, which the loaded graph
-    owns, so the multi-criteria shapes re-pack nothing either."""
+    carried everything — the pack included, so the multi-criteria
+    shapes re-pack nothing either.  Nor does it hydrate: the two
+    builders of a loaded dataset's timetable and object graph, which
+    only a swap, a save or an oracle asks for, are poisoned too."""
     import repro.graph.td_arrays as arrays_mod
     import repro.service.prepare as prepare_mod
+    import repro.store.store as store_mod
     from repro import TransitService
 
     store = str(tmp / "store")
@@ -357,6 +360,8 @@ def warm_start(tmp: Path) -> None:
         (prepare_mod, "select_transfer_stations"),
         (prepare_mod, "packed_arrays"),
         (arrays_mod, "pack_td_graph"),
+        (store_mod, "_hydrate_timetable"),
+        (store_mod, "_hydrate_td_graph"),
     ):
         setattr(mod, attr, forbid(attr))
 
@@ -368,10 +373,10 @@ def warm_start(tmp: Path) -> None:
     service.multicriteria(0, 5, departure=8 * 60)
     service.via(0, 3, 5, departure=8 * 60)
     service.min_transfers(0, 5, departure=8 * 60)
-    assert service.timetable._conn_by_dep_station is None
+    assert service.prepared.hydrated == frozenset(), service.prepared.hydrated
     print(
-        "all six query shapes answered with builders poisoned "
-        "and the timetable never indexed"
+        "all six query shapes answered with builders and hydrators "
+        "poisoned: nothing was hydrated"
     )
 
 
@@ -608,6 +613,13 @@ def served_pool(tmp: Path) -> None:
             f"(Rss {' + '.join(f'{mb:.1f}' for mb in rss)} MB), "
             f"serve process alone Pss {pss[0]:.1f} MB, "
             f"VmHWM {_proc_mb(server, 'status', 'VmHWM'):.1f} MB"
+        )
+        print(
+            "  Pss per process: "
+            + ", ".join(
+                f"{'serve' if k == 0 else f'worker {k}'} {mb:.1f} MB"
+                for k, mb in enumerate(pss)
+            )
         )
 
         sources = random.Random("served-pool").sample(

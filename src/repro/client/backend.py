@@ -241,7 +241,7 @@ class LocalBackend(TransitBackend):
             self._store: Path | None = None
             self._config = None
             self.source = "memory"
-            self.name = name or source.timetable.name or "local"
+            self.name = name or source.prepared.counts.name or "local"
         else:
             self._service = None
             self._store = Path(source)
@@ -289,7 +289,7 @@ class LocalBackend(TransitBackend):
         facade → wire encoder."""
         service = self.service
         request, encode = self._parse(
-            open_request, shape, body, service.timetable.num_stations
+            open_request, shape, body, service.prepared.counts.stations
         )
         return encode(getattr(service, shape.name)(request))
 
@@ -305,7 +305,7 @@ class LocalBackend(TransitBackend):
         service = self.service
         body = wire.delays_body(delays, slack_per_leg, replan=replan)
         command = self._parse(
-            parse_delay_request, body, service.timetable.num_trains
+            parse_delay_request, body, service.prepared.counts.trains
         )
         parsed, slack = list(command.delays), command.slack_per_leg
         with self._swap_lock:

@@ -119,7 +119,7 @@ class ParallelProfileResult:
 
 
 def timed_subset_search(
-    graph: TDGraph,
+    graph: TDGraph | None,
     arrays: "TDGraphArrays | None",
     source: int,
     subset: Sequence[int],
@@ -133,7 +133,8 @@ def timed_subset_search(
     ``labels[:num_stations]``: a profile reads nothing else, and this is
     what travels back through a worker's pipe, is merged and is cached.
     Every caller of the §3.2 driver — served, in process, an empty
-    subset — gets this one shape."""
+    subset — gets this one shape.  With ``arrays`` (the flat kernel)
+    nothing reads ``graph``, which may be ``None``."""
     t0 = time.perf_counter()
     result = run_spcs_search(
         graph,
@@ -142,12 +143,13 @@ def timed_subset_search(
         connection_subset=subset,
         self_pruning=self_pruning,
     )
-    result.labels = result.labels[: graph.num_stations].copy()
+    num_stations = (arrays if arrays is not None else graph).num_stations
+    result.labels = result.labels[:num_stations].copy()
     return result, time.perf_counter() - t0
 
 
 def parallel_profile_search(
-    graph: TDGraph,
+    graph: TDGraph | None,
     source: int,
     num_threads: int = 1,
     *,
@@ -170,7 +172,9 @@ def parallel_profile_search(
     ``arrays`` injects a pre-packed :class:`TDGraphArrays` for the
     ``flat`` kernel (the service facade owns one shared pack); when
     omitted the graph's own pack (:func:`packed_arrays`) is used.  The
-    flat kernel reads ``conn(S)`` from the pack, not the timetable.
+    flat kernel reads ``conn(S)``, the stations and the period from the
+    pack, never the graph: with ``arrays`` given ``graph`` may be
+    ``None`` (a served generation does not build one).
 
     ``dispatch``, when given, runs the subsets in place of ``backend``:
     it takes the partition and returns one :func:`timed_subset_search`
@@ -192,20 +196,23 @@ def parallel_profile_search(
             f"choose from {sorted(PARTITION_STRATEGIES)}"
         ) from None
 
-    if not graph.is_station_node(source):
-        raise ValueError(f"source must be a station node, got {source}")
-
-    timetable = graph.timetable
     if kernel == "flat":
         if arrays is None:
             arrays = packed_arrays(graph)
+        if not arrays.is_station_node(source):
+            raise ValueError(f"source must be a station node, got {source}")
         conn_deps = arrays.source_connection_arrays(source)[0].tolist()
+        period = arrays.period
     else:
         arrays = None
+        if not graph.is_station_node(source):
+            raise ValueError(f"source must be a station node, got {source}")
+        timetable = graph.timetable
         conn_deps = [
             c.dep_time for c in timetable.outgoing_connections(source)
         ]
-    parts = partition_fn(conn_deps, num_threads, timetable.period)
+        period = timetable.period
+    parts = partition_fn(conn_deps, num_threads, period)
 
     def timed_search(subset: list[int]) -> tuple[SPCSResult, float]:
         return timed_subset_search(

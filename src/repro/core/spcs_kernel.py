@@ -78,7 +78,7 @@ if TYPE_CHECKING:
 
 
 def run_spcs_search(
-    graph: TDGraph,
+    graph: TDGraph | None,
     arrays: TDGraphArrays | None,
     source: int,
     *,
@@ -88,10 +88,11 @@ def run_spcs_search(
     pruner: "DistanceTablePruner | None" = None,
     potential: Sequence[int] | None = None,
 ) -> SPCSResult:
-    """Dispatch one SPCS run: flat kernel when ``arrays`` is given,
-    otherwise the reference implementation.  The single dispatch point
-    shared by the parallel driver, its fork workers and the
-    station-to-station engine.
+    """Dispatch one SPCS run: flat kernel when ``arrays`` is given —
+    which reads nothing else, so ``graph`` may then be ``None`` —
+    otherwise the reference implementation over ``graph``.  The single
+    dispatch point shared by the parallel driver, its fork workers and
+    the station-to-station engine.
 
     ``pruner`` is the query's §4 state.  The reference kernel drives it
     as a settle hook and tracks ancestry over its station mask; the

@@ -44,7 +44,9 @@ that query.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -77,14 +79,15 @@ class DistanceTablePruner:
     table, the loop through the list mirrors :meth:`via_row` /
     :meth:`target_row` hand it.
 
-    ``num_connections`` (``|conn(source)|``), ``transfer_time`` and
-    ``contributes`` are what the engine already knows or derives from
-    its own constants; each is derived here when omitted.
+    ``num_connections`` (``|conn(source)|``), ``transfer_time``,
+    ``contributes`` and ``node_station`` are what the engine already
+    knows or derives from its own constants; each is derived here from
+    ``graph`` when omitted — given all four, ``graph`` may be ``None``.
     """
 
     def __init__(
         self,
-        graph: TDGraph,
+        graph: TDGraph | None,
         table: DistanceTable,
         source: int,
         target: int,
@@ -94,15 +97,18 @@ class DistanceTablePruner:
         num_connections: int | None = None,
         transfer_time: list[int] | None = None,
         contributes: bytes | None = None,
+        node_station: Sequence[int] | None = None,
     ) -> None:
-        self._graph = graph
         self._table = table
         self.source = source
         self.target = target
         self.via = via_stations
         #: Theorem 4 applies only to a transfer-station target.
         self.target_pruning = target_pruning and table.contains(target)
-        self.node_station = graph.node_station
+        self.node_station = (
+            node_station if node_station is not None else graph.node_station
+        )
+        #: ``T(S)`` per station, so also the station count.
         self.transfer_time = (
             transfer_time
             if transfer_time is not None
@@ -114,7 +120,7 @@ class DistanceTablePruner:
         self.contributes = (
             contributes
             if contributes is not None
-            else self.ancestry_mask[graph.node_station].tobytes()
+            else self.ancestry_mask[self.node_station].tobytes()
         )
         num_conns = (
             num_connections
@@ -133,8 +139,9 @@ class DistanceTablePruner:
         self.final_arrivals: dict[int, int] = {}
         #: Per station, filled on first settle there: the profiles to
         #: the via stations / to the target as list mirrors.
-        self.via_rows: list[list[tuple] | None] = [None] * graph.num_stations
-        self.target_rows: list[tuple | None] = [None] * graph.num_stations
+        num_stations = len(self.transfer_time)
+        self.via_rows: list[list[tuple] | None] = [None] * num_stations
+        self.target_rows: list[tuple | None] = [None] * num_stations
         #: Diagnostics.
         self.mu_updates = 0
         self.prunes = 0
@@ -148,7 +155,7 @@ class DistanceTablePruner:
         settles are skipped below (they have not boarded connection i),
         so γ's validity condition has to require a *contributing*
         transfer-station ancestor."""
-        mask = np.zeros(self._graph.num_stations, dtype=bool)
+        mask = np.zeros(len(self.transfer_time), dtype=bool)
         mask[self._table.transfer_stations] = True
         mask[self.source] = False
         return mask
@@ -280,11 +287,17 @@ class StationToStationEngine:
     makes the search goal-directed (fewer settled connections, the
     same profile).  ``queue`` is accepted for callers that still name
     one, and must be ``"binary"`` on either kernel.
+
+    The flat kernel reads the stations, the period, ``st(u)`` and
+    ``T(S)`` off the pack, never the object graph: with ``arrays`` and
+    ``station_graph`` given, ``graph`` may be ``None`` (the facade's
+    engine, which a loaded generation serves without ever building
+    one).
     """
 
     def __init__(
         self,
-        graph: TDGraph,
+        graph: TDGraph | None,
         table: DistanceTable | None = None,
         *,
         num_threads: int = 8,
@@ -333,17 +346,30 @@ class StationToStationEngine:
             if station_graph is not None
             else build_station_graph(graph.timetable)
         )
-        num_stations = graph.num_stations
-        self._transfer_mask = np.zeros(num_stations, dtype=bool)
+        # Constants of every search, kept out of the query.  The engine
+        # holds nothing else: after this constructor no query assigns
+        # to it.
+        packed = self._arrays
+        if packed is not None:
+            self._num_stations = packed.num_stations
+            self._period = packed.period
+            self._transfer_time = packed.transfer_time.tolist()
+            self._node_station = np.asarray(packed.node_station, dtype=np.int64)
+            # st(u) as the loop indexes it, one Python int per read.
+            self._station_of: Sequence[int] = array(
+                "q", self._node_station.tobytes()
+            )
+        else:
+            self._num_stations = graph.num_stations
+            self._period = graph.timetable.period
+            self._transfer_time = [
+                s.transfer_time for s in graph.timetable.stations
+            ]
+            self._station_of = graph.node_station
+            self._node_station = np.asarray(graph.node_station, dtype=np.int64)
+        self._transfer_mask = np.zeros(self._num_stations, dtype=bool)
         if table is not None:
             self._transfer_mask[table.transfer_stations] = True
-        # Constants of every pruned search, kept out of the query.  The
-        # engine holds nothing else: after this constructor no query
-        # assigns to it.
-        self._transfer_time = [
-            s.transfer_time for s in graph.timetable.stations
-        ]
-        self._node_station = np.asarray(graph.node_station, dtype=np.int64)
 
     def needs_search(self, source: int, target: int) -> bool:
         """Whether :meth:`query` has to search at all: not for
@@ -376,7 +402,7 @@ class StationToStationEngine:
         """All best connections from ``source`` to ``target`` over a full
         period, as a reduced profile."""
         graph = self.graph
-        if not graph.is_station_node(source) or not graph.is_station_node(target):
+        if source >= self._num_stations or target >= self._num_stations:
             raise ValueError("source and target must be station nodes")
 
         start_total = time.perf_counter()
@@ -386,7 +412,7 @@ class StationToStationEngine:
             profile = Profile(
                 np.zeros(0, dtype=np.int64),
                 np.zeros(0, dtype=np.int64),
-                graph.timetable.period,
+                self._period,
             )
             return StationToStationResult(
                 source=source,
@@ -424,7 +450,7 @@ class StationToStationEngine:
             conn_deps = np.asarray(
                 [c.dep_time for c in conns], dtype=np.int64
             )
-        period = graph.timetable.period
+        period = self._period
         parts = PARTITION_STRATEGIES[self.strategy](
             conn_deps.tolist(), self.num_threads, period
         )
@@ -513,4 +539,5 @@ class StationToStationEngine:
             num_connections=num_connections,
             transfer_time=self._transfer_time,
             contributes=mask[self._node_station].tobytes(),
+            node_station=self._station_of,
         )

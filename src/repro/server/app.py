@@ -163,7 +163,7 @@ class TransitServer(BaseAsyncHttpServer):
         # must not change what this request runs against.
         service = self.registry.get(name).service
         query, encode = open_request(
-            shape, parse_body(request.body), service.timetable.num_stations
+            shape, parse_body(request.body), service.prepared.counts.stations
         )
         return 200, encode(await self.executor.submit(shape, service, query))
 
@@ -173,7 +173,7 @@ class TransitServer(BaseAsyncHttpServer):
         # queries) and a draining server starts no new ones.
         entry = self.registry.get(name)
         command = parse_delay_request(
-            parse_body(request.body), entry.service.timetable.num_trains
+            parse_body(request.body), entry.service.prepared.counts.trains
         )
         if command.mode == "apply":
             return 200, await self._swap_apply(name, command)

@@ -131,14 +131,15 @@ def _mark_cache_hit(result):
 class TransitService:
     """Facade over one prepared dataset (see module docstring).
 
-    Construction eagerly runs the prepare-once pipeline; every query
-    method afterwards only searches.  A service is immutable: delay
-    updates return a *new* service (:meth:`apply_delays`).
+    Construction eagerly runs the prepare-once pipeline — unless
+    ``prepared`` is given, and then ``timetable`` is not read; every
+    query method afterwards only searches.  A service is immutable:
+    delay updates return a *new* service (:meth:`apply_delays`).
     """
 
     def __init__(
         self,
-        timetable: Timetable,
+        timetable: Timetable | None,
         config: ServiceConfig | None = None,
         *,
         prepared: PreparedDataset | None = None,
@@ -150,9 +151,10 @@ class TransitService:
         cfg = self.config
         # The one station-to-station engine every journey (single or
         # batched) goes through; construction is cheap because all
-        # artifacts are injected.
+        # artifacts are injected, and it searches the pack alone, so
+        # it is given no object graph.
         self._engine = StationToStationEngine(
-            prepared.graph,
+            None,
             prepared.table,
             num_threads=cfg.num_threads,
             kernel="flat",
@@ -203,10 +205,13 @@ class TransitService:
     ) -> "TransitService":
         """Warm-start a service from a store written by :meth:`save`.
 
-        No builder runs — the graph is hydrated from the packed
-        buffers (memory-mapped read-only) and the distance table is
-        deserialized; answers are bitwise-identical to a cold prepare
-        under the stored config
+        No builder runs — the packed buffers are memory-mapped
+        read-only, the station graph and the distance table are
+        deserialized, and the timetable and the object graph, which no
+        query reads, are built only when something asks for them
+        (:class:`~repro.service.prepare.PreparedDataset`: a delay
+        swap, a save, an oracle); answers are bitwise-identical to a
+        cold prepare under the stored config
         (``tests/store/test_store_roundtrip.py``).  ``config``, when
         given, asserts the store was prepared under that
         configuration's *preparation recipe* (runtime-only fields may
@@ -218,7 +223,7 @@ class TransitService:
         from repro.store import load_dataset
 
         prepared = load_dataset(path, expected_config=config)
-        return cls(prepared.timetable, prepared.config, prepared=prepared)
+        return cls(None, prepared.config, prepared=prepared)
 
     def with_runtime_overrides(self, **changes) -> "TransitService":
         """A sibling service over the *same* prepared artifacts with
@@ -237,9 +242,12 @@ class TransitService:
                 f"(allowed: {sorted(RUNTIME_FIELDS)})"
             )
         config = self.config.with_overrides(**changes)
-        return type(self)(self.timetable, config, prepared=self.prepared)
+        return type(self)(None, config, prepared=self.prepared)
 
     # -- convenient read-only views ------------------------------------
+
+    # No query reads these two: on a loaded service the first access
+    # builds them (PreparedDataset).
 
     @property
     def timetable(self) -> Timetable:
@@ -267,12 +275,12 @@ class TransitService:
         """The generation-derived fields of a ``/v1/datasets`` entry,
         JSON-safe; whoever serves the generation adds ``name``,
         ``source`` and ``generation`` (no packed buffer is touched)."""
-        timetable = self.timetable
+        counts = self.prepared.counts
         return {
-            "timetable": timetable.name,
-            "stations": timetable.num_stations,
-            "trains": timetable.num_trains,
-            "connections": timetable.num_connections,
+            "timetable": counts.name,
+            "stations": counts.stations,
+            "trains": counts.trains,
+            "connections": counts.connections,
             "kernel": SERVED_KERNEL,
             "has_distance_table": self.table is not None,
         }
@@ -560,9 +568,7 @@ class TransitService:
         """One §3.2 job: the SPCS run over one subset of
         ``conn(source)``, timed where it ran — a search worker, or the
         calling thread when there are none."""
-        return timed_subset_search(
-            self.prepared.graph, self.prepared.arrays, source, subset
-        )
+        return timed_subset_search(None, self.prepared.arrays, source, subset)
 
     def _search_profile(self, req: ProfileRequest) -> ProfileResult:
         cfg = self.config
@@ -573,7 +579,7 @@ class TransitService:
         )
         t0 = time.perf_counter()
         raw = parallel_profile_search(
-            prepared.graph,
+            None,
             req.source,
             num_threads,
             kernel="flat",
@@ -667,7 +673,7 @@ class TransitService:
             # The fastest option's journey, off the search's own parents.
             legs = (
                 legs_along(
-                    self.prepared.graph,
+                    self.prepared.arrays,
                     raw.path_to(req.target, options[-1].transfers),
                 )
                 if options
@@ -700,7 +706,7 @@ class TransitService:
             else:
                 transfers, arrival = front[0]
                 legs = legs_along(
-                    self.prepared.graph, raw.path_to(req.target, transfers)
+                    self.prepared.arrays, raw.path_to(req.target, transfers)
                 )
         total = time.perf_counter() - t0
         return MinTransfersResult(
@@ -765,5 +771,5 @@ class TransitService:
         arrival = raw.arrival[target][0]
         if arrival >= INF_TIME:
             return None, INF_TIME, raw.settled
-        legs = legs_along(self.prepared.graph, raw.path_to(target, 0))
+        legs = legs_along(self.prepared.arrays, raw.path_to(target, 0))
         return legs, arrival, raw.settled

@@ -20,23 +20,28 @@ transfer time are part of the leg and consecutive legs chain:
 
 from __future__ import annotations
 
+from repro.graph.td_arrays import TDGraphArrays
 from repro.graph.td_model import TDGraph
 from repro.service.model import JourneyLeg
 
 
 def legs_along(
-    graph: TDGraph, path: list[tuple[int, int]]
+    graph: TDGraph | TDGraphArrays, path: list[tuple[int, int]]
 ) -> tuple[JourneyLeg, ...]:
     """The legs of a ``(node, arrival)`` path that starts at a station:
-    cut at station nodes, one leg per alighting."""
+    cut at station nodes, one leg per alighting.  ``graph`` is anything
+    that knows ``st(u)`` as ``node_station`` — the facade passes the
+    pack, whose stations are numpy integers, so each is made a Python
+    ``int`` here."""
+    node_station = graph.node_station
     legs: list[JourneyLeg] = []
     start, start_time = path[0]
     for node, time in path[1:]:
         if graph.is_station_node(node):
             legs.append(
                 JourneyLeg(
-                    from_station=graph.station_of(start),
-                    to_station=graph.station_of(node),
+                    from_station=int(node_station[start]),
+                    to_station=int(node_station[node]),
                     departure=start_time,
                     arrival=time,
                 )

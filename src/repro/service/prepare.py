@@ -17,8 +17,10 @@ travel times and are rebuilt.
 
 from __future__ import annotations
 
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,8 +53,9 @@ class PrepareStats:
     whether the station graph (and transfer selection) were inherited
     from a prior service instead of rebuilt (delay replanning).
     ``loaded_from_store`` marks a warm start from the artifact store
-    (:mod:`repro.store`): nothing was built — ``graph_seconds`` is then
-    the object-graph *hydration* time and every other stage is zero.
+    (:mod:`repro.store`): nothing was built, so every stage — the
+    object graph's included, which a loaded dataset builds only on
+    first access (:class:`PreparedDataset`) — is zero.
     """
 
     graph_seconds: float
@@ -80,7 +83,28 @@ class PrepareStats:
     patched_table_rows: int = 0
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class TimetableCounts:
+    """A timetable's name and sizes: what serving reads of it — the
+    ``/v1/datasets`` entry, the wire parsers' range checks — without
+    the timetable itself.  A loaded dataset reads them off its store
+    record's header."""
+
+    name: str
+    stations: int
+    trains: int
+    connections: int
+
+    @classmethod
+    def of(cls, timetable: Timetable) -> "TimetableCounts":
+        return cls(
+            timetable.name,
+            timetable.num_stations,
+            timetable.num_trains,
+            timetable.num_connections,
+        )
+
+
 class PreparedDataset:
     """Immutable snapshot of every shared artifact of one dataset.
 
@@ -92,18 +116,89 @@ class PreparedDataset:
     with call counters).  No query assigns to any of them either, a
     table profile's list mirror excepted
     (``docs/KERNEL.md``, "What a generation owns").
+
+    A served search reads the pack, the station graph, the transfer
+    stations, the table and :attr:`counts` — never ``timetable`` or
+    ``graph``.  So a dataset loaded from a store (:mod:`repro.store`)
+    is given ``None`` for those two, their builders
+    (``hydrate_timetable``, ``hydrate_graph``) and its ``counts``, and
+    builds each on first access, once, under a lock: whoever asks
+    first — a delay swap, a save, an oracle — builds it, and every
+    other asker gets that one object.  A builder is dropped once its
+    object is published, and with it whatever it kept to build from.
+    Prepared and replanned datasets are built whole.
     """
 
-    timetable: Timetable
-    config: ServiceConfig
-    graph: TDGraph
-    station_graph: StationGraph
-    #: Packed flat-array twin of ``graph``: what every served search reads.
-    arrays: TDGraphArrays
-    #: Sorted transfer-station ids (``None`` when the table is off).
-    transfer_stations: np.ndarray | None
-    table: DistanceTable | None
-    stats: PrepareStats = field(repr=False)
+    def __init__(
+        self,
+        timetable: Timetable | None,
+        config: ServiceConfig,
+        graph: TDGraph | None,
+        station_graph: StationGraph,
+        arrays: TDGraphArrays,
+        transfer_stations: np.ndarray | None,
+        table: DistanceTable | None,
+        stats: PrepareStats,
+        *,
+        counts: TimetableCounts | None = None,
+        hydrate_timetable: Callable[[], Timetable] | None = None,
+        hydrate_graph: Callable[[Timetable], TDGraph] | None = None,
+    ) -> None:
+        self._timetable = timetable
+        self._graph = graph
+        self._hydrate_timetable = hydrate_timetable
+        self._hydrate_graph = hydrate_graph
+        # Re-entrant: building the graph builds the timetable first.
+        self._hydrating = threading.RLock()
+        self.config = config
+        self.station_graph = station_graph
+        #: Packed flat-array twin of ``graph``: what every served search reads.
+        self.arrays = arrays
+        #: Sorted transfer-station ids (``None`` when the table is off).
+        self.transfer_stations = transfer_stations
+        self.table = table
+        self.stats = stats
+        self.counts = (
+            counts if counts is not None else TimetableCounts.of(timetable)
+        )
+
+    @property
+    def timetable(self) -> Timetable:
+        """The timetable, built on first access if it was loaded."""
+        timetable = self._timetable
+        if timetable is None:
+            with self._hydrating:
+                if self._timetable is None:
+                    built = self._hydrate_timetable()
+                    self._timetable, self._hydrate_timetable = built, None
+                timetable = self._timetable
+        return timetable
+
+    @property
+    def graph(self) -> TDGraph:
+        """The object graph, built on first access if it was loaded; it
+        owns :attr:`arrays` as its pack either way."""
+        graph = self._graph
+        if graph is None:
+            with self._hydrating:
+                if self._graph is None:
+                    built = self._hydrate_graph(self.timetable)
+                    self._graph, self._hydrate_graph = built, None
+                graph = self._graph
+        return graph
+
+    @property
+    def hydrated(self) -> frozenset[str]:
+        """Which of ``"timetable"`` and ``"graph"`` exist: both, unless
+        the dataset was loaded and nothing has asked for them yet."""
+        return frozenset(
+            name
+            for name, value in (
+                ("timetable", self._timetable),
+                ("graph", self._graph),
+            )
+            if value is not None
+        )
 
 
 def prepare_dataset(

@@ -6,12 +6,14 @@ start: graph build, flat-array packing, station graph, transfer
 selection, distance table.  This module makes that cost *once per
 dataset* instead of once per process: :func:`save_dataset` serializes
 every prepared artifact to a store directory, and :func:`load_dataset`
-brings them back without calling a single builder — the time-dependent
-graph is *hydrated* from the packed arrays instead of rebuilt from the
-timetable, the numpy buffers are memory-mapped zero-copy
-(``numpy.load(..., mmap_mode="r")``), and the distance table is
-deserialized, never recomputed (``tests/store/test_store_roundtrip.py``
-pins builders-never-called with failing monkeypatches).
+brings them back without calling a single builder — the numpy buffers
+are memory-mapped zero-copy (``numpy.load(..., mmap_mode="r")``), the
+distance table is deserialized, never recomputed
+(``tests/store/test_store_roundtrip.py`` pins builders-never-called
+with failing monkeypatches), and the timetable and the time-dependent
+graph, which no served search reads, are *hydrated* on first access
+only — the graph from the packed arrays, not rebuilt from the
+timetable (``tests/store/test_lazy_hydration.py``).
 
 Store layout (a directory)::
 
@@ -50,7 +52,11 @@ from repro.graph.td_arrays import TDGraphArrays
 from repro.graph.td_model import Edge, TDGraph
 from repro.query.distance_table import DistanceTable
 from repro.service.config import RUNTIME_FIELDS, ServiceConfig
-from repro.service.prepare import PreparedDataset, PrepareStats
+from repro.service.prepare import (
+    PreparedDataset,
+    PrepareStats,
+    TimetableCounts,
+)
 from repro.store.codec import CodecError, read_record, write_record
 from repro.timetable.types import Connection, Route, Station, Timetable, Train
 
@@ -78,6 +84,16 @@ _ARRAY_FIELDS = (
     "conn_dep",
     "conn_start",
     "transfer_time",
+)
+
+#: Record sections the timetable is hydrated from.
+_TIMETABLE_SECTIONS = (
+    "meta",
+    "timetable_name",
+    "station_names",
+    "station_transfer_time",
+    "train_names",
+    "connections",
 )
 
 #: Side-tables needed to hydrate the object graph without rebuilding.
@@ -319,9 +335,15 @@ def load_dataset(
 ) -> PreparedDataset:
     """Load a store back into a :class:`PreparedDataset`, warm.
 
-    No builder runs: the graph is hydrated from the packed buffers, the
-    buffers themselves are memory-mapped read-only, and the distance
-    table is deserialized.  ``expected_config``, when given, must share
+    No builder runs: the packed buffers are memory-mapped read-only,
+    and the station graph, the transfer stations and the distance
+    table are deserialized.  The timetable and the object graph are
+    not built here: the dataset keeps the record's timetable sections
+    and the side-tables, and hydrates each on first access
+    (:class:`PreparedDataset`) — so ``stats.graph_seconds`` is 0, and
+    corrupt connection rows raise only then; the timetable's name and
+    sizes are read off the record's header (``counts``).
+    ``expected_config``, when given, must share
     the stored config's *preparation recipe*
     (:func:`prepare_config_hash` — a store answers exactly one recipe;
     runtime-only fields are free to differ).  Raises
@@ -349,37 +371,44 @@ def load_dataset(
     except CodecError as exc:
         raise StoreError(str(exc)) from None
 
-    timetable = _hydrate_timetable(sections)
+    counts = _timetable_counts(sections)
     station_graph = _hydrate_station_graph(sections)
     transfer_stations = (
         np.asarray(sections["transfer_stations"], dtype=np.int64)
         if int(sections["meta"][4])
         else None
     )
-
-    arrays = _load_arrays(root, timetable, manifest)
+    period = int(sections["meta"][0])
+    arrays = _load_arrays(root, manifest, counts.stations, period)
     side = _load_side_tables(root)
-    graph_t0 = time.perf_counter()
-    graph = _hydrate_td_graph(timetable, arrays, side)
-    graph_seconds = time.perf_counter() - graph_t0
 
     table: DistanceTable | None = None
     table_mib = 0.0
     if manifest["artifacts"]["table"]:
-        table = _load_table(root / "table.npz", timetable.period)
+        table = _load_table(root / "table.npz", period)
         table_mib = table.size_mib()
 
+    # What the two builders keep until they have run: the record's
+    # timetable sections, and the side-tables (memory-mapped).
+    record = {name: sections[name] for name in _TIMETABLE_SECTIONS}
+
+    def hydrate_timetable() -> Timetable:
+        return _hydrate_timetable(record)
+
+    def hydrate_graph(timetable: Timetable) -> TDGraph:
+        return _hydrate_td_graph(timetable, arrays, side)
+
     stats = PrepareStats(
-        graph_seconds=graph_seconds,
+        graph_seconds=0.0,
         station_graph_seconds=0.0,
         pack_seconds=0.0,
         selection_seconds=0.0,
         table_seconds=0.0,
         total_seconds=time.perf_counter() - t_start,
-        num_stations=timetable.num_stations,
+        num_stations=counts.stations,
         num_nodes=arrays.num_nodes,
         num_edges=arrays.num_edges,
-        num_connections=timetable.num_connections,
+        num_connections=counts.connections,
         packed_bytes=arrays.nbytes(),
         num_transfer_stations=(
             0 if transfer_stations is None else int(transfer_stations.size)
@@ -389,14 +418,17 @@ def load_dataset(
         loaded_from_store=True,
     )
     return PreparedDataset(
-        timetable=timetable,
+        timetable=None,
         config=config,
-        graph=graph,
+        graph=None,
         station_graph=station_graph,
         arrays=arrays,
         transfer_stations=transfer_stations,
         table=table,
         stats=stats,
+        counts=counts,
+        hydrate_timetable=hydrate_timetable,
+        hydrate_graph=hydrate_graph,
     )
 
 
@@ -433,6 +465,16 @@ def _config_from_manifest(manifest: dict, root: Path) -> ServiceConfig:
     return config
 
 
+def _timetable_counts(sections: dict) -> TimetableCounts:
+    meta = sections["meta"]
+    return TimetableCounts(
+        name=sections["timetable_name"][0],
+        stations=int(meta[1]),
+        trains=int(meta[2]),
+        connections=int(meta[3]),
+    )
+
+
 def _hydrate_timetable(sections: dict) -> Timetable:
     period = int(sections["meta"][0])
     transfer = sections["station_transfer_time"].tolist()
@@ -444,10 +486,14 @@ def _hydrate_timetable(sections: dict) -> Timetable:
         Train(id=i, name=name)
         for i, name in enumerate(sections["train_names"])
     ]
-    rows = sections["connections"].reshape(-1, 5).tolist()
+    # Five column lists zipped into rows: a third less transient memory
+    # than one small list per row, paid at a delay swap, not at load.
+    columns = sections["connections"].reshape(-1, 5).T.tolist()
     # Positional construction; __post_init__ still validates every row,
-    # so corrupt store bytes surface as ValueError, not wrong answers.
-    connections = [Connection(*row) for row in rows]
+    # so corrupt store bytes surface as ValueError at the first access
+    # to the timetable.  No served answer reads these rows: searches
+    # read the pack.
+    connections = [Connection(*row) for row in zip(*columns)]
     return Timetable(
         stations=stations,
         trains=trains,
@@ -482,7 +528,7 @@ def _mmap_buffer(buffer_path: Path) -> np.ndarray:
 
 
 def _load_arrays(
-    root: Path, timetable: Timetable, manifest: dict
+    root: Path, manifest: dict, num_stations: int, period: int
 ) -> TDGraphArrays:
     arrays_dir = root / "arrays"
     buffers: dict[str, np.ndarray] = {}
@@ -496,8 +542,8 @@ def _load_arrays(
         )
     return TDGraphArrays(
         num_nodes=num_nodes,
-        num_stations=timetable.num_stations,
-        period=timetable.period,
+        num_stations=num_stations,
+        period=period,
         **buffers,
     )
 

@@ -2,12 +2,14 @@
 
 A service generation — timetable, graph, pack and its two kernel
 mirrors, distance table, engine — is built in one step (cold prepare,
-store load, or incremental swap) and read-only from then on
-(``docs/KERNEL.md``, "What a generation owns").  This module enforces
-it for the flat kernel: every object of a generation gets its
-``__setattr__`` trapped and its ``dict`` / ``list`` attributes replaced
-by recording subclasses (numpy buffers are made read-only), then the
-six shapes of ``SHAPES`` run single-threaded and from four threads.
+store load, or incremental swap; a load leaves the timetable and the
+graph to whoever asks first, which no query does) and read-only from
+then on (``docs/KERNEL.md``, "What a generation owns").  This module
+enforces it for the flat kernel: every object of a generation gets its
+``__setattr__`` trapped and its ``dict`` / ``list`` attributes
+replaced by recording subclasses (numpy buffers are made read-only),
+then the six shapes of ``SHAPES`` run single-threaded and from four
+threads.
 The writes that may show up are the two of :data:`ALLOWED`.
 """
 
@@ -73,10 +75,11 @@ def seal(service, monkeypatch) -> list[str]:
     atomic, so four threads may share it)."""
     prepared = service.prepared
     table = prepared.table
+    # A loaded generation's timetable and graph are sealed by their
+    # absence: building either is a write to ``prepared``.
     generation = [
         prepared,
-        prepared.timetable,
-        prepared.graph,
+        *(getattr(prepared, name) for name in sorted(prepared.hydrated)),
         prepared.arrays,
         service._engine,
         service,
@@ -152,9 +155,11 @@ def test_queries_write_nothing_a_generation_owns(
     provenance, with_table, tmp_path, monkeypatch
 ):
     service = _generation(provenance, with_table, tmp_path)
-    assert packed_arrays(service.prepared.graph) is service.prepared.arrays
+    assert service.prepared.hydrated == (
+        frozenset() if provenance is _loaded else {"timetable", "graph"}
+    )
 
-    num_stations = service.timetable.num_stations
+    num_stations = service.prepared.counts.stations
     rng = random.Random(22)
     one, *four = (rng.sample(range(num_stations), 3) for _ in range(5))
     writes = seal(service, monkeypatch)
@@ -189,6 +194,7 @@ def test_queries_write_nothing_a_generation_owns(
     assert set(writes) <= ALLOWED, sorted(set(writes) - ALLOWED)
     if with_table:
         assert "Profile._mirror" in writes
+    assert packed_arrays(service.prepared.graph) is service.prepared.arrays
 
 
 def test_the_traps_see_a_lazy_fill(tmp_path, monkeypatch):
@@ -197,6 +203,7 @@ def test_the_traps_see_a_lazy_fill(tmp_path, monkeypatch):
     first ``outgoing_connections`` is an attribute write, and a write
     through a generation's dict is an item write."""
     service = _generation(_loaded, False, tmp_path)
+    service.prepared.graph  # built, so that it is sealed too
     writes = seal(service, monkeypatch)
     service.timetable.outgoing_connections(0)
     service.graph.conn_start_node[(0, 0)] = 0
