@@ -336,9 +336,10 @@ def warm_start(tmp: Path) -> None:
     """A loaded service must never rebuild: loading with every builder
     poisoned and answering all six query shapes proves the store
     carried everything — the pack included, so the multi-criteria
-    shapes re-pack nothing either.  Nor does it hydrate: the two
-    builders of a loaded dataset's timetable and object graph, which
-    only a swap, a save or an oracle asks for, are poisoned too."""
+    shapes re-pack nothing either.  Nor does it hydrate: the builders
+    of a loaded dataset's timetable and object graph (the store's
+    ``_hydrate_timetable``, then ``build_td_graph``), which only a swap,
+    a save or an oracle asks for, are poisoned too."""
     import repro.graph.td_arrays as arrays_mod
     import repro.service.prepare as prepare_mod
     import repro.store.store as store_mod
@@ -361,7 +362,6 @@ def warm_start(tmp: Path) -> None:
         (prepare_mod, "packed_arrays"),
         (arrays_mod, "pack_td_graph"),
         (store_mod, "_hydrate_timetable"),
-        (store_mod, "_hydrate_td_graph"),
     ):
         setattr(mod, attr, forbid(attr))
 
@@ -375,8 +375,8 @@ def warm_start(tmp: Path) -> None:
     service.min_transfers(0, 5, departure=8 * 60)
     assert service.prepared.hydrated == frozenset(), service.prepared.hydrated
     print(
-        "all six query shapes answered with builders and hydrators "
-        "poisoned: nothing was hydrated"
+        "all six query shapes answered with every builder poisoned: "
+        "nothing was hydrated"
     )
 
 

@@ -51,7 +51,7 @@ class GraphPatch:
     ``changed_edges`` lists ``(node, slot, new_ttf)`` for every route
     edge whose travel-time function moved (``slot`` indexes the node's
     adjacency list).  ``changed_stations`` are stations whose
-    ``conn(S)`` row content changed (a delayed connection departs
+    ``conn(S)`` row content changed (a re-timed connection departs
     there).  ``trigger_stations`` are the stations from which a search
     can *enter* a changed route edge: for each touched route with a
     changed leg ``k``, every station at positions ``0..k`` (boarding
@@ -128,8 +128,9 @@ def patch_td_graph(
                 or new_c.arr_time != old_c.arr_time
             ):
                 changed_legs[route.id].add(leg)
-                if new_c.dep_time != old_c.dep_time:
-                    patch.changed_stations.add(new_c.dep_station)
+                # conn(S) is ordered by (dep_time, arr_time): a ride
+                # that only got longer or shorter can reorder its row.
+                patch.changed_stations.add(new_c.dep_station)
     for conns in new_legs.values():
         conns.sort(key=lambda c: (c.dep_time, c.arr_time))
 

@@ -105,6 +105,47 @@ class TimetableCounts:
         )
 
 
+class PackMismatchError(ValueError):
+    """A loaded pack is not the pack of the graph its timetable builds:
+    the store's ``dataset.bin`` and ``arrays/`` come from different
+    datasets."""
+
+
+def _check_pack(graph: TDGraph, arrays: TDGraphArrays) -> None:
+    """Raise :class:`PackMismatchError` unless ``arrays`` has the node
+    stations, the edge count and the points per travel-time function
+    of ``pack_td_graph(graph)`` (functions in first-use order)."""
+    if graph.num_edges != arrays.num_edges:
+        raise PackMismatchError(
+            f"the graph built from the timetable has {graph.num_edges} "
+            f"edges, the loaded pack {arrays.num_edges}"
+        )
+    points = {
+        id(edge.ttf): len(edge.ttf.deps)
+        for edges in graph.adjacency
+        for edge in edges
+        if edge.ttf is not None
+    }
+    for what, built, packed in (
+        ("node_station", graph.node_station, arrays.node_station.tolist()),
+        (
+            "points per travel-time function",
+            list(points.values()),
+            np.diff(arrays.ttf_indptr).tolist(),
+        ),
+    ):
+        if built == packed:
+            continue
+        if len(built) != len(packed):
+            detail = f"{len(built)} entries, the loaded pack {len(packed)}"
+        else:
+            i = next(i for i, (a, b) in enumerate(zip(built, packed)) if a != b)
+            detail = f"{built[i]} at index {i}, the loaded pack {packed[i]}"
+        raise PackMismatchError(
+            f"{what} differs: the graph built from the timetable has {detail}"
+        )
+
+
 class PreparedDataset:
     """Immutable snapshot of every shared artifact of one dataset.
 
@@ -120,12 +161,15 @@ class PreparedDataset:
     A served search reads the pack, the station graph, the transfer
     stations, the table and :attr:`counts` — never ``timetable`` or
     ``graph``.  So a dataset loaded from a store (:mod:`repro.store`)
-    is given ``None`` for those two, their builders
-    (``hydrate_timetable``, ``hydrate_graph``) and its ``counts``, and
-    builds each on first access, once, under a lock: whoever asks
-    first — a delay swap, a save, an oracle — builds it, and every
-    other asker gets that one object.  A builder is dropped once its
-    object is published, and with it whatever it kept to build from.
+    is given ``None`` for those two, a timetable builder
+    (``hydrate_timetable``) and its ``counts``, and builds each on
+    first access, once, under a lock: whoever asks first — a delay
+    swap, a save, an oracle — builds it, and every other asker gets
+    that one object.  The graph is built as :func:`prepare_dataset`
+    builds it, ``build_td_graph(timetable)``; it must match the
+    loaded pack (:class:`PackMismatchError` otherwise) and takes it as
+    its own.  The timetable builder is dropped once its timetable is
+    published, and with it the record it kept to build from.
     Prepared and replanned datasets are built whole.
     """
 
@@ -142,12 +186,10 @@ class PreparedDataset:
         *,
         counts: TimetableCounts | None = None,
         hydrate_timetable: Callable[[], Timetable] | None = None,
-        hydrate_graph: Callable[[Timetable], TDGraph] | None = None,
     ) -> None:
         self._timetable = timetable
         self._graph = graph
         self._hydrate_timetable = hydrate_timetable
-        self._hydrate_graph = hydrate_graph
         # Re-entrant: building the graph builds the timetable first.
         self._hydrating = threading.RLock()
         self.config = config
@@ -176,14 +218,16 @@ class PreparedDataset:
 
     @property
     def graph(self) -> TDGraph:
-        """The object graph, built on first access if it was loaded; it
-        owns :attr:`arrays` as its pack either way."""
+        """The object graph, built from the timetable on first access if
+        it was loaded; it owns :attr:`arrays` as its pack either way."""
         graph = self._graph
         if graph is None:
             with self._hydrating:
                 if self._graph is None:
-                    built = self._hydrate_graph(self.timetable)
-                    self._graph, self._hydrate_graph = built, None
+                    built = build_td_graph(self.timetable)
+                    _check_pack(built, self.arrays)
+                    built._arrays = self.arrays
+                    self._graph = built
                 graph = self._graph
         return graph
 

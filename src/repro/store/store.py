@@ -11,18 +11,17 @@ are memory-mapped zero-copy (``numpy.load(..., mmap_mode="r")``), the
 distance table is deserialized, never recomputed
 (``tests/store/test_store_roundtrip.py`` pins builders-never-called
 with failing monkeypatches), and the timetable and the time-dependent
-graph, which no served search reads, are *hydrated* on first access
-only — the graph from the packed arrays, not rebuilt from the
-timetable (``tests/store/test_lazy_hydration.py``).
+graph, which no served search reads, are built on first access only —
+the timetable from the record, the graph from the timetable, as a
+prepare builds it (``tests/store/test_lazy_hydration.py``).
 
 Store layout (a directory)::
 
     manifest.json      format version, ServiceConfig (+ its hash), counts
     dataset.bin        timetable, station graph, transfer stations
                        (compact binary, :mod:`repro.store.codec`)
-    arrays/<name>.npy  TDGraphArrays buffers + hydration side-tables
-                       (route inventory, per-connection train ids),
-                       loaded with ``mmap_mode="r"``
+    arrays/<name>.npy  the 13 TDGraphArrays buffers, loaded with
+                       ``mmap_mode="r"``
     table.npz          distance-table profiles as one CSR point pool
                        (present only when the config builds a table)
 
@@ -46,10 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.functions.algebra import Profile
-from repro.functions.piecewise import TravelTimeFunction
 from repro.graph.station_graph import StationGraph
 from repro.graph.td_arrays import TDGraphArrays
-from repro.graph.td_model import Edge, TDGraph
 from repro.query.distance_table import DistanceTable
 from repro.service.config import RUNTIME_FIELDS, ServiceConfig
 from repro.service.prepare import (
@@ -58,14 +55,16 @@ from repro.service.prepare import (
     TimetableCounts,
 )
 from repro.store.codec import CodecError, read_record, write_record
-from repro.timetable.types import Connection, Route, Station, Timetable, Train
+from repro.timetable.types import Connection, Station, Timetable, Train
 
 #: Bumped on any incompatible change to the store layout (2: the stored
 #: config has no ``backend`` / ``workers``; 3: the table file has no
 #: ``build_settled``; 4: the stored config has no ``kernel`` /
 #: ``queue`` — every store is loaded with its pack; 5: nor ``strategy``
-#: and the four pruning switches — a service runs the full algorithm).
-FORMAT_VERSION = 5
+#: and the four pruning switches — a service runs the full algorithm;
+#: 6: ``arrays/`` holds the pack alone — a loaded graph is built from
+#: the timetable, so the five hydration side-tables are gone).
+FORMAT_VERSION = 6
 
 _MANIFEST_FORMAT = "repro-artifact-store"
 
@@ -94,15 +93,6 @@ _TIMETABLE_SECTIONS = (
     "station_transfer_time",
     "train_names",
     "connections",
-)
-
-#: Side-tables needed to hydrate the object graph without rebuilding.
-_SIDE_FIELDS = (
-    "conn_train",
-    "route_station_indptr",
-    "route_stations",
-    "route_train_indptr",
-    "route_trains",
 )
 
 
@@ -180,16 +170,18 @@ def save_dataset(
     if config is None:
         config = prepared.config
 
-    # The packed arrays double as the graph's serialized adjacency:
-    # load hydrates the graph from the buffers and never re-packs.
     arrays = prepared.arrays
 
     arrays_dir = root / "arrays"
     arrays_dir.mkdir(exist_ok=True)
     for name in _ARRAY_FIELDS:
         np.save(arrays_dir / f"{name}.npy", getattr(arrays, name))
-    for name, value in _side_tables(prepared.graph).items():
-        np.save(arrays_dir / f"{name}.npy", value)
+    # Buffers an older save wrote (an older format's side-tables) must
+    # not survive next to a fresh manifest either.
+    packed = {f"{name}.npy" for name in _ARRAY_FIELDS}
+    for stale in arrays_dir.glob("*.npy"):
+        if stale.name not in packed:
+            stale.unlink()
 
     write_record(root / "dataset.bin", _dataset_sections(prepared))
 
@@ -230,34 +222,6 @@ def save_dataset(
     tmp.write_text(json.dumps(manifest, indent=2) + "\n")
     os.replace(tmp, root / "manifest.json")
     return root
-
-
-def _side_tables(graph: TDGraph) -> dict[str, np.ndarray]:
-    """Arrays that let :func:`load_dataset` hydrate the object graph
-    (routes, route-node allocation, connection seed nodes) without
-    running route partitioning again."""
-    timetable = graph.timetable
-    conn_train = [
-        c.train
-        for station in range(timetable.num_stations)
-        for c in timetable.outgoing_connections(station)
-    ]
-    station_indptr = np.zeros(len(graph.routes) + 1, dtype=np.int64)
-    train_indptr = np.zeros(len(graph.routes) + 1, dtype=np.int64)
-    route_stations: list[int] = []
-    route_trains: list[int] = []
-    for route in graph.routes:
-        route_stations.extend(route.stations)
-        route_trains.extend(route.trains)
-        station_indptr[route.id + 1] = len(route_stations)
-        train_indptr[route.id + 1] = len(route_trains)
-    return {
-        "conn_train": np.asarray(conn_train, dtype=np.int64),
-        "route_station_indptr": station_indptr,
-        "route_stations": np.asarray(route_stations, dtype=np.int64),
-        "route_train_indptr": train_indptr,
-        "route_trains": np.asarray(route_trains, dtype=np.int64),
-    }
 
 
 def _dataset_sections(prepared: PreparedDataset) -> dict:
@@ -338,11 +302,12 @@ def load_dataset(
     No builder runs: the packed buffers are memory-mapped read-only,
     and the station graph, the transfer stations and the distance
     table are deserialized.  The timetable and the object graph are
-    not built here: the dataset keeps the record's timetable sections
-    and the side-tables, and hydrates each on first access
-    (:class:`PreparedDataset`) — so ``stats.graph_seconds`` is 0, and
-    corrupt connection rows raise only then; the timetable's name and
-    sizes are read off the record's header (``counts``).
+    not built here: the dataset keeps the record's timetable sections,
+    builds the timetable from them on first access and the graph from
+    the timetable (:class:`PreparedDataset`) — so
+    ``stats.graph_seconds`` is 0, and corrupt connection rows raise
+    only then; the timetable's name and sizes are read off the record's
+    header (``counts``).
     ``expected_config``, when given, must share
     the stored config's *preparation recipe*
     (:func:`prepare_config_hash` — a store answers exactly one recipe;
@@ -380,7 +345,6 @@ def load_dataset(
     )
     period = int(sections["meta"][0])
     arrays = _load_arrays(root, manifest, counts.stations, period)
-    side = _load_side_tables(root)
 
     table: DistanceTable | None = None
     table_mib = 0.0
@@ -388,15 +352,11 @@ def load_dataset(
         table = _load_table(root / "table.npz", period)
         table_mib = table.size_mib()
 
-    # What the two builders keep until they have run: the record's
-    # timetable sections, and the side-tables (memory-mapped).
+    # What the timetable builder keeps until it has run.
     record = {name: sections[name] for name in _TIMETABLE_SECTIONS}
 
     def hydrate_timetable() -> Timetable:
         return _hydrate_timetable(record)
-
-    def hydrate_graph(timetable: Timetable) -> TDGraph:
-        return _hydrate_td_graph(timetable, arrays, side)
 
     stats = PrepareStats(
         graph_seconds=0.0,
@@ -428,7 +388,6 @@ def load_dataset(
         stats=stats,
         counts=counts,
         hydrate_timetable=hydrate_timetable,
-        hydrate_graph=hydrate_graph,
     )
 
 
@@ -545,95 +504,6 @@ def _load_arrays(
         num_stations=num_stations,
         period=period,
         **buffers,
-    )
-
-
-def _load_side_tables(root: Path) -> dict[str, np.ndarray]:
-    return {
-        name: _mmap_buffer(root / "arrays" / f"{name}.npy")
-        for name in _SIDE_FIELDS
-    }
-
-
-def _hydrate_td_graph(
-    timetable: Timetable, arrays: TDGraphArrays, side: dict[str, np.ndarray]
-) -> TDGraph:
-    """Reconstruct the object graph from the packed buffers.
-
-    This is hydration, not a rebuild: no route partitioning, no
-    connection grouping, no per-leg sorting — the buffers already carry
-    the adjacency in relax order, the shared travel-time-function pool
-    (with the FIFO flags precomputed), and the route/connection
-    side-tables.  The result is structurally identical to
-    ``build_td_graph(timetable)``, which the round-trip tests pin by
-    comparing the reference kernel's answers over it bitwise, and it
-    owns ``arrays`` as its pack (``packed_arrays(graph) is arrays``):
-    nothing packs it a second time.
-    """
-    period = timetable.period
-
-    ttf_indptr = arrays.ttf_indptr.tolist()
-    dep_pool = arrays.ttf_dep.tolist()
-    dur_pool = arrays.ttf_dur.tolist()
-    fifo = arrays.ttf_fifo.tolist()
-    ttfs: list[TravelTimeFunction] = []
-    for f in range(len(fifo)):
-        lo, hi = ttf_indptr[f], ttf_indptr[f + 1]
-        ttf = TravelTimeFunction(dep_pool[lo:hi], dur_pool[lo:hi], period)
-        # The pack stored the FIFO verdict; skip recomputing it.
-        ttf._fifo_sorted = bool(fifo[f])
-        ttfs.append(ttf)
-
-    edge_indptr = arrays.edge_indptr.tolist()
-    edge_target = arrays.edge_target.tolist()
-    edge_weight = arrays.edge_weight.tolist()
-    edge_ttf = arrays.edge_ttf.tolist()
-    adjacency: list[list[Edge]] = []
-    for u in range(arrays.num_nodes):
-        lo, hi = edge_indptr[u], edge_indptr[u + 1]
-        adjacency.append(
-            [
-                Edge(
-                    edge_target[e],
-                    edge_weight[e],
-                    None if edge_ttf[e] < 0 else ttfs[edge_ttf[e]],
-                )
-                for e in range(lo, hi)
-            ]
-        )
-
-    station_indptr = side["route_station_indptr"].tolist()
-    train_indptr = side["route_train_indptr"].tolist()
-    route_stations = side["route_stations"].tolist()
-    route_trains = side["route_trains"].tolist()
-    routes: list[Route] = []
-    route_node_ids: dict[tuple[int, int], int] = {}
-    num_stations = timetable.num_stations
-    for r in range(len(station_indptr) - 1):
-        stations = tuple(route_stations[station_indptr[r] : station_indptr[r + 1]])
-        trains = tuple(route_trains[train_indptr[r] : train_indptr[r + 1]])
-        routes.append(Route(id=r, stations=stations, trains=trains))
-        # Same allocation order as build_td_graph: route nodes are
-        # handed out route by route, position by position.
-        for pos in range(len(stations)):
-            route_node_ids[(r, pos)] = num_stations + len(route_node_ids)
-
-    conn_start_node: dict[tuple[int, int], int] = {}
-    for train, dep, node in zip(
-        side["conn_train"].tolist(),
-        arrays.conn_dep.tolist(),
-        arrays.conn_start.tolist(),
-    ):
-        conn_start_node[(train, dep)] = node
-
-    return TDGraph(
-        timetable=timetable,
-        routes=routes,
-        adjacency=adjacency,
-        node_station=arrays.node_station.tolist(),
-        route_node_ids=route_node_ids,
-        conn_start_node=conn_start_node,
-        _arrays=arrays,
     )
 
 

@@ -13,6 +13,7 @@ from repro.functions.piecewise import INF_TIME, TravelTimeFunction
 from repro.graph.td_arrays import pack_td_graph, packed_arrays
 from repro.graph.td_model import Edge, build_td_graph
 from repro.graph.td_patch import patch_td_arrays, patch_td_graph
+from repro.timetable.builder import TimetableBuilder
 
 from tests.helpers import retimed
 from tests.strategies import adversarial_timetables, retimings
@@ -162,9 +163,30 @@ class TestTravelTimeRows:
         patched = patch_td_arrays(arrays, patched_graph, patch)
         fresh = pack_td_graph(patched_graph)
         assert patched.kernel_adjacency() == fresh.kernel_adjacency()
+        assert patched.conn_dep.tolist() == fresh.conn_dep.tolist()
+        assert patched.conn_start.tolist() == fresh.conn_start.tolist()
         assert [
             row.typecode for _, row in _function_rows(patched_graph, patched)
         ] == [row.typecode for _, row in _function_rows(patched_graph, fresh)]
+
+    def test_a_longer_ride_alone_reorders_its_conn_row(self):
+        """Two trains leave s0 at minute 0 and reach s1 at minute 1;
+        the first then rides a minute longer.  Its departure is
+        unchanged, but ``conn(s0)`` is ordered by arrival among equal
+        departures, so the patched row must swap the two — else the
+        table's reduction keeps a different point than a fresh pack's."""
+        builder = TimetableBuilder(period=60)
+        s0, s1, s2 = (builder.add_station(f"s{k}") for k in range(3))
+        builder.add_trip([(s0, 0), (s1, 1)])
+        builder.add_trip([(s0, 0), (s1, 1), (s2, 2)])
+        timetable = builder.build()
+        graph = build_td_graph(timetable)
+        patched_graph, patch = patch_td_graph(
+            graph, retimed(timetable, {0: (0, 1)}), {0}
+        )
+        patched = patch_td_arrays(pack_td_graph(graph), patched_graph, patch)
+        fresh = pack_td_graph(patched_graph)
+        assert patched.conn_start.tolist() == fresh.conn_start.tolist()
 
     def test_a_function_without_points_is_never_taken(self, toy):
         graph = build_td_graph(toy)

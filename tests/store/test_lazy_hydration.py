@@ -1,7 +1,8 @@
 """A loaded generation serves from its pack.
 
-:func:`repro.store.load_dataset` hands a :class:`PreparedDataset` the
-timetable and the object graph as builders, and no query reads either
+:func:`repro.store.load_dataset` hands a :class:`PreparedDataset` a
+timetable builder, the dataset builds its object graph from that
+timetable with ``build_td_graph``, and no query reads either
 (``docs/KERNEL.md``, "What a generation owns").  Pinned here with both
 builders poisoned: every shape, a mixed batch and ``/v1/datasets``
 are answered — in process, and by ``serve``'s search workers, which
@@ -9,19 +10,24 @@ are forked from the poisoned process — as an eagerly built service
 answers them.  Then what may hydrate does so once: a delay swap builds
 each object exactly one time and answers like the eager service's
 swap, and two threads racing the first access get one graph, which
-owns the loaded pack.
+owns the loaded pack.  That graph packs to the loaded pack, buffer by
+buffer, on every kind of timetable a store can hold.
 """
 
 from __future__ import annotations
 
+import tempfile
 import threading
 import time
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import repro.service.prepare as prepare_mod
 import repro.store.store as store_mod
 from repro.client import HttpBackend, LocalBackend
-from repro.graph.td_arrays import packed_arrays
+from repro.graph.td_arrays import pack_td_graph, packed_arrays
 from repro.server import DatasetRegistry
 from repro.service import (
     BatchRequest,
@@ -33,8 +39,10 @@ from repro.service import (
 from repro.timetable.delays import Delay
 
 from tests.client.test_transport_parity import scrubbed
+from tests.helpers import random_line_timetable
 from tests.server.harness import ServerHarness
 from tests.server.test_search_workers import CALLS as SHAPE_CALLS
+from tests.strategies import adversarial_timetables
 
 CONFIG = ServiceConfig(
     num_threads=2, use_distance_table=True, transfer_fraction=0.25
@@ -75,7 +83,7 @@ def poisoned(monkeypatch):
         raise AssertionError("a loaded generation was hydrated")
 
     monkeypatch.setattr(store_mod, "_hydrate_timetable", hydrated)
-    monkeypatch.setattr(store_mod, "_hydrate_td_graph", hydrated)
+    monkeypatch.setattr(prepare_mod, "build_td_graph", hydrated)
 
 
 def _answers(backend) -> list:
@@ -85,17 +93,17 @@ def _answers(backend) -> list:
 def _counting(monkeypatch) -> dict[str, int]:
     """Count the calls of both builders, which still build."""
     calls = {"timetable": 0, "graph": 0}
-    for key, name in (
-        ("timetable", "_hydrate_timetable"),
-        ("graph", "_hydrate_td_graph"),
+    for key, mod, name in (
+        ("timetable", store_mod, "_hydrate_timetable"),
+        ("graph", prepare_mod, "build_td_graph"),
     ):
-        real = getattr(store_mod, name)
+        real = getattr(mod, name)
 
         def counted(*args, _real=real, _key=key):
             calls[_key] += 1
             return _real(*args)
 
-        monkeypatch.setattr(store_mod, name, counted)
+        monkeypatch.setattr(mod, name, counted)
     return calls
 
 
@@ -139,11 +147,10 @@ def test_a_delay_swap_hydrates_each_once(store, eager, monkeypatch):
     loaded = TransitService.load(store)
     swapped = loaded.apply_delays(DELAYS, mode="incremental")
     assert calls == {"timetable": 1, "graph": 1}
-    # Published once, the builders and what they kept are dropped.
+    # Published once, the timetable builder and its record are dropped.
     prepared = loaded.prepared
     assert prepared.hydrated == {"timetable", "graph"}
     assert prepared._hydrate_timetable is None
-    assert prepared._hydrate_graph is None
     assert packed_arrays(prepared.graph) is prepared.arrays
 
     again = loaded.apply_delays(DELAYS, mode="incremental")
@@ -160,13 +167,13 @@ def test_a_delay_swap_hydrates_each_once(store, eager, monkeypatch):
 def test_racing_first_accesses_build_one_graph(store, monkeypatch):
     loaded = TransitService.load(store)
     calls = _counting(monkeypatch)
-    real = store_mod._hydrate_td_graph
+    real = prepare_mod.build_td_graph
 
     def slow(*args):
         time.sleep(0.05)  # both readers are inside the property by now
         return real(*args)
 
-    monkeypatch.setattr(store_mod, "_hydrate_td_graph", slow)
+    monkeypatch.setattr(prepare_mod, "build_td_graph", slow)
     barrier = threading.Barrier(2)
     graphs = []
 
@@ -208,3 +215,44 @@ def test_legs_and_options_are_python_ints(store, poisoned):
     assert values and all(type(value) is int for value in values), [
         type(value) for value in values
     ]
+
+
+def _assert_builds_its_pack(path) -> None:
+    """The graph a loaded store builds packs to the loaded pack, buffer
+    by buffer, and owns it."""
+    prepared = TransitService.load(path).prepared
+    graph = prepared.graph
+    fresh = pack_td_graph(graph)
+    for name in store_mod._ARRAY_FIELDS:
+        assert np.array_equal(
+            getattr(fresh, name), getattr(prepared.arrays, name)
+        ), name
+    assert packed_arrays(graph) is prepared.arrays
+
+
+@pytest.mark.parametrize("instance", ["oahu_tiny", "germany_tiny", "random"])
+def test_a_loaded_graph_is_built_to_its_pack(tmp_path, request, instance):
+    timetable = (
+        random_line_timetable(77, num_stations=8, num_lines=5)
+        if instance == "random"
+        else request.getfixturevalue(instance)
+    )
+    TransitService(timetable, ServiceConfig()).save(tmp_path)
+    _assert_builds_its_pack(tmp_path)
+
+
+def test_a_swapped_generation_is_built_to_its_pack(tmp_path, eager):
+    eager.apply_delays(DELAYS, mode="incremental").save(tmp_path)
+    _assert_builds_its_pack(tmp_path)
+
+
+@settings(
+    deadline=None,
+    max_examples=8,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(timetable=adversarial_timetables())
+def test_an_adversarial_graph_is_built_to_its_pack(timetable):
+    with tempfile.TemporaryDirectory() as path:
+        TransitService(timetable, ServiceConfig()).save(path)
+        _assert_builds_its_pack(path)

@@ -44,6 +44,7 @@ from repro.store import (
     write_record,
 )
 from repro.synthetic.workloads import random_station_pairs
+from repro.timetable.delays import Delay
 
 from tests.helpers import (
     SERVICE_OF_KERNEL,
@@ -230,7 +231,9 @@ def test_format_version_mismatch_rejected(small_store):
 #: longer has: ``backend`` / ``workers`` (version 1), ``kernel`` /
 #: ``queue`` (version 3, before every store was loaded with its pack),
 #: the partition strategy and the four pruning switches (version 4,
-#: before a service always ran the paper's full algorithm).
+#: before a service always ran the paper's full algorithm); a version 5
+#: config is today's, but its ``arrays/`` held the graph hydrator's
+#: side-tables.
 OLD_FORMAT_CONFIG = {
     1: {"backend": "processes", "workers": 4},
     3: {"kernel": "python", "queue": "binary"},
@@ -241,6 +244,7 @@ OLD_FORMAT_CONFIG = {
         "target_pruning": True,
         "self_pruning": True,
     },
+    5: {},
 }
 
 
@@ -362,6 +366,40 @@ def test_save_then_save_without_table_drops_stale_table(
     TransitService(oahu_tiny, ServiceConfig()).save(path)
     assert not (path / "table.npz").exists()
     assert TransitService.load(path).table is None
+
+
+def test_resave_drops_stale_buffers(tmp_path, oahu_tiny):
+    """Saving over an older store deletes every buffer that is not the
+    pack's, as it deletes a stale table."""
+    fresh, resaved = tmp_path / "fresh", tmp_path / "resaved"
+    (resaved / "arrays").mkdir(parents=True)
+    np.save(resaved / "arrays" / "conn_train.npy", np.arange(64))
+    for path in (fresh, resaved):
+        TransitService(oahu_tiny, ServiceConfig()).save(path)
+    assert not (resaved / "arrays" / "conn_train.npy").exists()
+    assert len(list((resaved / "arrays").glob("*.npy"))) == 13
+    assert (
+        describe_store(resaved)["sizes_bytes"]
+        == describe_store(fresh)["sizes_bytes"]
+    )
+
+
+def test_a_timetable_paired_with_another_pack_is_refused(tmp_path):
+    """``dataset.bin`` of one store beside ``arrays/`` of another with as
+    many stations loads (nothing is built), but the graph its timetable
+    builds does not match the pack: the first access refuses it before
+    a swap could patch it, and publishes nothing."""
+    for seed in (3, 4):
+        TransitService(
+            random_line_timetable(seed), ServiceConfig()
+        ).save(tmp_path / str(seed))
+    (tmp_path / "3" / "dataset.bin").replace(tmp_path / "4" / "dataset.bin")
+    loaded = TransitService.load(tmp_path / "4")
+    with pytest.raises(prepare_mod.PackMismatchError, match="the loaded pack"):
+        loaded.apply_delays([Delay(train=0, minutes=5)], mode="incremental")
+    with pytest.raises(prepare_mod.PackMismatchError, match="the loaded pack"):
+        loaded.prepared.graph
+    assert loaded.prepared.hydrated == {"timetable"}
 
 
 def test_truncated_buffer_rejected(small_store):

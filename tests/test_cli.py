@@ -392,7 +392,7 @@ class TestStoreCommands:
 
         assert main(["info", "--from-store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "format v5" in out
+        assert "format v6" in out
         assert "backend=" not in out and "workers=" not in out
         assert "12 stations" in out
         assert "transfer stations" in out
