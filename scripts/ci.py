@@ -547,10 +547,11 @@ def served_pool(tmp: Path) -> None:
     p = 2 connection subsets — answers equal to in-process ones, p = 2
     faster than p = 1 by more than 1.3x where there are two cores to
     run them on (the numbers are printed either way, the assertion
-    comes last).  Last a delay swap with the table on: its rows are
-    patched by the scan on the executor thread, so nothing but the new
-    generation's search workers forks, the answers after it are those
-    of an in-process service that applied the same batch, and the swap
+    comes last).  Last a delay swap with the table on: its table is
+    scanned on the executor thread, so nothing but the new generation's
+    search workers forks, the answers after it are those of an
+    in-process service that applied the same batch, whose table equals
+    a cold service's on the delayed timetable to the byte, and the swap
     time is printed for comparison across commits."""
     import random
     import statistics
@@ -562,6 +563,7 @@ def served_pool(tmp: Path) -> None:
     from repro.service.model import ProfileRequest
     from repro.synthetic.instances import make_instance
     from repro.timetable.delays import Delay
+    from tests.helpers import assert_rows_bitwise_equal
 
     cores = len(os.sched_getaffinity(0))
     store = tmp / "washington"
@@ -666,12 +668,17 @@ def served_pool(tmp: Path) -> None:
                 assert answer.profiles == expected.profiles, source
                 journey = backend.journey(source, target[0])
                 assert journey.profile == local.journey(source, target[0]).profile
+        replanned = local.service
+        cold = TransitService(replanned.timetable, replanned.config).table
+        assert_rows_bitwise_equal(cold.profiles, replanned.table.profiles)
         print(
-            f"delay swap, table on: {stats.patched_table_rows} rows patched, "
+            f"delay swap, table on: {stats.num_transfer_stations} transfer "
+            f"stations, "
             f"swap {update.swap_seconds * 1000:.0f} ms "
             f"(table {stats.table_seconds * 1000:.0f} ms in process), "
             f"{len(transient)} short-lived process(es) inside serve; "
-            f"answers after it equal the in-process service's"
+            f"answers after it equal the in-process service's, "
+            f"its table a cold build's"
         )
         assert not transient, f"the swap forked row workers: {transient}"
     one, two = (statistics.median(times[p]) * 1000 for p in (1, 2))

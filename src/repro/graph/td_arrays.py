@@ -173,7 +173,7 @@ class TDGraphArrays:
         return int(self.conn_dep.size)
 
     def is_station_node(self, u: int) -> bool:
-        return u < self.num_stations
+        return 0 <= u < self.num_stations
 
     def outgoing_connection_count(self, station: int) -> int:
         """``|conn(S)|`` for a station."""

@@ -87,7 +87,7 @@ class TDGraph:
         return sum(len(edges) for edges in self.adjacency)
 
     def is_station_node(self, u: int) -> bool:
-        return u < self.num_stations
+        return 0 <= u < self.num_stations
 
     def station_of(self, u: int) -> int:
         """``st(u)``: the station node ``u`` belongs to."""

@@ -26,10 +26,10 @@ changed pools are copied once and patched in place (point counts per
 ttf never change — ``from_connections`` emits one point per
 connection, and delays preserve each leg's connection count).
 
-The :class:`GraphPatch` returned alongside records which stations can
-*trigger* downstream profile changes, which is what lets the
-distance-table patch (:func:`repro.query.distance_table.patch_distance_table`)
-skip rows whose searches provably never touch a changed edge.
+The :class:`GraphPatch` returned alongside is that delta, which
+:func:`patch_td_arrays` reads.  The distance table is not patched: a
+replan scans the patched pack for every row
+(:func:`repro.query.distance_table.build_distance_table`).
 """
 
 from __future__ import annotations
@@ -52,20 +52,13 @@ class GraphPatch:
     edge whose travel-time function moved (``slot`` indexes the node's
     adjacency list).  ``changed_stations`` are stations whose
     ``conn(S)`` row content changed (a re-timed connection departs
-    there).  ``trigger_stations`` are the stations from which a search
-    can *enter* a changed route edge: for each touched route with a
-    changed leg ``k``, every station at positions ``0..k`` (boarding
-    at position ``j ≤ k`` and riding reaches the changed edge).  A
-    profile search whose source cannot reach any trigger station never
-    evaluates a changed value and keeps its exact result.
+    there, or one of its rides got longer or shorter).
     """
 
-    touched_routes: list[int] = field(default_factory=list)
     changed_edges: list[tuple[int, int, TravelTimeFunction]] = field(
         default_factory=list
     )
     changed_stations: set[int] = field(default_factory=set)
-    trigger_stations: set[int] = field(default_factory=set)
     #: Legs rebuilt (diagnostics: replan accounting / bench metrics).
     rebuilt_legs: int = 0
 
@@ -100,23 +93,23 @@ def patch_td_graph(
     for route in graph.routes:
         for train in route.trains:
             route_of_train[train] = route
-    touched_routes = {
+    delayed_routes = {
         route_of_train[t].id for t in touched_trains if t in route_of_train
     }
     member_trains: set[int] = set()
     for route in graph.routes:
-        if route.id in touched_routes:
+        if route.id in delayed_routes:
             member_trains.update(route.trains)
 
     old_runs = _connections_by_train(old_timetable, member_trains)
     new_runs = _connections_by_train(delayed, member_trains)
 
-    patch = GraphPatch(touched_routes=sorted(touched_routes))
+    patch = GraphPatch()
 
     # Leg connection lists of the touched routes, from the delayed
     # timetable, in the exact order build_td_graph uses.
     new_legs: dict[tuple[int, int], list[Connection]] = {}
-    changed_legs: dict[int, set[int]] = {rid: set() for rid in touched_routes}
+    changed_legs: dict[int, set[int]] = {rid: set() for rid in delayed_routes}
     for train in member_trains:
         route = route_of_train[train]
         for leg, (old_c, new_c) in enumerate(
@@ -138,15 +131,9 @@ def patch_td_graph(
     adjacency = list(graph.adjacency)
     period = delayed.period
     for route in graph.routes:
-        if route.id not in touched_routes:
+        if route.id not in delayed_routes:
             continue
-        legs_changed = changed_legs[route.id]
-        if legs_changed:
-            # Any station at or before the deepest changed leg lets a
-            # search board and ride into a changed edge.
-            deepest = max(legs_changed)
-            patch.trigger_stations.update(route.stations[: deepest + 1])
-        for pos in sorted(legs_changed):
+        for pos in sorted(changed_legs[route.id]):
             conns = new_legs.get((route.id, pos), [])
             if not conns:
                 continue
@@ -304,28 +291,3 @@ def patch_td_arrays(
         transfer_time=arrays.transfer_time,
         _adjacency_cache=adjacency,
     )
-
-
-def stations_reaching(
-    station_graph, targets: set[int]
-) -> np.ndarray:
-    """Boolean mask over stations: which can reach any of ``targets``
-    in the (time-independent) station graph ``G_S``.
-
-    Reachability in ``G_S`` coincides with reachability in the
-    time-dependent graph: every leg with connections offers *some*
-    departure in every period, so whether a path exists never depends
-    on the clock — only arrival values do.
-    """
-    n = station_graph.num_stations
-    mask = np.zeros(n, dtype=bool)
-    stack = [t for t in targets if 0 <= t < n]
-    for t in stack:
-        mask[t] = True
-    while stack:
-        s = stack.pop()
-        for p in station_graph.predecessors(s).tolist():
-            if not mask[p]:
-                mask[p] = True
-                stack.append(p)
-    return mask

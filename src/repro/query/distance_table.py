@@ -101,67 +101,22 @@ def build_distance_table(
     arrays: TDGraphArrays | None = None,
 ) -> DistanceTable:
     """Precompute ``D`` over ``transfer_stations`` by one backward scan
-    of ``arrays`` (the graph's own pack when omitted).
-
-    A cold build is :func:`patch_distance_table` with every source
-    affected, over a table that has no rows yet.
+    of ``arrays`` (the graph's own pack when omitted): every row, each
+    one this table's own.
     """
+    t0 = time.perf_counter()
     stations = np.asarray(sorted(set(int(s) for s in transfer_stations)), dtype=np.int64)
     for s in stations:
         if not graph.is_station_node(int(s)):
             raise ValueError(f"transfer station {s} is not a station node")
-    blank = DistanceTable(
-        transfer_stations=stations,
-        index_of={int(s): i for i, s in enumerate(stations)},
-        profiles=[[] for _ in stations],
-        period=graph.timetable.period,
-        build_seconds=0.0,
-    )
-    return patch_distance_table(
-        blank, graph, np.ones(graph.num_stations, dtype=bool), arrays=arrays
-    )
-
-
-def patch_distance_table(
-    table: DistanceTable,
-    graph: TDGraph,
-    affected_sources,
-    *,
-    arrays: TDGraphArrays | None = None,
-) -> DistanceTable:
-    """Rebuild the rows of ``D`` whose one-to-all search can have
-    changed, against an incrementally patched ``graph``.
-
-    ``affected_sources`` is a boolean mask over stations (see
-    :func:`repro.graph.td_patch.stations_reaching`): stations that can
-    reach a delay-trigger station.  A source outside the mask reaches
-    no changed route edge and seeds from no changed ``conn(S)`` row, so
-    its row is exactly what a cold build on the delayed graph gives; the
-    parent's row list is kept by reference (rows are never mutated
-    after construction), and with it its profiles' mirrors.  The scan
-    itself computes every column for the affected rows together.
-
-    ``build_seconds`` / ``build_passes`` report *this patch's* work, not
-    cumulative totals — diagnostics of the latest (re)build, which is
-    what the replan accounting wants.
-    """
-    t0 = time.perf_counter()
-    stations = table.transfer_stations
-    mask = np.asarray(affected_sources, dtype=bool)
-    sources = [a for a, origin in enumerate(stations) if mask[int(origin)]]
-    profiles = list(table.profiles)
-    passes = 0
-    if sources:
-        if arrays is None:
-            arrays = packed_arrays(graph)
-        rows, passes = scan_rows(arrays, stations, sources)
-        for a, row in zip(sources, rows):
-            profiles[a] = row
+    if arrays is None:
+        arrays = packed_arrays(graph)
+    profiles, passes = scan_rows(arrays, stations)
     return DistanceTable(
         transfer_stations=stations,
-        index_of=table.index_of,
+        index_of={int(s): i for i, s in enumerate(stations)},
         profiles=profiles,
-        period=table.period,
+        period=graph.timetable.period,
         build_seconds=time.perf_counter() - t0,
         build_passes=passes,
     )
@@ -303,9 +258,7 @@ class _Scan:
     (see :func:`scan_rows`), one entry per point in scan order: latest
     minute first, and within a minute by route node."""
 
-    def __init__(
-        self, arrays: TDGraphArrays, stations: np.ndarray, sources: list[int]
-    ) -> None:
+    def __init__(self, arrays: TDGraphArrays, stations: np.ndarray) -> None:
         period = arrays.period
         node_station = arrays.node_station
         transfer = arrays.transfer_time
@@ -350,8 +303,8 @@ class _Scan:
         self.rel_bstarts = b_starts - board_off[minute[b_starts]]
 
         # The seeds: every connection of every source, both reads.
-        lo = arrays.conn_indptr[stations[sources]]
-        counts = arrays.conn_indptr[stations[sources] + 1] - lo
+        lo = arrays.conn_indptr[stations]
+        counts = arrays.conn_indptr[stations + 1] - lo
         seeds = _ranges(lo, counts)
         self.seed_bounds = np.append(0, np.cumsum(counts)).tolist()
         seed_node = arrays.conn_start[seeds]
@@ -428,10 +381,9 @@ class _Scan:
 def scan_rows(
     arrays: TDGraphArrays,
     stations: np.ndarray,
-    sources: list[int],
 ) -> tuple[list[list[Profile]], int]:
-    """The rows ``sources`` (indices into ``stations``, the sorted
-    ``S_trans``) of ``D`` over the pack ``arrays``, and the most passes
+    """Every row of ``D`` over the pack ``arrays`` (``stations`` the
+    sorted ``S_trans``, sources and targets alike), and the most passes
     a block of columns needed.
 
     Points are scanned one departure minute at a time, latest first.  A
@@ -448,18 +400,18 @@ def scan_rows(
     B_S(d_i + T(S)))`` — the second term where ``u_i`` may alight — and
     each row is those labels reduced as the one-to-all search's are.
     """
-    scan = _Scan(arrays, stations, sources)
+    scan = _Scan(arrays, stations)
     num_targets = int(stations.size)
     block = max(1, _STATE_BYTES // (4 * (scan.R.inf_row + scan.B.inf_row + 2)))
     empty = np.zeros(0, dtype=np.int64)
-    rows: list[list[Profile]] = [[None] * num_targets for _ in sources]
+    rows: list[list[Profile]] = [[None] * num_targets for _ in range(num_targets)]
     most_passes = 0
     for c0 in range(0, num_targets, block):
         c1 = min(c0 + block, num_targets)
         SR, SB, passes = scan.columns(c0, c1)
         most_passes = max(most_passes, passes)
-        for k, (row, a) in enumerate(zip(rows, sources)):
-            row[c0:c1] = _reduced_columns(*scan.labels(SR, SB, k), arrays.period)
+        for a, row in enumerate(rows):
+            row[c0:c1] = _reduced_columns(*scan.labels(SR, SB, a), arrays.period)
             if c0 <= a < c1:
                 row[a] = Profile(empty, empty, arrays.period)
     return rows, most_passes

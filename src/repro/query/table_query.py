@@ -402,7 +402,8 @@ class StationToStationEngine:
         """All best connections from ``source`` to ``target`` over a full
         period, as a reduced profile."""
         graph = self.graph
-        if source >= self._num_stations or target >= self._num_stations:
+        n = self._num_stations
+        if not (0 <= source < n and 0 <= target < n):
             raise ValueError("source and target must be station nodes")
 
         start_total = time.perf_counter()

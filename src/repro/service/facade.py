@@ -488,8 +488,8 @@ class TransitService:
         * ``"incremental"`` — delta replan via :func:`replan_dataset`:
           only the travel-time functions of routes carrying a delayed
           train are rebuilt, the packed arrays are slice-patched, and
-          only the distance-table rows whose searches can observe a
-          changed edge are recomputed.  Pinned bitwise-equal to the
+          the distance table is scanned afresh from the patched pack,
+          as a cold build scans.  Pinned bitwise-equal to the
           full rebuild (``tests/streams/test_incremental_equivalence.py``).
 
         The returned service starts with an **empty result cache**:
@@ -658,7 +658,15 @@ class TransitService:
             self._result_cache.put(key, raw)
         return raw
 
+    def _check_stations(self, *stations: int) -> None:
+        """The check a search makes of its source, for the stations a
+        fixed-departure search only reads: a target, ``via``'s via."""
+        for station in stations:
+            if not self.prepared.arrays.is_station_node(station):
+                raise ValueError(f"{station} is not a station node")
+
     def _run_multicriteria(self, req: MulticriteriaRequest) -> MulticriteriaResult:
+        self._check_stations(req.target)
         t0 = time.perf_counter()
         if req.source == req.target:
             options = (ParetoOption(0, req.departure),)
@@ -691,6 +699,7 @@ class TransitService:
         )
 
     def _run_min_transfers(self, req: MinTransfersRequest) -> MinTransfersResult:
+        self._check_stations(req.target)
         t0 = time.perf_counter()
         if req.source == req.target:
             transfers: int | None = 0
@@ -721,6 +730,7 @@ class TransitService:
         )
 
     def _run_via(self, req: ViaRequest) -> ViaResult:
+        self._check_stations(req.via, req.target)
         t0 = time.perf_counter()
         legs_first, via_arrival, settled = self._earliest(
             req.source, req.via, req.departure

@@ -27,16 +27,8 @@ import numpy as np
 from repro.graph.station_graph import StationGraph, build_station_graph
 from repro.graph.td_arrays import TDGraphArrays, packed_arrays
 from repro.graph.td_model import TDGraph, build_td_graph
-from repro.graph.td_patch import (
-    patch_td_arrays,
-    patch_td_graph,
-    stations_reaching,
-)
-from repro.query.distance_table import (
-    DistanceTable,
-    build_distance_table,
-    patch_distance_table,
-)
+from repro.graph.td_patch import patch_td_arrays, patch_td_graph
+from repro.query.distance_table import DistanceTable, build_distance_table
 from repro.query.transfer_selection import select_transfer_stations
 from repro.service.config import ServiceConfig
 from repro.timetable.types import Timetable
@@ -79,8 +71,6 @@ class PrepareStats:
     #: Route legs whose travel-time function was rebuilt (incremental
     #: replans only; zero for full builds).
     rebuilt_legs: int = 0
-    #: Distance-table rows recomputed (incremental replans only).
-    patched_table_rows: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,12 +331,13 @@ def replan_dataset(
     ``delayed`` must be ``apply_delays(prepared.timetable, batch)`` and
     ``touched_trains`` the trains that batch names.  Only the
     travel-time functions of routes carrying a touched train are
-    rebuilt (:func:`~repro.graph.td_patch.patch_td_graph`), the packed
-    arrays are slice-patched, and — when a table is configured — only
-    the rows whose source can reach a changed edge are recomputed
-    (:func:`~repro.query.distance_table.patch_distance_table`).  The
-    result is value-identical to ``prepare_dataset(delayed, config,
-    station_graph=..., transfer_stations=...)``; the full rebuild
+    rebuilt (:func:`~repro.graph.td_patch.patch_td_graph`) and the
+    packed arrays are slice-patched; a configured table is built over
+    the patched pack by the call :func:`prepare_dataset` makes
+    (:func:`~repro.query.distance_table.build_distance_table`), every
+    row of it new.  The result is value-identical to
+    ``prepare_dataset(delayed, config, station_graph=...,
+    transfer_stations=...)``; the full rebuild
     remains the oracle (``tests/streams/test_incremental_equivalence.py``).
     """
     config = prepared.config
@@ -364,17 +355,9 @@ def replan_dataset(
     table: DistanceTable | None = None
     table_seconds = 0.0
     table_mib = 0.0
-    patched_rows = 0
     if prepared.table is not None:
         t0 = time.perf_counter()
-        affected = stations_reaching(
-            prepared.station_graph,
-            patch.trigger_stations | patch.changed_stations,
-        )
-        table = patch_distance_table(prepared.table, graph, affected, arrays=arrays)
-        patched_rows = sum(
-            1 for s in table.transfer_stations if affected[int(s)]
-        )
+        table = build_distance_table(graph, prepared.transfer_stations, arrays=arrays)
         table_seconds = time.perf_counter() - t0
         table_mib = table.size_mib()
 
@@ -395,7 +378,6 @@ def replan_dataset(
         shared_station_graph=True,
         incremental=True,
         rebuilt_legs=patch.rebuilt_legs,
-        patched_table_rows=patched_rows,
     )
     return PreparedDataset(
         timetable=delayed,

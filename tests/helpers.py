@@ -218,12 +218,11 @@ def spcs_table_rows(graph, stations, *, num_threads: int = 1, kernel: str = "fla
     return rows
 
 
-def assert_rows_bitwise_equal(expected, profiles, rows=None):
+def assert_rows_bitwise_equal(expected, profiles):
     """``profiles`` (a table's rows) equal ``expected`` to the byte:
-    same dtypes, same departure and arrival bytes, same period — every
-    row, or those listed in ``rows``."""
+    same dtypes, same departure and arrival bytes, same period."""
     assert len(profiles) == len(expected)
-    for a in range(len(expected)) if rows is None else rows:
+    for a in range(len(expected)):
         assert len(profiles[a]) == len(expected[a]), a
         for b, want in enumerate(expected[a]):
             got = profiles[a][b]

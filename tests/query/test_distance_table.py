@@ -13,11 +13,10 @@ from hypothesis import strategies as st
 
 from repro.core import fanout
 from repro.core.spcs import spcs_profile_search
-from repro.graph.station_graph import build_station_graph
 from repro.graph.td_arrays import pack_td_graph
 from repro.graph.td_model import build_td_graph
-from repro.graph.td_patch import patch_td_arrays, patch_td_graph, stations_reaching
-from repro.query.distance_table import build_distance_table, patch_distance_table
+from repro.graph.td_patch import patch_td_arrays, patch_td_graph
+from repro.query.distance_table import build_distance_table
 from repro.query.transfer_selection import select_transfer_stations
 from repro.service import ServiceConfig, TransitService
 from repro.synthetic.instances import make_instance
@@ -248,7 +247,7 @@ def test_column_blocks_change_nothing(germany_tiny_graph, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Patches
+# Replans
 # ---------------------------------------------------------------------------
 
 
@@ -258,39 +257,28 @@ def test_column_blocks_change_nothing(germany_tiny_graph, monkeypatch):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(timetable=adversarial_timetables(), data=st.data())
-def test_a_patched_table_equals_the_oracle_on_the_delayed_graph(timetable, data):
+def test_a_replanned_table_equals_the_oracle(timetable, data):
     """Trains re-timed — later, and riding longer or *shorter* — then
-    the table patched on the patched pack: the affected rows equal the
-    SPCS rows of a cold graph of the delayed timetable, the others are
-    the parent's row lists themselves; and patching every row gives
-    the oracle too."""
+    the table built on the patched pack, as a replan builds it: it
+    equals the SPCS rows of a cold graph of the delayed timetable, and
+    the table built on that graph's own pack."""
     graph = build_td_graph(timetable)
-    arrays = pack_td_graph(graph)
     stations = data.draw(
         st.lists(
             st.integers(0, timetable.num_stations - 1), min_size=1, unique=True
         ),
         label="S_trans",
     )
-    table = build_distance_table(graph, stations, arrays=arrays)
     changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
     delayed = retimed(timetable, changes)
     patched_graph, patch = patch_td_graph(graph, delayed, set(changes))
-    patched_arrays = patch_td_arrays(arrays, patched_graph, patch)
-    affected = stations_reaching(
-        build_station_graph(timetable),
-        patch.trigger_stations | patch.changed_stations,
-    )
-    expected = spcs_table_rows(build_td_graph(delayed), stations)
+    patched_arrays = patch_td_arrays(pack_td_graph(graph), patched_graph, patch)
+    replanned = build_distance_table(patched_graph, stations, arrays=patched_arrays)
 
-    patched = patch_distance_table(table, patched_graph, affected, arrays=patched_arrays)
-    assert_rows_bitwise_equal(expected, patched.profiles)
-    for a, source in enumerate(table.transfer_stations.tolist()):
-        assert (patched.profiles[a] is table.profiles[a]) == (not affected[source])
-
-    everything = np.ones(timetable.num_stations, dtype=bool)
-    rebuilt = patch_distance_table(table, patched_graph, everything, arrays=patched_arrays)
-    assert_rows_bitwise_equal(expected, rebuilt.profiles)
+    cold_graph = build_td_graph(delayed)
+    assert_rows_bitwise_equal(spcs_table_rows(cold_graph, stations), replanned.profiles)
+    cold = build_distance_table(cold_graph, stations, arrays=pack_td_graph(cold_graph))
+    assert_rows_bitwise_equal(cold.profiles, replanned.profiles)
 
 
 MATRIX = [
@@ -319,7 +307,6 @@ def test_a_delay_swap_patches_the_table_to_the_oracle(
     swapped = TransitService(timetable, config).apply_delays(
         delays, mode="incremental"
     )
-    assert swapped.prepare_stats.patched_table_rows >= 3
     delayed = apply_delays(timetable, delays)
     expected = spcs_table_rows(
         build_td_graph(delayed),
@@ -351,7 +338,6 @@ def test_neither_build_nor_swap_forks(oahu_tiny, monkeypatch):
     service = TransitService(oahu_tiny, config)
     delays = [Delay(train=oahu_tiny.connections[0].train, minutes=25)]
     swapped = service.apply_delays(delays, mode="incremental")
-    assert swapped.prepare_stats.patched_table_rows >= 1
     assert service.table.num_transfer_stations == swapped.table.num_transfer_stations
 
 

@@ -345,6 +345,37 @@ def test_engines_share_the_prepared_pack(oahu_tiny):
 # ---------------------------------------------------------------------------
 
 
+#: Each shape with one station id ``x`` where a station belongs.
+STATION_ARGUMENTS = {
+    "journey-source": lambda svc, x: svc.journey(x, 2),
+    "journey-target": lambda svc, x: svc.journey(2, x),
+    "dated-journey-source": lambda svc, x: svc.journey(x, 2, departure=480),
+    "profile": lambda svc, x: svc.profile(x),
+    "batch-journey": lambda svc, x: svc.batch([(x, 2)]),
+    "batch-profile": lambda svc, x: svc.batch(BatchRequest.from_sources([x])),
+    "multicriteria-source": lambda svc, x: svc.multicriteria(x, 2, departure=480),
+    "multicriteria-target": lambda svc, x: svc.multicriteria(2, x, departure=480),
+    "min-transfers-source": lambda svc, x: svc.min_transfers(x, 2, departure=480),
+    "min-transfers-target": lambda svc, x: svc.min_transfers(2, x, departure=480),
+    "via-source": lambda svc, x: svc.via(x, 3, 2, departure=480),
+    "via-via": lambda svc, x: svc.via(0, x, 2, departure=480),
+    "via-target": lambda svc, x: svc.via(0, 3, x, departure=480),
+    "table": lambda svc, x: build_distance_table(svc.graph, [x, 0]),
+}
+
+
+@pytest.mark.parametrize("where", STATION_ARGUMENTS)
+@pytest.mark.parametrize("bad", ("negative", "num-stations"))
+def test_an_id_that_is_no_station_is_refused(oahu_tiny, where, bad):
+    """-1 and |S| are no station: every shape refuses either, in each
+    place it takes a station — a negative id is not read from the end
+    of a list, |S| is not the first route node."""
+    service = TransitService(oahu_tiny, ServiceConfig())
+    station = -1 if bad == "negative" else oahu_tiny.num_stations
+    with pytest.raises(ValueError, match="station node"):
+        STATION_ARGUMENTS[where](service, station)
+
+
 def test_invalid_configs_rejected_eagerly():
     with pytest.raises(ValueError, match="selection"):
         ServiceConfig(transfer_selection="random")

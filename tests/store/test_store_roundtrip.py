@@ -48,6 +48,7 @@ from repro.timetable.delays import Delay
 
 from tests.helpers import (
     SERVICE_OF_KERNEL,
+    assert_rows_bitwise_equal,
     random_line_timetable,
     run_in_own_group,
 )
@@ -135,11 +136,14 @@ def test_roundtrip_preserves_timetable_exactly(tmp_path, oahu_tiny):
     assert loaded.connections == oahu_tiny.connections
 
 
-def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny):
+@pytest.mark.parametrize("mode", ("full", "incremental"))
+def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny, mode):
     """apply_delays on a warm-started service matches a cold service on
     the delayed timetable (the store carries everything replanning
-    shares: station graph and transfer selection)."""
-    from repro.timetable.delays import Delay, apply_delays
+    shares: station graph and transfer selection), its table to the
+    byte — the incremental swap first builds the loaded generation's
+    timetable and graph, then patches them and scans."""
+    from repro.timetable.delays import apply_delays
 
     config = ServiceConfig(
         use_distance_table=True, transfer_fraction=0.3
@@ -147,9 +151,14 @@ def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny):
     TransitService(oahu_tiny, config).save(tmp_path / "store")
     warm = TransitService.load(tmp_path / "store")
     delays = [Delay(train=1, minutes=20)]
-    replanned = warm.apply_delays(delays)
+    replanned = warm.apply_delays(delays, mode=mode)
     assert replanned.prepare_stats.shared_station_graph
+    assert replanned.prepare_stats.incremental == (mode == "incremental")
     reference = TransitService(apply_delays(oahu_tiny, delays), config)
+    assert np.array_equal(
+        reference.table.transfer_stations, replanned.table.transfer_stations
+    )
+    assert_rows_bitwise_equal(reference.table.profiles, replanned.table.profiles)
     for s, t in random_station_pairs(oahu_tiny, 4, seed=3):
         assert_profiles_bitwise_equal(
             reference.journey(s, t).profile,
