@@ -10,7 +10,7 @@ enough that a full rebuild visibly hurts — folded into one
   :func:`repro.synthetic.delays.generate_delay_stream`) applied to a
   prepared service twice: ``mode="full"`` (cold rebuild of graph +
   packed arrays) vs ``mode="incremental"`` (patch only the touched
-  travel-time functions, :mod:`repro.graph.td_patch`).  Both yield
+  travel-time functions of the pack, :mod:`repro.graph.td_patch`).  Both yield
   bitwise-identical datasets (``tests/streams``); the bench asserts
   the delta path is worth having: **≥ 3× median speedup**.
 
@@ -25,7 +25,7 @@ enough that a full rebuild visibly hurts — folded into one
 
 The distance table is off here: delays must propagate into *serving*
 within tens of milliseconds, and the production answer for that
-regime is the incremental path over graph + arrays (a table rebuild
+regime is the incremental path over the packed arrays (a table rebuild
 is a prepare-time cost either way — ``bench_table2`` owns it).
 """
 

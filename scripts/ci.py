@@ -339,7 +339,10 @@ def warm_start(tmp: Path) -> None:
     shapes re-pack nothing either.  Nor does it hydrate: the builders
     of a loaded dataset's timetable and object graph (the store's
     ``_hydrate_timetable``, then ``build_td_graph``), which only a swap,
-    a save or an oracle asks for, are poisoned too."""
+    a save or an oracle asks for, are poisoned too.  Then an
+    incremental delay swap of the loaded service and a save of the
+    swapped one build the timetable and the table, and nothing else:
+    the graph builder and both packers stay poisoned throughout."""
     import repro.graph.td_arrays as arrays_mod
     import repro.service.prepare as prepare_mod
     import repro.store.store as store_mod
@@ -354,14 +357,17 @@ def warm_start(tmp: Path) -> None:
 
         return _raise
 
+    swap_builders = {
+        (prepare_mod, "build_distance_table"): prepare_mod.build_distance_table,
+        (store_mod, "_hydrate_timetable"): store_mod._hydrate_timetable,
+    }
     for mod, attr in (
         (prepare_mod, "build_td_graph"),
         (prepare_mod, "build_station_graph"),
-        (prepare_mod, "build_distance_table"),
         (prepare_mod, "select_transfer_stations"),
         (prepare_mod, "packed_arrays"),
         (arrays_mod, "pack_td_graph"),
-        (store_mod, "_hydrate_timetable"),
+        *swap_builders,
     ):
         setattr(mod, attr, forbid(attr))
 
@@ -377,6 +383,23 @@ def warm_start(tmp: Path) -> None:
     print(
         "all six query shapes answered with every builder poisoned: "
         "nothing was hydrated"
+    )
+
+    from repro.timetable.delays import Delay
+
+    for (mod, attr), builder in swap_builders.items():
+        setattr(mod, attr, builder)
+    swapped = service.apply_delays(
+        [Delay(train=0, minutes=25), Delay(train=7, minutes=10, from_stop=1)],
+        mode="incremental",
+    )
+    swapped.save(tmp / "swapped")
+    swapped.journey(0, 5)
+    for prepared in (service.prepared, swapped.prepared):
+        assert prepared.hydrated == {"timetable"}, prepared.hydrated
+    print(
+        "an incremental swap of the loaded service and a save of the "
+        "swapped one built no graph and packed nothing"
     )
 
 

@@ -58,7 +58,7 @@ delay stream (:func:`repro.synthetic.delays.generate_delay_stream`)
 replayed by :mod:`repro.streams` drives a serving target with
 interleaved query+delay traffic, each batch absorbed by incremental
 delta replanning (``apply_delays(..., mode="incremental")`` —
-bitwise-identical to a full rebuild; for a small batch about eight
+bitwise-identical to a full rebuild; for a small batch about seven
 times faster without a distance table, 20–40 % faster with one, whose
 scan both paths run; see docs/STREAMS.md).
 
@@ -67,8 +67,9 @@ The lower-level building blocks remain available for research use::
     from repro import (
         select_transfer_stations, build_distance_table, StationToStationEngine,
     )
+    from repro.graph.td_arrays import packed_arrays
     stations = select_transfer_stations(timetable, fraction=0.05)
-    table = build_distance_table(graph, stations)
+    table = build_distance_table(packed_arrays(graph), stations)
     engine = StationToStationEngine(graph, table)
     answer = engine.query(source=0, target=5)
 

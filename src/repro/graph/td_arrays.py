@@ -394,7 +394,8 @@ def pack_td_graph(graph: TDGraph) -> TDGraphArrays:
 def packed_arrays(graph: TDGraph) -> TDGraphArrays:
     """The pack of ``graph``: :func:`pack_td_graph` on the first call,
     the same object ever after — it lives in the graph and dies with
-    it (``prepare``, ``replan`` and ``load`` attach the pack they made).
+    it (a graph a replanned or loaded dataset builds is handed that
+    dataset's pack, ``PreparedDataset.graph``).
     """
     if graph._arrays is None:
         graph._arrays = pack_td_graph(graph)

@@ -61,9 +61,11 @@ class TDGraph:
     #: route node id of (route_id, position).
     route_node_ids: dict[tuple[int, int], int]
     #: starting route node of an elementary connection, keyed by
-    #: (train, dep_time) — unique because a train departs each of its
-    #: stops at a strictly later time.
-    conn_start_node: dict[tuple[int, int], int]
+    #: (train, dep_station, dep_time).  A train may depart twice at one
+    #: time point — a delay or slack recovery can move a departure onto
+    #: the previous one's minute — but not from one station:
+    #: ``apply_delays`` refuses such a delay.
+    conn_start_node: dict[tuple[int, int, int], int]
     #: The packed twin (:func:`repro.graph.td_arrays.packed_arrays`),
     #: owned by the graph it was packed from and freed with it.
     _arrays: TDGraphArrays | None = field(
@@ -96,7 +98,9 @@ class TDGraph:
     def source_route_node(self, connection: Connection) -> int:
         """Route node where an elementary connection starts (SPCS init)."""
         try:
-            return self.conn_start_node[(connection.train, connection.dep_time)]
+            return self.conn_start_node[
+                (connection.train, connection.dep_station, connection.dep_time)
+            ]
         except KeyError:
             raise KeyError(
                 f"connection is not part of this graph's timetable: {connection}"
@@ -151,11 +155,11 @@ def build_td_graph(timetable: Timetable) -> TDGraph:
                 Edge(route_node_ids[(route.id, pos + 1)], 0, ttf)
             )
 
-    conn_start_node: dict[tuple[int, int], int] = {}
+    conn_start_node: dict[tuple[int, int, int], int] = {}
     for (route_id, pos), conns in legs.items():
         node = route_node_ids[(route_id, pos)]
         for c in conns:
-            conn_start_node[(c.train, c.dep_time)] = node
+            conn_start_node[(c.train, c.dep_station, c.dep_time)] = node
 
     return TDGraph(
         timetable=timetable,

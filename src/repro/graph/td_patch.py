@@ -1,4 +1,4 @@
-"""Incremental patching of the time-dependent graph under delays.
+"""Incremental patching of the packed time-dependent graph under delays.
 
 Delays never change topology: a delayed train keeps its station
 sequence (``repro.timetable.delays`` module docstring), so routes,
@@ -6,61 +6,33 @@ route nodes, constant boarding/alighting edges, and every CSR shape of
 the packed arrays survive a delay batch unchanged.  What *can* move
 are travel-time values:
 
-* the :class:`~repro.functions.piecewise.TravelTimeFunction` of every
-  route leg a delayed train runs on (the leg's connection multiset
-  changed);
-* the ``conn(S)`` departure rows of stations a delayed connection
-  departs from (row *content* and intra-row order, never row size);
-* ``conn_start_node`` keys for the delayed trains (keyed by the new
-  departure times).
+* the travel-time function of every route leg a delayed train runs on
+  (the leg's connection multiset changed);
+* the ``conn(S)`` rows of stations a delayed connection departs from
+  (row *content* and intra-row order, never row size).
 
-:func:`patch_td_graph` rebuilds exactly those travel-time functions
-using the same construction as :func:`~repro.graph.td_model.build_td_graph`
-(leg connections sorted by ``(dep_time, arr_time)``, then
-``TravelTimeFunction.from_connections``), so the patched graph is
-value-identical to a cold build from the delayed timetable — the
-bitwise-equivalence contract ``tests/streams/test_incremental_equivalence.py``
-pins.  :func:`patch_td_arrays` applies the same delta to the packed
-flat-array twin: every unchanged buffer is *shared* with the old pack,
-changed pools are copied once and patched in place (point counts per
-ttf never change — ``from_connections`` emits one point per
-connection, and delays preserve each leg's connection count).
-
-The :class:`GraphPatch` returned alongside is that delta, which
-:func:`patch_td_arrays` reads.  The distance table is not patched: a
-replan scans the patched pack for every row
+:func:`patch_td_arrays` rebuilds exactly those from the routes and the
+delayed timetable, with no object graph: route ``r``'s leg ``k`` is
+node ``|S| + Σ_{r' < r} len(r'.stations) + k`` (the numbering of
+:func:`~repro.graph.td_model.build_td_graph`), and a ``conn(S)``
+entry's seed is the route node of its train's leg.  A leg's function
+is built as a cold build builds it
+(``TravelTimeFunction.from_connections``), so the patched pack is
+equal, buffer by buffer and mirror by mirror, to
+``pack_td_graph(build_td_graph(delayed))`` — the contract
+``tests/graph/test_td_arrays.py`` and
+``tests/streams/test_incremental_equivalence.py`` pin.  The distance
+table is not patched: a replan scans the patched pack for every row
 (:func:`repro.query.distance_table.build_distance_table`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.functions.piecewise import TravelTimeFunction
 from repro.graph.td_arrays import TDGraphArrays, travel_time_rows
-from repro.graph.td_model import Edge, TDGraph
-from repro.timetable.types import Connection, Timetable
-
-
-@dataclass(slots=True)
-class GraphPatch:
-    """What one delay batch changed, as computed by :func:`patch_td_graph`.
-
-    ``changed_edges`` lists ``(node, slot, new_ttf)`` for every route
-    edge whose travel-time function moved (``slot`` indexes the node's
-    adjacency list).  ``changed_stations`` are stations whose
-    ``conn(S)`` row content changed (a re-timed connection departs
-    there, or one of its rides got longer or shorter).
-    """
-
-    changed_edges: list[tuple[int, int, TravelTimeFunction]] = field(
-        default_factory=list
-    )
-    changed_stations: set[int] = field(default_factory=set)
-    #: Legs rebuilt (diagnostics: replan accounting / bench metrics).
-    rebuilt_legs: int = 0
+from repro.timetable.types import Connection, Route, Timetable
 
 
 def _connections_by_train(
@@ -74,119 +46,22 @@ def _connections_by_train(
     return runs
 
 
-def patch_td_graph(
-    graph: TDGraph,
-    delayed: Timetable,
-    touched_trains: set[int],
-) -> tuple[TDGraph, GraphPatch]:
-    """A new :class:`TDGraph` for ``delayed``, patched from ``graph``.
-
-    ``touched_trains`` are the trains named by the delay batch;
-    ``delayed`` must be ``apply_delays(graph.timetable, batch)`` for
-    that batch.  Shares routes, node/station maps and every untouched
-    adjacency row with ``graph``; rebuilds only the travel-time
-    functions of legs whose connection multiset actually changed.
-    Value-identical to ``build_td_graph(delayed)``.
-    """
-    old_timetable = graph.timetable
-    route_of_train: dict[int, "object"] = {}
-    for route in graph.routes:
-        for train in route.trains:
-            route_of_train[train] = route
-    delayed_routes = {
-        route_of_train[t].id for t in touched_trains if t in route_of_train
-    }
-    member_trains: set[int] = set()
-    for route in graph.routes:
-        if route.id in delayed_routes:
-            member_trains.update(route.trains)
-
-    old_runs = _connections_by_train(old_timetable, member_trains)
-    new_runs = _connections_by_train(delayed, member_trains)
-
-    patch = GraphPatch()
-
-    # Leg connection lists of the touched routes, from the delayed
-    # timetable, in the exact order build_td_graph uses.
-    new_legs: dict[tuple[int, int], list[Connection]] = {}
-    changed_legs: dict[int, set[int]] = {rid: set() for rid in delayed_routes}
-    for train in member_trains:
-        route = route_of_train[train]
-        for leg, (old_c, new_c) in enumerate(
-            zip(old_runs[train], new_runs[train])
-        ):
-            new_legs.setdefault((route.id, leg), []).append(new_c)
-            if (
-                new_c.dep_time != old_c.dep_time
-                or new_c.arr_time != old_c.arr_time
-            ):
-                changed_legs[route.id].add(leg)
-                # conn(S) is ordered by (dep_time, arr_time): a ride
-                # that only got longer or shorter can reorder its row.
-                patch.changed_stations.add(new_c.dep_station)
-    for conns in new_legs.values():
-        conns.sort(key=lambda c: (c.dep_time, c.arr_time))
-
-    # Patch adjacency rows: only route nodes whose leg actually changed.
-    adjacency = list(graph.adjacency)
-    period = delayed.period
-    for route in graph.routes:
-        if route.id not in delayed_routes:
-            continue
-        for pos in sorted(changed_legs[route.id]):
-            conns = new_legs.get((route.id, pos), [])
-            if not conns:
-                continue
-            node = graph.route_node_ids[(route.id, pos)]
-            ttf = TravelTimeFunction.from_connections(conns, period)
-            edges = list(adjacency[node])
-            for slot, edge in enumerate(edges):
-                if edge.ttf is not None:
-                    edges[slot] = Edge(edge.target, 0, ttf)
-                    patch.changed_edges.append((node, slot, ttf))
-                    patch.rebuilt_legs += 1
-                    break
-            else:  # pragma: no cover — structure guaranteed by build
-                raise AssertionError(
-                    f"route {route.id} leg {pos} has no route edge"
-                )
-            adjacency[node] = edges
-
-    # Re-key conn_start_node for the touched trains only.  Iterating
-    # legs in travel order reproduces build_td_graph's last-write-wins
-    # on the (rare) wrap collision of two legs sharing a departure
-    # time point after a delay.
-    conn_start_node = dict(graph.conn_start_node)
-    retouched = {t for t in touched_trains if t in route_of_train}
-    for train in retouched:
-        for c in old_runs[train]:
-            conn_start_node.pop((train, c.dep_time), None)
-    for train in retouched:
-        route = route_of_train[train]
-        for leg, c in enumerate(new_runs[train]):
-            conn_start_node[(c.train, c.dep_time)] = graph.route_node_ids[
-                (route.id, leg)
-            ]
-
-    patched = TDGraph(
-        timetable=delayed,
-        routes=graph.routes,
-        adjacency=adjacency,
-        node_station=graph.node_station,
-        route_node_ids=graph.route_node_ids,
-        conn_start_node=conn_start_node,
-    )
-    return patched, patch
-
-
 def patch_td_arrays(
     arrays: TDGraphArrays,
-    patched_graph: TDGraph,
-    patch: GraphPatch,
-) -> TDGraphArrays:
-    """The packed twin of :func:`patch_td_graph`: a new
-    :class:`TDGraphArrays` for the patched graph, elementwise-equal to
-    ``pack_td_graph(patched_graph)``.
+    routes: list[Route],
+    timetable: Timetable,
+    delayed: Timetable,
+    touched_trains: set[int],
+) -> tuple[TDGraphArrays, int]:
+    """The pack of ``delayed``, patched from ``arrays``, the pack of
+    ``timetable``; and the number of route legs whose travel-time
+    function was rebuilt.
+
+    ``routes`` are ``timetable``'s (and ``delayed``'s: delays keep
+    them), ``touched_trains`` the trains the delay batch names.  Only
+    the functions of legs whose connection multiset changed are
+    rebuilt, and only the ``conn(S)`` rows of stations a re-timed
+    connection departs from.
 
     Shares every topology buffer (CSR pointers, edge targets, node
     maps) with the old pack; copies only the value pools that can move
@@ -202,7 +77,50 @@ def patch_td_arrays(
     wrong, not slow.  The new pack builds its own as it is constructed
     (numpy up to one list per node).
     """
-    delayed = patched_graph.timetable
+    # The route node of each route's first stop; leg k's is k further.
+    # And per route, each station's departing legs' nodes in travel
+    # order (more than one where the route passes the station twice).
+    first_node: list[int] = []
+    boarding: list[dict[int, list[int]]] = []
+    node = arrays.num_stations
+    for route in routes:
+        first_node.append(node)
+        legs_at: dict[int, list[int]] = {}
+        for leg, station in enumerate(route.stations[:-1]):
+            legs_at.setdefault(station, []).append(node + leg)
+        boarding.append(legs_at)
+        node += len(route.stations)
+    route_of_train = {
+        train: route.id for route in routes for train in route.trains
+    }
+    delayed_routes = {
+        route_of_train[t] for t in touched_trains if t in route_of_train
+    }
+    member_trains = {
+        train for rid in delayed_routes for train in routes[rid].trains
+    }
+    old_runs = _connections_by_train(timetable, member_trains)
+    new_runs = _connections_by_train(delayed, member_trains)
+
+    # Each touched route's legs, by route node, from the delayed
+    # timetable; a leg changed if one of its connections was re-timed.
+    legs: dict[int, list[Connection]] = {}
+    changed_nodes: set[int] = set()
+    changed_stations: set[int] = set()
+    for train in member_trains:
+        base = first_node[route_of_train[train]]
+        for leg, (old_c, new_c) in enumerate(
+            zip(old_runs[train], new_runs[train])
+        ):
+            legs.setdefault(base + leg, []).append(new_c)
+            if (
+                new_c.dep_time != old_c.dep_time
+                or new_c.arr_time != old_c.arr_time
+            ):
+                changed_nodes.add(base + leg)
+                # conn(S) is ordered by (dep_time, arr_time): a ride
+                # that only got longer or shorter can reorder its row.
+                changed_stations.add(new_c.dep_station)
 
     ttf_dep = arrays.ttf_dep.copy()
     ttf_dur = arrays.ttf_dur.copy()
@@ -210,12 +128,17 @@ def patch_td_arrays(
     edge_indptr = arrays.edge_indptr
     ttf_indptr = arrays.ttf_indptr
 
-    changed = []  # (node, slot, ttf id) per changed edge
-    for node, slot, ttf in patch.changed_edges:
-        e = int(edge_indptr[node]) + slot
-        fid = int(arrays.edge_ttf[e])
-        if fid < 0:  # pragma: no cover — changed edges are route edges
-            raise AssertionError(f"edge {e} has no travel-time function")
+    changed = []  # (node, slot, ttf id) per rebuilt leg
+    for node in sorted(changed_nodes):
+        lo = int(edge_indptr[node])
+        # A route node's one route edge: its only edge with a function.
+        slot = next(
+            slot
+            for slot, fid in enumerate(arrays.edge_ttf[lo : edge_indptr[node + 1]])
+            if fid >= 0
+        )
+        fid = int(arrays.edge_ttf[lo + slot])
+        ttf = TravelTimeFunction.from_connections(legs[node], delayed.period)
         lo, hi = int(ttf_indptr[fid]), int(ttf_indptr[fid + 1])
         if hi - lo != len(ttf):  # pragma: no cover — delays keep counts
             raise AssertionError(
@@ -250,29 +173,38 @@ def patch_td_arrays(
     # Collect the changed stations' conn(S) rows in one pass instead
     # of Timetable.outgoing_connections, whose lazy index sorts the
     # *whole* timetable — on a large city that single sort would cost
-    # more than the entire patch.  Stable per-row sort on
-    # (dep_time, arr_time) reproduces the index's order exactly (its
-    # global sort key is (dep_time, arr_time, position)).
-    rows: dict[int, list] = {s: [] for s in patch.changed_stations}
+    # more than the entire patch.  A stable sort on (dep_time,
+    # arr_time) reproduces the index's order exactly (its global sort
+    # key is (dep_time, arr_time, position)); each entry's seed is the
+    # route node of its train's leg — the k-th departure of a train
+    # from a station its route passes twice leaves from the k-th leg.
+    entries: dict[int, list[tuple[int, int, int]]] = {
+        s: [] for s in changed_stations
+    }
+    visits: dict[tuple[int, int], int] = {}
     for c in delayed.connections:
-        row = rows.get(c.dep_station)
-        if row is not None:
-            row.append(c)
-    for station in sorted(patch.changed_stations):
-        conns = rows[station]
-        conns.sort(key=lambda c: (c.dep_time, c.arr_time))
+        row = entries.get(c.dep_station)
+        if row is None:
+            continue
+        starts = boarding[route_of_train[c.train]][c.dep_station]
+        k = 0
+        if len(starts) > 1:
+            k = visits.get((c.train, c.dep_station), 0)
+            visits[(c.train, c.dep_station)] = k + 1
+        row.append((c.dep_time, c.arr_time, starts[k]))
+    for station in sorted(changed_stations):
+        row = entries[station]
+        row.sort(key=lambda entry: entry[:2])
         lo, hi = int(conn_indptr[station]), int(conn_indptr[station + 1])
-        if hi - lo != len(conns):  # pragma: no cover — delays keep counts
+        if hi - lo != len(row):  # pragma: no cover — delays keep counts
             raise AssertionError(
                 f"station {station} changed departure count: "
-                f"{hi - lo} -> {len(conns)}"
+                f"{hi - lo} -> {len(row)}"
             )
-        conn_dep[lo:hi] = [c.dep_time for c in conns]
-        conn_start[lo:hi] = [
-            patched_graph.source_route_node(c) for c in conns
-        ]
+        conn_dep[lo:hi] = [dep for dep, _, _ in row]
+        conn_start[lo:hi] = [start for _, _, start in row]
 
-    return TDGraphArrays(
+    patched = TDGraphArrays(
         num_nodes=arrays.num_nodes,
         num_stations=arrays.num_stations,
         period=arrays.period,
@@ -291,3 +223,4 @@ def patch_td_arrays(
         transfer_time=arrays.transfer_time,
         _adjacency_cache=adjacency,
     )
+    return patched, len(changed)

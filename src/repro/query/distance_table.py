@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.functions.algebra import Profile
-from repro.graph.td_arrays import TDGraphArrays, packed_arrays
-from repro.graph.td_model import TDGraph
+from repro.graph.td_arrays import TDGraphArrays
 
 #: The scan's "unreachable": an int32 that stays one after a few
 #: periods are added to it, so the state never needs int64.
@@ -95,28 +94,22 @@ class DistanceTable:
 
 
 def build_distance_table(
-    graph: TDGraph,
-    transfer_stations: np.ndarray | list[int],
-    *,
-    arrays: TDGraphArrays | None = None,
+    arrays: TDGraphArrays, transfer_stations: np.ndarray | list[int]
 ) -> DistanceTable:
     """Precompute ``D`` over ``transfer_stations`` by one backward scan
-    of ``arrays`` (the graph's own pack when omitted): every row, each
-    one this table's own.
+    of the pack ``arrays``: every row, each one this table's own.
     """
     t0 = time.perf_counter()
     stations = np.asarray(sorted(set(int(s) for s in transfer_stations)), dtype=np.int64)
     for s in stations:
-        if not graph.is_station_node(int(s)):
+        if not arrays.is_station_node(int(s)):
             raise ValueError(f"transfer station {s} is not a station node")
-    if arrays is None:
-        arrays = packed_arrays(graph)
     profiles, passes = scan_rows(arrays, stations)
     return DistanceTable(
         transfer_stations=stations,
         index_of={int(s): i for i, s in enumerate(stations)},
         profiles=profiles,
-        period=graph.timetable.period,
+        period=arrays.period,
         build_seconds=time.perf_counter() - t0,
         build_passes=passes,
     )

@@ -207,10 +207,11 @@ class TransitService:
 
         No builder runs — the packed buffers are memory-mapped
         read-only, the station graph and the distance table are
-        deserialized, and the timetable and the object graph, which no
-        query reads, are built only when something asks for them
-        (:class:`~repro.service.prepare.PreparedDataset`: a delay
-        swap, a save, an oracle); answers are bitwise-identical to a
+        deserialized, and the timetable, its routes and the object
+        graph, which no query reads, are built only when something asks
+        for them (:class:`~repro.service.prepare.PreparedDataset`: a
+        delay swap or a save builds the timetable and the routes, only
+        an oracle the graph); answers are bitwise-identical to a
         cold prepare under the stored config
         (``tests/store/test_store_roundtrip.py``).  ``config``, when
         given, asserts the store was prepared under that
@@ -246,8 +247,8 @@ class TransitService:
 
     # -- convenient read-only views ------------------------------------
 
-    # No query reads these two: on a loaded service the first access
-    # builds them (PreparedDataset).
+    # No query reads these two: on a loaded or swapped service the
+    # first access builds what is missing (PreparedDataset).
 
     @property
     def timetable(self) -> Timetable:
@@ -474,23 +475,30 @@ class TransitService:
     ) -> "TransitService":
         """A new service for the delayed timetable (§5.1).
 
-        Only travel-time-dependent artifacts are re-derived (graph,
-        packed arrays, distance table).  Delayed trains keep their
-        routes, so the station graph and the transfer-station
-        selection are *shared* with this service — answers are still
-        exactly those of a cold service built from the delayed
-        timetable (``tests/service/test_delay_replanning.py``).
+        Only travel-time-dependent artifacts are re-derived (packed
+        arrays, distance table; a full rebuild also the object graph).
+        Delayed trains keep their routes, so
+        the station graph and the transfer-station selection are
+        *shared* with this service — answers are still exactly those
+        of a cold service built from the delayed timetable
+        (``tests/service/test_delay_replanning.py``).  A batch that
+        makes a train depart one station twice at one time point of
+        the period is refused with ``ValueError``
+        (:func:`repro.timetable.delays.apply_delays`).
 
         ``mode`` selects how the travel-time artifacts are re-derived:
 
         * ``"full"`` (default, the oracle) — cold rebuild of graph,
           packed arrays and distance table via :func:`prepare_dataset`.
         * ``"incremental"`` — delta replan via :func:`replan_dataset`:
-          only the travel-time functions of routes carrying a delayed
-          train are rebuilt, the packed arrays are slice-patched, and
-          the distance table is scanned afresh from the patched pack,
-          as a cold build scans.  Pinned bitwise-equal to the
-          full rebuild (``tests/streams/test_incremental_equivalence.py``).
+          the pack is patched from this service's with its routes —
+          only the travel-time functions of legs a delayed train
+          re-timed are rebuilt — and the distance table is scanned
+          afresh from the patched pack, as a cold build scans.  No
+          object graph is built; an oracle that asks for the new
+          service's gets one built from the delayed timetable.  Pinned
+          bitwise-equal to the full rebuild
+          (``tests/streams/test_incremental_equivalence.py``).
 
         The returned service starts with an **empty result cache**:
         answers cached before the delays can never be served for the

@@ -9,10 +9,11 @@ performs that pipeline exactly once and returns a
 
 Delay replanning (:meth:`TransitService.apply_delays`) re-derives only
 the artifacts delays can affect.  Delayed trains keep their routes, so
-the station graph and the transfer-station selection (a pure function
-of the station graph) are *shared* with the original dataset; the
-time-dependent graph, the packed arrays and the distance table carry
-travel times and are rebuilt.
+the routes, the station graph and the transfer-station selection (a
+pure function of the station graph) are *shared* with the original
+dataset; the packed arrays and the distance table carry travel times
+and are rebuilt — patched and rescanned by :func:`replan_dataset`,
+which builds no object graph.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ import numpy as np
 from repro.graph.station_graph import StationGraph, build_station_graph
 from repro.graph.td_arrays import TDGraphArrays, packed_arrays
 from repro.graph.td_model import TDGraph, build_td_graph
-from repro.graph.td_patch import patch_td_arrays, patch_td_graph
+from repro.graph.td_patch import patch_td_arrays
 from repro.query.distance_table import DistanceTable, build_distance_table
 from repro.query.transfer_selection import select_transfer_stations
 from repro.service.config import ServiceConfig
-from repro.timetable.types import Timetable
+from repro.timetable.routes import partition_routes
+from repro.timetable.types import Route, Timetable
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +49,9 @@ class PrepareStats:
     ``loaded_from_store`` marks a warm start from the artifact store
     (:mod:`repro.store`): nothing was built, so every stage — the
     object graph's included, which a loaded dataset builds only on
-    first access (:class:`PreparedDataset`) — is zero.
+    first access (:class:`PreparedDataset`) — is zero.  An incremental
+    replan builds no object graph either: its ``graph_seconds`` is
+    zero and ``pack_seconds`` is the patch.
     """
 
     graph_seconds: float
@@ -96,31 +100,35 @@ class TimetableCounts:
 
 
 class PackMismatchError(ValueError):
-    """A loaded pack is not the pack of the graph its timetable builds:
-    the store's ``dataset.bin`` and ``arrays/`` come from different
-    datasets."""
+    """A loaded pack is not the pack of the routes its timetable
+    partitions into: the store's ``dataset.bin`` and ``arrays/`` come
+    from different datasets."""
 
 
-def _check_pack(graph: TDGraph, arrays: TDGraphArrays) -> None:
+def _check_pack(routes: list[Route], arrays: TDGraphArrays) -> None:
     """Raise :class:`PackMismatchError` unless ``arrays`` has the node
     stations, the edge count and the points per travel-time function
-    of ``pack_td_graph(graph)`` (functions in first-use order)."""
-    if graph.num_edges != arrays.num_edges:
+    of the graph ``routes`` make (``build_td_graph``'s numbering): a
+    route of k stations and n trains adds k route nodes, 3(k − 1)
+    edges and k − 1 functions of n points each, in route order."""
+    num_edges = sum(3 * route.num_legs for route in routes)
+    if num_edges != arrays.num_edges:
         raise PackMismatchError(
-            f"the graph built from the timetable has {graph.num_edges} "
-            f"edges, the loaded pack {arrays.num_edges}"
+            f"the routes of the timetable make {num_edges} edges, "
+            f"the loaded pack {arrays.num_edges}"
         )
-    points = {
-        id(edge.ttf): len(edge.ttf.deps)
-        for edges in graph.adjacency
-        for edge in edges
-        if edge.ttf is not None
-    }
     for what, built, packed in (
-        ("node_station", graph.node_station, arrays.node_station.tolist()),
+        (
+            "node_station",
+            [
+                *range(arrays.num_stations),
+                *(station for route in routes for station in route.stations),
+            ],
+            arrays.node_station.tolist(),
+        ),
         (
             "points per travel-time function",
-            list(points.values()),
+            [len(route.trains) for route in routes for _ in range(route.num_legs)],
             np.diff(arrays.ttf_indptr).tolist(),
         ),
     ):
@@ -132,7 +140,7 @@ def _check_pack(graph: TDGraph, arrays: TDGraphArrays) -> None:
             i = next(i for i, (a, b) in enumerate(zip(built, packed)) if a != b)
             detail = f"{built[i]} at index {i}, the loaded pack {packed[i]}"
         raise PackMismatchError(
-            f"{what} differs: the graph built from the timetable has {detail}"
+            f"{what} differs: the routes of the timetable make {detail}"
         )
 
 
@@ -149,18 +157,21 @@ class PreparedDataset:
     (``docs/KERNEL.md``, "What a generation owns").
 
     A served search reads the pack, the station graph, the transfer
-    stations, the table and :attr:`counts` — never ``timetable`` or
-    ``graph``.  So a dataset loaded from a store (:mod:`repro.store`)
-    is given ``None`` for those two, a timetable builder
-    (``hydrate_timetable``) and its ``counts``, and builds each on
-    first access, once, under a lock: whoever asks first — a delay
-    swap, a save, an oracle — builds it, and every other asker gets
-    that one object.  The graph is built as :func:`prepare_dataset`
-    builds it, ``build_td_graph(timetable)``; it must match the
-    loaded pack (:class:`PackMismatchError` otherwise) and takes it as
-    its own.  The timetable builder is dropped once its timetable is
-    published, and with it the record it kept to build from.
-    Prepared and replanned datasets are built whole.
+    stations, the table and :attr:`counts` — never ``timetable``,
+    ``routes`` or ``graph``.  Those three are built on first access,
+    once, under a lock, when the dataset was not given them: whoever
+    asks first — a delay swap, a save, an oracle — builds it, and
+    every other asker gets that one object.  A cold prepare is given
+    all three; a replan its delayed timetable and its parent's routes
+    (delays keep routes); a dataset loaded from a store
+    (:mod:`repro.store`) none, but a timetable builder
+    (``hydrate_timetable``) and its ``counts``.  The routes are
+    ``partition_routes(timetable)`` and must match the pack
+    (:class:`PackMismatchError` otherwise); the graph is built as
+    :func:`prepare_dataset` builds it, ``build_td_graph(timetable)``,
+    only after the routes have passed that check, and takes the pack
+    as its own.  The timetable builder is dropped once its timetable
+    is published, and with it the record it kept to build from.
     """
 
     def __init__(
@@ -174,13 +185,15 @@ class PreparedDataset:
         table: DistanceTable | None,
         stats: PrepareStats,
         *,
+        routes: list[Route] | None = None,
         counts: TimetableCounts | None = None,
         hydrate_timetable: Callable[[], Timetable] | None = None,
     ) -> None:
         self._timetable = timetable
+        self._routes = graph.routes if graph is not None else routes
         self._graph = graph
         self._hydrate_timetable = hydrate_timetable
-        # Re-entrant: building the graph builds the timetable first.
+        # Re-entrant: the graph needs the routes, the routes the timetable.
         self._hydrating = threading.RLock()
         self.config = config
         self.station_graph = station_graph
@@ -207,15 +220,30 @@ class PreparedDataset:
         return timetable
 
     @property
+    def routes(self) -> list[Route]:
+        """The timetable's routes, partitioned on first access if the
+        dataset was loaded, and checked against its pack then."""
+        routes = self._routes
+        if routes is None:
+            with self._hydrating:
+                if self._routes is None:
+                    built = partition_routes(self.timetable)
+                    _check_pack(built, self.arrays)
+                    self._routes = built
+                routes = self._routes
+        return routes
+
+    @property
     def graph(self) -> TDGraph:
-        """The object graph, built from the timetable on first access if
-        it was loaded; it owns :attr:`arrays` as its pack either way."""
+        """The object graph, built from the timetable on first access
+        unless the dataset was prepared cold; it owns :attr:`arrays` as
+        its pack either way."""
         graph = self._graph
         if graph is None:
             with self._hydrating:
                 if self._graph is None:
+                    self.routes  # a loaded pack is checked before it is owned
                     built = build_td_graph(self.timetable)
-                    _check_pack(built, self.arrays)
                     built._arrays = self.arrays
                     self._graph = built
                 graph = self._graph
@@ -223,8 +251,9 @@ class PreparedDataset:
 
     @property
     def hydrated(self) -> frozenset[str]:
-        """Which of ``"timetable"`` and ``"graph"`` exist: both, unless
-        the dataset was loaded and nothing has asked for them yet."""
+        """Which of ``"timetable"`` and ``"graph"`` exist: both after a
+        cold prepare, the timetable alone after a replan, neither after
+        a load until something asks for them."""
         return frozenset(
             name
             for name, value in (
@@ -284,7 +313,7 @@ def prepare_dataset(
         selection_seconds = time.perf_counter() - t0
         if transfer_stations.size:
             t0 = time.perf_counter()
-            table = build_distance_table(graph, transfer_stations, arrays=arrays)
+            table = build_distance_table(arrays, transfer_stations)
             table_seconds = time.perf_counter() - t0
             table_mib = table.size_mib()
     else:
@@ -329,13 +358,15 @@ def replan_dataset(
     delayed timetable, patched from ``prepared`` instead of rebuilt.
 
     ``delayed`` must be ``apply_delays(prepared.timetable, batch)`` and
-    ``touched_trains`` the trains that batch names.  Only the
-    travel-time functions of routes carrying a touched train are
-    rebuilt (:func:`~repro.graph.td_patch.patch_td_graph`) and the
-    packed arrays are slice-patched; a configured table is built over
-    the patched pack by the call :func:`prepare_dataset` makes
+    ``touched_trains`` the trains that batch names.  The pack is
+    patched from ``prepared``'s with its routes — only the travel-time
+    functions of legs a touched train re-timed are rebuilt
+    (:func:`~repro.graph.td_patch.patch_td_arrays`) — and a configured
+    table is built over the patched pack by the call
+    :func:`prepare_dataset` makes
     (:func:`~repro.query.distance_table.build_distance_table`), every
-    row of it new.  The result is value-identical to
+    row of it new.  No object graph is built: the result's is built
+    when an oracle asks for it.  The result is value-identical to
     ``prepare_dataset(delayed, config, station_graph=...,
     transfer_stations=...)``; the full rebuild
     remains the oracle (``tests/streams/test_incremental_equivalence.py``).
@@ -343,13 +374,11 @@ def replan_dataset(
     config = prepared.config
     t_start = time.perf_counter()
 
+    routes = prepared.routes
     t0 = time.perf_counter()
-    graph, patch = patch_td_graph(prepared.graph, delayed, touched_trains)
-    graph_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    arrays = patch_td_arrays(prepared.arrays, graph, patch)
-    graph._arrays = arrays
+    arrays, rebuilt_legs = patch_td_arrays(
+        prepared.arrays, routes, prepared.timetable, delayed, touched_trains
+    )
     pack_seconds = time.perf_counter() - t0
 
     table: DistanceTable | None = None
@@ -357,35 +386,36 @@ def replan_dataset(
     table_mib = 0.0
     if prepared.table is not None:
         t0 = time.perf_counter()
-        table = build_distance_table(graph, prepared.transfer_stations, arrays=arrays)
+        table = build_distance_table(arrays, prepared.transfer_stations)
         table_seconds = time.perf_counter() - t0
         table_mib = table.size_mib()
 
     stats = PrepareStats(
-        graph_seconds=graph_seconds,
+        graph_seconds=0.0,
         station_graph_seconds=0.0,
         pack_seconds=pack_seconds,
         selection_seconds=0.0,
         table_seconds=table_seconds,
         total_seconds=time.perf_counter() - t_start,
         num_stations=delayed.num_stations,
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
+        num_nodes=arrays.num_nodes,
+        num_edges=arrays.num_edges,
         num_connections=len(delayed.connections),
         packed_bytes=arrays.nbytes(),
         num_transfer_stations=prepared.stats.num_transfer_stations,
         table_mib=table_mib,
         shared_station_graph=True,
         incremental=True,
-        rebuilt_legs=patch.rebuilt_legs,
+        rebuilt_legs=rebuilt_legs,
     )
     return PreparedDataset(
         timetable=delayed,
         config=config,
-        graph=graph,
+        graph=None,
         station_graph=prepared.station_graph,
         arrays=arrays,
         transfer_stations=prepared.transfer_stations,
         table=table,
         stats=stats,
+        routes=routes,
     )

@@ -10,10 +10,11 @@ brings them back without calling a single builder — the numpy buffers
 are memory-mapped zero-copy (``numpy.load(..., mmap_mode="r")``), the
 distance table is deserialized, never recomputed
 (``tests/store/test_store_roundtrip.py`` pins builders-never-called
-with failing monkeypatches), and the timetable and the time-dependent
-graph, which no served search reads, are built on first access only —
-the timetable from the record, the graph from the timetable, as a
-prepare builds it (``tests/store/test_lazy_hydration.py``).
+with failing monkeypatches), and the timetable, its routes and the
+time-dependent graph, which no served search reads, are built on first
+access only — the timetable from the record, the routes and the graph
+from the timetable, as a prepare builds them
+(``tests/store/test_lazy_hydration.py``).
 
 Store layout (a directory)::
 
@@ -205,7 +206,7 @@ def save_dataset(
             "connections": timetable.num_connections,
             "nodes": arrays.num_nodes,
             "edges": arrays.num_edges,
-            "routes": len(prepared.graph.routes),
+            "routes": len(prepared.routes),
             "transfer_stations": (
                 0
                 if prepared.transfer_stations is None
@@ -301,10 +302,10 @@ def load_dataset(
 
     No builder runs: the packed buffers are memory-mapped read-only,
     and the station graph, the transfer stations and the distance
-    table are deserialized.  The timetable and the object graph are
-    not built here: the dataset keeps the record's timetable sections,
-    builds the timetable from them on first access and the graph from
-    the timetable (:class:`PreparedDataset`) — so
+    table are deserialized.  The timetable, its routes and the object
+    graph are not built here: the dataset keeps the record's timetable
+    sections, builds the timetable from them on first access and the
+    routes and the graph from the timetable (:class:`PreparedDataset`) — so
     ``stats.graph_seconds`` is 0, and corrupt connection rows raise
     only then; the timetable's name and sizes are read off the record's
     header (``counts``).

@@ -78,7 +78,14 @@ def apply_delays(
     modified.  Connections keep their travel order;
     departures are re-normalized into ``Π`` by the Connection layer's
     wrap-aware semantics (a heavily delayed night train simply wraps
-    into the next period, as in reality).
+    into the next period, as in reality).  A delayed train may depart
+    twice at one time point of ``Π`` — slack recovery after a ride as
+    long as the slack, without dwell, puts the next departure on the
+    previous one's minute — but a
+    delay that makes it depart *one station* twice at one time point
+    raises ``ValueError`` naming the train, the station and the time
+    point: the graph finds a connection's route node by its (train,
+    station, departure), :attr:`~repro.graph.td_model.TDGraph.conn_start_node`.
     """
     if slack_per_leg < 0:
         raise ValueError(f"slack must be non-negative, got {slack_per_leg}")
@@ -106,6 +113,7 @@ def apply_delays(
     # current accumulated lateness.
     progress: dict[int, int] = {}
     lateness: dict[int, int] = {}
+    departures: set[tuple[int, int, int]] = set()  # of delayed trains
 
     new_connections: list[Connection] = []
     for c in timetable.connections:
@@ -122,19 +130,24 @@ def apply_delays(
                 late += delay.minutes
         lateness[c.train] = late
 
-        if late == 0:
-            new_connections.append(c)
-            continue
-        dep = c.dep_time + late
-        new_connections.append(
-            Connection(
+        if late:
+            dep = (c.dep_time + late) % timetable.period
+            c = Connection(
                 train=c.train,
                 dep_station=c.dep_station,
                 arr_station=c.arr_station,
-                dep_time=dep % timetable.period,
-                arr_time=dep % timetable.period + c.duration,
+                dep_time=dep,
+                arr_time=dep + c.duration,
             )
-        )
+        if c.train in pending:
+            key = (c.train, c.dep_station, c.dep_time)
+            if key in departures:
+                raise ValueError(
+                    f"train {c.train} would depart station {c.dep_station} "
+                    f"twice at {c.dep_time}"
+                )
+            departures.add(key)
+        new_connections.append(c)
 
     return Timetable(
         stations=list(timetable.stations),

@@ -25,8 +25,7 @@ def validate_timetable(timetable: Timetable, *, require_fifo: bool = True) -> No
     * connection endpoints reference existing stations and trains;
     * departure times lie in ``Π``; durations are positive and < period;
     * no train departs twice at one time point of ``Π`` (a run spanning
-      a period or more): the graph finds a connection's route node by
-      its (train, departure), :attr:`TDGraph.conn_start_node`;
+      a period or more);
     * each train's connections form a simple chain in time;
     * (optionally) every route edge fulfils the FIFO property: a later
       departure on the same leg never arrives strictly earlier.

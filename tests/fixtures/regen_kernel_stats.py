@@ -90,7 +90,7 @@ def prepare(timetable) -> tuple:
     graph = build_td_graph(timetable)
     arrays = pack_td_graph(graph)
     transfer = list(range(0, graph.num_stations, 2))
-    table = build_distance_table(graph, transfer, arrays=arrays)
+    table = build_distance_table(arrays, transfer)
     engine = StationToStationEngine(graph, table, kernel="flat", arrays=arrays)
     return graph, arrays, table, engine
 

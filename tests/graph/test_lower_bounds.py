@@ -22,13 +22,17 @@ from repro.baselines.time_query import time_query
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_arrays import pack_td_graph
 from repro.graph.td_model import build_td_graph
-from repro.graph.td_patch import patch_td_arrays, patch_td_graph
 from repro.service import ServiceConfig, TransitService
 from repro.service.prepare import replan_dataset
 from repro.timetable.builder import TimetableBuilder
 from repro.timetable.types import Timetable
 
-from tests.helpers import ReferenceService, retimed
+from tests.helpers import (
+    ReferenceService,
+    assert_packs_equal,
+    patched_pack,
+    retimed,
+)
 from tests.strategies import adversarial_timetables, retimings
 
 
@@ -94,17 +98,14 @@ class TestGeneratedTimetables:
     )
     @given(timetable=adversarial_timetables(), data=st.data())
     def test_a_patched_pack_has_the_bounds_of_a_fresh_one(self, timetable, data):
-        graph = build_td_graph(timetable)
-        arrays = pack_td_graph(graph)
-        arrays.kernel_adjacency()
-        arrays.reverse_min_adjacency()  # the mirror a patch must not inherit
         changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
-        patched_graph, patch = patch_td_graph(
-            graph, retimed(timetable, changes), set(changes)
+        # The parent pack's reverse mirror is built with it, and a patch
+        # must not inherit it.
+        patched, fresh = patched_pack(
+            timetable, retimed(timetable, changes), changes
         )
-        patched = patch_td_arrays(arrays, patched_graph, patch)
-        fresh = pack_td_graph(patched_graph)
-        for target in range(graph.num_stations):
+        assert_packs_equal(patched, fresh)
+        for target in range(timetable.num_stations):
             assert patched.lower_bounds_to(target) == fresh.lower_bounds_to(
                 target
             ), target

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from repro.functions.piecewise import INF_TIME, TravelTimeFunction
 from repro.graph.td_arrays import pack_td_graph, packed_arrays
 from repro.graph.td_model import Edge, build_td_graph
-from repro.graph.td_patch import patch_td_arrays, patch_td_graph
 from repro.timetable.builder import TimetableBuilder
+from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import retimed
+from tests.helpers import assert_packs_equal, patched_pack, retimed
 from tests.strategies import adversarial_timetables, retimings
 
 
@@ -154,20 +154,12 @@ class TestTravelTimeRows:
     )
     @given(timetable=adversarial_timetables(), data=st.data())
     def test_a_patched_pack_has_the_rows_of_a_fresh_one(self, timetable, data):
-        graph = build_td_graph(timetable)
-        arrays = pack_td_graph(graph)
+        """Patched from the routes, no graph involved: every buffer and
+        both mirrors of a cold pack of the re-timed timetable."""
         changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
-        patched_graph, patch = patch_td_graph(
-            graph, retimed(timetable, changes), set(changes)
+        assert_packs_equal(
+            *patched_pack(timetable, retimed(timetable, changes), changes)
         )
-        patched = patch_td_arrays(arrays, patched_graph, patch)
-        fresh = pack_td_graph(patched_graph)
-        assert patched.kernel_adjacency() == fresh.kernel_adjacency()
-        assert patched.conn_dep.tolist() == fresh.conn_dep.tolist()
-        assert patched.conn_start.tolist() == fresh.conn_start.tolist()
-        assert [
-            row.typecode for _, row in _function_rows(patched_graph, patched)
-        ] == [row.typecode for _, row in _function_rows(patched_graph, fresh)]
 
     def test_a_longer_ride_alone_reorders_its_conn_row(self):
         """Two trains leave s0 at minute 0 and reach s1 at minute 1;
@@ -180,13 +172,48 @@ class TestTravelTimeRows:
         builder.add_trip([(s0, 0), (s1, 1)])
         builder.add_trip([(s0, 0), (s1, 1), (s2, 2)])
         timetable = builder.build()
-        graph = build_td_graph(timetable)
-        patched_graph, patch = patch_td_graph(
-            graph, retimed(timetable, {0: (0, 1)}), {0}
+        patched, fresh = patched_pack(
+            timetable, retimed(timetable, {0: (0, 1)}), {0}
         )
-        patched = patch_td_arrays(pack_td_graph(graph), patched_graph, patch)
-        fresh = pack_td_graph(patched_graph)
         assert patched.conn_start.tolist() == fresh.conn_start.tolist()
+        assert_packs_equal(patched, fresh)
+
+    def test_two_departures_at_one_minute_seed_their_own_legs(self):
+        """Slack recovery on a ride without dwell can move a train's
+        next departure onto the minute of the one before (here both at
+        15, from s0 and s1).  Each ``conn(S)`` entry still seeds its own
+        leg's route node, patched as cold."""
+        builder = TimetableBuilder(period=60)
+        s0, s1, s2 = (builder.add_station(f"s{k}") for k in range(3))
+        builder.add_trip([(s0, 10), (s1, 12), (s2, 20)])
+        timetable = builder.build()
+        delayed = apply_delays(timetable, [Delay(train=0, minutes=5)], slack_per_leg=2)
+        assert [c.dep_time for c in delayed.connections] == [15, 15]
+        patched, fresh = patched_pack(timetable, delayed, {0})
+        assert_packs_equal(patched, fresh)
+        route_nodes = [timetable.num_stations, timetable.num_stations + 1]
+        assert [
+            int(fresh.source_connection_arrays(s)[1][0]) for s in (s0, s1)
+        ] == route_nodes
+
+    def test_a_route_through_one_station_twice_seeds_each_visit(self):
+        """A loop line leaves s0 from its first and its third stop: the
+        k-th departure of a train from s0 seeds the k-th of those legs,
+        in the patched pack as in a cold one."""
+        builder = TimetableBuilder(period=1440)
+        s0, s1, s2 = (builder.add_station(f"s{k}") for k in range(3))
+        for start in (0, 100):
+            builder.add_trip(
+                [(s0, start), (s1, start + 10), (s0, start + 20), (s2, start + 30)]
+            )
+        timetable = builder.build()
+        patched, fresh = patched_pack(
+            timetable, retimed(timetable, {0: (15, 0), 1: (5, 2)}), {0, 1}
+        )
+        assert_packs_equal(patched, fresh)
+        assert sorted(fresh.source_connection_arrays(s0)[1].tolist()) == [
+            3, 3, 5, 5
+        ]
 
     def test_a_function_without_points_is_never_taken(self, toy):
         graph = build_td_graph(toy)

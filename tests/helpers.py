@@ -16,9 +16,14 @@ import pytest
 
 from repro.baselines.mc_time_query import mc_time_query
 from repro.core.parallel import timed_subset_search
+from repro.graph.td_arrays import pack_td_graph
+from repro.graph.td_model import build_td_graph
+from repro.graph.td_patch import patch_td_arrays
 from repro.query.table_query import StationToStationEngine
 from repro.service import TransitService
+from repro.store.store import _ARRAY_FIELDS as PACK_BUFFERS
 from repro.timetable.builder import TimetableBuilder
+from repro.timetable.routes import partition_routes
 from repro.timetable.types import Connection, Timetable
 
 
@@ -171,6 +176,38 @@ def retimed(timetable: Timetable, changes: dict[int, tuple[int, int]]) -> Timeta
         period=timetable.period,
         name=timetable.name,
     )
+
+
+def patched_pack(timetable: Timetable, delayed: Timetable, touched) -> tuple:
+    """``(patched, cold)``: the pack of ``delayed`` patched from a cold
+    pack of ``timetable`` — as a replan patches it, from the routes —
+    and the cold pack of ``delayed``."""
+    arrays = pack_td_graph(build_td_graph(timetable))
+    patched, _legs = patch_td_arrays(
+        arrays, partition_routes(timetable), timetable, delayed, set(touched)
+    )
+    return patched, pack_td_graph(build_td_graph(delayed))
+
+
+def _mirror(adjacency) -> list:
+    """A kernel mirror with each row as its typecode and bytes."""
+    return [
+        [
+            (target, weight, row if row is None else (row.typecode, row.tobytes()))
+            for target, weight, row in edges
+        ]
+        for edges in adjacency
+    ]
+
+
+def assert_packs_equal(got, expected) -> None:
+    """Byte-equal packs: the 13 buffers (dtype included) and both
+    kernel mirrors, the forward one row typecode by row typecode."""
+    for name in PACK_BUFFERS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert _mirror(got.kernel_adjacency()) == _mirror(expected.kernel_adjacency())
+    assert got.reverse_min_adjacency() == expected.reverse_min_adjacency()
 
 
 def brute_force_arrivals(

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from repro.core import fanout
 from repro.core.spcs import spcs_profile_search
-from repro.graph.td_arrays import pack_td_graph
+from repro.graph.td_arrays import packed_arrays
 from repro.graph.td_model import build_td_graph
-from repro.graph.td_patch import patch_td_arrays, patch_td_graph
 from repro.query.distance_table import build_distance_table
 from repro.query.transfer_selection import select_transfer_stations
 from repro.service import ServiceConfig, TransitService
@@ -23,7 +22,13 @@ from repro.synthetic.instances import make_instance
 from repro.timetable.builder import TimetableBuilder
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import assert_rows_bitwise_equal, retimed, spcs_table_rows
+from tests.helpers import (
+    assert_packs_equal,
+    assert_rows_bitwise_equal,
+    patched_pack,
+    retimed,
+    spcs_table_rows,
+)
 from tests.strategies import adversarial_timetables, retimings
 
 
@@ -33,7 +38,7 @@ def table_setup(request):
     stations = select_transfer_stations(
         oahu_graph.timetable, method="contraction", fraction=0.3
     )
-    table = build_distance_table(oahu_graph, stations)
+    table = build_distance_table(packed_arrays(oahu_graph), stations)
     return oahu_graph, stations, table
 
 
@@ -91,11 +96,11 @@ class TestBuildDistanceTable:
     def test_rejects_route_node(self, oahu_tiny_graph):
         with pytest.raises(ValueError, match="station"):
             build_distance_table(
-                oahu_tiny_graph, [oahu_tiny_graph.num_nodes - 1]
+                packed_arrays(oahu_tiny_graph), [oahu_tiny_graph.num_nodes - 1]
             )
 
     def test_duplicate_stations_deduplicated(self, oahu_tiny_graph):
-        table = build_distance_table(oahu_tiny_graph, [0, 0, 1])
+        table = build_distance_table(packed_arrays(oahu_tiny_graph), [0, 0, 1])
         assert table.num_transfer_stations == 2
 
 
@@ -150,7 +155,7 @@ def test_the_route_model_by_hand():
     that has a ride on at a route node, a change of route, a free first
     boarding, and journeys a day on that the scan's second pass finds."""
     graph = build_td_graph(route_model_toy())
-    table = build_distance_table(graph, [A, B, C, D])
+    table = build_distance_table(packed_arrays(graph), [A, B, C, D])
     for (a, b), points in ROUTE_MODEL_D.items():
         profile = table.profiles[a][b]
         assert list(zip(profile.deps.tolist(), profile.arrs.tolist())) == points
@@ -186,7 +191,7 @@ def test_scan_equals_spcs_rows_on_adversarial_timetables(timetable, data):
         label="S_trans",
     )
     num_threads = data.draw(st.sampled_from([1, 3]), label="p")
-    table = build_distance_table(graph, stations)
+    table = build_distance_table(packed_arrays(graph), stations)
     expected = spcs_table_rows(graph, stations, num_threads=num_threads)
     assert_rows_bitwise_equal(expected, table.profiles)
 
@@ -198,7 +203,7 @@ def test_a_station_without_departures_gets_an_empty_row(toy_graph):
         for s in range(toy_graph.num_stations)
         if not toy_graph.timetable.outgoing_connections(s)
     ]
-    table = build_distance_table(toy_graph, range(toy_graph.num_stations))
+    table = build_distance_table(packed_arrays(toy_graph), range(toy_graph.num_stations))
     assert all(len(profile) == 0 for profile in table.profiles[silent])
     assert_rows_bitwise_equal(
         spcs_table_rows(toy_graph, range(toy_graph.num_stations)), table.profiles
@@ -215,7 +220,7 @@ def test_scan_equals_spcs_rows_on_the_instances(instance, num_threads):
     stations = select_transfer_stations(
         timetable, method="contraction", fraction=0.3
     )
-    table = build_distance_table(graph, stations)
+    table = build_distance_table(packed_arrays(graph), stations)
     assert_rows_bitwise_equal(
         spcs_table_rows(graph, stations, num_threads=num_threads), table.profiles
     )
@@ -225,7 +230,7 @@ def test_the_reference_kernel_agrees(germany_tiny_graph):
     stations = select_transfer_stations(
         germany_tiny_graph.timetable, method="contraction", fraction=0.3
     )
-    table = build_distance_table(germany_tiny_graph, stations)
+    table = build_distance_table(packed_arrays(germany_tiny_graph), stations)
     assert_rows_bitwise_equal(
         spcs_table_rows(germany_tiny_graph, stations, num_threads=3, kernel="python"),
         table.profiles,
@@ -240,9 +245,9 @@ def test_column_blocks_change_nothing(germany_tiny_graph, monkeypatch):
     stations = select_transfer_stations(
         germany_tiny_graph.timetable, method="contraction", fraction=0.5
     )
-    whole = build_distance_table(germany_tiny_graph, stations)
+    whole = build_distance_table(packed_arrays(germany_tiny_graph), stations)
     monkeypatch.setattr(distance_table, "_STATE_BYTES", 1)
-    blocked = build_distance_table(germany_tiny_graph, stations)
+    blocked = build_distance_table(packed_arrays(germany_tiny_graph), stations)
     assert_rows_bitwise_equal(whole.profiles, blocked.profiles)
 
 
@@ -262,7 +267,6 @@ def test_a_replanned_table_equals_the_oracle(timetable, data):
     the table built on the patched pack, as a replan builds it: it
     equals the SPCS rows of a cold graph of the delayed timetable, and
     the table built on that graph's own pack."""
-    graph = build_td_graph(timetable)
     stations = data.draw(
         st.lists(
             st.integers(0, timetable.num_stations - 1), min_size=1, unique=True
@@ -271,13 +275,13 @@ def test_a_replanned_table_equals_the_oracle(timetable, data):
     )
     changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
     delayed = retimed(timetable, changes)
-    patched_graph, patch = patch_td_graph(graph, delayed, set(changes))
-    patched_arrays = patch_td_arrays(pack_td_graph(graph), patched_graph, patch)
-    replanned = build_distance_table(patched_graph, stations, arrays=patched_arrays)
+    patched, cold_arrays = patched_pack(timetable, delayed, changes)
+    assert_packs_equal(patched, cold_arrays)
+    replanned = build_distance_table(patched, stations)
 
     cold_graph = build_td_graph(delayed)
     assert_rows_bitwise_equal(spcs_table_rows(cold_graph, stations), replanned.profiles)
-    cold = build_distance_table(cold_graph, stations, arrays=pack_td_graph(cold_graph))
+    cold = build_distance_table(cold_arrays, stations)
     assert_rows_bitwise_equal(cold.profiles, replanned.profiles)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.spcs import PRUNE_CONNECTION, PRUNE_NODE, PRUNE_NONE
+from repro.graph.td_arrays import packed_arrays
 from repro.query.distance_table import build_distance_table
 from repro.query.table_query import DistanceTablePruner
 from repro.query.transfer_selection import select_transfer_stations
@@ -17,7 +18,7 @@ def setup(request):
     stations = select_transfer_stations(
         graph.timetable, method="contraction", fraction=0.3
     )
-    table = build_distance_table(graph, stations)
+    table = build_distance_table(packed_arrays(graph), stations)
     return graph, table, stations
 
 

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from repro.baselines.label_correcting import label_correcting_profile
 from repro.functions.piecewise import INF_TIME
 from repro.core.spcs import spcs_profile_search
-from repro.graph.td_arrays import pack_td_graph
+from repro.graph.td_arrays import pack_td_graph, packed_arrays
 from repro.graph.td_model import build_td_graph
 from repro.query.distance_table import build_distance_table
 from repro.query.table_query import StationToStationEngine
@@ -75,7 +75,7 @@ class TestGeneratedTimetables:
         )
         # Any station: S_trans or not, with departures or without.
         source = data.draw(st.integers(0, num_stations - 1), label="source")
-        table = build_distance_table(graph, transfer)
+        table = build_distance_table(packed_arrays(graph), transfer)
 
         unpruned = spcs_profile_search(graph, source)
         baseline = label_correcting_profile(graph, source)
@@ -181,7 +181,7 @@ def test_a_table_profile_never_arrives_earlier_for_leaving_later(
         ),
         label="S_trans",
     )
-    table = build_distance_table(graph, transfer)
+    table = build_distance_table(packed_arrays(graph), transfer)
     for row in table.profiles:
         for profile in row:
             mirror = profile.mirror()
@@ -255,7 +255,7 @@ def small_instance(request):
     stations = select_transfer_stations(
         graph.timetable, method="contraction", fraction=0.2
     )
-    table = build_distance_table(graph, stations, arrays=arrays)
+    table = build_distance_table(arrays, stations)
     return request.param, graph, arrays, table
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.parallel import KERNELS, parallel_profile_search
+from repro.graph.td_arrays import packed_arrays
 from repro.graph.td_model import build_td_graph
 from repro.query.distance_table import build_distance_table
 from repro.query.table_query import StationToStationEngine
@@ -25,7 +26,7 @@ def oahu_engines(request):
     stations = select_transfer_stations(
         graph.timetable, method="contraction", fraction=0.3
     )
-    table = build_distance_table(graph, stations)
+    table = build_distance_table(packed_arrays(graph), stations)
     return {
         "graph": graph,
         "table": table,
@@ -144,7 +145,7 @@ class TestPropertyRandomNetworks:
             graph.timetable, method="contraction", fraction=0.3
         )
         table = (
-            build_distance_table(graph, stations)
+            build_distance_table(packed_arrays(graph), stations)
             if stations.size
             else None
         )
@@ -170,7 +171,7 @@ class TestPropertyRandomNetworks:
         )
         if stations.size == 0:
             return
-        table = build_distance_table(graph, stations)
+        table = build_distance_table(packed_arrays(graph), stations)
         engine = StationToStationEngine(graph, table, num_threads=2)
         non_transfer = [
             s for s in range(graph.num_stations) if not table.contains(s)

@@ -20,13 +20,17 @@ import threading
 import numpy as np
 import pytest
 
-from repro.graph.td_model import TDGraph
+from repro.graph.td_arrays import TDGraphArrays
+from repro.client import HttpBackend
+from repro.server import DatasetRegistry
 from repro.service import BatchRequest, ServiceConfig, TransitService
 from repro.synthetic.instances import make_instance
 from repro.synthetic.workloads import random_station_pairs
+from repro.timetable.builder import TimetableBuilder
 from repro.timetable.delays import Delay, apply_delays
 
 from tests.helpers import ask_every_shape, child_alive, random_line_timetable
+from tests.server.harness import ServerHarness
 
 
 def assert_profiles_bitwise_equal(expected, got, context=""):
@@ -138,23 +142,125 @@ def test_apply_delays_batch_parity():
 
 
 # ---------------------------------------------------------------------------
+# A train that departs twice at one time point
+# ---------------------------------------------------------------------------
+
+
+def _line(*trips):
+    builder = TimetableBuilder(period=1440, name="line")
+    for k in range(4):
+        builder.add_station(f"s{k}", transfer_time=0)
+    for trip in trips:
+        builder.add_trip(trip)
+    return builder.build()
+
+
+#: ``(trips, delays, slack, source, departure, arrivals)``: each delay
+#: moves one of train 0's departures onto the minute of the one before
+#: it, from another station — by wrapping a day (s1 at 490 + 1430 ≡
+#: 480), or by slack recovery on a ride without dwell (s1 at 12 + 3 =
+#: 15, the train having left s0 at 10 + 5).  ``arrivals[s]``: the
+#: earliest arrival at station ``s`` leaving ``source`` at
+#: ``departure``, riding on past the stop the train leaves before it
+#: arrives.
+TWICE_AT_ONE_MINUTE = {
+    "wrap": (
+        ([(0, 480), (1, 490), (2, 500)], [(3, 400), (0, 470)]),
+        [Delay(train=0, minutes=1430, from_stop=1)],
+        0, 0, 480, {1: 490, 2: 1930},
+    ),
+    "slack": (
+        ([(0, 10), (1, 12), (2, 20)],),
+        [Delay(train=0, minutes=5)],
+        2, 0, 15, {1: 17, 2: 1463},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TWICE_AT_ONE_MINUTE)
+@pytest.mark.parametrize("mode", ("full", "incremental"))
+def test_a_train_departing_twice_at_one_minute(case, mode):
+    """Each departure seeds its own leg: a profile from the first stop
+    does not start at the second one (it used to, in full mode: a
+    train's start nodes were keyed by its departure minute alone)."""
+    trips, delays, slack, source, departure, arrivals = TWICE_AT_ONE_MINUTE[case]
+    delayed = TransitService(_line(*trips), ServiceConfig()).apply_delays(
+        delays, slack_per_leg=slack, mode=mode
+    )
+    profile = delayed.profile(source)
+    for station, arrival in arrivals.items():
+        assert profile.earliest_arrival(station, departure) == arrival, station
+    assert delayed.journey(source, 1, departure=departure).arrival == arrivals[1]
+
+
+@pytest.mark.parametrize("replan", ("full", "incremental"))
+def test_a_train_departing_twice_at_one_minute_over_http(replan):
+    trips, delays, slack, source, departure, arrivals = TWICE_AT_ONE_MINUTE["wrap"]
+    service = TransitService(_line(*trips), ServiceConfig())
+    harness = ServerHarness(DatasetRegistry.from_services({"line": service}))
+    try:
+        url = f"http://127.0.0.1:{harness.port}"
+        with HttpBackend(url, dataset="line") as remote:
+            remote.apply_delays(delays, replan=replan)
+            profile = remote.profile(source)
+            for station, arrival in arrivals.items():
+                assert profile.earliest_arrival(station, departure) == arrival
+    finally:
+        harness.close()
+
+
+def test_a_delay_that_departs_one_station_twice_is_refused():
+    """Train 0 leaves s0 at 0 and, after a loop, at 20: 1420 minutes
+    late from its third stop, it would leave s0 at 0 twice — which leg
+    a connection of s0 starts is then undecidable, so the batch is
+    refused, in process (``ValueError``) and on the wire (400
+    ``invalid_request``, no swap)."""
+    service = TransitService(
+        _line([(0, 0), (1, 10), (0, 20), (2, 30)]), ServiceConfig()
+    )
+    delays = [Delay(train=0, minutes=1420, from_stop=2)]
+    for mode in ("full", "incremental"):
+        with pytest.raises(ValueError, match="train 0 would depart station 0 twice at 0"):
+            service.apply_delays(delays, mode=mode)
+    harness = ServerHarness(DatasetRegistry.from_services({"line": service}))
+    try:
+        for replan in ("full", "incremental"):
+            status, payload = harness.request(
+                "POST",
+                "/v1/datasets/line/delays",
+                {
+                    "delays": [{"train": 0, "minutes": 1420, "from_stop": 2}],
+                    "replan": replan,
+                },
+            )
+            assert status == 400, payload
+            assert payload["error"]["code"] == "invalid_request"
+            assert "depart station 0 twice at 0" in payload["error"]["message"]
+        listed = harness.request("GET", "/v1/datasets")[1]["datasets"]
+        assert listed[0]["generation"] == 0
+    finally:
+        harness.close()
+
+
+# ---------------------------------------------------------------------------
 # A swapped-out generation is garbage, and a swap sorts no timetable
 # ---------------------------------------------------------------------------
 
 
-def _live_graphs():
-    """Every live ``TDGraph``.  The class is slotted (no ``weakref``),
-    so the collector's object list is the census."""
+def _live_packs():
+    """Every live pack: one per generation, whether it has built its
+    ``TDGraph`` (which owns it) or not — an incremental swap builds
+    none.  The collector's object list is the census."""
     gc.collect()
-    return [obj for obj in gc.get_objects() if type(obj) is TDGraph]
+    return [obj for obj in gc.get_objects() if type(obj) is TDGraphArrays]
 
 
 @pytest.mark.parametrize("mode", ("full", "incremental"))
 def test_swapped_out_generations_are_not_pinned(mode):
-    """Ten delay batches leave one graph alive per live service: the
-    pack belongs to its graph, so nothing module-global can hold a
+    """Ten delay batches leave one pack alive per live service: the
+    pack belongs to its generation, so nothing module-global can hold a
     generation nobody serves from any more."""
-    others = len(_live_graphs())  # session fixtures of other tests
+    others = len(_live_packs())  # session fixtures of other tests
     service = TransitService(
         make_instance("oahu", scale="tiny"), ServiceConfig()
     )
@@ -162,9 +268,9 @@ def test_swapped_out_generations_are_not_pinned(mode):
         service = service.apply_delays(
             [Delay(train=train, minutes=5)], mode=mode
         )
-    assert len(_live_graphs()) - others == 1
+    assert len(_live_packs()) - others == 1
     del service
-    assert len(_live_graphs()) - others == 0
+    assert len(_live_packs()) - others == 0
 
 
 def test_swapped_out_generations_take_their_workers_with_them():
@@ -172,7 +278,7 @@ def test_swapped_out_generations_take_their_workers_with_them():
     each swap hands the next generation workers of its own, and a
     generation nobody holds any more is collected, workers and all —
     the pool knows its service only weakly, so no cycle keeps either."""
-    others = len(_live_graphs())
+    others = len(_live_packs())
     service = TransitService(
         make_instance("oahu", scale="tiny"), ServiceConfig()
     )
@@ -184,13 +290,13 @@ def test_swapped_out_generations_take_their_workers_with_them():
             [Delay(train=train, minutes=5)], mode="incremental"
         )
         assert service.worker_stats == (2, 0)
-    assert len(_live_graphs()) - others == 1
+    assert len(_live_packs()) - others == 1
     last = [child.pid for child in service._workers._children]
     assert len(set(seen + last)) == 22
     assert not any(map(child_alive, seen))  # reaped, every one
     assert service.journey(0, 5).profile is not None
     del service
-    assert len(_live_graphs()) - others == 0
+    assert len(_live_packs()) - others == 0
     assert not any(map(child_alive, last))
 
 

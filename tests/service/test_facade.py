@@ -32,7 +32,7 @@ from repro.core.multicriteria import mc_profile_search, mc_time_search
 from repro.core.parallel import parallel_profile_search
 from repro.core.spcs import spcs_profile_search
 from repro.graph.station_graph import build_station_graph
-from repro.graph.td_arrays import pack_td_graph
+from repro.graph.td_arrays import pack_td_graph, packed_arrays
 from repro.graph.td_model import build_td_graph
 from repro.pq import AddressableHeap, LazyHeap
 from repro.query.distance_table import build_distance_table
@@ -106,7 +106,7 @@ def test_journey_matches_station_to_station_engine(
         stations = select_transfer_stations(
             oahu_tiny, method="contraction", fraction=0.3
         )
-        table = build_distance_table(oahu_tiny_graph, stations)
+        table = build_distance_table(packed_arrays(oahu_tiny_graph), stations)
     reference = StationToStationEngine(
         oahu_tiny_graph, table, num_threads=2, kernel=kernel
     )
@@ -296,9 +296,9 @@ def test_artifacts_built_at_most_once(oahu_tiny, monkeypatch):
         counters["station_graph"] += 1
         return build_station_graph(timetable)
 
-    def counting_table(graph, stations, **kwargs):
+    def counting_table(arrays, stations):
         counters["table"] += 1
-        return build_distance_table(graph, stations, **kwargs)
+        return build_distance_table(arrays, stations)
 
     # Patch what prepare_dataset actually calls: packed_arrays'
     # memoized cache consults pack_td_graph on miss.
@@ -360,7 +360,7 @@ STATION_ARGUMENTS = {
     "via-source": lambda svc, x: svc.via(x, 3, 2, departure=480),
     "via-via": lambda svc, x: svc.via(0, x, 2, departure=480),
     "via-target": lambda svc, x: svc.via(0, 3, x, departure=480),
-    "table": lambda svc, x: build_distance_table(svc.graph, [x, 0]),
+    "table": lambda svc, x: build_distance_table(svc.prepared.arrays, [x, 0]),
 }
 
 

@@ -1,16 +1,18 @@
 """Sealed means sealed: answering queries writes nothing a generation owns.
 
-A service generation — timetable, graph, pack and its two kernel
-mirrors, distance table, engine — is built in one step (cold prepare,
-store load, or incremental swap; a load leaves the timetable and the
-graph to whoever asks first, which no query does) and read-only from
-then on (``docs/KERNEL.md``, "What a generation owns").  This module
-enforces it for the flat kernel: every object of a generation gets its
-``__setattr__`` trapped and its ``dict`` / ``list`` attributes
-replaced by recording subclasses (numpy buffers are made read-only),
-then the six shapes of ``SHAPES`` run single-threaded and from four
-threads.
-The writes that may show up are the two of :data:`ALLOWED`.
+A service generation — timetable, routes, graph, pack and its two
+kernel mirrors, distance table, engine — is built in one step (cold
+prepare, store load, or incremental swap; a load leaves the timetable,
+the routes and the graph, a swap the graph, to whoever asks first,
+which no query does) and read-only from then on (``docs/KERNEL.md``,
+"What a generation owns").  This module enforces it for the flat
+kernel: every object of a generation gets its ``__setattr__`` trapped
+and its ``dict`` / ``list`` attributes replaced by recording subclasses
+(numpy buffers are made read-only), then the six shapes of ``SHAPES``
+run single-threaded and from four threads.
+The writes that may show up are the two of :data:`ALLOWED`; a delay
+swap off a sealed generation may add only the lazy fills of
+:data:`LOCKED`, each under the dataset's lock.
 """
 
 from __future__ import annotations
@@ -35,6 +37,14 @@ from tests.helpers import ask_every_shape
 #: on first use — mirroring a whole table eagerly costs more memory than
 #: the table) and the service's own locked result cache.
 ALLOWED = {"Profile._mirror", "LRUResultCache"}
+#: What a delay swap may fill in on a loaded generation it swaps from —
+#: the timetable (dropping its builder) and the routes — each noted
+#: with ``@locked`` when written under ``PreparedDataset._hydrating``.
+LOCKED = {
+    "PreparedDataset._timetable@locked",
+    "PreparedDataset._hydrate_timetable@locked",
+    "PreparedDataset._routes@locked",
+}
 
 _MUTATORS = {
     list: (
@@ -108,11 +118,14 @@ def seal(service, monkeypatch) -> list[str]:
     def trap(cls):
         def __setattr__(self, name, value):
             if id(self) in sealed:
-                writes.append(
+                label = (
                     cls.__name__
                     if cls is LRUResultCache
                     else f"{cls.__name__}.{name}"
                 )
+                if self is prepared and prepared._hydrating._is_owned():
+                    label += "@locked"
+                writes.append(label)
             object.__setattr__(self, name, value)
 
         return __setattr__
@@ -155,9 +168,11 @@ def test_queries_write_nothing_a_generation_owns(
     provenance, with_table, tmp_path, monkeypatch
 ):
     service = _generation(provenance, with_table, tmp_path)
-    assert service.prepared.hydrated == (
-        frozenset() if provenance is _loaded else {"timetable", "graph"}
-    )
+    assert service.prepared.hydrated == {
+        _cold: {"timetable", "graph"},
+        _loaded: frozenset(),
+        _swapped: {"timetable"},
+    }[provenance]
 
     num_stations = service.prepared.counts.stations
     rng = random.Random(22)
@@ -195,6 +210,22 @@ def test_queries_write_nothing_a_generation_owns(
     if with_table:
         assert "Profile._mirror" in writes
     assert packed_arrays(service.prepared.graph) is service.prepared.arrays
+
+
+@pytest.mark.parametrize(
+    "provenance", (_cold, _loaded, _swapped), ids=lambda fn: fn.__name__[1:]
+)
+def test_a_swap_fills_in_only_under_the_lock(provenance, tmp_path, monkeypatch):
+    """A delay swap off a sealed generation writes nothing of it but
+    what a loaded one lacks — its timetable and its routes — and those
+    only under the dataset's lock; it never builds the graph."""
+    service = _generation(provenance, True, tmp_path)
+    hydrated = service.prepared.hydrated
+    writes = seal(service, monkeypatch)
+    swapped = service.apply_delays([Delay(train=3, minutes=10)], mode="incremental")
+    assert set(writes) == (LOCKED if provenance is _loaded else set())
+    assert service.prepared.hydrated == hydrated | {"timetable"}
+    assert swapped.prepared.routes is service.prepared.routes
 
 
 def test_the_traps_see_a_lazy_fill(tmp_path, monkeypatch):

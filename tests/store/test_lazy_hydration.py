@@ -1,17 +1,20 @@
 """A loaded generation serves from its pack.
 
 :func:`repro.store.load_dataset` hands a :class:`PreparedDataset` a
-timetable builder, the dataset builds its object graph from that
-timetable with ``build_td_graph``, and no query reads either
-(``docs/KERNEL.md``, "What a generation owns").  Pinned here with both
-builders poisoned: every shape, a mixed batch and ``/v1/datasets``
-are answered — in process, and by ``serve``'s search workers, which
-are forked from the poisoned process — as an eagerly built service
-answers them.  Then what may hydrate does so once: a delay swap builds
-each object exactly one time and answers like the eager service's
-swap, and two threads racing the first access get one graph, which
-owns the loaded pack.  That graph packs to the loaded pack, buffer by
-buffer, on every kind of timetable a store can hold.
+timetable builder, the dataset partitions that timetable into routes
+and builds its object graph from it with ``build_td_graph``, and no
+query reads any of them (``docs/KERNEL.md``, "What a generation
+owns").  Pinned here with the builders poisoned: every shape, a mixed
+batch and ``/v1/datasets`` are answered — in process, and by
+``serve``'s search workers, which are forked from the poisoned
+process — as an eagerly built service answers them.  Then what may
+hydrate does so once: a delay swap builds the timetable and the routes
+exactly one time, never a graph, and answers like the eager service's
+swap; two threads racing the first access — two oracles, or a swap and
+an oracle — get one routes list and one graph, which owns the loaded
+pack.  That graph packs to the loaded pack, buffer by buffer, on every
+kind of timetable a store can hold, and so does the graph an oracle
+asks of a swapped generation.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import repro.service.prepare as prepare_mod
 import repro.store.store as store_mod
 from repro.client import HttpBackend, LocalBackend
 from repro.graph.td_arrays import pack_td_graph, packed_arrays
+from repro.graph.td_model import build_td_graph
 from repro.server import DatasetRegistry
 from repro.service import (
     BatchRequest,
@@ -39,7 +43,7 @@ from repro.service import (
 from repro.timetable.delays import Delay
 
 from tests.client.test_transport_parity import scrubbed
-from tests.helpers import random_line_timetable
+from tests.helpers import assert_packs_equal, random_line_timetable
 from tests.server.harness import ServerHarness
 from tests.server.test_search_workers import CALLS as SHAPE_CALLS
 from tests.strategies import adversarial_timetables
@@ -76,13 +80,14 @@ def eager(oahu_tiny):
 
 @pytest.fixture()
 def poisoned(monkeypatch):
-    """Both builders of a loaded dataset raise from now on — in this
-    process and in whatever it forks."""
+    """The three builders of a loaded dataset raise from now on — in
+    this process and in whatever it forks."""
 
     def hydrated(*args, **kwargs):
         raise AssertionError("a loaded generation was hydrated")
 
     monkeypatch.setattr(store_mod, "_hydrate_timetable", hydrated)
+    monkeypatch.setattr(prepare_mod, "partition_routes", hydrated)
     monkeypatch.setattr(prepare_mod, "build_td_graph", hydrated)
 
 
@@ -91,10 +96,11 @@ def _answers(backend) -> list:
 
 
 def _counting(monkeypatch) -> dict[str, int]:
-    """Count the calls of both builders, which still build."""
-    calls = {"timetable": 0, "graph": 0}
+    """Count the calls of the three builders, which still build."""
+    calls = {"timetable": 0, "routes": 0, "graph": 0}
     for key, mod, name in (
         ("timetable", store_mod, "_hydrate_timetable"),
+        ("routes", prepare_mod, "partition_routes"),
         ("graph", prepare_mod, "build_td_graph"),
     ):
         real = getattr(mod, name)
@@ -144,52 +150,74 @@ def test_serve_answers_everything_unhydrated(store, eager, poisoned):
 
 def test_a_delay_swap_hydrates_each_once(store, eager, monkeypatch):
     calls = _counting(monkeypatch)
+
+    def graph_built(*args, **kwargs):
+        raise AssertionError("a delay swap built an object graph")
+
+    monkeypatch.setattr(prepare_mod, "build_td_graph", graph_built)
     loaded = TransitService.load(store)
     swapped = loaded.apply_delays(DELAYS, mode="incremental")
-    assert calls == {"timetable": 1, "graph": 1}
+    assert calls == {"timetable": 1, "routes": 1, "graph": 0}
     # Published once, the timetable builder and its record are dropped.
     prepared = loaded.prepared
-    assert prepared.hydrated == {"timetable", "graph"}
+    assert prepared.hydrated == {"timetable"}
     assert prepared._hydrate_timetable is None
-    assert packed_arrays(prepared.graph) is prepared.arrays
+    # Delays keep routes: every generation shares the first one's.
+    assert swapped.prepared.routes is prepared.routes
 
     again = loaded.apply_delays(DELAYS, mode="incremental")
     swapped.apply_delays(DELAYS, mode="incremental")
-    assert calls == {"timetable": 1, "graph": 1}
+    assert calls == {"timetable": 1, "routes": 1, "graph": 0}
 
     reference = eager.apply_delays(DELAYS, mode="incremental")
     expected = _answers(LocalBackend(reference, name="oahu"))
     assert _answers(LocalBackend(swapped)) == expected
     assert _answers(LocalBackend(again)) == expected
-    assert swapped.prepared.hydrated == {"timetable", "graph"}
+    assert swapped.prepared.hydrated == {"timetable"}
 
 
-def test_racing_first_accesses_build_one_graph(store, monkeypatch):
+def _first_swap(service) -> None:
+    service.apply_delays(DELAYS, mode="incremental")
+
+
+def _oracle(service) -> None:
+    service.prepared.graph
+
+
+@pytest.mark.parametrize(
+    "first", (_oracle, _first_swap), ids=("oracles", "swap-and-oracle")
+)
+def test_racing_first_accesses_build_one_graph(store, monkeypatch, first):
     loaded = TransitService.load(store)
     calls = _counting(monkeypatch)
-    real = prepare_mod.build_td_graph
+    real = prepare_mod.partition_routes
 
     def slow(*args):
-        time.sleep(0.05)  # both readers are inside the property by now
+        time.sleep(0.05)  # both threads are inside the property by now
         return real(*args)
 
-    monkeypatch.setattr(prepare_mod, "build_td_graph", slow)
+    monkeypatch.setattr(prepare_mod, "partition_routes", slow)
     barrier = threading.Barrier(2)
-    graphs = []
+    routes = []
 
-    def reader() -> None:
+    def reader(access) -> None:
         barrier.wait(timeout=10)
-        graphs.append(loaded.prepared.graph)
+        access(loaded)
+        routes.append(loaded.prepared.routes)
 
-    threads = [threading.Thread(target=reader) for _ in range(2)]
+    threads = [
+        threading.Thread(target=reader, args=(access,))
+        for access in (first, _oracle)
+    ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=30)
-    assert len(graphs) == 2 and graphs[0] is graphs[1]
-    assert calls == {"timetable": 1, "graph": 1}
-    assert packed_arrays(graphs[0]) is loaded.prepared.arrays
-    assert graphs[0].timetable is loaded.prepared.timetable
+    assert len(routes) == 2 and routes[0] is routes[1]
+    assert calls == {"timetable": 1, "routes": 1, "graph": 1}
+    graph = loaded.prepared.graph
+    assert packed_arrays(graph) is loaded.prepared.arrays
+    assert graph.timetable is loaded.prepared.timetable
 
 
 def test_legs_and_options_are_python_ints(store, poisoned):
@@ -244,6 +272,23 @@ def test_a_loaded_graph_is_built_to_its_pack(tmp_path, request, instance):
 def test_a_swapped_generation_is_built_to_its_pack(tmp_path, eager):
     eager.apply_delays(DELAYS, mode="incremental").save(tmp_path)
     _assert_builds_its_pack(tmp_path)
+
+
+@pytest.mark.parametrize("parent", ("cold", "loaded"))
+def test_an_oracle_builds_a_swapped_generations_graph(store, eager, parent):
+    """A replan builds no graph; the one an oracle asks for is
+    ``build_td_graph`` of the delayed timetable and owns the patched
+    pack."""
+    service = eager if parent == "cold" else TransitService.load(store)
+    prepared = service.apply_delays(DELAYS, mode="incremental").prepared
+    assert prepared.hydrated == {"timetable"}
+    graph = prepared.graph
+    cold = build_td_graph(prepared.timetable)
+    assert graph.conn_start_node == cold.conn_start_node
+    assert graph.route_node_ids == cold.route_node_ids
+    assert_packs_equal(pack_td_graph(graph), pack_td_graph(cold))
+    assert_packs_equal(prepared.arrays, pack_td_graph(cold))
+    assert packed_arrays(graph) is prepared.arrays
 
 
 @settings(

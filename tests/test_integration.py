@@ -19,6 +19,7 @@ from repro import (
     select_transfer_stations,
     time_query,
 )
+from repro.graph.td_arrays import packed_arrays
 
 
 @pytest.mark.parametrize("instance_fixture", ["oahu_tiny", "germany_tiny"])
@@ -50,7 +51,7 @@ def test_full_pipeline(instance_fixture, tmp_path, request):
     stations = select_transfer_stations(
         timetable, method="contraction", fraction=0.25
     )
-    table = build_distance_table(graph, stations)
+    table = build_distance_table(packed_arrays(graph), stations)
     engine = StationToStationEngine(graph, table, num_threads=4)
     rng = np.random.default_rng(0)
     for _ in range(8):
