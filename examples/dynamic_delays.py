@@ -68,9 +68,10 @@ def main() -> None:
         f"{train_lateness_profile(timetable, recovered_service.timetable, victim)}"
     )
     print(
-        "replanning re-derived the graph in "
+        "replanning patched the pack in "
         f"{delayed_service.prepare_stats.total_seconds * 1000:.0f} ms "
-        "(station graph shared: "
+        f"({delayed_service.prepare_stats.rebuilt_legs} legs rebuilt; "
+        "station graph shared: "
         f"{delayed_service.prepare_stats.shared_station_graph})"
     )
 

@@ -324,7 +324,7 @@ def stream_replay(tmp: Path) -> None:
         report = json.loads(
             cli(
                 "replay", "--stream", stream, "--remote", url,
-                "--replan", "incremental", "--query-threads", "2", "--speed", "4",
+                "--query-threads", "2", "--speed", "4",
             ).stdout
         )
     assert report["ok"] and report["failed_requests"] == 0, report
@@ -339,9 +339,9 @@ def warm_start(tmp: Path) -> None:
     shapes re-pack nothing either.  Nor does it hydrate: the builders
     of a loaded dataset's timetable and object graph (the store's
     ``_hydrate_timetable``, then ``build_td_graph``), which only a swap,
-    a save or an oracle asks for, are poisoned too.  Then an
-    incremental delay swap of the loaded service and a save of the
-    swapped one build the timetable and the table, and nothing else:
+    a save or an oracle asks for, are poisoned too.  Then a delay swap
+    of the loaded service, asked for as a client asks (no ``mode=``),
+    and a save of the swapped one build the timetable and the table, and nothing else:
     the graph builder and both packers stay poisoned throughout."""
     import repro.graph.td_arrays as arrays_mod
     import repro.service.prepare as prepare_mod
@@ -390,15 +390,14 @@ def warm_start(tmp: Path) -> None:
     for (mod, attr), builder in swap_builders.items():
         setattr(mod, attr, builder)
     swapped = service.apply_delays(
-        [Delay(train=0, minutes=25), Delay(train=7, minutes=10, from_stop=1)],
-        mode="incremental",
+        [Delay(train=0, minutes=25), Delay(train=7, minutes=10, from_stop=1)]
     )
     swapped.save(tmp / "swapped")
     swapped.journey(0, 5)
     for prepared in (service.prepared, swapped.prepared):
         assert prepared.hydrated == {"timetable"}, prepared.hydrated
     print(
-        "an incremental swap of the loaded service and a save of the "
+        "a default swap of the loaded service and a save of the "
         "swapped one built no graph and packed nothing"
     )
 
@@ -678,11 +677,11 @@ def served_pool(tmp: Path) -> None:
         watcher = threading.Thread(target=watch)
         watcher.start()
         with connect(url) as backend:
-            update = backend.apply_delays(delays, replan="incremental")
+            update = backend.apply_delays(delays)
             swapped.set()
             watcher.join()
             transient = seen - before - set(process_tree(server))
-            local.apply_delays(delays, replan="incremental")
+            local.apply_delays(delays)
             stats = local.service.prepare_stats
             for source in sources:
                 request = ProfileRequest(source, num_threads=1)

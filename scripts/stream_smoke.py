@@ -8,16 +8,15 @@ behind a `FleetGateway`, generates a seeded delay stream
 (docs/STREAMS.md), saves/loads it through the JSON interchange format,
 and replays it with the production harness
 (`repro.streams.replay_stream`) — closed-loop query workers running
-alongside the delay poster, every batch delta-replanned
-(`replan="incremental"`) through the fleet's coordinated two-phase
-swap.  The bars:
+alongside the delay poster, every batch patched into each worker's
+pack through the fleet's coordinated two-phase swap.  The bars:
 
 1. **zero failed client requests** — queries and delay posts — across
    20+ streamed commits (`ReplayReport.check()`);
 2. **generation accounting**: the fleet generation and every worker's
    generation equal the number of committed batches;
-3. the gateway counted every swap as incremental and published a
-   per-swap routing pause in `/metrics`.
+3. the gateway counted every swap and published a per-swap routing
+   pause in `/metrics`.
 
 Exits 0 only if every bar holds.
 """
@@ -109,7 +108,6 @@ def main() -> int:
             ReplayConfig(
                 query_threads=2,
                 speed=4.0,
-                replan="incremental",
                 max_swap_seconds=120.0,
             ),
         ).check()  # bar 1: zero failed requests, every event committed
@@ -129,17 +127,15 @@ def main() -> int:
         ), health["workers"]
         assert m["last_generation"] == stream.num_events
 
-        # Bar 3: every swap took the delta path, and the per-swap
-        # routing pause is published.
+        # Bar 3: every swap was coordinated, and the per-swap routing
+        # pause is published.
         metrics = get_json(port, "/metrics")["gateway"]
-        assert metrics["incremental_swaps_total"] == {
-            "oahu": stream.num_events
-        }, metrics
+        assert metrics["swaps_total"] == {"oahu": stream.num_events}, metrics
         pause = metrics["last_swap_pause_seconds"]["oahu"]
         assert pause >= 0.0, metrics
         print(
             f"generation {stream.num_events} on all {num_workers} workers, "
-            f"all swaps incremental, last pause {pause * 1000:.1f} ms"
+            f"all swaps coordinated, last pause {pause * 1000:.1f} ms"
         )
         print("stream smoke: all bars hold")
         return 0

@@ -56,11 +56,11 @@ fleet-coordinated delay swaps for free.
 Live operations ride on the same swap path: a seeded GTFS-RT-style
 delay stream (:func:`repro.synthetic.delays.generate_delay_stream`)
 replayed by :mod:`repro.streams` drives a serving target with
-interleaved query+delay traffic, each batch absorbed by incremental
-delta replanning (``apply_delays(..., mode="incremental")`` —
-bitwise-identical to a full rebuild; for a small batch about seven
-times faster without a distance table, 20–40 % faster with one, whose
-scan both paths run; see docs/STREAMS.md).
+interleaved query+delay traffic, each batch absorbed by the one
+replan path: ``apply_delays`` patches the pack and rescans a
+configured distance table — bitwise-identical to a cold build of the
+delayed timetable, the test oracle; for a small batch about seven
+times faster without a distance table (see docs/STREAMS.md).
 
 The lower-level building blocks remain available for research use::
 

@@ -37,14 +37,6 @@ MACHINE_KEYS = ("platform", "python", "machine", "cpu_count")
 #: metrics present on both sides).  Unregistered benchmarks are
 #: shape-free.
 RECORD_SHAPES: dict[str, tuple[str, ...]] = {
-    "delay_stream": (
-        "replan_full_ms",
-        "replan_incremental_ms",
-        "replan_speedup",
-        "swaps_per_minute",
-        "replay_qps",
-        "failed_requests",
-    ),
     "query_zoo": (
         "multicriteria_qps",
         "via_qps",

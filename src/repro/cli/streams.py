@@ -59,7 +59,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             queries_seed=args.queries_seed,
             departure=args.departure,
             speed=args.speed,
-            replan=args.replan,
             max_swap_seconds=args.max_swap_seconds,
         )
     except ValueError as exc:
@@ -150,10 +149,6 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
         "--speed", type=float, default=1.0,
         help="stream clock multiplier (2.0 replays twice as fast; "
         "default: 1)",
-    )
-    p_replay.add_argument(
-        "--replan", choices=("full", "incremental"), default="full",
-        help="replan mode forwarded on every delay post (default: full)",
     )
     p_replay.add_argument(
         "--max-swap-seconds", type=float, default=None,

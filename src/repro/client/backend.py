@@ -205,7 +205,10 @@ class TransitBackend(Protocol):
         *,
         slack_per_leg: int = 0,
         replan: str = "full",
-    ) -> DelayUpdate: ...
+    ) -> DelayUpdate:
+        """Swap the dataset to its delayed timetable; every swap
+        patches the pack.  ``replan`` is checked and selects nothing
+        (:data:`repro.server.protocol.DELAY_REPLAN_MODES`)."""
 
     def info(self) -> DatasetInfo: ...
 
@@ -312,9 +315,7 @@ class LocalBackend(TransitBackend):
             old = self._service if self._service is not None else service
             t0 = time.perf_counter()
             try:
-                new = old.apply_delays(
-                    parsed, slack_per_leg=slack, mode=command.replan
-                )
+                new = old.apply_delays(parsed, slack_per_leg=slack)
             except ValueError as exc:
                 # The same mapping the server applies to domain
                 # validation the wire layer cannot see (e.g. from_stop

@@ -24,9 +24,7 @@ length); slack-bearing entries pass through unchanged.  Each planned
 body carries ``generations``, the number of logged batches it stands
 for, so the worker's generation counter advances in lockstep with the
 gateway's committed-batch count (``repro.server.protocol`` rejects it
-anywhere but ``apply``).  A body requests ``replan: incremental`` only
-when every batch it represents did — the conservative choice; either
-mode yields identical answers, so this only affects replay cost.
+anywhere but ``apply``).
 
 Pinned by ``tests/fleet/test_catchup_coalescing.py``: plan shape,
 bitwise parity with sequential replay, and the long-stream rejoin
@@ -67,11 +65,7 @@ def coalesce_delay_log(entries: list[bytes]) -> list[tuple[dict, int]]:
                 if from_stop:
                     item["from_stop"] = from_stop
                 items.append(item)
-            coalesced: dict = {"delays": items}
-            if all(body.get("replan") == "incremental" for body in run):
-                coalesced["replan"] = "incremental"
-            coalesced["generations"] = len(run)
-            plan.append((coalesced, len(run)))
+            plan.append(({"delays": items, "generations": len(run)}, len(run)))
         run.clear()
 
     for raw in entries:

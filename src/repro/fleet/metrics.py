@@ -59,8 +59,8 @@ class GatewayMetrics(HttpMetrics):
         ),
         Metric(
             "incremental_swaps_total",
-            "coordinated swaps that asked for the incremental delta replan "
-            "(`replan: incremental`), per dataset",
+            "coordinated swaps whose body said `replan: incremental`, per "
+            "dataset (the key selects nothing: every swap patches the pack)",
         ),
         Metric(
             "last_swap_seconds", "duration of the latest swap, per dataset"

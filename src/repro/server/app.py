@@ -188,7 +188,6 @@ class TransitServer(BaseAsyncHttpServer):
             name,
             command.delays,
             slack_per_leg=command.slack_per_leg,
-            replan=command.replan,
             advance=command.advance,
             run=self.executor.run,
         )
@@ -206,7 +205,6 @@ class TransitServer(BaseAsyncHttpServer):
             name,
             command.delays,
             slack_per_leg=command.slack_per_leg,
-            replan=command.replan,
             run=self.executor.run,
         )
         return PREPARE_REPLY.write(

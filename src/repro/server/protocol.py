@@ -234,11 +234,11 @@ def _derive_parser(shape: Shape) -> Callable[[object, int], Any]:
 #: (``docs/FLEET.md``).
 DELAY_MODES = ("apply", "prepare", "commit", "abort")
 
-#: How the worker re-derives travel-time artifacts for a batch.
-#: ``full`` (the default and the oracle) cold-rebuilds graph, arrays
-#: and table; ``incremental`` delta-replans only what the batch touches
-#: (:func:`repro.service.prepare.replan_dataset`) — bitwise-identical
-#: answers, much cheaper for small batches (``docs/STREAMS.md``).
+#: The values protocol 2's ``replan`` key accepts.  It selects
+#: nothing: every swap patches the pack
+#: (:func:`repro.service.prepare.replan_dataset`), and the
+#: ``PROTOCOL_VERSION`` bump that drops the key removes this too, with
+#: the gateway's ``incremental_swaps_total``.
 DELAY_REPLAN_MODES = ("full", "incremental")
 
 _DELAY = {f.name: f for f in DELAY_REQUEST}
@@ -340,7 +340,6 @@ class DelayCommand:
     ``token`` ``None``); ``commit``/``abort`` carry only the ``token``
     a prior ``prepare`` answered with (``delays`` empty).
 
-    ``replan`` picks the rebuild strategy (:data:`DELAY_REPLAN_MODES`);
     ``advance`` is how many logical delay batches this request
     represents — always 1 except for coalesced fleet catch-up posts
     (wire field ``generations``), where one apply stands in for a run
@@ -351,7 +350,6 @@ class DelayCommand:
     delays: tuple[Delay, ...]
     slack_per_leg: int
     token: int | None
-    replan: str = "full"
     advance: int = 1
 
 
@@ -402,7 +400,7 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
             f"(tokens are answered by prepare)",
             field="token",
         )
-    replan = _choice(obj, "replan", DELAY_REPLAN_MODES)
+    _choice(obj, "replan", DELAY_REPLAN_MODES)  # accepted, selects nothing
     if mode == "prepare" and "generations" in obj:
         raise ProtocolError(
             "invalid_request",
@@ -433,7 +431,6 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
         delays=tuple(delays),
         slack_per_leg=slack,
         token=None,
-        replan=replan,
         advance=advance,
     )
 

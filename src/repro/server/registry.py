@@ -186,7 +186,6 @@ class DatasetRegistry:
         delays: Sequence[Delay],
         *,
         slack_per_leg: int = 0,
-        replan: str = "full",
         advance: int = 1,
         run: Callable[[Callable[[], TransitService]], Awaitable[TransitService]]
         | None = None,
@@ -202,8 +201,6 @@ class DatasetRegistry:
         ``apply_delays`` (unknown train, ``from_stop`` past the run)
         propagates for the caller to map to a client error.
 
-        ``replan`` selects the rebuild strategy (full cold rebuild or
-        the incremental delta replan — identical answers either way);
         ``advance`` is the number of logical batches this request
         represents: 1 normally, more for a coalesced fleet catch-up
         post, so the entry's generation stays in lockstep with the
@@ -213,7 +210,7 @@ class DatasetRegistry:
         async with entry._swap_lock:
             old = entry.service
             build = lambda: old.apply_delays(  # noqa: E731
-                delays, slack_per_leg=slack_per_leg, mode=replan
+                delays, slack_per_leg=slack_per_leg
             )
             t0 = time.perf_counter()
             new = await run(build) if run is not None else build()
@@ -239,7 +236,6 @@ class DatasetRegistry:
         delays: Sequence[Delay],
         *,
         slack_per_leg: int = 0,
-        replan: str = "full",
         run: Callable[[Callable[[], TransitService]], Awaitable[TransitService]]
         | None = None,
     ) -> tuple[int, float]:
@@ -263,7 +259,7 @@ class DatasetRegistry:
                 )
             old = entry.service
             build = lambda: old.apply_delays(  # noqa: E731
-                delays, slack_per_leg=slack_per_leg, mode=replan
+                delays, slack_per_leg=slack_per_leg
             )
             t0 = time.perf_counter()
             new = await run(build) if run is not None else build()

@@ -475,30 +475,20 @@ class TransitService:
     ) -> "TransitService":
         """A new service for the delayed timetable (§5.1).
 
-        Only travel-time-dependent artifacts are re-derived (packed
-        arrays, distance table; a full rebuild also the object graph).
-        Delayed trains keep their routes, so
-        the station graph and the transfer-station selection are
-        *shared* with this service — answers are still exactly those
-        of a cold service built from the delayed timetable
-        (``tests/service/test_delay_replanning.py``).  A batch that
-        makes a train depart one station twice at one time point of
-        the period is refused with ``ValueError``
-        (:func:`repro.timetable.delays.apply_delays`).
+        Only the travel-time artifacts are re-derived, by
+        :func:`replan_dataset`: the pack is patched and a configured
+        distance table scanned afresh; delayed trains keep their
+        routes, so the routes, the station graph and the
+        transfer-station selection are *shared* with this service, and
+        no object graph is built.  Answers are exactly those of a cold
+        ``TransitService(apply_delays(timetable, delays), config)`` —
+        the oracle every swap is tested against, never served
+        (``tests/service/test_delay_replanning.py``).  A batch that makes a train depart one
+        station twice at one time point of the period is refused with
+        ``ValueError`` (:func:`repro.timetable.delays.apply_delays`).
 
-        ``mode`` selects how the travel-time artifacts are re-derived:
-
-        * ``"full"`` (default, the oracle) — cold rebuild of graph,
-          packed arrays and distance table via :func:`prepare_dataset`.
-        * ``"incremental"`` — delta replan via :func:`replan_dataset`:
-          the pack is patched from this service's with its routes —
-          only the travel-time functions of legs a delayed train
-          re-timed are rebuilt — and the distance table is scanned
-          afresh from the patched pack, as a cold build scans.  No
-          object graph is built; an oracle that asks for the new
-          service's gets one built from the delayed timetable.  Pinned
-          bitwise-equal to the full rebuild
-          (``tests/streams/test_incremental_equivalence.py``).
+        ``mode`` is checked and selects nothing
+        (:data:`repro.server.protocol.DELAY_REPLAN_MODES`).
 
         The returned service starts with an **empty result cache**:
         answers cached before the delays can never be served for the
@@ -517,17 +507,9 @@ class TransitService:
         delayed = _delay_timetable(
             self.timetable, delays, slack_per_leg=slack_per_leg
         )
-        if mode == "incremental":
-            prepared = replan_dataset(
-                self.prepared, delayed, {d.train for d in delays}
-            )
-        else:
-            prepared = prepare_dataset(
-                delayed,
-                self.config,
-                station_graph=self.prepared.station_graph,
-                transfer_stations=self.prepared.transfer_stations,
-            )
+        prepared = replan_dataset(
+            self.prepared, delayed, {d.train for d in delays}
+        )
         replanned = type(self)(delayed, self.config, prepared=prepared)
         if self._workers is not None:
             replanned.start_workers(self._workers.processes)

@@ -45,12 +45,13 @@ class PrepareStats:
     ``selection_seconds``/``table_seconds``/``table_mib`` are zero
     when the distance table is off.  ``shared_station_graph`` records
     whether the station graph (and transfer selection) were inherited
-    from a prior service instead of rebuilt (delay replanning).
+    from a prior service instead of rebuilt: a delay replan
+    (:func:`replan_dataset`).
     ``loaded_from_store`` marks a warm start from the artifact store
     (:mod:`repro.store`): nothing was built, so every stage — the
     object graph's included, which a loaded dataset builds only on
-    first access (:class:`PreparedDataset`) — is zero.  An incremental
-    replan builds no object graph either: its ``graph_seconds`` is
+    first access (:class:`PreparedDataset`) — is zero.  A replan
+    builds no object graph either: its ``graph_seconds`` is
     zero and ``pack_seconds`` is the patch.
     """
 
@@ -69,11 +70,8 @@ class PrepareStats:
     table_mib: float
     shared_station_graph: bool = False
     loaded_from_store: bool = False
-    #: True when this dataset was produced by the incremental delta
-    #: replan (:func:`replan_dataset`) instead of a full rebuild.
-    incremental: bool = False
-    #: Route legs whose travel-time function was rebuilt (incremental
-    #: replans only; zero for full builds).
+    #: Route legs whose travel-time function was rebuilt (replans
+    #: only; zero for cold builds and loads).
     rebuilt_legs: int = 0
 
 
@@ -269,15 +267,14 @@ def prepare_dataset(
     config: ServiceConfig,
     *,
     graph: TDGraph | None = None,
-    station_graph: StationGraph | None = None,
-    transfer_stations: np.ndarray | None = None,
 ) -> PreparedDataset:
     """Run the prepare-once pipeline for ``(timetable, config)``.
 
-    ``station_graph``/``transfer_stations`` inject artifacts surviving
-    a delay update (topology-only state); ``graph`` injects an
-    already-built time-dependent graph (benchmarks sweeping configs
-    over one dataset).  Pass none of them for a cold build.
+    ``graph`` injects an already-built time-dependent graph
+    (benchmarks sweeping configs over one dataset).  A delayed
+    timetable is not prepared here but replanned
+    (:func:`replan_dataset`); a cold build of it is the oracle a
+    replan is tested against.
     """
     t_start = time.perf_counter()
 
@@ -286,10 +283,8 @@ def prepare_dataset(
         graph = build_td_graph(timetable)
     graph_seconds = time.perf_counter() - t0
 
-    shared_station_graph = station_graph is not None
     t0 = time.perf_counter()
-    if station_graph is None:
-        station_graph = build_station_graph(timetable)
+    station_graph = build_station_graph(timetable)
     station_graph_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -302,14 +297,13 @@ def prepare_dataset(
     table_mib = 0.0
     if config.use_distance_table:
         t0 = time.perf_counter()
-        if transfer_stations is None:
-            transfer_stations = select_transfer_stations(
-                timetable,
-                method=config.transfer_selection,
-                fraction=config.transfer_fraction,
-                min_degree=config.min_degree,
-                station_graph=station_graph,
-            )
+        transfer_stations = select_transfer_stations(
+            timetable,
+            method=config.transfer_selection,
+            fraction=config.transfer_fraction,
+            min_degree=config.min_degree,
+            station_graph=station_graph,
+        )
         selection_seconds = time.perf_counter() - t0
         if transfer_stations.size:
             t0 = time.perf_counter()
@@ -335,7 +329,6 @@ def prepare_dataset(
             0 if transfer_stations is None else int(transfer_stations.size)
         ),
         table_mib=table_mib,
-        shared_station_graph=shared_station_graph,
     )
     return PreparedDataset(
         timetable=timetable,
@@ -354,8 +347,9 @@ def replan_dataset(
     delayed: Timetable,
     touched_trains: set[int],
 ) -> PreparedDataset:
-    """Incremental delta replan: a :class:`PreparedDataset` for the
-    delayed timetable, patched from ``prepared`` instead of rebuilt.
+    """Delta replan, the one way a generation is derived from a delay
+    batch: a :class:`PreparedDataset` for the delayed timetable,
+    patched from ``prepared`` instead of rebuilt.
 
     ``delayed`` must be ``apply_delays(prepared.timetable, batch)`` and
     ``touched_trains`` the trains that batch names.  The pack is
@@ -367,9 +361,11 @@ def replan_dataset(
     (:func:`~repro.query.distance_table.build_distance_table`), every
     row of it new.  No object graph is built: the result's is built
     when an oracle asks for it.  The result is value-identical to
-    ``prepare_dataset(delayed, config, station_graph=...,
-    transfer_stations=...)``; the full rebuild
-    remains the oracle (``tests/streams/test_incremental_equivalence.py``).
+    ``prepare_dataset(delayed, config)``: delays keep every train's
+    route, so the cold build's routes, station graph and transfer
+    stations are the parent's (``tests/service/test_delay_replanning.py``
+    pins all three), and that cold build is the oracle
+    (``tests/streams/test_incremental_equivalence.py``).
     """
     config = prepared.config
     t_start = time.perf_counter()
@@ -405,7 +401,6 @@ def replan_dataset(
         num_transfer_stations=prepared.stats.num_transfer_stations,
         table_mib=table_mib,
         shared_station_graph=True,
-        incremental=True,
         rebuilt_legs=rebuilt_legs,
     )
     return PreparedDataset(

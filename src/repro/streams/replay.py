@@ -56,17 +56,15 @@ class ReplayConfig:
     30 s.  ``queries_seed`` seeds the query mix — the same
     :func:`~repro.synthetic.workloads.random_station_pairs` generator
     the benchmarks use, which is what makes delay streams composable
-    with the existing synthetic workloads.  ``replan`` is forwarded on
-    every delay post (``full`` or ``incremental``).
-    ``max_swap_seconds`` arms the pause bound in
-    :meth:`ReplayReport.check`; ``None`` leaves it unchecked.
+    with the existing synthetic workloads.  ``max_swap_seconds`` arms
+    the pause bound in :meth:`ReplayReport.check`; ``None`` leaves it
+    unchecked.
     """
 
     query_threads: int = 2
     queries_seed: int = 0
     departure: int = 480
     speed: float = 1.0
-    replan: str = "full"
     max_swap_seconds: float | None = None
 
     def __post_init__(self) -> None:
@@ -74,10 +72,6 @@ class ReplayConfig:
             raise ValueError("query_threads must be >= 0")
         if self.speed <= 0:
             raise ValueError("speed must be positive")
-        if self.replan not in ("full", "incremental"):
-            raise ValueError(
-                f"replan must be 'full' or 'incremental', got {self.replan!r}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +210,6 @@ def replay_stream(
                     update = backend.apply_delays(
                         list(event.delays),
                         slack_per_leg=event.slack_per_leg,
-                        replan=config.replan,
                     )
                 except BackendError as exc:
                     metrics.observe_delay_failure(type(exc).__name__)

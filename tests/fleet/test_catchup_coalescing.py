@@ -11,6 +11,7 @@ import pytest
 
 from repro.client import connect
 from repro.fleet.catchup import coalesce_delay_log
+from repro.service import TransitService
 from repro.timetable.delays import Delay, apply_delays
 
 from tests.fleet.test_swap_fleet import PAIRS, _profiles
@@ -64,18 +65,6 @@ class TestCoalescePlan:
                           "replan": "incremental"}, 1)]
         assert "generations" not in plan[0][0]
 
-    def test_replan_mode_is_conservative(self):
-        incremental = [
-            _entry([{"train": 0, "minutes": 1}], replan="incremental"),
-            _entry([{"train": 1, "minutes": 1}], replan="incremental"),
-        ]
-        assert coalesce_delay_log(incremental)[0][0]["replan"] == "incremental"
-        mixed = [
-            _entry([{"train": 0, "minutes": 1}], replan="incremental"),
-            _entry([{"train": 1, "minutes": 1}]),
-        ]
-        assert "replan" not in coalesce_delay_log(mixed)[0][0]
-
     def test_empty_log_empty_plan(self):
         assert coalesce_delay_log([]) == []
 
@@ -122,11 +111,14 @@ class TestLongStreamRejoin:
     BARRIER_AT = 12
 
     def _batch(self, i: int) -> dict:
+        # Both values of protocol 2's ``replan`` key ride along: the
+        # gateway counts the ``incremental`` ones, the workers patch
+        # the pack for all of them.
         if i == self.BARRIER_AT:
             return {
                 "delays": [{"train": 30, "minutes": 9}],
                 "slack_per_leg": 2,
-                "replan": "incremental",
+                "replan": "full",
             }
         return {
             "delays": [{"train": i % 20, "minutes": 1 + i % 4}],
@@ -139,7 +131,7 @@ class TestLongStreamRejoin:
     ):
         fleet = make_fleet(2)
 
-        oracle = twin_service
+        delayed = twin_service.timetable
         for i in range(self.NUM_BATCHES):
             body = self._batch(i)
             status, update = fleet.request(
@@ -147,7 +139,8 @@ class TestLongStreamRejoin:
             )
             assert status == 200, update
             assert update["generation"] == i + 1
-            oracle = oracle.apply_delays(
+            delayed = apply_delays(
+                delayed,
                 [
                     Delay(
                         train=item["train"],
@@ -157,12 +150,13 @@ class TestLongStreamRejoin:
                     for item in body["delays"]
                 ],
                 slack_per_leg=body.get("slack_per_leg", 0),
-                mode="incremental",
             )
+        oracle = TransitService(delayed, twin_service.config)
 
         _, metrics = fleet.request("GET", "/metrics")
+        assert metrics["gateway"]["swaps_total"] == {"oahu": self.NUM_BATCHES}
         assert metrics["gateway"]["incremental_swaps_total"] == {
-            "oahu": self.NUM_BATCHES
+            "oahu": self.NUM_BATCHES - 1
         }
         baseline_posts = metrics["gateway"]["catch_up_batches_total"]
 

@@ -117,8 +117,8 @@ class TestBoundsOutliveNoGeneration:
 
     ``apply_delays`` shifts departures and keeps every ride's duration
     (slack shortens dwell, not rides), so no batch the service accepts
-    today moves a bound.  ``replan_dataset`` — what
-    ``TransitService.apply_delays(mode="incremental")`` runs — takes
+    today moves a bound.  ``replan_dataset`` — what every
+    ``TransitService.apply_delays`` runs — takes
     any re-timed timetable though, and a ride that got *shorter than
     any ride its edge had before* makes the old bound an overestimate:
     the search then settles the target through the slower train first

@@ -297,7 +297,7 @@ MATRIX = [
 def test_a_delay_swap_patches_the_table_to_the_oracle(
     request, instance, kernel, num_threads
 ):
-    """Through the service: an incremental delay swap's table equals
+    """Through the service: a delay swap's table equals
     the SPCS rows of the delayed timetable, on either kernel, and the
     table of a cold service on it, whatever the service's thread
     count."""
@@ -308,9 +308,7 @@ def test_a_delay_swap_patches_the_table_to_the_oracle(
         transfer_fraction=0.3,
     )
     delays = [Delay(train=timetable.connections[0].train, minutes=25)]
-    swapped = TransitService(timetable, config).apply_delays(
-        delays, mode="incremental"
-    )
+    swapped = TransitService(timetable, config).apply_delays(delays)
     delayed = apply_delays(timetable, delays)
     expected = spcs_table_rows(
         build_td_graph(delayed),
@@ -341,7 +339,7 @@ def test_neither_build_nor_swap_forks(oahu_tiny, monkeypatch):
     config = ServiceConfig(use_distance_table=True, transfer_fraction=0.3)
     service = TransitService(oahu_tiny, config)
     delays = [Delay(train=oahu_tiny.connections[0].train, minutes=25)]
-    swapped = service.apply_delays(delays, mode="incremental")
+    swapped = service.apply_delays(delays)
     assert service.table.num_transfer_stations == swapped.table.num_transfer_stations
 
 

@@ -4,6 +4,7 @@ encoding out — no server, no sockets."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -238,6 +239,28 @@ class TestParseDelays:
             ).code
             == "invalid_request"
         )
+
+    def test_replan_is_checked_and_selects_nothing(self):
+        """Protocol 2's ``replan`` key: an unknown value is refused,
+        and a known one parses to the command no key parses to."""
+        refused = err(
+            parse_delay_request,
+            {"delays": [{"train": 0, "minutes": 1}], "replan": "bogus"},
+            TRAINS,
+        )
+        assert (refused.code, refused.field) == ("invalid_request", "replan")
+        plain = parse_delay_request({"delays": [{"train": 0, "minutes": 1}]}, TRAINS)
+        for replan in ("full", "incremental"):
+            for mode in ("apply", "prepare"):
+                command = parse_delay_request(
+                    {
+                        "mode": mode,
+                        "delays": [{"train": 0, "minutes": 1}],
+                        "replan": replan,
+                    },
+                    TRAINS,
+                )
+                assert command == replace(plain, mode=mode)
 
     def test_rejections(self):
         assert (

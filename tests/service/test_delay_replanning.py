@@ -13,24 +13,40 @@ table, on at least two synthetic instances.
 from __future__ import annotations
 
 import gc
+import json
 import os
 import signal
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import repro.service.facade as facade_module
+import repro.service.prepare as prepare_module
+from repro.graph.station_graph import build_station_graph
 from repro.graph.td_arrays import TDGraphArrays
-from repro.client import HttpBackend
+from repro.client import HttpBackend, LocalBackend
+from repro.fleet.catchup import coalesce_delay_log
+from repro.query.transfer_selection import select_transfer_stations
 from repro.server import DatasetRegistry
 from repro.service import BatchRequest, ServiceConfig, TransitService
 from repro.synthetic.instances import make_instance
 from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.builder import TimetableBuilder
 from repro.timetable.delays import Delay, apply_delays
+from repro.timetable.routes import partition_routes
 
-from tests.helpers import ask_every_shape, child_alive, random_line_timetable
+from tests.helpers import (
+    ask_every_shape,
+    assert_packs_equal,
+    assert_rows_bitwise_equal,
+    child_alive,
+    random_line_timetable,
+)
 from tests.server.harness import ServerHarness
+from tests.strategies import adversarial_timetables
 
 
 def assert_profiles_bitwise_equal(expected, got, context=""):
@@ -142,6 +158,205 @@ def test_apply_delays_batch_parity():
 
 
 # ---------------------------------------------------------------------------
+# What a swap shares with its parent
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def delay_batches(draw, timetable):
+    """One to three delays on ``timetable``'s trains, each anchored at
+    one of its train's departures, up to two periods late (so a train
+    wraps past the period), and a slack of 0–30 minutes per leg."""
+    legs: dict[int, int] = {}
+    for c in timetable.connections:
+        legs[c.train] = legs.get(c.train, 0) + 1
+    trains = sorted(legs)
+    delays = [
+        Delay(
+            train=train,
+            minutes=draw(st.integers(0, 2 * timetable.period)),
+            from_stop=draw(st.integers(0, legs[train] - 1)),
+        )
+        for train in draw(
+            st.lists(st.sampled_from(trains), min_size=1, max_size=3)
+        )
+    ]
+    return delays, draw(st.integers(0, 30))
+
+
+STATION_GRAPH_BUFFERS = ("indptr", "targets", "weights", "rev_indptr", "rev_targets")
+
+
+@settings(
+    deadline=None,
+    max_examples=120,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(timetable=adversarial_timetables(), data=st.data())
+def test_a_delay_batch_keeps_what_a_swap_shares(timetable, data):
+    """A swap keeps its parent's routes, station graph and transfer
+    stations (:func:`repro.service.prepare.replan_dataset`); a cold
+    build of the delayed timetable must make the same three, or the
+    swap would answer unlike its oracle.  Delays move departures and
+    keep every ride's duration, so none of the three may move."""
+    delays, slack = data.draw(delay_batches(timetable))
+    try:
+        delayed = apply_delays(timetable, delays, slack_per_leg=slack)
+    except ValueError:  # a train made to depart one station twice at once
+        assume(False)
+    before, after = build_station_graph(timetable), build_station_graph(delayed)
+    for name in STATION_GRAPH_BUFFERS:
+        a, b = getattr(before, name), getattr(after, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert [(r.stations, r.trains) for r in partition_routes(delayed)] == [
+        (r.stations, r.trains) for r in partition_routes(timetable)
+    ]
+    fraction = data.draw(st.sampled_from([0.2, 0.5, 1.0]))
+    min_degree = data.draw(st.integers(1, 3))
+    for method in ("contraction", "degree"):
+        picked = [
+            select_transfer_stations(
+                tt, method=method, fraction=fraction, min_degree=min_degree
+            ).tolist()
+            for tt in (timetable, delayed)
+        ]
+        assert picked[0] == picked[1], method
+
+
+# ---------------------------------------------------------------------------
+# One replan path: every way of asking for a swap patches the pack
+# ---------------------------------------------------------------------------
+
+
+def _wire(delays) -> list[dict]:
+    return [
+        {"train": d.train, "minutes": d.minutes, "from_stop": d.from_stop}
+        for d in delays
+    ]
+
+
+def _swap_in_process(service, first, second):
+    return service.apply_delays(first).apply_delays(second)
+
+
+def _swap_naming_full(service, first, second):
+    return service.apply_delays(first, mode="full").apply_delays(
+        second, mode="full"
+    )
+
+
+def _swap_through_local_backend(service, first, second):
+    backend = LocalBackend(service)
+    backend.apply_delays(first)
+    backend.apply_delays(second)
+    return backend.service
+
+
+def _served(post):
+    """A swap asked of a live server: ``post(harness, first,
+    second)`` sends the requests, and the served generation is
+    returned."""
+
+    def drive(service, first, second):
+        registry = DatasetRegistry.from_services({"oahu": service})
+        harness = ServerHarness(registry)
+        try:
+            post(harness, first, second)
+            return registry.get("oahu").service
+        finally:
+            harness.close()
+
+    return drive
+
+
+def _post(harness, body) -> dict:
+    status, payload = harness.request("POST", "/v1/datasets/oahu/delays", body)
+    assert status == 200, payload
+    return payload
+
+
+def _http_apply(harness, first, second):
+    for delays in (first, second):
+        _post(harness, {"delays": _wire(delays), "replan": "full"})
+
+
+def _http_prepare_commit(harness, first, second):
+    for delays in (first, second):
+        prepared = _post(
+            harness,
+            {"mode": "prepare", "delays": _wire(delays), "replan": "full"},
+        )
+        _post(harness, {"mode": "commit", "token": prepared["token"]})
+
+
+def _catch_up(harness, first, second):
+    """What a gateway posts to a rejoining worker: the two logged
+    batches coalesced into one apply standing for both."""
+    log = [
+        json.dumps({"delays": _wire(delays), "replan": "full"}).encode()
+        for delays in (first, second)
+    ]
+    (body, represented), = coalesce_delay_log(log)
+    assert represented == 2 and "replan" not in body
+    assert _post(harness, body)["generation"] == 2
+
+
+SWAP_REQUESTS = {
+    "apply_delays": _swap_in_process,
+    "apply_delays-mode-full": _swap_naming_full,
+    "LocalBackend": _swap_through_local_backend,
+    "http-apply-replan-full": _served(_http_apply),
+    "http-prepare-commit-replan-full": _served(_http_prepare_commit),
+    "fleet-catch-up": _served(_catch_up),
+}
+
+
+@pytest.mark.parametrize("request_swap", SWAP_REQUESTS.values(), ids=SWAP_REQUESTS)
+def test_every_swap_patches_the_pack(monkeypatch, request_swap):
+    """However a swap is asked for — no ``mode``, ``mode="full"``, the
+    SDK's default, the wire's ``replan: "full"`` in one phase or two,
+    a coalesced catch-up — it patches the pack: with
+    ``prepare_dataset`` and ``build_td_graph`` poisoned it still swaps,
+    builds no graph, and answers like a cold service on the delayed
+    timetable (its pack and table byte for byte)."""
+    timetable = make_instance("oahu", scale="tiny")
+    config = _config(True)
+    service = TransitService(timetable, config)
+    first, second = _delays_for(timetable), [Delay(train=3, minutes=12)]
+    cold = TransitService(
+        apply_delays(apply_delays(timetable, first), second), config
+    )
+    with monkeypatch.context() as poisoned:
+        for module, name in (
+            (facade_module, "prepare_dataset"),
+            (prepare_module, "prepare_dataset"),
+            (prepare_module, "build_td_graph"),
+        ):
+            poisoned.setattr(module, name, _forbidden(name))
+        swapped = request_swap(service, first, second)
+        pairs = random_station_pairs(timetable, 4, seed=3)
+        answers = [
+            (swapped.journey(s, t).profile, swapped.profile(s).profile(t))
+            for s, t in pairs
+        ]
+        assert swapped.prepared.hydrated == {"timetable"}
+    assert_packs_equal(swapped.prepared.arrays, cold.prepared.arrays)
+    assert_rows_bitwise_equal(
+        cold.prepared.table.profiles, swapped.prepared.table.profiles
+    )
+    for (s, t), (journey, profile) in zip(pairs, answers):
+        assert_profiles_bitwise_equal(cold.journey(s, t).profile, journey)
+        assert_profiles_bitwise_equal(cold.profile(s).profile(t), profile)
+
+
+def _forbidden(name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"a delay swap called {name}")
+
+    return forbidden
+
+
+# ---------------------------------------------------------------------------
 # A train that departs twice at one time point
 # ---------------------------------------------------------------------------
 
@@ -178,30 +393,33 @@ TWICE_AT_ONE_MINUTE = {
 
 
 @pytest.mark.parametrize("case", TWICE_AT_ONE_MINUTE)
-@pytest.mark.parametrize("mode", ("full", "incremental"))
-def test_a_train_departing_twice_at_one_minute(case, mode):
+def test_a_train_departing_twice_at_one_minute(case):
     """Each departure seeds its own leg: a profile from the first stop
-    does not start at the second one (it used to, in full mode: a
+    does not start at the second one (it used to, in a cold build: a
     train's start nodes were keyed by its departure minute alone)."""
     trips, delays, slack, source, departure, arrivals = TWICE_AT_ONE_MINUTE[case]
-    delayed = TransitService(_line(*trips), ServiceConfig()).apply_delays(
-        delays, slack_per_leg=slack, mode=mode
+    service = TransitService(_line(*trips), ServiceConfig())
+    delayed = service.apply_delays(delays, slack_per_leg=slack)
+    cold = TransitService(
+        apply_delays(service.timetable, delays, slack_per_leg=slack),
+        ServiceConfig(),
     )
-    profile = delayed.profile(source)
-    for station, arrival in arrivals.items():
-        assert profile.earliest_arrival(station, departure) == arrival, station
-    assert delayed.journey(source, 1, departure=departure).arrival == arrivals[1]
+    for generation in (delayed, cold):
+        profile = generation.profile(source)
+        for station, arrival in arrivals.items():
+            assert profile.earliest_arrival(station, departure) == arrival, station
+        journey = generation.journey(source, 1, departure=departure)
+        assert journey.arrival == arrivals[1]
 
 
-@pytest.mark.parametrize("replan", ("full", "incremental"))
-def test_a_train_departing_twice_at_one_minute_over_http(replan):
+def test_a_train_departing_twice_at_one_minute_over_http():
     trips, delays, slack, source, departure, arrivals = TWICE_AT_ONE_MINUTE["wrap"]
     service = TransitService(_line(*trips), ServiceConfig())
     harness = ServerHarness(DatasetRegistry.from_services({"line": service}))
     try:
         url = f"http://127.0.0.1:{harness.port}"
         with HttpBackend(url, dataset="line") as remote:
-            remote.apply_delays(delays, replan=replan)
+            remote.apply_delays(delays)
             profile = remote.profile(source)
             for station, arrival in arrivals.items():
                 assert profile.earliest_arrival(station, departure) == arrival
@@ -219,23 +437,18 @@ def test_a_delay_that_departs_one_station_twice_is_refused():
         _line([(0, 0), (1, 10), (0, 20), (2, 30)]), ServiceConfig()
     )
     delays = [Delay(train=0, minutes=1420, from_stop=2)]
-    for mode in ("full", "incremental"):
-        with pytest.raises(ValueError, match="train 0 would depart station 0 twice at 0"):
-            service.apply_delays(delays, mode=mode)
+    with pytest.raises(ValueError, match="train 0 would depart station 0 twice at 0"):
+        service.apply_delays(delays)
     harness = ServerHarness(DatasetRegistry.from_services({"line": service}))
     try:
-        for replan in ("full", "incremental"):
-            status, payload = harness.request(
-                "POST",
-                "/v1/datasets/line/delays",
-                {
-                    "delays": [{"train": 0, "minutes": 1420, "from_stop": 2}],
-                    "replan": replan,
-                },
-            )
-            assert status == 400, payload
-            assert payload["error"]["code"] == "invalid_request"
-            assert "depart station 0 twice at 0" in payload["error"]["message"]
+        status, payload = harness.request(
+            "POST",
+            "/v1/datasets/line/delays",
+            {"delays": [{"train": 0, "minutes": 1420, "from_stop": 2}]},
+        )
+        assert status == 400, payload
+        assert payload["error"]["code"] == "invalid_request"
+        assert "depart station 0 twice at 0" in payload["error"]["message"]
         listed = harness.request("GET", "/v1/datasets")[1]["datasets"]
         assert listed[0]["generation"] == 0
     finally:
@@ -249,14 +462,12 @@ def test_a_delay_that_departs_one_station_twice_is_refused():
 
 def _live_packs():
     """Every live pack: one per generation, whether it has built its
-    ``TDGraph`` (which owns it) or not — an incremental swap builds
-    none.  The collector's object list is the census."""
+    ``TDGraph`` (which owns it) or not — a swap builds none.  The collector's object list is the census."""
     gc.collect()
     return [obj for obj in gc.get_objects() if type(obj) is TDGraphArrays]
 
 
-@pytest.mark.parametrize("mode", ("full", "incremental"))
-def test_swapped_out_generations_are_not_pinned(mode):
+def test_swapped_out_generations_are_not_pinned():
     """Ten delay batches leave one pack alive per live service: the
     pack belongs to its generation, so nothing module-global can hold a
     generation nobody serves from any more."""
@@ -265,9 +476,7 @@ def test_swapped_out_generations_are_not_pinned(mode):
         make_instance("oahu", scale="tiny"), ServiceConfig()
     )
     for train in range(10):
-        service = service.apply_delays(
-            [Delay(train=train, minutes=5)], mode=mode
-        )
+        service = service.apply_delays([Delay(train=train, minutes=5)])
     assert len(_live_packs()) - others == 1
     del service
     assert len(_live_packs()) - others == 0
@@ -286,9 +495,7 @@ def test_swapped_out_generations_take_their_workers_with_them():
     seen: list[int] = []
     for train in range(10):
         seen += [child.pid for child in service._workers._children]
-        service = service.apply_delays(
-            [Delay(train=train, minutes=5)], mode="incremental"
-        )
+        service = service.apply_delays([Delay(train=train, minutes=5)])
         assert service.worker_stats == (2, 0)
     assert len(_live_packs()) - others == 1
     last = [child.pid for child in service._workers._children]
@@ -346,14 +553,12 @@ def _config(with_table):
 def test_no_timetable_sort_after_a_swap_or_a_load(tmp_path, with_table):
     """``Timetable.outgoing_connections`` sorts the whole timetable on
     first use.  The flat kernel reads ``conn(S)`` from the pack, so
-    neither an incremental swap (its table rows included) nor any of
+    neither a swap (its table rows included) nor any of
     the six shapes on a swapped or loaded generation pays that sort."""
     service = TransitService(
         make_instance("oahu", scale="tiny"), _config(with_table)
     )
-    swapped = service.apply_delays(
-        [Delay(train=0, minutes=25)], mode="incremental"
-    )
+    swapped = service.apply_delays([Delay(train=0, minutes=25)])
     assert swapped.timetable._conn_by_dep_station is None  # the swap itself
     service.save(tmp_path / "store")
     for generation in (swapped, TransitService.load(tmp_path / "store")):

@@ -2,7 +2,7 @@
 
 A service generation — timetable, routes, graph, pack and its two
 kernel mirrors, distance table, engine — is built in one step (cold
-prepare, store load, or incremental swap; a load leaves the timetable,
+prepare, store load, or delay swap; a load leaves the timetable,
 the routes and the graph, a swap the graph, to whoever asks first,
 which no query does) and read-only from then on (``docs/KERNEL.md``,
 "What a generation owns").  This module enforces it for the flat
@@ -146,7 +146,7 @@ def _loaded(timetable, config, tmp_path):
 
 def _swapped(timetable, config, tmp_path):
     return TransitService(timetable, config).apply_delays(
-        [Delay(train=0, minutes=25)], mode="incremental"
+        [Delay(train=0, minutes=25)]
     )
 
 
@@ -222,7 +222,7 @@ def test_a_swap_fills_in_only_under_the_lock(provenance, tmp_path, monkeypatch):
     service = _generation(provenance, True, tmp_path)
     hydrated = service.prepared.hydrated
     writes = seal(service, monkeypatch)
-    swapped = service.apply_delays([Delay(train=3, minutes=10)], mode="incremental")
+    swapped = service.apply_delays([Delay(train=3, minutes=10)])
     assert set(writes) == (LOCKED if provenance is _loaded else set())
     assert service.prepared.hydrated == hydrated | {"timetable"}
     assert swapped.prepared.routes is service.prepared.routes

@@ -9,8 +9,8 @@ batch and ``/v1/datasets`` are answered — in process, and by
 ``serve``'s search workers, which are forked from the poisoned
 process — as an eagerly built service answers them.  Then what may
 hydrate does so once: a delay swap builds the timetable and the routes
-exactly one time, never a graph, and answers like the eager service's
-swap; two threads racing the first access — two oracles, or a swap and
+exactly one time, never a graph, and answers like a cold service on
+the delayed timetable; two threads racing the first access — two oracles, or a swap and
 an oracle — get one routes list and one graph, which owns the loaded
 pack.  That graph packs to the loaded pack, buffer by buffer, on every
 kind of timetable a store can hold, and so does the graph an oracle
@@ -40,7 +40,7 @@ from repro.service import (
     ServiceConfig,
     TransitService,
 )
-from repro.timetable.delays import Delay
+from repro.timetable.delays import Delay, apply_delays
 
 from tests.client.test_transport_parity import scrubbed
 from tests.helpers import assert_packs_equal, random_line_timetable
@@ -149,6 +149,9 @@ def test_serve_answers_everything_unhydrated(store, eager, poisoned):
 
 
 def test_a_delay_swap_hydrates_each_once(store, eager, monkeypatch):
+    reference = TransitService(
+        apply_delays(eager.timetable, DELAYS), eager.config
+    )
     calls = _counting(monkeypatch)
 
     def graph_built(*args, **kwargs):
@@ -156,7 +159,7 @@ def test_a_delay_swap_hydrates_each_once(store, eager, monkeypatch):
 
     monkeypatch.setattr(prepare_mod, "build_td_graph", graph_built)
     loaded = TransitService.load(store)
-    swapped = loaded.apply_delays(DELAYS, mode="incremental")
+    swapped = loaded.apply_delays(DELAYS)
     assert calls == {"timetable": 1, "routes": 1, "graph": 0}
     # Published once, the timetable builder and its record are dropped.
     prepared = loaded.prepared
@@ -165,11 +168,10 @@ def test_a_delay_swap_hydrates_each_once(store, eager, monkeypatch):
     # Delays keep routes: every generation shares the first one's.
     assert swapped.prepared.routes is prepared.routes
 
-    again = loaded.apply_delays(DELAYS, mode="incremental")
-    swapped.apply_delays(DELAYS, mode="incremental")
+    again = loaded.apply_delays(DELAYS)
+    swapped.apply_delays(DELAYS)
     assert calls == {"timetable": 1, "routes": 1, "graph": 0}
 
-    reference = eager.apply_delays(DELAYS, mode="incremental")
     expected = _answers(LocalBackend(reference, name="oahu"))
     assert _answers(LocalBackend(swapped)) == expected
     assert _answers(LocalBackend(again)) == expected
@@ -177,7 +179,7 @@ def test_a_delay_swap_hydrates_each_once(store, eager, monkeypatch):
 
 
 def _first_swap(service) -> None:
-    service.apply_delays(DELAYS, mode="incremental")
+    service.apply_delays(DELAYS)
 
 
 def _oracle(service) -> None:
@@ -270,7 +272,7 @@ def test_a_loaded_graph_is_built_to_its_pack(tmp_path, request, instance):
 
 
 def test_a_swapped_generation_is_built_to_its_pack(tmp_path, eager):
-    eager.apply_delays(DELAYS, mode="incremental").save(tmp_path)
+    eager.apply_delays(DELAYS).save(tmp_path)
     _assert_builds_its_pack(tmp_path)
 
 
@@ -280,7 +282,7 @@ def test_an_oracle_builds_a_swapped_generations_graph(store, eager, parent):
     ``build_td_graph`` of the delayed timetable and owns the patched
     pack."""
     service = eager if parent == "cold" else TransitService.load(store)
-    prepared = service.apply_delays(DELAYS, mode="incremental").prepared
+    prepared = service.apply_delays(DELAYS).prepared
     assert prepared.hydrated == {"timetable"}
     graph = prepared.graph
     cold = build_td_graph(prepared.timetable)

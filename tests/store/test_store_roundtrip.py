@@ -136,13 +136,13 @@ def test_roundtrip_preserves_timetable_exactly(tmp_path, oahu_tiny):
     assert loaded.connections == oahu_tiny.connections
 
 
-@pytest.mark.parametrize("mode", ("full", "incremental"))
-def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny, mode):
+def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny):
     """apply_delays on a warm-started service matches a cold service on
     the delayed timetable (the store carries everything replanning
     shares: station graph and transfer selection), its table to the
-    byte — the incremental swap first builds the loaded generation's
-    timetable and graph, then patches them and scans."""
+    byte — the swap first builds the loaded generation's timetable and
+    routes, then patches the loaded pack and scans; no graph is
+    built."""
     from repro.timetable.delays import apply_delays
 
     config = ServiceConfig(
@@ -151,9 +151,9 @@ def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny, mode):
     TransitService(oahu_tiny, config).save(tmp_path / "store")
     warm = TransitService.load(tmp_path / "store")
     delays = [Delay(train=1, minutes=20)]
-    replanned = warm.apply_delays(delays, mode=mode)
+    replanned = warm.apply_delays(delays)
     assert replanned.prepare_stats.shared_station_graph
-    assert replanned.prepare_stats.incremental == (mode == "incremental")
+    assert replanned.prepared.hydrated == {"timetable"}
     reference = TransitService(apply_delays(oahu_tiny, delays), config)
     assert np.array_equal(
         reference.table.transfer_stations, replanned.table.transfer_stations
@@ -405,7 +405,7 @@ def test_a_timetable_paired_with_another_pack_is_refused(tmp_path):
     (tmp_path / "3" / "dataset.bin").replace(tmp_path / "4" / "dataset.bin")
     loaded = TransitService.load(tmp_path / "4")
     with pytest.raises(prepare_mod.PackMismatchError, match="the loaded pack"):
-        loaded.apply_delays([Delay(train=0, minutes=5)], mode="incremental")
+        loaded.apply_delays([Delay(train=0, minutes=5)])
     with pytest.raises(prepare_mod.PackMismatchError, match="the loaded pack"):
         loaded.prepared.graph
     assert loaded.prepared.hydrated == {"timetable"}

@@ -1,9 +1,9 @@
-"""Oracle harness for incremental delta replanning.
+"""Oracle harness for delta replanning, the one replan path.
 
-``apply_delays(..., mode="incremental")`` patches only the touched
-travel-time functions (:mod:`repro.graph.td_patch`) and scans the
-patched pack for the distance table; the full rebuild (``mode="full"``, the
-default) is the oracle.  The contract is **bitwise identity**, not
+``apply_delays(...)`` patches only the touched travel-time functions
+(:mod:`repro.graph.td_patch`) and scans the patched pack for the
+distance table; a cold service built from the delayed timetable is the
+oracle, and is never served.  The contract is **bitwise identity**, not
 approximate agreement: on ≥50 seeded instances sweeping the same shape
 and time-structure distribution as the kernel-equivalence harness
 (:mod:`tests.core.test_kernel_equivalence`) — including wrap-heavy
@@ -14,7 +14,7 @@ timetable, and so must the answers of all three query shapes (journey,
 one-to-all profile, batch) on both kernels.
 
 The multi-criteria shapes (``multicriteria``, ``min_transfers``) get
-the same treatment after a *sequence* of incremental batches: on a
+the same treatment after a *sequence* of batches: on a
 ``flat`` service their search reads the slice-patched packed arrays,
 so it must answer exactly as a cold rebuild and as the reference
 multi-criteria search on the rebuilt graph.
@@ -162,7 +162,7 @@ def assert_profiles_bitwise_equal(expected, got, context=""):
 
 
 def _assert_prepared_bitwise_equal(cold, warm, context=""):
-    """Every travel-time-carrying artifact of the incremental dataset
+    """Every travel-time-carrying artifact of the swapped dataset
     equals the cold rebuild's, buffer for buffer."""
     # Object graph: same topology, identical travel-time functions.
     assert warm.graph.num_nodes == cold.graph.num_nodes, context
@@ -211,17 +211,19 @@ def _assert_prepared_bitwise_equal(cold, warm, context=""):
 
 @pytest.mark.parametrize("name,seed", CASES)
 def test_incremental_bitwise_equals_cold_rebuild(name, seed):
-    """The tentpole pin: incremental replan ≡ cold full rebuild,
-    bitwise, artifacts and all three query shapes."""
+    """The tentpole pin: a swap ≡ a cold build of the delayed
+    timetable, bitwise, artifacts and all three query shapes."""
     timetable, config, base = _case(name, seed)
     delays, slack = _random_batch(timetable, seed)
 
-    warm = base.apply_delays(delays, slack_per_leg=slack, mode="incremental")
+    warm = base.apply_delays(delays, slack_per_leg=slack)
     cold = type(base)(
         apply_delays(timetable, delays, slack_per_leg=slack), config
     )
 
-    assert warm.prepare_stats.incremental
+    # The swap patched: it shared the topology and built no graph.
+    assert warm.prepare_stats.shared_station_graph
+    assert warm.prepare_stats.graph_seconds == 0.0
     _assert_prepared_bitwise_equal(
         cold.prepared, warm.prepared, f"{name}-s{seed}"
     )
@@ -257,16 +259,14 @@ def test_incremental_bitwise_equals_cold_rebuild(name, seed):
 def test_incremental_sequence_multicriteria_equals_cold_and_reference(
     name, seed
 ):
-    """Three incremental batches in a row, then both multi-criteria
+    """Three swaps in a row, then both multi-criteria
     shapes: patched service ≡ cold rebuild (answers, legs, work) ≡ the
     reference search on the rebuilt object graph."""
     timetable, config, base = _case(name, seed)
     warm, delayed = base, timetable
     for step in range(3):
         delays, slack = _random_batch(timetable, seed + 100 * step)
-        warm = warm.apply_delays(
-            delays, slack_per_leg=slack, mode="incremental"
-        )
+        warm = warm.apply_delays(delays, slack_per_leg=slack)
         delayed = apply_delays(delayed, delays, slack_per_leg=slack)
     cold = type(base)(delayed, config)
     context = f"{name}-s{seed}"
@@ -316,7 +316,7 @@ def test_incremental_shares_untouched_artifacts(name, seed):
     cold service's."""
     timetable, config, base = _case(name, seed)
     delays, slack = _random_batch(timetable, seed)
-    warm = base.apply_delays(delays, slack_per_leg=slack, mode="incremental")
+    warm = base.apply_delays(delays, slack_per_leg=slack)
 
     assert warm.prepared.station_graph is base.prepared.station_graph
     assert warm.prepared.transfer_stations is base.prepared.transfer_stations
@@ -333,18 +333,35 @@ def test_incremental_shares_untouched_artifacts(name, seed):
         )
 
 
-def test_incremental_matches_full_mode_stats_contract():
-    """``mode="full"`` keeps the historical accounting; incremental
-    reports its own (rebuilt legs, zero shared-stage times)."""
+def test_any_mode_gives_the_patch_stats():
+    """``mode`` selects nothing: with it omitted, ``"full"`` or
+    ``"incremental"``, a swap reports the patch's accounting — rebuilt
+    legs, shared topology, no graph, station-graph or selection time."""
     timetable, config, base = _case("mid-default", 0)
     delays, slack = _random_batch(timetable, 0)
-    full = base.apply_delays(delays, slack_per_leg=slack)
-    inc = base.apply_delays(delays, slack_per_leg=slack, mode="incremental")
-    assert not full.prepare_stats.incremental
-    assert full.prepare_stats.rebuilt_legs == 0
-    assert inc.prepare_stats.incremental
-    assert inc.prepare_stats.station_graph_seconds == 0.0
-    assert inc.prepare_stats.selection_seconds == 0.0
+    swaps = [
+        base.apply_delays(delays, slack_per_leg=slack, **mode)
+        for mode in ({}, {"mode": "full"}, {"mode": "incremental"})
+    ]
+    counts = {
+        (
+            stats.rebuilt_legs,
+            stats.shared_station_graph,
+            stats.num_nodes,
+            stats.num_edges,
+            stats.num_transfer_stations,
+            stats.packed_bytes,
+        )
+        for stats in (swap.prepare_stats for swap in swaps)
+    }
+    assert len(counts) == 1
+    for swap in swaps:
+        stats = swap.prepare_stats
+        assert stats.rebuilt_legs >= 1 and stats.shared_station_graph
+        assert stats.graph_seconds == 0.0
+        assert stats.station_graph_seconds == 0.0
+        assert stats.selection_seconds == 0.0
+        assert swap.prepared.hydrated == {"timetable"}
 
 
 def test_incremental_rejects_unknown_mode():

@@ -42,7 +42,6 @@ def test_replay_end_to_end(target):
         ReplayConfig(
             query_threads=2,
             speed=4.0,
-            replan="incremental",
             max_swap_seconds=60.0,
         ),
     )
@@ -132,8 +131,6 @@ def test_report_check_flags_missing_commits():
 def test_config_validation():
     with pytest.raises(ValueError, match="speed"):
         ReplayConfig(speed=0.0)
-    with pytest.raises(ValueError, match="replan"):
-        ReplayConfig(replan="bogus")
     with pytest.raises(ValueError, match="query_threads"):
         ReplayConfig(query_threads=-1)
 
