@@ -59,7 +59,7 @@ def _run_row(graph, selection, pairs):
             transfer_selection="contraction",
             transfer_fraction=float(selection.rstrip("%")) / 100.0,
         )
-    prepared = prepare_dataset(graph.timetable, config, graph=graph)
+    prepared = prepare_dataset(graph.timetable, config)
     table = prepared.table
 
     if selection != "0.0%" and table is None:

@@ -68,10 +68,9 @@ def main() -> None:
         f"{train_lateness_profile(timetable, recovered_service.timetable, victim)}"
     )
     print(
-        "replanning patched the pack in "
+        "replanning re-packed the delayed timetable in "
         f"{delayed_service.prepare_stats.total_seconds * 1000:.0f} ms "
-        f"({delayed_service.prepare_stats.rebuilt_legs} legs rebuilt; "
-        "station graph shared: "
+        "(station graph shared: "
         f"{delayed_service.prepare_stats.shared_station_graph})"
     )
 

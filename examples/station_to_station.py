@@ -43,10 +43,8 @@ def main() -> None:
         f"{table.size_mib() * 1024:.1f} KiB, built in {table.build_seconds:.2f} s"
     )
 
-    # A second service over the same graph, stopping criterion only.
-    plain = TransitService.from_graph(
-        prepared.graph, ServiceConfig(num_threads=4)
-    )
+    # A second service over the same timetable, stopping criterion only.
+    plain = TransitService(timetable, ServiceConfig(num_threads=4))
 
     # --- local and via stations of a target (paper Fig. 3) -----------
     mask = np.zeros(timetable.num_stations, dtype=bool)

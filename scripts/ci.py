@@ -333,20 +333,23 @@ def stream_replay(tmp: Path) -> None:
 
 
 def warm_start(tmp: Path) -> None:
-    """A loaded service must never rebuild: loading with every builder
-    poisoned and answering all six query shapes proves the store
-    carried everything — the pack included, so the multi-criteria
-    shapes re-pack nothing either.  Nor does it hydrate: the builders
-    of a loaded dataset's timetable and object graph (the store's
-    ``_hydrate_timetable``, then ``build_td_graph``), which only a swap,
-    a save or an oracle asks for, are poisoned too.  Then a delay swap
-    of the loaded service, asked for as a client asks (no ``mode=``),
-    and a save of the swapped one build the timetable and the table, and nothing else:
-    the graph builder and both packers stay poisoned throughout."""
+    """No served path builds the object graph: the graph builder
+    (``build_td_graph``) and the graph packer (``pack_td_graph``) are
+    poisoned throughout, and a cold prepare builds its pack from the
+    timetable and its routes.  A loaded service must never rebuild:
+    loading with every builder poisoned — the pack's constructor
+    (``pack_timetable``) included — and answering all six query shapes
+    proves the store carried everything.  Nor does it hydrate: the
+    store's timetable builder (``_hydrate_timetable``), which only a
+    swap, a save or an oracle asks for, is poisoned too.  Then a delay
+    swap of the loaded service, asked for as a client asks (no
+    ``mode=``), and a save of the swapped one build the timetable, the
+    pack and the table, and nothing else."""
     import repro.graph.td_arrays as arrays_mod
     import repro.service.prepare as prepare_mod
     import repro.store.store as store_mod
-    from repro import TransitService
+    from repro import ServiceConfig, TransitService
+    from repro.synthetic.instances import make_instance
 
     store = str(tmp / "store")
     cli("prepare", *OAHU, "--store", store, "--transfer-fraction", "0.2")
@@ -357,16 +360,26 @@ def warm_start(tmp: Path) -> None:
 
         return _raise
 
+    for mod, attr in (
+        (prepare_mod, "build_td_graph"),
+        (arrays_mod, "pack_td_graph"),
+    ):
+        setattr(mod, attr, forbid(attr))
+    cold = TransitService(
+        make_instance("oahu", scale="tiny"),
+        ServiceConfig(use_distance_table=True, transfer_fraction=0.2),
+    )
+    assert cold.prepared.hydrated == {"timetable"}, cold.prepared.hydrated
+    print("a cold prepare built no graph: it packed the timetable")
+
     swap_builders = {
+        (prepare_mod, "pack_timetable"): prepare_mod.pack_timetable,
         (prepare_mod, "build_distance_table"): prepare_mod.build_distance_table,
         (store_mod, "_hydrate_timetable"): store_mod._hydrate_timetable,
     }
     for mod, attr in (
-        (prepare_mod, "build_td_graph"),
         (prepare_mod, "build_station_graph"),
         (prepare_mod, "select_transfer_stations"),
-        (prepare_mod, "packed_arrays"),
-        (arrays_mod, "pack_td_graph"),
         *swap_builders,
     ):
         setattr(mod, attr, forbid(attr))
@@ -398,7 +411,7 @@ def warm_start(tmp: Path) -> None:
         assert prepared.hydrated == {"timetable"}, prepared.hydrated
     print(
         "a default swap of the loaded service and a save of the "
-        "swapped one built no graph and packed nothing"
+        "swapped one built no graph: the swap packed the delayed timetable"
     )
 
 

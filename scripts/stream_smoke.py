@@ -8,8 +8,8 @@ behind a `FleetGateway`, generates a seeded delay stream
 (docs/STREAMS.md), saves/loads it through the JSON interchange format,
 and replays it with the production harness
 (`repro.streams.replay_stream`) — closed-loop query workers running
-alongside the delay poster, every batch patched into each worker's
-pack through the fleet's coordinated two-phase swap.  The bars:
+alongside the delay poster, every batch swapped into each worker
+through the fleet's coordinated two-phase swap.  The bars:
 
 1. **zero failed client requests** — queries and delay posts — across
    20+ streamed commits (`ReplayReport.check()`);

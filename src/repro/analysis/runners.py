@@ -190,7 +190,7 @@ def run_table2(
                 transfer_selection="contraction",
                 transfer_fraction=float(spec),
             )
-        prepared = prepare_dataset(graph.timetable, config, graph=graph)
+        prepared = prepare_dataset(graph.timetable, config)
         table = prepared.table
         num_transfer = prepared.stats.num_transfer_stations
         engine = StationToStationEngine(

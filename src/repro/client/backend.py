@@ -207,7 +207,7 @@ class TransitBackend(Protocol):
         replan: str = "full",
     ) -> DelayUpdate:
         """Swap the dataset to its delayed timetable; every swap
-        patches the pack.  ``replan`` is checked and selects nothing
+        re-packs it.  ``replan`` is checked and selects nothing
         (:data:`repro.server.protocol.DELAY_REPLAN_MODES`)."""
 
     def info(self) -> DatasetInfo: ...

@@ -134,7 +134,7 @@ def spcs_kernel_search(
 
     ``connection_subset`` and ``self_pruning`` mean what they mean to
     :func:`~repro.core.spcs.spcs_profile_search`; ``arrays`` is
-    produced by :func:`~repro.graph.td_arrays.pack_td_graph`.
+    produced by :func:`~repro.graph.td_arrays.pack_timetable`.
     ``target`` switches on the stopping criterion, as there, *and* goal
     direction: the queue is keyed by arrival + ``potential[node]``, where
     ``potential`` is ``arrays.lower_bounds_to(target)`` — computed here

@@ -60,7 +60,7 @@ class GatewayMetrics(HttpMetrics):
         Metric(
             "incremental_swaps_total",
             "coordinated swaps whose body said `replan: incremental`, per "
-            "dataset (the key selects nothing: every swap patches the pack)",
+            "dataset (the key selects nothing: every swap re-packs)",
         ),
         Metric(
             "last_swap_seconds", "duration of the latest swap, per dataset"

@@ -7,12 +7,18 @@
   one node per station, an edge where at least one train runs.
 * :mod:`repro.graph.td_arrays` — the packed flat-array form of the
   time-dependent graph consumed by the SPCS kernel
-  (:mod:`repro.core.spcs_kernel`) and shipped to worker processes.
+  (:mod:`repro.core.spcs_kernel`) and shipped to worker processes,
+  built straight from a timetable and its routes.
 * :mod:`repro.graph.csr` — small CSR utilities shared by both.
 """
 
 from repro.graph.td_model import Edge, TDGraph, build_td_graph
-from repro.graph.td_arrays import TDGraphArrays, pack_td_graph, packed_arrays
+from repro.graph.td_arrays import (
+    TDGraphArrays,
+    pack_td_graph,
+    pack_timetable,
+    packed_arrays,
+)
 from repro.graph.station_graph import StationGraph, build_station_graph
 
 __all__ = [
@@ -21,6 +27,7 @@ __all__ = [
     "build_td_graph",
     "TDGraphArrays",
     "pack_td_graph",
+    "pack_timetable",
     "packed_arrays",
     "StationGraph",
     "build_station_graph",

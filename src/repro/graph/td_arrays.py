@@ -23,11 +23,14 @@ around, each at its cheapest over the period — from which
 :meth:`TDGraphArrays.lower_bounds_to` computes the per-target
 potentials a goal-directed search keys its queue by
 (``docs/KERNEL.md``, "Goal direction").  Both are built in the pack's
-constructor, so no search fills one in; only a copy that came through
-pickle, which drops them, builds its own on first use.  Both belong to
-one pack: a patched pack (:func:`~repro.graph.td_patch.patch_td_arrays`)
-is handed its parent's forward mirror, patched, and never the reverse
-one, because a delay batch can make an edge cheaper than it ever was.
+constructor from its own buffers, so no search fills one in and no
+pack is handed another's; only a copy that came through pickle, which
+drops them, builds its own on first use.
+
+A served pack is built straight from a timetable's connection columns
+and its routes (:func:`pack_timetable`), cold and after a delay alike;
+:func:`pack_td_graph` packs an object graph, the readable construction
+it is tested against.
 
 Layout summary (``N`` nodes, ``E`` edges, ``F`` ttfs, ``P`` ttf points,
 ``S`` stations, ``C`` connections):
@@ -44,8 +47,7 @@ array                shape       meaning
 ``ttf_dep``          ``P``       departure time points, per ttf ascending
 ``ttf_dur``          ``P``       durations, parallel to ``ttf_dep``
 ``ttf_fifo``         ``F``       next-departure-is-optimal flag per ttf
-                                 (the store's and patches'; no search
-                                 reads it)
+                                 (the store's; no search reads it)
 ``conn_indptr``      ``S + 1``   row pointers into the connection arrays
 ``conn_dep``         ``C``       departure time per connection, ``conn(S)``
                                  order (matches ``outgoing_connections``)
@@ -64,6 +66,7 @@ import numpy as np
 
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import TDGraph
+from repro.timetable.types import Route, Timetable
 
 #: ``array`` typecodes from the narrowest up, each with the bound its
 #: values stay below; numpy reads the same codes as the same types.
@@ -152,15 +155,15 @@ class TDGraphArrays:
     transfer_time: np.ndarray
     #: The kernel-side mirrors; never pickled (workers rebuild their own).
     _adjacency_cache: list | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
     _reverse_cache: list | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         # The one build step of both mirrors, whoever constructs the
-        # pack (pack, patch, store load).
+        # pack (pack or store load).
         self.kernel_adjacency()
         self.reverse_min_adjacency()
 
@@ -317,7 +320,9 @@ class TDGraphArrays:
 
 
 def pack_td_graph(graph: TDGraph) -> TDGraphArrays:
-    """Pack a :class:`TDGraph` into its flat-array form.
+    """Pack a :class:`TDGraph` into its flat-array form, edge by edge:
+    the readable construction :func:`pack_timetable` is tested against
+    (no served path calls it).
 
     Edge order within a node follows ``graph.adjacency`` (the kernel and
     the object-graph SPCS relax in the same order); ``conn(S)`` order
@@ -391,12 +396,218 @@ def pack_td_graph(graph: TDGraph) -> TDGraphArrays:
     )
 
 
+def pack_timetable(timetable: Timetable, routes: list[Route]) -> TDGraphArrays:
+    """The pack of ``timetable``'s time-dependent graph over ``routes``,
+    straight from its connection columns — the one constructor of a
+    served pack, cold and after a delay alike.
+
+    ``routes`` are ``partition_routes(timetable)``, or those of a
+    timetable it is a delay of (delays keep every train's route).  The
+    result is equal, buffer by buffer and mirror by mirror, to what
+    :func:`pack_td_graph` makes of ``build_td_graph(timetable)``, the
+    readable construction it is tested against; here each piece is a
+    sort:
+
+    * route ``r``'s stop ``k`` is node ``|S| + Σ_{r' < r} len(r'.stations)
+      + k``; a station's boarding edges go to its departing route nodes
+      in node order, and a route node has its alighting edge, then its
+      route edge;
+    * a connection runs leg ``k`` of its train's route, ``k`` its rank
+      among its train's connections in list (travel) order; function
+      ``f`` is the route edge of the ``f``-th departing route node, its
+      points its connections sorted by (departure, duration);
+    * ``conn(S)`` is sorted by (departure, arrival, list position), as
+      :meth:`~repro.timetable.types.Timetable.outgoing_connections`
+      orders it, each entry seeding the route node of its leg.
+
+    Raises ``ValueError`` naming the first connection that does not
+    continue its train's route, or a train of ``routes`` that stops
+    short of its route's end.
+    """
+    num_stations = timetable.num_stations
+    period = timetable.period
+    sizes = np.asarray(
+        [len(route.stations) for route in routes], dtype=np.int64
+    )
+    stops = np.asarray(
+        [station for route in routes for station in route.stations],
+        dtype=np.int64,
+    )
+    node_station = np.concatenate([np.arange(num_stations), stops])
+    first = np.cumsum(sizes) - sizes  # each route's first stop in ``stops``
+    departs = np.ones(stops.size, dtype=bool)
+    departs[first + sizes - 1] = False
+    arrives = np.ones(stops.size, dtype=bool)
+    arrives[first] = False
+    ride = np.cumsum(departs) - 1  # a departing route node's function
+
+    # Edges: a station boards its departing route nodes; a route node
+    # alights, then rides its leg.
+    route_node = num_stations + np.arange(stops.size)
+    board = route_node[departs][np.argsort(stops[departs], kind="stable")]
+    steps = np.stack([arrives, departs], axis=1)
+
+    def edges(boarding, alighting, riding):
+        return np.concatenate(
+            [boarding, np.stack([alighting, riding], axis=1)[steps]]
+        )
+
+    transfer_time = np.asarray(
+        [s.transfer_time for s in timetable.stations], dtype=np.int64
+    )
+    out_degree = np.concatenate(
+        [
+            np.bincount(stops[departs], minlength=num_stations),
+            steps.sum(axis=1),
+        ]
+    )
+    zero = np.zeros_like(stops)
+    return TDGraphArrays(
+        num_nodes=int(node_station.size),
+        num_stations=num_stations,
+        period=period,
+        node_station=node_station,
+        edge_indptr=np.concatenate([[0], np.cumsum(out_degree)]),
+        edge_target=edges(board, stops, route_node + 1),
+        edge_weight=edges(transfer_time[node_station[board]], zero, zero),
+        edge_ttf=edges(np.full(board.size, -1), zero - 1, ride),
+        transfer_time=transfer_time,
+        **_connection_buffers(timetable, routes, first, node_station, ride),
+    )
+
+
+def _connection_buffers(
+    timetable: Timetable,
+    routes: list[Route],
+    first: np.ndarray,
+    node_station: np.ndarray,
+    ride: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The buffers :func:`pack_timetable` reads off the connection
+    columns, by name: ``conn_*`` and ``ttf_*``.  Its own function, so
+    that the columns and their sorts are freed before the pack builds
+    its mirrors."""
+    num_stations, period = timetable.num_stations, timetable.period
+    train, dep_station, arr_station, dep, arr = timetable.connection_columns()
+    node = _leg_nodes(
+        timetable, routes, train, dep_station, arr_station, first, node_station
+    )
+    # Each column is dropped once read: they, not the pack, set the
+    # peak memory of a swap.
+    del train, arr_station
+    # One int64 key per sort (stations × period × arrivals, far below
+    # 2**63 on any timetable), several times faster than a lexsort.
+    conns = np.argsort(
+        (dep_station * period + dep) * (arr.max(initial=0) + 1) + arr,
+        kind="stable",
+    )
+    buffers = {
+        "conn_indptr": np.concatenate(
+            [[0], np.cumsum(np.bincount(dep_station, minlength=num_stations))]
+        ),
+        "conn_dep": dep[conns],
+        "conn_start": node[conns],
+    }
+    del conns, dep_station
+    fid = ride[node - num_stations]
+    del node
+    dur = arr - dep
+    del arr
+    return {**buffers, **_function_points(fid, dep, dur, period)}
+
+
+def _leg_nodes(
+    timetable: Timetable,
+    routes: list[Route],
+    train: np.ndarray,
+    dep_station: np.ndarray,
+    arr_station: np.ndarray,
+    first: np.ndarray,
+    node_station: np.ndarray,
+) -> np.ndarray:
+    """Per connection, given as its columns, the route node its leg
+    departs from, once every connection is checked to continue its
+    train's route (see :func:`pack_timetable`)."""
+    member = np.asarray(
+        [t for route in routes for t in route.trains], dtype=np.int64
+    )
+    num_trains = 1 + max(
+        int(train.max(initial=-1)), int(member.max(initial=-1))
+    )
+    # -1 for a train no route runs; the appended entries give it no legs.
+    route_of = np.full(num_trains, -1, dtype=np.int64)
+    route_of[member] = np.repeat(
+        np.arange(len(routes)), [len(route.trains) for route in routes]
+    )
+    legs = np.array([route.num_legs for route in routes] + [0])
+    # A connection's leg: its place among the connections sorted by
+    # train (stably, so in list order), less its train's first place.
+    runs = np.bincount(train, minlength=num_trains)
+    leg = np.empty_like(train)
+    leg[np.argsort(train, kind="stable")] = np.arange(train.size)
+    leg -= (np.cumsum(runs) - runs)[train]
+    r = route_of[train]
+    fits = leg < legs[r]
+    node = np.append(first, 0)[r]
+    node += leg
+    node += timetable.num_stations
+    node[~fits] = 0
+    fits &= node_station[node] == dep_station
+    ends = np.minimum(node + 1, node_station.size - 1)
+    fits &= node_station[ends] == arr_station
+    if not fits.all():
+        i = int(np.argmin(fits))
+        c = timetable.connections[i]
+        if r[i] < 0:
+            raise ValueError(f"connection {c} is of a train no route runs")
+        raise ValueError(
+            f"connection {c} does not continue route {routes[r[i]].id} "
+            f"at leg {leg[i]}"
+        )
+    short = np.flatnonzero(runs < legs[route_of])
+    if short.size:
+        t = int(short[0])
+        route = routes[route_of[t]]
+        raise ValueError(
+            f"train {t} runs {runs[t]} of the {route.num_legs} legs "
+            f"of route {route.id}"
+        )
+    return node
+
+
+def _function_points(
+    fid: np.ndarray, dep: np.ndarray, dur: np.ndarray, period: int
+) -> dict[str, np.ndarray]:
+    """The ``ttf_*`` buffers by name, from a point ``(dep, dur)`` per
+    connection of function ``fid`` (every function has one): each
+    function's points sorted by (departure, duration), and FIFO where
+    arrivals never fall within the function, nor does tomorrow's first
+    arrival come before today's last."""
+    # Equal keys are equal points, so the sort need not be stable.
+    points = np.argsort((fid * period + dep) * (dur.max(initial=0) + 1) + dur)
+    ttf_dep, ttf_dur, owner = dep[points], dur[points], fid[points]
+    ttf_indptr = np.concatenate([[0], np.cumsum(np.bincount(fid))])
+    arrival = ttf_dep + ttf_dur
+    overtaken = np.zeros(ttf_indptr.size - 1, dtype=bool)
+    falls = (arrival[1:] < arrival[:-1]) & (owner[1:] == owner[:-1])
+    overtaken[owner[1:][falls]] = True
+    overtaken |= (
+        arrival[ttf_indptr[1:] - 1] > arrival[ttf_indptr[:-1]] + period
+    )
+    return {
+        "ttf_indptr": ttf_indptr,
+        "ttf_dep": ttf_dep,
+        "ttf_dur": ttf_dur,
+        "ttf_fifo": ~overtaken,
+    }
+
+
 def packed_arrays(graph: TDGraph) -> TDGraphArrays:
-    """The pack of ``graph``: :func:`pack_td_graph` on the first call,
-    the same object ever after — it lives in the graph and dies with
-    it (a graph a replanned or loaded dataset builds is handed that
-    dataset's pack, ``PreparedDataset.graph``).
+    """The pack of ``graph``: :func:`pack_timetable` of its timetable
+    and routes on the first call, the same object ever after — it
+    lives in the graph and dies with it (a graph a dataset builds is
+    handed that dataset's pack, ``PreparedDataset.graph``).
     """
     if graph._arrays is None:
-        graph._arrays = pack_td_graph(graph)
+        graph._arrays = pack_timetable(graph.timetable, graph.routes)
     return graph._arrays

@@ -235,7 +235,7 @@ def _derive_parser(shape: Shape) -> Callable[[object, int], Any]:
 DELAY_MODES = ("apply", "prepare", "commit", "abort")
 
 #: The values protocol 2's ``replan`` key accepts.  It selects
-#: nothing: every swap patches the pack
+#: nothing: every swap re-packs the delayed timetable
 #: (:func:`repro.service.prepare.replan_dataset`), and the
 #: ``PROTOCOL_VERSION`` bump that drops the key removes this too, with
 #: the gateway's ``incremental_swaps_total``.

@@ -171,17 +171,6 @@ class TransitService:
         #: thread that asked.
         self._workers: ForkPool | None = None
 
-    @classmethod
-    def from_graph(
-        cls, graph, config: ServiceConfig | None = None
-    ) -> "TransitService":
-        """Build a service over an already-built time-dependent graph
-        (benchmarks sweeping many configs over one dataset skip the
-        repeated graph build this way)."""
-        config = config if config is not None else ServiceConfig()
-        prepared = prepare_dataset(graph.timetable, config, graph=graph)
-        return cls(graph.timetable, config, prepared=prepared)
-
     # -- persistence (repro.store) -------------------------------------
 
     def save(self, path: str | Path) -> Path:
@@ -476,11 +465,12 @@ class TransitService:
         """A new service for the delayed timetable (§5.1).
 
         Only the travel-time artifacts are re-derived, by
-        :func:`replan_dataset`: the pack is patched and a configured
-        distance table scanned afresh; delayed trains keep their
-        routes, so the routes, the station graph and the
-        transfer-station selection are *shared* with this service, and
-        no object graph is built.  Answers are exactly those of a cold
+        :func:`replan_dataset`: the pack is built from the delayed
+        timetable and a configured distance table scanned afresh;
+        delayed trains keep their routes, so the routes, the station
+        graph and the transfer-station selection are *shared* with this
+        service, and no object graph is built.  Answers are exactly
+        those of a cold
         ``TransitService(apply_delays(timetable, delays), config)`` —
         the oracle every swap is tested against, never served
         (``tests/service/test_delay_replanning.py``).  A batch that makes a train depart one
@@ -503,13 +493,10 @@ class TransitService:
             raise ValueError(
                 f"mode must be 'full' or 'incremental', got {mode!r}"
             )
-        delays = list(delays)
         delayed = _delay_timetable(
             self.timetable, delays, slack_per_leg=slack_per_leg
         )
-        prepared = replan_dataset(
-            self.prepared, delayed, {d.train for d in delays}
-        )
+        prepared = replan_dataset(self.prepared, delayed)
         replanned = type(self)(delayed, self.config, prepared=prepared)
         if self._workers is not None:
             replanned.start_workers(self._workers.processes)
@@ -632,9 +619,8 @@ class TransitService:
         multicriteria and min-transfers requests pay one search, and
         dated journeys and via hops (``max_transfers=None``: one layer)
         from the same source and departure another.  Like the SPCS
-        paths it runs the flat loop on the dataset's packed arrays
-        (slice-patched after a delay swap).  One-to-all, so the memo
-        serves every target.
+        paths it runs the flat loop on the dataset's packed arrays.
+        One-to-all, so the memo serves every target.
         """
         key = _McSearchKey(source, departure, max_transfers)
         raw = self._result_cache.get(key)

@@ -7,13 +7,16 @@ performs that pipeline exactly once and returns a
 :class:`PreparedDataset` snapshot owning every shared artifact, with
 :class:`PrepareStats` timing and size accounting for benchmarks.
 
-Delay replanning (:meth:`TransitService.apply_delays`) re-derives only
-the artifacts delays can affect.  Delayed trains keep their routes, so
-the routes, the station graph and the transfer-station selection (a
-pure function of the station graph) are *shared* with the original
-dataset; the packed arrays and the distance table carry travel times
-and are rebuilt — patched and rescanned by :func:`replan_dataset`,
-which builds no object graph.
+Every pack is built one way, from a timetable and its routes
+(:func:`~repro.graph.td_arrays.pack_timetable`), and no served path
+builds the object graph.  Delay replanning
+(:meth:`TransitService.apply_delays`) re-derives only the artifacts
+delays can affect.  Delayed trains keep their routes, so the routes,
+the station graph and the transfer-station selection (a pure function
+of the station graph) are *shared* with the original dataset; the
+packed arrays and the distance table carry travel times and are
+rebuilt — re-packed over the shared routes and rescanned by
+:func:`replan_dataset`.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ from typing import Callable
 import numpy as np
 
 from repro.graph.station_graph import StationGraph, build_station_graph
-from repro.graph.td_arrays import TDGraphArrays, packed_arrays
+from repro.graph.td_arrays import TDGraphArrays, pack_timetable
 from repro.graph.td_model import TDGraph, build_td_graph
-from repro.graph.td_patch import patch_td_arrays
 from repro.query.distance_table import DistanceTable, build_distance_table
 from repro.query.transfer_selection import select_transfer_stations
 from repro.service.config import ServiceConfig
@@ -40,19 +42,21 @@ from repro.timetable.types import Route, Timetable
 class PrepareStats:
     """Wall-clock and size accounting of one preparation run.
 
-    All times in seconds.  ``packed_bytes`` is the size of the packed
-    arrays every dataset carries (built, patched or loaded);
+    All times in seconds.  ``graph_seconds`` times the route
+    partition (:func:`~repro.timetable.routes.partition_routes`), the
+    one step of the time-dependent graph a pack does not do itself —
+    no served path builds the object graph; the name is the one
+    benchmarks read.  ``packed_bytes`` is the size of the packed
+    arrays every dataset carries (built or loaded);
     ``selection_seconds``/``table_seconds``/``table_mib`` are zero
     when the distance table is off.  ``shared_station_graph`` records
     whether the station graph (and transfer selection) were inherited
     from a prior service instead of rebuilt: a delay replan
     (:func:`replan_dataset`).
     ``loaded_from_store`` marks a warm start from the artifact store
-    (:mod:`repro.store`): nothing was built, so every stage — the
-    object graph's included, which a loaded dataset builds only on
-    first access (:class:`PreparedDataset`) — is zero.  A replan
-    builds no object graph either: its ``graph_seconds`` is
-    zero and ``pack_seconds`` is the patch.
+    (:mod:`repro.store`): nothing was built, so every stage is zero.
+    A replan shares its parent's routes: its ``graph_seconds`` is
+    zero and ``pack_seconds`` is the re-pack.
     """
 
     graph_seconds: float
@@ -70,9 +74,6 @@ class PrepareStats:
     table_mib: float
     shared_station_graph: bool = False
     loaded_from_store: bool = False
-    #: Route legs whose travel-time function was rebuilt (replans
-    #: only; zero for cold builds and loads).
-    rebuilt_legs: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,23 +161,23 @@ class PreparedDataset:
     once, under a lock, when the dataset was not given them: whoever
     asks first — a delay swap, a save, an oracle — builds it, and
     every other asker gets that one object.  A cold prepare is given
-    all three; a replan its delayed timetable and its parent's routes
-    (delays keep routes); a dataset loaded from a store
-    (:mod:`repro.store`) none, but a timetable builder
-    (``hydrate_timetable``) and its ``counts``.  The routes are
-    ``partition_routes(timetable)`` and must match the pack
-    (:class:`PackMismatchError` otherwise); the graph is built as
-    :func:`prepare_dataset` builds it, ``build_td_graph(timetable)``,
-    only after the routes have passed that check, and takes the pack
-    as its own.  The timetable builder is dropped once its timetable
-    is published, and with it the record it kept to build from.
+    its timetable and routes, a replan its delayed timetable and its
+    parent's routes (delays keep routes); a dataset loaded from a
+    store (:mod:`repro.store`) neither, but a timetable builder
+    (``hydrate_timetable``) and its ``counts``.  No dataset is given
+    its graph.  The routes are ``partition_routes(timetable)`` and
+    must match the pack (:class:`PackMismatchError` otherwise); the
+    graph, which only an oracle asks for, is
+    ``build_td_graph(timetable)``, built only after the routes have
+    passed that check, and takes the pack as its own.  The timetable
+    builder is dropped once its timetable is published, and with it
+    the record it kept to build from.
     """
 
     def __init__(
         self,
         timetable: Timetable | None,
         config: ServiceConfig,
-        graph: TDGraph | None,
         station_graph: StationGraph,
         arrays: TDGraphArrays,
         transfer_stations: np.ndarray | None,
@@ -188,14 +189,14 @@ class PreparedDataset:
         hydrate_timetable: Callable[[], Timetable] | None = None,
     ) -> None:
         self._timetable = timetable
-        self._routes = graph.routes if graph is not None else routes
-        self._graph = graph
+        self._routes = routes
+        self._graph: TDGraph | None = None
         self._hydrate_timetable = hydrate_timetable
         # Re-entrant: the graph needs the routes, the routes the timetable.
         self._hydrating = threading.RLock()
         self.config = config
         self.station_graph = station_graph
-        #: Packed flat-array twin of ``graph``: what every served search reads.
+        #: The pack: what every served search reads.
         self.arrays = arrays
         #: Sorted transfer-station ids (``None`` when the table is off).
         self.transfer_stations = transfer_stations
@@ -233,9 +234,8 @@ class PreparedDataset:
 
     @property
     def graph(self) -> TDGraph:
-        """The object graph, built from the timetable on first access
-        unless the dataset was prepared cold; it owns :attr:`arrays` as
-        its pack either way."""
+        """The object graph, built from the timetable on first access;
+        it owns :attr:`arrays` as its pack."""
         graph = self._graph
         if graph is None:
             with self._hydrating:
@@ -249,9 +249,9 @@ class PreparedDataset:
 
     @property
     def hydrated(self) -> frozenset[str]:
-        """Which of ``"timetable"`` and ``"graph"`` exist: both after a
-        cold prepare, the timetable alone after a replan, neither after
-        a load until something asks for them."""
+        """Which of ``"timetable"`` and ``"graph"`` exist: the
+        timetable alone after a cold prepare or a replan, neither after
+        a load, until something asks for them."""
         return frozenset(
             name
             for name, value in (
@@ -263,24 +263,18 @@ class PreparedDataset:
 
 
 def prepare_dataset(
-    timetable: Timetable,
-    config: ServiceConfig,
-    *,
-    graph: TDGraph | None = None,
+    timetable: Timetable, config: ServiceConfig
 ) -> PreparedDataset:
     """Run the prepare-once pipeline for ``(timetable, config)``.
 
-    ``graph`` injects an already-built time-dependent graph
-    (benchmarks sweeping configs over one dataset).  A delayed
-    timetable is not prepared here but replanned
+    A delayed timetable is not prepared here but replanned
     (:func:`replan_dataset`); a cold build of it is the oracle a
     replan is tested against.
     """
     t_start = time.perf_counter()
 
     t0 = time.perf_counter()
-    if graph is None:
-        graph = build_td_graph(timetable)
+    routes = partition_routes(timetable)
     graph_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -288,7 +282,7 @@ def prepare_dataset(
     station_graph_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    arrays = packed_arrays(graph)
+    arrays = pack_timetable(timetable, routes)
     pack_seconds = time.perf_counter() - t0
 
     selection_seconds = 0.0
@@ -321,8 +315,8 @@ def prepare_dataset(
         table_seconds=table_seconds,
         total_seconds=time.perf_counter() - t_start,
         num_stations=timetable.num_stations,
-        num_nodes=graph.num_nodes,
-        num_edges=graph.num_edges,
+        num_nodes=arrays.num_nodes,
+        num_edges=arrays.num_edges,
         num_connections=len(timetable.connections),
         packed_bytes=arrays.nbytes(),
         num_transfer_stations=(
@@ -333,34 +327,29 @@ def prepare_dataset(
     return PreparedDataset(
         timetable=timetable,
         config=config,
-        graph=graph,
         station_graph=station_graph,
         arrays=arrays,
         transfer_stations=transfer_stations,
         table=table,
         stats=stats,
+        routes=routes,
     )
 
 
 def replan_dataset(
-    prepared: PreparedDataset,
-    delayed: Timetable,
-    touched_trains: set[int],
+    prepared: PreparedDataset, delayed: Timetable
 ) -> PreparedDataset:
     """Delta replan, the one way a generation is derived from a delay
-    batch: a :class:`PreparedDataset` for the delayed timetable,
-    patched from ``prepared`` instead of rebuilt.
+    batch: a :class:`PreparedDataset` for the delayed timetable that
+    shares ``prepared``'s routes, station graph and transfer stations.
 
-    ``delayed`` must be ``apply_delays(prepared.timetable, batch)`` and
-    ``touched_trains`` the trains that batch names.  The pack is
-    patched from ``prepared``'s with its routes — only the travel-time
-    functions of legs a touched train re-timed are rebuilt
-    (:func:`~repro.graph.td_patch.patch_td_arrays`) — and a configured
-    table is built over the patched pack by the call
+    ``delayed`` must be ``apply_delays(prepared.timetable, batch)``.
+    Its pack is built over ``prepared``'s routes by the call
     :func:`prepare_dataset` makes
+    (:func:`~repro.graph.td_arrays.pack_timetable`), and a configured
+    table over that pack by the call it makes too
     (:func:`~repro.query.distance_table.build_distance_table`), every
-    row of it new.  No object graph is built: the result's is built
-    when an oracle asks for it.  The result is value-identical to
+    row of it new.  The result is value-identical to
     ``prepare_dataset(delayed, config)``: delays keep every train's
     route, so the cold build's routes, station graph and transfer
     stations are the parent's (``tests/service/test_delay_replanning.py``
@@ -372,9 +361,7 @@ def replan_dataset(
 
     routes = prepared.routes
     t0 = time.perf_counter()
-    arrays, rebuilt_legs = patch_td_arrays(
-        prepared.arrays, routes, prepared.timetable, delayed, touched_trains
-    )
+    arrays = pack_timetable(delayed, routes)
     pack_seconds = time.perf_counter() - t0
 
     table: DistanceTable | None = None
@@ -401,12 +388,10 @@ def replan_dataset(
         num_transfer_stations=prepared.stats.num_transfer_stations,
         table_mib=table_mib,
         shared_station_graph=True,
-        rebuilt_legs=rebuilt_legs,
     )
     return PreparedDataset(
         timetable=delayed,
         config=config,
-        graph=None,
         station_graph=prepared.station_graph,
         arrays=arrays,
         transfer_stations=prepared.transfer_stations,

@@ -228,13 +228,6 @@ def save_dataset(
 def _dataset_sections(prepared: PreparedDataset) -> dict:
     timetable = prepared.timetable
     sg = prepared.station_graph
-    connections = np.asarray(
-        [
-            [c.train, c.dep_station, c.arr_station, c.dep_time, c.arr_time]
-            for c in timetable.connections
-        ],
-        dtype=np.int64,
-    ).reshape(-1)
     sections: dict = {
         "meta": np.asarray(
             [
@@ -252,7 +245,9 @@ def _dataset_sections(prepared: PreparedDataset) -> dict:
             [s.transfer_time for s in timetable.stations], dtype=np.int64
         ),
         "train_names": [t.name for t in timetable.trains],
-        "connections": connections,
+        "connections": np.stack(
+            timetable.connection_columns(), axis=1
+        ).reshape(-1),
         "sg_indptr": sg.indptr,
         "sg_targets": sg.targets,
         "sg_weights": sg.weights,
@@ -381,7 +376,6 @@ def load_dataset(
     return PreparedDataset(
         timetable=None,
         config=config,
-        graph=None,
         station_graph=station_graph,
         arrays=arrays,
         transfer_stations=transfer_stations,

@@ -14,7 +14,10 @@ the graph layer can use flat arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.timetable.periodic import DAY_MINUTES, delta, format_time
 
@@ -157,6 +160,28 @@ class Timetable:
     def delta(self, tau1: int, tau2: int) -> int:
         """Cyclic length ``Δ(τ1, τ2)`` under this timetable's period."""
         return delta(tau1, tau2, self.period)
+
+    def connection_columns(self) -> tuple[np.ndarray, ...]:
+        """The connections as five int64 columns in list order —
+        ``train``, ``dep_station``, ``arr_station``, ``dep_time``,
+        ``arr_time`` —: the one pass over the connection objects that
+        the pack (:func:`~repro.graph.td_arrays.pack_timetable`) and the
+        store read them through.
+
+        A pass per field: reading an attribute allocates nothing, where
+        a tuple per row would keep waking the garbage collector; and no
+        buffer is larger than a column, which keeps a delay swap's
+        transient memory in blocks the allocator hands back."""
+        return tuple(
+            np.fromiter(
+                map(attrgetter(name), self.connections),
+                np.int64,
+                len(self.connections),
+            )
+            for name in (
+                "train", "dep_station", "arr_station", "dep_time", "arr_time"
+            )
+        )
 
     def outgoing_connections(self, station: int) -> list[Connection]:
         """``conn(S)``: all elementary connections departing ``station``,

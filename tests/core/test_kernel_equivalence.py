@@ -217,7 +217,7 @@ def test_transit_service_matches_oracle_paths(name, seed):
     graph, arrays = _case(name, seed)
     python = spcs_profile_search(graph, 0)
     for kernel in ("python", "flat"):
-        service = SERVICE_OF_KERNEL[kernel].from_graph(graph)
+        service = SERVICE_OF_KERNEL[kernel](graph.timetable)
         result = service.profile(0)
         for station in range(graph.num_stations):
             assert result.profile(station) == python.profile(station), (

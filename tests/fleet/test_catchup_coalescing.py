@@ -112,8 +112,8 @@ class TestLongStreamRejoin:
 
     def _batch(self, i: int) -> dict:
         # Both values of protocol 2's ``replan`` key ride along: the
-        # gateway counts the ``incremental`` ones, the workers patch
-        # the pack for all of them.
+        # gateway counts the ``incremental`` ones, the workers swap
+        # all of them one way.
         if i == self.BARRIER_AT:
             return {
                 "delays": [{"train": 30, "minutes": 9}],

@@ -4,8 +4,7 @@
 an arrival time to key its queue (``docs/KERNEL.md``, "Goal
 direction").  The search is exact only if the bounds are *consistent*
 on every edge and therefore *admissible* — and only if they belong to
-the pack that is being searched: a pack patched from another one must
-compute its own.
+the pack that is being searched: a swap's pack must compute its own.
 
 The generated timetables are the adversarial ones of the kernel suites
 (:func:`tests.strategies.adversarial_timetables`: period wrap, zero
@@ -30,8 +29,8 @@ from repro.timetable.types import Timetable
 from tests.helpers import (
     ReferenceService,
     assert_packs_equal,
-    patched_pack,
     retimed,
+    swapped_pack,
 )
 from tests.strategies import adversarial_timetables, retimings
 
@@ -97,16 +96,12 @@ class TestGeneratedTimetables:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(timetable=adversarial_timetables(), data=st.data())
-    def test_a_patched_pack_has_the_bounds_of_a_fresh_one(self, timetable, data):
+    def test_a_swapped_pack_has_the_bounds_of_the_oracle(self, timetable, data):
         changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
-        # The parent pack's reverse mirror is built with it, and a patch
-        # must not inherit it.
-        patched, fresh = patched_pack(
-            timetable, retimed(timetable, changes), changes
-        )
-        assert_packs_equal(patched, fresh)
+        swapped, oracle = swapped_pack(timetable, retimed(timetable, changes))
+        assert_packs_equal(swapped, oracle)
         for target in range(timetable.num_stations):
-            assert patched.lower_bounds_to(target) == fresh.lower_bounds_to(
+            assert swapped.lower_bounds_to(target) == oracle.lower_bounds_to(
                 target
             ), target
 
@@ -137,7 +132,7 @@ class TestBoundsOutliveNoGeneration:
         builder.add_trip([(t, 200), (s, 260)], name="back")
         return builder.build(), s, t, slow
 
-    def test_a_ride_faster_than_ever_before_is_found_after_a_patch(self):
+    def test_a_ride_faster_than_ever_before_is_found_after_a_swap(self):
         timetable, s, t, slow = self._timetable()
         config = ServiceConfig(use_distance_table=False)
         base = TransitService(timetable, config)
@@ -150,7 +145,7 @@ class TestBoundsOutliveNoGeneration:
         incremental = TransitService(
             recovered,
             config,
-            prepared=replan_dataset(base.prepared, recovered, {slow}),
+            prepared=replan_dataset(base.prepared, recovered),
         )
         rebuilt = TransitService(recovered, config)
         reference = ReferenceService(recovered, config)

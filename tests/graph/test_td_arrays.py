@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import pickle
+import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +13,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.functions.piecewise import INF_TIME, TravelTimeFunction
-from repro.graph.td_arrays import pack_td_graph, packed_arrays
+from repro.graph.td_arrays import pack_td_graph, pack_timetable, packed_arrays
 from repro.graph.td_model import Edge, build_td_graph
+from repro.synthetic.instances import INSTANCE_NAMES, make_instance
 from repro.timetable.builder import TimetableBuilder
 from repro.timetable.delays import Delay, apply_delays
+from repro.timetable.routes import partition_routes
+from repro.timetable.types import Timetable
 
-from tests.helpers import assert_packs_equal, patched_pack, retimed
+from tests.helpers import assert_packs_equal, retimed, swapped_pack
 from tests.strategies import adversarial_timetables, retimings
 
 
@@ -75,6 +81,116 @@ class TestPackTdGraph:
 
     def test_nbytes_positive(self, packed):
         assert packed.nbytes() > 0
+
+
+def _relabelled(timetable: Timetable) -> Timetable:
+    """``timetable`` with station ``s`` renamed ``s + 1`` (mod |S|):
+    the same trains on other stations."""
+    n = timetable.num_stations
+    return Timetable(
+        stations=list(timetable.stations),
+        trains=list(timetable.trains),
+        connections=[
+            replace(
+                c,
+                dep_station=(c.dep_station + 1) % n,
+                arr_station=(c.arr_station + 1) % n,
+            )
+            for c in timetable.connections
+        ],
+        period=timetable.period,
+    )
+
+
+class TestPackTimetable:
+    """The served pack, straight from the connection columns, against
+    the readable construction: the object graph, packed."""
+
+    @settings(
+        deadline=None,
+        max_examples=80,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(timetable=adversarial_timetables())
+    def test_the_cold_pack_is_the_oracle(self, timetable):
+        assert_packs_equal(
+            pack_timetable(timetable, partition_routes(timetable)),
+            pack_td_graph(build_td_graph(timetable)),
+        )
+
+    @settings(
+        deadline=None,
+        max_examples=40,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(timetable=adversarial_timetables())
+    def test_routes_of_another_timetable_are_refused(self, timetable):
+        """The same trains over other stations: the first connection
+        does not continue its train's route, and the error names it."""
+        other = partition_routes(_relabelled(timetable))
+        first = re.escape(str(timetable.connections[0]))
+        with pytest.raises(ValueError, match=first):
+            pack_timetable(timetable, other)
+
+    def test_a_train_no_route_runs_is_refused(self, toy):
+        orphan = toy.connections[0]
+        kept = [r for r in partition_routes(toy) if orphan.train not in r.trains]
+        with pytest.raises(ValueError, match=re.escape(str(orphan))):
+            pack_timetable(toy, kept)
+
+    @staticmethod
+    def _line(stops):
+        builder = TimetableBuilder(period=60)
+        for k in range(4):
+            builder.add_station(f"s{k}")
+        builder.add_trip([(s, 10 * k) for k, s in enumerate(stops)])
+        return builder.build()
+
+    def test_a_train_stopping_short_of_its_route_is_refused(self):
+        with pytest.raises(ValueError, match="train 0 runs 1 of the 2 legs"):
+            pack_timetable(
+                self._line([0, 1]), partition_routes(self._line([0, 1, 2]))
+            )
+
+    def test_a_ride_to_another_station_is_refused(self):
+        """The second ride leaves the route's second stop, as it
+        should, but arrives elsewhere than its third."""
+        timetable = self._line([0, 1, 2])
+        with pytest.raises(
+            ValueError, match=re.escape(str(timetable.connections[1]))
+        ):
+            pack_timetable(timetable, partition_routes(self._line([0, 1, 3])))
+
+    @pytest.mark.parametrize(
+        "instance,scale",
+        [(name, "tiny") for name in INSTANCE_NAMES]
+        + [("washington", "small"), ("germany", "medium")],
+    )
+    def test_instances_before_and_after_delays(self, instance, scale):
+        """Cold, then after each of three seeded delay batches packed
+        over the cold routes, as a swap packs it."""
+        timetable = make_instance(instance, scale)
+        routes = partition_routes(timetable)
+        assert_packs_equal(
+            pack_timetable(timetable, routes),
+            pack_td_graph(build_td_graph(timetable)),
+        )
+        rng = random.Random(7)
+        for _ in range(3):
+            delays = [
+                Delay(
+                    train=rng.randrange(timetable.num_trains),
+                    minutes=rng.randint(1, 180),
+                )
+                for _ in range(rng.randint(1, 5))
+            ]
+            timetable = apply_delays(
+                timetable, delays, slack_per_leg=rng.choice((0, 2))
+            )
+            assert_packs_equal(
+                pack_timetable(timetable, routes),
+                pack_td_graph(build_td_graph(timetable)),
+            )
 
 
 class TestKernelAdjacency:
@@ -153,53 +269,51 @@ class TestTravelTimeRows:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(timetable=adversarial_timetables(), data=st.data())
-    def test_a_patched_pack_has_the_rows_of_a_fresh_one(self, timetable, data):
-        """Patched from the routes, no graph involved: every buffer and
-        both mirrors of a cold pack of the re-timed timetable."""
+    def test_a_swapped_pack_has_the_rows_of_the_oracle(self, timetable, data):
+        """Packed over the routes of the timetable before the change,
+        no graph involved: every buffer and both mirrors of the pack of
+        the re-timed timetable's object graph."""
         changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
-        assert_packs_equal(
-            *patched_pack(timetable, retimed(timetable, changes), changes)
-        )
+        assert_packs_equal(*swapped_pack(timetable, retimed(timetable, changes)))
 
     def test_a_longer_ride_alone_reorders_its_conn_row(self):
         """Two trains leave s0 at minute 0 and reach s1 at minute 1;
         the first then rides a minute longer.  Its departure is
         unchanged, but ``conn(s0)`` is ordered by arrival among equal
-        departures, so the patched row must swap the two — else the
-        table's reduction keeps a different point than a fresh pack's."""
+        departures, so the swapped row must order the two anew — else
+        the table's reduction keeps a different point than the
+        oracle's."""
         builder = TimetableBuilder(period=60)
         s0, s1, s2 = (builder.add_station(f"s{k}") for k in range(3))
         builder.add_trip([(s0, 0), (s1, 1)])
         builder.add_trip([(s0, 0), (s1, 1), (s2, 2)])
         timetable = builder.build()
-        patched, fresh = patched_pack(
-            timetable, retimed(timetable, {0: (0, 1)}), {0}
-        )
-        assert patched.conn_start.tolist() == fresh.conn_start.tolist()
-        assert_packs_equal(patched, fresh)
+        swapped, oracle = swapped_pack(timetable, retimed(timetable, {0: (0, 1)}))
+        assert swapped.conn_start.tolist() == oracle.conn_start.tolist()
+        assert_packs_equal(swapped, oracle)
 
     def test_two_departures_at_one_minute_seed_their_own_legs(self):
         """Slack recovery on a ride without dwell can move a train's
         next departure onto the minute of the one before (here both at
         15, from s0 and s1).  Each ``conn(S)`` entry still seeds its own
-        leg's route node, patched as cold."""
+        leg's route node, in the swapped pack as in the oracle."""
         builder = TimetableBuilder(period=60)
         s0, s1, s2 = (builder.add_station(f"s{k}") for k in range(3))
         builder.add_trip([(s0, 10), (s1, 12), (s2, 20)])
         timetable = builder.build()
         delayed = apply_delays(timetable, [Delay(train=0, minutes=5)], slack_per_leg=2)
         assert [c.dep_time for c in delayed.connections] == [15, 15]
-        patched, fresh = patched_pack(timetable, delayed, {0})
-        assert_packs_equal(patched, fresh)
+        swapped, oracle = swapped_pack(timetable, delayed)
+        assert_packs_equal(swapped, oracle)
         route_nodes = [timetable.num_stations, timetable.num_stations + 1]
         assert [
-            int(fresh.source_connection_arrays(s)[1][0]) for s in (s0, s1)
+            int(oracle.source_connection_arrays(s)[1][0]) for s in (s0, s1)
         ] == route_nodes
 
     def test_a_route_through_one_station_twice_seeds_each_visit(self):
         """A loop line leaves s0 from its first and its third stop: the
         k-th departure of a train from s0 seeds the k-th of those legs,
-        in the patched pack as in a cold one."""
+        in the swapped pack as in the oracle."""
         builder = TimetableBuilder(period=1440)
         s0, s1, s2 = (builder.add_station(f"s{k}") for k in range(3))
         for start in (0, 100):
@@ -207,11 +321,11 @@ class TestTravelTimeRows:
                 [(s0, start), (s1, start + 10), (s0, start + 20), (s2, start + 30)]
             )
         timetable = builder.build()
-        patched, fresh = patched_pack(
-            timetable, retimed(timetable, {0: (15, 0), 1: (5, 2)}), {0, 1}
+        swapped, oracle = swapped_pack(
+            timetable, retimed(timetable, {0: (15, 0), 1: (5, 2)})
         )
-        assert_packs_equal(patched, fresh)
-        assert sorted(fresh.source_connection_arrays(s0)[1].tolist()) == [
+        assert_packs_equal(swapped, oracle)
+        assert sorted(oracle.source_connection_arrays(s0)[1].tolist()) == [
             3, 3, 5, 5
         ]
 

@@ -16,9 +16,8 @@ import pytest
 
 from repro.baselines.mc_time_query import mc_time_query
 from repro.core.parallel import timed_subset_search
-from repro.graph.td_arrays import pack_td_graph
+from repro.graph.td_arrays import pack_td_graph, pack_timetable
 from repro.graph.td_model import build_td_graph
-from repro.graph.td_patch import patch_td_arrays
 from repro.query.table_query import StationToStationEngine
 from repro.service import TransitService
 from repro.store.store import _ARRAY_FIELDS as PACK_BUFFERS
@@ -178,15 +177,14 @@ def retimed(timetable: Timetable, changes: dict[int, tuple[int, int]]) -> Timeta
     )
 
 
-def patched_pack(timetable: Timetable, delayed: Timetable, touched) -> tuple:
-    """``(patched, cold)``: the pack of ``delayed`` patched from a cold
-    pack of ``timetable`` — as a replan patches it, from the routes —
-    and the cold pack of ``delayed``."""
-    arrays = pack_td_graph(build_td_graph(timetable))
-    patched, _legs = patch_td_arrays(
-        arrays, partition_routes(timetable), timetable, delayed, set(touched)
+def swapped_pack(timetable: Timetable, delayed: Timetable) -> tuple:
+    """``(swapped, oracle)``: the pack of ``delayed`` over the routes of
+    ``timetable``, as a replan builds it, and the pack of the object
+    graph of ``delayed``."""
+    return (
+        pack_timetable(delayed, partition_routes(timetable)),
+        pack_td_graph(build_td_graph(delayed)),
     )
-    return patched, pack_td_graph(build_td_graph(delayed))
 
 
 def _mirror(adjacency) -> list:

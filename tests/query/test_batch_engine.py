@@ -41,7 +41,7 @@ KERNELS = ("python", "flat")
 
 
 @pytest.fixture()
-def make_service(oahu_tiny_graph):
+def make_service(oahu_tiny):
     """``make_service(workers, **config)``: distance table on (fraction
     0.3) unless the test says otherwise, the result cache off so every
     single request really searches, and ``workers`` search workers
@@ -50,8 +50,8 @@ def make_service(oahu_tiny_graph):
 
     def make(workers: int = 0, kernel: str = "flat", **config) -> TransitService:
         config.setdefault("use_distance_table", True)
-        service = SERVICE_OF_KERNEL[kernel].from_graph(
-            oahu_tiny_graph,
+        service = SERVICE_OF_KERNEL[kernel](
+            oahu_tiny,
             ServiceConfig(
                 num_threads=2,
                 transfer_fraction=0.3,

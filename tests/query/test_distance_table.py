@@ -25,9 +25,9 @@ from repro.timetable.delays import Delay, apply_delays
 from tests.helpers import (
     assert_packs_equal,
     assert_rows_bitwise_equal,
-    patched_pack,
     retimed,
     spcs_table_rows,
+    swapped_pack,
 )
 from tests.strategies import adversarial_timetables, retimings
 
@@ -264,7 +264,7 @@ def test_column_blocks_change_nothing(germany_tiny_graph, monkeypatch):
 @given(timetable=adversarial_timetables(), data=st.data())
 def test_a_replanned_table_equals_the_oracle(timetable, data):
     """Trains re-timed — later, and riding longer or *shorter* — then
-    the table built on the patched pack, as a replan builds it: it
+    the table built on the swapped pack, as a replan builds it: it
     equals the SPCS rows of a cold graph of the delayed timetable, and
     the table built on that graph's own pack."""
     stations = data.draw(
@@ -275,9 +275,9 @@ def test_a_replanned_table_equals_the_oracle(timetable, data):
     )
     changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
     delayed = retimed(timetable, changes)
-    patched, cold_arrays = patched_pack(timetable, delayed, changes)
-    assert_packs_equal(patched, cold_arrays)
-    replanned = build_distance_table(patched, stations)
+    swapped, cold_arrays = swapped_pack(timetable, delayed)
+    assert_packs_equal(swapped, cold_arrays)
+    replanned = build_distance_table(swapped, stations)
 
     cold_graph = build_td_graph(delayed)
     assert_rows_bitwise_equal(spcs_table_rows(cold_graph, stations), replanned.profiles)
@@ -294,7 +294,7 @@ MATRIX = [
 
 
 @pytest.mark.parametrize("instance,kernel,num_threads", MATRIX)
-def test_a_delay_swap_patches_the_table_to_the_oracle(
+def test_a_delay_swap_rescans_the_table_to_the_oracle(
     request, instance, kernel, num_threads
 ):
     """Through the service: a delay swap's table equals

@@ -17,12 +17,14 @@ import json
 import os
 import signal
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import repro.graph.td_arrays as td_arrays_module
 import repro.service.facade as facade_module
 import repro.service.prepare as prepare_module
 from repro.graph.station_graph import build_station_graph
@@ -31,7 +33,13 @@ from repro.client import HttpBackend, LocalBackend
 from repro.fleet.catchup import coalesce_delay_log
 from repro.query.transfer_selection import select_transfer_stations
 from repro.server import DatasetRegistry
-from repro.service import BatchRequest, ServiceConfig, TransitService
+from repro.service import (
+    BatchRequest,
+    BatchResponse,
+    ProfileResult,
+    ServiceConfig,
+    TransitService,
+)
 from repro.synthetic.instances import make_instance
 from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.builder import TimetableBuilder
@@ -39,6 +47,7 @@ from repro.timetable.delays import Delay, apply_delays
 from repro.timetable.routes import partition_routes
 
 from tests.helpers import (
+    ReferenceService,
     ask_every_shape,
     assert_packs_equal,
     assert_rows_bitwise_equal,
@@ -224,7 +233,7 @@ def test_a_delay_batch_keeps_what_a_swap_shares(timetable, data):
 
 
 # ---------------------------------------------------------------------------
-# One replan path: every way of asking for a swap patches the pack
+# No served path builds a graph: a cold prepare, a swap asked any way, a save
 # ---------------------------------------------------------------------------
 
 
@@ -311,47 +320,82 @@ SWAP_REQUESTS = {
 }
 
 
+def _comparable(answer, num_stations: int):
+    """An answer without its wall-clock accounting: a profile answer
+    as its profile to every station, a batch as its items."""
+    if isinstance(answer, BatchResponse):
+        return [
+            _comparable(item, num_stations)
+            for item in (*answer.journeys, *answer.profiles)
+        ]
+    if isinstance(answer, ProfileResult):
+        return [answer.profile(t) for t in range(num_stations)]
+    return replace(answer, stats=None)
+
+
+def _every_shape(service, stations) -> list:
+    n = service.prepared.counts.stations
+    return [
+        _comparable(answer, n)
+        for source, via, target in stations
+        for answer in ask_every_shape(service, source, via, target)
+    ]
+
+
+@pytest.mark.parametrize("with_table", (False, True), ids=["plain", "table"])
 @pytest.mark.parametrize("request_swap", SWAP_REQUESTS.values(), ids=SWAP_REQUESTS)
-def test_every_swap_patches_the_pack(monkeypatch, request_swap):
-    """However a swap is asked for — no ``mode``, ``mode="full"``, the
-    SDK's default, the wire's ``replan: "full"`` in one phase or two,
-    a coalesced catch-up — it patches the pack: with
-    ``prepare_dataset`` and ``build_td_graph`` poisoned it still swaps,
-    builds no graph, and answers like a cold service on the delayed
-    timetable (its pack and table byte for byte)."""
+def test_no_served_path_builds_a_graph(
+    monkeypatch, tmp_path, request_swap, with_table
+):
+    """With ``build_td_graph`` and ``pack_td_graph`` poisoned
+    throughout, a cold service prepares, answers all six shapes as the
+    reference kernel does on the object graph, and saves; and a swap,
+    however it is asked for — no ``mode``, ``mode="full"``, the SDK's
+    default, the wire's ``replan: "full"`` in one phase or two, a
+    coalesced catch-up — runs no cold prepare either, answers like a
+    cold service on the delayed timetable (its pack and table byte for
+    byte) and saves.  Neither generation has a graph."""
     timetable = make_instance("oahu", scale="tiny")
-    config = _config(True)
-    service = TransitService(timetable, config)
+    config = _config(with_table)
     first, second = _delays_for(timetable), [Delay(train=3, minutes=12)]
-    cold = TransitService(
-        apply_delays(apply_delays(timetable, first), second), config
-    )
+    delayed = apply_delays(apply_delays(timetable, first), second)
+    stations = [
+        (s, (s + t) // 2, t)
+        for s, t in random_station_pairs(timetable, 2, seed=3)
+    ]
+    reference = _every_shape(ReferenceService(timetable, config), stations)
+    cold = TransitService(delayed, config)
     with monkeypatch.context() as poisoned:
         for module, name in (
-            (facade_module, "prepare_dataset"),
-            (prepare_module, "prepare_dataset"),
             (prepare_module, "build_td_graph"),
+            (td_arrays_module, "pack_td_graph"),
         ):
             poisoned.setattr(module, name, _forbidden(name))
-        swapped = request_swap(service, first, second)
-        pairs = random_station_pairs(timetable, 4, seed=3)
-        answers = [
-            (swapped.journey(s, t).profile, swapped.profile(s).profile(t))
-            for s, t in pairs
-        ]
+        service = TransitService(timetable, config)
+        assert service.prepared.hydrated == {"timetable"}
+        assert _every_shape(service, stations) == reference
+        service.save(tmp_path / "cold")
+        with monkeypatch.context() as swapping:
+            for module in (facade_module, prepare_module):
+                swapping.setattr(
+                    module, "prepare_dataset", _forbidden("prepare_dataset")
+                )
+            swapped = request_swap(service, first, second)
+        assert swapped.prepared.hydrated == {"timetable"}
+        answers = _every_shape(swapped, stations)
+        swapped.save(tmp_path / "swapped")
         assert swapped.prepared.hydrated == {"timetable"}
     assert_packs_equal(swapped.prepared.arrays, cold.prepared.arrays)
-    assert_rows_bitwise_equal(
-        cold.prepared.table.profiles, swapped.prepared.table.profiles
-    )
-    for (s, t), (journey, profile) in zip(pairs, answers):
-        assert_profiles_bitwise_equal(cold.journey(s, t).profile, journey)
-        assert_profiles_bitwise_equal(cold.profile(s).profile(t), profile)
+    if with_table:
+        assert_rows_bitwise_equal(
+            cold.prepared.table.profiles, swapped.prepared.table.profiles
+        )
+    assert answers == _every_shape(cold, stations)
 
 
 def _forbidden(name):
     def forbidden(*args, **kwargs):
-        raise AssertionError(f"a delay swap called {name}")
+        raise AssertionError(f"a served path called {name}")
 
     return forbidden
 

@@ -32,7 +32,7 @@ from repro.core.multicriteria import mc_profile_search, mc_time_search
 from repro.core.parallel import parallel_profile_search
 from repro.core.spcs import spcs_profile_search
 from repro.graph.station_graph import build_station_graph
-from repro.graph.td_arrays import pack_td_graph, packed_arrays
+from repro.graph.td_arrays import pack_timetable, packed_arrays
 from repro.graph.td_model import build_td_graph
 from repro.pq import AddressableHeap, LazyHeap
 from repro.query.distance_table import build_distance_table
@@ -100,7 +100,7 @@ def test_journey_matches_station_to_station_engine(
         use_distance_table=with_table,
         transfer_fraction=0.3,
     )
-    service = SERVICE_OF_KERNEL[kernel].from_graph(oahu_tiny_graph, config)
+    service = SERVICE_OF_KERNEL[kernel](oahu_tiny, config)
     table = None
     if with_table:
         stations = select_transfer_stations(
@@ -235,9 +235,7 @@ def test_facade_equivalence_on_random_instances():
         )
         graph = build_td_graph(timetable)
         engine = StationToStationEngine(graph, None, num_threads=2)
-        service = TransitService.from_graph(
-            graph, ServiceConfig(num_threads=2)
-        )
+        service = TransitService(timetable, ServiceConfig(num_threads=2))
         for s, t in random_station_pairs(timetable, 5, seed=seed):
             assert_profiles_bitwise_equal(
                 engine.query(s, t).profile,
@@ -288,9 +286,9 @@ def test_trivial_journey_has_empty_legs(oahu_tiny):
 def test_artifacts_built_at_most_once(oahu_tiny, monkeypatch):
     counters = {"pack": 0, "station_graph": 0, "table": 0}
 
-    def counting_pack(graph):
+    def counting_pack(timetable, routes):
         counters["pack"] += 1
-        return pack_td_graph(graph)
+        return pack_timetable(timetable, routes)
 
     def counting_station_graph(timetable):
         counters["station_graph"] += 1
@@ -300,11 +298,7 @@ def test_artifacts_built_at_most_once(oahu_tiny, monkeypatch):
         counters["table"] += 1
         return build_distance_table(arrays, stations)
 
-    # Patch what prepare_dataset actually calls: packed_arrays'
-    # memoized cache consults pack_td_graph on miss.
-    monkeypatch.setattr(
-        "repro.graph.td_arrays.pack_td_graph", counting_pack
-    )
+    monkeypatch.setattr(prepare_mod, "pack_timetable", counting_pack)
     monkeypatch.setattr(
         prepare_mod, "build_station_graph", counting_station_graph
     )
@@ -328,7 +322,7 @@ def test_artifacts_built_at_most_once(oahu_tiny, monkeypatch):
     service.batch([(0, 5), (1, 6)])
     service.batch(BatchRequest.from_sources([0, 3]))
 
-    assert counters["pack"] == 1, "graph packed more than once"
+    assert counters["pack"] == 1, "pack built more than once"
     assert counters["station_graph"] == 1, "station graph rebuilt"
     assert counters["table"] == 1, "distance table rebuilt"
 

@@ -3,8 +3,8 @@
 A service generation — timetable, routes, graph, pack and its two
 kernel mirrors, distance table, engine — is built in one step (cold
 prepare, store load, or delay swap; a load leaves the timetable,
-the routes and the graph, a swap the graph, to whoever asks first,
-which no query does) and read-only from then on (``docs/KERNEL.md``,
+the routes and the graph, a prepare or a swap the graph, to whoever
+asks first, which no query does) and read-only from then on (``docs/KERNEL.md``,
 "What a generation owns").  This module enforces it for the flat
 kernel: every object of a generation gets its ``__setattr__`` trapped
 and its ``dict`` / ``list`` attributes replaced by recording subclasses
@@ -85,7 +85,7 @@ def seal(service, monkeypatch) -> list[str]:
     atomic, so four threads may share it)."""
     prepared = service.prepared
     table = prepared.table
-    # A loaded generation's timetable and graph are sealed by their
+    # A generation's missing timetable or graph is sealed by its
     # absence: building either is a write to ``prepared``.
     generation = [
         prepared,
@@ -168,11 +168,9 @@ def test_queries_write_nothing_a_generation_owns(
     provenance, with_table, tmp_path, monkeypatch
 ):
     service = _generation(provenance, with_table, tmp_path)
-    assert service.prepared.hydrated == {
-        _cold: {"timetable", "graph"},
-        _loaded: frozenset(),
-        _swapped: {"timetable"},
-    }[provenance]
+    assert service.prepared.hydrated == (
+        frozenset() if provenance is _loaded else {"timetable"}
+    )
 
     num_stations = service.prepared.counts.stations
     rng = random.Random(22)

@@ -279,7 +279,7 @@ def test_a_swapped_generation_is_built_to_its_pack(tmp_path, eager):
 @pytest.mark.parametrize("parent", ("cold", "loaded"))
 def test_an_oracle_builds_a_swapped_generations_graph(store, eager, parent):
     """A replan builds no graph; the one an oracle asks for is
-    ``build_td_graph`` of the delayed timetable and owns the patched
+    ``build_td_graph`` of the delayed timetable and owns the swapped
     pack."""
     service = eager if parent == "cold" else TransitService.load(store)
     prepared = service.apply_delays(DELAYS).prepared

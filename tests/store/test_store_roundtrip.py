@@ -141,8 +141,8 @@ def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny):
     the delayed timetable (the store carries everything replanning
     shares: station graph and transfer selection), its table to the
     byte — the swap first builds the loaded generation's timetable and
-    routes, then patches the loaded pack and scans; no graph is
-    built."""
+    routes, then packs the delayed timetable over them and scans; no
+    graph is built."""
     from repro.timetable.delays import apply_delays
 
     config = ServiceConfig(
@@ -194,7 +194,7 @@ def test_load_and_query_run_no_builder(tmp_path, oahu_tiny, monkeypatch):
         "repro.service.prepare.build_station_graph",
         "repro.service.prepare.build_distance_table",
         "repro.service.prepare.select_transfer_stations",
-        "repro.service.prepare.packed_arrays",
+        "repro.service.prepare.pack_timetable",
         "repro.graph.td_arrays.pack_td_graph",
         "repro.query.table_query.build_station_graph",
         "repro.query.table_query.packed_arrays",
@@ -397,7 +397,7 @@ def test_a_timetable_paired_with_another_pack_is_refused(tmp_path):
     """``dataset.bin`` of one store beside ``arrays/`` of another with as
     many stations loads (nothing is built), but the graph its timetable
     builds does not match the pack: the first access refuses it before
-    a swap could patch it, and publishes nothing."""
+    a swap could pack over its routes, and publishes nothing."""
     for seed in (3, 4):
         TransitService(
             random_line_timetable(seed), ServiceConfig()

@@ -1,21 +1,21 @@
 """Oracle harness for delta replanning, the one replan path.
 
-``apply_delays(...)`` patches only the touched travel-time functions
-(:mod:`repro.graph.td_patch`) and scans the patched pack for the
-distance table; a cold service built from the delayed timetable is the
-oracle, and is never served.  The contract is **bitwise identity**, not
+``apply_delays(...)`` packs the delayed timetable over the routes it
+shares with its parent (:func:`repro.graph.td_arrays.pack_timetable`)
+and scans that pack for the distance table; a cold service built from
+the delayed timetable is the oracle, and is never served.  The contract is **bitwise identity**, not
 approximate agreement: on ≥50 seeded instances sweeping the same shape
 and time-structure distribution as the kernel-equivalence harness
 (:mod:`tests.core.test_kernel_equivalence`) — including wrap-heavy
 night service and slack-recovery batches — every packed array buffer,
-every graph edge and every distance-table profile of the patched
+every graph edge and every distance-table profile of the swapped
 dataset must equal a cold service built from scratch on the delayed
 timetable, and so must the answers of all three query shapes (journey,
 one-to-all profile, batch) on both kernels.
 
 The multi-criteria shapes (``multicriteria``, ``min_transfers``) get
 the same treatment after a *sequence* of batches: on a
-``flat`` service their search reads the slice-patched packed arrays,
+``flat`` service their search reads the swapped packed arrays,
 so it must answer exactly as a cold rebuild and as the reference
 multi-criteria search on the rebuilt graph.
 """
@@ -221,7 +221,7 @@ def test_incremental_bitwise_equals_cold_rebuild(name, seed):
         apply_delays(timetable, delays, slack_per_leg=slack), config
     )
 
-    # The swap patched: it shared the topology and built no graph.
+    # The swap shared the topology and built no graph.
     assert warm.prepare_stats.shared_station_graph
     assert warm.prepare_stats.graph_seconds == 0.0
     _assert_prepared_bitwise_equal(
@@ -260,7 +260,7 @@ def test_incremental_sequence_multicriteria_equals_cold_and_reference(
     name, seed
 ):
     """Three swaps in a row, then both multi-criteria
-    shapes: patched service ≡ cold rebuild (answers, legs, work) ≡ the
+    shapes: swapped service ≡ cold rebuild (answers, legs, work) ≡ the
     reference search on the rebuilt object graph."""
     timetable, config, base = _case(name, seed)
     warm, delayed = base, timetable
@@ -321,7 +321,6 @@ def test_incremental_shares_untouched_artifacts(name, seed):
     assert warm.prepared.station_graph is base.prepared.station_graph
     assert warm.prepared.transfer_stations is base.prepared.transfer_stations
     assert warm.prepare_stats.shared_station_graph
-    assert warm.prepare_stats.rebuilt_legs >= 1
     if base.prepared.table is not None:
         cold = type(base)(
             apply_delays(timetable, delays, slack_per_leg=slack), config
@@ -333,10 +332,10 @@ def test_incremental_shares_untouched_artifacts(name, seed):
         )
 
 
-def test_any_mode_gives_the_patch_stats():
+def test_any_mode_gives_the_swap_stats():
     """``mode`` selects nothing: with it omitted, ``"full"`` or
-    ``"incremental"``, a swap reports the patch's accounting — rebuilt
-    legs, shared topology, no graph, station-graph or selection time."""
+    ``"incremental"``, a swap reports the one path's accounting —
+    shared topology, no route, station-graph or selection time."""
     timetable, config, base = _case("mid-default", 0)
     delays, slack = _random_batch(timetable, 0)
     swaps = [
@@ -345,7 +344,6 @@ def test_any_mode_gives_the_patch_stats():
     ]
     counts = {
         (
-            stats.rebuilt_legs,
             stats.shared_station_graph,
             stats.num_nodes,
             stats.num_edges,
@@ -357,7 +355,7 @@ def test_any_mode_gives_the_patch_stats():
     assert len(counts) == 1
     for swap in swaps:
         stats = swap.prepare_stats
-        assert stats.rebuilt_legs >= 1 and stats.shared_station_graph
+        assert stats.shared_station_graph
         assert stats.graph_seconds == 0.0
         assert stats.station_graph_seconds == 0.0
         assert stats.selection_seconds == 0.0
