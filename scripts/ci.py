@@ -344,7 +344,10 @@ def warm_start(tmp: Path) -> None:
     swap, a save or an oracle asks for, is poisoned too.  Then a delay
     swap of the loaded service, asked for as a client asks (no
     ``mode=``), and a save of the swapped one build the timetable, the
-    pack and the table, and nothing else."""
+    pack and the table, and nothing else.  A second swap, off the
+    swapped generation, reads no connection object (the per-field pass
+    of ``Timetable.connection_columns`` poisoned) and packs what a cold
+    pack of the twice-delayed timetable holds, byte for byte."""
     import repro.graph.td_arrays as arrays_mod
     import repro.service.prepare as prepare_mod
     import repro.store.store as store_mod
@@ -402,9 +405,8 @@ def warm_start(tmp: Path) -> None:
 
     for (mod, attr), builder in swap_builders.items():
         setattr(mod, attr, builder)
-    swapped = service.apply_delays(
-        [Delay(train=0, minutes=25), Delay(train=7, minutes=10, from_stop=1)]
-    )
+    first = [Delay(train=0, minutes=25), Delay(train=7, minutes=10, from_stop=1)]
+    swapped = service.apply_delays(first)
     swapped.save(tmp / "swapped")
     swapped.journey(0, 5)
     for prepared in (service.prepared, swapped.prepared):
@@ -412,6 +414,28 @@ def warm_start(tmp: Path) -> None:
     print(
         "a default swap of the loaded service and a save of the "
         "swapped one built no graph: the swap packed the delayed timetable"
+    )
+
+    import repro.timetable.types as types_mod
+    from repro.timetable.routes import partition_routes
+    from tests.helpers import PACK_BUFFERS, apply_delays_by_connection
+
+    second = [Delay(train=3, minutes=12), Delay(train=7, minutes=5)]
+    twice = apply_delays_by_connection(
+        apply_delays_by_connection(make_instance("oahu", scale="tiny"), first),
+        second,
+    )
+    expected = arrays_mod.pack_timetable(twice, partition_routes(twice))
+    types_mod.attrgetter = forbid("the per-field pass over the connections")
+    swapped_twice = swapped.apply_delays(second)
+    packed = swapped_twice.prepared.arrays
+    for name in PACK_BUFFERS:
+        got, want = getattr(packed, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    print(
+        "a second swap read no connection object: its "
+        f"{len(PACK_BUFFERS)} buffers equal a cold pack of the twice-delayed "
+        "timetable, byte for byte"
     )
 
 

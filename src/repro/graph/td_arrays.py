@@ -23,9 +23,10 @@ around, each at its cheapest over the period — from which
 :meth:`TDGraphArrays.lower_bounds_to` computes the per-target
 potentials a goal-directed search keys its queue by
 (``docs/KERNEL.md``, "Goal direction").  Both are built in the pack's
-constructor from its own buffers, so no search fills one in and no
-pack is handed another's; only a copy that came through pickle, which
-drops them, builds its own on first use.
+constructor from its own buffers, so no search fills one in; a delay
+swap's pack reuses its parent's forward row of every function whose
+points did not move, and computes the others.  Only a copy that came
+through pickle, which drops the mirrors, builds its own on first use.
 
 A served pack is built straight from a timetable's connection columns
 and its routes (:func:`pack_timetable`), cold and after a delay alike;
@@ -59,7 +60,7 @@ array                shape       meaning
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from heapq import heappop, heappush
 
 import numpy as np
@@ -153,18 +154,25 @@ class TDGraphArrays:
     conn_dep: np.ndarray
     conn_start: np.ndarray
     transfer_time: np.ndarray
-    #: The kernel-side mirrors; never pickled (workers rebuild their own).
+    #: A pack over the same routes whose forward-mirror rows this one
+    #: may reuse (a delay swap's parent); not kept.
+    parent: InitVar["TDGraphArrays | None"] = None
+    #: The kernel-side mirrors and the forward mirror's row per
+    #: function; never pickled (workers rebuild their own).
     _adjacency_cache: list | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _reverse_cache: list | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _rows: list | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, parent: "TDGraphArrays | None") -> None:
         # The one build step of both mirrors, whoever constructs the
         # pack (pack or store load).
-        self.kernel_adjacency()
+        self.kernel_adjacency(parent)
         self.reverse_min_adjacency()
 
     @property
@@ -189,7 +197,7 @@ class TDGraphArrays:
         lo, hi = int(self.conn_indptr[station]), int(self.conn_indptr[station + 1])
         return self.conn_dep[lo:hi], self.conn_start[lo:hi]
 
-    def kernel_adjacency(self) -> list:
+    def kernel_adjacency(self, parent: "TDGraphArrays | None" = None) -> list:
         """Per-node adjacency as plain Python objects for the kernel.
 
         ``adjacency[u]`` is a list of ``(target, weight, row)`` triples
@@ -197,13 +205,18 @@ class TDGraphArrays:
         :func:`travel_time_rows` entry, shared across edges referencing
         the same function: leaving at absolute time ``t``, the edge
         arrives at ``t + row[t % period]``.  Built with the pack.
+
+        A row depends on its function's points alone, so given a
+        ``parent`` pack with the same functions (``ttf_indptr``) and
+        period, a function whose ``(ttf_dep, ttf_dur)`` points equal
+        the parent's takes the parent's row object, and only the others
+        are computed: a delay swap builds the rows of the functions its
+        batch re-timed.  Rows are never edited.
         """
         if self._adjacency_cache is not None:
             return self._adjacency_cache
 
-        rows = travel_time_rows(
-            self.ttf_indptr, self.ttf_dep, self.ttf_dur, self.period
-        )
+        rows = self._rows = self._travel_time_rows(parent)
         edge_indptr = self.edge_indptr.tolist()
         edge_target = self.edge_target.tolist()
         edge_weight = self.edge_weight.tolist()
@@ -223,6 +236,39 @@ class TDGraphArrays:
             )
         self._adjacency_cache = adjacency
         return adjacency
+
+    def _travel_time_rows(self, parent: "TDGraphArrays | None") -> list:
+        """:func:`travel_time_rows` of the pack's functions, the
+        ``parent``'s row object wherever its points are equal (see
+        :meth:`kernel_adjacency`)."""
+        indptr = self.ttf_indptr
+        if (
+            parent is None
+            or parent.period != self.period
+            or not np.array_equal(parent.ttf_indptr, indptr)
+        ):
+            return travel_time_rows(
+                indptr, self.ttf_dep, self.ttf_dur, self.period
+            )
+        counts = np.diff(indptr)
+        moved = (self.ttf_dep != parent.ttf_dep) | (self.ttf_dur != parent.ttf_dur)
+        owner = np.repeat(np.arange(counts.size), counts)
+        # Flags, not ``np.unique``, which imports ``numpy.ma`` (≈ 0.9 MB).
+        touched = np.zeros(counts.size, dtype=bool)
+        touched[owner[moved]] = True
+        changed = np.flatnonzero(touched)
+        # The changed functions' points: a pool of their own.
+        points = np.flatnonzero(touched[owner])
+        fresh = travel_time_rows(
+            np.concatenate([[0], np.cumsum(counts[changed])]),
+            self.ttf_dep[points],
+            self.ttf_dur[points],
+            self.period,
+        )
+        rows = list(parent._rows)
+        for f, row in zip(changed.tolist(), fresh):
+            rows[f] = row
+        return rows
 
     def reverse_min_adjacency(self) -> list:
         """The static lower-bound graph, reversed, for the kernel.
@@ -295,6 +341,7 @@ class TDGraphArrays:
         state = self.__dict__.copy()
         state["_adjacency_cache"] = None
         state["_reverse_cache"] = None
+        state["_rows"] = None
         return state
 
     def nbytes(self) -> int:
@@ -396,13 +443,20 @@ def pack_td_graph(graph: TDGraph) -> TDGraphArrays:
     )
 
 
-def pack_timetable(timetable: Timetable, routes: list[Route]) -> TDGraphArrays:
+def pack_timetable(
+    timetable: Timetable,
+    routes: list[Route],
+    parent: TDGraphArrays | None = None,
+) -> TDGraphArrays:
     """The pack of ``timetable``'s time-dependent graph over ``routes``,
     straight from its connection columns — the one constructor of a
     served pack, cold and after a delay alike.
 
     ``routes`` are ``partition_routes(timetable)``, or those of a
-    timetable it is a delay of (delays keep every train's route).  The
+    timetable it is a delay of (delays keep every train's route); a
+    delay swap passes its ``parent``'s pack too, whose forward-mirror
+    rows the new pack takes wherever a function's points are unchanged
+    (:meth:`TDGraphArrays.kernel_adjacency`).  The
     result is equal, buffer by buffer and mirror by mirror, to what
     :func:`pack_td_graph` makes of ``build_td_graph(timetable)``, the
     readable construction it is tested against; here each piece is a
@@ -472,6 +526,7 @@ def pack_timetable(timetable: Timetable, routes: list[Route]) -> TDGraphArrays:
         edge_weight=edges(transfer_time[node_station[board]], zero, zero),
         edge_ttf=edges(np.full(board.size, -1), zero - 1, ride),
         transfer_time=transfer_time,
+        parent=parent,
         **_connection_buffers(timetable, routes, first, node_station, ride),
     )
 
@@ -485,16 +540,12 @@ def _connection_buffers(
 ) -> dict[str, np.ndarray]:
     """The buffers :func:`pack_timetable` reads off the connection
     columns, by name: ``conn_*`` and ``ttf_*``.  Its own function, so
-    that the columns and their sorts are freed before the pack builds
-    its mirrors."""
+    that the sorts are freed before the pack builds its mirrors."""
     num_stations, period = timetable.num_stations, timetable.period
     train, dep_station, arr_station, dep, arr = timetable.connection_columns()
     node = _leg_nodes(
         timetable, routes, train, dep_station, arr_station, first, node_station
     )
-    # Each column is dropped once read: they, not the pack, set the
-    # peak memory of a swap.
-    del train, arr_station
     # One int64 key per sort (stations × period × arrivals, far below
     # 2**63 on any timetable), several times faster than a lexsort.
     conns = np.argsort(
@@ -508,11 +559,10 @@ def _connection_buffers(
         "conn_dep": dep[conns],
         "conn_start": node[conns],
     }
-    del conns, dep_station
+    del conns
     fid = ride[node - num_stations]
     del node
     dur = arr - dep
-    del arr
     return {**buffers, **_function_points(fid, dep, dur, period)}
 
 

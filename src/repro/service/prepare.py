@@ -346,7 +346,9 @@ def replan_dataset(
     ``delayed`` must be ``apply_delays(prepared.timetable, batch)``.
     Its pack is built over ``prepared``'s routes by the call
     :func:`prepare_dataset` makes
-    (:func:`~repro.graph.td_arrays.pack_timetable`), and a configured
+    (:func:`~repro.graph.td_arrays.pack_timetable`), handed
+    ``prepared``'s pack so as to reuse the forward-mirror row of every
+    travel-time function the batch left alone, and a configured
     table over that pack by the call it makes too
     (:func:`~repro.query.distance_table.build_distance_table`), every
     row of it new.  The result is value-identical to
@@ -361,7 +363,7 @@ def replan_dataset(
 
     routes = prepared.routes
     t0 = time.perf_counter()
-    arrays = pack_timetable(delayed, routes)
+    arrays = pack_timetable(delayed, routes, prepared.arrays)
     pack_seconds = time.perf_counter() - t0
 
     table: DistanceTable | None = None

@@ -440,20 +440,31 @@ def _hydrate_timetable(sections: dict) -> Timetable:
         Train(id=i, name=name)
         for i, name in enumerate(sections["train_names"])
     ]
-    # Five column lists zipped into rows: a third less transient memory
-    # than one small list per row, paid at a delay swap, not at load.
-    columns = sections["connections"].reshape(-1, 5).T.tolist()
-    # Positional construction; __post_init__ still validates every row,
-    # so corrupt store bytes surface as ValueError at the first access
-    # to the timetable.  No served answer reads these rows: searches
-    # read the pack.
-    connections = [Connection(*row) for row in zip(*columns)]
+    # The record's five columns, handed to the timetable as its
+    # ``connection_columns()`` so that no swap reads them back off the
+    # connection objects; copies, so that the three a swap shares do
+    # not keep the whole section alive.
+    columns = tuple(
+        np.ascontiguousarray(column)
+        for column in sections["connections"].reshape(-1, 5).T
+    )
+    for column in columns:
+        column.flags.writeable = False
+    # Positional construction from five column lists zipped into rows
+    # (a third less transient memory than one small list per row);
+    # __post_init__ still validates every row, so corrupt store bytes
+    # surface as ValueError at the first access to the timetable.  No
+    # served answer reads these rows: searches read the pack.
+    connections = [
+        Connection(*row) for row in zip(*(column.tolist() for column in columns))
+    ]
     return Timetable(
         stations=stations,
         trains=trains,
         connections=connections,
         period=period,
         name=sections["timetable_name"][0],
+        _columns=columns,
     )
 
 

@@ -43,6 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.timetable.types import Connection, Timetable
 
 
@@ -86,18 +88,26 @@ def apply_delays(
     raises ``ValueError`` naming the train, the station and the time
     point: the graph finds a connection's route node by its (train,
     station, departure), :attr:`~repro.graph.td_model.TDGraph.conn_start_node`.
+
+    The cost follows the batch, not the timetable: the delayed trains'
+    connections are found in the train column
+    (:meth:`~repro.timetable.types.Timetable.connection_columns`) and
+    only they are walked, in list order; the connection list is copied
+    with just the re-timed :class:`Connection` objects replaced.  The
+    result carries its columns: ``dep_time`` and ``arr_time`` are
+    copies with the re-timed rows overwritten, the other three are the
+    input's own, which delays never change.
     """
     if slack_per_leg < 0:
         raise ValueError(f"slack must be non-negative, got {slack_per_leg}")
-    run_length: dict[int, int] = {}
-    for c in timetable.connections:
-        run_length[c.train] = run_length.get(c.train, 0) + 1
+    train, dep_station, arr_station, dep, arr = timetable.connection_columns()
+    run_length = np.bincount(train, minlength=timetable.num_trains)
     for delay in delays:
         if not (0 <= delay.train < timetable.num_trains):
             raise ValueError(f"unknown train {delay.train}")
         # A train with k legs departs at stops 0..k-1; a from_stop at or
         # past the last departure would silently delay nothing.
-        legs = run_length.get(delay.train, 0)
+        legs = int(run_length[delay.train])
         if delay.from_stop >= legs:
             where = f"stops 0..{legs - 1}" if legs else "no connections"
             raise ValueError(
@@ -109,52 +119,67 @@ def apply_delays(
     for delay in delays:
         pending.setdefault(delay.train, []).append(delay)
 
+    # The delayed trains' connections, in list (travel) order: no other
+    # connection changes.
+    rows = np.flatnonzero(np.isin(train, list(pending)))
     # Track, per train, the index of the connection being emitted and the
     # current accumulated lateness.
     progress: dict[int, int] = {}
     lateness: dict[int, int] = {}
-    departures: set[tuple[int, int, int]] = set()  # of delayed trains
-
-    new_connections: list[Connection] = []
-    for c in timetable.connections:
-        stop_index = progress.get(c.train, 0)
-        progress[c.train] = stop_index + 1
+    departures: set[tuple[int, int, int]] = set()
+    connections = list(timetable.connections)
+    new_dep = dep.copy()
+    new_arr = arr.copy()
+    for i, z, s_dep, s_arr, t_dep, t_arr in zip(
+        rows.tolist(),
+        train[rows].tolist(),
+        dep_station[rows].tolist(),
+        arr_station[rows].tolist(),
+        dep[rows].tolist(),
+        arr[rows].tolist(),
+    ):
+        stop_index = progress.get(z, 0)
+        progress[z] = stop_index + 1
 
         # Recover slack on carried lateness first (a leg can only catch
         # up delay it already has), then add delays starting here.
-        late = lateness.get(c.train, 0)
+        late = lateness.get(z, 0)
         if late > 0 and slack_per_leg:
             late = max(0, late - slack_per_leg)
-        for delay in pending.get(c.train, ()):
+        for delay in pending[z]:
             if delay.from_stop == stop_index:
                 late += delay.minutes
-        lateness[c.train] = late
+        lateness[z] = late
 
         if late:
-            dep = (c.dep_time + late) % timetable.period
-            c = Connection(
-                train=c.train,
-                dep_station=c.dep_station,
-                arr_station=c.arr_station,
-                dep_time=dep,
-                arr_time=dep + c.duration,
+            duration = t_arr - t_dep
+            t_dep = (t_dep + late) % timetable.period
+            t_arr = t_dep + duration
+            connections[i] = Connection(
+                train=z,
+                dep_station=s_dep,
+                arr_station=s_arr,
+                dep_time=t_dep,
+                arr_time=t_arr,
             )
-        if c.train in pending:
-            key = (c.train, c.dep_station, c.dep_time)
-            if key in departures:
-                raise ValueError(
-                    f"train {c.train} would depart station {c.dep_station} "
-                    f"twice at {c.dep_time}"
-                )
-            departures.add(key)
-        new_connections.append(c)
+            new_dep[i] = t_dep
+            new_arr[i] = t_arr
+        key = (z, s_dep, t_dep)
+        if key in departures:
+            raise ValueError(
+                f"train {z} would depart station {s_dep} twice at {t_dep}"
+            )
+        departures.add(key)
 
+    new_dep.flags.writeable = False
+    new_arr.flags.writeable = False
     return Timetable(
         stations=list(timetable.stations),
         trains=list(timetable.trains),
-        connections=new_connections,
+        connections=connections,
         period=timetable.period,
         name=f"{timetable.name}+delays",
+        _columns=(train, dep_station, arr_station, new_dep, new_arr),
     )
 
 

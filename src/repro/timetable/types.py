@@ -140,6 +140,11 @@ class Timetable:
     _conn_by_dep_station: dict[int, list[int]] | None = field(
         default=None, repr=False, compare=False
     )
+    #: :meth:`connection_columns`, read-only: handed over by whoever
+    #: built the connections from columns, else computed on first call.
+    _columns: tuple[np.ndarray, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def num_stations(self) -> int:
@@ -162,26 +167,36 @@ class Timetable:
         return delta(tau1, tau2, self.period)
 
     def connection_columns(self) -> tuple[np.ndarray, ...]:
-        """The connections as five int64 columns in list order —
-        ``train``, ``dep_station``, ``arr_station``, ``dep_time``,
-        ``arr_time`` —: the one pass over the connection objects that
-        the pack (:func:`~repro.graph.td_arrays.pack_timetable`) and the
-        store read them through.
+        """The connections as five read-only int64 columns in list
+        order — ``train``, ``dep_station``, ``arr_station``,
+        ``dep_time``, ``arr_time`` —: what the pack
+        (:func:`~repro.graph.td_arrays.pack_timetable`), the store and
+        :func:`~repro.timetable.delays.apply_delays` read the
+        connections through.
 
-        A pass per field: reading an attribute allocates nothing, where
-        a tuple per row would keep waking the garbage collector; and no
-        buffer is larger than a column, which keeps a delay swap's
-        transient memory in blocks the allocator hands back."""
-        return tuple(
-            np.fromiter(
-                map(attrgetter(name), self.connections),
-                np.int64,
-                len(self.connections),
+        The timetable keeps them.  A delayed or loaded timetable is
+        handed its columns when it is built
+        (:func:`~repro.timetable.delays.apply_delays`,
+        ``repro.store``); any other computes them on the first call,
+        in one pass over the connection objects per field: reading an
+        attribute allocates nothing, where a tuple per row would keep
+        waking the garbage collector.  The connections must not change
+        after that call."""
+        if self._columns is None:
+            columns = tuple(
+                np.fromiter(
+                    map(attrgetter(name), self.connections),
+                    np.int64,
+                    len(self.connections),
+                )
+                for name in (
+                    "train", "dep_station", "arr_station", "dep_time", "arr_time"
+                )
             )
-            for name in (
-                "train", "dep_station", "arr_station", "dep_time", "arr_time"
-            )
-        )
+            for column in columns:
+                column.flags.writeable = False
+            self._columns = columns
+        return self._columns
 
     def outgoing_connections(self, station: int) -> list[Connection]:
         """``conn(S)``: all elementary connections departing ``station``,

@@ -13,7 +13,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.functions.piecewise import INF_TIME, TravelTimeFunction
-from repro.graph.td_arrays import pack_td_graph, pack_timetable, packed_arrays
+from repro.graph.td_arrays import (
+    pack_td_graph,
+    pack_timetable,
+    packed_arrays,
+    travel_time_rows,
+)
 from repro.graph.td_model import Edge, build_td_graph
 from repro.synthetic.instances import INSTANCE_NAMES, make_instance
 from repro.timetable.builder import TimetableBuilder
@@ -168,13 +173,12 @@ class TestPackTimetable:
     )
     def test_instances_before_and_after_delays(self, instance, scale):
         """Cold, then after each of three seeded delay batches packed
-        over the cold routes, as a swap packs it."""
+        over the cold routes and handed the pack before, as a swap
+        packs it."""
         timetable = make_instance(instance, scale)
         routes = partition_routes(timetable)
-        assert_packs_equal(
-            pack_timetable(timetable, routes),
-            pack_td_graph(build_td_graph(timetable)),
-        )
+        pack = pack_timetable(timetable, routes)
+        assert_packs_equal(pack, pack_td_graph(build_td_graph(timetable)))
         rng = random.Random(7)
         for _ in range(3):
             delays = [
@@ -187,10 +191,8 @@ class TestPackTimetable:
             timetable = apply_delays(
                 timetable, delays, slack_per_leg=rng.choice((0, 2))
             )
-            assert_packs_equal(
-                pack_timetable(timetable, routes),
-                pack_td_graph(build_td_graph(timetable)),
-            )
+            pack = pack_timetable(timetable, routes, pack)
+            assert_packs_equal(pack, pack_td_graph(build_td_graph(timetable)))
 
 
 class TestKernelAdjacency:
@@ -340,6 +342,76 @@ class TestTravelTimeRows:
             if not len(ttf)
         ]
         assert row.typecode == "q" and set(row) == {INF_TIME}
+
+
+def _rows_by_function(arrays) -> dict:
+    """Function id → its row object in the forward mirror."""
+    rows = {}
+    for u, edges in enumerate(arrays.kernel_adjacency()):
+        lo = int(arrays.edge_indptr[u])
+        for e, (_, _, row) in enumerate(edges, lo):
+            if row is not None:
+                rows[int(arrays.edge_ttf[e])] = row
+    return rows
+
+
+def _points(arrays, f: int) -> tuple:
+    lo, hi = arrays.ttf_indptr[f], arrays.ttf_indptr[f + 1]
+    return arrays.ttf_dep[lo:hi].tolist(), arrays.ttf_dur[lo:hi].tolist()
+
+
+class TestRowReuse:
+    """A swap's pack takes its parent's forward row of every function
+    whose points are unchanged — the very object — and computes the
+    others from their own points."""
+
+    def _check(self, timetable, delayed) -> set[int]:
+        """Asserts reuse function by function; returns the ids of the
+        functions whose rows were computed anew."""
+        routes = partition_routes(timetable)
+        parent = pack_timetable(timetable, routes)
+        child = pack_timetable(delayed, routes, parent)
+        old, new = _rows_by_function(parent), _rows_by_function(child)
+        assert old.keys() == new.keys() == set(range(child.ttf_fifo.size))
+        computed = set()
+        for f, row in new.items():
+            if _points(child, f) == _points(parent, f):
+                assert row is old[f], f
+                continue
+            computed.add(f)
+            assert row is not old[f], f
+            lo, hi = child.ttf_indptr[f], child.ttf_indptr[f + 1]
+            (own,) = travel_time_rows(
+                np.array([0, hi - lo]),
+                child.ttf_dep[lo:hi],
+                child.ttf_dur[lo:hi],
+                child.period,
+            )
+            assert (row.typecode, row.tobytes()) == (own.typecode, own.tobytes())
+        return computed
+
+    def test_an_empty_batch_reuses_every_row(self, toy):
+        assert self._check(toy, apply_delays(toy, [])) == set()
+
+    def test_a_route_with_every_train_late_gets_new_rows(self, toy):
+        """Every train of the first route late on every leg: that
+        route's functions — the first ``num_legs``, in pack order — and
+        no other are computed anew."""
+        route = partition_routes(toy)[0]
+        delayed = apply_delays(
+            toy, [Delay(train=t, minutes=9) for t in route.trains]
+        )
+        assert self._check(toy, delayed) == set(range(route.num_legs))
+
+    @settings(
+        deadline=None,
+        max_examples=80,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(timetable=adversarial_timetables(), data=st.data())
+    def test_retimings(self, timetable, data):
+        changes = data.draw(retimings(timetable), label="(shift, stretch) per train")
+        self._check(timetable, retimed(timetable, changes))
 
 
 class TestPickling:

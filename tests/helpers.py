@@ -22,6 +22,7 @@ from repro.query.table_query import StationToStationEngine
 from repro.service import TransitService
 from repro.store.store import _ARRAY_FIELDS as PACK_BUFFERS
 from repro.timetable.builder import TimetableBuilder
+from repro.timetable.delays import Delay
 from repro.timetable.routes import partition_routes
 from repro.timetable.types import Connection, Timetable
 
@@ -179,11 +180,96 @@ def retimed(timetable: Timetable, changes: dict[int, tuple[int, int]]) -> Timeta
 
 def swapped_pack(timetable: Timetable, delayed: Timetable) -> tuple:
     """``(swapped, oracle)``: the pack of ``delayed`` over the routes of
-    ``timetable``, as a replan builds it, and the pack of the object
-    graph of ``delayed``."""
+    ``timetable``, as a replan builds it — handed the pack of
+    ``timetable``, whose forward rows it reuses where a function's
+    points are unchanged — and the pack of the object graph of
+    ``delayed``."""
+    routes = partition_routes(timetable)
     return (
-        pack_timetable(delayed, partition_routes(timetable)),
+        pack_timetable(delayed, routes, pack_timetable(timetable, routes)),
         pack_td_graph(build_td_graph(delayed)),
+    )
+
+
+def apply_delays_by_connection(
+    timetable: Timetable,
+    delays: list[Delay] | tuple[Delay, ...],
+    *,
+    slack_per_leg: int = 0,
+) -> Timetable:
+    """:func:`~repro.timetable.delays.apply_delays` one connection
+    object at a time, over the whole timetable: the readable oracle of
+    the production function, which walks the delayed trains' rows of
+    the connection columns only.  Same semantics, same ``ValueError``
+    messages; the result computes its own columns."""
+    if slack_per_leg < 0:
+        raise ValueError(f"slack must be non-negative, got {slack_per_leg}")
+    run_length: dict[int, int] = {}
+    for c in timetable.connections:
+        run_length[c.train] = run_length.get(c.train, 0) + 1
+    for delay in delays:
+        if not (0 <= delay.train < timetable.num_trains):
+            raise ValueError(f"unknown train {delay.train}")
+        # A train with k legs departs at stops 0..k-1; a from_stop at or
+        # past the last departure would silently delay nothing.
+        legs = run_length.get(delay.train, 0)
+        if delay.from_stop >= legs:
+            where = f"stops 0..{legs - 1}" if legs else "no connections"
+            raise ValueError(
+                f"from_stop {delay.from_stop} out of range for train "
+                f"{delay.train} ({where})"
+            )
+
+    pending: dict[int, list[Delay]] = {}
+    for delay in delays:
+        pending.setdefault(delay.train, []).append(delay)
+
+    # Track, per train, the index of the connection being emitted and the
+    # current accumulated lateness.
+    progress: dict[int, int] = {}
+    lateness: dict[int, int] = {}
+    departures: set[tuple[int, int, int]] = set()  # of delayed trains
+
+    new_connections: list[Connection] = []
+    for c in timetable.connections:
+        stop_index = progress.get(c.train, 0)
+        progress[c.train] = stop_index + 1
+
+        # Recover slack on carried lateness first (a leg can only catch
+        # up delay it already has), then add delays starting here.
+        late = lateness.get(c.train, 0)
+        if late > 0 and slack_per_leg:
+            late = max(0, late - slack_per_leg)
+        for delay in pending.get(c.train, ()):
+            if delay.from_stop == stop_index:
+                late += delay.minutes
+        lateness[c.train] = late
+
+        if late:
+            dep = (c.dep_time + late) % timetable.period
+            c = Connection(
+                train=c.train,
+                dep_station=c.dep_station,
+                arr_station=c.arr_station,
+                dep_time=dep,
+                arr_time=dep + c.duration,
+            )
+        if c.train in pending:
+            key = (c.train, c.dep_station, c.dep_time)
+            if key in departures:
+                raise ValueError(
+                    f"train {c.train} would depart station {c.dep_station} "
+                    f"twice at {c.dep_time}"
+                )
+            departures.add(key)
+        new_connections.append(c)
+
+    return Timetable(
+        stations=list(timetable.stations),
+        trains=list(timetable.trains),
+        connections=new_connections,
+        period=timetable.period,
+        name=f"{timetable.name}+delays",
     )
 
 

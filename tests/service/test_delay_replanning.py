@@ -27,6 +27,8 @@ from hypothesis import strategies as st
 import repro.graph.td_arrays as td_arrays_module
 import repro.service.facade as facade_module
 import repro.service.prepare as prepare_module
+import repro.timetable.types as types_module
+import tests.helpers as helpers_module
 from repro.graph.station_graph import build_station_graph
 from repro.graph.td_arrays import TDGraphArrays
 from repro.client import HttpBackend, LocalBackend
@@ -48,6 +50,7 @@ from repro.timetable.routes import partition_routes
 
 from tests.helpers import (
     ReferenceService,
+    apply_delays_by_connection,
     ask_every_shape,
     assert_packs_equal,
     assert_rows_bitwise_equal,
@@ -398,6 +401,57 @@ def _forbidden(name):
         raise AssertionError(f"a served path called {name}")
 
     return forbidden
+
+
+def _cold_generation(timetable, config, tmp_path):
+    return TransitService(timetable, config)
+
+
+def _loaded_generation(timetable, config, tmp_path):
+    TransitService(timetable, config).save(tmp_path / "store")
+    return TransitService.load(tmp_path / "store")
+
+
+@pytest.mark.parametrize("with_table", (False, True), ids=["plain", "table"])
+@pytest.mark.parametrize(
+    "provenance",
+    (_cold_generation, _loaded_generation),
+    ids=lambda fn: fn.__name__[1:].split("_")[0],
+)
+def test_a_swap_reads_no_connection_object(
+    monkeypatch, tmp_path, provenance, with_table
+):
+    """A swap's cost follows its batch: with the one pass over the
+    connection objects (``Timetable.connection_columns`` reads each
+    field of every connection with ``attrgetter``) and the
+    per-connection oracle poisoned, a swap off a cold or loaded
+    generation and a swap off that swapped one still answer all six
+    shapes as a cold service on the delayed timetable does — the
+    delayed timetables carry their columns, and a loaded one is handed
+    its record's."""
+    timetable = make_instance("oahu", scale="tiny")
+    config = _config(with_table)
+    first, second = _delays_for(timetable), [Delay(train=3, minutes=12)]
+    once = apply_delays_by_connection(timetable, first)
+    twice = apply_delays_by_connection(once, second)
+    colds = [TransitService(once, config), TransitService(twice, config)]
+    stations = [
+        (s, (s + t) // 2, t)
+        for s, t in random_station_pairs(timetable, 2, seed=3)
+    ]
+    service = provenance(timetable, config, tmp_path)
+    with monkeypatch.context() as poisoned:
+        poisoned.setattr(types_module, "attrgetter", _forbidden("attrgetter"))
+        poisoned.setattr(
+            helpers_module,
+            "apply_delays_by_connection",
+            _forbidden("apply_delays_by_connection"),
+        )
+        swapped = service.apply_delays(first)
+        swapped_twice = swapped.apply_delays(second)
+        for swap, cold in zip((swapped, swapped_twice), colds):
+            assert swap.timetable.connections == cold.timetable.connections
+            assert _every_shape(swap, stations) == _every_shape(cold, stations)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from repro.timetable.builder import TimetableBuilder
+from repro.timetable.delays import Delay
 
 
 @st.composite
@@ -75,3 +76,35 @@ def retimings(draw, timetable):
         train: draw(st.tuples(st.integers(0, 20), st.integers(-6, 6)))
         for train in trains
     }
+
+
+@st.composite
+def delay_batches(draw, timetable):
+    """A delay batch for ``timetable`` and its slack: ``(delays,
+    slack_per_leg)``.  Up to four delays of 0–30 minutes — often less
+    than the slack — or of one to two periods (departures wrap either
+    way), each now and then
+    doubled at the same stop; slack 0–3.  Now and then a delay names
+    a train past the last or a ``from_stop`` past its train's run,
+    which :func:`~repro.timetable.delays.apply_delays` refuses."""
+    legs = np.bincount(
+        [c.train for c in timetable.connections], minlength=timetable.num_trains
+    ).tolist()
+    period = timetable.period
+    now_and_then = st.integers(0, 9).map(lambda k: int(k == 0))
+    delays = []
+    for _ in range(draw(st.sampled_from((1, 2, 3, 4, 0)))):
+        train = draw(st.integers(0, timetable.num_trains - 1 + draw(now_and_then)))
+        run = legs[train] if train < len(legs) else 1
+        stop = draw(st.integers(0, run - 1 + draw(now_and_then)))
+        minutes = draw(
+            st.one_of(
+                st.integers(0, 4), st.integers(0, 30), st.integers(period, 2 * period)
+            )
+        )
+        delays.append(Delay(train=train, minutes=minutes, from_stop=stop))
+        if draw(st.booleans()):
+            delays.append(
+                Delay(train=train, minutes=draw(st.integers(0, 30)), from_stop=stop)
+            )
+    return delays, draw(st.integers(0, 3))

@@ -1,15 +1,20 @@
 """Tests for the fully dynamic scenario: delay injection (paper §5.1)."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.label_correcting import label_correcting_profile
 from repro.baselines.time_query import time_query
 from repro.core.spcs import spcs_profile_search
 from repro.graph.td_model import build_td_graph
 from repro.timetable.delays import Delay, apply_delays, train_lateness_profile
+from repro.timetable.types import Timetable
 from repro.timetable.validation import validate_timetable
 
-from tests.helpers import toy_timetable
+from tests.helpers import apply_delays_by_connection, toy_timetable
+from tests.strategies import adversarial_timetables, delay_batches
 
 
 class TestDelayDataclass:
@@ -195,6 +200,69 @@ class TestCompositionRule:
         # Leg 1: sequential recovers slack twice (2 + 2 = 4 late),
         # merged once on the sum (10 - 3 = 7 late).
         assert self._connections(sequential) != self._connections(merged)
+
+
+def _outcome(apply, timetable, delays, slack):
+    """``apply``'s delayed timetable, or the text of its refusal."""
+    try:
+        return apply(timetable, delays, slack_per_leg=slack)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _column_bytes(timetable):
+    return [(c.dtype, c.tobytes()) for c in timetable.connection_columns()]
+
+
+class TestAgainstThePerConnectionOracle:
+    """``apply_delays`` walks the delayed trains' rows of the connection
+    columns only; :func:`tests.helpers.apply_delays_by_connection` is
+    the readable loop over every connection object it replaced."""
+
+    @settings(
+        deadline=None,
+        max_examples=120,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(timetable=adversarial_timetables(), data=st.data())
+    def test_chained_batches_equal_the_oracle(self, timetable, data):
+        """One to three chained batches: equal connection lists, the
+        carried columns equal a fresh timetable's in dtype and bytes,
+        a refused batch refused with the same text, and the parent's
+        columns read-only and unchanged."""
+        for _ in range(data.draw(st.integers(1, 3), label="batches")):
+            delays, slack = data.draw(delay_batches(timetable), label="batch")
+            before = _column_bytes(timetable)
+            got = _outcome(apply_delays, timetable, delays, slack)
+            expected = _outcome(
+                apply_delays_by_connection, timetable, delays, slack
+            )
+            assert _column_bytes(timetable) == before
+            assert not any(
+                c.flags.writeable for c in timetable.connection_columns()
+            )
+            if isinstance(expected, str):
+                assert got == expected
+                continue
+            assert got.connections == expected.connections
+            assert got.name == expected.name and got.period == expected.period
+            fresh = Timetable(
+                stations=got.stations,
+                trains=got.trains,
+                connections=list(got.connections),
+                period=got.period,
+            )
+            assert _column_bytes(got) == _column_bytes(fresh)
+            timetable = got
+
+    def test_the_carried_columns_share_what_delays_never_change(self):
+        tt = toy_timetable()
+        delayed = apply_delays(tt, [Delay(train=0, minutes=7)])
+        parent, child = tt.connection_columns(), delayed.connection_columns()
+        assert all(a is b for a, b in zip(parent[:3], child[:3]))
+        assert not any(np.shares_memory(a, b) for a, b in zip(parent[3:], child[3:]))
+        with pytest.raises(ValueError, match="read-only"):
+            child[3][0] = 0
 
 
 class TestQueriesUnderDelays:
