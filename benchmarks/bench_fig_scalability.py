@@ -11,56 +11,43 @@ The series reproduces the paper's two claims:
 
 from __future__ import annotations
 
-from statistics import fmean
-
 import pytest
 
 from repro.analysis.formatting import format_table
-from repro.core.parallel import parallel_profile_search
-from repro.synthetic.workloads import random_sources
+from repro.analysis.runners import run_scalability_series
 
 NUM_QUERIES = 3
+#: The sources are ``random_sources(…, seed=SEED + 1)``.
+SEED = 2
 SERIES_INSTANCES = ("losangeles", "europe")
 SERIES_CORES = tuple(range(1, 9))
 
-_points: dict[str, dict[int, dict]] = {}
-
 
 @pytest.mark.parametrize("instance", SERIES_INSTANCES)
-@pytest.mark.parametrize("cores", SERIES_CORES)
-def test_scalability_point(benchmark, graphs, report, benchops, instance, cores):
-    graph = graphs.graph(instance)
-    sources = random_sources(graph.timetable, NUM_QUERIES, seed=3)
-
-    def run():
-        # python kernel: the series reproduces the paper's
-        # reference-implementation scaling claims.
-        return [
-            parallel_profile_search(graph, s, cores, kernel="python")
-            for s in sources
-        ]
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    _points.setdefault(instance, {})[cores] = {
-        "settled": fmean(r.stats.settled_connections for r in results),
-        "time": fmean(r.stats.simulated_time for r in results),
-    }
-    if len(_points[instance]) == len(SERIES_CORES):
-        _emit(report, benchops, instance)
-
-
-def _emit(report, benchops, instance):
-    series = _points[instance]
-    base = series[1]
+def test_scalability_series(benchmark, graphs, report, benchops, instance):
+    # The runner's python kernel: the series reproduces the paper's
+    # reference-implementation scaling claims.
+    points = benchmark.pedantic(
+        run_scalability_series,
+        args=(instance,),
+        kwargs={
+            "num_queries": NUM_QUERIES,
+            "max_cores": max(SERIES_CORES),
+            "seed": SEED,
+            "graph": graphs.graph(instance),
+        },
+        rounds=1,
+        iterations=1,
+    )
     rows = [
         [
-            p,
-            f"{series[p]['settled']:,.0f}",
-            f"{series[p]['settled'] / base['settled']:.2f}",
-            f"{series[p]['time'] * 1000:.1f}",
-            f"{base['time'] / series[p]['time']:.2f}",
+            point.num_cores,
+            f"{point.settled_mean:,.0f}",
+            f"{point.settled_growth:.2f}",
+            f"{point.time_mean * 1000:.1f}",
+            f"{point.speedup:.2f}",
         ]
-        for p in SERIES_CORES
+        for point in points
     ]
     table = format_table(
         ["p", "settled conns", "settled growth", "time [ms]", "speed-up"],
@@ -71,16 +58,14 @@ def _emit(report, benchops, instance):
     # The paper's two scaling claims as gated numbers: the p=8
     # speed-up over p=1 and the endpoint wall times; settled-work
     # growth is recorded ungated (a shape, not a speed claim).
-    top = max(SERIES_CORES)
+    base, top = points[0], points[-1]
     metrics = {
-        "p1_ms": base["time"] * 1000,
-        f"p{top}_ms": series[top]["time"] * 1000,
-        "settled_growth": series[top]["settled"] / base["settled"]
-        if base["settled"]
-        else 0.0,
+        "p1_ms": base.time_mean * 1000,
+        f"p{top.num_cores}_ms": top.time_mean * 1000,
+        "settled_growth": top.settled_growth,
     }
-    if series[top]["time"]:
-        metrics["scaling_speedup"] = base["time"] / series[top]["time"]
+    if top.time_mean:
+        metrics["scaling_speedup"] = top.speedup
     benchops.add(
         "fig_scalability",
         metrics,

@@ -92,7 +92,7 @@ from repro.timetable.gtfs import load_gtfs, save_gtfs
 from repro.timetable.io import load_timetable, save_timetable
 from repro.functions import INF_TIME, Profile, TravelTimeFunction
 from repro.graph import TDGraph, build_station_graph, build_td_graph
-from repro.baselines import label_correcting_profile, mc_time_query, time_query
+from repro.baselines import label_correcting_profile
 from repro.core import (
     mc_profile_search,
     parallel_profile_search,
@@ -167,8 +167,6 @@ __all__ = [
     "build_station_graph",
     "build_td_graph",
     "label_correcting_profile",
-    "mc_time_query",
-    "time_query",
     "mc_profile_search",
     "parallel_profile_search",
     "spcs_profile_search",

@@ -1,24 +1,16 @@
-"""Baseline algorithms the paper compares against (§2, §5.1).
+"""The baseline the paper's Table 1 compares SPCS against (§5.1).
 
-* :mod:`repro.baselines.time_query` — time-dependent Dijkstra computing
-  ``dist(S, ·, τ)`` for one departure time (label-setting).
 * :mod:`repro.baselines.label_correcting` — the label-correcting
   profile search (LC): propagates whole travel-time functions, loses
   the label-setting property, serves as Table 1's comparator.
 """
 
-from repro.baselines.time_query import TimeQueryResult, time_query
 from repro.baselines.label_correcting import (
     LabelCorrectingResult,
     label_correcting_profile,
 )
-from repro.baselines.mc_time_query import McTimeQueryResult, mc_time_query
 
 __all__ = [
-    "TimeQueryResult",
-    "time_query",
     "LabelCorrectingResult",
     "label_correcting_profile",
-    "McTimeQueryResult",
-    "mc_time_query",
 ]

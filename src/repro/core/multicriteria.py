@@ -31,9 +31,9 @@ day: :func:`mc_time_search` is the paper's §2 time query at one
 departure, layered by transfer count — one label per (node, k), a few
 hundred settled items where the whole-day search settles tens of
 thousands (``docs/KERNEL.md``, "Multi-criteria searches").  The served
-``multicriteria`` and ``min_transfers`` shapes run it; its oracle is
-:func:`repro.baselines.mc_time_query.mc_time_query`, whose result type
-(:class:`McTimeQueryResult`) it shares.  Both record with every label
+``multicriteria`` and ``min_transfers`` shapes run it; its oracle,
+the tests' layered Dijkstra over the object graph, shares its result
+type (:class:`McTimeQueryResult`).  Both record with every label
 the label it was relaxed from, so :meth:`McTimeQueryResult.path_to`
 reads off the journey behind any (station, k) arrival — as RAPTOR reads
 a journey off the round that found it (Delling, Pajor & Werneck,
@@ -135,9 +135,9 @@ def mc_time_search(
 ) -> McTimeQueryResult:
     """Earliest arrival per (node, k ≤ ``max_transfers`` transfers) when
     leaving station ``source`` at ``departure``: the flat-array twin of
-    :func:`~repro.baselines.mc_time_query.mc_time_query`, whose arrivals
-    it equals for every input.  ``max_transfers=None`` is one layer and
-    no bound: the earliest arrival per node.
+    the tests' layered Dijkstra (``tests/oracles/mc_time_query.py``),
+    whose arrivals it equals for every input.  ``max_transfers=None``
+    is one layer and no bound: the earliest arrival per node.
 
     ``departure`` is absolute (any day).  The first boarding at the
     source is free of transfer time and count, as in every search here.

@@ -64,12 +64,6 @@ class StationGraph:
         out.discard(station)
         return len(out)
 
-    def undirected_neighbors(self, station: int) -> list[int]:
-        out = set(self.successors(station).tolist())
-        out.update(self.predecessors(station).tolist())
-        out.discard(station)
-        return sorted(out)
-
 
 def build_station_graph(timetable: Timetable) -> StationGraph:
     """Build ``G_S`` from a timetable."""

@@ -106,16 +106,6 @@ class TDGraph:
                 f"connection is not part of this graph's timetable: {connection}"
             ) from None
 
-    def describe_node(self, u: int) -> str:
-        """Human-readable node description for examples and debugging."""
-        station = self.timetable.stations[self.node_station[u]]
-        if self.is_station_node(u):
-            return f"station node {u} ({station.name})"
-        for (route_id, pos), node in self.route_node_ids.items():
-            if node == u:
-                return f"route node {u} (route {route_id} pos {pos} at {station.name})"
-        return f"route node {u} (at {station.name})"
-
 
 def build_td_graph(timetable: Timetable) -> TDGraph:
     """Construct the realistic time-dependent graph from a timetable."""

@@ -2,10 +2,10 @@
 
 The paper's implementation runs SPCS on a binary heap;
 :class:`AddressableHeap` is that heap, and the object-graph SPCS
-(:mod:`repro.core.spcs`), the time-query baseline and the whole-day
-multi-criteria reference run on it.  :class:`LazyHeap` serves the
-label-correcting and layered time-query baselines.  The production
-loops run on bucket queues of their own and build neither.
+(:mod:`repro.core.spcs`) and the whole-day multi-criteria reference
+run on it.  :class:`LazyHeap` serves the label-correcting baseline and
+the tests' layered time-query oracle.  The production loops run on
+bucket queues of their own and build neither.
 
 Both queues share one protocol over hashable item ids:
 

@@ -21,9 +21,8 @@ request                      engine path
 
 The transfer-layered time query is
 :func:`~repro.core.multicriteria.mc_time_search` over the packed
-arrays (its object-graph twin,
-:func:`~repro.baselines.mc_time_query.mc_time_query`, is the tests'
-oracle); with no transfer bound it has one layer and is the
+arrays (its object-graph twin, ``tests/oracles/mc_time_query.py``, is
+the tests' oracle); with no transfer bound it has one layer and is the
 single-criterion §2 time query.
 """
 

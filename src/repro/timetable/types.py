@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -226,15 +225,6 @@ class Timetable:
             return 0.0
         return len(self.connections) / len(self.stations)
 
-    def station_pairs(self) -> Iterator[tuple[int, int]]:
-        """Distinct ordered station pairs served by at least one connection."""
-        seen: set[tuple[int, int]] = set()
-        for c in self.connections:
-            pair = (c.dep_station, c.arr_station)
-            if pair not in seen:
-                seen.add(pair)
-                yield pair
-
     def summary(self) -> str:
         """Multi-line summary used by the CLI's ``info`` command."""
         return (
@@ -243,12 +233,3 @@ class Timetable:
             f"period {self.period} min, "
             f"{self.connections_per_station():.1f} connections/station"
         )
-
-
-def stations_of(connections: Sequence[Connection]) -> set[int]:
-    """All station ids touched by a set of connections."""
-    out: set[int] = set()
-    for c in connections:
-        out.add(c.dep_station)
-        out.add(c.arr_station)
-    return out

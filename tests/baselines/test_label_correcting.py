@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.label_correcting import label_correcting_profile
-from repro.baselines.time_query import time_query
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import build_td_graph
 
 from tests.helpers import random_line_timetable
+from tests.oracles.mc_time_query import mc_time_query
 
 
 class TestToyProfiles:
@@ -18,7 +18,8 @@ class TestToyProfiles:
         lc = label_correcting_profile(toy_graph, 0)
         profile = lc.profile(3)
         for dep, dur in profile.connection_points():
-            assert time_query(toy_graph, 0, dep).arrival_at_station(3) == dep + dur
+            truth = mc_time_query(toy_graph, 0, dep, max_transfers=None)
+            assert truth.arrival_at_station(3, 0) == dep + dur
 
     def test_label_matrix_shape(self, toy_graph):
         lc = label_correcting_profile(toy_graph, 0)
@@ -80,5 +81,7 @@ class TestAgainstTimeQueries:
         for station in range(1, graph.num_stations):
             profile = lc.profile(station, graph.timetable.period)
             for dep, _dur in profile.connection_points():
-                truth = time_query(graph, 0, dep).arrival_at_station(station)
+                truth = mc_time_query(
+                    graph, 0, dep, max_transfers=None
+                ).arrival_at_station(station, 0)
                 assert truth == profile.earliest_arrival(dep)

@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.label_correcting import label_correcting_profile
-from repro.baselines.time_query import time_query
 from repro.core.parallel import parallel_profile_search
 from repro.core.spcs import spcs_profile_search
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import build_td_graph
 
-from tests.helpers import brute_force_arrivals, random_line_timetable
+from tests.helpers import random_line_timetable
+from tests.oracles.mc_time_query import brute_force_arrivals, mc_time_query
 
 PROBE_TIMES = list(range(0, 2 * 1440, 173))
 
@@ -87,7 +87,9 @@ def test_profile_evaluation_matches_time_queries(seed):
     for station in range(1, graph.num_stations):
         profile = spcs.profile(station)
         for tau in PROBE_TIMES:
-            truth = time_query(graph, 0, tau).arrival_at_station(station)
+            truth = mc_time_query(
+                graph, 0, tau, max_transfers=None
+            ).arrival_at_station(station, 0)
             assert profile.earliest_arrival(tau) == truth, (
                 f"station {station} at τ={tau} (seed {seed})"
             )

@@ -212,7 +212,7 @@ def test_transit_service_matches_oracle_paths(name, seed):
     profile answers must equal both direct kernel runs and the Python
     reference, for either configured kernel (the facade adds routing
     and artifact sharing, never semantics)."""
-    from tests.helpers import SERVICE_OF_KERNEL
+    from tests.oracles.reference_service import SERVICE_OF_KERNEL
 
     graph, arrays = _case(name, seed)
     python = spcs_profile_search(graph, 0)

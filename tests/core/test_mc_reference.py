@@ -3,7 +3,7 @@
 :func:`repro.core.mc_reference.mc_reference_search` — what
 :func:`repro.core.multicriteria.mc_profile_search` runs — must equal,
 front for front and arrival for arrival at every departure anchor,
-:func:`repro.baselines.mc_time_query.mc_time_query`: a layered
+:func:`tests.oracles.mc_time_query.mc_time_query`: a layered
 time-dependent Dijkstra (one query per departure time) that shares
 nothing with it but the graph — and, on the generated instances, the
 fronts of :func:`repro.core.multicriteria.mc_time_search` at a few
@@ -23,7 +23,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.mc_time_query import mc_time_query
 from repro.core.mc_reference import mc_reference_search
 from repro.core.multicriteria import mc_profile_search, mc_time_search
 from repro.graph.td_arrays import pack_td_graph
@@ -31,6 +30,7 @@ from repro.graph.td_model import build_td_graph
 from repro.synthetic.instances import make_instance
 from repro.timetable.builder import TimetableBuilder
 
+from tests.oracles.mc_time_query import mc_time_query
 from tests.strategies import adversarial_timetables
 
 

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.mc_time_query import mc_time_query
 from repro.core.multicriteria import mc_profile_search
 from repro.core.spcs import spcs_profile_search
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import build_td_graph
 
 from tests.helpers import random_line_timetable
+from tests.oracles.mc_time_query import mc_time_query
 
 
 class TestToyAnswers:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.label_correcting import label_correcting_profile
-from repro.baselines.mc_time_query import mc_time_query
-from repro.baselines.time_query import time_query
 from repro.core.multicriteria import mc_profile_search
 from repro.core.parallel import parallel_profile_search, timed_subset_search
 from repro.core.spcs import spcs_profile_search
@@ -25,24 +23,26 @@ from repro.graph.td_model import build_td_graph
 from repro.query.table_query import StationToStationEngine
 from repro.synthetic.instances import make_instance
 
+from tests.oracles.mc_time_query import mc_time_query
+
 KERNELS = ("python", "flat")
 
 #: (instance, source) -> the work of each reference search:
 #: ``spcs_profile_search`` settled and queue pushes; the same search on
-#: four threads, settled summed; ``time_query(…, 480)`` settled;
-#: ``label_correcting_profile`` settled connections;
+#: four threads, settled summed; ``label_correcting_profile`` settled
+#: connections;
 #: ``mc_time_query(…, 480, max_transfers=2)`` settled; and
 #: ``mc_profile_search(…, max_transfers=2)`` settled and pruned.
 WORK = {
-    ("oahu", 0): (7334, 7456, 7453, 51, 17561, 43, 8086, 2217),
-    ("oahu", 4): (9059, 9186, 9114, 51, 33110, 43, 9653, 2822),
-    ("oahu", 9): (6985, 7109, 7028, 51, 17634, 49, 8504, 2195),
-    ("germany", 0): (3368, 3385, 3752, 85, 53724, 91, 4153, 1512),
-    ("germany", 4): (2741, 2852, 2944, 85, 5096, 79, 2811, 619),
-    ("germany", 9): (1865, 1938, 1958, 85, 3408, 77, 2047, 397),
-    ("washington", 0): (12595, 13276, 12760, 123, 44488, 92, 11155, 1905),
-    ("washington", 4): (16397, 17114, 16688, 123, 57391, 100, 16957, 4508),
-    ("washington", 9): (16452, 16878, 16703, 123, 67935, 113, 19292, 6339),
+    ("oahu", 0): (7334, 7456, 7453, 17561, 43, 8086, 2217),
+    ("oahu", 4): (9059, 9186, 9114, 33110, 43, 9653, 2822),
+    ("oahu", 9): (6985, 7109, 7028, 17634, 49, 8504, 2195),
+    ("germany", 0): (3368, 3385, 3752, 53724, 91, 4153, 1512),
+    ("germany", 4): (2741, 2852, 2944, 5096, 79, 2811, 619),
+    ("germany", 9): (1865, 1938, 1958, 3408, 77, 2047, 397),
+    ("washington", 0): (12595, 13276, 12760, 44488, 92, 11155, 1905),
+    ("washington", 4): (16397, 17114, 16688, 57391, 100, 16957, 4508),
+    ("washington", 9): (16452, 16878, 16703, 67935, 113, 19292, 6339),
 }
 
 
@@ -65,7 +65,6 @@ def test_the_reference_searches_do_the_recorded_work(
         spcs.settled_connections,
         spcs.queue_pushes,
         sum(parallel.settled_per_thread),
-        time_query(graph, source, 480).settled,
         label_correcting_profile(graph, source).settled_connections,
         mc_time_query(graph, source, 480, max_transfers=2).settled,
         mc.settled,
@@ -109,7 +108,6 @@ def test_a_queue_other_than_the_binary_heap_is_refused(
     "search",
     (
         lambda g: spcs_profile_search(g, 0, queue="binary"),
-        lambda g: time_query(g, 0, 480, queue="binary"),
         lambda g: run_spcs_search(g, None, 0, queue="binary"),
         lambda g: timed_subset_search(
             g, None, 0, [0], self_pruning=True, queue="binary"
@@ -117,7 +115,6 @@ def test_a_queue_other_than_the_binary_heap_is_refused(
     ),
     ids=(
         "spcs_profile_search",
-        "time_query",
         "run_spcs_search",
         "timed_subset_search",
     ),

@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.label_correcting import label_correcting_profile
-from repro.baselines.time_query import time_query
 from repro.core.parallel import parallel_profile_search
 from repro.core.spcs import spcs_profile_search
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import build_td_graph
 from repro.timetable.builder import TimetableBuilder
+
+from tests.oracles.mc_time_query import mc_time_query
 
 
 def _non_fifo_timetable(seed: int):
@@ -64,7 +65,9 @@ class TestNonFifoNetworks:
         for station in range(1, graph.num_stations):
             profile = spcs.profile(station)
             for tau in (0, 400, 700, 1200, 1439):
-                truth = time_query(graph, 0, tau).arrival_at_station(station)
+                truth = mc_time_query(
+                    graph, 0, tau, max_transfers=None
+                ).arrival_at_station(station, 0)
                 assert profile.earliest_arrival(tau) == truth, (seed, station, tau)
 
     @settings(deadline=None, max_examples=5)
@@ -106,8 +109,8 @@ class TestHostileInputs:
         builder.add_trip([(ids[0], 100), (ids[1], 110)])
         builder.add_trip([(ids[1], 110), (ids[2], 125)])  # same-minute transfer
         graph = build_td_graph(builder.build())
-        result = time_query(graph, 0, 100)
-        assert result.arrival_at_station(2) == 125
+        result = mc_time_query(graph, 0, 100, max_transfers=None)
+        assert result.arrival_at_station(2, 0) == 125
 
     def test_huge_transfer_time_forces_wait(self):
         builder = TimetableBuilder()
@@ -118,7 +121,8 @@ class TestHostileInputs:
         builder.add_trip([(b, 130), (c, 150)])  # missed: needs 120+600
         builder.add_trip([(b, 800), (c, 820)])
         graph = build_td_graph(builder.build())
-        assert time_query(graph, 0, 100).arrival_at_station(2) == 820
+        result = mc_time_query(graph, 0, 100, max_transfers=None)
+        assert result.arrival_at_station(2, 0) == 820
 
     def test_connections_spanning_midnight_repeatedly(self):
         """A journey that wraps past midnight twice."""
@@ -127,10 +131,10 @@ class TestHostileInputs:
         builder.add_trip([(ids[0], 1430), (ids[1], 1470)])  # arrives 00:30+1d
         builder.add_trip([(ids[1], 20), (ids[2], 50)])      # next day 00:20→00:50
         graph = build_td_graph(builder.build())
-        result = time_query(graph, 0, 1430)
+        result = mc_time_query(graph, 0, 1430, max_transfers=None)
         # Arrive s1 at 1470 (00:30); next s1→s2 train at 00:20 *the day
         # after* (1440+20=1460 already passed → 2880+20).
-        assert result.arrival_at_station(2) == 2880 + 50
+        assert result.arrival_at_station(2, 0) == 2880 + 50
 
     def test_parallel_with_single_connection_many_threads(self):
         builder = TimetableBuilder()

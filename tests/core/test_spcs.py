@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines.time_query import time_query
 from repro.core.spcs import spcs_profile_search
 from repro.functions.piecewise import INF_TIME
+
+from tests.oracles.mc_time_query import mc_time_query
 
 
 class TestBasics:
@@ -13,7 +14,9 @@ class TestBasics:
         result = spcs_profile_search(toy_graph, 0)
         for station in (1, 2, 3):
             for dep, dur in result.profile(station).connection_points():
-                truth = time_query(toy_graph, 0, dep).arrival_at_station(station)
+                truth = mc_time_query(
+                    toy_graph, 0, dep, max_transfers=None
+                ).arrival_at_station(station, 0)
                 assert truth == dep + dur
 
     def test_rejects_route_node_source(self, toy_graph):

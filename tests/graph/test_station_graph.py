@@ -33,10 +33,6 @@ class TestBuildStationGraph:
         # Undirected degree of B: neighbors {A, C}.
         assert sg.degree(1) == 2
 
-    def test_undirected_neighbors(self, toy):
-        sg = build_station_graph(toy)
-        assert sg.undirected_neighbors(2) == [1, 3]
-
     def test_num_edges(self, toy):
         sg = build_station_graph(toy)
         assert sg.num_edges == 4

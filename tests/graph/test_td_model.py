@@ -109,15 +109,6 @@ class TestEdge:
         assert edge.arrival(90) == 130
 
 
-class TestDescribeNode:
-    def test_station_node(self, two_station_graph):
-        assert "S1" in two_station_graph.describe_node(0)
-
-    def test_route_node(self, two_station_graph):
-        text = two_station_graph.describe_node(2)
-        assert "route node" in text
-
-
 def test_instance_graph_consistency(oahu_tiny_graph):
     g = oahu_tiny_graph
     # Every adjacency target in range; st() consistent.

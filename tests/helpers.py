@@ -1,5 +1,6 @@
-"""Shared test utilities: deterministic random networks and reference
-implementations used by property-based tests."""
+"""Shared test utilities: deterministic random networks, pack and row
+comparisons, process helpers.  The fixed-departure oracle and the
+reference service are in ``tests/oracles/``."""
 
 from __future__ import annotations
 
@@ -14,61 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines.mc_time_query import mc_time_query
-from repro.core.parallel import timed_subset_search
 from repro.graph.td_arrays import pack_td_graph, pack_timetable
 from repro.graph.td_model import build_td_graph
-from repro.query.table_query import StationToStationEngine
-from repro.service import TransitService
 from repro.store.store import _ARRAY_FIELDS as PACK_BUFFERS
 from repro.timetable.builder import TimetableBuilder
 from repro.timetable.delays import Delay
 from repro.timetable.routes import partition_routes
 from repro.timetable.types import Connection, Timetable
-
-
-class ReferenceService(TransitService):
-    """A :class:`TransitService` that searches with the reference
-    kernel — the object-graph SPCS (§3) with its §4 settle hook, and
-    the object-graph fixed-departure search — the oracle side of the
-    parity suites.
-
-    Only the three search points are its own: the journey engine, one
-    subset of a profile (:meth:`_search_subset`) and the fixed-departure
-    search (:meth:`_mc_search`).  Everything built on them — the
-    partition and merge of a profile, legs, Pareto fronts, ``via``
-    chaining, the result cache, search workers — is the facade's own
-    code on both sides of every comparison, and :meth:`beside` shares a
-    served service's very :class:`~repro.service.PreparedDataset`."""
-
-    def __init__(self, timetable, config=None, *, prepared=None) -> None:
-        super().__init__(timetable, config, prepared=prepared)
-        cfg, prepared = self.config, self.prepared
-        self._engine = StationToStationEngine(
-            prepared.graph,
-            prepared.table,
-            num_threads=cfg.num_threads,
-            kernel="python",
-            station_graph=prepared.station_graph,
-        )
-
-    @classmethod
-    def beside(cls, service: TransitService) -> "ReferenceService":
-        """The oracle over ``service``'s own prepared artifacts."""
-        return cls(service.timetable, service.config, prepared=service.prepared)
-
-    def _search_subset(self, source, subset):
-        return timed_subset_search(self.prepared.graph, None, source, subset)
-
-    def _mc_search(self, source, departure, max_transfers):
-        return mc_time_query(
-            self.prepared.graph, source, departure, max_transfers=max_transfers
-        )
-
-
-#: The service that searches with each of
-#: :data:`repro.core.parallel.KERNELS`, for suites parametrized over them.
-SERVICE_OF_KERNEL = {"python": ReferenceService, "flat": TransitService}
 
 
 def toy_timetable() -> Timetable:
@@ -292,25 +245,6 @@ def assert_packs_equal(got, expected) -> None:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert _mirror(got.kernel_adjacency()) == _mirror(expected.kernel_adjacency())
     assert got.reverse_min_adjacency() == expected.reverse_min_adjacency()
-
-
-def brute_force_arrivals(
-    graph, source: int, times: list[int]
-) -> dict[int, list[int]]:
-    """Ground-truth earliest arrivals: one full time-query per departure
-    time.  Returns ``{station: [arrival per time]}``.  O(|times|)
-    Dijkstra runs — only for small test networks.
-    """
-    from repro.baselines.time_query import time_query
-
-    arrivals: dict[int, list[int]] = {
-        station: [] for station in range(graph.num_stations)
-    }
-    for tau in times:
-        result = time_query(graph, source, tau)
-        for station in range(graph.num_stations):
-            arrivals[station].append(result.arrival_at_station(station))
-    return arrivals
 
 
 def spcs_table_rows(graph, stations, *, num_threads: int = 1, kernel: str = "flat"):

@@ -1,16 +1,25 @@
-"""Transfer-bounded time-query: ground truth for the multi-criteria
-extension (paper §6, future work).
+"""The fixed-departure oracle: time-dependent Dijkstra from station
+``S`` at time ``τ`` (paper §2), layered by transfer count (§6).
 
-A time-dependent Dijkstra on the *layered* graph ``(node, transfers
-used)``: boarding edges move one layer up, all other edges stay in
-layer.  ``arrival[u][k]`` is the earliest arrival at ``u`` using at most
-``k`` transfers, and every label keeps the label it was relaxed from,
-so :meth:`~repro.core.multicriteria.McTimeQueryResult.path_to` walks
-the journey behind it.  Exponential in nothing, just ``K+1`` layers —
-one, and no bound, for ``max_transfers=None`` — used by tests to
-validate the multi-criteria SPCS Pareto fronts, as the oracle of its
-flat twin :func:`repro.core.multicriteria.mc_time_search`, and run by
-the tests' reference service for every departure-time shape.
+A Dijkstra on the *layered* graph ``(node, transfers used)``: boarding
+edges move one layer up, all other edges stay in layer.
+``arrival[u][k]`` is the earliest arrival at ``u`` using at most ``k``
+transfers, and every label keeps the label it was relaxed from, so
+:meth:`~repro.core.multicriteria.McTimeQueryResult.path_to` walks the
+journey behind it.  ``K+1`` layers for a budget ``K``; with
+``max_transfers=None`` one layer that boarding edges stay in — the
+single-criterion §2 time query, whose ``arrival[u][0]`` is
+``dist(S, u, τ)``.
+
+The ground truth that the profile searches are checked against at
+every departure anchor, that validates the multi-criteria Pareto
+fronts, and that the flat twin
+:func:`repro.core.multicriteria.mc_time_search` must equal; the
+:class:`~tests.oracles.reference_service.ReferenceService` runs it for
+every departure-time shape.  Departure semantics match SPCS: the
+journey starts at ``S`` at ``τ`` and may board any connection
+departing at or after ``τ`` without paying the transfer time ``T(S)``
+at the source.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from repro.functions.piecewise import INF_TIME
 from repro.graph.td_model import TDGraph
 from repro.pq import LazyHeap
 
-__all__ = ["McTimeQueryResult", "mc_time_query"]
+__all__ = ["McTimeQueryResult", "brute_force_arrivals", "mc_time_query"]
 
 
 def mc_time_query(
@@ -87,3 +96,20 @@ def mc_time_query(
         settled=settled,
         parent=parent,
     )
+
+
+def brute_force_arrivals(
+    graph: TDGraph, source: int, times: list[int]
+) -> dict[int, list[int]]:
+    """Earliest arrivals per departure time: one unbounded
+    :func:`mc_time_query` per time.  Returns ``{station: [arrival per
+    time]}``.  O(|times|) Dijkstra runs — only for small test networks.
+    """
+    arrivals: dict[int, list[int]] = {
+        station: [] for station in range(graph.num_stations)
+    }
+    for tau in times:
+        result = mc_time_query(graph, source, tau, max_transfers=None)
+        for station in range(graph.num_stations):
+            arrivals[station].append(result.arrival_at_station(station, 0))
+    return arrivals

@@ -32,7 +32,7 @@ from repro.service import (
 )
 from repro.synthetic.workloads import random_station_pairs
 
-from tests.helpers import SERVICE_OF_KERNEL
+from tests.oracles.reference_service import SERVICE_OF_KERNEL
 
 #: Search workers the batching service has: none, or two.
 WORKERS = (0, 2)

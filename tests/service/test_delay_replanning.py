@@ -49,7 +49,6 @@ from repro.timetable.delays import Delay, apply_delays
 from repro.timetable.routes import partition_routes
 
 from tests.helpers import (
-    ReferenceService,
     apply_delays_by_connection,
     ask_every_shape,
     assert_packs_equal,
@@ -57,6 +56,7 @@ from tests.helpers import (
     child_alive,
     random_line_timetable,
 )
+from tests.oracles.reference_service import ReferenceService
 from tests.server.harness import ServerHarness
 from tests.strategies import adversarial_timetables
 

@@ -24,8 +24,6 @@ import pytest
 
 import repro.service.prepare as prepare_mod
 from repro.baselines.label_correcting import label_correcting_profile
-from repro.baselines.mc_time_query import mc_time_query
-from repro.baselines.time_query import time_query
 from repro.client import LocalBackend
 from repro.core.fanout import ForkPool, WorkerLost
 from repro.core.multicriteria import mc_profile_search, mc_time_search
@@ -48,11 +46,9 @@ from repro.service import (
 from repro.synthetic.workloads import random_station_pairs
 
 from tests.client.test_transport_parity import scrubbed
-from tests.helpers import (
-    SERVICE_OF_KERNEL,
-    ReferenceService,
-    random_line_timetable,
-)
+from tests.helpers import random_line_timetable
+from tests.oracles.mc_time_query import mc_time_query
+from tests.oracles.reference_service import SERVICE_OF_KERNEL, ReferenceService
 from tests.server.test_search_workers import CALLS
 
 KERNELS = ("python", "flat")
@@ -544,12 +540,11 @@ def test_departure_time_shapes_count_the_searches_they_ran(oahu_tiny, kernel):
 
 
 #: Every heap-driven search, each building a ``repro.pq`` queue: the
-#: object-graph SPCS, the whole-day multi-criteria search, the two
-#: object-graph time searches and the label-correcting baseline.
+#: object-graph SPCS, the whole-day multi-criteria search, the
+#: fixed-departure oracle and the label-correcting baseline.
 HEAP_USERS = (
     lambda graph: spcs_profile_search(graph, 0),
     lambda graph: mc_profile_search(graph, 0, max_transfers=1),
-    lambda graph: time_query(graph, 0, 480),
     lambda graph: mc_time_query(graph, 0, 480, max_transfers=1),
     lambda graph: label_correcting_profile(graph, 0),
 )
@@ -561,7 +556,7 @@ def test_a_flat_service_builds_no_oracle_queue(
 ):
     """A service answers every shape on its packed arrays, the legs of
     a dated journey and of a via included: with both ``repro.pq``
-    queues poisoned wherever a module bound them — each of the five
+    queues poisoned wherever a module bound them — each of the four
     heap-driven searches builds one, as the poison proves — all six
     shapes answer as before."""
     config = ServiceConfig(
@@ -592,12 +587,11 @@ def test_a_flat_service_builds_no_oracle_queue(
     assert [scrubbed(call(backend)) for call in CALLS] == expected
 
 
-#: Every reference search there is: the object-graph SPCS, the two
-#: object-graph time searches and the label-correcting baseline.
+#: Every reference search there is: the object-graph SPCS, the
+#: fixed-departure oracle and the label-correcting baseline.
 ORACLES = (
     spcs_profile_search,
     mc_time_query,
-    time_query,
     label_correcting_profile,
 )
 
@@ -637,7 +631,6 @@ def test_served_code_never_reaches_an_oracle(oahu_tiny, monkeypatch, workers):
         lambda: oracle.profile(0),
         lambda: oracle.journey(0, 5),
         lambda: oracle.multicriteria(2, 5, departure=480),
-        lambda: baselines.time_query(service.graph, 0, 480),
         lambda: baselines.label_correcting_profile(service.graph, 0),
     ):
         with pytest.raises(AssertionError, match="reached an oracle"):

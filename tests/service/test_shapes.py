@@ -6,7 +6,7 @@ logic.  Every facade answer is therefore pinned against the standalone
 implementations it wraps:
 
 * ``multicriteria`` fronts against the layered transfer-bounded
-  Dijkstra oracle (:func:`repro.baselines.mc_time_query`), over a
+  Dijkstra oracle (:func:`tests.oracles.mc_time_query`), over a
   seeded grid of 20+ (instance, source, departure) cells — including
   tie and domination edge cases the Pareto merge must get right;
 * ``via`` against two chained earliest-arrival journeys through the
@@ -25,7 +25,6 @@ import threading
 
 import pytest
 
-from repro.baselines.mc_time_query import mc_time_query
 from repro.core.mc_reference import mc_reference_search
 from repro.functions.piecewise import INF_TIME
 from repro.service import (
@@ -38,7 +37,8 @@ from repro.service import (
 )
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import SERVICE_OF_KERNEL
+from tests.oracles.mc_time_query import mc_time_query
+from tests.oracles.reference_service import SERVICE_OF_KERNEL
 
 CONFIG = ServiceConfig(
     num_threads=2, use_distance_table=True, transfer_fraction=0.25

@@ -47,11 +47,11 @@ from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.delays import Delay
 
 from tests.helpers import (
-    SERVICE_OF_KERNEL,
     assert_rows_bitwise_equal,
     random_line_timetable,
     run_in_own_group,
 )
+from tests.oracles.reference_service import SERVICE_OF_KERNEL
 
 KERNELS = ("python", "flat")
 

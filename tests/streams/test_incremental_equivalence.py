@@ -39,11 +39,8 @@ from repro.service import (
 from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import (
-    SERVICE_OF_KERNEL,
-    assert_rows_bitwise_equal,
-    random_line_timetable,
-)
+from tests.helpers import assert_rows_bitwise_equal, random_line_timetable
+from tests.oracles.reference_service import SERVICE_OF_KERNEL
 
 #: Instance sweep: shape/time-structure configs × per-config seeds ⇒
 #: ≥50 randomized instances.  ``kernel``/``table`` vary across configs

@@ -13,7 +13,7 @@ from repro.service import ServiceConfig
 from repro.synthetic import make_instance
 from repro.synthetic.workloads import random_station_pairs
 
-from tests.helpers import ReferenceService
+from tests.oracles.reference_service import ReferenceService
 
 
 class TestGenerateAndInfo:

@@ -17,9 +17,10 @@ from repro import (
     parallel_profile_search,
     save_gtfs,
     select_transfer_stations,
-    time_query,
 )
 from repro.graph.td_arrays import packed_arrays
+
+from tests.oracles.mc_time_query import mc_time_query
 
 
 @pytest.mark.parametrize("instance_fixture", ["oahu_tiny", "germany_tiny"])
@@ -35,10 +36,12 @@ def test_full_pipeline(instance_fixture, tmp_path, request):
     # 2. Graphs from both copies answer identically.
     graph = build_td_graph(timetable)
     graph2 = build_td_graph(reloaded)
-    tq1 = time_query(graph, 0, 480)
-    tq2 = time_query(graph2, 0, 480)
+    tq1 = mc_time_query(graph, 0, 480, max_transfers=None)
+    tq2 = mc_time_query(graph2, 0, 480, max_transfers=None)
     for station in range(timetable.num_stations):
-        assert tq1.arrival_at_station(station) == tq2.arrival_at_station(station)
+        assert tq1.arrival_at_station(station, 0) == tq2.arrival_at_station(
+            station, 0
+        )
 
     # 3. Parallel one-to-all == LC on a couple of sources.
     for source in (0, timetable.num_stations // 2):

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.label_correcting import label_correcting_profile
-from repro.baselines.time_query import time_query
 from repro.core.spcs import spcs_profile_search
 from repro.graph.td_model import build_td_graph
 from repro.timetable.delays import Delay, apply_delays, train_lateness_profile
@@ -14,6 +13,7 @@ from repro.timetable.types import Timetable
 from repro.timetable.validation import validate_timetable
 
 from tests.helpers import apply_delays_by_connection, toy_timetable
+from tests.oracles.mc_time_query import mc_time_query
 from tests.strategies import adversarial_timetables, delay_batches
 
 
@@ -271,15 +271,15 @@ class TestQueriesUnderDelays:
         graph and query — no auxiliary data to repair."""
         tt = toy_timetable()
         graph = build_td_graph(tt)
-        before = time_query(graph, 0, 480).arrival_at_station(2)
-        assert before == 510  # 08:00 train arrives C 08:30
+        before = mc_time_query(graph, 0, 480, max_transfers=None)
+        assert before.arrival_at_station(2, 0) == 510  # 08:00 train arrives C 08:30
 
         # The 08:00 A→B→C train (train 0) is 25 minutes late.
         delayed_graph = build_td_graph(apply_delays(tt, [Delay(train=0, minutes=25)]))
-        after = time_query(delayed_graph, 0, 480).arrival_at_station(2)
+        after = mc_time_query(delayed_graph, 0, 480, max_transfers=None)
         # Now: delayed train departs 08:25, arrives C 08:55 — still the
         # best option (next regular train 08:30 arrives 09:00).
-        assert after == 535
+        assert after.arrival_at_station(2, 0) == 535
 
     def test_spcs_equals_lc_on_delayed_network(self):
         tt = toy_timetable()
@@ -316,12 +316,16 @@ class TestQueriesUnderDelays:
         delayed_graph = build_td_graph(delayed)
         removed_graph = build_td_graph(without)
         for departure in (0, 430, 1000):
-            with_delay = time_query(delayed_graph, 0, departure)
-            with_removal = time_query(removed_graph, 0, departure)
+            with_delay = mc_time_query(
+                delayed_graph, 0, departure, max_transfers=None
+            )
+            with_removal = mc_time_query(
+                removed_graph, 0, departure, max_transfers=None
+            )
             for station in range(oahu_tiny.num_stations):
                 assert with_delay.arrival_at_station(
-                    station
-                ) <= with_removal.arrival_at_station(station)
+                    station, 0
+                ) <= with_removal.arrival_at_station(station, 0)
 
     def test_delay_can_help_later_departures(self):
         """The flip side: a big delay turns a missed train into a
@@ -329,7 +333,9 @@ class TestQueriesUnderDelays:
         tt = toy_timetable()
         graph = build_td_graph(tt)
         # Depart A at 08:05: the 08:00 train is gone; next at 08:30.
-        assert time_query(graph, 0, 485).arrival_at_station(1) == 525
+        early = mc_time_query(graph, 0, 485, max_transfers=None)
+        assert early.arrival_at_station(1, 0) == 525
         # Delay the 08:00 train (train 0) by 10 minutes → departs 08:10.
         delayed_graph = build_td_graph(apply_delays(tt, [Delay(train=0, minutes=10)]))
-        assert time_query(delayed_graph, 0, 485).arrival_at_station(1) == 505
+        early = mc_time_query(delayed_graph, 0, 485, max_transfers=None)
+        assert early.arrival_at_station(1, 0) == 505

@@ -8,7 +8,6 @@ from repro.timetable.types import (
     Station,
     Timetable,
     Train,
-    stations_of,
 )
 
 
@@ -94,11 +93,6 @@ class TestTimetable:
             toy.num_connections / toy.num_stations
         )
 
-    def test_station_pairs_unique(self, toy):
-        pairs = list(toy.station_pairs())
-        assert len(pairs) == len(set(pairs))
-        assert (0, 1) in pairs and (2, 3) in pairs
-
     def test_empty_timetable_density(self):
         empty = Timetable(stations=[], trains=[], connections=[])
         assert empty.connections_per_station() == 0.0
@@ -106,11 +100,3 @@ class TestTimetable:
     def test_delta_uses_period(self):
         tt = Timetable(stations=[], trains=[], connections=[], period=100)
         assert tt.delta(90, 10) == 20
-
-
-def test_stations_of():
-    conns = [
-        Connection(train=0, dep_station=0, arr_station=1, dep_time=0, arr_time=5),
-        Connection(train=0, dep_station=1, arr_station=4, dep_time=6, arr_time=9),
-    ]
-    assert stations_of(conns) == {0, 1, 4}
