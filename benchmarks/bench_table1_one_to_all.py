@@ -5,11 +5,15 @@ simulated cores vs the label-correcting baseline (LC), on all five
 instances — and, new to this repo, on both execution kernels:
 ``python`` (the reference object-graph SPCS, the seed implementation)
 and ``flat`` (the packed flat-array kernel of
-:mod:`repro.core.spcs_kernel`).  Reported per cell: mean settled
-connections (summed over cores), mean simulated time, and speed-up over
-the CS[python] 1-core run — so the kernel's speedup is measured, not
-asserted (the acceptance bar is ≥3× one-to-all on the default
-instances).
+:mod:`repro.core.spcs_kernel`).  Each (instance, kernel) is one timed
+:func:`repro.analysis.run_table1` call (LC runs once, beside the flat
+kernel, so it renders last) rendered by
+:func:`repro.analysis.render_table1`: mean settled connections (summed
+over cores), mean simulated time, and speed-up over the same kernel's
+1-core run.  The record adds the
+kernel's speed-up (CS[python] over CS[flat] at p = 1; the acceptance
+bar is ≥3× one-to-all on the default instances) and the LC-vs-CS work
+ratio.
 
 Expected shape (paper): CS settles ~6–15× fewer connections than LC and
 wins wall-clock by a smaller factor; settled counts grow mildly with p
@@ -20,116 +24,62 @@ The two kernels settle slightly different counts on exact arrival ties
 
 from __future__ import annotations
 
-import time
-from statistics import fmean
-
 import pytest
 
-from repro.analysis.formatting import format_table
-from repro.baselines.label_correcting import label_correcting_profile
-from repro.core.parallel import KERNELS, parallel_profile_search
-from repro.graph.td_arrays import packed_arrays
-from repro.synthetic.workloads import random_sources
+from repro.analysis import Table1Result, render_table1, run_table1
+from repro.core.parallel import KERNELS
 
 from benchmarks.conftest import ALL_INSTANCES, CORE_COUNTS
 
 NUM_QUERIES = 3
 
-_cells: dict[tuple[str, object, object], dict] = {}
-
-
-def _sources(graph):
-    return random_sources(graph.timetable, NUM_QUERIES, seed=1)
+_results: dict[tuple[str, str], Table1Result] = {}
 
 
 @pytest.mark.parametrize("instance", ALL_INSTANCES)
-@pytest.mark.parametrize("cores", CORE_COUNTS)
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_cs_one_to_all(benchmark, graphs, report, benchops, instance, cores, kernel):
-    graph = graphs.graph(instance)
-    # Graph build and packing are paid once, outside the timed region,
-    # as in production.
-    arrays = packed_arrays(graph) if kernel == "flat" else None
-    sources = _sources(graph)
-
-    def run():
-        return [
-            parallel_profile_search(graph, s, cores, kernel=kernel, arrays=arrays)
-            for s in sources
-        ]
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    settled = fmean(r.stats.settled_connections for r in results)
-    simulated = fmean(r.stats.simulated_time for r in results)
-    _cells[(instance, kernel, cores)] = {"settled": settled, "time": simulated}
-    _maybe_emit(report, benchops, instance)
-
-
-@pytest.mark.parametrize("instance", ALL_INSTANCES)
-def test_lc_one_to_all(benchmark, graphs, report, benchops, instance):
-    graph = graphs.graph(instance)
-    sources = _sources(graph)
-
-    def run():
-        out = []
-        for s in sources:
-            t0 = time.perf_counter()
-            lc = label_correcting_profile(graph, s, vectorized=False)
-            out.append((lc.settled_connections, time.perf_counter() - t0))
-        return out
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    _cells[(instance, "LC", None)] = {
-        "settled": fmean(s for s, _ in stats),
-        "time": fmean(t for _, t in stats),
-    }
-    _maybe_emit(report, benchops, instance)
-
-
-def _maybe_emit(report, benchops, instance):
-    """Emit the instance's Table 1 block once all its cells are in."""
-    keys = [
-        (instance, kernel, p) for kernel in KERNELS for p in CORE_COUNTS
-    ] + [(instance, "LC", None)]
-    if not all(k in _cells for k in keys):
-        return
-    # Speed-ups are relative to the seed implementation: CS[python], 1 core.
-    base_time = _cells[(instance, "python", 1)]["time"]
-    rows = []
-    for kernel in KERNELS:
-        for p in CORE_COUNTS:
-            cell = _cells[(instance, kernel, p)]
-            rows.append(
-                [
-                    f"CS[{kernel}]",
-                    p,
-                    f"{cell['settled']:,.0f}",
-                    f"{cell['time'] * 1000:.1f}",
-                    f"{base_time / cell['time']:.1f}" if cell["time"] else "inf",
-                ]
-            )
-    lc = _cells[(instance, "LC", None)]
-    rows.append(["LC", 1, f"{lc['settled']:,.0f}", f"{lc['time'] * 1000:.1f}", "—"])
-    table = format_table(
-        ["algo", "p", "settled conns", "time [ms]", "spd-up"], rows
+def test_one_to_all(benchmark, graphs, report, benchops, instance, kernel):
+    _results[instance, kernel] = benchmark.pedantic(
+        run_table1,
+        args=(instance,),
+        kwargs={
+            "graph": graphs.graph(instance),
+            "num_queries": NUM_QUERIES,
+            "cores": CORE_COUNTS,
+            "include_lc": kernel == KERNELS[-1],
+            "kernel": kernel,
+        },
+        rounds=1,
+        iterations=1,
     )
-    report.add("table1_one_to_all", f"[{instance}]\n{table}\n")
+    if all((instance, k) in _results for k in KERNELS):
+        _emit(report, benchops, instance)
+
+
+def _emit(report, benchops, instance):
+    """Emit the instance's Table 1 block once both kernels are in."""
+    results = [_results[instance, kernel] for kernel in KERNELS]
+    report.add("table1_one_to_all", render_table1(results) + "\n")
 
     # One record per instance: every timed cell plus the headline
     # kernel speed-up the acceptance bar quotes (python p=1 / flat p=1)
     # and the CS-vs-LC work ratio (settled counts are deterministic).
     metrics = {
-        f"cs_{kernel}_p{p}_ms": _cells[(instance, kernel, p)]["time"] * 1000
-        for kernel in KERNELS
-        for p in CORE_COUNTS
+        f"cs_{result.kernel}_p{cell.num_cores}_ms": cell.time_mean * 1000
+        for result in results
+        for cell in result.cells
     }
-    metrics["lc_ms"] = lc["time"] * 1000
-    flat_time = _cells[(instance, "flat", 1)]["time"]
-    if flat_time:
-        metrics["kernel_speedup"] = base_time / flat_time
-    cs_settled = _cells[(instance, "python", 1)]["settled"]
-    if cs_settled:
-        metrics["lc_vs_cs_settled_ratio"] = lc["settled"] / cs_settled
+    reference, flat = _results[instance, "python"], _results[instance, "flat"]
+    lc = flat.lc
+    metrics["lc_ms"] = lc.time_mean * 1000
+    if flat.cells[0].time_mean:
+        metrics["kernel_speedup"] = (
+            reference.cells[0].time_mean / flat.cells[0].time_mean
+        )
+    if reference.cells[0].settled_mean:
+        metrics["lc_vs_cs_settled_ratio"] = (
+            lc.settled_mean / reference.cells[0].settled_mean
+        )
     benchops.add(
         "table1_one_to_all",
         metrics,

@@ -491,27 +491,19 @@ def table_build(tmp: Path) -> None:
 
 
 def table1_kernels(tmp: Path) -> None:
-    """The Table 1 bench at tiny scale on oahu (both SPCS kernels and
-    label-correcting), then its table: the flat kernel's one-to-all
-    search at p = 1 beats the reference's by more than 1.5x.  Locally
-    it is ≈ 3.5–4x; the margin absorbs one-sample noise on a shared
-    runner without letting "no faster than the reference" through."""
-    subprocess.run(
-        [
-            sys.executable, "-m", "pytest", "-q",
-            "benchmarks/bench_table1_one_to_all.py", "-k", "oahu",
-        ],
-        cwd=REPO,
-        env={**ENV, "REPRO_BENCH_SCALE": "tiny"},
-        check=True,
-        timeout=600,
-    )
-    table = (REPO / "benchmarks/results/table1_one_to_all.txt").read_text()
+    """Table 1's p = 1 cells at tiny scale on oahu, once per SPCS
+    kernel, through the runner the bench and ``repro table1`` call:
+    the flat kernel's one-to-all search beats the reference's by more
+    than 1.5x.  Locally it is ≈ 3.5–4x; the margin absorbs one-sample
+    noise on a shared runner without letting "no faster than the
+    reference" through."""
+    from repro.analysis import run_table1
 
     def time_of(kernel: str) -> float:
-        row = re.search(rf"CS\[{kernel}\]\s+1\s+[\d,]+\s+([\d.]+)", table)
-        assert row, f"missing CS[{kernel}] p=1 row in:\n{table}"
-        return float(row.group(1))
+        result = run_table1(
+            "oahu", scale="tiny", cores=(1,), include_lc=False, kernel=kernel
+        )
+        return result.cells[0].time_mean * 1000
 
     py, flat = time_of("python"), time_of("flat")
     print(f"CS[python] {py:.1f} ms vs CS[flat] {flat:.1f} ms -> {py / flat:.2f}x")

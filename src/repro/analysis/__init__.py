@@ -3,8 +3,8 @@
 :mod:`repro.analysis.runners` and :mod:`repro.analysis.formatting`
 regenerate the tables and the figure of the paper's evaluation (§5):
 the runners return plain dataclasses that the ``table1`` / ``table2``
-commands render, and the benchmarks print through the same
-:func:`format_table`.
+commands render, and the Table 1 / Table 2 benchmarks time the same
+runners and print through the same renderers.
 """
 
 from repro.analysis.runners import (

@@ -39,7 +39,6 @@ from repro.benchops.compare import (
 )
 from repro.benchops.machine import current_git_sha, machine_fingerprint
 from repro.benchops.schema import (
-    RECORD_SHAPES,
     SCHEMA_VERSION,
     BenchOpsError,
     BenchRecord,
@@ -57,7 +56,6 @@ from repro.benchops.trajectory import (
 )
 
 __all__ = [
-    "RECORD_SHAPES",
     "SCHEMA_VERSION",
     "BenchOpsError",
     "BenchRecord",

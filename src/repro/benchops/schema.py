@@ -30,24 +30,6 @@ SCALES = ("tiny", "small", "medium")
 #: Machine-fingerprint keys every record carries.
 MACHINE_KEYS = ("platform", "python", "machine", "cpu_count")
 
-#: Required metric keys per benchmark.  A benchmark registered here
-#: must carry *at least* these metrics in every record — the indexer
-#: rejects a record whose shape drifted (a renamed metric would
-#: otherwise silently break the regression gate, which only compares
-#: metrics present on both sides).  Unregistered benchmarks are
-#: shape-free.
-RECORD_SHAPES: dict[str, tuple[str, ...]] = {
-    "query_zoo": (
-        "multicriteria_qps",
-        "via_qps",
-        "min_transfers_qps",
-        "mixed_qps",
-        "multicriteria_p99_ms",
-        "via_p99_ms",
-        "min_transfers_p99_ms",
-    ),
-}
-
 
 class BenchOpsError(Exception):
     """Base failure of the benchmark-ops layer."""
@@ -191,16 +173,6 @@ def validate_record(raw: object) -> BenchRecord:
             raise _fail(f"metric {name!r} must be a number, got {value!r}")
         if not math.isfinite(value):
             raise _fail(f"metric {name!r} must be finite, got {value!r}")
-    missing = [
-        name
-        for name in RECORD_SHAPES.get(benchmark, ())
-        if name not in metrics
-    ]
-    if missing:
-        raise _fail(
-            f"benchmark {benchmark!r} is missing required metric(s) "
-            f"{missing} (see RECORD_SHAPES)"
-        )
     return BenchRecord(
         benchmark=benchmark,
         scale=scale,

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import re
+import subprocess
+
 import pytest
 
 from repro.benchops import (
-    RECORD_SHAPES,
     BenchRecord,
     RecordError,
     emit_record,
     validate_record,
 )
+from repro.benchops.machine import current_git_sha
 from repro.benchops.schema import MACHINE_KEYS, config_hash
 
 
@@ -31,9 +34,28 @@ class TestCapture:
             assert key in record.machine
         assert record.machine["cpu_count"] >= 1
         assert record.created_unix > 0
-        # This repo is a git work tree, so capture finds a commit.
-        assert record.git_sha and len(record.git_sha) == 40
+        # The checked-out commit, or None in an exported source tree.
+        assert record.git_sha == current_git_sha()
         assert record.config_hash == config_hash(record.config)
+
+    def test_git_sha_of_a_work_tree_is_its_head(self, tmp_path):
+        git = [
+            "git", "-C", str(tmp_path),
+            "-c", "user.name=bench",
+            "-c", "user.email=bench@example.invalid",
+            "-c", "commit.gpgsign=false",
+        ]
+        subprocess.run([*git, "init", "-q"], check=True)
+        subprocess.run(
+            [*git, "commit", "-q", "--allow-empty", "-m", "init"], check=True
+        )
+        sha = current_git_sha(str(tmp_path))
+        assert sha is not None and re.fullmatch(r"[0-9a-f]{40}", sha)
+
+    def test_git_sha_outside_a_work_tree_is_none(self, tmp_path, monkeypatch):
+        # Keep git from finding a repository above the temporary directory.
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert current_git_sha(str(tmp_path)) is None
 
     def test_roundtrip_through_dict(self):
         record = make_record()
@@ -97,47 +119,6 @@ class TestValidation:
         del raw["machine"]["cpu_count"]
         with pytest.raises(RecordError, match="cpu_count"):
             validate_record(raw)
-
-
-class TestRecordShapes:
-    """Benchmarks registered in RECORD_SHAPES must carry their
-    required metrics — a renamed metric would otherwise silently
-    drop out of the regression gate, which only compares metrics
-    present on both sides."""
-
-    def _shaped_record(self) -> BenchRecord:
-        benchmark, names = next(iter(RECORD_SHAPES.items()))
-        return BenchRecord.capture(
-            benchmark,
-            scale="tiny",
-            metrics={name: 1.0 for name in names},
-        )
-
-    def test_registry_is_non_empty_and_well_formed(self):
-        assert RECORD_SHAPES
-        for benchmark, names in RECORD_SHAPES.items():
-            assert names, benchmark
-            assert len(set(names)) == len(names), benchmark
-
-    def test_full_shape_validates(self):
-        record = self._shaped_record()
-        assert validate_record(record.to_dict()) == record
-
-    def test_extra_metrics_are_allowed(self):
-        raw = self._shaped_record().to_dict()
-        raw["metrics"]["extra_ms"] = 5.0
-        assert validate_record(raw).metrics["extra_ms"] == 5.0
-
-    def test_rejects_missing_required_metric(self):
-        raw = self._shaped_record().to_dict()
-        dropped = next(iter(RECORD_SHAPES[raw["benchmark"]]))
-        del raw["metrics"][dropped]
-        with pytest.raises(RecordError, match=dropped):
-            validate_record(raw)
-
-    def test_unregistered_benchmarks_are_shape_free(self):
-        assert "demo_bench" not in RECORD_SHAPES
-        assert validate_record(make_record().to_dict())
 
 
 class TestEmit:

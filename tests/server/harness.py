@@ -1,7 +1,7 @@
 """A real :class:`TransitServer` on a background event-loop thread,
-driven over actual TCP by synchronous stdlib HTTP clients.  Shared by
-the server test suite (via ``tests/server/conftest.py``) and
-``benchmarks/bench_server_throughput.py``."""
+driven over actual TCP by synchronous stdlib HTTP clients.  Used by
+the server test suite (via ``tests/server/conftest.py``),
+``tests/test_cli.py`` and the golden-fixture regenerators."""
 
 from __future__ import annotations
 
