@@ -20,6 +20,16 @@ wins wall-clock by a smaller factor; settled counts grow mildly with p
 (cross-thread self-pruning is lost), worst on the sparse rail instance.
 The two kernels settle slightly different counts on exact arrival ties
 (queue tie-breaking) while producing identical profiles.
+
+The core sweep is the scalability figure and the partition figure of
+§5.1 / §3.2 as Table 1 cells: one bus instance (losangeles) and one
+rail instance (europe) on p = 1…16, once per partition strategy, on
+the reference kernel.  It is read as work, which is deterministic:
+the busiest core's settled count bounds the speed-up (``work bnd``),
+the summed count over p = 1 is the self-pruning lost across cores
+(``overhead``, worst on rail), and equal-#connections balances the
+cores best (``max/mean``) — the paper's reason for making it the
+default.
 """
 
 from __future__ import annotations
@@ -28,10 +38,16 @@ import pytest
 
 from repro.analysis import Table1Result, render_table1, run_table1
 from repro.core.parallel import KERNELS
+from repro.core.partition import PARTITION_STRATEGIES
 
 from benchmarks.conftest import ALL_INSTANCES, CORE_COUNTS
 
 NUM_QUERIES = 3
+SWEEP_INSTANCES = ("losangeles", "europe")
+SWEEP_CORES = (1, 2, 4, 8, 16)
+#: The sweep's sources are ``random_sources(…, seed=SWEEP_SEED + 1)``;
+#: its records name them outright.
+SWEEP_SEED = 3
 
 _results: dict[tuple[str, str], Table1Result] = {}
 
@@ -88,5 +104,46 @@ def _emit(report, benchops, instance):
             "num_queries": NUM_QUERIES,
             "cores": list(CORE_COUNTS),
             "kernels": list(KERNELS),
+        },
+    )
+
+
+@pytest.mark.parametrize("strategy", PARTITION_STRATEGIES)
+@pytest.mark.parametrize("instance", SWEEP_INSTANCES)
+def test_core_sweep(benchmark, graphs, report, benchops, instance, strategy):
+    result = benchmark.pedantic(
+        run_table1,
+        args=(instance,),
+        kwargs={
+            "graph": graphs.graph(instance),
+            "num_queries": NUM_QUERIES,
+            "cores": SWEEP_CORES,
+            "include_lc": False,
+            "strategy": strategy,
+            "seed": SWEEP_SEED,
+        },
+        rounds=1,
+        iterations=1,
+    )
+    report.add("table1_core_sweep", f"[{strategy}]\n{render_table1([result])}\n")
+
+    # The work per core count; every number is a deterministic count
+    # or a ratio of counts.
+    metrics: dict[str, float] = {}
+    for cell in result.cells:
+        p = cell.num_cores
+        metrics[f"p{p}_settled"] = cell.settled_mean
+        metrics[f"p{p}_work_bound"] = result.work_bound(cell)
+        metrics[f"p{p}_overhead"] = result.overhead(cell)
+        metrics[f"p{p}_imbalance"] = cell.imbalance
+    benchops.add(
+        "table1_core_sweep",
+        metrics,
+        config={
+            "instance": instance,
+            "strategy": strategy,
+            "kernel": result.kernel,
+            "sources": result.sources,
+            "cores": list(SWEEP_CORES),
         },
     )

@@ -11,12 +11,12 @@ reference them.
 
 Alongside the human tables, every bench emits a schema'd
 :class:`repro.benchops.BenchRecord` through the session-scoped
-``benchops`` fixture: key metrics (wall times, QPS, speed-ups) plus
-machine fingerprint, git SHA, scale and config hash.  Records land as
-pending files under ``benchmarks/records/`` (override with
-``REPRO_BENCH_RECORDS_DIR``); ``repro-transit bench index`` folds them
-into the repo-root ``BENCH_*.json`` trajectories and ``bench compare``
-gates them against the last known-good run (docs/BENCHMARKS.md).
+``benchops`` fixture: key metrics (work counts, wall times, QPS,
+speed-ups) plus machine fingerprint, git SHA, scale and config hash.
+Records land as pending files under ``benchmarks/records/`` (override
+with ``REPRO_BENCH_RECORDS_DIR``); ``repro-transit bench index`` folds
+them into the repo-root ``BENCH_*.json`` trajectories
+(docs/BENCHMARKS.md).  No bench gates a run against an earlier one.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ RECORDS_DIR = Path(
     )
 )
 
-#: Instances × core counts benched for Table 1 and the figures.
+#: Instances × core counts benched for Table 1.
 ALL_INSTANCES = ("oahu", "losangeles", "washington", "germany", "europe")
 CORE_COUNTS = (1, 2, 4, 8)
 

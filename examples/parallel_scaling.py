@@ -2,60 +2,36 @@
 """Parallel scaling study (paper §3.2 / §5.1).
 
 Runs the one-to-all profile search on 1..8 simulated cores for a dense
-bus network and a sparse rail network, printing the speed-up curve and
-the growth in settled connections — the paper's key parallel effect
-(self-pruning cannot cross threads, and rail suffers more because each
-thread owns few connections).
+bus network and a sparse rail network through the Table 1 runner,
+printing the speed-up curve beside the work each core count costs —
+the paper's key parallel effect (self-pruning cannot cross threads, and
+rail suffers more because each thread owns few connections).
 
 Run:  python examples/parallel_scaling.py
 """
 
-from statistics import fmean
-
-from repro import make_instance
-from repro.core.parallel import parallel_profile_search
-from repro.graph import build_td_graph
-from repro.synthetic.workloads import random_sources
-
-
-def study(instance: str) -> None:
-    timetable = make_instance(instance, scale="tiny")
-    # Build the graph once; the p-sweep runs the reference SPCS (the
-    # paper's algorithm) on it with p connection subsets.
-    graph = build_td_graph(timetable)
-    sources = random_sources(timetable, 3, seed=0)
-    print(f"\n== {instance}: {timetable.summary()} ==")
-    print("  p   settled   growth   time [ms]   speed-up   balance")
-
-    base_time = base_settled = None
-    for p in range(1, 9):
-        runs = [
-            parallel_profile_search(graph, s, p, kernel="python")
-            for s in sources
-        ]
-        settled = fmean(r.stats.settled_connections for r in runs)
-        elapsed = fmean(r.stats.simulated_time for r in runs)
-        imbalance = fmean(
-            max(r.stats.settled_per_thread)
-            / (fmean(r.stats.settled_per_thread) or 1)
-            for r in runs
-        )
-        if base_time is None:
-            base_time, base_settled = elapsed, settled
-        print(
-            f"  {p}   {settled:8,.0f}   {settled / base_settled:5.2f}   "
-            f"{elapsed * 1000:9.1f}   {base_time / elapsed:8.2f}   {imbalance:7.2f}"
-        )
+from repro.analysis import render_table1, run_table1
 
 
 def main() -> None:
-    for instance in ("losangeles", "europe"):
-        study(instance)
+    results = [
+        run_table1(
+            instance,
+            scale="tiny",
+            num_queries=3,
+            cores=tuple(range(1, 9)),
+            include_lc=False,
+        )
+        for instance in ("losangeles", "europe")
+    ]
+    print(render_table1(results))
     print(
-        "\nReading the output: 'growth' is total settled work relative to "
+        "\nReading the output: 'overhead' is total settled work relative to "
         "one core — it rises with p because self-pruning cannot act across "
         "threads; the rail network (europe) grows faster, which is exactly "
-        "the scalability anomaly the paper reports in §5.1."
+        "the scalability anomaly the paper reports in §5.1.  'work bnd' is "
+        "the speed-up the busiest core allows, 'max/mean' how unevenly the "
+        "partition loads the cores."
     )
 
 

@@ -512,58 +512,6 @@ def table1_kernels(tmp: Path) -> None:
     )
 
 
-def bench_gate(tmp: Path) -> None:
-    """The perf-trajectory gate, both ways.  Two back-to-back tiny runs
-    of the two ablation benches, each indexed into a scratch trajectory
-    root (the committed ``BENCH_*.json`` stay untouched), pass it —
-    ``ablation_selfpruning``'s metrics are settled-connection counts
-    from fixed seeds, bit-identical across runs, so its band is tight;
-    ``ablation_stopping`` records wall-clock times and speed-ups beside
-    its settled counts and gets a wide one.  The latest
-    record degraded (times x10, speed-ups x0.2) fails it: a
-    higher-is-better metric can lose at most 100 %, so that check needs
-    a band below 1.0."""
-    records, root = tmp / "records", tmp / "perf"
-    root.mkdir()
-    for _ in range(2):
-        subprocess.run(
-            [
-                sys.executable, "-m", "pytest", "-q",
-                "benchmarks/bench_ablation_selfpruning.py",
-                "benchmarks/bench_ablation_stopping.py",
-            ],
-            cwd=REPO,
-            env={
-                **ENV,
-                "REPRO_BENCH_SCALE": "tiny",
-                "REPRO_BENCH_RECORDS_DIR": str(records),
-            },
-            check=True,
-            timeout=600,
-        )
-        cli("bench", "index", "--records", str(records), "--root", str(root))
-    print(cli("bench", "show", "--root", str(root)).stdout, end="")
-    for name, band in (
-        ("ablation_selfpruning", "0.05"), ("ablation_stopping", "2.0"),
-    ):
-        cli("bench", "compare", "--root", str(root), "--name", name, "--band", band)
-    doc = json.loads((root / "BENCH_ablation_selfpruning.json").read_text())
-    entry = doc["entries"][-1]
-    for name, value in entry["metrics"].items():
-        if name.endswith(("_ms", "_seconds")):
-            entry["metrics"][name] = value * 10
-        elif name.endswith(("_qps", "_speedup", "_per_second", "_hit_rate")):
-            entry["metrics"][name] = value * 0.2
-    degraded = tmp / "degraded.json"
-    degraded.write_text(json.dumps(entry))
-    gate = cli(
-        "bench", "compare", "--root", str(root),
-        "--candidate", str(degraded), "--band", "0.05", check=False,
-    )
-    assert gate.returncode != 0, f"the gate passed a degraded record:\n{gate.stdout}"
-    print("identical runs passed the gate, the degraded record failed it")
-
-
 def _tree_cpu_seconds(pids: list[int]) -> float:
     """Scheduler run time of every thread of ``pids`` (``schedstat``,
     as ``e2ebench/harness.py`` reads it for the server alone)."""
@@ -824,7 +772,6 @@ def transcripts(tmp: Path) -> None:
 
 JOBS = {
     "batch-workers": batch_workers,
-    "bench-gate": bench_gate,
     "foreign-clients": foreign_clients,
     "global-queries": global_queries,
     "serve-fleet": serve_fleet,

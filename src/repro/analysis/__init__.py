@@ -1,17 +1,18 @@
 """Analysis tooling: the experiment harness.
 
 :mod:`repro.analysis.runners` and :mod:`repro.analysis.formatting`
-regenerate the tables and the figure of the paper's evaluation (§5):
-the runners return plain dataclasses that the ``table1`` / ``table2``
-commands render, and the Table 1 / Table 2 benchmarks time the same
-runners and print through the same renderers.
+regenerate the tables of the paper's evaluation (§5): the runners
+return plain dataclasses that the ``table1`` / ``table2`` commands
+render, and the Table 1 / Table 2 benchmarks time the same runners and
+print through the same renderers.  The scalability figure and the
+partition figure of §3.2 are Table 1's cells at more core counts and
+other strategies, read as work.
 """
 
 from repro.analysis.runners import (
     OneToAllCell,
     Table1Result,
     Table2Row,
-    run_scalability_series,
     run_table1,
     run_table2,
 )
@@ -23,7 +24,6 @@ __all__ = [
     "Table2Row",
     "run_table1",
     "run_table2",
-    "run_scalability_series",
     "format_table",
     "render_table1",
     "render_table2",

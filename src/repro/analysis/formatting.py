@@ -26,8 +26,23 @@ def format_table(
 
 
 def render_table1(results: Sequence[Table1Result]) -> str:
-    """Table 1: one-to-all profile queries, CS per core count vs LC."""
-    headers = ["instance", "algo", "p", "settled conns", "time [ms]", "spd-up"]
+    """Table 1: one-to-all profile queries, CS per core count vs LC.
+
+    Beside each CS cell's time and speed-up, its work as §3.2 argues
+    it: the busiest core over the mean core (``max/mean``), the
+    speed-up the busiest core allows (``work bnd``) and the work the
+    partition adds (``overhead``)."""
+    headers = [
+        "instance",
+        "algo",
+        "p",
+        "settled conns",
+        "max/mean",
+        "work bnd",
+        "overhead",
+        "time [ms]",
+        "spd-up",
+    ]
     rows: list[list[object]] = []
     for result in results:
         for cell in result.cells:
@@ -37,6 +52,9 @@ def render_table1(results: Sequence[Table1Result]) -> str:
                     f"CS[{result.kernel}]",
                     cell.num_cores,
                     f"{cell.settled_mean:,.0f}",
+                    f"{cell.imbalance:.2f}",
+                    f"{result.work_bound(cell):.2f}",
+                    f"{result.overhead(cell):.3f}",
                     f"{cell.time_mean * 1000:.1f}",
                     f"{cell.speedup:.1f}",
                 ]
@@ -48,6 +66,9 @@ def render_table1(results: Sequence[Table1Result]) -> str:
                     "LC",
                     1,
                     f"{result.lc.settled_mean:,.0f}",
+                    "—",
+                    "—",
+                    "—",
                     f"{result.lc.time_mean * 1000:.1f}",
                     "—",
                 ]

@@ -13,6 +13,12 @@ and time accounting follow the paper:
   measurements); for LC, plain wall clock.
 * *Speed-up* — time of the 1-core run over the p-core run (Table 1) or
   of the no-table run over the table-pruned run (Table 2).
+* *Work bound* and *overhead* (Table 1, §3.2) — each core's share of
+  the work is the settled count of its subset of ``conn(S)``, which
+  the serial driver reports exactly: settled at p = 1 over the largest
+  subset at p bounds the speed-up, and the subsets' sum over settled
+  at p = 1 is the self-pruning lost across cores.  Unlike the times
+  they are deterministic, so they compare across sessions and boxes.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ class OneToAllCell:
     instance: str
     num_cores: int
     settled_mean: float
+    largest_subset_mean: float  # settled by the busiest core
+    imbalance: float  # max / mean settled per core, averaged over sources
     time_mean: float  # seconds, simulated-cores
     speedup: float  # over the 1-core run
 
@@ -55,8 +63,21 @@ class LCCell:
 class Table1Result:
     instance: str
     kernel: str  # the SPCS kernel of the CS cells
-    cells: list[OneToAllCell]
+    sources: list[int]
+    cells: list[OneToAllCell]  # the first is p = 1
     lc: LCCell | None
+
+    def work_bound(self, cell: OneToAllCell) -> float:
+        """The speed-up §3.2's partition allows at ``cell``: settled at
+        p = 1 over the busiest core's settled count."""
+        largest = cell.largest_subset_mean
+        return self.cells[0].settled_mean / largest if largest else 1.0
+
+    def overhead(self, cell: OneToAllCell) -> float:
+        """The self-pruning lost across ``cell``'s cores: settled at p
+        over settled at p = 1."""
+        base = self.cells[0].settled_mean
+        return cell.settled_mean / base if base else 1.0
 
 
 def _prepare(instance: str, scale: str, seed: int) -> TDGraph:
@@ -79,8 +100,11 @@ def run_table1(
 
     The graph is built (and, for ``flat``, packed) once; the core sweep
     runs :func:`parallel_profile_search` on it per source and core
-    count (prepare once, query many).
+    count (prepare once, query many).  ``cores`` starts at 1: the
+    speed-up and the work bound are over the 1-core run.
     """
+    if not cores or cores[0] != 1:
+        raise ValueError(f"cores must start at 1, got {cores!r}")
     if graph is None:
         graph = _prepare(instance, scale, seed)
     sources = random_sources(graph.timetable, num_queries, seed=seed + 1)
@@ -88,22 +112,29 @@ def run_table1(
     cells: list[OneToAllCell] = []
     base_time: float | None = None
     for p in cores:
-        settled: list[int] = []
-        times: list[float] = []
-        for source in sources:
-            result = parallel_profile_search(
+        stats = [
+            parallel_profile_search(
                 graph, source, p, strategy=strategy, kernel=kernel
-            )
-            settled.append(result.stats.settled_connections)
-            times.append(result.stats.simulated_time)
-        mean_time = fmean(times)
+            ).stats
+            for source in sources
+        ]
+        mean_time = fmean(s.simulated_time for s in stats)
         if base_time is None:
             base_time = mean_time
         cells.append(
             OneToAllCell(
                 instance=instance,
                 num_cores=p,
-                settled_mean=fmean(settled),
+                settled_mean=fmean(s.settled_connections for s in stats),
+                largest_subset_mean=fmean(
+                    max(s.settled_per_thread) for s in stats
+                ),
+                imbalance=fmean(
+                    max(s.settled_per_thread) / fmean(s.settled_per_thread)
+                    if s.settled_connections
+                    else 1.0
+                    for s in stats
+                ),
                 time_mean=mean_time,
                 speedup=base_time / mean_time if mean_time else float("inf"),
             )
@@ -127,7 +158,13 @@ def run_table1(
             time_mean=fmean(lc_times),
         )
 
-    return Table1Result(instance=instance, kernel=kernel, cells=cells, lc=lc_cell)
+    return Table1Result(
+        instance=instance,
+        kernel=kernel,
+        sources=sources,
+        cells=cells,
+        lc=lc_cell,
+    )
 
 
 @dataclass(slots=True)
@@ -248,51 +285,3 @@ def run_table2(
             )
         )
     return rows
-
-
-@dataclass(slots=True)
-class ScalabilityPoint:
-    instance: str
-    num_cores: int
-    settled_mean: float
-    time_mean: float
-    speedup: float
-    settled_growth: float  # settled / settled at p=1
-
-
-def run_scalability_series(
-    instance: str,
-    *,
-    scale: str = "small",
-    num_queries: int = 5,
-    max_cores: int = 8,
-    strategy: str = "equal-connections",
-    seed: int = 0,
-    graph: TDGraph | None = None,
-) -> list[ScalabilityPoint]:
-    """The in-text §5.1 series: speed-up and settled-work growth vs p,
-    including the rail anomaly (F-scal)."""
-    if graph is None:
-        graph = _prepare(instance, scale, seed)
-    result = run_table1(
-        instance,
-        scale=scale,
-        num_queries=num_queries,
-        cores=tuple(range(1, max_cores + 1)),
-        include_lc=False,
-        strategy=strategy,
-        seed=seed,
-        graph=graph,
-    )
-    base_settled = result.cells[0].settled_mean or 1.0
-    return [
-        ScalabilityPoint(
-            instance=instance,
-            num_cores=cell.num_cores,
-            settled_mean=cell.settled_mean,
-            time_mean=cell.time_mean,
-            speedup=cell.speedup,
-            settled_growth=cell.settled_mean / base_settled,
-        )
-        for cell in result.cells
-    ]

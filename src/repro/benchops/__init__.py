@@ -1,28 +1,23 @@
-"""Benchmark ops: persistent perf trajectories with regression gates.
+"""Benchmark ops: persistent result trajectories.
 
-Every ``benchmarks/bench_*.py`` run used to print its tables and
-vanish; the only perf guards were coarse in-CI ratio asserts.  This
-package is the results layer that makes the repo's speed claims
-*enforceable*:
+Every ``benchmarks/bench_*.py`` run leaves a schema'd record behind,
+and the records of the runs worth keeping are folded into committed
+trajectories, so a bench's numbers are a history ``git log`` can show
+rather than a table that vanishes with the terminal:
 
 * :class:`~repro.benchops.schema.BenchRecord` — one schema'd result
   record per benchmark run: machine fingerprint, git SHA, scale,
-  config hash, and a flat ``metrics`` dict (QPS, latency percentiles,
-  speed-ups, wall times).  :func:`~repro.benchops.schema.emit_record`
-  drops it as a pending JSON file.
+  config hash, and a flat ``metrics`` dict (work counts, speed-ups,
+  wall times).  :func:`~repro.benchops.schema.emit_record` drops it as
+  a pending JSON file.
 * the **indexer** (:func:`~repro.benchops.trajectory.index_records`,
   CLI ``repro-transit bench index``) — validates pending records and
   appends them to per-benchmark ``BENCH_<name>.json`` trajectory files
   at the repo root, refusing to touch a corrupt trajectory.
-* the **comparator** (:func:`~repro.benchops.compare.compare_records`,
-  CLI ``repro-transit bench compare``) — loads the last known-good
-  entry (same scale + config hash) and fails on regressions beyond a
-  configurable noise band (default ±15 %, per-metric overrides).
 
-Metric *direction* is inferred from the metric name
-(:func:`~repro.benchops.compare.metric_direction`): ``*_ms`` /
-``*_seconds`` are lower-is-better, ``*_qps`` / ``*_speedup`` are
-higher-is-better, anything else is recorded but never gated.
+Nothing here judges a run against an earlier one: wall times recorded
+in another session, or on another machine, do not compare.  The
+deterministic numbers (settled counts) are pinned by the tests.
 
 Everything here is stdlib-only: the package must be importable from
 CI shells and bench sessions without pulling in the query stack.
@@ -30,13 +25,6 @@ CI shells and bench sessions without pulling in the query stack.
 
 from __future__ import annotations
 
-from repro.benchops.compare import (
-    ComparisonReport,
-    MetricDelta,
-    compare_latest,
-    compare_records,
-    metric_direction,
-)
 from repro.benchops.machine import current_git_sha, machine_fingerprint
 from repro.benchops.schema import (
     SCHEMA_VERSION,
@@ -59,19 +47,14 @@ __all__ = [
     "SCHEMA_VERSION",
     "BenchOpsError",
     "BenchRecord",
-    "ComparisonReport",
-    "MetricDelta",
     "RecordError",
     "TrajectoryError",
     "append_record",
-    "compare_latest",
-    "compare_records",
     "current_git_sha",
     "emit_record",
     "index_records",
     "load_trajectory",
     "machine_fingerprint",
-    "metric_direction",
     "trajectory_names",
     "trajectory_path",
     "validate_record",

@@ -2,7 +2,7 @@
 
 A :class:`BenchRecord` is deliberately flat and JSON-safe: a
 trajectory file is a list of these, and every consumer — the indexer,
-the comparator, CI, a notebook — reads them with nothing but ``json``.
+``bench show``, a notebook — reads them with nothing but ``json``.
 Validation lives here (:func:`validate_record`) so corrupt or
 hand-edited records are rejected at the indexing boundary with a
 message naming the offending field, never half-ingested.
@@ -42,9 +42,8 @@ class RecordError(BenchOpsError):
 def config_hash(config: dict) -> str:
     """Stable hash of a benchmark's configuration knobs.
 
-    Canonical-JSON SHA-256, truncated to 16 hex chars — enough to key
-    "same benchmark setup" without dragging the whole config into every
-    comparison.
+    Canonical-JSON SHA-256, truncated to 16 hex chars — enough to tell
+    two benchmark setups apart without reading the whole config.
     """
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -54,10 +53,9 @@ def config_hash(config: dict) -> str:
 class BenchRecord:
     """One benchmark run's schema'd result.
 
-    ``metrics`` maps metric name to a finite float; names encode the
-    gating direction (see :func:`repro.benchops.compare.metric_direction`).
-    ``config`` holds the knobs that shaped the run (instance list,
-    query counts, worker counts, …); ``config_hash`` keys comparability.
+    ``metrics`` maps metric name to a finite float.  ``config`` holds
+    the knobs that shaped the run (instance list, query counts, worker
+    counts, …); ``config_hash`` pins it.
     """
 
     benchmark: str

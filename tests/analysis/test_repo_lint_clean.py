@@ -1,7 +1,7 @@
 """The standing guard: the repository itself lints clean.
 
-This is the fourth standing suite next to oracle-equivalence, client
-parity and the bench gate — every true positive the rules found
+This is a standing suite next to oracle-equivalence and client
+parity — every true positive the rules found
 (supervisor lock discipline) is pinned here, because the moment any of
 them regresses, the corresponding rule fires and this test fails
 tier-1.  The repository is parsed once for the whole module.

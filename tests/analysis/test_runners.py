@@ -4,10 +4,13 @@ import pytest
 
 from repro.analysis.formatting import format_table, render_table1, render_table2
 from repro.analysis.runners import (
-    run_scalability_series,
+    LCCell,
+    OneToAllCell,
+    Table1Result,
     run_table1,
     run_table2,
 )
+from repro.core.partition import PARTITION_STRATEGIES
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +38,38 @@ class TestRunTable1:
     def test_lc_settles_more_than_cs(self, table1_result):
         """Table 1's headline: CS investigates far fewer connections."""
         assert table1_result.lc.settled_mean > table1_result.cells[0].settled_mean
+
+    @pytest.mark.parametrize("cores", [(2, 4), (), (0, 1, 2), (4, 2, 1)])
+    def test_cores_must_start_at_one(self, oahu_tiny_graph, cores):
+        """The speed-up and the work bound are over the 1-core run; a
+        sweep without it would divide by its first core count."""
+        with pytest.raises(ValueError, match="cores must start at 1"):
+            run_table1(
+                "oahu",
+                scale="tiny",
+                num_queries=1,
+                cores=cores,
+                include_lc=False,
+                kernel="flat",
+                graph=oahu_tiny_graph,
+            )
+
+    def test_cells_at_every_core_count(self, oahu_tiny_graph):
+        result = run_table1(
+            "oahu",
+            scale="tiny",
+            num_queries=1,
+            cores=(1, 2, 3, 4),
+            include_lc=False,
+            graph=oahu_tiny_graph,
+        )
+        assert [c.num_cores for c in result.cells] == [1, 2, 3, 4]
+        one = result.cells[0]
+        # On one core the busiest core is the whole search.
+        assert one.largest_subset_mean == one.settled_mean
+        assert one.imbalance == 1.0
+        assert result.work_bound(one) == result.overhead(one) == 1.0
+        assert all(c.speedup > 0 for c in result.cells)
 
     def test_lc_excluded_on_request(self, oahu_tiny_graph):
         result = run_table1(
@@ -66,6 +101,78 @@ class TestTable1Work:
         assert [c.settled_mean for c in result.cells] == pytest.approx(
             [5242.67, 5253.33, 5279.0, 5346.33], abs=0.005
         )
+
+
+#: strategy -> the busiest core's settled count at p = 1, 2, 4, 8,
+#: summed over the core sweep's three sources on ``oahu``/tiny.
+LARGEST_SUBSET = {
+    "equal-connections": [21125, 10686, 5525, 2926],
+    "equal-time-slots": [21125, 12679, 7088, 5050],
+    "kmeans": [21125, 11744, 7730, 4169],
+}
+
+
+@pytest.fixture(scope="module")
+def core_sweep(oahu_tiny_graph):
+    """Table 1 per partition strategy as the core sweep runs it (the
+    reference kernel, its ``seed``), on ``oahu``/tiny."""
+    return {
+        strategy: run_table1(
+            "oahu",
+            scale="tiny",
+            num_queries=3,
+            include_lc=False,
+            strategy=strategy,
+            seed=3,
+            graph=oahu_tiny_graph,
+        )
+        for strategy in PARTITION_STRATEGIES
+    }
+
+
+class TestCoreSweepWork:
+    """§3.2's partition as work: each core's settled count is its
+    subset's, so the work bound is exact and deterministic."""
+
+    def test_the_sources_are_named(self, core_sweep):
+        assert {tuple(r.sources) for r in core_sweep.values()} == {(3, 4, 1)}
+
+    @pytest.mark.parametrize("strategy", sorted(LARGEST_SUBSET))
+    def test_the_sweep_runs_at_one_two_four_eight(self, core_sweep, strategy):
+        assert [c.num_cores for c in core_sweep[strategy].cells] == [1, 2, 4, 8]
+
+    @pytest.mark.parametrize("index", range(4), ids=["p1", "p2", "p4", "p8"])
+    @pytest.mark.parametrize("strategy", sorted(LARGEST_SUBSET))
+    def test_largest_subsets_are_pinned(self, core_sweep, strategy, index):
+        result = core_sweep[strategy]
+        cell = result.cells[index]
+        assert (
+            round(cell.largest_subset_mean * len(result.sources))
+            == LARGEST_SUBSET[strategy][index]
+        )
+
+    @pytest.mark.parametrize("strategy", sorted(LARGEST_SUBSET))
+    def test_the_busiest_core_does_at_least_the_mean(
+        self, core_sweep, strategy
+    ):
+        """Work bound x overhead cannot exceed p, and max/mean is at
+        least 1: no core does less than its share of the mean."""
+        result = core_sweep[strategy]
+        for cell in result.cells:
+            assert cell.imbalance >= 1.0
+            assert (
+                result.work_bound(cell) * result.overhead(cell)
+                <= cell.num_cores + 1e-9
+            )
+
+    def test_equal_connections_has_the_largest_work_bound(self, core_sweep):
+        """The paper's reason for its default partition."""
+        bounds = {
+            strategy: result.work_bound(result.cells[-1])
+            for strategy, result in core_sweep.items()
+        }
+        assert max(bounds, key=bounds.get) == "equal-connections"
+        assert bounds["equal-connections"] == pytest.approx(7.22, abs=0.005)
 
 
 @pytest.fixture(scope="module")
@@ -135,14 +242,68 @@ class TestRunTable2:
         assert rows[1].settled_mean <= rows[0].settled_mean
 
 
-class TestScalabilitySeries:
-    def test_points(self, oahu_tiny_graph):
-        points = run_scalability_series(
-            "oahu", scale="tiny", num_queries=1, max_cores=4, graph=oahu_tiny_graph
+def _synthetic_table1(cells, lc=None) -> Table1Result:
+    return Table1Result(
+        instance="demo",
+        kernel="python",
+        sources=[0, 1],
+        cells=[
+            OneToAllCell(
+                instance="demo",
+                num_cores=p,
+                settled_mean=settled,
+                largest_subset_mean=largest,
+                imbalance=imbalance,
+                time_mean=0.01 / p,
+                speedup=float(p),
+            )
+            for p, settled, largest, imbalance in cells
+        ],
+        lc=lc,
+    )
+
+
+class TestWorkBound:
+    """§3.2's arithmetic on hand-made cells, independent of a search."""
+
+    def test_work_bound_is_settled_at_one_over_the_largest_subset(self):
+        result = _synthetic_table1(
+            [(1, 1000.0, 1000.0, 1.0), (4, 1100.0, 400.0, 1.45)]
         )
-        assert [p.num_cores for p in points] == [1, 2, 3, 4]
-        assert points[0].settled_growth == pytest.approx(1.0)
-        assert all(p.speedup > 0 for p in points)
+        assert result.work_bound(result.cells[0]) == 1.0
+        assert result.work_bound(result.cells[1]) == pytest.approx(2.5)
+
+    def test_overhead_is_settled_at_p_over_settled_at_one(self):
+        result = _synthetic_table1(
+            [(1, 1000.0, 1000.0, 1.0), (4, 1100.0, 400.0, 1.45)]
+        )
+        assert result.overhead(result.cells[0]) == 1.0
+        assert result.overhead(result.cells[1]) == pytest.approx(1.1)
+
+    def test_an_empty_search_has_unit_bound_and_overhead(self):
+        """A source that settles nothing divides by nothing."""
+        result = _synthetic_table1([(1, 0.0, 0.0, 1.0), (2, 0.0, 0.0, 1.0)])
+        for cell in result.cells:
+            assert result.work_bound(cell) == result.overhead(cell) == 1.0
+
+    def test_render_prints_the_work_columns(self):
+        text = render_table1(
+            [
+                _synthetic_table1(
+                    [(1, 1000.0, 1000.0, 1.0), (4, 1100.0, 400.0, 1.45)]
+                )
+            ]
+        )
+        row = text.splitlines()[-1].split()
+        assert row[2:7] == ["4", "1,100", "1.45", "2.50", "1.100"]
+
+    def test_the_lc_row_has_no_work_columns(self):
+        lc = LCCell(instance="demo", settled_mean=5000.0, time_mean=0.2)
+        text = render_table1(
+            [_synthetic_table1([(1, 1000.0, 1000.0, 1.0)], lc=lc)]
+        )
+        row = text.splitlines()[-1].split()
+        assert row[1:] == ["LC", "1", "5,000", "—", "—", "—", "200.0", "—"]
 
 
 class TestFormatting:
@@ -156,6 +317,7 @@ class TestFormatting:
         text = render_table1([table1_result])
         assert "oahu" in text and "LC" in text and "spd-up" in text
         assert "CS[python]" in text
+        assert "work bnd" in text and "overhead" in text
 
     def test_render_table2(self, oahu_tiny_graph):
         rows = run_table2(

@@ -13,7 +13,7 @@ def record_factory():
 
     ``capture`` stamps real machine/git provenance, so everything a
     test varies is passed through; records built from the same config
-    share a ``config_hash`` (comparable), different configs do not.
+    share a ``config_hash``, different configs do not.
     """
 
     def build(

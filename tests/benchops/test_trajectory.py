@@ -135,3 +135,41 @@ class TestCorruptTrajectories:
         assert len(summary.rejected) == 1
         assert pending.exists()
         assert path.read_text() == "[]"  # untouched
+
+
+class TestBenchCLI:
+    def test_index_then_show(self, tmp_path, record_factory, capsys):
+        from repro.cli import main
+
+        records_dir = tmp_path / "records"
+        for _ in range(2):
+            emit_record(record_factory(), records_dir)
+        root = str(tmp_path)
+        assert main(["bench", "index", "--records", str(records_dir), "--root", root]) == 0
+        assert main(["bench", "show", "--root", root]) == 0
+        assert "demo_bench: 2 entries" in capsys.readouterr().out
+
+    def test_there_is_no_gate(self):
+        """Wall times from two sessions do not compare, so no command
+        judges a run against an earlier one."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "compare"])
+        assert exc.value.code == 2
+
+    def test_help_lists_only_index_and_show(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{index,show}" in out
+        assert "compare" not in out
+
+    def test_show_without_trajectories(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["bench", "show", "--root", str(tmp_path)]) == 0
+        assert "no BENCH_*.json trajectories" in capsys.readouterr().out

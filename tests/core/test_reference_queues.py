@@ -28,21 +28,22 @@ from tests.oracles.mc_time_query import mc_time_query
 KERNELS = ("python", "flat")
 
 #: (instance, source) -> the work of each reference search:
-#: ``spcs_profile_search`` settled and queue pushes; the same search on
+#: ``spcs_profile_search`` settled and queue pushes; its settled
+#: without self-pruning (§3.1's ablation); the same search on
 #: four threads, settled summed; ``label_correcting_profile`` settled
 #: connections;
 #: ``mc_time_query(…, 480, max_transfers=2)`` settled; and
 #: ``mc_profile_search(…, max_transfers=2)`` settled and pruned.
 WORK = {
-    ("oahu", 0): (7334, 7456, 7453, 17561, 43, 8086, 2217),
-    ("oahu", 4): (9059, 9186, 9114, 33110, 43, 9653, 2822),
-    ("oahu", 9): (6985, 7109, 7028, 17634, 49, 8504, 2195),
-    ("germany", 0): (3368, 3385, 3752, 53724, 91, 4153, 1512),
-    ("germany", 4): (2741, 2852, 2944, 5096, 79, 2811, 619),
-    ("germany", 9): (1865, 1938, 1958, 3408, 77, 2047, 397),
-    ("washington", 0): (12595, 13276, 12760, 44488, 92, 11155, 1905),
-    ("washington", 4): (16397, 17114, 16688, 57391, 100, 16957, 4508),
-    ("washington", 9): (16452, 16878, 16703, 67935, 113, 19292, 6339),
+    ("oahu", 0): (7334, 7456, 14300, 7453, 17561, 43, 8086, 2217),
+    ("oahu", 4): (9059, 9186, 27768, 9114, 33110, 43, 9653, 2822),
+    ("oahu", 9): (6985, 7109, 14196, 7028, 17634, 49, 8504, 2195),
+    ("germany", 0): (3368, 3385, 10664, 3752, 53724, 91, 4153, 1512),
+    ("germany", 4): (2741, 2852, 4816, 2944, 5096, 79, 2811, 619),
+    ("germany", 9): (1865, 1938, 2064, 1958, 3408, 77, 2047, 397),
+    ("washington", 0): (12595, 13276, 33232, 12760, 44488, 92, 11155, 1905),
+    ("washington", 4): (16397, 17114, 40052, 16688, 57391, 100, 16957, 4508),
+    ("washington", 9): (16452, 16878, 33976, 16703, 67935, 113, 19292, 6339),
 }
 
 
@@ -64,6 +65,9 @@ def test_the_reference_searches_do_the_recorded_work(
     assert (
         spcs.settled_connections,
         spcs.queue_pushes,
+        spcs_profile_search(
+            graph, source, self_pruning=False
+        ).stats.settled_connections,
         sum(parallel.settled_per_thread),
         label_correcting_profile(graph, source).settled_connections,
         mc_time_query(graph, source, 480, max_transfers=2).settled,
