@@ -110,10 +110,13 @@ def test_fleet_scaling_near_linear(
 ):
     """QPS scaling 1 → 2 → 4 worker processes behind one gateway.
 
-    This is the subsystem's reason to exist: ``TransitServer`` is one
-    CPython process, so its query compute serializes on the GIL no
-    matter how many threads it runs; worker *processes* each bring
-    their own interpreter.  The workload is therefore the opposite of
+    One ``TransitServer`` already searches on every usable core: its
+    event loop hands each search to one of its datasets' search worker
+    processes (``docs/SERVER.md``, "Execution model").  What the fleet
+    adds is whole servers — isolation, failover and more front ends —
+    so on one box the curve measures what several servers and a
+    gateway hop give over one server, with the cores as the ceiling
+    either way.  The workload is the opposite of
     the journey bench above: every pair forces a full search
     (at least one endpoint outside ``S_trans``, result cache off), so
     per-request CPU dwarfs the gateway's passthrough cost and the

@@ -522,6 +522,11 @@ def _tree_cpu_seconds(pids: list[int]) -> float:
     ) / 1e9
 
 
+def _threads(pid: int) -> int:
+    """The threads of ``pid``: its entries in ``/proc/<pid>/task``."""
+    return len(list(Path(f"/proc/{pid}/task").iterdir()))
+
+
 def _proc_mb(pid: int, file: str, field: str) -> float:
     """A kB field of ``/proc/<pid>/<file>`` (``status``: ``VmRSS``,
     ``VmHWM``; ``smaps_rollup``: ``Pss``), in MB."""
@@ -547,8 +552,9 @@ def served_pool(tmp: Path) -> None:
     faster than p = 1 by more than 1.3x where there are two cores to
     run them on (the numbers are printed either way, the assertion
     comes last).  Last a delay swap with the table on: its table is
-    scanned on the executor thread, so nothing but the new generation's
-    search workers forks, the answers after it are those of an
+    scanned on the thread that replans it (``asyncio.to_thread``), so
+    nothing but the new generation's search workers forks, the answers
+    after it are those of an
     in-process service that applied the same batch, whose table equals
     a cold service's on the delayed timetable to the byte, and the swap
     time is printed for comparison across commits."""
@@ -615,13 +621,17 @@ def served_pool(tmp: Path) -> None:
             f"serve process alone Pss {pss[0]:.1f} MB, "
             f"VmHWM {_proc_mb(server, 'status', 'VmHWM'):.1f} MB"
         )
+        thread_counts = [_threads(pid) for pid in tree]
         print(
-            "  Pss per process: "
+            "  Pss and threads per process: "
             + ", ".join(
-                f"{'serve' if k == 0 else f'worker {k}'} {mb:.1f} MB"
-                for k, mb in enumerate(pss)
+                f"{'serve' if k == 0 else f'worker {k}'} {mb:.1f} MB "
+                f"{count} thread(s)"
+                for k, (mb, count) in enumerate(zip(pss, thread_counts))
             )
         )
+        # The loop waits for the workers itself: no thread per search.
+        assert thread_counts[0] == 1, f"serve runs {thread_counts[0]} threads"
 
         sources = random.Random("served-pool").sample(
             range(service.timetable.num_stations), 12

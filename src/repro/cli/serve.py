@@ -233,9 +233,9 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
         "--workers",
         type=positive_int,
         default=4,
-        help="searches that may run at once: one waiting thread each, "
-        "and per dataset one search process for each of them that has "
-        "a core to run on (default: 4)",
+        help="searches that may run at once, per dataset: one search "
+        "process each, at most one per usable core, to which the event "
+        "loop hands the searches (default: 4)",
     )
     p_serve.add_argument(
         "--drain-grace-ms",

@@ -17,8 +17,13 @@ callers.  *Per generation*: a service
 keeps one pool (:meth:`repro.service.TransitService.start_workers`),
 forked once, so a search, one §3.2 partition of a profile or one item
 of a batch costs a pipe round trip and no fork (``docs/SERVER.md``,
-"Execution model").  Either way the children inherit what they are
-forked from — ``fn`` and all it closes over, a whole service —
+"Execution model").  Such a pool is driven two ways over the one set
+of children: a server's event loop hands it jobs without blocking
+(:meth:`ForkPool.submit`: the loop waits on the pipes in its selector,
+no thread waits for it), in-process callers block in
+:meth:`ForkPool.call` / :meth:`ForkPool.map`.  Either way the
+children inherit what they are forked from — ``fn`` and all it
+closes over, a whole service —
 copy-on-write: only items and results are pickled.  A forked child
 inherits every lock as the parent's other threads held it at fork time,
 so what runs there must take no lock the forking process shares between
@@ -38,6 +43,7 @@ and measured slower than ``serial`` on every workload tried
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import os
 import pickle
@@ -45,6 +51,7 @@ import signal
 import threading
 import traceback
 import weakref
+from collections import deque
 from multiprocessing.connection import Connection, Pipe, wait
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -156,6 +163,25 @@ def _dumps(obj: object) -> bytes:
     return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
 
 
+def _lost(child: _Child) -> WorkerLost:
+    return WorkerLost(
+        f"pool worker {child.pid} died; the job it was running is lost, "
+        f"a replacement is running"
+    )
+
+
+def _fail(future: asyncio.Future, exc: BaseException) -> None:
+    if not future.done():  # cancelled: nobody is waiting
+        future.set_exception(exc)
+
+
+def _running_loop() -> asyncio.AbstractEventLoop | None:
+    try:
+        return asyncio.get_running_loop()
+    except RuntimeError:
+        return None
+
+
 def _answer(target: object, name: str, args: tuple) -> bytes:
     """A child's pickled ``(True, result)`` or ``(False, exception)``
     for one job — an exception that would not survive the trip as a
@@ -214,6 +240,9 @@ class ForkPool:
     Without children — ``processes=0``, a platform without ``fork``, a
     closed pool, a pool constructed inside a pool child or the copy of
     its own pool a child inherited — they run on the calling thread.
+    :meth:`submit` is their non-blocking twin for an event loop: it
+    returns a future at once, jobs that find every child busy wait
+    first come first served, and without children it refuses.
 
     Children are forked with SIGTERM / SIGINT blocked and, before their
     first job, close every descriptor they inherited but stdio and
@@ -246,8 +275,14 @@ class ForkPool:
         #: What each child's last job that said so was about
         #: (``affinity``).
         self._last: dict[_Child, object] = {}
-        #: Guards the three; notified when a child is freed.
+        #: Submitted jobs no child was idle for, oldest first:
+        #: ``(future, pickled job, affinity)``.
+        self._queued: deque[tuple[asyncio.Future, bytes, object]] = deque()
+        #: Guards the four; notified when a child is freed.
         self._freed = threading.Condition()
+        #: The children running a submitted job, and its future — read
+        #: and written on the thread of that future's loop only.
+        self._running: dict[_Child, asyncio.Future] = {}
         #: Children forked to replace one that died.
         self.replaced_total = 0
         self._stop = weakref.finalize(
@@ -264,11 +299,50 @@ class ForkPool:
         return len(self._children)
 
     def close(self) -> None:
-        """Stop and reap the children (idempotent).  Calls made from
-        now on run on the calling thread; one still in a child is lost."""
+        """Stop and reap the children (idempotent).  Blocking calls
+        made from now on run on the calling thread; one still in a
+        child is lost.  Every submitted job not yet answered fails with
+        :class:`WorkerLost` — a child running one is killed, not waited
+        for, and its pipe leaves the loop's selector first — so this
+        must run on the thread of their loop when there are any."""
+        with self._freed:
+            queued = [future for future, _, _ in self._queued]
+            self._queued.clear()
+        for future in queued:
+            _fail(future, WorkerLost("the pool was closed before the job ran"))
+        while self._running:
+            child, future = self._running.popitem()
+            future.get_loop().remove_reader(child.conn.fileno())
+            os.kill(child.pid, signal.SIGKILL)
+            _fail(future, WorkerLost(
+                f"pool worker {child.pid} was stopped with the pool; "
+                f"the job it was running is lost"
+            ))
         with self._freed:
             self._stop()
             self._freed.notify_all()
+
+    def submit(
+        self, name: str, *args, affinity: object = None
+    ) -> asyncio.Future:
+        """``getattr(target, name)(*args)`` in a child, from the
+        running event loop without blocking it: the job is handed to an
+        idle child — chosen by ``affinity`` as :meth:`map` chooses —
+        or, while every child is busy, queued behind the jobs submitted
+        before it, and the future returned is resolved by a reader on
+        the child's pipe.  The job's exception, or :class:`WorkerLost`
+        if the child died (a replacement is forked), is the future's.
+
+        A pool without children — closed, or none forked — raises
+        ``RuntimeError``: the caller runs the job itself, off the loop."""
+        if not self._children:
+            raise RuntimeError("the pool has no children to submit to")
+        job = _dumps((name, args))
+        future = asyncio.get_running_loop().create_future()
+        with self._freed:
+            self._queued.append((future, job, affinity))
+        self._hand_out()
+        return future
 
     def call(self, name: str, *args, affinity: object = None):
         """``getattr(target, name)(*args)``, in an idle child."""
@@ -330,25 +404,86 @@ class ForkPool:
                 if not block or not self._children:
                     return None
                 self._freed.wait()
-            if affinity is None:
-                return self._idle.pop(0)
-            # For choice the child whose last such job was about the
-            # same; else, like a job about nothing, the one idle
-            # longest — the one freed last has just answered someone
-            # who is likely to be back for more.
-            child = next(
-                (c for c in self._idle if self._last.get(c) == affinity),
-                self._idle[0],
-            )
-            self._idle.remove(child)
-            self._last[child] = affinity
-            return child
+            return self._take(affinity)
+
+    def _take(self, affinity: object) -> _Child:
+        """An idle child for a job about ``affinity`` (the lock held)."""
+        if affinity is None:
+            return self._idle.pop(0)
+        # For choice the child whose last such job was about the same;
+        # else, like a job about nothing, the one idle longest — the
+        # one freed last has just answered someone who is likely to be
+        # back for more.
+        child = next(
+            (c for c in self._idle if self._last.get(c) == affinity),
+            self._idle[0],
+        )
+        self._idle.remove(child)
+        self._last[child] = affinity
+        return child
 
     def _release(self, child: _Child | None) -> None:
         with self._freed:
             if child in self._children:  # not None, not closed meanwhile
                 self._idle.append(child)
             self._freed.notify_all()
+            loop = self._queued[0][0].get_loop() if self._queued else None
+        if loop is None:
+            return
+        # A submitted job is waiting: it is handed out on its loop.
+        if _running_loop() is loop:
+            self._hand_out()
+        else:
+            loop.call_soon_threadsafe(self._hand_out)
+
+    # -- submitted jobs (on the loop's thread) -----------------------------
+
+    def _hand_out(self) -> None:
+        """Give queued jobs to idle children, the oldest job first; a
+        job whose future is done (cancelled) is dropped unsent."""
+        while True:
+            with self._freed:
+                while self._queued and self._queued[0][0].done():
+                    self._queued.popleft()
+                if not self._queued:
+                    return
+                if not self._children:  # every replacement refused
+                    orphans = [future for future, _, _ in self._queued]
+                    self._queued.clear()
+                elif not self._idle:
+                    return
+                else:
+                    orphans = None
+                    future, job, affinity = self._queued.popleft()
+                    child = self._take(affinity)
+            if orphans is not None:
+                for future in orphans:
+                    _fail(future, WorkerLost("no pool worker is left"))
+                return
+            self._running[child] = future
+            try:
+                child.conn.send_bytes(job)
+            except OSError:
+                pass  # dead; the reader finds out
+            future.get_loop().add_reader(
+                child.conn.fileno(), self._read, child
+            )
+
+    def _read(self, child: _Child) -> None:
+        """``child`` answered its submitted job, or died running it."""
+        future = self._running.pop(child)
+        future.get_loop().remove_reader(child.conn.fileno())
+        try:
+            ok, value = pickle.loads(child.conn.recv_bytes())
+        except (EOFError, OSError):
+            ok, value = False, _lost(child)
+            child = self._replace(child)
+        if ok:
+            if not future.done():  # cancelled while it ran
+                future.set_result(value)
+        else:
+            _fail(future, value)
+        self._release(child)
 
     def _collect(
         self, held: dict[_Child, int], outcomes: list
@@ -364,10 +499,7 @@ class ForkPool:
                 child = next(c for c in held if c.conn in ready)
             outcome = pickle.loads(child.conn.recv_bytes())
         except (EOFError, OSError):  # dead, or the pool closed meanwhile
-            outcomes[held.pop(child)] = False, WorkerLost(
-                f"pool worker {child.pid} died; the job it was "
-                f"running is lost, a replacement is running"
-            )
+            outcomes[held.pop(child)] = False, _lost(child)
             return self._replace(child)
         outcomes[held.pop(child)] = outcome
         return child
@@ -418,6 +550,8 @@ class ForkPool:
             _in_pool_child = True
             self._children.clear()
             self._idle.clear()
+            self._queued = deque()
+            self._running = {}
             self._freed = threading.Condition()
             _close_inherited_fds(conn.fileno())
             signal.set_wakeup_fd(-1)

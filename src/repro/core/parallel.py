@@ -17,11 +17,12 @@ kernel, p = 2 on two cores, means of 18 searches: ``germany`` / medium
 11.7–12.0 ms ``serial``, 12.5–12.9 ms ``processes``; ``washington`` /
 small 43.6–44.6 against 33.4–35.9 ms), so the paths that run many
 searches keep their processes longer than one of them.  A served
-generation forks its search workers once and hands this driver a
-``dispatch`` that runs each subset in one of them: the paper's master /
-worker scheme with processes for threads — the master partitions and
-merges, the workers search — measured at 1.71–1.80× for p = 2 on two
-cores, through HTTP (``docs/SERVER.md``, "Execution model").
+generation forks its search workers once and runs this module's two
+halves itself — :func:`split_profile`, one subset job per worker,
+:func:`merge_profile`: the paper's master / worker scheme with
+processes for threads — the master partitions and merges, the workers
+search — measured at 1.71–1.80× for p = 2 on two cores, through HTTP
+(``docs/SERVER.md``, "Execution model").
 
 CPython threads cannot run the searches in parallel (they serialize on
 the GIL), which is why the paper's shared-memory threads are processes
@@ -56,8 +57,8 @@ with p.
 
 Most callers reach this function through the
 :class:`~repro.service.TransitService` facade (``service.profile``),
-which prepares the packed arrays once, passes them via ``arrays=`` and
-runs every subset through its own ``dispatch``; calling it directly is
+which prepares the packed arrays once and composes the same two
+halves around its search workers; calling this function directly is
 equivalent and remains supported (docs/API.md).
 """
 
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.core.fanout import fan_out
 from repro.core.merge import MergedProfileResult, merge_thread_results
@@ -148,46 +149,40 @@ def timed_subset_search(
     return result, time.perf_counter() - t0
 
 
-def parallel_profile_search(
+@dataclass(frozen=True, slots=True)
+class ProfileSplit:
+    """The master's half of §3.2 before the workers search: ``conn(S)``
+    cut into one subset per thread (:func:`split_profile`); the
+    subsets' searches and :func:`merge_profile` finish the query."""
+
+    num_threads: int
+    #: Indices into ``conn(S)``, one list per thread.
+    parts: list[list[int]]
+    #: ``|conn(S)|``.
+    num_connections: int
+    #: ``time.perf_counter()`` once the partition was made: the clock
+    #: of :attr:`ParallelRunStats.total_time`.
+    started: float
+
+
+def split_profile(
     graph: TDGraph | None,
     source: int,
     num_threads: int = 1,
     *,
     strategy: str = "equal-connections",
-    backend: str = "serial",
-    self_pruning: bool = True,
-    queue: str = "binary",
     kernel: str = "python",
     arrays: "TDGraphArrays | None" = None,
-    dispatch: "Callable[[list[list[int]]], list[tuple[SPCSResult, float]]] | None" = None,
-) -> ParallelProfileResult:
-    """One-to-all profile search on ``num_threads`` simulated cores.
-
-    ``strategy`` is a :data:`~repro.core.partition.PARTITION_STRATEGIES`
-    key; ``backend`` one of :data:`~repro.core.fanout.BACKENDS`;
-    ``kernel`` one of :data:`KERNELS`: the reference runs on the
-    paper's binary heap, the flat kernel on its bucket queue.  ``queue``
-    is accepted for callers that still name one, and must be
-    ``"binary"`` on either kernel.
-    ``arrays`` injects a pre-packed :class:`TDGraphArrays` for the
-    ``flat`` kernel (the service facade owns one shared pack); when
-    omitted the graph's own pack (:func:`packed_arrays`) is used.  The
-    flat kernel reads ``conn(S)``, the stations and the period from the
-    pack, never the graph: with ``arrays`` given ``graph`` may be
-    ``None`` (a served generation does not build one).
-
-    ``dispatch``, when given, runs the subsets in place of ``backend``:
-    it takes the partition and returns one :func:`timed_subset_search`
-    outcome per subset, in order (a served generation's search workers).
-    """
+) -> ProfileSplit:
+    """Partition ``conn(source)`` into ``num_threads`` subsets with
+    ``strategy`` (a :data:`~repro.core.partition.PARTITION_STRATEGIES`
+    key), reading the departures off the pack for ``kernel="flat"``
+    (``arrays``, else the graph's own pack) and off the timetable for
+    ``"python"``."""
     if num_threads < 1:
         raise ValueError(f"need at least one thread, got {num_threads}")
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    if queue != "binary":
-        raise ValueError(
-            f"unknown queue {queue!r}; the only queue is 'binary'"
-        )
     try:
         partition_fn = PARTITION_STRATEGIES[strategy]
     except KeyError:
@@ -204,7 +199,6 @@ def parallel_profile_search(
         conn_deps = arrays.source_connection_arrays(source)[0].tolist()
         period = arrays.period
     else:
-        arrays = None
         if not graph.is_station_node(source):
             raise ValueError(f"source must be a station node, got {source}")
         timetable = graph.timetable
@@ -212,31 +206,30 @@ def parallel_profile_search(
             c.dep_time for c in timetable.outgoing_connections(source)
         ]
         period = timetable.period
-    parts = partition_fn(conn_deps, num_threads, period)
+    return ProfileSplit(
+        num_threads=num_threads,
+        parts=partition_fn(conn_deps, num_threads, period),
+        num_connections=len(conn_deps),
+        started=time.perf_counter(),
+    )
 
-    def timed_search(subset: list[int]) -> tuple[SPCSResult, float]:
-        return timed_subset_search(
-            graph, arrays, source, subset, self_pruning=self_pruning
-        )
 
-    start_total = time.perf_counter()
-    if dispatch is not None:
-        timed = dispatch(parts)
-    else:
-        timed = fan_out(
-            timed_search, parts, backend=backend, workers=num_threads
-        ).results
+def merge_profile(
+    split: ProfileSplit, timed: Sequence[tuple[SPCSResult, float]]
+) -> ParallelProfileResult:
+    """The master's other half: merge one :func:`timed_subset_search`
+    outcome per subset of ``split``, in order, and account the run."""
     thread_results = [result for result, _ in timed]
     times = [elapsed for _, elapsed in timed]
 
     t_merge = time.perf_counter()
-    merged = merge_thread_results(thread_results, len(conn_deps))
+    merged = merge_thread_results(thread_results, split.num_connections)
     merge_time = time.perf_counter() - t_merge
-    total_time = time.perf_counter() - start_total
+    total_time = time.perf_counter() - split.started
 
     stats = ParallelRunStats(
-        num_threads=num_threads,
-        partition_sizes=[len(p) for p in parts],
+        num_threads=split.num_threads,
+        partition_sizes=[len(p) for p in split.parts],
         settled_per_thread=[
             r.stats.settled_connections for r in thread_results
         ],
@@ -247,3 +240,56 @@ def parallel_profile_search(
     return ParallelProfileResult(
         merged=merged, thread_results=thread_results, stats=stats
     )
+
+
+def parallel_profile_search(
+    graph: TDGraph | None,
+    source: int,
+    num_threads: int = 1,
+    *,
+    strategy: str = "equal-connections",
+    backend: str = "serial",
+    self_pruning: bool = True,
+    queue: str = "binary",
+    kernel: str = "python",
+    arrays: "TDGraphArrays | None" = None,
+) -> ParallelProfileResult:
+    """One-to-all profile search on ``num_threads`` simulated cores:
+    :func:`split_profile`, one :func:`timed_subset_search` per subset
+    on ``backend``, :func:`merge_profile`.
+
+    ``strategy`` is a :data:`~repro.core.partition.PARTITION_STRATEGIES`
+    key; ``backend`` one of :data:`~repro.core.fanout.BACKENDS`;
+    ``kernel`` one of :data:`KERNELS`: the reference runs on the
+    paper's binary heap, the flat kernel on its bucket queue.  ``queue``
+    is accepted for callers that still name one, and must be
+    ``"binary"`` on either kernel.
+    ``arrays`` injects a pre-packed :class:`TDGraphArrays` for the
+    ``flat`` kernel (the service facade owns one shared pack); when
+    omitted the graph's own pack (:func:`packed_arrays`) is used.  The
+    flat kernel reads ``conn(S)``, the stations and the period from the
+    pack, never the graph: with ``arrays`` given ``graph`` may be
+    ``None`` (a served generation does not build one).
+    """
+    if queue != "binary":
+        raise ValueError(
+            f"unknown queue {queue!r}; the only queue is 'binary'"
+        )
+    split = split_profile(
+        graph, source, num_threads, strategy=strategy, kernel=kernel,
+        arrays=arrays,
+    )
+    if kernel == "flat" and arrays is None:
+        arrays = packed_arrays(graph)
+    elif kernel == "python":
+        arrays = None
+
+    def timed_search(subset: list[int]) -> tuple[SPCSResult, float]:
+        return timed_subset_search(
+            graph, arrays, source, subset, self_pruning=self_pruning
+        )
+
+    timed = fan_out(
+        timed_search, split.parts, backend=backend, workers=num_threads
+    ).results
+    return merge_profile(split, timed)

@@ -119,15 +119,3 @@ PARTITION_STRATEGIES: dict[
     "equal-time-slots": partition_equal_time_slots,
     "kmeans": partition_kmeans,
 }
-
-
-def partition_balance(parts: list[list[int]]) -> float:
-    """Imbalance figure: max part size / mean part size (1.0 = perfect).
-
-    Used by the partition-balance bench (F-part).
-    """
-    sizes = [len(p) for p in parts]
-    if not sizes or sum(sizes) == 0:
-        return 1.0
-    mean = sum(sizes) / len(sizes)
-    return max(sizes) / mean if mean else float("inf")

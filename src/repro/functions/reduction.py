@@ -99,14 +99,3 @@ def reduced_points_per_row(
     points = np.stack((kept, arr[row_of, col] - kept), axis=1).tolist()
     ends = np.cumsum(np.bincount(row_of, minlength=m)).tolist()
     return [points[lo:hi] for lo, hi in zip([0, *ends], ends)]
-
-
-def is_reduced(arrivals: Sequence[int] | np.ndarray) -> bool:
-    """True iff the arrival vector is already reduced (strictly
-    increasing and free of ``INF_TIME``)."""
-    arr = np.asarray(arrivals, dtype=np.int64)
-    if arr.size == 0:
-        return True
-    if (arr >= INF_TIME).any():
-        return False
-    return bool((np.diff(arr) > 0).all())

@@ -81,8 +81,3 @@ def reverse_csr(
 def neighbors(indptr: np.ndarray, targets: np.ndarray, u: int) -> np.ndarray:
     """View of ``u``'s out-neighbors (no copy)."""
     return targets[indptr[u] : indptr[u + 1]]
-
-
-def out_degrees(indptr: np.ndarray) -> np.ndarray:
-    """Out-degree vector from an indptr array."""
-    return np.diff(indptr)

@@ -10,10 +10,10 @@ journey-planning *service* the paper frames SPCS as the engine for.
   strict validation and typed error payloads;
 * :mod:`repro.server.registry` — named datasets warm-loaded from
   :mod:`repro.store`, with atomic hot delay swaps;
-* :mod:`repro.server.executor` — worker-pool execution, one job per
-  search;
 * :mod:`repro.server.app` — HTTP routing, bounded admission (fast 503
-  on overload), graceful drain;
+  on overload), graceful drain, and every search handed from the event
+  loop to the dataset's search workers
+  (``TransitService.submit``);
 * :mod:`repro.server.metrics` — request counters, latency histograms,
   cache hit rates.
 
@@ -24,7 +24,6 @@ semantics.
 """
 
 from repro.server.app import MAX_BODY_BYTES, TransitServer
-from repro.server.executor import QueryExecutor
 from repro.server.http_base import BaseAsyncHttpServer
 from repro.server.metrics import LatencyHistogram, ServerMetrics
 from repro.server.protocol import (
@@ -50,7 +49,6 @@ __all__ = [
     "DelayCommand",
     "LatencyHistogram",
     "ProtocolError",
-    "QueryExecutor",
     "RegistryError",
     "ServerMetrics",
     "SwapStateError",

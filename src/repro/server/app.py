@@ -19,21 +19,24 @@ Endpoints (all bodies JSON, see :mod:`repro.server.protocol` and
 Design:
 
 * **No blocking on the loop, no search under its GIL** — the loop
-  only parses, routes, serializes and gives the answers that take no
-  search (``TransitService.lookup``).  Every other request is a job of
-  the :class:`~repro.server.executor.QueryExecutor` thread pool, and
-  the search it needs runs in one of the dataset generation's *search
-  workers*: processes forked from the generation when :meth:`start`
-  begins serving it (``TransitService.start_workers``), as many as
-  there are executor threads and usable cores.  The HTTP mechanics
+  parses, routes, serializes, gives the answers that take no search
+  (``TransitService.lookup``) and composes the rest
+  (``TransitService.submit``): it hands each of a request's searches
+  to one of the dataset generation's *search workers* — processes
+  forked from the generation when :meth:`start` begins serving it
+  (``TransitService.start_workers``), ``workers`` of them at most, one
+  per usable core — and waits for their answers in its selector, with
+  no thread between a request and its worker.  Delay replans run on
+  ``asyncio.to_thread``, and so do the searches of a generation that
+  has no workers (no ``fork``).  The HTTP mechanics
   (keep-alive loop, request reading, graceful drain) and the request
   path (routing, the method check, request accounting, admission) live
   in :class:`~repro.server.http_base.BaseAsyncHttpServer`, shared with
   the fleet gateway; this class holds the handlers.
 * **Bounded admission** — at most ``max_inflight`` query requests (and
-  delay swaps, which are worker-pool jobs like any query) are in
-  flight; the next one is answered ``503 overloaded`` immediately
-  (closed-loop clients back off instead of queueing into timeout).
+  delay swaps, CPU-heavy like any search) are in flight; the next one
+  is answered ``503 overloaded`` immediately (closed-loop clients back
+  off instead of queueing into timeout).
   ``/healthz`` and ``/metrics`` are always admitted.
 * **Hot swaps drain, never break** — a query pins its dataset's
   service reference at admission; the swap replaces the reference for
@@ -43,15 +46,16 @@ Design:
   ``"draining"`` while requests still succeed, so the fleet gateway
   (or any LB) stops routing *before* the hard drain starts
   fast-503ing; :meth:`~BaseAsyncHttpServer.shutdown` then waits out
-  ``drain_grace``, finishes in-flight requests, and stops the thread
-  pool and the search workers.  ``repro serve`` wires SIGINT/SIGTERM
+  ``drain_grace``, finishes in-flight requests, and stops the search
+  workers.  ``repro serve`` wires SIGINT/SIGTERM
   to exactly this path and exits 0.
 """
 
 from __future__ import annotations
 
+import asyncio
+
 from repro.core.fanout import WorkerLost, pool_size
-from repro.server.executor import QueryExecutor
 from repro.server.http_base import MAX_BODY_BYTES, BaseAsyncHttpServer, Request
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
@@ -98,21 +102,23 @@ class TransitServer(BaseAsyncHttpServer):
             drain_grace=drain_grace,
             metrics=metrics if metrics is not None else ServerMetrics(),
         )
+        if workers < 1:
+            raise ValueError(f"need at least one worker, got {workers}")
         self.registry = registry
-        self.executor = QueryExecutor(workers=workers)
+        #: Searches that may run at once, per dataset.
+        self.workers = workers
 
     async def start(self) -> None:
-        """Give every dataset generation its search workers — one per
-        executor thread, up to the cores this process may use — then
-        bind and accept.  (Generations that delay swaps build later
-        bring their own: ``TransitService.apply_delays``.)"""
-        processes = pool_size(self.executor.workers)
+        """Give every dataset generation its search workers — ``workers``
+        of them, up to the cores this process may use — then bind and
+        accept.  (Generations that delay swaps build later bring their
+        own: ``TransitService.apply_delays``.)"""
+        processes = pool_size(self.workers)
         for entry in self.registry.entries():
             entry.service.start_workers(processes)
         await super().start()
 
     async def _post_drain(self) -> None:
-        await self.executor.shutdown()
         for entry in self.registry.entries():
             entry.service.stop_workers()
 
@@ -165,12 +171,15 @@ class TransitServer(BaseAsyncHttpServer):
         query, encode = open_request(
             shape, parse_body(request.body), service.prepared.counts.stations
         )
-        return 200, encode(await self.executor.submit(shape, service, query))
+        answer = service.lookup(shape, query)
+        if answer is None:
+            answer = await _search(service, shape, query)
+        return 200, encode(answer)
 
     async def _delays(self, request: Request, name: str) -> tuple:
-        # Replans are CPU-heavy worker-pool jobs like any query: they
-        # obey the same admission bound (a swap storm must not starve
-        # queries) and a draining server starts no new ones.
+        # Replans are CPU-heavy like any search: they obey the same
+        # admission bound (a swap storm must not starve queries) and a
+        # draining server starts no new ones.
         entry = self.registry.get(name)
         command = parse_delay_request(
             parse_body(request.body), entry.service.prepared.counts.trains
@@ -189,7 +198,7 @@ class TransitServer(BaseAsyncHttpServer):
             command.delays,
             slack_per_leg=command.slack_per_leg,
             advance=command.advance,
-            run=self.executor.run,
+            run=asyncio.to_thread,
         )
         self.metrics.observe_swap(name, entry.last_swap_seconds)
         return APPLY_REPLY.write(
@@ -205,7 +214,7 @@ class TransitServer(BaseAsyncHttpServer):
             name,
             command.delays,
             slack_per_leg=command.slack_per_leg,
-            run=self.executor.run,
+            run=asyncio.to_thread,
         )
         return PREPARE_REPLY.write(
             name,
@@ -226,3 +235,16 @@ class TransitServer(BaseAsyncHttpServer):
     async def _swap_abort(self, name: str, command: DelayCommand) -> dict:
         discarded = await self.registry.abort_prepared(name, command.token)
         return ABORT_REPLY.write(name, command.token, discarded)
+
+
+async def _search(service, shape: Shape, query):
+    """The answer ``service.lookup`` did not give.  A service composes
+    it on the loop, each search in a worker (``TransitService.submit``).
+    An object that stands in for one with the blocking ``<shape>``
+    methods alone — a wrapper that injects faults — is asked with its
+    ``<shape>`` method on ``asyncio.to_thread``.  ``submit`` is looked
+    up on the class: a wrapper that forwards what it lacks to the
+    service it wraps must not lend itself that service's."""
+    if getattr(type(service), "submit", None) is not None:
+        return await service.submit(shape, query)
+    return await asyncio.to_thread(getattr(service, shape.name), query)

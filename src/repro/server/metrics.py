@@ -239,7 +239,7 @@ class ServerMetrics(HttpMetrics):
     CATALOG = HttpMetrics.CATALOG + (
         Metric(
             "micro_batching",
-            "always `{\"mean_batch_size\": null}`: the executor groups "
+            "always `{\"mean_batch_size\": null}`: the server groups "
             "nothing; the key remains only because `e2ebench/run.py` "
             "indexes it",
         ),

@@ -192,10 +192,9 @@ class DatasetRegistry:
     ) -> DatasetEntry:
         """Replan ``name`` under ``delays`` and swap the new service in.
 
-        ``run`` executes the (CPU-heavy) replan; the server passes its
-        worker pool's :meth:`~repro.server.executor.QueryExecutor.run`
-        so the event loop never blocks, while ``None`` runs inline
-        (synchronous callers, tests).  The swap itself is one reference
+        ``run`` executes the (CPU-heavy) replan; the server passes
+        ``asyncio.to_thread`` so the event loop never blocks, while
+        ``None`` runs inline (synchronous callers, tests).  The swap itself is one reference
         assignment — in-flight queries keep the service they pinned at
         admission and drain against it.  ``ValueError`` from
         ``apply_delays`` (unknown train, ``from_stop`` past the run)

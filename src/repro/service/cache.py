@@ -44,8 +44,10 @@ class LRUResultCache:
     """Bounded least-recently-used result cache.
 
     ``maxsize=0`` disables caching entirely (every ``get`` misses,
-    ``put`` is a no-op).  Thread-safe: a server's executor threads
-    share one.
+    ``put`` is a no-op).  Thread-safe: a server reads and writes it on
+    its event loop while the searches of a generation without search
+    workers use it on other threads, and in-process callers may share
+    one service between threads.
     """
 
     __slots__ = ("_maxsize", "_entries", "_lock", "_hits", "_misses")
@@ -95,7 +97,7 @@ class LRUResultCache:
             self._entries.clear()
 
     def __len__(self) -> int:
-        # Under the lock like every other reader: pool threads mutate
+        # Under the lock like every other reader: other threads mutate
         # _entries via put() eviction, and an OrderedDict mid-resize
         # must never be observed (CPython dict reads are not atomic
         # against concurrent structural mutation).

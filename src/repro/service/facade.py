@@ -27,30 +27,35 @@ the paper through a typed request/response model:
   cache (:mod:`repro.service.cache`, ``config.result_cache_size``).
 
 The facade delegates to the same engines the pre-facade entry points
-used (:func:`~repro.core.parallel.parallel_profile_search`,
-:class:`~repro.query.table_query.StationToStationEngine`), injecting
-the shared artifacts — so answers are bitwise-identical to the
-historical paths (``tests/service/test_facade.py`` pins this).
+used (:func:`~repro.core.parallel.parallel_profile_search`'s two
+halves, :class:`~repro.query.table_query.StationToStationEngine`),
+injecting the shared artifacts — so answers are bitwise-identical to
+the historical paths (``tests/service/test_facade.py`` pins this).
 
-A ``profile`` and a ``batch`` are composed on the calling thread, the
-paper's master (§3.2): it splits the work — a profile into partitions
-of ``conn(S)``, a batch into its items — and gathers the answers, and
-the generation's search workers (:meth:`TransitService.start_workers`),
-when it has any, run one piece each.  A batch item runs the very same
-one-request code as ``journey`` / ``profile``, so it is the single
-answer by construction.
+Each shape is stated once as worker jobs plus a finish step
+(``TransitService._work``), the paper's master / worker scheme (§3.2):
+a profile is partitioned into subsets of ``conn(S)``, a batch into its
+items, every other shape is one job, and the finish merges or gathers
+the answers.  The generation's search workers
+(:meth:`TransitService.start_workers`), when it has any, run one job
+each; the composition runs on the caller's side — blocking for the
+query methods, on the event loop for :meth:`TransitService.submit`,
+which is how ``serve`` asks.  A batch item runs the very same
+composition as ``journey`` / ``profile``, so it is the single answer
+by construction.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from repro.core.fanout import ForkPool
 from repro.core.multicriteria import mc_time_search
-from repro.core.parallel import parallel_profile_search, timed_subset_search
+from repro.core.parallel import merge_profile, split_profile, timed_subset_search
 from repro.functions.piecewise import INF_TIME
 from repro.query.batch import BatchStats
 from repro.query.distance_table import DistanceTable
@@ -107,6 +112,31 @@ class _McSearchKey:
     source: int
     departure: int
     max_transfers: int | None
+
+
+class _Work(NamedTuple):
+    """One request as the search workers see it: ``job`` — a method
+    name of the service — called once per entry of ``jobs``, for choice
+    in the worker whose last job had the same ``affinity``, then
+    ``finish`` over the results in order on the caller's side."""
+
+    job: str
+    jobs: list[tuple]
+    finish: Callable[[list], object]
+    affinity: object = None
+
+
+def _only(results: list):
+    return results[0]
+
+
+#: The shapes whose whole uncached answer is one worker job.
+_ONE_JOB = {
+    JOURNEY: "_search_journey",
+    MULTICRITERIA: "_run_multicriteria",
+    VIA: "_run_via",
+    MIN_TRANSFERS: "_run_min_transfers",
+}
 
 
 def _mark_cache_hit(result):
@@ -284,9 +314,9 @@ class TransitService:
         transfer stations: all its best connections are in the
         distance table (paper §4, Special Cases).  Either way the
         answer costs microseconds and is the one the shape's method
-        returns; the server gives these on its event loop, where a
-        hand-off to a worker thread would cost many times the answer
-        (``docs/SERVER.md``, "Execution model")."""
+        returns; the server gives these on its event loop before it
+        asks :meth:`submit` for anything (``docs/SERVER.md``,
+        "Execution model")."""
         cached = self._result_cache.peek(request)
         if cached is not None:
             return _mark_cache_hit(cached)
@@ -295,8 +325,42 @@ class TransitService:
             and request.departure is None
             and not self._engine.needs_search(request.source, request.target)
         ):
-            return self._answer(request, "_search_journey", here=True)
+            return self._answer(JOURNEY, request, here=True)
         return None
+
+    async def submit(self, shape: Shape, request):
+        """The answer to the typed ``request``, awaited on the running
+        event loop and never blocking it — how ``serve`` answers what
+        :meth:`lookup` did not: the cached answer, else the shape's
+        composition (:meth:`_work`) with each job in a search worker
+        (:meth:`ForkPool.submit <repro.core.fanout.ForkPool.submit>`)
+        and the finish on the loop, stored for the next asker.  A
+        generation without workers runs the jobs on one thread
+        (``asyncio.to_thread``): no search ever runs on the loop.  The
+        first job that raised, in job order, raises here."""
+        cached = self._result_cache.get(request)
+        if cached is not None:
+            return _mark_cache_hit(cached)
+        work = self._work(shape, request)
+        workers = self._workers
+        if workers is None or not workers.processes:
+            results = await asyncio.to_thread(self._run_here, work)
+        else:
+            futures = [
+                workers.submit(work.job, *args, affinity=work.affinity)
+                for args in work.jobs
+            ]
+            results, error = [], None
+            for future in futures:  # each one awaited, failed or not
+                try:
+                    results.append(await future)
+                except Exception as exc:  # noqa: BLE001 — raised below
+                    error = error or exc
+            if error is not None:
+                raise error
+        result = work.finish(results)
+        self._result_cache.put(request, result)
+        return result
 
     # -- search workers ------------------------------------------------
 
@@ -341,25 +405,46 @@ class TransitService:
         # share live.
         self._result_cache = LRUResultCache(self.config.result_cache_size)
 
-    def _answer(self, req, compute: str, *, here: bool = False):
-        """The one dispatch point of the query methods: the cached
-        answer to ``req``, else ``self.<compute>(req)`` — in a search
-        worker when the generation has them, unless ``here`` keeps it
-        on the calling thread — stored for the next asker."""
+    def _answer(self, shape: Shape, req, *, here: bool = False):
+        """:meth:`submit` for a blocking caller, the query methods' one
+        dispatch point: the cached answer to ``req``, else the shape's
+        composition (:meth:`_work`) with its jobs in the search workers
+        when the generation has them — unless ``here`` keeps them on
+        the calling thread — and its finish, stored for the next
+        asker."""
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
+        work = self._work(shape, req)
         if here or self._workers is None:
-            result = getattr(self, compute)(req)
+            results = self._run_here(work)
         else:
-            # For choice in the worker that last searched from this
-            # source: a traveller's multicriteria and min-transfers
-            # requests share one search there.
-            result = self._workers.call(
-                compute, req, affinity=getattr(req, "source", None)
+            results = self._workers.map(
+                work.job, work.jobs, affinity=work.affinity
             )
+        result = work.finish(results)
         self._result_cache.put(req, result)
         return result
+
+    def _work(self, shape: Shape, req) -> _Work:
+        """``req`` stated once as worker jobs plus a finish step — what
+        both :meth:`_answer` and :meth:`submit` run.  A profile is the
+        paper's master / worker scheme (§3.2): the partition of
+        ``conn(S)`` here, one :meth:`_search_subset` job per subset,
+        the merge here.  A batch is one :meth:`_search` job per item
+        and the gather.  Every other shape is one job, for choice in
+        the worker that last searched from its source: a traveller's
+        multicriteria and min-transfers requests share one search
+        there."""
+        if shape is PROFILE:
+            return self._profile_work(req)
+        if shape is BATCH:
+            return self._batch_work(req)
+        return _Work(_ONE_JOB[shape], [(req,)], _only, affinity=req.source)
+
+    def _run_here(self, work: _Work) -> list:
+        """``work``'s jobs, one after another on the calling thread."""
+        return [getattr(self, work.job)(*args) for args in work.jobs]
 
     # -- one-to-all profiles -------------------------------------------
 
@@ -371,10 +456,8 @@ class TransitService:
         The search is composed here, the paper's master (§3.2): the
         partition of ``conn(S)`` and the merge run on the calling
         thread, each subset's search in a search worker when there are
-        any (:meth:`_search_profile`)."""
-        return self._answer(
-            as_request(PROFILE, request), "_search_profile", here=True
-        )
+        any (:meth:`_work`)."""
+        return self._answer(PROFILE, as_request(PROFILE, request))
 
     # -- station-to-station journeys -----------------------------------
 
@@ -387,7 +470,7 @@ class TransitService:
     ) -> JourneyResult:
         """Answer a :class:`JourneyRequest` (or raw source/target)."""
         return self._answer(
-            as_request(JOURNEY, request, target, departure), "_search_journey"
+            JOURNEY, as_request(JOURNEY, request, target, departure)
         )
 
     # -- batched workloads ---------------------------------------------
@@ -400,8 +483,8 @@ class TransitService:
 
         Composed here like :meth:`profile`: the items are split off and
         gathered on the calling thread, each one searched in a search
-        worker when there are any (:meth:`_run_batch`)."""
-        return self._answer(as_request(BATCH, request), "_run_batch", here=True)
+        worker when there are any (:meth:`_work`)."""
+        return self._answer(BATCH, as_request(BATCH, request))
 
     # -- the query zoo: multicriteria / via / min-transfers ------------
 
@@ -416,7 +499,7 @@ class TransitService:
         """Answer a :class:`MulticriteriaRequest` (or raw arguments):
         the Pareto front of (transfers, arrival) trade-offs (§6)."""
         req = as_request(MULTICRITERIA, request, target, departure, max_transfers)
-        return self._answer(req, "_run_multicriteria")
+        return self._answer(MULTICRITERIA, req)
 
     def via(
         self,
@@ -435,9 +518,7 @@ class TransitService:
         station-to-station queries the parity oracle runs, without the
         whole-day profile searches such a journey also makes.
         """
-        return self._answer(
-            as_request(VIA, request, via, target, departure), "_run_via"
-        )
+        return self._answer(VIA, as_request(VIA, request, via, target, departure))
 
     def min_transfers(
         self,
@@ -451,7 +532,7 @@ class TransitService:
         the fewest-transfers journey within the budget — the first
         entry of the Pareto front."""
         req = as_request(MIN_TRANSFERS, request, target, departure, max_transfers)
-        return self._answer(req, "_run_min_transfers")
+        return self._answer(MIN_TRANSFERS, req)
 
     # -- delay replanning ----------------------------------------------
 
@@ -508,38 +589,35 @@ class TransitService:
         self, req: JourneyRequest | ProfileRequest
     ) -> JourneyResult | ProfileResult:
         """One batch item, a search worker's job: the uncached answer
-        :meth:`journey` / :meth:`profile` compute for ``req``.  A profile
-        item runs its partitions where it runs — in a worker one after
-        another, since a pool child never forks.
+        :meth:`journey` / :meth:`profile` compute for ``req``, composed
+        where it runs — a profile item's partitions one after another,
+        since a pool child never forks.
 
         It stays clear of the result cache on purpose: the batch is the
         one entry its caller keeps, and what a worker put in its own
         cache the caller would never see."""
-        if isinstance(req, JourneyRequest):
-            return self._search_journey(req)
-        return self._search_profile(req)
-
-    def _run_batch(self, request: BatchRequest) -> BatchResponse:
-        """One :meth:`_search` job per item over the search workers, in
-        submission order — or, without workers, one item after another
-        on the calling thread."""
-        items = [*request.journeys, *request.profiles]
-        t0 = time.perf_counter()
-        if self._workers is None:
-            results = [self._search(item) for item in items]
-        else:
-            results = self._workers.map("_search", [(item,) for item in items])
-        total = time.perf_counter() - t0
-        split = len(request.journeys)
-        return BatchResponse(
-            journeys=results[:split],
-            profiles=results[split:],
-            stats=BatchStats(
-                num_queries=len(request),
-                kernel=SERVED_KERNEL,
-                total_seconds=total,
-            ),
+        work = self._work(
+            JOURNEY if isinstance(req, JourneyRequest) else PROFILE, req
         )
+        return work.finish(self._run_here(work))
+
+    def _batch_work(self, request: BatchRequest) -> _Work:
+        items = [*request.journeys, *request.profiles]
+        split = len(request.journeys)
+        t0 = time.perf_counter()
+
+        def gather(results: list) -> BatchResponse:
+            return BatchResponse(
+                journeys=results[:split],
+                profiles=results[split:],
+                stats=BatchStats(
+                    num_queries=len(request),
+                    kernel=SERVED_KERNEL,
+                    total_seconds=time.perf_counter() - t0,
+                ),
+            )
+
+        return _Work("_search", [(item,) for item in items], gather)
 
     def _search_subset(self, source: int, subset: list[int]):
         """One §3.2 job: the SPCS run over one subset of
@@ -547,40 +625,35 @@ class TransitService:
         calling thread when there are none."""
         return timed_subset_search(None, self.prepared.arrays, source, subset)
 
-    def _search_profile(self, req: ProfileRequest) -> ProfileResult:
-        cfg = self.config
-        prepared = self.prepared
-        workers = self._workers
+    def _profile_work(self, req: ProfileRequest) -> _Work:
         num_threads = (
-            req.num_threads if req.num_threads is not None else cfg.num_threads
+            req.num_threads
+            if req.num_threads is not None
+            else self.config.num_threads
         )
         t0 = time.perf_counter()
-        raw = parallel_profile_search(
+        split = split_profile(
             None,
             req.source,
             num_threads,
             kernel="flat",
-            arrays=prepared.arrays,
-            # Without workers (and inside one) the subsets run here,
-            # one after the other.
-            dispatch=lambda parts: (
-                [self._search_subset(req.source, part) for part in parts]
-                if workers is None
-                else workers.map(
-                    "_search_subset", [(req.source, part) for part in parts]
-                )
-            ),
+            arrays=self.prepared.arrays,
         )
-        total = time.perf_counter() - t0
-        stats = QueryStats(
-            kind="profile",
-            kernel=SERVED_KERNEL,
-            num_threads=num_threads,
-            settled_connections=raw.stats.settled_connections,
-            simulated_seconds=raw.stats.simulated_time,
-            total_seconds=total,
-        )
-        return ProfileResult(source=req.source, stats=stats, raw=raw)
+
+        def merge(timed: list) -> ProfileResult:
+            raw = merge_profile(split, timed)
+            stats = QueryStats(
+                kind="profile",
+                kernel=SERVED_KERNEL,
+                num_threads=num_threads,
+                settled_connections=raw.stats.settled_connections,
+                simulated_seconds=raw.stats.simulated_time,
+                total_seconds=time.perf_counter() - t0,
+            )
+            return ProfileResult(source=req.source, stats=stats, raw=raw)
+
+        jobs = [(req.source, part) for part in split.parts]
+        return _Work("_search_subset", jobs, merge)
 
     def _search_journey(self, req: JourneyRequest) -> JourneyResult:
         res = self._engine.query(req.source, req.target)

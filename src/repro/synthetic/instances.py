@@ -91,8 +91,3 @@ def make_instance(name: str, scale: str = "small", seed: int = 0) -> Timetable:
     if isinstance(config, BusNetworkConfig):
         return generate_bus_network(config)
     return generate_rail_network(config)
-
-
-def is_rail(name: str) -> bool:
-    """True for railway-shaped instances (low connections/station)."""
-    return name in _RAIL_BASE

@@ -68,12 +68,3 @@ def daily_departures(
         deps.add((t + jitter) % period)
         t += pattern.headway_at(t)
     return sorted(deps)
-
-
-def density_histogram(departures: list[int], buckets: int = 24) -> list[int]:
-    """Departures per bucket of the day — used by tests to assert the
-    rush-hour/night-break shape survives generation."""
-    counts = [0] * buckets
-    for tau in departures:
-        counts[(tau * buckets) // 1440 % buckets] += 1
-    return counts

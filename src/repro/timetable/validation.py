@@ -86,12 +86,3 @@ def validate_timetable(timetable: Timetable, *, require_fifo: bool = True) -> No
                         f"route {route_id} leg {leg} violates FIFO: "
                         f"{later} overtakes {earlier}"
                     )
-
-
-def is_valid(timetable: Timetable, *, require_fifo: bool = True) -> bool:
-    """Boolean convenience wrapper around :func:`validate_timetable`."""
-    try:
-        validate_timetable(timetable, require_fifo=require_fifo)
-    except TimetableError:
-        return False
-    return True

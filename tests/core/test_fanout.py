@@ -3,6 +3,7 @@ One mechanism, ``ForkPool``, with two lifetimes — forked for one call
 (``fan_out``) or kept (a served generation): what the two share is
 tested once, over both (``LIFETIMES``)."""
 
+import asyncio
 import os
 import re
 import signal
@@ -499,6 +500,154 @@ def test_pool_inside_a_pool_child_runs_on_that_child():
         assert target.workers.replaced_total == 2
     finally:
         target.workers.close()
+
+
+# -- jobs submitted from an event loop --------------------------------------
+
+
+def on_a_loop(scenario, *args):
+    """Run ``scenario(*args)`` on a fresh event loop, within 30 s."""
+    return asyncio.run(asyncio.wait_for(scenario(*args), timeout=30))
+
+
+def test_submitted_jobs_answer_like_the_blocking_calls(pool):
+    """More jobs than children, submitted at once: each child is reused
+    and every future has the answer ``map`` gives for its job."""
+
+    async def scenario():
+        futures = [pool.submit("add", x) for x in range(11)]
+        return await asyncio.gather(*futures)
+
+    assert on_a_loop(scenario) == pool.map("add", [(x,) for x in range(11)])
+
+
+def test_a_child_killed_mid_job_fails_only_its_own_future(pool):
+    """Two jobs in two children; one child is SIGKILLed mid-job.  Its
+    future — no other — fails with ``WorkerLost`` naming it, a
+    replacement is forked, and the next job is answered by it."""
+
+    async def scenario():
+        doomed = pool.submit("nap", 30)
+        survivor = pool.submit("nap", 0.3)
+        (victim,) = [c.pid for c, f in pool._running.items() if f is doomed]
+        os.kill(victim, signal.SIGKILL)
+        with pytest.raises(WorkerLost, match=str(victim)):
+            await doomed
+        return victim, await survivor, await pool.submit("where")
+
+    victim, survivor, later = on_a_loop(scenario)
+    assert survivor not in (victim, os.getpid())
+    assert not child_alive(victim)
+    assert later not in (victim, os.getpid())
+    assert (pool.processes, pool.replaced_total) == (2, 1)
+
+
+def test_closing_with_jobs_in_flight_fails_them_and_leaves_no_reader():
+    """One child, one job running in it for half a minute and one
+    waiting for it.  ``close()`` on the loop fails both at once — the
+    child is killed, not waited for — its pipe leaves the loop's
+    selector before it is closed, and the loop serves on."""
+    target = Target()
+    pool = ForkPool(target, 1)
+    (child,) = pool._children
+    fd = child.conn.fileno()
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        running = pool.submit("nap", 30)
+        waiting = pool.submit("nap", 30)
+        await asyncio.sleep(0.1)
+        t0 = time.perf_counter()
+        pool.close()
+        closed_in = time.perf_counter() - t0
+        for future in (running, waiting):
+            with pytest.raises(WorkerLost):
+                await future
+        # True would mean a reader was still registered for the fd.
+        registered = loop.remove_reader(fd)
+        await asyncio.sleep(0.05)
+        return closed_in, registered
+
+    closed_in, registered = on_a_loop(scenario)
+    assert closed_in < 5
+    assert registered is False
+    assert not child_alive(child.pid)
+
+
+def test_a_submit_after_close_fails_every_time():
+    """A closed pool refuses a submitted job at once — the second as
+    cleanly as the first — instead of queueing it for ever; so does a
+    pool that never had children."""
+    target = Target()
+    pool = ForkPool(target, 1)
+    pool.close()
+    pool.close()
+
+    async def scenario(pool):
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="no children"):
+                pool.submit("where")
+
+    on_a_loop(scenario, pool)
+    on_a_loop(scenario, ForkPool(target, 0))
+
+
+def test_submitted_jobs_meet_the_idle_child_that_last_served_their_source(
+    pool,
+):
+    """Affinity from the loop is ``map``'s: the idle child whose last
+    job was about the same source gets the job; a busy one is not
+    waited for while another is idle."""
+
+    async def scenario():
+        first = await pool.submit("where", affinity="a")
+        again = [await pool.submit("where", affinity="a") for _ in range(3)]
+        second = await pool.submit("where", affinity="b")
+        back = [
+            await pool.submit("where", affinity=about)
+            for about in ("b", "a", "b", "a")
+        ]
+        held = pool.submit("nap", 0.5, affinity="a")
+        await asyncio.sleep(0.1)
+        elsewhere = await pool.submit("where", affinity="a")
+        return first, again, second, back, await held, elsewhere
+
+    first, again, second, back, held, elsewhere = on_a_loop(scenario)
+    assert again == [first] * 3 and second != first
+    assert back == [second, first, second, first]
+    assert held == first and elsewhere == second
+
+
+def test_two_profiles_that_each_want_the_whole_pool_both_finish(oahu_tiny):
+    """Two profiles of two subsets each, submitted at once to a service
+    with two search workers: four jobs for two children, the last two
+    waiting first come first served.  Both are answered, as a service
+    without workers answers them."""
+    from repro.service import ProfileRequest, ServiceConfig, TransitService
+    from repro.service.shapes import PROFILE
+
+    config = ServiceConfig(num_threads=2)
+    served = TransitService(oahu_tiny, config)
+    served.start_workers(2)
+    requests = [ProfileRequest(source, num_threads=2) for source in (3, 8)]
+    try:
+
+        async def scenario():
+            return await asyncio.gather(
+                *(served.submit(PROFILE, request) for request in requests)
+            )
+
+        answers = on_a_loop(scenario)
+        assert served.worker_stats == (2, 0)
+    finally:
+        served.stop_workers()
+    direct = TransitService(oahu_tiny, config)
+    for request, answer in zip(requests, answers):
+        want = direct.profile(request)
+        assert answer.stats.settled_connections == (
+            want.stats.settled_connections
+        )
+        assert (answer.raw.merged.labels == want.raw.merged.labels).all()
 
 
 def _survivors(pids, timeout=5.0):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core.partition import (
     PARTITION_STRATEGIES,
-    partition_balance,
     partition_equal_connections,
     partition_equal_time_slots,
     partition_kmeans,
@@ -71,7 +70,9 @@ class TestEqualTimeSlots:
         deps = sorted([450 + i for i in range(50)] + [1000, 1100])
         slots = partition_equal_time_slots(deps, 4)
         equal = partition_equal_connections(deps, 4)
-        assert partition_balance(slots) > partition_balance(equal)
+        # Four parts of the same 52 indices each: the larger the
+        # largest part, the worse the balance.
+        assert max(map(len, slots)) > max(map(len, equal))
 
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError, match="period"):
@@ -96,15 +97,3 @@ class TestKMeans:
         assert len(parts) == 4
         flat = [i for part in parts for i in part]
         assert sorted(flat) == [0, 1]
-
-
-class TestPartitionBalance:
-    def test_perfect(self):
-        assert partition_balance([[0, 1], [2, 3]]) == 1.0
-
-    def test_imbalanced(self):
-        assert partition_balance([[0, 1, 2], [3]]) == 1.5
-
-    def test_empty(self):
-        assert partition_balance([]) == 1.0
-        assert partition_balance([[], []]) == 1.0

@@ -7,7 +7,6 @@ from repro.graph.csr import (
     build_csr,
     build_weighted_csr,
     neighbors,
-    out_degrees,
     reverse_csr,
 )
 
@@ -102,8 +101,3 @@ class TestReverseCsr:
         r2 = reverse_csr(4, *r1)
         assert r2[0].tolist() == indptr.tolist()
         assert r2[1].tolist() == targets.tolist()
-
-
-def test_out_degrees():
-    indptr, _ = build_csr(3, [(0, 1), (0, 2), (2, 0)])
-    assert out_degrees(indptr).tolist() == [2, 0, 1]

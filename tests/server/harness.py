@@ -15,40 +15,42 @@ from repro.server import DatasetRegistry, TransitServer
 
 
 class GatedService:
-    """A service whose ``<shape>`` calls block until :meth:`release` —
-    the tests' lever for keeping requests in flight.  The requests
-    that reached the gate are listed in :attr:`entered`; everything
-    else is the wrapped service's."""
+    """A service whose served ``<shape>`` requests wait until
+    :meth:`release` — the tests' lever for keeping requests in flight.
+    The server asks ``lookup`` and then awaits ``submit``; the gate is
+    at the start of ``submit``, on the loop, and waits without a thread
+    of its own.  The requests that reached the gate are listed in
+    :attr:`entered`; everything else is the wrapped service's."""
 
     def __init__(self, service, shape: str = "journey") -> None:
         self._service = service
         self._shape = shape
         self._gate = threading.Event()
-        #: Requests whose ``<shape>`` call has started, in start order.
+        #: Requests whose ``submit`` has started, in start order.
         self.entered: list = []
 
     def release(self) -> None:
         self._gate.set()
 
     def lookup(self, shape, request):
-        """Nothing of the gated shape is answered without its
-        ``<shape>`` call — or it would never reach the gate."""
+        """Nothing of the gated shape is answered without ``submit`` —
+        or it would never reach the gate."""
         if shape.name == self._shape:
             return None
         return self._service.lookup(shape, request)
 
-    def __getattr__(self, name: str):
-        target = getattr(self._service, name)
-        if name != self._shape:
-            return target
-
-        def gated(request):
+    async def submit(self, shape, request):
+        if shape.name == self._shape:
             self.entered.append(request)
-            if not self._gate.wait(timeout=30):
-                raise TimeoutError("the gate was never released")
-            return target(request)
+            deadline = time.monotonic() + 30
+            while not self._gate.is_set():
+                if time.monotonic() > deadline:
+                    raise TimeoutError("the gate was never released")
+                await asyncio.sleep(0.005)
+        return await self._service.submit(shape, request)
 
-        return gated
+    def __getattr__(self, name: str):
+        return getattr(self._service, name)
 
 
 def wait_until(condition, *, timeout: float = 10.0, what: str = "condition"):

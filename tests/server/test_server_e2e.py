@@ -156,11 +156,12 @@ class TestConcurrentJourneys:
             threads, results = send_concurrently(
                 harness, [{"source": s, "target": t} for s, t in pairs]
             )
-            # Each request is its own job: the whole pool is inside the
-            # service at once, none waits behind another.
+            # Each request is composed the moment it is admitted: all
+            # of them are inside the service at once, none waits for a
+            # thread or behind another.
             wait_until(
-                lambda: len(gated.entered) == workers,
-                what="every worker running a journey",
+                lambda: len(gated.entered) == len(pairs),
+                what="every journey inside the service",
             )
             gated.release()
             for t in threads:

@@ -5,7 +5,7 @@ names: a future row is covered by every test here without an edit.
 What is pinned, per shape: the wire round trip of requests
 (``render → parse``), every declared bound's typed error, the wire
 round trip of answers (``encode → json → decode`` equals the
-``LocalBackend`` answer), the executor's one-job-per-request dispatch,
+``LocalBackend`` answer), the served dispatch from the event loop,
 the routes the HTTP edge labels, the public per-shape names, and the
 docs' "Request shapes" matrices.
 """
@@ -22,7 +22,6 @@ import pytest
 
 from repro.client import LocalBackend, TransitBackend, results, wire
 from repro.server import protocol
-from repro.server.executor import QueryExecutor
 from repro.server.http_base import BaseAsyncHttpServer
 from repro.service import ServiceConfig, TransitService
 from repro.service import shapes
@@ -38,7 +37,7 @@ from repro.service.shapes import (
 )
 
 from tests.client.test_transport_parity import scrubbed
-from tests.server.harness import GatedService
+from tests.server.test_server_e2e import scrubbed as scrubbed_payload
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 N = 10  # stations in scope for the parsing tests
@@ -326,38 +325,45 @@ class TestAnswerRoundTrip:
             results.decode_answer(shape, {"v": 2, "kind": "something-else"})
 
 
-class _EchoService:
-    """Answers every ``<shape>`` call by echoing its request."""
+@pytest.fixture(scope="module")
+def served_twins(oahu_tiny):
+    """A service with two search workers and its in-process twin."""
+    config = ServiceConfig(
+        num_threads=2, use_distance_table=True, transfer_fraction=0.25
+    )
+    served = TransitService(oahu_tiny, config)
+    served.start_workers(2)
+    yield TransitService(oahu_tiny, config), served
+    served.stop_workers()
 
-    def __getattr__(self, name: str):
-        return lambda request: (name, request)
 
-
-class TestExecutorDispatch:
+class TestServedDispatch:
     @by_name
-    def test_each_request_is_its_own_facade_call(self, shape):
-        """Three requests are inside ``service.<shape>`` at once — one
-        worker job each, none waiting behind another."""
-        gated = GatedService(_EchoService(), shape.name)
+    def test_concurrent_submits_are_the_blocking_answers(
+        self, shape, served_twins
+    ):
+        """Three requests of the shape submitted from one event loop at
+        once — each its own composition, its jobs in the search
+        workers — are answered as the blocking method of a service
+        without workers answers them: one composition per shape."""
+        direct, served = served_twins
+        n = direct.timetable.num_stations
+        rng = random.Random(29)
+        requests = [seeded_request(shape, rng, n, full=True) for _ in range(3)]
 
         async def scenario():
-            executor = QueryExecutor(workers=3)
-            try:
-                tasks = [
-                    asyncio.create_task(executor.submit(shape, gated, request))
-                    for request in "abc"
-                ]
-                while len(gated.entered) < 3:
-                    await asyncio.sleep(0.005)
-                gated.release()
-                return await asyncio.gather(*tasks)
-            finally:
-                gated.release()
-                await executor.shutdown()
+            return await asyncio.gather(
+                *(served.submit(shape, request) for request in requests)
+            )
 
-        answers = asyncio.run(asyncio.wait_for(scenario(), timeout=10))
-        assert answers == [(shape.name, request) for request in "abc"]
-        assert sorted(gated.entered) == ["a", "b", "c"]
+        answers = asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+        for request, answer in zip(requests, answers):
+            _, encode = protocol.open_request(
+                shape, wire.render(shape, request), n
+            )
+            assert scrubbed_payload(encode(answer)) == scrubbed_payload(
+                encode(getattr(direct, shape.name)(request))
+            )
 
 
 class TestRoutes:

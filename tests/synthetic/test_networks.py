@@ -8,7 +8,6 @@ from repro.synthetic.bus import BusNetworkConfig, generate_bus_network
 from repro.synthetic.instances import (
     INSTANCE_NAMES,
     instance_config,
-    is_rail,
     make_instance,
 )
 from repro.synthetic.rail import RailNetworkConfig, generate_rail_network
@@ -111,10 +110,6 @@ class TestInstances:
         bus = make_instance("losangeles", scale="tiny")
         rail = make_instance("europe", scale="tiny")
         assert bus.connections_per_station() > 2 * rail.connections_per_station()
-
-    def test_is_rail(self):
-        assert is_rail("germany") and is_rail("europe")
-        assert not is_rail("oahu")
 
     def test_unknown_instance(self):
         with pytest.raises(ValueError, match="unknown instance"):

@@ -7,8 +7,15 @@ import pytest
 from repro.synthetic.schedules import (
     SchedulePattern,
     daily_departures,
-    density_histogram,
 )
+
+
+def per_hour(departures: list[int]) -> list[int]:
+    """Departures in each hour of the day."""
+    counts = [0] * 24
+    for tau in departures:
+        counts[tau // 60 % 24] += 1
+    return counts
 
 
 class TestSchedulePattern:
@@ -49,7 +56,7 @@ class TestDailyDepartures:
     def test_rush_hours_denser(self):
         pattern = SchedulePattern(base_headway=20, rush_factor=4, jitter=0)
         deps = daily_departures(pattern, random.Random(0))
-        hist = density_histogram(deps)
+        hist = per_hour(deps)
         rush = hist[7] + hist[8]  # 07:00–09:00
         midday = hist[11] + hist[12]
         assert rush > 1.5 * midday
@@ -57,7 +64,7 @@ class TestDailyDepartures:
     def test_night_break_empty(self):
         pattern = SchedulePattern(jitter=0)
         deps = daily_departures(pattern, random.Random(0))
-        hist = density_histogram(deps)
+        hist = per_hour(deps)
         # Service 05:00–25:00: buckets 2..4 (02:00–05:00) must be empty.
         assert hist[2] == hist[3] == hist[4] == 0
 
@@ -74,11 +81,3 @@ class TestDailyDepartures:
         a = daily_departures(pattern, random.Random(0), offset=0)
         b = daily_departures(pattern, random.Random(0), offset=7)
         assert a != b
-
-
-def test_density_histogram_buckets():
-    hist = density_histogram([0, 30, 60, 720], buckets=24)
-    assert hist[0] == 2
-    assert hist[1] == 1
-    assert hist[12] == 1
-    assert sum(hist) == 4

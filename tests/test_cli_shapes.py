@@ -259,7 +259,9 @@ def test_serve_workers_help_says_what_it_sizes():
         a for a in subparsers()["serve"]._actions if a.dest == "workers"
     )
     assert "searches that may run at once" in workers.help
-    assert "process" in workers.help and "thread" in workers.help
+    # Processes, one per core; no thread waits for a search any more.
+    assert "process" in workers.help and "core" in workers.help
+    assert "thread" not in workers.help
 
 
 def test_help_lists_every_subcommand_and_every_rejected_flag():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.timetable.builder import TimetableBuilder
 from repro.timetable.types import Connection, Station, Timetable, Train
-from repro.timetable.validation import TimetableError, is_valid, validate_timetable
+from repro.timetable.validation import TimetableError, validate_timetable
 
 
 def _base() -> Timetable:
@@ -93,13 +93,6 @@ class TestValidateTimetable:
         builder.add_trip([(a, 110), (b, 140)])
         tt = builder.build(require_fifo=False)
         assert tt.num_connections == 2
-
-    def test_is_valid_wrapper(self):
-        assert is_valid(_base())
-        bad = _base()
-        bad.period = -1
-        assert not is_valid(bad)
-
 
 def test_generated_instances_are_valid(oahu_tiny, germany_tiny):
     validate_timetable(oahu_tiny)
