@@ -98,6 +98,25 @@ class TestReduceConnectionPoints:
 
 
 class TestReducedOutput:
+    def test_empty_input_gives_empty_output(self):
+        deps, arrs = reduce_connection_points([], [])
+        assert deps.size == 0 and arrs.size == 0
+
+    def test_strictly_increasing_input_is_kept_whole(self):
+        deps, arrs = reduce_connection_points([10, 20, 30], [40, 50, 60])
+        assert deps.tolist() == [10, 20, 30]
+        assert arrs.tolist() == [40, 50, 60]
+
+    def test_plateau_keeps_only_the_later_departure(self):
+        deps, arrs = reduce_connection_points([10, 20], [50, 50])
+        assert deps.tolist() == [20]
+        assert arrs.tolist() == [50]
+
+    def test_infinite_arrival_is_dropped(self):
+        deps, arrs = reduce_connection_points([10, 20, 30], [40, INF_TIME, 60])
+        assert deps.tolist() == [10, 30]
+        assert arrs.tolist() == [40, 60]
+
     @given(
         arrivals=st.lists(
             st.integers(min_value=0, max_value=10_000) | st.just(INF_TIME),

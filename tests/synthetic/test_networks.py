@@ -111,6 +111,20 @@ class TestInstances:
         rail = make_instance("europe", scale="tiny")
         assert bus.connections_per_station() > 2 * rail.connections_per_station()
 
+    @pytest.mark.parametrize(
+        ("name", "shape"),
+        [
+            ("oahu", BusNetworkConfig),
+            ("losangeles", BusNetworkConfig),
+            ("washington", BusNetworkConfig),
+            ("germany", RailNetworkConfig),
+            ("europe", RailNetworkConfig),
+        ],
+    )
+    def test_each_instance_has_its_network_shape(self, name, shape):
+        """City feeds are bus networks, the two countries railways."""
+        assert isinstance(instance_config(name, scale="tiny"), shape)
+
     def test_unknown_instance(self):
         with pytest.raises(ValueError, match="unknown instance"):
             make_instance("atlantis")

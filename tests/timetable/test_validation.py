@@ -94,6 +94,7 @@ class TestValidateTimetable:
         tt = builder.build(require_fifo=False)
         assert tt.num_connections == 2
 
+
 def test_generated_instances_are_valid(oahu_tiny, germany_tiny):
     validate_timetable(oahu_tiny)
     validate_timetable(germany_tiny)
