@@ -1,21 +1,34 @@
-"""Fleet mode: QPS of N worker processes behind the routing gateway.
+"""Fleet mode against one pooled ``serve``: the three-arm record.
 
-A fleet of closed-loop clients (each waits for its answer before
-sending the next request) drives one dataset's journey endpoint through
-a :class:`repro.fleet.FleetGateway` over real TCP with persistent
-connections — each client is an :class:`repro.client.HttpBackend` with
-a single pooled keep-alive connection, i.e. the production SDK path.
-Every pair forces a full search, so per-request CPU dwarfs the
-gateway's passthrough cost.
+One workload, three ways of serving it on the same box:
 
-Reported and recorded as the ``fleet_scaling`` trajectory: QPS,
-speed-up over the 1-worker fleet and p50 latency per fleet size.
-Answers are not checked here (the e2e suite pins parity); the result
-cache is disabled so every request pays its search.
+* ``direct`` — one ``serve --workers 2``, driven at its own port;
+* ``gateway`` — the same ``serve``, driven through a fleet gateway;
+* ``split`` — two ``serve --workers 1`` behind one gateway.
+
+``CLIENTS`` closed-loop clients (each waits for its answer before
+sending the next request) drive one dataset's journey endpoint over
+real TCP; each client is an :class:`repro.client.HttpBackend` with a
+single keep-alive connection, the production SDK path.  Every pair
+starts outside ``S_trans`` and the result cache is off, so every
+request pays a full search.  ``direct`` against ``gateway`` is the
+gateway hop; ``gateway`` against ``split`` is what dividing the cores
+between two ``serve`` processes costs.
+
+Before anything is timed, each arm answers ``CHECKED_PAIRS`` seeded
+pairs, and every answer must equal the in-process answer of the
+:class:`~repro.service.TransitService` the store was saved from.  The
+arms then run ``ROUNDS`` rounds, each in a seeded-shuffled order, and
+the ``fleet_scaling`` trajectory records each arm's qps per round, its
+median and the p50 over all its rounds, with ``cpu_count`` in the
+config.  No throughput floor is asserted: the fleet is there for
+failover, catch-up and coordinated swaps (``docs/FLEET.md``), and the
+record is what the arms cost on the box that ran it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import statistics
@@ -23,15 +36,24 @@ import threading
 import time
 
 from repro.analysis.formatting import format_table
-from repro.client import HttpBackend, RetryPolicy
+from repro.client import HttpBackend, LocalBackend, RetryPolicy
 from repro.service import ServiceConfig, TransitService
 from repro.synthetic.instances import make_instance
 
+from tests.client.test_transport_parity import scrubbed
 from tests.fleet.harness import FleetHarness
 
 INSTANCE = "oahu"
 #: Closed-loop clients (each holds one keep-alive connection).
 CLIENTS = 8
+#: Requests per client per arm and round.
+REQUESTS_PER_CLIENT = {"tiny": 15, "small": 25, "medium": 40}
+#: Seeded pairs every arm must answer like the in-process service.
+CHECKED_PAIRS = 16
+ROUNDS = 3
+#: Search processes on the box in every arm.
+SEARCH_WORKERS = 2
+ARMS = ("direct", "gateway", "split")
 
 #: Distance table over half the stations (the benched pairs all start
 #: outside it).  Result cache off: every request pays its search.
@@ -43,32 +65,25 @@ CONFIG = ServiceConfig(
 )
 
 
-def _drive(harness: FleetHarness, pairs, requests_per_client) -> dict:
+def _drive(url: str, pairs, requests_per_client: int) -> dict:
     """Run ``CLIENTS`` closed-loop journey clients over ``pairs``;
-    returns QPS + latency percentiles.  A latency sample wraps exactly
-    one exchange."""
+    returns QPS and the latencies.  A latency sample wraps exactly one
+    exchange."""
     latencies: list[list[float]] = [[] for _ in range(CLIENTS)]
     barrier = threading.Barrier(CLIENTS + 1)
 
     def client(cid: int) -> None:
-        # One backend per closed-loop client: a single persistent
-        # keep-alive connection, retries off so every latency sample
-        # is one exchange (max_inflight is sized to never 503 here).
+        # Retries off so every latency sample is one exchange
+        # (max_inflight is sized to never 503 here).
         backend = HttpBackend(
-            f"http://127.0.0.1:{harness.port}/bench",
-            timeout=60,
-            pool_size=1,
-            retry=RetryPolicy(retries=0),
+            url, timeout=60, pool_size=1, retry=RetryPolicy(retries=0)
         )
         try:
             barrier.wait()
             for i in range(requests_per_client):
-                source, target = pairs[
-                    (cid * requests_per_client + i) % len(pairs)
-                ]
+                pair = pairs[(cid * requests_per_client + i) % len(pairs)]
                 t0 = time.perf_counter()
-                answer = backend.journey(source, target)
-                assert answer.source == source and answer.target == target
+                backend.journey(*pair)
                 latencies[cid].append(time.perf_counter() - t0)
         finally:
             backend.close()
@@ -83,50 +98,17 @@ def _drive(harness: FleetHarness, pairs, requests_per_client) -> dict:
     for t in threads:
         t.join()
     wall = time.perf_counter() - t0
-
-    flat = sorted(lat for per_client in latencies for lat in per_client)
-    return {
-        "requests": len(flat),
-        "qps": len(flat) / wall,
-        "p50_ms": statistics.quantiles(flat, n=100)[49] * 1000,
-        "p99_ms": statistics.quantiles(flat, n=100)[98] * 1000,
-    }
+    flat = [lat for per_client in latencies for lat in per_client]
+    return {"qps": len(flat) / wall, "latencies": flat}
 
 
-#: Fleet sizes swept (workers per gateway).
-FLEET_SIZES = (1, 2, 4)
-#: Requests per client per fleet size.
-FLEET_REQUESTS = {"tiny": 15, "small": 25, "medium": 40}
-#: Acceptance floors vs the 1-worker fleet, from the PR bar — asserted
-#: only where the hardware can express process parallelism at all
-#: (``cpu_count > workers``); always *recorded* either way.
-FLEET_MIN_SPEEDUP = {2: 1.6, 4: 2.5}
-#: Even on a starved box the gateway must not collapse throughput.
-FLEET_SANITY_FLOOR = 0.3
-
-
-def test_fleet_scaling_near_linear(
+def test_fleet_against_pooled_serve(
     report, benchops, scale, tmp_path_factory
 ):
-    """QPS scaling 1 → 2 → 4 worker processes behind one gateway.
-
-    One ``TransitServer`` already searches on every usable core: its
-    event loop hands each search to one of its datasets' search worker
-    processes (``docs/SERVER.md``, "Execution model").  What the fleet
-    adds is whole servers — isolation, failover and more front ends —
-    so on one box the curve measures what several servers and a
-    gateway hop give over one server, with the cores as the ceiling
-    either way.  The workload is the opposite of
-    the journey bench above: every pair forces a full search
-    (at least one endpoint outside ``S_trans``, result cache off), so
-    per-request CPU dwarfs the gateway's passthrough cost and the
-    measurable ceiling is compute, not HTTP framing.
-    """
     timetable = make_instance(INSTANCE, scale)
-    requests_per_client = FLEET_REQUESTS[scale]
+    requests_per_client = REQUESTS_PER_CLIENT[scale]
     service = TransitService(timetable, CONFIG)
-    # Workers warm-start from one shared on-disk store — the fleet's
-    # deployment shape (and mmap lets the OS share the pages).
+    # Every serve warm-starts from one shared on-disk store.
     store = tmp_path_factory.mktemp("fleet-bench") / "bench"
     service.save(store)
 
@@ -143,73 +125,101 @@ def test_fleet_scaling_near_linear(
             target = rng.randrange(timetable.num_stations)
         pairs.append((source, target))
 
-    rows: dict[int, dict] = {}
-    for num_workers in FLEET_SIZES:
-        fleet = FleetHarness(
+    gateway_kwargs = {"max_inflight": CLIENTS * 4}
+    with contextlib.ExitStack() as fleets:
+        pooled = FleetHarness(
             [store],
-            num_workers,
-            runtime_dir=tmp_path_factory.mktemp(f"fleet-{num_workers}w"),
-            gateway_kwargs={"max_inflight": CLIENTS * 4},
+            1,
+            runtime_dir=tmp_path_factory.mktemp("fleet-pooled"),
+            supervisor_kwargs={"worker_threads": SEARCH_WORKERS},
+            gateway_kwargs=gateway_kwargs,
         )
-        try:
-            _drive(fleet, pairs[:CLIENTS], 2)  # warm-up, unmeasured
-            rows[num_workers] = _drive(fleet, pairs, requests_per_client)
-        finally:
-            fleet.close()
+        fleets.callback(pooled.close)
+        split = FleetHarness(
+            [store],
+            SEARCH_WORKERS,
+            runtime_dir=tmp_path_factory.mktemp("fleet-split"),
+            supervisor_kwargs={"worker_threads": 1},
+            gateway_kwargs=gateway_kwargs,
+        )
+        fleets.callback(split.close)
+        urls = {
+            "direct": f"http://127.0.0.1:{pooled.worker_ports()['w0']}/bench",
+            "gateway": f"http://127.0.0.1:{pooled.port}/bench",
+            "split": f"http://127.0.0.1:{split.port}/bench",
+        }
 
-    base_qps = rows[FLEET_SIZES[0]]["qps"]
+        oracle = LocalBackend(service, name="bench")
+        expected = [
+            scrubbed(oracle.journey(s, t)) for s, t in pairs[:CHECKED_PAIRS]
+        ]
+        for arm, url in urls.items():
+            backend = HttpBackend(url, timeout=60)
+            try:
+                got = [
+                    scrubbed(backend.journey(s, t))
+                    for s, t in pairs[:CHECKED_PAIRS]
+                ]
+            finally:
+                backend.close()
+            assert got == expected, f"{arm} answers differ from in-process"
+
+        qps: dict[str, list[float]] = {arm: [] for arm in ARMS}
+        latencies: dict[str, list[float]] = {arm: [] for arm in ARMS}
+        order_rng = random.Random(11)
+        orders = []
+        for _ in range(ROUNDS):
+            order = list(ARMS)
+            order_rng.shuffle(order)
+            orders.append(order)
+            for arm in order:
+                run = _drive(urls[arm], pairs, requests_per_client)
+                qps[arm].append(run["qps"])
+                latencies[arm].extend(run["latencies"])
+
+    median_qps = {arm: statistics.median(qps[arm]) for arm in ARMS}
+    p50_ms = {arm: statistics.median(latencies[arm]) * 1000 for arm in ARMS}
     cores = os.cpu_count() or 1
     table = format_table(
-        ["workers", "reqs", "QPS", "speedup", "p50 [ms]", "p99 [ms]"],
+        ["arm", "serves × workers", "QPS per round", "median QPS", "p50 [ms]"],
         [
             [
-                str(n),
-                str(rows[n]["requests"]),
-                f"{rows[n]['qps']:.0f}",
-                f"{rows[n]['qps'] / base_qps:.2f}x",
-                f"{rows[n]['p50_ms']:.1f}",
-                f"{rows[n]['p99_ms']:.1f}",
+                arm,
+                "2 × 1" if arm == "split" else "1 × 2",
+                " / ".join(f"{q:.0f}" for q in qps[arm]),
+                f"{median_qps[arm]:.0f}",
+                f"{p50_ms[arm]:.1f}",
             ]
-            for n in FLEET_SIZES
+            for arm in ARMS
         ],
     )
     report.add(
-        "server_throughput",
-        f"[fleet mode: scale={scale}, {CLIENTS} closed-loop clients, "
-        f"full-search pairs, {cores} cores]\n{table}\n",
+        "fleet_scaling",
+        f"[fleet against one pooled serve: scale={scale}, {CLIENTS} "
+        f"closed-loop clients, full-search pairs, {cores} cores, round "
+        f"orders {orders}]\n{table}\n",
     )
     benchops.add(
         "fleet_scaling",
         {
-            **{f"fleet_qps_{n}": rows[n]["qps"] for n in FLEET_SIZES},
+            **{f"qps_{arm}": median_qps[arm] for arm in ARMS},
+            **{f"p50_ms_{arm}": p50_ms[arm] for arm in ARMS},
             **{
-                f"fleet_speedup_{n}": rows[n]["qps"] / base_qps
-                for n in FLEET_SIZES[1:]
+                f"qps_{arm}_round{i + 1}": value
+                for arm in ARMS
+                for i, value in enumerate(qps[arm])
             },
-            **{f"fleet_p50_ms_{n}": rows[n]["p50_ms"] for n in FLEET_SIZES},
         },
         config={
             "instance": INSTANCE,
             "clients": CLIENTS,
             "requests_per_client": requests_per_client,
-            "fleet_sizes": list(FLEET_SIZES),
+            "rounds": ROUNDS,
+            "arms": {
+                "direct": "1 serve --workers 2, at its port",
+                "gateway": "1 serve --workers 2, through the gateway",
+                "split": "2 serve --workers 1, through the gateway",
+            },
             "cpu_count": cores,
         },
     )
-
-    for num_workers, floor in FLEET_MIN_SPEEDUP.items():
-        speedup = rows[num_workers]["qps"] / base_qps
-        if cores > num_workers:
-            assert speedup >= floor, (
-                f"{num_workers}-worker fleet reached only "
-                f"{speedup:.2f}x the 1-worker QPS (need ≥{floor}x on "
-                f"{cores} cores)"
-            )
-        else:
-            # One interpreter per core is the whole premise; with
-            # cpu_count <= workers there is no parallelism to measure.
-            # The trajectory still records the (flat) curve.
-            assert speedup >= FLEET_SANITY_FLOOR, (
-                f"gateway collapsed throughput at {num_workers} workers: "
-                f"{speedup:.2f}x (sanity floor {FLEET_SANITY_FLOOR}x)"
-            )

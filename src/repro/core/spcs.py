@@ -103,10 +103,6 @@ class SPCSResult:
         """Reduced profile ``dist(S, station, ·)`` from this run alone."""
         return Profile.from_raw(self.conn_deps, self.labels[station], self.period)
 
-    def arrival_vector(self, station: int) -> np.ndarray:
-        """Raw per-connection arrivals at a station (this run's subset)."""
-        return self.labels[station]
-
 
 def spcs_profile_search(
     graph: TDGraph,

@@ -62,6 +62,11 @@ __all__ = ["FleetGateway", "WorkerState"]
 #: eject immediately and fail the query over to a peer.
 _FORWARD_FAILURES = (TransportError, BackendTimeoutError)
 
+#: Threads that forward queries, each blocked for one whole exchange.
+_FORWARD_THREADS = 16
+#: Threads for health probes, swaps and catch-up posts.
+_CONTROL_THREADS = 8
+
 
 class WorkerState:
     """One worker as the gateway sees it.
@@ -157,7 +162,6 @@ class FleetGateway(BaseAsyncHttpServer):
         worker_timeout: float = 30.0,
         retry_after: float = 0.25,
         drain_grace: float = 0.0,
-        forward_threads: int = 16,
         swap_drain_timeout: float = 60.0,
         metrics: GatewayMetrics | None = None,
     ) -> None:
@@ -200,14 +204,15 @@ class FleetGateway(BaseAsyncHttpServer):
         #: set) pair.  Routing never takes it.
         self._swap_lock = asyncio.Lock()
         self._swap = FleetSwapCoordinator(self)
-        #: Query forwards block a thread each; swap/health/catch-up
-        #: control traffic runs on its own small pool so a saturated
-        #: query path can never deadlock a swap commit.
+        #: Query forwards block a thread each.  Health probes, swaps
+        #: and catch-up posts have a pool of their own, so they never
+        #: queue behind query forwards: a swap's drain then waits only
+        #: for forwards that finish on their own.
         self._forward_pool = ThreadPoolExecutor(
-            max_workers=forward_threads, thread_name_prefix="gw-forward"
+            max_workers=_FORWARD_THREADS, thread_name_prefix="gw-forward"
         )
         self._control_pool = ThreadPoolExecutor(
-            max_workers=8, thread_name_prefix="gw-control"
+            max_workers=_CONTROL_THREADS, thread_name_prefix="gw-control"
         )
         self._health_task: asyncio.Task | None = None
 

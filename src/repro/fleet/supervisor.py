@@ -2,11 +2,12 @@
 
 A :class:`WorkerSupervisor` spawns N ``repro-transit serve`` worker
 *processes* over the same artifact-store directories and keeps them
-alive: a crashed or hung worker is restarted while its peers keep
-answering, and the gateway coordinates delay swaps across them.  Each
-worker runs its searches in search workers of its own, as one
-``serve`` does; what N workers add to in-box query throughput is an
-open measurement (``docs/FLEET.md``, "Scaling").
+alive: a worker that dies is restarted while the gateway retries its
+queries on a peer, catches the restarted one up before routing to it,
+and coordinates delay swaps across them.  Each worker runs its
+searches in search workers of its own (``worker_threads`` is its
+``serve --workers``), as one ``serve`` does: the fleet is for failover,
+not for throughput (``docs/FLEET.md``, "Scaling").
 
 Design points:
 

@@ -69,6 +69,25 @@ class TestSpawn:
         sup.stop()  # idempotent even after a failed start
 
 
+class TestCommand:
+    @pytest.mark.parametrize(
+        "kwargs, search_workers", [({"worker_threads": 1}, "1"), ({}, "4")]
+    )
+    def test_worker_threads_is_serves_search_worker_count(
+        self, tmp_path, kwargs, search_workers
+    ):
+        """``worker_threads=k`` launches ``serve --workers k`` (read off
+        the command line; nothing is spawned)."""
+        sup = WorkerSupervisor(
+            [tmp_path / "store"], 2, runtime_dir=tmp_path / "rt", **kwargs
+        )
+        for worker in sup._workers:
+            command = sup._command(worker)
+            assert command[1:4] == ["-m", "repro.cli", "serve"]
+            assert command.count("--workers") == 1
+            flag = command.index("--workers")
+            assert command[flag + 1] == search_workers
+
 class TestRestart:
     def test_sigkill_respawns_under_same_name(self, supervisor):
         before = supervisor.endpoints()
