@@ -1,29 +1,17 @@
 """Fleet mode against one pooled ``serve``: the three-arm record.
 
-One workload, three ways of serving it on the same box:
-
-* ``direct`` — one ``serve --workers 2``, driven at its own port;
-* ``gateway`` — the same ``serve``, driven through a fleet gateway;
-* ``split`` — two ``serve --workers 1`` behind one gateway.
-
-``CLIENTS`` closed-loop clients (each waits for its answer before
-sending the next request) drive one dataset's journey endpoint over
-real TCP; each client is an :class:`repro.client.HttpBackend` with a
-single keep-alive connection, the production SDK path.  Every pair
-starts outside ``S_trans`` and the result cache is off, so every
-request pays a full search.  ``direct`` against ``gateway`` is the
-gateway hop; ``gateway`` against ``split`` is what dividing the cores
-between two ``serve`` processes costs.
-
-Before anything is timed, each arm answers ``CHECKED_PAIRS`` seeded
-pairs, and every answer must equal the in-process answer of the
-:class:`~repro.service.TransitService` the store was saved from.  The
-arms then run ``ROUNDS`` rounds, each in a seeded-shuffled order, and
-the ``fleet_scaling`` trajectory records each arm's qps per round, its
-median and the p50 over all its rounds, with ``cpu_count`` in the
-config.  No throughput floor is asserted: the fleet is there for
-failover, catch-up and coordinated swaps (``docs/FLEET.md``), and the
-record is what the arms cost on the box that ran it.
+Three arms serve one workload on one box: one ``serve --workers 2``
+at its own port (``direct``), the same ``serve`` through a gateway
+(``gateway``: the hop), and two ``serve --workers 1`` behind a gateway
+(``split``: the cores divided).  ``CLIENTS`` closed-loop
+:class:`repro.client.HttpBackend` clients, one keep-alive connection
+each, ask journeys that each pay a full search (sources outside
+``S_trans``, result cache off).  Every arm first answers
+``CHECKED_PAIRS`` seeded pairs, each equal to the in-process answer;
+then ``ROUNDS`` rounds run the arms in a seeded-shuffled order.  The
+``fleet_scaling`` record holds each arm's qps per round, median qps
+and p50, with ``cpu_count``.  No qps floor is asserted: the fleet is
+for failover, catch-up and coordinated swaps (``docs/FLEET.md``).
 """
 
 from __future__ import annotations
@@ -181,11 +169,10 @@ def test_fleet_against_pooled_serve(
     p50_ms = {arm: statistics.median(latencies[arm]) * 1000 for arm in ARMS}
     cores = os.cpu_count() or 1
     table = format_table(
-        ["arm", "serves × workers", "QPS per round", "median QPS", "p50 [ms]"],
+        ["arm", "QPS per round", "median QPS", "p50 [ms]"],
         [
             [
                 arm,
-                "2 × 1" if arm == "split" else "1 × 2",
                 " / ".join(f"{q:.0f}" for q in qps[arm]),
                 f"{median_qps[arm]:.0f}",
                 f"{p50_ms[arm]:.1f}",

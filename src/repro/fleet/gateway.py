@@ -62,9 +62,7 @@ __all__ = ["FleetGateway", "WorkerState"]
 #: eject immediately and fail the query over to a peer.
 _FORWARD_FAILURES = (TransportError, BackendTimeoutError)
 
-#: Threads that forward queries, each blocked for one whole exchange.
 _FORWARD_THREADS = 16
-#: Threads for health probes, swaps and catch-up posts.
 _CONTROL_THREADS = 8
 
 

@@ -88,6 +88,7 @@ class TestCommand:
             flag = command.index("--workers")
             assert command[flag + 1] == search_workers
 
+
 class TestRestart:
     def test_sigkill_respawns_under_same_name(self, supervisor):
         before = supervisor.endpoints()
