@@ -7,10 +7,12 @@ at its own port (``direct``), the same ``serve`` through a gateway
 :class:`repro.client.HttpBackend` clients, one keep-alive connection
 each, ask journeys that each pay a full search (sources outside
 ``S_trans``, result cache off).  Every arm first answers
-``CHECKED_PAIRS`` seeded pairs, each equal to the in-process answer;
-then ``ROUNDS`` rounds run the arms in a seeded-shuffled order.  The
-``fleet_scaling`` record holds each arm's qps per round, median qps
-and p50, with ``cpu_count``.  No qps floor is asserted: the fleet is
+``CHECKED_PAIRS`` seeded pairs, each equal to the in-process answer,
+and is warmed by one unmeasured pass of all clients; then ``ROUNDS``
+rounds run the arms in a seeded-shuffled order, every answer's pair
+checked.  The ``fleet_scaling`` record holds each arm's qps per round,
+median qps and p50, with ``cpu_count`` and the in-process qps of one
+core over the same pairs (the box's speed in that run).  No qps floor is asserted: the fleet is
 for failover, catch-up and coordinated swaps (``docs/FLEET.md``).
 """
 
@@ -41,7 +43,13 @@ CHECKED_PAIRS = 16
 ROUNDS = 3
 #: Search processes on the box in every arm.
 SEARCH_WORKERS = 2
-ARMS = ("direct", "gateway", "split")
+#: Per arm: serves, and search workers per serve.
+ARM_SHAPES = {
+    "direct": [1, SEARCH_WORKERS],
+    "gateway": [1, SEARCH_WORKERS],
+    "split": [SEARCH_WORKERS, 1],
+}
+ARMS = tuple(ARM_SHAPES)
 
 #: Distance table over half the stations (the benched pairs all start
 #: outside it).  Result cache off: every request pays its search.
@@ -71,8 +79,9 @@ def _drive(url: str, pairs, requests_per_client: int) -> dict:
             for i in range(requests_per_client):
                 pair = pairs[(cid * requests_per_client + i) % len(pairs)]
                 t0 = time.perf_counter()
-                backend.journey(*pair)
+                answer = backend.journey(*pair)
                 latencies[cid].append(time.perf_counter() - t0)
+                assert (answer.source, answer.target) == pair
         finally:
             backend.close()
 
@@ -113,34 +122,36 @@ def test_fleet_against_pooled_serve(
             target = rng.randrange(timetable.num_stations)
         pairs.append((source, target))
 
-    gateway_kwargs = {"max_inflight": CLIENTS * 4}
+    # One core, no HTTP, the same pairs: the box's search speed in this
+    # run.  Every arm's qps moves with it from one session to the next.
+    oracle = LocalBackend(service, name="bench")
+    t0 = time.perf_counter()
+    answers = [oracle.journey(s, t) for s, t in pairs]
+    qps_in_process = len(pairs) / (time.perf_counter() - t0)
+    expected = [scrubbed(answer) for answer in answers[:CHECKED_PAIRS]]
+
     with contextlib.ExitStack() as fleets:
-        pooled = FleetHarness(
-            [store],
-            1,
-            runtime_dir=tmp_path_factory.mktemp("fleet-pooled"),
-            supervisor_kwargs={"worker_threads": SEARCH_WORKERS},
-            gateway_kwargs=gateway_kwargs,
-        )
-        fleets.callback(pooled.close)
-        split = FleetHarness(
-            [store],
-            SEARCH_WORKERS,
-            runtime_dir=tmp_path_factory.mktemp("fleet-split"),
-            supervisor_kwargs={"worker_threads": 1},
-            gateway_kwargs=gateway_kwargs,
-        )
-        fleets.callback(split.close)
+
+        def fleet(arm: str) -> FleetHarness:
+            serves, search_workers = ARM_SHAPES[arm]
+            harness = FleetHarness(
+                [store],
+                serves,
+                runtime_dir=tmp_path_factory.mktemp(f"fleet-{arm}"),
+                supervisor_kwargs={"worker_threads": search_workers},
+                gateway_kwargs={"max_inflight": CLIENTS * 4},
+            )
+            fleets.callback(harness.close)
+            return harness
+
+        pooled = fleet("gateway")
+        split = fleet("split")
         urls = {
             "direct": f"http://127.0.0.1:{pooled.worker_ports()['w0']}/bench",
             "gateway": f"http://127.0.0.1:{pooled.port}/bench",
             "split": f"http://127.0.0.1:{split.port}/bench",
         }
 
-        oracle = LocalBackend(service, name="bench")
-        expected = [
-            scrubbed(oracle.journey(s, t)) for s, t in pairs[:CHECKED_PAIRS]
-        ]
         for arm, url in urls.items():
             backend = HttpBackend(url, timeout=60)
             try:
@@ -151,6 +162,9 @@ def test_fleet_against_pooled_serve(
             finally:
                 backend.close()
             assert got == expected, f"{arm} answers differ from in-process"
+            # Unmeasured, all clients at once: every connection and
+            # search worker is warm before the first timed round.
+            _drive(url, pairs[:CLIENTS], 2)
 
         qps: dict[str, list[float]] = {arm: [] for arm in ARMS}
         latencies: dict[str, list[float]] = {arm: [] for arm in ARMS}
@@ -184,11 +198,13 @@ def test_fleet_against_pooled_serve(
         "fleet_scaling",
         f"[fleet against one pooled serve: scale={scale}, {CLIENTS} "
         f"closed-loop clients, full-search pairs, {cores} cores, round "
-        f"orders {orders}]\n{table}\n",
+        f"orders {orders}; in process on one core "
+        f"{qps_in_process:.0f} QPS]\n{table}\n",
     )
     benchops.add(
         "fleet_scaling",
         {
+            "qps_in_process": qps_in_process,
             **{f"qps_{arm}": median_qps[arm] for arm in ARMS},
             **{f"p50_ms_{arm}": p50_ms[arm] for arm in ARMS},
             **{
@@ -202,11 +218,7 @@ def test_fleet_against_pooled_serve(
             "clients": CLIENTS,
             "requests_per_client": requests_per_client,
             "rounds": ROUNDS,
-            "arms": {
-                "direct": "1 serve --workers 2, at its port",
-                "gateway": "1 serve --workers 2, through the gateway",
-                "split": "2 serve --workers 1, through the gateway",
-            },
+            "arms": ARM_SHAPES,
             "cpu_count": cores,
         },
     )
