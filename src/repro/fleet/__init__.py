@@ -2,11 +2,11 @@
 
 One :class:`~repro.server.app.TransitServer` already runs its searches
 in search worker processes forked from each dataset generation, so one
-``serve`` uses the cores of its box, and on one box a fleet adds no
-throughput to it (``BENCH_fleet_scaling.json``).  The fleet
-is for what one process tree cannot give: a ``serve`` that dies is
-retried on a peer, a restarted one is caught up before it is routed
-to, and delay swaps are coordinated (``docs/FLEET.md``):
+``serve`` uses the cores of its box; in the committed record
+(``BENCH_fleet_scaling.json``) a fleet on the same box did not beat
+it.  The fleet is for what one process tree cannot give: a ``serve``
+that dies is retried on a peer, a restarted one is caught up before
+it is routed to, and delay swaps are coordinated (``docs/FLEET.md``):
 
 * :mod:`repro.fleet.supervisor` — spawn N ``repro-transit serve``
   worker processes over the same artifact stores (the store's

@@ -6,8 +6,9 @@ alive: a worker that dies is restarted while the gateway retries its
 queries on a peer, catches the restarted one up before routing to it,
 and coordinates delay swaps across them.  Each worker runs its
 searches in search workers of its own (``worker_threads`` is its
-``serve --workers``), as one ``serve`` does: the fleet is for failover,
-not for throughput (``docs/FLEET.md``, "Scaling").
+``serve --workers``), as one ``serve`` does: the fleet is for failover;
+on one box it did not beat one ``serve`` (``docs/FLEET.md``,
+"Scaling").
 
 Design points:
 
