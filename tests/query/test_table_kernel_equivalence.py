@@ -196,54 +196,56 @@ def test_a_table_profile_never_arrives_earlier_for_leaving_later(
 # ---------------------------------------------------------------------------
 
 #: ``(source, target): (settled_connections, table_prunes,
-#: connection_stops, settled_before)`` of global queries on the flat
-#: kernel, contraction-selected ``S_trans`` at fraction 0.2, per
-#: ``num_threads``.  The first three are what the goal-directed loop
-#: does; ``settled_before`` is what the same loop settled in plain
+#: connection_stops, mu_updates, settled_before)`` of global queries on
+#: the flat kernel, contraction-selected ``S_trans`` at fraction 0.2,
+#: per ``num_threads``.  The first four are what the goal-directed loop
+#: does — ``mu_updates`` the µ_{i,j} bounds the §4 block lowered, so
+#: the pin covers its update work as well as its prunes;
+#: ``settled_before`` is what the same loop settled in plain
 #: arrival order (commit 1fd0bb0, equal to the hook-driven kernel of
 #: f20665f), kept so that the pin states a direction: goal direction
 #: never costs a recorded query work.  ``table_prunes`` fall with it —
 #: they count rule firings, and fewer items reach a transfer station.
 RECORDED = {
     ("oahu", 1): {
-        (3, 11): (5474, 24, 0, 8798),
-        (20, 40): (19388, 167, 0, 24802),
-        (37, 21): (631, 0, 98, 1792),
-        (6, 2): (4520, 135, 0, 9700),
-        (23, 31): (2838, 2, 0, 4074),
-        (40, 12): (1810, 0, 69, 4156),
-        (9, 41): (10790, 501, 0, 12628),
-        (26, 22): (1400, 0, 94, 5235),
+        (3, 11): (5474, 24, 0, 589, 8798),
+        (20, 40): (19388, 167, 0, 658, 24802),
+        (37, 21): (631, 0, 98, 0, 1792),
+        (6, 2): (4520, 135, 0, 381, 9700),
+        (23, 31): (2838, 2, 0, 378, 4074),
+        (40, 12): (1810, 0, 69, 52, 4156),
+        (9, 41): (10790, 501, 0, 141, 12628),
+        (26, 22): (1400, 0, 94, 105, 5235),
     },
     ("oahu", 3): {
-        (3, 11): (5474, 24, 0, 8810),
-        (20, 40): (19536, 170, 0, 25082),
-        (37, 21): (645, 0, 100, 1812),
-        (6, 2): (4568, 135, 0, 9792),
-        (23, 31): (2838, 2, 0, 4074),
-        (40, 12): (1817, 0, 70, 4157),
-        (9, 41): (10846, 503, 0, 12702),
-        (26, 22): (1400, 0, 94, 5238),
+        (3, 11): (5474, 24, 0, 589, 8810),
+        (20, 40): (19536, 170, 0, 658, 25082),
+        (37, 21): (645, 0, 100, 0, 1812),
+        (6, 2): (4568, 135, 0, 385, 9792),
+        (23, 31): (2838, 2, 0, 378, 4074),
+        (40, 12): (1817, 0, 70, 52, 4157),
+        (9, 41): (10846, 503, 0, 141, 12702),
+        (26, 22): (1400, 0, 94, 105, 5238),
     },
     ("washington", 1): {
-        (3, 11): (12075, 678, 0, 17019),
-        (20, 40): (7285, 345, 0, 10280),
-        (37, 69): (5614, 3, 195, 15220),
-        (54, 10): (18951, 1234, 0, 20690),
-        (71, 39): (13271, 71, 0, 28586),
-        (0, 68): (3774, 13, 0, 7027),
-        (17, 9): (8453, 254, 0, 12307),
-        (34, 38): (3120, 17, 214, 9862),
+        (3, 11): (12075, 678, 0, 115, 17019),
+        (20, 40): (7285, 345, 0, 101, 10280),
+        (37, 69): (5614, 3, 195, 106, 15220),
+        (54, 10): (18951, 1234, 0, 224, 20690),
+        (71, 39): (13271, 71, 0, 900, 28586),
+        (0, 68): (3774, 13, 0, 294, 7027),
+        (17, 9): (8453, 254, 0, 216, 12307),
+        (34, 38): (3120, 17, 214, 109, 9862),
     },
     ("washington", 3): {
-        (3, 11): (12238, 684, 0, 17368),
-        (20, 40): (7431, 355, 0, 10536),
-        (37, 69): (5661, 3, 196, 15328),
-        (54, 10): (18961, 1236, 0, 20728),
-        (71, 39): (13326, 71, 0, 28857),
-        (0, 68): (3787, 13, 0, 7044),
-        (17, 9): (8585, 258, 0, 12570),
-        (34, 38): (3121, 17, 216, 9917),
+        (3, 11): (12238, 684, 0, 116, 17368),
+        (20, 40): (7431, 355, 0, 102, 10536),
+        (37, 69): (5661, 3, 196, 108, 15328),
+        (54, 10): (18961, 1236, 0, 224, 20728),
+        (71, 39): (13326, 71, 0, 905, 28857),
+        (0, 68): (3787, 13, 0, 294, 7044),
+        (17, 9): (8585, 258, 0, 218, 12570),
+        (34, 38): (3121, 17, 216, 109, 9917),
     },
 }
 
@@ -272,6 +274,7 @@ def test_fused_loop_does_the_recorded_work(small_instance, threads):
             result.settled_connections,
             result.table_prunes,
             result.connection_stops,
+            result.mu_updates,
         ] == counts, (name, threads, source, target)
         assert result.settled_connections <= before, (
             name, threads, source, target,
@@ -288,7 +291,7 @@ def test_flat_query_calls_no_python_per_settle(small_instance):
     engine = StationToStationEngine(
         graph, table, num_threads=1, kernel="flat", arrays=arrays
     )
-    (source, target), (settled, prunes, _, _) = max(
+    (source, target), (settled, prunes, *_) = max(
         RECORDED[name, 1].items(), key=lambda item: item[1][1]
     )
     _, via_info = engine.classify(source, target)
