@@ -30,7 +30,7 @@ from repro.client import HttpBackend, LocalBackend, RetryPolicy
 from repro.service import ServiceConfig, TransitService
 from repro.synthetic.instances import make_instance
 
-from tests.client.test_transport_parity import scrubbed
+from tests.helpers import scrubbed
 from tests.fleet.harness import FleetHarness
 
 INSTANCE = "oahu"

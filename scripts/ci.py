@@ -545,7 +545,9 @@ def served_pool(tmp: Path) -> None:
     the accounting ``e2ebench/harness.py`` cannot do — it reads
     ``schedstat`` and ``VmHWM`` of the ``serve`` process alone, and the
     searches now run in its children: CPU per operation and memory over
-    the server's process *tree*, beside the parent-only values.  Then
+    the server's process *tree*, beside the parent-only values — and
+    then every answer it timed, stats included, must equal the
+    in-process ``LocalBackend``'s for the same pair.  Then
     the paper's scalability figure through HTTP: one client, one-to-all
     profiles from 12 seeded sources, three rounds, split over p = 1 and
     p = 2 connection subsets — answers equal to in-process ones, p = 2
@@ -562,13 +564,13 @@ def served_pool(tmp: Path) -> None:
     import statistics
     import threading
 
-    from e2ebench.workloads import WORKLOADS, build_script, requests_of
+    from e2ebench.workloads import WORKLOADS, build_script, perform
     from repro import ServiceConfig, TransitService
     from repro.client import LocalBackend, connect
     from repro.service.model import ProfileRequest
     from repro.synthetic.instances import make_instance
     from repro.timetable.delays import Delay
-    from tests.helpers import assert_rows_bitwise_equal
+    from tests.helpers import assert_rows_bitwise_equal, scrubbed
 
     cores = len(os.sched_getaffinity(0))
     store = tmp / "washington"
@@ -583,17 +585,19 @@ def served_pool(tmp: Path) -> None:
         url = f"{base}/washington"
         tree = process_tree(server)
 
-        def client(ops: list) -> None:
+        def client(ops: list, answers: list) -> None:
             with connect(url) as backend:
                 for op in ops:
-                    for shape, request in requests_of(op):
-                        getattr(backend, shape)(request)
+                    answers.append((op, perform(backend, op)))
 
-        client(script.warmup)
+        client(script.warmup, [])
         cpu0 = _tree_cpu_seconds(tree), _tree_cpu_seconds(tree[:1])
+        answered: list = [[], []]
         t0 = time.perf_counter()
         threads = [
-            threading.Thread(target=client, args=(script.timed[k::2],))
+            threading.Thread(
+                target=client, args=(script.timed[k::2], answered[k])
+            )
             for k in range(2)
         ]
         for thread in threads:
@@ -632,6 +636,11 @@ def served_pool(tmp: Path) -> None:
         )
         # The loop waits for the workers itself: no thread per search.
         assert thread_counts[0] == 1, f"serve runs {thread_counts[0]} threads"
+        timed = answered[0] + answered[1]
+        assert len(timed) == ops, f"{len(timed)} of {ops} ops answered"
+        for op, answers in timed:
+            assert scrubbed(answers) == scrubbed(perform(local, op)), op
+        print(f"  all {ops} timed answers equal the in-process ones")
 
         sources = random.Random("served-pool").sample(
             range(service.timetable.num_stations), 12

@@ -37,8 +37,9 @@ interpreter throughput instead of readability:
   :class:`~repro.core.spcs.SettlePruner` hook once per settle; this
   loop reads the *same* per-query state object
   (:class:`~repro.query.table_query.DistanceTablePruner`) as flat data
-  and evaluates the table profiles with ``bisect`` on their list
-  mirrors, so a search makes no Python call per settle.  It updates
+  and evaluates a table profile as one index too, ``day + row[τ]`` on
+  its per-minute row (:meth:`~repro.functions.algebra.Profile.row`),
+  so a search makes no Python call per settle.  It updates
   the bounds only at settles that can lower one — where the station
   node holds no label yet as early as the settle's arrival — and runs
   just the tests elsewhere (the argument is at the loop's §4 block).
@@ -62,7 +63,7 @@ instances; the pure-Python path stays as the reference implementation.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, insort
+from bisect import insort
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Sequence
 
@@ -274,6 +275,7 @@ def spcs_kernel_search(
         node_station = table.node_station
         transfer_time = table.transfer_time
         via_rows = table.via_rows
+        via_transfer = table.via_transfer
         target_rows = table.target_rows
         mu_of = table.mu
         gamma_of = table.gamma
@@ -339,12 +341,14 @@ def spcs_kernel_search(
                 if table is not None and contributes[node]:
                     # A settle at a transfer station other than the
                     # source: the rules of ``DistanceTablePruner.
-                    # on_settle``, in its order, on the list mirrors of
-                    # the table profiles — its updates only where they
-                    # can lower a bound.  Only alighting edges lead into
-                    # a station node, each from a route node of the
-                    # same station; a route node relaxes its edges only
-                    # after this whole block ran at its own arrival; and
+                    # on_settle``, in its order, each evaluation of a
+                    # table profile one index into its per-minute row,
+                    # ``day + row[τ]`` (an empty row: unreachable) —
+                    # its updates only where they can lower a bound.
+                    # Only alighting edges lead into a station node,
+                    # each from a route node of the same station; a
+                    # route node relaxes its edges only after this
+                    # whole block ran at its own arrival; and
                     # D(station, ·, τ) does not decrease as τ grows.  So
                     # once the station node holds a label no later than
                     # ``key`` — always so when it is the node settling —
@@ -353,7 +357,6 @@ def spcs_kernel_search(
                     # are left to run.
                     station = node_station[node]
                     updates = labels[station * num_local + k] > key
-                    transfer_here = transfer_time[station]
                     key_tau = key % period
                     key_day = key - key_tau
 
@@ -364,23 +367,14 @@ def spcs_kernel_search(
                             if station == table_target:
                                 lower = upper = key
                             else:
-                                deps, arrs, n, tomorrow = (
-                                    target_rows[station]
-                                    or table.target_row(station)
-                                )
-                                if n:
-                                    idx = bisect_left(deps, key_tau)
-                                    if idx < n and arrs[idx] < tomorrow:
-                                        lower = key_day + arrs[idx]
-                                    else:
-                                        lower = key_day + tomorrow
-                                    ready = key + transfer_here
+                                row = target_rows[station]
+                                if row is None:
+                                    row = table.target_row(station)
+                                if row:
+                                    lower = key_day + row[key_tau]
+                                    ready = key + transfer_time[station]
                                     tau = ready % period
-                                    idx = bisect_left(deps, tau)
-                                    if idx < n and arrs[idx] < tomorrow:
-                                        upper = ready - tau + arrs[idx]
-                                    else:
-                                        upper = ready - tau + tomorrow
+                                    upper = ready - tau + row[tau]
                                 else:
                                     lower = upper = INF
                             if lower < gamma_of[g]:
@@ -401,23 +395,17 @@ def spcs_kernel_search(
                         if updates:
                             if mu is None:
                                 mu = mu_of[g] = [INF] * num_via
-                            ready = key + transfer_here
+                            ready = key + transfer_time[station]
                             ready_tau = ready % period
                             ready_day = ready - ready_tau
                             j = 0
-                            for via_transfer, deps, arrs, n, tomorrow in vias:
-                                if deps is None:  # this station is via j
-                                    candidate = key + via_transfer
-                                elif n:
-                                    idx = bisect_left(deps, ready_tau)
-                                    if idx < n and arrs[idx] < tomorrow:
-                                        candidate = (
-                                            ready_day + arrs[idx] + via_transfer
-                                        )
-                                    else:
-                                        candidate = (
-                                            ready_day + tomorrow + via_transfer
-                                        )
+                            for row in vias:
+                                if row:
+                                    candidate = (
+                                        ready_day + row[ready_tau] + via_transfer[j]
+                                    )
+                                elif row is None:  # this station is via j
+                                    candidate = key + via_transfer[j]
                                 else:  # via j unreachable from here
                                     candidate = INF
                                 if candidate < mu[j]:
@@ -428,15 +416,11 @@ def spcs_kernel_search(
                         # matter at some via j: one evaluation per via
                         # station, up to the first that keeps it.
                         j = 0
-                        for _, deps, arrs, n, tomorrow in vias:
-                            if deps is None:
+                        for row in vias:
+                            if row:
+                                lower = key_day + row[key_tau]
+                            elif row is None:
                                 lower = key
-                            elif n:
-                                idx = bisect_left(deps, key_tau)
-                                if idx < n and arrs[idx] < tomorrow:
-                                    lower = key_day + arrs[idx]
-                                else:
-                                    lower = key_day + tomorrow
                             else:
                                 lower = INF
                             if lower <= mu[j]:

@@ -9,25 +9,31 @@ at the target.  It is stored as parallel vectors of departure anchors
 The class supports evaluation (earliest arrival when departing at or
 after ``τ``), travel-time lookup, pointwise minimum (used when merging
 per-thread results), and dominance tests used throughout the test
-suite.
+suite.  Evaluation reads one lazily built per-minute row
+(:meth:`Profile.row`), which is also what the flat kernel indexes for
+the distance table's profiles.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.functions.piecewise import INF_TIME
+from repro.functions.piecewise import INF_TIME, narrow_row
 from repro.functions.reduction import reduce_connection_points
 from repro.timetable.periodic import DAY_MINUTES
 
 
 class Profile:
-    """A reduced travel-time profile toward a single target station."""
+    """A reduced travel-time profile toward a single target station.
 
-    __slots__ = ("deps", "arrs", "period", "_mirror")
+    Pickles as its points alone (``__getstate__``): the row is a cache,
+    rebuilt where it is next read, never shipped.
+    """
+
+    __slots__ = ("deps", "arrs", "period", "_row")
 
     def __init__(
         self,
@@ -47,12 +53,21 @@ class Profile:
         if deps_arr.size:
             if (np.diff(deps_arr) < 0).any():
                 raise ValueError("departure anchors must be non-decreasing")
+            if deps_arr[0] < 0:
+                raise ValueError("departure anchors must not be negative")
             if (arrs_arr < deps_arr).any():
                 raise ValueError("arrival before departure in profile")
         self.deps = deps_arr
         self.arrs = arrs_arr
         self.period = period
-        self._mirror: tuple[list[int], list[int], int, int] | None = None
+        self._row: array | None = None
+
+    def __getstate__(self) -> tuple[np.ndarray, np.ndarray, int]:
+        return self.deps, self.arrs, self.period
+
+    def __setstate__(self, state: tuple[np.ndarray, np.ndarray, int]) -> None:
+        self.deps, self.arrs, self.period = state
+        self._row = None
 
     @classmethod
     def from_raw(
@@ -89,26 +104,28 @@ class Profile:
         """True when the target is unreachable for every departure."""
         return self.deps.size == 0
 
-    def mirror(self) -> tuple[list[int], list[int], int, int]:
-        """``(deps, arrs, n, tomorrow)`` as Python lists and ints, for
-        scalar evaluation: ``bisect`` on a list is several times faster
-        than ``np.searchsorted`` on a scalar.  ``tomorrow`` is the first
-        anchor's arrival one period on (``INF_TIME`` when empty).
+    def row(self) -> array:
+        """The profile per minute of the period: entry ``τ`` is
+        :meth:`earliest_arrival` at ``τ`` for τ in ``[0, period)`` — the
+        earliest arrival relative to τ's day — and the row is empty
+        when the profile is.  An ``array`` of the narrowest typecode
+        that holds it, so an evaluation is ``day + row[τ]``: one index
+        where a search loop would otherwise bisect the anchors.
 
-        Built on first use — mirroring a whole distance table eagerly
-        would cost more than the table — and published in **one**
+        Built on first use, in one numpy pass, and published in **one**
         store: searches on other threads evaluate the same table
-        profiles and must never see half a mirror.  The flat kernel
-        (:mod:`repro.core.spcs_kernel`) evaluates these tuples inline,
-        exactly as :meth:`earliest_arrival` does.
+        profiles and must never see half a row.  It costs O(period)
+        per profile — a weekly period's row is seven times a daily
+        one's — which is why it is lazy: a search reads the profiles of
+        the transfer stations it settles, never the whole table.  The
+        flat kernel (:mod:`repro.core.spcs_kernel`) indexes these rows
+        inline, exactly as :meth:`earliest_arrival` does.
         """
-        mirror = self._mirror
-        if mirror is None:
-            arrs = self.arrs.tolist()
-            tomorrow = self.period + arrs[0] if arrs else INF_TIME
-            mirror = (self.deps.tolist(), arrs, len(arrs), tomorrow)
-            self._mirror = mirror
-        return mirror
+        row = self._row
+        if row is None:
+            row = _minute_row(self.deps, self.arrs, self.period)
+            self._row = row
+        return row
 
     def earliest_arrival(self, tau: int) -> int:
         """Earliest absolute arrival when departing at or after time
@@ -122,16 +139,11 @@ class Profile:
         same-day connection may lose to waiting past midnight).  The
         returned arrival is expressed relative to ``tau``'s day.
         """
-        deps, arrs, n, tomorrow = self.mirror()
-        if not n:
+        row = self.row()
+        if not row:
             return INF_TIME
         tau_mod = tau % self.period
-        base = tau - tau_mod
-        idx = bisect_left(deps, tau_mod)
-        if idx < n:
-            today = arrs[idx]
-            return base + (today if today < tomorrow else tomorrow)
-        return base + tomorrow
+        return tau - tau_mod + row[tau_mod]
 
     def travel_time(self, tau: int) -> int:
         """``dist(S, T, τ)``: waiting plus riding time departing at ``τ``."""
@@ -183,6 +195,20 @@ class Profile:
         if self.arrs.size <= 1:
             return True
         return bool((np.diff(self.arrs) > 0).all())
+
+
+def _minute_row(deps: np.ndarray, arrs: np.ndarray, period: int) -> array:
+    """:meth:`Profile.row` of the points ``(deps, arrs)``: per minute τ,
+    the arrival of the first anchor at or after τ unless the first
+    anchor of the next day arrives sooner (or there is none today).
+    The first anchor at or after τ is the count of anchors before τ."""
+    if not deps.size:
+        return array("B")
+    tomorrow = period + int(arrs[0])
+    before = np.bincount(deps, minlength=period)[:period]
+    first = before.cumsum() - before
+    values = np.minimum(np.append(arrs, tomorrow), tomorrow)[first]
+    return narrow_row(values, int(values.max()))
 
 
 def merge_profiles(profiles: Iterable[Profile]) -> Profile:

@@ -15,6 +15,7 @@ on FIFO schedules.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from typing import Iterable, Sequence
 
@@ -24,6 +25,18 @@ from repro.timetable.periodic import DAY_MINUTES
 
 #: Arrival label for "unreachable"; see :mod:`repro.timetable.periodic`.
 INF_TIME = 2**62
+
+#: ``array`` typecodes from the narrowest up, each with the bound its
+#: values stay below; numpy reads the same codes as the same types.
+_ROW_TYPECODES = (("B", 1 << 8), ("H", 1 << 16), ("I", 1 << 32), ("q", 1 << 63))
+
+
+def narrow_row(values: np.ndarray, top: int) -> array:
+    """``values`` (non-negative, the largest ``top``) as an ``array`` of
+    the narrowest typecode that holds them: a per-minute row indexed in
+    a search loop, one Python int per read."""
+    code = next(code for code, bound in _ROW_TYPECODES if top < bound)
+    return array(code, values.astype(code).tobytes())
 
 
 class TravelTimeFunction:

@@ -65,13 +65,10 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from repro.functions.piecewise import INF_TIME
+from repro.functions.piecewise import INF_TIME, narrow_row
 from repro.graph.td_model import TDGraph
 from repro.timetable.types import Route, Timetable
 
-#: ``array`` typecodes from the narrowest up, each with the bound its
-#: values stay below; numpy reads the same codes as the same types.
-_ROW_TYPECODES = (("B", 1 << 8), ("H", 1 << 16), ("I", 1 << 32), ("q", 1 << 63))
 #: Row entries built per numpy pass: what bounds a build's transient
 #: memory (a few int64 buffers this long), whatever the pool's size.
 _ROW_BLOCK = 1 << 13
@@ -129,8 +126,7 @@ def travel_time_rows(
         best = np.minimum(suffix[idx], tomorrow[:, None])
         values = np.where(best < INF_TIME, best - minutes, INF_TIME)
         for value, top in zip(values, values.max(axis=1).tolist()):
-            code = next(code for code, bound in _ROW_TYPECODES if top < bound)
-            rows.append(array(code, value.astype(code).tobytes()))
+            rows.append(narrow_row(value, top))
     return rows
 
 

@@ -76,8 +76,9 @@ class DistanceTablePruner:
     ``on_settle`` is therefore both the readable statement of the
     paper's rules and, with the reference kernel, the oracle the flat
     loop's answers are tested against — it evaluates ``D`` through the
-    table, the loop through the list mirrors :meth:`via_row` /
-    :meth:`target_row` hand it.
+    table, the loop by indexing the per-minute rows
+    (:meth:`Profile.row <repro.functions.algebra.Profile.row>`)
+    :meth:`via_row` / :meth:`target_row` hand it.
 
     ``num_connections`` (``|conn(source)|``), ``transfer_time``,
     ``contributes`` and ``node_station`` are what the engine already
@@ -138,10 +139,12 @@ class DistanceTablePruner:
         #: transfer station offered i.  The query folds them in.
         self.final_arrivals: dict[int, int] = {}
         #: Per station, filled on first settle there: the profiles to
-        #: the via stations / to the target as list mirrors.
+        #: the via stations / to the target as per-minute rows.
         num_stations = len(self.transfer_time)
-        self.via_rows: list[list[tuple] | None] = [None] * num_stations
-        self.target_rows: list[tuple | None] = [None] * num_stations
+        self.via_rows: list[list[array | None] | None] = [None] * num_stations
+        self.target_rows: list[array | None] = [None] * num_stations
+        #: ``T(via)`` per via station, in ``via`` order.
+        self.via_transfer = [self.transfer_time[via] for via in via_stations]
         #: Diagnostics.
         self.mu_updates = 0
         self.prunes = 0
@@ -160,26 +163,20 @@ class DistanceTablePruner:
         mask[self.source] = False
         return mask
 
-    def via_row(self, station: int) -> list[tuple]:
-        """``(T(via), deps, arrs, n, tomorrow)`` per via station — the
-        :meth:`Profile.mirror` of ``D(station, via, ·)``, ``deps`` None
-        where ``station`` is the via station itself."""
+    def via_row(self, station: int) -> list[array | None]:
+        """Per via station, the :meth:`Profile.row` of ``D(station,
+        via, ·)`` — None where ``station`` is the via station itself."""
         table = self._table
         row = [
-            (self.transfer_time[via], None, None, 0, 0)
-            if station == via
-            else (
-                self.transfer_time[via],
-                *table.profile_between(station, via).mirror(),
-            )
+            None if station == via else table.profile_between(station, via).row()
             for via in self.via
         ]
         self.via_rows[station] = row
         return row
 
-    def target_row(self, station: int) -> tuple:
-        """The :meth:`Profile.mirror` of ``D(station, target, ·)``."""
-        row = self._table.profile_between(station, self.target).mirror()
+    def target_row(self, station: int) -> array:
+        """The :meth:`Profile.row` of ``D(station, target, ·)``."""
+        row = self._table.profile_between(station, self.target).row()
         self.target_rows[station] = row
         return row
 

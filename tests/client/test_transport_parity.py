@@ -15,8 +15,6 @@ error codes and exception types — must match exactly.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.client import (
@@ -27,29 +25,7 @@ from repro.client import (
 from repro.service import BatchRequest, JourneyRequest, ProfileRequest
 from repro.timetable.delays import Delay
 
-
-def scrubbed(answer):
-    """A JSON-ish rendering of a client answer with wall-clock fields
-    zeroed and private caches dropped — every deterministic public
-    field survives."""
-    def scrub(obj):
-        if isinstance(obj, dict):
-            return {
-                key: (
-                    0.0
-                    if isinstance(key, str) and key.endswith("_seconds")
-                    else scrub(value)
-                )
-                for key, value in obj.items()
-                if not (isinstance(key, str) and key.startswith("_"))
-            }
-        if isinstance(obj, (list, tuple)):
-            return [scrub(item) for item in obj]
-        return obj
-
-    if isinstance(answer, list):
-        return [scrubbed(item) for item in answer]
-    return scrub(dataclasses.asdict(answer))
+from tests.helpers import scrubbed
 
 
 def assert_parity(call, http_backend, local_backend):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.client import LocalBackend, connect
 from repro.service.shapes import SHAPES
-from tests.client.test_transport_parity import scrubbed
+from tests.helpers import scrubbed
 from tests.fleet.harness import FleetHarness, http_json
 
 

@@ -15,7 +15,7 @@ from repro.client import LocalBackend, connect
 from repro.fleet import FleetGateway, WorkerState
 from repro.timetable.delays import Delay
 
-from tests.client.test_transport_parity import scrubbed
+from tests.helpers import scrubbed
 from tests.fleet.harness import http_json
 
 #: Station pairs probed before/during/after the swap.

@@ -1,15 +1,17 @@
 """Unit and property tests for profile functions and their algebra."""
 
+import pickle
 import sys
 import threading
+from array import array
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.functions import algebra
 from repro.functions.algebra import Profile, merge_profiles
-from repro.functions.piecewise import INF_TIME
+from repro.functions.piecewise import INF_TIME, narrow_row
 
 
 def _profile():
@@ -35,6 +37,10 @@ class TestConstruction:
     def test_rejects_unsorted_deps(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             Profile([20, 10], [30, 40])
+
+    def test_rejects_negative_anchors(self):
+        with pytest.raises(ValueError, match="negative"):
+            Profile([-1, 10], [30, 40])
 
     def test_rejects_arrival_before_departure(self):
         with pytest.raises(ValueError, match="before departure"):
@@ -151,33 +157,25 @@ class TestFifo:
         assert a.is_fifo()
 
 
-class _StallingFirstTolist(np.ndarray):
-    """An array whose *first* ``tolist()`` parks its caller until
-    released — a deterministic stand-in for a thread switch in the
-    middle of building a profile's list mirror."""
+class TestRowIsPublishedWhole:
+    def test_second_thread_never_sees_half_a_row(self, monkeypatch):
+        """Regression: the evaluation cache used to be two attributes
+        filled by two stores; a second executor thread evaluating the
+        same distance-table profile between them read a half-built
+        cache and raised ``TypeError`` (a 500 on the served path).  The
+        first thread is parked inside the row build — a deterministic
+        stand-in for a thread switch there — while the second
+        evaluates."""
+        entered, release = threading.Event(), threading.Event()
 
-    entered: threading.Event
-    release: threading.Event
+        def stalling_narrow_row(values, top):
+            if not entered.is_set():
+                entered.set()
+                assert release.wait(10)
+            return narrow_row(values, top)
 
-    def tolist(self):
-        if not self.entered.is_set():
-            self.entered.set()
-            assert self.release.wait(10)
-        return np.asarray(self).tolist()
-
-
-class TestMirrorIsPublishedWhole:
-    def test_second_thread_never_sees_half_a_mirror(self):
-        """Regression: the mirror used to be two attributes filled by
-        two stores; a second executor thread evaluating the same
-        distance-table profile between them read ``_arrs_list is None``
-        and raised ``TypeError`` (a 500 on the served path)."""
+        monkeypatch.setattr(algebra, "narrow_row", stalling_narrow_row)
         profile = _profile()
-        stalling = profile.arrs.view(_StallingFirstTolist)
-        stalling.entered = threading.Event()
-        stalling.release = threading.Event()
-        profile.arrs = stalling
-
         answers: dict[str, object] = {}
 
         def evaluate(name: str) -> None:
@@ -188,11 +186,11 @@ class TestMirrorIsPublishedWhole:
 
         first = threading.Thread(target=evaluate, args=("first",))
         first.start()
-        assert stalling.entered.wait(10)  # first is mid-build
+        assert entered.wait(10)  # first is mid-build
         second = threading.Thread(target=evaluate, args=("second",))
         second.start()
         second.join(10)
-        stalling.release.set()
+        release.set()
         first.join(10)
         assert not first.is_alive() and not second.is_alive()
         assert answers == {"first": 545, "second": 545}
@@ -228,8 +226,83 @@ class TestMirrorIsPublishedWhole:
         assert not any(t.is_alive() for t in threads)
         assert failures == []
 
-    def test_mirror_matches_arrays(self):
-        deps, arrs, n, tomorrow = _profile().mirror()
-        assert (deps, arrs, n) == ([480, 540, 600], [520, 545, 640], 3)
-        assert tomorrow == 1440 + 520
-        assert Profile([], []).mirror() == ([], [], 0, INF_TIME)
+
+class TestRow:
+    def test_row_matches_arrays(self):
+        row = _profile().row()
+        assert row.typecode == "H" and len(row) == 1440
+        expected = (
+            [520] * 481 + [545] * 60 + [640] * 60 + [1440 + 520] * 839
+        )
+        assert row.tolist() == expected
+        assert Profile([], []).row() == array("B")
+
+    def test_row_is_built_once(self):
+        profile = _profile()
+        assert profile.row() is profile.row()
+
+    @pytest.mark.parametrize(
+        "deps, arrs",
+        [
+            ([], []),  # empty: unreachable throughout
+            ([17], [23]),  # one point
+            ([5, 40], [70, 130]),  # arrivals past the period
+            ([2, 50], [9, 100]),  # slow 50 → 100 loses to 2 + 60 → 69
+        ],
+        ids=["empty", "one-point", "past-period", "tomorrow-wins"],
+    )
+    def test_row_on_the_named_shapes(self, deps, arrs):
+        _assert_row_evaluates(deps, arrs, 60)
+
+    @given(period=st.integers(1, 90), data=st.data())
+    def test_row_is_the_two_candidate_evaluation(self, period, data):
+        _assert_row_evaluates(*data.draw(_points(period)), period)
+
+
+def _assert_row_evaluates(deps: list[int], arrs: list[int], period: int) -> None:
+    """At every τ over two periods, ``day + row[τ mod period]`` equals
+    the earliest arrival read straight off the points: the first anchor
+    of τ's day at or after it, unless the first anchor of the next day
+    arrives sooner."""
+    profile = Profile(deps, arrs, period)
+    row = profile.row()
+    for t in range(2 * period):
+        tau = t % period
+        day = t - tau
+        today = [a for d, a in zip(deps, arrs) if d >= tau]
+        expected = (
+            INF_TIME if not deps else day + min(today[:1] + [period + arrs[0]])
+        )
+        got = INF_TIME if not row else day + row[tau]
+        assert got == expected, (deps, arrs, period, t)
+        assert profile.earliest_arrival(t) == expected
+
+
+@st.composite
+def _points(draw, period):
+    """Reduced points over ``period``: anchors in it, arrivals rising
+    and reaching up to two periods past their anchors."""
+    deps = sorted(draw(st.sets(st.integers(0, period - 1), max_size=8)))
+    arrs = []
+    floor = 0
+    for dep in deps:
+        arrival = draw(st.integers(max(dep, floor), max(dep, floor) + 2 * period))
+        if arrs and arrival == arrs[-1]:
+            arrival += 1
+        arrs.append(arrival)
+        floor = arrival
+    return deps, arrs
+
+
+class TestPickling:
+    def test_an_evaluated_profile_pickles_as_a_fresh_one(self):
+        """The row is a cache: a profile a search worker evaluated and
+        sends back over a pipe ships its points, not its row."""
+        fresh = pickle.dumps(_profile())
+        evaluated = _profile()
+        evaluated.earliest_arrival(530)
+        assert pickle.dumps(evaluated) == fresh
+        back = pickle.loads(pickle.dumps(evaluated))
+        assert back._row is None
+        assert back == evaluated
+        assert back.earliest_arrival(530) == 545

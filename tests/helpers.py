@@ -1,9 +1,11 @@
 """Shared test utilities: deterministic random networks, pack and row
-comparisons, process helpers.  The fixed-departure oracle and the
+comparisons, answers and payloads scrubbed of wall-clock fields,
+process helpers.  The fixed-departure oracle and the
 reference service are in ``tests/oracles/``."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import signal
@@ -310,6 +312,43 @@ def ask_every_shape(service, source: int, via: int, target: int) -> list:
             request = as_request(shape, first, *rest)
         answers.append(getattr(service, shape.name)(request))
     return answers
+
+
+def scrubbed(answer):
+    """A JSON-ish rendering of a client answer with wall-clock fields
+    zeroed and private caches dropped — every deterministic public
+    field survives."""
+    def scrub(obj):
+        if isinstance(obj, dict):
+            return {
+                key: (
+                    0.0
+                    if isinstance(key, str) and key.endswith("_seconds")
+                    else scrub(value)
+                )
+                for key, value in obj.items()
+                if not (isinstance(key, str) and key.startswith("_"))
+            }
+        if isinstance(obj, (list, tuple)):
+            return [scrub(item) for item in obj]
+        return obj
+
+    if isinstance(answer, list):
+        return [scrubbed(item) for item in answer]
+    return scrub(dataclasses.asdict(answer))
+
+
+def scrubbed_payload(payload):
+    """A wire payload with its wall-clock noise dropped; every
+    deterministic field kept."""
+    if isinstance(payload, dict):
+        return {
+            key: (0.0 if key.endswith("_seconds") else scrubbed_payload(value))
+            for key, value in payload.items()
+        }
+    if isinstance(payload, list):
+        return [scrubbed_payload(item) for item in payload]
+    return payload
 
 
 def child_alive(pid: int) -> bool:

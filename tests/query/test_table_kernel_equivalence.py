@@ -24,7 +24,7 @@ Python per settle.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
+from array import array
 from itertools import product
 
 import numpy as np
@@ -41,6 +41,7 @@ from repro.query.distance_table import build_distance_table
 from repro.query.table_query import StationToStationEngine
 from repro.query.transfer_selection import select_transfer_stations
 from repro.synthetic.instances import INSTANCE_NAMES, make_instance
+from repro.timetable.builder import TimetableBuilder
 
 from tests.strategies import adversarial_timetables
 
@@ -145,16 +146,13 @@ def test_a_generated_timetable_enters_a_station_node_from_its_own_station(
     _edges_into_station_nodes_leave_their_station(timetable)
 
 
-def _through_mirror(mirror, period: int, t: int) -> int:
-    """``D(·, ·, t)`` as the flat loop evaluates it on a profile mirror."""
-    deps, arrs, n, tomorrow = mirror
-    if not n:
+def _through_row(row, period: int, t: int) -> int:
+    """``D(·, ·, t)`` as the flat loop evaluates it on a profile's
+    per-minute row: one index, an empty row unreachable."""
+    if not row:
         return INF_TIME
     tau = t % period
-    idx = bisect_left(deps, tau)
-    if idx < n and arrs[idx] < tomorrow:
-        return t - tau + arrs[idx]
-    return t - tau + tomorrow
+    return t - tau + row[tau]
 
 
 @settings(
@@ -184,11 +182,42 @@ def test_a_table_profile_never_arrives_earlier_for_leaving_later(
     table = build_distance_table(packed_arrays(graph), transfer)
     for row in table.profiles:
         for profile in row:
-            mirror = profile.mirror()
+            row = profile.row()
             arrivals = [
-                _through_mirror(mirror, period, t) for t in range(2 * period + 1)
+                _through_row(row, period, t) for t in range(2 * period + 1)
             ]
             assert arrivals == sorted(arrivals)
+
+
+def test_an_unreachable_via_station_keeps_the_node():
+    """Theorem 3 reads an empty table profile as ``INF_TIME``: a node at
+    a transfer station that cannot reach via j is kept while µ_{i,j} is
+    still ``INF_TIME`` (``INF ≤ INF``), as the settle hook keeps it.
+
+    S reaches the transfer station X, a dead end, and — on another
+    train — T through its one via station V, so ``D(X, V, ·)`` is
+    empty.  Without the stopping criterion (whose goal direction never
+    pushes a node that cannot reach T) the search settles X for the
+    night train before any settle has offered it a way to V; the train
+    arrives after midnight, so the evaluation is on day 1, where
+    ``day + INF_TIME`` would exceed ``INF_TIME`` and prune."""
+    builder = TimetableBuilder(name="dead-end")
+    s, x, v, t = (builder.add_station(n, transfer_time=2) for n in "SXVT")
+    builder.add_trip([(s, 1435), (x, 1445)], name="s-x")
+    builder.add_trip([(s, 500), (v, 510), (t, 520)], name="s-v-t")
+    graph = build_td_graph(builder.build())
+    arrays = pack_td_graph(graph)
+    table = build_distance_table(arrays, [x, v])
+    assert table.profile_between(x, v).row() == array("B")
+    for kernel in ("flat", "python"):
+        engine = StationToStationEngine(
+            graph, table, num_threads=1, stopping=False, kernel=kernel,
+            arrays=arrays,
+        )
+        assert engine.classify(s, t)[0] == "global"
+        result = engine.query(s, t)
+        assert result.table_prunes == 0, kernel
+        assert result.profile == spcs_profile_search(graph, s).profile(t)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +324,7 @@ def test_flat_query_calls_no_python_per_settle(small_instance):
         RECORDED[name, 1].items(), key=lambda item: item[1][1]
     )
     _, via_info = engine.classify(source, target)
-    engine.query(source, target)  # fill the lazy profile mirrors
+    engine.query(source, target)  # build the lazy profile rows
 
     calls: list[str] = []
 

@@ -22,8 +22,8 @@ import pytest
 from repro.server import DatasetRegistry
 from repro.server.http_base import MAX_HEAD_BYTES
 
+from tests.helpers import scrubbed_payload
 from tests.server.harness import ServerHarness
-from tests.server.test_server_e2e import scrubbed
 
 JOURNEY = json.dumps({"source": 0, "target": 5}).encode()
 
@@ -152,7 +152,7 @@ class TestSegmentation:
                 sock.send(request[i : i + 1])
             dribbled = read_response(sock)
         assert dribbled[0] == whole[0] == 200
-        assert scrubbed(dribbled[2]) == scrubbed(whole[2])
+        assert scrubbed_payload(dribbled[2]) == scrubbed_payload(whole[2])
         metrics = harness.request("GET", "/metrics")[1]
         assert metrics["retries_observed_total"] == 2  # headers seen both times
 

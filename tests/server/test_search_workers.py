@@ -33,10 +33,8 @@ from repro.service import (
 )
 from repro.timetable.delays import Delay
 
-from tests.client.test_transport_parity import scrubbed
-from tests.helpers import child_alive
+from tests.helpers import child_alive, scrubbed, scrubbed_payload
 from tests.server.harness import GatedService, ServerHarness, wait_until
-from tests.server.test_server_e2e import scrubbed as scrubbed_payload
 
 DELAYS = {"delays": [{"train": 0, "minutes": 45}], "slack_per_leg": 0}
 

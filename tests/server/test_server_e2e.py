@@ -33,19 +33,8 @@ from repro.server.protocol import (
 from repro.service import BatchRequest, JourneyRequest, ProfileRequest
 from repro.timetable.delays import Delay
 
+from tests.helpers import scrubbed_payload
 from tests.server.harness import GatedService, ServerHarness, wait_until
-
-
-def scrubbed(payload):
-    """Drop wall-clock noise; keep every deterministic field."""
-    if isinstance(payload, dict):
-        return {
-            key: (0.0 if key.endswith("_seconds") else scrubbed(value))
-            for key, value in payload.items()
-        }
-    if isinstance(payload, list):
-        return [scrubbed(item) for item in payload]
-    return payload
 
 
 NUM_STATIONS = 12  # oahu tiny
@@ -70,7 +59,7 @@ class TestParity:
             expected = encode_journey(
                 direct.journey(JourneyRequest(source, target, departure))
             )
-            assert scrubbed(payload) == scrubbed(expected)
+            assert scrubbed_payload(payload) == scrubbed_payload(expected)
 
     def test_profile_matches_direct_call(self, harness, make_service):
         direct = make_service()
@@ -81,7 +70,7 @@ class TestParity:
         expected = encode_profile(
             direct.profile(ProfileRequest(3)), num_stations=NUM_STATIONS
         )
-        assert scrubbed(payload) == scrubbed(expected)
+        assert scrubbed_payload(payload) == scrubbed_payload(expected)
         # The targets restriction trims the wire payload, not the search.
         status, restricted = harness.request(
             "POST", "/v1/oahu/profile", {"source": 3, "targets": [0, 7]}
@@ -113,7 +102,7 @@ class TestParity:
             ),
             num_stations=NUM_STATIONS,
         )
-        assert scrubbed(payload) == scrubbed(expected)
+        assert scrubbed_payload(payload) == scrubbed_payload(expected)
 
     def test_repeated_request_is_served_from_cache(self, harness):
         first = harness.request("POST", "/v1/oahu/profile", {"source": 4})[1]
@@ -171,7 +160,7 @@ class TestConcurrentJourneys:
                 status, payload = results[i]
                 assert status == 200
                 expected = encode_journey(direct.journey(source, target))
-                assert scrubbed(payload) == scrubbed(expected)
+                assert scrubbed_payload(payload) == scrubbed_payload(expected)
             assert sorted(gated.entered, key=lambda r: r.source) == [
                 JourneyRequest(s, t) for s, t in pairs
             ]
@@ -250,7 +239,7 @@ class TestNoHeadOfLineBlocking:
             twin = make_service()
             assert table[0] == 200
             assert table[1]["stats"]["classification"] == "table"
-            assert scrubbed(table[1]) == scrubbed(
+            assert scrubbed_payload(table[1]) == scrubbed_payload(
                 encode_journey(twin.journey(a, b))
             )
             assert cached[0] == 200 and cached[1]["stats"]["cache_hit"]
@@ -332,7 +321,7 @@ class TestHotSwap:
             [Delay(train=0, minutes=45)]
         )
         expected = encode_journey(cold.journey(2, 5))
-        assert scrubbed(after) == scrubbed(expected)
+        assert scrubbed_payload(after) == scrubbed_payload(expected)
         assert after["profile"] != before["profile"], (
             "delaying train 0 by 45 minutes must change the 2→5 profile"
         )
@@ -384,7 +373,7 @@ class TestHotSwap:
             "POST", "/v1/oahu/journey", {"source": 2, "target": 5}
         )[1]
         cold = make_service().apply_delays([Delay(train=0, minutes=45)])
-        assert scrubbed(after) == scrubbed(encode_journey(cold.journey(2, 5)))
+        assert scrubbed_payload(after) == scrubbed_payload(encode_journey(cold.journey(2, 5)))
 
         # A consumed token cannot commit twice.
         status, payload = harness.request(

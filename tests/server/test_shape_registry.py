@@ -36,8 +36,7 @@ from repro.service.shapes import (
     as_request,
 )
 
-from tests.client.test_transport_parity import scrubbed
-from tests.server.test_server_e2e import scrubbed as scrubbed_payload
+from tests.helpers import scrubbed, scrubbed_payload
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 N = 10  # stations in scope for the parsing tests

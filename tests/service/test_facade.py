@@ -45,8 +45,7 @@ from repro.service import (
 )
 from repro.synthetic.workloads import random_station_pairs
 
-from tests.client.test_transport_parity import scrubbed
-from tests.helpers import random_line_timetable
+from tests.helpers import random_line_timetable, scrubbed
 from tests.oracles.mc_time_query import mc_time_query
 from tests.oracles.reference_service import SERVICE_OF_KERNEL, ReferenceService
 from tests.server.test_search_workers import CALLS

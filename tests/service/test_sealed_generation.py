@@ -33,10 +33,11 @@ from repro.timetable.delays import Delay
 
 from tests.helpers import ask_every_shape
 
-#: Everything a query may write: a table profile's list mirror (filled
-#: on first use — mirroring a whole table eagerly costs more memory than
-#: the table) and the service's own locked result cache.
-ALLOWED = {"Profile._mirror", "LRUResultCache"}
+#: Everything a query may write: a table profile's per-minute row
+#: (built on first use — a row per profile of the whole table costs
+#: more memory than the table) and the service's own locked result
+#: cache.
+ALLOWED = {"Profile._row", "LRUResultCache"}
 #: What a delay swap may fill in on a loaded generation it swaps from —
 #: the timetable (dropping its builder) and the routes — each noted
 #: with ``@locked`` when written under ``PreparedDataset._hydrating``.
@@ -206,7 +207,7 @@ def test_queries_write_nothing_a_generation_owns(
         raise errors[0]
     assert set(writes) <= ALLOWED, sorted(set(writes) - ALLOWED)
     if with_table:
-        assert "Profile._mirror" in writes
+        assert "Profile._row" in writes
     assert packed_arrays(service.prepared.graph) is service.prepared.arrays
 
 

@@ -42,8 +42,7 @@ from repro.service import (
 )
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.client.test_transport_parity import scrubbed
-from tests.helpers import assert_packs_equal, random_line_timetable
+from tests.helpers import assert_packs_equal, random_line_timetable, scrubbed
 from tests.server.harness import ServerHarness
 from tests.server.test_search_workers import CALLS as SHAPE_CALLS
 from tests.strategies import adversarial_timetables
