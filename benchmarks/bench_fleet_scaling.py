@@ -13,7 +13,7 @@ rounds run the arms in a seeded-shuffled order, every answer's pair
 checked.  The ``fleet_scaling`` record holds each arm's qps per round,
 median qps and p50, with ``cpu_count`` and the in-process qps of one
 core over the same pairs (the box's speed in that run).  No qps floor is asserted: the fleet is
-for failover, catch-up and coordinated swaps (``docs/FLEET.md``).
+for failover, catch-up and generation-routed swaps (``docs/FLEET.md``).
 """
 
 from __future__ import annotations

@@ -311,6 +311,19 @@ def serve_fleet(tmp: Path) -> None:
         print(f"gateway at {url} answered a journey")
 
 
+def swap_seeds(tmp: Path) -> None:
+    """Generation routing's seeded invariant
+    (``tests/fleet/test_generation_routing.py``, three seeds in
+    tier-1) over 200 seeds: three in-process servers behind a gateway,
+    seeded replan holds, closed-loop clients, every answer checked."""
+    from repro.synthetic.instances import make_instance
+    from tests.fleet.test_generation_routing import run_seed
+
+    timetable = make_instance("oahu", "tiny")
+    answers = sum(run_seed(seed, timetable) for seed in range(200))
+    print(f"200 seeds, {answers} answers, none from an older generation")
+
+
 def stream_replay(tmp: Path) -> None:
     """The CLI surface of the delay-stream loop: generate a committed
     scenario file, serve a store, replay the file against it."""
@@ -796,6 +809,7 @@ JOBS = {
     "serve-fleet": serve_fleet,
     "served-pool": served_pool,
     "stream-replay": stream_replay,
+    "swap-seeds": swap_seeds,
     "table-build": table_build,
     "table1-kernels": table1_kernels,
     "transcripts": transcripts,

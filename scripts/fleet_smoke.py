@@ -13,8 +13,8 @@ the subsystem's contracts end to end over real TCP (docs/FLEET.md):
    via, min-transfers);
 3. failover: SIGKILL a worker under closed-loop traffic — **zero**
    failed client requests, ejection + readmission in `/metrics`;
-4. coordinated swap: `apply_delays` against the gateway bumps every
-   worker to generation 1, answers move, no mixed generations;
+4. fleet swap: `apply_delays` against the gateway bumps every worker
+   to generation 1, and answers move;
 5. catch-up: SIGKILL another worker *after* the swap — the respawned
    process (which warm-loaded the undelayed store) is replayed the
    delay log before readmission and reports generation 1.
@@ -173,7 +173,7 @@ def main() -> int:
             f"restarts={supervisor.restarts_total})"
         )
 
-        # 4. Coordinated swap through the plain SDK call.
+        # 4. Fleet swap through the plain SDK call.
         update = backend.apply_delays([Delay(train=0, minutes=45)])
         assert update.generation == 1, update
         delayed = backend.journey(2, 5)
@@ -189,7 +189,7 @@ def main() -> int:
             for w in health["workers"].values()
         ), health["workers"]
         print(
-            f"coordinated swap: generation 1 on all {num_workers} workers "
+            f"fleet swap: generation 1 on all {num_workers} workers "
             f"in {update.swap_seconds * 1000:.0f} ms"
         )
 

@@ -8,15 +8,16 @@ behind a `FleetGateway`, generates a seeded delay stream
 (docs/STREAMS.md), saves/loads it through the JSON interchange format,
 and replays it with the production harness
 (`repro.streams.replay_stream`) — closed-loop query workers running
-alongside the delay poster, every batch swapped into each worker
-through the fleet's coordinated two-phase swap.  The bars:
+alongside the delay poster, every batch posted by the gateway to each
+worker, which routes only to workers at the newest generation.  The
+bars:
 
 1. **zero failed client requests** — queries and delay posts — across
    20+ streamed commits (`ReplayReport.check()`);
 2. **generation accounting**: the fleet generation and every worker's
    generation equal the number of committed batches;
-3. the gateway counted every swap and published a per-swap routing
-   pause in `/metrics`.
+3. the gateway counted every swap in `/metrics`, and a query through
+   it carries `X-Generation` equal to the number of committed batches.
 
 Exits 0 only if every bar holds.
 """
@@ -127,15 +128,28 @@ def main() -> int:
         ), health["workers"]
         assert m["last_generation"] == stream.num_events
 
-        # Bar 3: every swap was coordinated, and the per-swap routing
-        # pause is published.
+        # Bar 3: every swap was counted, and a query names the
+        # generation that answered it.
         metrics = get_json(port, "/metrics")["gateway"]
         assert metrics["swaps_total"] == {"oahu": stream.num_events}, metrics
-        pause = metrics["last_swap_pause_seconds"]["oahu"]
-        assert pause >= 0.0, metrics
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request(
+                "POST",
+                "/v1/oahu/journey",
+                json.dumps({"source": 0, "target": 5}),
+            )
+            response = conn.getresponse()
+            response.read()
+            generation = response.getheader("X-Generation")
+        finally:
+            conn.close()
+        assert response.status == 200, response.status
+        assert generation == str(stream.num_events), generation
         print(
             f"generation {stream.num_events} on all {num_workers} workers, "
-            f"all swaps coordinated, last pause {pause * 1000:.1f} ms"
+            f"every swap counted, a query answered from X-Generation "
+            f"{generation}"
         )
         print("stream smoke: all bars hold")
         return 0

@@ -47,11 +47,11 @@ runs unchanged over an in-process dataset or a remote
     for answer in backend.iter_batch([(0, 5), (3, 9)]):
         ...                                       # streaming batch
 
-To scale query throughput past one interpreter, serve the same store
-from N worker processes behind a routing gateway
-(``repro-transit serve-fleet``; :mod:`repro.fleet`, docs/FLEET.md) —
-clients keep the URL above, and gain worker failover plus
-fleet-coordinated delay swaps for free.
+For failover, serve the same store from N worker processes behind a
+routing gateway (``repro-transit serve-fleet``; :mod:`repro.fleet`,
+docs/FLEET.md) — clients keep the URL above, and gain worker failover
+plus fleet-wide delay swaps that never answer from an older
+generation.
 
 Live operations ride on the same swap path: a seeded GTFS-RT-style
 delay stream (:func:`repro.synthetic.delays.generate_delay_stream`)

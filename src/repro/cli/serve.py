@@ -12,6 +12,7 @@ import tempfile
 from typing import Any, Awaitable, Callable
 
 from repro.cli.datasets import positive_int
+from repro.core.fanout import pool_size
 from repro.server import DatasetRegistry, TransitServer
 from repro.store import StoreError
 
@@ -90,7 +91,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ]
         lines.append(
             f"listening on http://{server.host}:{server.port} "
-            f"(workers={args.workers}, max_inflight={args.max_inflight})"
+            f"(workers={pool_size(args.workers)}, "
+            f"max_inflight={args.max_inflight})"
         )
         return "\n".join(lines)
 
@@ -117,7 +119,8 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     The supervisor spawns the workers (ephemeral ports, port-file
     discovery, crash restarts with capped backoff); the gateway
     health-checks and load-balances them, fails queries over on
-    worker death, and coordinates fleet-wide delay swaps.  SIGINT/
+    worker death, and posts each delay batch to every worker, routing
+    only to those at the newest generation.  SIGINT/
     SIGTERM drains the gateway, then stops the workers; exit 0.
     """
     # Imported here: `import repro` brings in every other package the

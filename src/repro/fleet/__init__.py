@@ -6,7 +6,9 @@ in search worker processes forked from each dataset generation, so one
 (``BENCH_fleet_scaling.json``) a fleet on the same box did not beat
 it.  The fleet is for what one process tree cannot give: a ``serve``
 that dies is retried on a peer, a restarted one is caught up before
-it is routed to, and delay swaps are coordinated (``docs/FLEET.md``):
+it is routed to, and a delay batch reaches every worker while no
+client reads an older generation after a newer one
+(``docs/FLEET.md``):
 
 * :mod:`repro.fleet.supervisor` — spawn N ``repro-transit serve``
   worker processes over the same artifact stores (the store's
@@ -15,31 +17,30 @@ it is routed to, and delay swaps are coordinated (``docs/FLEET.md``):
   atomically-written port files, and auto-restart crashes with capped
   backoff;
 * :mod:`repro.fleet.gateway` — an asyncio front process speaking the
-  same wire protocol, load-balancing per dataset over healthy
-  workers, health-checking ``/healthz``, ejecting failed workers and
-  readmitting restarted ones after delay-log catch-up, failing
-  queries over to a peer when a worker dies mid-request, and
-  aggregating fleet-wide ``/metrics``;
-* :mod:`repro.fleet.swap` — fleet-wide delay updates through a
-  two-phase prepare/commit so no client ever observes a mixed fleet;
+  same wire protocol, load-balancing per dataset over the healthy
+  workers at the dataset's newest generation, health-checking
+  ``/healthz``, posting each delay batch to every worker, ejecting
+  failed workers and readmitting restarted ones after delay-log
+  catch-up, failing queries over to a peer when a worker dies
+  mid-request, and aggregating fleet-wide ``/metrics``;
+* :mod:`repro.fleet.catchup` — the delay log coalesced into a bounded
+  replay for a rejoining worker;
 * :mod:`repro.fleet.metrics` — the gateway's routing counters.
 
 Entry point: ``repro-transit serve-fleet --store DIR --workers N``.
 Clients connect to the gateway exactly as to a single server —
 ``repro.client.connect("http://gateway:port")`` — with bitwise
 identical answers (the gateway forwards worker responses verbatim).
-See ``docs/FLEET.md`` for topology, failure modes, and the swap
-protocol.
+See ``docs/FLEET.md`` for topology, failure modes, and generation
+routing.
 """
 
 from repro.fleet.gateway import FleetGateway, WorkerState
 from repro.fleet.metrics import GatewayMetrics
 from repro.fleet.supervisor import WorkerSupervisor
-from repro.fleet.swap import FleetSwapCoordinator
 
 __all__ = [
     "FleetGateway",
-    "FleetSwapCoordinator",
     "GatewayMetrics",
     "WorkerState",
     "WorkerSupervisor",

@@ -1,6 +1,6 @@
 """Coalescing the per-dataset delay log for worker catch-up replay.
 
-The gateway records every committed delay batch (``swap.py``) so a
+The gateway records every committed delay batch (``gateway.py``) so a
 worker (re)joining the fleet can be brought to the current generation
 by replaying what it missed.  Naively that is one ``apply`` POST per
 missed batch — O(committed batches) sequential replans per restart,

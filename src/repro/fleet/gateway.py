@@ -28,12 +28,15 @@ Responsibilities (see ``docs/FLEET.md`` for the protocol walk-through):
   pristine store at generation 0 — is replayed the missing batches
   and only then routed to, so a restarted worker can never serve
   pre-delay answers into a post-delay fleet.
-* **Coordinated swaps.**  ``POST /v1/datasets/{name}/delays`` against
-  the gateway is applied fleet-wide through the two-phase
-  prepare/commit protocol (:mod:`repro.fleet.swap`): every worker
-  replans while still serving, then the gateway pauses the dataset's
-  routing for the microseconds the pointer swaps take — no client
-  ever observes a mixed fleet.
+* **Delay swaps by generation.**  ``POST /v1/datasets/{name}/delays``
+  against the gateway is posted as a plain ``apply`` to every healthy
+  worker serving the dataset at once; each replans while still
+  serving.  Every query answer names the generation that answered it
+  (``X-Generation``), and the gateway routes a dataset only to workers
+  known at its *routing generation*, which apply replies, those
+  headers and health probes raise and nothing lowers.  Once a client
+  has an answer from generation k + 1, no later request is answered
+  from k: during a swap, routing uses the workers that finished it.
 * **Fleet metrics.**  ``GET /metrics`` renders the gateway's own
   routing counters plus every worker's snapshot and a cross-worker
   aggregate.
@@ -43,17 +46,26 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 
-from repro.client.errors import BackendTimeoutError, TransportError
+from repro.client.errors import (
+    BackendError,
+    BackendTimeoutError,
+    TransportError,
+)
 from repro.client.http import HttpBackend, RetryPolicy
 from repro.fleet.catchup import coalesce_delay_log
 from repro.fleet.metrics import GatewayMetrics
-from repro.fleet.swap import FleetSwapCoordinator
 from repro.server.http_base import BaseAsyncHttpServer, Request
 from repro.server.protocol import parse_body
-from repro.service.shapes import PROTOCOL_VERSION, Shape
+from repro.service.shapes import (
+    FLEET_APPLY_REPLY,
+    FLEET_SWAP,
+    PROTOCOL_VERSION,
+    Shape,
+)
 from repro.service.shapes import error_payload as _error
 
 __all__ = ["FleetGateway", "WorkerState"]
@@ -76,9 +88,12 @@ class WorkerState:
         healthy/draining ──probe/forward failures──> down (ejected)
         down ──ok──> catching-up ──> healthy   (readmission)
 
-    Only ``healthy`` workers receive traffic.  A restarted worker
-    reappears under the same name at a new URL: the old state object
-    is discarded and the replacement funnels through catch-up.
+    Only ``healthy`` workers receive traffic, and for a dataset only
+    those known at its routing generation (``generations`` holds the
+    newest generation of each dataset the gateway has evidence of).  A
+    restarted worker reappears under the same name at a new URL: the
+    old state object is discarded and the replacement funnels through
+    catch-up.
     """
 
     __slots__ = (
@@ -160,7 +175,6 @@ class FleetGateway(BaseAsyncHttpServer):
         worker_timeout: float = 30.0,
         retry_after: float = 0.25,
         drain_grace: float = 0.0,
-        swap_drain_timeout: float = 60.0,
         metrics: GatewayMetrics | None = None,
     ) -> None:
         super().__init__(
@@ -178,7 +192,6 @@ class FleetGateway(BaseAsyncHttpServer):
         self.health_timeout = health_timeout
         self.eject_after = eject_after
         self.worker_timeout = worker_timeout
-        self.swap_drain_timeout = swap_drain_timeout
         self._workers: dict[str, WorkerState] = {}
         #: Names that were ever routed to: a later admission of the
         #: same name is a *readmission* even across process restarts
@@ -186,26 +199,25 @@ class FleetGateway(BaseAsyncHttpServer):
         self._ever_admitted: set[str] = set()
         #: Per-dataset round-robin cursors.
         self._rr: dict[str, int] = {}
-        #: Per-dataset routing gates; absent means open (zero hot-path
-        #: cost until the first coordinated swap).  A cleared gate
-        #: parks new queries while a swap commits.
-        self._gates: dict[str, asyncio.Event] = {}
-        #: Forwards currently in flight per dataset (what a swap's
-        #: routing pause drains).
-        self._dataset_inflight: dict[str, int] = {}
         #: The delay log: every committed batch per dataset, in commit
         #: order, as ready-to-replay ``mode=apply`` bodies.  Its length
         #: is the fleet's committed generation.
         self._delay_log: dict[str, list[bytes]] = {}  # guarded-by: _swap_lock
-        #: Serializes coordinated swaps and worker admissions — the
-        #: two operations that must see a frozen (generation, healthy
-        #: set) pair.  Routing never takes it.
+        #: Per dataset, the routing generation: queries go only to
+        #: healthy workers known at it.  It never goes down; evidence
+        #: raises it (:meth:`_note_generation`).  Outside a swap it
+        #: equals the length of the dataset's delay log.
+        self._routing: dict[str, int] = {}
+        #: ``(dataset, k + 1)`` while a swap of the dataset from k
+        #: fans out: evidence of k + 1 is then not out of band.
+        self._swapping: tuple[str, int] | None = None
+        #: Serializes swaps and worker admissions — the two operations
+        #: that move a worker's generation.  Routing never takes it.
         self._swap_lock = asyncio.Lock()
-        self._swap = FleetSwapCoordinator(self)
         #: Query forwards block a thread each.  Health probes, swaps
         #: and catch-up posts have a pool of their own, so they never
-        #: queue behind query forwards: a swap's drain then waits only
-        #: for forwards that finish on their own.
+        #: queue behind query forwards: a worker under query load is
+        #: still probed, swapped and caught up on time.
         self._forward_pool = ThreadPoolExecutor(
             max_workers=_FORWARD_THREADS, thread_name_prefix="gw-forward"
         )
@@ -268,30 +280,113 @@ class FleetGateway(BaseAsyncHttpServer):
     async def _query(
         self, request: Request, dataset: str, shape: Shape
     ) -> tuple:
-        gate = self._gates.get(dataset)
-        if gate is not None and not gate.is_set():
-            # A coordinated swap is committing: park until the fleet
-            # is uniformly on the new generation.
-            await gate.wait()
-        self._dataset_inflight[dataset] = (
-            self._dataset_inflight.get(dataset, 0) + 1
-        )
-        try:
-            return await self._proxy(request, dataset)
-        finally:
-            self._dataset_inflight[dataset] -= 1
+        return await self._proxy(request, dataset)
 
     async def _delays(self, request: Request, dataset: str) -> tuple:
-        parsed = parse_body(request.body)
-        mode = parsed.get("mode", "apply")
-        if mode != "apply":
+        """Apply one delay batch fleet-wide: a plain ``apply`` to every
+        healthy worker serving ``dataset``, at once, under the swap
+        lock.  Each reply is evidence as it arrives
+        (:meth:`_note_generation`), so a worker that finished serves
+        while the others replan.  The batch is logged if the routing
+        generation reached k + 1 when the fan-out ends, and workers
+        that did not answer 200 are then ejected (readmission replays
+        the log to them).  If no worker moved, the first worker answer
+        that is not a 200 speaks for the fleet: every worker validates
+        a body alike."""
+        body = parse_body(request.body)
+        if "generations" in body:
             return 400, _error(
                 "invalid_request",
-                f"mode {mode!r} is not accepted by the gateway: it "
-                f"coordinates the two-phase swap itself — POST "
-                f"mode=apply (or omit mode)",
+                "'generations' is for the gateway's catch-up posts to its "
+                "workers; a client posts plain applies",
+                field="generations",
             )
-        return await self._swap.coordinate(dataset, parsed)
+        path = f"/v1/datasets/{dataset}/delays"
+        async with self._swap_lock:
+            targets = [
+                st
+                for st in self._workers.values()
+                if st.state == "healthy" and dataset in st.datasets
+            ]
+            if not targets:
+                # An unknown dataset answers the workers' own 404.
+                return await self._proxy(request, dataset)
+            t0 = time.perf_counter()
+            k = self._routing.get(dataset, 0)
+            self._swapping = (dataset, k + 1)
+            try:
+                replies = await asyncio.gather(
+                    *(
+                        self._apply(st, dataset, path, request.body)
+                        for st in targets
+                    )
+                )
+            finally:
+                self._swapping = None
+            if self._routing.get(dataset, 0) == k:
+                # No worker moved: the fleet is still at k.
+                for reply in replies:
+                    if reply is not None and reply[0] != 200:
+                        return reply
+                return 502, _error(
+                    "upstream_failed",
+                    f"no worker applied the batch to {dataset!r}; the "
+                    f"fleet is unchanged",
+                    retriable=True,
+                ), self._retry_after_header()
+            replay = dict(body)
+            replay.pop("mode", None)
+            self._delay_log.setdefault(dataset, []).append(
+                json.dumps(replay).encode("utf-8")
+            )
+            committed: list[tuple[WorkerState, dict]] = []
+            failed: list[WorkerState] = []
+            for st, reply in zip(targets, replies):
+                if reply is not None and reply[0] == 200:
+                    committed.append((st, json.loads(reply[1])))
+                else:
+                    failed.append(st)
+                    if st.state != "down":
+                        self._eject(st, reason="did not apply the batch")
+            total = time.perf_counter() - t0
+            self.metrics.observe_swap(
+                dataset, total, incremental=body.get("replan") == "incremental"
+            )
+            return 200, FLEET_APPLY_REPLY.write(
+                dataset,
+                k + 1,
+                len(body.get("delays") or []),
+                body.get("slack_per_leg", 0),
+                max(
+                    (payload["swap_seconds"] for _, payload in committed),
+                    default=0.0,
+                ),
+                FLEET_SWAP.write(
+                    sorted(st.name for st, _ in committed),
+                    sorted(st.name for st in failed),
+                    total,
+                ),
+            )
+
+    async def _apply(
+        self, st: WorkerState, dataset: str, path: str, body: bytes
+    ) -> tuple | None:
+        """One worker's share of a swap: ``(status, answer bytes,
+        extra headers)``, its 200 noted as evidence the moment it
+        arrives; ``None`` when the worker could not be reached (it is
+        ejected) or its 200 is not evidence the gateway accepts."""
+        try:
+            status, headers, raw = await self._forward(
+                st, "POST", path, body, idempotent=False, control=True
+            )
+        except BackendError as exc:
+            self._eject(st, reason=f"{type(exc).__name__}: {exc}")
+            return None
+        if status == 200 and not self._note_generation(
+            st, dataset, json.loads(raw)["generation"]
+        ):
+            return None
+        return status, raw, _retry_after(headers)
 
     # -- forwarding ----------------------------------------------------
 
@@ -340,11 +435,25 @@ class FleetGateway(BaseAsyncHttpServer):
                 # Overloaded/draining worker; a peer may have headroom.
                 self.metrics.failovers_total += 1
                 continue
+            extra = _retry_after(resp_headers)
+            generation = resp_headers.get("x-generation")
+            if generation is not None:
+                # Raised before the answer is relayed: no request sent
+                # after a client read this answer reaches an older
+                # generation.
+                if not self._note_generation(st, dataset, int(generation)):
+                    if attempt == 0:
+                        self.metrics.failovers_total += 1
+                        continue
+                    return 502, _error(
+                        "upstream_failed",
+                        f"worker {st.name} answered from generation "
+                        f"{generation} of {dataset!r}, which the fleet "
+                        f"never committed",
+                        retriable=True,
+                    ), self._retry_after_header()
+                extra["X-Generation"] = generation
             self.metrics.observe_forward(st.name)
-            extra: dict = {}
-            retry_after = resp_headers.get("retry-after")
-            if retry_after is not None:
-                extra["Retry-After"] = retry_after
             return status, raw, extra
         raise AssertionError("unreachable")  # pragma: no cover
 
@@ -373,10 +482,11 @@ class FleetGateway(BaseAsyncHttpServer):
     def _pick(
         self, dataset: str | None, exclude: set[str]
     ) -> WorkerState | None:
-        """Round-robin over healthy workers serving ``dataset``.
+        """Round-robin over the healthy workers serving ``dataset``
+        that are known at its routing generation.
 
-        Falls back to *any* healthy worker when none lists the dataset
-        — the worker then answers the protocol's own 404
+        Falls back to *any* healthy worker for a dataset no worker
+        lists — the worker then answers the protocol's own 404
         ``unknown_dataset``, keeping error payloads bitwise identical
         to a single server."""
         healthy = [
@@ -384,14 +494,17 @@ class FleetGateway(BaseAsyncHttpServer):
             for name, st in self._workers.items()
             if st.state == "healthy" and name not in exclude
         ]
-        if dataset is not None:
-            serving = [
+        if dataset is not None and any(
+            dataset in st.datasets for st in self._workers.values()
+        ):
+            generation = self._routing.get(dataset, 0)
+            healthy = [
                 name
                 for name in healthy
                 if dataset in self._workers[name].datasets
+                and self._workers[name].generations.get(dataset, 0)
+                == generation
             ]
-            if serving:
-                healthy = serving
         if not healthy:
             return None
         healthy.sort()
@@ -400,12 +513,32 @@ class FleetGateway(BaseAsyncHttpServer):
         self._rr[key] = cursor + 1
         return self._workers[healthy[cursor % len(healthy)]]
 
-    def _gate(self, dataset: str) -> asyncio.Event:
-        gate = self._gates.get(dataset)
-        if gate is None:
-            gate = self._gates[dataset] = asyncio.Event()
-            gate.set()
-        return gate
+    def _note_generation(
+        self, st: WorkerState, dataset: str, generation: int
+    ) -> bool:
+        """Evidence that ``st`` serves ``dataset`` at ``generation`` —
+        an apply reply, a query answer's ``X-Generation`` or a probe.
+        It raises the worker's known generation and the dataset's
+        routing generation; neither ever goes down.  Evidence above
+        the routing generation (or above k + 1 while the dataset's
+        swap from k fans out) is a worker mutated out of band: it is
+        ejected, and ``False`` returned."""
+        ceiling = self._routing.get(dataset, 0)
+        if self._swapping is not None and self._swapping[0] == dataset:
+            ceiling = self._swapping[1]
+        if generation > ceiling:
+            self._eject(
+                st,
+                reason=f"at generation {generation} of {dataset!r}, above "
+                f"the fleet's {ceiling} — it was mutated out of band; "
+                f"restart it from the store",
+            )
+            return False
+        if generation > st.generations.get(dataset, 0):
+            st.generations[dataset] = generation
+        if generation > self._routing.get(dataset, 0):
+            self._routing[dataset] = generation
+        return True
 
     # -- health, ejection, readmission ----------------------------------
 
@@ -477,12 +610,11 @@ class FleetGateway(BaseAsyncHttpServer):
         st.failures = 0
         st.last_error = None
         st.datasets = set(result.get("datasets", ()))
-        # A worker's generations only grow; a probe answered before a
-        # catch-up replay or a swap commit finished reports older ones.
-        st.generations = {
-            name: max(int(gen), st.generations.get(name, 0))
-            for name, gen in (result.get("generations") or {}).items()
-        }
+        # A probe answered before a catch-up replay or a swap finished
+        # reports an older generation: noted, it lowers nothing.
+        for name, generation in (result.get("generations") or {}).items():
+            if not self._note_generation(st, name, int(generation)):
+                return
         if result.get("status") != "ok":
             # Readiness off: stop routing, but this is not a failure —
             # the worker is draining gracefully and still answering.
@@ -497,29 +629,21 @@ class FleetGateway(BaseAsyncHttpServer):
 
     async def _admit_worker(self, st: WorkerState) -> None:
         """Bring a worker into rotation, replaying any delay batches
-        it missed first.  Runs under the swap lock so no coordinated
-        swap can move the fleet's generation mid-catch-up (and a
-        worker can never become healthy between a swap's prepare and
-        commit, which would leave it unswapped).
+        it missed first.  Runs under the swap lock so no swap can move
+        the fleet's generation mid-catch-up.
 
         The missed-log suffix is coalesced first
         (:func:`repro.fleet.catchup.coalesce_delay_log`): consecutive
         slack-free batches merge into one bounded ``apply`` carrying a
         ``generations`` count, so a worker rejoining after a long
         stream catches up in O(slack barriers + 1) posts instead of
-        O(committed batches), with generation accounting unchanged."""
+        O(committed batches).  Each reply's ``generation`` is noted as
+        evidence, like any other (:meth:`_note_generation`)."""
         try:
             async with self._swap_lock:
                 for dataset in sorted(st.datasets):
                     log = self._delay_log.get(dataset, ())
                     have = st.generations.get(dataset, 0)
-                    if have > len(log):
-                        raise RuntimeError(
-                            f"worker {st.name} is at generation {have} of "
-                            f"{dataset!r} but the fleet committed only "
-                            f"{len(log)} — it was mutated out-of-band; "
-                            f"restart it from the store"
-                        )
                     plan = coalesce_delay_log(list(log[have:]))
                     for body, represented in plan:
                         status, _, raw = await self._forward(
@@ -537,9 +661,10 @@ class FleetGateway(BaseAsyncHttpServer):
                             )
                         self.metrics.catch_up_batches_total += 1
                         self.metrics.catch_up_coalesced_total += represented
-                        st.generations[dataset] = (
-                            st.generations.get(dataset, 0) + represented
-                        )
+                        if not self._note_generation(
+                            st, dataset, json.loads(raw)["generation"]
+                        ):
+                            return
                 if self._workers.get(st.name) is not st:
                     return  # replaced while catching up; discard
                 st.state = "healthy"
@@ -620,6 +745,12 @@ class FleetGateway(BaseAsyncHttpServer):
         if status != 200:
             raise TransportError(f"metrics answered {status}")
         return json.loads(raw)
+
+
+def _retry_after(headers: dict) -> dict:
+    """A worker answer's ``Retry-After``, to pass through."""
+    value = headers.get("retry-after")
+    return {} if value is None else {"Retry-After": value}
 
 
 def _as_provider(

@@ -14,8 +14,8 @@ aggregated in the gateway snapshot's ``fleet`` section) and attribute
 the difference to failovers and rejections.  What is *new* here is
 the routing story: per-worker forward counts, failovers (a query
 re-sent to a peer after its first worker died mid-request),
-ejections/readmissions, delay-log catch-up replays, and the duration
-of the routing pause each coordinated swap holds.
+ejections/readmissions, delay-log catch-up replays, and the fleet's
+delay swaps.
 """
 
 from __future__ import annotations
@@ -55,20 +55,15 @@ class GatewayMetrics(HttpMetrics):
             "slack-free batches are merged into one post)",
         ),
         Metric(
-            "swaps_total", "fleet-coordinated swaps committed, per dataset"
+            "swaps_total", "fleet-wide delay swaps committed, per dataset"
         ),
         Metric(
             "incremental_swaps_total",
-            "coordinated swaps whose body said `replan: incremental`, per "
+            "fleet swaps whose body said `replan: incremental`, per "
             "dataset (the key selects nothing: every swap re-packs)",
         ),
         Metric(
             "last_swap_seconds", "duration of the latest swap, per dataset"
-        ),
-        Metric(
-            "last_swap_pause_seconds",
-            "how long the latest swap held the dataset's routing gate closed "
-            "(drain + fleet-wide commit), per dataset",
         ),
         Metric(
             "health_sweep_errors_total", "health sweeps that raised an error"
@@ -87,7 +82,6 @@ class GatewayMetrics(HttpMetrics):
         self.swaps_total: dict[str, int] = {}  # guarded-by: loop
         self.incremental_swaps_total: dict[str, int] = {}  # guarded-by: loop
         self.last_swap_seconds: dict[str, float] = {}  # guarded-by: loop
-        self.last_swap_pause_seconds: dict[str, float] = {}  # guarded-by: loop
         self.health_sweep_errors_total = 0  # guarded-by: loop
 
     # -- observation hooks ---------------------------------------------
@@ -106,16 +100,10 @@ class GatewayMetrics(HttpMetrics):
         )
 
     def observe_swap(
-        self,
-        dataset: str,
-        seconds: float,
-        pause_seconds: float,
-        *,
-        incremental: bool = False,
+        self, dataset: str, seconds: float, *, incremental: bool = False
     ) -> None:
         self.swaps_total[dataset] = self.swaps_total.get(dataset, 0) + 1
         self.last_swap_seconds[dataset] = seconds
-        self.last_swap_pause_seconds[dataset] = pause_seconds
         if incremental:
             self.incremental_swaps_total[dataset] = (
                 self.incremental_swaps_total.get(dataset, 0) + 1

@@ -36,7 +36,6 @@ from repro.server.registry import (
     DatasetEntry,
     DatasetRegistry,
     RegistryError,
-    SwapStateError,
 )
 
 __all__ = [
@@ -51,6 +50,5 @@ __all__ = [
     "ProtocolError",
     "RegistryError",
     "ServerMetrics",
-    "SwapStateError",
     "TransitServer",
 ]

@@ -6,9 +6,7 @@ Endpoints (all bodies JSON, see :mod:`repro.server.protocol` and
     GET  /healthz                     readiness + liveness + datasets
     GET  /metrics                     ServerMetrics snapshot
     GET  /v1/datasets                 per-dataset summaries
-    POST /v1/datasets/{name}/delays   hot delay swap (apply, or the
-                                      two-phase prepare/commit/abort
-                                      the fleet gateway drives)
+    POST /v1/datasets/{name}/delays   hot delay swap (apply)
     POST /v1/{name}/profile           one-to-all profile search
     POST /v1/{name}/journey           station-to-station query
     POST /v1/{name}/batch             batched workload
@@ -40,7 +38,9 @@ Design:
   ``/healthz`` and ``/metrics`` are always admitted.
 * **Hot swaps drain, never break** — a query pins its dataset's
   service reference at admission; the swap replaces the reference for
-  *later* requests only (:mod:`repro.server.registry`).
+  *later* requests only (:mod:`repro.server.registry`).  Every query
+  answer names the generation of the service it pinned in an
+  ``X-Generation`` header: the fleet gateway routes by it.
 * **Graceful shutdown distinguishes readiness from liveness** —
   :meth:`~BaseAsyncHttpServer.begin_drain` flips ``/healthz`` to
   ``"draining"`` while requests still succeed, so the fleet gateway
@@ -60,18 +60,14 @@ from repro.server.http_base import MAX_BODY_BYTES, BaseAsyncHttpServer, Request
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     PROTOCOL_VERSION,
-    DelayCommand,
     open_request,
     parse_body,
     parse_delay_request,
 )
-from repro.server.registry import DatasetRegistry, RegistryError, SwapStateError
+from repro.server.registry import DatasetRegistry, RegistryError
 from repro.service.shapes import (
-    ABORT_REPLY,
     APPLY_REPLY,
-    COMMIT_REPLY,
     DATASETS,
-    PREPARE_REPLY,
     Shape,
     error_payload as _error,
 )
@@ -125,8 +121,6 @@ class TransitServer(BaseAsyncHttpServer):
     def _failure(self, exc: Exception) -> tuple[int, dict, dict]:
         if isinstance(exc, RegistryError):
             return 404, _error("unknown_dataset", str(exc)), {}
-        if isinstance(exc, SwapStateError):
-            return 409, _error("swap_conflict", str(exc)), {}
         if isinstance(exc, WorkerLost):
             # A search worker died under this request, and only this
             # one: ask again.
@@ -166,15 +160,18 @@ class TransitServer(BaseAsyncHttpServer):
 
     async def _query(self, request: Request, name: str, shape: Shape) -> tuple:
         # Pin the service *before* any await: a hot swap mid-request
-        # must not change what this request runs against.
-        service = self.registry.get(name).service
+        # must not change what this request runs against.  Its
+        # generation is read with it, so the header names the
+        # generation that answers.
+        entry = self.registry.get(name)
+        service, generation = entry.service, entry.generation
         query, encode = open_request(
             shape, parse_body(request.body), service.prepared.counts.stations
         )
         answer = service.lookup(shape, query)
         if answer is None:
             answer = await _search(service, shape, query)
-        return 200, encode(answer)
+        return 200, encode(answer), {"X-Generation": str(generation)}
 
     async def _delays(self, request: Request, name: str) -> tuple:
         # Replans are CPU-heavy like any search: they obey the same
@@ -184,15 +181,6 @@ class TransitServer(BaseAsyncHttpServer):
         command = parse_delay_request(
             parse_body(request.body), entry.service.prepared.counts.trains
         )
-        if command.mode == "apply":
-            return 200, await self._swap_apply(name, command)
-        if command.mode == "prepare":
-            return 200, await self._swap_prepare(name, command)
-        if command.mode == "commit":
-            return 200, await self._swap_commit(name, command)
-        return 200, await self._swap_abort(name, command)
-
-    async def _swap_apply(self, name: str, command: DelayCommand) -> dict:
         entry = await self.registry.apply_delays(
             name,
             command.delays,
@@ -201,40 +189,13 @@ class TransitServer(BaseAsyncHttpServer):
             run=asyncio.to_thread,
         )
         self.metrics.observe_swap(name, entry.last_swap_seconds)
-        return APPLY_REPLY.write(
+        return 200, APPLY_REPLY.write(
             name,
             entry.generation,
             len(command.delays),
             command.slack_per_leg,
             entry.last_swap_seconds,
         )
-
-    async def _swap_prepare(self, name: str, command: DelayCommand) -> dict:
-        token, seconds = await self.registry.prepare_delays(
-            name,
-            command.delays,
-            slack_per_leg=command.slack_per_leg,
-            run=asyncio.to_thread,
-        )
-        return PREPARE_REPLY.write(
-            name,
-            token,
-            self.registry.get(name).generation,
-            len(command.delays),
-            command.slack_per_leg,
-            seconds,
-        )
-
-    async def _swap_commit(self, name: str, command: DelayCommand) -> dict:
-        entry = await self.registry.commit_prepared(name, command.token)
-        self.metrics.observe_swap(name, entry.last_swap_seconds)
-        return COMMIT_REPLY.write(
-            name, command.token, entry.generation, entry.last_swap_seconds
-        )
-
-    async def _swap_abort(self, name: str, command: DelayCommand) -> dict:
-        discarded = await self.registry.abort_prepared(name, command.token)
-        return ABORT_REPLY.write(name, command.token, discarded)
 
 
 async def _search(service, shape: Shape, query):

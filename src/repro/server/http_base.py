@@ -63,7 +63,6 @@ _STATUS_TEXT = {
     400: b"Bad Request",
     404: b"Not Found",
     405: b"Method Not Allowed",
-    409: b"Conflict",
     413: b"Payload Too Large",
     500: b"Internal Server Error",
     501: b"Not Implemented",

@@ -224,15 +224,12 @@ def _derive_parser(shape: Shape) -> Callable[[object, int], Any]:
 # Request parsing
 # ---------------------------------------------------------------------------
 
-#: Hot-swap phases on ``POST /v1/datasets/{name}/delays``.  ``apply``
-#: (the default, and the whole protocol before two-phase swaps)
-#: replans and swaps in one request.  ``prepare`` replans but keeps
-#: serving the old timetable, answering with a ``token``; ``commit``
-#: atomically swaps a prepared replan in; ``abort`` discards it.  The
-#: fleet gateway drives prepare-on-all → commit-on-all so no client
-#: ever observes a mixed old/new answer across workers
-#: (``docs/FLEET.md``).
-DELAY_MODES = ("apply", "prepare", "commit", "abort")
+#: The ``mode`` values of ``POST /v1/datasets/{name}/delays``: only
+#: ``apply`` (the default), which replans and swaps in one request.  A
+#: fleet applies a batch by posting it to every worker, and routes a
+#: dataset only to workers at its newest generation
+#: (``docs/FLEET.md``); no client sends anything but ``apply``.
+DELAY_MODES = ("apply",)
 
 #: The values protocol 2's ``replan`` key accepts.  It selects
 #: nothing: every swap re-packs the delayed timetable
@@ -334,11 +331,7 @@ def _parse_items(
 
 @dataclass(frozen=True, slots=True)
 class DelayCommand:
-    """One parsed ``/delays`` request: a swap phase plus its input.
-
-    ``apply``/``prepare`` carry the delay batch (``delays`` non-empty,
-    ``token`` ``None``); ``commit``/``abort`` carry only the ``token``
-    a prior ``prepare`` answered with (``delays`` empty).
+    """One parsed ``/delays`` request: the delay batch to apply.
 
     ``advance`` is how many logical delay batches this request
     represents — always 1 except for coalesced fleet catch-up posts
@@ -346,10 +339,8 @@ class DelayCommand:
     of committed batches and the worker's generation must advance by
     the whole run (``docs/FLEET.md``)."""
 
-    mode: str
     delays: tuple[Delay, ...]
     slack_per_leg: int
-    token: int | None
     advance: int = 1
 
 
@@ -365,11 +356,9 @@ def _choice(obj: dict, name: str, choices: tuple[str, ...]) -> str:
     return value
 
 
-def _delay_int(obj: dict, name: str, where: str, **override) -> int | None:
+def _delay_int(obj: dict, name: str, where: str) -> int | None:
     _, _, required, default, lo, hi = _DELAY[name]
-    return _int_field(
-        obj, name, where, override.get("required", required), default, lo, hi
-    )
+    return _int_field(obj, name, where, required, default, lo, hi)
 
 
 def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
@@ -381,33 +370,8 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
     obj = _require_object(body)
     _check_version(obj)
     _reject_unknown(obj, _names(DELAY_REQUEST) | {"v"}, where="delay request")
-    mode = _choice(obj, "mode", DELAY_MODES)
-    if mode in ("commit", "abort"):
-        for name in ("delays", "slack_per_leg", "replan", "generations"):
-            if name in obj:
-                raise ProtocolError(
-                    "invalid_request",
-                    f"a {mode} request must not carry {name!r} "
-                    f"(the prepared replan already holds them)",
-                    field=name,
-                )
-        token = _delay_int(obj, "token", f"{mode} request", required=True)
-        return DelayCommand(mode=mode, delays=(), slack_per_leg=0, token=token)
-    if "token" in obj:
-        raise ProtocolError(
-            "invalid_request",
-            f"an {mode} request must not carry 'token' "
-            f"(tokens are answered by prepare)",
-            field="token",
-        )
+    _choice(obj, "mode", DELAY_MODES)
     _choice(obj, "replan", DELAY_REPLAN_MODES)  # accepted, selects nothing
-    if mode == "prepare" and "generations" in obj:
-        raise ProtocolError(
-            "invalid_request",
-            "a prepare request must not carry 'generations' "
-            "(coalesced catch-up is apply-only)",
-            field="generations",
-        )
     advance = _delay_int(obj, "generations", "delay request")
     raw = obj.get("delays")
     if not isinstance(raw, list) or not raw:
@@ -426,13 +390,7 @@ def parse_delay_request(body: object, num_trains: int) -> DelayCommand:
         delays.append(
             Delay(*_parse_fields(sub, DELAY_ITEM, num_trains, where=where))
         )
-    return DelayCommand(
-        mode=mode,
-        delays=tuple(delays),
-        slack_per_leg=slack,
-        token=None,
-        advance=advance,
-    )
+    return DelayCommand(tuple(delays), slack, advance)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,6 @@ from repro.service.shapes import DATASET
 from repro.timetable.delays import Delay
 
 
-class SwapStateError(RuntimeError):
-    """A two-phase swap request that does not match the entry's state:
-    committing/aborting an unknown token, preparing over a pending
-    prepare, or committing a prepare whose base generation has moved
-    (an ``apply`` landed in between).  The server answers 409."""
-
-
 class RegistryError(KeyError):
     """An unknown dataset name (the server answers 404)."""
 
@@ -63,7 +56,9 @@ class DatasetEntry:
 
     ``service`` is replaced atomically by delay swaps; readers must
     take one local reference per request and use only that (the
-    generation they read stays internally consistent)."""
+    generation they read stays internally consistent).  ``generation``
+    counts the delay batches applied, and changes together with
+    ``service``."""
 
     __slots__ = (
         "name",
@@ -72,8 +67,6 @@ class DatasetEntry:
         "source",
         "last_swap_seconds",
         "_swap_lock",
-        "_prepared",
-        "_next_token",
     )
 
     def __init__(
@@ -85,10 +78,6 @@ class DatasetEntry:
         self.source = source
         self.last_swap_seconds = 0.0
         self._swap_lock = asyncio.Lock()
-        #: Pending two-phase swap: ``(token, replanned service, base
-        #: generation, replan seconds)`` — at most one at a time.
-        self._prepared: tuple[int, TransitService, int, float] | None = None  # guarded-by: _swap_lock
-        self._next_token = 0  # guarded-by: _swap_lock
 
     def describe(self) -> dict:
         """The ``/v1/datasets`` entry (:data:`~repro.service.shapes.
@@ -215,98 +204,9 @@ class DatasetRegistry:
             new = await run(build) if run is not None else build()
             entry.last_swap_seconds = time.perf_counter() - t0
             # The atomic swap: requests admitted from here on resolve
-            # entry.service to the replanned instance.
+            # entry.service to the replanned instance.  The generation
+            # moves with it, no await between: a reader that takes both
+            # with no await between has its service's generation.
             entry.service = new
             entry.generation += advance
-            # Any pending prepared swap replanned the pre-apply
-            # generation and could never commit (the stale-generation
-            # check would reject it) — discard it now so the dataset
-            # does not stay blocked for future prepares.  This is what
-            # lets the gateway's catch-up replay (plain applies) heal
-            # a worker that was ejected mid-two-phase.
-            entry._prepared = None
         return entry
-
-    # -- two-phase swaps ------------------------------------------------
-
-    async def prepare_delays(
-        self,
-        name: str,
-        delays: Sequence[Delay],
-        *,
-        slack_per_leg: int = 0,
-        run: Callable[[Callable[[], TransitService]], Awaitable[TransitService]]
-        | None = None,
-    ) -> tuple[int, float]:
-        """Phase one of a coordinated swap: replan ``name`` under
-        ``delays`` but **keep serving the old timetable**.  Returns
-        ``(token, replan_seconds)``; the replanned service is held
-        aside until :meth:`commit_prepared` swaps it in atomically (or
-        :meth:`abort_prepared` discards it).
-
-        At most one prepare may be pending per dataset — a second one
-        raises :class:`SwapStateError` (commit or abort first).  The
-        fleet gateway serializes swaps per dataset, so this only
-        triggers on out-of-band operator access.
-        """
-        entry = self.get(name)
-        async with entry._swap_lock:
-            if entry._prepared is not None:
-                raise SwapStateError(
-                    f"dataset {name!r} already has a prepared swap "
-                    f"(token {entry._prepared[0]}); commit or abort it first"
-                )
-            old = entry.service
-            build = lambda: old.apply_delays(  # noqa: E731
-                delays, slack_per_leg=slack_per_leg
-            )
-            t0 = time.perf_counter()
-            new = await run(build) if run is not None else build()
-            seconds = time.perf_counter() - t0
-            entry._next_token += 1
-            token = entry._next_token
-            entry._prepared = (token, new, entry.generation, seconds)
-        return token, seconds
-
-    async def commit_prepared(self, name: str, token: int) -> DatasetEntry:
-        """Phase two: atomically swap the prepared replan in.  The
-        swap itself is one reference assignment (microseconds — the
-        expensive replan already happened in :meth:`prepare_delays`),
-        which is what lets the gateway commit a whole fleet inside one
-        brief routing pause.  Raises :class:`SwapStateError` on an
-        unknown token or when the base generation moved (an ``apply``
-        landed between prepare and commit — the prepared replan would
-        silently drop it)."""
-        entry = self.get(name)
-        async with entry._swap_lock:
-            pending = entry._prepared
-            if pending is None or pending[0] != token:
-                held = "none" if pending is None else f"token {pending[0]}"
-                raise SwapStateError(
-                    f"dataset {name!r} has no prepared swap with token "
-                    f"{token} (pending: {held})"
-                )
-            _, new, base_generation, seconds = pending
-            if base_generation != entry.generation:
-                entry._prepared = None
-                raise SwapStateError(
-                    f"prepared swap for {name!r} is stale: it replanned "
-                    f"generation {base_generation} but the dataset is at "
-                    f"{entry.generation}; re-prepare"
-                )
-            entry.service = new
-            entry.generation += 1
-            entry.last_swap_seconds = seconds
-            entry._prepared = None
-        return entry
-
-    async def abort_prepared(self, name: str, token: int) -> bool:
-        """Discard a prepared replan.  Idempotent: aborting an already
-        gone token is ``False``, not an error — the gateway aborts
-        broadly when any worker's prepare failed."""
-        entry = self.get(name)
-        async with entry._swap_lock:
-            if entry._prepared is not None and entry._prepared[0] == token:
-                entry._prepared = None
-                return True
-            return False

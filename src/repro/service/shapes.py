@@ -184,8 +184,8 @@ DATASET = Payload(
 #: The ``GET /v1/datasets`` document.
 DATASETS = Payload("datasets", "datasets:datasets")
 
-#: The replies of ``POST /v1/datasets/{name}/delays``, one per mode
-#: (``DELAY_MODES`` in :mod:`repro.server.protocol`).
+#: The reply of ``POST /v1/datasets/{name}/delays`` (its one mode,
+#: ``DELAY_MODES`` in :mod:`repro.server.protocol`).
 APPLY_REPLY = Payload(
     "apply",
     "dataset mode:const generation num_delays slack_per_leg"
@@ -193,27 +193,12 @@ APPLY_REPLY = Payload(
     decoded="DelayUpdate",
     mode="apply",
 )
-PREPARE_REPLY = Payload(
-    "prepare",
-    "dataset mode:const token base_generation num_delays slack_per_leg"
-    " replan_seconds:seconds",
-    mode="prepare",
-)
-COMMIT_REPLY = Payload(
-    "commit",
-    "dataset mode:const token generation swap_seconds:seconds",
-    mode="commit",
-)
-ABORT_REPLY = Payload(
-    "abort", "dataset mode:const token discarded", mode="abort"
-)
 #: The fleet gateway's ``apply`` reply: a worker's, plus how the swap
 #: went across the fleet (:data:`FLEET_SWAP`).
 FLEET_APPLY_REPLY = Payload("apply", f"{APPLY_REPLY.spec} fleet", mode="apply")
 FLEET_SWAP = Payload(
     "fleet",
-    "workers_committed workers_failed replan_seconds:seconds"
-    " pause_seconds:seconds total_seconds:seconds",
+    "workers_committed workers_failed total_seconds:seconds",
     versioned=False,
 )
 
@@ -279,13 +264,13 @@ DELAY_ITEM = (
     RequestField("minutes", "int", required=True, lo=0),
     RequestField("from_stop", "int", default=0, lo=0),
 )
-#: The ``/delays`` request; which fields a mode may carry is the
-#: parser's business (:func:`repro.server.protocol.parse_delay_request`).
+#: The ``/delays`` request (:func:`repro.server.protocol.
+#: parse_delay_request`).  ``generations`` is for a fleet's catch-up
+#: posts: the gateway refuses it from a client.
 DELAY_REQUEST = (
     RequestField("delays", "items"),
     RequestField("slack_per_leg", "int", default=0, lo=0),
     RequestField("mode", "choice", default="apply"),
-    RequestField("token", "int", lo=0),
     RequestField("replan", "choice", default="full"),
     RequestField("generations", "int", default=1, lo=1),
 )
@@ -423,8 +408,7 @@ ANSWERS = {
 #: Every declared response payload, answers first.
 PAYLOADS = (
     *ANSWERS.values(), QUERY_STATS, BATCH_STATS, LEG, DATASET, DATASETS,
-    APPLY_REPLY, PREPARE_REPLY, COMMIT_REPLY, ABORT_REPLY,
-    FLEET_APPLY_REPLY, FLEET_SWAP,
+    APPLY_REPLY, FLEET_APPLY_REPLY, FLEET_SWAP,
 )
 
 

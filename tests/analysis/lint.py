@@ -36,8 +36,8 @@ declares its guard::
 
 Every other access ``recv._entries`` in the same module must then sit
 inside ``with recv._lock:`` (or ``async with``); the receiver must
-match, so ``entry._prepared`` needs ``entry._swap_lock`` held, not any
-``_swap_lock``.  The declaring function (usually ``__init__``) is
+match, so ``gateway._delay_log`` needs ``gateway._swap_lock`` held, not
+any ``_swap_lock``.  The declaring function (usually ``__init__``) is
 exempt: construction happens before the object is shared.
 ``# guarded-by: loop`` declares event-loop confinement instead of a
 mutex: straight-line access is fine anywhere, and the violation is

@@ -68,9 +68,8 @@ def test_guard_annotations_are_pinned_per_file():
             counts[path] = n
     assert counts == {
         "src/repro/service/cache.py": 3,
-        "src/repro/server/registry.py": 2,
         "src/repro/server/metrics.py": 12,
-        "src/repro/fleet/metrics.py": 12,
+        "src/repro/fleet/metrics.py": 11,
         "src/repro/fleet/supervisor.py": 1,
         "src/repro/fleet/gateway.py": 1,
         "src/repro/streams/metrics.py": 10,

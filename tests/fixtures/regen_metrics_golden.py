@@ -12,7 +12,7 @@ document order, and the JSON type of each value (values masked) of
   sent as a retry (``X-Retry-Attempt: 1``) and one delay swap;
 * ``gateway`` / ``fleet`` — the ``gateway`` section and the ``fleet``
   aggregate of a ``FleetGateway``'s ``/metrics``, in front of one such
-  server, after one query, one retried query and one coordinated swap;
+  server, after one query, one retried query and one fleet swap;
 * ``replay`` — ``ReplayMetrics.snapshot`` after one query, one failed
   query, one delay post and one failed post.
 

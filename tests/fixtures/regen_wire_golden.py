@@ -12,14 +12,14 @@ what crosses the wire between the SDK and a live ``TransitServer`` over
   server's answer to it (``profile`` with and without ``targets``, a
   mixed ``batch``);
 * the ``/v1/datasets`` document;
-* the delay request and the ``apply`` / ``prepare`` / ``commit`` /
-  ``abort`` replies;
+* the delay request and its ``apply`` reply, and the dataset and a
+  journey at generation 2;
 * one error of each status the server answers with (400, 404, 405,
-  409, 413, 500, 501, 503).
+  413, 500, 501, 503).
 
 Each exchange is one raw-socket request; the response body is recorded
 byte for byte, except that the wall-clock fields (``total_seconds``,
-``simulated_seconds``, ``swap_seconds``, ``replan_seconds``) read
+``simulated_seconds``, ``swap_seconds``) read
 ``"*"``.  ``tests/server/test_wire_golden.py`` replays the same
 exchanges and compares.  Regenerate only when a change is *meant* to
 alter the wire bytes — that is a protocol change, and says so.
@@ -69,7 +69,7 @@ CONFIG = ServiceConfig(
     num_threads=2, use_distance_table=True, transfer_fraction=0.25
 )
 _WALL_CLOCK = re.compile(
-    r'("(?:total|simulated|swap|replan)_seconds": )-?[0-9][0-9.e+-]*'
+    r'("(?:total|simulated|swap)_seconds": )-?[0-9][0-9.e+-]*'
 )
 
 #: ``(name, shape, typed request, wire-only fields)`` of every recorded
@@ -182,14 +182,9 @@ def _queries_and_swaps(timetable) -> dict:
         path = "/v1/datasets/oahu/delays"
         apply = wire.delays_body(DELAYS, slack_per_leg=1, replan="incremental")
         record["delays_apply"] = _entry(apply, *_post(port, path, apply))
-        prepare = {**wire.delays_body(DELAYS[:1]), "mode": "prepare"}
-        status, text = _post(port, path, prepare)
-        record["delays_prepare"] = _entry(prepare, status, text)
-        commit = {"mode": "commit", "token": json.loads(text)["token"]}
-        record["delays_commit"] = _entry(commit, *_post(port, path, commit))
-        status, text = _post(port, path, prepare)
-        abort = {"mode": "abort", "token": json.loads(text)["token"]}
-        record["delays_abort"] = _entry(abort, *_post(port, path, abort))
+        status, text = _post(port, path, wire.delays_body(DELAYS[:1]))
+        if status != 200:
+            raise RuntimeError(f"the second apply answered {status}: {text}")
         record["datasets_after_swaps"] = _entry(
             None, *exchange(port, "GET", "/v1/datasets")
         )
@@ -206,7 +201,6 @@ def _queries_and_swaps(timetable) -> dict:
              {"delays": [{"train": 3, "minutes": 1, "from_stop": 999}]}),
             ("error_404_dataset", "/v1/nowhere/journey",
              {"source": 0, "target": 1}),
-            ("error_409_swap_conflict", path, {"mode": "commit", "token": 99}),
         )
         for name, where, body in errors:
             record[name] = _entry(body, *_post(port, where, body))

@@ -138,14 +138,16 @@ class TestProtocolParity:
         )
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
-        # Two-phase modes are the gateway's own protocol with its
-        # workers; clients must send plain applies.
+        # A mode other than apply gets the workers' own 400.
         status, payload = fleet.request(
             "POST", "/v1/datasets/oahu/delays",
             {"mode": "commit", "token": 1},
         )
         assert status == 400
-        assert "coordinates" in payload["error"]["message"]
+        assert payload == json.loads(http_json(
+            fleet.worker_ports()["w0"], "POST", "/v1/datasets/oahu/delays",
+            {"mode": "commit", "token": 1},
+        )[1])
 
     def test_sdk_answers_match_local_backend(self, fleet, twin_service):
         """The client SDK over the gateway behaves exactly like an

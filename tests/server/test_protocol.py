@@ -4,7 +4,6 @@ encoding out — no server, no sockets."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -195,49 +194,21 @@ class TestParseDelays:
             Delay(train=4, minutes=5, from_stop=1),
         )
         assert command.slack_per_leg == 2
-        assert command.mode == "apply" and command.token is None
+        assert command.advance == 1
 
-    def test_two_phase_modes(self):
-        prepare = parse_delay_request(
-            {"mode": "prepare", "delays": [{"train": 0, "minutes": 3}]},
-            TRAINS,
-        )
-        assert prepare.mode == "prepare" and prepare.token is None
-        commit = parse_delay_request({"mode": "commit", "token": 7}, TRAINS)
-        assert commit.mode == "commit" and commit.token == 7
-        assert commit.delays == ()
-        abort = parse_delay_request({"mode": "abort", "token": 7}, TRAINS)
-        assert abort.mode == "abort" and abort.token == 7
-
-    def test_two_phase_rejections(self):
-        # An unknown phase name.
-        assert (
-            err(parse_delay_request, {"mode": "merge", "token": 1}, TRAINS).code
-            == "invalid_request"
-        )
-        # commit/abort must not re-send the batch...
-        assert (
-            err(
-                parse_delay_request,
-                {"mode": "commit", "token": 1,
-                 "delays": [{"train": 0, "minutes": 1}]},
-                TRAINS,
-            ).code
-            == "invalid_request"
-        )
-        # ...and need their token.
-        assert (
-            err(parse_delay_request, {"mode": "commit"}, TRAINS).code
-            == "missing_field"
-        )
-        # apply/prepare carry delays, never a token.
-        assert (
-            err(
-                parse_delay_request,
-                {"delays": [{"train": 0, "minutes": 1}], "token": 3},
-                TRAINS,
-            ).code
-            == "invalid_request"
+    def test_only_apply_is_a_mode(self):
+        """``prepare``, ``commit`` and ``abort`` are no modes and
+        ``token`` is no field: each is refused as any unknown value or
+        field is."""
+        batch = {"delays": [{"train": 0, "minutes": 1}]}
+        for mode in ("prepare", "commit", "abort"):
+            refused = err(parse_delay_request, {**batch, "mode": mode}, TRAINS)
+            assert (refused.code, refused.field, refused.status) == (
+                "invalid_request", "mode", 400,
+            )
+        refused = err(parse_delay_request, {**batch, "token": 3}, TRAINS)
+        assert (refused.code, refused.field, refused.status) == (
+            "unknown_field", "token", 400,
         )
 
     def test_replan_is_checked_and_selects_nothing(self):
@@ -251,16 +222,15 @@ class TestParseDelays:
         assert (refused.code, refused.field) == ("invalid_request", "replan")
         plain = parse_delay_request({"delays": [{"train": 0, "minutes": 1}]}, TRAINS)
         for replan in ("full", "incremental"):
-            for mode in ("apply", "prepare"):
-                command = parse_delay_request(
-                    {
-                        "mode": mode,
-                        "delays": [{"train": 0, "minutes": 1}],
-                        "replan": replan,
-                    },
-                    TRAINS,
-                )
-                assert command == replace(plain, mode=mode)
+            command = parse_delay_request(
+                {
+                    "mode": "apply",
+                    "delays": [{"train": 0, "minutes": 1}],
+                    "replan": replan,
+                },
+                TRAINS,
+            )
+            assert command == plain
 
     def test_rejections(self):
         assert (

@@ -308,25 +308,6 @@ class TestRetirement:
                 gated.release()
             harness.close()
 
-    def test_an_aborted_prepare_takes_its_workers_with_it(self, harness):
-        entry = harness.server.registry.get("oahu")
-        token = harness.request(
-            "POST", "/v1/datasets/oahu/delays", {**DELAYS, "mode": "prepare"}
-        )[1]["token"]
-        parked = worker_pids(entry._prepared[1])
-        serving = worker_pids(entry.service)
-        assert parked and all(map(child_alive, parked + serving))
-        assert harness.request(
-            "POST",
-            "/v1/datasets/oahu/delays",
-            {"mode": "abort", "token": token},
-        )[1]["discarded"]
-        wait_until(
-            lambda: not any(map(child_alive, parked)),
-            what="the discarded generation's workers to exit",
-        )
-        assert all(map(child_alive, serving))
-
 
 class TestWorkerLoss:
     @pytest.mark.parametrize(

@@ -25,12 +25,27 @@ import time
 import pytest
 
 from repro.server import DatasetRegistry
+from repro.client import wire
 from repro.server.protocol import (
     encode_batch,
     encode_journey,
     encode_profile,
+    open_request,
 )
 from repro.service import BatchRequest, JourneyRequest, ProfileRequest
+from repro.service.model import (
+    MinTransfersRequest,
+    MulticriteriaRequest,
+    ViaRequest,
+)
+from repro.service.shapes import (
+    BATCH,
+    JOURNEY,
+    MIN_TRANSFERS,
+    MULTICRITERIA,
+    PROFILE,
+    VIA,
+)
 from repro.timetable.delays import Delay
 
 from tests.helpers import scrubbed_payload
@@ -38,6 +53,21 @@ from tests.server.harness import GatedService, ServerHarness, wait_until
 
 
 NUM_STATIONS = 12  # oahu tiny
+#: One request of each served shape, all riding 2 → 5 (train 0's
+#: route, which :attr:`TestHotSwap.DELAYS` delays).
+SHAPE_QUERIES = (
+    (JOURNEY, JourneyRequest(2, 5)),
+    (PROFILE, ProfileRequest(2)),
+    (
+        BATCH,
+        BatchRequest(
+            journeys=(JourneyRequest(2, 5),), profiles=(ProfileRequest(2),)
+        ),
+    ),
+    (MULTICRITERIA, MulticriteriaRequest(2, 5, 480)),
+    (VIA, ViaRequest(2, 4, 5, 420)),
+    (MIN_TRANSFERS, MinTransfersRequest(2, 5, 480, 3)),
+)
 
 
 async def _call_soon(fn):
@@ -331,106 +361,68 @@ class TestHotSwap:
         metrics = harness.request("GET", "/metrics")[1]
         assert metrics["swaps_total"] == {"oahu": 1}
 
-    def test_two_phase_prepare_then_commit(self, harness, make_service):
-        """The fleet gateway's worker-facing protocol: ``prepare``
-        replans off to the side (answers unchanged), ``commit`` makes
-        the pointer swap, and a prepare invalidated by an interleaved
-        apply is refused with 409 instead of committing a stale plan."""
-        before = harness.request(
-            "POST", "/v1/oahu/journey", {"source": 2, "target": 5}
-        )[1]
-
-        status, prep = harness.request(
-            "POST",
-            "/v1/datasets/oahu/delays",
-            {**self.DELAYS, "mode": "prepare"},
+    @pytest.mark.parametrize(
+        "shape, query",
+        SHAPE_QUERIES,
+        ids=[shape.name for shape, _ in SHAPE_QUERIES],
+    )
+    def test_answers_name_the_generation_that_computed_them(
+        self, harness, make_service, shape, query
+    ):
+        """Every shape's answer carries ``X-Generation`` (the fleet
+        gateway routes by it): the generation of the service the
+        request pinned, for a search and for a cached answer alike."""
+        path = f"/v1/oahu/{shape.route}"
+        body = wire.render(shape, query)
+        for _ in range(2):  # a search, then the result cache
+            status, headers, _ = harness.request_full("POST", path, body)
+            assert status == 200 and headers["x-generation"] == "0"
+        status, swap = harness.request(
+            "POST", "/v1/datasets/oahu/delays", self.DELAYS
         )
-        assert status == 200 and prep["mode"] == "prepare"
-        assert prep["base_generation"] == 0
-        assert prep["replan_seconds"] > 0
-        token = prep["token"]
-
-        # The expensive replan already happened, yet nothing changed
-        # for clients: same answers, same generation.
-        mid = harness.request(
-            "POST", "/v1/oahu/journey", {"source": 2, "target": 5}
-        )[1]
-        assert mid["profile"] == before["profile"]
-        listed = harness.request("GET", "/v1/datasets")[1]["datasets"]
-        assert listed[0]["generation"] == 0
-
-        status, commit = harness.request(
-            "POST",
-            "/v1/datasets/oahu/delays",
-            {"mode": "commit", "token": token},
-        )
-        assert status == 200 and commit["generation"] == 1
-        # Commit swaps a pointer and books the prepare's replan time
-        # as the swap cost (the work happened there, off to the side).
-        assert commit["swap_seconds"] == prep["replan_seconds"]
-
-        after = harness.request(
-            "POST", "/v1/oahu/journey", {"source": 2, "target": 5}
-        )[1]
+        assert status == 200 and swap["generation"] == 1
+        status, headers, payload = harness.request_full("POST", path, body)
+        assert status == 200 and headers["x-generation"] == "1"
         cold = make_service().apply_delays([Delay(train=0, minutes=45)])
-        assert scrubbed_payload(after) == scrubbed_payload(encode_journey(cold.journey(2, 5)))
+        typed, encode = open_request(shape, body, NUM_STATIONS)
+        expected = encode(getattr(cold, shape.name)(typed))
+        assert scrubbed_payload(payload) == scrubbed_payload(expected)
+        # A refused query was answered by no generation.
+        status, headers, _ = harness.request_full(
+            "POST", path, {**body, "source": NUM_STATIONS}
+        )
+        assert status == 400 and "x-generation" not in headers
 
-        # A consumed token cannot commit twice.
+    @pytest.mark.parametrize("mode", ["prepare", "commit", "abort"])
+    def test_a_two_phase_mode_is_refused_and_swaps_nothing(
+        self, harness, mode
+    ):
+        """A delay swap is one ``apply``: the former two-phase modes
+        are refused as any unknown mode is, and leave the dataset at
+        its generation, result cache and all."""
+        before = harness.request_full(
+            "POST", "/v1/oahu/journey", {"source": 2, "target": 5}
+        )
         status, payload = harness.request(
             "POST",
             "/v1/datasets/oahu/delays",
-            {"mode": "commit", "token": token},
+            {**self.DELAYS, "mode": mode},
         )
-        assert status == 409
-        assert payload["error"]["code"] == "swap_conflict"
-
-    def test_prepare_invalidated_by_interleaved_apply(self, harness):
-        status, prep = harness.request(
-            "POST",
-            "/v1/datasets/oahu/delays",
-            {**self.DELAYS, "mode": "prepare"},
+        assert status == 400
+        assert (payload["error"]["code"], payload["error"]["field"]) == (
+            "invalid_request", "mode",
         )
-        assert status == 200
-        # An apply lands between prepare and commit: the prepared plan
-        # was computed against generation 0 and must not commit.
-        status, _ = harness.request(
-            "POST",
-            "/v1/datasets/oahu/delays",
-            {"delays": [{"train": 1, "minutes": 5}]},
-        )
-        assert status == 200
-        status, payload = harness.request(
-            "POST",
-            "/v1/datasets/oahu/delays",
-            {"mode": "commit", "token": prep["token"]},
-        )
-        assert status == 409
-        assert payload["error"]["code"] == "swap_conflict"
-        listed = harness.request("GET", "/v1/datasets")[1]["datasets"]
-        assert listed[0]["generation"] == 1  # only the apply landed
-
-    def test_abort_discards_prepared_swap(self, harness):
-        status, prep = harness.request(
-            "POST",
-            "/v1/datasets/oahu/delays",
-            {**self.DELAYS, "mode": "prepare"},
-        )
-        assert status == 200
-        status, aborted = harness.request(
-            "POST",
-            "/v1/datasets/oahu/delays",
-            {"mode": "abort", "token": prep["token"]},
-        )
-        assert status == 200 and aborted["discarded"] is True
-        # Nothing swapped; the token is dead.
         listed = harness.request("GET", "/v1/datasets")[1]["datasets"]
         assert listed[0]["generation"] == 0
-        status, payload = harness.request(
-            "POST",
-            "/v1/datasets/oahu/delays",
-            {"mode": "commit", "token": prep["token"]},
+        after = harness.request_full(
+            "POST", "/v1/oahu/journey", {"source": 2, "target": 5}
         )
-        assert status == 409
+        assert after[1]["x-generation"] == "0"
+        # The same generation answers, from the result cache it kept.
+        assert after[2].pop("stats")["cache_hit"] is True
+        before[2].pop("stats")
+        assert after[2] == before[2]
+        assert harness.request("GET", "/metrics")[1]["swaps_total"] == {}
 
     def test_swap_validation_errors_are_client_errors(self, harness):
         status, payload = harness.request(

@@ -253,7 +253,7 @@ def encoded_samples(twin_services):
     dataset = shapes.DATASET.fill(
         {"name": "oahu", "source": "memory", "generation": 0, **direct.describe()}
     )
-    fleet = shapes.FLEET_SWAP.write(["w0"], [], 0.25, 0.001, 0.3)
+    fleet = shapes.FLEET_SWAP.write(["w0"], [], 0.3)
     samples.update(
         {
             id(shapes.QUERY_STATS): shapes.QUERY_STATS.encode(journey.stats),
@@ -262,11 +262,6 @@ def encoded_samples(twin_services):
             id(shapes.DATASET): dataset,
             id(shapes.DATASETS): shapes.DATASETS.write([dataset]),
             id(shapes.APPLY_REPLY): shapes.APPLY_REPLY.write("oahu", 1, 2, 0, 0.5),
-            id(shapes.PREPARE_REPLY): shapes.PREPARE_REPLY.write(
-                "oahu", 3, 1, 2, 0, 0.5
-            ),
-            id(shapes.COMMIT_REPLY): shapes.COMMIT_REPLY.write("oahu", 3, 2, 0.1),
-            id(shapes.ABORT_REPLY): shapes.ABORT_REPLY.write("oahu", 3, True),
             id(shapes.FLEET_SWAP): fleet,
             id(shapes.FLEET_APPLY_REPLY): shapes.FLEET_APPLY_REPLY.write(
                 "oahu", 1, 2, 0, 0.5, fleet

@@ -1,8 +1,8 @@
 """The wire bytes, pinned: every payload the server writes, as text.
 
 ``tests/fixtures/wire_golden.json`` holds the exact JSON text of every
-shape's rendered request and its answer, ``/v1/datasets``, the four
-``/delays`` replies and one error per status, recorded from a live
+shape's rendered request and its answer, ``/v1/datasets``, the
+``/delays`` reply and one error per status, recorded from a live
 server (``tests/fixtures/regen_wire_golden.py``, wall-clock fields
 masked).  A refactor of the codecs must reproduce it byte for byte.
 """

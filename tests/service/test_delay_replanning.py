@@ -292,15 +292,6 @@ def _http_apply(harness, first, second):
         _post(harness, {"delays": _wire(delays), "replan": "full"})
 
 
-def _http_prepare_commit(harness, first, second):
-    for delays in (first, second):
-        prepared = _post(
-            harness,
-            {"mode": "prepare", "delays": _wire(delays), "replan": "full"},
-        )
-        _post(harness, {"mode": "commit", "token": prepared["token"]})
-
-
 def _catch_up(harness, first, second):
     """What a gateway posts to a rejoining worker: the two logged
     batches coalesced into one apply standing for both."""
@@ -318,7 +309,6 @@ SWAP_REQUESTS = {
     "apply_delays-mode-full": _swap_naming_full,
     "LocalBackend": _swap_through_local_backend,
     "http-apply-replan-full": _served(_http_apply),
-    "http-prepare-commit-replan-full": _served(_http_prepare_commit),
     "fleet-catch-up": _served(_catch_up),
 }
 

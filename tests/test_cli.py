@@ -671,6 +671,34 @@ class TestShapeCommands:
 
 
 class TestServeParser:
+    def test_serve_prints_the_pool_it_forks(self, monkeypatch):
+        """``--workers`` above the usable cores forks one search worker
+        per core, and the banner says so."""
+        from repro.cli import serve as serve_cli
+        from repro.core.fanout import usable_cores
+        from repro.server import DatasetRegistry
+
+        started = {}
+        monkeypatch.setattr(
+            serve_cli.DatasetRegistry,
+            "from_stores",
+            lambda stores: DatasetRegistry(),
+        )
+        monkeypatch.setattr(
+            serve_cli,
+            "_serve_until_signal",
+            lambda make_server, port_file, *, banner, **_: started.update(
+                server=make_server(), banner=banner
+            ),
+        )
+        requested = usable_cores() + 1
+        assert main([
+            "serve", "--store", "unread", "--port", "0",
+            "--workers", str(requested),
+        ]) == 0
+        banner = started["banner"](started["server"])
+        assert f"(workers={usable_cores()}, " in banner
+
     def test_serve_flags_parse(self):
         from repro.cli import build_parser
 
