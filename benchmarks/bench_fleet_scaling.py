@@ -37,10 +37,10 @@ INSTANCE = "oahu"
 #: Closed-loop clients (each holds one keep-alive connection).
 CLIENTS = 8
 #: Requests per client per arm and round.
-REQUESTS_PER_CLIENT = {"tiny": 15, "small": 25, "medium": 40}
+REQUESTS_PER_CLIENT = {"tiny": 15, "small": 100, "medium": 40}
 #: Seeded pairs every arm must answer like the in-process service.
 CHECKED_PAIRS = 16
-ROUNDS = 3
+ROUNDS = 5
 #: Search processes on the box in every arm.
 SEARCH_WORKERS = 2
 #: Per arm: serves, and search workers per serve.
@@ -138,7 +138,7 @@ def test_fleet_against_pooled_serve(
                 [store],
                 serves,
                 runtime_dir=tmp_path_factory.mktemp(f"fleet-{arm}"),
-                supervisor_kwargs={"worker_threads": search_workers},
+                supervisor_kwargs={"search_workers": search_workers},
                 gateway_kwargs={"max_inflight": CLIENTS * 4},
             )
             fleets.callback(harness.close)

@@ -26,6 +26,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -82,7 +83,9 @@ def serving(command: str, tmp: Path, *argv: str):
     """A background ``serve`` / ``serve-fleet`` on an ephemeral port:
     yields its URL and process id once the port file appears; on exit
     sends SIGTERM, asserts a clean drain (exit 0) that leaves no
-    descendant of the server alive, and prints the server's log."""
+    descendant of the server alive, and prints the server's log.  After
+    a failure it sends SIGTERM too, and SIGKILL only if the server does
+    not drain: a killed serve-fleet would orphan its workers."""
     port_file = tmp / f"{command}.port"
     log = open(tmp / f"{command}.log", "w+")
     proc = subprocess.Popen(
@@ -113,8 +116,12 @@ def serving(command: str, tmp: Path, *argv: str):
         assert not orphans, f"{command} left {orphans} of {descendants} behind"
     finally:
         if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+            proc.terminate()
+            try:
+                proc.wait(timeout=60)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
         log.close()
 
 
@@ -296,19 +303,50 @@ def global_queries(tmp: Path) -> None:
 
 def serve_fleet(tmp: Path) -> None:
     """serve-fleet at the CLI boundary: the gateway publishes its
-    ephemeral port via --port-file, answers SDK queries, and SIGTERM
-    drains the whole process tree to exit 0."""
+    ephemeral port via --port-file, answers 32 concurrent SDK journeys
+    on its event loop — the process runs the loop and the supervisor's
+    monitor, besides the BLAS pool importing numpy starts (a ``serve``
+    loses that pool when it forks its search workers; this process
+    never forks) — and SIGTERM drains the whole process tree to exit
+    0."""
     from repro.client import connect
 
     store = str(tmp / "oahu")
     cli("prepare", *OAHU, "--store", store, "--transfer-fraction", "0.25")
+    blas = int(
+        subprocess.run(
+            [
+                sys.executable, "-c",
+                "import os, numpy; print(len(os.listdir('/proc/self/task')) - 1)",
+            ],
+            env=ENV, capture_output=True, text=True, check=True,
+        ).stdout
+    )
     with serving(
         "serve-fleet", tmp, "--store", store, "--workers", "2"
-    ) as (url, _):
-        with connect(url) as backend:
-            answer = backend.journey(2, 5)
-        assert answer.profile, "no connections through the gateway"
-        print(f"gateway at {url} answered a journey")
+    ) as (url, pid):
+        started = _threads(pid)
+
+        def journey(i: int) -> None:
+            with connect(url) as backend:
+                answers[i] = backend.journey(i % 12, (i + 5) % 12)
+
+        answers: list = [None] * 32
+        clients = [
+            threading.Thread(target=journey, args=(i,)) for i in range(32)
+        ]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=60)
+        assert all(answers), "a journey through the gateway failed"
+        threads = _threads(pid)
+        assert threads == started, f"{started} threads became {threads}"
+        assert threads <= 2 + blas, f"serve-fleet runs {threads} threads"
+        print(
+            f"gateway at {url} answered 32 concurrent journeys; the "
+            f"process runs {threads} threads, {blas} of them numpy's BLAS pool"
+        )
 
 
 def swap_seeds(tmp: Path) -> None:

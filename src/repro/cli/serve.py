@@ -132,7 +132,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         args.workers,
         host=args.host,
         runtime_dir=args.runtime_dir,
-        worker_threads=args.worker_threads,
+        search_workers=args.search_workers,
         max_inflight=args.worker_max_inflight,
         drain_grace=args.worker_drain_grace_ms / 1000.0,
     )
@@ -263,10 +263,11 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
         help="`serve` worker processes to spawn (default: 2)",
     )
     p_fleet.add_argument(
-        "--worker-threads",
+        "--search-workers",
         type=positive_int,
         default=4,
-        help="each worker's `serve --workers` (default: 4)",
+        help="search processes per worker: each worker's `serve "
+        "--workers` (default: 4)",
     )
     p_fleet.add_argument(
         "--worker-max-inflight",

@@ -35,7 +35,6 @@ to :class:`LocalBackend` over the same prepared dataset
 from __future__ import annotations
 
 import json
-import re
 import socket
 import ssl
 import time
@@ -53,6 +52,7 @@ from repro.client.errors import (
     error_from_payload,
 )
 from repro.client.results import DatasetInfo, DelayUpdate, decode
+from repro.server.http_base import request_bytes
 from repro.service.shapes import (
     APPLY_REPLY,
     DATASETS,
@@ -100,13 +100,10 @@ class HttpBackendStats:
 #: within this many bytes is refused.  Also the size of one ``recv``,
 #: so the receive buffer never holds more than twice this.
 MAX_HEAD_BYTES = 64 * 1024
-#: A request target is printable ASCII without a space, or not sent.
-_UNSAFE_IN_PATH = re.compile(r"[^\x21-\x7e]")
 
 
 class _HttpError(ValueError):
-    """The peer's bytes are not an HTTP/1.x response we can frame, or
-    the request could not be put on the wire as asked."""
+    """The peer's bytes are not an HTTP/1.x response we can frame."""
 
 
 class _NoResponse(EOFError):
@@ -145,7 +142,7 @@ class _Connection:
         name = f"[{host}]" if ":" in host else host
         if port != (80 if tls is None else 443):
             name = f"{name}:{port}"
-        self._host_line = f"Host: {name}"
+        self._headers = {"Host": name, "Accept-Encoding": "identity"}
         self._sock: socket.socket | None = None
         self._buf = bytearray()  # received, not yet consumed
 
@@ -175,27 +172,15 @@ class _Connection:
         """One request, one response: ``(status, lowercased headers,
         raw body, will_close)``.  ``will_close`` says the connection
         cannot carry another exchange (``Connection: close``, an
-        HTTP/1.0 answer, or a body delimited by the close)."""
-        lines = [
-            f"{method} {path} HTTP/1.1",
-            self._host_line,
-            "Accept-Encoding: identity",
-        ]
+        HTTP/1.0 answer, or a body delimited by the close).  What
+        :func:`~repro.server.http_base.request_bytes` refuses to put on
+        the wire is a ``ValueError``, and nothing is sent."""
         if headers:
-            lines += [f"{name}: {value}" for name, value in headers.items()]
-        if body is not None:
-            lines.append(f"Content-Length: {len(body)}")
-        head = "\r\n".join(lines)
-        # One CRLF between lines and not a byte more: nothing a caller
-        # passed may start a header (or a request) of its own.
-        if _UNSAFE_IN_PATH.search(path) or not (
-            head.count("\r") == head.count("\n") == len(lines) - 1
-        ):
-            raise _HttpError(f"unsendable request target or header: {head!r}")
-        data = (head + "\r\n\r\n").encode("latin-1")
+            headers = {**self._headers, **headers}
+        data = request_bytes(method, path, headers or self._headers, body)
         if self._sock is None:
             self.connect()
-        self._sock.sendall(data + body if body else data)
+        self._sock.sendall(data)
 
         status = 100
         while 100 <= status < 200 and status != 101:  # skip interim heads
@@ -447,39 +432,6 @@ class HttpBackend(TransitBackend):
         extra: a local backend has no serving metrics)."""
         return self._request("GET", "/metrics")
 
-    # -- raw forwarding ---------------------------------------------------
-
-    def forward(
-        self,
-        method: str,
-        path: str,
-        body: bytes | None = None,
-        *,
-        headers: dict[str, str] | None = None,
-        idempotent: bool = True,
-    ) -> tuple[int, dict, bytes]:
-        """One pooled exchange, byte-for-byte: returns ``(status,
-        lowercased headers, raw response body)`` without decoding,
-        retrying, or raising on non-200 statuses (transport failures —
-        refused, timeout, mid-body disconnect — still raise their
-        typed errors).
-
-        This is the fleet gateway's proxy primitive: a worker's answer
-        passes through verbatim, so gateway answers are bitwise
-        identical to the worker's and the gateway pays zero JSON cost
-        on the hot path.  Stale-keep-alive re-send semantics match
-        :meth:`journey` and friends: idempotent requests may be
-        re-sent once on a fresh connection, non-idempotent ones never
-        touch the idle pool."""
-        return self._send_once(
-            method,
-            path,
-            body,
-            0,
-            idempotent=idempotent,
-            extra_headers=headers,
-        )
-
     # -- transport internals ----------------------------------------------
 
     def _list_datasets(self) -> list[DatasetInfo]:
@@ -538,12 +490,9 @@ class HttpBackend(TransitBackend):
         attempt: int,
         *,
         idempotent: bool = True,
-        extra_headers: dict[str, str] | None = None,
     ) -> tuple[int, dict, bytes]:
         """One wire exchange; returns ``(status, lowercased headers,
-        raw body bytes)`` — decoding is the caller's business
-        (:meth:`_request` parses JSON, :meth:`forward` passes bytes
-        through untouched).
+        raw body bytes)`` — :meth:`_request` decodes them.
 
         Idempotent requests (queries are pure) first try a pooled
         keep-alive connection; if the server closed it while idle, the
@@ -556,8 +505,6 @@ class HttpBackend(TransitBackend):
         headers = {"Content-Type": "application/json"}
         if attempt > 0:
             headers["X-Retry-Attempt"] = str(attempt)
-        if extra_headers:
-            headers.update(extra_headers)
         passes = (False, True) if idempotent else (True,)
         for i, force_fresh in enumerate(passes):
             conn, reused = self._pool.acquire(fresh=force_fresh)

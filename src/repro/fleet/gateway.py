@@ -1,45 +1,38 @@
 """The fleet routing gateway: one address in front of N workers.
 
 A :class:`FleetGateway` is a :class:`~repro.server.http_base.
-BaseAsyncHttpServer` that serves the *same wire protocol* as a worker
-(``docs/SERVER.md``) by forwarding requests byte-for-byte to healthy
-:class:`~repro.server.app.TransitServer` processes.  To every client
-it is just another server URL — ``repro.client.connect("http://gw")``
-works unchanged, and answers are **bitwise identical** to a single
-worker's because the gateway never decodes a worker response on the
-query path (:meth:`repro.client.http.HttpBackend.forward` hands back
-raw bytes, which :class:`BaseAsyncHttpServer` writes verbatim).
-
-Responsibilities (see ``docs/FLEET.md`` for the protocol walk-through):
+BaseAsyncHttpServer` that serves a worker's wire protocol
+(``docs/SERVER.md``) by forwarding each request to a healthy
+:class:`~repro.server.app.TransitServer`.  It never decodes a worker
+answer on the query path (:class:`~repro.server.http_base.Upstream`
+hands back raw bytes), so answers are **bitwise identical** to one
+worker's and the SDK's ``connect("http://gw")`` works unchanged.
+Every forward, probe and swap post is awaited on the gateway's event
+loop; it runs no thread of its own (``docs/FLEET.md`` walks through
+the rest):
 
 * **Health-checked routing.**  A background loop polls every worker's
-  ``/healthz``.  Per dataset, requests round-robin over workers that
-  report ``"ok"``; a worker reporting ``"draining"`` stops receiving
-  new requests *before* it starts rejecting any (the readiness/
-  liveness split), and one that fails ``eject_after`` consecutive
-  probes — or any forward — is ejected immediately.
-* **Failover.**  A query whose worker dies mid-request (connection
-  refused/reset, timeout) is retried **once** on a peer; queries are
-  read-only so the retry is safe.  A worker answering a retriable 503
-  (overloaded) also gets one peer try before the 503 passes through.
-* **Readmission with catch-up.**  The gateway records every committed
-  delay batch per dataset (the *delay log*).  A worker that comes
-  (back) up at a stale generation — a supervisor restart loads the
-  pristine store at generation 0 — is replayed the missing batches
-  and only then routed to, so a restarted worker can never serve
-  pre-delay answers into a post-delay fleet.
-* **Delay swaps by generation.**  ``POST /v1/datasets/{name}/delays``
-  against the gateway is posted as a plain ``apply`` to every healthy
-  worker serving the dataset at once; each replans while still
-  serving.  Every query answer names the generation that answered it
-  (``X-Generation``), and the gateway routes a dataset only to workers
-  known at its *routing generation*, which apply replies, those
-  headers and health probes raise and nothing lowers.  Once a client
-  has an answer from generation k + 1, no later request is answered
-  from k: during a swap, routing uses the workers that finished it.
-* **Fleet metrics.**  ``GET /metrics`` renders the gateway's own
-  routing counters plus every worker's snapshot and a cross-worker
-  aggregate.
+  ``/healthz``; per dataset, requests round-robin over workers that
+  report ``"ok"``.  A ``"draining"`` worker gets no new requests before
+  it rejects any; ``eject_after`` failed probes or one failed forward
+  eject a worker.
+* **Failover.**  A query whose worker dies mid-request (refused,
+  reset, timed out) is retried **once** on a peer, as is a retriable
+  503 when a peer exists.  A request that cannot be put on the wire
+  is the client's fault: it gets a worker's answer to those bytes,
+  and no worker is ejected.
+* **Readmission with catch-up.**  Every committed delay batch is
+  logged per dataset; a worker that comes (back) up at an older
+  generation is replayed what it missed before it is routed to.
+* **Delay swaps by generation.**  A delay post is a plain ``apply``
+  to every healthy worker serving the dataset, at once.  Each answer
+  names its generation (``X-Generation``), and a dataset is routed
+  only to workers known at its *routing generation*, which apply
+  replies, those headers and probes raise and nothing lowers: once a
+  client has an answer from generation k + 1, no later request is
+  answered from k.
+* **Fleet metrics.**  ``GET /metrics`` renders the gateway's counters,
+  every worker's snapshot and a cross-worker aggregate.
 """
 
 from __future__ import annotations
@@ -47,19 +40,19 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Mapping, Sequence
 
-from repro.client.errors import (
-    BackendError,
-    BackendTimeoutError,
-    TransportError,
-)
-from repro.client.http import HttpBackend, RetryPolicy
 from repro.fleet.catchup import coalesce_delay_log
 from repro.fleet.metrics import GatewayMetrics
-from repro.server.http_base import BaseAsyncHttpServer, Request
-from repro.server.protocol import parse_body
+from repro.server.http_base import (
+    _UNSAFE_IN_PATH,
+    BaseAsyncHttpServer,
+    Request,
+    Upstream,
+    UpstreamError,
+    retry_attempt,
+)
+from repro.server.protocol import ProtocolError, parse_body
 from repro.service.shapes import (
     FLEET_APPLY_REPLY,
     FLEET_SWAP,
@@ -69,13 +62,6 @@ from repro.service.shapes import (
 from repro.service.shapes import error_payload as _error
 
 __all__ = ["FleetGateway", "WorkerState"]
-
-#: A forward failure with one of these is a dead/unreachable worker:
-#: eject immediately and fail the query over to a peer.
-_FORWARD_FAILURES = (TransportError, BackendTimeoutError)
-
-_FORWARD_THREADS = 16
-_CONTROL_THREADS = 8
 
 
 class WorkerState:
@@ -93,14 +79,13 @@ class WorkerState:
     newest generation of each dataset the gateway has evidence of).  A
     restarted worker reappears under the same name at a new URL: the
     old state object is discarded and the replacement funnels through
-    catch-up.
+    catch-up.  ``upstream`` holds the gateway's connections to it.
     """
 
     __slots__ = (
         "name",
         "base_url",
-        "backend",
-        "health",
+        "upstream",
         "state",
         "failures",
         "datasets",
@@ -108,27 +93,10 @@ class WorkerState:
         "last_error",
     )
 
-    def __init__(
-        self,
-        name: str,
-        base_url: str,
-        *,
-        timeout: float,
-        health_timeout: float,
-        pool_size: int,
-    ) -> None:
+    def __init__(self, name: str, base_url: str) -> None:
         self.name = name
         self.base_url = base_url
-        no_retry = RetryPolicy(retries=0)
-        #: Forward path: generous timeout, deep pool.
-        self.backend = HttpBackend(
-            base_url, timeout=timeout, retry=no_retry, pool_size=pool_size
-        )
-        #: Probe path: short timeout so a hung worker cannot stall the
-        #: health loop for the forward timeout.
-        self.health = HttpBackend(
-            base_url, timeout=health_timeout, retry=no_retry, pool_size=1
-        )
+        self.upstream = Upstream(base_url)
         self.state = "new"
         self.failures = 0
         self.datasets: set[str] = set()
@@ -136,8 +104,7 @@ class WorkerState:
         self.last_error: str | None = None
 
     def close(self) -> None:
-        self.backend.close()
-        self.health.close()
+        self.upstream.close()
 
     def describe(self) -> dict:
         return {
@@ -214,16 +181,6 @@ class FleetGateway(BaseAsyncHttpServer):
         #: Serializes swaps and worker admissions — the two operations
         #: that move a worker's generation.  Routing never takes it.
         self._swap_lock = asyncio.Lock()
-        #: Query forwards block a thread each.  Health probes, swaps
-        #: and catch-up posts have a pool of their own, so they never
-        #: queue behind query forwards: a worker under query load is
-        #: still probed, swapped and caught up on time.
-        self._forward_pool = ThreadPoolExecutor(
-            max_workers=_FORWARD_THREADS, thread_name_prefix="gw-forward"
-        )
-        self._control_pool = ThreadPoolExecutor(
-            max_workers=_CONTROL_THREADS, thread_name_prefix="gw-control"
-        )
         self._health_task: asyncio.Task | None = None
 
     # -- lifecycle ------------------------------------------------------
@@ -265,8 +222,6 @@ class FleetGateway(BaseAsyncHttpServer):
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        self._forward_pool.shutdown(wait=True)
-        self._control_pool.shutdown(wait=True)
         for st in self._workers.values():
             st.close()
 
@@ -377,9 +332,9 @@ class FleetGateway(BaseAsyncHttpServer):
         ejected) or its 200 is not evidence the gateway accepts."""
         try:
             status, headers, raw = await self._forward(
-                st, "POST", path, body, idempotent=False, control=True
+                st, "POST", path, body, idempotent=False
             )
-        except BackendError as exc:
+        except UpstreamError as exc:
             self._eject(st, reason=f"{type(exc).__name__}: {exc}")
             return None
         if status == 200 and not self._note_generation(
@@ -391,10 +346,20 @@ class FleetGateway(BaseAsyncHttpServer):
     # -- forwarding ----------------------------------------------------
 
     async def _proxy(self, request: Request, dataset: str | None) -> tuple:
-        forward_headers = None
-        attempt_header = request.headers.get("x-retry-attempt")
-        if attempt_header is not None:
-            forward_headers = {"X-Retry-Attempt": attempt_header}
+        # A worker reads no query string.  Without it, the only bytes a
+        # target may not carry are in a dataset name: the client's
+        # fault, not a worker's.
+        path = request.path.partition("?")[0]
+        if _UNSAFE_IN_PATH.search(path):
+            raise ProtocolError(
+                "unknown_dataset",
+                f"unknown dataset {dataset!r} (a name outside printable "
+                f"ASCII is not forwarded)",
+                status=404,
+            )
+        # Passed on as the number a worker counts, or not at all.
+        retry = retry_attempt(request.headers.get("x-retry-attempt"))
+        forward_headers = {"X-Retry-Attempt": str(retry)} if retry > 0 else None
         body = request.body if request.method == "POST" else None
         tried: set[str] = set()
         for attempt in (0, 1):
@@ -411,10 +376,9 @@ class FleetGateway(BaseAsyncHttpServer):
             tried.add(st.name)
             try:
                 status, resp_headers, raw = await self._forward(
-                    st, request.method, request.path, body,
-                    headers=forward_headers,
+                    st, request.method, path, body, headers=forward_headers
                 )
-            except _FORWARD_FAILURES as exc:
+            except UpstreamError as exc:
                 # The worker died under us (killed, crashed, hung).
                 # Queries are read-only: retry exactly once on a peer.
                 self._eject(st, reason=f"{type(exc).__name__}: {exc}")
@@ -466,17 +430,11 @@ class FleetGateway(BaseAsyncHttpServer):
         *,
         headers: dict[str, str] | None = None,
         idempotent: bool = True,
-        control: bool = False,
     ) -> tuple[int, dict, bytes]:
-        """One pooled worker exchange off the event loop.  ``control``
-        selects the small control pool (swaps, catch-up) so the query
-        path can never starve coordination traffic."""
-        pool = self._control_pool if control else self._forward_pool
-        return await asyncio.get_running_loop().run_in_executor(
-            pool,
-            lambda: st.backend.forward(
-                method, path, body, headers=headers, idempotent=idempotent
-            ),
+        """One exchange with a worker, within ``worker_timeout``."""
+        return await st.upstream.exchange(
+            method, path, body, headers=headers, idempotent=idempotent,
+            timeout=self.worker_timeout,
         )
 
     def _pick(
@@ -564,13 +522,7 @@ class FleetGateway(BaseAsyncHttpServer):
                     if st.state == "healthy":
                         self._eject(st, reason="endpoint replaced")
                     st.close()
-                self._workers[name] = WorkerState(
-                    name,
-                    url,
-                    timeout=self.worker_timeout,
-                    health_timeout=self.health_timeout,
-                    pool_size=8,
-                )
+                self._workers[name] = WorkerState(name, url)
         for name in list(self._workers):
             if name not in endpoints:
                 st = self._workers.pop(name)
@@ -579,20 +531,23 @@ class FleetGateway(BaseAsyncHttpServer):
                 st.close()
         states = list(self._workers.values())
         results = await asyncio.gather(
-            *(self._probe(st) for st in states), return_exceptions=True
+            *(self._fetch(st, "/healthz") for st in states),
+            return_exceptions=True,
         )
         for st, result in zip(states, results):
             # The sweep may race a provider change; skip replaced states.
             if self._workers.get(st.name) is st:
                 self._note_probe(st, result)
 
-    async def _probe(self, st: WorkerState) -> dict:
-        status, _, raw = await asyncio.get_running_loop().run_in_executor(
-            self._control_pool,
-            lambda: st.health.forward("GET", "/healthz"),
+    async def _fetch(self, st: WorkerState, path: str) -> dict:
+        """A worker's ``/healthz`` or ``/metrics`` document, within
+        ``health_timeout``: a hung worker cannot stall a health sweep
+        for the forward timeout."""
+        status, _, raw = await st.upstream.exchange(
+            "GET", path, timeout=self.health_timeout
         )
         if status != 200:
-            raise TransportError(f"healthz answered {status}")
+            raise UpstreamError(f"{path} answered {status}")
         return json.loads(raw)
 
     def _note_probe(self, st: WorkerState, result: dict | BaseException) -> None:
@@ -652,7 +607,6 @@ class FleetGateway(BaseAsyncHttpServer):
                             f"/v1/datasets/{dataset}/delays",
                             json.dumps(body).encode(),
                             idempotent=False,
-                            control=True,
                         )
                         if status != 200:
                             raise RuntimeError(
@@ -721,7 +675,7 @@ class FleetGateway(BaseAsyncHttpServer):
             st for st in self._workers.values() if st.state != "down"
         ]
         snapshots = await asyncio.gather(
-            *(self._fetch_metrics(st) for st in states),
+            *(self._fetch(st, "/metrics") for st in states),
             return_exceptions=True,
         )
         workers: dict[str, dict | None] = {}
@@ -736,15 +690,6 @@ class FleetGateway(BaseAsyncHttpServer):
             "workers": dict(sorted(workers.items())),
             "fleet": fleet,
         }
-
-    async def _fetch_metrics(self, st: WorkerState) -> dict:
-        status, _, raw = await asyncio.get_running_loop().run_in_executor(
-            self._control_pool,
-            lambda: st.health.forward("GET", "/metrics"),
-        )
-        if status != 200:
-            raise TransportError(f"metrics answered {status}")
-        return json.loads(raw)
 
 
 def _retry_after(headers: dict) -> dict:

@@ -1,10 +1,9 @@
 """Gateway-side observability.
 
 One :class:`GatewayMetrics` belongs to one
-:class:`~repro.fleet.gateway.FleetGateway`.  Mutation happens on the
-gateway's event-loop thread only (forward results are observed after
-``run_in_executor`` returns), so — like
-:class:`~repro.server.metrics.ServerMetrics` — no locking is needed.
+:class:`~repro.fleet.gateway.FleetGateway`, whose forwards are all
+awaited on its event loop: every mutation happens there, so — like
+:class:`~repro.server.metrics.ServerMetrics` — nothing is locked.
 
 The request accounting is the servers' own
 (:class:`~repro.server.metrics.HttpMetrics`, with the same endpoint

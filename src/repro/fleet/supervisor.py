@@ -2,38 +2,27 @@
 
 A :class:`WorkerSupervisor` spawns N ``repro-transit serve`` worker
 *processes* over the same artifact-store directories and keeps them
-alive: a worker that dies is restarted while the gateway retries its
-queries on a peer, catches the restarted one up before routing to it,
-and coordinates delay swaps across them.  Each worker runs its
-searches in search workers of its own (``worker_threads`` is its
-``serve --workers``), as one ``serve`` does: the fleet is for failover;
-on one box it did not beat one ``serve`` (``docs/FLEET.md``,
-"Scaling").
+alive; the gateway fails their queries over while one restarts and
+catches a restarted one up before routing to it.  Each worker forks
+``search_workers`` search processes of its own (its ``serve
+--workers``), as one ``serve`` does; the fleet is for failover, and on
+one box it did not beat one ``serve`` (``docs/FLEET.md``, "Scaling").
+The supervisor is one monitor thread beside the gateway's event loop.
 
-Design points:
-
-* **Port discovery is a file, not a log line.**  Every worker binds an
-  ephemeral port (``--port 0``) so N workers on one host can never
-  collide, and writes the bound port to ``--port-file`` *atomically*
-  (temp file + ``os.replace``) only after the socket is bound.  The
-  supervisor polls for the file: it either does not exist yet or holds
-  a complete, valid port — no parsing races, no half-written reads.
-* **Crash restarts are automatic and capped.**  A monitor thread polls
-  child processes; an exit while the fleet is running schedules a
-  respawn after the worker's current backoff delay, which doubles per
-  consecutive crash up to ``max_backoff`` (a crash-looping store
-  cannot spin the host) and resets once a worker stays up
+* **Port discovery is a file.**  Every worker binds an ephemeral port
+  (``--port 0``), so N workers on one host never collide, and writes it
+  to ``--port-file`` *atomically* (temp file + ``os.replace``) once
+  bound: the file is absent or holds a whole, valid port.
+* **Crash restarts are automatic and capped.**  The monitor thread
+  respawns a worker that exited after a backoff that doubles per
+  consecutive crash up to ``max_backoff`` and resets once it stays up
   ``stable_after`` seconds.
-* **Names are stable, addresses are not.**  Workers are named
-  ``w0..wN-1`` forever; each restart binds a fresh port.  The gateway
-  keys its routing state by name and treats an address change as
-  "down, then a new worker" — which funnels restarts through the
-  delay-log catch-up path (``docs/FLEET.md``).
+* **Names are stable, addresses are not.**  Workers are ``w0..wN-1``
+  forever; each restart binds a fresh port, which the gateway treats
+  as "down, then a new worker" — through delay-log catch-up.
 
-The supervisor knows nothing about HTTP beyond the port file; health
-is the gateway's job (:class:`~repro.fleet.gateway.FleetGateway`
-polls ``/healthz`` and ejects/readmits around exactly these
-restarts).
+Health is the gateway's job (:class:`~repro.fleet.gateway.FleetGateway`
+polls ``/healthz``); the supervisor knows HTTP only as a port file.
 """
 
 from __future__ import annotations
@@ -97,7 +86,7 @@ class WorkerSupervisor:
         *,
         host: str = "127.0.0.1",
         runtime_dir: str | Path | None = None,
-        worker_threads: int = 4,
+        search_workers: int = 4,
         max_inflight: int = 64,
         drain_grace: float = 0.2,
         restart_backoff: float = 0.25,
@@ -115,7 +104,7 @@ class WorkerSupervisor:
             raise ValueError("at least one store directory is required")
         self.stores = [str(s) for s in stores]
         self.host = host
-        self.worker_threads = worker_threads
+        self.search_workers = search_workers
         self.max_inflight = max_inflight
         self.drain_grace = drain_grace
         self.restart_backoff = restart_backoff
@@ -270,7 +259,7 @@ class WorkerSupervisor:
             "--host", self.host,
             "--port", "0",
             "--port-file", str(worker.port_file),
-            "--workers", str(self.worker_threads),
+            "--workers", str(self.search_workers),
             "--max-inflight", str(self.max_inflight),
             "--drain-grace-ms", str(self.drain_grace * 1000.0),
         ]

@@ -38,14 +38,19 @@ Drain is split into **readiness** and **liveness**:
   the hard drain: stop accepting, answer new requests ``503
   draining``, finish in-flight ones, force-close idle keep-alive
   connections, and run the subclass's :meth:`_post_drain` cleanup.
+
+:class:`Upstream` is the other half, the gateway's: it reads what
+:meth:`BaseAsyncHttpServer._respond` writes with the parser of a request.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 import time
 from typing import NamedTuple
+from urllib.parse import urlsplit
 
 from repro.server.metrics import HttpMetrics
 from repro.server.protocol import ProtocolError
@@ -253,7 +258,7 @@ class BaseAsyncHttpServer:
         endpoint, route, args = parse_path(method, path)
         metrics = self.metrics
         metrics.observe_request(endpoint)
-        if _declares_retry(headers.get("x-retry-attempt")):
+        if retry_attempt(headers.get("x-retry-attempt")) > 0:
             metrics.observe_client_retry()
         t0 = time.perf_counter()
         extra: dict = {}
@@ -324,10 +329,6 @@ class BaseAsyncHttpServer:
         ), {}
 
     # -- helpers shared by both front ends -------------------------------
-
-    def _endpoint_label(self, method: str, path: str) -> str:
-        """The metrics label of a request (:func:`parse_path`)."""
-        return parse_path(method, path)[0]
 
     def _retry_after_header(self) -> dict:
         # RFC 9110 wants integral delta-seconds; emit sub-second
@@ -426,12 +427,8 @@ class BaseAsyncHttpServer:
             if exc.partial:
                 raise
             return None
-        lines = head[:-4].decode("latin-1").split("\r\n")
-        method, path, version = lines[0].split()  # ValueError: garbage
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
+        start, headers = _parse_head(head)
+        method, path, version = start.split()  # ValueError: garbage
         if "transfer-encoding" in headers:
             raise _Refused(
                 501,
@@ -456,15 +453,143 @@ class BaseAsyncHttpServer:
         return method, path, headers, body, keep_alive
 
 
-def _declares_retry(attempt: str | None) -> bool:
-    """Whether an ``X-Retry-Attempt`` header marks a retry (> 0): what
-    repro.client sends with its 503 backoff retries."""
-    if attempt is None:
-        return False
+def _parse_head(head: bytes) -> tuple[str, dict[str, str]]:
+    """A head read up to its blank line: its start line, and its header
+    fields with the names lowercased.  A request and a worker's answer
+    are read with this one parser."""
+    start, *lines = head[:-4].decode("latin-1").split("\r\n")
+    headers: dict[str, str] = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return start, headers
+
+
+def retry_attempt(header: str | None) -> int:
+    """The attempt an ``X-Retry-Attempt`` header names (repro.client
+    sends one with each 503 backoff retry); 0 if none or not a number."""
     try:
-        return int(attempt) > 0
+        return int(header or 0)
     except ValueError:
-        return False
+        return 0
 
 
-__all__ = ["BaseAsyncHttpServer", "MAX_BODY_BYTES", "Request", "parse_path"]
+#: A request target is printable ASCII without a space, or not sent.
+_UNSAFE_IN_PATH = re.compile(r"[^\x21-\x7e]")
+
+
+def request_bytes(
+    method: str, target: str, headers: dict[str, str], body: bytes | None
+) -> bytes:
+    """One request as it goes on the wire: head and body in one buffer,
+    so it reaches the server as one segment.  A target or header that
+    would start a line of its own is a ``ValueError``."""
+    lines = [f"{method} {target} HTTP/1.1"]
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    if body is not None:
+        lines.append(f"Content-Length: {len(body)}")
+    head = "\r\n".join(lines)
+    # One CRLF between lines and not a byte more: nothing a caller
+    # passed may start a header (or a request) of its own.
+    if _UNSAFE_IN_PATH.search(target) or not (
+        head.count("\r") == head.count("\n") == len(lines) - 1
+    ):
+        raise ValueError(f"unsendable request target or header: {head!r}")
+    data = (head + "\r\n\r\n").encode("latin-1")
+    return data + body if body else data
+
+
+class UpstreamError(Exception):
+    """An exchange with a worker failed on the wire: refused, reset,
+    closed early, out of time, or not a server's answer."""
+
+
+class Upstream:
+    """The gateway's connections to one worker: a stack of idle
+    keep-alive ``(reader, writer)`` pairs, never more than the gateway
+    had exchanges in flight, and one exchange over them.  It reads what
+    :meth:`BaseAsyncHttpServer._respond` writes and nothing else: no
+    chunked body, no 1xx, no TLS (``repro.client`` speaks to foreign
+    servers)."""
+
+    def __init__(self, url: str) -> None:
+        split = urlsplit(url)
+        if split.scheme != "http" or not split.hostname:
+            raise ValueError(f"a worker URL is http://host:port, got {url!r}")
+        self.host, self.port = split.hostname, split.port or 80
+        self._host = {"Host": split.netloc}
+        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        self._closed = False
+
+    def close(self) -> None:
+        """Close the idle pairs, and the busy ones as they come back."""
+        self._closed = True
+        while self._idle:
+            self._idle.pop()[1].close()
+
+    async def exchange(
+        self,
+        method: str,
+        target: str,
+        body: bytes | None = None,
+        *,
+        headers: dict[str, str] | None = None,
+        idempotent: bool = True,
+        timeout: float,
+    ) -> tuple[int, dict[str, str], bytes]:
+        """``(status, lowercased headers, raw body)`` of one request,
+        within ``timeout`` seconds; a failure on the wire is an
+        :class:`UpstreamError`.  An idempotent request tries an idle
+        pair first and, if the worker closed it while idle, is sent once
+        more on a fresh connection; any other takes a fresh one, so it
+        never runs twice.  What :func:`request_bytes` refuses is a
+        ``ValueError``, and nothing is sent."""
+        headers = {**self._host, **headers} if headers else self._host
+        data = request_bytes(method, target, headers, body)
+        reuse = idempotent
+        try:
+            async with asyncio.timeout(timeout):
+                while True:
+                    reused = reuse and bool(self._idle)
+                    if reused:
+                        pair = self._idle.pop()
+                    else:
+                        pair = await asyncio.open_connection(
+                            self.host, self.port, limit=MAX_HEAD_BYTES
+                        )
+                    reader, writer = pair
+                    got = b""
+                    try:
+                        writer.write(data)
+                        got = await reader.readuntil(b"\r\n\r\n")
+                        start, answered = _parse_head(got)
+                        version, status, _ = start.split(" ", 2)
+                        length = answered.get("content-length")
+                        if not version.startswith("HTTP/1.") or not length:
+                            raise ValueError(f"not a server's answer: {start!r}")
+                        status = int(status)
+                        raw = await reader.readexactly(int(length))
+                    except (ConnectionError, asyncio.IncompleteReadError) as exc:
+                        writer.close()
+                        if not reused or got or getattr(exc, "partial", b""):
+                            raise
+                        reuse = False  # closed while idle: nothing ran
+                        continue
+                    except BaseException:
+                        writer.close()
+                        raise
+                    if self._closed or answered.get("connection") != "keep-alive":
+                        writer.close()
+                    else:
+                        self._idle.append(pair)
+                    return status, answered, raw
+        except TimeoutError:
+            raise UpstreamError(f"no answer within {timeout:g}s") from None
+        except (OSError, EOFError, ValueError, asyncio.LimitOverrunError) as exc:
+            raise UpstreamError(f"{type(exc).__name__}: {exc}") from exc
+
+
+__all__ = [
+    "BaseAsyncHttpServer", "MAX_BODY_BYTES", "Request", "Upstream",
+    "UpstreamError", "parse_path", "request_bytes", "retry_attempt",
+]

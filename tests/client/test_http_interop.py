@@ -181,16 +181,24 @@ class TestAgainstStdlibHttpServer:
 
     def test_unsendable_targets_and_headers_are_typed(self, stdlib_server):
         """What ``http.client`` refused to put on the wire still is —
-        as a ``TransportError``, and without a byte sent."""
-        with backend_for(stdlib_server) as backend:
-            for path, headers in (
-                ("/v1/two words/journey", None),
-                ("/v1/x\r\nX-Injected: 1", None),
-                ("/healthz", {"X-A": "1\r\nX-Injected: 1"}),
-            ):
+        a target as a ``TransportError``, a header as the connection's
+        refusal — and without a byte sent."""
+        url = f"http://127.0.0.1:{stdlib_server.server_address[1]}"
+        for dataset in ("two words", "x\r\nX-Injected: 1"):
+            with HttpBackend(url, dataset=dataset, timeout=5.0) as backend:
                 with pytest.raises(TransportError) as excinfo:
-                    backend.forward("GET", path, headers=headers)
+                    backend.journey(0, 5)
                 assert excinfo.value.code == "transport"
+        conn = client_http._Connection(
+            "127.0.0.1", stdlib_server.server_address[1], timeout=5.0
+        )
+        try:
+            with pytest.raises(ValueError, match="unsendable"):
+                conn.exchange(
+                    "GET", "/healthz", headers={"X-A": "1\r\nX-Injected: 1"}
+                )
+        finally:
+            conn.close()
         assert stdlib_server.seen == []
 
 

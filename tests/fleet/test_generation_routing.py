@@ -448,7 +448,7 @@ def _stub_gateway(log: list[bytes]):
     ``oahu`` log committed to ``len(log)``."""
     url = "http://127.0.0.1:9"
     gateway = FleetGateway({"w1": url})
-    st = WorkerState("w1", url, timeout=1, health_timeout=1, pool_size=1)
+    st = WorkerState("w1", url)
     gateway._workers["w1"] = st
     gateway._delay_log["oahu"] = list(log)
     gateway._routing = {"oahu": len(log)}
@@ -456,8 +456,6 @@ def _stub_gateway(log: list[bytes]):
         yield gateway, st
     finally:
         st.close()
-        gateway._forward_pool.shutdown()
-        gateway._control_pool.shutdown()
 
 
 def test_catch_up_takes_the_worker_generation_from_its_reply():

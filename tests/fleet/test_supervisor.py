@@ -71,12 +71,12 @@ class TestSpawn:
 
 class TestCommand:
     @pytest.mark.parametrize(
-        "kwargs, search_workers", [({"worker_threads": 1}, "1"), ({}, "4")]
+        "kwargs, search_workers", [({"search_workers": 1}, "1"), ({}, "4")]
     )
-    def test_worker_threads_is_serves_search_worker_count(
+    def test_search_workers_is_serves_search_worker_count(
         self, tmp_path, kwargs, search_workers
     ):
-        """``worker_threads=k`` launches ``serve --workers k`` (read off
+        """``search_workers=k`` launches ``serve --workers k`` (read off
         the command line; nothing is spawned)."""
         sup = WorkerSupervisor(
             [tmp_path / "store"], 2, runtime_dir=tmp_path / "rt", **kwargs

@@ -1,9 +1,9 @@
-"""The coordinated-swap satellite: delay posts against the gateway are
-applied fleet-wide via two-phase prepare/commit.  Under interleaved
+"""Fleet-wide delay swaps: a delay post against the gateway is applied
+to every worker, each answer routed by generation.  Under interleaved
 query traffic, every client answer must match either the pre-swap or
-the post-swap oracle — never a mixture — and after the commit every
-worker process must agree with the post-swap oracle, including a worker
-that crashes and rejoins via delay-log catch-up."""
+the post-swap oracle — never a mixture — and once the post returns
+every worker process must agree with the post-swap oracle, including a
+worker that crashes and rejoins via delay-log catch-up."""
 
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ def _profiles(backend) -> dict:
     }
 
 
-class TestCoordinatedSwap:
+class TestFleetSwap:
     def test_fleet_swap_is_atomic_for_clients(
         self, make_fleet, twin_service
     ):
@@ -210,7 +210,7 @@ class TestCoordinatedSwap:
         probe."""
         url = "http://127.0.0.1:9"
         gateway = FleetGateway({"w1": url})
-        st = WorkerState("w1", url, timeout=1, health_timeout=1, pool_size=1)
+        st = WorkerState("w1", url)
         try:
             st.state = "healthy"
             st.generations = {"oahu": 1}
@@ -220,5 +220,3 @@ class TestCoordinatedSwap:
             assert st.state == "healthy"
         finally:
             st.close()
-            gateway._forward_pool.shutdown()
-            gateway._control_pool.shutdown()

@@ -230,7 +230,7 @@ def test_tables_reject_an_empty_query_set_in_the_parser(table, capsys):
         ("serve", "--max-inflight", "0", "must be at least 1, got 0"),
         ("serve", "--drain-grace-ms", "-1", "must not be negative, got -1"),
         ("serve-fleet", "--workers", "0", "must be at least 1, got 0"),
-        ("serve-fleet", "--worker-threads", "0", "must be at least 1, got 0"),
+        ("serve-fleet", "--search-workers", "0", "must be at least 1, got 0"),
         ("serve-fleet", "--worker-max-inflight", "-3", "must be at least 1, got -3"),
         ("serve-fleet", "--max-inflight", "0", "must be at least 1, got 0"),
         ("serve-fleet", "--worker-drain-grace-ms", "-1", "must not be negative"),
