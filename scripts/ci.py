@@ -392,7 +392,12 @@ def warm_start(tmp: Path) -> None:
     (``pack_timetable``) included — and answering all six query shapes
     proves the store carried everything.  Nor does it hydrate: the
     store's timetable builder (``_hydrate_timetable``), which only a
-    swap, a save or an oracle asks for, is poisoned too.  Then a delay
+    swap, a save or an oracle asks for, is poisoned too.  A loaded
+    table-on service with search workers answers journeys from outside
+    ``S_trans`` while the table's row and lookup-point builders and
+    the record's string decoder are poisoned in this process: the rows
+    are built in the workers, and the load decoded only the record
+    sections serving reads.  Then a delay
     swap of the loaded service, asked for as a client asks (no
     ``mode=``), and a save of the swapped one build the timetable, the
     pack and the table, and nothing else.  A second swap, off the
@@ -452,6 +457,54 @@ def warm_start(tmp: Path) -> None:
         "nothing was hydrated"
     )
 
+    # What a load leaves unread: a service whose searches run in its
+    # workers builds no table row and no lookup profile in this process,
+    # and decodes no record section past the serving ones, however many
+    # journeys from outside S_trans it answers.
+    import repro.query.distance_table as table_mod
+    import repro.store.codec as codec_mod
+
+    decoded: list[str] = []
+    real_get = codec_mod.HeldRecord.get
+
+    def logged_get(self, name, **kwargs):
+        decoded.append(name)
+        return real_get(self, name, **kwargs)
+
+    codec_mod.HeldRecord.get = logged_get
+    served = TransitService.load(store)
+    table = served.table
+    stations = range(served.prepared.counts.stations)
+    outside = [s for s in stations if not table.contains(s)]
+    pairs = [(s, t) for s in outside for t in stations if s != t]
+    expected = [cold.journey(s, t).profile for s, t in pairs]
+    served.start_workers(2)
+    builders = {
+        (table_mod, "minute_row"): table_mod.minute_row,
+        (table_mod.DistanceTable, "_lookup_points"): (
+            table_mod.DistanceTable._lookup_points
+        ),
+        (codec_mod, "decode_strings"): codec_mod.decode_strings,
+    }
+    for mod, attr in builders:
+        setattr(mod, attr, forbid(attr))
+    for (s, t), profile in zip(pairs, expected):
+        assert served.journey(s, t).profile == profile, (s, t)
+    served.stop_workers()
+    for (mod, attr), builder in builders.items():
+        setattr(mod, attr, builder)
+    codec_mod.HeldRecord.get = real_get
+    assert table._lookup is None and not any(table._rows)
+    serving = {"meta", "timetable_name", "transfer_stations"}
+    assert set(decoded) - serving == {
+        "sg_indptr", "sg_targets", "sg_weights", "sg_rev_indptr", "sg_rev_targets",
+    }, decoded
+    print(
+        f"{len(pairs)} journeys from {len(outside)} stations outside S_trans, "
+        "searched in 2 workers: this process built no table row or lookup "
+        "points and decoded only the record's serving sections"
+    )
+
     from repro.timetable.delays import Delay
 
     for (mod, attr), builder in swap_builders.items():
@@ -505,7 +558,12 @@ def table_build(tmp: Path) -> None:
     from repro.query.distance_table import route_points
     from repro.service import ServiceConfig
     from repro.synthetic.instances import make_instance
-    from tests.helpers import assert_rows_bitwise_equal, spcs_table_rows
+    from tests.helpers import (
+        assert_rows_bitwise_equal,
+        assert_tables_bitwise_equal,
+        spcs_table_rows,
+        table_profiles,
+    )
 
     store = str(tmp / "washington")
     out = cli(
@@ -528,10 +586,9 @@ def table_build(tmp: Path) -> None:
             build_td_graph(service.timetable), table.transfer_stations
         )
         oracle_s = time.perf_counter() - t0
-        assert_rows_bitwise_equal(expected, table.profiles)
+        assert_rows_bitwise_equal(expected, table_profiles(table))
         if instance == "washington":
-            assert np.array_equal(stored.transfer_stations, table.transfer_stations)
-            assert_rows_bitwise_equal(expected, stored.profiles)
+            assert_tables_bitwise_equal(table, stored)
         print(
             f"{instance}/{scale}: {table.num_transfer_stations} rows from "
             f"{points} points x {passes} passes in "
@@ -621,7 +678,7 @@ def served_pool(tmp: Path) -> None:
     from repro.service.model import ProfileRequest
     from repro.synthetic.instances import make_instance
     from repro.timetable.delays import Delay
-    from tests.helpers import assert_rows_bitwise_equal, scrubbed
+    from tests.helpers import assert_tables_bitwise_equal, scrubbed
 
     cores = len(os.sched_getaffinity(0))
     store = tmp / "washington"
@@ -739,7 +796,7 @@ def served_pool(tmp: Path) -> None:
                 assert journey.profile == local.journey(source, target[0]).profile
         replanned = local.service
         cold = TransitService(replanned.timetable, replanned.config).table
-        assert_rows_bitwise_equal(cold.profiles, replanned.table.profiles)
+        assert_tables_bitwise_equal(cold, replanned.table)
         print(
             f"delay swap, table on: {stats.num_transfer_stations} transfer "
             f"stations, "

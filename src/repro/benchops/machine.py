@@ -23,12 +23,12 @@ def machine_fingerprint() -> dict:
     }
 
 
-def current_git_sha(cwd: str | None = None) -> str | None:
-    """The checked-out commit, or ``None`` outside a git work tree
-    (records stay emittable from exported tarballs and sdists)."""
+def _git(cwd: str | None, *args: str) -> str | None:
+    """``git <args>``'s stdout, or ``None`` when it fails (no git, or
+    not a work tree)."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=cwd,
             capture_output=True,
             text=True,
@@ -36,7 +36,19 @@ def current_git_sha(cwd: str | None = None) -> str | None:
         )
     except (OSError, subprocess.TimeoutExpired):
         return None
-    if out.returncode != 0:
-        return None
-    sha = out.stdout.strip()
+    return out.stdout if out.returncode == 0 else None
+
+
+def current_git_sha(cwd: str | None = None) -> str | None:
+    """The checked-out commit, or ``None`` outside a git work tree
+    (records stay emittable from exported tarballs and sdists)."""
+    sha = (_git(cwd, "rev-parse", "HEAD") or "").strip()
     return sha or None
+
+
+def git_tree_dirty(cwd: str | None = None) -> bool | None:
+    """Whether the work tree differs from its commit — a change to a
+    tracked file or a file git does not ignore — or ``None`` outside a
+    work tree.  A run on a dirty tree measured code no commit holds."""
+    status = _git(cwd, "status", "--porcelain")
+    return None if status is None else bool(status.strip())

@@ -18,7 +18,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.benchops.machine import current_git_sha, machine_fingerprint
+from repro.benchops.machine import (
+    current_git_sha,
+    git_tree_dirty,
+    machine_fingerprint,
+)
 
 #: Bumped when the record shape changes incompatibly; the indexer
 #: refuses records from a different schema generation.
@@ -55,7 +59,11 @@ class BenchRecord:
 
     ``metrics`` maps metric name to a finite float.  ``config`` holds
     the knobs that shaped the run (instance list, query counts, worker
-    counts, …); ``config_hash`` pins it.
+    counts, …); ``config_hash`` pins it.  ``dirty`` says whether the
+    work tree had uncommitted changes when the run was captured (then
+    ``git_sha`` names a commit that does not hold the measured code);
+    ``None`` for a run outside a work tree and for records older than
+    the field.
     """
 
     benchmark: str
@@ -64,6 +72,7 @@ class BenchRecord:
     config: dict = field(default_factory=dict)
     config_hash: str = ""
     git_sha: str | None = None
+    dirty: bool | None = None
     machine: dict = field(default_factory=dict)
     created_unix: float = 0.0
     schema_version: int = SCHEMA_VERSION
@@ -87,6 +96,7 @@ class BenchRecord:
             config=config,
             config_hash=config_hash(config),
             git_sha=current_git_sha(),
+            dirty=git_tree_dirty(),
             machine=machine_fingerprint(),
             created_unix=time.time(),
         )
@@ -94,7 +104,7 @@ class BenchRecord:
         return record
 
     def to_dict(self) -> dict:
-        return {
+        record = {
             "schema_version": self.schema_version,
             "benchmark": self.benchmark,
             "scale": self.scale,
@@ -105,6 +115,11 @@ class BenchRecord:
             "machine": self.machine,
             "metrics": self.metrics,
         }
+        # Absent, not null, where unknown: an older record reads back
+        # to the same bytes.
+        if self.dirty is not None:
+            record["dirty"] = self.dirty
+        return record
 
 
 def _fail(message: str) -> RecordError:
@@ -144,6 +159,9 @@ def validate_record(raw: object) -> BenchRecord:
         not isinstance(git_sha, str) or not git_sha
     ):
         raise _fail(f"git_sha must be null or a non-empty string, got {git_sha!r}")
+    dirty = raw.get("dirty")
+    if dirty is not None and not isinstance(dirty, bool):
+        raise _fail(f"dirty must be absent, null or a boolean, got {dirty!r}")
     config = raw.get("config")
     if not isinstance(config, dict):
         raise _fail(f"config must be an object, got {type(config).__name__}")
@@ -178,6 +196,7 @@ def validate_record(raw: object) -> BenchRecord:
         config=config,
         config_hash=declared_hash,
         git_sha=git_sha,
+        dirty=dirty,
         machine=machine,
         created_unix=float(created),
         schema_version=version,

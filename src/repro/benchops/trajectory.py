@@ -104,9 +104,17 @@ def append_record(root: str | os.PathLike, record: BenchRecord) -> Path:
     """Append one (validated) record to its trajectory under ``root``.
 
     Creates the trajectory on first append; atomic write so a crash
-    mid-index never leaves a half-written file.
+    mid-index never leaves a half-written file.  A record captured on a
+    dirty work tree is refused (:class:`RecordError`): its ``git_sha``
+    names a commit that does not hold the code it measured.
     """
     validate_record(record.to_dict())
+    if record.dirty:
+        raise RecordError(
+            f"record of {record.benchmark!r} was captured on a work tree "
+            f"with uncommitted changes (git_sha {record.git_sha}): commit, "
+            f"then run the benchmark again"
+        )
     path = trajectory_path(root, record.benchmark)
     records = load_trajectory(path) if path.exists() else []
     records.append(record)

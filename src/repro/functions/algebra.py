@@ -10,8 +10,8 @@ The class supports evaluation (earliest arrival when departing at or
 after ``τ``), travel-time lookup, pointwise minimum (used when merging
 per-thread results), and dominance tests used throughout the test
 suite.  Evaluation reads one lazily built per-minute row
-(:meth:`Profile.row`), which is also what the flat kernel indexes for
-the distance table's profiles.
+(:meth:`Profile.row`, :func:`minute_row`), the form the flat kernel
+indexes for the distance table's pairs too.
 """
 
 from __future__ import annotations
@@ -70,6 +70,18 @@ class Profile:
         self._row = None
 
     @classmethod
+    def of_points(
+        cls, deps: np.ndarray, arrs: np.ndarray, period: int
+    ) -> "Profile":
+        """A profile over int64 points already known to be a reduced
+        profile's — a distance table's slice, checked when the table
+        was built or loaded — taken as they are, unchecked."""
+        profile = cls.__new__(cls)
+        profile.deps, profile.arrs, profile.period = deps, arrs, period
+        profile._row = None
+        return profile
+
+    @classmethod
     def from_raw(
         cls,
         deps: Sequence[int] | np.ndarray,
@@ -112,18 +124,19 @@ class Profile:
         that holds it, so an evaluation is ``day + row[τ]``: one index
         where a search loop would otherwise bisect the anchors.
 
-        Built on first use, in one numpy pass, and published in **one**
-        store: searches on other threads evaluate the same table
-        profiles and must never see half a row.  It costs O(period)
-        per profile — a weekly period's row is seven times a daily
-        one's — which is why it is lazy: a search reads the profiles of
-        the transfer stations it settles, never the whole table.  The
-        flat kernel (:mod:`repro.core.spcs_kernel`) indexes these rows
-        inline, exactly as :meth:`earliest_arrival` does.
+        Built on first use, in one numpy pass (:func:`minute_row`),
+        and published in **one** store: other threads may evaluate the
+        same profile and must never see half a row.  It costs O(period)
+        — a weekly period's row is seven times a daily one's — which is
+        why it is lazy.  The distance table builds the same rows per
+        pair (:meth:`DistanceTable.row
+        <repro.query.distance_table.DistanceTable.row>`), which the flat
+        kernel (:mod:`repro.core.spcs_kernel`) indexes inline, exactly
+        as :meth:`earliest_arrival` does.
         """
         row = self._row
         if row is None:
-            row = _minute_row(self.deps, self.arrs, self.period)
+            row = minute_row(self.deps, self.arrs, self.period)
             self._row = row
         return row
 
@@ -181,9 +194,9 @@ class Profile:
         departure time (checked at both profiles' anchors)."""
         if self.period != other.period:
             raise ValueError("cannot compare profiles with different periods")
-        anchors = np.unique(np.concatenate([self.deps, other.deps]))
+        anchors = sorted({*self.deps.tolist(), *other.deps.tolist()})
         for tau in anchors:
-            for probe in (int(tau) - 1, int(tau)):
+            for probe in (tau - 1, tau):
                 if self.earliest_arrival(probe % self.period) > other.earliest_arrival(
                     probe % self.period
                 ):
@@ -197,8 +210,9 @@ class Profile:
         return bool((np.diff(self.arrs) > 0).all())
 
 
-def _minute_row(deps: np.ndarray, arrs: np.ndarray, period: int) -> array:
-    """:meth:`Profile.row` of the points ``(deps, arrs)``: per minute τ,
+def minute_row(deps: np.ndarray, arrs: np.ndarray, period: int) -> array:
+    """:meth:`Profile.row` of the points ``(deps, arrs)`` (any integer
+    dtype: a distance table's narrow slices too): per minute τ,
     the arrival of the first anchor at or after τ unless the first
     anchor of the next day arrives sooner (or there is none today).
     The first anchor at or after τ is the count of anchors before τ."""

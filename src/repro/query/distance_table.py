@@ -3,8 +3,8 @@
 ``D : S_trans × S_trans × Π → N0`` returns, for each pair of transfer
 stations, the arrival time at the second when departing the first at a
 given time — *without* transfer times at either endpoint (the pruning
-rules add those explicitly).  Stored as one reduced
-:class:`~repro.functions.algebra.Profile` per ordered pair.
+rules add those explicitly).  Stored as the reduced profiles' points,
+one CSR pool over the ordered pairs (:class:`DistanceTable`).
 
 The paper computes ``D`` by one parallel one-to-all profile search per
 transfer station (§5.2).  Here every row comes out of **one backward
@@ -23,11 +23,13 @@ source) are the scan's test oracle, to the byte; ``docs/KERNEL.md``,
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.functions.algebra import Profile
+from repro.functions.algebra import Profile, minute_row
+from repro.functions.piecewise import INF_TIME
 from repro.graph.td_arrays import TDGraphArrays
 
 #: The scan's "unreachable": an int32 that stays one after a few
@@ -39,17 +41,31 @@ _INF32 = 1 << 30
 _STATE_BYTES = 1 << 24
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class DistanceTable:
-    """Profile distance table over the transfer stations.
+    """Profile distance table over the transfer stations, as one CSR
+    point pool.
 
-    ``profiles[a][b]`` is the reduced profile from transfer station
-    ``transfer_stations[a]`` to ``transfer_stations[b]``.
+    Pair ``k = a * n + b`` (``n`` transfer stations) owns points
+    ``pair_indptr[k] : pair_indptr[k + 1]`` of ``point_dep`` /
+    ``point_arr``: the reduced profile from ``transfer_stations[a]`` to
+    ``transfer_stations[b]``, departures non-decreasing, the diagonal
+    empty.  The points are held in the narrowest signed dtypes that
+    hold them (:func:`narrowest_dtype`): a built table's are its scan's
+    output, concatenated once; a loaded one's are the store's files,
+    memory-mapped.
+
+    Nothing per pair exists until it is read, and then only in the
+    process that reads it: a search's per-minute row (:meth:`row`) per
+    pair it evaluates; a table answer (:meth:`profile_between`) reads
+    an int64 copy of all points, made at the first.
     """
 
     transfer_stations: np.ndarray
     index_of: dict[int, int]
-    profiles: list[list[Profile]]
+    pair_indptr: np.ndarray
+    point_dep: np.ndarray
+    point_arr: np.ndarray
     period: int
     #: Wall-clock seconds the precomputation took (Table 2, Prepro Time).
     build_seconds: float
@@ -57,13 +73,44 @@ class DistanceTable:
     #: columns needed): a statistic of the run like ``build_seconds``,
     #: not stored — a table loaded from a store reads 0.
     build_passes: int = 0
+    #: Per pair, its :func:`~repro.functions.algebra.minute_row` once
+    #: read; each is published in one store, so a search on another
+    #: thread sees a whole row or none.
+    _rows: list = field(init=False, repr=False)
+    #: ``(deps, arrs, pair bounds)`` as int64 arrays and a list, made
+    #: at the first table answer.
+    _lookup: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._rows = [None] * (self.pair_indptr.size - 1)
 
     @property
     def num_transfer_stations(self) -> int:
         return int(self.transfer_stations.size)
 
+    @property
+    def num_points(self) -> int:
+        return int(self.pair_indptr[-1])
+
     def contains(self, station: int) -> bool:
         return station in self.index_of
+
+    def _pair(self, origin: int, dest: int) -> int:
+        index_of = self.index_of
+        return index_of[origin] * len(index_of) + index_of[dest]
+
+    def row(self, origin: int, dest: int) -> array:
+        """The per-minute row of ``D(origin, dest, ·)``
+        (:meth:`Profile.row <repro.functions.algebra.Profile.row>`),
+        built from the pair's slice on first use; empty when ``dest``
+        is unreachable, or is ``origin``."""
+        pair = self._pair(origin, dest)
+        row = self._rows[pair]
+        if row is None:
+            lo, hi = self.pair_indptr[pair : pair + 2].tolist()
+            row = minute_row(self.point_dep[lo:hi], self.point_arr[lo:hi], self.period)
+            self._rows[pair] = row
+        return row
 
     def earliest_arrival(self, origin: int, dest: int, tau: int) -> int:
         """``D(origin, dest, τ)`` — both must be transfer stations.
@@ -72,25 +119,48 @@ class DistanceTable:
         """
         if origin == dest:
             return tau
-        a = self.index_of[origin]
-        b = self.index_of[dest]
-        return self.profiles[a][b].earliest_arrival(tau)
+        row = self.row(origin, dest)
+        if not row:
+            return INF_TIME
+        tau_mod = tau % self.period
+        return tau - tau_mod + row[tau_mod]
 
     def profile_between(self, origin: int, dest: int) -> Profile:
-        return self.profiles[self.index_of[origin]][self.index_of[dest]]
+        """The reduced profile ``origin → dest``, as a table answer
+        hands it out: views of an int64 copy of the points, made once,
+        at the first call — a lookup then costs two slices and no
+        check (the points were checked when the table was built or
+        loaded)."""
+        lookup = self._lookup
+        if lookup is None:
+            lookup = self._lookup = self._lookup_points()
+        deps, arrs, bounds = lookup
+        pair = self._pair(origin, dest)
+        lo, hi = bounds[pair], bounds[pair + 1]
+        return Profile.of_points(deps[lo:hi], arrs[lo:hi], self.period)
+
+    def _lookup_points(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        deps = self.point_dep.astype(np.int64)
+        arrs = self.point_arr.astype(np.int64)
+        deps.flags.writeable = arrs.flags.writeable = False
+        return deps, arrs, self.pair_indptr.tolist()
 
     def size_bytes(self) -> int:
-        """Memory of the stored connection points (two int64 per point),
-        the figure reported as Table 2's *Space* column."""
-        points = sum(
-            len(profile)
-            for row in self.profiles
-            for profile in row
-        )
-        return 16 * points
+        """Memory of the stored connection points counted as two int64
+        per point, the figure reported as Table 2's *Space* column."""
+        return 16 * self.num_points
 
     def size_mib(self) -> float:
         return self.size_bytes() / (1024.0 * 1024.0)
+
+
+def narrowest_dtype(top: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds ``0 … top``."""
+    return next(
+        np.dtype(kind)
+        for kind in (np.int16, np.int32, np.int64)
+        if top <= np.iinfo(kind).max
+    )
 
 
 def build_distance_table(
@@ -104,11 +174,13 @@ def build_distance_table(
     for s in stations:
         if not arrays.is_station_node(int(s)):
             raise ValueError(f"transfer station {s} is not a station node")
-    profiles, passes = scan_rows(arrays, stations)
+    pair_indptr, deps, arrs, passes = scan_rows(arrays, stations)
     return DistanceTable(
         transfer_stations=stations,
         index_of={int(s): i for i, s in enumerate(stations)},
-        profiles=profiles,
+        pair_indptr=pair_indptr,
+        point_dep=deps.astype(narrowest_dtype(arrays.period - 1)),
+        point_arr=arrs.astype(narrowest_dtype(int(arrs.max(initial=0)))),
         period=arrays.period,
         build_seconds=time.perf_counter() - t0,
         build_passes=passes,
@@ -162,7 +234,7 @@ class _Suffix:
 
     def __init__(self, owner: np.ndarray, dep: np.ndarray, period: int) -> None:
         self.period = period
-        self.keys = np.unique(owner * period + dep)
+        self.keys = _distinct(owner * period + dep)[0]
         self.size = int(self.keys.size)
 
     def slot(self, owner: np.ndarray, dep: np.ndarray) -> np.ndarray:
@@ -201,9 +273,7 @@ class _Suffix:
         days = np.concatenate([d for _, d in reads])
         cross = (slot >= 0) & (days > 0)
         width = int(days.max(initial=0)) + 1
-        codes, carry = np.unique(
-            slot[cross] * width + days[cross], return_inverse=True
-        )
+        codes, carry = _distinct(slot[cross] * width + days[cross])
         self.carry_slot = codes // width
         self.carry_shift = ((codes % width) * self.period).astype(np.int32)
         self.inf_row = self.size + int(codes.size)
@@ -231,6 +301,19 @@ class _Suffix:
         values = state[np.where(slot < 0, self.inf_row, slot)]
         values += (days * self.period).astype(np.int32)[:, None]
         return np.minimum(values, _INF32, out=values)
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` by a sort and flags:
+    ``np.unique`` imports ``numpy.ma`` (≈ 0.9 MB) into the process."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(values.size, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def _station_edges(arrays: TDGraphArrays) -> tuple[np.ndarray, np.ndarray]:
@@ -374,10 +457,11 @@ class _Scan:
 def scan_rows(
     arrays: TDGraphArrays,
     stations: np.ndarray,
-) -> tuple[list[list[Profile]], int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Every row of ``D`` over the pack ``arrays`` (``stations`` the
-    sorted ``S_trans``, sources and targets alike), and the most passes
-    a block of columns needed.
+    sorted ``S_trans``, sources and targets alike) as one CSR point pool
+    ``(pair_indptr, deps, arrs)`` in :class:`DistanceTable`'s layout,
+    and the most passes a block of columns needed.
 
     Points are scanned one departure minute at a time, latest first.  A
     point ``c`` from route node ``u`` to ``v``, arriving ``arr``, gets
@@ -396,33 +480,44 @@ def scan_rows(
     scan = _Scan(arrays, stations)
     num_targets = int(stations.size)
     block = max(1, _STATE_BYTES // (4 * (scan.R.inf_row + scan.B.inf_row + 2)))
-    empty = np.zeros(0, dtype=np.int64)
-    rows: list[list[Profile]] = [[None] * num_targets for _ in range(num_targets)]
+    # Per source, its (counts, deps, arrs) per block of columns, in
+    # column order: concatenated source by source, that is pair order.
+    pieces: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(num_targets)]
     most_passes = 0
     for c0 in range(0, num_targets, block):
         c1 = min(c0 + block, num_targets)
         SR, SB, passes = scan.columns(c0, c1)
         most_passes = max(most_passes, passes)
-        for a, row in enumerate(rows):
-            row[c0:c1] = _reduced_columns(*scan.labels(SR, SB, a), arrays.period)
-            if c0 <= a < c1:
-                row[a] = Profile(empty, empty, arrays.period)
-    return rows, most_passes
+        for a, row in enumerate(pieces):
+            row.append(_reduced_columns(*scan.labels(SR, SB, a), a - c0))
+    empty = np.zeros(0, dtype=np.int64)
+    counts, deps, arrs = (
+        np.concatenate([empty, *(piece[i] for row in pieces for piece in row)])
+        for i in range(3)
+    )
+    pair_indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=pair_indptr[1:])
+    return pair_indptr, deps, arrs, most_passes
 
 
-def _reduced_columns(labels: np.ndarray, deps: np.ndarray, period: int) -> list[Profile]:
-    """One profile per column of ``labels`` (one row per connection of
-    ``conn(S)``, departing ``deps``), reduced as
+def _reduced_columns(
+    labels: np.ndarray, deps: np.ndarray, diagonal: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced profile of every column of ``labels`` (one row per
+    connection of ``conn(S)``, departing ``deps``) as ``(points per
+    column, deps, arrs)``, column after column, reduced as
     :func:`~repro.functions.reduction.reduce_connection_points` reduces
     a one-to-all search's labels: a point survives where its arrival is
-    finite and below every later connection's."""
+    finite and below every later connection's.  Column ``diagonal``,
+    when there is one, is the source itself: left empty."""
     after = np.full_like(labels, _INF32)
     np.minimum.accumulate(labels[:0:-1], axis=0, out=after[-2::-1])
-    col, kept = np.nonzero((labels < after).T)
-    kept_deps = deps[kept]
-    kept_arrs = labels[kept, col].astype(np.int64)
-    ends = np.cumsum(np.bincount(col, minlength=labels.shape[1])).tolist()
-    return [
-        Profile(kept_deps[start:end], kept_arrs[start:end], period)
-        for start, end in zip([0, *ends], ends)
-    ]
+    kept = labels < after
+    if 0 <= diagonal < labels.shape[1]:
+        kept[:, diagonal] = False
+    col, row = np.nonzero(kept.T)
+    return (
+        np.bincount(col, minlength=labels.shape[1]),
+        deps[row],
+        labels[row, col],
+    )

@@ -77,8 +77,8 @@ class DistanceTablePruner:
     paper's rules and, with the reference kernel, the oracle the flat
     loop's answers are tested against — it evaluates ``D`` through the
     table, the loop by indexing the per-minute rows
-    (:meth:`Profile.row <repro.functions.algebra.Profile.row>`)
-    :meth:`via_row` / :meth:`target_row` hand it.
+    (:meth:`DistanceTable.row`) :meth:`via_row` / :meth:`target_row`
+    hand it.
 
     ``num_connections`` (``|conn(source)|``), ``transfer_time``,
     ``contributes`` and ``node_station`` are what the engine already
@@ -164,19 +164,17 @@ class DistanceTablePruner:
         return mask
 
     def via_row(self, station: int) -> list[array | None]:
-        """Per via station, the :meth:`Profile.row` of ``D(station,
-        via, ·)`` — None where ``station`` is the via station itself."""
+        """Per via station, the per-minute row of ``D(station, via, ·)``
+        (:meth:`DistanceTable.row`) — None where ``station`` is the via
+        station itself."""
         table = self._table
-        row = [
-            None if station == via else table.profile_between(station, via).row()
-            for via in self.via
-        ]
+        row = [None if station == via else table.row(station, via) for via in self.via]
         self.via_rows[station] = row
         return row
 
     def target_row(self, station: int) -> array:
-        """The :meth:`Profile.row` of ``D(station, target, ·)``."""
-        row = self._table.profile_between(station, self.target).row()
+        """The per-minute row of ``D(station, target, ·)``."""
+        row = self._table.row(station, self.target)
         self.target_rows[station] = row
         return row
 

@@ -224,9 +224,9 @@ class TransitService:
     ) -> "TransitService":
         """Warm-start a service from a store written by :meth:`save`.
 
-        No builder runs — the packed buffers are memory-mapped
-        read-only, the station graph and the distance table are
-        deserialized, and the timetable, its routes and the object
+        No builder runs — the pack's and the distance table's buffers
+        are memory-mapped read-only, the station graph is decoded from
+        the mapped record, and the timetable, its routes and the object
         graph, which no query reads, are built only when something asks
         for them (:class:`~repro.service.prepare.PreparedDataset`: a
         delay swap or a save builds the timetable and the routes, only

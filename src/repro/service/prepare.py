@@ -152,7 +152,7 @@ class PreparedDataset:
     station-graph construction and table building happen at most once
     per service instance (``tests/service/test_facade.py`` pins this
     with call counters).  No query assigns to any of them either, a
-    table profile's list mirror excepted
+    distance table's lazy per-pair rows and lookup profiles excepted
     (``docs/KERNEL.md``, "What a generation owns").
 
     A served search reads the pack, the station graph, the transfer

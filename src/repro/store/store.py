@@ -6,14 +6,15 @@ start: graph build, flat-array packing, station graph, transfer
 selection, distance table.  This module makes that cost *once per
 dataset* instead of once per process: :func:`save_dataset` serializes
 every prepared artifact to a store directory, and :func:`load_dataset`
-brings them back without calling a single builder — the numpy buffers
-are memory-mapped zero-copy (``numpy.load(..., mmap_mode="r")``), the
-distance table is deserialized, never recomputed
+brings them back without calling a single builder — the pack's and the
+distance table's buffers are memory-mapped zero-copy
+(``numpy.load(..., mmap_mode="r")``), the record is held open and only
+the sections serving reads are decoded, nothing is recomputed
 (``tests/store/test_store_roundtrip.py`` pins builders-never-called
 with failing monkeypatches), and the timetable, its routes and the
 time-dependent graph, which no served search reads, are built on first
-access only — the timetable from the record, the routes and the graph
-from the timetable, as a prepare builds them
+access only — the timetable from the held record, the routes and
+the graph from the timetable, as a prepare builds them
 (``tests/store/test_lazy_hydration.py``).
 
 Store layout (a directory)::
@@ -23,8 +24,14 @@ Store layout (a directory)::
                        (compact binary, :mod:`repro.store.codec`)
     arrays/<name>.npy  the 13 TDGraphArrays buffers, loaded with
                        ``mmap_mode="r"``
-    table.npz          distance-table profiles as one CSR point pool
-                       (present only when the config builds a table)
+    table/<name>.npy   the distance table's CSR point pool:
+                       ``transfer_stations``, ``pair_indptr``,
+                       ``point_dep``, ``point_arr`` (present only when
+                       the config builds a table), mapped likewise
+
+Every file is written to a sidecar and renamed into place, so a process
+that has a store loaded — a service saving over the store it was loaded
+from, say — keeps reading the files it mapped or holds open.
 
 Compatibility contract: :data:`FORMAT_VERSION` is bumped on any layout
 change and checked on load; the manifest's ``config_hash`` (SHA-256
@@ -45,7 +52,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.functions.algebra import Profile
 from repro.graph.station_graph import StationGraph
 from repro.graph.td_arrays import TDGraphArrays
 from repro.query.distance_table import DistanceTable
@@ -55,7 +61,7 @@ from repro.service.prepare import (
     PrepareStats,
     TimetableCounts,
 )
-from repro.store.codec import CodecError, read_record, write_record
+from repro.store.codec import CodecError, HeldRecord, write_record
 from repro.timetable.types import Connection, Station, Timetable, Train
 
 #: Bumped on any incompatible change to the store layout (2: the stored
@@ -64,8 +70,10 @@ from repro.timetable.types import Connection, Station, Timetable, Train
 #: ``queue`` — every store is loaded with its pack; 5: nor ``strategy``
 #: and the four pruning switches — a service runs the full algorithm;
 #: 6: ``arrays/`` holds the pack alone — a loaded graph is built from
-#: the timetable, so the five hydration side-tables are gone).
-FORMAT_VERSION = 6
+#: the timetable, so the five hydration side-tables are gone; 7: the
+#: table is ``table/*.npy`` in narrow dtypes, not ``table.npz``, and its
+#: build time is in the manifest).
+FORMAT_VERSION = 7
 
 _MANIFEST_FORMAT = "repro-artifact-store"
 
@@ -86,15 +94,12 @@ _ARRAY_FIELDS = (
     "transfer_time",
 )
 
-#: Record sections the timetable is hydrated from.
-_TIMETABLE_SECTIONS = (
-    "meta",
-    "timetable_name",
-    "station_names",
-    "station_transfer_time",
-    "train_names",
-    "connections",
-)
+#: The distance table's buffers, one ``.npy`` file each under ``table/``.
+_TABLE_FIELDS = ("transfer_stations", "pair_indptr", "point_dep", "point_arr")
+
+#: Points the load-time check of a table reads at once: its temporaries
+#: stay far below what a service holds.
+_CHECK_CHUNK = 1 << 12
 
 
 class StoreError(RuntimeError):
@@ -155,8 +160,10 @@ def save_dataset(
     (``with_runtime_overrides``) survive a save/load round-trip.
 
     The directory is created (parents included) and overwritten
-    artifact by artifact; any existing manifest is removed *first* and
-    the new one is written *last* (atomically, sidecar + rename), so a
+    artifact by artifact, each file through a sidecar renamed into
+    place (:func:`_replace`), so a service may save over the store it
+    was loaded from and keep serving from what it loaded; any existing
+    manifest is removed *first* and the new one is written *last*, so a
     save that crashes — or is signalled — midway, fresh or over an
     older store, leaves a directory that fails to load instead of one
     that masquerades as a complete (possibly mixed-generation) store
@@ -172,27 +179,21 @@ def save_dataset(
         config = prepared.config
 
     arrays = prepared.arrays
+    _save_buffers(root / "arrays", {name: getattr(arrays, name) for name in _ARRAY_FIELDS})
 
-    arrays_dir = root / "arrays"
-    arrays_dir.mkdir(exist_ok=True)
-    for name in _ARRAY_FIELDS:
-        np.save(arrays_dir / f"{name}.npy", getattr(arrays, name))
-    # Buffers an older save wrote (an older format's side-tables) must
-    # not survive next to a fresh manifest either.
-    packed = {f"{name}.npy" for name in _ARRAY_FIELDS}
-    for stale in arrays_dir.glob("*.npy"):
-        if stale.name not in packed:
-            stale.unlink()
-
-    write_record(root / "dataset.bin", _dataset_sections(prepared))
+    sections = _dataset_sections(prepared)
+    _replace(root / "dataset.bin", lambda tmp: write_record(tmp, sections))
 
     table = prepared.table
-    if table is not None:
-        _save_table(root / "table.npz", table)
-    else:
-        # A stale table from a previous save under a different config
-        # must not survive next to a fresh manifest.
-        (root / "table.npz").unlink(missing_ok=True)
+    # A format-6 table, and a table from a save under another config,
+    # must not survive next to a fresh manifest.
+    (root / "table.npz").unlink(missing_ok=True)
+    _save_buffers(
+        root / "table",
+        {}
+        if table is None
+        else {name: getattr(table, name) for name in _TABLE_FIELDS},
+    )
 
     manifest = {
         "format": _MANIFEST_FORMAT,
@@ -215,14 +216,46 @@ def save_dataset(
         },
         "artifacts": {"table": table is not None},
     }
-    # Written to a sidecar and renamed into place: a crash or signal at
-    # any instant leaves either no manifest (store refuses to load) or
-    # a complete one — never a truncated manifest that parses as
-    # corruption instead of absence.
-    tmp = root / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
-    os.replace(tmp, root / "manifest.json")
+    if table is not None:
+        manifest["table_build_seconds"] = table.build_seconds
+    # Renamed into place: a crash or signal at any instant leaves
+    # either no manifest (store refuses to load) or a complete one —
+    # never a truncated manifest that parses as corruption instead of
+    # absence.
+    _replace(
+        root / "manifest.json",
+        lambda tmp: tmp.write_text(json.dumps(manifest, indent=2) + "\n"),
+    )
     return root
+
+
+def _replace(path: Path, write) -> None:
+    """``write(sidecar)``, then rename the sidecar over ``path``: a
+    mapping or a descriptor of the old file keeps its inode, and a
+    crash leaves the old file or none, never a truncated one."""
+    tmp = path.with_name(path.name + ".tmp")
+    write(tmp)
+    os.replace(tmp, path)
+
+
+def _save_buffers(directory: Path, buffers: dict[str, np.ndarray]) -> None:
+    """One ``<name>.npy`` per buffer under ``directory``; any other file
+    there — an older format's buffer, a crashed save's sidecar — is
+    deleted, and so is the directory when it is left empty."""
+    directory.mkdir(exist_ok=True)
+    for name, buffer in buffers.items():
+
+        def write(tmp: Path, buffer=buffer) -> None:
+            with open(tmp, "wb") as out:
+                np.save(out, buffer)
+
+        _replace(directory / f"{name}.npy", write)
+    kept = {f"{name}.npy" for name in buffers}
+    for stale in directory.iterdir():
+        if stale.name not in kept:
+            stale.unlink()
+    if not buffers:
+        directory.rmdir()
 
 
 def _dataset_sections(prepared: PreparedDataset) -> dict:
@@ -259,32 +292,6 @@ def _dataset_sections(prepared: PreparedDataset) -> dict:
     return sections
 
 
-def _save_table(path: Path, table: DistanceTable) -> None:
-    """Distance table as one CSR point pool: entry ``a * n + b`` of
-    ``pair_indptr`` brackets the (dep, arr) points of profile a→b."""
-    n = table.num_transfer_stations
-    pair_indptr = np.zeros(n * n + 1, dtype=np.int64)
-    deps: list[np.ndarray] = []
-    arrs: list[np.ndarray] = []
-    total = 0
-    for a in range(n):
-        for b in range(n):
-            profile = table.profiles[a][b]
-            total += len(profile)
-            pair_indptr[a * n + b + 1] = total
-            deps.append(profile.deps)
-            arrs.append(profile.arrs)
-    empty = np.zeros(0, dtype=np.int64)
-    np.savez(
-        path,
-        transfer_stations=table.transfer_stations,
-        pair_indptr=pair_indptr,
-        point_dep=np.concatenate(deps) if deps else empty,
-        point_arr=np.concatenate(arrs) if arrs else empty,
-        build_seconds=np.asarray([table.build_seconds], dtype=np.float64),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------
@@ -295,15 +302,18 @@ def load_dataset(
 ) -> PreparedDataset:
     """Load a store back into a :class:`PreparedDataset`, warm.
 
-    No builder runs: the packed buffers are memory-mapped read-only,
-    and the station graph, the transfer stations and the distance
-    table are deserialized.  The timetable, its routes and the object
-    graph are not built here: the dataset keeps the record's timetable
-    sections, builds the timetable from them on first access and the
-    routes and the graph from the timetable (:class:`PreparedDataset`) — so
-    ``stats.graph_seconds`` is 0, and corrupt connection rows raise
-    only then; the timetable's name and sizes are read off the record's
-    header (``counts``).
+    No builder runs: the pack's and the table's buffers are
+    memory-mapped read-only, and the record is held open, its headers
+    all checked here but only the header fields, the station graph and
+    the transfer stations decoded.  The timetable, its routes and the
+    object graph are not built here: the dataset keeps the held record,
+    builds the timetable from it on first access and
+    the routes and the graph from the timetable
+    (:class:`PreparedDataset`) — so ``stats.graph_seconds`` is 0, and
+    corrupt connection rows raise only then; the timetable's name and
+    sizes are read off the record's header (``counts``).  The table's
+    points are checked here, in one vectorised pass
+    (:func:`_check_table`).
     ``expected_config``, when given, must share
     the stored config's *preparation recipe*
     (:func:`prepare_config_hash` — a store answers exactly one recipe;
@@ -326,33 +336,41 @@ def load_dataset(
         )
 
     try:
-        sections = read_record(root / "dataset.bin")
+        record = HeldRecord(root / "dataset.bin")
     except FileNotFoundError:
         raise StoreError(f"{root}: missing dataset.bin") from None
     except CodecError as exc:
         raise StoreError(str(exc)) from None
 
-    counts = _timetable_counts(sections)
-    station_graph = _hydrate_station_graph(sections)
-    transfer_stations = (
-        np.asarray(sections["transfer_stations"], dtype=np.int64)
-        if int(sections["meta"][4])
-        else None
+    meta = record.get("meta")
+    counts = TimetableCounts(
+        name=record.get("timetable_name")[0],
+        stations=int(meta[1]),
+        trains=int(meta[2]),
+        connections=int(meta[3]),
     )
-    period = int(sections["meta"][0])
+    station_graph = _hydrate_station_graph(record, counts.stations)
+    transfer_stations = (
+        record.get("transfer_stations") if int(meta[4]) else None
+    )
+    period = int(meta[0])
     arrays = _load_arrays(root, manifest, counts.stations, period)
 
     table: DistanceTable | None = None
     table_mib = 0.0
     if manifest["artifacts"]["table"]:
-        table = _load_table(root / "table.npz", period)
+        table = _load_table(
+            root / "table",
+            period,
+            counts.stations,
+            float(manifest.get("table_build_seconds", 0.0)),
+        )
         table_mib = table.size_mib()
 
-    # What the timetable builder keeps until it has run.
-    record = {name: sections[name] for name in _TIMETABLE_SECTIONS}
-
     def hydrate_timetable() -> Timetable:
-        return _hydrate_timetable(record)
+        timetable = _hydrate_timetable(record, counts)
+        record.close()
+        return timetable
 
     stats = PrepareStats(
         graph_seconds=0.0,
@@ -419,26 +437,15 @@ def _config_from_manifest(manifest: dict, root: Path) -> ServiceConfig:
     return config
 
 
-def _timetable_counts(sections: dict) -> TimetableCounts:
-    meta = sections["meta"]
-    return TimetableCounts(
-        name=sections["timetable_name"][0],
-        stations=int(meta[1]),
-        trains=int(meta[2]),
-        connections=int(meta[3]),
-    )
-
-
-def _hydrate_timetable(sections: dict) -> Timetable:
-    period = int(sections["meta"][0])
-    transfer = sections["station_transfer_time"].tolist()
+def _hydrate_timetable(record: HeldRecord, counts: TimetableCounts) -> Timetable:
+    transfer = record.get("station_transfer_time").tolist()
     stations = [
         Station(id=i, name=name, transfer_time=transfer[i])
-        for i, name in enumerate(sections["station_names"])
+        for i, name in enumerate(record.get("station_names"))
     ]
     trains = [
         Train(id=i, name=name)
-        for i, name in enumerate(sections["train_names"])
+        for i, name in enumerate(record.get("train_names"))
     ]
     # The record's five columns, handed to the timetable as its
     # ``connection_columns()`` so that no swap reads them back off the
@@ -446,7 +453,7 @@ def _hydrate_timetable(sections: dict) -> Timetable:
     # not keep the whole section alive.
     columns = tuple(
         np.ascontiguousarray(column)
-        for column in sections["connections"].reshape(-1, 5).T
+        for column in record.get("connections").reshape(-1, 5).T
     )
     for column in columns:
         column.flags.writeable = False
@@ -462,20 +469,20 @@ def _hydrate_timetable(sections: dict) -> Timetable:
         stations=stations,
         trains=trains,
         connections=connections,
-        period=period,
-        name=sections["timetable_name"][0],
+        period=int(record.get("meta")[0]),
+        name=counts.name,
         _columns=columns,
     )
 
 
-def _hydrate_station_graph(sections: dict) -> StationGraph:
+def _hydrate_station_graph(record: HeldRecord, num_stations: int) -> StationGraph:
     return StationGraph(
-        num_stations=int(sections["meta"][1]),
-        indptr=sections["sg_indptr"],
-        targets=sections["sg_targets"],
-        weights=sections["sg_weights"],
-        rev_indptr=sections["sg_rev_indptr"],
-        rev_targets=sections["sg_rev_targets"],
+        num_stations=num_stations,
+        indptr=record.get("sg_indptr"),
+        targets=record.get("sg_targets"),
+        weights=record.get("sg_weights"),
+        rev_indptr=record.get("sg_rev_indptr"),
+        rev_targets=record.get("sg_rev_targets"),
     )
 
 
@@ -513,35 +520,91 @@ def _load_arrays(
     )
 
 
-def _load_table(path: Path, period: int) -> DistanceTable:
-    if not path.exists():
-        raise StoreError(f"{path}: missing (manifest promises a table)")
-    try:
-        with np.load(path) as data:
-            transfer_stations = np.asarray(
-                data["transfer_stations"], dtype=np.int64
-            )
-            pair_indptr = data["pair_indptr"]
-            point_dep = data["point_dep"]
-            point_arr = data["point_arr"]
-            build_seconds = float(data["build_seconds"][0])
-    except Exception as exc:  # zipfile/format errors vary by corruption
-        raise StoreError(f"{path}: corrupt table: {exc}") from None
-    n = int(transfer_stations.size)
-    profiles: list[list[Profile]] = []
-    for a in range(n):
-        row: list[Profile] = []
-        for b in range(n):
-            lo, hi = int(pair_indptr[a * n + b]), int(pair_indptr[a * n + b + 1])
-            row.append(Profile(point_dep[lo:hi], point_arr[lo:hi], period))
-        profiles.append(row)
+def _load_table(
+    directory: Path, period: int, num_stations: int, build_seconds: float
+) -> DistanceTable:
+    if not directory.is_dir():
+        raise StoreError(f"{directory}: missing (manifest promises a table)")
+    # Plain views of the maps: a memmap's slice costs a Python call, and
+    # a search slices a pair per row it builds.
+    buffers = {
+        name: np.asarray(_mmap_buffer(directory / f"{name}.npy"))
+        for name in _TABLE_FIELDS
+    }
+    _check_table(directory, period, num_stations, **buffers)
+    transfer_stations = np.asarray(buffers.pop("transfer_stations"), dtype=np.int64)
     return DistanceTable(
         transfer_stations=transfer_stations,
         index_of={int(s): i for i, s in enumerate(transfer_stations)},
-        profiles=profiles,
         period=period,
         build_seconds=build_seconds,
+        **buffers,
     )
+
+
+def _check_table(
+    directory: Path,
+    period: int,
+    num_stations: int,
+    transfer_stations: np.ndarray,
+    pair_indptr: np.ndarray,
+    point_dep: np.ndarray,
+    point_arr: np.ndarray,
+) -> None:
+    """Refuse, as :class:`StoreError`, a table whose points are not a
+    reduced profile per pair — what :class:`Profile` would refuse: a
+    departure outside the period, departures decreasing within a pair,
+    an arrival before its departure — or whose stations or
+    ``pair_indptr`` do not frame them.  One vectorised pass over the
+    points, :data:`_CHECK_CHUNK` at a time."""
+
+    def refuse(what: str) -> StoreError:
+        return StoreError(f"{directory}: corrupt table: {what}")
+
+    for name, buffer in (
+        ("transfer_stations", transfer_stations),
+        ("pair_indptr", pair_indptr),
+        ("point_dep", point_dep),
+        ("point_arr", point_arr),
+    ):
+        if buffer.ndim != 1 or buffer.dtype.kind != "i":
+            raise refuse(f"{name} is not a vector of integers")
+    n = transfer_stations.size
+    if n and (
+        transfer_stations[0] < 0
+        or transfer_stations[-1] >= num_stations
+        or (np.diff(transfer_stations) <= 0).any()
+    ):
+        raise refuse("transfer stations are not sorted station ids")
+    if point_dep.size != point_arr.size:
+        raise refuse("point_dep and point_arr differ in length")
+    diagonal = np.arange(n) * (n + 1)
+    if (
+        pair_indptr.size != n * n + 1
+        or pair_indptr[0] != 0
+        or pair_indptr[-1] != point_dep.size
+        or (np.diff(pair_indptr) < 0).any()
+        or (pair_indptr[diagonal + 1] != pair_indptr[diagonal]).any()
+    ):
+        raise refuse("bad pair_indptr")
+    for lo in range(0, point_dep.size, _CHECK_CHUNK):
+        hi = min(lo + _CHECK_CHUNK, point_dep.size)
+        dep = point_dep[max(lo - 1, 0) : hi].astype(np.int64)
+        arr = point_arr[lo:hi].astype(np.int64)
+        here = dep[-arr.size :]
+        if (here < 0).any() or (here >= period).any():
+            raise refuse(f"a departure outside the period [0, {period})")
+        if (arr < here).any():
+            raise refuse("an arrival before its departure")
+        # Point i may depart before point i - 1 where a pair begins.
+        first = hi - dep.size + 1
+        falls = np.diff(dep) < 0
+        begins = pair_indptr[
+            np.searchsorted(pair_indptr, first) : np.searchsorted(pair_indptr, hi)
+        ]
+        falls[begins - first] = False
+        if falls.any():
+            raise refuse("departures decrease within a pair")
 
 
 def describe_store(path: str | Path) -> dict:
@@ -555,8 +618,10 @@ def describe_store(path: str | Path) -> dict:
                 f.stat().st_size for f in (root / "arrays").glob("*.npy")
             ),
         }
-        if (root / "table.npz").exists():
-            sizes["table.npz"] = (root / "table.npz").stat().st_size
+        if (root / "table").is_dir():
+            sizes["table"] = sum(
+                f.stat().st_size for f in (root / "table").glob("*.npy")
+            )
     except OSError as exc:
         raise StoreError(f"{root}: incomplete store: {exc}") from None
     manifest["sizes_bytes"] = sizes

@@ -13,7 +13,7 @@ from repro.benchops import (
     emit_record,
     validate_record,
 )
-from repro.benchops.machine import current_git_sha
+from repro.benchops.machine import current_git_sha, git_tree_dirty
 from repro.benchops.schema import MACHINE_KEYS, config_hash
 
 
@@ -36,6 +36,7 @@ class TestCapture:
         assert record.created_unix > 0
         # The checked-out commit, or None in an exported source tree.
         assert record.git_sha == current_git_sha()
+        assert record.dirty == git_tree_dirty()
         assert record.config_hash == config_hash(record.config)
 
     def test_git_sha_of_a_work_tree_is_its_head(self, tmp_path):
@@ -46,16 +47,39 @@ class TestCapture:
             "-c", "commit.gpgsign=false",
         ]
         subprocess.run([*git, "init", "-q"], check=True)
-        subprocess.run(
-            [*git, "commit", "-q", "--allow-empty", "-m", "init"], check=True
-        )
+        (tmp_path / "tracked.txt").write_text("one\n")
+        subprocess.run([*git, "add", "tracked.txt"], check=True)
+        subprocess.run([*git, "commit", "-q", "-m", "init"], check=True)
         sha = current_git_sha(str(tmp_path))
         assert sha is not None and re.fullmatch(r"[0-9a-f]{40}", sha)
+        assert git_tree_dirty(str(tmp_path)) is False
+        # An edit to a tracked file, then a new file: both dirty.
+        (tmp_path / "tracked.txt").write_text("two\n")
+        assert git_tree_dirty(str(tmp_path)) is True
+        subprocess.run([*git, "commit", "-q", "-am", "edit"], check=True)
+        assert git_tree_dirty(str(tmp_path)) is False
+        (tmp_path / "new.py").write_text("")
+        assert git_tree_dirty(str(tmp_path)) is True
+        assert current_git_sha(str(tmp_path)) != sha
 
     def test_git_sha_outside_a_work_tree_is_none(self, tmp_path, monkeypatch):
         # Keep git from finding a repository above the temporary directory.
         monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
         assert current_git_sha(str(tmp_path)) is None
+        assert git_tree_dirty(str(tmp_path)) is None
+
+    def test_a_record_older_than_the_dirty_mark_reads_back_unchanged(self):
+        raw = make_record().to_dict()
+        raw.pop("dirty", None)
+        record = validate_record(raw)
+        assert record.dirty is None
+        assert record.to_dict() == raw
+
+    def test_rejects_a_dirty_mark_that_is_not_a_boolean(self):
+        raw = make_record().to_dict()
+        raw["dirty"] = "yes"
+        with pytest.raises(RecordError, match="dirty"):
+            validate_record(raw)
 
     def test_roundtrip_through_dict(self):
         record = make_record()

@@ -3,11 +3,13 @@ corrupt-file refusals that keep ``BENCH_*.json`` trustworthy."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.benchops import (
+    RecordError,
     TrajectoryError,
     append_record,
     emit_record,
@@ -27,6 +29,22 @@ class TestAppend:
         append_record(tmp_path, second)
         history = load_trajectory(path)
         assert [r.metrics["run_ms"] for r in history] == [10.0, 11.0]
+
+    def test_a_dirty_record_is_not_promoted(self, tmp_path, record_factory):
+        """A run on uncommitted changes is filed under a commit that
+        does not hold the measured code: the trajectory refuses it, and
+        the indexer leaves it pending, reported."""
+        dirty = dataclasses.replace(record_factory(), dirty=True)
+        with pytest.raises(RecordError, match="uncommitted changes"):
+            append_record(tmp_path, dirty)
+        assert not trajectory_path(tmp_path, "demo_bench").exists()
+        records_dir = tmp_path / "records"
+        pending = emit_record(dirty, records_dir)
+        summary = index_records(records_dir, tmp_path)
+        assert summary.indexed == []
+        assert [path for path, _ in summary.rejected] == [pending]
+        assert "uncommitted changes" in summary.rejected[0][1]
+        assert pending.exists()
 
     def test_trajectory_names(self, tmp_path, record_factory):
         append_record(tmp_path, record_factory("bench_a"))

@@ -275,6 +275,24 @@ def spcs_table_rows(graph, stations, *, num_threads: int = 1, kernel: str = "fla
     return rows
 
 
+def table_profiles(table) -> list[list]:
+    """A :class:`~repro.query.distance_table.DistanceTable`'s rows as
+    the profiles its lookups hand out, ``[a][b]`` from
+    ``transfer_stations[a]`` to ``transfer_stations[b]``."""
+    stations = table.transfer_stations.tolist()
+    return [[table.profile_between(a, b) for b in stations] for a in stations]
+
+
+def assert_tables_bitwise_equal(expected, got):
+    """Two distance tables hold the same stations and points, the
+    same dtypes and the same bytes, over the same period."""
+    assert got.period == expected.period
+    for name in ("transfer_stations", "pair_indptr", "point_dep", "point_arr"):
+        want, have = getattr(expected, name), getattr(got, name)
+        assert have.dtype == want.dtype, name
+        assert have.tobytes() == want.tobytes(), name
+
+
 def assert_rows_bitwise_equal(expected, profiles):
     """``profiles`` (a table's rows) equal ``expected`` to the byte:
     same dtypes, same departure and arrival bytes, same period."""

@@ -25,9 +25,11 @@ from repro.timetable.delays import Delay, apply_delays
 from tests.helpers import (
     assert_packs_equal,
     assert_rows_bitwise_equal,
+    assert_tables_bitwise_equal,
     retimed,
     spcs_table_rows,
     swapped_pack,
+    table_profiles,
 )
 from tests.strategies import adversarial_timetables, retimings
 
@@ -82,8 +84,9 @@ class TestBuildDistanceTable:
     def test_size_accounting(self, table_setup):
         _graph, _stations, table = table_setup
         points = sum(
-            len(profile) for row in table.profiles for profile in row
+            len(profile) for row in table_profiles(table) for profile in row
         )
+        assert table.num_points == points
         assert table.size_bytes() == 16 * points
         assert table.size_mib() == pytest.approx(table.size_bytes() / 2**20)
 
@@ -156,11 +159,12 @@ def test_the_route_model_by_hand():
     boarding, and journeys a day on that the scan's second pass finds."""
     graph = build_td_graph(route_model_toy())
     table = build_distance_table(packed_arrays(graph), [A, B, C, D])
+    rows = table_profiles(table)
     for (a, b), points in ROUTE_MODEL_D.items():
-        profile = table.profiles[a][b]
+        profile = rows[a][b]
         assert list(zip(profile.deps.tolist(), profile.arrs.tolist())) == points
-    assert all(len(table.profiles[a][a]) == 0 for a in range(4))
-    assert_rows_bitwise_equal(spcs_table_rows(graph, [A, B, C, D]), table.profiles)
+    assert all(len(rows[a][a]) == 0 for a in range(4))
+    assert_rows_bitwise_equal(spcs_table_rows(graph, [A, B, C, D]), rows)
     # Pass one leaves every journey that crosses midnight and then
     # rides on unknown; pass two finds them, but what it carries over
     # a day still moves (x1 then D → A overnight reaches B two days
@@ -193,7 +197,7 @@ def test_scan_equals_spcs_rows_on_adversarial_timetables(timetable, data):
     num_threads = data.draw(st.sampled_from([1, 3]), label="p")
     table = build_distance_table(packed_arrays(graph), stations)
     expected = spcs_table_rows(graph, stations, num_threads=num_threads)
-    assert_rows_bitwise_equal(expected, table.profiles)
+    assert_rows_bitwise_equal(expected, table_profiles(table))
 
 
 def test_a_station_without_departures_gets_an_empty_row(toy_graph):
@@ -204,9 +208,9 @@ def test_a_station_without_departures_gets_an_empty_row(toy_graph):
         if not toy_graph.timetable.outgoing_connections(s)
     ]
     table = build_distance_table(packed_arrays(toy_graph), range(toy_graph.num_stations))
-    assert all(len(profile) == 0 for profile in table.profiles[silent])
+    assert all(len(profile) == 0 for profile in table_profiles(table)[silent])
     assert_rows_bitwise_equal(
-        spcs_table_rows(toy_graph, range(toy_graph.num_stations)), table.profiles
+        spcs_table_rows(toy_graph, range(toy_graph.num_stations)), table_profiles(table)
     )
 
 
@@ -222,7 +226,7 @@ def test_scan_equals_spcs_rows_on_the_instances(instance, num_threads):
     )
     table = build_distance_table(packed_arrays(graph), stations)
     assert_rows_bitwise_equal(
-        spcs_table_rows(graph, stations, num_threads=num_threads), table.profiles
+        spcs_table_rows(graph, stations, num_threads=num_threads), table_profiles(table)
     )
 
 
@@ -233,7 +237,7 @@ def test_the_reference_kernel_agrees(germany_tiny_graph):
     table = build_distance_table(packed_arrays(germany_tiny_graph), stations)
     assert_rows_bitwise_equal(
         spcs_table_rows(germany_tiny_graph, stations, num_threads=3, kernel="python"),
-        table.profiles,
+        table_profiles(table),
     )
 
 
@@ -248,7 +252,7 @@ def test_column_blocks_change_nothing(germany_tiny_graph, monkeypatch):
     whole = build_distance_table(packed_arrays(germany_tiny_graph), stations)
     monkeypatch.setattr(distance_table, "_STATE_BYTES", 1)
     blocked = build_distance_table(packed_arrays(germany_tiny_graph), stations)
-    assert_rows_bitwise_equal(whole.profiles, blocked.profiles)
+    assert_tables_bitwise_equal(whole, blocked)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +284,9 @@ def test_a_replanned_table_equals_the_oracle(timetable, data):
     replanned = build_distance_table(swapped, stations)
 
     cold_graph = build_td_graph(delayed)
-    assert_rows_bitwise_equal(spcs_table_rows(cold_graph, stations), replanned.profiles)
+    assert_rows_bitwise_equal(spcs_table_rows(cold_graph, stations), table_profiles(replanned))
     cold = build_distance_table(cold_arrays, stations)
-    assert_rows_bitwise_equal(cold.profiles, replanned.profiles)
+    assert_tables_bitwise_equal(cold, replanned)
 
 
 MATRIX = [
@@ -316,10 +320,10 @@ def test_a_delay_swap_rescans_the_table_to_the_oracle(
         num_threads=num_threads,
         kernel=kernel,
     )
-    assert_rows_bitwise_equal(expected, swapped.table.profiles)
+    assert_rows_bitwise_equal(expected, table_profiles(swapped.table))
     cold = TransitService(delayed, config).table
     assert np.array_equal(cold.transfer_stations, swapped.table.transfer_stations)
-    assert_rows_bitwise_equal(cold.profiles, swapped.table.profiles)
+    assert_tables_bitwise_equal(cold, swapped.table)
 
 
 # ---------------------------------------------------------------------------
@@ -354,4 +358,4 @@ def test_concurrent_prepares_build_their_own_tables(oahu_tiny, germany_tiny):
     for timetable, service in zip(timetables, services):
         serial = TransitService(timetable, config).table
         assert np.array_equal(serial.transfer_stations, service.table.transfer_stations)
-        assert_rows_bitwise_equal(serial.profiles, service.table.profiles)
+        assert_tables_bitwise_equal(serial, service.table)

@@ -180,9 +180,10 @@ def test_a_table_profile_never_arrives_earlier_for_leaving_later(
         label="S_trans",
     )
     table = build_distance_table(packed_arrays(graph), transfer)
-    for row in table.profiles:
-        for profile in row:
-            row = profile.row()
+    stations = table.transfer_stations.tolist()
+    for a in stations:
+        for b in stations:
+            row = table.row(a, b)
             arrivals = [
                 _through_row(row, period, t) for t in range(2 * period + 1)
             ]

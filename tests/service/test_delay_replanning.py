@@ -52,7 +52,7 @@ from tests.helpers import (
     apply_delays_by_connection,
     ask_every_shape,
     assert_packs_equal,
-    assert_rows_bitwise_equal,
+    assert_tables_bitwise_equal,
     child_alive,
     random_line_timetable,
 )
@@ -380,9 +380,7 @@ def test_no_served_path_builds_a_graph(
         assert swapped.prepared.hydrated == {"timetable"}
     assert_packs_equal(swapped.prepared.arrays, cold.prepared.arrays)
     if with_table:
-        assert_rows_bitwise_equal(
-            cold.prepared.table.profiles, swapped.prepared.table.profiles
-        )
+        assert_tables_bitwise_equal(cold.prepared.table, swapped.prepared.table)
     assert answers == _every_shape(cold, stations)
 
 

@@ -24,7 +24,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.functions.algebra import Profile
 from repro.graph.td_arrays import packed_arrays
 from repro.service import ServiceConfig, TransitService
 from repro.service.cache import LRUResultCache
@@ -33,11 +32,15 @@ from repro.timetable.delays import Delay
 
 from tests.helpers import ask_every_shape
 
-#: Everything a query may write: a table profile's per-minute row
-#: (built on first use — a row per profile of the whole table costs
-#: more memory than the table) and the service's own locked result
-#: cache.
-ALLOWED = {"Profile._row", "LRUResultCache"}
+#: Everything a query may write: a table pair's per-minute row (built
+#: on first use — a row per pair of the whole table costs more memory
+#: than the table), the table's int64 lookup points (at its first
+#: answer) and the service's own locked result cache.
+ALLOWED = {
+    "DistanceTable._rows.__setitem__",
+    "DistanceTable._lookup",
+    "LRUResultCache",
+}
 #: What a delay swap may fill in on a loaded generation it swaps from —
 #: the timetable (dropping its builder) and the routes — each noted
 #: with ``@locked`` when written under ``PreparedDataset._hydrating``.
@@ -111,10 +114,8 @@ def seal(service, monkeypatch) -> list[str]:
             elif isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    # Attribute assignment, on these instances only: a query makes
-    # Profiles of its own, and those are not the generation's.
-    profiles = [p for row in table.profiles for p in row] if table else []
-    sealed = {id(obj) for obj in (*generation, *profiles, service._result_cache)}
+    # Attribute assignment, on these instances only.
+    sealed = {id(obj) for obj in (*generation, service._result_cache)}
 
     def trap(cls):
         def __setattr__(self, name, value):
@@ -131,7 +132,7 @@ def seal(service, monkeypatch) -> list[str]:
 
         return __setattr__
 
-    for cls in {type(obj) for obj in generation} | {Profile, LRUResultCache}:
+    for cls in {type(obj) for obj in generation} | {LRUResultCache}:
         monkeypatch.setattr(cls, "__setattr__", trap(cls))
     return writes
 
@@ -207,7 +208,7 @@ def test_queries_write_nothing_a_generation_owns(
         raise errors[0]
     assert set(writes) <= ALLOWED, sorted(set(writes) - ALLOWED)
     if with_table:
-        assert "Profile._row" in writes
+        assert "DistanceTable._rows.__setitem__" in writes
     assert packed_arrays(service.prepared.graph) is service.prepared.arrays
 
 

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import repro.service.prepare as prepare_mod
+import repro.store.codec as codec_mod
 import repro.store.store as store_mod
 from repro.client import HttpBackend, LocalBackend
 from repro.graph.td_arrays import pack_td_graph, packed_arrays
@@ -42,7 +43,12 @@ from repro.service import (
 )
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import assert_packs_equal, random_line_timetable, scrubbed
+from tests.helpers import (
+    assert_packs_equal,
+    random_line_timetable,
+    run_in_own_group,
+    scrubbed,
+)
 from tests.server.harness import ServerHarness
 from tests.server.test_search_workers import CALLS as SHAPE_CALLS
 from tests.strategies import adversarial_timetables
@@ -145,6 +151,82 @@ def test_serve_answers_everything_unhydrated(store, eager, poisoned):
         assert served.prepared.hydrated == frozenset()
     finally:
         harness.close()
+
+
+#: The record sections serving reads: the header, the station graph
+#: and the transfer stations.  The rest is the timetable's.
+SERVING_SECTIONS = {
+    "meta",
+    "timetable_name",
+    "transfer_stations",
+    "sg_indptr",
+    "sg_targets",
+    "sg_weights",
+    "sg_rev_indptr",
+    "sg_rev_targets",
+}
+
+
+def test_a_load_decodes_only_what_serving_reads(store, eager, monkeypatch):
+    """The record is held open, not read: a load decodes its serving
+    sections, every shape is answered without another, and the
+    timetable's sections are decoded through the same descriptor when
+    a swap hydrates — after ``dataset.bin`` is gone from the
+    directory."""
+    decoded: list[str] = []
+    real = codec_mod.HeldRecord.get
+
+    def get(self, name, **kwargs):
+        decoded.append(name)
+        return real(self, name, **kwargs)
+
+    monkeypatch.setattr(codec_mod.HeldRecord, "get", get)
+    loaded = TransitService.load(store)
+    assert _answers(LocalBackend(loaded)) == _answers(
+        LocalBackend(eager, name="oahu")
+    )
+    assert set(decoded) == SERVING_SECTIONS
+    decoded.clear()
+    (store / "dataset.bin").unlink()
+    swapped = loaded.apply_delays(DELAYS)
+    assert {
+        "station_names",
+        "station_transfer_time",
+        "train_names",
+        "connections",
+    } <= set(decoded)
+    assert loaded.timetable.connections == eager.timetable.connections
+    reference = TransitService(
+        apply_delays(eager.timetable, DELAYS), eager.config
+    )
+    assert _answers(LocalBackend(swapped)) == _answers(
+        LocalBackend(reference, name="oahu")
+    )
+
+
+def test_a_table_on_swap_imports_no_numpy_ma(store):
+    """``numpy.ma`` (≈ 0.9 MB, imported by ``np.unique``) stays out of a
+    loaded table-on service: its queries do not import it, and neither
+    does a swap, which rescans the distance table."""
+    returncode, _stdout, stderr = run_in_own_group(
+        """
+        import sys
+        from repro.service import TransitService
+        from repro.timetable.delays import Delay
+
+        service = TransitService.load(sys.argv[1])
+        service.journey(0, 5)
+        service.journey(3, 9, departure=480)
+        service.profile(2)
+        assert "numpy.ma" not in sys.modules, "imported by a query"
+        swapped = service.apply_delays([Delay(train=0, minutes=45)])
+        swapped.journey(0, 5)
+        assert swapped.table is not None
+        assert "numpy.ma" not in sys.modules, "imported by a table-on swap"
+        """,
+        store,
+    )
+    assert returncode == 0, stderr
 
 
 def test_a_delay_swap_hydrates_each_once(store, eager, monkeypatch):

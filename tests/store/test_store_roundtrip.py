@@ -47,7 +47,7 @@ from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.delays import Delay
 
 from tests.helpers import (
-    assert_rows_bitwise_equal,
+    assert_tables_bitwise_equal,
     random_line_timetable,
     run_in_own_group,
 )
@@ -158,7 +158,7 @@ def test_loaded_service_supports_delay_replanning(tmp_path, oahu_tiny):
     assert np.array_equal(
         reference.table.transfer_stations, replanned.table.transfer_stations
     )
-    assert_rows_bitwise_equal(reference.table.profiles, replanned.table.profiles)
+    assert_tables_bitwise_equal(reference.table, replanned.table)
     for s, t in random_station_pairs(oahu_tiny, 4, seed=3):
         assert_profiles_bitwise_equal(
             reference.journey(s, t).profile,
@@ -242,7 +242,8 @@ def test_format_version_mismatch_rejected(small_store):
 #: the partition strategy and the four pruning switches (version 4,
 #: before a service always ran the paper's full algorithm); a version 5
 #: config is today's, but its ``arrays/`` held the graph hydrator's
-#: side-tables.
+#: side-tables, and a version 6 one too, but its table was one
+#: ``table.npz`` of int64 points.
 OLD_FORMAT_CONFIG = {
     1: {"backend": "processes", "workers": 4},
     3: {"kernel": "python", "queue": "binary"},
@@ -254,6 +255,7 @@ OLD_FORMAT_CONFIG = {
         "self_pruning": True,
     },
     5: {},
+    6: {},
 }
 
 
@@ -371,9 +373,9 @@ def test_save_then_save_without_table_drops_stale_table(
         use_distance_table=True, transfer_fraction=0.3
     )
     TransitService(oahu_tiny, with_table).save(path)
-    assert (path / "table.npz").exists()
+    assert (path / "table" / "point_arr.npy").exists()
     TransitService(oahu_tiny, ServiceConfig()).save(path)
-    assert not (path / "table.npz").exists()
+    assert not (path / "table").exists()
     assert TransitService.load(path).table is None
 
 
@@ -409,6 +411,158 @@ def test_a_timetable_paired_with_another_pack_is_refused(tmp_path):
     with pytest.raises(prepare_mod.PackMismatchError, match="the loaded pack"):
         loaded.prepared.graph
     assert loaded.prepared.hydrated == {"timetable"}
+
+
+TABLE_CONFIG = ServiceConfig(use_distance_table=True, transfer_fraction=0.3)
+
+
+@pytest.fixture()
+def table_store(tmp_path, oahu_tiny):
+    path = tmp_path / "table-store"
+    TransitService(oahu_tiny, TABLE_CONFIG).save(path)
+    return path
+
+
+def _first_pair(table_dir, min_points=2):
+    """``(lo, hi)`` of the first pair with ``min_points`` points whose
+    first departure is not minute 0."""
+    indptr = np.load(table_dir / "pair_indptr.npy")
+    deps = np.load(table_dir / "point_dep.npy")
+    return next(
+        (lo, hi)
+        for lo, hi in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+        if hi - lo >= min_points and deps[lo] > 0
+    )
+
+
+def _decrease_within_a_pair(buffers, lo, hi):
+    buffers["point_dep"][lo + 1] = buffers["point_dep"][lo] - 1
+
+
+def _negative_departure(buffers, lo, hi):
+    buffers["point_dep"][lo] = -1
+
+
+def _departure_past_the_period(buffers, lo, hi):
+    buffers["point_dep"][hi - 1] = 1440
+
+
+def _arrival_before_departure(buffers, lo, hi):
+    buffers["point_arr"][lo] = buffers["point_dep"][lo] - 1
+
+
+def _indptr_past_the_points(buffers, lo, hi):
+    buffers["pair_indptr"][-1] += 1
+
+
+def _indptr_decreasing(buffers, lo, hi):
+    indptr = buffers["pair_indptr"]
+    k = int(np.flatnonzero(indptr == hi)[0])
+    indptr[k] = lo - 1
+
+
+def _indptr_one_short(buffers, lo, hi):
+    buffers["pair_indptr"] = buffers["pair_indptr"][:-1]
+
+
+def _points_on_the_diagonal(buffers, lo, hi):
+    # Pair 0 is station 0 to itself: give it the next pair's points.
+    indptr = buffers["pair_indptr"]
+    indptr[1] = indptr[2]
+
+
+def _unsorted_stations(buffers, lo, hi):
+    buffers["transfer_stations"] = buffers["transfer_stations"][::-1].copy()
+
+
+def _float_points(buffers, lo, hi):
+    buffers["point_arr"] = buffers["point_arr"].astype(np.float64)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_decrease_within_a_pair, "departures decrease within a pair"),
+        (_negative_departure, "a departure outside the period"),
+        (_departure_past_the_period, "a departure outside the period"),
+        (_arrival_before_departure, "an arrival before its departure"),
+        (_indptr_past_the_points, "bad pair_indptr"),
+        (_indptr_decreasing, "bad pair_indptr"),
+        (_indptr_one_short, "bad pair_indptr"),
+        (_points_on_the_diagonal, "bad pair_indptr"),
+        (_unsorted_stations, "transfer stations are not sorted station ids"),
+        (_float_points, "point_arr is not a vector of integers"),
+    ],
+)
+@pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "chunks-of-7"])
+def test_a_corrupt_table_is_refused_at_load(
+    table_store, corrupt, message, chunk, monkeypatch
+):
+    """Every table a :class:`Profile` would refuse — and every
+    ``pair_indptr`` that does not frame the points — is refused when the
+    store is loaded, as :class:`StoreError`, however the check is
+    chunked; the store loads before the edit."""
+    import repro.store.store as store_mod
+
+    if chunk is not None:
+        monkeypatch.setattr(store_mod, "_CHECK_CHUNK", chunk)
+    TransitService.load(table_store)
+    table_dir = table_store / "table"
+    buffers = {
+        name: np.load(table_dir / f"{name}.npy")
+        for name in ("transfer_stations", "pair_indptr", "point_dep", "point_arr")
+    }
+    corrupt(buffers, *_first_pair(table_dir))
+    for name, buffer in buffers.items():
+        np.save(table_dir / f"{name}.npy", buffer)
+    with pytest.raises(StoreError, match=f"corrupt table: {message}"):
+        TransitService.load(table_store)
+
+
+def test_a_decrease_at_a_chunk_boundary_is_refused(table_store, monkeypatch):
+    """The first point of a chunk is compared with the last of the one
+    before: a decrease there, inside one pair, is found too."""
+    import repro.store.store as store_mod
+
+    table_dir = table_store / "table"
+    lo, hi = _first_pair(table_dir)
+    deps = np.load(table_dir / "point_dep.npy")
+    deps[lo + 1] = deps[lo] - 1
+    np.save(table_dir / "point_dep.npy", deps)
+    monkeypatch.setattr(store_mod, "_CHECK_CHUNK", lo + 1)
+    with pytest.raises(StoreError, match="departures decrease within a pair"):
+        TransitService.load(table_store)
+
+
+def test_a_loaded_table_maps_its_narrow_points(table_store, oahu_tiny):
+    """A loaded table is the built one, buffer for buffer and dtype for
+    dtype, its points memory-mapped: a day's minutes fit in int16."""
+    cold = TransitService(oahu_tiny, TABLE_CONFIG).table
+    loaded = TransitService.load(table_store).table
+    assert_tables_bitwise_equal(cold, loaded)
+    assert cold.point_dep.dtype == np.int16
+    for name in ("pair_indptr", "point_dep", "point_arr"):
+        assert isinstance(getattr(loaded, name).base, np.memmap), name
+
+
+def test_a_loaded_service_saves_over_its_own_store(table_store, oahu_tiny):
+    """``TransitService.load(p).save(p)`` rewrites ``p`` while the
+    service has its buffers and its record mapped: every file is
+    written beside its old one and renamed over it, so the service
+    keeps answering from what it mapped, and ``p`` reloads to the same
+    answers and the same table."""
+    cold = TransitService(oahu_tiny, TABLE_CONFIG)
+    loaded = TransitService.load(table_store)
+    loaded.journey(0, 5)
+    loaded.save(table_store)
+    assert sorted(p.name for p in table_store.iterdir()) == [
+        "arrays", "dataset.bin", "manifest.json", "table",
+    ]
+    _assert_same_answers(cold, loaded)
+    reloaded = TransitService.load(table_store)
+    _assert_same_answers(cold, reloaded)
+    assert_tables_bitwise_equal(cold.table, reloaded.table)
+    assert reloaded.timetable.connections == oahu_tiny.connections
 
 
 def test_truncated_buffer_rejected(small_store):

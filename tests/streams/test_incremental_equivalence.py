@@ -39,7 +39,7 @@ from repro.service import (
 from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.delays import Delay, apply_delays
 
-from tests.helpers import assert_rows_bitwise_equal, random_line_timetable
+from tests.helpers import assert_tables_bitwise_equal, random_line_timetable
 from tests.oracles.reference_service import SERVICE_OF_KERNEL
 
 #: Instance sweep: shape/time-structure configs × per-config seeds ⇒
@@ -190,20 +190,11 @@ def _assert_prepared_bitwise_equal(cold, warm, context=""):
             warm.arrays.kernel_adjacency() == cold.arrays.kernel_adjacency()
         ), context
 
-    # Distance table, profile for profile.
+    # Distance table, point for point.
     if cold.table is None:
         assert warm.table is None, context
     else:
-        assert np.array_equal(
-            warm.table.transfer_stations, cold.table.transfer_stations
-        ), context
-        for a, cold_row in enumerate(cold.table.profiles):
-            for b, cold_profile in enumerate(cold_row):
-                assert_profiles_bitwise_equal(
-                    cold_profile,
-                    warm.table.profiles[a][b],
-                    f"{context}: table[{a}][{b}]",
-                )
+        assert_tables_bitwise_equal(cold.table, warm.table)
 
 
 @pytest.mark.parametrize("name,seed", CASES)
@@ -322,11 +313,8 @@ def test_incremental_shares_untouched_artifacts(name, seed):
         cold = type(base)(
             apply_delays(timetable, delays, slack_per_leg=slack), config
         )
-        assert_rows_bitwise_equal(cold.table.profiles, warm.table.profiles)
-        assert not any(
-            new is old
-            for new, old in zip(warm.table.profiles, base.table.profiles)
-        )
+        assert_tables_bitwise_equal(cold.table, warm.table)
+        assert not np.shares_memory(warm.table.point_arr, base.table.point_arr)
 
 
 def test_any_mode_gives_the_swap_stats():

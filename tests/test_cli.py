@@ -261,7 +261,7 @@ class TestStoreCommands:
     def test_prepare_writes_a_loadable_store(self, store):
         assert (store / "manifest.json").exists()
         assert (store / "dataset.bin").exists()
-        assert (store / "table.npz").exists()
+        assert (store / "table" / "point_arr.npy").exists()
 
     def test_query_from_store_matches_fresh_prepare(self, store, capsys):
         assert main([
@@ -388,11 +388,12 @@ class TestStoreCommands:
 
         monkeypatch.setattr(np, "load", forbid("np.load"))
         monkeypatch.setattr(codec_mod, "read_record", forbid("read_record"))
+        monkeypatch.setattr(codec_mod, "HeldRecord", forbid("HeldRecord"))
         monkeypatch.setattr(store_mod, "load_dataset", forbid("load_dataset"))
 
         assert main(["info", "--from-store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "format v6" in out
+        assert "format v7" in out
         assert "backend=" not in out and "workers=" not in out
         assert "12 stations" in out
         assert "transfer stations" in out
