@@ -394,13 +394,15 @@ def warm_start(tmp: Path) -> None:
     store's timetable builder (``_hydrate_timetable``), which only a
     swap, a save or an oracle asks for, is poisoned too.  A loaded
     table-on service with search workers answers journeys from outside
-    ``S_trans`` while the table's row and lookup-point builders and
-    the record's string decoder are poisoned in this process: the rows
-    are built in the workers, and the load decoded only the record
-    sections serving reads.  Then a delay
+    ``S_trans`` while the table's row builder, its table answer
+    (``profile_between``) and the record's string decoder are poisoned
+    in this process: the rows are built in the workers, and the load
+    decoded only the record sections serving reads.  Then a delay
     swap of the loaded service, asked for as a client asks (no
-    ``mode=``), and a save of the swapped one build the timetable, the
-    pack and the table, and nothing else.  A second swap, off the
+    ``mode=``), builds no connection or train row (``Connection`` and
+    ``Train`` poisoned at construction), and it and a
+    save of the swapped one build the timetable, the pack and the
+    table, and nothing else.  A second swap, off the
     swapped generation, reads no connection object (the per-field pass
     of ``Timetable.connection_columns`` poisoned) and packs what a cold
     pack of the twice-delayed timetable holds, byte for byte."""
@@ -481,8 +483,8 @@ def warm_start(tmp: Path) -> None:
     served.start_workers(2)
     builders = {
         (table_mod, "minute_row"): table_mod.minute_row,
-        (table_mod.DistanceTable, "_lookup_points"): (
-            table_mod.DistanceTable._lookup_points
+        (table_mod.DistanceTable, "profile_between"): (
+            table_mod.DistanceTable.profile_between
         ),
         (codec_mod, "decode_strings"): codec_mod.decode_strings,
     }
@@ -494,7 +496,7 @@ def warm_start(tmp: Path) -> None:
     for (mod, attr), builder in builders.items():
         setattr(mod, attr, builder)
     codec_mod.HeldRecord.get = real_get
-    assert table._lookup is None and not any(table._rows)
+    assert not any(table._rows)
     serving = {"meta", "timetable_name", "transfer_stations"}
     assert set(decoded) - serving == {
         "sg_indptr", "sg_targets", "sg_weights", "sg_rev_indptr", "sg_rev_targets",
@@ -502,15 +504,28 @@ def warm_start(tmp: Path) -> None:
     print(
         f"{len(pairs)} journeys from {len(outside)} stations outside S_trans, "
         "searched in 2 workers: this process built no table row or lookup "
-        "points and decoded only the record's serving sections"
+        "profile and decoded only the record's serving sections"
     )
 
+    import repro.timetable.types as types_mod
     from repro.timetable.delays import Delay
 
     for (mod, attr), builder in swap_builders.items():
         setattr(mod, attr, builder)
+    row_views = {
+        (row, "__post_init__"): row.__post_init__
+        for row in (types_mod.Connection, types_mod.Train)
+    }
+    for row, attr in row_views:
+        setattr(row, attr, forbid(f"a {row.__name__} row"))
     first = [Delay(train=0, minutes=25), Delay(train=7, minutes=10, from_stop=1)]
     swapped = service.apply_delays(first)
+    for (row, attr), check in row_views.items():
+        setattr(row, attr, check)
+    print(
+        "a swap of the loaded service built no connection or train row: "
+        "its timetable is the record's columns"
+    )
     swapped.save(tmp / "swapped")
     swapped.journey(0, 5)
     for prepared in (service.prepared, swapped.prepared):
@@ -520,7 +535,6 @@ def warm_start(tmp: Path) -> None:
         "swapped one built no graph: the swap packed the delayed timetable"
     )
 
-    import repro.timetable.types as types_mod
     from repro.timetable.routes import partition_routes
     from tests.helpers import PACK_BUFFERS, apply_delays_by_connection
 
@@ -780,6 +794,7 @@ def served_pool(tmp: Path) -> None:
 
         watcher = threading.Thread(target=watch)
         watcher.start()
+        hwm = _proc_mb(server, "status", "VmHWM")
         with connect(url) as backend:
             update = backend.apply_delays(delays)
             swapped.set()
@@ -804,7 +819,8 @@ def served_pool(tmp: Path) -> None:
             f"(table {stats.table_seconds * 1000:.0f} ms in process), "
             f"{len(transient)} short-lived process(es) inside serve; "
             f"answers after it equal the in-process service's, "
-            f"its table a cold build's"
+            f"its table a cold build's; serve VmHWM {hwm:.1f} MB before "
+            f"the swap, {_proc_mb(server, 'status', 'VmHWM'):.1f} MB after"
         )
         assert not transient, f"the swap forked row workers: {transient}"
     one, two = (statistics.median(times[p]) * 1000 for p in (1, 2))

@@ -57,8 +57,8 @@ class DistanceTable:
 
     Nothing per pair exists until it is read, and then only in the
     process that reads it: a search's per-minute row (:meth:`row`) per
-    pair it evaluates; a table answer (:meth:`profile_between`) reads
-    an int64 copy of all points, made at the first.
+    pair it evaluates; a table answer (:meth:`profile_between`) an
+    int64 copy of its pair's points.
     """
 
     transfer_stations: np.ndarray
@@ -77,9 +77,6 @@ class DistanceTable:
     #: read; each is published in one store, so a search on another
     #: thread sees a whole row or none.
     _rows: list = field(init=False, repr=False)
-    #: ``(deps, arrs, pair bounds)`` as int64 arrays and a list, made
-    #: at the first table answer.
-    _lookup: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._rows = [None] * (self.pair_indptr.size - 1)
@@ -127,23 +124,16 @@ class DistanceTable:
 
     def profile_between(self, origin: int, dest: int) -> Profile:
         """The reduced profile ``origin → dest``, as a table answer
-        hands it out: views of an int64 copy of the points, made once,
-        at the first call — a lookup then costs two slices and no
-        check (the points were checked when the table was built or
-        loaded)."""
-        lookup = self._lookup
-        if lookup is None:
-            lookup = self._lookup = self._lookup_points()
-        deps, arrs, bounds = lookup
+        hands it out: an int64 copy of the pair's slice of the points,
+        the answer's own, unchecked (the points were checked when the
+        table was built or loaded)."""
         pair = self._pair(origin, dest)
-        lo, hi = bounds[pair], bounds[pair + 1]
-        return Profile.of_points(deps[lo:hi], arrs[lo:hi], self.period)
-
-    def _lookup_points(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        deps = self.point_dep.astype(np.int64)
-        arrs = self.point_arr.astype(np.int64)
-        deps.flags.writeable = arrs.flags.writeable = False
-        return deps, arrs, self.pair_indptr.tolist()
+        lo, hi = self.pair_indptr[pair : pair + 2].tolist()
+        return Profile.of_points(
+            self.point_dep[lo:hi].astype(np.int64),
+            self.point_arr[lo:hi].astype(np.int64),
+            self.period,
+        )
 
     def size_bytes(self) -> int:
         """Memory of the stored connection points counted as two int64

@@ -170,8 +170,9 @@ class PreparedDataset:
     graph, which only an oracle asks for, is
     ``build_td_graph(timetable)``, built only after the routes have
     passed that check, and takes the pack as its own.  The timetable
-    builder is dropped once its timetable is published, and with it
-    the record it kept to build from.
+    builder is dropped once its timetable is published; the record it
+    built from stays open only for the train names, which the
+    timetable decodes when one is first read.
     """
 
     def __init__(
@@ -317,7 +318,7 @@ def prepare_dataset(
         num_stations=timetable.num_stations,
         num_nodes=arrays.num_nodes,
         num_edges=arrays.num_edges,
-        num_connections=len(timetable.connections),
+        num_connections=timetable.num_connections,
         packed_bytes=arrays.nbytes(),
         num_transfer_stations=(
             0 if transfer_stations is None else int(transfer_stations.size)
@@ -385,7 +386,7 @@ def replan_dataset(
         num_stations=delayed.num_stations,
         num_nodes=arrays.num_nodes,
         num_edges=arrays.num_edges,
-        num_connections=len(delayed.connections),
+        num_connections=delayed.num_connections,
         packed_bytes=arrays.nbytes(),
         num_transfer_stations=prepared.stats.num_transfer_stations,
         table_mib=table_mib,

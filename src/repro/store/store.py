@@ -49,6 +49,7 @@ import json
 import os
 import time
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from repro.service.prepare import (
     TimetableCounts,
 )
 from repro.store.codec import CodecError, HeldRecord, write_record
-from repro.timetable.types import Connection, Station, Timetable, Train
+from repro.timetable.types import Station, Timetable, TrainNames
 
 #: Bumped on any incompatible change to the store layout (2: the stored
 #: config has no ``backend`` / ``workers``; 3: the table file has no
@@ -367,11 +368,6 @@ def load_dataset(
         )
         table_mib = table.size_mib()
 
-    def hydrate_timetable() -> Timetable:
-        timetable = _hydrate_timetable(record, counts)
-        record.close()
-        return timetable
-
     stats = PrepareStats(
         graph_seconds=0.0,
         station_graph_seconds=0.0,
@@ -400,7 +396,7 @@ def load_dataset(
         table=table,
         stats=stats,
         counts=counts,
-        hydrate_timetable=hydrate_timetable,
+        hydrate_timetable=lambda: _hydrate_timetable(record, counts, period),
     )
 
 
@@ -437,41 +433,39 @@ def _config_from_manifest(manifest: dict, root: Path) -> ServiceConfig:
     return config
 
 
-def _hydrate_timetable(record: HeldRecord, counts: TimetableCounts) -> Timetable:
+def _hydrate_timetable(
+    record: HeldRecord, counts: TimetableCounts, period: int
+) -> Timetable:
+    """The record's timetable as its five connection columns
+    (:meth:`Timetable.from_columns`, which checks them as
+    :class:`~repro.timetable.types.Connection` would check each row:
+    corrupt store bytes surface as ``ValueError`` here, at the first
+    access to the timetable).  No row object is built, and the train
+    names are decoded when one is first read, through the record,
+    which is closed then."""
     transfer = record.get("station_transfer_time").tolist()
     stations = [
         Station(id=i, name=name, transfer_time=transfer[i])
         for i, name in enumerate(record.get("station_names"))
     ]
-    trains = [
-        Train(id=i, name=name)
-        for i, name in enumerate(record.get("train_names"))
-    ]
-    # The record's five columns, handed to the timetable as its
-    # ``connection_columns()`` so that no swap reads them back off the
-    # connection objects; copies, so that the three a swap shares do
-    # not keep the whole section alive.
+    # Copies, so that the three a swap shares do not keep the whole
+    # section alive.
     columns = tuple(
         np.ascontiguousarray(column)
         for column in record.get("connections").reshape(-1, 5).T
     )
-    for column in columns:
-        column.flags.writeable = False
-    # Positional construction from five column lists zipped into rows
-    # (a third less transient memory than one small list per row);
-    # __post_init__ still validates every row, so corrupt store bytes
-    # surface as ValueError at the first access to the timetable.  No
-    # served answer reads these rows: searches read the pack.
-    connections = [
-        Connection(*row) for row in zip(*(column.tolist() for column in columns))
-    ]
-    return Timetable(
-        stations=stations,
-        trains=trains,
-        connections=connections,
-        period=int(record.get("meta")[0]),
+
+    def train_names() -> list[str]:
+        names = record.get("train_names")
+        record.close()
+        return names
+
+    return Timetable.from_columns(
+        stations,
+        TrainNames(counts.trains, train_names),
+        columns,
+        period=period,
         name=counts.name,
-        _columns=columns,
     )
 
 
@@ -497,6 +491,41 @@ def _mmap_buffer(buffer_path: Path) -> np.ndarray:
         return np.load(buffer_path, mmap_mode="r")
     except (ValueError, OSError) as exc:
         raise StoreError(f"{buffer_path}: corrupt buffer: {exc}") from None
+
+
+#: ``.npy`` header readers by format version.
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _open_buffer(buffer_path: Path) -> tuple[BinaryIO, np.memmap]:
+    """The ``.npy`` file at ``buffer_path``, open, and the read-only map
+    of it made from that open file: what ``os.pread`` reads from the
+    file is what the map serves, even if a save has replaced the path
+    since.  Refused as :func:`_mmap_buffer` refuses."""
+    try:
+        file = open(buffer_path, "rb")
+    except FileNotFoundError:
+        raise StoreError(f"missing packed buffer {buffer_path.name}") from None
+    try:
+        version = np.lib.format.read_magic(file)
+        if version not in _NPY_HEADERS:
+            raise ValueError(f"unsupported .npy version {version}")
+        shape, fortran_order, dtype = _NPY_HEADERS[version](file)
+        buffer = np.memmap(
+            file,
+            dtype=dtype,
+            mode="r",
+            shape=shape,
+            order="F" if fortran_order else "C",
+            offset=file.tell(),
+        )
+    except (TypeError, ValueError, OSError) as exc:
+        file.close()
+        raise StoreError(f"{buffer_path}: corrupt buffer: {exc}") from None
+    return file, buffer
 
 
 def _load_arrays(
@@ -525,13 +554,18 @@ def _load_table(
 ) -> DistanceTable:
     if not directory.is_dir():
         raise StoreError(f"{directory}: missing (manifest promises a table)")
+    maps = {
+        name: _mmap_buffer(directory / f"{name}.npy")
+        for name in ("transfer_stations", "pair_indptr")
+    }
+    dep_file, maps["point_dep"] = _open_buffer(directory / "point_dep.npy")
+    with dep_file:
+        arr_file, maps["point_arr"] = _open_buffer(directory / "point_arr.npy")
+        with arr_file:
+            _check_table(directory, period, num_stations, dep_file, arr_file, **maps)
     # Plain views of the maps: a memmap's slice costs a Python call, and
     # a search slices a pair per row it builds.
-    buffers = {
-        name: np.asarray(_mmap_buffer(directory / f"{name}.npy"))
-        for name in _TABLE_FIELDS
-    }
-    _check_table(directory, period, num_stations, **buffers)
+    buffers = {name: np.asarray(buffer) for name, buffer in maps.items()}
     transfer_stations = np.asarray(buffers.pop("transfer_stations"), dtype=np.int64)
     return DistanceTable(
         transfer_stations=transfer_stations,
@@ -546,17 +580,23 @@ def _check_table(
     directory: Path,
     period: int,
     num_stations: int,
-    transfer_stations: np.ndarray,
-    pair_indptr: np.ndarray,
-    point_dep: np.ndarray,
-    point_arr: np.ndarray,
+    dep_file: BinaryIO,
+    arr_file: BinaryIO,
+    transfer_stations: np.memmap,
+    pair_indptr: np.memmap,
+    point_dep: np.memmap,
+    point_arr: np.memmap,
 ) -> None:
     """Refuse, as :class:`StoreError`, a table whose points are not a
     reduced profile per pair — what :class:`Profile` would refuse: a
     departure outside the period, departures decreasing within a pair,
     an arrival before its departure — or whose stations or
     ``pair_indptr`` do not frame them.  One vectorised pass over the
-    points, :data:`_CHECK_CHUNK` at a time."""
+    points, :data:`_CHECK_CHUNK` at a time, each chunk read with
+    ``os.pread`` from ``dep_file`` / ``arr_file``, the open files the
+    points are mapped from (:func:`_open_buffer`), so that the check
+    reads the bytes the maps serve and leaves no page of them
+    resident."""
 
     def refuse(what: str) -> StoreError:
         return StoreError(f"{directory}: corrupt table: {what}")
@@ -589,8 +629,8 @@ def _check_table(
         raise refuse("bad pair_indptr")
     for lo in range(0, point_dep.size, _CHECK_CHUNK):
         hi = min(lo + _CHECK_CHUNK, point_dep.size)
-        dep = point_dep[max(lo - 1, 0) : hi].astype(np.int64)
-        arr = point_arr[lo:hi].astype(np.int64)
+        dep = _read_slice(dep_file, point_dep, max(lo - 1, 0), hi).astype(np.int64)
+        arr = _read_slice(arr_file, point_arr, lo, hi).astype(np.int64)
         here = dep[-arr.size :]
         if (here < 0).any() or (here >= period).any():
             raise refuse(f"a departure outside the period [0, {period})")
@@ -605,6 +645,20 @@ def _check_table(
         falls[begins - first] = False
         if falls.any():
             raise refuse("departures decrease within a pair")
+
+
+def _read_slice(file: BinaryIO, buffer: np.memmap, lo: int, hi: int) -> np.ndarray:
+    """``buffer[lo:hi]`` read with ``os.pread`` from ``file``, the open
+    ``.npy`` file ``buffer`` maps: a read through the map would keep
+    its pages resident, and count in the process's RSS."""
+    size = buffer.dtype.itemsize
+    raw = os.pread(file.fileno(), (hi - lo) * size, buffer.offset + lo * size)
+    if len(raw) != (hi - lo) * size:
+        raise StoreError(
+            f"{file.name}: truncated: {len(raw)} of {(hi - lo) * size} "
+            f"bytes at point {lo}"
+        )
+    return np.frombuffer(raw, dtype=buffer.dtype)
 
 
 def describe_store(path: str | Path) -> dict:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.timetable.types import Connection, Timetable
+from repro.timetable.types import Timetable
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,9 +78,9 @@ def apply_delays(
     of the train's actual departures (a delay at or past the last leg
     would silently change nothing).  The input timetable is not
     modified.  Connections keep their travel order;
-    departures are re-normalized into ``Π`` by the Connection layer's
-    wrap-aware semantics (a heavily delayed night train simply wraps
-    into the next period, as in reality).  A delayed train may depart
+    departures are re-normalized into ``Π``, wrap-aware (a heavily
+    delayed night train simply wraps into the next period, as in
+    reality).  A delayed train may depart
     twice at one time point of ``Π`` — slack recovery after a ride as
     long as the slack, without dwell, puts the next departure on the
     previous one's minute — but a
@@ -92,11 +92,12 @@ def apply_delays(
     The cost follows the batch, not the timetable: the delayed trains'
     connections are found in the train column
     (:meth:`~repro.timetable.types.Timetable.connection_columns`) and
-    only they are walked, in list order; the connection list is copied
-    with just the re-timed :class:`Connection` objects replaced.  The
-    result carries its columns: ``dep_time`` and ``arr_time`` are
-    copies with the re-timed rows overwritten, the other three are the
-    input's own, which delays never change.
+    only they are walked, in list order.  The result is its columns
+    (:meth:`~repro.timetable.types.Timetable.with_connections`), and
+    no row object is built: ``dep_time`` and ``arr_time`` are copies
+    with the re-timed rows overwritten, the other three are the
+    input's own, which delays never change; the trains are the
+    input's, undecoded while they are.
     """
     if slack_per_leg < 0:
         raise ValueError(f"slack must be non-negative, got {slack_per_leg}")
@@ -127,14 +128,12 @@ def apply_delays(
     progress: dict[int, int] = {}
     lateness: dict[int, int] = {}
     departures: set[tuple[int, int, int]] = set()
-    connections = list(timetable.connections)
     new_dep = dep.copy()
     new_arr = arr.copy()
-    for i, z, s_dep, s_arr, t_dep, t_arr in zip(
+    for i, z, s_dep, t_dep, t_arr in zip(
         rows.tolist(),
         train[rows].tolist(),
         dep_station[rows].tolist(),
-        arr_station[rows].tolist(),
         dep[rows].tolist(),
         arr[rows].tolist(),
     ):
@@ -155,13 +154,6 @@ def apply_delays(
             duration = t_arr - t_dep
             t_dep = (t_dep + late) % timetable.period
             t_arr = t_dep + duration
-            connections[i] = Connection(
-                train=z,
-                dep_station=s_dep,
-                arr_station=s_arr,
-                dep_time=t_dep,
-                arr_time=t_arr,
-            )
             new_dep[i] = t_dep
             new_arr[i] = t_arr
         key = (z, s_dep, t_dep)
@@ -171,15 +163,9 @@ def apply_delays(
             )
         departures.add(key)
 
-    new_dep.flags.writeable = False
-    new_arr.flags.writeable = False
-    return Timetable(
-        stations=list(timetable.stations),
-        trains=list(timetable.trains),
-        connections=connections,
-        period=timetable.period,
+    return timetable.with_connections(
+        (train, dep_station, arr_station, new_dep, new_arr),
         name=f"{timetable.name}+delays",
-        _columns=(train, dep_station, arr_station, new_dep, new_arr),
     )
 
 

@@ -13,8 +13,10 @@ the graph layer can use flat arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
@@ -122,28 +124,181 @@ class Route:
         return len(self.stations) - 1
 
 
-@dataclass(slots=True)
+#: Held while a timetable builds one of its row views, and so while
+#: it reads its :class:`TrainNames`.
+_VIEWS = threading.Lock()
+
+
+class TrainNames:
+    """The names of a timetable's ``count`` trains, read by ``read`` at
+    the first call, once, and kept: how a timetable given as columns
+    (:meth:`Timetable.from_columns`) holds its trains until one is
+    read.  The timetables derived from it share it
+    (:meth:`Timetable.with_connections`), so the names are read once
+    for all of them.  Called only under :data:`_VIEWS`."""
+
+    __slots__ = ("count", "_read", "_names")
+
+    def __init__(self, count: int, read: Callable[[], list[str]]) -> None:
+        self.count = count
+        self._read: Callable[[], list[str]] | None = read
+        self._names: list[str] | None = None
+
+    def __call__(self) -> list[str]:
+        if self._names is None:
+            names = self._read()
+            if len(names) != self.count:
+                raise ValueError(f"{len(names)} train names for {self.count} trains")
+            self._names, self._read = names, None
+        return self._names
+
+
 class Timetable:
     """A full periodic timetable ``(C, S, Z, Π, T)``.
 
     ``stations`` and ``trains`` are indexed by their dense ids;
     ``connections`` is unordered on construction (the graph builder sorts
     per edge).  ``period`` is the periodicity ``π``.
+
+    A timetable is given either its rows — ``Timetable(stations,
+    trains, connections)`` — or its five connection columns
+    (:meth:`from_columns`; a loaded or a delayed timetable), which
+    are then all it holds of its connections: :attr:`connections` and
+    :attr:`trains` are built from the columns on first read, once,
+    under a lock, for the callers that read rows (the builder's, the
+    oracles, validation, GTFS/JSON export); the pack, the store and
+    delays read the columns.  Two timetables are equal when their
+    stations, trains, connections, period and name are.
     """
 
-    stations: list[Station]
-    trains: list[Train]
-    connections: list[Connection]
-    period: int = DAY_MINUTES
-    name: str = "unnamed"
-    _conn_by_dep_station: dict[int, list[int]] | None = field(
-        default=None, repr=False, compare=False
+    __slots__ = (
+        "stations",
+        "period",
+        "name",
+        "_trains",
+        "_train_names",
+        "_connections",
+        "_columns",
+        "_conn_by_dep_station",
     )
-    #: :meth:`connection_columns`, read-only: handed over by whoever
-    #: built the connections from columns, else computed on first call.
-    _columns: tuple[np.ndarray, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        stations: list[Station],
+        trains: list[Train],
+        connections: list[Connection],
+        period: int = DAY_MINUTES,
+        name: str = "unnamed",
+    ) -> None:
+        self.stations = stations
+        self.period = period
+        self.name = name
+        self.trains = trains
+        self.connections = connections
+
+    @classmethod
+    def from_columns(
+        cls,
+        stations: list[Station],
+        trains: list[Train] | TrainNames,
+        columns: tuple[np.ndarray, ...],
+        period: int = DAY_MINUTES,
+        name: str = "unnamed",
+    ) -> "Timetable":
+        """A timetable whose connections are ``columns``, the five of
+        :meth:`connection_columns`, kept read-only, and whose trains
+        are a list or, until one is read, their :class:`TrainNames`.
+        The columns are checked in one vectorised pass: a row that
+        :class:`Connection` would refuse raises its ``ValueError``."""
+        _, dep_station, arr_station, dep, arr = columns
+        bad = (dep < 0) | (arr < dep) | (dep_station == arr_station)
+        if bad.any():
+            i = int(np.argmax(bad))
+            Connection(*(int(column[i]) for column in columns))
+        for column in columns:
+            column.flags.writeable = False
+        timetable = cls.__new__(cls)
+        timetable.stations = stations
+        timetable.period = period
+        timetable.name = name
+        if isinstance(trains, TrainNames):
+            timetable._trains, timetable._train_names = None, trains
+        else:
+            timetable.trains = trains
+        timetable._connections = None
+        timetable._columns = tuple(columns)
+        timetable._conn_by_dep_station = None
+        return timetable
+
+    def with_connections(
+        self, columns: tuple[np.ndarray, ...], name: str
+    ) -> "Timetable":
+        """A timetable with this one's stations, trains and period over
+        the connection ``columns``: what
+        :func:`~repro.timetable.delays.apply_delays` returns.  It shares
+        this timetable's trains, or their names while none was read."""
+        trains = self._train_names if self._trains is None else list(self._trains)
+        return Timetable.from_columns(
+            list(self.stations), trains, columns, self.period, name
+        )
+
+    @property
+    def trains(self) -> list[Train]:
+        trains = self._trains
+        if trains is None:
+            with _VIEWS:
+                if self._trains is None:
+                    built = [
+                        Train(i, name)
+                        for i, name in enumerate(self._train_names())
+                    ]
+                    self._trains = built
+                trains = self._trains
+        return trains
+
+    @trains.setter
+    def trains(self, trains: list[Train]) -> None:
+        self._trains = trains
+        self._train_names = None
+
+    @property
+    def connections(self) -> list[Connection]:
+        connections = self._connections
+        if connections is None:
+            with _VIEWS:
+                if self._connections is None:
+                    built = [
+                        Connection(*row)
+                        for row in zip(*(c.tolist() for c in self._columns))
+                    ]
+                    self._connections = built
+                connections = self._connections
+        return connections
+
+    @connections.setter
+    def connections(self, connections: list[Connection]) -> None:
+        self._connections = connections
+        self._columns = None
+        self._conn_by_dep_station = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.connections == other.connections
+            and self.stations == other.stations
+            and self.trains == other.trains
+            and self.period == other.period
+            and self.name == other.name
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Timetable(stations={self.stations!r}, trains={self.trains!r}, "
+            f"connections={self.connections!r}, period={self.period!r}, "
+            f"name={self.name!r})"
+        )
 
     @property
     def num_stations(self) -> int:
@@ -151,11 +306,15 @@ class Timetable:
 
     @property
     def num_trains(self) -> int:
-        return len(self.trains)
+        if self._trains is None:
+            return self._train_names.count
+        return len(self._trains)
 
     @property
     def num_connections(self) -> int:
-        return len(self.connections)
+        if self._connections is None:
+            return int(self._columns[0].size)
+        return len(self._connections)
 
     def transfer_time(self, station: int) -> int:
         """Minimum transfer time ``T(S)`` at the given station."""
@@ -174,9 +333,8 @@ class Timetable:
         connections through.
 
         The timetable keeps them.  A delayed or loaded timetable is
-        handed its columns when it is built
-        (:func:`~repro.timetable.delays.apply_delays`,
-        ``repro.store``); any other computes them on the first call,
+        built from its columns (:meth:`from_columns`); any other
+        computes them on the first call,
         in one pass over the connection objects per field: reading an
         attribute allocates nothing, where a tuple per row would keep
         waking the garbage collector.  The connections must not change
@@ -223,7 +381,7 @@ class Timetable:
         """Density figure the paper uses to contrast bus vs rail networks."""
         if not self.stations:
             return 0.0
-        return len(self.connections) / len(self.stations)
+        return self.num_connections / len(self.stations)
 
     def summary(self) -> str:
         """Multi-line summary used by the CLI's ``info`` command."""

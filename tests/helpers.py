@@ -228,6 +228,28 @@ def apply_delays_by_connection(
     )
 
 
+def _negative_departure(columns, k: int) -> None:
+    columns[3][k] = -1
+
+
+def _arrival_before_departure(columns, k: int) -> None:
+    columns[4][k] = columns[3][k] - 1
+
+
+def _self_loop(columns, k: int) -> None:
+    columns[2][k] = columns[1][k]
+
+
+#: ``(corrupt, message)``: ``corrupt(columns, k)`` edits row ``k`` of
+#: the five connection columns (``Timetable.connection_columns``
+#: order) into one :class:`Connection` refuses with ``message``.
+CORRUPT_CONNECTION_ROWS = [
+    (_negative_departure, "departure time must be ≥ 0"),
+    (_arrival_before_departure, "precedes departure"),
+    (_self_loop, "self-loop connection"),
+]
+
+
 def _mirror(adjacency) -> list:
     """A kernel mirror with each row as its typecode and bytes."""
     return [

@@ -34,11 +34,9 @@ from tests.helpers import ask_every_shape
 
 #: Everything a query may write: a table pair's per-minute row (built
 #: on first use — a row per pair of the whole table costs more memory
-#: than the table), the table's int64 lookup points (at its first
-#: answer) and the service's own locked result cache.
+#: than the table) and the service's own locked result cache.
 ALLOWED = {
     "DistanceTable._rows.__setitem__",
-    "DistanceTable._lookup",
     "LRUResultCache",
 }
 #: What a delay swap may fill in on a loaded generation it swaps from —

@@ -19,6 +19,7 @@ asks of a swapped generation.
 
 from __future__ import annotations
 
+import json
 import tempfile
 import threading
 import time
@@ -41,9 +42,11 @@ from repro.service import (
     ServiceConfig,
     TransitService,
 )
+from repro.store.codec import read_record, write_record
 from repro.timetable.delays import Delay, apply_delays
 
 from tests.helpers import (
+    CORRUPT_CONNECTION_ROWS,
     assert_packs_equal,
     random_line_timetable,
     run_in_own_group,
@@ -172,7 +175,7 @@ def test_a_load_decodes_only_what_serving_reads(store, eager, monkeypatch):
     sections, every shape is answered without another, and the
     timetable's sections are decoded through the same descriptor when
     a swap hydrates — after ``dataset.bin`` is gone from the
-    directory."""
+    directory — but for the train names, which no swap reads."""
     decoded: list[str] = []
     real = codec_mod.HeldRecord.get
 
@@ -189,19 +192,74 @@ def test_a_load_decodes_only_what_serving_reads(store, eager, monkeypatch):
     decoded.clear()
     (store / "dataset.bin").unlink()
     swapped = loaded.apply_delays(DELAYS)
-    assert {
+    assert set(decoded) == {
         "station_names",
         "station_transfer_time",
-        "train_names",
         "connections",
-    } <= set(decoded)
+    }
     assert loaded.timetable.connections == eager.timetable.connections
+    assert loaded.timetable.trains == eager.timetable.trains
+    assert "train_names" in decoded
     reference = TransitService(
         apply_delays(eager.timetable, DELAYS), eager.config
     )
     assert _answers(LocalBackend(swapped)) == _answers(
         LocalBackend(reference, name="oahu")
     )
+
+
+def test_a_swap_builds_no_row_object(tmp_path, oahu_tiny):
+    """A loaded table-off generation answers, is swapped twice and the
+    newest answers again, in a process of its own: no
+    :class:`Connection` or :class:`Train` exists after that, and the
+    train names were never decoded — a swap reads the connection
+    columns alone.  The answers are a cold service's on the
+    twice-delayed timetable."""
+    path = tmp_path / "plain"
+    TransitService(oahu_tiny, ServiceConfig()).save(path)
+    returncode, stdout, stderr = run_in_own_group(
+        """
+        import gc
+        import json
+        import sys
+
+        import repro.store.codec as codec
+        from repro.service import TransitService
+        from repro.timetable.delays import Delay
+        from repro.timetable.types import Connection, Train
+
+        decoded = []
+        real = codec.HeldRecord.get
+
+        def get(self, name):
+            decoded.append(name)
+            return real(self, name)
+
+        codec.HeldRecord.get = get
+        service = TransitService.load(sys.argv[1])
+        service.journey(0, 5)
+        once = service.apply_delays([Delay(train=0, minutes=45)])
+        twice = once.apply_delays([Delay(train=7, minutes=20)])
+        profile = twice.journey(0, 5).profile
+        gc.collect()
+        rows = sum(
+            isinstance(obj, (Connection, Train)) for obj in gc.get_objects()
+        )
+        assert rows == 0, f"{rows} row objects after two swaps"
+        assert "train_names" not in decoded, decoded
+        print(json.dumps([profile.deps.tolist(), profile.arrs.tolist()]))
+        """,
+        path,
+    )
+    assert returncode == 0, stderr
+    cold = TransitService(
+        apply_delays(
+            apply_delays(oahu_tiny, [Delay(train=0, minutes=45)]),
+            [Delay(train=7, minutes=20)],
+        ),
+        ServiceConfig(),
+    ).journey(0, 5).profile
+    assert json.loads(stdout) == [cold.deps.tolist(), cold.arrs.tolist()]
 
 
 def test_a_table_on_swap_imports_no_numpy_ma(store):
@@ -301,6 +359,37 @@ def test_racing_first_accesses_build_one_graph(store, monkeypatch, first):
     graph = loaded.prepared.graph
     assert packed_arrays(graph) is loaded.prepared.arrays
     assert graph.timetable is loaded.prepared.timetable
+
+
+def _timetable(service) -> None:
+    service.prepared.timetable
+
+
+@pytest.mark.parametrize(
+    "access", (_first_swap, _timetable), ids=("swap", "timetable")
+)
+@pytest.mark.parametrize(
+    "corrupt, message",
+    CORRUPT_CONNECTION_ROWS,
+    ids=[corrupt.__name__[1:] for corrupt, _ in CORRUPT_CONNECTION_ROWS],
+)
+def test_corrupt_connection_rows_are_refused_at_first_access(
+    store, corrupt, message, access
+):
+    """A connection row of the record that :class:`Connection` would
+    refuse still loads — no load reads the rows — and raises its
+    ``ValueError`` when the timetable is first built, by a swap or by
+    whoever asks for it."""
+    record = store / "dataset.bin"
+    sections = read_record(record)
+    rows = sections["connections"].reshape(-1, 5).copy()
+    corrupt(rows.T, len(rows) // 2)
+    sections["connections"] = rows.reshape(-1)
+    write_record(record, sections)
+    loaded = TransitService.load(store)
+    with pytest.raises(ValueError, match=message):
+        access(loaded)
+    assert loaded.prepared.hydrated == frozenset()
 
 
 def test_legs_and_options_are_python_ints(store, poisoned):

@@ -19,6 +19,7 @@ Three contracts:
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -543,6 +544,78 @@ def test_a_loaded_table_maps_its_narrow_points(table_store, oahu_tiny):
     assert cold.point_dep.dtype == np.int16
     for name in ("pair_indptr", "point_dep", "point_arr"):
         assert isinstance(getattr(loaded, name).base, np.memmap), name
+
+
+def _resident_kib(path) -> int:
+    """Kilobytes of ``path``'s pages this process has mapped in
+    (``Rss`` of its mappings in ``/proc/self/smaps``)."""
+    total, inside = 0, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            if "-" in line.split(" ", 1)[0]:
+                inside = line.rstrip().endswith(str(path))
+            elif inside and line.startswith("Rss:"):
+                total += int(line.split()[1])
+    return total
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/smaps"), reason="reads /proc/self/smaps"
+)
+def test_the_table_check_leaves_no_point_page_mapped(table_store):
+    """A load checks every point, through the files (``os.pread``): no
+    page of the points' maps is resident until something reads the
+    points through them — a search's row, a table answer."""
+    table = TransitService.load(table_store).table
+    points = [
+        (table_store / "table" / f"{name}.npy").resolve()
+        for name in ("point_dep", "point_arr")
+    ]
+    assert [_resident_kib(path) for path in points] == [0, 0]
+    assert int(table.point_dep.sum()) and int(table.point_arr.sum())
+    assert all(_resident_kib(path) for path in points)
+
+
+def _after_opening(monkeypatch, name, then):
+    """Make the load call ``then(path)`` once it has opened and mapped
+    the table's ``name``.npy, before it checks the points."""
+    import repro.store.store as store_mod
+
+    open_buffer = store_mod._open_buffer
+
+    def opened(path):
+        file, buffer = open_buffer(path)
+        if path.name == f"{name}.npy":
+            then(path)
+        return file, buffer
+
+    monkeypatch.setattr(store_mod, "_open_buffer", opened)
+
+
+def test_the_table_check_reads_the_file_it_mapped(table_store, monkeypatch):
+    """A save that replaces a point file between its map and its check
+    changes neither: the check reads the bytes the map serves, not the
+    new file at the path."""
+    table_dir = table_store / "table"
+    arrs = np.load(table_dir / "point_arr.npy")
+
+    def replace(path):
+        np.save(table_dir / "new.npy", arrs - 10_000)
+        os.replace(table_dir / "new.npy", path)
+
+    _after_opening(monkeypatch, "point_arr", replace)
+    table = TransitService.load(table_store).table
+    assert np.array_equal(table.point_arr, arrs)
+
+
+def test_a_point_file_truncated_after_its_map_is_refused(table_store, monkeypatch):
+    """A short read of the points is a :class:`StoreError`, never a
+    numpy error or a partial check."""
+    _after_opening(
+        monkeypatch, "point_dep", lambda path: os.truncate(path, 200)
+    )
+    with pytest.raises(StoreError, match="truncated"):
+        TransitService.load(table_store)
 
 
 def test_a_loaded_service_saves_over_its_own_store(table_store, oahu_tiny):

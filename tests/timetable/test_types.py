@@ -8,7 +8,10 @@ from repro.timetable.types import (
     Station,
     Timetable,
     Train,
+    TrainNames,
 )
+
+from tests.helpers import CORRUPT_CONNECTION_ROWS
 
 
 class TestStation:
@@ -100,3 +103,84 @@ class TestTimetable:
     def test_delta_uses_period(self):
         tt = Timetable(stations=[], trains=[], connections=[], period=100)
         assert tt.delta(90, 10) == 20
+
+
+def _columns_of(timetable):
+    return tuple(column.copy() for column in timetable.connection_columns())
+
+
+class TestTimetableFromColumns:
+    """A timetable given as its five columns builds its rows on first
+    read, once, and equals the timetable given the rows."""
+
+    def test_equals_the_row_timetable(self, toy):
+        names = TrainNames(toy.num_trains, lambda: [t.name for t in toy.trains])
+        built = Timetable.from_columns(
+            list(toy.stations), names, _columns_of(toy), toy.period, toy.name
+        )
+        assert built.num_trains == toy.num_trains
+        assert built.num_connections == toy.num_connections
+        assert built._connections is None and built._trains is None
+        assert built == toy and toy == built
+        assert built.connections is built.connections
+        assert built.connections == toy.connections
+        assert built.trains is built.trains
+        assert built.trains == toy.trains
+
+    def test_two_column_timetables_compare_by_connections(self, toy):
+        one, two = (
+            Timetable.from_columns(
+                toy.stations, toy.trains, _columns_of(toy), toy.period, toy.name
+            )
+            for _ in range(2)
+        )
+        assert one == two
+        columns = list(_columns_of(toy))
+        columns[4] = columns[4] + 1
+        later = Timetable.from_columns(
+            toy.stations, toy.trains, tuple(columns), toy.period, toy.name
+        )
+        assert later != one
+
+    def test_derived_timetables_read_the_names_once(self, toy):
+        reads = []
+
+        def read():
+            reads.append(1)
+            return [t.name for t in toy.trains]
+
+        names = TrainNames(toy.num_trains, read)
+        first = Timetable.from_columns(
+            list(toy.stations), names, _columns_of(toy), toy.period, toy.name
+        )
+        second = first.with_connections(first.connection_columns(), "second")
+        assert second.num_trains == toy.num_trains and not reads
+        assert first.trains == second.trains == toy.trains
+        assert reads == [1]
+
+    def test_a_name_count_mismatch_is_refused(self, toy):
+        names = TrainNames(toy.num_trains + 1, lambda: [t.name for t in toy.trains])
+        built = Timetable.from_columns(
+            list(toy.stations), names, _columns_of(toy), toy.period
+        )
+        with pytest.raises(ValueError, match="train names for"):
+            built.trains
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        CORRUPT_CONNECTION_ROWS,
+        ids=[corrupt.__name__[1:] for corrupt, _ in CORRUPT_CONNECTION_ROWS],
+    )
+    def test_a_row_connection_would_refuse_is_refused(self, toy, corrupt, message):
+        columns = _columns_of(toy)
+        corrupt(columns, toy.num_connections // 2)
+        with pytest.raises(ValueError, match=message):
+            Timetable.from_columns(toy.stations, toy.trains, columns)
+
+    def test_setting_the_rows_drops_the_columns(self, toy):
+        built = Timetable.from_columns(
+            toy.stations, toy.trains, _columns_of(toy), toy.period
+        )
+        built.connections = built.connections[:1]
+        assert built.num_connections == 1
+        assert built.connection_columns()[0].size == 1
