@@ -305,23 +305,12 @@ def serve_fleet(tmp: Path) -> None:
     """serve-fleet at the CLI boundary: the gateway publishes its
     ephemeral port via --port-file, answers 32 concurrent SDK journeys
     on its event loop — the process runs the loop and the supervisor's
-    monitor, besides the BLAS pool importing numpy starts (a ``serve``
-    loses that pool when it forks its search workers; this process
-    never forks) — and SIGTERM drains the whole process tree to exit
-    0."""
+    monitor, and no BLAS pool: it imports no numpy — and SIGTERM drains
+    the whole process tree to exit 0."""
     from repro.client import connect
 
     store = str(tmp / "oahu")
     cli("prepare", *OAHU, "--store", store, "--transfer-fraction", "0.25")
-    blas = int(
-        subprocess.run(
-            [
-                sys.executable, "-c",
-                "import os, numpy; print(len(os.listdir('/proc/self/task')) - 1)",
-            ],
-            env=ENV, capture_output=True, text=True, check=True,
-        ).stdout
-    )
     with serving(
         "serve-fleet", tmp, "--store", store, "--workers", "2"
     ) as (url, pid):
@@ -342,11 +331,120 @@ def serve_fleet(tmp: Path) -> None:
         assert all(answers), "a journey through the gateway failed"
         threads = _threads(pid)
         assert threads == started, f"{started} threads became {threads}"
-        assert threads <= 2 + blas, f"serve-fleet runs {threads} threads"
+        assert threads <= 2, f"serve-fleet runs {threads} threads"
         print(
             f"gateway at {url} answered 32 concurrent journeys; the "
-            f"process runs {threads} threads, {blas} of them numpy's BLAS pool"
+            f"process runs {threads} threads"
         )
+
+
+#: A ``python -c`` prelude: the child writes the names of its modules
+#: to the file its first argument names, when it exits or — a
+#: ``serve`` — once it has published its port, before the port file
+#: appears.  The child's own arguments follow.
+_MODULES_DUMP = """
+import atexit, json, sys
+
+dump = sys.argv.pop(1)
+
+
+def write_modules():
+    with open(dump, "w") as handle:
+        json.dump(sorted(sys.modules), handle)
+
+
+atexit.register(write_modules)
+"""
+
+
+def cold_start(tmp: Path) -> None:
+    """What a process pays before it serves: ``e2ebench``'s prepare
+    process builds the ``table_hit`` store (washington/small, table
+    on) as every set-up of that workload does, and ``serve`` is spawned
+    on it five times with its flags as shipped.  Prints the prepare
+    process's module count, and per spawn the time from spawn to the
+    port file, the ``repro`` modules loaded and ``VmHWM`` at that
+    moment; then asserts that ``serve`` loaded none of the modules it
+    never runs (``tests/test_imports.py``).  Run with a parent
+    checkout's ``PYTHONPATH`` for the other side of a comparison: the
+    numbers print before the assertion."""
+    import statistics
+
+    from tests.test_imports import not_served
+
+    def repro_modules(path: Path) -> list[str]:
+        names = json.loads(path.read_text())
+        return [name for name in names if name.split(".")[0] == "repro"]
+
+    import repro
+
+    store, dump = tmp / "table_hit", tmp / "modules.json"
+    # The prepare step of the checkout whose `src` is imported: it puts
+    # its own `src` first on the path.
+    prepare = Path(repro.__file__).parents[2] / "e2ebench" / "prepare.py"
+    subprocess.run(
+        [
+            sys.executable, "-c",
+            _MODULES_DUMP + "import runpy\n"
+            "sys.argv[0] = sys.argv[1]\n"
+            "del sys.argv[1]\n"
+            "runpy.run_path(sys.argv[0], run_name='__main__')\n",
+            str(dump), str(prepare),
+            "--workload", "table_hit", "--store", str(store),
+        ],
+        env=ENV, capture_output=True, text=True, check=True,
+    )
+    print(f"prepare process: {len(repro_modules(dump))} repro modules")
+
+    serve = _MODULES_DUMP + (
+        "import repro.cli.serve as serve_cli\n"
+        "publish = serve_cli._write_port_file\n"
+        "def published(path, port):\n"
+        "    write_modules()\n"
+        "    publish(path, port)\n"
+        "serve_cli._write_port_file = published\n"
+        "from repro.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    port_file = tmp / "serve.port"
+    spawns, loaded = [], []
+    for _ in range(5):
+        port_file.unlink(missing_ok=True)
+        dump.unlink(missing_ok=True)
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-c", serve, str(dump), "serve",
+                "--store", str(store), "--port", "0",
+                "--port-file", str(port_file),
+            ],
+            env=ENV, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True,
+        )
+        try:
+            while not port_file.exists():
+                assert proc.poll() is None, f"serve exited {proc.returncode}"
+                assert time.perf_counter() - t0 < 60, "serve published no port"
+                time.sleep(0.002)
+            ready_ms = (time.perf_counter() - t0) * 1000
+            hwm = _proc_mb(proc.pid, "status", "VmHWM")
+            loaded = repro_modules(dump)
+            # serve installs its SIGTERM handler after the port file:
+            # signalled before, it would die instead of draining.
+            while not _catches(proc.pid, signal.SIGTERM):
+                assert proc.poll() is None, f"serve exited {proc.returncode}"
+                time.sleep(0.002)
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            log, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0, f"serve exited {proc.returncode}: {log}"
+        spawns.append(ready_ms)
+        print(
+            f"serve: port file after {ready_ms:.0f} ms, "
+            f"{len(loaded)} repro modules, VmHWM {hwm:.1f} MB"
+        )
+    print(f"serve: median {statistics.median(spawns):.0f} ms to the port file")
+    assert not_served(loaded) == [], not_served(loaded)
 
 
 def swap_seeds(tmp: Path) -> None:
@@ -407,6 +505,8 @@ def warm_start(tmp: Path) -> None:
     of ``Timetable.connection_columns`` poisoned) and packs what a cold
     pack of the twice-delayed timetable holds, byte for byte."""
     import repro.graph.td_arrays as arrays_mod
+    import repro.graph.td_model as td_model_mod
+    import repro.query.transfer_selection as selection_mod
     import repro.service.prepare as prepare_mod
     import repro.store.store as store_mod
     from repro import ServiceConfig, TransitService
@@ -422,7 +522,7 @@ def warm_start(tmp: Path) -> None:
         return _raise
 
     for mod, attr in (
-        (prepare_mod, "build_td_graph"),
+        (td_model_mod, "build_td_graph"),
         (arrays_mod, "pack_td_graph"),
     ):
         setattr(mod, attr, forbid(attr))
@@ -440,7 +540,7 @@ def warm_start(tmp: Path) -> None:
     }
     for mod, attr in (
         (prepare_mod, "build_station_graph"),
-        (prepare_mod, "select_transfer_stations"),
+        (selection_mod, "select_transfer_stations"),
         *swap_builders,
     ):
         setattr(mod, attr, forbid(attr))
@@ -647,6 +747,14 @@ def _tree_cpu_seconds(pids: list[int]) -> float:
 def _threads(pid: int) -> int:
     """The threads of ``pid``: its entries in ``/proc/<pid>/task``."""
     return len(list(Path(f"/proc/{pid}/task").iterdir()))
+
+
+def _catches(pid: int, signum: int) -> bool:
+    """Whether ``pid`` has a handler for ``signum`` (``SigCgt``)."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("SigCgt:"):
+            return bool(int(line.split()[1], 16) >> (signum - 1) & 1)
+    raise KeyError("SigCgt")
 
 
 def _proc_mb(pid: int, file: str, field: str) -> float:
@@ -915,6 +1023,7 @@ def transcripts(tmp: Path) -> None:
 
 JOBS = {
     "batch-workers": batch_workers,
+    "cold-start": cold_start,
     "foreign-clients": foreign_clients,
     "global-queries": global_queries,
     "serve-fleet": serve_fleet,

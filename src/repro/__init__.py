@@ -76,72 +76,81 @@ The lower-level building blocks remain available for research use::
 See docs/API.md for the service facade and the layers beneath it.
 """
 
-from repro.timetable import (
-    Connection,
-    Delay,
-    Route,
-    Station,
-    Timetable,
-    TimetableBuilder,
-    TimetableError,
-    Train,
-    apply_delays,
-    validate_timetable,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.timetable.types": (
+            "Connection",
+            "Route",
+            "Station",
+            "Timetable",
+            "Train",
+        ),
+        "repro.timetable.delays": ("Delay", "apply_delays"),
+        "repro.timetable.builder": ("TimetableBuilder",),
+        "repro.timetable.validation": ("TimetableError", "validate_timetable"),
+        "repro.timetable.gtfs": ("load_gtfs", "save_gtfs"),
+        "repro.timetable.io": ("load_timetable", "save_timetable"),
+        "repro.functions.piecewise": ("INF_TIME", "TravelTimeFunction"),
+        "repro.functions.algebra": ("Profile",),
+        "repro.graph.td_model": ("TDGraph", "build_td_graph"),
+        "repro.graph.station_graph": ("build_station_graph",),
+        "repro.baselines.label_correcting": ("label_correcting_profile",),
+        "repro.core.multicriteria": ("mc_profile_search",),
+        "repro.core.parallel": ("parallel_profile_search",),
+        "repro.core.spcs": ("spcs_profile_search",),
+        "repro.query.distance_table": (
+            "DistanceTable",
+            "build_distance_table",
+        ),
+        "repro.query.table_query": ("StationToStationEngine",),
+        "repro.query.via": ("compute_via_stations",),
+        "repro.query.transfer_selection": ("select_transfer_stations",),
+        "repro.store.store": (
+            "StoreError",
+            "describe_store",
+            "load_dataset",
+            "save_dataset",
+        ),
+        "repro.service.model": (
+            "BatchRequest",
+            "BatchResponse",
+            "JourneyLeg",
+            "JourneyRequest",
+            "JourneyResult",
+            "MinTransfersRequest",
+            "MinTransfersResult",
+            "MulticriteriaRequest",
+            "MulticriteriaResult",
+            "ParetoOption",
+            "ProfileRequest",
+            "ProfileResult",
+            "QueryStats",
+            "ViaRequest",
+            "ViaResult",
+        ),
+        "repro.service.prepare": (
+            "PreparedDataset",
+            "PrepareStats",
+            "prepare_dataset",
+        ),
+        "repro.service.config": ("ServiceConfig",),
+        "repro.service.facade": ("TransitService",),
+        "repro.client.errors": (
+            "BackendError",
+            "BackendTimeoutError",
+            "BadRequestError",
+            "OverloadedError",
+            "TransportError",
+            "UnknownDatasetError",
+        ),
+        "repro.client.http": ("HttpBackend", "RetryPolicy"),
+        "repro.client.backend": ("LocalBackend", "TransitBackend", "connect"),
+        "repro.synthetic.instances": ("make_instance",),
+    },
 )
-from repro.timetable.gtfs import load_gtfs, save_gtfs
-from repro.timetable.io import load_timetable, save_timetable
-from repro.functions import INF_TIME, Profile, TravelTimeFunction
-from repro.graph import TDGraph, build_station_graph, build_td_graph
-from repro.baselines import label_correcting_profile
-from repro.core import (
-    mc_profile_search,
-    parallel_profile_search,
-    spcs_profile_search,
-)
-from repro.query import (
-    DistanceTable,
-    StationToStationEngine,
-    build_distance_table,
-    compute_via_stations,
-    select_transfer_stations,
-)
-from repro.store import StoreError, describe_store, load_dataset, save_dataset
-from repro.service import (
-    BatchRequest,
-    BatchResponse,
-    JourneyLeg,
-    JourneyRequest,
-    JourneyResult,
-    MinTransfersRequest,
-    MinTransfersResult,
-    MulticriteriaRequest,
-    MulticriteriaResult,
-    ParetoOption,
-    PreparedDataset,
-    PrepareStats,
-    ProfileRequest,
-    ProfileResult,
-    QueryStats,
-    ServiceConfig,
-    TransitService,
-    ViaRequest,
-    ViaResult,
-    prepare_dataset,
-)
-from repro.client import (
-    BackendError,
-    BackendTimeoutError,
-    BadRequestError,
-    HttpBackend,
-    LocalBackend,
-    OverloadedError,
-    RetryPolicy,
-    TransitBackend,
-    TransportError,
-    UnknownDatasetError,
-    connect,
-)
-from repro.synthetic import make_instance
 
 __version__ = "1.6.0"
 

@@ -9,14 +9,25 @@ partition figure of §3.2 are Table 1's cells at more core counts and
 other strategies, read as work.
 """
 
-from repro.analysis.runners import (
-    OneToAllCell,
-    Table1Result,
-    Table2Row,
-    run_table1,
-    run_table2,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.analysis.runners": (
+            "OneToAllCell",
+            "Table1Result",
+            "Table2Row",
+            "run_table1",
+            "run_table2",
+        ),
+        "repro.analysis.formatting": (
+            "format_table",
+            "render_table1",
+            "render_table2",
+        ),
+    },
 )
-from repro.analysis.formatting import format_table, render_table1, render_table2
 
 __all__ = [
     "OneToAllCell",

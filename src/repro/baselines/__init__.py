@@ -5,9 +5,16 @@
   the label-setting property, serves as Table 1's comparator.
 """
 
-from repro.baselines.label_correcting import (
-    LabelCorrectingResult,
-    label_correcting_profile,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.baselines.label_correcting": (
+            "LabelCorrectingResult",
+            "label_correcting_profile",
+        ),
+    },
 )
 
 __all__ = [

@@ -27,26 +27,33 @@ CI shells and bench sessions without pulling in the query stack.
 
 from __future__ import annotations
 
-from repro.benchops.machine import (
-    current_git_sha,
-    git_tree_dirty,
-    machine_fingerprint,
-)
-from repro.benchops.schema import (
-    SCHEMA_VERSION,
-    BenchOpsError,
-    BenchRecord,
-    RecordError,
-    emit_record,
-    validate_record,
-)
-from repro.benchops.trajectory import (
-    TrajectoryError,
-    append_record,
-    index_records,
-    load_trajectory,
-    trajectory_names,
-    trajectory_path,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.benchops.machine": (
+            "current_git_sha",
+            "git_tree_dirty",
+            "machine_fingerprint",
+        ),
+        "repro.benchops.schema": (
+            "SCHEMA_VERSION",
+            "BenchOpsError",
+            "BenchRecord",
+            "RecordError",
+            "emit_record",
+            "validate_record",
+        ),
+        "repro.benchops.trajectory": (
+            "TrajectoryError",
+            "append_record",
+            "index_records",
+            "load_trajectory",
+            "trajectory_names",
+            "trajectory_path",
+        ),
+    },
 )
 
 __all__ = [

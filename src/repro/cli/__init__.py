@@ -39,7 +39,6 @@ import textwrap
 from repro import __version__
 from repro.cli import bench, datasets, queries, serve, streams, tables
 from repro.cli.datasets import FLAGS, rejected_beside
-from repro.client import BackendError
 from repro.service.shapes import SHAPES
 
 
@@ -66,7 +65,12 @@ def _epilog() -> str:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``repro-transit`` parser.  Every command is listed with its
+    help; only ``command``'s arguments are declared (every command's
+    when ``None``): a process declares, and imports, what the command
+    it runs reads — ``serve`` loads no instance generator for the
+    ``--instance`` choices of the others."""
     parser = argparse.ArgumentParser(
         prog="repro-transit",
         description=__doc__,
@@ -81,21 +85,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for family in (datasets, queries, serve, streams, tables, bench):
-        family.add_parsers(sub)
+        for name, entry in family.COMMANDS.items():
+            declared = sub.add_parser(name, help=entry.help)
+            if command in (None, name):
+                entry.declare(declared)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes no option with a value: its first
+    # other argument names the command.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return status
-    except BackendError as exc:
-        # Typed client/transport failures (connection refused, retry
-        # budget exhausted, server-side rejection) are user errors or
-        # operational conditions, not tracebacks.
-        raise SystemExit(f"error: {exc}") from None
     except BrokenPipeError:
         # The reader went away (``repro query … | head``): end quietly.
         # Python flushes stdout once more at exit, so point it at
@@ -103,3 +109,13 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except Exception as exc:
+        # Typed client/transport failures (connection refused, retry
+        # budget exhausted, server-side rejection) are user errors or
+        # operational conditions, not tracebacks.  Imported here: a
+        # command that does not talk to a backend never loads the client.
+        from repro.client.errors import BackendError
+
+        if not isinstance(exc, BackendError):
+            raise
+        raise SystemExit(f"error: {exc}") from None

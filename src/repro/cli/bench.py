@@ -6,6 +6,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.cli.datasets import Command
+
 
 def _cmd_bench_index(args: argparse.Namespace) -> int:
     from repro.benchops import index_records
@@ -41,12 +43,7 @@ def _cmd_bench_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_parsers(sub: argparse._SubParsersAction) -> None:
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark ops: index result records into BENCH_*.json "
-        "trajectories and summarize them",
-    )
+def _declare_bench(p_bench: argparse.ArgumentParser) -> None:
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
 
     p_bindex = bench_sub.add_parser(
@@ -82,3 +79,12 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
             help="directory holding the BENCH_*.json trajectories "
             "(default: the current directory — the repo root)",
         )
+
+
+COMMANDS = {
+    "bench": Command(
+        "benchmark ops: index result records into BENCH_*.json "
+        "trajectories and summarize them",
+        _declare_bench,
+    ),
+}

@@ -11,16 +11,24 @@ import signal
 import sys
 import threading
 from contextlib import contextmanager
-from typing import Any, Collection, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Collection, NamedTuple
 
-from repro.client import LocalBackend, TransitBackend, connect
-from repro.graph import build_td_graph
-from repro.service import ServiceConfig, TransitService
 from repro.service.config import RUNTIME_FIELDS
-from repro.store import StoreError, describe_store
-from repro.synthetic import INSTANCE_NAMES, make_instance
-from repro.timetable.gtfs import load_gtfs, save_gtfs
-from repro.timetable.types import Timetable
+
+if TYPE_CHECKING:
+    from repro.client import TransitBackend
+    from repro.service import TransitService
+    from repro.timetable.types import Timetable
+
+
+class Command(NamedTuple):
+    """A sub-command of a family module's :data:`COMMANDS`: its help
+    line, and what declares its arguments on its parser — run only
+    where the command may be the one run (:func:`repro.cli.build_parser`),
+    so the imports a declaration needs stay out of the other commands."""
+
+    help: str
+    declare: Callable[[argparse.ArgumentParser], None]
 
 
 class Flag(NamedTuple):
@@ -125,6 +133,8 @@ def add_input_flags(
     """Where the timetable comes from: ``--instance`` (with ``--scale``
     and ``--seed``) alone, or exactly one of it, ``--gtfs`` and, where
     allowed, ``--from-store`` / ``--remote``."""
+    from repro.synthetic.instances import INSTANCE_NAMES
+
     group = parser.add_mutually_exclusive_group(required=True) if gtfs else None
     (group or parser).add_argument(
         "--instance",
@@ -154,6 +164,9 @@ def add_input_flags(
 
 
 def load_timetable(args: argparse.Namespace) -> Timetable:
+    from repro.synthetic.instances import make_instance
+    from repro.timetable.gtfs import load_gtfs
+
     if args.gtfs:
         return load_gtfs(args.gtfs)
     scale = args.scale if args.scale is not None else FLAGS["--scale"].default
@@ -225,6 +238,8 @@ def fresh_service(
     build, packing and the optional distance table).  ``quiet`` drops
     the distance-table line: ``batch --json`` prints one JSON document
     and nothing else."""
+    from repro.service import ServiceConfig, TransitService
+
     fields = _config_fields(args)
     fraction = fields.pop("transfer_fraction", 0.0)
     if fraction > 0:
@@ -255,6 +270,10 @@ def open_backend(
     runs under its own configuration, so flags that would change it are
     refused; the runtime flags that remain beside a store override the
     stored values."""
+    from repro.client import LocalBackend, connect
+    from repro.service import TransitService
+    from repro.store import StoreError
+
     if args.remote:
         reject_beside(args, "--remote", request)
         try:
@@ -319,6 +338,9 @@ def _graceful_signals():
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from repro.synthetic.instances import make_instance
+    from repro.timetable.gtfs import save_gtfs
+
     timetable = make_instance(args.instance, args.scale, args.seed)
     save_gtfs(timetable, args.output)
     print(f"wrote {timetable.summary()} to {args.output}")
@@ -328,6 +350,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     if args.from_store:
         return _info_from_store(args, args.from_store)
+    from repro.graph.td_model import build_td_graph
+
     timetable = load_timetable(args)
     graph = build_td_graph(timetable)
     print(timetable.summary())
@@ -342,6 +366,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _info_from_store(args: argparse.Namespace, store: str) -> int:
     """Describe a store from its manifest alone — no packed buffer is
     opened, no artifact hydrated, so this is instant on any size."""
+    from repro.store import StoreError, describe_store
+
     reject_beside(args, "--from-store")
     try:
         info = describe_store(store)
@@ -385,6 +411,8 @@ def _info_from_store(args: argparse.Namespace, store: str) -> int:
 
 
 def _cmd_prepare(args: argparse.Namespace) -> int:
+    from repro.store import describe_store
+
     try:
         with _graceful_signals():
             service = fresh_service(args)
@@ -417,30 +445,38 @@ def _cmd_prepare(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_parsers(sub: argparse._SubParsersAction) -> None:
-    p_gen = sub.add_parser("generate", help="emit a synthetic GTFS-like feed")
-    add_input_flags(p_gen, gtfs=False)
-    p_gen.add_argument("--output", required=True, help="output directory")
-    p_gen.set_defaults(func=_cmd_generate)
+def _declare_generate(parser: argparse.ArgumentParser) -> None:
+    add_input_flags(parser, gtfs=False)
+    parser.add_argument("--output", required=True, help="output directory")
+    parser.set_defaults(func=_cmd_generate)
 
-    p_info = sub.add_parser(
-        "info",
-        help="summarize a timetable (or a store manifest via "
-        "--from-store, without hydrating any artifact)",
-    )
-    add_input_flags(p_info, store=True)
-    p_info.set_defaults(func=_cmd_info)
 
-    p_prepare = sub.add_parser(
-        "prepare",
-        help="build every prepared artifact and persist it to a store",
-    )
-    add_input_flags(p_prepare)
-    p_prepare.add_argument(
+def _declare_info(parser: argparse.ArgumentParser) -> None:
+    add_input_flags(parser, store=True)
+    parser.set_defaults(func=_cmd_info)
+
+
+def _declare_prepare(parser: argparse.ArgumentParser) -> None:
+    add_input_flags(parser)
+    parser.add_argument(
         "--store",
         required=True,
         metavar="DIR",
         help="artifact-store directory to write (created if missing)",
     )
-    add_flags(p_prepare, ("--cores", "--transfer-fraction"))
-    p_prepare.set_defaults(func=_cmd_prepare)
+    add_flags(parser, ("--cores", "--transfer-fraction"))
+    parser.set_defaults(func=_cmd_prepare)
+
+
+COMMANDS = {
+    "generate": Command("emit a synthetic GTFS-like feed", _declare_generate),
+    "info": Command(
+        "summarize a timetable (or a store manifest via "
+        "--from-store, without hydrating any artifact)",
+        _declare_info,
+    ),
+    "prepare": Command(
+        "build every prepared artifact and persist it to a store",
+        _declare_prepare,
+    ),
+}

@@ -18,17 +18,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-from typing import Any, Callable, NamedTuple
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.cli.datasets import (
     FLAGS,
+    Command,
     add_flags,
     add_input_flags,
     dest,
     open_backend,
 )
-from repro.client import LocalBackend, TransitBackend
-from repro.core.fanout import pool_size
 from repro.service.shapes import (
     BATCH,
     PROFILE,
@@ -37,8 +37,10 @@ from repro.service.shapes import (
     Shape,
     as_request,
 )
-from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.periodic import format_time
+
+if TYPE_CHECKING:
+    from repro.client import TransitBackend
 
 #: Sub-commands not named after their shape's route.
 COMMAND_NAMES = {"journey": "query"}
@@ -82,6 +84,8 @@ def _run(args: argparse.Namespace) -> int:
         quiet=getattr(args, "json", False),
     )
     if shape is BATCH:
+        from repro.synthetic.workloads import random_station_pairs
+
         # Same seed + same station count ⇒ same workload on every
         # transport (info() is free locally, one GET remotely).
         raw = [
@@ -104,6 +108,8 @@ def _run(args: argparse.Namespace) -> int:
     # --workers is refused beside --remote: given, the service is local.
     workers = getattr(args, "workers", None)
     if workers is not None:
+        from repro.core.fanout import pool_size
+
         backend.service.start_workers(pool_size(workers))
     try:
         answer = getattr(backend, shape.name)(as_request(shape, *raw), **wire_only)
@@ -117,6 +123,8 @@ def _run(args: argparse.Namespace) -> int:
 def _search_workers(backend: TransitBackend) -> int:
     """The search workers the command forked: none for a remote
     backend, whose server's are its own."""
+    from repro.client import LocalBackend
+
     if isinstance(backend, LocalBackend):
         return backend.service.worker_stats[0]
     return 0
@@ -251,6 +259,8 @@ def _batch_summary(args, batch, backend, settled: int) -> dict:
     # Preparation accounting exists only where preparation ran: a
     # remote backend reports the serving side's dataset, whose prepare
     # cost was paid by the server.
+    from repro.client import LocalBackend
+
     prepare = (
         backend.service.prepare_stats
         if isinstance(backend, LocalBackend)
@@ -322,38 +332,44 @@ QUERIES = {
 }
 
 
-def add_parsers(sub: argparse._SubParsersAction) -> None:
-    for shape in SHAPES:
-        query = QUERIES[shape.name]
-        parser = sub.add_parser(command_name(shape), help=query.help)
-        add_input_flags(parser, store=True, remote=True)
-        add_flags(parser, query.config, explicit=True)
-        for field in shape.fields:
-            if (
-                _field_flag(field) in query.config
-                or (shape.name, field.name) in UNEXPOSED
-            ):
-                continue
-            parser.add_argument(
-                _field_flag(field),
-                type=int,
-                required=field.required,
-                default=field.default,
-                help=_FIELD_HELP.get(field.name),
-            )
-        if shape is PROFILE:
-            parser.add_argument("--target", type=int, default=None)
-            parser.add_argument("--max-points", type=int, default=6)
-        if shape is BATCH:
-            parser.add_argument(
-                "--n-queries",
-                type=int,
-                default=20,
-                help="random (source, target) pairs",
-            )
-            parser.add_argument(
-                "--json",
-                action="store_true",
-                help="print a one-line JSON throughput summary instead of text",
-            )
-        parser.set_defaults(func=_run, shape=shape)
+def _declare(shape: Shape, parser: argparse.ArgumentParser) -> None:
+    query = QUERIES[shape.name]
+    add_input_flags(parser, store=True, remote=True)
+    add_flags(parser, query.config, explicit=True)
+    for field in shape.fields:
+        if (
+            _field_flag(field) in query.config
+            or (shape.name, field.name) in UNEXPOSED
+        ):
+            continue
+        parser.add_argument(
+            _field_flag(field),
+            type=int,
+            required=field.required,
+            default=field.default,
+            help=_FIELD_HELP.get(field.name),
+        )
+    if shape is PROFILE:
+        parser.add_argument("--target", type=int, default=None)
+        parser.add_argument("--max-points", type=int, default=6)
+    if shape is BATCH:
+        parser.add_argument(
+            "--n-queries",
+            type=int,
+            default=20,
+            help="random (source, target) pairs",
+        )
+        parser.add_argument(
+            "--json",
+            action="store_true",
+            help="print a one-line JSON throughput summary instead of text",
+        )
+    parser.set_defaults(func=_run, shape=shape)
+
+
+COMMANDS = {
+    command_name(shape): Command(
+        QUERIES[shape.name].help, partial(_declare, shape)
+    )
+    for shape in SHAPES
+}

@@ -9,12 +9,13 @@ import asyncio
 import os
 import signal
 import tempfile
-from typing import Any, Awaitable, Callable
+from typing import TYPE_CHECKING, Any, Awaitable, Callable
 
-from repro.cli.datasets import positive_int
-from repro.core.fanout import pool_size
-from repro.server import DatasetRegistry, TransitServer
-from repro.store import StoreError
+from repro.cli.datasets import Command, positive_int
+
+if TYPE_CHECKING:
+    from repro.fleet import FleetGateway
+    from repro.server import TransitServer
 
 
 def _write_port_file(path: str, port: int) -> None:
@@ -76,6 +77,10 @@ def _serve_until_signal(
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Warm-load every ``--store`` (the directory basename names the
     dataset) and serve until signalled; exit 0 after the drain."""
+    from repro.core.fanout import pool_size
+    from repro.server import DatasetRegistry, TransitServer
+    from repro.store import StoreError
+
     try:
         registry = DatasetRegistry.from_stores(args.store)
     except (StoreError, ValueError) as exc:
@@ -123,8 +128,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     only to those at the newest generation.  SIGINT/
     SIGTERM drains the gateway, then stops the workers; exit 0.
     """
-    # Imported here: `import repro` brings in every other package the
-    # commands use, the fleet only when a fleet is started.
     from repro.fleet import FleetGateway, WorkerSupervisor
 
     supervisor = WorkerSupervisor(
@@ -226,11 +229,7 @@ def _add_listen_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def add_parsers(sub: argparse._SubParsersAction) -> None:
-    p_serve = sub.add_parser(
-        "serve",
-        help="async multi-dataset HTTP query server over artifact stores",
-    )
+def _declare_serve(p_serve: argparse.ArgumentParser) -> None:
     _add_listen_flags(p_serve)
     p_serve.add_argument(
         "--workers",
@@ -250,11 +249,8 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
     )
     p_serve.set_defaults(func=_cmd_serve)
 
-    p_fleet = sub.add_parser(
-        "serve-fleet",
-        help="sharded multi-process serve fleet behind a routing "
-        "gateway (see docs/FLEET.md)",
-    )
+
+def _declare_serve_fleet(p_fleet: argparse.ArgumentParser) -> None:
     _add_listen_flags(p_fleet)
     p_fleet.add_argument(
         "--workers",
@@ -303,3 +299,16 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
     )
     # The gateway admits for the whole fleet.
     p_fleet.set_defaults(func=_cmd_serve_fleet, max_inflight=256)
+
+
+COMMANDS = {
+    "serve": Command(
+        "async multi-dataset HTTP query server over artifact stores",
+        _declare_serve,
+    ),
+    "serve-fleet": Command(
+        "sharded multi-process serve fleet behind a routing "
+        "gateway (see docs/FLEET.md)",
+        _declare_serve_fleet,
+    ),
+}

@@ -7,19 +7,13 @@ import argparse
 import json
 import sys
 
-from repro.cli.datasets import add_input_flags, load_timetable
-from repro.client import connect
-from repro.streams import (
-    DelayStream,
-    ReplayConfig,
-    ReplayError,
-    StreamFormatError,
-    replay_stream,
-)
-from repro.synthetic import STREAM_SHAPES, generate_delay_stream
+from repro.cli.datasets import Command, add_input_flags, load_timetable
 
 
 def _cmd_delay_stream(args: argparse.Namespace) -> int:
+    from repro.streams import StreamFormatError
+    from repro.synthetic.delays import generate_delay_stream
+
     timetable = load_timetable(args)
     try:
         stream = generate_delay_stream(
@@ -49,6 +43,15 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     every event committed, swap-pause bound met), 1 otherwise; the
     report JSON goes to stdout either way.
     """
+    from repro.client import connect
+    from repro.streams import (
+        DelayStream,
+        ReplayConfig,
+        ReplayError,
+        StreamFormatError,
+        replay_stream,
+    )
+
     try:
         stream = DelayStream.load(args.stream)
     except (OSError, StreamFormatError) as exc:
@@ -78,12 +81,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def add_parsers(sub: argparse._SubParsersAction) -> None:
-    p_stream = sub.add_parser(
-        "delay-stream",
-        help="generate a seeded GTFS-RT-style delay stream "
-        "(docs/STREAMS.md)",
-    )
+def _declare_delay_stream(p_stream: argparse.ArgumentParser) -> None:
+    from repro.synthetic.delays import STREAM_SHAPES
+
     add_input_flags(p_stream)
     p_stream.add_argument(
         "--output", required=True, metavar="FILE",
@@ -119,11 +119,8 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
     )
     p_stream.set_defaults(func=_cmd_delay_stream)
 
-    p_replay = sub.add_parser(
-        "replay",
-        help="replay a delay stream against a live serve/serve-fleet "
-        "target with closed-loop query traffic (docs/STREAMS.md)",
-    )
+
+def _declare_replay(p_replay: argparse.ArgumentParser) -> None:
     p_replay.add_argument(
         "--stream", required=True, metavar="FILE",
         help="stream JSON written by `delay-stream`",
@@ -156,3 +153,16 @@ def add_parsers(sub: argparse._SubParsersAction) -> None:
         "(default: unchecked)",
     )
     p_replay.set_defaults(func=_cmd_replay)
+
+
+COMMANDS = {
+    "delay-stream": Command(
+        "generate a seeded GTFS-RT-style delay stream (docs/STREAMS.md)",
+        _declare_delay_stream,
+    ),
+    "replay": Command(
+        "replay a delay stream against a live serve/serve-fleet "
+        "target with closed-loop query traffic (docs/STREAMS.md)",
+        _declare_replay,
+    ),
+}

@@ -25,28 +25,35 @@ connection-setting profile search (SPCS) and its parallelization.
   :mod:`repro.core.mc_reference`, the only one.
 """
 
-from repro.core.spcs import SPCSResult, spcs_profile_search
-from repro.core.spcs_kernel import run_spcs_search, spcs_kernel_search
-from repro.core.partition import (
-    PARTITION_STRATEGIES,
-    partition_equal_connections,
-    partition_equal_time_slots,
-    partition_kmeans,
-)
-from repro.core.merge import MergedProfileResult, merge_thread_results
-from repro.core.multicriteria import (
-    McProfileResult,
-    McSPCSStats,
-    McTimeQueryResult,
-    mc_profile_search,
-    mc_time_search,
-)
-from repro.core.mc_reference import mc_reference_search
-from repro.core.parallel import (
-    KERNELS,
-    ParallelProfileResult,
-    ParallelRunStats,
-    parallel_profile_search,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.spcs": ("SPCSResult", "spcs_profile_search"),
+        "repro.core.spcs_kernel": ("run_spcs_search", "spcs_kernel_search"),
+        "repro.core.partition": (
+            "PARTITION_STRATEGIES",
+            "partition_equal_connections",
+            "partition_equal_time_slots",
+            "partition_kmeans",
+        ),
+        "repro.core.merge": ("MergedProfileResult", "merge_thread_results"),
+        "repro.core.multicriteria": (
+            "McProfileResult",
+            "McSPCSStats",
+            "McTimeQueryResult",
+            "mc_profile_search",
+            "mc_time_search",
+        ),
+        "repro.core.mc_reference": ("mc_reference_search",),
+        "repro.core.parallel": (
+            "KERNELS",
+            "ParallelProfileResult",
+            "ParallelRunStats",
+            "parallel_profile_search",
+        ),
+    },
 )
 
 __all__ = [

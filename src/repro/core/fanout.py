@@ -43,7 +43,6 @@ and measured slower than ``serial`` on every workload tried
 
 from __future__ import annotations
 
-import asyncio
 import gc
 import os
 import pickle
@@ -52,8 +51,13 @@ import threading
 import traceback
 import weakref
 from collections import deque
-from multiprocessing.connection import Connection, Pipe, wait
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+
+# asyncio and the pipes are imported where a pool submits and forks: a
+# process that never starts workers (a cold prepare) loads neither.
+if TYPE_CHECKING:
+    import asyncio
+    from multiprocessing.connection import Connection
 
 #: Valid ``backend`` arguments of :func:`fan_out`.
 BACKENDS = ("serial", "processes")
@@ -176,6 +180,8 @@ def _fail(future: asyncio.Future, exc: BaseException) -> None:
 
 
 def _running_loop() -> asyncio.AbstractEventLoop | None:
+    import asyncio
+
     try:
         return asyncio.get_running_loop()
     except RuntimeError:
@@ -337,6 +343,8 @@ class ForkPool:
         ``RuntimeError``: the caller runs the job itself, off the loop."""
         if not self._children:
             raise RuntimeError("the pool has no children to submit to")
+        import asyncio
+
         job = _dumps((name, args))
         future = asyncio.get_running_loop().create_future()
         with self._freed:
@@ -495,6 +503,8 @@ class ForkPool:
         child = next(iter(held))
         try:
             if len(held) > 1:
+                from multiprocessing.connection import wait
+
                 ready = wait([c.conn for c in held])
                 child = next(c for c in held if c.conn in ready)
             outcome = pickle.loads(child.conn.recv_bytes())
@@ -528,6 +538,8 @@ class ForkPool:
             return successor
 
     def _fork(self, target: object) -> _Child:
+        from multiprocessing.connection import Pipe
+
         ours, theirs = Pipe()
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
         try:

@@ -21,13 +21,16 @@ against the layered-Dijkstra baseline at every departure anchor
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.functions.piecewise import INF_TIME
 from repro.functions.reduction import reduction_mask
-from repro.graph.td_model import TDGraph
 from repro.pq import AddressableHeap
+
+if TYPE_CHECKING:
+    from repro.graph.td_model import TDGraph
 
 __all__ = ["McProfileResult", "McSPCSStats", "mc_reference_search"]
 

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.fanout import fan_out
 from repro.core.merge import MergedProfileResult, merge_thread_results
@@ -74,7 +74,9 @@ from repro.core.partition import PARTITION_STRATEGIES
 from repro.core.spcs import SPCSResult
 from repro.core.spcs_kernel import run_spcs_search
 from repro.graph.td_arrays import TDGraphArrays, packed_arrays
-from repro.graph.td_model import TDGraph
+
+if TYPE_CHECKING:
+    from repro.graph.td_model import TDGraph
 
 #: Valid ``kernel`` arguments of :func:`parallel_profile_search`.
 KERNELS = ("python", "flat")

@@ -37,14 +37,16 @@ each §4 rule sits in either kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
 from repro.functions.algebra import Profile
 from repro.functions.piecewise import INF_TIME
-from repro.graph.td_model import TDGraph
 from repro.pq import AddressableHeap
+
+if TYPE_CHECKING:
+    from repro.graph.td_model import TDGraph
 
 
 #: Pruner verdicts (see :class:`SettlePruner`).

@@ -72,9 +72,9 @@ import numpy as np
 from repro.core.spcs import SPCSResult, SPCSStats, spcs_profile_search
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_arrays import TDGraphArrays
-from repro.graph.td_model import TDGraph
 
 if TYPE_CHECKING:
+    from repro.graph.td_model import TDGraph
     from repro.query.table_query import DistanceTablePruner
 
 

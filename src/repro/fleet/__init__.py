@@ -21,9 +21,16 @@ Entry point: ``repro-transit serve-fleet --store DIR --workers N``;
 ``docs/FLEET.md`` walks through it.
 """
 
-from repro.fleet.gateway import FleetGateway, WorkerState
-from repro.fleet.metrics import GatewayMetrics
-from repro.fleet.supervisor import WorkerSupervisor
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.fleet.gateway": ("FleetGateway", "WorkerState"),
+        "repro.fleet.metrics": ("GatewayMetrics",),
+        "repro.fleet.supervisor": ("WorkerSupervisor",),
+    },
+)
 
 __all__ = [
     "FleetGateway",

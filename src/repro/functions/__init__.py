@@ -11,12 +11,19 @@ This package provides the edge travel-time functions, profile functions
 and the pointwise algebra the label-correcting baseline uses.
 """
 
-from repro.functions.piecewise import INF_TIME, TravelTimeFunction
-from repro.functions.reduction import (
-    reduce_connection_points,
-    reduction_mask,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.functions.piecewise": ("INF_TIME", "TravelTimeFunction"),
+        "repro.functions.reduction": (
+            "reduce_connection_points",
+            "reduction_mask",
+        ),
+        "repro.functions.algebra": ("Profile",),
+    },
 )
-from repro.functions.algebra import Profile
 
 __all__ = [
     "INF_TIME",

@@ -21,10 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.timetable.periodic import DAY_MINUTES
-
-#: Arrival label for "unreachable"; see :mod:`repro.timetable.periodic`.
-INF_TIME = 2**62
+from repro.timetable.periodic import DAY_MINUTES, INF_TIME
 
 #: ``array`` typecodes from the narrowest up, each with the bound its
 #: values stay below; numpy reads the same codes as the same types.

@@ -12,14 +12,21 @@
 * :mod:`repro.graph.csr` — small CSR utilities shared by both.
 """
 
-from repro.graph.td_model import Edge, TDGraph, build_td_graph
-from repro.graph.td_arrays import (
-    TDGraphArrays,
-    pack_td_graph,
-    pack_timetable,
-    packed_arrays,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.graph.td_model": ("Edge", "TDGraph", "build_td_graph"),
+        "repro.graph.td_arrays": (
+            "TDGraphArrays",
+            "pack_td_graph",
+            "pack_timetable",
+            "packed_arrays",
+        ),
+        "repro.graph.station_graph": ("StationGraph", "build_station_graph"),
+    },
 )
-from repro.graph.station_graph import StationGraph, build_station_graph
 
 __all__ = [
     "Edge",

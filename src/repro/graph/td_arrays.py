@@ -62,12 +62,15 @@ from __future__ import annotations
 from array import array
 from dataclasses import InitVar, dataclass, field
 from heapq import heappop, heappush
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.functions.piecewise import INF_TIME, narrow_row
-from repro.graph.td_model import TDGraph
 from repro.timetable.types import Route, Timetable
+
+if TYPE_CHECKING:
+    from repro.graph.td_model import TDGraph
 
 #: Row entries built per numpy pass: what bounds a build's transient
 #: memory (a few int64 buffers this long), whatever the pool's size.

@@ -19,26 +19,36 @@
   options, transfer-bounded day profiles).
 """
 
-from repro.query.via import ViaInfo, compute_via_stations
-from repro.query.min_transfers import (
-    TradeoffFront,
-    TradeoffScan,
-    min_transfer_option,
-    scan_tradeoffs,
-    tradeoff_fronts,
-    transfer_bounded_counts,
-)
-from repro.query.distance_table import DistanceTable, build_distance_table
-from repro.query.table_query import (
-    DistanceTablePruner,
-    StationToStationEngine,
-    StationToStationResult,
-)
-from repro.query.batch import BatchStats
-from repro.query.transfer_selection import (
-    select_by_contraction,
-    select_by_degree,
-    select_transfer_stations,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.query.via": ("ViaInfo", "compute_via_stations"),
+        "repro.query.min_transfers": (
+            "TradeoffFront",
+            "TradeoffScan",
+            "min_transfer_option",
+            "scan_tradeoffs",
+            "tradeoff_fronts",
+            "transfer_bounded_counts",
+        ),
+        "repro.query.distance_table": (
+            "DistanceTable",
+            "build_distance_table",
+        ),
+        "repro.query.table_query": (
+            "DistanceTablePruner",
+            "StationToStationEngine",
+            "StationToStationResult",
+        ),
+        "repro.query.batch": ("BatchStats",),
+        "repro.query.transfer_selection": (
+            "select_by_contraction",
+            "select_by_degree",
+            "select_transfer_stations",
+        ),
+    },
 )
 
 __all__ = [

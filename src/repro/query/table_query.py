@@ -46,7 +46,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -58,9 +58,11 @@ from repro.graph.td_arrays import TDGraphArrays, packed_arrays
 from repro.functions.algebra import Profile
 from repro.functions.piecewise import INF_TIME
 from repro.graph.station_graph import StationGraph, build_station_graph
-from repro.graph.td_model import TDGraph
 from repro.query.distance_table import DistanceTable
 from repro.query.via import ViaInfo, compute_via_stations
+
+if TYPE_CHECKING:
+    from repro.graph.td_model import TDGraph
 
 
 class DistanceTablePruner:

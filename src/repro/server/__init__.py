@@ -23,19 +23,26 @@ See ``docs/SERVER.md`` for the wire protocol and operational
 semantics.
 """
 
-from repro.server.app import MAX_BODY_BYTES, TransitServer
-from repro.server.http_base import BaseAsyncHttpServer
-from repro.server.metrics import LatencyHistogram, ServerMetrics
-from repro.server.protocol import (
-    DELAY_MODES,
-    PROTOCOL_VERSION,
-    DelayCommand,
-    ProtocolError,
-)
-from repro.server.registry import (
-    DatasetEntry,
-    DatasetRegistry,
-    RegistryError,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.server.app": ("MAX_BODY_BYTES", "TransitServer"),
+        "repro.server.http_base": ("BaseAsyncHttpServer",),
+        "repro.server.metrics": ("LatencyHistogram", "ServerMetrics"),
+        "repro.server.protocol": (
+            "DELAY_MODES",
+            "PROTOCOL_VERSION",
+            "DelayCommand",
+            "ProtocolError",
+        ),
+        "repro.server.registry": (
+            "DatasetEntry",
+            "DatasetRegistry",
+            "RegistryError",
+        ),
+    },
 )
 
 __all__ = [

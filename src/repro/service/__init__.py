@@ -21,34 +21,41 @@ star — the seam every scaling feature plugs into).
 See ``docs/API.md`` for the lifecycle walk-through.
 """
 
-from repro.service.cache import CacheStats, LRUResultCache
-from repro.service.config import (
-    RUNTIME_FIELDS,
-    SELECTION_METHODS,
-    ServiceConfig,
-)
-from repro.service.facade import TransitService
-from repro.service.model import (
-    BatchRequest,
-    BatchResponse,
-    JourneyLeg,
-    JourneyRequest,
-    JourneyResult,
-    MinTransfersRequest,
-    MinTransfersResult,
-    MulticriteriaRequest,
-    MulticriteriaResult,
-    ParetoOption,
-    ProfileRequest,
-    ProfileResult,
-    QueryStats,
-    ViaRequest,
-    ViaResult,
-)
-from repro.service.prepare import (
-    PreparedDataset,
-    PrepareStats,
-    prepare_dataset,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.service.cache": ("CacheStats", "LRUResultCache"),
+        "repro.service.config": (
+            "RUNTIME_FIELDS",
+            "SELECTION_METHODS",
+            "ServiceConfig",
+        ),
+        "repro.service.facade": ("TransitService",),
+        "repro.service.model": (
+            "BatchRequest",
+            "BatchResponse",
+            "JourneyLeg",
+            "JourneyRequest",
+            "JourneyResult",
+            "MinTransfersRequest",
+            "MinTransfersResult",
+            "MulticriteriaRequest",
+            "MulticriteriaResult",
+            "ParetoOption",
+            "ProfileRequest",
+            "ProfileResult",
+            "QueryStats",
+            "ViaRequest",
+            "ViaResult",
+        ),
+        "repro.service.prepare": (
+            "PreparedDataset",
+            "PrepareStats",
+            "prepare_dataset",
+        ),
+    },
 )
 
 __all__ = [

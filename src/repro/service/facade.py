@@ -47,7 +47,6 @@ by construction.
 
 from __future__ import annotations
 
-import asyncio
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -344,6 +343,8 @@ class TransitService:
         work = self._work(shape, request)
         workers = self._workers
         if workers is None or not workers.processes:
+            import asyncio  # a cold prepare never loads it
+
             results = await asyncio.to_thread(self._run_here, work)
         else:
             futures = [

@@ -20,9 +20,13 @@ transfer time are part of the leg and consecutive legs chain:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.graph.td_arrays import TDGraphArrays
-from repro.graph.td_model import TDGraph
 from repro.service.model import JourneyLeg
+
+if TYPE_CHECKING:
+    from repro.graph.td_model import TDGraph
 
 
 def legs_along(

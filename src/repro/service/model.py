@@ -29,12 +29,14 @@ single-criterion §2 time query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.parallel import ParallelProfileResult
-from repro.functions.algebra import Profile
-from repro.functions.piecewise import INF_TIME
 from repro.query.batch import BatchStats
+from repro.timetable.periodic import INF_TIME
+
+if TYPE_CHECKING:
+    from repro.core.parallel import ParallelProfileResult
+    from repro.functions.algebra import Profile
 
 
 #: The transfer budget of a multi-criteria family request that names

@@ -24,18 +24,19 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.graph.station_graph import StationGraph, build_station_graph
 from repro.graph.td_arrays import TDGraphArrays, pack_timetable
-from repro.graph.td_model import TDGraph, build_td_graph
 from repro.query.distance_table import DistanceTable, build_distance_table
-from repro.query.transfer_selection import select_transfer_stations
 from repro.service.config import ServiceConfig
 from repro.timetable.routes import partition_routes
 from repro.timetable.types import Route, Timetable
+
+if TYPE_CHECKING:
+    from repro.graph.td_model import TDGraph
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,6 +242,8 @@ class PreparedDataset:
         if graph is None:
             with self._hydrating:
                 if self._graph is None:
+                    from repro.graph.td_model import build_td_graph
+
                     self.routes  # a loaded pack is checked before it is owned
                     built = build_td_graph(self.timetable)
                     built._arrays = self.arrays
@@ -291,6 +294,8 @@ def prepare_dataset(
     table: DistanceTable | None = None
     table_mib = 0.0
     if config.use_distance_table:
+        from repro.query.transfer_selection import select_transfer_stations
+
         t0 = time.perf_counter()
         transfer_stations = select_transfer_stations(
             timetable,

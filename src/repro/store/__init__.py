@@ -13,15 +13,22 @@ The usual entry points are :meth:`repro.TransitService.save` and
 and warm starts").
 """
 
-from repro.store.codec import CodecError, read_record, write_record
-from repro.store.store import (
-    FORMAT_VERSION,
-    StoreError,
-    config_hash,
-    describe_store,
-    load_dataset,
-    prepare_config_hash,
-    save_dataset,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.store.codec": ("CodecError", "read_record", "write_record"),
+        "repro.store.store": (
+            "FORMAT_VERSION",
+            "StoreError",
+            "config_hash",
+            "describe_store",
+            "load_dataset",
+            "prepare_config_hash",
+            "save_dataset",
+        ),
+    },
 )
 
 __all__ = [

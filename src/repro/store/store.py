@@ -278,7 +278,7 @@ def _dataset_sections(prepared: PreparedDataset) -> dict:
         "station_transfer_time": np.asarray(
             [s.transfer_time for s in timetable.stations], dtype=np.int64
         ),
-        "train_names": [t.name for t in timetable.trains],
+        "train_names": timetable.train_names(),
         "connections": np.stack(
             timetable.connection_columns(), axis=1
         ).reshape(-1),

@@ -13,13 +13,24 @@ Exposed on the CLI as ``repro delay-stream`` (generate) and ``repro
 replay`` (drive).  See ``docs/STREAMS.md``.
 """
 
-from repro.streams.model import DelayEvent, DelayStream, StreamFormatError
-from repro.streams.metrics import ReplayMetrics
-from repro.streams.replay import (
-    ReplayConfig,
-    ReplayError,
-    ReplayReport,
-    replay_stream,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.streams.model": (
+            "DelayEvent",
+            "DelayStream",
+            "StreamFormatError",
+        ),
+        "repro.streams.metrics": ("ReplayMetrics",),
+        "repro.streams.replay": (
+            "ReplayConfig",
+            "ReplayError",
+            "ReplayReport",
+            "replay_stream",
+        ),
+    },
 )
 
 __all__ = [

@@ -20,16 +20,26 @@ the same *shape* at laptop scale:
   for the replay harness (:mod:`repro.streams`).
 """
 
-from repro.synthetic.schedules import SchedulePattern, daily_departures
-from repro.synthetic.bus import BusNetworkConfig, generate_bus_network
-from repro.synthetic.rail import RailNetworkConfig, generate_rail_network
-from repro.synthetic.instances import (
-    INSTANCE_NAMES,
-    instance_config,
-    make_instance,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.synthetic.schedules": ("SchedulePattern", "daily_departures"),
+        "repro.synthetic.bus": ("BusNetworkConfig", "generate_bus_network"),
+        "repro.synthetic.rail": ("RailNetworkConfig", "generate_rail_network"),
+        "repro.synthetic.instances": (
+            "INSTANCE_NAMES",
+            "instance_config",
+            "make_instance",
+        ),
+        "repro.synthetic.workloads": (
+            "random_sources",
+            "random_station_pairs",
+        ),
+        "repro.synthetic.delays": ("STREAM_SHAPES", "generate_delay_stream"),
+    },
 )
-from repro.synthetic.workloads import random_sources, random_station_pairs
-from repro.synthetic.delays import STREAM_SHAPES, generate_delay_stream
 
 __all__ = [
     "SchedulePattern",

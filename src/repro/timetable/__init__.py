@@ -7,27 +7,35 @@ time arithmetic, route partitioning, validation, a fluent builder, and
 GTFS-like CSV input/output.
 """
 
-from repro.timetable.periodic import (
-    DAY_MINUTES,
-    PeriodicTime,
-    delta,
-    format_time,
-    normalize,
-    parse_time,
-)
-from repro.timetable.types import (
-    Connection,
-    Route,
-    Station,
-    Timetable,
-    Train,
-)
-from repro.timetable.routes import partition_routes
-from repro.timetable.builder import TimetableBuilder
-from repro.timetable.delays import Delay, apply_delays, train_lateness_profile
-from repro.timetable.validation import (
-    TimetableError,
-    validate_timetable,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.timetable.periodic": (
+            "DAY_MINUTES",
+            "PeriodicTime",
+            "delta",
+            "format_time",
+            "normalize",
+            "parse_time",
+        ),
+        "repro.timetable.types": (
+            "Connection",
+            "Route",
+            "Station",
+            "Timetable",
+            "Train",
+        ),
+        "repro.timetable.routes": ("partition_routes",),
+        "repro.timetable.builder": ("TimetableBuilder",),
+        "repro.timetable.delays": (
+            "Delay",
+            "apply_delays",
+            "train_lateness_profile",
+        ),
+        "repro.timetable.validation": ("TimetableError", "validate_timetable"),
+    },
 )
 
 __all__ = [

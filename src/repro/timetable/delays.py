@@ -42,10 +42,10 @@ Composition rule (pinned by ``tests/timetable/test_delays.py``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.timetable.types import Timetable
+if TYPE_CHECKING:
+    from repro.timetable.types import Timetable
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,6 +99,10 @@ def apply_delays(
     input's own, which delays never change; the trains are the
     input's, undecoded while they are.
     """
+    # numpy is imported here: :class:`Delay` is on the wire path of the
+    # fleet gateway, which runs without it.
+    import numpy as np
+
     if slack_per_leg < 0:
         raise ValueError(f"slack must be non-negative, got {slack_per_leg}")
     train, dep_station, arr_station, dep, arr = timetable.connection_columns()

@@ -262,6 +262,16 @@ class Timetable:
         self._trains = trains
         self._train_names = None
 
+    def train_names(self) -> list[str]:
+        """The trains' names in id order, read through the
+        :class:`TrainNames` while no train was read: a save of a loaded
+        or delayed timetable builds no :class:`Train`."""
+        if self._trains is None:
+            with _VIEWS:
+                if self._trains is None:
+                    return self._train_names()
+        return [train.name for train in self._trains]
+
     @property
     def connections(self) -> list[Connection]:
         connections = self._connections

@@ -52,7 +52,12 @@ annotations per file, so none can be dropped silently.
 ``__all__`` under ``src/`` must be bound at module top level (unless
 the module does ``from x import *``) and listed once, and every public
 top-level ``def`` / ``class`` must be listed.  A computed ``__all__``
-is skipped.
+is skipped.  A package that re-exports on first use
+(``__getattr__, __dir__ = lazy_exports(globals(), {module: names})``,
+:mod:`repro._lazy`) binds a name of its table only when the module the
+table names binds it — read off that module's syntax tree, through its
+own table if it has one — so an entry pointing at the wrong module is
+an unbound export, not an ``AttributeError`` on first use.
 
 **Suppressions.**  A deliberate exception carries an inline comment on
 the finding's line or the line above it, with the reason after an
@@ -60,7 +65,9 @@ em-dash (``test_every_suppression_carries_a_justification``)::
 
     # lint: disable=LOCK-GUARD — loop-confined sync read
 
-**Adding a rule:** write a function ``(path, tree, lines) -> findings``,
+**Adding a rule:** write a function ``(path, tree, lines, root) ->
+findings`` (``root`` is the tree being linted, for a rule that reads
+another module),
 add it to :data:`RULES` with the subtrees it walks, and seed a
 violation and a near miss under ``fixtures/``, pinned in
 ``test_lint_rules.py``.
@@ -209,7 +216,9 @@ def _local_callee(call: ast.Call, functions: dict) -> str | None:
     return name if name in functions else None
 
 
-def async_block(path: str, tree: ast.Module, lines: list[str]) -> list[Finding]:
+def async_block(
+    path: str, tree: ast.Module, lines: list[str], root: Path
+) -> list[Finding]:
     """ASYNC-BLOCK over one module."""
     aliases = _import_aliases(tree)
     # By bare name, conservatively: the last definition wins.
@@ -258,7 +267,9 @@ GUARD_RE = re.compile(
 )
 
 
-def lock_guard(path: str, tree: ast.Module, lines: list[str]) -> list[Finding]:
+def lock_guard(
+    path: str, tree: ast.Module, lines: list[str], root: Path
+) -> list[Finding]:
     """LOCK-GUARD over one module."""
     guards = {}  # attribute -> (lock, line of its annotation)
     for lineno, text in enumerate(lines, start=1):
@@ -351,13 +362,38 @@ def _literal_all(tree: ast.Module) -> tuple[list[str], int] | None:
     return None
 
 
-def _top_level_bindings(tree: ast.Module) -> tuple[set[str], dict[str, int], bool]:
+def _lazy_table(node: ast.stmt) -> dict[str, str]:
+    """Each name of a ``lazy_exports(globals(), {module: names})``
+    assignment with the module it is read from; empty for any other
+    statement."""
+    call = node.value if isinstance(node, ast.Assign) else None
+    if not (
+        isinstance(call, ast.Call)
+        and _dotted(call.func) in ("lazy_exports", "_lazy.lazy_exports")
+        and len(call.args) == 2
+        and isinstance(call.args[1], ast.Dict)
+    ):
+        return {}
+    return {
+        name.value: module.value
+        for module, names in zip(call.args[1].keys, call.args[1].values)
+        if isinstance(module, ast.Constant)
+        for name in getattr(names, "elts", ())
+        if isinstance(name, ast.Constant)
+    }
+
+
+def _top_level_bindings(
+    tree: ast.Module,
+) -> tuple[set[str], dict[str, int], bool, dict[str, str]]:
     """(every bound name, each top-level def/class with its line, whether
-    the module does ``import *``).  Top-level ``if`` / ``try`` blocks
-    (version and optional-dependency guards) are entered."""
+    the module does ``import *``, each lazily exported name with its
+    module).  Top-level ``if`` / ``try`` blocks (version and
+    optional-dependency guards) are entered."""
     bound: set[str] = set()
     defs: dict[str, int] = {}
     star = False
+    lazy: dict[str, str] = {}
 
     def scan(body) -> None:
         nonlocal star
@@ -366,6 +402,7 @@ def _top_level_bindings(tree: ast.Module) -> tuple[set[str], dict[str, int], boo
                 bound.add(node.name)
                 defs.setdefault(node.name, node.lineno)
             elif isinstance(node, ast.Assign):
+                lazy.update(_lazy_table(node))
                 bound.update(
                     leaf.id
                     for target in node.targets
@@ -394,16 +431,38 @@ def _top_level_bindings(tree: ast.Module) -> tuple[set[str], dict[str, int], boo
                 scan(node.finalbody)
 
     scan(tree.body)
-    return bound, defs, star
+    return bound, defs, star, lazy
 
 
-def export_sanity(path: str, tree: ast.Module, lines: list[str]) -> list[Finding]:
+def _binds(
+    root: Path, module: str, name: str, seen: frozenset[str] = frozenset()
+) -> bool:
+    """Whether ``module`` (a file under ``root/src``) binds ``name`` at
+    top level, or exports it lazily from a module that does."""
+    base = root / "src" / module.replace(".", "/")
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file() and module not in seen:
+            text = path.read_text(encoding="utf-8")
+            tree = ast.parse(text, filename=str(path))
+            bound, _, star, lazy = _top_level_bindings(tree)
+            if star or name in bound:
+                return True
+            return name in lazy and _binds(root, lazy[name], name, seen | {module})
+    return False
+
+
+def export_sanity(
+    path: str, tree: ast.Module, lines: list[str], root: Path
+) -> list[Finding]:
     """EXPORT-SANITY over one module."""
     declared = _literal_all(tree)
     if declared is None:
         return []
     names, all_line = declared
-    bound, defs, star = _top_level_bindings(tree)
+    bound, defs, star, lazy = _top_level_bindings(tree)
+    bound |= {
+        name for name, target in lazy.items() if _binds(root, target, name)
+    }
     module = ".".join(
         part
         for part in path.removeprefix("src/").removesuffix(".py").split("/")
@@ -421,10 +480,16 @@ def export_sanity(path: str, tree: ast.Module, lines: list[str]) -> list[Finding
             )
         seen.add(name)
         if not star and name not in bound:
+            where = (
+                f"its lazy table reads it from `{lazy[name]}`, which never "
+                f"binds it"
+                if name in lazy
+                else "the module never binds it"
+            )
             findings.append(
                 Finding(
                     path, all_line, "EXPORT-SANITY", f"{name}:unbound",
-                    f"__all__ exports {name!r} but the module never binds it "
+                    f"__all__ exports {name!r} but {where} "
                     f"— `from {module} import *` would raise AttributeError",
                 )
             )
@@ -479,7 +544,7 @@ def lint(root: str | Path) -> tuple[list[Finding], list[Finding]]:
             if path not in sources:
                 text = (root / path).read_text(encoding="utf-8")
                 sources[path] = ast.parse(text, filename=path), text.splitlines()
-            raw.update(check(path, *sources[path]))
+            raw.update(check(path, *sources[path], root))
     findings: list[Finding] = []
     suppressed: list[Finding] = []
     for finding in sorted(raw):

@@ -63,7 +63,7 @@ class TestViolationsFixture:
         alone = []
         for path in python_files(VIOLATIONS, subtrees):
             text = (VIOLATIONS / path).read_text(encoding="utf-8")
-            alone += check(path, ast.parse(text), text.splitlines())
+            alone += check(path, ast.parse(text), text.splitlines(), VIOLATIONS)
         assert {f.rule for f in alone} == {rule}
         assert sorted(alone) == [f for f in findings if f.rule == rule]
 
@@ -333,6 +333,43 @@ class TestExportSanityModes:
         [f] = lint(tmp_path)[0]
         assert f.symbol == "gone:unbound"
         assert "`from repro.pkg import *`" in f.message
+
+
+class TestExportSanityLazyTables:
+    """A package that re-exports on first use (``repro._lazy``) binds a
+    name of its table only where the table's module binds it."""
+
+    @staticmethod
+    def _reexport(target: str) -> str:
+        return (
+            "from repro._lazy import lazy_exports\n\n"
+            "__getattr__, __dir__ = lazy_exports(\n"
+            f'    globals(), {{"{target}": ("thing",)}}\n)\n\n'
+            '__all__ = ["thing"]\n'
+        )
+
+    def _package(self, root: Path, module: str) -> None:
+        _write(root, "src/repro/pkg/__init__.py", self._reexport(f"repro.pkg.{module}"))
+        _write(root, "src/repro/pkg/real.py", '__all__ = ["thing"]\n\nthing = 1\n')
+        _write(root, "src/repro/pkg/other.py", '__all__ = ["other"]\n\nother = 2\n')
+
+    def test_an_entry_its_module_binds_is_bound(self, tmp_path):
+        self._package(tmp_path, "real")
+        assert lint(tmp_path)[0] == []
+
+    @pytest.mark.parametrize("module", ["other", "missing"])
+    def test_an_entry_pointing_at_the_wrong_module_is_unbound(
+        self, tmp_path, module
+    ):
+        self._package(tmp_path, module)
+        [f] = lint(tmp_path)[0]
+        assert (f.path, f.symbol) == ("src/repro/pkg/__init__.py", "thing:unbound")
+        assert f"reads it from `repro.pkg.{module}`" in f.message
+
+    def test_a_chain_of_tables_resolves_to_the_binding_module(self, tmp_path):
+        self._package(tmp_path, "real")
+        _write(tmp_path, "src/repro/__init__.py", self._reexport("repro.pkg"))
+        assert lint(tmp_path)[0] == []
 
 
 class TestSuppressionReach:

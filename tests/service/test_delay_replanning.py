@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import repro.graph.td_arrays as td_arrays_module
+import repro.graph.td_model as td_model_module
 import repro.service.facade as facade_module
 import repro.service.prepare as prepare_module
 import repro.timetable.types as types_module
@@ -360,7 +361,7 @@ def test_no_served_path_builds_a_graph(
     cold = TransitService(delayed, config)
     with monkeypatch.context() as poisoned:
         for module, name in (
-            (prepare_module, "build_td_graph"),
+            (td_model_module, "build_td_graph"),
             (td_arrays_module, "pack_td_graph"),
         ):
             poisoned.setattr(module, name, _forbidden(name))

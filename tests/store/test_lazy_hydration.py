@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.graph.td_model as td_model_mod
 import repro.service.prepare as prepare_mod
 import repro.store.codec as codec_mod
 import repro.store.store as store_mod
@@ -96,7 +97,7 @@ def poisoned(monkeypatch):
 
     monkeypatch.setattr(store_mod, "_hydrate_timetable", hydrated)
     monkeypatch.setattr(prepare_mod, "partition_routes", hydrated)
-    monkeypatch.setattr(prepare_mod, "build_td_graph", hydrated)
+    monkeypatch.setattr(td_model_mod, "build_td_graph", hydrated)
 
 
 def _answers(backend) -> list:
@@ -109,7 +110,7 @@ def _counting(monkeypatch) -> dict[str, int]:
     for key, mod, name in (
         ("timetable", store_mod, "_hydrate_timetable"),
         ("routes", prepare_mod, "partition_routes"),
-        ("graph", prepare_mod, "build_td_graph"),
+        ("graph", td_model_mod, "build_td_graph"),
     ):
         real = getattr(mod, name)
 
@@ -262,6 +263,36 @@ def test_a_swap_builds_no_row_object(tmp_path, oahu_tiny):
     assert json.loads(stdout) == [cold.deps.tolist(), cold.arrs.tolist()]
 
 
+def test_a_save_builds_no_train(tmp_path, oahu_tiny):
+    """A loaded generation is swapped with an empty batch and saved, in
+    a process of its own: the save writes the train names as the
+    record holds them and builds no :class:`Train`, and the saved store
+    loads with the original's names."""
+    path = tmp_path / "plain"
+    TransitService(oahu_tiny, ServiceConfig()).save(path)
+    returncode, _, stderr = run_in_own_group(
+        """
+        import gc
+        import sys
+
+        from repro.service import TransitService
+        from repro.timetable.types import Train
+
+        service = TransitService.load(sys.argv[1])
+        swapped = service.apply_delays([])
+        swapped.save(sys.argv[2])
+        gc.collect()
+        trains = sum(isinstance(obj, Train) for obj in gc.get_objects())
+        assert trains == 0, f"{trains} Train objects after a save"
+        """,
+        path,
+        tmp_path / "saved",
+    )
+    assert returncode == 0, stderr
+    saved = TransitService.load(tmp_path / "saved")
+    assert saved.timetable.trains == oahu_tiny.trains
+
+
 def test_a_table_on_swap_imports_no_numpy_ma(store):
     """``numpy.ma`` (≈ 0.9 MB, imported by ``np.unique``) stays out of a
     loaded table-on service: its queries do not import it, and neither
@@ -296,7 +327,7 @@ def test_a_delay_swap_hydrates_each_once(store, eager, monkeypatch):
     def graph_built(*args, **kwargs):
         raise AssertionError("a delay swap built an object graph")
 
-    monkeypatch.setattr(prepare_mod, "build_td_graph", graph_built)
+    monkeypatch.setattr(td_model_mod, "build_td_graph", graph_built)
     loaded = TransitService.load(store)
     swapped = loaded.apply_delays(DELAYS)
     assert calls == {"timetable": 1, "routes": 1, "graph": 0}

@@ -191,10 +191,10 @@ def test_load_and_query_run_no_builder(tmp_path, oahu_tiny, monkeypatch):
     # reach: if the load path or a loaded-service query touches one,
     # the store is not a warm start.
     for target in (
-        "repro.service.prepare.build_td_graph",
+        "repro.graph.td_model.build_td_graph",
         "repro.service.prepare.build_station_graph",
         "repro.service.prepare.build_distance_table",
-        "repro.service.prepare.select_transfer_stations",
+        "repro.query.transfer_selection.select_transfer_stations",
         "repro.service.prepare.pack_timetable",
         "repro.graph.td_arrays.pack_td_graph",
         "repro.query.table_query.build_station_graph",

@@ -681,7 +681,7 @@ class TestServeParser:
 
         started = {}
         monkeypatch.setattr(
-            serve_cli.DatasetRegistry,
+            DatasetRegistry,
             "from_stores",
             lambda stores: DatasetRegistry(),
         )

@@ -66,11 +66,25 @@ def test_full_pipeline(instance_fixture, tmp_path, request):
 
 
 def test_public_api_surface():
-    """Everything the README imports must be exposed at top level."""
+    """Everything the README imports must be exposed at top level, and
+    every package exposes — and lists in ``dir()`` — each name of its
+    ``__all__``, resolved on first use."""
+    import importlib
+    import pkgutil
+
     import repro
 
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
+    packages = ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    assert len(packages) == 17
+    for package in packages:
+        module = importlib.import_module(package)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{package}.{name}"
+            assert name in dir(module), f"{package}.{name}"
 
 
 def test_quickstart_snippet_runs():
