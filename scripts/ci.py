@@ -304,9 +304,9 @@ def global_queries(tmp: Path) -> None:
 def serve_fleet(tmp: Path) -> None:
     """serve-fleet at the CLI boundary: the gateway publishes its
     ephemeral port via --port-file, answers 32 concurrent SDK journeys
-    on its event loop — the process runs the loop and the supervisor's
-    monitor, and no BLAS pool: it imports no numpy — and SIGTERM drains
-    the whole process tree to exit 0."""
+    on its event loop — the process runs that one thread: the loop
+    drives the supervisor, and there is no BLAS pool, it imports no
+    numpy — and SIGTERM drains the whole process tree to exit 0."""
     from repro.client import connect
 
     store = str(tmp / "oahu")
@@ -331,7 +331,7 @@ def serve_fleet(tmp: Path) -> None:
         assert all(answers), "a journey through the gateway failed"
         threads = _threads(pid)
         assert threads == started, f"{started} threads became {threads}"
-        assert threads <= 2, f"serve-fleet runs {threads} threads"
+        assert threads == 1, f"serve-fleet runs {threads} threads"
         print(
             f"gateway at {url} answered 32 concurrent journeys; the "
             f"process runs {threads} threads"
@@ -429,11 +429,6 @@ def cold_start(tmp: Path) -> None:
             ready_ms = (time.perf_counter() - t0) * 1000
             hwm = _proc_mb(proc.pid, "status", "VmHWM")
             loaded = repro_modules(dump)
-            # serve installs its SIGTERM handler after the port file:
-            # signalled before, it would die instead of draining.
-            while not _catches(proc.pid, signal.SIGTERM):
-                assert proc.poll() is None, f"serve exited {proc.returncode}"
-                time.sleep(0.002)
         finally:
             proc.send_signal(signal.SIGTERM)
             log, _ = proc.communicate(timeout=60)
@@ -747,14 +742,6 @@ def _tree_cpu_seconds(pids: list[int]) -> float:
 def _threads(pid: int) -> int:
     """The threads of ``pid``: its entries in ``/proc/<pid>/task``."""
     return len(list(Path(f"/proc/{pid}/task").iterdir()))
-
-
-def _catches(pid: int, signum: int) -> bool:
-    """Whether ``pid`` has a handler for ``signum`` (``SigCgt``)."""
-    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
-        if line.startswith("SigCgt:"):
-            return bool(int(line.split()[1], 16) >> (signum - 1) & 1)
-    raise KeyError("SigCgt")
 
 
 def _proc_mb(pid: int, file: str, field: str) -> float:

@@ -69,13 +69,16 @@ def main() -> int:
         drain_grace=0.0,
         restart_backoff=0.1,
         stable_after=2.0,
-        poll_interval=0.05,
     )
     loop = asyncio.new_event_loop()
     threading.Thread(target=loop.run_forever, daemon=True).start()
 
     def run(coro, timeout: float = 60.0):
         return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout)
+
+    async def endpoints() -> dict[str, str]:
+        # Read on the gateway's loop: the supervisor is confined to it.
+        return supervisor.endpoints()
 
     def wait_worker(name: str, want_healthy: bool, timeout: float = 90.0):
         async def _wait() -> None:
@@ -197,7 +200,7 @@ def main() -> int:
         supervisor.kill("w1", signal.SIGKILL)
         wait_worker("w1", want_healthy=False, timeout=30)
         wait_worker("w1", want_healthy=True, timeout=90)
-        w1_port = int(supervisor.endpoints()["w1"].rsplit(":", 1)[1])
+        w1_port = int(run(endpoints())["w1"].rsplit(":", 1)[1])
         w1_health = get_json(w1_port, "/healthz")
         assert w1_health["generations"] == {"oahu": 1}, w1_health
         metrics = get_json(port, "/metrics")["gateway"]

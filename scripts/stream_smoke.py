@@ -87,7 +87,6 @@ def main() -> int:
         drain_grace=0.0,
         restart_backoff=0.1,
         stable_after=2.0,
-        poll_interval=0.05,
     )
     loop = asyncio.new_event_loop()
     threading.Thread(target=loop.run_forever, daemon=True).start()

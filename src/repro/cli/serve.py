@@ -49,21 +49,34 @@ def _serve_until_signal(
     drained: Callable[[int, dict], str],
     ready: Callable[[Any], Awaitable[None]] | None = None,
 ) -> None:
-    """Start, publish the port, announce, wait for SIGINT/SIGTERM, then
-    drain (stop accepting, finish in-flight requests) and report.  The
-    server is built inside the loop it will run on."""
+    """Catch SIGINT/SIGTERM, start, publish the port, announce, wait
+    for a signal, then drain (stop accepting, finish in-flight
+    requests) and report.  The handlers come first and the server is
+    built after them, inside the loop it will run on: a signal from
+    then on — one sent the moment the port file appears, or while
+    ``make_server`` spawns what the server fronts — is a drain and exit
+    0, never the default action's death.  Waiting for ``ready`` stops
+    at a signal too."""
     async def run() -> None:
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(sig, stop.set)
         server = make_server()
         await server.start()
         if port_file:
             _write_port_file(port_file, server.port)
         if ready is not None:
-            await ready(server)
+            readiness = asyncio.ensure_future(ready(server))
+            stopping = asyncio.ensure_future(stop.wait())
+            await asyncio.wait(
+                (readiness, stopping), return_when=asyncio.FIRST_COMPLETED
+            )
+            stopping.cancel()
+            if not stop.is_set():
+                readiness.result()  # raises what made it fail
+            readiness.cancel()
         print(banner(server), flush=True)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, stop.set)
         await stop.wait()
         print(f"signal received — draining {draining}", flush=True)
         await server.shutdown()
@@ -122,11 +135,12 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     """N worker processes over the same stores, one routing gateway.
 
     The supervisor spawns the workers (ephemeral ports, port-file
-    discovery, crash restarts with capped backoff); the gateway
-    health-checks and load-balances them, fails queries over on
-    worker death, and posts each delay batch to every worker, routing
-    only to those at the newest generation.  SIGINT/
-    SIGTERM drains the gateway, then stops the workers; exit 0.
+    discovery, crash restarts with capped backoff, driven by the
+    gateway's health sweep on its loop); the gateway health-checks and
+    load-balances them, fails queries over on worker death, and posts
+    each delay batch to every worker, routing only to those at the
+    newest generation.  SIGINT/SIGTERM — from the moment the workers
+    are spawned — drains the gateway, then stops the workers; exit 0.
     """
     from repro.fleet import FleetGateway, WorkerSupervisor
 
@@ -139,15 +153,27 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
         max_inflight=args.worker_max_inflight,
         drain_grace=args.worker_drain_grace_ms / 1000.0,
     )
-    print(
-        f"spawning {args.workers} worker(s) over "
-        f"{len(args.store)} store(s)...",
-        flush=True,
-    )
-    try:
-        supervisor.start()
-    except RuntimeError as exc:
-        raise SystemExit(f"error: {exc}") from None
+
+    def make_gateway() -> FleetGateway:
+        # Spawned here, with the signals caught and inside the ``try``
+        # whose ``finally`` stops them.
+        print(
+            f"spawning {args.workers} worker(s) over "
+            f"{len(args.store)} store(s)...",
+            flush=True,
+        )
+        try:
+            supervisor.start()
+        except RuntimeError as exc:
+            raise SystemExit(f"error: {exc}") from None
+        return FleetGateway(
+            supervisor.endpoints,
+            host=args.host,
+            port=args.port,
+            max_inflight=args.max_inflight,
+            health_interval=args.health_interval_ms / 1000.0,
+            eject_after=args.eject_after,
+        )
 
     def banner(gateway: FleetGateway) -> str:
         lines = [
@@ -162,14 +188,7 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
 
     try:
         _serve_until_signal(
-            lambda: FleetGateway(
-                supervisor.endpoints,
-                host=args.host,
-                port=args.port,
-                max_inflight=args.max_inflight,
-                health_interval=args.health_interval_ms / 1000.0,
-                eject_after=args.eject_after,
-            ),
+            make_gateway,
             args.port_file,
             ready=lambda gateway: gateway.wait_ready(workers=args.workers),
             banner=banner,

@@ -199,3 +199,7 @@ def mc_reference_search(
     # entries inherit the better lower-layer value).
     np.minimum.accumulate(labels, axis=2, out=labels)
     return result
+
+
+#: The name :mod:`repro.core.multicriteria` exports this search under.
+mc_profile_search = mc_reference_search

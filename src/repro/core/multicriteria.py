@@ -48,13 +48,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from repro.core.mc_reference import (
-    McProfileResult,
-    McSPCSStats,
-    mc_reference_search,
-)
+from repro._lazy import lazy_exports
 from repro.functions.piecewise import INF_TIME
 from repro.graph.td_arrays import TDGraphArrays
+
+# The whole-day search — ``mc_profile_search(graph, source, *,
+# max_transfers, self_pruning) -> McProfileResult`` — and its types are
+# read from the reference on first use: nothing served runs it, so a
+# served process never imports it, nor the oracle queue it runs on
+# (``repro.pq``).
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.mc_reference": (
+            "McProfileResult",
+            "McSPCSStats",
+            "mc_profile_search",
+        ),
+    },
+)
 
 __all__ = [
     "McProfileResult",
@@ -63,10 +75,6 @@ __all__ = [
     "mc_profile_search",
     "mc_time_search",
 ]
-
-#: The whole-day search: ``(graph, source, *, max_transfers,
-#: self_pruning) -> McProfileResult``.
-mc_profile_search = mc_reference_search
 
 
 @dataclass(slots=True)

@@ -1,36 +1,24 @@
 """Parallel SPCS driver (paper §3.2).
 
 Partitions ``conn(S)`` into ``p`` subsets, runs one SPCS instance per
-subset, merges the labels and reduces.  The subsets are dispatched by
-:func:`repro.core.fanout.fan_out`, on one of its two backends:
-
-* ``serial``   — run subsets one after another in this thread (exact
-  per-thread work/time accounting; the default, and what every
-  experiment uses);
-* ``processes`` — one forked child per subset, in a
-  :class:`~repro.core.fanout.ForkPool` that lives for the call; real
-  parallelism on multi-core hosts at the cost of forking and result
-  pickling.  Each child times its own search.
-
-A pool *per search* repays its fork only where the search is long (flat
-kernel, p = 2 on two cores, means of 18 searches: ``germany`` / medium
-11.7–12.0 ms ``serial``, 12.5–12.9 ms ``processes``; ``washington`` /
-small 43.6–44.6 against 33.4–35.9 ms), so the paths that run many
-searches keep their processes longer than one of them.  A served
-generation forks its search workers once and runs this module's two
-halves itself — :func:`split_profile`, one subset job per worker,
+subset, merges the labels and reduces.  Here the subsets run one after
+another on the calling thread (``backend="serial"``, the only backend:
+exact per-thread work/time accounting, and what every experiment
+uses).  A served generation runs this module's two halves itself —
+:func:`split_profile`, one subset job per search worker,
 :func:`merge_profile`: the paper's master / worker scheme with
 processes for threads — the master partitions and merges, the workers
 search — measured at 1.71–1.80× for p = 2 on two cores, through HTTP
-(``docs/SERVER.md``, "Execution model").
+(``docs/SERVER.md``, "Execution model").  A pool forked for one search
+repaid its fork only where the search was long, and is gone
+(``docs/KERNEL.md``, "Batch vs single queries").
 
 CPython threads cannot run the searches in parallel (they serialize on
 the GIL), which is why the paper's shared-memory threads are processes
 here, and why the experiments also report the *simulated-cores* time
 below, which needs no second core to be measured.
 
-Orthogonal to the backend, ``kernel`` selects the per-subset search
-implementation:
+``kernel`` selects the per-subset search implementation:
 
 * ``python`` — the reference object-graph SPCS
   (:func:`~repro.core.spcs.spcs_profile_search`); default, and the
@@ -43,11 +31,11 @@ implementation:
   by passing ``kernel=`` here: the paper's experiments
   (:mod:`repro.analysis.runners`) and the tests do.
 
-Whatever the backend, every subset's result keeps its station rows
-only (:func:`timed_subset_search`), so the merged result — and a
-cached profile answer — holds ``num_stations × |conn(S)|`` labels.
+Every subset's result keeps its station rows only
+(:func:`timed_subset_search`), so the merged result — and a cached
+profile answer — holds ``num_stations × |conn(S)|`` labels.
 
-Whatever the backend, the result carries *simulated-cores* accounting:
+The result carries *simulated-cores* accounting:
 ``simulated_time = max_t(thread_time_t) + merge_time`` — the wall-clock
 a p-core machine would see, because the master must wait for the
 slowest thread before merging (paper §3.2, "Choice of the Partition").
@@ -68,7 +56,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.core.fanout import fan_out
 from repro.core.merge import MergedProfileResult, merge_thread_results
 from repro.core.partition import PARTITION_STRATEGIES
 from repro.core.spcs import SPCSResult
@@ -94,7 +81,7 @@ class ParallelRunStats:
     time_per_thread: list[float]
     #: Seconds spent merging labels.
     merge_time: float
-    #: Wall-clock of the whole call (backend-dependent).
+    #: Wall-clock of the whole call.
     total_time: float
 
     @property
@@ -257,11 +244,12 @@ def parallel_profile_search(
     arrays: "TDGraphArrays | None" = None,
 ) -> ParallelProfileResult:
     """One-to-all profile search on ``num_threads`` simulated cores:
-    :func:`split_profile`, one :func:`timed_subset_search` per subset
-    on ``backend``, :func:`merge_profile`.
+    :func:`split_profile`, one :func:`timed_subset_search` per subset,
+    one after another, :func:`merge_profile`.
 
     ``strategy`` is a :data:`~repro.core.partition.PARTITION_STRATEGIES`
-    key; ``backend`` one of :data:`~repro.core.fanout.BACKENDS`;
+    key; ``backend`` must be ``"serial"`` (kept for callers that
+    still name one);
     ``kernel`` one of :data:`KERNELS`: the reference runs on the
     paper's binary heap, the flat kernel on its bucket queue.  ``queue``
     is accepted for callers that still name one, and must be
@@ -277,6 +265,10 @@ def parallel_profile_search(
         raise ValueError(
             f"unknown queue {queue!r}; the only queue is 'binary'"
         )
+    if backend != "serial":
+        raise ValueError(
+            f"unknown backend {backend!r}; the only backend is 'serial'"
+        )
     split = split_profile(
         graph, source, num_threads, strategy=strategy, kernel=kernel,
         arrays=arrays,
@@ -286,12 +278,10 @@ def parallel_profile_search(
     elif kernel == "python":
         arrays = None
 
-    def timed_search(subset: list[int]) -> tuple[SPCSResult, float]:
-        return timed_subset_search(
+    timed = [
+        timed_subset_search(
             graph, arrays, source, subset, self_pruning=self_pruning
         )
-
-    timed = fan_out(
-        timed_search, split.parts, backend=backend, workers=num_threads
-    ).results
+        for subset in split.parts
+    ]
     return merge_profile(split, timed)

@@ -7,15 +7,19 @@ catches a restarted one up before routing to it.  Each worker forks
 ``search_workers`` search processes of its own (its ``serve
 --workers``), as one ``serve`` does; the fleet is for failover, and on
 one box it did not beat one ``serve`` (``docs/FLEET.md``, "Scaling").
-The supervisor is one monitor thread beside the gateway's event loop.
+The supervisor has no thread: whoever reads :meth:`WorkerSupervisor.
+endpoints` drives it — the gateway's health sweep, on its event loop.
 
 * **Port discovery is a file.**  Every worker binds an ephemeral port
   (``--port 0``), so N workers on one host never collide, and writes it
   to ``--port-file`` *atomically* (temp file + ``os.replace``) once
   bound: the file is absent or holds a whole, valid port.
-* **Crash restarts are automatic and capped.**  The monitor thread
-  respawns a worker that exited after a backoff that doubles per
-  consecutive crash up to ``max_backoff`` and resets once it stays up
+* **Crash restarts are automatic and capped.**  Each read of the
+  fleet (:meth:`~WorkerSupervisor.endpoints`,
+  :meth:`~WorkerSupervisor.worker_pids`) first reaps the workers that
+  exited and respawns those whose backoff has elapsed — a ``Popen``,
+  a tenth of a millisecond.  The backoff doubles per consecutive crash
+  up to ``max_backoff`` and resets once a worker stays up
   ``stable_after`` seconds.
 * **Names are stable, addresses are not.**  Workers are ``w0..wN-1``
   forever; each restart binds a fresh port, which the gateway treats
@@ -32,7 +36,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 from typing import Sequence
@@ -77,7 +80,10 @@ class _Worker:
 
 
 class WorkerSupervisor:
-    """Spawn and babysit N ``serve`` worker processes (module doc)."""
+    """Spawn and babysit N ``serve`` worker processes (module doc).
+
+    Its state is read and written on one thread — the gateway's event
+    loop, once the gateway runs — and it takes no lock."""
 
     def __init__(
         self,
@@ -93,7 +99,6 @@ class WorkerSupervisor:
         backoff_multiplier: float = 2.0,
         max_backoff: float = 5.0,
         stable_after: float = 10.0,
-        poll_interval: float = 0.1,
         spawn_timeout: float = 120.0,
         stop_timeout: float = 15.0,
         python: str | None = None,
@@ -111,7 +116,6 @@ class WorkerSupervisor:
         self.backoff_multiplier = backoff_multiplier
         self.max_backoff = max_backoff
         self.stable_after = stable_after
-        self.poll_interval = poll_interval
         self.spawn_timeout = spawn_timeout
         self.stop_timeout = stop_timeout
         self.python = python or sys.executable
@@ -124,12 +128,9 @@ class WorkerSupervisor:
             self._runtime_dir = Path(runtime_dir)
             self._runtime_dir.mkdir(parents=True, exist_ok=True)
             self._owns_runtime_dir = False
-        self._workers = [  # guarded-by: _lock
+        self._workers = [  # guarded-by: loop
             _Worker(i, self._runtime_dir) for i in range(num_workers)
         ]
-        self._lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._monitor: threading.Thread | None = None
         self._started = False
 
     # -- lifecycle ------------------------------------------------------
@@ -148,27 +149,18 @@ class WorkerSupervisor:
         if self._started:
             raise RuntimeError("supervisor already started")
         self._started = True
-        with self._lock:
-            for worker in self._workers:
-                self._spawn(worker)
+        for worker in self._workers:
+            self._spawn(worker)
         self._await_ports()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="fleet-supervisor", daemon=True
-        )
-        self._monitor.start()
 
     def stop(self) -> None:
         """SIGTERM every worker (graceful drain), escalating to
-        SIGKILL after ``stop_timeout``; idempotent."""
-        self._stopping.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=self.stop_timeout)
-            self._monitor = None
-        with self._lock:
-            procs = [w.process for w in self._workers if w.process]
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.terminate()
+        SIGKILL after ``stop_timeout``; idempotent.  Nothing respawns
+        afterwards."""
+        procs = [w.process for w in self._workers if w.process]
+        for proc in procs:
+            if proc.poll() is None:
+                proc.terminate()
         deadline = time.monotonic() + self.stop_timeout
         for proc in procs:
             remaining = deadline - time.monotonic()
@@ -177,12 +169,12 @@ class WorkerSupervisor:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-        with self._lock:
-            for worker in self._workers:
-                worker.process = None
-                if worker.log_handle is not None:
-                    worker.log_handle.close()
-                    worker.log_handle = None
+        for worker in self._workers:
+            worker.process = None
+            worker.respawn_at = None
+            if worker.log_handle is not None:
+                worker.log_handle.close()
+                worker.log_handle = None
 
     def __enter__(self) -> "WorkerSupervisor":
         return self
@@ -194,55 +186,50 @@ class WorkerSupervisor:
 
     def endpoints(self) -> dict[str, str]:
         """``name -> http://host:port`` for every worker that is alive
-        *and* has bound its port.  This is the gateway's endpoint
-        provider: a crashed worker drops out here (its port file is
-        removed before respawn), a restarted one reappears under the
-        same name at a new port."""
+        *and* has bound its port, after supervising the fleet
+        (:meth:`_supervise`).  This is the gateway's endpoint provider,
+        read on its event loop every health sweep: a crashed worker
+        drops out here (its port file is removed before respawn), a
+        restarted one reappears under the same name at a new port."""
+        self._supervise()
         live: dict[str, str] = {}
-        with self._lock:
-            for worker in self._workers:
-                if worker.process is None or worker.process.poll() is not None:
-                    continue
-                if worker.port is None:
-                    worker.port = self._read_port(worker)
-                if worker.port is not None:
-                    live[worker.name] = f"http://{self.host}:{worker.port}"
+        for worker in self._workers:
+            if worker.process is None:
+                continue
+            if worker.port is None:
+                worker.port = self._read_port(worker)
+            if worker.port is not None:
+                live[worker.name] = f"http://{self.host}:{worker.port}"
         return live
 
     def worker_pids(self) -> dict[str, int]:
-        """``name -> pid`` of live workers (tests kill through this)."""
-        with self._lock:
-            return {
-                w.name: w.process.pid
-                for w in self._workers
-                if w.process is not None and w.process.poll() is None
-            }
+        """``name -> pid`` of live workers, after supervising the fleet
+        like :meth:`endpoints` (tests kill through this)."""
+        self._supervise()
+        return {
+            w.name: w.process.pid
+            for w in self._workers
+            if w.process is not None
+        }
 
     def kill(self, name: str, sig: int = signal.SIGKILL) -> None:
         """Send ``sig`` to one worker (failure injection in tests; the
-        monitor then restarts it like any crash)."""
-        with self._lock:
-            for worker in self._workers:
-                if worker.name == name and worker.process is not None:
-                    worker.process.send_signal(sig)
-                    return
+        next read of the fleet then restarts it like any crash)."""
+        for worker in self._workers:
+            if worker.name == name and worker.process is not None:
+                worker.process.send_signal(sig)
+                return
         raise KeyError(f"no live worker named {name!r}")
 
     @property
     def restarts_total(self) -> int:
-        with self._lock:
-            return sum(w.restarts for w in self._workers)
+        return sum(w.restarts for w in self._workers)
 
     def log_tail(self, name: str, lines: int = 20) -> str:
         """The last ``lines`` of one worker's captured output."""
-        with self._lock:
-            worker = next(
-                (w for w in self._workers if w.name == name), None
-            )
+        worker = next((w for w in self._workers if w.name == name), None)
         if worker is None:
             raise KeyError(f"no worker named {name!r}")
-        # The file read happens outside the lock: log_path is immutable
-        # per slot, and tailing a log must not stall the monitor loop.
         try:
             text = worker.log_path.read_text(errors="replace")
         except OSError:
@@ -266,7 +253,7 @@ class WorkerSupervisor:
         return cmd
 
     def _spawn(self, worker: _Worker) -> None:
-        """(Re)spawn one worker; caller holds the lock."""
+        """(Re)spawn one worker."""
         # A stale port file from the previous incarnation must never
         # be served to the gateway as the new address.
         try:
@@ -312,8 +299,7 @@ class WorkerSupervisor:
 
     def _await_ports(self) -> None:
         deadline = time.monotonic() + self.spawn_timeout
-        with self._lock:
-            pending = list(self._workers)
+        pending = list(self._workers)
         while pending:
             still = []
             for worker in pending:
@@ -338,34 +324,34 @@ class WorkerSupervisor:
                     )
                 time.sleep(0.02)
 
-    def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self.poll_interval):
-            now = time.monotonic()
-            with self._lock:
-                for worker in self._workers:
-                    process = worker.process
-                    if process is not None and process.poll() is not None:
-                        # Crashed (or was killed). Schedule a respawn
-                        # after the current backoff; a worker that had
-                        # been stable restarts almost immediately.
-                        worker.last_exit_code = process.returncode
-                        if now - worker.spawned_at >= self.stable_after:
-                            worker.backoff = self.restart_backoff
-                        worker.respawn_at = now + worker.backoff
-                        worker.backoff = min(
-                            worker.backoff * self.backoff_multiplier,
-                            self.max_backoff,
-                        )
-                        worker.process = None
-                        worker.port = None
-                        try:
-                            worker.port_file.unlink()
-                        except FileNotFoundError:
-                            pass
-                    elif (
-                        worker.process is None
-                        and worker.respawn_at is not None
-                        and now >= worker.respawn_at
-                    ):
-                        worker.restarts += 1
-                        self._spawn(worker)
+    def _supervise(self) -> None:
+        """Reap every worker that exited, scheduling its respawn after
+        the current backoff, and respawn those whose backoff has
+        elapsed."""
+        now = time.monotonic()
+        for worker in self._workers:
+            process = worker.process
+            if process is not None and process.poll() is not None:
+                # Crashed (or was killed).  A worker that had been
+                # stable restarts almost immediately.
+                worker.last_exit_code = process.returncode
+                if now - worker.spawned_at >= self.stable_after:
+                    worker.backoff = self.restart_backoff
+                worker.respawn_at = now + worker.backoff
+                worker.backoff = min(
+                    worker.backoff * self.backoff_multiplier,
+                    self.max_backoff,
+                )
+                worker.process = None
+                worker.port = None
+                try:
+                    worker.port_file.unlink()
+                except FileNotFoundError:
+                    pass
+            elif (
+                worker.process is None
+                and worker.respawn_at is not None
+                and now >= worker.respawn_at
+            ):
+                worker.restarts += 1
+                self._spawn(worker)

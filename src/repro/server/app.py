@@ -170,7 +170,7 @@ class TransitServer(BaseAsyncHttpServer):
         )
         answer = service.lookup(shape, query)
         if answer is None:
-            answer = await _search(service, shape, query)
+            answer = await service.submit(shape, query)
         return 200, encode(answer), {"X-Generation": str(generation)}
 
     async def _delays(self, request: Request, name: str) -> tuple:
@@ -196,16 +196,3 @@ class TransitServer(BaseAsyncHttpServer):
             command.slack_per_leg,
             entry.last_swap_seconds,
         )
-
-
-async def _search(service, shape: Shape, query):
-    """The answer ``service.lookup`` did not give.  A service composes
-    it on the loop, each search in a worker (``TransitService.submit``).
-    An object that stands in for one with the blocking ``<shape>``
-    methods alone — a wrapper that injects faults — is asked with its
-    ``<shape>`` method on ``asyncio.to_thread``.  ``submit`` is looked
-    up on the class: a wrapper that forwards what it lacks to the
-    service it wraps must not lend itself that service's."""
-    if getattr(type(service), "submit", None) is not None:
-        return await service.submit(shape, query)
-    return await asyncio.to_thread(getattr(service, shape.name), query)

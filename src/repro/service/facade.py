@@ -38,9 +38,9 @@ a profile is partitioned into subsets of ``conn(S)``, a batch into its
 items, every other shape is one job, and the finish merges or gathers
 the answers.  The generation's search workers
 (:meth:`TransitService.start_workers`), when it has any, run one job
-each; the composition runs on the caller's side — blocking for the
-query methods, on the event loop for :meth:`TransitService.submit`,
-which is how ``serve`` asks.  A batch item runs the very same
+each; the composition runs on an event loop on the caller's side
+(:meth:`TransitService.submit`) — ``serve``'s, or a private one for
+the blocking query methods.  A batch item runs the very same
 composition as ``journey`` / ``profile``, so it is the single answer
 by construction.
 """
@@ -407,23 +407,22 @@ class TransitService:
         self._result_cache = LRUResultCache(self.config.result_cache_size)
 
     def _answer(self, shape: Shape, req, *, here: bool = False):
-        """:meth:`submit` for a blocking caller, the query methods' one
-        dispatch point: the cached answer to ``req``, else the shape's
-        composition (:meth:`_work`) with its jobs in the search workers
-        when the generation has them — unless ``here`` keeps them on
-        the calling thread — and its finish, stored for the next
-        asker."""
+        """The query methods' one dispatch point, for a blocking caller:
+        on a generation with search workers, :meth:`submit` on a private
+        event loop; else — or when ``here`` keeps the jobs on the
+        calling thread — the cached answer to ``req``, else the shape's
+        composition (:meth:`_work`) with its jobs run here and its
+        finish, stored for the next asker."""
+        workers = self._workers
+        if not here and workers is not None and workers.processes:
+            import asyncio  # a cold prepare never loads it
+
+            return asyncio.run(self.submit(shape, req))
         cached = self._result_cache.get(req)
         if cached is not None:
             return _mark_cache_hit(cached)
         work = self._work(shape, req)
-        if here or self._workers is None:
-            results = self._run_here(work)
-        else:
-            results = self._workers.map(
-                work.job, work.jobs, affinity=work.affinity
-            )
-        result = work.finish(results)
+        result = work.finish(self._run_here(work))
         self._result_cache.put(req, result)
         return result
 

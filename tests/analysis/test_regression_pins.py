@@ -1,113 +1,57 @@
-"""Pinning regression tests for the true positives LOCK-GUARD
-surfaced in PR 8.
+"""Pinning regression tests for what LOCK-GUARD surfaced in PR 8.
 
 LOCK-GUARD flagged two `WorkerSupervisor` methods touching
-``_workers`` without ``_lock`` (``log_tail`` raced the monitor thread
-during respawns; ``_await_ports`` snapshotted the list unlocked).
-The lint rule pins the *pattern*; these tests pin the *behavior* —
-the lock is genuinely acquired, and the methods still work.
+``_workers`` without the supervisor's lock, which a monitor thread
+then shared.  The supervisor has neither any more: its state is
+confined to the gateway's event loop (``# guarded-by: loop``), which
+the lint rule checks.  These tests pin the behaviour the fix kept:
+``log_tail`` reads a worker's log, and names only workers that exist.
 """
 
 from __future__ import annotations
 
-import threading
+import pytest
 
 from repro.fleet.supervisor import WorkerSupervisor
 
 
-class RecordingLock:
-    """A real lock that counts acquisitions (context-manager use)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.acquisitions = 0
-
-    def __enter__(self):
-        self._lock.acquire()
-        self.acquisitions += 1
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._lock.release()
-
-    def acquire(self, *a, **k):
-        self.acquisitions += 1
-        return self._lock.acquire(*a, **k)
-
-    def release(self) -> None:
-        self._lock.release()
-
-
-def _supervisor(tmp_path, num_workers=2) -> WorkerSupervisor:
+def _supervisor(tmp_path) -> WorkerSupervisor:
     return WorkerSupervisor(
         [str(tmp_path / "store")],
-        num_workers=num_workers,
+        num_workers=2,
         runtime_dir=tmp_path / "runtime",
         spawn_timeout=2.0,
     )
 
 
-class TestSupervisorLockDiscipline:
-    def test_log_tail_takes_the_lock(self, tmp_path):
+class TestSupervisorLogTail:
+    def test_log_tail_reads_the_last_lines(self, tmp_path):
         sup = _supervisor(tmp_path)
-        lock = RecordingLock()
-        sup._lock = lock
         assert sup.log_tail("w0") == ""  # no log yet — still no crash
-        assert lock.acquisitions == 1
-
-    def test_log_tail_reads_outside_the_lock(self, tmp_path):
-        """Tailing a (possibly large) log must not stall the monitor:
-        the file read happens after the lock is released."""
-        sup = _supervisor(tmp_path)
         (sup.runtime_dir / "w0.log").write_text("line1\nline2\nline3\n")
-        lock = RecordingLock()
-        sup._lock = lock
-        tail = sup.log_tail("w0", lines=2)
-        assert tail == "line2\nline3"
-        # Lock free again: a second acquisition succeeds immediately.
-        assert lock.acquire(blocking=False)
-        lock.release()
+        assert sup.log_tail("w0", lines=2) == "line2\nline3"
 
     def test_log_tail_unknown_worker_raises(self, tmp_path):
         sup = _supervisor(tmp_path)
-        try:
+        with pytest.raises(KeyError):
             sup.log_tail("w99")
-        except KeyError:
-            pass
-        else:
-            raise AssertionError("expected KeyError for unknown worker")
 
-    def test_await_ports_snapshots_under_the_lock(self, tmp_path):
+
+class TestSupervisorAwaitPorts:
+    def test_await_ports_returns_once_every_port_file_is_written(
+        self, tmp_path
+    ):
         sup = _supervisor(tmp_path)
-        # Pre-write every port file so _await_ports returns immediately
-        # (no processes were spawned).
+        # No process was spawned: the written port files are all it
+        # waits for.
         for worker in sup._workers:
             worker.port_file.write_text("4242")
-        lock = RecordingLock()
-        sup._lock = lock
         sup._await_ports()
-        assert lock.acquisitions == 1
+        assert [sup._read_port(w) for w in sup._workers] == [4242, 4242]
 
-    def test_concurrent_log_tail_and_endpoints_do_not_race(self, tmp_path):
-        """Both walk ``_workers`` under the lock now; hammering them
-        from two threads must stay exception-free."""
-        sup = _supervisor(tmp_path, num_workers=4)
-        errors: list[BaseException] = []
-
-        def hammer(fn):
-            try:
-                for _ in range(200):
-                    fn()
-            except BaseException as exc:  # noqa: BLE001 — test harness
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer, args=(lambda: sup.log_tail("w0"),)),
-            threading.Thread(target=hammer, args=(sup.endpoints,)),
-            threading.Thread(target=hammer, args=(sup.worker_pids,)),
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
+    def test_await_ports_names_the_workers_that_never_bound(self, tmp_path):
+        sup = _supervisor(tmp_path)
+        sup.spawn_timeout = 0.1
+        sup._workers[0].port_file.write_text("4242")
+        with pytest.raises(RuntimeError, match=r"worker\(s\) w1 did not bind"):
+            sup._await_ports()

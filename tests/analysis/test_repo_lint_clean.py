@@ -1,10 +1,11 @@
 """The standing guard: the repository itself lints clean.
 
 This is a standing suite next to oracle-equivalence and client
-parity — every true positive the rules found
-(supervisor lock discipline) is pinned here, because the moment any of
-them regresses, the corresponding rule fires and this test fails
-tier-1.  The repository is parsed once for the whole module.
+parity — every true positive the rules found (the supervisor's
+unguarded reads of its workers, since confined to the gateway's loop)
+is pinned here, because the moment any of them regresses, the
+corresponding rule fires and this test fails tier-1.  The repository
+is parsed once for the whole module.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""The one serial-or-forked-children dispatch (:mod:`repro.core.fanout`).
-One mechanism, ``ForkPool``, with two lifetimes — forked for one call
-(``fan_out``) or kept (a served generation): what the two share is
-tested once, over both (``LIFETIMES``)."""
+"""The one way onto another core (:mod:`repro.core.fanout`): a
+``ForkPool`` forked once, its jobs submitted from an event loop — a
+server's, or the private loop a blocking caller runs (``on_a_loop``
+here, ``asyncio.run`` in ``TransitService._answer``)."""
 
 import asyncio
 import os
@@ -13,80 +13,17 @@ import sys
 import textwrap
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 
 import pytest
 
 from repro.core import fanout
-from repro.core.fanout import BACKENDS, ForkPool, WorkerLost, fan_out
+from repro.core.fanout import ForkPool, WorkerLost
 
 from tests.helpers import (
     child_alive,
-    children_of,
     process_state,
     run_in_own_group,
 )
-from tests.server.harness import wait_until
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_results_in_item_order_from_a_closure(backend):
-    """``fn`` is inherited by the workers, never pickled: a closure over
-    local state works on every backend."""
-    offset = 100
-    run = fan_out(
-        lambda x: x * x + offset, list(range(20)), backend=backend, workers=3
-    )
-    assert run.results == [x * x + offset for x in range(20)]
-    assert run.backend == backend
-
-
-def test_processes_runs_in_forked_children():
-    run = fan_out(
-        lambda _: os.getpid(), [0, 1, 2, 3], backend="processes", workers=2
-    )
-    assert os.getpid() not in run.results
-
-
-@pytest.mark.parametrize("items", ([], ["only"]))
-def test_at_most_one_item_runs_serially(items):
-    run = fan_out(
-        lambda x: (x, os.getpid()), items, backend="processes", workers=4
-    )
-    assert run == ([(x, os.getpid()) for x in items], "serial")
-
-
-@pytest.mark.parametrize("backend", ["threads", "gpu"])
-def test_unknown_backend_rejected(backend):
-    with pytest.raises(ValueError, match="backend"):
-        fan_out(abs, [1, 2], backend=backend, workers=2)
-
-
-def test_a_failing_item_raises_and_leaves_no_state():
-    def fn(x):
-        if x == 2:
-            raise KeyError("boom")
-        return x
-
-    children = children_of(os.getpid())
-    for backend in BACKENDS:
-        with pytest.raises(KeyError, match="boom") as caught:
-            fan_out(fn, [1, 2, 3], backend=backend, workers=2)
-        # ``caught`` holds the traceback and with it fan_out's frame:
-        # the pool was closed there, not left to the collector.
-        assert children_of(os.getpid()) == children
-
-
-def test_concurrent_fan_outs_each_call_their_own_function():
-    def one(tag):
-        return fan_out(
-            lambda x: (tag, x), list(range(8)), backend="processes", workers=2
-        ).results
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        got = list(pool.map(one, range(8)))
-    assert got == [[(tag, x) for x in range(8)] for tag in range(8)]
 
 
 @pytest.mark.skipif(
@@ -107,7 +44,7 @@ def test_pool_size_is_one_worker_per_usable_core_at_most(monkeypatch):
     assert [fanout.pool_size(n) for n in (1, 2, 3, 8)] == [1, 2, 2, 2]
 
 
-# -- the pool, whatever its lifetime ----------------------------------------
+# -- the pool ----------------------------------------------------------------
 
 
 class Fussy(Exception):
@@ -136,6 +73,15 @@ class Target:
     def fuss(self):
         raise Fussy(detail="about nothing")
 
+    def unpicklable(self):
+        return threading.Lock()
+
+    def stamp(self):
+        return time.monotonic_ns()
+
+    def touch(self, path):
+        open(path, "x").close()
+
     def nap(self, seconds):
         time.sleep(seconds)
         return os.getpid()
@@ -149,18 +95,9 @@ class Target:
             self.die()
         return x
 
-    def nest(self, x):
-        """What a job gets that asks for processes of its own, as a
-        pool and as a fan-out."""
-        inner = ForkPool(self, 2)
-        run = fan_out(
-            lambda y: (os.getpid(), x + y), [1, 2, 3], backend="processes",
-            workers=2,
-        )
-        return (
-            os.getpid(), inner.processes, inner.call("where"),
-            run.backend, run.results,
-        )
+    def nest(self):
+        """Where this ran, and the children a pool made here has."""
+        return os.getpid(), ForkPool(self, 2).processes
 
     def wakeup_fd(self):
         """The descriptor this process's signal handlers wake, ``-1``
@@ -180,26 +117,30 @@ class Target:
         return sorted(held)
 
 
-#: How long a pool lives: for one ``fan_out``, or until it is closed.
-LIFETIMES = ("call", "generation")
+def on_a_loop(scenario, *args):
+    """Run ``scenario(*args)`` on a fresh event loop, within 30 s."""
+    return asyncio.run(asyncio.wait_for(scenario(*args), timeout=30))
 
 
-@contextmanager
-def two_children(target, lifetime):
-    """``run(name, jobs)``: ``ForkPool.map`` over two children forked
-    from ``target`` — on entry and kept (``generation``), or by each
-    run for that run (``call``: a ``fan_out`` of the same jobs)."""
-    if lifetime == "call":
-        yield lambda name, jobs: fan_out(
-            lambda args: getattr(target, name)(*args), jobs,
-            backend="processes", workers=2,
-        ).results
-        return
-    pool = ForkPool(target, 2)
-    try:
-        yield pool.map
-    finally:
-        pool.close()
+def run_jobs(pool, name, jobs, **kwargs):
+    """A blocking caller's way: every job submitted at once from a
+    private loop, the answers in job order; the first job that raised,
+    in job order, raises here."""
+
+    async def scenario():
+        futures = [pool.submit(name, *args, **kwargs) for args in jobs]
+        return await asyncio.gather(*futures, return_exceptions=True)
+
+    outcomes = on_a_loop(scenario)
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes
+
+
+def ask(pool, name, *args, **kwargs):
+    """One job, from a private loop."""
+    return run_jobs(pool, name, [args], **kwargs)[0]
 
 
 @pytest.fixture()
@@ -210,75 +151,113 @@ def pool():
     pool.close()
 
 
-def test_pool_answers_in_order_like_the_calling_thread(pool):
-    """More jobs than children: each child is reused, the answers come
-    back in job order and equal those of a pool without children, which
-    runs on the calling thread."""
-    jobs = [(x,) for x in range(11)]
-    twin = Target(offset=100)  # a pool holds its target weakly
-    inline = ForkPool(twin, 0)
-    assert inline.processes == 0
-    assert pool.map("add", jobs) == inline.map("add", jobs)
-    assert pool.map("add", jobs) == [x + 100 for x in range(11)]
-    assert pool.map("add", []) == []
-    assert pool.call("add", 1) == 101
-    assert inline.call("where") == os.getpid()
-    pids = set(pool.map("where", [()] * 8))
+def test_submitted_jobs_answer_like_the_target(pool):
+    """More jobs than children, submitted at once: each child is reused
+    and every future has the answer the target gives in this process."""
+    twin = Target(offset=100)
+    assert run_jobs(pool, "add", [(x,) for x in range(11)]) == [
+        twin.add(x) for x in range(11)
+    ]
+    assert run_jobs(pool, "add", []) == []
+    pids = set(run_jobs(pool, "where", [()] * 8))
     assert os.getpid() not in pids and 1 <= len(pids) <= 2
     assert (pool.processes, pool.replaced_total) == (2, 0)
 
 
-def test_jobs_about_the_same_thing_meet_the_same_child(pool):
-    """``affinity`` says what a job is about; the idle child whose last
-    such job was about the same gets it, and with it whatever that
-    child has cached — a traveller's multi-criteria search, for one
-    (``docs/SERVER.md`` has the measured rates).  Jobs that say nothing,
-    or something new, go to the child idle longest and leave the
-    others' affinities alone."""
-    first = pool.call("where", affinity="a")
-    assert {pool.call("where", affinity="a") for _ in range(3)} == {first}
-    second = pool.call("where", affinity="b")
-    assert first != second  # "b" is new: the child idle longest
-    for _ in range(2):
-        assert len(set(pool.map("where", [()] * 2))) == 2  # both, unmarked
-        for about, child in (("b", second), ("b", second), ("a", first)) * 2:
-            assert pool.call("where", affinity=about) == child
-    # Without a match the children take turns.
-    turns = [pool.call("where") for _ in range(4)]
-    assert turns[0] != turns[1] and turns[:2] == turns[2:]
-    # Busy is busy: the job takes the child that is idle.
-    held = threading.Thread(target=pool.call, args=("nap", 0.5), kwargs={"affinity": "a"})
-    held.start()
-    time.sleep(0.2)
-    assert pool.call("where", affinity="a") == second
-    held.join(timeout=10)
+def test_child_exception_raises_here_with_its_type(pool):
+    """The job's exception is its future's, with its type; one that
+    would not survive the trip comes as its text."""
 
-
-@pytest.mark.parametrize("lifetime", LIFETIMES)
-def test_child_exception_raises_here_with_its_type(lifetime):
-    target = Target(offset=100)
-    with two_children(target, lifetime) as run:
-        # The first failure in job order; the other jobs ran, no child
-        # is lost over it.
-        with pytest.raises(KeyError, match="second"):
-            run("boom", [("second",), ("third",)])
-        # An exception that would not survive the trip comes as its text.
+    async def scenario():
+        with pytest.raises(KeyError, match="boom"):
+            await pool.submit("boom", "boom")
         with pytest.raises(RuntimeError, match="Fussy: about nothing"):
-            run("fuss", [(), ()])
-        assert run("add", [(1,), (2,)]) == [101, 102]
+            await pool.submit("fuss")
+
+    on_a_loop(scenario)
 
 
 def test_pool_child_exception_costs_no_child(pool):
-    with pytest.raises(KeyError, match="boom"):
-        pool.call("boom", "boom")
-    with pytest.raises(RuntimeError, match="Fussy: about nothing"):
-        pool.call("fuss")
-    assert pool.call("add", 1) == 101
+    """A job that raised leaves its child serving: the next jobs are
+    answered by the same children, and none was replaced."""
+    before = set(run_jobs(pool, "where", [()] * 4))
+    # The first failure in job order; the other jobs ran.
+    with pytest.raises(KeyError, match="second"):
+        run_jobs(pool, "boom", [("second",), ("third",)])
+    assert ask(pool, "add", 1) == 101
+    assert set(run_jobs(pool, "where", [()] * 4)) <= before
     assert (pool.processes, pool.replaced_total) == (2, 0)
 
 
-@pytest.mark.parametrize("lifetime", LIFETIMES)
-def test_child_holds_nothing_of_its_parent_but_its_pipe(tmp_path, lifetime):
+def test_a_result_that_will_not_pickle_fails_its_job_and_costs_no_child(
+    pool,
+):
+    """A lock cannot cross the pipe: the job fails with the error
+    pickling raised, and the child that ran it answers the next job."""
+    with pytest.raises(TypeError, match="pickle"):
+        ask(pool, "unpicklable")
+    assert ask(pool, "add", 2) == 102
+    assert (pool.processes, pool.replaced_total) == (2, 0)
+
+
+def test_queued_jobs_run_first_come_first_served():
+    """One child, six jobs submitted at once: the five that find it
+    busy run in the order they were submitted."""
+    target = Target()
+    pool = ForkPool(target, 1)
+    try:
+        stamps = run_jobs(pool, "stamp", [()] * 6)
+    finally:
+        pool.close()
+    assert stamps == sorted(stamps) and len(set(stamps)) == 6
+
+
+def test_a_job_cancelled_while_queued_never_runs(tmp_path):
+    """A caller that gave up on a job still waiting for a child — a
+    client that hung up — costs no search: the job is dropped unsent,
+    and the one queued behind it runs in its place."""
+    target = Target()
+    pool = ForkPool(target, 1)
+    marker = tmp_path / "ran"
+
+    async def scenario():
+        busy = pool.submit("nap", 0.3)
+        dropped = pool.submit("touch", str(marker))
+        later = pool.submit("where")
+        dropped.cancel()
+        await busy
+        return await later
+
+    try:
+        assert on_a_loop(scenario) != os.getpid()
+        assert not marker.exists()
+        assert (pool.processes, pool.replaced_total) == (1, 0)
+    finally:
+        pool.close()
+
+
+def test_a_job_cancelled_while_running_frees_its_child():
+    """A job cancelled while its child runs it is let finish: its
+    answer is read and dropped, and the child — not a replacement —
+    takes the next job."""
+    target = Target()
+    pool = ForkPool(target, 1)
+    (child,) = pool._children
+
+    async def scenario():
+        running = pool.submit("nap", 0.3)
+        await asyncio.sleep(0.05)
+        running.cancel()
+        return await pool.submit("where")
+
+    try:
+        assert on_a_loop(scenario) == child.pid
+        assert (pool.processes, pool.replaced_total) == (1, 0)
+    finally:
+        pool.close()
+
+
+def test_child_holds_nothing_of_its_parent_but_its_pipe(tmp_path):
     """Listening socket, client connection, an open file, the first
     child's pipe: the server's descriptors at fork time.  A child that
     kept them would hold a closed client connection half-open, keep the
@@ -289,8 +268,11 @@ def test_child_holds_nothing_of_its_parent_but_its_pipe(tmp_path, lifetime):
     accepted, _ = listener.accept()
     target = Target()
     with open(tmp_path / "log", "w"), listener, client, accepted:
-        with two_children(target, lifetime) as run:
-            held = run("fds", [()] * 6)
+        pool = ForkPool(target, 2)
+        try:
+            held = run_jobs(pool, "fds", [()] * 6)
+        finally:
+            pool.close()
     for fds in held:
         assert [fd for fd in fds if fd <= 2] == [0, 1, 2]
         assert len(fds) == 4, fds  # stdio and the child's own pipe
@@ -308,7 +290,7 @@ def test_a_child_wakes_no_descriptor_of_its_parent():
     try:
         pool = ForkPool(target, 1)
         try:
-            assert pool.call("wakeup_fd") == -1
+            assert ask(pool, "wakeup_fd") == -1
         finally:
             pool.close()
     finally:
@@ -317,107 +299,72 @@ def test_a_child_wakes_no_descriptor_of_its_parent():
         loops.close()
 
 
-def test_killed_child_fails_its_call_and_is_replaced():
+def test_killed_child_fails_its_job_and_is_replaced():
     target = Target(offset=1)
     pool = ForkPool(target, 1)
     try:
-        victim = pool.call("where")
+        victim = ask(pool, "where")
         with pytest.raises(WorkerLost, match=str(victim)):
-            pool.call("die")
+            ask(pool, "die")
         assert not child_alive(victim)
-        # The next call is answered, by a child forked from the target.
-        successor = pool.call("where")
+        # The next job is answered, by a child forked from the target.
+        successor = ask(pool, "where")
         assert successor not in (victim, os.getpid())
-        assert pool.call("add", 1) == 2
+        assert ask(pool, "add", 1) == 2
         assert (pool.processes, pool.replaced_total) == (1, 1)
-        # Only the job of the child that died is lost to a map.
         with pytest.raises(WorkerLost):
-            pool.map("die", [()])
-        assert pool.map("add", [(1,), (2,)]) == [2, 3]
+            run_jobs(pool, "die", [()])
+        assert run_jobs(pool, "add", [(1,), (2,)]) == [2, 3]
         assert (pool.processes, pool.replaced_total) == (1, 2)
     finally:
         pool.close()
 
 
-@pytest.mark.parametrize("lifetime", LIFETIMES)
-def test_a_killed_child_fails_the_map_instead_of_hanging_it(lifetime):
+def test_a_killed_child_fails_its_job_instead_of_hanging_the_rest(pool):
     """Job 3 of 8 SIGKILLs the process it runs in — the OOM killer's
-    way.  ``multiprocessing.Pool.map``, what ``fan_out`` used to be,
-    lost such a task and never returned (hence the thread and its
-    bounded join); a table build under a delay swap would have held the
-    dataset's swap lock for ever."""
-    target = Target()
-    outcome = []
+    way.  ``multiprocessing.Pool.map``, what this module replaced, lost
+    such a task and never returned; a table build under a delay swap
+    would have held the dataset's swap lock for ever.  Here that one
+    job fails with ``WorkerLost`` naming the child, within seconds, and
+    every other job is answered."""
 
-    def run_map():
-        with two_children(target, lifetime) as run:
-            try:
-                outcome.append(run("spare", [(x, 3) for x in range(8)]))
-            except WorkerLost as lost:
-                outcome.append(lost)
+    async def scenario():
+        futures = [pool.submit("spare", x, 3) for x in range(8)]
+        return await asyncio.wait_for(
+            asyncio.gather(*futures, return_exceptions=True), timeout=6
+        )
 
-    thread = threading.Thread(target=run_map, daemon=True)
-    thread.start()
-    thread.join(timeout=6)
-    assert not thread.is_alive(), "the map has not returned"
-    (lost,) = outcome
+    outcomes = on_a_loop(scenario)
+    lost = outcomes.pop(3)
     assert isinstance(lost, WorkerLost), lost
+    assert outcomes == [0, 1, 2, 4, 5, 6, 7]
     victim = int(re.search(r"pool worker (\d+) died", str(lost))[1])
     assert victim != os.getpid() and not child_alive(victim)
 
 
-def test_two_maps_that_each_want_the_whole_pool_both_finish(pool):
-    """Two threads, two jobs each, two children — and each thread has
-    sent its first job before either asks for a second child (the
-    barrier inside the job list).  A map that waited for a *further*
-    child while its own held an unread answer would wait for ever."""
-    barrier = threading.Barrier(2)
-    results = {}
-
-    def jobs():
-        yield (0.05,)
-        barrier.wait(timeout=10)
-        yield (0.05,)
-
-    def run(tag):
-        results[tag] = pool.map("nap", jobs())
-
-    threads = [
-        threading.Thread(target=run, args=(tag,), daemon=True) for tag in "ab"
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=10)
-    assert not any(thread.is_alive() for thread in threads)
-    # Each thread ran both its jobs on the child it already held.
-    assert len(set(results["a"])) == len(set(results["b"])) == 1
-    assert set(results["a"]) != set(results["b"])
-
-
-def test_map_hands_the_next_job_to_the_child_that_answers_first(pool):
-    """One slow job, two fast ones, two children: the child that got
-    the first fast job gets the second too, and the map takes the slow
-    job's time.  Reading the oldest held answer first would leave that
-    child idle until the slow job was over, and run the last job after
-    it (a table build's rows are not equally long either)."""
+def test_a_queued_job_goes_to_the_child_that_answers_first(pool):
+    """One slow job, two fast ones, two children: the third job waits,
+    and the child that ran the first fast job gets it, so the whole
+    takes the slow job's time.  Handing it to the oldest job's child
+    would leave that child idle until the slow job was over, and run
+    the last job after it (a table build's rows are not equally long
+    either)."""
     t0 = time.perf_counter()
-    slow, fast, also_fast = pool.map("nap", [(0.8,), (0.2,), (0.2,)])
+    slow, fast, also_fast = run_jobs(pool, "nap", [(0.8,), (0.2,), (0.2,)])
     elapsed = time.perf_counter() - t0
     assert fast == also_fast != slow
     assert elapsed < 0.95
 
 
-def test_close_reaps_every_child_and_later_calls_run_here():
+def test_close_reaps_every_child():
     target = Target(offset=5)
     pool = ForkPool(target, 2)
-    pids = set(pool.map("where", [()] * 4)) | {c.pid for c in pool._children}
+    pids = set(run_jobs(pool, "where", [()] * 4))
+    pids |= {c.pid for c in pool._children}
     assert len(pids) == 2
     pool.close()
     assert not any(map(child_alive, pids))
     assert pool.processes == 0
-    assert pool.call("where") == os.getpid()
-    assert pool.call("add", 1) == 6
     pool.close()  # idempotent
 
 
@@ -457,32 +404,27 @@ def test_collected_pool_takes_its_children_with_it():
     assert not any(map(child_alive, pids))
 
 
-@pytest.mark.parametrize("lifetime", LIFETIMES)
-def test_a_pool_child_never_forks(lifetime):
+def test_a_pool_child_never_forks(pool):
     """One level of processes, however the layers nest — a batch inside
     a search worker, a table build inside a batch item: a job that asks
-    for processes of its own, as a pool or as a ``fan_out``, gets none
-    and runs on its own thread."""
-    target = Target()
-    with two_children(target, lifetime) as run:
-        nested = run("nest", [(10,), (20,)])
-    for x, (pid, processes, where, backend, results) in zip([10, 20], nested):
+    for processes of its own gets none, and runs its work itself."""
+    nested = run_jobs(pool, "nest", [(), ()])
+    for pid, processes in nested:
         assert pid != os.getpid()
-        assert (processes, where) == (0, pid)
-        assert backend == "serial"
-        assert results == [(pid, x + y) for y in (1, 2, 3)]
+        assert processes == 0
 
 
-def test_pool_inside_a_pool_child_runs_on_that_child():
+def test_a_replacement_takes_no_sibling_for_a_child_of_its_own():
     """A replacement is forked from a target that already owns the
-    pool, so it inherits a copy of it — one without children: a call
-    the target makes through it there is made on the spot."""
+    pool, so it inherits a copy of it — with the other child in it,
+    idle.  That copy has no children: what the target asks of it there
+    the target runs itself."""
 
     class Owner(Target):
         workers = None
 
         def ask(self):
-            return self.workers.call("where")
+            return self.workers.processes
 
     target = Owner()
     target.workers = ForkPool(target, 2)
@@ -490,35 +432,14 @@ def test_pool_inside_a_pool_child_runs_on_that_child():
         originals = {child.pid for child in target.workers._children}
         for _ in originals:
             with pytest.raises(WorkerLost):
-                target.workers.call("die")
-        # Each replacement inherited the pool with the other child in
-        # it, idle — and must not take it for a child of its own.
+                ask(target.workers, "die")
         replacements = {child.pid for child in target.workers._children}
         assert len(replacements) == 2 and not replacements & originals
-        assert set(target.workers.map("ask", [()] * 2)) == replacements
-        assert set(target.workers.map("where", [()] * 2)) == replacements
+        assert run_jobs(target.workers, "ask", [()] * 2) == [0, 0]
+        assert set(run_jobs(target.workers, "where", [()] * 2)) == replacements
         assert target.workers.replaced_total == 2
     finally:
         target.workers.close()
-
-
-# -- jobs submitted from an event loop --------------------------------------
-
-
-def on_a_loop(scenario, *args):
-    """Run ``scenario(*args)`` on a fresh event loop, within 30 s."""
-    return asyncio.run(asyncio.wait_for(scenario(*args), timeout=30))
-
-
-def test_submitted_jobs_answer_like_the_blocking_calls(pool):
-    """More jobs than children, submitted at once: each child is reused
-    and every future has the answer ``map`` gives for its job."""
-
-    async def scenario():
-        futures = [pool.submit("add", x) for x in range(11)]
-        return await asyncio.gather(*futures)
-
-    assert on_a_loop(scenario) == pool.map("add", [(x,) for x in range(11)])
 
 
 def test_a_child_killed_mid_job_fails_only_its_own_future(pool):
@@ -592,12 +513,123 @@ def test_a_submit_after_close_fails_every_time():
     on_a_loop(scenario, ForkPool(target, 0))
 
 
+def test_a_second_loop_is_refused_while_the_first_ones_job_runs(pool):
+    """The pool's state belongs to the loop whose jobs it holds: a job
+    submitted from another loop — another thread's — while one of the
+    first loop's runs is refused, not queued behind it.  Once the first
+    loop's jobs are answered, the next loop may submit."""
+    started = threading.Event()
+    answers = []
+
+    async def first():
+        job = pool.submit("nap", 0.5)
+        started.set()
+        answers.append(await job)
+
+    thread = threading.Thread(target=on_a_loop, args=(first,), daemon=True)
+    thread.start()
+    assert started.wait(timeout=10)
+
+    async def second():
+        with pytest.raises(RuntimeError, match="another event loop"):
+            pool.submit("where")
+
+    on_a_loop(second)
+    thread.join(timeout=10)
+    assert answers and answers[0] != os.getpid()
+    assert ask(pool, "add", 1) == 101
+    assert (pool.processes, pool.replaced_total) == (2, 0)
+
+
+def test_a_closed_loops_jobs_are_abandoned_by_the_next_loop(pool):
+    """A blocking caller's private loop that an exception unwound — a
+    signal handler's, here a timeout's — leaves its jobs running in
+    children nobody will read.  The next submit, from a new loop,
+    replaces those children and is answered at once, instead of
+    waiting behind jobs whose answers nobody reads."""
+
+    async def interrupted():
+        await asyncio.wait_for(
+            asyncio.gather(pool.submit("nap", 30), pool.submit("nap", 30)),
+            timeout=0.2,
+        )
+
+    with pytest.raises(asyncio.TimeoutError):
+        asyncio.run(interrupted())
+    busy = [child.pid for child in pool._running]
+    assert len(busy) == 2
+    t0 = time.perf_counter()
+    assert ask(pool, "add", 1) == 101
+    assert time.perf_counter() - t0 < 5
+    assert not any(map(child_alive, busy))
+    assert (pool.processes, pool.replaced_total) == (2, 2)
+
+
+def test_a_closed_loops_queued_jobs_never_run(tmp_path):
+    """The jobs a closed loop left waiting for a child are dropped with
+    the ones it left running: the next loop's job is the first the
+    replacement child runs."""
+    target = Target()
+    pool = ForkPool(target, 1)
+    marker = tmp_path / "ran"
+
+    class Interrupted(Exception):
+        pass
+
+    async def interrupted():
+        pool.submit("nap", 30)
+        pool.submit("touch", str(marker))
+        await asyncio.sleep(0.2)
+        raise Interrupted
+
+    try:
+        with pytest.raises(Interrupted):
+            asyncio.run(interrupted())
+        assert ask(pool, "where") != os.getpid()
+        assert not marker.exists()
+        assert (pool.processes, pool.replaced_total) == (1, 1)
+    finally:
+        pool.close()
+
+
+def test_a_child_that_dies_once_its_target_is_gone_is_not_replaced():
+    """The pool holds its target weakly: once the target is collected,
+    a child that dies has nothing to be forked from.  Its job fails
+    with ``WorkerLost``, so does every job waiting for a child, and the
+    pool refuses what is submitted after."""
+    target = Target()
+    pool = ForkPool(target, 1)
+    (child,) = pool._children
+    del target
+    assert pool._target() is None
+
+    async def scenario():
+        dying = pool.submit("die")
+        waiting = pool.submit("where")
+        with pytest.raises(WorkerLost, match=f"worker {child.pid} died"):
+            await dying
+        with pytest.raises(WorkerLost, match="no pool worker is left"):
+            await waiting
+        with pytest.raises(RuntimeError, match="no children"):
+            pool.submit("where")
+
+    try:
+        on_a_loop(scenario)
+        assert not child_alive(child.pid)
+        assert (pool.processes, pool.replaced_total) == (0, 0)
+    finally:
+        pool.close()
+
+
 def test_submitted_jobs_meet_the_idle_child_that_last_served_their_source(
     pool,
 ):
-    """Affinity from the loop is ``map``'s: the idle child whose last
-    job was about the same source gets the job; a busy one is not
-    waited for while another is idle."""
+    """``affinity`` says what a job is about; the idle child whose last
+    such job was about the same gets it, and with it whatever that
+    child has cached — a traveller's multi-criteria search, for one
+    (``docs/SERVER.md`` has the measured rates).  A busy one is not
+    waited for while another is idle, and jobs about nothing take
+    turns."""
 
     async def scenario():
         first = await pool.submit("where", affinity="a")
@@ -607,14 +639,16 @@ def test_submitted_jobs_meet_the_idle_child_that_last_served_their_source(
             await pool.submit("where", affinity=about)
             for about in ("b", "a", "b", "a")
         ]
+        turns = [await pool.submit("where") for _ in range(4)]
         held = pool.submit("nap", 0.5, affinity="a")
         await asyncio.sleep(0.1)
         elsewhere = await pool.submit("where", affinity="a")
-        return first, again, second, back, await held, elsewhere
+        return first, again, second, back, turns, await held, elsewhere
 
-    first, again, second, back, held, elsewhere = on_a_loop(scenario)
+    first, again, second, back, turns, held, elsewhere = on_a_loop(scenario)
     assert again == [first] * 3 and second != first
     assert back == [second, first, second, first]
+    assert turns[0] != turns[1] and turns[:2] == turns[2:]
     assert held == first and elsewhere == second
 
 
@@ -662,37 +696,46 @@ def _survivors(pids, timeout=5.0):
 
 
 #: A parent with a listening socket and two children, one line on
-#: stdout when they are at work: the port, then — where the parent can
-#: know them — the children, the idle one first.
+#: stdout when they are at work: the port, then the children — the idle
+#: one first where there is one.
 _DOOMED_PARENT = {
-    "generation": """
-        import os, socket, threading, time
+    "one-busy": """
+        import asyncio, os, socket, time
         from repro.core.fanout import ForkPool
         class T:
             def nap(self, seconds): time.sleep(seconds)
         listener = socket.create_server(("127.0.0.1", 0))
         target = T()
         pool = ForkPool(target, 2)
-        pool.call('nap', 0)  # the first child's turn; the next is
-        threading.Thread(target=pool.call, args=('nap', 2)).start()
-        time.sleep(0.3)
-        (idle,) = pool._idle
-        (busy,) = set(pool._children) - {idle}
-        print(listener.getsockname()[1], idle.pid, busy.pid, flush=True)
-        time.sleep(60)
+        async def main():
+            await pool.submit('nap', 0)  # the first child's turn; the next is
+            pool.submit('nap', 2)
+            (idle,) = pool._idle
+            (busy,) = pool._running
+            print(listener.getsockname()[1], idle.pid, busy.pid, flush=True)
+            await asyncio.sleep(60)
+        asyncio.run(main())
     """,
-    "call": """
-        import socket, time
-        from repro.core.fanout import fan_out
+    "both-busy": """
+        import asyncio, socket, time
+        from repro.core.fanout import ForkPool
+        class T:
+            def nap(self, seconds): time.sleep(seconds)
         listener = socket.create_server(("127.0.0.1", 0))
-        print(listener.getsockname()[1], flush=True)
-        fan_out(time.sleep, [0.3] * 200, backend="processes", workers=2)
+        target = T()
+        pool = ForkPool(target, 2)
+        async def main():
+            naps = [pool.submit('nap', 0.3) for _ in range(200)]
+            pids = [child.pid for child in pool._running]
+            print(listener.getsockname()[1], *pids, flush=True)
+            await asyncio.gather(*naps)
+        asyncio.run(main())
     """,
 }
 
 
-@pytest.mark.parametrize("lifetime", LIFETIMES)
-def test_children_do_not_outlive_a_killed_parent(lifetime):
+@pytest.mark.parametrize("scenario", _DOOMED_PARENT)
+def test_children_do_not_outlive_a_killed_parent(scenario):
     """SIGKILL gives the parent no chance to stop anything: an idle
     child reads EOF on its pipe and leaves at once, a busy one when its
     job is done — quietly, and neither ever held the parent's listening
@@ -700,27 +743,23 @@ def test_children_do_not_outlive_a_killed_parent(lifetime):
     that EOF to come, no sibling may hold a copy of the parent's end of
     the pipe — the child forked second inherited the first one's."""
     proc = subprocess.Popen(
-        [sys.executable, "-c", textwrap.dedent(_DOOMED_PARENT[lifetime])],
+        [sys.executable, "-c", textwrap.dedent(_DOOMED_PARENT[scenario])],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     port, *children = (int(word) for word in proc.stdout.readline().split())
-    # Per call both children are busy, with jobs of 0.3 s; of the kept
-    # pool's the second naps for 2 s and the first is idle.
-    job_seconds = 2.0 if lifetime == "generation" else 0.3
+    # Both children are busy with jobs of 0.3 s, or the second naps for
+    # 2 s and the first is idle.
+    job_seconds = 2.0 if scenario == "one-busy" else 0.3
     try:
-        if not children:
-            children = wait_until(
-                lambda: len(found := children_of(proc.pid)) == 2 and found,
-                what="the fan-out's two children",
-            )
+        assert len(children) == 2
         proc.kill()
         assert proc.wait(timeout=30) == -signal.SIGKILL
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", port), timeout=5).close()
-        if lifetime == "generation":
+        if scenario == "one-busy":
             idle, busy = children
             assert idle < busy  # the busy child is the one forked second
             assert _survivors([idle], timeout=1.0) == []
@@ -737,8 +776,8 @@ def test_children_do_not_outlive_a_killed_parent(lifetime):
 
 #: ``repro prepare``'s shape of handler: it raises.
 _RAISING_HANDLER = """
-    import os, signal, sys, time
-    from repro.core.fanout import ForkPool, fan_out
+    import asyncio, os, signal, sys, time
+    from repro.core.fanout import ForkPool
 
     class Interrupted(Exception):
         pass
@@ -752,32 +791,38 @@ _RAISING_HANDLER = """
         def where(self):
             return os.getpid()
 
+    def run_jobs(name, jobs):
+        async def gather():
+            return await asyncio.gather(*(pool.submit(name, *a) for a in jobs))
+        return asyncio.run(gather())
+
     signal.signal(signal.SIGTERM, handler)
     signal.signal(signal.SIGINT, handler)
     target = T()
+    pool = ForkPool(target, 2)
 """
 
+#: After the raise: the pool closed, or left to the exit.
 _NAPS_OF_A_MINUTE = {
-    "generation": """
-    pool = ForkPool(target, 2)
+    "closed": """
     print("ready", flush=True)
     try:
-        pool.map("nap", [(60,), (60,)])
+        run_jobs("nap", [(60,), (60,)])
     except Interrupted:
         pool.close()
         sys.exit(130)
     """,
-    "call": """
+    "exited": """
     print("ready", flush=True)
     try:
-        fan_out(target.nap, [60, 60], backend="processes", workers=2)
+        run_jobs("nap", [(60,), (60,)])
     except Interrupted:
         sys.exit(130)
     """,
 }
 
 
-@pytest.mark.parametrize("lifetime", LIFETIMES)
+@pytest.mark.parametrize("after", _NAPS_OF_A_MINUTE)
 @pytest.mark.parametrize(
     "send",
     [
@@ -788,16 +833,17 @@ _NAPS_OF_A_MINUTE = {
     ],
 )
 def test_raising_signal_handler_unwinds_through_busy_pool_children(
-    send, lifetime
+    send, after
 ):
-    """The handler raises inside ``map``, past two answers that will
-    not come for a minute.  The children that owe them are killed on
-    the way out — left busy, they would hold up ``close()``, and the
-    exit, for that minute.  Nothing of the process group is left
-    (``run_in_own_group``) and nothing is said on the way."""
+    """The handler raises inside the private loop, past two answers
+    that will not come for a minute.  The children that owe them are
+    killed when the pool is closed or the process exits — left busy,
+    they would hold up the exit for that minute.  Nothing of the
+    process group is left (``run_in_own_group``) and nothing is said on
+    the way."""
     returncode, stdout, stderr = run_in_own_group(
         _RAISING_HANDLER
-        + _NAPS_OF_A_MINUTE[lifetime]
+        + _NAPS_OF_A_MINUTE[after]
         + """
     sys.exit("the naps ended before the signal")
         """,
@@ -815,13 +861,12 @@ def test_sigint_to_the_group_is_the_parents_to_handle():
     returncode, stdout, stderr = run_in_own_group(
         _RAISING_HANDLER
         + """
-    pool = ForkPool(target, 2)
-    before = set(pool.map("where", [()] * 2))
+    before = set(run_jobs("where", [()] * 2))
     print("ready", flush=True)
     try:
         time.sleep(30)
     except Interrupted:
-        after = set(pool.map("where", [()] * 2))
+        after = set(run_jobs("where", [()] * 2))
         print(after == before, pool.processes, pool.replaced_total)
         pool.close()
         sys.exit(130)
@@ -833,20 +878,19 @@ def test_sigint_to_the_group_is_the_parents_to_handle():
     assert (returncode, stdout.strip(), stderr) == (130, "True 2 0", "")
 
 
-@pytest.mark.parametrize("lifetime", LIFETIMES)
+@pytest.mark.parametrize("forked_on", ["loop", "executor"])
 def test_pool_child_under_an_event_loops_handlers_dies_of_sigterm_alone(
-    lifetime,
+    forked_on,
 ):
     """``repro serve``'s shape: the loop owns SIGTERM through a wake-up
-    fd, and executor threads fork — a swap the next generation's
-    workers, a table patch or a batch a pool for the call.  A child
-    that kept the loop's handler and wake-up fd would answer SIGTERM by
-    running the *server's* stop callback through the shared fd, and
-    live on."""
+    fd, and forks the first generation's workers itself — a swap forks
+    the next generation's on an executor thread.  A child that kept the
+    loop's handler and wake-up fd would answer SIGTERM by running the
+    *server's* stop callback through the shared fd, and live on."""
     returncode, stdout, stderr = run_in_own_group(
         """
         import asyncio, os, signal, sys
-        from repro.core.fanout import ForkPool, WorkerLost, fan_out
+        from repro.core.fanout import ForkPool, WorkerLost
 
         class T:
             def where(self):
@@ -855,41 +899,32 @@ def test_pool_child_under_an_event_loops_handlers_dies_of_sigterm_alone(
                 os.kill(os.getpid(), signal.SIGTERM)
                 import time; time.sleep(30)
 
-        def per_call(method):
-            return fan_out(
-                lambda _: method(), [0, 1], backend="processes", workers=2
-            ).results[0]
-
         async def main():
             loop = asyncio.get_running_loop()
             stops = []
             loop.add_signal_handler(signal.SIGTERM, stops.append, "TERM")
             target = T()
-            if sys.argv[1] == "generation":
-                pool = await loop.run_in_executor(None, ForkPool, target, 2)
-                ask = pool.call
+            if sys.argv[1] == "loop":
+                pool = ForkPool(target, 2)
             else:
-                ask = lambda name: per_call(getattr(target, name))
+                pool = await loop.run_in_executor(None, ForkPool, target, 2)
             for _ in range(4):
                 try:
-                    await loop.run_in_executor(None, ask, "stop_self")
+                    await pool.submit("stop_self")
                 except WorkerLost:
                     pass
                 else:
                     raise SystemExit("the child outlived its SIGTERM")
                 await asyncio.sleep(0.05)
-            pid = await loop.run_in_executor(None, ask, "where")
+            pid = await pool.submit("where")
             assert pid != os.getpid()
-            if sys.argv[1] == "generation":
-                print(stops, pool.processes, pool.replaced_total)
-                pool.close()
-            else:
-                print(stops)
+            print(stops, pool.processes, pool.replaced_total)
+            pool.close()
 
         asyncio.run(main())
         """,
-        lifetime,
+        forked_on,
         timeout=20.0,
     )
     assert (returncode, stderr) == (0, "")
-    assert stdout.strip() == ("[] 2 4" if lifetime == "generation" else "[]")
+    assert stdout.strip() == "[] 2 4"

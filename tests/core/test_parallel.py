@@ -1,6 +1,6 @@
 """Unit tests for the parallel SPCS driver (paper §3.2)."""
 
-from concurrent.futures import ThreadPoolExecutor
+import asyncio
 
 import numpy as np
 import pytest
@@ -10,6 +10,10 @@ from repro.core.parallel import parallel_profile_search, timed_subset_search
 from repro.core.spcs import spcs_profile_search
 from repro.core.spcs_kernel import run_spcs_search
 from repro.graph.td_arrays import packed_arrays
+from repro.service import ProfileRequest, ServiceConfig
+from repro.service.shapes import PROFILE
+
+from tests.oracles.reference_service import SERVICE_OF_KERNEL
 
 
 class TestCorrectness:
@@ -42,49 +46,97 @@ class TestCorrectness:
         with pytest.raises(ValueError, match="strategy"):
             parallel_profile_search(toy_graph, 0, 2, strategy="nope")
 
-    @pytest.mark.parametrize("backend", ["gpu", "threads"])
+    @pytest.mark.parametrize("backend", ["gpu", "threads", "processes"])
     def test_rejects_unknown_backend(self, toy_graph, backend):
+        """One backend is left, the plain loop: a pool forked per search
+        is gone, and the served split runs in a generation's workers."""
         with pytest.raises(ValueError, match="backend"):
             parallel_profile_search(toy_graph, 0, 2, backend=backend)
 
 
-class TestBackends:
-    @pytest.mark.slow
-    def test_processes_backend_matches_serial(self, toy_graph):
-        serial = parallel_profile_search(toy_graph, 0, 2, backend="serial")
-        procs = parallel_profile_search(toy_graph, 0, 2, backend="processes")
-        for station in range(toy_graph.num_stations):
-            assert procs.profile(station) == serial.profile(station)
-        # Each forked search reports the wall time it measured itself.
-        assert len(procs.stats.time_per_thread) == 2
-        assert all(t > 0 for t in procs.stats.time_per_thread)
+class TestServedSplit:
+    """The split served: a generation's search workers
+    (``TransitService.start_workers``) run one subset each, the caller
+    partitions and merges — the plain loop's answer."""
+
+    @pytest.mark.parametrize("kernel", ["python", "flat"])
+    def test_workers_match_the_serial_loop(
+        self, oahu_tiny, oahu_tiny_graph, kernel
+    ):
+        serial = parallel_profile_search(oahu_tiny_graph, 1, 2, kernel=kernel)
+        service = SERVICE_OF_KERNEL[kernel](
+            oahu_tiny, ServiceConfig(num_threads=2)
+        )
+        service.start_workers(2)
+        try:
+            served = service.profile(1).raw
+            assert service.worker_stats[0] >= 1
+        finally:
+            service.stop_workers()
+        for station in range(oahu_tiny_graph.num_stations):
+            assert served.profile(station) == serial.profile(station)
+        assert (
+            served.stats.settled_per_thread == serial.stats.settled_per_thread
+        )
+        # Each subset's search reports the wall time it measured itself.
+        assert len(served.stats.time_per_thread) == 2
+        assert all(t > 0 for t in served.stats.time_per_thread)
 
     @pytest.mark.parametrize("kernel", ["python", "flat"])
     def test_two_graphs_fork_concurrently_without_clobbering(
-        self, oahu_tiny_graph, germany_tiny_graph, kernel
+        self, oahu_tiny, germany_tiny, oahu_tiny_graph, germany_tiny_graph,
+        kernel,
     ):
-        """Regression: the fork workers used to find their graph under
-        one shared module-global key, so two threads searching different
-        graphs (two datasets, two delay generations) could fork each
-        other's graph, or hit ``KeyError`` after the other's cleanup."""
-        graphs = [oahu_tiny_graph, germany_tiny_graph] * 3
-        expected = [
-            parallel_profile_search(g, 1, 2, kernel=kernel) for g in graphs
+        """Regression: fork workers once found their graph under one
+        shared module-global key, so searches of two datasets (or two
+        delay generations) at once could fork each other's graph.  Each
+        generation's pool forks from its own service: profiles of two
+        datasets submitted at once, interleaved on one loop, each get
+        their own graph's answer."""
+        graphs = {"oahu": oahu_tiny_graph, "germany": germany_tiny_graph}
+        services = {
+            name: SERVICE_OF_KERNEL[kernel](
+                timetable, ServiceConfig(num_threads=2)
+            )
+            for name, timetable in (
+                ("oahu", oahu_tiny), ("germany", germany_tiny)
+            )
+        }
+        asked = [
+            (name, source)
+            for source in (1, 2, 3)
+            for name in ("oahu", "germany")
         ]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            got = list(
-                pool.map(
-                    lambda g: parallel_profile_search(
-                        g, 1, 2, kernel=kernel, backend="processes"
-                    ),
-                    graphs,
+
+        async def scenario():
+            return await asyncio.gather(
+                *(
+                    services[name].submit(
+                        PROFILE, ProfileRequest(source, num_threads=2)
+                    )
+                    for name, source in asked
                 )
             )
-        for exp, res in zip(expected, got):
-            assert np.array_equal(res.merged.labels, exp.merged.labels)
-            assert np.array_equal(res.merged.conn_deps, exp.merged.conn_deps)
+
+        for service in services.values():
+            service.start_workers(2)
+        try:
+            got = asyncio.run(asyncio.wait_for(scenario(), timeout=60))
+        finally:
+            for service in services.values():
+                service.stop_workers()
+        for (name, source), answer in zip(asked, got):
+            expected = parallel_profile_search(
+                graphs[name], source, 2, kernel=kernel
+            )
+            res = answer.raw
+            assert np.array_equal(res.merged.labels, expected.merged.labels)
+            assert np.array_equal(
+                res.merged.conn_deps, expected.merged.conn_deps
+            )
             assert (
-                res.stats.settled_per_thread == exp.stats.settled_per_thread
+                res.stats.settled_per_thread
+                == expected.stats.settled_per_thread
             )
 
 

@@ -27,6 +27,7 @@ alter the wire bytes — that is a protocol change, and says so.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import re
 import socket
@@ -153,13 +154,13 @@ class _Faulty:
             return None
         return self._service.lookup(shape, request)
 
-    def via(self, request):
-        raise RuntimeError("a search that fails")
-
-    def profile(self, request):
-        self.entered.set()
-        self.gate.wait(timeout=30)
-        return self._service.profile(request)
+    async def submit(self, shape, request):
+        if shape.name == "via":
+            raise RuntimeError("a search that fails")
+        if shape.name == "profile":
+            self.entered.set()
+            await asyncio.to_thread(self.gate.wait, 30)
+        return await self._service.submit(shape, request)
 
     def __getattr__(self, name: str):
         return getattr(self._service, name)

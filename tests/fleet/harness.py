@@ -48,7 +48,6 @@ class FleetHarness:
             "drain_grace": 0.0,
             "restart_backoff": 0.1,
             "stable_after": 2.0,
-            "poll_interval": 0.05,
             **(supervisor_kwargs or {}),
         }
         self.supervisor = WorkerSupervisor(
@@ -97,9 +96,15 @@ class FleetHarness:
         return status, json.loads(raw)
 
     def worker_ports(self) -> dict[str, int]:
+        """Each live worker's port, read on the gateway's loop: the
+        supervisor's state is confined to it."""
+
+        async def endpoints() -> dict[str, str]:
+            return self.supervisor.endpoints()
+
         return {
             name: int(url.rsplit(":", 1)[1])
-            for name, url in self.supervisor.endpoints().items()
+            for name, url in self.submit(endpoints()).result(30).items()
         }
 
     def wait_worker_down(self, name: str, *, timeout: float = 60.0) -> None:

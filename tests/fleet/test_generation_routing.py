@@ -71,8 +71,10 @@ class _HeldRegistry(DatasetRegistry):
 
 
 class _Fleet:
-    """Three in-process servers over one service, behind a gateway on
-    a loop thread of its own."""
+    """Three in-process servers over one prepared dataset, behind a
+    gateway on a loop thread of its own.  Each server has a service of
+    its own over it (``with_runtime_overrides``), as a ``serve`` process
+    has: a generation's search workers answer one server's loop."""
 
     def __init__(self, service: TransitService, holds) -> None:
         self.workers: dict[str, ServerHarness] = {}
@@ -84,7 +86,7 @@ class _Fleet:
         try:
             for i, hold in enumerate(holds):
                 registry = _HeldRegistry(hold)
-                registry.add("oahu", service)
+                registry.add("oahu", service.with_runtime_overrides())
                 self.workers[f"w{i}"] = ServerHarness(registry, workers=1)
             self.gateway = FleetGateway(
                 {

@@ -3,21 +3,20 @@ crash restart, fail-fast, teardown — no gateway involved."""
 
 from __future__ import annotations
 
-import os
 import signal
+import threading
 import time
 
 import pytest
 
 from repro.fleet import WorkerSupervisor
+from tests.helpers import process_state
 
 
 def _alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
+    """Running: a zombie answers ``os.kill(pid, 0)`` until the
+    supervisor reaps it, on its next read of the fleet."""
+    return process_state(pid) not in (None, "Z")
 
 
 def _wait(predicate, timeout: float, message: str):
@@ -37,7 +36,6 @@ def supervisor(fleet_store, tmp_path):
         drain_grace=0.0,
         restart_backoff=0.1,
         stable_after=1.0,
-        poll_interval=0.05,
     )
     sup.start()
     yield sup
@@ -122,6 +120,39 @@ class TestRestart:
         assert supervisor.restarts_total >= 2
 
 
+    def test_a_crash_is_respawned_after_its_backoff_which_doubles(
+        self, fleet_store, tmp_path
+    ):
+        """The read that reaps a crashed worker schedules its respawn
+        ``restart_backoff`` later, and no read respawns it earlier; a
+        second crash before ``stable_after`` waits twice as long."""
+        sup = WorkerSupervisor(
+            [fleet_store],
+            1,
+            runtime_dir=tmp_path / "rt",
+            drain_grace=0.0,
+            restart_backoff=0.3,
+            stable_after=30.0,
+        )
+        waited = []
+        try:
+            sup.start()
+            for _ in range(2):
+                pid = sup.worker_pids()["w0"]
+                sup.kill("w0", signal.SIGKILL)
+                _wait(lambda: not _alive(pid), 10, "w0 to die")
+                reaped = time.monotonic()
+                assert "w0" not in sup.worker_pids()
+                _wait(
+                    lambda: "w0" in sup.worker_pids(), 30, "w0 to respawn"
+                )
+                waited.append(time.monotonic() - reaped)
+            assert sup.restarts_total == 2
+        finally:
+            sup.stop()
+        assert waited[0] >= 0.3 and waited[1] >= 0.6, waited
+
+
 class TestStop:
     def test_stop_terminates_all_workers(self, fleet_store, tmp_path):
         sup = WorkerSupervisor(
@@ -137,3 +168,59 @@ class TestStop:
             "workers to exit",
         )
         sup.stop()  # idempotent
+
+    def test_nothing_respawns_after_stop(self, fleet_store, tmp_path):
+        """A worker that crashed and was reaped is due to respawn when
+        the fleet stops: no read of the fleet after ``stop()`` spawns
+        it."""
+        sup = WorkerSupervisor(
+            [fleet_store],
+            1,
+            runtime_dir=tmp_path / "rt",
+            drain_grace=0.0,
+            restart_backoff=0.2,
+        )
+        try:
+            sup.start()
+            pid = sup.worker_pids()["w0"]
+            sup.kill("w0", signal.SIGKILL)
+            _wait(lambda: not _alive(pid), 10, "w0 to die")
+            assert sup.worker_pids() == {}  # reaped, respawn scheduled
+            sup.stop()
+            time.sleep(0.4)
+            assert sup.endpoints() == {}
+            assert sup.worker_pids() == {}
+            assert sup.restarts_total == 0
+        finally:
+            sup.stop()
+
+
+class TestNoThread:
+    def test_start_and_respawn_run_on_the_callers_thread(
+        self, fleet_store, tmp_path
+    ):
+        """The supervisor starts no thread: spawning, reaping and the
+        respawn after a crash happen in the reads of the fleet — on the
+        gateway's loop when a gateway runs, here on the test's thread."""
+        before = threading.enumerate()
+        sup = WorkerSupervisor(
+            [fleet_store],
+            1,
+            runtime_dir=tmp_path / "rt",
+            drain_grace=0.0,
+            restart_backoff=0.1,
+        )
+        try:
+            sup.start()
+            assert threading.enumerate() == before
+            pid = sup.worker_pids()["w0"]
+            sup.kill("w0", signal.SIGKILL)
+            _wait(
+                lambda: sup.worker_pids().get("w0") not in (None, pid),
+                30,
+                "w0 to respawn",
+            )
+            assert sup.restarts_total == 1
+            assert threading.enumerate() == before
+        finally:
+            sup.stop()

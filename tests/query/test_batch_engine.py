@@ -160,23 +160,22 @@ def test_results_come_back_in_submission_order(make_service, workers):
 @pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
 def test_each_item_is_one_search_job(make_service, monkeypatch, workers):
     """With workers the batch is composed here and searched there: one
-    ``_search`` job per item, journeys then profiles as submitted, in
-    one ``ForkPool.map`` — not the whole batch as one job, and not on
-    this thread.  Without workers there is no pool to ask."""
+    ``_search`` job per item, journeys then profiles as submitted, each
+    one ``ForkPool.submit`` — not the whole batch as one job, and not
+    on this thread.  Without workers there is no pool to ask."""
     service = make_service(workers)
     request = workload(service)
-    maps = []
-    real_map = ForkPool.map
+    jobs = []
+    real_submit = ForkPool.submit
 
-    def spy(pool, name, jobs, **kwargs):
-        jobs = list(jobs)
-        maps.append((name, jobs))
-        return real_map(pool, name, jobs, **kwargs)
+    def spy(pool, name, *args, **kwargs):
+        jobs.append((name, args))
+        return real_submit(pool, name, *args, **kwargs)
 
-    monkeypatch.setattr(ForkPool, "map", spy)
+    monkeypatch.setattr(ForkPool, "submit", spy)
     service.batch(request)
     items = [*request.journeys, *request.profiles]
-    assert maps == ([("_search", [(item,) for item in items])] if workers else [])
+    assert jobs == ([("_search", (item,)) for item in items] if workers else [])
 
 
 @pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)

@@ -18,6 +18,7 @@ import dataclasses
 import os
 import signal
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from repro.service import (
 )
 from repro.synthetic.workloads import random_station_pairs
 
-from tests.helpers import random_line_timetable, scrubbed
+from tests.helpers import child_alive, random_line_timetable, scrubbed
 from tests.oracles.mc_time_query import mc_time_query
 from tests.oracles.reference_service import SERVICE_OF_KERNEL, ReferenceService
 from tests.server.test_search_workers import CALLS
@@ -213,6 +214,52 @@ def test_a_worker_lost_under_a_batch_fails_that_batch_only(
     for got, want in zip(served.journeys, expected.journeys):
         assert got.stats.settled_connections == want.stats.settled_connections
         assert_profiles_bitwise_equal(want.profile, got.profile)
+
+
+def test_a_blocking_batch_unwound_by_a_signal_leaves_the_next_call_answered(
+    oahu_tiny, monkeypatch
+):
+    """A raising SIGALRM handler unwinds a blocking batch while both
+    search workers hold one of its items (for half a minute each).  The
+    next blocking call is answered at once — the two children left
+    running the items nobody will read are replaced, not waited for —
+    and as a service without workers answers it."""
+    here = os.getpid()
+    search = TransitService._search
+
+    def slow(self, req):
+        if os.getpid() != here:
+            time.sleep(30)
+        return search(self, req)
+
+    class Alarm(Exception):
+        pass
+
+    def ring(signum, frame):
+        raise Alarm
+
+    monkeypatch.setattr(TransitService, "_search", slow)
+    config = ServiceConfig(num_threads=1)
+    service = TransitService(oahu_tiny, config)
+    service.start_workers(2)
+    previous = signal.signal(signal.SIGALRM, ring)
+    try:
+        busy = [child.pid for child in service._workers._children]
+        signal.setitimer(signal.ITIMER_REAL, 0.3)
+        with pytest.raises(Alarm):
+            service.batch([(0, 5), (2, 7), (4, 11)])
+        t0 = time.perf_counter()
+        served = service.journey(0, 5)
+        assert time.perf_counter() - t0 < 5
+        assert not any(map(child_alive, busy))
+        assert service.worker_stats == (2, 2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        service.stop_workers()
+    want = TransitService(oahu_tiny, config).journey(0, 5)
+    assert served.stats.settled_connections == want.stats.settled_connections
+    assert_profiles_bitwise_equal(want.profile, served.profile)
 
 
 def test_where_searches_run_is_not_configuration():

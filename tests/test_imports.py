@@ -3,8 +3,8 @@
 Every package resolves its re-exports on first use (``repro._lazy``),
 the CLI declares only the command it runs, and the modules a served
 process never runs — the instance generators, the object graph, the
-build-only transfer selection, the client, the fleet — stay out of
-``serve``.  What a search worker runs is imported before the pool
+build-only transfer selection, the whole-day multi-criteria reference,
+the client, the fleet — stay out of ``serve``.  What a search worker runs is imported before the pool
 forks: a module first imported in a worker would be compiled there,
 once per worker.
 """
@@ -33,6 +33,7 @@ NOT_SERVED_PACKAGES = (
     "repro.baselines",
 )
 NOT_SERVED_MODULES = (
+    "repro.core.mc_reference",
     "repro.timetable.builder",
     "repro.timetable.validation",
     "repro.timetable.gtfs",
