@@ -204,18 +204,24 @@ def foreign_clients(tmp: Path) -> None:
 
 
 def global_queries(tmp: Path) -> None:
-    """The fused flat loop (Theorems 3/4 inside the kernel) against the
-    hook-driven reference kernel: a global, table-pruned query prints,
-    at the CLI boundary, the connections the reference engine finds in
-    process on the same instance and table, over one connection subset
-    or four.  0 → 2 has a non-transfer target (Theorem 3), 5 → 4 a
-    transfer-station target (Theorem 4 as well); 0 → 2 without a table
-    is a local query, where goal direction is the only thing the flat
-    kernel adds to the stopping criterion — it must settle no more than
-    the reference.  Then the flat loop's work on 100 seeded global
-    queries each on ``washington``/small and ``germany``/medium,
-    summed, as recorded."""
+    """The served flat loop (Theorem 4 inside the kernel, no Theorem 3)
+    against the hook-driven reference kernel with both table rules:
+    a query the reference calls global prints, at the CLI boundary, the
+    connections the reference engine finds in process on the same
+    instance and table, over one connection subset or four.  The CLI
+    labels it ``(local)``: the served engine computes no via stations.
+    0 → 2 has a non-transfer target (Theorem 3 on the reference side
+    only), 5 → 4 a transfer-station target (Theorem 4 on both); 0 → 2
+    without a table is a local query, where goal direction is the only
+    thing the flat kernel adds to the stopping criterion — it must
+    settle no more than the reference.  Then the flat loop's work on
+    100 seeded global queries each on ``washington``/small and
+    ``germany``/medium, picked by their via stations and summed, as
+    recorded."""
+    import numpy as np
+
     from repro.query.table_query import StationToStationEngine
+    from repro.query.via import compute_via_stations
     from repro.service import ServiceConfig
     from repro.service.prepare import prepare_dataset
     from repro.synthetic.instances import make_instance
@@ -238,13 +244,14 @@ def global_queries(tmp: Path) -> None:
                 "query", *OAHU, *flags, "--source", str(source),
                 "--target", str(target), "--cores", str(cores),
             ).stdout
-            assert f"{source} → {target} ({kind})" in out, (label, cores, out)
+            assert f"{source} → {target} (local)" in out, (label, cores, out)
             printed = [line for line in out.splitlines() if "depart" in line]
             assert printed, f"{label}: no connections printed"
             reference = StationToStationEngine(
                 prepared.graph, prepared.table, num_threads=cores,
                 kernel="python", station_graph=prepared.station_graph,
             ).query(source, target)
+            assert reference.classification == kind, (label, reference)
             expected = [
                 f"  depart {format_time(dep)}  arrive "
                 f"{format_time(dep + dur)}  ({dur} min)"
@@ -255,7 +262,7 @@ def global_queries(tmp: Path) -> None:
             assert printed == lines[0], f"{label}: {cores} core(s) differ from 1"
             print(
                 f"{label}: {cores} core(s), {len(printed)} profile lines "
-                f"identical to the reference kernel's"
+                f"identical to the reference kernel's ({kind})"
             )
             if not fraction:
                 flat = int(re.search(r"(\d+) settled", out).group(1))
@@ -265,27 +272,37 @@ def global_queries(tmp: Path) -> None:
 
     # The work of targeted searches at scale: which settles happen, and
     # what each does with the table, moves these sums long before it
-    # moves an answer.
+    # moves an answer.  The pairs are those the loop ran Theorem 3 on
+    # while it had that rule; ``with_theorem_3`` is what it settled then.
     import random
 
     config = ServiceConfig(use_distance_table=True, transfer_fraction=0.5)
-    for instance, scale, recorded in (
-        ("washington", "small", (817_500, 53_712, 4_667, 35_883)),
-        ("germany", "medium", (199_846, 9_276, 1_424, 10_205)),
+    for instance, scale, recorded, with_theorem_3 in (
+        ("washington", "small", (957_456, 0, 4_666, 0), 817_500),
+        ("germany", "medium", (234_619, 0, 1_424, 0), 199_846),
     ):
         prepared = prepare_dataset(make_instance(instance, scale), config)
+        table = prepared.table
         engine = StationToStationEngine(
-            prepared.graph, prepared.table, num_threads=1, kernel="flat",
+            None, table, num_threads=1, table_pruning=False, kernel="flat",
             arrays=prepared.arrays, station_graph=prepared.station_graph,
         )
+        transfer_mask = np.zeros(prepared.arrays.num_stations, dtype=bool)
+        transfer_mask[table.transfer_stations] = True
         rng = random.Random(f"global-queries:{instance}")
-        stations = range(prepared.graph.num_stations)
+        stations = range(prepared.arrays.num_stations)
         work, queries = [0, 0, 0, 0], 0
         while queries < 100:
             source, target = rng.sample(stations, 2)
-            if engine.classify(source, target)[0] != "global":
+            if table.contains(source) and table.contains(target):
+                continue
+            via_info = compute_via_stations(
+                prepared.station_graph, target, transfer_mask
+            )
+            if via_info.classify(source) != "global":
                 continue
             result = engine.query(source, target)
+            assert result.classification == "local", result
             work = [
                 total + count
                 for total, count in zip(work, (
@@ -294,11 +311,12 @@ def global_queries(tmp: Path) -> None:
                 ))
             ]
             queries += 1
-        assert tuple(work) == recorded, (instance, work)
         print(
-            f"{instance}/{scale}: 100 global queries settle {work[0]}, "
-            f"prune {work[1]}, stop {work[2]}, lower µ {work[3]} times, as recorded"
+            f"{instance}/{scale}: 100 global queries settle {work[0]} "
+            f"(with Theorem 3: {with_theorem_3}), prune {work[1]}, stop "
+            f"{work[2]}, lower µ {work[3]} times"
         )
+        assert tuple(work) == recorded, (instance, work)
 
 
 def serve_fleet(tmp: Path) -> None:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI stream smoke: a live delay stream against a real worker fleet.
 
-Usage:  stream_smoke.py [num_workers] [num_events]   (default 2, 24)
+Usage:  stream_smoke.py [num_workers >= 1] [num_events >= 20]   (default 2, 24)
 
 Builds a tiny store, spawns a worker fleet under a `WorkerSupervisor`
 behind a `FleetGateway`, generates a seeded delay stream
@@ -19,11 +19,13 @@ bars:
 3. the gateway counted every swap in `/metrics`, and a query through
    it carries `X-Generation` equal to the number of committed batches.
 
-Exits 0 only if every bar holds.
+Exits 0 only if every bar holds; a bad argument exits 2 with the usage
+line before anything is prepared.
 """
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import http.client
 import json
@@ -55,12 +57,39 @@ def get_json(port: int, path: str) -> dict:
         conn.close()
 
 
-def main() -> int:
-    num_workers = int(sys.argv[1]) if len(sys.argv) > 1 else 2
-    num_events = int(sys.argv[2]) if len(sys.argv) > 2 else 24
-    assert num_events >= MIN_COMMITS, (
-        f"the smoke must stream at least {MIN_COMMITS} commits"
+def at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="stream_smoke.py",
+        usage=(
+            f"%(prog)s [num_workers >= 1] [num_events >= {MIN_COMMITS}]"
+            "   (default 2, 24)"
+        ),
+        description="A live delay stream against a real worker fleet.",
     )
+    parser.add_argument("num_workers", nargs="?", type=at_least(1), default=2)
+    # Every event is one committed batch; the bar is 20+ commits.
+    parser.add_argument(
+        "num_events", nargs="?", type=at_least(MIN_COMMITS), default=24
+    )
+    return parser.parse_args(argv)
+
+
+def main() -> int:
+    args = parse_args(sys.argv[1:])
+    num_workers, num_events = args.num_workers, args.num_events
     tmp = Path(tempfile.mkdtemp(prefix="stream-smoke-"))
     timetable = make_instance("oahu", "tiny")
     store = tmp / "oahu"

@@ -257,6 +257,8 @@ def run_table2(
             graph,
             table,
             num_threads=num_cores,
+            # Theorem 3 is the reference kernel's rule only.
+            table_pruning=kernel == "python",
             kernel=kernel,
             arrays=prepared.arrays,
             station_graph=prepared.station_graph,

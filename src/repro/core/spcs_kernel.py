@@ -4,10 +4,10 @@ A one-to-all run is the same algorithm as
 :func:`repro.core.spcs.spcs_profile_search` — one queue item per
 (node, connection) pair, connection-setting, self-pruning — settling
 the same pairs.  A *targeted* run (``target=``: the stopping criterion
-and the §4 distance-table rules) returns the same reduced profile at
-the target from fewer settles in a different pop order: it is
-goal-directed.  The queue is keyed by arrival + ``π_T(node)``, a
-consistent lower bound on what is left of the way
+and §4's target pruning) returns the same reduced profile at the target
+from fewer settles in a different pop order: it is goal-directed.  The
+queue is keyed by arrival + ``π_T(node)``, a consistent lower bound on
+what is left of the way
 (:meth:`~repro.graph.td_arrays.TDGraphArrays.lower_bounds_to`), and
 Theorem 4 is read per queue item so that it survives that order
 (``docs/KERNEL.md``, "Goal direction").  Both are engineered for
@@ -27,25 +27,29 @@ interpreter throughput instead of readability:
   heap over ``(key, -item)`` — ``tests/core/test_kernel_pop_order.py``
   pins the work of runs recorded with one;
 * one ``targeted`` flag keeps a one-to-all run (no target, no table)
-  off the stopping criterion, goal direction and the §4 rules, at pop
-  and at push;
+  off the stopping criterion, goal direction and Theorem 4, at pop and
+  at push;
 * travel-time evaluation is one index: the mirror holds each function
   as its least wait plus ride from every minute of the period
   (:func:`~repro.graph.td_arrays.travel_time_rows`), so a route edge
   relaxes to ``key + row[key % period]``, FIFO or overtaking;
-* Theorems 3 and 4 are inlined too.  The reference kernel asks a
+* Theorem 4 is inlined too.  The reference kernel asks a
   :class:`~repro.core.spcs.SettlePruner` hook once per settle; this
   loop reads the *same* per-query state object
   (:class:`~repro.query.table_query.DistanceTablePruner`) as flat data
   and evaluates a table profile as one index too, ``day + row[τ]`` on
-  its per-minute row (:meth:`~repro.functions.algebra.Profile.row`),
-  so a search makes no Python call per settle.  It updates
-  the bounds only at settles that can lower one — where the station
-  node holds no label yet as early as the settle's arrival — and runs
-  just the tests elsewhere (the argument is at the loop's §4 block).
-  The hook is the readable statement of the paper's rules and, with
-  the reference kernel, the oracle for this loop's answers
-  (``tests/query/test_table_kernel_equivalence.py``).
+  the pair's per-minute row
+  (:meth:`~repro.query.distance_table.DistanceTable.row`), so a search
+  makes no Python call per settle.  It updates the bounds only at
+  settles that can lower one — where the station node holds no label
+  yet as early as the settle's arrival — and runs just the test
+  elsewhere (the argument is at the loop's Theorem 4 block).  The hook
+  is the readable statement of the paper's rules and, with the
+  reference kernel, the oracle for this loop's answers
+  (``tests/query/test_table_kernel_equivalence.py``).  Theorem 3 (the
+  µ bounds through the target's via stations) is the hook's alone: it
+  cut this loop's settles by a sixth and saved no time, so no served
+  search runs it, and a pruner that carries via stations is refused.
 
 Equivalence contract: for every input the kernel produces the same
 reduced profiles (and therefore the same earliest arrivals) as the
@@ -143,10 +147,17 @@ def spcs_kernel_search(
     runs) does not pass it.  Only ``labels[target]`` is meaningful
     after a targeted run.  ``table`` is the query's distance-table
     state (:class:`~repro.query.table_query.DistanceTablePruner`): the
-    loop reads its fields and applies Theorems 3 and 4 itself, it never
-    calls ``on_settle``.  Several runs over disjoint subsets may share
-    one state — µ, γ and the final arrivals are per connection.
+    loop reads its fields and applies Theorem 4 itself, it never calls
+    ``on_settle``; a state with via stations (Theorem 3, the reference
+    kernel's rule) is a ``ValueError``.  Several runs over disjoint
+    subsets may share one state — γ and the final arrivals are per
+    connection.
     """
+    if table is not None and table.via:
+        raise ValueError(
+            "the flat kernel runs Theorem 4 only; a pruner with via "
+            "stations (Theorem 3) is the reference kernel's"
+        )
     if not arrays.is_station_node(source):
         raise ValueError(f"source must be a station node, got {source}")
     if target is not None and not arrays.is_station_node(target):
@@ -218,10 +229,6 @@ def spcs_kernel_search(
     goal = target is not None
     if goal and potential is None:
         potential = arrays.lower_bounds_to(target)
-    # Everything a one-to-all run skips: the stopping criterion, goal
-    # direction and the §4 rules, at pop and at push.
-    targeted = goal or table is not None
-
     # The queue is a bucket per whole-minute key (Dial, CACM 1969):
     # ``buckets`` maps a pending key to its items, ``keys`` is a heap of
     # the distinct pending keys — a key is pushed there once, when its
@@ -253,43 +260,38 @@ def spcs_kernel_search(
             else:
                 bucket.append(item)
 
-    pruned_self = pruned_stop = pruned_table = stale = relaxed = 0
+    pruned_self = pruned_stop = stale = relaxed = 0
 
     # Stopping criterion state (Theorem 2), as in the reference.
     t_max = -1
 
-    # §4 state.  Theorem 4 is read per queue item, which is what it
-    # takes to survive goal direction: the paper stops connection i once
-    # its bounds meet *and every* queue item has a contributing transfer
-    # station behind it, but a goal-directed queue holds the items that
-    # lead away from the target back to the very end, so that condition
-    # starves.  Per item: one with such an ancestor reaches T no sooner
-    # than γ_i, and any item no sooner than arrival + π_T(node); it is
-    # dropped once that is no better than ``upper_of``, the earliest
-    # arrival at T a settled transfer station has offered connection i
-    # through the table (the query folds it into the answer).  With no
+    # Theorem 4, read per queue item, which is what it takes to survive
+    # goal direction: the paper stops connection i once its bounds meet
+    # *and every* queue item has a contributing transfer station behind
+    # it, but a goal-directed queue holds the items that lead away from
+    # the target back to the very end, so that condition starves.  Per
+    # item: one with such an ancestor reaches T no sooner than γ_i, and
+    # any item no sooner than arrival + π_T(node); it is dropped once
+    # that is no better than ``upper_of``, the earliest arrival at T a
+    # settled transfer station has offered connection i through the
+    # table (the query folds it into the answer).  With no
     # ancestor-less item left both readings drop the same items.
-    prune_via = stop_at_target = False
-    if table is not None:
+    stop_at_target = table is not None and table.target_pruning
+    if stop_at_target:
         contributes = table.contributes
         node_station = table.node_station
         transfer_time = table.transfer_time
-        via_rows = table.via_rows
-        via_transfer = table.via_transfer
         target_rows = table.target_rows
-        mu_of = table.mu
         gamma_of = table.gamma
         final_arrivals = table.final_arrivals
         table_target = table.target
-        num_via = len(table.via)
-        prune_via = num_via > 0
-        stop_at_target = table.target_pruning
-        mu_updates = stops = 0
-    if stop_at_target:
         anc = bytearray(size)
         upper_of = [INF] * num_local
         if potential is None:
             potential = [0] * num_nodes
+    # Everything a one-to-all run skips: the stopping criterion, goal
+    # direction and Theorem 4, at pop and at push.
+    targeted = goal or stop_at_target
 
     while keys:
         current = heappop(keys)
@@ -338,32 +340,27 @@ def spcs_kernel_search(
                 if node == target and g > t_max:
                     t_max = g
 
-                if table is not None and contributes[node]:
-                    # A settle at a transfer station other than the
-                    # source: the rules of ``DistanceTablePruner.
-                    # on_settle``, in its order, each evaluation of a
-                    # table profile one index into its per-minute row,
-                    # ``day + row[τ]`` (an empty row: unreachable) —
-                    # its updates only where they can lower a bound.
-                    # Only alighting edges lead into a station node,
-                    # each from a route node of the same station; a
-                    # route node relaxes its edges only after this
-                    # whole block ran at its own arrival; and
-                    # D(station, ·, τ) does not decrease as τ grows.  So
-                    # once the station node holds a label no later than
-                    # ``key`` — always so when it is the node settling —
-                    # γ_i, U_i and every µ_{i,j} are already at most
-                    # what this settle would offer, and only the tests
-                    # are left to run.
-                    station = node_station[node]
-                    updates = labels[station * num_local + k] > key
-                    key_tau = key % period
-                    key_day = key - key_tau
-
-                    if stop_at_target:
-                        # Theorem 4: γ_i, a lower bound on the arrival
-                        # at T ...
-                        if updates:
+                if stop_at_target:
+                    if contributes[node]:
+                        # A settle at a transfer station other than the
+                        # source: Theorem 4 as ``DistanceTablePruner.
+                        # on_settle`` states it, each evaluation of a
+                        # table profile one index into its per-minute
+                        # row, ``day + row[τ]`` (an empty row:
+                        # unreachable) — its updates only where they can
+                        # lower a bound.  Only alighting edges lead into
+                        # a station node, each from a route node of the
+                        # same station; a route node relaxes its edges
+                        # only after this whole block ran at its own
+                        # arrival; and D(station, T, τ) does not
+                        # decrease as τ grows.  So once the station node
+                        # holds a label no later than ``key`` — always
+                        # so when it is the node settling — γ_i and U_i
+                        # are already at most what this settle would
+                        # offer, and only the test is left to run.
+                        station = node_station[node]
+                        if labels[station * num_local + k] > key:
+                            # γ_i, a lower bound on the arrival at T ...
                             if station == table_target:
                                 lower = upper = key
                             else:
@@ -371,7 +368,8 @@ def spcs_kernel_search(
                                 if row is None:
                                     row = table.target_row(station)
                                 if row:
-                                    lower = key_day + row[key_tau]
+                                    tau = key % period
+                                    lower = key - tau + row[tau]
                                     ready = key + transfer_time[station]
                                     tau = ready % period
                                     upper = ready - tau + row[tau]
@@ -387,51 +385,9 @@ def spcs_kernel_search(
                         upper = upper_of[k]
                         if upper <= gamma_of[g] and upper < INF:
                             continue
-
-                    if prune_via:
-                        # Theorem 3: lower µ_{i,j} from this settle ...
-                        vias = via_rows[station] or table.via_row(station)
-                        mu = mu_of[g]
-                        if updates:
-                            if mu is None:
-                                mu = mu_of[g] = [INF] * num_via
-                            ready = key + transfer_time[station]
-                            ready_tau = ready % period
-                            ready_day = ready - ready_tau
-                            j = 0
-                            for row in vias:
-                                if row:
-                                    candidate = (
-                                        ready_day + row[ready_tau] + via_transfer[j]
-                                    )
-                                elif row is None:  # this station is via j
-                                    candidate = key + via_transfer[j]
-                                else:  # via j unreachable from here
-                                    candidate = INF
-                                if candidate < mu[j]:
-                                    mu[j] = candidate
-                                    mu_updates += 1
-                                j += 1
-                        # ... and prune the node unless it can still
-                        # matter at some via j: one evaluation per via
-                        # station, up to the first that keeps it.
-                        j = 0
-                        for row in vias:
-                            if row:
-                                lower = key_day + row[key_tau]
-                            elif row is None:
-                                lower = key
-                            else:
-                                lower = INF
-                            if lower <= mu[j]:
-                                break
-                            j += 1
-                        else:
-                            pruned_table += 1
-                            continue
-
-                if stop_at_target:
-                    push_anc = 1 if (anc[item] or contributes[node]) else 0
+                        push_anc = 1
+                    else:
+                        push_anc = anc[item]
 
             edges = adjacency[node]
             relaxed += len(edges)
@@ -467,17 +423,14 @@ def spcs_kernel_search(
     stats.queue_pushes = stats.settled_connections + stale
     stats.pruned_self = pruned_self
     stats.pruned_stopping = pruned_stop
-    stats.pruned_table = pruned_table
     stats.relaxed_edges = relaxed
     if stop_at_target:
+        stops = 0
         for g, upper in zip(subset, upper_of):
             if upper < INF:
                 if upper < final_arrivals.get(g, INF):
                     final_arrivals[g] = upper
                 if upper <= gamma_of[g]:
                     stops += 1  # connection g ended with its bounds met
-    if table is not None:
-        table.prunes += pruned_table
         table.connection_stops += stops
-        table.mu_updates += mu_updates
     return result

@@ -6,24 +6,29 @@ Combines, per query:
 * **distance-table pruning** (Theorem 3) for *global* queries: per
   (connection, via-station) upper bounds ``µ_{i,j}`` maintained at
   transfer-station settles, pruning nodes that provably cannot improve
-  the arrival at any via station of the target;
+  the arrival at any via station of the target — the reference
+  kernel's rule only;
 * **target pruning** (Theorem 4) when the target is itself a transfer
   station: per-connection lower bounds ``γ_i``, valid once every queue
   item has a transfer-station ancestor, stopping a connection's search
   outright when upper and lower bounds meet;
 * the ``S, T ∈ S_trans`` **shortcut**: answer straight from the table.
 
-The parallel setup mirrors §3.2: threads own disjoint connection
-subsets, and since all pruning state (``µ_{i,j}``, ``γ_i``, ``Tm``) is
-indexed per connection, sequentially sharing one pruner across thread
-runs is behaviourally identical to per-thread state.
+The §3.2 partition splits ``conn(S)`` into subsets that one query runs
+one after another, and since all pruning state (``µ_{i,j}``, ``γ_i``,
+the final arrivals) is indexed per connection, sharing one pruner
+across the subsets' runs is behaviourally identical to per-subset
+state.
 
 One :class:`DistanceTablePruner` per query holds that state.  The
 reference kernel consults it through the settle-hook protocol of
 :mod:`repro.core.spcs`; the flat kernel reads the same object as flat
-data and applies the rules inside its loop (``docs/KERNEL.md``).  A
-query keeps one row of labels — the target's — per subset, never the
-``nodes × connections`` matrix.
+data and applies Theorem 4 inside its loop (``docs/KERNEL.md``).  The
+flat kernel runs no Theorem 3: it cut settles and saved no time, so a
+flat engine with ``table_pruning`` and a table is refused, and the
+facade's engine runs Theorem 4 alone.  A query keeps one row of
+labels — the target's — per subset, never the ``nodes × connections``
+matrix.
 
 With the stopping criterion on, the flat kernel's search is also
 *goal-directed*: the engine computes one vector of lower bounds to the
@@ -72,15 +77,14 @@ class DistanceTablePruner:
     (:func:`~repro.core.spcs.spcs_profile_search`) calls
     :meth:`on_settle` once per live settle and acts on the verdict; the
     flat kernel (:func:`~repro.core.spcs_kernel.spcs_kernel_search`)
-    applies the rules inside its loop, reading the public fields below
-    directly — Theorem 3 as written here, Theorem 4 per queue item so
-    that it survives goal direction (``docs/KERNEL.md``).
+    applies Theorem 4 inside its loop, per queue item so that it
+    survives goal direction (``docs/KERNEL.md``), reading the public
+    fields below directly — and refuses a state with via stations.
     ``on_settle`` is therefore both the readable statement of the
     paper's rules and, with the reference kernel, the oracle the flat
     loop's answers are tested against — it evaluates ``D`` through the
     table, the loop by indexing the per-minute rows
-    (:meth:`DistanceTable.row`) :meth:`via_row` / :meth:`target_row`
-    hand it.
+    (:meth:`DistanceTable.row`) :meth:`target_row` hands it.
 
     ``num_connections`` (``|conn(source)|``), ``transfer_time``,
     ``contributes`` and ``node_station`` are what the engine already
@@ -140,13 +144,9 @@ class DistanceTablePruner:
         #: it stops connection i, the flat loop the best any settled
         #: transfer station offered i.  The query folds them in.
         self.final_arrivals: dict[int, int] = {}
-        #: Per station, filled on first settle there: the profiles to
-        #: the via stations / to the target as per-minute rows.
-        num_stations = len(self.transfer_time)
-        self.via_rows: list[list[array | None] | None] = [None] * num_stations
-        self.target_rows: list[array | None] = [None] * num_stations
-        #: ``T(via)`` per via station, in ``via`` order.
-        self.via_transfer = [self.transfer_time[via] for via in via_stations]
+        #: Per station, filled on first settle there: the profile to the
+        #: target as a per-minute row.
+        self.target_rows: list[array | None] = [None] * len(self.transfer_time)
         #: Diagnostics.
         self.mu_updates = 0
         self.prunes = 0
@@ -164,15 +164,6 @@ class DistanceTablePruner:
         mask[self._table.transfer_stations] = True
         mask[self.source] = False
         return mask
-
-    def via_row(self, station: int) -> list[array | None]:
-        """Per via station, the per-minute row of ``D(station, via, ·)``
-        (:meth:`DistanceTable.row`) — None where ``station`` is the via
-        station itself."""
-        table = self._table
-        row = [None if station == via else table.row(station, via) for via in self.via]
-        self.via_rows[station] = row
-        return row
 
     def target_row(self, station: int) -> array:
         """The per-minute row of ``D(station, target, ·)``."""
@@ -259,7 +250,7 @@ class StationToStationResult:
     total_time: float
     table_prunes: int = 0
     connection_stops: int = 0
-    #: µ_{i,j} bounds lowered (Theorem 3): the §4 block's update work.
+    #: µ_{i,j} bounds lowered (Theorem 3, the reference kernel's hook).
     mu_updates: int = 0
 
     @property
@@ -282,7 +273,10 @@ class StationToStationEngine:
     through its settle hook, the flat kernel inline; ``stopping``
     gives either kernel its target, which on the flat kernel also
     makes the search goal-directed (fewer settled connections, the
-    same profile).  ``queue`` is accepted for callers that still name
+    same profile).  ``table_pruning`` (Theorem 3) is the reference
+    kernel's: a flat engine with a table must be given
+    ``table_pruning=False``, and then classifies every searched query
+    ``"local"``.  ``queue`` is accepted for callers that still name
     one, and must be ``"binary"`` on either kernel.
 
     The flat kernel reads the stations, the period, ``st(u)`` and
@@ -328,6 +322,12 @@ class StationToStationEngine:
         self.strategy = strategy
         self.stopping = stopping
         self.table_pruning = table_pruning and table is not None
+        if self.table_pruning and kernel == "flat":
+            raise ValueError(
+                "the flat kernel runs no Theorem 3: pass "
+                "table_pruning=False, or kernel='python' for the "
+                "reference rule"
+            )
         self.target_pruning = target_pruning and table is not None
         self.kernel = kernel
         # Shared prepared artifacts (the service facade injects both so

@@ -9,9 +9,13 @@ configuration: a service searches on the calling thread until whoever
 runs it gives it search workers
 (:meth:`~repro.service.TransitService.start_workers`).  Nor is the
 algorithm: a service always runs the flat kernel (``docs/KERNEL.md``)
-and the paper's full search — the §3.2 equal-connections partition,
-self-pruning, the stopping criterion and both distance-table rules.
-Their ablation switches are arguments of the engines
+and the paper's search — the §3.2 equal-connections partition,
+self-pruning, the stopping criterion and, with a table, target pruning
+(Theorem 4).  Theorem 3's via-station bounds are the reference kernel's
+alone: on the flat kernel they cut settles and saved no time, so a
+served journey is never classified ``global`` and prunes no node
+(``table_prunes`` is 0).  The ablation switches are arguments of the
+engines
 (:class:`~repro.query.table_query.StationToStationEngine`,
 :func:`~repro.core.parallel.parallel_profile_search`), not fields.
 
@@ -73,14 +77,16 @@ class ServiceConfig:
     (``stopping``, ``table_pruning``, ``target_pruning``,
     ``self_pruning``) are read-only class constants for callers that
     still read them off a config, not fields: ``ServiceConfig(kernel=…)``
-    is a ``TypeError``.
+    is a ``TypeError``.  ``table_pruning`` is ``False``: the served
+    engine runs Theorem 4 and no Theorem 3, whose rule stays the
+    reference kernel's.
     """
 
     kernel: ClassVar[str] = SERVED_KERNEL
     queue: ClassVar[str] = "binary"
     strategy: ClassVar[str] = "equal-connections"
     stopping: ClassVar[bool] = True
-    table_pruning: ClassVar[bool] = True
+    table_pruning: ClassVar[bool] = False
     target_pruning: ClassVar[bool] = True
     self_pruning: ClassVar[bool] = True
 

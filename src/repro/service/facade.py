@@ -181,11 +181,13 @@ class TransitService:
         # The one station-to-station engine every journey (single or
         # batched) goes through; construction is cheap because all
         # artifacts are injected, and it searches the pack alone, so
-        # it is given no object graph.
+        # it is given no object graph.  Of the table rules it runs
+        # Theorem 4; Theorem 3 is the reference kernel's.
         self._engine = StationToStationEngine(
             None,
             prepared.table,
             num_threads=cfg.num_threads,
+            table_pruning=cfg.table_pruning,
             kernel="flat",
             arrays=prepared.arrays,
             station_graph=prepared.station_graph,

@@ -2,7 +2,13 @@
 
 Usage (from the repo root)::
 
-    PYTHONPATH=src python tests/fixtures/regen_kernel_stats.py
+    PYTHONPATH=src python tests/fixtures/regen_kernel_stats.py [--rerun]
+
+``--rerun`` keeps the fixture's timetables and runs and records again
+what each run does; without it the timetables are drawn anew.  The
+draws follow the installed Hypothesis, so a fresh draw need not
+reproduce the committed timetables: to re-record a kernel change,
+rerun.
 
 Writes ``kernel_stats_adversarial.json`` next to this script: seeded
 draws of :func:`tests.strategies.adversarial_timetables` (each stored
@@ -17,9 +23,10 @@ run:
 * ``targeted`` — every source to two targets, no table (goal direction
   and the stopping criterion);
 * ``table`` — every station outside ``S_trans`` (the even stations) to
-  every other station, with the pruner the engine would build: the
-  target's via stations (Theorem 3) on a global query, and Theorem 4
-  whenever the target is a transfer station.
+  every station the reference engine classifies global, or local with
+  a transfer-station target, with a pruner and no via stations: the
+  flat kernel runs Theorem 4 (whenever the target is a transfer
+  station) and no Theorem 3, which is the reference kernel's alone.
 
 Each run records every :class:`~repro.core.spcs.SPCSStats` field, a
 digest of the raw label matrix and, for ``table`` runs, the pruner's
@@ -55,7 +62,7 @@ from repro.query.table_query import (  # noqa: E402
     DistanceTablePruner,
     StationToStationEngine,
 )
-from repro.timetable.io import timetable_to_dict  # noqa: E402
+from repro.timetable.io import timetable_from_dict, timetable_to_dict  # noqa: E402
 
 from tests.strategies import adversarial_timetables  # noqa: E402
 
@@ -85,17 +92,16 @@ def draw_timetables() -> list:
 
 
 def prepare(timetable) -> tuple:
-    """Graph, pack, distance table over ``S_trans`` (the even stations)
-    and engine of one timetable: what every recorded run reads."""
+    """Graph, pack and distance table over ``S_trans`` (the even
+    stations) of one timetable: what every recorded run reads."""
     graph = build_td_graph(timetable)
     arrays = pack_td_graph(graph)
     transfer = list(range(0, graph.num_stations, 2))
     table = build_distance_table(arrays, transfer)
-    engine = StationToStationEngine(graph, table, kernel="flat", arrays=arrays)
-    return graph, arrays, table, engine
+    return graph, arrays, table
 
 
-def observe(run: dict, graph, arrays, table, engine) -> dict:
+def observe(run: dict, graph, arrays, table) -> dict:
     """What the kernel does on one run (see module docstring)."""
     source = run["source"]
     pruner = None
@@ -112,13 +118,7 @@ def observe(run: dict, graph, arrays, table, engine) -> dict:
         result = spcs_kernel_search(arrays, source, target=run["target"])
     else:
         target = run["target"]
-        classification, via_info = engine.classify(source, target)
-        via = (
-            tuple(sorted(via_info.via_stations))
-            if classification == "global"
-            else ()
-        )
-        pruner = DistanceTablePruner(graph, table, source, target, via)
+        pruner = DistanceTablePruner(graph, table, source, target, ())
         result = spcs_kernel_search(arrays, source, target=target, table=pruner)
     out = {
         "stats": [getattr(result.stats, name) for name in STATS_FIELDS],
@@ -134,7 +134,8 @@ def observe(run: dict, graph, arrays, table, engine) -> dict:
 
 def runs_of(timetable) -> list[dict]:
     """Every recorded run of one timetable, with what it did."""
-    prepared = graph, _, table, engine = prepare(timetable)
+    prepared = graph, _, table = prepare(timetable)
+    reference = StationToStationEngine(graph, table)
     n = graph.num_stations
     runs = []
     for source in range(n):
@@ -148,14 +149,14 @@ def runs_of(timetable) -> list[dict]:
             for target in ((source + 1) % n, (source + n // 2) % n)
             if target != source
         ]
-    # The runs the engine makes with a pruner: a global query (via
-    # stations, and Theorem 4 at a transfer-station target) or a local
-    # one to a transfer station (Theorem 4 alone).
+    # The queries the reference engine runs with a pruner: a global one
+    # (via stations, and Theorem 4 at a transfer-station target) or a
+    # local one to a transfer station (Theorem 4 alone).
     for source in range(n):
         if table.contains(source):
             continue
         for target in range(n):
-            classification, _ = engine.classify(source, target)
+            classification, _ = reference.classify(source, target)
             if classification == "global" or (
                 classification == "local" and table.contains(target)
             ):
@@ -163,11 +164,31 @@ def runs_of(timetable) -> list[dict]:
     return [{**run, **observe(run, *prepared)} for run in runs]
 
 
+def rerun_cases() -> list[dict]:
+    """The fixture's timetables and runs, each run observed again."""
+    cases = json.loads(FIXTURE.read_text())["cases"]
+    for case in cases:
+        prepared = prepare(timetable_from_dict(case["timetable"]))
+        case["runs"] = [
+            {
+                key: run[key]
+                for key in ("kind", "source", "start", "target")
+                if key in run
+            }
+            | observe(run, *prepared)
+            for run in case["runs"]
+        ]
+    return cases
+
+
 def main() -> int:
-    cases = [
-        {"timetable": timetable_to_dict(timetable), "runs": runs_of(timetable)}
-        for timetable in draw_timetables()
-    ]
+    if sys.argv[1:] == ["--rerun"]:
+        cases = rerun_cases()
+    else:
+        cases = [
+            {"timetable": timetable_to_dict(timetable), "runs": runs_of(timetable)}
+            for timetable in draw_timetables()
+        ]
     FIXTURE.write_text(
         json.dumps(
             {"stats_fields": STATS_FIELDS, "cases": cases},

@@ -1,8 +1,9 @@
 """Oracle-equivalence harness for the table-pruned search (paper §4).
 
-The flat kernel applies Theorems 2–4 inside its loop; the reference
-kernel asks :class:`~repro.query.table_query.DistanceTablePruner`'s
-settle hook.  Whatever is switched on, on whichever kernel, over
+The flat kernel applies Theorems 2 and 4 inside its loop; the
+reference kernel asks :class:`~repro.query.table_query.
+DistanceTablePruner`'s settle hook, Theorem 3 included, which is the
+hook's alone.  Whatever is switched on, on whichever kernel, over
 however many connection subsets, a station-to-station answer must be
 the reduced profile an unpruned one-to-all search reads off at the
 target — and that of the label-correcting baseline, which shares
@@ -35,17 +36,19 @@ from hypothesis import strategies as st
 from repro.baselines.label_correcting import label_correcting_profile
 from repro.functions.piecewise import INF_TIME
 from repro.core.spcs import spcs_profile_search
+from repro.core.spcs_kernel import spcs_kernel_search
 from repro.graph.td_arrays import pack_td_graph, packed_arrays
 from repro.graph.td_model import build_td_graph
 from repro.query.distance_table import build_distance_table
-from repro.query.table_query import StationToStationEngine
+from repro.query.table_query import DistanceTablePruner, StationToStationEngine
 from repro.query.transfer_selection import select_transfer_stations
 from repro.synthetic.instances import INSTANCE_NAMES, make_instance
 from repro.timetable.builder import TimetableBuilder
 
 from tests.strategies import adversarial_timetables
 
-#: stopping × table_pruning × target_pruning.
+#: stopping × table_pruning × target_pruning; ``table_pruning`` on the
+#: reference kernel only, which alone runs Theorem 3.
 TOGGLES = list(product([True, False], repeat=3))
 
 
@@ -87,6 +90,8 @@ class TestGeneratedTimetables:
         for kernel, threads, (stopping, table_pruning, target_pruning) in (
             product(("flat", "python"), (1, 3), TOGGLES)
         ):
+            if kernel == "flat" and table_pruning:
+                continue
             engine = StationToStationEngine(
                 graph,
                 table,
@@ -116,8 +121,8 @@ class TestGeneratedTimetables:
 # ---------------------------------------------------------------------------
 #
 # At a settle of connection i at transfer station S, the flat loop lowers
-# γ_i, U_i and µ_{i,·} only if S's station node holds no label no later
-# than the settle's arrival (``docs/KERNEL.md``, "Where the §4 rules
+# γ_i and U_i only if S's station node holds no label no later than the
+# settle's arrival (``docs/KERNEL.md``, "Where the §4 rules
 # sit").  That is exact because of the two facts below: such a label
 # was relaxed from a route node of S that had been through the whole
 # update block at an arrival no later, and what the block reads of the
@@ -191,9 +196,9 @@ def test_a_table_profile_never_arrives_earlier_for_leaving_later(
 
 
 def test_an_unreachable_via_station_keeps_the_node():
-    """Theorem 3 reads an empty table profile as ``INF_TIME``: a node at
-    a transfer station that cannot reach via j is kept while µ_{i,j} is
-    still ``INF_TIME`` (``INF ≤ INF``), as the settle hook keeps it.
+    """Theorem 3 reads an empty table profile as ``INF_TIME``: the
+    settle hook keeps a node at a transfer station that cannot reach
+    via j while µ_{i,j} is still ``INF_TIME`` (``INF ≤ INF``).
 
     S reaches the transfer station X, a dead end, and — on another
     train — T through its one via station V, so ``D(X, V, ·)`` is
@@ -210,72 +215,91 @@ def test_an_unreachable_via_station_keeps_the_node():
     arrays = pack_td_graph(graph)
     table = build_distance_table(arrays, [x, v])
     assert table.profile_between(x, v).row() == array("B")
-    for kernel in ("flat", "python"):
-        engine = StationToStationEngine(
-            graph, table, num_threads=1, stopping=False, kernel=kernel,
-            arrays=arrays,
-        )
-        assert engine.classify(s, t)[0] == "global"
-        result = engine.query(s, t)
-        assert result.table_prunes == 0, kernel
-        assert result.profile == spcs_profile_search(graph, s).profile(t)
+    engine = StationToStationEngine(
+        graph, table, num_threads=1, stopping=False, kernel="python"
+    )
+    assert engine.classify(s, t)[0] == "global"
+    result = engine.query(s, t)
+    assert result.table_prunes == 0
+    assert result.profile == spcs_profile_search(graph, s).profile(t)
+
+
+def test_the_flat_kernel_refuses_a_pruner_with_via_stations():
+    """The flat loop has no Theorem 3: a pruner that carries via
+    stations is refused rather than searched without its rule.  The
+    same pruner drives the reference kernel's hook, and one without
+    via stations (Theorem 4) the flat loop."""
+    builder = TimetableBuilder(name="via")
+    s, v, t = (builder.add_station(n, transfer_time=2) for n in "SVT")
+    builder.add_trip([(s, 500), (v, 510), (t, 520)], name="s-v-t")
+    graph = build_td_graph(builder.build())
+    arrays = pack_td_graph(graph)
+    table = build_distance_table(arrays, [v])
+    with_via = DistanceTablePruner(graph, table, s, t, (v,))
+    with pytest.raises(ValueError, match="via stations"):
+        spcs_kernel_search(arrays, s, target=t, table=with_via)
+    truth = spcs_profile_search(graph, s).profile(t)
+    hooked = spcs_profile_search(graph, s, target=t, pruner=with_via)
+    assert hooked.profile(t) == truth
+    theorem_4 = DistanceTablePruner(graph, table, s, t, ())
+    flat = spcs_kernel_search(arrays, s, target=t, table=theorem_4)
+    assert flat.profile(t) == truth
 
 
 # ---------------------------------------------------------------------------
-# Less work: counts recorded before and after goal direction
+# Less work: counts recorded beside the reference kernel's
 # ---------------------------------------------------------------------------
 
-#: ``(source, target): (settled_connections, table_prunes,
-#: connection_stops, mu_updates, settled_before)`` of global queries on
-#: the flat kernel, contraction-selected ``S_trans`` at fraction 0.2,
-#: per ``num_threads``.  The first four are what the goal-directed loop
-#: does — ``mu_updates`` the µ_{i,j} bounds the §4 block lowered, so
-#: the pin covers its update work as well as its prunes;
-#: ``settled_before`` is what the same loop settled in plain
-#: arrival order (commit 1fd0bb0, equal to the hook-driven kernel of
-#: f20665f), kept so that the pin states a direction: goal direction
-#: never costs a recorded query work.  ``table_prunes`` fall with it —
-#: they count rule firings, and fewer items reach a transfer station.
+#: ``(source, target): (settled_connections, connection_stops,
+#: settled_plain)`` of queries the reference kernel classifies global,
+#: on the flat kernel, contraction-selected ``S_trans`` at fraction
+#: 0.2, per ``num_threads``.  The first two are what the goal-directed
+#: loop does with Theorem 4 (at a transfer-station target) and no
+#: Theorem 3, which is the hook's alone — so it prunes no node and
+#: lowers no µ bound; ``settled_plain`` is what the reference kernel
+#: settles with the same rules in plain arrival order, kept so that the
+#: pin states a direction: goal direction never costs a recorded query
+#: work.
 RECORDED = {
     ("oahu", 1): {
-        (3, 11): (5474, 24, 0, 589, 8798),
-        (20, 40): (19388, 167, 0, 658, 24802),
-        (37, 21): (631, 0, 98, 0, 1792),
-        (6, 2): (4520, 135, 0, 381, 9700),
-        (23, 31): (2838, 2, 0, 378, 4074),
-        (40, 12): (1810, 0, 69, 52, 4156),
-        (9, 41): (10790, 501, 0, 141, 12628),
-        (26, 22): (1400, 0, 94, 105, 5235),
+        (3, 11): (5541, 0, 10215),
+        (20, 40): (20469, 0, 34788),
+        (37, 21): (631, 98, 1800),
+        (6, 2): (4739, 0, 12726),
+        (23, 31): (2852, 0, 6823),
+        (40, 12): (1810, 69, 4277),
+        (9, 41): (12471, 0, 21711),
+        (26, 22): (1400, 94, 5677),
     },
     ("oahu", 3): {
-        (3, 11): (5474, 24, 0, 589, 8810),
-        (20, 40): (19536, 170, 0, 658, 25082),
-        (37, 21): (645, 0, 100, 0, 1812),
-        (6, 2): (4568, 135, 0, 385, 9792),
-        (23, 31): (2838, 2, 0, 378, 4074),
-        (40, 12): (1817, 0, 70, 52, 4157),
-        (9, 41): (10846, 503, 0, 141, 12702),
-        (26, 22): (1400, 0, 94, 105, 5238),
+        (3, 11): (5541, 0, 10218),
+        (20, 40): (20621, 0, 35503),
+        (37, 21): (645, 100, 1821),
+        (6, 2): (4787, 0, 12897),
+        (23, 31): (2852, 0, 6821),
+        (40, 12): (1817, 70, 4288),
+        (9, 41): (12527, 0, 21637),
+        (26, 22): (1400, 94, 5640),
     },
     ("washington", 1): {
-        (3, 11): (12075, 678, 0, 115, 17019),
-        (20, 40): (7285, 345, 0, 101, 10280),
-        (37, 69): (5614, 3, 195, 106, 15220),
-        (54, 10): (18951, 1234, 0, 224, 20690),
-        (71, 39): (13271, 71, 0, 900, 28586),
-        (0, 68): (3774, 13, 0, 294, 7027),
-        (17, 9): (8453, 254, 0, 216, 12307),
-        (34, 38): (3120, 17, 214, 109, 9862),
+        (3, 11): (14368, 0, 33274),
+        (20, 40): (7584, 0, 12873),
+        (37, 69): (5622, 195, 26043),
+        (54, 10): (24104, 0, 38724),
+        (71, 39): (13307, 0, 34570),
+        (0, 68): (3826, 0, 7434),
+        (17, 9): (11191, 0, 34031),
+        (34, 38): (3130, 214, 17675),
     },
     ("washington", 3): {
-        (3, 11): (12238, 684, 0, 116, 17368),
-        (20, 40): (7431, 355, 0, 102, 10536),
-        (37, 69): (5661, 3, 196, 108, 15328),
-        (54, 10): (18961, 1236, 0, 224, 20728),
-        (71, 39): (13326, 71, 0, 905, 28857),
-        (0, 68): (3787, 13, 0, 294, 7044),
-        (17, 9): (8585, 258, 0, 218, 12570),
-        (34, 38): (3121, 17, 216, 109, 9917),
+        (3, 11): (14534, 0, 33938),
+        (20, 40): (7736, 0, 13083),
+        (37, 69): (5669, 196, 25579),
+        (54, 10): (24122, 0, 38896),
+        (71, 39): (13362, 0, 35265),
+        (0, 68): (3839, 0, 7497),
+        (17, 9): (11350, 0, 34362),
+        (34, 38): (3131, 216, 17746),
     },
 }
 
@@ -291,40 +315,44 @@ def small_instance(request):
     return request.param, graph, arrays, table
 
 
+def _served_engine(graph, arrays, table, threads: int) -> StationToStationEngine:
+    return StationToStationEngine(
+        graph, table, num_threads=threads, table_pruning=False,
+        kernel="flat", arrays=arrays,
+    )
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_fused_loop_does_the_recorded_work(small_instance, threads):
     name, graph, arrays, table = small_instance
-    engine = StationToStationEngine(
-        graph, table, num_threads=threads, kernel="flat", arrays=arrays
-    )
-    for (source, target), (*counts, before) in RECORDED[name, threads].items():
+    engine = _served_engine(graph, arrays, table, threads)
+    reference = StationToStationEngine(graph, table, kernel="python")
+    for (source, target), (*counts, plain) in RECORDED[name, threads].items():
+        assert reference.classify(source, target)[0] == "global"
         result = engine.query(source, target)
-        assert result.classification == "global"
+        assert result.classification == "local"
+        assert (result.table_prunes, result.mu_updates) == (0, 0)
         assert [
-            result.settled_connections,
-            result.table_prunes,
-            result.connection_stops,
-            result.mu_updates,
+            result.settled_connections, result.connection_stops
         ] == counts, (name, threads, source, target)
-        assert result.settled_connections <= before, (
+        assert result.settled_connections <= plain, (
             name, threads, source, target,
         )
 
 
 def test_flat_query_calls_no_python_per_settle(small_instance):
-    """Every Python-level call a global flat query makes into
-    ``repro.query`` / ``repro.functions`` is per query or per
-    (transfer station, via station) first touched — a few dozen —
-    while it settles thousands of connections; the hook and the profile
-    evaluator it used to call once per settle are not called at all."""
+    """Every Python-level call a flat query makes into ``repro.query`` /
+    ``repro.functions`` is per query or per transfer station first
+    touched — a few dozen — while it settles thousands of connections;
+    the hook and the profile evaluator it used to call once per settle
+    are not called at all."""
     name, graph, arrays, table = small_instance
-    engine = StationToStationEngine(
-        graph, table, num_threads=1, kernel="flat", arrays=arrays
+    engine = _served_engine(graph, arrays, table, 1)
+    # The busiest recorded query that stops a connection: Theorem 4 ran.
+    (source, target), (settled, stops, _) = max(
+        RECORDED[name, 1].items(), key=lambda item: (item[1][1] > 0, item[1][0])
     )
-    (source, target), (settled, prunes, *_) = max(
-        RECORDED[name, 1].items(), key=lambda item: item[1][1]
-    )
-    _, via_info = engine.classify(source, target)
+    assert stops > 0
     engine.query(source, target)  # build the lazy profile rows
 
     calls: list[str] = []
@@ -341,8 +369,7 @@ def test_flat_query_calls_no_python_per_settle(small_instance):
     finally:
         sys.setprofile(None)
 
-    assert (result.settled_connections, result.table_prunes) == (settled, prunes)
+    assert (result.settled_connections, result.connection_stops) == (settled, stops)
     assert "on_settle" not in calls and "earliest_arrival" not in calls
-    per_touched_row = len(via_info.via_stations) + 3
-    assert len(calls) <= 40 + table.num_transfer_stations * per_touched_row
+    assert len(calls) <= 40 + table.num_transfer_stations * 3
     assert len(calls) * 10 < settled

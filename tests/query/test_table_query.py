@@ -189,6 +189,22 @@ class TestEngineConfiguration:
         assert not engine.table_pruning
         assert not engine.target_pruning
 
+    def test_the_flat_kernel_refuses_theorem_3(self, oahu_engines):
+        """Theorem 3 is the reference kernel's rule: a flat engine with
+        a table and ``table_pruning`` on is refused when constructed;
+        without either it runs, and classifies a searched query
+        ``local`` with no via stations computed."""
+        graph, table = oahu_engines["graph"], oahu_engines["table"]
+        with pytest.raises(ValueError, match="Theorem 3"):
+            StationToStationEngine(graph, table, kernel="flat")
+        assert not StationToStationEngine(graph, None, kernel="flat").table_pruning
+        engine = StationToStationEngine(
+            graph, table, table_pruning=False, kernel="flat"
+        )
+        assert engine.target_pruning
+        outside = [s for s in range(graph.num_stations) if not table.contains(s)]
+        assert engine.classify(outside[0], outside[-1]) == ("local", None)
+
     def test_classify_trivial(self, oahu_tiny_graph):
         engine = StationToStationEngine(oahu_tiny_graph, None)
         assert engine.classify(2, 2)[0] == "trivial"

@@ -103,8 +103,11 @@ def test_journey_matches_station_to_station_engine(
             oahu_tiny, method="contraction", fraction=0.3
         )
         table = build_distance_table(packed_arrays(oahu_tiny_graph), stations)
+    # Theorem 3 is the reference kernel's rule: a flat engine runs
+    # without it, as the facade's does.
     reference = StationToStationEngine(
-        oahu_tiny_graph, table, num_threads=2, kernel=kernel
+        oahu_tiny_graph, table, num_threads=2, kernel=kernel,
+        table_pruning=kernel == "python",
     )
     pairs = random_station_pairs(oahu_tiny, 8, seed=11) + [(3, 3)]
     for s, t in pairs:
@@ -117,6 +120,40 @@ def test_journey_matches_station_to_station_engine(
         assert_profiles_bitwise_equal(
             expected.profile, got.profile, f"{s}->{t}"
         )
+
+
+def test_a_global_journey_is_served_without_theorem_3(
+    oahu_tiny, oahu_tiny_graph
+):
+    """A pair the reference engine classifies global: the service runs
+    no Theorem 3 — it reports the query ``local``, prunes no node — and
+    answers with the very profile the reference engine finds with
+    Theorems 3 and 4 on, to a transfer-station target and to another."""
+    config = ServiceConfig(
+        num_threads=2, use_distance_table=True, transfer_fraction=0.3
+    )
+    service = TransitService(oahu_tiny, config)
+    table = service.prepared.table
+    reference = StationToStationEngine(
+        oahu_tiny_graph, table, num_threads=2, kernel="python"
+    )
+    assert reference.table_pruning and reference.target_pruning
+    pairs = [
+        (s, t)
+        for s, t in random_station_pairs(oahu_tiny, 40, seed=3)
+        if reference.classify(s, t)[0] == "global"
+    ]
+    targets_in_table = {table.contains(t) for _, t in pairs}
+    assert targets_in_table == {True, False}
+    pruned = 0
+    for s, t in pairs:
+        expected = reference.query(s, t)
+        pruned += expected.table_prunes
+        got = service.journey(s, t)
+        assert got.stats.classification == "local"
+        assert got.stats.table_prunes == 0
+        assert_profiles_bitwise_equal(expected.profile, got.profile, f"{s}->{t}")
+    assert pruned > 0  # Theorem 3 fired on the reference side
 
 
 def test_batch_accepts_raw_pairs(oahu_tiny):
@@ -442,15 +479,16 @@ def test_a_config_is_what_shapes_a_service():
 
 
 #: The read-only class constants of every config: the served kernel
-#: and its queue, and the paper's full algorithm — the §3.2 partition,
-#: the stopping criterion, Theorems 3 / 4 and self-pruning.  The
-#: ablation switches are the engines' arguments.
+#: and its queue, and the paper's algorithm as served — the §3.2
+#: partition, the stopping criterion, Theorem 4 and self-pruning, but
+#: no Theorem 3, the reference kernel's rule alone.  The ablation
+#: switches are the engines' arguments.
 CLASS_CONSTANTS = {
     "kernel": "flat",
     "queue": "binary",
     "strategy": "equal-connections",
     "stopping": True,
-    "table_pruning": True,
+    "table_pruning": False,
     "target_pruning": True,
     "self_pruning": True,
 }
