@@ -473,27 +473,6 @@ def swap_seeds(tmp: Path) -> None:
     print(f"200 seeds, {answers} answers, none from an older generation")
 
 
-def stream_replay(tmp: Path) -> None:
-    """The CLI surface of the delay-stream loop: generate a committed
-    scenario file, serve a store, replay the file against it."""
-    store, stream = str(tmp / "oahu"), str(tmp / "stream.json")
-    cli("prepare", *OAHU, "--store", store, "--transfer-fraction", "0.25")
-    cli(
-        "delay-stream", *OAHU, "--output", stream,
-        "--events", "5", "--duration", "1", "--stream-seed", "3",
-    )
-    with serving("serve", tmp, "--store", store) as (url, _):
-        report = json.loads(
-            cli(
-                "replay", "--stream", stream, "--remote", url,
-                "--query-threads", "2", "--speed", "4",
-            ).stdout
-        )
-    assert report["ok"] and report["failed_requests"] == 0, report
-    assert report["metrics"]["last_generation"] == report["num_events"] == 5
-    print(f"CLI replay committed {report['num_events']} batches, 0 failed")
-
-
 def warm_start(tmp: Path) -> None:
     """No served path builds the object graph: the graph builder
     (``build_td_graph``) and the graph packer (``pack_td_graph``) are
@@ -1033,7 +1012,6 @@ JOBS = {
     "global-queries": global_queries,
     "serve-fleet": serve_fleet,
     "served-pool": served_pool,
-    "stream-replay": stream_replay,
     "swap-seeds": swap_seeds,
     "table-build": table_build,
     "table1-kernels": table1_kernels,

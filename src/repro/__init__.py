@@ -53,14 +53,14 @@ docs/FLEET.md) — clients keep the URL above, and gain worker failover
 plus fleet-wide delay swaps that never answer from an older
 generation.
 
-Live operations ride on the same swap path: a seeded GTFS-RT-style
-delay stream (:func:`repro.synthetic.delays.generate_delay_stream`)
-replayed by :mod:`repro.streams` drives a serving target with
-interleaved query+delay traffic, each batch absorbed by the one
-replan path: ``apply_delays`` packs the delayed timetable over the
-routes, station graph and transfer stations it shares with its parent
-and rescans a configured distance table — bitwise-identical to a cold
-build of the delayed timetable, the test oracle (see docs/STREAMS.md).
+Live operations ride on the same swap path: every delay batch — one
+post, or one event of a seeded GTFS-RT-style delay stream
+(:func:`repro.synthetic.delays.generate_delay_stream`) — is absorbed
+by the one replan path: ``apply_delays`` packs the delayed timetable
+over the routes, station graph and transfer stations it shares with
+its parent and rescans a configured distance table — bitwise-identical
+to a cold build of the delayed timetable, the test oracle (see
+docs/STREAMS.md).
 
 The lower-level building blocks remain available for research use::
 

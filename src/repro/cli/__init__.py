@@ -37,7 +37,7 @@ import sys
 import textwrap
 
 from repro import __version__
-from repro.cli import bench, datasets, queries, serve, streams, tables
+from repro.cli import bench, datasets, queries, serve, tables
 from repro.cli.datasets import FLAGS, rejected_beside
 from repro.service.shapes import SHAPES
 
@@ -84,7 +84,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help="print the package version and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for family in (datasets, queries, serve, streams, tables, bench):
+    for family in (datasets, queries, serve, tables, bench):
         for name, entry in family.COMMANDS.items():
             declared = sub.add_parser(name, help=entry.help)
             if command in (None, name):

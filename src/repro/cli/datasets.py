@@ -81,8 +81,10 @@ FLAGS = {
         "num_threads",
         {"type": int},
         "connection partitions per search (§3.2), the service's "
-        "num_threads (default: 4; batch, which spreads whole queries "
-        "over --workers, 1)",
+        "num_threads; a store keeps it, and every journey it serves "
+        "searches that many partitions one after another in one worker "
+        "(default: 4; batch, which spreads whole queries over "
+        "--workers, 1)",
         4,
     ),
     "--workers": Flag(

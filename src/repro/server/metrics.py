@@ -1,8 +1,8 @@
 """Server-side observability: the metric catalogs and their renderer.
 
 Every metrics document — a server's ``/metrics``, the gateway section
-of the fleet's, a stream replay's summary — is declared once, as a
-catalog: a tuple of :class:`Metric` (name, help) in document order.
+of the fleet's — is declared once, as a catalog: a tuple of
+:class:`Metric` (name, help) in document order.
 :func:`render` builds the document from it (each value is the metrics
 object's attribute of that name, made JSON-safe), and
 :func:`catalog_table` renders the same catalog as the markdown table

@@ -16,8 +16,8 @@ the same *shape* at laptop scale:
   the paper's inputs, with a ``scale`` knob;
 * :mod:`repro.synthetic.workloads` — reproducible random query sets;
 * :mod:`repro.synthetic.delays` — seeded GTFS-RT-style delay streams
-  (rush-hour cascades, rolling disruptions, line closures, recoveries)
-  for the replay harness (:mod:`repro.streams`).
+  (rush-hour cascades, rolling disruptions, line closures, recoveries),
+  the delay batches the benchmarks and the fleet tests post.
 """
 
 from repro._lazy import lazy_exports
@@ -37,7 +37,12 @@ __getattr__, __dir__ = lazy_exports(
             "random_sources",
             "random_station_pairs",
         ),
-        "repro.synthetic.delays": ("STREAM_SHAPES", "generate_delay_stream"),
+        "repro.synthetic.delays": (
+            "STREAM_SHAPES",
+            "DelayEvent",
+            "DelayStream",
+            "generate_delay_stream",
+        ),
     },
 )
 
@@ -54,5 +59,7 @@ __all__ = [
     "random_sources",
     "random_station_pairs",
     "STREAM_SHAPES",
+    "DelayEvent",
+    "DelayStream",
     "generate_delay_stream",
 ]

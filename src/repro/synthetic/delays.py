@@ -19,23 +19,28 @@ disruption shapes real feeds exhibit:
   inside one batch, never as a negative follow-up.
 
 Everything is driven by one :class:`random.Random` seed — same
-timetable, same seed, same stream, which is what lets CI replay a
-committed scenario and the bench pin regression numbers.  Streams are
-composable with :mod:`repro.synthetic.workloads` query mixes by
-construction: the replay harness (:mod:`repro.streams.replay`) pairs
-any stream with any seeded query workload.
+timetable, same seed, same stream, which is what lets the
+``delay_replay`` benchmark and the fleet tests post the same batches
+on every run.  Each event is one wire-shaped delay batch (the
+``delays`` + ``slack_per_leg`` the ``/delays`` endpoint accepts), so
+posting an event is one ``apply``.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 
-from repro.streams.model import DelayEvent, DelayStream
 from repro.timetable.delays import Delay
 from repro.timetable.routes import partition_routes
 from repro.timetable.types import Timetable
 
-__all__ = ["STREAM_SHAPES", "generate_delay_stream"]
+__all__ = [
+    "STREAM_SHAPES",
+    "DelayEvent",
+    "DelayStream",
+    "generate_delay_stream",
+]
 
 STREAM_SHAPES = (
     "rush_hour_cascade",
@@ -43,6 +48,53 @@ STREAM_SHAPES = (
     "line_closure",
     "recovering_delay",
 )
+
+
+@dataclass(frozen=True, slots=True)
+class DelayEvent:
+    """One timestamped delay batch; ``t_offset_s`` is seconds from
+    stream start."""
+
+    t_offset_s: float
+    delays: tuple[Delay, ...]
+    slack_per_leg: int = 0
+
+    def __post_init__(self) -> None:
+        if self.t_offset_s < 0:
+            raise ValueError(
+                f"t_offset_s must be >= 0, got {self.t_offset_s}"
+            )
+        if not self.delays:
+            raise ValueError("an event needs at least one delay")
+        if self.slack_per_leg < 0:
+            raise ValueError(
+                f"slack_per_leg must be >= 0, got {self.slack_per_leg}"
+            )
+
+
+@dataclass(frozen=True, slots=True)
+class DelayStream:
+    """A named, seeded sequence of delay events (offsets ascending)
+    against the timetable ``period`` / ``num_trains`` describe."""
+
+    name: str
+    seed: int
+    period: int
+    num_trains: int
+    events: tuple[DelayEvent, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        for earlier, later in zip(self.events, self.events[1:]):
+            if later.t_offset_s < earlier.t_offset_s:
+                raise ValueError("event offsets must be non-decreasing")
+
+    @property
+    def num_events(self) -> int:
+        return len(self.events)
+
+    @property
+    def duration_s(self) -> float:
+        return self.events[-1].t_offset_s if self.events else 0.0
 
 
 def _train_legs(timetable: Timetable) -> dict[int, int]:
@@ -63,7 +115,7 @@ def generate_delay_stream(
     name: str | None = None,
 ) -> DelayStream:
     """A seeded stream of ``num_events`` delay batches spread over
-    ``duration_s`` seconds of replay time.
+    ``duration_s`` seconds of stream time.
 
     ``shapes`` restricts which disruption patterns occur (each event
     draws one uniformly); ``max_trains_per_event`` caps the batch size
@@ -103,8 +155,11 @@ def generate_delay_stream(
         slack = 0
         if shape == "rush_hour_cascade":
             # Consecutive trains of one line, knock-on growth from a
-            # shared mid-route stop.
-            count = min(len(route.trains), rng.randint(2, max_trains_per_event))
+            # shared mid-route stop; two or more unless the cap is 1.
+            low = min(2, max_trains_per_event)
+            count = min(
+                len(route.trains), rng.randint(low, max_trains_per_event)
+            )
             first = rng.randrange(len(route.trains) - count + 1)
             trains = route.trains[first : first + count]
             stop = rng.randrange(route.num_legs)

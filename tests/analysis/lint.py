@@ -18,10 +18,9 @@ compares the docs' tables with it.)
 **ASYNC-BLOCK** — no blocking call on the event loop.  Flags a call
 to a known-blocking function (:data:`BLOCKING_CALLS`: ``time.sleep``,
 ``subprocess.run``, ``socket.create_connection``, ``open``, …) that is
-reachable from an ``async def`` under ``server/``, ``fleet/`` or
-``streams/``: in its own body, or in a sync helper it calls,
-transitively, through the module-local call graph (by bare name, or
-as ``self.f`` / ``cls.f``).  The message names the helper ("via
+reachable from an ``async def`` under ``server/`` or ``fleet/``: in
+its own body, or in a sync helper it calls, transitively, through the
+module-local call graph (by bare name, or as ``self.f`` / ``cls.f``).  The message names the helper ("via
 `_refresh_cache`").  Import aliases are resolved first, so ``from time
 import sleep as nap; nap()`` is caught, and ``requests.get`` on a local
 dict named ``requests`` is not the HTTP library.  Only calls make
@@ -44,7 +43,7 @@ mutex: straight-line access is fine anywhere, and the violation is
 capturing the attribute into a nested ``def`` or ``lambda``, which may
 run on an executor thread.  The rule is module-local by design — keep
 guarded state private to its module.  It walks ``service/``,
-``server/``, ``fleet/`` and ``streams/``;
+``server/`` and ``fleet/``;
 ``test_guard_annotations_are_pinned_per_file`` pins the number of
 annotations per file, so none can be dropped silently.
 
@@ -511,11 +510,11 @@ def export_sanity(
 RULES = {
     "ASYNC-BLOCK": (
         async_block,
-        ("src/repro/server", "src/repro/fleet", "src/repro/streams"),
+        ("src/repro/server", "src/repro/fleet"),
     ),
     "LOCK-GUARD": (
         lock_guard,
-        ("src/repro/service", "src/repro/server", "src/repro/fleet", "src/repro/streams"),
+        ("src/repro/service", "src/repro/server", "src/repro/fleet"),
     ),
     "EXPORT-SANITY": (export_sanity, ("src",)),
 }

@@ -73,5 +73,4 @@ def test_guard_annotations_are_pinned_per_file():
         "src/repro/fleet/metrics.py": 11,
         "src/repro/fleet/supervisor.py": 1,
         "src/repro/fleet/gateway.py": 1,
-        "src/repro/streams/metrics.py": 10,
     }

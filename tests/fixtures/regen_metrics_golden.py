@@ -12,9 +12,7 @@ document order, and the JSON type of each value (values masked) of
   sent as a retry (``X-Retry-Attempt: 1``) and one delay swap;
 * ``gateway`` / ``fleet`` — the ``gateway`` section and the ``fleet``
   aggregate of a ``FleetGateway``'s ``/metrics``, in front of one such
-  server, after one query, one retried query and one fleet swap;
-* ``replay`` — ``ReplayMetrics.snapshot`` after one query, one failed
-  query, one delay post and one failed post.
+  server, after one query, one retried query and one fleet swap.
 
 Every object is one entry (type ``object``) followed by its members, so
 an empty map and the order of keys are pinned too.
@@ -40,7 +38,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.fleet import FleetGateway  # noqa: E402
 from repro.server import DatasetRegistry  # noqa: E402
 from repro.service import ServiceConfig, TransitService  # noqa: E402
-from repro.streams import ReplayMetrics  # noqa: E402
 from repro.synthetic.instances import make_instance  # noqa: E402
 
 from tests.server.harness import (  # noqa: E402
@@ -163,15 +160,6 @@ def _gateway_metrics(timetable) -> dict:
         worker.close()
 
 
-def _replay_metrics() -> dict:
-    metrics = ReplayMetrics()
-    metrics.observe_query(0.01)
-    metrics.observe_query_failure("TransportError")
-    metrics.observe_delay_post(0.02, 1)
-    metrics.observe_delay_failure("ServerError")
-    return metrics.snapshot(1.5)
-
-
 def record() -> dict:
     """Every recorded document shape, in fixture order (module doc)."""
     timetable = make_instance("oahu", scale="tiny")
@@ -180,7 +168,6 @@ def record() -> dict:
         "server": shape(_server_metrics(timetable)),
         "gateway": shape(gateway["gateway"]),
         "fleet": shape(gateway["fleet"]),
-        "replay": shape(_replay_metrics()),
     }
 
 

@@ -3,16 +3,22 @@ to every worker, each answer routed by generation.  Under interleaved
 query traffic, every client answer must match either the pre-swap or
 the post-swap oracle — never a mixture — and once the post returns
 every worker process must agree with the post-swap oracle, including a
-worker that crashes and rejoins via delay-log catch-up."""
+worker that crashes and rejoins via delay-log catch-up.  A seeded
+delay stream, posted batch by batch under closed-loop journeys, drops
+no request and leaves every worker at the committed generation."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
+from collections import Counter
 
-from repro.client import LocalBackend, connect
+from repro.client import BackendError, LocalBackend, connect
 from repro.fleet import FleetGateway, WorkerState
+from repro.synthetic.delays import generate_delay_stream
+from repro.synthetic.workloads import random_station_pairs
 from repro.timetable.delays import Delay
 
 from tests.helpers import scrubbed
@@ -27,6 +33,8 @@ DELAY_BODY = {
         {"train": 1, "minutes": 7},
     ]
 }
+#: Batches a delay stream commits while journeys run: 20+ commits.
+STREAM_COMMITS = 24
 
 
 def canon(answer):
@@ -201,6 +209,103 @@ class TestFleetSwap:
         assert second.generation == 2
         _, health = fleet.request("GET", "/healthz")
         assert health["generations"] == {"oahu": 2}
+
+    def test_a_delay_stream_under_journeys_fails_nothing(
+        self, make_fleet, oahu_tiny
+    ):
+        """Two closed-loop journey clients run through the gateway while
+        a seeded stream's batches are posted one after another.  Failures
+        are counted, not raised; then three bars: no query and no post
+        failed, the fleet and every worker stand at generation N (and
+        the last post replied N), and the gateway counted N swaps and
+        names generation N on an answer."""
+        fleet = make_fleet(2)
+        url = f"http://127.0.0.1:{fleet.port}"
+        stream = generate_delay_stream(
+            oahu_tiny, seed=42, num_events=STREAM_COMMITS, duration_s=0
+        )
+        pairs = random_station_pairs(oahu_tiny, 64, seed=0)
+        failed: Counter = Counter()
+        answered = [0, 0]
+        started = [threading.Event(), threading.Event()]
+        lock = threading.Lock()
+        stop = threading.Event()
+
+        def journeys(slot: int) -> None:
+            backend = connect(url)
+            try:
+                k = slot
+                while not stop.is_set():
+                    source, target = pairs[k % len(pairs)]
+                    k += len(answered)
+                    try:
+                        backend.journey(source, target, departure=480)
+                    except BackendError as exc:
+                        with lock:
+                            failed[f"journey: {type(exc).__name__}"] += 1
+                    else:
+                        answered[slot] += 1
+                    started[slot].set()
+            finally:
+                backend.close()
+
+        clients = [
+            threading.Thread(target=journeys, args=(slot,), daemon=True)
+            for slot in range(len(answered))
+        ]
+        for thread in clients:
+            thread.start()
+        replies = []
+        poster = connect(url)
+        try:
+            for event in started:
+                assert event.wait(60), "a journey client never finished one"
+            for event in stream.events:
+                try:
+                    update = poster.apply_delays(
+                        list(event.delays), slack_per_leg=event.slack_per_leg
+                    )
+                except BackendError as exc:
+                    with lock:
+                        failed[f"delays: {type(exc).__name__}"] += 1
+                else:
+                    replies.append(update.generation)
+        finally:
+            poster.close()
+            stop.set()
+            for thread in clients:
+                thread.join(timeout=60)
+
+        # Bar 1: nothing failed, and both clients ran alongside.
+        assert not any(thread.is_alive() for thread in clients)
+        assert not failed, failed
+        assert all(answered), answered
+
+        # Bar 2: every batch committed, fleet-wide.
+        n = stream.num_events
+        assert replies == list(range(1, n + 1))
+        _, health = fleet.request("GET", "/healthz")
+        assert health["generations"] == {"oahu": n}, health
+        assert sorted(health["workers"]) == ["w0", "w1"]
+        assert all(
+            w["generations"] == {"oahu": n}
+            for w in health["workers"].values()
+        ), health["workers"]
+
+        # Bar 3: every swap counted, and an answer names its generation.
+        _, metrics = fleet.request("GET", "/metrics")
+        assert metrics["gateway"]["swaps_total"] == {"oahu": n}
+        conn = http.client.HTTPConnection("127.0.0.1", fleet.port, timeout=30)
+        try:
+            conn.request(
+                "POST", "/v1/oahu/journey", json.dumps({"source": 0, "target": 5})
+            )
+            response = conn.getresponse()
+            response.read()
+        finally:
+            conn.close()
+        assert response.status == 200
+        assert response.getheader("X-Generation") == str(n)
 
     def test_a_stale_probe_cannot_lower_a_worker_generation(self):
         """A probe answered while a catch-up replay (or a commit) ran

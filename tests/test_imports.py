@@ -26,7 +26,6 @@ from tests.helpers import run_in_own_group
 NOT_SERVED_PACKAGES = (
     "repro.synthetic",
     "repro.analysis",
-    "repro.streams",
     "repro.fleet",
     "repro.client",
     "repro.benchops",

@@ -79,7 +79,7 @@ def test_public_api_surface():
         for info in pkgutil.walk_packages(repro.__path__, "repro.")
         if info.ispkg
     ]
-    assert len(packages) == 17
+    assert len(packages) == 16
     for package in packages:
         module = importlib.import_module(package)
         for name in getattr(module, "__all__", ()):

@@ -6,8 +6,8 @@ Each metrics document is declared once, as a catalog
 ``<!-- lint:metrics -->`` markers of a doc is
 :func:`~repro.server.metrics.catalog_table` of its catalog, character
 for character.  ``tests/fixtures/metrics_golden.json`` holds the key
-paths and value types of a server's, a gateway's and a stream replay's
-document after a fixed traffic script
+paths and value types of a server's and a gateway's documents after
+a fixed traffic script
 (``tests/fixtures/regen_metrics_golden.py``); the documents must
 reproduce it.
 """
@@ -23,7 +23,6 @@ import pytest
 from repro.fleet import GatewayMetrics
 from repro.server import ServerMetrics
 from repro.server.metrics import catalog_table
-from repro.streams import ReplayMetrics
 from tests.fixtures import regen_metrics_golden as golden
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -32,7 +31,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 DOCS = {
     "docs/SERVER.md": ServerMetrics.CATALOG + ServerMetrics.SERVED,
     "docs/FLEET.md": GatewayMetrics.CATALOG,
-    "docs/STREAMS.md": ReplayMetrics.CATALOG,
 }
 
 _REGION = re.compile(
