@@ -11,7 +11,7 @@ over:
   :class:`~repro.service.TransitService` or a lazily-opened artifact
   store (``repro.store``);
 * :class:`HttpBackend` — a remote :mod:`repro.server` fleet, over a
-  stdlib-only keep-alive connection pool with per-request timeouts and
+  keep-alive connection pool of its own with per-request timeouts and
   bounded 503 retry (:class:`RetryPolicy`).
 
 Pick one with :func:`connect`::

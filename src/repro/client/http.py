@@ -1,4 +1,4 @@
-"""`HttpBackend` — the stdlib-only remote transport.
+"""`HttpBackend` — the remote transport (stdlib sockets, ``orjson`` bodies).
 
 Speaks the :mod:`repro.server` wire protocol (see ``docs/SERVER.md``)
 over persistent HTTP/1.1 keep-alive connections of its own
@@ -34,7 +34,6 @@ to :class:`LocalBackend` over the same prepared dataset
 
 from __future__ import annotations
 
-import json
 import socket
 import ssl
 import time
@@ -42,6 +41,8 @@ from dataclasses import dataclass, field
 from threading import Lock
 from typing import Sequence
 from urllib.parse import urlsplit
+
+from orjson import JSONDecodeError, dumps, loads
 
 from repro.client import wire
 from repro.client.backend import TransitBackend
@@ -454,15 +455,15 @@ class HttpBackend(TransitBackend):
         idempotent: bool = True,
     ) -> dict:
         """One logical request: retry loop over :meth:`_send_once`."""
-        data = None if body is None else json.dumps(body).encode("utf-8")
+        data = None if body is None else dumps(body)
         attempt = 0
         while True:
             status, headers, raw = self._send_once(
                 method, path, data, attempt, idempotent=idempotent
             )
             try:
-                payload = json.loads(raw)
-            except (ValueError, UnicodeDecodeError):
+                payload = loads(raw)
+            except JSONDecodeError:
                 raise TransportError(
                     "invalid_response",
                     f"server answered HTTP {status} with a non-JSON body "

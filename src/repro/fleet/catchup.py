@@ -33,7 +33,7 @@ end-to-end (a worker rejoining after ~25 committed batches).
 
 from __future__ import annotations
 
-import json
+from orjson import loads
 
 
 def coalesce_delay_log(entries: list[bytes]) -> list[tuple[dict, int]]:
@@ -69,7 +69,7 @@ def coalesce_delay_log(entries: list[bytes]) -> list[tuple[dict, int]]:
         run.clear()
 
     for raw in entries:
-        body = json.loads(raw)
+        body = loads(raw)
         if body.get("slack_per_leg", 0):
             # Slack clamps carried lateness between batches: a
             # sequencing barrier — replay this entry on its own.

@@ -38,9 +38,10 @@ the rest):
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from typing import Callable, Mapping, Sequence
+
+from orjson import dumps, loads
 
 from repro.fleet.catchup import coalesce_delay_log
 from repro.fleet.metrics import GatewayMetrics
@@ -291,14 +292,12 @@ class FleetGateway(BaseAsyncHttpServer):
                 ), self._retry_after_header()
             replay = dict(body)
             replay.pop("mode", None)
-            self._delay_log.setdefault(dataset, []).append(
-                json.dumps(replay).encode("utf-8")
-            )
+            self._delay_log.setdefault(dataset, []).append(dumps(replay))
             committed: list[tuple[WorkerState, dict]] = []
             failed: list[WorkerState] = []
             for st, reply in zip(targets, replies):
                 if reply is not None and reply[0] == 200:
-                    committed.append((st, json.loads(reply[1])))
+                    committed.append((st, loads(reply[1])))
                 else:
                     failed.append(st)
                     if st.state != "down":
@@ -338,7 +337,7 @@ class FleetGateway(BaseAsyncHttpServer):
             self._eject(st, reason=f"{type(exc).__name__}: {exc}")
             return None
         if status == 200 and not self._note_generation(
-            st, dataset, json.loads(raw)["generation"]
+            st, dataset, loads(raw)["generation"]
         ):
             return None
         return status, raw, _retry_after(headers)
@@ -548,7 +547,7 @@ class FleetGateway(BaseAsyncHttpServer):
         )
         if status != 200:
             raise UpstreamError(f"{path} answered {status}")
-        return json.loads(raw)
+        return loads(raw)
 
     def _note_probe(self, st: WorkerState, result: dict | BaseException) -> None:
         if isinstance(result, BaseException):
@@ -605,7 +604,7 @@ class FleetGateway(BaseAsyncHttpServer):
                             st,
                             "POST",
                             f"/v1/datasets/{dataset}/delays",
-                            json.dumps(body).encode(),
+                            dumps(body),
                             idempotent=False,
                         )
                         if status != 200:
@@ -616,7 +615,7 @@ class FleetGateway(BaseAsyncHttpServer):
                         self.metrics.catch_up_batches_total += 1
                         self.metrics.catch_up_coalesced_total += represented
                         if not self._note_generation(
-                            st, dataset, json.loads(raw)["generation"]
+                            st, dataset, loads(raw)["generation"]
                         ):
                             return
                 if self._workers.get(st.name) is not st:

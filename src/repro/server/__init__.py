@@ -1,4 +1,4 @@
-"""The serving layer: an async multi-dataset query server (stdlib-only).
+"""The serving layer: an async multi-dataset query server (stdlib + orjson).
 
 PRs 1–3 built fast kernels, the prepare-once
 :class:`~repro.service.TransitService` facade, and warm-start

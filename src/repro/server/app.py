@@ -1,4 +1,4 @@
-"""The asyncio HTTP front end (stdlib-only, HTTP/1.1 keep-alive).
+"""The asyncio HTTP front end (asyncio streams, HTTP/1.1 keep-alive).
 
 Endpoints (all bodies JSON, see :mod:`repro.server.protocol` and
 ``docs/SERVER.md``)::

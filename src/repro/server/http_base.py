@@ -46,11 +46,12 @@ Drain is split into **readiness** and **liveness**:
 from __future__ import annotations
 
 import asyncio
-import json
 import re
 import time
 from typing import NamedTuple
 from urllib.parse import urlsplit
+
+from orjson import dumps
 
 from repro.server.metrics import HttpMetrics
 from repro.server.protocol import ProtocolError
@@ -392,11 +393,7 @@ class BaseAsyncHttpServer:
         extra: dict,
         keep_alive: bool,
     ) -> None:
-        data = (
-            payload
-            if isinstance(payload, bytes)
-            else json.dumps(payload).encode("utf-8")
-        )
+        data = payload if isinstance(payload, bytes) else dumps(payload)
         reason = _STATUS_TEXT.get(status, b"OK")
         connection = b"keep-alive" if keep_alive else b"close"
         extra_lines = "".join(

@@ -27,10 +27,11 @@ usable by the server, by clients, and by tests.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Sequence
+
+from orjson import JSONDecodeError, loads
 
 from repro.service.model import (
     BatchRequest,
@@ -93,8 +94,8 @@ def parse_body(body: bytes) -> dict:
     if not body:
         raise ProtocolError("invalid_request", "request body is empty")
     try:
-        parsed = json.loads(body)
-    except json.JSONDecodeError as exc:
+        parsed = loads(body)
+    except JSONDecodeError as exc:
         raise ProtocolError(
             "invalid_json", f"request body is not valid JSON: {exc}"
         ) from None

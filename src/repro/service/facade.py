@@ -117,12 +117,15 @@ class _Work(NamedTuple):
     """One request as the search workers see it: ``job`` — a method
     name of the service — called once per entry of ``jobs``, for choice
     in the worker whose last job had the same ``affinity``, then
-    ``finish`` over the results in order on the caller's side."""
+    ``finish`` over the results in order on the caller's side.  The
+    entries whose indices are in ``here`` take no search: the caller
+    runs them itself, workers or not."""
 
     job: str
     jobs: list[tuple]
     finish: Callable[[list], object]
     affinity: object = None
+    here: frozenset[int] = frozenset()
 
 
 def _only(results: list):
@@ -321,20 +324,24 @@ class TransitService:
         cached = self._result_cache.peek(request)
         if cached is not None:
             return _mark_cache_hit(cached)
-        if (
-            shape is JOURNEY
-            and request.departure is None
-            and not self._engine.needs_search(request.source, request.target)
-        ):
+        if shape is JOURNEY and self._takes_no_search(request):
             return self._answer(JOURNEY, request, here=True)
         return None
+
+    def _takes_no_search(self, request: JourneyRequest) -> bool:
+        """Whether a journey is answered from memory: no departure, and
+        endpoints that coincide or are both transfer stations."""
+        return request.departure is None and not self._engine.needs_search(
+            request.source, request.target
+        )
 
     async def submit(self, shape: Shape, request):
         """The answer to the typed ``request``, awaited on the running
         event loop and never blocking it — how ``serve`` answers what
         :meth:`lookup` did not: the cached answer, else the shape's
         composition (:meth:`_work`) with each job in a search worker
-        (:meth:`ForkPool.submit <repro.core.fanout.ForkPool.submit>`)
+        (:meth:`ForkPool.submit <repro.core.fanout.ForkPool.submit>`) —
+        but those that take no search (``work.here``), run on the loop —
         and the finish on the loop, stored for the next asker.  A
         generation without workers runs the jobs on one thread
         (``asyncio.to_thread``): no search ever runs on the loop.  The
@@ -350,13 +357,18 @@ class TransitService:
             results = await asyncio.to_thread(self._run_here, work)
         else:
             futures = [
-                workers.submit(work.job, *args, affinity=work.affinity)
-                for args in work.jobs
+                None
+                if i in work.here
+                else workers.submit(work.job, *args, affinity=work.affinity)
+                for i, args in enumerate(work.jobs)
             ]
+            run = getattr(self, work.job)
             results, error = [], None
-            for future in futures:  # each one awaited, failed or not
-                try:
-                    results.append(await future)
+            for args, future in zip(work.jobs, futures):
+                try:  # each one awaited, failed or not
+                    results.append(
+                        run(*args) if future is None else await future
+                    )
                 except Exception as exc:  # noqa: BLE001 — raised below
                     error = error or exc
             if error is not None:
@@ -590,10 +602,11 @@ class TransitService:
     def _search(
         self, req: JourneyRequest | ProfileRequest
     ) -> JourneyResult | ProfileResult:
-        """One batch item, a search worker's job: the uncached answer
-        :meth:`journey` / :meth:`profile` compute for ``req``, composed
-        where it runs — a profile item's partitions one after another,
-        since a pool child never forks.
+        """One batch item, a search worker's job — or the loop's, for a
+        journey that takes no search (:meth:`_takes_no_search`): the
+        uncached answer :meth:`journey` / :meth:`profile` compute for
+        ``req``, composed where it runs — a profile item's partitions
+        one after another, since a pool child never forks.
 
         It stays clear of the result cache on purpose: the batch is the
         one entry its caller keeps, and what a worker put in its own
@@ -619,7 +632,12 @@ class TransitService:
                 ),
             )
 
-        return _Work("_search", [(item,) for item in items], gather)
+        here = frozenset(
+            i
+            for i, item in enumerate(request.journeys)
+            if self._takes_no_search(item)
+        )
+        return _Work("_search", [(item,) for item in items], gather, here=here)
 
     def _search_subset(self, source: int, subset: list[int]):
         """One §3.2 job: the SPCS run over one subset of

@@ -69,7 +69,7 @@ _ENCODE_KIND: dict[str, Callable[[Any], Any] | None] = {
     "const": None,
     "int": int,
     "optional_int": lambda value: None if value is None else int(value),
-    "seconds": lambda value: round(value, 6),
+    "seconds": lambda value: round(float(value), 6),
     "points": lambda profile: list(map(list, profile.connection_points())),
     "options": lambda options: [
         [int(opt.transfers), int(opt.arrival)] for opt in options

@@ -17,10 +17,11 @@ what crosses the wire between the SDK and a live ``TransitServer`` over
 * one error of each status the server answers with (400, 404, 405,
   413, 500, 501, 503).
 
-Each exchange is one raw-socket request; the response body is recorded
-byte for byte, except that the wall-clock fields (``total_seconds``,
-``simulated_seconds``, ``swap_seconds``) read
-``"*"``.  ``tests/server/test_wire_golden.py`` replays the same
+Each exchange is one raw-socket request whose body is the bytes the
+SDK sends (``orjson``, compact); the response body is recorded byte for
+byte, except that the wall-clock fields (``total_seconds``,
+``simulated_seconds``, ``swap_seconds``) read ``"*"``.
+``tests/server/test_wire_golden.py`` replays the same
 exchanges and compares.  Regenerate only when a change is *meant* to
 alter the wire bytes — that is a protocol change, and says so.
 """
@@ -34,6 +35,8 @@ import socket
 import sys
 import threading
 from pathlib import Path
+
+import orjson
 
 FIXTURE_DIR = Path(__file__).resolve().parent
 REPO_ROOT = FIXTURE_DIR.parents[1]
@@ -70,7 +73,7 @@ CONFIG = ServiceConfig(
     num_threads=2, use_distance_table=True, transfer_fraction=0.25
 )
 _WALL_CLOCK = re.compile(
-    r'("(?:total|simulated|swap)_seconds": )-?[0-9][0-9.e+-]*'
+    r'("(?:total|simulated|swap)_seconds": ?)-?[0-9][0-9.e+-]*'
 )
 
 #: ``(name, shape, typed request, wire-only fields)`` of every recorded
@@ -128,13 +131,15 @@ def exchange(
 
 
 def _post(port: int, path: str, body: dict) -> tuple[int, str]:
-    data = json.dumps({"v": PROTOCOL_VERSION, **body}).encode("utf-8")
+    data = orjson.dumps({"v": PROTOCOL_VERSION, **body})
     return exchange(port, "POST", path, data)
 
 
 def _entry(request: dict | None, status: int, response: str) -> dict:
     return {
-        "request": None if request is None else json.dumps(request),
+        "request": (
+            None if request is None else orjson.dumps(request).decode()
+        ),
         "status": status,
         "response": masked(response),
     }

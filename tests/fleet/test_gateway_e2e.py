@@ -112,7 +112,8 @@ class TestProtocolParity:
     def test_malformed_requests_answer_like_a_worker(self, fleet):
         """Every error the gateway answers itself is the bytes a worker
         answers: a wrong method on each route, an empty, invalid or
-        non-object delay body, an unknown route."""
+        non-object delay body — non-finite numbers, a lone surrogate,
+        bad UTF-8 and trailing text among them —, an unknown route."""
         delays = "/v1/datasets/oahu/delays"
         table = [
             ("POST", "/healthz", None),
@@ -123,6 +124,11 @@ class TestProtocolParity:
             ("POST", delays, b""),
             ("POST", delays, b"{"),
             ("POST", delays, b"[1]"),
+            ("POST", delays, b'{"delays": [], "slack_per_leg": NaN}'),
+            ("POST", delays, b'{"delays": [], "slack_per_leg": 1e999}'),
+            ("POST", delays, b'{"\\ud800": 1}'),
+            ("POST", delays, b'{"delays": "\xff"}'),
+            ("POST", delays, b'{"delays": []} x'),
             ("GET", "/nope", None),
             ("POST", "/v1/oahu/teleport", b"{}"),
         ]

@@ -160,11 +160,28 @@ def test_results_come_back_in_submission_order(make_service, workers):
 @pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)
 def test_each_item_is_one_search_job(make_service, monkeypatch, workers):
     """With workers the batch is composed here and searched there: one
-    ``_search`` job per item, journeys then profiles as submitted, each
-    one ``ForkPool.submit`` — not the whole batch as one job, and not
-    on this thread.  Without workers there is no pool to ask."""
+    ``_search`` job per item that searches, journeys then profiles as
+    submitted, each one ``ForkPool.submit`` — not the whole batch as
+    one job, and not on this thread.  An undated journey between
+    transfer stations or from a station to itself takes no search and
+    no job (paper §4).  Without workers there is no pool to ask."""
     service = make_service(workers)
     request = workload(service)
+    transfer = (
+        {int(s) for s in service.table.transfer_stations}
+        if service.table is not None
+        else set()
+    )
+
+    def searches(item) -> bool:
+        return not (
+            isinstance(item, JourneyRequest)
+            and item.departure is None
+            and (
+                item.source == item.target
+                or {item.source, item.target} <= transfer
+            )
+        )
     jobs = []
     real_submit = ForkPool.submit
 
@@ -175,7 +192,10 @@ def test_each_item_is_one_search_job(make_service, monkeypatch, workers):
     monkeypatch.setattr(ForkPool, "submit", spy)
     service.batch(request)
     items = [*request.journeys, *request.profiles]
-    assert jobs == ([("_search", (item,)) for item in items] if workers else [])
+    searched = [item for item in items if searches(item)]
+    assert len(searched) < len(items)  # the workload has table pairs
+    expected = [("_search", (item,)) for item in searched]
+    assert jobs == (expected if workers else [])
 
 
 @pytest.mark.parametrize("workers", WORKERS, ids=WORKER_IDS)

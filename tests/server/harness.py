@@ -87,7 +87,7 @@ class ServerHarness:
         self,
         method: str,
         path: str,
-        body: dict | str | None = None,
+        body: dict | str | bytes | None = None,
         *,
         timeout: float = 30.0,
     ) -> tuple[int, dict]:
@@ -101,7 +101,7 @@ class ServerHarness:
         self,
         method: str,
         path: str,
-        body: dict | str | None = None,
+        body: dict | str | bytes | None = None,
         *,
         timeout: float = 30.0,
         headers: dict | None = None,
@@ -117,7 +117,7 @@ class ServerHarness:
         try:
             data = (
                 body
-                if body is None or isinstance(body, str)
+                if body is None or isinstance(body, (str, bytes))
                 else json.dumps(body)
             )
             conn.request(method, path, body=data, headers=headers or {})

@@ -633,6 +633,59 @@ class TestHttpErrors:
         assert status == 400
         assert payload["error"]["code"] == "invalid_json"
 
+    @pytest.mark.parametrize(
+        "body, code",
+        [
+            pytest.param(
+                b'{"source": NaN, "target": 1}', "invalid_json", id="nan"
+            ),
+            pytest.param(
+                b'{"source": 123456789012345678901234567890, "target": 1}',
+                "invalid_type",
+                id="30-digit-int",
+            ),
+            pytest.param(
+                b'{"v": 123456789012345678901234567890, "source": 0, '
+                b'"target": 1}',
+                "invalid_request",
+                id="30-digit-version",
+            ),
+            pytest.param(
+                b'{"source": 1e999, "target": 1}', "invalid_json", id="1e999"
+            ),
+            pytest.param(
+                b'{"source": "\\ud800", "target": 1}',
+                "invalid_json",
+                id="lone-surrogate",
+            ),
+            pytest.param(
+                b'{"\\ud800": 1, "source": 0, "target": 1}',
+                "invalid_json",
+                id="lone-surrogate-key",
+            ),
+            pytest.param(
+                b'{"source": 0, "target": 1, "x": "\xff\xfe"}',
+                "invalid_json",
+                id="not-utf8",
+            ),
+            pytest.param(
+                b'{"source": 0, "target": 1} x', "invalid_json", id="trailing"
+            ),
+        ],
+    )
+    def test_bodies_json_parsers_disagree_on_are_typed_400s(
+        self, harness, body, code
+    ):
+        """JSON parsers differ at these edges (non-finite numbers,
+        integers past 64 bits, lone surrogates, bad UTF-8, trailing
+        text): each is refused with a named code, never a 500 or a
+        hang."""
+        status, payload = harness.request(
+            "POST", "/v1/oahu/journey", body, timeout=10
+        )
+        assert status == 400
+        assert payload["error"]["code"] == code
+
     def test_unknown_dataset_is_404(self, harness):
         status, payload = harness.request(
             "POST", "/v1/nowhere/journey", {"source": 0, "target": 1}

@@ -4,7 +4,7 @@ Parametrised over :data:`repro.service.shapes.SHAPES`, not over shape
 names: a future row is covered by every test here without an edit.
 What is pinned, per shape: the wire round trip of requests
 (``render → parse``), every declared bound's typed error, the wire
-round trip of answers (``encode → json → decode`` equals the
+round trip of answers (``encode → orjson → decode`` equals the
 ``LocalBackend`` answer), the served dispatch from the event loop,
 the routes the HTTP edge labels, the public per-shape names, and the
 docs' "Request shapes" matrices.
@@ -13,11 +13,12 @@ docs' "Request shapes" matrices.
 from __future__ import annotations
 
 import asyncio
-import json
 import random
 import re
 from pathlib import Path
 
+import numpy as np
+import orjson
 import pytest
 
 from repro.client import LocalBackend, TransitBackend, results, wire
@@ -25,6 +26,7 @@ from repro.server import protocol
 from repro.server.http_base import parse_path
 from repro.service import ServiceConfig, TransitService
 from repro.service import shapes
+from repro.core.fanout import ForkPool
 from repro.service.model import BatchRequest, JourneyRequest, ProfileRequest
 from repro.service.shapes import (
     ANSWERS,
@@ -89,7 +91,7 @@ class TestRequestRoundTrip:
         rng = random.Random(13)
         for _ in range(20):
             request = seeded_request(shape, rng, N, full=full)
-            body = json.loads(json.dumps(wire.render(shape, request)))
+            body = orjson.loads(orjson.dumps(wire.render(shape, request)))
             parsed, _encode = protocol.open_request(shape, body, N)
             # Omitted fields come back as the declared default.
             assert parsed == request
@@ -288,7 +290,7 @@ class TestAnswerRoundTrip:
             assert payload["v"] == protocol.PROTOCOL_VERSION
             assert payload["kind"] == shape.name
             decoded = results.decode_answer(
-                shape, json.loads(json.dumps(payload))
+                shape, orjson.loads(orjson.dumps(payload))
             )
             answer = getattr(backend, shape.name)(request)
             assert type(decoded) is type(answer)
@@ -317,6 +319,17 @@ class TestAnswerRoundTrip:
     def test_foreign_kind_is_rejected(self, shape):
         with pytest.raises(ValueError, match="expected"):
             results.decode_answer(shape, {"v": 2, "kind": "something-else"})
+
+    def test_a_seconds_field_is_the_same_bytes_from_numpy(self):
+        """The wire codec refuses a ``numpy.float64``: a ``seconds``
+        field renders one as the Python float of the same value."""
+        for value in (0.5, 1e-05, 0.123456789, 1234.0000004):
+            assert orjson.dumps(
+                shapes.APPLY_REPLY.write("oahu", 1, 2, 0, np.float64(value))
+            ) == orjson.dumps(shapes.APPLY_REPLY.write("oahu", 1, 2, 0, value))
+            assert orjson.dumps(
+                shapes.FLEET_SWAP.write(["w0"], [], np.float64(value))
+            ) == orjson.dumps(shapes.FLEET_SWAP.write(["w0"], [], value))
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +371,32 @@ class TestServedDispatch:
             assert scrubbed_payload(encode(answer)) == scrubbed_payload(
                 encode(getattr(direct, shape.name)(request))
             )
+
+
+    def test_a_batch_of_table_pairs_takes_no_worker(
+        self, served_twins, monkeypatch
+    ):
+        """Journeys between transfer stations (paper §4) and from a
+        station to itself take no search: a batch of them is answered
+        on the loop, as a single such journey is, with the answers of a
+        service without workers."""
+        direct, served = served_twins
+        stations = [int(s) for s in direct.table.transfer_stations[:4]]
+        pairs = [(a, b) for a in stations for b in stations]
+        request = BatchRequest.from_pairs(pairs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table pair was sent to a search worker")
+
+        monkeypatch.setattr(ForkPool, "submit", refuse)
+        answer = asyncio.run(
+            asyncio.wait_for(served.submit(BATCH, request), timeout=30)
+        )
+        expected = direct.batch(request)
+        assert [j.stats.classification for j in answer.journeys] == [
+            "trivial" if a == b else "table" for a, b in pairs
+        ]
+        assert scrubbed(answer) == scrubbed(expected)
 
 
 class TestRoutes:
