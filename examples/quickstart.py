@@ -47,8 +47,8 @@ def main() -> None:
     stats = result.stats
     print(
         f"profile search settled {stats.settled_connections} connections "
-        f"on {stats.num_threads} (simulated) cores in "
-        f"{stats.simulated_seconds * 1000:.2f} ms\n"
+        f"over {stats.num_threads} subsets in "
+        f"{stats.total_seconds * 1000:.2f} ms\n"
     )
 
     # --- 4. Read off the travel-time function toward Work ------------

@@ -26,7 +26,6 @@ def main() -> None:
     accelerated = TransitService(
         timetable,
         ServiceConfig(
-            num_threads=4,
             use_distance_table=True,
             transfer_selection="contraction",
             transfer_fraction=0.25,
@@ -44,7 +43,7 @@ def main() -> None:
     )
 
     # A second service over the same timetable, stopping criterion only.
-    plain = TransitService(timetable, ServiceConfig(num_threads=4))
+    plain = TransitService(timetable, ServiceConfig())
 
     # --- local and via stations of a target (paper Fig. 3) -----------
     mask = np.zeros(timetable.num_stations, dtype=bool)

@@ -26,7 +26,6 @@ from repro.store import describe_store
 def main() -> None:
     timetable = make_instance("losangeles", scale="small")
     config = ServiceConfig(
-        num_threads=4,
         use_distance_table=True,
         transfer_fraction=0.05,
     )

@@ -208,13 +208,14 @@ def global_queries(tmp: Path) -> None:
     against the hook-driven reference kernel with both table rules:
     a query the reference calls global prints, at the CLI boundary, the
     connections the reference engine finds in process on the same
-    instance and table, over one connection subset or four.  The CLI
-    labels it ``(local)``: the served engine computes no via stations.
-    0 → 2 has a non-transfer target (Theorem 3 on the reference side
-    only), 5 → 4 a transfer-station target (Theorem 4 on both); 0 → 2
-    without a table is a local query, where goal direction is the only
-    thing the flat kernel adds to the stopping criterion — it must
-    settle no more than the reference.  Then the flat loop's work on
+    instance and table, over one connection subset and over four (the
+    served journey is one search).  The CLI labels it ``(local)``: the
+    served engine computes no via stations.  0 → 2 has a non-transfer
+    target (Theorem 3 on the reference side only), 5 → 4 a
+    transfer-station target (Theorem 4 on both); 0 → 2 without a table
+    is a local query, where goal direction is the only thing the flat
+    kernel adds to the stopping criterion — it must settle no more
+    than the reference's one search.  Then the flat loop's work on
     100 seeded global queries each on ``washington``/small and
     ``germany``/medium, picked by their via stations and summed, as
     recorded."""
@@ -238,15 +239,14 @@ def global_queries(tmp: Path) -> None:
             use_distance_table=bool(fraction), transfer_fraction=fraction
         )
         prepared = prepare_dataset(oahu, config)
-        lines = []
+        out = cli(
+            "query", *OAHU, *flags, "--source", str(source),
+            "--target", str(target),
+        ).stdout
+        assert f"{source} → {target} (local)" in out, (label, out)
+        printed = [line for line in out.splitlines() if "depart" in line]
+        assert printed, f"{label}: no connections printed"
         for cores in (1, 4):
-            out = cli(
-                "query", *OAHU, *flags, "--source", str(source),
-                "--target", str(target), "--cores", str(cores),
-            ).stdout
-            assert f"{source} → {target} (local)" in out, (label, cores, out)
-            printed = [line for line in out.splitlines() if "depart" in line]
-            assert printed, f"{label}: no connections printed"
             reference = StationToStationEngine(
                 prepared.graph, prepared.table, num_threads=cores,
                 kernel="python", station_graph=prepared.station_graph,
@@ -257,18 +257,16 @@ def global_queries(tmp: Path) -> None:
                 f"{format_time(dep + dur)}  ({dur} min)"
                 for dep, dur in reference.profile.connection_points()
             ]
-            assert printed == expected, f"{label}: {cores} core(s) differ from the reference"
-            lines.append(printed)
-            assert printed == lines[0], f"{label}: {cores} core(s) differ from 1"
+            assert printed == expected, f"{label}: the reference on {cores} core(s) differs"
             print(
-                f"{label}: {cores} core(s), {len(printed)} profile lines "
-                f"identical to the reference kernel's ({kind})"
+                f"{label}: {len(printed)} profile lines identical to the "
+                f"reference kernel's on {cores} core(s) ({kind})"
             )
-            if not fraction:
+            if not fraction and cores == 1:
                 flat = int(re.search(r"(\d+) settled", out).group(1))
                 python = reference.settled_connections
-                assert flat <= python, f"{label}: {cores} core(s), {flat} > {python}"
-                print(f"{label}: {cores} core(s), flat settled {flat} <= python {python}")
+                assert flat <= python, f"{label}: {flat} > {python}"
+                print(f"{label}: flat settled {flat} <= python {python} on 1 core")
 
     # The work of targeted searches at scale: which settles happen, and
     # what each does with the table, moves these sums long before it
@@ -925,10 +923,7 @@ def served_pool(tmp: Path) -> None:
 
 
 #: ``batch --json`` keys that are wall-clock measurements.
-_TIMED_KEYS = (
-    "total_seconds", "queries_per_second", "prepare_seconds",
-    "mean_simulated_seconds",
-)
+_TIMED_KEYS = ("total_seconds", "queries_per_second", "prepare_seconds")
 
 
 def _mask(text: str, tmp: Path, url: str) -> str:
@@ -990,7 +985,7 @@ def transcripts(tmp: Path) -> None:
                     _show(command, *source, *flags)
                     if command == "batch":
                         _show(command, *source, *flags, "--json")
-            _show("query", *remote, *queries["query"], "--cores", "2")
+        _show("query", *OAHU, *queries["query"], "--cores", "2")
         _show("profile", *OAHU, "--source", "0", "--cores", "0")
         _show("profile", "--from-store", store, "--source", "0", "--cores", "0")
         _show("batch", *OAHU, "--workers", "0")

@@ -80,11 +80,10 @@ FLAGS = {
     "--cores": Flag(
         "num_threads",
         {"type": int},
-        "connection partitions per search (§3.2), the service's "
-        "num_threads; a store keeps it, and every journey it serves "
-        "searches that many partitions one after another in one worker "
-        "(default: 4; batch, which spreads whole queries over "
-        "--workers, 1)",
+        "subsets of conn(S) a profile search is split into (§3.2): on "
+        "profile the request's num_threads, on prepare the stored "
+        "default of profiles that name none; a journey is always one "
+        "search (default: 4)",
         4,
     ),
     "--workers": Flag(
@@ -231,10 +230,7 @@ def _checked(build, **fields):
 
 
 def fresh_service(
-    args: argparse.Namespace,
-    *,
-    cores: int = FLAGS["--cores"].default,
-    quiet: bool = False,
+    args: argparse.Namespace, *, quiet: bool = False
 ) -> TransitService:
     """One prepared service per invocation (the facade owns the graph
     build, packing and the optional distance table).  ``quiet`` drops
@@ -246,7 +242,8 @@ def fresh_service(
     fraction = fields.pop("transfer_fraction", 0.0)
     if fraction > 0:
         fields.update(use_distance_table=True, transfer_fraction=fraction)
-    fields.setdefault("num_threads", cores)
+    # A profile's default partition count, as `prepare` stores it.
+    fields.setdefault("num_threads", FLAGS["--cores"].default)
     config = _checked(ServiceConfig, **fields)
     service = TransitService(load_timetable(args), config)
     table = service.table
@@ -263,7 +260,6 @@ def open_backend(
     args: argparse.Namespace,
     *,
     request: Collection[str],
-    cores: int,
     quiet: bool,
 ) -> TransitBackend:
     """The query commands' backend: an ``HttpBackend`` for
@@ -284,7 +280,7 @@ def open_backend(
             raise SystemExit(f"error: {exc}") from None
     store = args.from_store
     if not store:
-        service = fresh_service(args, cores=cores, quiet=quiet)
+        service = fresh_service(args, quiet=quiet)
         return LocalBackend(service, name=args.instance or args.gtfs)
     reject_beside(args, "--from-store", request)
     try:

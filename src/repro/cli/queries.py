@@ -22,7 +22,6 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.cli.datasets import (
-    FLAGS,
     Command,
     add_flags,
     add_input_flags,
@@ -45,7 +44,7 @@ if TYPE_CHECKING:
 #: Sub-commands not named after their shape's route.
 COMMAND_NAMES = {"journey": "query"}
 #: Request fields not spelled ``--<field-name>``: ``num_threads`` is
-#: the ``--cores`` of the flag table, locally the service's own.
+#: the ``--cores`` of the flag table, as on ``prepare``.
 FIELD_FLAGS = {"num_threads": "--cores"}
 #: Request fields with no flag: ``query`` prints the whole profile and
 #: never asks for one departure.
@@ -79,8 +78,6 @@ def _run(args: argparse.Namespace) -> int:
     backend = open_backend(
         args,
         request=request_flags(shape),
-        # A batch spreads whole queries over its workers instead.
-        cores=1 if shape is BATCH else FLAGS["--cores"].default,
         quiet=getattr(args, "json", False),
     )
     if shape is BATCH:
@@ -142,9 +139,9 @@ def _print_legs(legs, indent: str = "  ") -> None:
 def _print_profile(args, result, backend) -> None:
     stats = result.stats
     print(
-        f"one-to-all from station {args.source} on {stats.num_threads} "
-        f"cores: {stats.settled_connections} settled connections, "
-        f"simulated time {stats.simulated_seconds * 1000:.1f} ms"
+        f"one-to-all from station {args.source} in {stats.num_threads} "
+        f"partitions: {stats.settled_connections} settled connections, "
+        f"{stats.total_seconds * 1000:.1f} ms total"
     )
     for target, profile in result.profiles.items():
         if target == args.source:
@@ -162,7 +159,7 @@ def _print_journey(args, result, backend) -> None:
     print(
         f"{args.source} → {args.target} ({stats.classification}): "
         f"{stats.settled_connections} settled connections, "
-        f"simulated time {stats.simulated_seconds * 1000:.1f} ms"
+        f"{stats.total_seconds * 1000:.1f} ms total"
     )
     if result.profile.is_empty():
         print("  no connections found (target unreachable)")
@@ -282,11 +279,6 @@ def _batch_summary(args, batch, backend, settled: int) -> dict:
         ),
         "table_mib": None if prepare is None else round(prepare.table_mib, 4),
         "settled_connections": settled,
-        "mean_simulated_seconds": round(
-            sum(r.stats.simulated_seconds for r in batch.journeys)
-            / max(len(batch.journeys), 1),
-            6,
-        ),
         "classifications": classifications,
     }
 
@@ -306,11 +298,11 @@ QUERIES = {
         "one-to-all profile query", ("--cores",), _print_profile
     ),
     "journey": Query(
-        "station-to-station query", ("--cores", *_TABLE_FLAGS), _print_journey
+        "station-to-station query", _TABLE_FLAGS, _print_journey
     ),
     "batch": Query(
         "batched random query workload (throughput check)",
-        ("--cores", "--workers", *_TABLE_FLAGS),
+        ("--workers", *_TABLE_FLAGS),
         _print_batch,
     ),
     "multicriteria": Query(

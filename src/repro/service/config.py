@@ -1,10 +1,10 @@
 """Typed configuration of a :class:`~repro.service.TransitService`.
 
 One :class:`ServiceConfig` fixes *everything* that shapes prepared
-artifacts and answers — per-query core count, transfer-station
-selection, distance table on/off — so that a service instance is
-reproducible from ``(timetable, config)`` alone and two services with
-equal configs answer identically.  Where the searches run is not
+artifacts and answers — a profile's default partition count,
+transfer-station selection, distance table on/off — so that a service
+instance is reproducible from ``(timetable, config)`` alone and two
+services with equal configs answer identically.  Where the searches run is not
 configuration: a service searches on the calling thread until whoever
 runs it gives it search workers
 (:meth:`~repro.service.TransitService.start_workers`).  Nor is the
@@ -53,9 +53,11 @@ class ServiceConfig:
     Query execution
     ---------------
     num_threads
-        Per-query connection partitioning (paper §3.2 simulated cores):
-        how many subsets of ``conn(S)`` one search is split into.  Not
-        a process count.
+        A profile's default partition count (paper §3.2): how many
+        subsets of ``conn(S)`` a :class:`ProfileRequest` that names no
+        ``num_threads`` is split into, each one search worker job.  A
+        journey is one job and always one SPCS search, whatever this
+        says.  Not a process count.
     result_cache_size
         Capacity of the per-service LRU cache over profile / journey /
         batch answers (:mod:`repro.service.cache`); ``0`` disables

@@ -185,11 +185,13 @@ class TransitService:
         # batched) goes through; construction is cheap because all
         # artifacts are injected, and it searches the pack alone, so
         # it is given no object graph.  Of the table rules it runs
-        # Theorem 4; Theorem 3 is the reference kernel's.
+        # Theorem 4; Theorem 3 is the reference kernel's.  A journey
+        # is one job on one core, so one SPCS search: more partitions
+        # would only settle more for the same profile.
         self._engine = StationToStationEngine(
             None,
             prepared.table,
-            num_threads=cfg.num_threads,
+            num_threads=1,
             table_pruning=cfg.table_pruning,
             kernel="flat",
             arrays=prepared.arrays,
@@ -251,8 +253,8 @@ class TransitService:
 
     def with_runtime_overrides(self, **changes) -> "TransitService":
         """A sibling service over the *same* prepared artifacts with
-        runtime-only config changes (:data:`RUNTIME_FIELDS`: the
-        per-query thread count and the result-cache size).
+        runtime-only config changes (:data:`RUNTIME_FIELDS`: a
+        profile's default partition count and the result-cache size).
 
         Nothing is rebuilt — the new service shares this one's
         :class:`PreparedDataset` — so fields that shape preparation
@@ -680,7 +682,7 @@ class TransitService:
         stats = QueryStats(
             kind="journey",
             kernel=SERVED_KERNEL,
-            num_threads=self.config.num_threads,
+            num_threads=1,
             settled_connections=res.settled_connections,
             simulated_seconds=res.simulated_time,
             total_seconds=res.total_time,
@@ -827,8 +829,8 @@ class TransitService:
 
     def _mc_stats(self, kind: str, settled: int, total: float) -> QueryStats:
         # The departure-time shapes read the sequential fixed-departure
-        # search, which has no parallel driver — accounted as one
-        # thread whatever the service's journey configuration.
+        # search, which has no parallel driver: one thread, as a
+        # journey.
         return QueryStats(
             kind=kind,
             kernel=SERVED_KERNEL,

@@ -52,9 +52,9 @@ DEFAULT_MAX_TRANSFERS = 5
 class ProfileRequest:
     """One-to-all profile search from ``source`` over a full period.
 
-    ``num_threads`` overrides the service config's per-query core count
-    for this request only (used by the scaling benchmarks, which sweep
-    p over one prepared dataset).
+    ``num_threads`` is how many subsets of ``conn(source)`` the search
+    is split into (§3.2), each one search worker job; ``None`` takes
+    the service config's default.
     """
 
     source: int
@@ -156,9 +156,11 @@ class MinTransfersRequest:
 class QueryStats:
     """Per-query work and time accounting, uniform across query paths.
 
-    ``simulated_seconds`` is the paper's simulated-cores wall clock
-    (slowest thread + merge); ``total_seconds`` the real wall clock of
-    the call.  ``classification`` is set for journeys only (trivial /
+    ``num_threads`` is the partition count the search ran with: a
+    profile's, 1 for every other shape.  ``total_seconds`` is the real
+    wall clock of the call; ``simulated_seconds`` (slowest subset +
+    merge, the subsets timed one after another) stays only for the
+    wire's sake.  ``classification`` is set for journeys only (trivial /
     table / local / global); the pruning counters are non-zero only
     when a distance table participated.  ``cache_hit`` is ``True`` when
     the answer was served from the service's

@@ -26,11 +26,11 @@ class ReferenceService(TransitService):
 
     def __init__(self, timetable, config=None, *, prepared=None) -> None:
         super().__init__(timetable, config, prepared=prepared)
-        cfg, prepared = self.config, self.prepared
+        prepared = self.prepared
         self._engine = StationToStationEngine(
             prepared.graph,
             prepared.table,
-            num_threads=cfg.num_threads,
+            num_threads=1,
             kernel="python",
             station_graph=prepared.station_graph,
         )

@@ -104,22 +104,32 @@ def test_journey_matches_station_to_station_engine(
         )
         table = build_distance_table(packed_arrays(oahu_tiny_graph), stations)
     # Theorem 3 is the reference kernel's rule: a flat engine runs
-    # without it, as the facade's does.
-    reference = StationToStationEngine(
-        oahu_tiny_graph, table, num_threads=2, kernel=kernel,
-        table_pruning=kernel == "python",
+    # without it, as the facade's does.  A served journey is one SPCS
+    # search whatever the config's num_threads, so it does the p = 1
+    # engine's work, for the profile the p = 2 engine finds too.
+    one, two = (
+        StationToStationEngine(
+            oahu_tiny_graph, table, num_threads=p, kernel=kernel,
+            table_pruning=kernel == "python",
+        )
+        for p in (1, 2)
     )
     pairs = random_station_pairs(oahu_tiny, 8, seed=11) + [(3, 3)]
-    for s, t in pairs:
-        expected = reference.query(s, t)
-        got = service.journey(s, t)
-        assert got.stats.classification == expected.classification
-        assert (
-            got.stats.settled_connections == expected.settled_connections
-        )
-        assert_profiles_bitwise_equal(
-            expected.profile, got.profile, f"{s}->{t}"
-        )
+    batch = service.batch(BatchRequest.from_pairs(pairs))
+    for (s, t), item in zip(pairs, batch.journeys):
+        expected = one.query(s, t)
+        for got in (service.journey(s, t), item):
+            assert got.stats.num_threads == 1
+            assert got.stats.classification == expected.classification
+            assert (
+                got.stats.settled_connections == expected.settled_connections
+            )
+            assert_profiles_bitwise_equal(
+                expected.profile, got.profile, f"{s}->{t}"
+            )
+            assert_profiles_bitwise_equal(
+                two.query(s, t).profile, got.profile, f"{s}->{t} at p = 2"
+            )
 
 
 def test_a_global_journey_is_served_without_theorem_3(

@@ -51,20 +51,41 @@ class TestQueryCommand:
     def test_plain_query(self, capsys):
         assert main([
             "query", "--instance", "oahu", "--scale", "tiny",
-            "--source", "0", "--target", "5", "--cores", "2",
+            "--source", "0", "--target", "5",
         ]) == 0
         out = capsys.readouterr().out
         assert "0 → 5" in out
         assert "depart" in out
+        assert re.search(r"settled connections, [\d.]+ ms total$", out, re.M)
 
     def test_query_with_table(self, capsys):
         assert main([
             "query", "--instance", "oahu", "--scale", "tiny",
-            "--source", "0", "--target", "5", "--cores", "2",
+            "--source", "0", "--target", "5",
             "--transfer-fraction", "0.3",
         ]) == 0
         out = capsys.readouterr().out
         assert "distance table" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--instance", "oahu", "--scale", "tiny",
+             "--source", "0", "--target", "5", "--cores", "2"],
+            ["query", "--remote", "http://127.0.0.1:9/oahu",
+             "--source", "0", "--target", "5", "--cores", "2"],
+            ["batch", "--instance", "oahu", "--scale", "tiny",
+             "--n-queries", "3", "--cores", "2", "--workers", "2"],
+        ],
+        ids=["query", "query-remote", "batch"],
+    )
+    def test_cores_is_a_profile_flag_only(self, argv, capsys):
+        """A journey is one search, so ``--cores`` would change
+        nothing on ``query`` or ``batch``: the parser refuses it."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --cores 2" in capsys.readouterr().err
 
 
 class TestBatchCommand:
@@ -229,8 +250,7 @@ class TestBatchJson:
         for key in ("num_queries", "settled_connections", "classifications"):
             assert pooled[key] == plain[key], key
         assert sorted(pooled) == [
-            "classifications", "kernel", "mean_simulated_seconds",
-            "num_queries", "prepare_seconds", "queries_per_second", "seed",
+            "classifications", "kernel", "num_queries", "prepare_seconds", "queries_per_second", "seed",
             "settled_connections", "table_mib", "total_seconds",
             "transfer_stations", "transport", "workers",
         ]
@@ -272,7 +292,7 @@ class TestStoreCommands:
         assert "warm start" in warm_out
         assert main([
             "query", "--instance", "oahu", "--scale", "tiny",
-            "--source", "0", "--target", "5", "--cores", "4",
+            "--source", "0", "--target", "5",
             "--transfer-fraction", "0.3",
         ]) == 0
         cold_out = capsys.readouterr().out
@@ -308,7 +328,7 @@ class TestStoreCommands:
 
         assert main([
             "batch", "--from-store", str(store),
-            "--n-queries", "3", "--cores", "2", "--workers", "2",
+            "--n-queries", "3", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
         assert f"workers={pool_size(2)}:" in out
@@ -480,8 +500,6 @@ class TestRemoteFlag:
               "--scale", "tiny"], "--scale"),
             (["query", "--remote", url, "--source", "0", "--target", "5",
               "--seed", "3"], "--seed"),
-            (["query", "--remote", url, "--source", "0", "--target", "5",
-              "--cores", "2"], "--cores"),
             (["batch", "--remote", url, "--n-queries", "2",
               "--workers", "2"], "--workers"),
         ]
@@ -541,7 +559,7 @@ class TestRemoteRoundTrip:
             remote_out = capsys.readouterr().out
             assert main([
                 "query", "--instance", "oahu", "--scale", "tiny",
-                "--source", "0", "--target", "5", "--cores", "2",
+                "--source", "0", "--target", "5",
                 "--transfer-fraction", "0.25",
             ]) == 0
             local_out = capsys.readouterr().out

@@ -163,8 +163,7 @@ def store_and_url(tmp_path_factory):
     [
         ("profile", [], ["--source", "0", "--target", "3"]),
         ("profile", [], ["--source", "4"]),
-        ("batch", ["--cores", "4", "--transfer-fraction", "0.3"],
-         ["--n-queries", "6"]),
+        ("batch", ["--transfer-fraction", "0.3"], ["--n-queries", "6"]),
     ],
     ids=["profile-target", "profile-all", "batch"],
 )
